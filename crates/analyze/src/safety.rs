@@ -60,7 +60,7 @@ pub enum AccessVerdict {
 
 impl AccessVerdict {
     /// Stable lower-case name (used by the cache codec and reports).
-    pub fn name(&self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
             AccessVerdict::ProvenSafe => "proven-safe",
             AccessVerdict::ProvenFaulting => "proven-faulting",
@@ -68,14 +68,16 @@ impl AccessVerdict {
         }
     }
 
+    /// Every verdict: the tag table the cache codec draws on.
+    pub const ALL: [AccessVerdict; 3] = [
+        AccessVerdict::ProvenSafe,
+        AccessVerdict::ProvenFaulting,
+        AccessVerdict::Unknown,
+    ];
+
     /// Inverse of [`name`](Self::name).
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "proven-safe" => Some(AccessVerdict::ProvenSafe),
-            "proven-faulting" => Some(AccessVerdict::ProvenFaulting),
-            "unknown" => Some(AccessVerdict::Unknown),
-            _ => None,
-        }
+        AccessVerdict::ALL.into_iter().find(|v| v.name() == name)
     }
 }
 

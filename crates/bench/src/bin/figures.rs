@@ -4,14 +4,15 @@
 //! figures <exhibit> [scale]
 //!
 //! exhibits: table1 table2 table3 fig16 fig17 fig18 fig19 fig20 fig21
-//!           overhead all
+//!           overhead ablations all
 //! scale:    problem-size multiplier (default 4; tests use 1)
 //! ```
 
 use slp::prelude::MachineConfig;
 use slp_bench::figures::{
-    compile_overhead, fig18_series, fig21, measure_suite, render_fig16, render_fig17, render_fig18,
-    render_fig19, render_fig20, render_fig21, render_machine_table, render_table3,
+    compile_overhead, fig18_series, fig21, measure_suite, render_ablations, render_fig16,
+    render_fig17, render_fig18, render_fig19, render_fig20, render_fig21, render_machine_table,
+    render_table3,
 };
 
 fn main() {
@@ -97,9 +98,26 @@ fn main() {
         println!("Global compilation time: {pct:+.1}% vs SLP (paper: +27% on average)\n");
     }
 
+    if wants("ablations") {
+        println!(
+            "== Ablations: cycle impact of each design choice (suite total, Intel, scale 1) =="
+        );
+        println!("{}", render_ablations(&intel));
+    }
+
     let known = [
-        "table1", "table2", "table3", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
-        "overhead", "all",
+        "table1",
+        "table2",
+        "table3",
+        "fig16",
+        "fig17",
+        "fig18",
+        "fig19",
+        "fig20",
+        "fig21",
+        "overhead",
+        "ablations",
+        "all",
     ];
     if !known.contains(&exhibit) {
         eprintln!("unknown exhibit '{exhibit}'; known: {}", known.join(" "));

@@ -10,9 +10,10 @@
 
 use std::fmt::Write as _;
 
-use slp_core::MachineConfig;
+use slp_analysis::WeightParams;
+use slp_core::{compile, MachineConfig, SlpConfig, Strategy};
 use slp_suite::{catalog, BenchmarkSpec};
-use slp_vm::{reduction_percent, MulticoreModel};
+use slp_vm::{execute_gated, lower_kernel_with, reduction_percent, MulticoreModel};
 
 use crate::harness::{assert_equivalent, measure_all, of, Measurement, Scheme};
 
@@ -443,6 +444,75 @@ pub fn compile_overhead(machine: &MachineConfig, scale: usize) -> f64 {
     let slp = time(Scheme::Slp);
     let global = time(Scheme::Global);
     (global / slp - 1.0) * 100.0
+}
+
+/// The simulated-cycle impact of each design choice DESIGN.md calls out
+/// (no analogue in the paper): contiguity-aware vs the paper's
+/// pure-reuse grouping weights, live-superword-set capacity, vector
+/// register file size, permuted superword reuse, and the opt-in
+/// cross-iteration reuse extension. Suite totals at scale 1.
+pub fn render_ablations(machine: &MachineConfig) -> String {
+    let suite_cycles = |tweak: &dyn Fn(&mut SlpConfig)| -> f64 {
+        slp_suite::all(1)
+            .iter()
+            .map(|(_, program)| {
+                let mut cfg = SlpConfig::for_machine(machine.clone(), Strategy::Holistic);
+                tweak(&mut cfg);
+                let kernel = compile(program, &cfg);
+                execute_gated(&kernel, machine, true)
+                    .expect("suite kernels run")
+                    .stats
+                    .metrics
+                    .cycles
+            })
+            .sum()
+    };
+    // Static cycles with codegen's permuted reuse toggled (schedules
+    // fixed; only emission changes).
+    let static_cycles = |permuted_reuse: bool| -> f64 {
+        let cfg = SlpConfig::for_machine(machine.clone(), Strategy::Holistic);
+        slp_suite::all(1)
+            .iter()
+            .flat_map(|(_, program)| {
+                lower_kernel_with(&compile(program, &cfg), machine, true, permuted_reuse)
+            })
+            .map(|(_, code)| code.static_metrics.cycles)
+            .sum()
+    };
+
+    let base = suite_cycles(&|_| {});
+    let mut s = String::new();
+    for (label, cycles) in [
+        (
+            "pure-reuse weights (paper formula)",
+            suite_cycles(&|cfg| cfg.weights = WeightParams::reuse_only()),
+        ),
+        (
+            "live superword set capacity = 2",
+            suite_cycles(&|cfg| cfg.schedule.live_set_capacity = 2),
+        ),
+        (
+            "vector register file = 4",
+            suite_cycles(&|cfg| cfg.machine.vector_regs = 4),
+        ),
+        (
+            "cross-iteration reuse enabled",
+            suite_cycles(&|cfg| cfg.cross_iteration_reuse = true),
+        ),
+    ] {
+        let _ = writeln!(
+            s,
+            "{label:<38} {:+6.2}% cycles vs default",
+            (cycles / base - 1.0) * 100.0
+        );
+    }
+    let _ = writeln!(
+        s,
+        "{:<38} {:+6.2}% static cycles when disabled",
+        "permuted (indirect) superword reuse",
+        (static_cycles(false) / static_cycles(true) - 1.0) * 100.0
+    );
+    s
 }
 
 #[cfg(test)]

@@ -91,6 +91,15 @@ pub struct CacheStats {
     pub disk_errors: u64,
 }
 
+crate::record::record!(CacheStats {
+    "memory_hits" = memory_hits: u64,
+    "disk_hits" = disk_hits: u64,
+    "misses" = misses: u64,
+    "stores" = stores: u64,
+    "evictions" = evictions: u64,
+    "disk_errors" = disk_errors: u64,
+});
+
 impl CacheStats {
     /// Total lookups.
     pub fn lookups(&self) -> u64 {
@@ -348,15 +357,13 @@ impl CompileCache {
     fn disk_get(&self, fp: Fingerprint) -> Option<CachedCompile> {
         let path = self.entry_path(fp)?;
         let text = std::fs::read_to_string(&path).ok()?;
-        match decode_entry(&text, fp) {
-            Ok(entry) => Some(entry),
-            Err(_) => {
-                // Corrupt or stale: drop it so the slot recompiles clean.
-                let _ = std::fs::remove_file(&path);
-                self.stats.disk_errors.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let entry = decode_entry(&text, fp);
+        if entry.is_none() {
+            // Corrupt or stale: drop it so the slot recompiles clean.
+            let _ = std::fs::remove_file(&path);
+            self.stats.disk_errors.fetch_add(1, Ordering::Relaxed);
         }
+        entry
     }
 
     fn disk_put(&self, fp: Fingerprint, entry: &CachedCompile) -> Result<(), ()> {
@@ -376,67 +383,19 @@ impl CompileCache {
 }
 
 fn encode_entry(fp: Fingerprint, entry: &CachedCompile) -> Json {
-    Json::obj([
-        ("format", Json::num(codec::FORMAT_VERSION)),
-        ("fingerprint", Json::str(fp.to_hex())),
-        ("kernel", codec::encode_kernel(&entry.kernel)),
-        (
-            "report",
-            match &entry.report {
-                Some(r) => codec::encode_report(r),
-                None => Json::Null,
-            },
-        ),
-        (
-            "prove",
-            match entry.prove {
-                Some(v) => Json::str(v.name()),
-                None => Json::Null,
-            },
-        ),
-        ("timings", codec::encode_timings(&entry.timings)),
-    ])
+    codec::stamped(vec![("fingerprint", Json::str(fp.to_hex()))], entry)
 }
 
-fn decode_entry(text: &str, expect_fp: Fingerprint) -> Result<CachedCompile, String> {
-    let v = json::parse(text).map_err(|e| e.to_string())?;
-    let format = v
-        .get("format")
-        .and_then(Json::u64)
-        .ok_or("missing format")?;
-    if format != codec::FORMAT_VERSION {
-        return Err(format!("format version {format}"));
-    }
-    let fp = v
-        .get("fingerprint")
-        .and_then(Json::string)
-        .and_then(Fingerprint::from_hex)
-        .ok_or("missing fingerprint")?;
+/// `None` for anything but a well-formed entry of this build filed
+/// under its own fingerprint (a renamed or mis-filed entry is as corrupt
+/// as a garbled one).
+fn decode_entry(text: &str, expect_fp: Fingerprint) -> Option<CachedCompile> {
+    let v = json::parse(text).ok()?;
+    let fp = Fingerprint::from_hex(v.get("fingerprint")?.string()?)?;
     if fp != expect_fp {
-        // A renamed or mis-filed entry; treat as corrupt.
-        return Err("fingerprint mismatch".to_string());
+        return None;
     }
-    let kernel = codec::decode_kernel(v.get("kernel").ok_or("missing kernel")?)
-        .map_err(|e| e.to_string())?;
-    let report = match v.get("report") {
-        None | Some(Json::Null) => None,
-        Some(r) => Some(codec::decode_report(r).map_err(|e| e.to_string())?),
-    };
-    let prove = match v.get("prove") {
-        None | Some(Json::Null) => None,
-        Some(p) => {
-            let name = p.string().ok_or("prove verdict not a string")?;
-            Some(crate::ProveVerdict::from_name(name).ok_or("unknown prove verdict")?)
-        }
-    };
-    let timings = codec::decode_timings(v.get("timings").ok_or("missing timings")?)
-        .map_err(|e| e.to_string())?;
-    Ok(CachedCompile {
-        kernel,
-        report,
-        prove,
-        timings,
-    })
+    codec::unstamped(&v).ok()
 }
 
 #[cfg(test)]

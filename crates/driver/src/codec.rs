@@ -12,6 +12,14 @@
 //!   bytes, so the batch determinism tests can compare outputs across
 //!   thread counts, and cache files are reproducible.
 //!
+//! Every flat record of the payload is declared exactly once, below,
+//! with [`record!`]; the encoder, the decoder, the cache key's field
+//! stream (`keyed` records) and the format stamp all derive from those
+//! declarations (see [`crate::record`]). The recursive IR pieces —
+//! expressions, operands, items, schedules — have constructors rather
+//! than public fields and implement [`Field`] by hand, schema text
+//! included.
+//!
 //! The two lossy spots are [`SlpConfig::verify`] and
 //! [`SlpConfig::packer`]: trait objects have no serialized form, so
 //! decoded configs carry `None` for both. The driver never relies on
@@ -21,32 +29,28 @@
 //! anytime budgets, which *are* semantic inputs, round-trip as plain
 //! numbers).
 
+use std::sync::OnceLock;
+
 use slp_core::{
     AccessCert, AccessVerdict, ArrayLayoutConfig, BlockSchedule, CompileStats, CompiledKernel,
-    CostParams, MachineConfig, Phase, PhaseTimings, SafetyCert, ScalarLayout, ScheduleConfig,
-    ScheduledItem, SlpConfig, Strategy, SuperwordStmt, WeightParams,
+    CostParams, MachineConfig, OptParams, Phase, PhaseTimings, Replication, SafetyCert,
+    ScalarLayout, ScheduleConfig, ScheduledItem, SlpConfig, Strategy, SuperwordStmt, WeightParams,
 };
 use slp_ir::{
-    AccessVector, AffineExpr, ArrayId, ArrayRef, BinOp, BlockId, CmpOp, Dest, Expr, Item, Loop,
-    LoopHeader, LoopVarId, Operand, Program, ScalarType, Statement, StmtId, UnOp, VarId,
+    AccessVector, AffineExpr, ArrayId, ArrayInfo, ArrayRef, BinOp, BlockId, CmpOp, Dest, Expr,
+    ExprShape, Item, Loop, LoopHeader, LoopVarId, Operand, Program, ScalarInfo, ScalarType,
+    Statement, StmtId, UnOp, VarId,
 };
 use slp_verify::{Diagnostic, LintCode, Report, Span};
 
+use crate::cache::CachedCompile;
 use crate::json::Json;
-
-/// The encoding version stamped into every payload; bumped on any
-/// incompatible change so old cache files read as misses, not garbage.
-/// v4 added `Strategy::Optimal`, the solver budget fields in the config
-/// and the `opt_*` solver statistics. v5 added the `sel.*` predicated
-/// blend operators produced by if-conversion. v6 added the memory-safety
-/// certificate (`safety`) and the `accesses_*` verdict counters — a
-/// stale v5 kernel must not be served without a certificate, so v5
-/// payloads read as misses.
-pub const FORMAT_VERSION: u64 = 6;
+use crate::record::{arr, field, key_as, record, stamp_of, tags, Field, Record, Result};
+use crate::ProveVerdict;
 
 /// A decode failure: the payload was syntactically valid JSON but not a
-/// valid kernel encoding (truncated, corrupted, or a different format
-/// version).
+/// valid kernel encoding (truncated, corrupted, or written under a
+/// different format stamp).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecError(pub String);
 
@@ -58,902 +62,532 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-type Result<T> = std::result::Result<T, CodecError>;
-
 fn err<T>(msg: impl Into<String>) -> Result<T> {
     Err(CodecError(msg.into()))
 }
 
-fn req<'a>(v: &'a Json, key: &str) -> Result<&'a Json> {
-    match v.get(key) {
-        Some(x) => Ok(x),
-        None => err(format!("missing key '{key}'")),
-    }
-}
+// ---- the record declarations --------------------------------------------------
+//
+// To persist (and, for `keyed` records, key) a new field: add its line
+// here. Nothing else changes — the stamp moves by itself.
 
-fn req_u64(v: &Json, key: &str) -> Result<u64> {
-    req(v, key)?
-        .u64()
-        .ok_or_else(|| CodecError(format!("'{key}' is not an unsigned integer")))
-}
+record!(keyed CostParams {
+    "scalar_op" = scalar_op: f64,
+    "simd_op" = simd_op: f64,
+    "scalar_load" = scalar_load: f64,
+    "scalar_store" = scalar_store: f64,
+    "vector_load" = vector_load: f64,
+    "unaligned_load" = unaligned_load: f64,
+    "vector_store" = vector_store: f64,
+    "unaligned_store" = unaligned_store: f64,
+    "insert" = insert: f64,
+    "extract" = extract: f64,
+    "permute" = permute: f64,
+    "reg_move" = reg_move: f64,
+    "loop_overhead" = loop_overhead: f64,
+});
 
-fn req_u32(v: &Json, key: &str) -> Result<u32> {
-    u32::try_from(req_u64(v, key)?).map_err(|_| CodecError(format!("'{key}' overflows u32")))
-}
+record!(keyed MachineConfig {
+    "name" = name: String,
+    "datapath_bits" = datapath_bits: u32,
+    "vector_regs" = vector_regs: usize,
+    "cores" = cores: usize,
+    "l1_data_kb" = l1_data_kb: u32,
+    "l2_total_kb" = l2_total_kb: u32,
+    "l3_total_kb" = l3_total_kb: u32,
+    "clock_ghz" = clock_ghz: f64,
+    "cost" = cost: CostParams,
+});
 
-fn req_i64(v: &Json, key: &str) -> Result<i64> {
-    req(v, key)?
-        .i64()
-        .ok_or_else(|| CodecError(format!("'{key}' is not an integer")))
-}
+record!(keyed ScheduleConfig { "live_set_capacity" = live_set_capacity: usize });
 
-fn req_f64(v: &Json, key: &str) -> Result<f64> {
-    req(v, key)?
-        .f64()
-        .ok_or_else(|| CodecError(format!("'{key}' is not a number")))
-}
+record!(keyed ArrayLayoutConfig {
+    "max_replication_factor" = max_replication_factor: f64,
+    "cost" = cost: CostParams,
+});
 
-fn req_bool(v: &Json, key: &str) -> Result<bool> {
-    req(v, key)?
-        .bool()
-        .ok_or_else(|| CodecError(format!("'{key}' is not a bool")))
-}
+record!(keyed WeightParams {
+    "contiguous_bonus" = contiguous_bonus: f64,
+    "gather_penalty" = gather_penalty: f64,
+    "scalar_reuse_weight" = scalar_reuse_weight: f64,
+    "store_factor" = store_factor: f64,
+});
 
-fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str> {
-    req(v, key)?
-        .string()
-        .ok_or_else(|| CodecError(format!("'{key}' is not a string")))
-}
+// The solver's anytime budgets are semantic inputs: a different budget
+// can yield a different (still valid) packing.
+record!(keyed OptParams { "deadline_ms" = deadline_ms: u64, "max_nodes" = max_nodes: u64 });
 
-fn req_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json]> {
-    req(v, key)?
-        .array()
-        .ok_or_else(|| CodecError(format!("'{key}' is not an array")))
-}
+record!(keyed SlpConfig {
+    "machine" = machine: MachineConfig,
+    "strategy" = strategy: Strategy,
+    "unroll" = unroll: usize,
+    "layout" = layout: bool,
+    "schedule" = schedule: ScheduleConfig,
+    "array_layout" = array_layout: ArrayLayoutConfig,
+    "weights" = weights: WeightParams,
+    "cross_iteration_reuse" = cross_iteration_reuse: bool,
+    "refine_deps" = refine_deps: bool,
+    "opt" = opt: OptParams,
+} with {
+    // Trait objects have no serialized form; see module docs.
+    verify: None,
+    packer: None,
+});
 
-// ---- scalar types and operators ------------------------------------------
+// The order is the order `slpc batch --json` rows have always listed
+// these counters in; the report splices this record into each row.
+record!(CompileStats {
+    "stmts" = stmts: usize,
+    "blocks" = blocks: usize,
+    "superwords" = superwords: usize,
+    "vectorized_stmts" = vectorized_stmts: usize,
+    "scalar_packs_laid_out" = scalar_packs_laid_out: usize,
+    "replications" = replications: usize,
+    "deps_refuted" = deps_refuted: usize,
+    "accesses_proven_safe" = accesses_proven_safe: usize,
+    "accesses_unknown" = accesses_unknown: usize,
+    "accesses_proven_faulting" = accesses_proven_faulting: usize,
+    "opt_nodes" = opt_nodes: u64,
+    "opt_gap_ppm" = opt_gap_ppm: u64,
+    "opt_degraded" = opt_degraded: bool,
+});
 
-fn scalar_type_tag(ty: ScalarType) -> &'static str {
-    match ty {
-        ScalarType::I8 => "i8",
-        ScalarType::I16 => "i16",
-        ScalarType::I32 => "i32",
-        ScalarType::I64 => "i64",
-        ScalarType::F32 => "f32",
-        ScalarType::F64 => "f64",
-    }
-}
+record!(LoopHeader {
+    "v" = var: LoopVarId,
+    "lo" = lower: i64,
+    "hi" = upper: i64,
+    "st" = step: i64,
+});
 
-fn scalar_type_from(tag: &str) -> Result<ScalarType> {
-    Ok(match tag {
-        "i8" => ScalarType::I8,
-        "i16" => ScalarType::I16,
-        "i32" => ScalarType::I32,
-        "i64" => ScalarType::I64,
-        "f32" => ScalarType::F32,
-        "f64" => ScalarType::F64,
-        other => return err(format!("unknown scalar type '{other}'")),
-    })
-}
+record!(ArrayRef { "a" = array: ArrayId, "x" = access: AccessVector });
 
-fn expr_op_tag(e: &Expr) -> &'static str {
-    match e {
-        Expr::Copy(_) => "copy",
-        Expr::Unary(UnOp::Neg, _) => "neg",
-        Expr::Unary(UnOp::Abs, _) => "abs",
-        Expr::Unary(UnOp::Sqrt, _) => "sqrt",
-        Expr::Binary(BinOp::Add, _, _) => "add",
-        Expr::Binary(BinOp::Sub, _, _) => "sub",
-        Expr::Binary(BinOp::Mul, _, _) => "mul",
-        Expr::Binary(BinOp::Div, _, _) => "div",
-        Expr::Binary(BinOp::Min, _, _) => "min",
-        Expr::Binary(BinOp::Max, _, _) => "max",
-        Expr::MulAdd(_, _, _) => "muladd",
-        Expr::Select(op, _, _, _, _) => match op {
-            CmpOp::Lt => "sel.lt",
-            CmpOp::Le => "sel.le",
-            CmpOp::Gt => "sel.gt",
-            CmpOp::Ge => "sel.ge",
-            CmpOp::Eq => "sel.eq",
-            CmpOp::Ne => "sel.ne",
-        },
-    }
-}
+record!(ScalarInfo { "n" = name: String, "t" = ty: ScalarType });
 
-// ---- affine expressions and references -----------------------------------
+record!(ArrayInfo {
+    "n" = name: String,
+    "t" = ty: ScalarType,
+    "d" = dims: Vec<i64>,
+    "in" = is_input: bool,
+});
 
-fn encode_affine(e: &AffineExpr) -> Json {
-    Json::obj([
-        ("c", Json::Num(e.constant() as f64)),
-        (
-            "t",
-            Json::Arr(
-                e.terms()
-                    .map(|(v, k)| Json::Arr(vec![Json::num(v.index() as u64), Json::Num(k as f64)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
+record!(AccessCert {
+    "b" = block: BlockId,
+    "s" = stmt: StmtId,
+    "r" = reference: ArrayRef,
+    "w" = is_write: bool,
+    "v" = verdict: AccessVerdict,
+    "d" = detail: String,
+});
 
-fn decode_affine(v: &Json) -> Result<AffineExpr> {
-    let constant = req_i64(v, "c")?;
-    let mut terms = Vec::new();
-    for t in req_arr(v, "t")? {
-        let pair = t
-            .array()
-            .ok_or_else(|| CodecError("term not a pair".into()))?;
-        if pair.len() != 2 {
-            return err("term not a pair");
-        }
-        let var = pair[0].u64().ok_or_else(|| CodecError("term var".into()))? as u32;
-        let coeff = pair[1]
-            .i64()
-            .ok_or_else(|| CodecError("term coeff".into()))?;
-        terms.push((LoopVarId::new(var), coeff));
-    }
-    Ok(AffineExpr::from_terms(terms, constant))
-}
+record!(SafetyCert { "accesses" = accesses: Vec<AccessCert> });
 
-fn encode_access(a: &AccessVector) -> Json {
-    Json::Arr(a.dims().iter().map(encode_affine).collect())
-}
+record!(Replication {
+    "src" = source: ArrayId,
+    "dst" = dest: ArrayId,
+    "lanes" = lanes: Vec<AccessVector>,
+    "dest_exprs" = dest_exprs: Vec<AffineExpr>,
+    "loops" = loops: Vec<LoopHeader>,
+});
 
-fn decode_access(v: &Json) -> Result<AccessVector> {
-    let dims = v
-        .array()
-        .ok_or_else(|| CodecError("access not an array".into()))?
-        .iter()
-        .map(decode_affine)
-        .collect::<Result<Vec<_>>>()?;
-    Ok(AccessVector::new(dims))
-}
+record!(CompiledKernel {
+    "program" = program: Program,
+    "schedules" = schedules: Vec<(BlockId, BlockSchedule)>,
+    "scalar_layout" = scalar_layout: ScalarLayout,
+    "replications" = replications: Vec<Replication>,
+    "stats" = stats: CompileStats,
+    "safety" = safety: SafetyCert,
+    "config" = config: SlpConfig,
+});
 
-fn encode_array_ref(r: &ArrayRef) -> Json {
-    Json::obj([
-        ("a", Json::num(r.array.index() as u64)),
-        ("x", encode_access(&r.access)),
-    ])
-}
+record!(Span { "block" = block: Option<BlockId>, "stmts" = stmts: Vec<StmtId> });
 
-fn decode_array_ref(v: &Json) -> Result<ArrayRef> {
-    let array = ArrayId::new(req_u32(v, "a")?);
-    let access = decode_access(req(v, "x")?)?;
-    Ok(ArrayRef::new(array, access))
-}
+record!(Diagnostic {
+    "code" = code: LintCode,
+    "span" = span: Span,
+    "message" = message: String,
+} with {
+    // The lint catalogue is the source of truth for severities.
+    severity: code.severity(),
+});
 
-// ---- operands, destinations, expressions, statements ---------------------
+record!(Report { "diagnostics" = diagnostics: Vec<Diagnostic> });
 
-fn encode_operand(o: &Operand) -> Json {
-    match o {
-        Operand::Scalar(v) => Json::obj([("s", Json::num(v.index() as u64))]),
-        Operand::Array(r) => Json::obj([("a", encode_array_ref(r))]),
-        Operand::Const(c) => Json::obj([("k", Json::float(*c))]),
-    }
-}
+record!(CachedCompile {
+    "kernel" = kernel: CompiledKernel,
+    "report" = report: Option<Report>,
+    "prove" = prove: Option<ProveVerdict>,
+    "timings" = timings: PhaseTimings,
+});
 
-fn decode_operand(v: &Json) -> Result<Operand> {
-    if let Some(s) = v.get("s") {
-        let idx = s.u64().ok_or_else(|| CodecError("operand var".into()))? as u32;
-        Ok(Operand::Scalar(VarId::new(idx)))
-    } else if let Some(a) = v.get("a") {
-        Ok(Operand::Array(decode_array_ref(a)?))
-    } else if let Some(k) = v.get("k") {
-        let c = k.f64().ok_or_else(|| CodecError("operand const".into()))?;
-        Ok(Operand::Const(c))
-    } else {
-        err("operand has no 's'/'a'/'k' key")
-    }
-}
+// ---- enum tags: the tables the types already own -------------------------------
 
-fn encode_dest(d: &Dest) -> Json {
-    match d {
-        Dest::Scalar(v) => Json::obj([("s", Json::num(v.index() as u64))]),
-        Dest::Array(r) => Json::obj([("a", encode_array_ref(r))]),
-    }
-}
+tags!(Strategy, Strategy::ALL, Strategy::cli_name);
+tags!(AccessVerdict, AccessVerdict::ALL, AccessVerdict::name);
+tags!(ProveVerdict, ProveVerdict::ALL, ProveVerdict::name);
+tags!(LintCode, LintCode::ALL, LintCode::code);
+tags!(ScalarType, ScalarType::all(), |t: ScalarType| t.to_string());
 
-fn decode_dest(v: &Json) -> Result<Dest> {
-    if let Some(s) = v.get("s") {
-        let idx = s.u64().ok_or_else(|| CodecError("dest var".into()))? as u32;
-        Ok(Dest::Scalar(VarId::new(idx)))
-    } else if let Some(a) = v.get("a") {
-        Ok(Dest::Array(decode_array_ref(a)?))
-    } else {
-        err("dest has no 's'/'a' key")
-    }
-}
+key_as!("{}": Strategy);
 
-fn encode_expr(e: &Expr) -> Json {
-    Json::obj([
-        ("o", Json::str(expr_op_tag(e))),
-        (
-            "v",
-            Json::Arr(e.operands().into_iter().map(encode_operand).collect()),
-        ),
-    ])
-}
+// ---- ids ------------------------------------------------------------------------
 
-fn decode_expr(v: &Json) -> Result<Expr> {
-    let op = req_str(v, "o")?;
-    let args = req_arr(v, "v")?
-        .iter()
-        .map(decode_operand)
-        .collect::<Result<Vec<_>>>()?;
-    let arity_err = || CodecError(format!("operator '{op}' has wrong arity"));
-    let mut args = args.into_iter();
-    let mut next = || args.next().ok_or_else(arity_err);
-    Ok(match op {
-        "copy" => Expr::Copy(next()?),
-        "neg" => Expr::Unary(UnOp::Neg, next()?),
-        "abs" => Expr::Unary(UnOp::Abs, next()?),
-        "sqrt" => Expr::Unary(UnOp::Sqrt, next()?),
-        "add" => Expr::Binary(BinOp::Add, next()?, next()?),
-        "sub" => Expr::Binary(BinOp::Sub, next()?, next()?),
-        "mul" => Expr::Binary(BinOp::Mul, next()?, next()?),
-        "div" => Expr::Binary(BinOp::Div, next()?, next()?),
-        "min" => Expr::Binary(BinOp::Min, next()?, next()?),
-        "max" => Expr::Binary(BinOp::Max, next()?, next()?),
-        "muladd" => Expr::MulAdd(next()?, next()?, next()?),
-        "sel.lt" => Expr::Select(CmpOp::Lt, next()?, next()?, next()?, next()?),
-        "sel.le" => Expr::Select(CmpOp::Le, next()?, next()?, next()?, next()?),
-        "sel.gt" => Expr::Select(CmpOp::Gt, next()?, next()?, next()?, next()?),
-        "sel.ge" => Expr::Select(CmpOp::Ge, next()?, next()?, next()?, next()?),
-        "sel.eq" => Expr::Select(CmpOp::Eq, next()?, next()?, next()?, next()?),
-        "sel.ne" => Expr::Select(CmpOp::Ne, next()?, next()?, next()?, next()?),
-        other => return err(format!("unknown operator '{other}'")),
-    })
-}
-
-fn encode_stmt(s: &Statement) -> Json {
-    Json::obj([
-        ("i", Json::num(s.id().index() as u64)),
-        ("d", encode_dest(s.dest())),
-        ("e", encode_expr(s.expr())),
-    ])
-}
-
-fn decode_stmt(v: &Json, max_id: &mut u32) -> Result<Statement> {
-    let id = req_u32(v, "i")?;
-    *max_id = (*max_id).max(id);
-    let dest = decode_dest(req(v, "d")?)?;
-    let expr = decode_expr(req(v, "e")?)?;
-    Ok(Statement::new(StmtId::new(id), dest, expr))
-}
-
-// ---- loop structure -------------------------------------------------------
-
-fn encode_header(h: &LoopHeader) -> Json {
-    Json::obj([
-        ("v", Json::num(h.var.index() as u64)),
-        ("lo", Json::Num(h.lower as f64)),
-        ("hi", Json::Num(h.upper as f64)),
-        ("st", Json::Num(h.step as f64)),
-    ])
-}
-
-fn decode_header(v: &Json) -> Result<LoopHeader> {
-    Ok(LoopHeader {
-        var: LoopVarId::new(req_u32(v, "v")?),
-        lower: req_i64(v, "lo")?,
-        upper: req_i64(v, "hi")?,
-        step: req_i64(v, "st")?,
-    })
-}
-
-fn encode_item(item: &Item) -> Json {
-    match item {
-        Item::Stmt(s) => Json::obj([("stmt", encode_stmt(s))]),
-        Item::Loop(l) => Json::obj([
-            ("loop", encode_header(&l.header)),
-            ("body", Json::Arr(l.body.iter().map(encode_item).collect())),
-        ]),
-    }
-}
-
-fn decode_item(v: &Json, max_id: &mut u32) -> Result<Item> {
-    if let Some(s) = v.get("stmt") {
-        Ok(Item::Stmt(decode_stmt(s, max_id)?))
-    } else if let Some(h) = v.get("loop") {
-        let header = decode_header(h)?;
-        let body = req_arr(v, "body")?
-            .iter()
-            .map(|i| decode_item(i, max_id))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Item::Loop(Loop { header, body }))
-    } else {
-        err("item has no 'stmt'/'loop' key")
-    }
-}
-
-// ---- programs -------------------------------------------------------------
-
-/// Encodes a whole program, ids included.
-pub fn encode_program(p: &Program) -> Json {
-    Json::obj([
-        ("name", Json::str(p.name())),
-        (
-            "scalars",
-            Json::Arr(
-                p.scalars()
-                    .iter()
-                    .map(|s| {
-                        Json::obj([
-                            ("n", Json::str(&s.name)),
-                            ("t", Json::str(scalar_type_tag(s.ty))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "arrays",
-            Json::Arr(
-                p.arrays()
-                    .iter()
-                    .map(|a| {
-                        Json::obj([
-                            ("n", Json::str(&a.name)),
-                            ("t", Json::str(scalar_type_tag(a.ty))),
-                            (
-                                "d",
-                                Json::Arr(a.dims.iter().map(|&d| Json::Num(d as f64)).collect()),
-                            ),
-                            ("in", Json::Bool(a.is_input)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "loop_vars",
-            Json::Arr(
-                (0..p.loop_var_count())
-                    .map(|i| Json::str(p.loop_var_name(LoopVarId::new(i as u32))))
-                    .collect(),
-            ),
-        ),
-        (
-            "items",
-            Json::Arr(p.items().iter().map(encode_item).collect()),
-        ),
-    ])
-}
-
-/// Decodes a program encoded by [`encode_program`], restoring all ids.
-pub fn decode_program(v: &Json) -> Result<Program> {
-    let mut p = Program::new(req_str(v, "name")?);
-    for s in req_arr(v, "scalars")? {
-        p.add_scalar(req_str(s, "n")?, scalar_type_from(req_str(s, "t")?)?);
-    }
-    for a in req_arr(v, "arrays")? {
-        let dims = req_arr(a, "d")?
-            .iter()
-            .map(|d| d.i64().ok_or_else(|| CodecError("array dim".into())))
-            .collect::<Result<Vec<_>>>()?;
-        p.add_array(
-            req_str(a, "n")?,
-            scalar_type_from(req_str(a, "t")?)?,
-            dims,
-            req_bool(a, "in")?,
-        );
-    }
-    for lv in req_arr(v, "loop_vars")? {
-        p.add_loop_var(
-            lv.string()
-                .ok_or_else(|| CodecError("loop var name".into()))?,
-        );
-    }
-    let mut max_id = 0u32;
-    for item in req_arr(v, "items")? {
-        let item = decode_item(item, &mut max_id)?;
-        p.push_item(item);
-    }
-    p.ensure_stmt_ids(max_id.saturating_add(1));
-    Ok(p)
-}
-
-// ---- schedules, layouts, stats, config ------------------------------------
-
-fn encode_schedule(s: &BlockSchedule) -> Json {
-    Json::Arr(
-        s.items()
-            .iter()
-            .map(|item| match item {
-                ScheduledItem::Single(id) => Json::obj([("1", Json::num(id.index() as u64))]),
-                ScheduledItem::Superword(sw) => Json::obj([(
-                    "w",
-                    Json::Arr(
-                        sw.lanes()
-                            .iter()
-                            .map(|l| Json::num(l.index() as u64))
-                            .collect(),
-                    ),
-                )]),
-            })
-            .collect(),
-    )
-}
-
-fn decode_schedule(v: &Json) -> Result<BlockSchedule> {
-    let mut items = Vec::new();
-    for item in v
-        .array()
-        .ok_or_else(|| CodecError("schedule not an array".into()))?
-    {
-        if let Some(one) = item.get("1") {
-            let id = one.u64().ok_or_else(|| CodecError("single id".into()))? as u32;
-            items.push(ScheduledItem::Single(StmtId::new(id)));
-        } else if let Some(w) = item.get("w") {
-            let lanes = w
-                .array()
-                .ok_or_else(|| CodecError("superword lanes".into()))?
-                .iter()
-                .map(|l| {
-                    l.u64()
-                        .map(|n| StmtId::new(n as u32))
-                        .ok_or_else(|| CodecError("lane id".into()))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            if lanes.len() < 2 {
-                return err("superword with fewer than two lanes");
+macro_rules! ids {
+    ($($ty:ident: $new:expr, $get:expr;)*) => {$(
+        impl Field for $ty {
+            fn schema(out: &mut String) {
+                out.push_str("id");
             }
-            items.push(ScheduledItem::Superword(SuperwordStmt::new(lanes)));
-        } else {
-            return err("schedule item has no '1'/'w' key");
+            fn to_json(&self) -> Json {
+                Json::num($get(self))
+            }
+            fn from_json(v: &Json) -> Result<Self> {
+                u32::from_json(v).map($new)
+            }
         }
+    )*};
+}
+
+ids! {
+    LoopVarId: LoopVarId::new, |v: &LoopVarId| v.index() as u64;
+    ArrayId: ArrayId::new, |v: &ArrayId| v.index() as u64;
+    StmtId: StmtId::new, |v: &StmtId| v.index() as u64;
+    VarId: VarId::new, |v: &VarId| v.index() as u64;
+    BlockId: BlockId, |v: &BlockId| u64::from(v.0);
+}
+
+/// Declares an enum of one-payload variants, stored as the one-key
+/// object `{"key": payload}`.
+macro_rules! choice {
+    ($ty:ident { $($key:literal = $variant:ident($pty:ty)),* $(,)? }) => {
+        impl Field for $ty {
+            fn schema(out: &mut String) {
+                out.push('(');
+                $(
+                    out.push_str($key);
+                    out.push(':');
+                    <$pty>::schema(out);
+                    out.push('|');
+                )*
+                out.push(')');
+            }
+            fn to_json(&self) -> Json {
+                match self {
+                    $($ty::$variant(x) => Json::obj([($key, x.to_json())]),)*
+                }
+            }
+            fn from_json(v: &Json) -> Result<Self> {
+                $(if v.get($key).is_some() {
+                    return field(v, $key).map($ty::$variant);
+                })*
+                err(concat!(stringify!($ty), " has none of its keys"))
+            }
+        }
+    };
+}
+
+// ---- affine expressions and references ----------------------------------------
+
+impl Field for AffineExpr {
+    fn schema(out: &mut String) {
+        out.push_str("affine{c:i64,t:[(id,i64)]}");
     }
-    Ok(BlockSchedule::new(items))
-}
-
-fn encode_cost(c: &CostParams) -> Json {
-    Json::obj([
-        ("scalar_op", Json::float(c.scalar_op)),
-        ("simd_op", Json::float(c.simd_op)),
-        ("scalar_load", Json::float(c.scalar_load)),
-        ("scalar_store", Json::float(c.scalar_store)),
-        ("vector_load", Json::float(c.vector_load)),
-        ("unaligned_load", Json::float(c.unaligned_load)),
-        ("vector_store", Json::float(c.vector_store)),
-        ("unaligned_store", Json::float(c.unaligned_store)),
-        ("insert", Json::float(c.insert)),
-        ("extract", Json::float(c.extract)),
-        ("permute", Json::float(c.permute)),
-        ("reg_move", Json::float(c.reg_move)),
-        ("loop_overhead", Json::float(c.loop_overhead)),
-    ])
-}
-
-fn decode_cost(v: &Json) -> Result<CostParams> {
-    Ok(CostParams {
-        scalar_op: req_f64(v, "scalar_op")?,
-        simd_op: req_f64(v, "simd_op")?,
-        scalar_load: req_f64(v, "scalar_load")?,
-        scalar_store: req_f64(v, "scalar_store")?,
-        vector_load: req_f64(v, "vector_load")?,
-        unaligned_load: req_f64(v, "unaligned_load")?,
-        vector_store: req_f64(v, "vector_store")?,
-        unaligned_store: req_f64(v, "unaligned_store")?,
-        insert: req_f64(v, "insert")?,
-        extract: req_f64(v, "extract")?,
-        permute: req_f64(v, "permute")?,
-        reg_move: req_f64(v, "reg_move")?,
-        loop_overhead: req_f64(v, "loop_overhead")?,
-    })
-}
-
-fn encode_machine(m: &MachineConfig) -> Json {
-    Json::obj([
-        ("name", Json::str(&m.name)),
-        ("datapath_bits", Json::num(u64::from(m.datapath_bits))),
-        ("vector_regs", Json::num(m.vector_regs as u64)),
-        ("cores", Json::num(m.cores as u64)),
-        ("l1_data_kb", Json::num(u64::from(m.l1_data_kb))),
-        ("l2_total_kb", Json::num(u64::from(m.l2_total_kb))),
-        ("l3_total_kb", Json::num(u64::from(m.l3_total_kb))),
-        ("clock_ghz", Json::float(m.clock_ghz)),
-        ("cost", encode_cost(&m.cost)),
-    ])
-}
-
-fn decode_machine(v: &Json) -> Result<MachineConfig> {
-    Ok(MachineConfig {
-        name: req_str(v, "name")?.to_string(),
-        datapath_bits: req_u32(v, "datapath_bits")?,
-        vector_regs: req_u64(v, "vector_regs")? as usize,
-        cores: req_u64(v, "cores")? as usize,
-        l1_data_kb: req_u32(v, "l1_data_kb")?,
-        l2_total_kb: req_u32(v, "l2_total_kb")?,
-        l3_total_kb: req_u32(v, "l3_total_kb")?,
-        clock_ghz: req_f64(v, "clock_ghz")?,
-        cost: decode_cost(req(v, "cost")?)?,
-    })
-}
-
-fn strategy_tag(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Scalar => "scalar",
-        Strategy::Native => "native",
-        Strategy::Baseline => "baseline",
-        Strategy::Holistic => "holistic",
-        Strategy::Optimal => "optimal",
+    fn to_json(&self) -> Json {
+        let terms: Vec<(LoopVarId, i64)> = self.terms().collect();
+        Json::obj([("c", self.constant().to_json()), ("t", terms.to_json())])
+    }
+    fn from_json(v: &Json) -> Result<Self> {
+        let terms: Vec<(LoopVarId, i64)> = field(v, "t")?;
+        Ok(AffineExpr::from_terms(terms, field(v, "c")?))
     }
 }
 
-fn strategy_from(tag: &str) -> Result<Strategy> {
-    Ok(match tag {
-        "scalar" => Strategy::Scalar,
-        "native" => Strategy::Native,
-        "baseline" => Strategy::Baseline,
-        "holistic" => Strategy::Holistic,
-        "optimal" => Strategy::Optimal,
-        other => return err(format!("unknown strategy '{other}'")),
-    })
+impl Field for AccessVector {
+    fn schema(out: &mut String) {
+        Vec::<AffineExpr>::schema(out);
+    }
+    fn to_json(&self) -> Json {
+        arr(self.dims())
+    }
+    fn from_json(v: &Json) -> Result<Self> {
+        let dims = Vec::<AffineExpr>::from_json(v)?;
+        if dims.is_empty() {
+            return err("access vector without dimensions");
+        }
+        Ok(AccessVector::new(dims))
+    }
 }
 
-fn encode_config(c: &SlpConfig) -> Json {
-    Json::obj([
-        ("machine", encode_machine(&c.machine)),
-        ("strategy", Json::str(strategy_tag(c.strategy))),
-        ("unroll", Json::num(c.unroll as u64)),
-        ("layout", Json::Bool(c.layout)),
-        (
-            "live_set_capacity",
-            Json::num(c.schedule.live_set_capacity as u64),
-        ),
-        (
-            "max_replication_factor",
-            Json::float(c.array_layout.max_replication_factor),
-        ),
-        ("layout_cost", encode_cost(&c.array_layout.cost)),
-        (
-            "weights",
-            Json::obj([
-                ("contiguous_bonus", Json::float(c.weights.contiguous_bonus)),
-                ("gather_penalty", Json::float(c.weights.gather_penalty)),
-                (
-                    "scalar_reuse_weight",
-                    Json::float(c.weights.scalar_reuse_weight),
-                ),
-                ("store_factor", Json::float(c.weights.store_factor)),
-            ]),
-        ),
-        ("cross_iteration_reuse", Json::Bool(c.cross_iteration_reuse)),
-        ("refine_deps", Json::Bool(c.refine_deps)),
-        ("opt_deadline_ms", Json::num(c.opt.deadline_ms)),
-        ("opt_max_nodes", Json::num(c.opt.max_nodes)),
-    ])
+// ---- operands, destinations, expressions, statements ---------------------------
+
+choice!(Operand { "s" = Scalar(VarId), "a" = Array(ArrayRef), "k" = Const(f64) });
+
+choice!(Dest { "s" = Scalar(VarId), "a" = Array(ArrayRef) });
+
+/// The operator tags, one row per [`ExprShape`]: the encoder looks up
+/// by shape, the decoder by tag, and the schema lists the tags.
+const EXPR_OPS: [(&str, ExprShape); 17] = [
+    ("copy", ExprShape::Copy),
+    ("neg", ExprShape::Unary(UnOp::Neg)),
+    ("abs", ExprShape::Unary(UnOp::Abs)),
+    ("sqrt", ExprShape::Unary(UnOp::Sqrt)),
+    ("add", ExprShape::Binary(BinOp::Add)),
+    ("sub", ExprShape::Binary(BinOp::Sub)),
+    ("mul", ExprShape::Binary(BinOp::Mul)),
+    ("div", ExprShape::Binary(BinOp::Div)),
+    ("min", ExprShape::Binary(BinOp::Min)),
+    ("max", ExprShape::Binary(BinOp::Max)),
+    ("muladd", ExprShape::MulAdd),
+    ("sel.lt", ExprShape::Select(CmpOp::Lt)),
+    ("sel.le", ExprShape::Select(CmpOp::Le)),
+    ("sel.gt", ExprShape::Select(CmpOp::Gt)),
+    ("sel.ge", ExprShape::Select(CmpOp::Ge)),
+    ("sel.eq", ExprShape::Select(CmpOp::Eq)),
+    ("sel.ne", ExprShape::Select(CmpOp::Ne)),
+];
+
+impl Field for Expr {
+    fn schema(out: &mut String) {
+        out.push_str("expr{o:tag(");
+        for (tag, _) in EXPR_OPS {
+            out.push_str(tag);
+            out.push('|');
+        }
+        out.push_str("),v:[");
+        Operand::schema(out);
+        out.push_str("]}");
+    }
+    fn to_json(&self) -> Json {
+        let shape = self.shape();
+        let (tag, _) = EXPR_OPS
+            .iter()
+            .find(|(_, s)| *s == shape)
+            .expect("EXPR_OPS has a row per expression shape");
+        Json::obj([("o", Json::str(*tag)), ("v", arr(self.operands()))])
+    }
+    fn from_json(v: &Json) -> Result<Self> {
+        let tag: String = field(v, "o")?;
+        let Some((_, shape)) = EXPR_OPS.iter().find(|(t, _)| *t == tag) else {
+            return err(format!("unknown operator '{tag}'"));
+        };
+        let mut args = field::<Vec<Operand>>(v, "v")?.into_iter();
+        let mut next = || {
+            args.next()
+                .ok_or_else(|| CodecError(format!("operator '{tag}' has wrong arity")))
+        };
+        Ok(match *shape {
+            ExprShape::Copy => Expr::Copy(next()?),
+            ExprShape::Unary(op) => Expr::Unary(op, next()?),
+            ExprShape::Binary(op) => Expr::Binary(op, next()?, next()?),
+            ExprShape::MulAdd => Expr::MulAdd(next()?, next()?, next()?),
+            ExprShape::Select(op) => Expr::Select(op, next()?, next()?, next()?, next()?),
+        })
+    }
 }
 
-fn decode_config(v: &Json) -> Result<SlpConfig> {
-    let w = req(v, "weights")?;
-    Ok(SlpConfig {
-        machine: decode_machine(req(v, "machine")?)?,
-        strategy: strategy_from(req_str(v, "strategy")?)?,
-        unroll: req_u64(v, "unroll")? as usize,
-        layout: req_bool(v, "layout")?,
-        schedule: ScheduleConfig {
-            live_set_capacity: req_u64(v, "live_set_capacity")? as usize,
-        },
-        array_layout: ArrayLayoutConfig {
-            max_replication_factor: req_f64(v, "max_replication_factor")?,
-            cost: decode_cost(req(v, "layout_cost")?)?,
-        },
-        weights: WeightParams {
-            contiguous_bonus: req_f64(w, "contiguous_bonus")?,
-            gather_penalty: req_f64(w, "gather_penalty")?,
-            scalar_reuse_weight: req_f64(w, "scalar_reuse_weight")?,
-            store_factor: req_f64(w, "store_factor")?,
-        },
-        cross_iteration_reuse: req_bool(v, "cross_iteration_reuse")?,
-        refine_deps: req_bool(v, "refine_deps")?,
-        // Trait objects have no serialized form; see module docs.
-        verify: None,
-        opt: slp_core::OptParams {
-            deadline_ms: req_u64(v, "opt_deadline_ms")?,
-            max_nodes: req_u64(v, "opt_max_nodes")?,
-        },
-        packer: None,
-    })
+impl Field for Statement {
+    fn schema(out: &mut String) {
+        out.push_str("stmt{i:id,d:");
+        Dest::schema(out);
+        out.push_str(",e:");
+        Expr::schema(out);
+        out.push('}');
+    }
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("i", self.id().to_json()),
+            ("d", self.dest().to_json()),
+            ("e", self.expr().to_json()),
+        ])
+    }
+    fn from_json(v: &Json) -> Result<Self> {
+        Ok(Statement::new(
+            field(v, "i")?,
+            field(v, "d")?,
+            field(v, "e")?,
+        ))
+    }
 }
 
-// ---- the compiled kernel ---------------------------------------------------
+// ---- loop structure and programs -------------------------------------------------
+
+choice!(Item { "stmt" = Stmt(Statement), "loop" = Loop(Loop) });
+
+impl Field for Loop {
+    fn schema(out: &mut String) {
+        // `body` recurses into items; the text names it instead.
+        out.push_str("{h:");
+        LoopHeader::schema(out);
+        out.push_str(",body:[item]}");
+    }
+    fn to_json(&self) -> Json {
+        Json::obj([("h", self.header.to_json()), ("body", self.body.to_json())])
+    }
+    fn from_json(v: &Json) -> Result<Self> {
+        Ok(Loop {
+            header: field(v, "h")?,
+            body: field(v, "body")?,
+        })
+    }
+}
+
+impl Field for Program {
+    fn schema(out: &mut String) {
+        out.push_str("program{name:str,scalars:");
+        Vec::<ScalarInfo>::schema(out);
+        out.push_str(",arrays:");
+        Vec::<ArrayInfo>::schema(out);
+        out.push_str(",loop_vars:[str],items:[");
+        Item::schema(out);
+        out.push_str("]}");
+    }
+    /// Encodes a whole program, ids included.
+    fn to_json(&self) -> Json {
+        let loop_vars = (0..self.loop_var_count())
+            .map(|i| Json::str(self.loop_var_name(LoopVarId::new(i as u32))))
+            .collect();
+        Json::obj([
+            ("name", Json::str(self.name())),
+            ("scalars", arr(self.scalars())),
+            ("arrays", arr(self.arrays())),
+            ("loop_vars", Json::Arr(loop_vars)),
+            ("items", arr(self.items())),
+        ])
+    }
+    /// Decodes a program, restoring all ids.
+    fn from_json(v: &Json) -> Result<Self> {
+        let mut p = Program::new(field::<String>(v, "name")?);
+        for s in field::<Vec<ScalarInfo>>(v, "scalars")? {
+            p.add_scalar(s.name, s.ty);
+        }
+        for a in field::<Vec<ArrayInfo>>(v, "arrays")? {
+            p.add_array(a.name, a.ty, a.dims, a.is_input);
+        }
+        for name in field::<Vec<String>>(v, "loop_vars")? {
+            p.add_loop_var(name);
+        }
+        for item in field::<Vec<Item>>(v, "items")? {
+            p.push_item(item);
+        }
+        let mut max_id = 0;
+        p.for_each_stmt(|s| max_id = max_id.max(s.id().index() as u32));
+        p.ensure_stmt_ids(max_id.saturating_add(1));
+        Ok(p)
+    }
+}
+
+// ---- schedules, layouts, timings ---------------------------------------------------
+
+choice!(ScheduledItem { "1" = Single(StmtId), "w" = Superword(SuperwordStmt) });
+
+impl Field for SuperwordStmt {
+    fn schema(out: &mut String) {
+        Vec::<StmtId>::schema(out);
+    }
+    fn to_json(&self) -> Json {
+        arr(self.lanes())
+    }
+    fn from_json(v: &Json) -> Result<Self> {
+        let lanes = Vec::from_json(v)?;
+        if lanes.len() < 2 {
+            return err("superword with fewer than two lanes");
+        }
+        Ok(SuperwordStmt::new(lanes))
+    }
+}
+
+impl Field for BlockSchedule {
+    fn schema(out: &mut String) {
+        Vec::<ScheduledItem>::schema(out);
+    }
+    fn to_json(&self) -> Json {
+        arr(self.items())
+    }
+    fn from_json(v: &Json) -> Result<Self> {
+        Vec::from_json(v).map(BlockSchedule::new)
+    }
+}
+
+impl Field for ScalarLayout {
+    fn schema(out: &mut String) {
+        out.push_str("scalar_layout{addr:[u64],total:u64,optimized:bool}");
+    }
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("addr", arr(self.addresses())),
+            ("total", self.total_bytes().to_json()),
+            ("optimized", self.is_optimized().to_json()),
+        ])
+    }
+    fn from_json(v: &Json) -> Result<Self> {
+        Ok(ScalarLayout::from_raw(
+            field(v, "addr")?,
+            field(v, "total")?,
+            field(v, "optimized")?,
+        ))
+    }
+}
+
+impl Field for PhaseTimings {
+    fn schema(out: &mut String) {
+        out.push_str("phases(");
+        for p in Phase::ALL {
+            out.push_str(p.name());
+            out.push('|');
+        }
+        out.push(')');
+    }
+    fn to_json(&self) -> Json {
+        Json::obj(Phase::ALL.map(|p| (p.name(), Json::num(self.nanos(p)))))
+    }
+    fn from_json(v: &Json) -> Result<Self> {
+        let mut t = PhaseTimings::new();
+        for p in Phase::ALL {
+            t.set_nanos(p, field(v, p.name())?);
+        }
+        Ok(t)
+    }
+}
+
+// ---- the stamped payloads ----------------------------------------------------------
+
+/// The format stamp of everything this module persists: the hash of
+/// [`CachedCompile`]'s schema, which reaches every declaration above.
+fn stamp() -> &'static str {
+    static STAMP: OnceLock<String> = OnceLock::new();
+    STAMP.get_or_init(stamp_of::<CachedCompile>)
+}
+
+/// Prefixes a record's pairs with the format stamp.
+pub(crate) fn stamped(head: Vec<(&'static str, Json)>, record: &impl Record) -> Json {
+    let mut pairs = vec![("format", Json::str(stamp()))];
+    pairs.extend(head);
+    pairs.extend(record.pairs());
+    Json::obj(pairs)
+}
+
+/// Decodes a payload written by [`stamped`]; one written under any
+/// other stamp (or by a pre-stamp build) is an error, which the cache
+/// treats as a miss.
+pub(crate) fn unstamped<T: Field>(v: &Json) -> Result<T> {
+    match v.get("format") {
+        Some(Json::Str(s)) if s == stamp() => T::from_json(v),
+        other => err(format!(
+            "format stamp {:?} (this build reads {:?})",
+            other.map(Json::to_compact),
+            stamp()
+        )),
+    }
+}
 
 /// Encodes a compiled kernel. Deterministic: equal kernels give equal
 /// bytes through [`Json::to_compact`].
 pub fn encode_kernel(k: &CompiledKernel) -> Json {
-    Json::obj([
-        ("format", Json::num(FORMAT_VERSION)),
-        ("program", encode_program(&k.program)),
-        (
-            "schedules",
-            Json::Arr(
-                k.schedules
-                    .iter()
-                    .map(|(b, s)| {
-                        Json::obj([
-                            ("b", Json::num(u64::from(b.0))),
-                            ("items", encode_schedule(s)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "scalar_layout",
-            Json::obj([
-                (
-                    "addr",
-                    Json::Arr(
-                        k.scalar_layout
-                            .addresses()
-                            .iter()
-                            .map(|&a| Json::num(a))
-                            .collect(),
-                    ),
-                ),
-                ("total", Json::num(k.scalar_layout.total_bytes())),
-                ("optimized", Json::Bool(k.scalar_layout.is_optimized())),
-            ]),
-        ),
-        (
-            "replications",
-            Json::Arr(
-                k.replications
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("src", Json::num(r.source.index() as u64)),
-                            ("dst", Json::num(r.dest.index() as u64)),
-                            (
-                                "lanes",
-                                Json::Arr(r.lanes.iter().map(encode_access).collect()),
-                            ),
-                            (
-                                "dest_exprs",
-                                Json::Arr(r.dest_exprs.iter().map(encode_affine).collect()),
-                            ),
-                            (
-                                "loops",
-                                Json::Arr(r.loops.iter().map(encode_header).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "stats",
-            Json::obj([
-                ("stmts", Json::num(k.stats.stmts as u64)),
-                ("blocks", Json::num(k.stats.blocks as u64)),
-                ("superwords", Json::num(k.stats.superwords as u64)),
-                (
-                    "vectorized_stmts",
-                    Json::num(k.stats.vectorized_stmts as u64),
-                ),
-                (
-                    "scalar_packs_laid_out",
-                    Json::num(k.stats.scalar_packs_laid_out as u64),
-                ),
-                ("replications", Json::num(k.stats.replications as u64)),
-                ("deps_refuted", Json::num(k.stats.deps_refuted as u64)),
-                ("opt_nodes", Json::num(k.stats.opt_nodes)),
-                ("opt_gap_ppm", Json::num(k.stats.opt_gap_ppm)),
-                ("opt_degraded", Json::Bool(k.stats.opt_degraded)),
-                (
-                    "accesses_proven_safe",
-                    Json::num(k.stats.accesses_proven_safe as u64),
-                ),
-                (
-                    "accesses_unknown",
-                    Json::num(k.stats.accesses_unknown as u64),
-                ),
-                (
-                    "accesses_proven_faulting",
-                    Json::num(k.stats.accesses_proven_faulting as u64),
-                ),
-            ]),
-        ),
-        ("safety", encode_safety(&k.safety)),
-        ("config", encode_config(&k.config)),
-    ])
-}
-
-fn encode_safety(cert: &SafetyCert) -> Json {
-    Json::Arr(
-        cert.accesses
-            .iter()
-            .map(|a| {
-                Json::obj([
-                    ("b", Json::num(u64::from(a.block.0))),
-                    ("s", Json::num(a.stmt.index() as u64)),
-                    ("r", encode_array_ref(&a.reference)),
-                    ("w", Json::Bool(a.is_write)),
-                    ("v", Json::str(a.verdict.name())),
-                    ("d", Json::str(&a.detail)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn decode_safety(v: &Json) -> Result<SafetyCert> {
-    let mut accesses = Vec::new();
-    for a in v
-        .array()
-        .ok_or_else(|| CodecError("safety cert not an array".into()))?
-    {
-        let verdict = req_str(a, "v")?;
-        let verdict = AccessVerdict::from_name(verdict)
-            .ok_or_else(|| CodecError(format!("unknown access verdict '{verdict}'")))?;
-        accesses.push(AccessCert {
-            block: BlockId(req_u32(a, "b")?),
-            stmt: StmtId::new(req_u32(a, "s")?),
-            reference: decode_array_ref(req(a, "r")?)?,
-            is_write: req_bool(a, "w")?,
-            verdict,
-            detail: req_str(a, "d")?.to_string(),
-        });
-    }
-    Ok(SafetyCert { accesses })
+    stamped(Vec::new(), k)
 }
 
 /// Decodes a kernel encoded by [`encode_kernel`].
 pub fn decode_kernel(v: &Json) -> Result<CompiledKernel> {
-    let format = req_u64(v, "format")?;
-    if format != FORMAT_VERSION {
-        return err(format!(
-            "format version {format} (this build reads {FORMAT_VERSION})"
-        ));
-    }
-    let program = decode_program(req(v, "program")?)?;
-    let mut schedules = Vec::new();
-    for entry in req_arr(v, "schedules")? {
-        let block = BlockId(req_u32(entry, "b")?);
-        let sched = decode_schedule(req(entry, "items")?)?;
-        schedules.push((block, sched));
-    }
-    let sl = req(v, "scalar_layout")?;
-    let addr = req_arr(sl, "addr")?
-        .iter()
-        .map(|a| a.u64().ok_or_else(|| CodecError("scalar address".into())))
-        .collect::<Result<Vec<_>>>()?;
-    let scalar_layout =
-        ScalarLayout::from_raw(addr, req_u64(sl, "total")?, req_bool(sl, "optimized")?);
-    let mut replications = Vec::new();
-    for r in req_arr(v, "replications")? {
-        replications.push(slp_core::Replication {
-            source: ArrayId::new(req_u32(r, "src")?),
-            dest: ArrayId::new(req_u32(r, "dst")?),
-            lanes: req_arr(r, "lanes")?
-                .iter()
-                .map(decode_access)
-                .collect::<Result<Vec<_>>>()?,
-            dest_exprs: req_arr(r, "dest_exprs")?
-                .iter()
-                .map(decode_affine)
-                .collect::<Result<Vec<_>>>()?,
-            loops: req_arr(r, "loops")?
-                .iter()
-                .map(decode_header)
-                .collect::<Result<Vec<_>>>()?,
-        });
-    }
-    let st = req(v, "stats")?;
-    let stats = CompileStats {
-        stmts: req_u64(st, "stmts")? as usize,
-        blocks: req_u64(st, "blocks")? as usize,
-        superwords: req_u64(st, "superwords")? as usize,
-        vectorized_stmts: req_u64(st, "vectorized_stmts")? as usize,
-        scalar_packs_laid_out: req_u64(st, "scalar_packs_laid_out")? as usize,
-        replications: req_u64(st, "replications")? as usize,
-        deps_refuted: req_u64(st, "deps_refuted")? as usize,
-        opt_nodes: req_u64(st, "opt_nodes")?,
-        opt_gap_ppm: req_u64(st, "opt_gap_ppm")?,
-        opt_degraded: req_bool(st, "opt_degraded")?,
-        accesses_proven_safe: req_u64(st, "accesses_proven_safe")? as usize,
-        accesses_unknown: req_u64(st, "accesses_unknown")? as usize,
-        accesses_proven_faulting: req_u64(st, "accesses_proven_faulting")? as usize,
-    };
-    let safety = decode_safety(req(v, "safety")?)?;
-    let config = decode_config(req(v, "config")?)?;
-    Ok(CompiledKernel {
-        program,
-        schedules,
-        scalar_layout,
-        replications,
-        stats,
-        safety,
-        config,
-    })
-}
-
-// ---- verify reports and timings --------------------------------------------
-
-/// Encodes a verify report as a list of structured diagnostics.
-pub fn encode_report(r: &Report) -> Json {
-    Json::Arr(
-        r.diagnostics
-            .iter()
-            .map(|d| {
-                Json::obj([
-                    ("code", Json::str(d.code.code())),
-                    ("severity", Json::str(d.severity.to_string())),
-                    ("message", Json::str(&d.message)),
-                    (
-                        "block",
-                        match d.span.block {
-                            Some(b) => Json::num(u64::from(b.0)),
-                            None => Json::Null,
-                        },
-                    ),
-                    (
-                        "stmts",
-                        Json::Arr(
-                            d.span
-                                .stmts
-                                .iter()
-                                .map(|s| Json::num(s.index() as u64))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Decodes a report encoded by [`encode_report`]. Severity is re-derived
-/// from the lint catalogue, which is the source of truth.
-pub fn decode_report(v: &Json) -> Result<Report> {
-    let mut report = Report::new();
-    for d in v
-        .array()
-        .ok_or_else(|| CodecError("report not an array".into()))?
-    {
-        let code = req_str(d, "code")?;
-        let code = LintCode::from_code(code)
-            .ok_or_else(|| CodecError(format!("unknown lint code '{code}'")))?;
-        let block = match req(d, "block")? {
-            Json::Null => None,
-            b => Some(BlockId(
-                b.u64().ok_or_else(|| CodecError("span block".into()))? as u32,
-            )),
-        };
-        let stmts = req_arr(d, "stmts")?
-            .iter()
-            .map(|s| {
-                s.u64()
-                    .map(|n| StmtId::new(n as u32))
-                    .ok_or_else(|| CodecError("span stmt".into()))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        report.push(Diagnostic::new(
-            code,
-            Span { block, stmts },
-            req_str(d, "message")?,
-        ));
-    }
-    Ok(report)
-}
-
-/// Encodes per-phase timings as `{phase: nanos}`.
-pub fn encode_timings(t: &PhaseTimings) -> Json {
-    Json::Obj(
-        t.iter()
-            .map(|(p, ns)| (p.name().to_string(), Json::num(ns)))
-            .collect(),
-    )
-}
-
-/// Decodes timings encoded by [`encode_timings`].
-pub fn decode_timings(v: &Json) -> Result<PhaseTimings> {
-    let mut t = PhaseTimings::new();
-    for p in Phase::ALL {
-        t.set_nanos(p, req_u64(v, p.name())?);
-    }
-    Ok(t)
+    unstamped(v)
 }
 
 #[cfg(test)]
@@ -997,7 +631,7 @@ mod tests {
         }
     }
 
-    /// The memory-safety certificate is part of the v6 payload: it must
+    /// The memory-safety certificate is part of the payload: it must
     /// survive the round trip verbatim, including verdicts and details,
     /// so a cache hit can elide bounds checks exactly like a cold
     /// compile.
@@ -1073,104 +707,140 @@ mod tests {
         assert!(back.program.fresh_stmt_id().index() > max);
     }
 
+    /// A payload written under any other stamp — an older build's
+    /// (whose stamp was a number), a newer one's, none at all — is a
+    /// decode error, and on disk a miss that costs one `disk_errors`
+    /// tick and is then replaced.
     #[test]
-    fn format_version_gates_decoding() {
+    fn any_other_format_stamp_is_an_error_and_a_disk_miss() {
         let k = compiled(GATHER, false);
-        let mut v = encode_kernel(&k);
-        if let Json::Obj(pairs) = &mut v {
-            for (key, val) in pairs.iter_mut() {
-                if key == "format" {
-                    *val = Json::num(FORMAT_VERSION + 1);
-                }
-            }
+        let restamp = |v: &Json, stamp: Option<Json>| match v {
+            Json::Obj(pairs) => Json::Obj(
+                pairs
+                    .iter()
+                    .filter(|(key, _)| key != "format")
+                    .cloned()
+                    .chain(stamp.map(|s| ("format".to_string(), s)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        };
+        let good = encode_kernel(&k);
+        assert!(decode_kernel(&good).is_ok());
+        for other in [
+            Some(Json::num(6)),
+            Some(Json::str("0123456789abcdef")),
+            Some(Json::str(format!("{}0", stamp()))),
+            None,
+        ] {
+            let err = decode_kernel(&restamp(&good, other.clone())).expect_err("must not decode");
+            assert!(err.0.contains("format"), "{other:?} rejected as: {}", err.0);
         }
-        assert!(decode_kernel(&v).is_err());
+
+        let dir = std::env::temp_dir().join(format!("slp-codec-stamp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let req = crate::CompileRequest {
+            name: "g".to_string(),
+            source: GATHER.to_string(),
+            config: k.config.clone(),
+            verify: crate::VerifyLevel::Static,
+        };
+        let cache = crate::CompileCache::with_disk(4, &dir);
+        let cold = crate::compile_source(&req, Some(&cache)).expect("compiles");
+        let path = dir.join(format!("{}.json", cold.fingerprint.to_hex()));
+        let entry = json::parse(&std::fs::read_to_string(&path).expect("entry")).expect("parses");
+        let stale = restamp(&entry, Some(Json::num(6)));
+        std::fs::write(&path, stale.to_compact()).expect("rewrite entry");
+
+        let cache = crate::CompileCache::with_disk(4, &dir);
+        let again = crate::compile_source(&req, Some(&cache)).expect("compiles");
+        assert_eq!(again.cache, crate::CacheDisposition::Compiled);
+        assert_eq!(cache.stats().disk_errors, 1);
+        assert_eq!(cache.stats().misses, 1);
+        let cache = crate::CompileCache::with_disk(4, &dir);
+        let warm = crate::compile_source(&req, Some(&cache)).expect("compiles");
+        assert_eq!(warm.cache, crate::CacheDisposition::DiskHit);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A disk entry written by the v3 codec (pre-`Strategy::Optimal`: no
-    /// `opt_*` keys, format stamp 3) must be rejected at the version
-    /// gate — a clean cache miss — rather than misdecoded into a kernel
-    /// with made-up solver fields.
-    #[test]
-    fn format_version_3_entries_are_rejected() {
-        let k = compiled(GATHER, false);
-        let mut v = encode_kernel(&k);
-        // Reconstruct the v3 shape: old format stamp, and none of the
-        // keys v4 introduced anywhere in the tree.
-        fn strip_v4_keys(v: &mut Json) {
-            match v {
-                Json::Obj(pairs) => {
-                    pairs.retain(|(key, _)| {
-                        !matches!(
-                            key.as_str(),
-                            "opt_deadline_ms"
-                                | "opt_max_nodes"
-                                | "opt_nodes"
-                                | "opt_gap_ppm"
-                                | "opt_degraded"
-                        )
-                    });
-                    for (key, val) in pairs.iter_mut() {
-                        if key == "format" {
-                            *val = Json::num(3);
-                        }
-                        strip_v4_keys(val);
-                    }
+    /// Every leaf of `encoded`, as the key path from the root.
+    fn leaf_paths(encoded: &Json, prefix: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+        match encoded {
+            Json::Obj(pairs) => {
+                for (key, value) in pairs {
+                    prefix.push(key.clone());
+                    leaf_paths(value, prefix, out);
+                    prefix.pop();
                 }
-                Json::Arr(items) => items.iter_mut().for_each(strip_v4_keys),
-                _ => {}
             }
+            _ => out.push(prefix.clone()),
         }
-        strip_v4_keys(&mut v);
-        let err = decode_kernel(&v).expect_err("v3 entry must not decode");
-        assert!(
-            err.0.contains("format version 3"),
-            "rejection must name the version gate, got: {}",
-            err.0
-        );
     }
 
-    /// A disk entry written by the v5 codec (pre-safety-certificate: no
-    /// `safety` payload, no access-verdict stats, format stamp 5) must
-    /// be rejected at the version gate — a clean cache miss that forces
-    /// recertification — rather than misdecoded into a kernel with an
-    /// empty certificate that the VM would trust to elide bounds checks.
+    fn leaf_mut<'a>(v: &'a mut Json, path: &[String]) -> &'a mut Json {
+        let Some((key, rest)) = path.split_first() else {
+            return v;
+        };
+        let Json::Obj(pairs) = v else {
+            panic!("path {path:?} leaves the tree");
+        };
+        let (_, child) = pairs.iter_mut().find(|(k, _)| k == key).expect("key");
+        leaf_mut(child, rest)
+    }
+
+    /// The drift the hand-kept lists had: the codec persisted
+    /// `machine.{l1_data,l2_total,l3_total}_kb` but the fingerprint did
+    /// not key them. Walk every declared leaf of the config — machine
+    /// and both cost tables included — and perturb each in turn: the
+    /// cache key must move, and the perturbed value must survive the
+    /// kernel round trip. One declaration feeds both, so this holds for
+    /// any field added later.
     #[test]
-    fn format_version_5_entries_are_rejected() {
+    fn every_declared_config_field_is_keyed_and_persisted() {
         let k = compiled(GATHER, false);
-        let mut v = encode_kernel(&k);
-        // Reconstruct the v5 shape: old format stamp, and none of the
-        // keys v6 introduced anywhere in the tree.
-        fn strip_v6_keys(v: &mut Json) {
-            match v {
-                Json::Obj(pairs) => {
-                    pairs.retain(|(key, _)| {
-                        !matches!(
-                            key.as_str(),
-                            "safety"
-                                | "accesses_proven_safe"
-                                | "accesses_unknown"
-                                | "accesses_proven_faulting"
-                        )
-                    });
-                    for (key, val) in pairs.iter_mut() {
-                        if key == "format" {
-                            *val = Json::num(5);
-                        }
-                        strip_v6_keys(val);
-                    }
-                }
-                Json::Arr(items) => items.iter_mut().for_each(strip_v6_keys),
-                _ => {}
-            }
-        }
-        strip_v6_keys(&mut v);
-        let err = decode_kernel(&v).expect_err("v5 entry must not decode");
-        assert!(
-            err.0.contains("format version 5"),
-            "rejection must name the version gate, got: {}",
-            err.0
+        let base = k.config.to_json();
+        let base_fp = crate::fingerprint(GATHER, &k.config);
+        let mut paths = Vec::new();
+        leaf_paths(&base, &mut Vec::new(), &mut paths);
+        // machine (8 + its 13 costs), array_layout (1 + 13 costs),
+        // schedule 1, weights 4, opt 2, and 5 top-level knobs.
+        assert_eq!(
+            paths.len(),
+            (8 + 13) + (1 + 13) + 1 + 4 + 2 + 5,
+            "{paths:?}"
         );
+        for name in ["l1_data_kb", "l2_total_kb", "l3_total_kb"] {
+            assert!(paths.contains(&vec!["machine".to_string(), name.to_string()]));
+        }
+
+        for path in &paths {
+            let mut perturbed = base.clone();
+            let leaf = leaf_mut(&mut perturbed, path);
+            *leaf = match &*leaf {
+                Json::Num(x) => Json::Num(x + 1.0),
+                Json::Bool(b) => Json::Bool(!b),
+                // The base strategy is `global`; any other tag is a
+                // different valid value, and so is any machine name.
+                Json::Str(_) => Json::str("scalar"),
+                other => panic!("unexpected leaf {other:?} at {path:?}"),
+            };
+            assert_ne!(perturbed, base, "{path:?} not perturbed");
+            let config = SlpConfig::from_json(&perturbed).expect("perturbed config decodes");
+            assert_ne!(
+                crate::fingerprint(GATHER, &config),
+                base_fp,
+                "{path:?} is persisted but not part of the cache key"
+            );
+            let mut kernel = k.clone();
+            kernel.config = config;
+            let text = encode_kernel(&kernel).to_compact();
+            let back = decode_kernel(&json::parse(&text).expect("parses")).expect("decodes");
+            assert_eq!(
+                back.config.to_json(),
+                perturbed,
+                "{path:?} does not survive the round trip"
+            );
+        }
     }
 
     #[test]
@@ -1187,8 +857,8 @@ mod tests {
             Span::program(),
             "array A differs at [2]",
         ));
-        let text = encode_report(&r).to_compact();
-        let back = decode_report(&json::parse(&text).expect("parses")).expect("decodes");
+        let text = r.to_json().to_compact();
+        let back = Report::from_json(&json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, r);
     }
 
@@ -1197,8 +867,8 @@ mod tests {
         let mut t = PhaseTimings::new();
         t.set_nanos(Phase::Grouping, 123_456);
         t.set_nanos(Phase::Verify, 789);
-        let text = encode_timings(&t).to_compact();
-        let back = decode_timings(&json::parse(&text).expect("parses")).expect("decodes");
+        let text = t.to_json().to_compact();
+        let back = PhaseTimings::from_json(&json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, t);
     }
 }

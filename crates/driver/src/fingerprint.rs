@@ -16,22 +16,24 @@
 //! * the crate version — a new compiler silently invalidates every old
 //!   entry rather than replaying stale kernels,
 //! * the source text, byte for byte,
-//! * every semantic knob of [`SlpConfig`]: strategy, unroll factor,
-//!   layout flag, machine description (including the full cost table),
-//!   scheduling/array-layout/grouping parameters, and the
-//!   cross-iteration-reuse flag.
+//! * every persisted field of [`SlpConfig`]: the key is the field stream
+//!   of the same record declaration the cache codec encodes and decodes
+//!   (see [`crate::record`]), so a knob the payload carries can never be
+//!   missing from the key.
 //!
-//! The [`SlpConfig::verify`] hook is deliberately *excluded*: it cannot
-//! change the produced kernel, only panic on a bad one. The
-//! [`SlpConfig::packer`] handle is likewise excluded — the driver always
-//! installs the same solver for `Strategy::Optimal`, and the solver's
-//! *budgets* (which do change the packing) are keyed as plain fields.
-//! The driver's own verification level is keyed separately (it changes
-//! the cached `Report`), via [`fingerprint_with_tag`].
+//! The [`SlpConfig::verify`] hook is deliberately *excluded* (it is not
+//! a declared field): it cannot change the produced kernel, only panic
+//! on a bad one. The [`SlpConfig::packer`] handle is likewise excluded —
+//! the driver always installs the same solver for `Strategy::Optimal`,
+//! and the solver's *budgets* (which do change the packing) are declared
+//! fields. The driver's own verification level is keyed separately (it
+//! changes the cached `Report`), via [`fingerprint_with_tag`].
 
 use std::fmt;
 
-use slp_core::{CostParams, MachineConfig, SlpConfig, Strategy};
+use slp_core::SlpConfig;
+
+use crate::record::Key;
 
 /// A 128-bit content-addressed cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,20 +68,22 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 // (the FNV-0 hash of "slp-driver").
 const FNV_OFFSET_B: u64 = 0x9ae1_6a3b_2f90_404f;
 
-struct Hasher {
+/// The two-stream FNV-1a state. [`fmt::Write`] lets numbers stream in
+/// through `write!` without an intermediate `String`.
+pub(crate) struct Hasher {
     a: u64,
     b: u64,
 }
 
 impl Hasher {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Hasher {
             a: FNV_OFFSET,
             b: FNV_OFFSET_B,
         }
     }
 
-    fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
             self.b = (self.b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
@@ -88,61 +92,22 @@ impl Hasher {
 
     /// Writes a field with a separator so concatenations cannot collide
     /// (`("ab", "c")` hashes differently from `("a", "bc")`).
-    fn field(&mut self, name: &str, value: impl fmt::Display) {
+    pub(crate) fn field(&mut self, name: &str, value: &(impl Key + ?Sized)) {
         self.write(name.as_bytes());
         self.write(b"=");
-        self.write(value.to_string().as_bytes());
+        value.key(self);
         self.write(b"\x1f");
     }
 
-    fn finish(self) -> Fingerprint {
+    pub(crate) fn finish(self) -> Fingerprint {
         Fingerprint(self.a, self.b)
     }
 }
 
-/// Bit-exact float rendering for key derivation. `{:?}` is Rust's
-/// shortest roundtrip form, so two distinct `f64` values always render
-/// differently (including `-0.0` vs `0.0`).
-fn float(x: f64) -> String {
-    format!("{x:?}")
-}
-
-fn write_cost(h: &mut Hasher, prefix: &str, c: &CostParams) {
-    for (name, v) in [
-        ("scalar_op", c.scalar_op),
-        ("simd_op", c.simd_op),
-        ("scalar_load", c.scalar_load),
-        ("scalar_store", c.scalar_store),
-        ("vector_load", c.vector_load),
-        ("unaligned_load", c.unaligned_load),
-        ("vector_store", c.vector_store),
-        ("unaligned_store", c.unaligned_store),
-        ("insert", c.insert),
-        ("extract", c.extract),
-        ("permute", c.permute),
-        ("reg_move", c.reg_move),
-        ("loop_overhead", c.loop_overhead),
-    ] {
-        h.field(&format!("{prefix}.{name}"), float(v));
-    }
-}
-
-fn write_machine(h: &mut Hasher, m: &MachineConfig) {
-    h.field("machine.name", &m.name);
-    h.field("machine.datapath_bits", m.datapath_bits);
-    h.field("machine.vector_regs", m.vector_regs);
-    h.field("machine.cores", m.cores);
-    h.field("machine.clock_ghz", float(m.clock_ghz));
-    write_cost(h, "machine.cost", &m.cost);
-}
-
-fn strategy_tag(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Scalar => "scalar",
-        Strategy::Native => "native",
-        Strategy::Baseline => "baseline",
-        Strategy::Holistic => "holistic",
-        Strategy::Optimal => "optimal",
+impl fmt::Write for Hasher {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -162,44 +127,14 @@ pub fn fingerprint_with_tag(source: &str, config: &SlpConfig, tag: &str) -> Fing
     h.field("version", env!("CARGO_PKG_VERSION"));
     h.field("tag", tag);
     h.field("source", source);
-    h.field("strategy", strategy_tag(config.strategy));
-    h.field("unroll", config.unroll);
-    h.field("layout", config.layout);
-    h.field("cross_iteration_reuse", config.cross_iteration_reuse);
-    h.field("refine_deps", config.refine_deps);
-    // The solver's anytime budgets are semantic inputs: a different
-    // budget can yield a different (still valid) packing.
-    h.field("opt.deadline_ms", config.opt.deadline_ms);
-    h.field("opt.max_nodes", config.opt.max_nodes);
-    h.field(
-        "schedule.live_set_capacity",
-        config.schedule.live_set_capacity,
-    );
-    h.field(
-        "array_layout.max_replication_factor",
-        float(config.array_layout.max_replication_factor),
-    );
-    write_cost(&mut h, "array_layout.cost", &config.array_layout.cost);
-    h.field(
-        "weights.contiguous_bonus",
-        float(config.weights.contiguous_bonus),
-    );
-    h.field(
-        "weights.gather_penalty",
-        float(config.weights.gather_penalty),
-    );
-    h.field(
-        "weights.scalar_reuse_weight",
-        float(config.weights.scalar_reuse_weight),
-    );
-    h.field("weights.store_factor", float(config.weights.store_factor));
-    write_machine(&mut h, &config.machine);
+    h.field("config", config);
     h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slp_core::{MachineConfig, Strategy};
 
     fn base_config() -> SlpConfig {
         SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic)

@@ -60,16 +60,14 @@ mod cache;
 mod codec;
 mod fingerprint;
 pub mod json;
+mod record;
 mod report;
 
 pub use batch::{compile_batch, compile_guarded, parallel_map, BatchConfig, KernelOutcome};
 pub use cache::{
     CacheStats, CacheTier, CachedCompile, CompileCache, DEFAULT_DISK_DIR, DEFAULT_MEMORY_CAPACITY,
 };
-pub use codec::{
-    decode_kernel, decode_program, decode_report, decode_timings, encode_kernel, encode_program,
-    encode_report, encode_timings, CodecError, FORMAT_VERSION,
-};
+pub use codec::{decode_kernel, encode_kernel, CodecError};
 pub use fingerprint::{fingerprint, fingerprint_with_tag, Fingerprint};
 pub use report::{stats_json, timings_json, DriverReport, ServeSummary};
 
@@ -176,14 +174,16 @@ impl ProveVerdict {
         }
     }
 
+    /// Every verdict: the tag table reports and cache entries draw on.
+    pub(crate) const ALL: [ProveVerdict; 3] = [
+        ProveVerdict::Proved,
+        ProveVerdict::Budget,
+        ProveVerdict::Refuted,
+    ];
+
     /// Parses [`ProveVerdict::name`] output.
     pub fn from_name(name: &str) -> Option<ProveVerdict> {
-        match name {
-            "proved" => Some(ProveVerdict::Proved),
-            "budget" => Some(ProveVerdict::Budget),
-            "refuted" => Some(ProveVerdict::Refuted),
-            _ => None,
-        }
+        ProveVerdict::ALL.into_iter().find(|v| v.name() == name)
     }
 
     fn from_tv(verdict: &slp_tv::Verdict) -> ProveVerdict {

@@ -8,9 +8,10 @@
 //! floats) is byte-stable for identical inputs, which is what the
 //! determinism tests and the CI smoke job key on.
 
-use slp_core::{Phase, PhaseTimings};
+use slp_core::{CompileStats, Phase, PhaseTimings};
 
 use crate::json::Json;
+use crate::record::{record, Field, Record};
 use crate::{CacheStats, KernelOutcome, ProveVerdict};
 
 /// Totals of one serving session (the stdio loop or a whole TCP
@@ -52,21 +53,23 @@ pub struct ServeSummary {
     pub errors: u64,
 }
 
+record!(ServeSummary {
+    "requests" = requests: u64,
+    "accepted" = accepted: u64,
+    "compiled" = compiled: u64,
+    "cache_hits" = cache_hits: u64,
+    "coalesced" = coalesced: u64,
+    "rejected_overload" = rejected_overload: u64,
+    "rejected_quota" = rejected_quota: u64,
+    "rejected_unsafe" = rejected_unsafe: u64,
+    "errors" = errors: u64,
+});
+
 impl ServeSummary {
     /// The summary as a JSON object (stable key order, used by the
     /// `stats` verb, the metrics endpoint and [`DriverReport`]).
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("requests", Json::num(self.requests)),
-            ("accepted", Json::num(self.accepted)),
-            ("compiled", Json::num(self.compiled)),
-            ("cache_hits", Json::num(self.cache_hits)),
-            ("coalesced", Json::num(self.coalesced)),
-            ("rejected_overload", Json::num(self.rejected_overload)),
-            ("rejected_quota", Json::num(self.rejected_quota)),
-            ("rejected_unsafe", Json::num(self.rejected_unsafe)),
-            ("errors", Json::num(self.errors)),
-        ])
+        Json::obj(self.pairs())
     }
 }
 
@@ -106,33 +109,11 @@ pub struct KernelRow {
     /// The request's cache key (the fallback's key for degraded rows);
     /// `None` when the entry failed.
     pub fingerprint: Option<String>,
-    /// Statements after unrolling.
-    pub stmts: usize,
-    /// Superword statements emitted.
-    pub superwords: usize,
-    /// Statements covered by superwords.
-    pub vectorized_stmts: usize,
-    /// False dependences disproved by the range-refined oracle (0 unless
-    /// the request enabled `refine_deps`).
-    pub deps_refuted: usize,
-    /// Array accesses the memory-safety certificate proved in bounds.
-    pub accesses_proven_safe: usize,
-    /// Array accesses the certificate could not classify.
-    pub accesses_unknown: usize,
-    /// Array accesses proven to fault (the kernel carries a V505 error).
-    pub accesses_proven_faulting: usize,
+    /// The kernel's compile statistics (all zero when the entry failed).
+    pub stats: CompileStats,
     /// The symbolic proof verdict; `None` unless the batch ran at
     /// [`crate::VerifyLevel::Prove`].
     pub prove: Option<ProveVerdict>,
-    /// Branch-and-bound nodes the packing solver expanded (0 unless the
-    /// request ran [`slp_core::Strategy::Optimal`]).
-    pub opt_nodes: u64,
-    /// The solver's proven optimality gap in parts per million of the
-    /// shipped cost (0 = proven optimal), same caveat.
-    pub opt_gap_ppm: u64,
-    /// Whether a solver budget expired before the search exhausted,
-    /// same caveat.
-    pub opt_degraded: bool,
     /// Error-severity verify findings; `None` when verification was not
     /// requested or the entry failed.
     pub verify_errors: Option<usize>,
@@ -197,17 +178,8 @@ impl DriverReport {
                         },
                         cache: Some(compiled.cache.name()),
                         fingerprint: Some(compiled.fingerprint.to_hex()),
-                        stmts: compiled.kernel.stats.stmts,
-                        superwords: compiled.kernel.stats.superwords,
-                        vectorized_stmts: compiled.kernel.stats.vectorized_stmts,
-                        deps_refuted: compiled.kernel.stats.deps_refuted,
-                        accesses_proven_safe: compiled.kernel.stats.accesses_proven_safe,
-                        accesses_unknown: compiled.kernel.stats.accesses_unknown,
-                        accesses_proven_faulting: compiled.kernel.stats.accesses_proven_faulting,
+                        stats: compiled.kernel.stats,
                         prove: compiled.prove,
-                        opt_nodes: compiled.kernel.stats.opt_nodes,
-                        opt_gap_ppm: compiled.kernel.stats.opt_gap_ppm,
-                        opt_degraded: compiled.kernel.stats.opt_degraded,
                         verify_errors,
                         verify_warnings,
                         diagnostics,
@@ -221,17 +193,8 @@ impl DriverReport {
                     status: RowStatus::Failed,
                     cache: None,
                     fingerprint: None,
-                    stmts: 0,
-                    superwords: 0,
-                    vectorized_stmts: 0,
-                    deps_refuted: 0,
-                    accesses_proven_safe: 0,
-                    accesses_unknown: 0,
-                    accesses_proven_faulting: 0,
+                    stats: CompileStats::default(),
                     prove: None,
-                    opt_nodes: 0,
-                    opt_gap_ppm: 0,
-                    opt_degraded: false,
                     verify_errors: None,
                     verify_warnings: None,
                     diagnostics: Vec::new(),
@@ -285,7 +248,7 @@ impl DriverReport {
 
     /// Range-refined dependence disproofs summed over all rows.
     pub fn deps_refuted_count(&self) -> usize {
-        self.rows.iter().map(|r| r.deps_refuted).sum()
+        self.rows.iter().map(|r| r.stats.deps_refuted).sum()
     }
 
     /// Certificate verdict totals summed over all rows:
@@ -293,9 +256,9 @@ impl DriverReport {
     pub fn access_verdict_counts(&self) -> (usize, usize, usize) {
         self.rows.iter().fold((0, 0, 0), |(s, u, f), r| {
             (
-                s + r.accesses_proven_safe,
-                u + r.accesses_unknown,
-                f + r.accesses_proven_faulting,
+                s + r.stats.accesses_proven_safe,
+                u + r.stats.accesses_unknown,
+                f + r.stats.accesses_proven_faulting,
             )
         })
     }
@@ -319,51 +282,27 @@ impl DriverReport {
         let mut kernels = Vec::with_capacity(self.rows.len());
         for row in &self.rows {
             let mut fields = vec![
-                ("name", Json::str(&row.name)),
+                ("name", row.name.to_json()),
                 ("status", Json::str(row.status.name())),
                 ("cache", row.cache.map_or(Json::Null, Json::str)),
-                (
-                    "fingerprint",
-                    row.fingerprint.as_deref().map_or(Json::Null, Json::str),
-                ),
-                ("stmts", Json::num(row.stmts as u64)),
-                ("superwords", Json::num(row.superwords as u64)),
-                ("vectorized_stmts", Json::num(row.vectorized_stmts as u64)),
-                ("deps_refuted", Json::num(row.deps_refuted as u64)),
-                (
-                    "accesses_proven_safe",
-                    Json::num(row.accesses_proven_safe as u64),
-                ),
-                ("accesses_unknown", Json::num(row.accesses_unknown as u64)),
-                (
-                    "accesses_proven_faulting",
-                    Json::num(row.accesses_proven_faulting as u64),
-                ),
-                (
-                    "prove",
-                    row.prove.map_or(Json::Null, |v| Json::str(v.name())),
-                ),
-                ("opt_nodes", Json::num(row.opt_nodes)),
-                ("opt_gap_ppm", Json::num(row.opt_gap_ppm)),
-                ("opt_degraded", Json::Bool(row.opt_degraded)),
+                ("fingerprint", row.fingerprint.to_json()),
             ];
-            fields.push((
-                "verify_errors",
-                row.verify_errors
-                    .map_or(Json::Null, |n| Json::num(n as u64)),
-            ));
-            fields.push((
-                "verify_warnings",
-                row.verify_warnings
-                    .map_or(Json::Null, |n| Json::num(n as u64)),
-            ));
-            fields.push((
-                "diagnostics",
-                Json::Arr(row.diagnostics.iter().map(Json::str).collect()),
-            ));
-            fields.push(("error", row.error.as_deref().map_or(Json::Null, Json::str)));
-            fields.push(("phase_nanos", timings_json(&row.timings)));
-            fields.push(("wall_nanos", Json::num(row.wall_nanos)));
+            fields.extend(row.stats.pairs());
+            // `prove` keeps its historical place: after the access
+            // tallies, before the solver counters.
+            let solver = fields
+                .iter()
+                .position(|(key, _)| *key == "opt_nodes")
+                .unwrap_or(fields.len());
+            fields.insert(solver, ("prove", row.prove.to_json()));
+            fields.extend([
+                ("verify_errors", row.verify_errors.to_json()),
+                ("verify_warnings", row.verify_warnings.to_json()),
+                ("diagnostics", row.diagnostics.to_json()),
+                ("error", row.error.to_json()),
+                ("phase_nanos", row.timings.to_json()),
+                ("wall_nanos", row.wall_nanos.to_json()),
+            ]);
             kernels.push(Json::obj(fields));
         }
 
@@ -384,20 +323,9 @@ impl DriverReport {
             }),
             (
                 "prove",
-                Json::obj([
-                    (
-                        "proved",
-                        Json::num(self.prove_count(ProveVerdict::Proved) as u64),
-                    ),
-                    (
-                        "budget",
-                        Json::num(self.prove_count(ProveVerdict::Budget) as u64),
-                    ),
-                    (
-                        "refuted",
-                        Json::num(self.prove_count(ProveVerdict::Refuted) as u64),
-                    ),
-                ]),
+                Json::obj(
+                    ProveVerdict::ALL.map(|v| (v.name(), Json::num(self.prove_count(v) as u64))),
+                ),
             ),
             ("wall_nanos", Json::num(self.wall_nanos)),
             ("phase_nanos", timings_json(&self.phase_totals)),
@@ -440,8 +368,8 @@ impl DriverReport {
                 row.name,
                 row.status.name(),
                 row.cache.unwrap_or("-"),
-                row.superwords,
-                format!("{}/{}", row.vectorized_stmts, row.stmts),
+                row.stats.superwords,
+                format!("{}/{}", row.stats.vectorized_stmts, row.stats.stmts),
                 verify,
                 millis(row.wall_nanos),
             ));
@@ -462,14 +390,13 @@ impl DriverReport {
                 self.prove_count(ProveVerdict::Refuted),
             ));
         }
-        if self.rows.iter().any(|r| r.opt_nodes > 0 || r.opt_degraded) {
-            let proven = self
-                .rows
-                .iter()
-                .filter(|r| r.opt_nodes > 0 && r.opt_gap_ppm == 0 && !r.opt_degraded)
+        let solved = || self.rows.iter().map(|r| &r.stats);
+        if solved().any(|s| s.opt_nodes > 0 || s.opt_degraded) {
+            let proven = solved()
+                .filter(|s| s.opt_nodes > 0 && s.opt_gap_ppm == 0 && !s.opt_degraded)
                 .count();
-            let degraded = self.rows.iter().filter(|r| r.opt_degraded).count();
-            let nodes: u64 = self.rows.iter().map(|r| r.opt_nodes).sum();
+            let degraded = solved().filter(|s| s.opt_degraded).count();
+            let nodes: u64 = solved().map(|s| s.opt_nodes).sum();
             out.push_str(&format!(
                 "optimal: {proven} proven optimal, {degraded} hit the solver budget, {nodes} nodes\n",
             ));
@@ -529,26 +456,15 @@ fn millis(nanos: u64) -> String {
 /// serialization used by batch reports, the serve protocol and the
 /// metrics endpoint.
 pub fn timings_json(timings: &PhaseTimings) -> Json {
-    Json::obj(
-        Phase::ALL
-            .iter()
-            .map(|&p| (p.name(), Json::num(timings.nanos(p))))
-            .collect::<Vec<_>>(),
-    )
+    timings.to_json()
 }
 
 /// Cache counters as JSON — shared by batch reports and the serve
 /// protocol's `stats` verb.
 pub fn stats_json(stats: &CacheStats) -> Json {
-    Json::obj(vec![
-        ("memory_hits", Json::num(stats.memory_hits)),
-        ("disk_hits", Json::num(stats.disk_hits)),
-        ("misses", Json::num(stats.misses)),
-        ("stores", Json::num(stats.stores)),
-        ("evictions", Json::num(stats.evictions)),
-        ("disk_errors", Json::num(stats.disk_errors)),
-        ("hit_rate", Json::float(stats.hit_rate())),
-    ])
+    let mut pairs = stats.pairs();
+    pairs.push(("hit_rate", Json::float(stats.hit_rate())));
+    Json::obj(pairs)
 }
 
 #[cfg(test)]

@@ -27,10 +27,14 @@ fn holistic() -> SlpConfig {
     SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic)
 }
 
-/// A unique, empty scratch directory per test (no tempfile crate in the
-/// container; best-effort cleanup by the next run).
+/// A unique, empty scratch directory per test and per process — debug
+/// and `--release` test jobs run side by side in CI (no tempfile crate
+/// in the container; each test removes its directory when it passes).
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("slp-driver-cache-test-{}", tag));
+    let dir = std::env::temp_dir().join(format!(
+        "slp-driver-cache-test-{tag}-{}",
+        std::process::id()
+    ));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create scratch dir");
     dir

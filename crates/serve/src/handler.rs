@@ -580,31 +580,26 @@ impl Handler {
     /// counters and accumulated per-phase compile telemetry, one
     /// `name value` line each (Prometheus text format, counters only).
     pub fn metrics_text(&self) -> String {
-        let s = self.summary();
-        let cache = self.cache.stats();
         let phases = *lock_unpoisoned(&self.phase_totals);
-        let mut out = String::new();
-        for (name, value) in [
-            ("slp_serve_requests_total", s.requests),
-            ("slp_serve_accepted_total", s.accepted),
-            ("slp_serve_compiled_total", s.compiled),
-            ("slp_serve_cache_hits_total", s.cache_hits),
-            ("slp_serve_coalesced_total", s.coalesced),
-            ("slp_serve_rejected_overload_total", s.rejected_overload),
-            ("slp_serve_rejected_quota_total", s.rejected_quota),
-            ("slp_serve_rejected_unsafe_total", s.rejected_unsafe),
-            ("slp_serve_errors_total", s.errors),
-            ("slp_serve_active", self.active()),
-            ("slp_serve_draining", u64::from(self.draining())),
-            ("slp_cache_memory_hits_total", cache.memory_hits),
-            ("slp_cache_disk_hits_total", cache.disk_hits),
-            ("slp_cache_misses_total", cache.misses),
-            ("slp_cache_stores_total", cache.stores),
-            ("slp_cache_evictions_total", cache.evictions),
-            ("slp_cache_disk_errors_total", cache.disk_errors),
-        ] {
-            out.push_str(&format!("{name} {value}\n"));
-        }
+        // One `<prefix>_<key>_total` line per counter of the record;
+        // `hit_rate` is a derived ratio, not a counter.
+        let counters = |prefix: &str, record: Json| {
+            let Json::Obj(pairs) = record else {
+                return String::new();
+            };
+            pairs
+                .iter()
+                .filter(|(key, _)| key != "hit_rate")
+                .map(|(key, value)| format!("{prefix}_{key}_total {}\n", value.to_compact()))
+                .collect()
+        };
+        let mut out: String = counters("slp_serve", self.summary().to_json());
+        out.push_str(&format!("slp_serve_active {}\n", self.active()));
+        out.push_str(&format!(
+            "slp_serve_draining {}\n",
+            u64::from(self.draining())
+        ));
+        out.push_str(&counters("slp_cache", stats_json(&self.cache.stats())));
         for (phase, nanos) in phases.iter() {
             out.push_str(&format!(
                 "slp_phase_nanos_total{{phase=\"{}\"}} {nanos}\n",

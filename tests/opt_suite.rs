@@ -128,11 +128,11 @@ fn exhausted_budget_degrades_and_is_recorded_in_the_driver_report() {
 
     let report = DriverReport::from_outcomes(&outcomes, 0, None);
     assert!(
-        report.rows[0].opt_degraded,
+        report.rows[0].stats.opt_degraded,
         "degradation lost in the report"
     );
-    assert_eq!(report.rows[0].opt_gap_ppm, stats.opt_gap_ppm);
-    assert_eq!(report.rows[0].opt_nodes, stats.opt_nodes);
+    assert_eq!(report.rows[0].stats.opt_gap_ppm, stats.opt_gap_ppm);
+    assert_eq!(report.rows[0].stats.opt_nodes, stats.opt_nodes);
     let rendered = report.summary_table();
     assert!(
         rendered.contains("optimal:") && rendered.contains("1 hit the solver budget"),

@@ -7,9 +7,13 @@ fn slpc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_slpc"))
 }
 
+/// A fresh source file per call: the tests of this binary run on
+/// parallel threads of one process, so the pid alone is not unique.
 fn demo_file(contents: &str) -> std::path::PathBuf {
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut path = std::env::temp_dir();
-    path.push(format!("slpc_test_{}.slp", std::process::id()));
+    path.push(format!("slpc_test_{}_{call}.slp", std::process::id()));
     let mut f = std::fs::File::create(&path).expect("temp file");
     f.write_all(contents.as_bytes()).expect("write");
     path
