@@ -1,13 +1,7 @@
-//! Workspace-wide error types: the stable error surface of the `slp`
-//! public API.
-//!
-//! Historically every layer grew its own failure shape — the language
-//! front-end a positioned [`slp_lang::ParseError`], the VM a stringly
-//! `ExecError`, the verifier a rendered report, the pipeline a panic.
-//! [`SlpError`] unifies them behind one enum with `From` conversions so
-//! front-ends can use `?` across layer boundaries, while [`ExecError`]
-//! and [`VerifyError`] stay usable on their own where only one layer is
-//! involved.
+//! The typed errors of the layers below the driver: [`ExecError`] for
+//! the VM and [`VerifyError`] for a rejecting [`Verifier`](crate::Verifier).
+//! The front-end error enum — parse, validation, safety, panic, budget —
+//! is `slp_driver::DriverError`.
 
 use std::error::Error;
 use std::fmt;
@@ -161,63 +155,6 @@ impl From<&str> for VerifyError {
     }
 }
 
-/// The workspace-wide error enum: every failure a front-end can see from
-/// the parse → validate → compile → verify → execute path.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SlpError {
-    /// The source text did not parse.
-    Parse(slp_lang::ParseError),
-    /// The program parsed but failed semantic validation; one rendered
-    /// message per violation.
-    Invalid(Vec<String>),
-    /// A verifier rejected the compiled kernel.
-    Verify(VerifyError),
-    /// The VM failed at run time.
-    Exec(ExecError),
-}
-
-impl fmt::Display for SlpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SlpError::Parse(e) => write!(f, "parse error: {e}"),
-            SlpError::Invalid(errors) => {
-                write!(f, "invalid program: {}", errors.join("; "))
-            }
-            SlpError::Verify(e) => write!(f, "verification failed: {e}"),
-            SlpError::Exec(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl Error for SlpError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            SlpError::Parse(e) => Some(e),
-            SlpError::Invalid(_) => None,
-            SlpError::Verify(e) => Some(e),
-            SlpError::Exec(e) => Some(e),
-        }
-    }
-}
-
-impl From<slp_lang::ParseError> for SlpError {
-    fn from(e: slp_lang::ParseError) -> Self {
-        SlpError::Parse(e)
-    }
-}
-
-impl From<VerifyError> for SlpError {
-    fn from(e: VerifyError) -> Self {
-        SlpError::Verify(e)
-    }
-}
-
-impl From<ExecError> for SlpError {
-    fn from(e: ExecError) -> Self {
-        SlpError::Exec(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,16 +178,6 @@ mod tests {
             "undefined-register"
         );
         assert_eq!(ExecErrorKind::MalformedCode.name(), "malformed-code");
-    }
-
-    #[test]
-    fn slp_error_converts_from_each_layer() {
-        let v: SlpError = VerifyError::new("V201 bad pack").into();
-        assert!(v.to_string().contains("verification failed"));
-        let x: SlpError = ExecError::undefined_register("read of undefined register x3").into();
-        assert!(x.to_string().contains("undefined register"));
-        let p: SlpError = slp_lang::compile("kernel {").unwrap_err().into();
-        assert!(p.to_string().starts_with("parse error:"));
     }
 
     #[test]

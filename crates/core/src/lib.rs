@@ -17,7 +17,7 @@ mod telemetry;
 
 pub use baseline::{baseline_block, baseline_groups};
 pub use cost::{estimate_scalar_cost, estimate_schedule_cost, scalar_stmt_cost, CostContext};
-pub use error::{ExecError, ExecErrorKind, SlpError, VerifyError};
+pub use error::{ExecError, ExecErrorKind, VerifyError};
 pub use group::{group_block, group_block_with, Grouping, GroupingDecision};
 pub use layout::array::{eq4_map, optimize_array_layout, ArrayLayoutConfig, Replication};
 pub use layout::scalar::{optimize_scalar_layout, ScalarLayout};
@@ -37,8 +37,8 @@ pub use telemetry::{Phase, PhaseTimings};
 // need not depend on slp-analysis directly.
 pub use slp_analysis::WeightParams;
 // `CompiledKernel::safety` likewise: consumers of compiled kernels
-// (slp-vm's check elision, slp-driver's codec, slp-serve's admission
-// gate) can name the certificate types without a slp-analyze edge.
+// (slp-vm's check elision, slp-driver's codec and `DriverError::Unsafe`)
+// can name the certificate types without a slp-analyze edge.
 pub use slp_analyze::{AccessCert, AccessVerdict, SafetyCert};
 pub use superword::{
     validate_schedule, BlockSchedule, ScheduledItem, SuperwordStmt, ValidityError,

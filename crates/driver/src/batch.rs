@@ -32,7 +32,7 @@ use std::time::Duration;
 use slp_core::Strategy;
 
 use crate::{
-    CacheDisposition, CachedCompile, CompileCache, CompileOutcome, CompileRequest, DriverError,
+    CachedCompile, CompileCache, CompileOutcome, CompileRequest, DriverError, Fingerprint,
 };
 
 /// Name prefix of the threads that run untrusted compiles. The panic
@@ -66,8 +66,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`crate::compile_source`] wrapped in panic isolation and an optional
-/// time budget.
+/// [`crate::compile_source`] with the miss compiled in panic isolation
+/// under an optional time budget.
 ///
 /// The cache is consulted and updated on the *calling* thread; only the
 /// parse→validate→compile→verify work runs on the guard thread. On a
@@ -79,34 +79,32 @@ pub fn compile_guarded(
     cache: Option<&CompileCache>,
     budget_ms: Option<u64>,
 ) -> Result<CompileOutcome, DriverError> {
-    let start = std::time::Instant::now();
-    let fp = req.fingerprint();
-    if let Some(cache) = cache {
-        if let Some((entry, tier)) = cache.get(fp) {
-            return Ok(CompileOutcome {
-                kernel: entry.kernel,
-                report: entry.report,
-                prove: entry.prove,
-                timings: entry.timings,
-                fingerprint: fp,
-                cache: match tier {
-                    crate::CacheTier::Memory => CacheDisposition::MemoryHit,
-                    crate::CacheTier::Disk => CacheDisposition::DiskHit,
-                },
-                wall_nanos: crate::elapsed_nanos(start),
-            });
-        }
-    }
+    compile_keyed(req, req.fingerprint(), cache, budget_ms)
+}
 
+/// [`compile_guarded`] for a caller that already holds the request's
+/// key: `fp` must be `req.fingerprint()`. The serve handler keys its
+/// dedup table by the fingerprint and hands the same value down, so a
+/// request is hashed once.
+pub fn compile_keyed(
+    req: &CompileRequest,
+    fp: Fingerprint,
+    cache: Option<&CompileCache>,
+    budget_ms: Option<u64>,
+) -> Result<CompileOutcome, DriverError> {
+    crate::cached(fp, cache, || guarded(req, budget_ms))
+}
+
+/// Runs [`crate::compile_uncached`] on a dedicated guard thread.
+fn guarded(req: &CompileRequest, budget_ms: Option<u64>) -> Result<CachedCompile, DriverError> {
     install_panic_silencer();
     let (tx, rx) = mpsc::channel();
     let guarded_req = req.clone();
     thread::Builder::new()
         .name(format!("{GUARD_PREFIX}{}", req.name))
         .spawn(move || {
-            let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                crate::compile_source(&guarded_req, None)
-            }));
+            let result =
+                panic::catch_unwind(AssertUnwindSafe(|| crate::compile_uncached(&guarded_req)));
             let flattened = match result {
                 Ok(r) => r,
                 Err(payload) => Err(DriverError::Panic(panic_message(payload.as_ref()))),
@@ -118,31 +116,14 @@ pub fn compile_guarded(
         .expect("spawn compile guard thread");
 
     let dead = || DriverError::Panic("compile guard thread died".to_string());
-    let outcome = match budget_ms {
+    match budget_ms {
         Some(ms) => match rx.recv_timeout(Duration::from_millis(ms)) {
             Ok(result) => result,
             Err(mpsc::RecvTimeoutError::Timeout) => Err(DriverError::Timeout(ms)),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(dead()),
         },
         None => rx.recv().unwrap_or_else(|_| Err(dead())),
-    }?;
-
-    if let Some(cache) = cache {
-        cache.put(
-            fp,
-            &CachedCompile {
-                kernel: outcome.kernel.clone(),
-                report: outcome.report.clone(),
-                prove: outcome.prove,
-                timings: outcome.timings,
-            },
-        );
     }
-    Ok(CompileOutcome {
-        fingerprint: fp,
-        wall_nanos: crate::elapsed_nanos(start),
-        ..outcome
-    })
 }
 
 /// Knobs of [`compile_batch`].

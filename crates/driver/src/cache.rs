@@ -30,9 +30,9 @@
 //! * disk I/O failures (permissions, full disk) degrade the cache to
 //!   memory-only for that operation and are counted in
 //!   [`CacheStats::disk_errors`];
-//! * disk writes go through a temp file + rename, so a crashed or
-//!   concurrent writer can never leave a half-written entry under the
-//!   final name.
+//! * disk writes go through a temp file (one per call) + rename, so a
+//!   crashed or concurrent writer can never leave a half-written entry
+//!   under the final name.
 //!
 //! The whole cache is internally synchronized (`&self` methods), so one
 //! instance can be shared by every worker of a batch and every
@@ -240,14 +240,6 @@ impl MemoryTier {
             .map(|s| s.lock().expect("cache shard lock").entries.len())
             .sum()
     }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard lock");
-            shard.entries.clear();
-            shard.order.clear();
-        }
-    }
 }
 
 /// The two-tier compile cache. See the module docs for the design.
@@ -313,12 +305,6 @@ impl CompileCache {
         self.memory.len()
     }
 
-    /// Empties the memory tier (the disk tier is untouched). Useful in
-    /// tests and for bounding memory between batches.
-    pub fn clear_memory(&self) {
-        self.memory.clear();
-    }
-
     /// Looks up a compilation, returning the entry and the tier that
     /// answered.
     pub fn get(&self, fp: Fingerprint) -> Option<(CachedCompile, CacheTier)> {
@@ -372,8 +358,16 @@ impl CompileCache {
         let path = self.entry_path(fp).ok_or(())?;
         let text = encode_entry(fp, entry).to_compact();
         // Write-then-rename keeps concurrent readers (and crashes) from
-        // ever seeing a partial entry.
-        let tmp = dir.join(format!("{}.tmp.{}", fp.to_hex(), std::process::id()));
+        // ever seeing a partial entry. The temp name is unique per call,
+        // not just per process: two workers storing one fingerprint must
+        // not truncate, publish or remove each other's temp file.
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+        let tmp = dir.join(format!(
+            "{}.tmp.{}.{}",
+            fp.to_hex(),
+            std::process::id(),
+            NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+        ));
         std::fs::write(&tmp, text).map_err(|_| ())?;
         std::fs::rename(&tmp, &path).map_err(|e| {
             let _ = std::fs::remove_file(&tmp);

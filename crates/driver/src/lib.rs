@@ -63,7 +63,9 @@ pub mod json;
 mod record;
 mod report;
 
-pub use batch::{compile_batch, compile_guarded, parallel_map, BatchConfig, KernelOutcome};
+pub use batch::{
+    compile_batch, compile_guarded, compile_keyed, parallel_map, BatchConfig, KernelOutcome,
+};
 pub use cache::{
     CacheStats, CacheTier, CachedCompile, CompileCache, DEFAULT_DISK_DIR, DEFAULT_MEMORY_CAPACITY,
 };
@@ -258,6 +260,12 @@ pub enum DriverError {
     Parse(String),
     /// The program parsed but failed semantic validation.
     Invalid(Vec<String>),
+    /// Every validation error is a bounds violation the memory-safety
+    /// certificate proves ([`slp_core::AccessVerdict::ProvenFaulting`]):
+    /// the kernel is rejected before any packing, scheduling or
+    /// verification work. The payload is the proven-faulting accesses,
+    /// never empty. `slpd` answers `S114`, `slpc` renders `error[V505]`.
+    Unsafe(Vec<slp_core::AccessCert>),
     /// The pipeline panicked (optimizer invariant violation or a
     /// rejecting verify hook); the payload is the panic message.
     Panic(String),
@@ -272,6 +280,10 @@ impl std::fmt::Display for DriverError {
             DriverError::Invalid(errors) => {
                 write!(f, "invalid program: {}", errors.join("; "))
             }
+            DriverError::Unsafe(accesses) => {
+                let details: Vec<&str> = accesses.iter().map(|a| a.detail.as_str()).collect();
+                write!(f, "proven memory-unsafe: {}", details.join("; "))
+            }
             DriverError::Panic(msg) => write!(f, "compiler panic: {msg}"),
             DriverError::Timeout(ms) => write!(f, "compile exceeded {ms} ms budget"),
         }
@@ -284,13 +296,13 @@ impl std::error::Error for DriverError {}
 ///
 /// With a cache, the request's [`Fingerprint`] is looked up first and
 /// the full outcome (kernel, report, cold-compile timings) is returned
-/// on a hit; on a miss the result is stored in both tiers before
-/// returning. Without a cache it always compiles.
+/// on a hit — the source is not even parsed; on a miss the result is
+/// stored in both tiers before returning. Without a cache it always
+/// compiles.
 ///
 /// This function does not isolate panics or enforce budgets — it is the
 /// trusted single-kernel path (`slpc`'s default and `check`
-/// subcommands). The batch and serve layers wrap it with
-/// [`compile_guarded`].
+/// subcommands). The batch and serve layers use [`compile_guarded`].
 ///
 /// # Panics
 ///
@@ -300,30 +312,71 @@ pub fn compile_source(
     req: &CompileRequest,
     cache: Option<&CompileCache>,
 ) -> Result<CompileOutcome, DriverError> {
+    cached(req.fingerprint(), cache, || compile_uncached(req))
+}
+
+/// The one request path under every entry point: look `fp` up, otherwise
+/// run `compile` and store what it produced. A failed compile stores
+/// nothing.
+pub(crate) fn cached(
+    fp: Fingerprint,
+    cache: Option<&CompileCache>,
+    compile: impl FnOnce() -> Result<CachedCompile, DriverError>,
+) -> Result<CompileOutcome, DriverError> {
     let start = Instant::now();
-    let fp = req.fingerprint();
-    if let Some(cache) = cache {
-        if let Some((entry, tier)) = cache.get(fp) {
-            return Ok(CompileOutcome {
-                kernel: entry.kernel,
-                report: entry.report,
-                prove: entry.prove,
-                timings: entry.timings,
-                fingerprint: fp,
-                cache: match tier {
-                    CacheTier::Memory => CacheDisposition::MemoryHit,
-                    CacheTier::Disk => CacheDisposition::DiskHit,
-                },
-                wall_nanos: elapsed_nanos(start),
-            });
+    let (entry, disposition) = match cache.and_then(|c| c.get(fp)) {
+        Some((entry, CacheTier::Memory)) => (entry, CacheDisposition::MemoryHit),
+        Some((entry, CacheTier::Disk)) => (entry, CacheDisposition::DiskHit),
+        None => {
+            let entry = compile()?;
+            if let Some(cache) = cache {
+                cache.put(fp, &entry);
+            }
+            (entry, CacheDisposition::Compiled)
+        }
+    };
+    Ok(CompileOutcome {
+        kernel: entry.kernel,
+        report: entry.report,
+        prove: entry.prove,
+        timings: entry.timings,
+        fingerprint: fp,
+        cache: disposition,
+        wall_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+    })
+}
+
+/// The one frontend run of a compiled request: lex → parse → if-convert
+/// → lower → validate, plus the rule that a program whose *only*
+/// validation errors are bounds violations the certificate proves is
+/// [`DriverError::Unsafe`], not [`DriverError::Invalid`]. (Validation
+/// flags every access whose index hull leaves the array; the certificate
+/// proves the subset that really faults, so a bounds-only failure it
+/// cannot prove stays `Invalid`.)
+fn frontend(source: &str) -> Result<slp_ir::Program, DriverError> {
+    let program = slp_lang::compile(source).map_err(|e| DriverError::Parse(e.render(source)))?;
+    let Err(errors) = program.validate() else {
+        return Ok(program);
+    };
+    if errors
+        .iter()
+        .all(|e| matches!(e, slp_ir::ValidationError::OutOfBounds { .. }))
+    {
+        let mut faulting = slp_core::SafetyCert::certify(&program).accesses;
+        faulting.retain(|a| a.verdict == slp_core::AccessVerdict::ProvenFaulting);
+        if !faulting.is_empty() {
+            return Err(DriverError::Unsafe(faulting));
         }
     }
+    Err(DriverError::Invalid(
+        errors.iter().map(|e| e.to_string()).collect(),
+    ))
+}
 
-    let program =
-        slp_lang::compile(&req.source).map_err(|e| DriverError::Parse(e.render(&req.source)))?;
-    program
-        .validate()
-        .map_err(|es| DriverError::Invalid(es.iter().map(|e| e.to_string()).collect()))?;
+/// Frontend, pipeline and the requested verification: everything a cache
+/// miss pays, on the calling thread.
+pub(crate) fn compile_uncached(req: &CompileRequest) -> Result<CachedCompile, DriverError> {
+    let program = frontend(&req.source)?;
 
     // `Strategy::Optimal` needs a solver behind the `Packer` trait; the
     // driver installs `slp-opt`'s branch-and-bound unless the caller
@@ -356,57 +409,27 @@ pub fn compile_source(
             report
         })),
     };
-
-    if let Some(cache) = cache {
-        cache.put(
-            fp,
-            &CachedCompile {
-                kernel: kernel.clone(),
-                report: report.clone(),
-                prove,
-                timings,
-            },
-        );
-    }
-    Ok(CompileOutcome {
+    Ok(CachedCompile {
         kernel,
         report,
         prove,
         timings,
-        fingerprint: fp,
-        cache: CacheDisposition::Compiled,
-        wall_nanos: elapsed_nanos(start),
     })
 }
 
-/// Parses and certifies `source` without compiling it — the serve
-/// layer's pre-compile safety gate. A kernel whose certificate proves
-/// an out-of-bounds access ([`slp_core::AccessVerdict::ProvenFaulting`])
-/// can be rejected with its own wire code before any packing,
-/// scheduling or verification work is spent on it.
-///
-/// Returns `None` when the request must fall through to the normal
-/// compile path instead, so that path's diagnostics keep their own wire
-/// codes: sources that do not parse (`S110`), and sources with
-/// validation errors *other than* provable bounds violations (`S111` —
-/// duplicate ids, bad extents, out-of-scope loop variables). Provable
-/// bounds violations themselves are exactly what the certificate
-/// classifies, so those do get a certificate here rather than `None`.
+/// The frontend's safety verdict on `source` without compiling it: the
+/// certificate of a program that validates, the proven-faulting accesses
+/// of one [`compile_source`] would reject as [`DriverError::Unsafe`], and
+/// `None` for every source it would reject as [`DriverError::Parse`] or
+/// [`DriverError::Invalid`]. No compile path calls this — they get the
+/// same classification from their one frontend run; it is kept for
+/// tools that want the verdict alone.
 pub fn certify_source(source: &str) -> Option<slp_core::SafetyCert> {
-    let program = slp_lang::compile(source).ok()?;
-    if let Err(errors) = program.validate() {
-        if !errors
-            .iter()
-            .all(|e| matches!(e, slp_ir::ValidationError::OutOfBounds { .. }))
-        {
-            return None;
-        }
+    match frontend(source) {
+        Ok(program) => Some(slp_core::SafetyCert::certify(&program)),
+        Err(DriverError::Unsafe(accesses)) => Some(slp_core::SafetyCert { accesses }),
+        Err(_) => None,
     }
-    Some(slp_core::SafetyCert::certify(&program))
-}
-
-pub(crate) fn elapsed_nanos(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Parses the CLI strategy names shared by `slpc`, `slpd` and the serve

@@ -8,7 +8,8 @@ use std::path::PathBuf;
 
 use slp_core::{MachineConfig, SlpConfig, Strategy};
 use slp_driver::{
-    compile_source, encode_kernel, CacheDisposition, CompileCache, CompileRequest, VerifyLevel,
+    compile_source, encode_kernel, CacheDisposition, CacheTier, CachedCompile, CompileCache,
+    CompileRequest, VerifyLevel,
 };
 
 const SRC: &str = "kernel k { array A: f64[32]; array B: f64[32]; \
@@ -197,6 +198,60 @@ fn corrupt_disk_entries_miss_and_are_replaced() {
     let cache = CompileCache::with_disk(8, &dir);
     let warm = compile_source(&request(SRC, holistic()), Some(&cache)).expect("compiles");
     assert_eq!(warm.cache, CacheDisposition::DiskHit);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `slpc batch` over a corpus with a repeated kernel has several
+/// workers of one process storing the same fingerprint at once. Each
+/// store must go through its own temp file: with a shared one, a worker's
+/// rename can publish a file another has just truncated, and the loser's
+/// rename fails into a spurious `disk_errors` tick.
+#[test]
+fn concurrent_stores_of_one_fingerprint_keep_the_disk_entry_whole() {
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 25;
+    let dir = scratch("same-key");
+    let outcome = compile_source(&request(SRC, holistic()), None).expect("compiles");
+    let fp = outcome.fingerprint;
+    let entry = CachedCompile {
+        kernel: outcome.kernel,
+        report: outcome.report,
+        prove: outcome.prove,
+        timings: outcome.timings,
+    };
+
+    let cache = CompileCache::with_disk(8, &dir);
+    let barrier = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                for _ in 0..ROUNDS {
+                    barrier.wait();
+                    cache.put(fp, &entry);
+                }
+            });
+        }
+    });
+    let stats = cache.stats();
+    assert_eq!(stats.stores, (THREADS * ROUNDS) as u64);
+    assert_eq!(stats.disk_errors, 0);
+
+    // No temp file is left behind, and a fresh cache (empty memory tier)
+    // reads a whole entry back.
+    let files: Vec<_> = fs::read_dir(&dir)
+        .expect("scratch dir")
+        .map(|f| f.expect("dir entry").file_name())
+        .collect();
+    assert_eq!(files, [format!("{}.json", fp.to_hex()).as_str()]);
+    let fresh = CompileCache::with_disk(8, &dir);
+    let (back, tier) = fresh.get(fp).expect("disk entry decodes");
+    assert_eq!(tier, CacheTier::Disk);
+    assert_eq!(
+        encode_kernel(&back.kernel).to_compact(),
+        encode_kernel(&entry.kernel).to_compact()
+    );
+    assert_eq!(fresh.stats().disk_errors, 0);
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -7,7 +7,7 @@
 //! counters — so the stdio loop, the TCP server and the tests all
 //! drive the *same* object and observe the same semantics.
 //!
-//! A `compile` request passes through five gates, in order:
+//! A `compile` request passes through four gates, in order:
 //!
 //! 1. **drain** — a draining handler admits no new compiles
 //!    ([`ErrorCode::Draining`]); in-flight ones run to completion;
@@ -17,14 +17,20 @@
 //! 3. **admission** — the global in-flight gauge is bumped; past
 //!    [`ServeConfig::max_in_flight`] the request is rejected with
 //!    [`ErrorCode::Overloaded`] instead of queueing unboundedly;
-//! 4. **safety** — the memory-safety certificate pass runs over the
-//!    parsed source; a kernel with a proven out-of-bounds access (V505)
-//!    is rejected with [`ErrorCode::ProvenUnsafe`] before any compile
-//!    work is spent on it;
-//! 5. **dedup** — requests with an identical fingerprint already
-//!    compiling *join* that compile instead of starting their own: the
-//!    leader compiles once, followers block on the slot and get a clone
-//!    of the result, reported as `"cache":"coalesced"`.
+//! 4. **dedup** — the request is fingerprinted, once; requests with an
+//!    identical fingerprint already compiling *join* that compile
+//!    instead of starting their own: the leader compiles once, followers
+//!    block on the slot and get a clone of the result, reported as
+//!    `"cache":"coalesced"`.
+//!
+//! Behind the gates the leader hands its key to
+//! [`slp_driver::compile_keyed`]: a cache lookup, and only on a miss one
+//! frontend run and the compile. The handler never looks at the source
+//! text. A kernel with a proven out-of-bounds access (V505) comes back
+//! from that one frontend run as [`DriverError::Unsafe`] before any
+//! packing or scheduling work is spent on it, and is answered with
+//! [`ErrorCode::ProvenUnsafe`] — to the leader and every follower alike;
+//! nothing is stored for it.
 //!
 //! Every counter is atomic; a [`ServeSummary`] snapshot is exact once
 //! the writers are quiescent, which the concurrency tests pin.
@@ -43,8 +49,8 @@ use std::time::Instant;
 use slp_core::PhaseTimings;
 use slp_driver::json::Json;
 use slp_driver::{
-    compile_guarded, stats_json, timings_json, CacheDisposition, CompileCache, CompileOutcome,
-    CompileRequest, DriverError, Fingerprint, ServeSummary,
+    compile_keyed, stats_json, CacheDisposition, CompileCache, CompileOutcome, CompileRequest,
+    DriverError, Fingerprint, ServeSummary,
 };
 
 use crate::protocol::{outcome_fields, parse_request, Envelope, ErrorCode, Request};
@@ -75,9 +81,6 @@ pub struct ServeConfig {
     /// Budget applied to compile requests that do not carry their own
     /// `budget_ms`.
     pub default_budget_ms: Option<u64>,
-    /// Whether identical in-flight fingerprints are coalesced onto one
-    /// compile.
-    pub dedup: bool,
     /// Test instrumentation: artificial delay (milliseconds) inserted
     /// while a leader holds its dedup slot, before compiling. Makes
     /// coalescing and drain windows deterministic in the concurrency
@@ -103,7 +106,6 @@ impl Default for ServeConfig {
             quota: None,
             quota_overrides: Vec::new(),
             default_budget_ms: None,
-            dedup: true,
             compile_hold_ms: 0,
             max_line_bytes: 1 << 20,
             panic_on_name: None,
@@ -422,36 +424,7 @@ impl Handler {
         }
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
 
-        // Gate 4: safety. A kernel whose memory-safety certificate
-        // proves an out-of-bounds access would fail verification after
-        // the full compile pipeline ran; the certificate alone decides
-        // that, so the request is rejected before any packing or
-        // scheduling work (and before it can occupy a dedup slot).
-        // Sources that do not parse fall through: the compile path owns
-        // the parse error and its `S110` code.
-        if let Some(cert) = slp_driver::certify_source(&request.source) {
-            if cert.proven_faulting() > 0 {
-                self.counters
-                    .rejected_unsafe
-                    .fetch_add(1, Ordering::Relaxed);
-                let detail = cert
-                    .accesses
-                    .iter()
-                    .find(|a| a.verdict == slp_core::AccessVerdict::ProvenFaulting)
-                    .map(|a| a.detail.clone())
-                    .unwrap_or_default();
-                return envelope.error(
-                    ErrorCode::ProvenUnsafe,
-                    &format!(
-                        "kernel {:?} is proven memory-unsafe and was rejected before \
-                         compilation: {detail}",
-                        request.name
-                    ),
-                );
-            }
-        }
-
-        // Gate 5: dedup, then compile.
+        // Gate 4: dedup, then the cache and (on a miss) the compile.
         let budget = budget_ms.or(self.config.default_budget_ms);
         let (result, coalesced) = self.compile_deduped(request, budget);
         match result {
@@ -471,6 +444,20 @@ impl Handler {
                 }
                 envelope.ok(outcome_fields(&request.name, &outcome, coalesced))
             }
+            Err(DriverError::Unsafe(accesses)) => {
+                self.counters
+                    .rejected_unsafe
+                    .fetch_add(1, Ordering::Relaxed);
+                let detail = accesses.first().map_or("", |a| a.detail.as_str());
+                envelope.error(
+                    ErrorCode::ProvenUnsafe,
+                    &format!(
+                        "kernel {:?} is proven memory-unsafe and was rejected before \
+                         compilation: {detail}",
+                        request.name
+                    ),
+                )
+            }
             Err(err) => envelope.error(ErrorCode::from_driver(&err), &err.to_string()),
         }
     }
@@ -484,12 +471,6 @@ impl Handler {
         request: &CompileRequest,
         budget_ms: Option<u64>,
     ) -> (Result<CompileOutcome, DriverError>, bool) {
-        if !self.config.dedup {
-            return (
-                compile_guarded(request, Some(&self.cache), budget_ms),
-                false,
-            );
-        }
         let fp = request.fingerprint();
         let slot = {
             let mut inflight = lock_unpoisoned(&self.inflight);
@@ -517,11 +498,10 @@ impl Handler {
             }
         };
 
-        // Leader: compile (the guarded path re-checks the cache first),
-        // publish, and retire the slot. From here to the publish the
-        // guard is armed: any unwind still retires the slot and answers
-        // the followers. The hold is test-only — see
-        // `ServeConfig::compile_hold_ms`.
+        // Leader: look the key up and compile on a miss, publish, and
+        // retire the slot. From here to the publish the guard is armed:
+        // any unwind still retires the slot and answers the followers.
+        // The hold is test-only — see `ServeConfig::compile_hold_ms`.
         let mut publish = SlotPublishGuard {
             handler: self,
             fp,
@@ -540,7 +520,7 @@ impl Handler {
             let _poisoner = lock_unpoisoned(&self.inflight);
             panic!("injected compile panic for {:?}", request.name);
         }
-        let result = compile_guarded(request, Some(&self.cache), budget_ms);
+        let result = compile_keyed(request, fp, Some(&self.cache), budget_ms);
         publish.armed = false;
         lock_unpoisoned(&self.inflight).remove(&fp);
         *lock_unpoisoned(&slot.result) = Some(result.clone());
@@ -607,17 +587,5 @@ impl Handler {
             ));
         }
         out
-    }
-
-    /// Accumulated per-phase telemetry of the compiles this handler
-    /// actually performed (cache hits and coalesced requests excluded).
-    pub fn phase_totals(&self) -> PhaseTimings {
-        *lock_unpoisoned(&self.phase_totals)
-    }
-
-    /// The timings serialization shared with the driver reports,
-    /// exposed for the stats verb of adapters.
-    pub fn phase_totals_json(&self) -> Json {
-        timings_json(&self.phase_totals())
     }
 }

@@ -73,9 +73,9 @@ pub enum ErrorCode {
     CompilerPanic,
     /// `S113`: the compile exceeded its time budget.
     BudgetExceeded,
-    /// `S114`: the memory-safety certificate pass proved an array
-    /// access out of bounds (V505), so the kernel was rejected before
-    /// any compile work was spent on it.
+    /// `S114`: the memory-safety certificate proved an array access out
+    /// of bounds (V505) in the driver's frontend run, so the kernel was
+    /// rejected before any compile work was spent on it.
     ProvenUnsafe,
     /// `S120`: the in-flight admission cap was reached.
     Overloaded,
@@ -130,6 +130,7 @@ impl ErrorCode {
         match err {
             DriverError::Parse(_) => ErrorCode::ParseError,
             DriverError::Invalid(_) => ErrorCode::InvalidProgram,
+            DriverError::Unsafe(_) => ErrorCode::ProvenUnsafe,
             DriverError::Panic(_) => ErrorCode::CompilerPanic,
             DriverError::Timeout(_) => ErrorCode::BudgetExceeded,
         }

@@ -73,25 +73,69 @@ fn coalesced_fingerprints_compile_once() {
     assert_eq!(summary.errors, 0);
 }
 
-/// With dedup disabled the same burst races into N separate compiles —
-/// the cache deduplicates *storage* but every request pays the compile.
+const OOB: &str = "kernel oob { array A: f64[8]; for i in 0..8 { A[i+1] = 2.0; } }";
+
+fn assert_s114(response: &slp_serve::Response) {
+    let json = &response.json;
+    assert_eq!(json.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(json.get("code").and_then(Json::string), Some("S114"));
+    assert!(
+        json.get("error")
+            .and_then(Json::string)
+            .is_some_and(|e| e.contains("proven memory-unsafe")),
+        "{}",
+        json.to_compact()
+    );
+}
+
+/// The S114 rejection is decided by the one frontend run behind the
+/// cache lookup and is never stored: the same unsafe source asked twice
+/// misses twice, is rejected twice, and counts as no compile.
 #[test]
-fn dedup_off_compiles_redundantly() {
-    const N: u64 = 4;
+fn a_proven_unsafe_kernel_is_rejected_every_time_and_never_stored() {
+    let handler = handler(ServeConfig::default());
+    for id in 0..2 {
+        assert_s114(&handler.handle_line(&compile_line(id, "", OOB)));
+    }
+    let summary = handler.summary();
+    let stats = handler.cache().stats();
+    assert_eq!(summary.rejected_unsafe, 2);
+    assert_eq!(summary.errors, 2);
+    assert_eq!(summary.accepted, 2);
+    assert_eq!(summary.compiled, 0);
+    assert_eq!((stats.misses, stats.stores), (2, 0));
+}
+
+/// N concurrent requests for one unsafe source all get S114 — the leader
+/// from its own frontend run, the followers from the leader's published
+/// error — and the counter invariant is untouched by them.
+#[test]
+fn followers_of_an_unsafe_leader_are_rejected_with_it() {
+    const N: u64 = 8;
     let handler = handler(ServeConfig {
-        dedup: false,
-        compile_hold_ms: 0,
+        compile_hold_ms: 100,
         ..ServeConfig::default()
     });
     thread::scope(|scope| {
         for id in 0..N {
             let handler = &handler;
-            scope.spawn(move || handler.handle_line(&compile_line(id, "", SRC)));
+            scope.spawn(move || assert_s114(&handler.handle_line(&compile_line(id, "", OOB))));
         }
     });
     let summary = handler.summary();
-    assert_eq!(summary.coalesced, 0);
-    assert_eq!(summary.compiled, N);
+    let stats = handler.cache().stats();
+    assert_eq!(summary.rejected_unsafe, N);
+    assert_eq!(summary.errors, N);
+    // Only leaders look the key up; the hold guarantees some request
+    // waited on a leader's slot.
+    assert!((1..N).contains(&stats.misses), "{stats:?}");
+    assert_eq!(summary.compiled, 0);
+    assert_eq!(
+        summary.compiled,
+        stats.stores + summary.cache_hits + summary.coalesced,
+        "{summary:?} {stats:?}"
+    );
+    assert_eq!(handler.active(), 0);
 }
 
 /// Quota exhaustion rejects with `S121` and touches nothing shared:

@@ -225,31 +225,20 @@ fn compile_file(
         match e {
             DriverError::Parse(rendered) => eprintln!("{rendered}"),
             DriverError::Invalid(errors) => {
-                // When every validation error is a provable bounds
-                // violation, the safety certificate owns the rejection:
-                // render it as the V505 hard error instead of raw
-                // validator output, matching `slpd`'s S114 gate.
-                let faulting: Vec<_> = slp::driver::certify_source(&req.source)
-                    .map(|cert| {
-                        cert.accesses
-                            .into_iter()
-                            .filter(|a| a.verdict == slp::core::AccessVerdict::ProvenFaulting)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if faulting.is_empty() {
-                    for err in errors {
-                        eprintln!("slpc: {path}: {err}");
-                    }
-                } else {
-                    for a in &faulting {
-                        let what = if a.is_write { "store to" } else { "load from" };
-                        eprintln!(
-                            "slpc: {path}: error[V505]: {what} {} is proven out of \
-                             bounds: {}",
-                            a.reference, a.detail
-                        );
-                    }
+                for err in errors {
+                    eprintln!("slpc: {path}: {err}");
+                }
+            }
+            // The safety certificate owns this rejection: the V505 hard
+            // error, matching `slpd`'s S114.
+            DriverError::Unsafe(faulting) => {
+                for a in &faulting {
+                    let what = if a.is_write { "store to" } else { "load from" };
+                    eprintln!(
+                        "slpc: {path}: error[V505]: {what} {} is proven out of \
+                         bounds: {}",
+                        a.reference, a.detail
+                    );
                 }
             }
             other => eprintln!("slpc: {path}: {other}"),
@@ -268,7 +257,13 @@ struct CheckOptions {
     json: bool,
 }
 
-fn parse_check_args(mut args: impl Iterator<Item = String>) -> Result<CheckOptions, ExitCode> {
+/// Parses the arguments of `check` and of `prove`, which takes the same
+/// options minus `--static` (`allow_static`): the validator itself
+/// decides when to degrade to the differential check.
+fn parse_check_args(
+    mut args: impl Iterator<Item = String>,
+    allow_static: bool,
+) -> Result<CheckOptions, ExitCode> {
     let mut opts = CheckOptions {
         paths: Vec::new(),
         machine: MachineConfig::intel_dunnington(),
@@ -285,7 +280,7 @@ fn parse_check_args(mut args: impl Iterator<Item = String>) -> Result<CheckOptio
                     None => return Err(usage()),
                 }
             }
-            "--static" => opts.differential = false,
+            "--static" if allow_static => opts.differential = false,
             "--unroll" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) => opts.unroll = n,
                 None => return Err(usage()),
@@ -418,41 +413,6 @@ fn run_check(opts: &CheckOptions) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Options of the `prove` subcommand — `check`'s, minus the
-/// differential toggle (the validator itself decides when to degrade).
-fn parse_prove_args(mut args: impl Iterator<Item = String>) -> Result<CheckOptions, ExitCode> {
-    let mut opts = CheckOptions {
-        paths: Vec::new(),
-        machine: MachineConfig::intel_dunnington(),
-        differential: false,
-        unroll: 0,
-        refine: false,
-        json: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--machine" => {
-                opts.machine = match args.next().as_deref().and_then(parse_machine) {
-                    Some(m) => m,
-                    None => return Err(usage()),
-                }
-            }
-            "--unroll" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.unroll = n,
-                None => return Err(usage()),
-            },
-            "--refine" => opts.refine = true,
-            "--json" => opts.json = true,
-            path if !path.starts_with('-') => opts.paths.push(path.to_string()),
-            _ => return Err(usage()),
-        }
-    }
-    if opts.paths.is_empty() {
-        return Err(usage());
-    }
-    Ok(opts)
 }
 
 /// `slpc prove`: compile each kernel under every vectorizing
@@ -874,14 +834,14 @@ fn main() -> ExitCode {
         }
         Some("check") => {
             argv.next();
-            return match parse_check_args(argv) {
+            return match parse_check_args(argv, true) {
                 Ok(opts) => run_check(&opts),
                 Err(code) => code,
             };
         }
         Some("prove") => {
             argv.next();
-            return match parse_prove_args(argv) {
+            return match parse_check_args(argv, false) {
                 Ok(opts) => run_prove(&opts),
                 Err(code) => code,
             };

@@ -19,7 +19,6 @@
 //!   --quota CAP:REFILL   per-tenant token bucket: capacity and
 //!                        tokens-per-second (default: unmetered)
 //!   --budget-ms N        default per-compile time budget
-//!   --no-dedup           disable in-flight request coalescing
 //!   --workers N          TCP worker threads (default: 4)
 //! ```
 //!
@@ -65,7 +64,7 @@ struct Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: slpd serve [--tcp ADDR] [--cache-dir DIR] [--no-cache] [--memory N] \
-         [--max-in-flight N] [--quota CAP:REFILL] [--budget-ms N] [--no-dedup] [--workers N]"
+         [--max-in-flight N] [--quota CAP:REFILL] [--budget-ms N] [--workers N]"
     );
     ExitCode::from(2)
 }
@@ -119,7 +118,6 @@ fn parse_args() -> Result<Options, ExitCode> {
                 Some(n) => opts.serve.default_budget_ms = Some(n),
                 None => return Err(usage()),
             },
-            "--no-dedup" => opts.serve.dedup = false,
             "--workers" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n > 0 => opts.workers = n,
                 _ => return Err(usage()),

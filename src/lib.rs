@@ -117,7 +117,7 @@ pub mod prelude {
     pub use slp_core::{
         compile, compile_timed, estimate_kernel_cost, CompileStats, CompiledKernel, ExecError,
         ExecErrorKind, HeuristicPacker, MachineConfig, OptParams, PackOutcome, PackRequest, Packer,
-        PackerHandle, SlpConfig, SlpError, Strategy, Verifier, VerifierHandle, VerifyError,
+        PackerHandle, SlpConfig, Strategy, Verifier, VerifierHandle, VerifyError,
     };
     pub use slp_driver::{
         compile_batch, compile_source, parallel_map, parse_machine, parse_strategy, BatchConfig,
