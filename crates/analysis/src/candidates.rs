@@ -22,46 +22,60 @@ pub struct Candidate {
     pub split: usize,
 }
 
-/// Identifies all candidate groups among `units`.
-///
-/// A pair qualifies when the units are isomorphic, mutually dependence
-/// free (§4.1 constraints 1 and 3) and the merged width stays within
-/// `lane_cap(stmt)` lanes — the §4.1 constraint 4 datapath bound, supplied
-/// by the caller because it depends on the element type and machine.
-pub fn find_candidates<E: TypeEnv>(
+/// The legal pairwise merges among `units`, as ascending index pairs
+/// `(a, b)`, `a < b`. A pair qualifies when the units are isomorphic,
+/// mutually dependence free (§4.1 constraints 1 and 3) and the merged
+/// width stays within `lane_cap(stmt)` lanes — the §4.1 constraint 4
+/// datapath bound, supplied by the caller because it depends on the
+/// element type and machine.
+pub fn legal_merges<E: TypeEnv>(
     units: &[Unit],
     block: &BasicBlock,
     deps: &BlockDeps,
     env: &E,
     mut lane_cap: impl FnMut(StmtId) -> usize,
-) -> Vec<Candidate> {
+) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for a in 0..units.len() {
         for b in a + 1..units.len() {
             let (ua, ub) = (&units[a], &units[b]);
-            let width = ua.width() + ub.width();
-            if width > lane_cap(ua.stmts()[0]) {
-                continue;
+            if ua.width() + ub.width() <= lane_cap(ua.stmts()[0])
+                && ua.can_merge(ub, block, deps, env)
+            {
+                out.push((a, b));
             }
-            if !ua.can_merge(ub, block, deps, env) {
-                continue;
-            }
-            let merged = Unit::merged(ua, ub);
+        }
+    }
+    out
+}
+
+/// Identifies all candidate groups among `units`: the [`legal_merges`],
+/// each with its variable packs.
+pub fn find_candidates<E: TypeEnv>(
+    units: &[Unit],
+    block: &BasicBlock,
+    deps: &BlockDeps,
+    env: &E,
+    lane_cap: impl FnMut(StmtId) -> usize,
+) -> Vec<Candidate> {
+    legal_merges(units, block, deps, env, lane_cap)
+        .into_iter()
+        .map(|(a, b)| {
+            let merged = Unit::merged(&units[a], &units[b]);
             let packs = merged
                 .packs(block)
                 .into_iter()
                 .filter(Pack::is_location_pack)
                 .collect();
-            out.push(Candidate {
+            Candidate {
                 a,
                 b,
                 packs,
                 stmts: merged.stmts().to_vec(),
-                split: ua.width(),
-            });
-        }
-    }
-    out
+                split: units[a].width(),
+            }
+        })
+        .collect()
 }
 
 /// The symmetric candidate-conflict relation: two candidate groups

@@ -76,12 +76,6 @@ impl PackContent {
         PackContent { keys }
     }
 
-    /// Builds the content key from pre-computed operand keys.
-    pub fn from_keys(mut keys: Vec<OperandKey>) -> Self {
-        keys.sort();
-        PackContent { keys }
-    }
-
     /// Number of lanes in the pack.
     pub fn width(&self) -> usize {
         self.keys.len()

@@ -10,7 +10,8 @@
 //!   form; units generalize single statements so the same algorithm serves
 //!   the iterative wider-than-two grouping of §4.2.2,
 //! * [`find_candidates`] / [`Candidate`] — step 1, candidate group
-//!   identification under the §4.1 validity constraints,
+//!   identification under the §4.1 validity constraints ([`legal_merges`]
+//!   is the same test without the packs, for the `slp-opt` solver),
 //! * [`ConflictMatrix`] — the shared-statement / dependence-cycle conflict
 //!   relation,
 //! * [`PackGraph`] — step 2, the variable-pack conflicting graph,
@@ -64,7 +65,7 @@ mod packgraph;
 mod unit;
 mod weight;
 
-pub use candidates::{find_candidates, Candidate, ConflictMatrix};
+pub use candidates::{find_candidates, legal_merges, Candidate, ConflictMatrix};
 pub use groupgraph::{GroupingEdge, StatementGroupingGraph};
 pub use key::{OperandKey, PackContent};
 pub use packgraph::{PackGraph, PackNode};

@@ -11,7 +11,8 @@
 use slp_analysis::Unit;
 use slp_ir::{BasicBlock, BlockDeps, Dest, Operand, Statement, StmtId, TypeEnv};
 
-use crate::schedule::{schedule_in_program_order, ScheduleConfig};
+use crate::index::BlockIndex;
+use crate::schedule::schedule_in_program_order;
 use crate::superword::BlockSchedule;
 
 /// An ordered statement pair in the pack set.
@@ -32,7 +33,7 @@ pub fn baseline_block<E: TypeEnv>(
     lane_cap: impl FnMut(StmtId) -> usize,
 ) -> BlockSchedule {
     let groups = baseline_groups(block, deps, env, lane_cap);
-    schedule_in_program_order(block, deps, &groups, &ScheduleConfig::default())
+    schedule_in_program_order(&BlockIndex::new(block), deps, &groups)
 }
 
 /// The grouping phases of the baseline algorithm (seed → extend →

@@ -14,12 +14,13 @@
 //! and `slp-vm` re-applies the identical logic as its final gate — a
 //! cross-crate consistency test keeps the two in sync.
 
-use slp_analysis::OperandKey;
+use slp_analysis::PackPos;
 use slp_ir::{
     pack_is_aligned_in, pack_is_contiguous, ArrayRef, BasicBlock, Dest, LoopHeader, Operand,
     Program, Statement, VarId,
 };
 
+use crate::index::{sorted, BlockIndex, Loc};
 use crate::machine::{op_cost_factor, CostParams};
 use crate::superword::{BlockSchedule, ScheduledItem};
 
@@ -50,48 +51,46 @@ pub fn estimate_scalar_cost(block: &BasicBlock, cx: &CostContext<'_>) -> f64 {
     block.iter().map(|s| scalar_stmt_cost(s, cx)).sum()
 }
 
-/// Estimated per-execution cycles of `schedule` for `block`, mirroring
-/// the `slp-vm` code generator's emission decisions (pack reuse, permuted
-/// reuse, memory access classes, scalar pack shuffles, lane sinks).
+/// The ordered packs believed register-resident, oldest first, as
+/// [`BlockIndex`] operand keys.
+type Regs = Vec<Vec<u32>>;
+
+/// Estimated per-execution cycles of `schedule` for the block indexed by
+/// `ix`, mirroring the `slp-vm` code generator's emission decisions (pack
+/// reuse, permuted reuse, memory access classes, scalar pack shuffles,
+/// lane sinks).
 pub fn estimate_schedule_cost(
-    block: &BasicBlock,
+    ix: &BlockIndex<'_>,
     schedule: &BlockSchedule,
     cx: &CostContext<'_>,
 ) -> f64 {
-    let mut regs: Vec<Vec<OperandKey>> = Vec::new();
+    let mut regs: Regs = Vec::new();
     let mut total = 0.0;
     let items = schedule.items();
     for (idx, item) in items.iter().enumerate() {
         match item {
             ScheduledItem::Single(id) => {
-                let stmt = block.stmt(*id).expect("stmt in block");
-                total += scalar_stmt_cost(stmt, cx);
-                invalidate(&mut regs, &stmt.def());
+                let p = ix.position(*id);
+                total += scalar_stmt_cost(ix.stmt_at(p), cx);
+                invalidate(&mut regs, ix, ix.key(p, PackPos::Dest));
             }
             ScheduledItem::Superword(sw) => {
-                let stmts: Vec<&Statement> = sw
-                    .lanes()
-                    .iter()
-                    .map(|&id| block.stmt(id).expect("lane in block"))
-                    .collect();
+                let lanes: Vec<usize> = sw.lanes().iter().map(|&id| ix.position(id)).collect();
+                let expr = ix.stmt_at(lanes[0]).expr();
                 // Source packs.
-                for k in 0..stmts[0].expr().arity() {
-                    let ops: Vec<Operand> = stmts
-                        .iter()
-                        .map(|s| s.expr().operands()[k].clone())
-                        .collect();
-                    total += materialize_cost(&ops, &mut regs, cx);
+                for k in 0..expr.arity() {
+                    let keys = ix.keys(&lanes, PackPos::Operand(k));
+                    total += materialize_cost(ix, keys, &mut regs, cx);
                 }
                 // The SIMD op.
-                total += op_cost_factor(stmts[0].expr().shape()) * cx.cost.simd_op;
+                total += op_cost_factor(expr.shape()) * cx.cost.simd_op;
                 // Destination write-back.
-                let dest_ops: Vec<Operand> = stmts.iter().map(|s| s.def()).collect();
-                for op in &dest_ops {
-                    invalidate(&mut regs, op);
+                let dest_keys = ix.keys(&lanes, PackPos::Dest);
+                for &key in &dest_keys {
+                    invalidate(&mut regs, ix, key);
                 }
-                total += dest_cost(&stmts, block, &items[idx + 1..], cx);
-                let keys: Vec<OperandKey> = dest_ops.iter().map(OperandKey::of).collect();
-                register(&mut regs, keys, cx.vector_regs);
+                total += dest_cost(ix, &dest_keys, &items[idx + 1..], cx);
+                register(&mut regs, dest_keys, cx.vector_regs);
             }
         }
     }
@@ -122,55 +121,51 @@ pub fn scalar_stmt_cost(stmt: &Statement, cx: &CostContext<'_>) -> f64 {
         + op_cost_factor(stmt.expr().shape()) * cx.cost.scalar_op
 }
 
-fn materialize_cost(ops: &[Operand], regs: &mut Vec<Vec<OperandKey>>, cx: &CostContext<'_>) -> f64 {
-    // Constant packs.
-    if ops.iter().all(|o| matches!(o, Operand::Const(_))) {
-        let first = match &ops[0] {
-            Operand::Const(c) => *c,
-            // Invariant: the enclosing `all(..is Const)` guard covers ops[0].
-            _ => unreachable!(),
-        };
-        let uniform = ops
-            .iter()
-            .all(|o| matches!(o, Operand::Const(c) if *c == first));
-        return if uniform {
-            cx.cost.insert
-        } else {
-            cx.cost.vector_load
-        };
+fn materialize_cost(
+    ix: &BlockIndex<'_>,
+    keys: Vec<u32>,
+    regs: &mut Regs,
+    cx: &CostContext<'_>,
+) -> f64 {
+    let locs: Vec<Loc<'_>> = keys.iter().map(|&k| ix.loc(k)).collect();
+    // Constant packs. Uniformity is numeric (`0.0 == -0.0`), not by key.
+    if let Loc::Const(first) = locs[0] {
+        if locs.iter().all(|l| matches!(l, Loc::Const(_))) {
+            let uniform = locs
+                .iter()
+                .all(|l| matches!(l, Loc::Const(c) if f64::from_bits(*c) == f64::from_bits(first)));
+            return if uniform {
+                cx.cost.insert
+            } else {
+                cx.cost.vector_load
+            };
+        }
     }
-    let keys: Vec<OperandKey> = ops.iter().map(OperandKey::of).collect();
     if regs.contains(&keys) {
         return 0.0; // direct reuse
     }
-    if let Some(pos) = regs.iter().position(|k| same_multiset(k, &keys)) {
-        // Permuted reuse: register the new ordering.
-        let _ = pos;
-        register(regs, keys, cx.vector_regs);
-        return cx.cost.permute;
-    }
-    let cost = pack_cost(ops, cx, true);
+    let content = sorted(&keys);
+    let cost = if regs.iter().any(|k| sorted(k) == content) {
+        cx.cost.permute // permuted reuse: register the new ordering
+    } else {
+        pack_cost(&locs, cx, true)
+    };
     register(regs, keys, cx.vector_regs);
     cost
 }
 
 /// Memory/shuffle cost of assembling (`is_load`) or scattering a pack.
-fn pack_cost(ops: &[Operand], cx: &CostContext<'_>, is_load: bool) -> f64 {
-    let w = ops.len() as f64;
-    match &ops[0] {
-        Operand::Array(_) => {
-            let refs: Vec<&ArrayRef> = ops.iter().filter_map(|o| o.as_array()).collect();
-            if refs.len() == ops.len() && pack_is_contiguous(&refs) {
+fn pack_cost(locs: &[Loc<'_>], cx: &CostContext<'_>, is_load: bool) -> f64 {
+    let w = locs.len() as f64;
+    let pick = |load: f64, store: f64| if is_load { load } else { store };
+    match locs[0] {
+        Loc::Array(_) => {
+            let refs: Vec<&ArrayRef> = locs.iter().filter_map(|l| l.as_array()).collect();
+            if refs.len() == locs.len() && pack_is_contiguous(&refs) {
                 if pack_is_aligned_in(&refs, cx.program, cx.loops) {
-                    if is_load {
-                        cx.cost.vector_load
-                    } else {
-                        cx.cost.vector_store
-                    }
-                } else if is_load {
-                    cx.cost.unaligned_load
+                    pick(cx.cost.vector_load, cx.cost.vector_store)
                 } else {
-                    cx.cost.unaligned_store
+                    pick(cx.cost.unaligned_load, cx.cost.unaligned_store)
                 }
             } else if is_load {
                 // Mirror the §5.2 replication gate: profitable only for
@@ -178,7 +173,7 @@ fn pack_cost(ops: &[Operand], cx: &CostContext<'_>, is_load: bool) -> f64 {
                 // loop the subscripts do not use (outer-loop reuse pays
                 // for the one-time copy).
                 let replicable = cx.assume_layout
-                    && refs.len() == ops.len()
+                    && refs.len() == locs.len()
                     && refs.iter().all(|r| r.array == refs[0].array)
                     && cx.program.array_is_read_only(refs[0].array)
                     && cx.loops.iter().any(|h| {
@@ -194,9 +189,9 @@ fn pack_cost(ops: &[Operand], cx: &CostContext<'_>, is_load: bool) -> f64 {
                 w * (cx.cost.extract + cx.cost.scalar_store)
             }
         }
-        Operand::Scalar(v0) => {
+        Loc::Scalar(v0) => {
             // Splat?
-            if ops.iter().all(|o| o.as_scalar() == Some(*v0)) {
+            if locs.iter().all(|&l| l == Loc::Scalar(v0)) {
                 return cx.cost.insert
                     + if cx.exposed[v0.index()] {
                         cx.cost.scalar_load
@@ -204,48 +199,42 @@ fn pack_cost(ops: &[Operand], cx: &CostContext<'_>, is_load: bool) -> f64 {
                         0.0
                     };
             }
-            let mem = ops
+            let mem = locs
                 .iter()
-                .filter(|o| matches!(o, Operand::Scalar(v) if cx.exposed[v.index()]))
+                .filter(|l| matches!(l, Loc::Scalar(v) if cx.exposed[v.index()]))
                 .count() as f64;
             if cx.assume_layout && mem == w {
                 // §5.1 will place an all-exposed pack contiguously.
-                return if is_load {
-                    cx.cost.vector_load
-                } else {
-                    cx.cost.vector_store
-                };
+                return pick(cx.cost.vector_load, cx.cost.vector_store);
             }
             w * cx.cost.insert + mem * cx.cost.scalar_load
         }
         // Invariant: materialize_cost early-returns on all-const packs, and
         // packs are operand-kind homogeneous, so no Const reaches here.
-        Operand::Const(_) => unreachable!("const packs handled by caller"),
+        Loc::Const(_) => unreachable!("const packs handled by caller"),
     }
 }
 
 fn dest_cost(
-    stmts: &[&Statement],
-    block: &BasicBlock,
+    ix: &BlockIndex<'_>,
+    dest_keys: &[u32],
     rest: &[ScheduledItem],
     cx: &CostContext<'_>,
 ) -> f64 {
-    match stmts[0].dest() {
-        Dest::Array(_) => {
-            let ops: Vec<Operand> = stmts.iter().map(|s| s.def()).collect();
-            pack_cost(&ops, cx, false)
-        }
-        Dest::Scalar(_) => {
+    let locs: Vec<Loc<'_>> = dest_keys.iter().map(|&k| ix.loc(k)).collect();
+    match locs[0] {
+        Loc::Array(_) => pack_cost(&locs, cx, false),
+        _ => {
             let mut total = 0.0;
-            for s in stmts {
-                let Dest::Scalar(v) = s.dest() else {
+            for loc in locs {
+                let Loc::Scalar(v) = loc else {
                     // Invariant: superwords pack isomorphic statements, so
-                    // every lane's dest matches stmts[0]'s (Scalar here).
+                    // every lane's dest matches the first's (Scalar here).
                     unreachable!("isomorphic dests")
                 };
                 if cx.exposed[v.index()] {
                     total += cx.cost.extract + cx.cost.scalar_store;
-                } else if scalar_read_by_later_single(*v, block, rest) {
+                } else if scalar_read_by_later_single(v, ix, rest) {
                     total += cx.cost.extract;
                 }
             }
@@ -256,12 +245,12 @@ fn dest_cost(
 
 /// Whether scalar `v` is read by a later single of this block's schedule
 /// before being redefined.
-fn scalar_read_by_later_single(v: VarId, block: &BasicBlock, rest: &[ScheduledItem]) -> bool {
+fn scalar_read_by_later_single(v: VarId, ix: &BlockIndex<'_>, rest: &[ScheduledItem]) -> bool {
     for item in rest {
         let ScheduledItem::Single(id) = item else {
             continue;
         };
-        let stmt = block.stmt(*id).expect("stmt in block");
+        let stmt = ix.stmt_at(ix.position(*id));
         if stmt.uses().iter().any(|o| o.as_scalar() == Some(v)) {
             return true;
         }
@@ -272,18 +261,7 @@ fn scalar_read_by_later_single(v: VarId, block: &BasicBlock, rest: &[ScheduledIt
     false
 }
 
-fn same_multiset(a: &[OperandKey], b: &[OperandKey]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut sa = a.to_vec();
-    let mut sb = b.to_vec();
-    sa.sort();
-    sb.sort();
-    sa == sb
-}
-
-fn register(regs: &mut Vec<Vec<OperandKey>>, keys: Vec<OperandKey>, cap: usize) {
+fn register(regs: &mut Regs, keys: Vec<u32>, cap: usize) {
     regs.retain(|k| *k != keys);
     regs.push(keys);
     if regs.len() > cap {
@@ -291,16 +269,8 @@ fn register(regs: &mut Vec<Vec<OperandKey>>, keys: Vec<OperandKey>, cap: usize) 
     }
 }
 
-fn invalidate(regs: &mut Vec<Vec<OperandKey>>, written: &Operand) {
-    regs.retain(|keys| {
-        !keys.iter().any(|k| match (written, k) {
-            (Operand::Scalar(v), OperandKey::Scalar(w)) => v == w,
-            (Operand::Array(r), OperandKey::Array(a, acc)) => {
-                r.may_alias(&ArrayRef::new(*a, acc.clone()))
-            }
-            _ => false,
-        })
-    });
+fn invalidate(regs: &mut Regs, ix: &BlockIndex<'_>, written: u32) {
+    regs.retain(|keys| !keys.iter().any(|&k| ix.overlaps(written, k)));
 }
 
 #[cfg(test)]
@@ -331,7 +301,12 @@ mod tests {
         let info = p.blocks().into_iter().next().unwrap();
         let deps = BlockDeps::analyze(&info.block);
         let g = group_block(&info.block, &deps, &p, |_| 2);
-        let sched = schedule_block(&info.block, &deps, &g.units, &ScheduleConfig::default());
+        let sched = schedule_block(
+            &BlockIndex::new(&info.block),
+            &deps,
+            &g.units,
+            &ScheduleConfig::default(),
+        );
         (p, info, sched)
     }
 
@@ -345,7 +320,7 @@ mod tests {
         let cost = CostParams::intel();
         let cx = context(&p, &info.loops, &exposed, &cost);
         let sc = estimate_scalar_cost(&info.block, &cx);
-        let vc = estimate_schedule_cost(&info.block, &sched, &cx);
+        let vc = estimate_schedule_cost(&BlockIndex::new(&info.block), &sched, &cx);
         assert!(vc < sc, "vector {vc} vs scalar {sc}");
     }
 
@@ -360,7 +335,7 @@ mod tests {
         let cx = context(&p, &info.loops, &exposed, &cost);
         let scalar_sched = BlockSchedule::scalar(&info.block);
         assert_eq!(
-            estimate_schedule_cost(&info.block, &scalar_sched, &cx),
+            estimate_schedule_cost(&BlockIndex::new(&info.block), &scalar_sched, &cx),
             estimate_scalar_cost(&info.block, &cx)
         );
     }
@@ -381,7 +356,7 @@ mod tests {
         let exposed = p.upward_exposed_scalars();
         let cost = CostParams::intel();
         let cx = context(&p, &info.loops, &exposed, &cost);
-        let vc = estimate_schedule_cost(&info.block, &sched, &cx);
+        let vc = estimate_schedule_cost(&BlockIndex::new(&info.block), &sched, &cx);
         // One B load + two aligned stores + two ops + splat-ish consts.
         // Well under the cost of loading B twice.
         assert!(vc < 2.0 * cost.vector_load + 2.0 * cost.vector_store + 8.0);

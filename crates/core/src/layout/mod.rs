@@ -105,7 +105,8 @@ mod tests {
         for info in p.blocks() {
             let deps = BlockDeps::analyze(&info.block);
             let g = group_block(&info.block, &deps, &p, |_| 2);
-            let s = schedule_block(&info.block, &deps, &g.units, &ScheduleConfig::default());
+            let ix = crate::BlockIndex::new(&info.block);
+            let s = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
             scheds.push((info, s));
         }
         (p, scheds)

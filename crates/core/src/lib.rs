@@ -7,6 +7,7 @@ mod baseline;
 mod cost;
 mod error;
 mod group;
+mod index;
 mod layout;
 mod machine;
 mod native;
@@ -19,6 +20,7 @@ pub use baseline::{baseline_block, baseline_groups};
 pub use cost::{estimate_scalar_cost, estimate_schedule_cost, scalar_stmt_cost, CostContext};
 pub use error::{ExecError, ExecErrorKind, VerifyError};
 pub use group::{group_block, group_block_with, Grouping, GroupingDecision};
+pub use index::BlockIndex;
 pub use layout::array::{eq4_map, optimize_array_layout, ArrayLayoutConfig, Replication};
 pub use layout::scalar::{optimize_scalar_layout, ScalarLayout};
 pub use layout::{collect_pack_uses, PackUse};

@@ -11,7 +11,8 @@
 use slp_analysis::Unit;
 use slp_ir::{BasicBlock, BlockDeps, Dest, Operand, Statement, StmtId, TypeEnv};
 
-use crate::schedule::{schedule_in_program_order, ScheduleConfig};
+use crate::index::BlockIndex;
+use crate::schedule::schedule_in_program_order;
 use crate::superword::BlockSchedule;
 
 /// Runs the native-style vectorizer on one block.
@@ -63,7 +64,7 @@ pub fn native_block<E: TypeEnv>(
             units.push(Unit::singleton(s.id()));
         }
     }
-    schedule_in_program_order(block, deps, &units, &ScheduleConfig::default())
+    schedule_in_program_order(&BlockIndex::new(block), deps, &units)
 }
 
 /// Whether the statements at `idx` (in order) form a native-vectorizable

@@ -17,6 +17,7 @@ use crate::baseline::{baseline_block, baseline_groups};
 use crate::cost::{estimate_schedule_cost, CostContext};
 use crate::error::VerifyError;
 use crate::group::group_block_with;
+use crate::index::BlockIndex;
 use crate::layout::array::{optimize_array_layout, ArrayLayoutConfig, Replication};
 use crate::layout::collect_pack_uses;
 use crate::layout::scalar::{optimize_scalar_layout, ScalarLayout};
@@ -576,7 +577,7 @@ pub fn estimate_kernel_cost(kernel: &CompiledKernel) -> f64 {
             assume_layout: false,
         };
         let per_exec = match kernel.schedule_of(info.id) {
-            Some(sched) => estimate_schedule_cost(&info.block, sched, &cx),
+            Some(sched) => estimate_schedule_cost(&BlockIndex::new(&info.block), sched, &cx),
             None => crate::cost::estimate_scalar_cost(&info.block, &cx),
         };
         // Saturating: a pathological nest can overflow the product long
@@ -649,25 +650,9 @@ fn compile_inner(
             Strategy::Baseline => timings.time(Phase::Grouping, || {
                 baseline_block(&info.block, &deps, &program, lane_cap)
             }),
-            Strategy::Holistic => {
-                holistic_proposal(
-                    &info.block,
-                    &deps,
-                    &program,
-                    &info.loops,
-                    &exposed,
-                    config,
-                    optimism,
-                    timings,
-                )
-                .0
-            }
-            Strategy::Optimal => {
-                // Warm start: the full holistic arbitration provides the
-                // incumbent the branch-and-bound solver must beat (or
-                // keep), so `Optimal` can never regress `Holistic`.
+            Strategy::Holistic | Strategy::Optimal => 'block: {
                 let (incumbent, incumbent_cost) = holistic_proposal(
-                    &info.block,
+                    &BlockIndex::new(&info.block),
                     &deps,
                     &program,
                     &info.loops,
@@ -676,6 +661,12 @@ fn compile_inner(
                     optimism,
                     timings,
                 );
+                if config.strategy == Strategy::Holistic {
+                    break 'block incumbent;
+                }
+                // Warm start: the full holistic arbitration provides the
+                // incumbent the branch-and-bound solver must beat (or
+                // keep), so `Optimal` can never regress `Holistic`.
                 let req = PackRequest {
                     block: &info.block,
                     deps: &deps,
@@ -777,7 +768,7 @@ fn compile_inner(
 /// incumbent.
 #[allow(clippy::too_many_arguments)]
 fn holistic_proposal(
-    block: &BasicBlock,
+    ix: &BlockIndex<'_>,
     deps: &BlockDeps,
     program: &Program,
     loops: &[LoopHeader],
@@ -786,8 +777,9 @@ fn holistic_proposal(
     optimism: bool,
     timings: &mut PhaseTimings,
 ) -> (BlockSchedule, f64) {
+    let block = ix.block();
     let lane_cap = |s: StmtId| {
-        let stmt = block.stmt(s).expect("stmt in block");
+        let stmt = ix.stmt_at(ix.position(s));
         config.machine.lanes_for(program.dest_type(stmt.dest()))
     };
     let cx = CostContext {
@@ -808,22 +800,22 @@ fn holistic_proposal(
             group_block_with(block, deps, program, lane_cap, &w)
         });
         proposals.push(timings.time(Phase::Scheduling, || {
-            schedule_block(block, deps, &g.units, &config.schedule)
+            schedule_block(ix, deps, &g.units, &config.schedule)
         }));
     }
     let bg = timings.time(Phase::Grouping, || {
         baseline_groups(block, deps, program, lane_cap)
     });
     proposals.push(timings.time(Phase::Scheduling, || {
-        schedule_block(block, deps, &bg, &config.schedule)
+        schedule_block(ix, deps, &bg, &config.schedule)
     }));
     proposals.push(timings.time(Phase::Scheduling, || {
-        schedule_in_program_order(block, deps, &bg, &config.schedule)
+        schedule_in_program_order(ix, deps, &bg)
     }));
     proposals
         .into_iter()
         .map(|s| {
-            let c = estimate_schedule_cost(block, &s, &cx);
+            let c = estimate_schedule_cost(ix, &s, &cx);
             (c, s)
         })
         // Invariant: cost estimates are finite sums/products of finite
@@ -956,7 +948,7 @@ mod arbitration_tests {
                         assume_layout: false,
                     };
                     estimate_schedule_cost(
-                        &info.block,
+                        &BlockIndex::new(&info.block),
                         k.schedule_of(info.id).expect("scheduled"),
                         &cx,
                     )

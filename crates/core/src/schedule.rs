@@ -7,11 +7,13 @@
 //! instructions, using a *live superword set* that tracks which ordered
 //! packs are most likely resident in vector registers.
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
+use std::cmp::Reverse;
 
-use slp_analysis::{OperandKey, PackContent, PackPos, Unit};
-use slp_ir::{ArrayRef, BasicBlock, BlockDeps, Operand, StmtId};
+use slp_analysis::{PackPos, Unit};
+use slp_ir::{ArrayRef, BlockDeps};
 
+use crate::index::{sorted, BlockIndex, Loc};
 use crate::superword::{BlockSchedule, ScheduledItem, SuperwordStmt};
 
 /// Configuration of the scheduling phase.
@@ -31,18 +33,12 @@ impl Default for ScheduleConfig {
     }
 }
 
-/// An ordered pack believed to be in a vector register.
+/// An ordered pack believed to be in a vector register: its
+/// [`BlockIndex`] operand keys in lane order, and [`sorted`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LivePack {
-    keys: Vec<OperandKey>,
-    content: PackContent,
-}
-
-impl LivePack {
-    fn new(keys: Vec<OperandKey>) -> Self {
-        let content = PackContent::from_keys(keys.clone());
-        LivePack { keys, content }
-    }
+    keys: Vec<u32>,
+    content: Vec<u32>,
 }
 
 /// The live superword set, FIFO-bounded.
@@ -60,48 +56,33 @@ impl LiveSet {
         }
     }
 
-    fn contains_content(&self, content: &PackContent) -> bool {
-        self.packs.iter().any(|p| &p.content == content)
+    fn contains_content(&self, content: &[u32]) -> bool {
+        self.packs.iter().any(|p| p.content == content)
     }
 
-    fn contains_exact(&self, keys: &[OperandKey]) -> bool {
+    fn contains_exact(&self, keys: &[u32]) -> bool {
         self.packs.iter().any(|p| p.keys == keys)
     }
 
-    fn matching_widths(&self, width: usize) -> impl Iterator<Item = &LivePack> {
-        self.packs.iter().filter(move |p| p.keys.len() == width)
-    }
-
-    fn insert(&mut self, keys: Vec<OperandKey>) {
+    fn insert(&mut self, keys: Vec<u32>) {
         if self.contains_exact(&keys) {
             return;
         }
         // A permuted copy of the same content replaces the old ordering:
         // the register now holds the most recently used arrangement.
-        let content = PackContent::from_keys(keys.clone());
+        let content = sorted(&keys);
         self.packs.retain(|p| p.content != content);
-        self.packs.push(LivePack::new(keys));
+        self.packs.push(LivePack { keys, content });
         if self.packs.len() > self.capacity {
             self.packs.remove(0);
         }
     }
 
-    /// Removes every pack that holds data overlapping `written` — "those
-    /// existing superwords that access the same data".
-    fn invalidate(&mut self, written: &Operand) {
+    /// Removes every pack that holds data overlapping the destination
+    /// `written` — "those existing superwords that access the same data".
+    fn invalidate(&mut self, ix: &BlockIndex<'_>, written: u32) {
         self.packs
-            .retain(|p| !p.keys.iter().any(|k| key_overlaps(written, k)));
-    }
-}
-
-/// Whether a written location may overlap the data a pack lane holds.
-fn key_overlaps(written: &Operand, key: &OperandKey) -> bool {
-    match (written, key) {
-        (Operand::Scalar(v), OperandKey::Scalar(w)) => v == w,
-        (Operand::Array(r), OperandKey::Array(a, acc)) => {
-            r.may_alias(&ArrayRef::new(*a, acc.clone()))
-        }
-        _ => false,
+            .retain(|p| !p.keys.iter().any(|&k| ix.overlaps(written, k)));
     }
 }
 
@@ -112,25 +93,12 @@ fn key_overlaps(written: &Operand, key: &OperandKey) -> bool {
 /// dependence graph (a multi-group cycle the pairwise conflict test cannot
 /// see) are split back into scalar statements.
 pub fn schedule_block(
-    block: &BasicBlock,
+    ix: &BlockIndex<'_>,
     deps: &BlockDeps,
     units: &[Unit],
     config: &ScheduleConfig,
 ) -> BlockSchedule {
-    let mut units: Vec<Unit> = units.to_vec();
-    loop {
-        match try_schedule(block, deps, &units, config) {
-            Ok(sched) => return sched,
-            Err(stuck_unit) => {
-                // Break the cycle: split the smallest stuck group back
-                // into singletons and retry.
-                let victim = units.remove(stuck_unit);
-                for &s in victim.stmts() {
-                    units.push(Unit::singleton(s));
-                }
-            }
-        }
-    }
+    split_on_deadlock(units, |units| try_schedule(ix, deps, units, config))
 }
 
 /// Schedules units in plain program/dependence order, keeping each unit's
@@ -138,233 +106,207 @@ pub fn schedule_block(
 /// and the native vectorizer use: no live-set reuse heuristic, no lane
 /// reordering.
 pub fn schedule_in_program_order(
-    block: &BasicBlock,
+    ix: &BlockIndex<'_>,
     deps: &BlockDeps,
     units: &[Unit],
-    _config: &ScheduleConfig,
 ) -> BlockSchedule {
-    let mut units: Vec<Unit> = units.to_vec();
+    split_on_deadlock(units, |units| try_program_order(ix, deps, units))
+}
+
+/// Runs `attempt` until it succeeds, splitting the deadlocked group each
+/// `Err(i)` names back into singletons to break the cycle.
+fn split_on_deadlock(
+    units: &[Unit],
+    attempt: impl Fn(&[Unit]) -> Result<BlockSchedule, usize>,
+) -> BlockSchedule {
+    let mut units = Cow::Borrowed(units);
     loop {
-        match try_program_order(block, deps, &units) {
+        match attempt(&units) {
             Ok(sched) => return sched,
-            Err(stuck_unit) => {
-                let victim = units.remove(stuck_unit);
-                for &s in victim.stmts() {
-                    units.push(Unit::singleton(s));
-                }
+            Err(stuck) => {
+                let units = units.to_mut();
+                let victim = units.remove(stuck);
+                units.extend(victim.stmts().iter().map(|&s| Unit::singleton(s)));
             }
         }
     }
 }
 
+/// The dependence graph among units (paper Figure 11, lines 1-9) and the
+/// progress of one pass over it.
+struct UnitGraph {
+    /// Each unit's statements as block positions, in the unit's order.
+    lanes: Vec<Vec<usize>>,
+    /// Each unit's earliest block position.
+    first: Vec<usize>,
+    /// Each unit's distinct successor units.
+    succs: Vec<Vec<usize>>,
+    /// Each unit's count of unscheduled predecessor units.
+    preds: Vec<usize>,
+    scheduled: Vec<bool>,
+}
+
+impl UnitGraph {
+    fn new(ix: &BlockIndex<'_>, deps: &BlockDeps, units: &[Unit]) -> Self {
+        let n = units.len();
+        let lanes: Vec<Vec<usize>> = units
+            .iter()
+            .map(|u| u.stmts().iter().map(|&s| ix.position(s)).collect())
+            .collect();
+        let mut unit_of = vec![usize::MAX; ix.block().len()];
+        for (u, lanes) in lanes.iter().enumerate() {
+            for &p in lanes {
+                unit_of[p] = u;
+            }
+        }
+        assert!(!unit_of.contains(&usize::MAX), "units partition the block");
+        let mut succs = vec![Vec::new(); n];
+        let mut preds = vec![0usize; n];
+        for &(p, q) in deps.direct_pairs() {
+            let (a, b) = (unit_of[p], unit_of[q]);
+            if a != b && !succs[a].contains(&b) {
+                succs[a].push(b);
+                preds[b] += 1;
+            }
+        }
+        let first = lanes
+            .iter()
+            .map(|l| l.iter().copied().min().unwrap_or(0))
+            .collect();
+        UnitGraph {
+            lanes,
+            first,
+            succs,
+            preds,
+            scheduled: vec![false; n],
+        }
+    }
+
+    fn is_group(&self, u: usize) -> bool {
+        self.lanes[u].len() > 1
+    }
+
+    /// The unscheduled units whose predecessors have all been scheduled.
+    fn ready(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.lanes.len()).filter(|&u| !self.scheduled[u] && self.preds[u] == 0)
+    }
+
+    fn retire(&mut self, u: usize) {
+        self.scheduled[u] = true;
+        for &s in &self.succs[u] {
+            self.preds[s] -= 1;
+        }
+    }
+
+    /// On deadlock (nothing ready): the first unscheduled group, to split.
+    fn stuck_group(&self) -> usize {
+        (0..self.lanes.len())
+            .find(|&u| !self.scheduled[u] && self.is_group(u))
+            // Invariant: singletons alone form the acyclic statement
+            // DAG, so any cycle involves a superword group to split.
+            .expect("pure statement DAGs cannot deadlock")
+    }
+}
+
+/// The schedule item executing the statements at positions `order`.
+fn item(ix: &BlockIndex<'_>, order: &[usize]) -> ScheduledItem {
+    let id = |&p: &usize| ix.stmt_at(p).id();
+    match order {
+        [single] => ScheduledItem::Single(id(single)),
+        _ => ScheduledItem::Superword(SuperwordStmt::new(order.iter().map(id).collect())),
+    }
+}
+
 fn try_program_order(
-    block: &BasicBlock,
+    ix: &BlockIndex<'_>,
     deps: &BlockDeps,
     units: &[Unit],
 ) -> Result<BlockSchedule, usize> {
-    let n = units.len();
-    let unit_of = |s: StmtId| -> usize {
-        units
-            .iter()
-            .position(|u| u.stmts().contains(&s))
-            .expect("units partition the block")
-    };
-    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for d in deps.direct() {
-        let (a, b) = (unit_of(d.src), unit_of(d.dst));
-        if a != b {
-            edges.insert((a, b));
-        }
-    }
-    let mut preds = vec![0usize; n];
-    for &(_, b) in &edges {
-        preds[b] += 1;
-    }
-    let position = |u: &Unit| -> usize {
-        u.stmts()
-            .iter()
-            .map(|&s| block.position(s).expect("stmt in block"))
-            .min()
-            .unwrap_or(0)
-    };
-    let mut scheduled = vec![false; n];
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        let chosen = (0..n)
-            .filter(|&u| !scheduled[u] && preds[u] == 0)
-            .min_by_key(|&u| position(&units[u]));
-        let Some(chosen) = chosen else {
-            return Err((0..n)
-                .find(|&u| !scheduled[u] && !units[u].is_singleton())
-                // Invariant: singletons alone form the acyclic statement
-                // DAG, so any cycle involves a superword group to split.
-                .expect("pure statement DAGs cannot deadlock"));
+    let mut graph = UnitGraph::new(ix, deps, units);
+    let mut items = Vec::with_capacity(units.len());
+    for _ in 0..units.len() {
+        let Some(chosen) = graph.ready().min_by_key(|&u| graph.first[u]) else {
+            return Err(graph.stuck_group());
         };
-        let unit = &units[chosen];
-        items.push(if unit.is_singleton() {
-            ScheduledItem::Single(unit.stmts()[0])
-        } else {
-            ScheduledItem::Superword(SuperwordStmt::new(unit.stmts().to_vec()))
-        });
-        scheduled[chosen] = true;
-        for &(a, b) in &edges {
-            if a == chosen {
-                preds[b] -= 1;
-            }
-        }
+        items.push(item(ix, &graph.lanes[chosen]));
+        graph.retire(chosen);
     }
     Ok(BlockSchedule::new(items))
 }
 
 /// Attempts a schedule; `Err(i)` names a group unit to split on deadlock.
 fn try_schedule(
-    block: &BasicBlock,
+    ix: &BlockIndex<'_>,
     deps: &BlockDeps,
     units: &[Unit],
     config: &ScheduleConfig,
 ) -> Result<BlockSchedule, usize> {
-    let n = units.len();
-    let unit_of = |s: StmtId| -> usize {
-        units
-            .iter()
-            .position(|u| u.stmts().contains(&s))
-            .expect("units partition the block")
-    };
-
-    // Dependence graph among units (paper Figure 11, lines 1-9).
-    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for d in deps.direct() {
-        let (a, b) = (unit_of(d.src), unit_of(d.dst));
-        if a != b {
-            edges.insert((a, b));
-        }
-    }
-    let mut preds = vec![0usize; n];
-    for &(_, b) in &edges {
-        preds[b] += 1;
-    }
-
-    let position = |u: &Unit| -> usize {
-        u.stmts()
-            .iter()
-            .map(|&s| block.position(s).expect("stmt in block"))
-            .min()
-            .unwrap_or(0)
-    };
+    let mut graph = UnitGraph::new(ix, deps, units);
+    // Per group: the operand positions forming location packs, and each
+    // pack's order-insensitive content.
+    let slots: Vec<Vec<PackPos>> = (graph.lanes.iter())
+        .map(|lanes| match lanes.len() {
+            1 => Vec::new(),
+            _ => pack_positions(ix, lanes),
+        })
+        .collect();
+    let contents: Vec<Vec<Vec<u32>>> = (slots.iter().zip(&graph.lanes))
+        .map(|(slots, lanes)| {
+            let content = |&slot| sorted(&ix.keys(lanes, slot));
+            slots.iter().map(content).collect()
+        })
+        .collect();
 
     let mut live = LiveSet::new(config.live_set_capacity);
-    let mut scheduled = vec![false; n];
-    let mut remaining = n;
-    let mut items = Vec::with_capacity(n);
+    let mut items = Vec::with_capacity(units.len());
 
-    while remaining > 0 {
-        let ready: Vec<usize> = (0..n).filter(|&u| !scheduled[u] && preds[u] == 0).collect();
-        if ready.is_empty() {
-            // Deadlock: report the first unscheduled group for splitting.
-            return Err((0..n)
-                .find(|&u| !scheduled[u] && !units[u].is_singleton())
-                // Invariant: singletons alone form the acyclic statement
-                // DAG, so any cycle involves a superword group to split.
-                .expect("pure statement DAGs cannot deadlock"));
-        }
-
+    for _ in 0..units.len() {
         // Prefer the ready superword statement with the most superword
         // reuses against the live set (Figure 11, lines 15-18); emit
         // singles only when no group is ready.
-        let chosen = ready
-            .iter()
-            .copied()
-            .filter(|&u| !units[u].is_singleton())
-            .map(|u| {
-                let reuses = units[u]
-                    .packs(block)
-                    .iter()
-                    .filter(|p| p.is_location_pack() && live.contains_content(&p.content))
-                    .count();
-                (u, reuses)
-            })
-            .max_by(|(ua, ra), (ub, rb)| {
-                ra.cmp(rb)
-                    .then_with(|| position(&units[*ub]).cmp(&position(&units[*ua])))
-            })
-            .map(|(u, _)| u)
-            .unwrap_or_else(|| {
-                *ready
-                    .iter()
-                    .min_by_key(|&&u| position(&units[u]))
-                    .expect("ready is non-empty")
-            });
+        let reuses = |u: usize| contents[u].iter().filter(|c| live.contains_content(c));
+        let chosen = (graph.ready().filter(|&u| graph.is_group(u)))
+            .max_by_key(|&u| (reuses(u).count(), Reverse(graph.first[u])))
+            .or_else(|| graph.ready().min_by_key(|&u| graph.first[u]));
+        let Some(chosen) = chosen else {
+            return Err(graph.stuck_group());
+        };
 
-        let unit = &units[chosen];
-        if unit.is_singleton() {
-            let s = unit.stmts()[0];
-            let stmt = block.stmt(s).expect("stmt in block");
-            live.invalidate(&stmt.def());
-            items.push(ScheduledItem::Single(s));
+        let lanes = &graph.lanes[chosen];
+        if graph.is_group(chosen) {
+            let order = choose_lane_order(ix, lanes, &slots[chosen], &live);
+            // Register the packs this superword statement materializes:
+            // its sources, then — once its writes have invalidated what
+            // they clobber — its destination.
+            for &slot in &slots[chosen] {
+                if slot != PackPos::Dest {
+                    live.insert(ix.keys(&order, slot));
+                }
+            }
+            for &p in &order {
+                live.invalidate(ix, ix.key(p, PackPos::Dest));
+            }
+            live.insert(ix.keys(&order, PackPos::Dest));
+            items.push(item(ix, &order));
         } else {
-            let order = choose_lane_order(unit, block, &live);
-            // Register the packs this superword statement materializes.
-            let mut source_packs = Vec::new();
-            let mut dest_pack = None;
-            for pos in pack_positions(unit, block) {
-                let keys = ordered_keys(&order, block, pos);
-                match pos {
-                    PackPos::Dest => dest_pack = Some(keys),
-                    PackPos::Operand(_) => source_packs.push(keys),
-                }
-            }
-            for keys in source_packs {
-                if keys.iter().all(location_key) {
-                    live.insert(keys);
-                }
-            }
-            for &s in &order {
-                let stmt = block.stmt(s).expect("stmt in block");
-                live.invalidate(&stmt.def());
-            }
-            if let Some(keys) = dest_pack {
-                if keys.iter().all(location_key) {
-                    live.insert(keys);
-                }
-            }
-            items.push(ScheduledItem::Superword(SuperwordStmt::new(order)));
+            live.invalidate(ix, ix.key(lanes[0], PackPos::Dest));
+            items.push(item(ix, lanes));
         }
-        scheduled[chosen] = true;
-        remaining -= 1;
-        for &(a, b) in &edges {
-            if a == chosen {
-                preds[b] -= 1;
-            }
-        }
+        graph.retire(chosen);
     }
     Ok(BlockSchedule::new(items))
 }
 
-fn location_key(k: &OperandKey) -> bool {
-    !matches!(k, OperandKey::Const(_))
-}
-
-/// The operand positions of a unit that form location packs.
-fn pack_positions(unit: &Unit, block: &BasicBlock) -> Vec<PackPos> {
-    unit.packs(block)
-        .iter()
-        .filter(|p| p.is_location_pack())
-        .map(|p| p.pos)
-        .collect()
-}
-
-/// The operand keys of lane order `order` at position `pos`.
-fn ordered_keys(order: &[StmtId], block: &BasicBlock, pos: PackPos) -> Vec<OperandKey> {
-    order
-        .iter()
-        .map(|&s| {
-            let stmt = block.stmt(s).expect("stmt in block");
-            let op = match pos {
-                PackPos::Dest => stmt.def(),
-                PackPos::Operand(k) => stmt.expr().operands()[k].clone(),
-            };
-            OperandKey::of(&op)
-        })
+/// The operand positions at which the statements at `lanes` form location
+/// packs: the destination, and every operand position free of constants.
+fn pack_positions(ix: &BlockIndex<'_>, lanes: &[usize]) -> Vec<PackPos> {
+    let arity = ix.stmt_at(lanes[0]).expr().arity();
+    std::iter::once(PackPos::Dest)
+        .chain((0..arity).map(PackPos::Operand).filter(|&slot| {
+            lanes
+                .iter()
+                .all(|&p| !matches!(ix.loc(ix.key(p, slot)), Loc::Const(_)))
+        }))
         .collect()
 }
 
@@ -372,15 +314,19 @@ fn ordered_keys(order: &[StmtId], block: &BasicBlock, pos: PackPos) -> Vec<Opera
 /// 19-27): among the orders that realize at least one *direct* reuse from
 /// the live set, pick the one needing the fewest permutations; fall back
 /// to program order.
-fn choose_lane_order(unit: &Unit, block: &BasicBlock, live: &LiveSet) -> Vec<StmtId> {
-    let mut program_order: Vec<StmtId> = unit.stmts().to_vec();
-    program_order.sort_by_key(|&s| block.position(s).expect("stmt in block"));
+fn choose_lane_order(
+    ix: &BlockIndex<'_>,
+    lanes: &[usize],
+    slots: &[PackPos],
+    live: &LiveSet,
+) -> Vec<usize> {
+    let mut program_order = lanes.to_vec();
+    program_order.sort_unstable();
 
-    let positions = pack_positions(unit, block);
-    let mut candidates: Vec<Vec<StmtId>> = vec![program_order.clone()];
-    for pos in &positions {
-        for lp in live.matching_widths(unit.width()) {
-            if let Some(order) = align_order(unit, block, *pos, &lp.keys) {
+    let mut candidates: Vec<Vec<usize>> = vec![program_order];
+    for &slot in slots {
+        for lp in live.packs.iter().filter(|p| p.keys.len() == lanes.len()) {
+            if let Some(order) = align_order(ix, lanes, slot, &lp.keys) {
                 if !candidates.contains(&order) {
                     candidates.push(order);
                 }
@@ -393,13 +339,13 @@ fn choose_lane_order(unit: &Unit, block: &BasicBlock, live: &LiveSet) -> Vec<Stm
         .enumerate()
         .map(|(rank, order)| {
             let (mut permutes, mut directs, mut gathers) = (0usize, 0usize, 0usize);
-            for pos in &positions {
-                let keys = ordered_keys(&order, block, *pos);
+            for &slot in slots {
+                let keys = ix.keys(&order, slot);
                 if live.contains_exact(&keys) {
                     directs += 1;
-                } else if live.contains_content(&PackContent::from_keys(keys.clone())) {
+                } else if live.contains_content(&sorted(&keys)) {
                     permutes += 1;
-                } else if is_noncontiguous_array_pack(&keys) {
+                } else if is_noncontiguous_array_pack(ix, &keys) {
                     // A memory-resident array pack that this lane order
                     // turns into a gather/scatter instead of one vector
                     // memory operation.
@@ -418,38 +364,26 @@ fn choose_lane_order(unit: &Unit, block: &BasicBlock, live: &LiveSet) -> Vec<Stm
 
 /// Whether `keys` is an all-array pack that is *not* contiguous ascending
 /// in this order (so materializing it from memory needs a gather).
-fn is_noncontiguous_array_pack(keys: &[OperandKey]) -> bool {
-    let refs: Option<Vec<ArrayRef>> = keys
-        .iter()
-        .map(|k| match k {
-            OperandKey::Array(a, acc) => Some(ArrayRef::new(*a, acc.clone())),
-            _ => None,
-        })
-        .collect();
-    match refs {
-        Some(refs) => {
-            let ptrs: Vec<&ArrayRef> = refs.iter().collect();
-            !slp_ir::pack_is_contiguous(&ptrs)
-        }
-        None => false,
-    }
+fn is_noncontiguous_array_pack(ix: &BlockIndex<'_>, keys: &[u32]) -> bool {
+    let refs: Option<Vec<&ArrayRef>> = keys.iter().map(|&k| ix.loc(k).as_array()).collect();
+    refs.is_some_and(|refs| !slp_ir::pack_is_contiguous(&refs))
 }
 
-/// Finds the lane order that aligns position `pos` of `unit` exactly with
-/// the live pack `target`, if one exists.
+/// Finds the lane order that aligns position `slot` of the statements at
+/// `lanes` exactly with the live pack `target`, if one exists.
 fn align_order(
-    unit: &Unit,
-    block: &BasicBlock,
-    pos: PackPos,
-    target: &[OperandKey],
-) -> Option<Vec<StmtId>> {
-    let mut used = vec![false; unit.width()];
-    let mut order = Vec::with_capacity(unit.width());
-    let stmt_keys: Vec<OperandKey> = ordered_keys(unit.stmts(), block, pos);
+    ix: &BlockIndex<'_>,
+    lanes: &[usize],
+    slot: PackPos,
+    target: &[u32],
+) -> Option<Vec<usize>> {
+    let mut used = vec![false; lanes.len()];
+    let mut order = Vec::with_capacity(lanes.len());
+    let stmt_keys = ix.keys(lanes, slot);
     for want in target {
-        let m = (0..unit.width()).find(|&m| !used[m] && &stmt_keys[m] == want)?;
+        let m = (0..lanes.len()).find(|&m| !used[m] && &stmt_keys[m] == want)?;
         used[m] = true;
-        order.push(unit.stmts()[m]);
+        order.push(lanes[m]);
     }
     Some(order)
 }
@@ -459,7 +393,7 @@ mod tests {
     use super::*;
     use crate::group::group_block;
     use crate::superword::validate_schedule;
-    use slp_ir::{BinOp, Expr, Program, ScalarType};
+    use slp_ir::{BasicBlock, BinOp, Expr, Program, ScalarType, StmtId};
 
     /// Figure 1's reuse chain, reconstructed:
     /// S1: c1 = V1 * k;  S2: c2 = V2 * k;     defines pack <V1,V2>
@@ -513,7 +447,12 @@ mod tests {
         let (p, bb) = figure1();
         let deps = BlockDeps::analyze(&bb);
         let g = group_block(&bb, &deps, &p, |_| 2);
-        let sched = schedule_block(&bb, &deps, &g.units, &ScheduleConfig::default());
+        let sched = schedule_block(
+            &BlockIndex::new(&bb),
+            &deps,
+            &g.units,
+            &ScheduleConfig::default(),
+        );
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         assert_eq!(sched.superword_count(), 3);
     }
@@ -523,7 +462,12 @@ mod tests {
         let (p, bb) = figure1();
         let deps = BlockDeps::analyze(&bb);
         let g = group_block(&bb, &deps, &p, |_| 2);
-        let sched = schedule_block(&bb, &deps, &g.units, &ScheduleConfig::default());
+        let sched = schedule_block(
+            &BlockIndex::new(&bb),
+            &deps,
+            &g.units,
+            &ScheduleConfig::default(),
+        );
         // The <S5,S6> group uses V2,V1: with <V1,V2> live, the chosen lane
         // order must align to the live pack, scheduling S6 (which reads
         // V1) first.
@@ -559,7 +503,12 @@ mod tests {
         let bb: BasicBlock = [s0, s1, s2].into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
         let g = group_block(&bb, &deps, &p, |_| 2);
-        let sched = schedule_block(&bb, &deps, &g.units, &ScheduleConfig::default());
+        let sched = schedule_block(
+            &BlockIndex::new(&bb),
+            &deps,
+            &g.units,
+            &ScheduleConfig::default(),
+        );
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         // The single S0 must run before the group that reads t.
         assert!(matches!(sched.items()[0], ScheduledItem::Single(_)));
@@ -600,14 +549,19 @@ mod tests {
         let bb: BasicBlock = [s0, s1, s2, s3, s4].into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
         let g = group_block(&bb, &deps, &p, |_| 2);
-        let sched = schedule_block(&bb, &deps, &g.units, &ScheduleConfig::default());
+        let sched = schedule_block(
+            &BlockIndex::new(&bb),
+            &deps,
+            &g.units,
+            &ScheduleConfig::default(),
+        );
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
     }
 
     #[test]
     fn live_set_capacity_evicts_fifo() {
         let mut ls = LiveSet::new(2);
-        let k = |i: u32| vec![OperandKey::Scalar(slp_ir::VarId::new(i))];
+        let k = |i: u32| vec![i];
         ls.insert(k(0));
         ls.insert(k(1));
         ls.insert(k(2)); // evicts k(0)
@@ -619,12 +573,10 @@ mod tests {
     #[test]
     fn reinserting_permuted_content_replaces_order() {
         let mut ls = LiveSet::new(4);
-        let a = OperandKey::Scalar(slp_ir::VarId::new(0));
-        let b = OperandKey::Scalar(slp_ir::VarId::new(1));
-        ls.insert(vec![a.clone(), b.clone()]);
-        ls.insert(vec![b.clone(), a.clone()]);
-        assert!(ls.contains_exact(&[b.clone(), a.clone()]));
-        assert!(!ls.contains_exact(&[a.clone(), b.clone()]));
+        ls.insert(vec![0, 1]);
+        ls.insert(vec![1, 0]);
+        assert!(ls.contains_exact(&[1, 0]));
+        assert!(!ls.contains_exact(&[0, 1]));
         assert_eq!(ls.packs.len(), 1);
     }
 
@@ -664,7 +616,12 @@ mod tests {
             &Unit::singleton(StmtId::new(4)),
         );
         let units = vec![g0, g1, g2];
-        let sched = schedule_block(&bb, &deps, &units, &ScheduleConfig::default());
+        let sched = schedule_block(
+            &BlockIndex::new(&bb),
+            &deps,
+            &units,
+            &ScheduleConfig::default(),
+        );
         // At least one group was split, and the result is valid.
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         assert!(sched.superword_count() < 3);

@@ -148,6 +148,8 @@ impl BitMatrix {
 pub struct BlockDeps {
     pos: HashMap<StmtId, usize>,
     direct: Vec<Dependence>,
+    /// `direct` as block-position pairs `(p, q)`, `p < q`, each once.
+    direct_pairs: Vec<(usize, usize)>,
     reach: BitMatrix,
     /// Position pairs `(p, q)`, `p < q`, recognized as commuting
     /// exclusive-predicate merge selects (see [`BlockDeps::reorderable`]).
@@ -180,6 +182,7 @@ impl BlockDeps {
         let ids: Vec<StmtId> = block.iter().map(|s| s.id()).collect();
         let n = ids.len();
         let mut direct = Vec::new();
+        let mut direct_pairs = Vec::new();
         let mut reach = BitMatrix::new(n);
         let mut exclusive_merges = Vec::new();
         let stmts = block.stmts();
@@ -226,6 +229,7 @@ impl BlockDeps {
                     dep = true;
                 }
                 if dep {
+                    direct_pairs.push((p, q));
                     reach.set(p, q);
                 }
             }
@@ -235,6 +239,7 @@ impl BlockDeps {
         BlockDeps {
             pos,
             direct,
+            direct_pairs,
             reach,
             exclusive_merges,
         }
@@ -247,6 +252,12 @@ impl BlockDeps {
     /// All direct dependences, in (dst, src) program order.
     pub fn direct(&self) -> &[Dependence] {
         &self.direct
+    }
+
+    /// The block-position pairs `(src, dst)` joined by a direct dependence,
+    /// each once, in the order of [`direct`](Self::direct).
+    pub fn direct_pairs(&self) -> &[(usize, usize)] {
+        &self.direct_pairs
     }
 
     /// Whether there is a (transitive) dependence path from `src` to `dst`.

@@ -8,22 +8,20 @@
 //!
 //! Statement packing is cast as a 0-1 integer linear program in the
 //! goSLP style ([`model`]): one binary variable per candidate pack
-//! formation (a legal merge of two grouping units, which also fixes the
-//! lane permutation through the deterministic scheduler), mutual
-//! statement exclusivity and §4.1 dependence-legality constraints from
-//! the existing `slp-analysis` [`slp_analysis::ConflictMatrix`], and an
-//! objective taken from the `slp-core::cost` tables — SIMD amortization,
-//! memory access classes, and shuffle/permutation penalties included.
+//! formation (a legal merge of two grouping units), an objective taken
+//! from the `slp-core::cost` tables, and constraints the search enforces
+//! itself instead of tabulating — exclusivity by *merging* the selected
+//! units, §4.1 legality by admitting only `Unit::can_merge` pairs under
+//! the lane cap, multi-group dependence cycles by the scheduler's
+//! deadlock split while a partition is evaluated.
 //!
-//! The program is solved from scratch, dependency-free, by best-first
-//! branch-and-bound ([`solve`]): LP-style *assignment relaxation* bounds
-//! (provably admissible — see [`model::Floors`]), include/exclude
-//! branching on the most promising merge, and an incumbent warm-started
-//! from the holistic heuristic so the anytime answer is never worse than
-//! what `Strategy::Holistic` ships. An expired deadline or node cap
-//! degrades gracefully: the best packing found so far is returned with
-//! `degraded = true` and the tightest *proven* lower bound, from which
-//! the pipeline reports an optimality gap in
+//! It is solved from scratch, dependency-free, by best-first
+//! branch-and-bound ([`solve`]) under admissible *assignment relaxation*
+//! bounds, with an incumbent warm-started from the holistic heuristic so
+//! the anytime answer is never worse than what `Strategy::Holistic`
+//! ships. An expired deadline or node cap degrades gracefully: the best
+//! packing found so far is returned with `degraded = true` and the
+//! tightest *proven* lower bound, from which the pipeline reports
 //! [`slp_core::CompileStats::opt_gap_ppm`].
 //!
 //! The solver plugs into `slp-core` behind the [`slp_core::Packer`]
@@ -38,9 +36,49 @@
 #![warn(missing_debug_implementations)]
 
 pub mod model;
-mod packer;
 pub mod solve;
 
-pub use model::{pair_key, tie_key, Floors, PackModel, PairKey};
-pub use packer::OptimalPacker;
-pub use solve::{solve_block, SolveBudget, SolveOutcome};
+pub use solve::{solve_block, OptimalPacker};
+
+#[cfg(test)]
+pub(crate) mod testutil {
+    use slp_core::{
+        estimate_schedule_cost, BlockIndex, BlockSchedule, CostContext, PackRequest, SlpConfig,
+    };
+    use slp_ir::{BlockDeps, Program};
+
+    /// Calls `f` with a request to pack each block of `program` as it
+    /// stands (no unrolling), warm-started from the scalar schedule.
+    pub(crate) fn each_block(
+        program: &Program,
+        config: &SlpConfig,
+        mut f: impl FnMut(&PackRequest<'_>),
+    ) {
+        let exposed = program.upward_exposed_scalars();
+        for info in program.blocks() {
+            let deps = BlockDeps::analyze_in(&info.block, &info.loops);
+            let incumbent = BlockSchedule::scalar(&info.block);
+            let cx = CostContext {
+                program,
+                loops: &info.loops,
+                exposed: &exposed,
+                cost: &config.machine.cost,
+                vector_regs: config.machine.vector_regs,
+                assume_layout: false,
+            };
+            let incumbent_cost =
+                estimate_schedule_cost(&BlockIndex::new(&info.block), &incumbent, &cx);
+            f(&PackRequest {
+                block: &info.block,
+                deps: &deps,
+                program,
+                loops: &info.loops,
+                exposed: &exposed,
+                config,
+                optimism: false,
+                incumbent: &incumbent,
+                incumbent_cost,
+            });
+        }
+    }
+}

@@ -4,65 +4,47 @@
 //! program: one binary variable per *candidate pack formation* (a legal
 //! merge of two current grouping units, which fixes both the pack
 //! memberships and — through the deterministic scheduler — the lane
-//! permutation it implies), subject to
+//! permutation it implies), with the objective taken from the
+//! `slp-core::cost` tables. The constraints are never tabulated; the
+//! search enforces each where it is cheapest:
 //!
-//! * **mutual statement exclusivity** — two candidates sharing a unit
-//!   cannot both be selected, and
-//! * **dependence legality** — two candidates forming a dependence
-//!   cycle cannot both be selected (§4.1 constraint 3),
+//! * **mutual statement exclusivity** — selecting a variable *merges* its
+//!   two units, so no other variable can claim either again;
+//! * **pairwise legality** (§4.1 constraints 1, 3 and 4) — only pairs
+//!   passing `Unit::can_merge` under the lane cap become variables
+//!   ([`legal_merges`]);
+//! * **multi-group dependence cycles** — a partition whose groups deadlock
+//!   is still a packing: the scheduler splits the stuck group back into
+//!   scalars while the partition is evaluated, and the search compares
+//!   the cost of what was actually emitted.
 //!
-//! both of which [`ConflictMatrix`] encodes, with the objective taken
-//! from the `slp-core::cost` tables (SIMD op amortization, memory
-//! access classes, shuffle/permutation penalties). The model is
-//! *round-structured*: selecting a variable merges two units, and the
-//! next round's model is rebuilt over the coarser partition, exactly
-//! like the iterative §4.2.2 grouping — so a chain of selections can
-//! reach any width the datapath admits.
+//! Selecting a variable merges two units and the next round's variables
+//! are found over the coarser [`Partition`] (the §4.2.2 iteration), so a
+//! chain of selections reaches any width the datapath admits; excluding
+//! one leaves the partition as it is, shared by its whole exclude chain.
 //!
-//! [`PackModel::relaxation_bound`] is the LP-style bound the
-//! branch-and-bound search prunes with: the optimum of the *assignment
-//! relaxation*, in which the exclusivity/legality constraints are
-//! dropped and every statement is independently assigned its cheapest
-//! conceivable formation (scalar, or a full-width pack with the
-//! best-case destination class). Dropping constraints can only lower
-//! the optimum, so the bound is admissible; see the per-floor
-//! derivations on [`Floors`].
+//! [`Model::bound`] is the LP-style bound the search prunes with: the
+//! optimum of the *assignment relaxation*, in which the constraints are
+//! dropped and every statement independently takes its cheapest
+//! conceivable formation. Dropping constraints can only lower the
+//! optimum, so the bound is admissible; see [`Floors`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
 
-use slp_analysis::{find_candidates, Candidate, ConflictMatrix, Unit};
-use slp_core::{op_cost_factor, scalar_stmt_cost, CostContext};
-use slp_ir::{BasicBlock, Dest, StmtId};
+use slp_analysis::{legal_merges, Unit};
+use slp_core::{op_cost_factor, scalar_stmt_cost, BlockIndex, CostContext, PackRequest};
+use slp_ir::{Dest, StmtId, TypeEnv};
 
-/// A canonical, order-independent name for a pairwise merge: the two
-/// units' sorted statement-id lists, pair ordered lexicographically.
-/// Used as the branch-exclusion key — excluding a candidate forbids
-/// merging *exactly these two statement sets*, in any later round.
-pub type PairKey = (Vec<usize>, Vec<usize>);
+use crate::solve::cost_context;
 
-/// The canonical key of the merge candidate `c`.
-pub fn pair_key(c: &Candidate) -> PairKey {
-    let (a, b) = c.stmts.split_at(c.split);
-    let mut ka: Vec<usize> = a.iter().map(|s| s.index()).collect();
-    let mut kb: Vec<usize> = b.iter().map(|s| s.index()).collect();
-    ka.sort_unstable();
-    kb.sort_unstable();
-    if ka <= kb {
-        (ka, kb)
-    } else {
-        (kb, ka)
-    }
-}
-
-/// Deterministic tie-break key of a candidate: its sorted statement ids.
-pub fn tie_key(c: &Candidate) -> Vec<usize> {
-    let mut k: Vec<usize> = c.stmts.iter().map(|s| s.index()).collect();
-    k.sort_unstable();
-    k
-}
+/// The branch-exclusion key of a pairwise merge: the names
+/// ([`Model::set_of`]) of the two units' statement sets, smaller first.
+/// Excluding it forbids merging *exactly these two sets*, in any round.
+type PairKey = (u32, u32);
 
 /// Admissible per-statement cost floors, the terms of the assignment
-/// relaxation's optimum.
+/// relaxation's optimum, by block position.
 ///
 /// For each statement the floors bound, from below, what *any* valid
 /// schedule charges for it:
@@ -70,139 +52,270 @@ pub fn tie_key(c: &Candidate) -> Vec<usize> {
 /// * `scalar` — exactly what a `ScheduledItem::Single` costs
 ///   ([`scalar_stmt_cost`]), so it is tight for statements that stay
 ///   scalar.
-/// * `vector` — the cheapest conceivable per-lane charge if the
-///   statement joins a pack of any legal width `w ≤ cap`: the SIMD op
-///   amortized over the widest pack (`op_factor·simd_op/cap` ≤ the true
-///   `op_factor·simd_op/w` share), plus a destination floor — an array
-///   destination costs at least an aligned `vector_store/cap` per lane,
-///   an upward-exposed scalar destination costs exactly
-///   `extract + scalar_store` per lane, an unexposed scalar destination
-///   at least 0. Source packs floor at 0 (register reuse can make them
-///   free), which keeps the bound admissible.
-#[derive(Debug, Clone)]
-pub struct Floors {
-    map: BTreeMap<StmtId, (f64, f64)>,
+/// * `packed` — the lesser of `scalar` and the cheapest conceivable
+///   per-lane charge if the statement joins a pack of any legal width
+///   `w ≤ cap`: the SIMD op amortized over the widest pack
+///   (`op_factor·simd_op/cap` ≤ the true `op_factor·simd_op/w` share),
+///   plus a destination floor — an array destination costs at least an
+///   aligned `vector_store/cap` per lane, an upward-exposed scalar
+///   destination costs exactly `extract + scalar_store` per lane, an
+///   unexposed scalar destination at least 0. Source packs floor at 0
+///   (register reuse can make them free), which keeps the bound
+///   admissible.
+#[derive(Debug, Default)]
+struct Floors {
+    scalar: Vec<f64>,
+    packed: Vec<f64>,
 }
 
-impl Floors {
-    /// Computes the floors of every statement in `block`.
-    pub fn compute(
-        block: &BasicBlock,
-        cx: &CostContext<'_>,
-        mut lane_cap: impl FnMut(StmtId) -> usize,
-    ) -> Floors {
-        let mut map = BTreeMap::new();
-        for stmt in block.iter() {
-            let scalar = scalar_stmt_cost(stmt, cx);
-            let cap = lane_cap(stmt.id()).max(2) as f64;
-            let dest_floor = match stmt.dest() {
-                Dest::Array(_) => cx.cost.vector_store / cap,
-                Dest::Scalar(v) => {
-                    if cx.exposed[v.index()] {
-                        cx.cost.extract + cx.cost.scalar_store
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            let vector = op_cost_factor(stmt.expr().shape()) * cx.cost.simd_op / cap + dest_floor;
-            map.insert(stmt.id(), (scalar, vector));
+fn floors(req: &PackRequest<'_>, ix: &BlockIndex<'_>, cx: &CostContext<'_>) -> Floors {
+    let mut floors = Floors::default();
+    for stmt in req.block {
+        let scalar = scalar_stmt_cost(stmt, cx);
+        let cap = lane_cap(req, ix, stmt.id()).max(2) as f64;
+        let dest_floor = match stmt.dest() {
+            Dest::Array(_) => cx.cost.vector_store / cap,
+            Dest::Scalar(v) if cx.exposed[v.index()] => cx.cost.extract + cx.cost.scalar_store,
+            Dest::Scalar(_) => 0.0,
+        };
+        let vector = op_cost_factor(stmt.expr().shape()) * cx.cost.simd_op / cap + dest_floor;
+        floors.scalar.push(scalar);
+        floors.packed.push(scalar.min(vector));
+    }
+    floors
+}
+
+/// The §4.1 constraint 4 datapath bound on groups containing `s`.
+fn lane_cap(req: &PackRequest<'_>, ix: &BlockIndex<'_>, s: StmtId) -> usize {
+    let dest = ix.stmt_at(ix.position(s)).dest();
+    req.config.machine.lanes_for(req.program.dest_type(dest))
+}
+
+/// One partition of the block's statements into grouping units, with the
+/// variables (legal, not yet excluded merges) it offers. A search state
+/// is a partition plus a count `skip` of its leading variables excluded
+/// since it was built: the state branches on `vars[skip]`, and its
+/// exclude child is the same partition with `skip + 1`.
+#[derive(Debug)]
+pub(crate) struct Partition {
+    /// The grouping units, in discovery order.
+    pub(crate) units: Vec<Unit>,
+    /// The name of each unit's statement set.
+    sets: Vec<u32>,
+    /// The exclusions in force when the partition was built, sorted.
+    excluded: Vec<PairKey>,
+    /// The variables as unit index pairs `(a, b)`, `a < b`, in branching
+    /// order.
+    pub(crate) vars: Vec<(usize, usize)>,
+    /// The partition's own cost as a complete packing, once evaluated.
+    pub(crate) cost: OnceCell<f64>,
+}
+
+impl Partition {
+    fn pair_key(&self, &(a, b): &(usize, usize)) -> PairKey {
+        let (x, y) = (self.sets[a], self.sets[b]);
+        (x.min(y), x.max(y))
+    }
+
+    /// Every exclusion in force after `skip` of this partition's own
+    /// variables were excluded, sorted.
+    fn exclusions(&self, skip: usize) -> Vec<PairKey> {
+        let own = self.vars[..skip].iter().map(|var| self.pair_key(var));
+        let mut all: Vec<PairKey> = self.excluded.iter().copied().chain(own).collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// The canonical signature of the state `(self, skip)`: its units'
+    /// statement sets and its exclusions, each sorted.
+    fn signature(&self, skip: usize) -> (Vec<u32>, Vec<PairKey>) {
+        let mut sets = self.sets.clone();
+        sets.sort_unstable();
+        (sets, self.exclusions(skip))
+    }
+}
+
+/// What the states of one block solve are made from and remembered in.
+#[derive(Debug)]
+pub(crate) struct Model<'a> {
+    req: &'a PackRequest<'a>,
+    ix: &'a BlockIndex<'a>,
+    floors: Floors,
+    /// The names given so far to (sorted) statement sets.
+    sets: HashMap<Vec<usize>, u32>,
+    /// The signatures of the states reached so far.
+    seen: HashSet<(Vec<u32>, Vec<PairKey>)>,
+}
+
+impl<'a> Model<'a> {
+    pub(crate) fn new(req: &'a PackRequest<'a>, ix: &'a BlockIndex<'a>) -> Self {
+        Model {
+            req,
+            ix,
+            floors: floors(req, ix, &cost_context(req)),
+            sets: HashMap::new(),
+            seen: HashSet::new(),
         }
-        Floors { map }
     }
 
-    fn scalar(&self, s: StmtId) -> f64 {
-        self.map.get(&s).map(|&(sc, _)| sc).unwrap_or(0.0)
+    /// Names `unit`'s statement set: equal sets get equal names.
+    fn set_of(&mut self, unit: &Unit) -> u32 {
+        let mut stmts: Vec<usize> = unit.stmts().iter().map(|s| s.index()).collect();
+        stmts.sort_unstable();
+        let fresh = self.sets.len() as u32;
+        *self.sets.entry(stmts).or_insert(fresh)
     }
 
-    fn packed(&self, s: StmtId) -> f64 {
-        self.map.get(&s).map(|&(sc, vc)| sc.min(vc)).unwrap_or(0.0)
+    /// The root state's partition: all singletons, nothing excluded.
+    pub(crate) fn root(&mut self) -> Partition {
+        let block = self.req.block;
+        let units: Vec<Unit> = block.iter().map(|s| Unit::singleton(s.id())).collect();
+        let sets = units.iter().map(|u| self.set_of(u)).collect();
+        self.partition(units, sets, Vec::new())
+            .expect("the first state is new")
     }
-}
 
-/// The ILP of one search state: the candidate variables still available
-/// given the state's partition and branch exclusions, their conflict
-/// constraints, and greedy branching scores.
-#[derive(Debug, Clone)]
-pub struct PackModel {
-    /// One 0-1 variable per remaining candidate merge.
-    pub vars: Vec<Candidate>,
-    /// Pairwise exclusivity + dependence-legality constraints
-    /// (`x_i + x_j ≤ 1` for every conflicting pair).
-    pub conflicts: ConflictMatrix,
-    /// Estimated objective improvement of selecting each variable
-    /// (scalar floors minus packed floors over its statements) — the
-    /// branching heuristic, not part of the bound.
-    pub scores: Vec<f64>,
-}
+    /// The include child of the state `(parent, skip)`, or `None` if it
+    /// was reached before: the branch variable's two units merged in
+    /// place of the first, under the exclusions that can still fire. One
+    /// naming a set that is no unit of the merged partition never can
+    /// (sets only grow); dropping it keeps the dedup effective.
+    pub(crate) fn include(&mut self, parent: &Partition, skip: usize) -> Option<Partition> {
+        let (a, b) = parent.vars[skip];
+        let merged = Unit::merged(&parent.units[a], &parent.units[b]);
+        let (mut units, mut sets) = (parent.units.clone(), parent.sets.clone());
+        sets[a] = self.set_of(&merged);
+        units[a] = merged;
+        units.remove(b);
+        sets.remove(b);
+        let mut excluded = parent.exclusions(skip);
+        excluded.retain(|(x, y)| sets.contains(x) && sets.contains(y));
+        self.partition(units, sets, excluded)
+    }
 
-impl PackModel {
-    /// Builds the model of the state `(units, excluded)`.
-    pub fn build(
-        units: &[Unit],
-        block: &BasicBlock,
-        deps: &slp_ir::BlockDeps,
-        program: &slp_ir::Program,
-        mut lane_cap: impl FnMut(StmtId) -> usize,
-        excluded: &BTreeSet<PairKey>,
-        floors: &Floors,
-    ) -> PackModel {
-        let vars: Vec<Candidate> = find_candidates(units, block, deps, program, &mut lane_cap)
+    /// Whether the exclude child of the state `(part, skip)` — the state
+    /// `(part, skip + 1)` — is reached for the first time.
+    pub(crate) fn exclude(&mut self, part: &Partition, skip: usize) -> bool {
+        self.seen.insert(part.signature(skip + 1))
+    }
+
+    /// Builds the partition `units` (named `sets`) under the inherited,
+    /// sorted exclusions `excluded`, unless a state over it was reached
+    /// before: finds its variables and puts them in branching order.
+    fn partition(
+        &mut self,
+        units: Vec<Unit>,
+        sets: Vec<u32>,
+        excluded: Vec<PairKey>,
+    ) -> Option<Partition> {
+        let mut part = Partition {
+            units,
+            sets,
+            excluded,
+            vars: Vec::new(),
+            cost: OnceCell::new(),
+        };
+        if !self.seen.insert(part.signature(0)) {
+            return None;
+        }
+        let (req, ix, floors) = (self.req, self.ix, &self.floors);
+        let vars = legal_merges(&part.units, req.block, req.deps, req.program, |s| {
+            lane_cap(req, ix, s)
+        });
+        // Branching order: the highest-score variable first, where the
+        // score is the estimated objective improvement of selecting it
+        // (scalar floors minus packed floors over its statements — a
+        // heuristic, not part of the bound); ties go to the
+        // lexicographically smallest sorted statement-id list, so the
+        // search is deterministic.
+        let mut keyed: Vec<(f64, Vec<usize>, (usize, usize))> = vars
             .into_iter()
-            .filter(|c| !excluded.contains(&pair_key(c)))
-            .collect();
-        let conflicts = ConflictMatrix::compute(&vars, deps);
-        let scores = vars
-            .iter()
-            .map(|c| {
-                c.stmts
-                    .iter()
-                    .map(|&s| floors.scalar(s) - floors.packed(s))
-                    .sum()
+            .filter(|var| part.excluded.binary_search(&part.pair_key(var)).is_err())
+            .map(|(a, b)| {
+                let stmts = || part.units[a].stmts().iter().chain(part.units[b].stmts());
+                let gain = |s: &StmtId| {
+                    let p = ix.position(*s);
+                    floors.scalar[p] - floors.packed[p]
+                };
+                let mut tie: Vec<usize> = stmts().map(|s| s.index()).collect();
+                tie.sort_unstable();
+                (stmts().map(gain).sum(), tie, (a, b))
             })
             .collect();
-        PackModel {
-            vars,
-            conflicts,
-            scores,
-        }
+        keyed.sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then_with(|| x.1.cmp(&y.1)));
+        part.vars = keyed.into_iter().map(|(_, _, var)| var).collect();
+        Some(part)
     }
 
-    /// The assignment-relaxation optimum of this state — an admissible
-    /// lower bound on the cost of every schedule reachable from it.
-    ///
-    /// Statements inside an already-merged unit, and singletons some
+    /// The assignment-relaxation optimum of the state `(part, skip)` — an
+    /// admissible lower bound on the cost of every schedule reachable
+    /// from it. Statements inside an already-merged unit, and singletons some
     /// remaining variable still touches, are assigned their cheapest
     /// floor; a singleton *no* variable touches can never be packed in
     /// any descendant state (merging only coarsens the partition and
     /// cannot create a partner that does not exist pairwise), so it is
     /// assigned its exact scalar cost.
-    pub fn relaxation_bound(&self, units: &[Unit], floors: &Floors) -> f64 {
-        let mut packable: BTreeSet<StmtId> = BTreeSet::new();
-        for c in &self.vars {
-            packable.extend(c.stmts.iter().copied());
+    pub(crate) fn bound(&self, part: &Partition, skip: usize) -> f64 {
+        let mut packable = vec![false; part.units.len()];
+        for &(a, b) in &part.vars[skip..] {
+            packable[a] = true;
+            packable[b] = true;
         }
         let mut bound = 0.0;
-        for u in units {
-            for &s in u.stmts() {
-                bound += if u.width() > 1 || packable.contains(&s) {
-                    floors.packed(s)
-                } else {
-                    floors.scalar(s)
-                };
+        for (unit, packable) in part.units.iter().zip(packable) {
+            let floor = if unit.width() > 1 || packable {
+                &self.floors.packed
+            } else {
+                &self.floors.scalar
+            };
+            for &s in unit.stmts() {
+                bound += floor[self.ix.position(s)];
             }
         }
         bound
     }
+}
 
-    /// The variable to branch on: the highest-score candidate,
-    /// tie-broken by the lexicographically smallest sorted statement-id
-    /// list so the search is deterministic.
-    pub fn branch_var(&self) -> Option<usize> {
-        (0..self.vars.len()).min_by(|&i, &j| {
-            self.scores[j]
-                .total_cmp(&self.scores[i])
-                .then_with(|| tie_key(&self.vars[i]).cmp(&tie_key(&self.vars[j])))
-        })
+#[cfg(test)]
+mod tests {
+    use slp_core::{MachineConfig, SlpConfig, Strategy};
+
+    use super::*;
+    use crate::testutil::each_block;
+
+    /// Walks one root-to-leaf path of the search tree, alternating
+    /// exclusions and inclusions, and at every exclusion rebuilds the
+    /// exclude child from scratch.
+    #[test]
+    fn exclude_child_is_the_parent_minus_the_branched_variable() {
+        let mut program = slp_suite::kernel("milc", 1);
+        slp_ir::unroll_program(&mut program, 2);
+        let machine = MachineConfig::intel_dunnington().with_datapath_bits(256);
+        let config = SlpConfig::for_machine(machine, Strategy::Optimal);
+        let mut rebuilt = 0;
+        each_block(&program, &config, |req| {
+            let ix = BlockIndex::new(req.block);
+            let mut model = Model::new(req, &ix);
+            let mut part = model.root();
+            while !part.vars.is_empty() {
+                let skips = part.vars.len().min(3);
+                for skip in 1..=skips {
+                    let scratch = model
+                        .partition(part.units.clone(), part.sets.clone(), part.exclusions(skip))
+                        .expect("no exclude child was reached yet");
+                    assert_eq!(scratch.vars, part.vars[skip..]);
+                    assert_eq!(model.bound(&scratch, 0), model.bound(&part, skip));
+                    assert_eq!(scratch.signature(0), part.signature(skip));
+                    rebuilt += 1;
+                }
+                part = model
+                    .include(&part, skips - 1)
+                    .expect("a merge along one path is new");
+            }
+        });
+        assert!(
+            rebuilt > 20,
+            "only {rebuilt} exclude children were compared"
+        );
     }
 }

@@ -9,8 +9,8 @@
 //! estimates must always agree).
 
 use slp_core::{
-    compile, estimate_scalar_cost, estimate_schedule_cost, CostContext, MachineConfig, SlpConfig,
-    Strategy,
+    compile, estimate_scalar_cost, estimate_schedule_cost, BlockIndex, CostContext, MachineConfig,
+    SlpConfig, Strategy,
 };
 use slp_vm::lower_kernel;
 
@@ -32,7 +32,7 @@ fn check_kernel(program: &slp_ir::Program, machine: &MachineConfig) {
         };
         let schedule = kernel.schedule_of(info.id).expect("scheduled block");
         let estimated = if schedule.is_vectorized() {
-            estimate_schedule_cost(&info.block, schedule, &cx)
+            estimate_schedule_cost(&BlockIndex::new(&info.block), schedule, &cx)
         } else {
             estimate_scalar_cost(&info.block, &cx)
         };

@@ -11,7 +11,7 @@
 //! cargo run --example figure15
 //! ```
 
-use slp::core::{baseline_block, group_block, schedule_block, ScheduleConfig};
+use slp::core::{baseline_block, group_block, schedule_block, BlockIndex, ScheduleConfig};
 use slp::ir::BlockDeps;
 use slp::prelude::*;
 
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let global_sched = schedule_block(
-        &info.block,
+        &BlockIndex::new(&info.block),
         &deps,
         &grouping.units,
         &ScheduleConfig::default(),

@@ -1,12 +1,15 @@
 //! Tests pinning the reproduction to the paper's own worked numbers: the
 //! Figure 2 running example (candidate set, weights, decision order), the
 //! §6 / Figure 15 example (grouping structure), and the Tables 1–3
-//! configurations.
+//! configurations — and pinning every strategy's schedules on the suite
+//! to the lanes recorded before the scheduler was rebuilt for speed.
+
+mod common;
 
 use slp::analysis::{
     candidate_weight_with, find_candidates, ConflictMatrix, PackGraph, Unit, WeightParams,
 };
-use slp::core::{group_block, schedule_block, MachineConfig, ScheduleConfig};
+use slp::core::{group_block, schedule_block, BlockIndex, MachineConfig, ScheduleConfig};
 use slp::ir::{BasicBlock, BinOp, BlockDeps, Expr, Program, ScalarType};
 
 /// The paper's Figure 2 block:
@@ -108,7 +111,7 @@ fn figure15_grouping_structure() {
     );
     // And the schedule keeps every reuse possible (4 superwords).
     let sched = schedule_block(
-        &info.block,
+        &BlockIndex::new(&info.block),
         &deps,
         &grouping.units,
         &ScheduleConfig::default(),
@@ -170,4 +173,67 @@ fn table3_catalog_matches_the_paper() {
             "cg"
         ]
     );
+}
+
+/// Per kernel (the sixteen of the suite, then the four branchy ones): the
+/// FNV-1a hash of the `{:?}`-printed block schedules under native, slp,
+/// global and global+layout on intel, then the same four on amd.
+/// Recorded at PR 15 (commit c5e04d7), before the scheduler and the cost
+/// estimator moved onto the per-block index of interned operand keys;
+/// that move may not reorder a statement or a lane under any strategy.
+#[rustfmt::skip]
+const SCHEDULES: [(&str, [u64; 8]); 20] = [
+    ("cactusADM", [0x0353aa42385e5718, 0x3bb5773bd472cd02, 0x3bb5773bd472cd02, 0x3bb5773bd472cd02, 0x0353aa42385e5718, 0x3bb5773bd472cd02, 0x3bb5773bd472cd02, 0x3bb5773bd472cd02]),
+    ("soplex", [0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6]),
+    ("lbm", [0x0353aa42385e5718, 0x2d4d4031e786f21e, 0x2d4d4031e786f21e, 0x2d4d4031e786f21e, 0x0353aa42385e5718, 0x2d4d4031e786f21e, 0x2d4d4031e786f21e, 0x2d4d4031e786f21e]),
+    ("milc", [0x2b9b6f5d28030dc5, 0xb057ffaa6f897d55, 0x70c03233d30dec23, 0x70c03233d30dec23, 0x2b9b6f5d28030dc5, 0xb057ffaa6f897d55, 0x70c03233d30dec23, 0x70c03233d30dec23]),
+    ("povray", [0x9ac823195cfdc092, 0x8a50141e3ed6126c, 0x99d392e446e88926, 0x99d392e446e88926, 0x9ac823195cfdc092, 0x8a50141e3ed6126c, 0x99d392e446e88926, 0xdc758912f56f229e]),
+    ("gromacs", [0x63a47e976fa0741e, 0xe3c3a36bd711db3a, 0xe3c3a36bd711db3a, 0xa396eedbd88d7836, 0x63a47e976fa0741e, 0xe3c3a36bd711db3a, 0xe3c3a36bd711db3a, 0xa396eedbd88d7836]),
+    ("calculix", [0xc966edb00c3e5bbe, 0x577cf137b8d4132a, 0x577cf137b8d4132a, 0x577cf137b8d4132a, 0xc966edb00c3e5bbe, 0x577cf137b8d4132a, 0x577cf137b8d4132a, 0x577cf137b8d4132a]),
+    ("dealII", [0x509840b897e65a65, 0x509840b897e65a65, 0x509840b897e65a65, 0x509840b897e65a65, 0x509840b897e65a65, 0x509840b897e65a65, 0x509840b897e65a65, 0x509840b897e65a65]),
+    ("wrf", [0x245041e9a9407f96, 0x95f7a75d9daf8f66, 0x70fbe2bed5115704, 0x70fbe2bed5115704, 0x245041e9a9407f96, 0x95f7a75d9daf8f66, 0x87de53c51e03ad68, 0x70fbe2bed5115704]),
+    ("namd", [0x9ac823195cfdc092, 0x9f5d0e0c9a4b23ba, 0x9f5d0e0c9a4b23ba, 0x9f5d0e0c9a4b23ba, 0x9ac823195cfdc092, 0x9f5d0e0c9a4b23ba, 0x9f5d0e0c9a4b23ba, 0x9f5d0e0c9a4b23ba]),
+    ("ua", [0x0353aa42385e5718, 0x25a94a8939ba8f8c, 0x25a94a8939ba8f8c, 0x2d4d4031e786f21e, 0x0353aa42385e5718, 0x25a94a8939ba8f8c, 0x25a94a8939ba8f8c, 0x2d4d4031e786f21e]),
+    ("ft", [0x63a47e976fa0741e, 0xa396eedbd88d7836, 0xa396eedbd88d7836, 0xa396eedbd88d7836, 0x63a47e976fa0741e, 0xa396eedbd88d7836, 0xa396eedbd88d7836, 0xa396eedbd88d7836]),
+    ("bt", [0x63a47e976fa0741e, 0xa396eedbd88d7836, 0xa396eedbd88d7836, 0xa396eedbd88d7836, 0x63a47e976fa0741e, 0xa396eedbd88d7836, 0xa396eedbd88d7836, 0xa396eedbd88d7836]),
+    ("sp", [0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6, 0xc69eb054571d1bf6]),
+    ("mg", [0x0353aa42385e5718, 0x2d4d4031e786f21e, 0x2d4d4031e786f21e, 0x2d4d4031e786f21e, 0x0353aa42385e5718, 0x2d4d4031e786f21e, 0x2d4d4031e786f21e, 0x2d4d4031e786f21e]),
+    ("cg", [0x41dd5606452af780, 0x41dd5606452af780, 0x41dd5606452af780, 0x41dd5606452af780, 0x41dd5606452af780, 0x41dd5606452af780, 0x41dd5606452af780, 0x41dd5606452af780]),
+    ("abs", [0xb51520837e0b1344, 0x62636d2c4821df1c, 0x62636d2c4821df1c, 0x62636d2c4821df1c, 0xb51520837e0b1344, 0x62636d2c4821df1c, 0x62636d2c4821df1c, 0x62636d2c4821df1c]),
+    ("clamp", [0x2eb6eb324d8f18a9, 0xbe1ada61e190490d, 0xbe1ada61e190490d, 0xbe1ada61e190490d, 0x2eb6eb324d8f18a9, 0xbe1ada61e190490d, 0xbe1ada61e190490d, 0xbe1ada61e190490d]),
+    ("threshold", [0xedcc1077d63aba6f, 0xedcc1077d63aba6f, 0xedcc1077d63aba6f, 0xedcc1077d63aba6f, 0xedcc1077d63aba6f, 0xedcc1077d63aba6f, 0xedcc1077d63aba6f, 0xedcc1077d63aba6f]),
+    ("masked_stencil", [0x38d787904ca006f1, 0xedcc1077d63aba6f, 0xedcc1077d63aba6f, 0xedcc1077d63aba6f, 0x38d787904ca006f1, 0xedcc1077d63aba6f, 0xedcc1077d63aba6f, 0xedcc1077d63aba6f]),
+];
+
+#[test]
+fn every_strategy_ships_the_recorded_schedules() {
+    use slp::prelude::{parse_machine, parse_strategy, SlpConfig};
+
+    let programs = common::suite_and_branchy();
+    for (program, (name, recorded)) in programs.iter().zip(SCHEDULES) {
+        let mut column = 0;
+        for machine in ["intel", "amd"] {
+            for (strategy, layout) in [
+                ("native", false),
+                ("slp", false),
+                ("global", false),
+                ("global", true),
+            ] {
+                let mut cfg = SlpConfig::for_machine(
+                    parse_machine(machine).unwrap(),
+                    parse_strategy(strategy).unwrap(),
+                );
+                if layout {
+                    cfg = cfg.with_layout();
+                }
+                let kernel = slp::core::compile(program, &cfg);
+                assert_eq!(
+                    common::fnv64(&format!("{:?}", kernel.schedules)),
+                    recorded[column],
+                    "{name} on {machine} under {strategy} (layout: {layout})"
+                );
+                column += 1;
+            }
+        }
+    }
 }
