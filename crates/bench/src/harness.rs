@@ -1,6 +1,5 @@
-//! The measurement harness shared by the figure generators and the
-//! Criterion benches: compiles a kernel under every §7 scheme and runs it
-//! on the simulated machine.
+//! The measurement harness shared by the figure generators: compiles a
+//! kernel under every §7 scheme and runs it on the simulated machine.
 
 use slp_core::{compile, CompiledKernel, MachineConfig, SlpConfig, Strategy};
 use slp_ir::Program;

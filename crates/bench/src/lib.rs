@@ -10,8 +10,9 @@
 //!   (Tables 1–3, Figures 16–21, the compile-time overhead statement).
 //!
 //! The `figures` binary prints any exhibit (`figures fig16`, `figures
-//! all`); the Criterion benches under `benches/` time the same harness
-//! entry points.
+//! all`); `probe`, `inspect` and `sweep` are the debugging views of the
+//! same harness. Everything here reports *simulated* cycles; wall-clock
+//! timing lives in the repository's `benchmark/` alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

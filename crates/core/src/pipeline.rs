@@ -562,8 +562,9 @@ pub fn compile_timed(program: &Program, config: &SlpConfig) -> (CompiledKernel, 
 /// times dynamic trip count, plus the one-time replication copies.
 ///
 /// This is the arbiter of the Global+Layout dual compile; it is public
-/// so benchmarks (`bench opt-gap`) can compare kernels compiled under
-/// different strategies through the same estimator the pipeline uses.
+/// so callers (`tests/opt_suite.rs`, `benchmark/`) can compare kernels
+/// compiled under different strategies through the same estimator the
+/// pipeline uses.
 pub fn estimate_kernel_cost(kernel: &CompiledKernel) -> f64 {
     let exposed = kernel.program.upward_exposed_scalars();
     let mut total = 0.0;

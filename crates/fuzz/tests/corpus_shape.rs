@@ -1,21 +1,8 @@
-//! Replays the minimized reproducer corpus. Every file under
+//! Guards the shape of the minimized reproducer corpus. Every file under
 //! `crates/fuzz/corpus/` is a bug the campaign found and the pipeline
-//! fixed; any anomaly here is a regression.
-
-#[test]
-fn corpus_is_clean() {
-    let dir = slp_fuzz::default_corpus_dir();
-    let failures = slp_fuzz::replay_corpus(&dir).expect("read corpus dir");
-    assert!(
-        failures.is_empty(),
-        "corpus regressions:\n{}",
-        failures
-            .iter()
-            .map(|(name, a)| format!("  {name}: {}\n    {}", a.headline(), a.detail))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
+//! fixed; the replay itself is the workspace root's
+//! `tests/fuzz_regressions.rs` (tier-1), this file keeps the corpus from
+//! quietly losing a bug class.
 
 #[test]
 fn corpus_covers_every_bug_class() {

@@ -17,7 +17,8 @@
 //!   drift apart.
 //!
 //! [`loadgen`] is the deterministic load generator the `loadgen`
-//! binary, the `bench serve-load` harness and the CI smoke job share.
+//! binary (CI's live-`slpd` smoke step) and the `tests/tcp.rs`
+//! protocol gate share.
 //!
 //! The crate is re-exported as part of `slp::driver`, so callers write
 //! `slp::driver::{serve, serve_tcp}`.

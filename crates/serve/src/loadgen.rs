@@ -15,8 +15,8 @@
 //!
 //! Everything derives from [`LoadConfig::seed`] via xorshift, so two
 //! runs with one seed issue byte-identical request streams — the
-//! `serve-load` bench and the CI smoke job rely on that for
-//! reproducible numbers.
+//! `tests/tcp.rs` protocol gate and the CI smoke job rely on that for
+//! reproducible failures.
 //!
 //! Every response is validated (parses, echoes the request `id`,
 //! carries an expected code for its class); violations count into
@@ -178,8 +178,7 @@ fn pick_class(rng: &mut Rng, mix: &LoadMix) -> Class {
     Class::Warm
 }
 
-/// The shared warm-set kernel sources (also used by the bench's
-/// cold/warm phases).
+/// The shared warm-set kernel sources.
 pub fn warm_source(slot: u64) -> String {
     format!(
         "kernel warm{slot} {{ array A: f64[64]; array B: f64[64]; \

@@ -32,8 +32,8 @@
 //! metric accumulation order, iteration/first-iteration protocol,
 //! replication population, coercions, truncating zips, per-block cycle
 //! attribution and error strings are all preserved — which the
-//! differential gate (`verify::differential`, `bench vm-throughput`, and
-//! the `engine_differential` test) checks continuously.
+//! differential gate (`verify::differential` and the
+//! `engine_differential` test) checks continuously.
 
 use std::collections::HashMap;
 
@@ -241,7 +241,7 @@ enum Node {
 /// Build one with [`BytecodeKernel::compile`] (or
 /// [`BytecodeKernel::from_codes`] for pre-lowered streams) and execute it
 /// any number of times with [`BytecodeKernel::run`] — translation cost is
-/// paid once, which is what the throughput harness amortizes.
+/// paid once.
 #[derive(Debug, Clone)]
 pub struct BytecodeKernel {
     program: Program,
@@ -293,8 +293,8 @@ impl BytecodeKernel {
     /// Like [`BytecodeKernel::compile`], but keeps every per-dimension
     /// bounds check even for accesses the kernel's memory-safety
     /// certificate proved safe. This is the `--no-unchecked` escape
-    /// hatch and the baseline the `bench vm-throughput` certified row is
-    /// measured against.
+    /// hatch and the baseline `tests/safety_suite.rs` holds the
+    /// certified lowering bit-identical to.
     pub fn compile_checked(
         kernel: &CompiledKernel,
         machine: &MachineConfig,

@@ -81,8 +81,7 @@ pub fn execute_gated(
 
 /// Executes `kernel` on the bytecode engine with every bounds check kept,
 /// even for accesses the memory-safety certificate proved safe (cost gate
-/// enabled). This is what `slpc --run --no-unchecked` uses, and the
-/// baseline the certified-execution bench row is compared against.
+/// enabled). This is what `slpc --run --no-unchecked` uses.
 ///
 /// # Errors
 ///

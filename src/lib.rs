@@ -81,8 +81,8 @@ pub use slp_vm as vm;
 pub mod driver {
     pub use slp_driver::*;
     pub use slp_serve::{
-        loadgen, protocol, serve, serve_handler, serve_tcp, ErrorCode, Handler, QuotaConfig,
-        ServeConfig, TcpOptions, TcpServer,
+        protocol, serve, serve_handler, serve_tcp, ErrorCode, Handler, QuotaConfig, ServeConfig,
+        TcpOptions, TcpServer,
     };
 }
 

@@ -1,10 +1,14 @@
 //! End-to-end pins of the `slp-opt` branch-and-bound packing solver.
 //!
-//! Five guarantees, each over the sixteen-kernel suite:
+//! Six guarantees, each over the sixteen-kernel suite:
 //!
 //! * **Identity** — node counts, proven gaps and shipped schedules equal
 //!   the values recorded before the solver's internals were rebuilt for
 //!   speed: a faster search must be the same search.
+//! * **Confirmed wins** — in the same pass, every win the solver
+//!   *proves* over the heuristic holds in VM-measured cycles, the anytime
+//!   claims that do not are a pinned list, and both kernels match the
+//!   scalar reference.
 //! * **Determinism** — a node-capped solve (no wall deadline) produces
 //!   bit-identical schedules across repeated runs and across batch
 //!   worker-pool sizes.
@@ -74,31 +78,89 @@ const SOLVES: [(&str, [Solve; 4]); 20] = [
     ("masked_stencil", [(4, 0, false, 0xedcc1077d63aba6f), (4, 0, false, 0xedcc1077d63aba6f), (6, 0, false, 0xedcc1077d63aba6f), (6, 0, false, 0xedcc1077d63aba6f)]),
 ];
 
-fn assert_solves_match(column: usize, machine: &str, max_nodes: u64) {
+/// Solves every recorded program on both machines under `max_nodes` and
+/// holds each solve to two things: the recorded search (`column` is
+/// intel's in [`SOLVES`], amd's is two further on), and the VM.
+///
+/// The solver's wins are claims about *estimated* cycles, so each one is
+/// executed: a *proven* win (the search exhausted, so the cheaper
+/// packing is optimal under the cost model) must not lose measured
+/// cycles to the heuristic; an *anytime* claim from a budget-hit solve
+/// was never a proof, so the ones that fail confirmation are pinned
+/// rather than forbidden. Both kernels must also match the scalar
+/// reference.
+fn assert_solves_match(column: usize, max_nodes: u64) {
+    const EPS: f64 = 1e-9;
+    // gromacs on amd ships the same packing at node caps 500, 20 000 and
+    // 200 000: estimated 18 048 < 20 083 cycles, measured 18 633 > 18 436.
+    // ROADMAP item 5 (calibration) wants this list empty.
+    const UNCONFIRMED_ANYTIME: [&str; 1] = ["gromacs/amd"];
     let programs = common::suite_and_branchy();
-    for (program, (name, recorded)) in programs.iter().zip(SOLVES) {
-        let cfg = SlpConfig::for_machine(parse_machine(machine).unwrap(), Strategy::Optimal)
+    let suite_kernels = slp::suite::catalog().len();
+    let mut unconfirmed = Vec::new();
+    // Suite kernels the solver improved (VM-confirmed) or proved
+    // heuristic-optimal on some machine. The branchy four close in a
+    // handful of nodes and would make the floor below vacuous.
+    let mut scored = std::collections::BTreeSet::new();
+    for (column, machine) in [(column, "intel"), (column + 2, "amd")] {
+        let machine_cfg = parse_machine(machine).unwrap();
+        let heur_cfg = SlpConfig::for_machine(machine_cfg.clone(), Strategy::Holistic);
+        let opt_cfg = SlpConfig::for_machine(machine_cfg.clone(), Strategy::Optimal)
             .with_packer(OptimalPacker)
             .with_opt_budget(0, max_nodes);
-        let kernel = compile(program, &cfg);
-        let stats = &kernel.stats;
-        assert_eq!(
-            (
-                stats.opt_nodes,
-                stats.opt_gap_ppm,
-                stats.opt_degraded,
-                common::fnv64(&format!("{:?}", kernel.schedules))
-            ),
-            recorded[column],
-            "{name} on {machine} under a {max_nodes}-node cap"
-        );
+        for (i, (program, (name, recorded))) in programs.iter().zip(SOLVES).enumerate() {
+            let label = format!("{name}/{machine}");
+            let opt = compile(program, &opt_cfg);
+            let stats = &opt.stats;
+            assert_eq!(
+                (
+                    stats.opt_nodes,
+                    stats.opt_gap_ppm,
+                    stats.opt_degraded,
+                    common::fnv64(&format!("{:?}", opt.schedules))
+                ),
+                recorded[column],
+                "{label} under a {max_nodes}-node cap"
+            );
+
+            let heur = compile(program, &heur_cfg);
+            for kernel in [&heur, &opt] {
+                let diffs = slp::verify::check_differential(program, kernel);
+                assert!(diffs.is_empty(), "{label}: {diffs:?}");
+            }
+            let cycles =
+                |k: &CompiledKernel| execute(k, &machine_cfg).unwrap().stats.metrics.cycles;
+            let (est_opt, est_heur) = (estimate_kernel_cost(&opt), estimate_kernel_cost(&heur));
+            let (cycles_opt, cycles_heur) = (cycles(&opt), cycles(&heur));
+            let proved = !stats.opt_degraded && stats.opt_gap_ppm == 0;
+            let claimed = est_opt < est_heur - EPS;
+            let confirmed = claimed && cycles_opt <= cycles_heur + EPS;
+            if claimed && !confirmed {
+                assert!(
+                    !proved,
+                    "{label}: proven win estimated {est_opt} < {est_heur} \
+                     but measured {cycles_opt} > {cycles_heur} cycles"
+                );
+                unconfirmed.push(label);
+            }
+            if i < suite_kernels && (confirmed || proved) {
+                scored.insert(name);
+            }
+        }
     }
+    assert_eq!(
+        unconfirmed, UNCONFIRMED_ANYTIME,
+        "anytime claims the VM does not confirm under a {max_nodes}-node cap"
+    );
+    assert!(
+        scored.len() >= 3,
+        "the solver improved or proved only {scored:?} under a {max_nodes}-node cap"
+    );
 }
 
 #[test]
 fn solves_under_a_500_node_cap_match_the_recorded_search() {
-    assert_solves_match(0, "intel", 500);
-    assert_solves_match(2, "amd", 500);
+    assert_solves_match(0, 500);
 }
 
 /// A quarter of a million nodes: minutes without optimization, so it
@@ -106,8 +168,7 @@ fn solves_under_a_500_node_cap_match_the_recorded_search() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "needs --release: 250k solver nodes")]
 fn solves_under_a_20000_node_cap_match_the_recorded_search() {
-    assert_solves_match(1, "intel", 20_000);
-    assert_solves_match(3, "amd", 20_000);
+    assert_solves_match(1, 20_000);
 }
 
 #[test]
@@ -180,8 +241,8 @@ fn optimal_never_ships_a_costlier_packing_than_the_heuristic() {
 #[test]
 fn exhausted_budget_degrades_and_is_recorded_in_the_driver_report() {
     // milc's unrolled blocks need hundreds of thousands of nodes to
-    // exhaust (the opt-gap benchmark still hits its cap at 200k), so a
-    // two-node cap is guaranteed to expire mid-search.
+    // exhaust (a 200 000-node cap still expires), so a two-node cap is
+    // guaranteed to expire mid-search.
     let (spec, program) = slp::suite::all(1)
         .into_iter()
         .find(|(spec, _)| spec.name == "milc")
