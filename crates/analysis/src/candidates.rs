@@ -1,46 +1,44 @@
-//! Candidate group identification and conflict analysis (§4.2.1, steps 1–2).
+//! Candidate group identification and conflict analysis (§4.2.1, steps
+//! 1–2), over block positions: every test is a table lookup in the
+//! block's [`BlockIndex`] or a bit of its `BlockDeps`.
 
-use slp_ir::{BasicBlock, BlockDeps, StmtId, TypeEnv};
+use slp_ir::BlockDeps;
 
-use crate::unit::{Pack, Unit};
+use crate::index::BlockIndex;
+use crate::unit::Unit;
 
-/// A candidate group: a *potential* SIMD group of two units. Unordered —
-/// "there is no ordering between Si and Sj in the candidate group".
-#[derive(Debug, Clone, PartialEq)]
-pub struct Candidate {
-    /// Index of the first unit (in the round's unit list).
-    pub a: usize,
-    /// Index of the second unit.
-    pub b: usize,
-    /// The variable packs the merged group would form (location packs
-    /// only), with their order-insensitive contents.
-    pub packs: Vec<Pack>,
-    /// The member statements of the merged group: unit `a`'s statements
-    /// followed by unit `b`'s.
-    pub stmts: Vec<StmtId>,
-    /// Number of leading `stmts` that belong to unit `a`.
-    pub split: usize,
+/// Each unit's statements as block positions, in the unit's order.
+pub(crate) fn lanes_of(ix: &BlockIndex<'_>, units: &[Unit]) -> Vec<Vec<usize>> {
+    let lanes = |u: &Unit| u.stmts().iter().map(|&s| ix.position(s)).collect();
+    units.iter().map(lanes).collect()
 }
 
 /// The legal pairwise merges among `units`, as ascending index pairs
-/// `(a, b)`, `a < b`. A pair qualifies when the units are isomorphic,
+/// `(a, b)`, `a < b`: the candidate groups — *potential* SIMD groups of
+/// two units, unordered ("there is no ordering between Si and Sj in the
+/// candidate group"). A pair qualifies when the units are isomorphic,
 /// mutually dependence free (§4.1 constraints 1 and 3) and the merged
-/// width stays within `lane_cap(stmt)` lanes — the §4.1 constraint 4
-/// datapath bound, supplied by the caller because it depends on the
-/// element type and machine.
-pub fn legal_merges<E: TypeEnv>(
-    units: &[Unit],
-    block: &BasicBlock,
+/// width stays within the lane cap (§4.1 constraint 4).
+pub fn legal_merges(ix: &BlockIndex<'_>, deps: &BlockDeps, units: &[Unit]) -> Vec<(usize, usize)> {
+    merges(ix, deps, &lanes_of(ix, units))
+}
+
+/// [`legal_merges`] over [`lanes_of`] the units.
+pub(crate) fn merges(
+    ix: &BlockIndex<'_>,
     deps: &BlockDeps,
-    env: &E,
-    mut lane_cap: impl FnMut(StmtId) -> usize,
+    lanes: &[Vec<usize>],
 ) -> Vec<(usize, usize)> {
+    let free = |p: usize, q: usize| p != q && !deps.reaches(p, q) && !deps.reaches(q, p);
     let mut out = Vec::new();
-    for a in 0..units.len() {
-        for b in a + 1..units.len() {
-            let (ua, ub) = (&units[a], &units[b]);
-            if ua.width() + ub.width() <= lane_cap(ua.stmts()[0])
-                && ua.can_merge(ub, block, deps, env)
+    for (a, la) in lanes.iter().enumerate() {
+        for (b, lb) in lanes.iter().enumerate().skip(a + 1) {
+            // Members within each unit are isomorphic by construction, so
+            // comparing representatives settles the class;
+            // cross-independence needs every pair.
+            if la.len() + lb.len() <= ix.lane_cap(la[0])
+                && ix.class(la[0]) == ix.class(lb[0])
+                && la.iter().all(|&p| lb.iter().all(|&q| free(p, q)))
             {
                 out.push((a, b));
             }
@@ -49,91 +47,55 @@ pub fn legal_merges<E: TypeEnv>(
     out
 }
 
-/// Identifies all candidate groups among `units`: the [`legal_merges`],
-/// each with its variable packs.
-pub fn find_candidates<E: TypeEnv>(
-    units: &[Unit],
-    block: &BasicBlock,
-    deps: &BlockDeps,
-    env: &E,
-    lane_cap: impl FnMut(StmtId) -> usize,
-) -> Vec<Candidate> {
-    legal_merges(units, block, deps, env, lane_cap)
-        .into_iter()
-        .map(|(a, b)| {
-            let merged = Unit::merged(&units[a], &units[b]);
-            let packs = merged
-                .packs(block)
-                .into_iter()
-                .filter(Pack::is_location_pack)
-                .collect();
-            Candidate {
-                a,
-                b,
-                packs,
-                stmts: merged.stmts().to_vec(),
-                split: units[a].width(),
-            }
-        })
-        .collect()
-}
-
 /// The symmetric candidate-conflict relation: two candidate groups
 /// "conflict with each other if they have a common statement ... or there
 /// exists a dependence cycle between these two groups".
-#[derive(Debug, Clone)]
-pub struct ConflictMatrix {
+#[derive(Debug)]
+pub(crate) struct ConflictMatrix {
     n: usize,
     bits: Vec<bool>,
 }
 
 impl ConflictMatrix {
-    /// Computes the conflict relation among `candidates`.
+    /// Computes the conflict relation among the candidates `pairs` of the
+    /// units at `lanes`.
     ///
     /// Dependence-cycle detection is precomputed at unit granularity: the
     /// number of units is linear in the block size while the number of
     /// candidates is quadratic, so checking `candidate × candidate` pairs
     /// against a `unit × unit` reachability table keeps wide-datapath
     /// blocks (hundreds of statements after 8–16x unrolling) tractable.
-    pub fn compute(candidates: &[Candidate], deps: &BlockDeps) -> Self {
-        let n = candidates.len();
+    pub(crate) fn compute(
+        pairs: &[(usize, usize)],
+        lanes: &[Vec<usize>],
+        deps: &BlockDeps,
+    ) -> Self {
+        let n = pairs.len();
         let mut m = ConflictMatrix {
             n,
             bits: vec![false; n * n],
         };
-        // Unit-level reachability over the units the candidates mention.
-        let units = 1 + candidates.iter().map(|c| c.a.max(c.b)).max().unwrap_or(0);
-        let mut unit_stmts: Vec<&[StmtId]> = vec![&[]; units];
-        for c in candidates {
-            let (sa, sb) = c.stmts.split_at(c.split);
-            unit_stmts[c.a] = sa;
-            unit_stmts[c.b] = sb;
-        }
+        let units = lanes.len();
         let mut reach = vec![false; units * units];
-        for i in 0..units {
-            for j in 0..units {
-                if i != j
-                    && unit_stmts[i]
-                        .iter()
-                        .any(|&s| unit_stmts[j].iter().any(|&t| deps.depends(s, t)))
-                {
-                    reach[i * units + j] = true;
-                }
+        for (i, li) in lanes.iter().enumerate() {
+            for (j, lj) in lanes.iter().enumerate() {
+                reach[i * units + j] =
+                    i != j && li.iter().any(|&p| lj.iter().any(|&q| deps.reaches(p, q)));
             }
         }
         let reaches = |a: usize, b: usize| reach[a * units + b];
-        for (i, x) in candidates.iter().enumerate() {
-            for (j, y) in candidates.iter().enumerate().skip(i + 1) {
-                let shares_unit = x.a == y.a || x.a == y.b || x.b == y.a || x.b == y.b;
+        for (i, x) in pairs.iter().enumerate() {
+            for (j, y) in pairs.iter().enumerate().skip(i + 1) {
+                let shares_unit = x.0 == y.0 || x.0 == y.1 || x.1 == y.0 || x.1 == y.1;
                 let conflicting = shares_unit || {
-                    let x_to_y = reaches(x.a, y.a)
-                        || reaches(x.a, y.b)
-                        || reaches(x.b, y.a)
-                        || reaches(x.b, y.b);
-                    let y_to_x = reaches(y.a, x.a)
-                        || reaches(y.a, x.b)
-                        || reaches(y.b, x.a)
-                        || reaches(y.b, x.b);
+                    let x_to_y = reaches(x.0, y.0)
+                        || reaches(x.0, y.1)
+                        || reaches(x.1, y.0)
+                        || reaches(x.1, y.1);
+                    let y_to_x = reaches(y.0, x.0)
+                        || reaches(y.0, x.1)
+                        || reaches(y.1, x.0)
+                        || reaches(y.1, x.1);
                     x_to_y && y_to_x
                 };
                 if conflicting {
@@ -146,25 +108,15 @@ impl ConflictMatrix {
     }
 
     /// Whether candidates `i` and `j` conflict.
-    pub fn get(&self, i: usize, j: usize) -> bool {
+    pub(crate) fn get(&self, i: usize, j: usize) -> bool {
         self.bits[i * self.n + j]
-    }
-
-    /// Number of candidates covered.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the matrix covers zero candidates.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use slp_ir::{BinOp, Expr, Program, ScalarType};
+    use slp_ir::{BasicBlock, BinOp, Expr, Program, ScalarType};
 
     /// The paper's Figure 2 block (reconstructed):
     /// S1: V1 = V3;   S2: V2 = V5;   S3: V5 = V7;
@@ -194,46 +146,69 @@ pub(crate) mod tests {
         (p, bb)
     }
 
-    fn setup() -> (Program, BasicBlock, BlockDeps, Vec<Unit>) {
-        let (p, bb) = figure2();
-        let deps = BlockDeps::analyze(&bb);
-        let units: Vec<Unit> = bb.iter().map(|s| Unit::singleton(s.id())).collect();
-        (p, bb, deps, units)
+    /// One singleton unit per statement of `bb`.
+    pub(crate) fn singletons(bb: &BasicBlock) -> Vec<Unit> {
+        bb.iter().map(|s| Unit::singleton(s.id())).collect()
     }
 
     #[test]
     fn figure2_candidate_set() {
-        let (p, bb, deps, units) = setup();
-        let cands = find_candidates(&units, &bb, &deps, &p, |_| 4);
-        let pairs: Vec<(usize, usize)> = cands.iter().map(|c| (c.a, c.b)).collect();
+        let (p, bb) = figure2();
+        let deps = BlockDeps::analyze(&bb);
+        let ix = BlockIndex::new(&bb, &p, |_| 4);
         // Unit indices equal statement positions here: S1..S5 are 0..4.
+        let pairs = legal_merges(&ix, &deps, &singletons(&bb));
         assert_eq!(pairs, vec![(0, 1), (0, 2), (3, 4)]);
     }
 
     #[test]
     fn lane_cap_filters_pairs() {
-        let (p, bb, deps, units) = setup();
-        let cands = find_candidates(&units, &bb, &deps, &p, |_| 1);
-        assert!(cands.is_empty());
+        let (p, bb) = figure2();
+        let deps = BlockDeps::analyze(&bb);
+        let ix = BlockIndex::new(&bb, &p, |_| 1);
+        assert!(legal_merges(&ix, &deps, &singletons(&bb)).is_empty());
     }
 
     #[test]
-    fn candidate_packs_are_location_packs() {
-        let (p, bb, deps, units) = setup();
-        let cands = find_candidates(&units, &bb, &deps, &p, |_| 4);
-        // {S1,S2}: dest pack {V1,V2} and source pack {V3,V5}.
-        let c12 = &cands[0];
-        assert_eq!(c12.packs.len(), 2);
-        // {S4,S5}: dest {V4,V6}, op0 {V3,V5}, op1 {V1,V2}.
-        let c45 = &cands[2];
-        assert_eq!(c45.packs.len(), 3);
+    fn merging_requires_isomorphism_and_cross_independence() {
+        // S1: v1 = v3;  S2: v2 = v5;  S3: v5 = v7;
+        // S4: v8 = v3 + v1;  S5: v9 = v5 + v2;
+        let mut p = Program::new("fig2ish");
+        let v: Vec<_> = (0..10)
+            .map(|k| p.add_scalar(format!("v{k}"), ScalarType::F32))
+            .collect();
+        let add = |a: usize, b: usize| Expr::Binary(BinOp::Add, v[a].into(), v[b].into());
+        let bb: BasicBlock = [
+            p.make_stmt(v[1].into(), Expr::Copy(v[3].into())),
+            p.make_stmt(v[2].into(), Expr::Copy(v[5].into())),
+            p.make_stmt(v[5].into(), Expr::Copy(v[7].into())),
+            p.make_stmt(v[8].into(), add(3, 1)),
+            p.make_stmt(v[9].into(), add(5, 2)),
+        ]
+        .into_iter()
+        .collect();
+        let deps = BlockDeps::analyze(&bb);
+        let ix = BlockIndex::new(&bb, &p, |_| 4);
+        let units = singletons(&bb);
+        // S1/S2 are independent copies; S1/S4 differ in shape (copy vs
+        // add); S2/S3 are dependent (S2 reads v5, S3 writes v5).
+        let pairs = legal_merges(&ix, &deps, &units);
+        assert!(pairs.contains(&(0, 1)));
+        assert!(!pairs.contains(&(0, 3)) && !pairs.contains(&(1, 2)));
+        // S3 conflicts with S2 inside <S1,S2>: the merged unit cannot
+        // take it, although S1 alone could.
+        assert!(pairs.contains(&(0, 2)));
+        let merged = [Unit::merged(&units[0], &units[1]), units[2].clone()];
+        assert!(legal_merges(&ix, &deps, &merged).is_empty());
     }
 
     #[test]
     fn conflicts_on_shared_statement() {
-        let (p, bb, deps, units) = setup();
-        let cands = find_candidates(&units, &bb, &deps, &p, |_| 4);
-        let m = ConflictMatrix::compute(&cands, &deps);
+        let (p, bb) = figure2();
+        let deps = BlockDeps::analyze(&bb);
+        let ix = BlockIndex::new(&bb, &p, |_| 4);
+        let lanes = lanes_of(&ix, &singletons(&bb));
+        let m = ConflictMatrix::compute(&merges(&ix, &deps, &lanes), &lanes, &deps);
         // {S1,S2} and {S1,S3} share S1.
         assert!(m.get(0, 1));
         assert!(m.get(1, 0));
@@ -261,11 +236,12 @@ pub(crate) mod tests {
         let s3 = p.make_stmt(v[3].into(), Expr::Copy(v[2].into()));
         let bb: BasicBlock = [s0, s1, s2, s3].into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let units: Vec<Unit> = bb.iter().map(|s| Unit::singleton(s.id())).collect();
-        let cands = find_candidates(&units, &bb, &deps, &p, |_| 4);
-        let i03 = cands.iter().position(|c| (c.a, c.b) == (0, 3)).unwrap();
-        let i12 = cands.iter().position(|c| (c.a, c.b) == (1, 2)).unwrap();
-        let m = ConflictMatrix::compute(&cands, &deps);
+        let ix = BlockIndex::new(&bb, &p, |_| 4);
+        let lanes = lanes_of(&ix, &singletons(&bb));
+        let pairs = merges(&ix, &deps, &lanes);
+        let i03 = pairs.iter().position(|&c| c == (0, 3)).unwrap();
+        let i12 = pairs.iter().position(|&c| c == (1, 2)).unwrap();
+        let m = ConflictMatrix::compute(&pairs, &lanes, &deps);
         assert!(m.get(i03, i12), "cycle must be a conflict");
     }
 }

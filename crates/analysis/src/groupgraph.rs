@@ -11,10 +11,11 @@
 
 use std::fmt;
 
-use crate::candidates::{Candidate, ConflictMatrix};
-use crate::packgraph::PackGraph;
+use slp_ir::BlockDeps;
+
+use crate::index::BlockIndex;
 use crate::unit::Unit;
-use crate::weight::{WeightContext, WeightParams};
+use crate::weight::{Round, WeightParams};
 
 /// One weighted edge of the statement grouping graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,26 +38,24 @@ pub struct StatementGroupingGraph {
 }
 
 impl StatementGroupingGraph {
-    /// Builds the graph for the current round: one node per unit, one
-    /// weighted edge per candidate (all candidates alive, nothing
+    /// Builds the graph of the round over `units`: one node per unit,
+    /// one weighted edge per candidate (all candidates alive, nothing
     /// decided — the paper's Figure 5 snapshot).
     pub fn build(
+        ix: &BlockIndex<'_>,
+        deps: &BlockDeps,
         units: &[Unit],
-        candidates: &[Candidate],
-        vp: &PackGraph,
-        conflicts: &ConflictMatrix,
         params: &WeightParams,
     ) -> Self {
-        let wcx = WeightContext::new(candidates, vp, conflicts, params);
-        let alive = vec![true; candidates.len()];
-        let edges = candidates
-            .iter()
-            .enumerate()
-            .map(|(c, cand)| GroupingEdge {
-                a: cand.a,
-                b: cand.b,
-                candidate: c,
-                weight: wcx.weight(c, &alive, &[], params),
+        let mut round = Round::new(ix, deps, units, params);
+        let pairs = round.candidates().to_vec();
+        let alive = vec![true; pairs.len()];
+        let edges = (pairs.iter().enumerate())
+            .map(|(candidate, &(a, b))| GroupingEdge {
+                a,
+                b,
+                candidate,
+                weight: round.weight(candidate, &alive),
             })
             .collect();
         StatementGroupingGraph {
@@ -112,17 +111,13 @@ impl fmt::Display for StatementGroupingGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::{find_candidates, tests::figure2};
-    use slp_ir::BlockDeps;
+    use crate::candidates::tests::{figure2, singletons};
 
     fn graph(params: &WeightParams) -> StatementGroupingGraph {
         let (p, bb) = figure2();
         let deps = BlockDeps::analyze(&bb);
-        let units: Vec<Unit> = bb.iter().map(|s| Unit::singleton(s.id())).collect();
-        let cands = find_candidates(&units, &bb, &deps, &p, |_| 4);
-        let conflicts = ConflictMatrix::compute(&cands, &deps);
-        let vp = PackGraph::build(&cands);
-        StatementGroupingGraph::build(&units, &cands, &vp, &conflicts, params)
+        let ix = BlockIndex::new(&bb, &p, |_| 4);
+        StatementGroupingGraph::build(&ix, &deps, &singletons(&bb), params)
     }
 
     #[test]

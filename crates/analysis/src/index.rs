@@ -1,0 +1,298 @@
+//! The per-block index grouping, scheduling and the cost estimator share.
+//!
+//! All three walk a block's statements by [`StmtId`] and compare operand
+//! identities ([`OperandKey`](crate::OperandKey)) in their innermost
+//! loops. [`BlockIndex`] is built once beside the block's `BlockDeps` and
+//! makes both a table lookup: a statement id resolves to its block
+//! position without scanning the block, and every destination and operand
+//! is interned to a small integer key. Keys are numbered in `OperandKey`
+//! order, so two operands name the same data exactly when their keys are
+//! equal, and a sorted key vector compares with another exactly as the
+//! [`PackContent`](crate::PackContent)s they stand for. Per statement the
+//! index also holds what candidate identification asks of every pair: the
+//! isomorphism class and the lane cap.
+
+use slp_ir::{
+    ArrayRef, BasicBlock, Dest, Operand, ScalarType, Statement, StmtId, StmtPositions, TypeEnv,
+    VarId,
+};
+
+use crate::unit::PackPos;
+
+/// What an interned key names: the borrowed form of an `OperandKey`,
+/// ordered as it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Loc<'b> {
+    /// A scalar variable.
+    Scalar(VarId),
+    /// An array element.
+    Array(&'b ArrayRef),
+    /// A constant, by bit pattern.
+    Const(u64),
+}
+
+impl<'b> Loc<'b> {
+    /// The array element named, if one is.
+    pub fn as_array(self) -> Option<&'b ArrayRef> {
+        match self {
+            Loc::Array(r) => Some(r),
+            _ => None,
+        }
+    }
+}
+
+/// `keys` ascending: what two permutations of one pack have in common.
+pub fn sorted(keys: &[u32]) -> Vec<u32> {
+    let mut keys = keys.to_vec();
+    keys.sort_unstable();
+    keys
+}
+
+/// Position, operand-key, isomorphism-class and lane-cap tables of one
+/// basic block.
+#[derive(Debug, Clone)]
+pub struct BlockIndex<'b> {
+    block: &'b BasicBlock,
+    pos: StmtPositions,
+    /// Key → what it names, ascending.
+    locs: Vec<Loc<'b>>,
+    /// Position by position: the destination's key, then the operands'.
+    keys: Vec<u32>,
+    /// Per block position: where its keys start (and, last, their count).
+    first_key: Vec<usize>,
+    /// Per block position: equal exactly for isomorphic statements.
+    class: Vec<u32>,
+    /// Per block position: the widest group the statement may join.
+    lane_cap: Vec<usize>,
+}
+
+/// The destination of `stmt`, then its operands.
+fn locs_of(stmt: &Statement) -> impl Iterator<Item = Loc<'_>> {
+    let dest = match stmt.dest() {
+        Dest::Scalar(v) => Loc::Scalar(*v),
+        Dest::Array(r) => Loc::Array(r),
+    };
+    let operands = stmt.expr().operands().into_iter().map(|op| match op {
+        Operand::Scalar(v) => Loc::Scalar(*v),
+        Operand::Array(r) => Loc::Array(r),
+        Operand::Const(c) => Loc::Const(c.to_bits()),
+    });
+    std::iter::once(dest).chain(operands)
+}
+
+impl<'b> BlockIndex<'b> {
+    /// Indexes `block`. `lane_cap` is the §4.1 constraint 4 datapath
+    /// bound: how many elements of a statement's destination type fit
+    /// the target's vector register.
+    pub fn new<E: TypeEnv>(
+        block: &'b BasicBlock,
+        env: &E,
+        lane_cap: impl Fn(ScalarType) -> usize,
+    ) -> Self {
+        // Every destination and operand slot with its place in `keys`;
+        // sorted, equal locations are neighbours and ranks ascend.
+        let (mut slots, mut first_key) = (Vec::new(), Vec::with_capacity(block.len() + 1));
+        for stmt in block {
+            first_key.push(slots.len());
+            for loc in locs_of(stmt) {
+                slots.push((loc, slots.len()));
+            }
+        }
+        first_key.push(slots.len());
+        slots.sort_unstable();
+        let (mut locs, mut keys) = (Vec::new(), vec![0; slots.len()]);
+        for (loc, slot) in slots {
+            if locs.last() != Some(&loc) {
+                locs.push(loc);
+            }
+            keys[slot] = (locs.len() - 1) as u32;
+        }
+        // `Statement::isomorphic` is equality of a signature, so comparing
+        // with one representative per class settles the class.
+        let mut firsts: Vec<&Statement> = Vec::new();
+        let class = (block.iter())
+            .map(|s| {
+                let known = firsts.iter().position(|f| f.isomorphic(s, env));
+                known.unwrap_or_else(|| {
+                    firsts.push(s);
+                    firsts.len() - 1
+                }) as u32
+            })
+            .collect();
+        let lane_cap = (block.iter())
+            .map(|s| lane_cap(env.dest_type(s.dest())))
+            .collect();
+        BlockIndex {
+            block,
+            pos: block.positions(),
+            locs,
+            keys,
+            first_key,
+            class,
+            lane_cap,
+        }
+    }
+
+    /// The indexed block.
+    pub fn block(&self) -> &'b BasicBlock {
+        self.block
+    }
+
+    /// The block position of statement `id`; panics if the indexed block
+    /// has no such statement.
+    pub fn position(&self, id: StmtId) -> usize {
+        self.pos.of(id)
+    }
+
+    /// The statement at block position `p`.
+    pub fn stmt_at(&self, p: usize) -> &'b Statement {
+        &self.block.stmts()[p]
+    }
+
+    /// The isomorphism class of the statement at position `p`.
+    pub fn class(&self, p: usize) -> u32 {
+        self.class[p]
+    }
+
+    /// The lane cap of the statement at position `p`.
+    pub fn lane_cap(&self, p: usize) -> usize {
+        self.lane_cap[p]
+    }
+
+    /// How many operands the statement at position `p` has.
+    fn arity(&self, p: usize) -> usize {
+        self.first_key[p + 1] - self.first_key[p] - 1
+    }
+
+    /// The key at pack position `slot` of the statement at position `p`.
+    pub fn key(&self, p: usize, slot: PackPos) -> u32 {
+        debug_assert!(!matches!(slot, PackPos::Operand(k) if k >= self.arity(p)));
+        match slot {
+            PackPos::Dest => self.keys[self.first_key[p]],
+            PackPos::Operand(k) => self.keys[self.first_key[p] + k + 1],
+        }
+    }
+
+    /// The keys at pack position `slot` of the statements at `order`.
+    pub fn keys(&self, order: &[usize], slot: PackPos) -> Vec<u32> {
+        order.iter().map(|&p| self.key(p, slot)).collect()
+    }
+
+    /// The pack positions at which the statements at `lanes` form
+    /// location packs: the destination, and every operand position free
+    /// of constants (those are materialized once and free thereafter).
+    pub fn pack_positions<'a>(&'a self, lanes: &'a [usize]) -> impl Iterator<Item = PackPos> + 'a {
+        let arity = self.arity(lanes[0]);
+        let located = move |&slot: &PackPos| {
+            (lanes.iter()).all(|&p| !matches!(self.loc(self.key(p, slot)), Loc::Const(_)))
+        };
+        std::iter::once(PackPos::Dest).chain((0..arity).map(PackPos::Operand).filter(located))
+    }
+
+    /// What `key` names.
+    pub fn loc(&self, key: u32) -> Loc<'b> {
+        self.locs[key as usize]
+    }
+
+    /// Whether a write to the destination key `written` may change the
+    /// data `key` names: the same location, or a possibly aliasing one.
+    pub fn overlaps(&self, written: u32, key: u32) -> bool {
+        written == key
+            || match (self.loc(written), self.loc(key)) {
+                (Loc::Array(w), Loc::Array(r)) => w.may_alias(r),
+                _ => false,
+            }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::OperandKey;
+    use slp_ir::Program;
+
+    fn program() -> Program {
+        slp_lang::compile(
+            "kernel k { array A: f64[64]; array B: f64[64]; scalar t: f64;
+             for i in 0..16 { t = A[2*i] * 2.0; B[2*i] = t + A[2*i]; A[2*i+1] = t * 2.0; } }",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn positions_and_statements_match_the_block() {
+        let p = program();
+        let block = &p.blocks()[0].block;
+        let ix = BlockIndex::new(block, &p, |_| 2);
+        for (at, stmt) in block.iter().enumerate() {
+            assert_eq!(ix.position(stmt.id()), at);
+            assert_eq!(ix.stmt_at(at).id(), stmt.id());
+        }
+    }
+
+    #[test]
+    fn key_order_is_operand_key_order() {
+        let p = program();
+        let block = &p.blocks()[0].block;
+        let ix = BlockIndex::new(block, &p, |_| 2);
+        let mut all: Vec<(u32, OperandKey)> = Vec::new();
+        for (at, stmt) in block.iter().enumerate() {
+            all.push((ix.key(at, PackPos::Dest), OperandKey::of(&stmt.def())));
+            for (k, op) in stmt.expr().operands().into_iter().enumerate() {
+                all.push((ix.key(at, PackPos::Operand(k)), OperandKey::of(op)));
+            }
+        }
+        // Scalars, array elements and constants all occur, so every
+        // variant boundary of the order is crossed.
+        for (ka, a) in &all {
+            for (kb, b) in &all {
+                assert_eq!(ka.cmp(kb), a.cmp(b), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn classes_are_isomorphism_and_caps_follow_the_destination_type() {
+        let p = slp_lang::compile(
+            "kernel k { array A: f64[64]; array F: f32[64]; scalar t, u: f64;
+             for i in 0..16 { t = A[i] * 2.0; u = A[i+1] * 3.0; F[i] = F[i] * 2.0; A[i] = t + u; } }",
+        )
+        .unwrap();
+        let block = &p.blocks()[0].block;
+        let ix = BlockIndex::new(block, &p, |ty| 16 / ty.size_bytes() as usize);
+        for (a, sa) in block.iter().enumerate() {
+            for (b, sb) in block.iter().enumerate() {
+                assert_eq!(ix.class(a) == ix.class(b), sa.isomorphic(sb, &p));
+            }
+        }
+        let caps: Vec<usize> = (0..block.len()).map(|at| ix.lane_cap(at)).collect();
+        assert_eq!(caps, [2, 2, 4, 2]);
+    }
+
+    #[test]
+    fn constant_positions_form_no_location_pack() {
+        let p = program();
+        let block = &p.blocks()[0].block;
+        let ix = BlockIndex::new(block, &p, |_| 2);
+        let slots = |at: usize| ix.pack_positions(&[at]).collect::<Vec<_>>();
+        assert_eq!(slots(0), [PackPos::Dest, PackPos::Operand(0)]);
+        assert_eq!(
+            slots(1),
+            [PackPos::Dest, PackPos::Operand(0), PackPos::Operand(1)]
+        );
+    }
+
+    #[test]
+    fn overlap_follows_may_alias() {
+        let p = program();
+        let block = &p.blocks()[0].block;
+        let ix = BlockIndex::new(block, &p, |_| 2);
+        let dest = |at| ix.key(at, PackPos::Dest);
+        let (t, b, a1) = (dest(0), dest(1), dest(2));
+        let a0 = ix.key(0, PackPos::Operand(0));
+        assert!(ix.overlaps(t, t) && ix.overlaps(a1, a1));
+        assert!(!ix.overlaps(t, b) && !ix.overlaps(b, a0));
+        // A[2i+1] and A[2i] share the linear part and differ by one.
+        assert!(!ix.overlaps(a1, a0));
+    }
+}

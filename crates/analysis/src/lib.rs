@@ -6,17 +6,22 @@
 //! * [`PackContent`] / [`OperandKey`] — order-insensitive superword
 //!   identities (a reuse "even for the case with different orderings" only
 //!   costs a register permutation, never memory traffic),
-//! * [`Unit`] and [`Pack`] — grouping units and the variable packs they
-//!   form; units generalize single statements so the same algorithm serves
-//!   the iterative wider-than-two grouping of §4.2.2,
-//! * [`find_candidates`] / [`Candidate`] — step 1, candidate group
-//!   identification under the §4.1 validity constraints ([`legal_merges`]
-//!   is the same test without the packs, for the `slp-opt` solver),
-//! * [`ConflictMatrix`] — the shared-statement / dependence-cycle conflict
-//!   relation,
-//! * [`PackGraph`] — step 2, the variable-pack conflicting graph,
-//! * [`candidate_weight`] — step 3, auxiliary-graph construction, greedy
-//!   conflict elimination and the `W = r / Nt` average-reuse weight.
+//! * [`Unit`] — grouping units; they generalize single statements so the
+//!   same algorithm serves the iterative wider-than-two grouping of
+//!   §4.2.2,
+//! * [`BlockIndex`] — the per-block tables every later step reads:
+//!   statement positions, operand keys numbered in [`OperandKey`] order,
+//!   isomorphism classes and lane caps (`slp-core`'s scheduler and cost
+//!   estimator share it),
+//! * [`legal_merges`] — step 1, candidate group identification under the
+//!   §4.1 validity constraints (the `slp-opt` solver branches on the same
+//!   pairs),
+//! * [`Round`] — one grouping round's state: the candidates, the
+//!   shared-statement / dependence-cycle conflict relation, step 2's
+//!   variable-pack conflicting graph over ranked pack contents, and step
+//!   3's auxiliary-graph construction, greedy conflict elimination and
+//!   `W = r / Nt` average-reuse weight,
+//! * [`StatementGroupingGraph`] — the weighted graph of a fresh round.
 //!
 //! The decision loop (step 4) lives in `slp-core`, which drives these
 //! pieces.
@@ -26,7 +31,7 @@
 //! Score the paper's Figure 2 candidates:
 //!
 //! ```
-//! use slp_analysis::{find_candidates, candidate_weight, ConflictMatrix, PackGraph, Unit};
+//! use slp_analysis::{BlockIndex, Round, Unit, WeightParams};
 //! use slp_ir::{BlockDeps, BinOp, Expr, Program, ScalarType, BasicBlock};
 //!
 //! let mut p = Program::new("fig2");
@@ -40,18 +45,12 @@
 //! ];
 //! let bb: BasicBlock = stmts.into_iter().collect();
 //! let deps = BlockDeps::analyze(&bb);
+//! let ix = BlockIndex::new(&bb, &p, |_| 4);
 //! let units: Vec<Unit> = bb.iter().map(|s| Unit::singleton(s.id())).collect();
-//! let cands = find_candidates(&units, &bb, &deps, &p, |_| 4);
-//! assert_eq!(cands.len(), 3);
-//! let conflicts = ConflictMatrix::compute(&cands, &deps);
-//! let vp = PackGraph::build(&cands);
-//! let alive = vec![true; cands.len()];
 //! // The paper's unadjusted formula gives 1/1 for {S1,S2}.
-//! let w0 = slp_analysis::candidate_weight_with(
-//!     0, &cands, &vp, &conflicts, &alive, &[],
-//!     &slp_analysis::WeightParams::reuse_only(),
-//! );
-//! assert_eq!(w0, 1.0);
+//! let mut round = Round::new(&ix, &deps, &units, &WeightParams::reuse_only());
+//! assert_eq!(round.candidates(), [(0, 1), (0, 2), (3, 4)]);
+//! assert_eq!(round.weight(0, &[true; 3]), 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,14 +59,14 @@
 
 mod candidates;
 mod groupgraph;
+mod index;
 mod key;
-mod packgraph;
 mod unit;
 mod weight;
 
-pub use candidates::{find_candidates, legal_merges, Candidate, ConflictMatrix};
+pub use candidates::legal_merges;
 pub use groupgraph::{GroupingEdge, StatementGroupingGraph};
+pub use index::{sorted, BlockIndex, Loc};
 pub use key::{OperandKey, PackContent};
-pub use packgraph::{PackGraph, PackNode};
-pub use unit::{Pack, PackPos, Unit};
-pub use weight::{candidate_weight, candidate_weight_with, WeightContext, WeightParams};
+pub use unit::{PackPos, Unit};
+pub use weight::{Round, WeightParams};

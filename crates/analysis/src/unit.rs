@@ -8,9 +8,7 @@
 
 use std::fmt;
 
-use slp_ir::{BasicBlock, BlockDeps, Operand, Statement, StmtId, TypeEnv};
-
-use crate::key::PackContent;
+use slp_ir::StmtId;
 
 /// The operand position a variable pack was drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,32 +25,6 @@ impl fmt::Display for PackPos {
             PackPos::Dest => write!(f, "dest"),
             PackPos::Operand(k) => write!(f, "op{k}"),
         }
-    }
-}
-
-/// A variable pack: the operands occupying one position across the
-/// statements of a (candidate) group, together with its order-insensitive
-/// content key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Pack {
-    /// Which operand position the pack was drawn from.
-    pub pos: PackPos,
-    /// The operands in statement order (not yet lane order).
-    pub ops: Vec<Operand>,
-    /// Order-insensitive identity.
-    pub content: PackContent,
-}
-
-impl Pack {
-    fn new(pos: PackPos, ops: Vec<Operand>) -> Self {
-        let content = PackContent::new(ops.iter());
-        Pack { pos, ops, content }
-    }
-
-    /// Whether this pack would occupy vector register lanes (constants are
-    /// materialized once and are free thereafter).
-    pub fn is_location_pack(&self) -> bool {
-        self.ops.iter().all(Operand::is_location)
     }
 }
 
@@ -90,64 +62,6 @@ impl Unit {
     pub fn is_singleton(&self) -> bool {
         self.stmts.len() == 1
     }
-
-    /// Looks up the member statements in `block`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a member statement is not present in `block`.
-    pub fn resolve<'b>(&self, block: &'b BasicBlock) -> Vec<&'b Statement> {
-        self.stmts
-            .iter()
-            .map(|&id| block.stmt(id).expect("unit statement in block"))
-            .collect()
-    }
-
-    /// The variable packs this unit's statements form, one per operand
-    /// position (destination first). Constant-only positions are skipped —
-    /// they never cost memory traffic.
-    pub fn packs(&self, block: &BasicBlock) -> Vec<Pack> {
-        let stmts = self.resolve(block);
-        let mut packs = Vec::new();
-        let dest_ops: Vec<Operand> = stmts.iter().map(|s| s.def()).collect();
-        packs.push(Pack::new(PackPos::Dest, dest_ops));
-        let arity = stmts[0].expr().arity();
-        for k in 0..arity {
-            let ops: Vec<Operand> = stmts
-                .iter()
-                .map(|s| s.expr().operands()[k].clone())
-                .collect();
-            if ops.iter().all(Operand::is_location) {
-                packs.push(Pack::new(PackPos::Operand(k), ops));
-            }
-        }
-        packs
-    }
-
-    /// Whether two units may be merged: pairwise isomorphic statements
-    /// (§4.1 constraint 3) and full cross-independence (§4.1 constraint 1).
-    pub fn can_merge<E: TypeEnv>(
-        &self,
-        other: &Unit,
-        block: &BasicBlock,
-        deps: &BlockDeps,
-        env: &E,
-    ) -> bool {
-        if self.stmts.iter().any(|s| other.stmts.contains(s)) {
-            return false;
-        }
-        let a = self.resolve(block);
-        let b = other.resolve(block);
-        // Members within each unit are isomorphic by construction, so
-        // comparing representatives settles the class; cross-independence
-        // needs every pair.
-        if !a[0].isomorphic(b[0], env) {
-            return false;
-        }
-        self.stmts
-            .iter()
-            .all(|&x| other.stmts.iter().all(|&y| deps.independent(x, y)))
-    }
 }
 
 impl fmt::Display for Unit {
@@ -166,32 +80,6 @@ impl fmt::Display for Unit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slp_ir::{BinOp, Expr, Program, ScalarType};
-
-    /// Builds the paper's Figure 2 block:
-    /// S1: V1=V3; S2: V2=V5; S3: V5=V7; S4: V3=V1+V1? ...
-    /// We use a simplified variant with the same grouping structure:
-    /// S1: v1 = v3;  S2: v2 = v5;  S3: v5 = v7;
-    /// S4: v8 = v3 + v1;  S5: v9 = v5 + v2;
-    fn fig2ish() -> (Program, BasicBlock) {
-        let mut p = Program::new("fig2");
-        let v: Vec<_> = (0..10)
-            .map(|k| p.add_scalar(format!("v{k}"), ScalarType::F32))
-            .collect();
-        let s1 = p.make_stmt(v[1].into(), Expr::Copy(v[3].into()));
-        let s2 = p.make_stmt(v[2].into(), Expr::Copy(v[5].into()));
-        let s3 = p.make_stmt(v[5].into(), Expr::Copy(v[7].into()));
-        let s4 = p.make_stmt(
-            v[8].into(),
-            Expr::Binary(BinOp::Add, v[3].into(), v[1].into()),
-        );
-        let s5 = p.make_stmt(
-            v[9].into(),
-            Expr::Binary(BinOp::Add, v[5].into(), v[2].into()),
-        );
-        let bb: BasicBlock = [s1, s2, s3, s4, s5].into_iter().collect();
-        (p, bb)
-    }
 
     #[test]
     fn unit_display_lists_lanes() {
@@ -201,68 +89,6 @@ mod tests {
         );
         assert_eq!(u.to_string(), "<S0,S4>");
         assert_eq!(Unit::singleton(StmtId::new(7)).to_string(), "<S7>");
-    }
-
-    #[test]
-    fn singleton_packs_include_dest_and_operands() {
-        let (_, bb) = fig2ish();
-        let u = Unit::singleton(StmtId::new(3));
-        let packs = u.packs(&bb);
-        assert_eq!(packs.len(), 3); // dest + 2 operands
-        assert_eq!(packs[0].pos, PackPos::Dest);
-        assert_eq!(packs[1].pos, PackPos::Operand(0));
-    }
-
-    #[test]
-    fn merged_unit_packs_have_two_lanes() {
-        let (_, bb) = fig2ish();
-        let u = Unit::merged(
-            &Unit::singleton(StmtId::new(0)),
-            &Unit::singleton(StmtId::new(1)),
-        );
-        let packs = u.packs(&bb);
-        // {v1,v2} dest pack and {v3,v5} source pack.
-        assert_eq!(packs.len(), 2);
-        assert_eq!(packs[0].content.width(), 2);
-        assert!(packs.iter().all(|p| p.is_location_pack()));
-    }
-
-    #[test]
-    fn constant_positions_are_skipped() {
-        let mut p = Program::new("c");
-        let a = p.add_scalar("a", ScalarType::F64);
-        let b = p.add_scalar("b", ScalarType::F64);
-        let s = p.make_stmt(a.into(), Expr::Binary(BinOp::Mul, b.into(), 2.0.into()));
-        let bb: BasicBlock = [s].into_iter().collect();
-        let packs = Unit::singleton(StmtId::new(0)).packs(&bb);
-        assert_eq!(packs.len(), 2); // dest + op0; const op1 skipped
-    }
-
-    #[test]
-    fn can_merge_requires_isomorphism_and_independence() {
-        let (p, bb) = fig2ish();
-        let deps = BlockDeps::analyze(&bb);
-        let u = |k: u32| Unit::singleton(StmtId::new(k));
-        // S1 and S2 are isomorphic copies with no dependence.
-        assert!(u(0).can_merge(&u(1), &bb, &deps, &p));
-        // S1 and S4 differ in shape (copy vs add).
-        assert!(!u(0).can_merge(&u(3), &bb, &deps, &p));
-        // S2 and S3 are dependent (S2 reads v5, S3 writes v5).
-        assert!(!u(1).can_merge(&u(2), &bb, &deps, &p));
-        // A unit never merges with itself.
-        assert!(!u(0).can_merge(&u(0), &bb, &deps, &p));
-    }
-
-    #[test]
-    fn merged_units_check_cross_independence() {
-        let (p, bb) = fig2ish();
-        let deps = BlockDeps::analyze(&bb);
-        let u12 = Unit::merged(
-            &Unit::singleton(StmtId::new(0)),
-            &Unit::singleton(StmtId::new(1)),
-        );
-        let u3 = Unit::singleton(StmtId::new(2));
-        // S3 conflicts with S2 (inside u12): cannot merge.
-        assert!(!u12.can_merge(&u3, &bb, &deps, &p));
+        assert_eq!((u.width(), u.is_singleton()), (2, false));
     }
 }

@@ -14,163 +14,316 @@
 //!    groups' packs, `Σ (N_pack − 1)` reuses, and
 //! 4. dividing by the number of distinct pack types among the candidate's
 //!    and decided groups' packs (`W = r / Nt`).
+//!
+//! [`Round`] is the state of one grouping round these steps run on. It
+//! names every distinct pack content of the round by its *rank* among
+//! them, so the decision loop — which asks for a weight `O(decisions ×
+//! candidates)` times — merges, indexes and sums over small integers. A
+//! rank, not any number: `r` is a float sum in content order, the
+//! auxiliary nodes are listed content-major, and elimination breaks degree
+//! ties toward the lowest node index, so every weight keeps its bits only
+//! while "ascending id" means "ascending content".
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
-use slp_ir::{pack_is_contiguous, ArrayRef, Operand};
+use slp_ir::{pack_is_contiguous, ArrayRef, BlockDeps, StmtId};
 
-use crate::candidates::{Candidate, ConflictMatrix};
-use crate::key::PackContent;
-use crate::packgraph::PackGraph;
+use crate::candidates::{lanes_of, merges, ConflictMatrix};
+use crate::index::BlockIndex;
+use crate::unit::{PackPos, Unit};
 
-/// Precomputed lookup structures for repeated weight queries within one
-/// grouping round. Building the content → node index once turns each
-/// auxiliary-graph extraction from a scan over every pack node into a few
-/// hash lookups — the decision loop calls [`WeightContext::weight`]
-/// `O(decisions × candidates)` times.
-#[derive(Debug)]
-pub struct WeightContext<'a> {
-    candidates: &'a [Candidate],
-    vp: &'a PackGraph,
-    conflicts: &'a ConflictMatrix,
-    /// VP node indices per pack content.
-    index: HashMap<&'a PackContent, Vec<usize>>,
-    /// Per candidate: its contiguity adjustment (static).
-    adjust: Vec<f64>,
+/// One node of the variable-pack conflicting graph `VP = (V, T)` (§4.2.1,
+/// step 2; paper Figure 4): a variable pack *tagged with the candidate
+/// group it came from* — "there may exist multiple nodes containing the
+/// same set of variables, but they are generated from different candidate
+/// groups". Edges are implied: packs of conflicting candidates are
+/// pairwise connected. Nodes with equal content and no connecting edge
+/// witness a superword reuse opportunity.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PackNode {
+    /// The candidate that generated this pack.
+    cand: usize,
+    /// The operand position within that candidate.
+    pos: PackPos,
+    /// The rank of the pack's order-insensitive content among the round's.
+    id: usize,
+    /// For an all-array pack: whether its elements, sorted by offset, are
+    /// contiguous (grouping has not fixed a lane order yet).
+    contiguous: Option<bool>,
 }
 
-impl<'a> WeightContext<'a> {
-    /// Builds the round's lookup structures.
+/// Marks an auxiliary node deleted by conflict elimination.
+const DELETED: usize = usize::MAX;
+
+/// One round of the basic grouping algorithm over a fixed unit set: its
+/// candidates, their conflicts, the variable-pack graph over ranked pack
+/// contents, and the packs of the groups decided so far.
+#[derive(Debug)]
+pub struct Round {
+    pairs: Vec<(usize, usize)>,
+    conflicts: ConflictMatrix,
+    /// Per candidate: the rank of its sorted statement ids among the
+    /// candidates' (they are distinct: units partition the block).
+    tie_rank: Vec<usize>,
+    /// The VP nodes, candidate-major, each candidate's in pack order.
+    nodes: Vec<PackNode>,
+    /// Per candidate: where its nodes start (and, last, the node count).
+    first_node: Vec<usize>,
+    /// The node indices by (id, index), and where each id's start.
+    by_id: Vec<usize>,
+    first_of_id: Vec<usize>,
+    /// Per id: whether every lane of the content is an array element.
+    all_array: Vec<bool>,
+    /// The weight profile: the scalar kind weight and, per candidate, the
+    /// static contiguity adjustment.
+    scalar_reuse_weight: f64,
+    adjust: Vec<f64>,
+    /// The decided groups' packs, a multiset: the distinct ids ascending,
+    /// and per id how many decided packs have it.
+    decided: Vec<usize>,
+    decided_count: Vec<usize>,
+    /// Buffers of [`Round::weight`]: its wanted ids, auxiliary nodes,
+    /// their degrees and — zero between calls — the per-id counts.
+    wanted: Vec<usize>,
+    aux: Vec<usize>,
+    degree: Vec<usize>,
+    count: Vec<usize>,
+}
+
+impl Round {
+    /// Steps 1–2 for the round over `units`: the candidates (the
+    /// [`legal_merges`](crate::legal_merges)), their conflicts and packs,
+    /// nothing decided, weights under `params`.
     pub fn new(
-        candidates: &'a [Candidate],
-        vp: &'a PackGraph,
-        conflicts: &'a ConflictMatrix,
+        ix: &BlockIndex<'_>,
+        deps: &BlockDeps,
+        units: &[Unit],
         params: &WeightParams,
     ) -> Self {
-        let mut index: HashMap<&'a PackContent, Vec<usize>> = HashMap::new();
-        for (i, n) in vp.nodes().iter().enumerate() {
-            index.entry(&n.content).or_default().push(i);
+        let lanes = lanes_of(ix, units);
+        let pairs = merges(ix, deps, &lanes);
+        let conflicts = ConflictMatrix::compute(&pairs, &lanes, deps);
+        // The nodes, and each one's content: node `n`'s sorted keys are
+        // `keys[start[n]..start[n + 1]]`.
+        let (mut nodes, mut first_node) = (Vec::new(), vec![0]);
+        let (mut keys, mut start) = (Vec::new(), Vec::new());
+        let mut tie_keys: Vec<Vec<StmtId>> = Vec::with_capacity(pairs.len());
+        for (cand, &(a, b)) in pairs.iter().enumerate() {
+            let members = [lanes[a].as_slice(), &lanes[b]].concat();
+            for pos in ix.pack_positions(&members) {
+                let from = keys.len();
+                keys.extend(members.iter().map(|&p| ix.key(p, pos)));
+                let refs: Option<Vec<&ArrayRef>> =
+                    (keys[from..].iter().map(|&k| ix.loc(k).as_array())).collect();
+                let contiguous = refs.map(|mut refs| {
+                    refs.sort_by_key(|r| r.access.dims().last().map(|e| e.constant()));
+                    pack_is_contiguous(&refs)
+                });
+                keys[from..].sort_unstable();
+                start.push(from);
+                nodes.push(PackNode {
+                    cand,
+                    pos,
+                    id: 0,
+                    contiguous,
+                });
+            }
+            first_node.push(nodes.len());
+            let mut ids: Vec<StmtId> = members.iter().map(|&p| ix.stmt_at(p).id()).collect();
+            ids.sort_unstable();
+            tie_keys.push(ids);
         }
-        let adjust = candidates
-            .iter()
-            .map(|c| contiguity_adjust(c, params))
-            .collect();
-        WeightContext {
-            candidates,
-            vp,
+        // Rank the contents.
+        start.push(keys.len());
+        let content = |n: usize| &keys[start[n]..start[n + 1]];
+        let mut by_id: Vec<usize> = (0..nodes.len()).collect();
+        by_id.sort_unstable_by(|&x, &y| content(x).cmp(content(y)).then(x.cmp(&y)));
+        let (mut first_of_id, mut all_array) = (Vec::new(), Vec::new());
+        for (at, &n) in by_id.iter().enumerate() {
+            if at == 0 || content(n) != content(by_id[at - 1]) {
+                first_of_id.push(at);
+                all_array.push(nodes[n].contiguous.is_some());
+            }
+            nodes[n].id = all_array.len() - 1;
+        }
+        first_of_id.push(by_id.len());
+        let mut by_tie: Vec<usize> = (0..pairs.len()).collect();
+        by_tie.sort_unstable_by(|&x, &y| tie_keys[x].cmp(&tie_keys[y]));
+        let mut tie_rank = vec![0; pairs.len()];
+        for (rank, &cand) in by_tie.iter().enumerate() {
+            tie_rank[cand] = rank;
+        }
+        let mut round = Round {
             conflicts,
-            index,
-            adjust,
-        }
+            tie_rank,
+            nodes,
+            first_node,
+            by_id,
+            first_of_id,
+            scalar_reuse_weight: 0.0,
+            adjust: Vec::new(),
+            decided: Vec::new(),
+            decided_count: vec![0; all_array.len()],
+            wanted: Vec::new(),
+            aux: Vec::new(),
+            degree: Vec::new(),
+            count: vec![0; all_array.len()],
+            all_array,
+            pairs,
+        };
+        round.restart(params);
+        round
     }
 
-    /// The §4.2.1 weight of `cand` given the current `alive` set and the
-    /// packs of the decided groups.
-    pub fn weight(
-        &self,
-        cand: usize,
-        alive: &[bool],
-        decided_packs: &[PackContent],
-        params: &WeightParams,
-    ) -> f64 {
-        if self.candidates[cand].packs.is_empty() {
-            return 0.0;
-        }
-        // wanted = own ∪ decided, deduplicated: these are both the aux
-        // extraction filter and the Nt normalizer of step 4.
-        let mut wanted: Vec<&PackContent> = self.candidates[cand]
-            .packs
-            .iter()
-            .map(|p| &p.content)
-            .collect();
-        for c in decided_packs {
-            wanted.push(c);
-        }
-        wanted.sort_unstable();
-        wanted.dedup();
-        let nt = wanted.len();
-
-        // Step 1: auxiliary nodes, via the index.
-        let mut aux: Vec<usize> = Vec::new();
-        for content in &wanted {
-            if let Some(nodes) = self.index.get(*content) {
-                for &i in nodes {
-                    let n = &self.vp.nodes()[i];
-                    if n.cand != cand && alive[n.cand] && !self.conflicts.get(cand, n.cand) {
-                        aux.push(i);
+    /// Forgets every decision and switches to the weight profile `params`:
+    /// the candidates, conflicts and packs of a round depend on neither.
+    pub fn restart(&mut self, params: &WeightParams) {
+        self.scalar_reuse_weight = params.scalar_reuse_weight;
+        let nodes = |c: usize| &self.nodes[self.first_node[c]..self.first_node[c + 1]];
+        self.adjust = (0..self.pairs.len())
+            .map(|c| {
+                // Contiguous array packs earn the bonus, gathers pay the
+                // penalty, destinations (stores) times `store_factor`.
+                let mut adjust = 0.0;
+                for n in nodes(c) {
+                    let factor = match n.pos {
+                        PackPos::Dest => params.store_factor,
+                        PackPos::Operand(_) => 1.0,
+                    };
+                    match n.contiguous {
+                        Some(true) => adjust += factor * params.contiguous_bonus,
+                        Some(false) => adjust -= factor * params.gather_penalty,
+                        None => {}
                     }
+                }
+                adjust
+            })
+            .collect();
+        self.decided.clear();
+        self.decided_count.fill(0);
+    }
+
+    /// The candidates, as ascending index pairs into the round's units.
+    pub fn candidates(&self) -> &[(usize, usize)] {
+        &self.pairs
+    }
+
+    /// Whether candidates `i` and `j` conflict: they share a unit, or
+    /// deciding both would close a dependence cycle between the groups.
+    pub fn conflict(&self, i: usize, j: usize) -> bool {
+        self.conflicts.get(i, j)
+    }
+
+    /// Orders candidates whose weights tie: lower wins, the candidate with
+    /// the lexicographically smaller sorted statement ids.
+    pub fn tie_rank(&self, cand: usize) -> usize {
+        self.tie_rank[cand]
+    }
+
+    /// The §4.2.1 weight of `cand` given which candidates are still
+    /// `alive` (selectable; the packs of dead ones are deleted from `VP`)
+    /// and the packs of the groups decided so far.
+    pub fn weight(&mut self, cand: usize, alive: &[bool]) -> f64 {
+        let own = self.first_node[cand]..self.first_node[cand + 1];
+        // wanted = own ∪ decided, distinct and ascending: both the aux
+        // extraction filter and the Nt normalizer of step 4.
+        self.wanted.clone_from(&self.decided);
+        for n in &self.nodes[own.clone()] {
+            if let Err(at) = self.wanted.binary_search(&n.id) {
+                self.wanted.insert(at, n.id);
+            }
+        }
+
+        // Step 1: auxiliary nodes, content-major.
+        self.aux.clear();
+        for &id in &self.wanted {
+            for &n in &self.by_id[self.first_of_id[id]..self.first_of_id[id + 1]] {
+                let other = self.nodes[n].cand;
+                if other != cand && alive[other] && !self.conflicts.get(cand, other) {
+                    self.aux.push(n);
                 }
             }
         }
 
         // Step 2: greedy conflict elimination.
-        let survivors = eliminate_conflicts(&aux, self.vp, self.conflicts);
+        self.eliminate_conflicts();
 
-        // Step 3: kind-weighted reuse counting over wanted contents.
-        // `wanted` is sorted, so binary search indexes the count table.
-        let mut counts = vec![0usize; nt];
-        let mut bump = |content: &PackContent| {
-            if let Ok(slot) = wanted.binary_search(&content) {
-                counts[slot] += 1;
-            }
-        };
-        for &i in &survivors {
-            bump(&self.vp.nodes()[i].content);
+        // Step 3: kind-weighted reuse counting over the wanted contents.
+        for &n in self.aux.iter().filter(|&&n| n != DELETED) {
+            self.count[self.nodes[n].id] += 1;
         }
-        for p in &self.candidates[cand].packs {
-            bump(&p.content);
+        for n in &self.nodes[own] {
+            self.count[n.id] += 1;
         }
-        for c in decided_packs {
-            bump(c);
-        }
-        let r: f64 = wanted
-            .iter()
-            .zip(&counts)
-            .filter(|(_, &n)| n > 1)
-            .map(|(content, &n)| {
-                let kind_weight = if content.is_all_array() {
+        let r: f64 = (self.wanted.iter())
+            .map(|&id| (id, self.count[id] + self.decided_count[id]))
+            .filter(|&(_, n)| n > 1)
+            .map(|(id, n)| {
+                let kind_weight = if self.all_array[id] {
                     1.0
                 } else {
-                    params.scalar_reuse_weight
+                    self.scalar_reuse_weight
                 };
                 (n - 1) as f64 * kind_weight
             })
             .sum();
+        for &id in &self.wanted {
+            self.count[id] = 0;
+        }
 
-        (r + self.adjust[cand]) / nt as f64
+        (r + self.adjust[cand]) / self.wanted.len() as f64
     }
-}
 
-/// The static contiguity bonus/penalty of a candidate's packs.
-fn contiguity_adjust(candidate: &Candidate, params: &WeightParams) -> f64 {
-    let mut adjust = 0.0;
-    for p in &candidate.packs {
-        let refs: Option<Vec<&ArrayRef>> = p
-            .ops
-            .iter()
-            .map(|o| match o {
-                Operand::Array(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        if let Some(refs) = refs {
-            // Contiguity is order-insensitive here (grouping has not
-            // fixed lane order yet): sort lanes by constant offset.
-            let mut sorted = refs;
-            sorted.sort_by_key(|r| r.access.dims().last().map(|e| e.constant()));
-            let factor = if p.pos == crate::unit::PackPos::Dest {
-                params.store_factor
-            } else {
-                1.0
-            };
-            if pack_is_contiguous(&sorted) {
-                adjust += factor * params.contiguous_bonus;
-            } else {
-                adjust -= factor * params.gather_penalty;
+    /// Greedily deletes maximum-degree nodes (ties: lowest node index)
+    /// from `aux` until the subgraph it induces has no edges. Degrees are
+    /// computed once and decremented on removal (O(aux²) total); the loop
+    /// is skipped when there is no edge to begin with, the common case.
+    fn eliminate_conflicts(&mut self) {
+        let Round {
+            aux,
+            degree,
+            nodes,
+            conflicts,
+            ..
+        } = self;
+        let linked = |x: usize, y: usize| conflicts.get(nodes[x].cand, nodes[y].cand);
+        degree.clear();
+        degree.resize(aux.len(), 0);
+        let mut edges = 0;
+        for a in 0..aux.len() {
+            for b in a + 1..aux.len() {
+                if linked(aux[a], aux[b]) {
+                    degree[a] += 1;
+                    degree[b] += 1;
+                    edges += 1;
+                }
+            }
+        }
+        while edges > 0 {
+            let victim = (0..aux.len())
+                .filter(|&a| degree[a] > 0)
+                .max_by_key(|&a| (degree[a], Reverse(aux[a])))
+                .expect("an edge has endpoints");
+            edges -= std::mem::take(&mut degree[victim]);
+            let gone = std::mem::replace(&mut aux[victim], DELETED);
+            for a in 0..aux.len() {
+                if degree[a] > 0 && linked(aux[a], gone) {
+                    degree[a] -= 1;
+                }
             }
         }
     }
-    adjust
+
+    /// Step 4's graph update: keeps the packs of the now decided `cand`
+    /// for future weight calculations.
+    pub fn decide(&mut self, cand: usize) {
+        for n in &self.nodes[self.first_node[cand]..self.first_node[cand + 1]] {
+            if let Err(at) = self.decided.binary_search(&n.id) {
+                self.decided.insert(at, n.id);
+            }
+            self.decided_count[n.id] += 1;
+        }
+    }
 }
 
 /// Knobs of the cost-aware weight refinement.
@@ -226,123 +379,52 @@ impl WeightParams {
     }
 }
 
-/// Computes the §4.2.1 weight of candidate `cand`.
-///
-/// * `alive` — which candidates are still selectable (dead candidates'
-///   packs were deleted from `VP` by earlier decisions),
-/// * `decided_packs` — the pack contents of all groups decided so far
-///   (step 4's graph update keeps them for future weight calculations).
-pub fn candidate_weight(
-    cand: usize,
-    candidates: &[Candidate],
-    vp: &PackGraph,
-    conflicts: &ConflictMatrix,
-    alive: &[bool],
-    decided_packs: &[PackContent],
-) -> f64 {
-    candidate_weight_with(
-        cand,
-        candidates,
-        vp,
-        conflicts,
-        alive,
-        decided_packs,
-        &WeightParams::default(),
-    )
-}
-
-/// [`candidate_weight`] with explicit [`WeightParams`] (use
-/// [`WeightParams::reuse_only`] for the paper's unadjusted weight).
-#[allow(clippy::too_many_arguments)]
-pub fn candidate_weight_with(
-    cand: usize,
-    candidates: &[Candidate],
-    vp: &PackGraph,
-    conflicts: &ConflictMatrix,
-    alive: &[bool],
-    decided_packs: &[PackContent],
-    params: &WeightParams,
-) -> f64 {
-    WeightContext::new(candidates, vp, conflicts, params).weight(cand, alive, decided_packs, params)
-}
-
-/// Greedily removes maximum-degree nodes (ties: lowest node index) until
-/// the subgraph induced by `aux` has no edges; returns the survivors.
-/// Degrees are computed once and decremented on removal (O(aux²) total).
-fn eliminate_conflicts(aux: &[usize], vp: &PackGraph, conflicts: &ConflictMatrix) -> Vec<usize> {
-    let n = aux.len();
-    let mut present = vec![true; n];
-    let mut degree = vec![0usize; n];
-    for a in 0..n {
-        for b in a + 1..n {
-            if vp.connected(aux[a], aux[b], conflicts) {
-                degree[a] += 1;
-                degree[b] += 1;
-            }
-        }
-    }
-    loop {
-        let worst = (0..n)
-            .filter(|&a| present[a] && degree[a] > 0)
-            .max_by(|&a, &b| degree[a].cmp(&degree[b]).then(aux[b].cmp(&aux[a])));
-        let Some(victim) = worst else {
-            return (0..n).filter(|&a| present[a]).map(|a| aux[a]).collect();
-        };
-        present[victim] = false;
-        for a in 0..n {
-            if present[a] && a != victim && vp.connected(aux[a], aux[victim], conflicts) {
-                degree[a] -= 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::{find_candidates, tests::figure2};
-    use crate::unit::Unit;
-    use slp_ir::BlockDeps;
+    use crate::candidates::tests::{figure2, singletons};
+    use crate::key::PackContent;
+    use slp_ir::{BasicBlock, Operand};
 
-    struct Fixture {
-        candidates: Vec<Candidate>,
-        vp: PackGraph,
-        conflicts: ConflictMatrix,
-    }
-
-    fn fixture() -> Fixture {
+    fn fixture(params: &WeightParams) -> Round {
         let (p, bb) = figure2();
         let deps = BlockDeps::analyze(&bb);
-        let units: Vec<Unit> = bb.iter().map(|s| Unit::singleton(s.id())).collect();
-        let candidates = find_candidates(&units, &bb, &deps, &p, |_| 4);
-        let conflicts = ConflictMatrix::compute(&candidates, &deps);
-        let vp = PackGraph::build(&candidates);
-        Fixture {
-            candidates,
-            vp,
-            conflicts,
-        }
+        let ix = BlockIndex::new(&bb, &p, |_| 4);
+        Round::new(&ix, &deps, &singletons(&bb), params)
+    }
+
+    #[test]
+    fn figure4_structure() {
+        let f = fixture(&WeightParams::reuse_only());
+        // {S1,S2}: 2 packs; {S1,S3}: 2 packs; {S4,S5}: 3 packs.
+        assert_eq!(f.first_node, [0, 2, 4, 7]);
+        let pos: Vec<PackPos> = f.nodes[4..].iter().map(|n| n.pos).collect();
+        assert_eq!(
+            pos,
+            [PackPos::Dest, PackPos::Operand(0), PackPos::Operand(1)]
+        );
+        // The {V1,V2} destination and {V3,V5} source packs of {S1,S2} also
+        // appear in {S4,S5}, as does {S1,S3}'s {V1,V5}; {V3,V7} occurs once.
+        let occurrences = |n: usize| f.nodes.iter().filter(|m| m.id == f.nodes[n].id).count();
+        let counts: Vec<usize> = (0..7).map(occurrences).collect();
+        assert_eq!(counts, [2, 2, 2, 1, 2, 2, 2]);
+        assert_eq!(f.all_array, [false; 4]);
+        // Only candidates 0 and 1 conflict (they share S1): their 2×2
+        // pack pairs are the graph's only edges.
+        let edges = (0..7)
+            .flat_map(|x| (x + 1..7).map(move |y| (x, y)))
+            .filter(|&(x, y)| f.conflict(f.nodes[x].cand, f.nodes[y].cand))
+            .count();
+        assert_eq!(edges, 4);
     }
 
     #[test]
     fn paper_figure5_weights() {
         // The paper's Figure 5 annotates the statement-grouping-graph
         // edges with weights 1/1 for {S1,S2}, 1/2 for {S1,S3} and 2/3 for
-        // {S4,S5}.
-        let f = fixture();
-        let alive = vec![true; f.candidates.len()];
-        // Verified against the paper's unadjusted formula.
-        let w = |c: usize| {
-            candidate_weight_with(
-                c,
-                &f.candidates,
-                &f.vp,
-                &f.conflicts,
-                &alive,
-                &[],
-                &WeightParams::reuse_only(),
-            )
-        };
+        // {S4,S5}. Verified against the paper's unadjusted formula.
+        let mut f = fixture(&WeightParams::reuse_only());
+        let mut w = |c: usize| f.weight(c, &[true; 3]);
         assert!((w(0) - 1.0).abs() < 1e-9, "w({{S1,S2}}) = {}", w(0));
         assert!((w(1) - 0.5).abs() < 1e-9, "w({{S1,S3}}) = {}", w(1));
         assert!((w(2) - 2.0 / 3.0).abs() < 1e-9, "w({{S4,S5}}) = {}", w(2));
@@ -352,55 +434,36 @@ mod tests {
     fn paper_figure8_weight_after_first_decision() {
         // After deciding {S1,S2}, the updated graph weights {S4,S5} at
         // 2/3, now sourced from the decided packs rather than from VP.
-        let f = fixture();
+        let mut f = fixture(&WeightParams::reuse_only());
+        f.decide(0);
         // Candidate 0 decided; candidate 1 conflicts with it and dies.
-        let alive = vec![false, false, true];
-        let decided: Vec<PackContent> = f.candidates[0]
-            .packs
-            .iter()
-            .map(|p| p.content.clone())
-            .collect();
-        let w = candidate_weight_with(
-            2,
-            &f.candidates,
-            &f.vp,
-            &f.conflicts,
-            &alive,
-            &decided,
-            &WeightParams::reuse_only(),
-        );
+        let w = f.weight(2, &[false, false, true]);
         assert!((w - 2.0 / 3.0).abs() < 1e-9, "w = {w}");
+        // A restart forgets the decision: Figure 5's snapshot again.
+        f.restart(&WeightParams::reuse_only());
+        assert!(f.decided.is_empty() && f.decided_count.iter().all(|&n| n == 0));
     }
 
     #[test]
     fn weight_is_zero_without_any_reuse() {
         // {S1,S3}'s packs ({V1,V5}, {V3,V7}) match nothing once the other
         // candidates are dead: no reuse, weight 0.
-        let f = fixture();
-        let alive = vec![false, true, false];
-        let w = candidate_weight_with(
-            1,
-            &f.candidates,
-            &f.vp,
-            &f.conflicts,
-            &alive,
-            &[],
-            &WeightParams::reuse_only(),
-        );
-        assert_eq!(w, 0.0);
+        let mut f = fixture(&WeightParams::reuse_only());
+        assert_eq!(f.weight(1, &[false, true, false]), 0.0);
     }
 
     #[test]
     fn elimination_leaves_a_conflict_free_set() {
         // Feeding the whole VP node set through elimination must yield an
         // independent set, mirroring Figures 6→7.
-        let f = fixture();
-        let aux: Vec<usize> = (0..f.vp.nodes().len()).collect();
-        let survivors = eliminate_conflicts(&aux, &f.vp, &f.conflicts);
+        let mut f = fixture(&WeightParams::reuse_only());
+        f.aux = (0..f.nodes.len()).collect();
+        f.eliminate_conflicts();
+        let survivors: Vec<usize> = f.aux.iter().copied().filter(|&n| n != DELETED).collect();
         assert!(!survivors.is_empty());
         for (i, &a) in survivors.iter().enumerate() {
             for &b in &survivors[i + 1..] {
-                assert!(!f.vp.connected(a, b, &f.conflicts));
+                assert!(!f.conflict(f.nodes[a].cand, f.nodes[b].cand));
             }
         }
     }
@@ -411,21 +474,223 @@ mod tests {
         // {V1,V2}@C0 and {V1,V5}@C1; C0–C1 conflict gives {V1,V5}@C1
         // degree 2, so it is eliminated and the two C0 packs survive —
         // exactly the paper's Figure 6 → Figure 7 transition.
-        let f = fixture();
-        let aux: Vec<usize> =
-            f.vp.nodes()
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| {
-                    n.cand != 2
-                        && !f.conflicts.get(2, n.cand)
-                        && f.candidates[2].packs.iter().any(|p| p.content == n.content)
-                })
-                .map(|(i, _)| i)
-                .collect();
-        assert_eq!(aux.len(), 3);
-        let survivors = eliminate_conflicts(&aux, &f.vp, &f.conflicts);
+        let mut f = fixture(&WeightParams::reuse_only());
+        f.weight(2, &[true; 3]);
+        assert_eq!(f.aux.len(), 3);
+        let survivors: Vec<usize> = f.aux.iter().copied().filter(|&n| n != DELETED).collect();
         assert_eq!(survivors.len(), 2);
-        assert!(survivors.iter().all(|&i| f.vp.nodes()[i].cand == 0));
+        assert!(survivors.iter().all(|&n| f.nodes[n].cand == 0));
+    }
+
+    /// One candidate as the specification sees it: its statements and its
+    /// location packs, in pack order, as plain operand lists with their
+    /// [`PackContent`].
+    struct SpecCandidate<'a> {
+        stmts: Vec<StmtId>,
+        packs: Vec<(PackPos, Vec<&'a Operand>, PackContent)>,
+    }
+
+    fn spec_candidates<'a>(
+        bb: &'a BasicBlock,
+        dests: &'a [Operand],
+        units: &[Unit],
+        pairs: &[(usize, usize)],
+    ) -> Vec<SpecCandidate<'a>> {
+        let at = |s: &StmtId| bb.position(*s).expect("stmt in block");
+        (pairs.iter())
+            .map(|&(a, b)| {
+                let stmts = [units[a].stmts(), units[b].stmts()].concat();
+                let pack = |pos, ops: Vec<&'a Operand>| {
+                    let content = PackContent::new(ops.iter().copied());
+                    (pos, ops, content)
+                };
+                let dest = stmts.iter().map(|s| &dests[at(s)]).collect();
+                let mut packs = vec![pack(PackPos::Dest, dest)];
+                for k in 0..bb.stmts()[at(&stmts[0])].expr().arity() {
+                    let ops: Vec<&Operand> = (stmts.iter())
+                        .map(|s| bb.stmts()[at(s)].expr().operands()[k])
+                        .collect();
+                    if ops.iter().all(|o| o.is_location()) {
+                        packs.push(pack(PackPos::Operand(k), ops));
+                    }
+                }
+                SpecCandidate { stmts, packs }
+            })
+            .collect()
+    }
+
+    /// The four steps of the module doc, naively, over plain
+    /// [`PackContent`] values: the specification [`Round::weight`] must
+    /// match bit for bit.
+    fn reference_weight(
+        cand: usize,
+        cands: &[SpecCandidate<'_>],
+        conflict: &dyn Fn(usize, usize) -> bool,
+        alive: &[bool],
+        decided: &[PackContent],
+        params: &WeightParams,
+    ) -> f64 {
+        let own = || cands[cand].packs.iter().map(|(_, _, content)| content);
+        let mut wanted: Vec<&PackContent> = own().chain(decided).collect();
+        wanted.sort();
+        wanted.dedup();
+        // Step 1, content-major; a node is (content, candidate, pack index).
+        let mut aux: Vec<(&PackContent, usize, usize)> = Vec::new();
+        for want in &wanted {
+            for (c, other) in cands.iter().enumerate() {
+                for (k, (_, _, content)) in other.packs.iter().enumerate() {
+                    if c != cand && alive[c] && !conflict(cand, c) && content == *want {
+                        aux.push((content, c, k));
+                    }
+                }
+            }
+        }
+        // Step 2: highest degree first, then the earliest (candidate, pack).
+        loop {
+            let degree = |x: &(&PackContent, usize, usize)| {
+                aux.iter().filter(|y| conflict(x.1, y.1)).count()
+            };
+            let worst = (aux.iter().enumerate())
+                .filter(|(_, x)| degree(x) > 0)
+                .max_by_key(|(_, x)| (degree(x), Reverse((x.1, x.2))));
+            match worst.map(|(at, _)| at) {
+                Some(at) => aux.remove(at),
+                None => break,
+            };
+        }
+        // Steps 3 and 4.
+        let r: f64 = (wanted.iter())
+            .map(|want| {
+                let n = aux.iter().filter(|x| x.0 == *want).count()
+                    + own().chain(decided).filter(|c| c == want).count();
+                let kind = if want.is_all_array() {
+                    1.0
+                } else {
+                    params.scalar_reuse_weight
+                };
+                (n, kind)
+            })
+            .filter(|&(n, _)| n > 1)
+            .map(|(n, kind)| (n - 1) as f64 * kind)
+            .sum();
+        let mut adjust = 0.0;
+        for (pos, ops, _) in &cands[cand].packs {
+            let refs: Option<Vec<&ArrayRef>> = ops.iter().map(|o| o.as_array()).collect();
+            let Some(mut refs) = refs else { continue };
+            refs.sort_by_key(|r| r.access.dims().last().map(|e| e.constant()));
+            let factor = if *pos == PackPos::Dest {
+                params.store_factor
+            } else {
+                1.0
+            };
+            if pack_is_contiguous(&refs) {
+                adjust += factor * params.contiguous_bonus;
+            } else {
+                adjust -= factor * params.gather_penalty;
+            }
+        }
+        (r + adjust) / wanted.len() as f64
+    }
+
+    /// Holds every live candidate of the round over `units` to the
+    /// specification, under both weight profiles, after 0, 1 and 2
+    /// decisions. Returns how many weights were compared, how many of
+    /// them needed elimination, and the units after those decisions —
+    /// or `None` if the round has no candidates.
+    fn check_round(
+        bb: &BasicBlock,
+        deps: &BlockDeps,
+        ix: &BlockIndex<'_>,
+        units: &[Unit],
+    ) -> Option<(usize, usize, Vec<Unit>)> {
+        let default = WeightParams::default();
+        let mut round = Round::new(ix, deps, units, &default);
+        let pairs = round.candidates().to_vec();
+        if pairs.is_empty() {
+            return None;
+        }
+        let dests: Vec<Operand> = bb.iter().map(|s| s.def()).collect();
+        let cands = spec_candidates(bb, &dests, units, &pairs);
+        // The conflict relation from its definition, statement by statement.
+        let path = |from: &[StmtId], to: &[StmtId]| {
+            from.iter().any(|&s| to.iter().any(|&t| deps.depends(s, t)))
+        };
+        let conflicts: Vec<Vec<bool>> = (cands.iter())
+            .map(|SpecCandidate { stmts: x, .. }| {
+                let with = |SpecCandidate { stmts: y, .. }: &SpecCandidate<'_>| {
+                    x != y && (x.iter().any(|s| y.contains(s)) || (path(x, y) && path(y, x)))
+                };
+                cands.iter().map(with).collect()
+            })
+            .collect();
+        let conflict = |x: usize, y: usize| conflicts[x][y];
+        let (mut compared, mut eliminated, mut merged) = (0, 0, Vec::new());
+        for params in [default, WeightParams::reuse_only()] {
+            round.restart(&params);
+            let mut alive = vec![true; pairs.len()];
+            let mut decided: Vec<PackContent> = Vec::new();
+            merged.clear();
+            for _ in 0..3 {
+                let live: Vec<usize> = (0..pairs.len()).filter(|&c| alive[c]).collect();
+                for &c in &live {
+                    let got = round.weight(c, &alive);
+                    let want = reference_weight(c, &cands, &conflict, &alive, &decided, &params);
+                    assert_eq!(got.to_bits(), want.to_bits(), "candidate {c} of\n{bb}");
+                    compared += 1;
+                    eliminated += usize::from(round.aux.contains(&DELETED));
+                }
+                // Decide the middle one: as good as any.
+                let Some(&c) = live.get(live.len() / 2) else {
+                    break;
+                };
+                round.decide(c);
+                merged.push(pairs[c]);
+                decided.extend(cands[c].packs.iter().map(|(_, _, content)| content.clone()));
+                for (other, slot) in alive.iter_mut().enumerate() {
+                    *slot &= other != c && !conflict(c, other);
+                }
+            }
+        }
+        let gone = |u: &usize| merged.iter().any(|&(a, b)| a == *u || b == *u);
+        let kept = (0..units.len())
+            .filter(|u| !gone(u))
+            .map(|u| units[u].clone());
+        let wider = merged
+            .iter()
+            .map(|&(a, b)| Unit::merged(&units[a], &units[b]));
+        Some((compared, eliminated, wider.chain(kept).collect()))
+    }
+
+    #[test]
+    fn round_weights_match_the_specification_on_random_blocks() {
+        use slp_suite::{random_program, GeneratorConfig};
+
+        let (mut blocks, mut compared, mut eliminated) = (0, 0, 0);
+        for seed in 0..240u64 {
+            let config = GeneratorConfig {
+                body_stmts: 3 + (seed % 5) as usize,
+                ..GeneratorConfig::default()
+            };
+            let mut program = random_program(seed, &config);
+            slp_ir::unroll_program(&mut program, 2 + (seed % 2) as usize * 2);
+            for info in program.blocks() {
+                let bb = &info.block;
+                let deps = BlockDeps::analyze_in(bb, &info.loops);
+                let ix = BlockIndex::new(bb, &program, |ty| 16 / ty.size_bytes() as usize);
+                // Round 0, then the round over what its decisions merged.
+                let Some((n, e, units)) = check_round(bb, &deps, &ix, &singletons(bb)) else {
+                    continue;
+                };
+                let (m, f, _) = check_round(bb, &deps, &ix, &units).unwrap_or_default();
+                blocks += 1;
+                compared += n + m;
+                eliminated += e + f;
+            }
+        }
+        assert!(blocks >= 200, "only {blocks} blocks had candidates");
+        assert!(
+            compared > 5000 && eliminated > 500,
+            "{compared} / {eliminated}"
+        );
     }
 }

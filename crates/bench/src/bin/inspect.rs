@@ -4,10 +4,9 @@
 //! inspect <kernel> [schedules|code|layout|weights]
 //! ```
 
-use slp::analysis::{
-    find_candidates, ConflictMatrix, PackGraph, StatementGroupingGraph, Unit, WeightParams,
-};
-use slp::ir::{BlockDeps, TypeEnv};
+use slp::analysis::{StatementGroupingGraph, Unit, WeightParams};
+use slp::core::BlockIndex;
+use slp::ir::BlockDeps;
 use slp::prelude::*;
 use slp::vm::lower_kernel;
 use slp_bench::{measure, Scheme};
@@ -74,26 +73,14 @@ fn main() {
                 .max_by_key(|b| b.block.len())
                 .expect("kernel has blocks");
             let deps = BlockDeps::analyze_in(&info.block, &info.loops);
+            let ix = BlockIndex::new(&info.block, &p, |ty| machine.lanes_for(ty));
             let units: Vec<Unit> = info.block.iter().map(|s| Unit::singleton(s.id())).collect();
-            let cands = find_candidates(&units, &info.block, &deps, &p, |s| {
-                let stmt = info.block.stmt(s).expect("stmt");
-                machine.lanes_for(p.dest_type(stmt.dest()))
-            });
-            let conflicts = ConflictMatrix::compute(&cands, &deps);
-            let vp = PackGraph::build(&cands);
-            let sg = StatementGroupingGraph::build(
-                &units,
-                &cands,
-                &vp,
-                &conflicts,
-                &WeightParams::default(),
-            );
+            let sg = StatementGroupingGraph::build(&ix, &deps, &units, &WeightParams::default());
             for e in sg.edges_by_weight().iter().take(30) {
-                let cand = &cands[e.candidate];
-                let stmts: Vec<String> = cand
-                    .stmts
+                let stmts: Vec<String> = [e.a, e.b]
                     .iter()
-                    .map(|s| p.show_stmt(info.block.stmt(*s).expect("stmt")))
+                    .flat_map(|&u| units[u].stmts())
+                    .map(|&s| p.show_stmt(ix.stmt_at(ix.position(s))))
                     .collect();
                 println!("{:7.3}  {{{}}}", e.weight, stmts.join(" | "));
             }

@@ -8,10 +8,9 @@
 //! order. It has no global view of reuse and fixes lane order at packing
 //! time, which is exactly what the holistic optimizer improves on.
 
-use slp_analysis::Unit;
-use slp_ir::{BasicBlock, BlockDeps, Dest, Operand, Statement, StmtId, TypeEnv};
+use slp_analysis::{BlockIndex, Unit};
+use slp_ir::{BlockDeps, Dest, Operand, Statement, StmtId};
 
-use crate::index::BlockIndex;
 use crate::schedule::schedule_in_program_order;
 use crate::superword::BlockSchedule;
 
@@ -24,16 +23,10 @@ struct PackPair {
 
 /// Runs the baseline SLP algorithm on one block and returns the schedule.
 ///
-/// `lane_cap` bounds group width exactly as in the holistic optimizer so
-/// the two strategies compete under identical constraints.
-pub fn baseline_block<E: TypeEnv>(
-    block: &BasicBlock,
-    deps: &BlockDeps,
-    env: &E,
-    lane_cap: impl FnMut(StmtId) -> usize,
-) -> BlockSchedule {
-    let groups = baseline_groups(block, deps, env, lane_cap);
-    schedule_in_program_order(&BlockIndex::new(block), deps, &groups)
+/// The index's lane caps bound group width exactly as in the holistic
+/// optimizer so the two strategies compete under identical constraints.
+pub fn baseline_block(ix: &BlockIndex<'_>, deps: &BlockDeps) -> BlockSchedule {
+    schedule_in_program_order(ix, deps, &baseline_groups(ix, deps))
 }
 
 /// The grouping phases of the baseline algorithm (seed → extend →
@@ -41,14 +34,8 @@ pub fn baseline_block<E: TypeEnv>(
 /// chain order (ascending addresses). Exposed so the holistic pipeline
 /// can evaluate adjacency-seeded groups under its own scheduler and cost
 /// model.
-pub fn baseline_groups<E: TypeEnv>(
-    block: &BasicBlock,
-    deps: &BlockDeps,
-    env: &E,
-    mut lane_cap: impl FnMut(StmtId) -> usize,
-) -> Vec<Unit> {
-    let pairs = build_pack_set(block, deps, env);
-    combine_pairs(&pairs, block, deps, &mut lane_cap)
+pub fn baseline_groups(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<Unit> {
+    combine_pairs(&build_pack_set(ix, deps), ix, deps)
 }
 
 /// Whether statement `s` has a memory reference adjacent (one element
@@ -84,8 +71,8 @@ fn adjacent(a: &slp_ir::ArrayRef, b: &slp_ir::ArrayRef) -> bool {
 /// extend along def-use / use-def chains until fixpoint. Each statement
 /// may be the left lane of at most one pair and the right lane of at most
 /// one pair (the original algorithm's occupancy rule).
-fn build_pack_set<E: TypeEnv>(block: &BasicBlock, deps: &BlockDeps, env: &E) -> Vec<PackPair> {
-    let stmts = block.stmts();
+fn build_pack_set(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<PackPair> {
+    let stmts = ix.block().stmts();
     let mut pairs: Vec<PackPair> = Vec::new();
     let mut left_used: Vec<StmtId> = Vec::new();
     let mut right_used: Vec<StmtId> = Vec::new();
@@ -95,7 +82,7 @@ fn build_pack_set<E: TypeEnv>(block: &BasicBlock, deps: &BlockDeps, env: &E) -> 
             s.id() != t.id()
                 && !left_used.contains(&s.id())
                 && !right_used.contains(&t.id())
-                && s.isomorphic(t, env)
+                && ix.class(ix.position(s.id())) == ix.class(ix.position(t.id()))
                 && deps.independent(s.id(), t.id())
         };
 
@@ -128,16 +115,12 @@ fn build_pack_set<E: TypeEnv>(block: &BasicBlock, deps: &BlockDeps, env: &E) -> 
         for pair in &snapshot {
             // Use-def: pack the statements defining the pair's scalar
             // operands.
-            let (ls, rs) = (
-                block.stmt(pair.left).expect("stmt in block"),
-                block.stmt(pair.right).expect("stmt in block"),
-            );
+            let (lp, rp) = (ix.position(pair.left), ix.position(pair.right));
+            let (ls, rs) = (&stmts[lp], &stmts[rp]);
             let arity = ls.expr().arity();
             for k in 0..arity {
                 let (lu, ru) = (ls.expr().operands()[k], rs.expr().operands()[k]);
                 if let (Some(lv), Some(rv)) = (lu.as_scalar(), ru.as_scalar()) {
-                    let lp = block.position(pair.left).expect("in block");
-                    let rp = block.position(pair.right).expect("in block");
                     if let (Some(ld), Some(rd)) =
                         (reaching_def(stmts, lv, lp), reaching_def(stmts, rv, rp))
                     {
@@ -155,8 +138,6 @@ fn build_pack_set<E: TypeEnv>(block: &BasicBlock, deps: &BlockDeps, env: &E) -> 
             }
             // Def-use: pack the first users of the pair's scalar results.
             if let (Dest::Scalar(lv), Dest::Scalar(rv)) = (ls.dest(), rs.dest()) {
-                let lp = block.position(pair.left).expect("in block");
-                let rp = block.position(pair.right).expect("in block");
                 for k in 0..3 {
                     if let (Some(lu), Some(ru)) =
                         (first_use(stmts, *lv, lp, k), first_use(stmts, *rv, rp, k))
@@ -204,12 +185,7 @@ fn first_use(stmts: &[Statement], v: slp_ir::VarId, after: usize, k: usize) -> O
 /// pair; a combined group must be independent across every lane (§4.1
 /// constraint 1), so extension re-checks the new member against the whole
 /// chain, and the taken-filter below re-checks the surviving members.
-fn combine_pairs(
-    pairs: &[PackPair],
-    block: &BasicBlock,
-    deps: &BlockDeps,
-    lane_cap: &mut impl FnMut(StmtId) -> usize,
-) -> Vec<Unit> {
+fn combine_pairs(pairs: &[PackPair], ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<Unit> {
     let mut chains: Vec<Vec<StmtId>> = Vec::new();
     let mut used = vec![false; pairs.len()];
     for (i, p) in pairs.iter().enumerate() {
@@ -221,8 +197,7 @@ fn combine_pairs(
         // Extend to the right while a pair continues the chain and the
         // new member stays independent of every existing lane.
         loop {
-            let cap = lane_cap(chain[0]);
-            if chain.len() >= cap {
+            if chain.len() >= ix.lane_cap(ix.position(chain[0])) {
                 break;
             }
             let tail = *chain.last().expect("chain non-empty");
@@ -266,7 +241,7 @@ fn combine_pairs(
             units.push(unit);
         }
     }
-    for s in block.iter() {
+    for s in ix.block() {
         if !taken.contains(&s.id()) {
             units.push(Unit::singleton(s.id()));
         }
@@ -278,7 +253,9 @@ fn combine_pairs(
 mod tests {
     use super::*;
     use crate::superword::{validate_schedule, ScheduledItem};
-    use slp_ir::{AccessVector, AffineExpr, ArrayRef, BinOp, Expr, Program, ScalarType};
+    use slp_ir::{
+        AccessVector, AffineExpr, ArrayRef, BasicBlock, BinOp, Expr, Program, ScalarType,
+    };
 
     /// a = A[2i]; b = A[2i+1]; c = a * x; d = b * x;
     fn adjacent_block() -> (Program, BasicBlock) {
@@ -314,7 +291,7 @@ mod tests {
     fn seeds_from_adjacent_refs_and_extends_def_use() {
         let (p, bb) = adjacent_block();
         let deps = BlockDeps::analyze(&bb);
-        let sched = baseline_block(&bb, &deps, &p, |_| 2);
+        let sched = baseline_block(&BlockIndex::new(&bb, &p, |_| 2), &deps);
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         // Both the load pair and the multiply pair get vectorized.
         assert_eq!(sched.superword_count(), 2);
@@ -332,7 +309,7 @@ mod tests {
         let s1 = p.make_stmt(b.into(), Expr::Binary(BinOp::Add, x.into(), 2.0.into()));
         let bb: BasicBlock = [s0, s1].into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let sched = baseline_block(&bb, &deps, &p, |_| 2);
+        let sched = baseline_block(&BlockIndex::new(&bb, &p, |_| 2), &deps);
         assert_eq!(sched.superword_count(), 0);
     }
 
@@ -356,7 +333,7 @@ mod tests {
             .collect();
         let bb: BasicBlock = stmts.into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let sched = baseline_block(&bb, &deps, &p, |_| 4);
+        let sched = baseline_block(&BlockIndex::new(&bb, &p, |_| 4), &deps);
         validate_schedule(&bb, &deps, &sched, &p, |_| 4).unwrap();
         assert_eq!(sched.superword_count(), 1);
         let ScheduledItem::Superword(sw) = &sched.items()[0] else {
@@ -374,7 +351,7 @@ mod tests {
     fn lane_cap_cuts_chains() {
         let (p, bb) = adjacent_block();
         let deps = BlockDeps::analyze(&bb);
-        let sched = baseline_block(&bb, &deps, &p, |_| 2);
+        let sched = baseline_block(&BlockIndex::new(&bb, &p, |_| 2), &deps);
         for item in sched.items() {
             assert!(item.stmts().len() <= 2);
         }

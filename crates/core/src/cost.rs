@@ -14,13 +14,12 @@
 //! and `slp-vm` re-applies the identical logic as its final gate — a
 //! cross-crate consistency test keeps the two in sync.
 
-use slp_analysis::PackPos;
+use slp_analysis::{sorted, BlockIndex, Loc, PackPos};
 use slp_ir::{
     pack_is_aligned_in, pack_is_contiguous, ArrayRef, BasicBlock, Dest, LoopHeader, Operand,
     Program, Statement, VarId,
 };
 
-use crate::index::{sorted, BlockIndex, Loc};
 use crate::machine::{op_cost_factor, CostParams};
 use crate::superword::{BlockSchedule, ScheduledItem};
 
@@ -300,13 +299,9 @@ mod tests {
         let p = slp_lang::compile(src).unwrap();
         let info = p.blocks().into_iter().next().unwrap();
         let deps = BlockDeps::analyze(&info.block);
-        let g = group_block(&info.block, &deps, &p, |_| 2);
-        let sched = schedule_block(
-            &BlockIndex::new(&info.block),
-            &deps,
-            &g.units,
-            &ScheduleConfig::default(),
-        );
+        let ix = BlockIndex::new(&info.block, &p, |_| 2);
+        let g = group_block(&ix, &deps);
+        let sched = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
         (p, info, sched)
     }
 
@@ -320,7 +315,7 @@ mod tests {
         let cost = CostParams::intel();
         let cx = context(&p, &info.loops, &exposed, &cost);
         let sc = estimate_scalar_cost(&info.block, &cx);
-        let vc = estimate_schedule_cost(&BlockIndex::new(&info.block), &sched, &cx);
+        let vc = estimate_schedule_cost(&BlockIndex::new(&info.block, &p, |_| 2), &sched, &cx);
         assert!(vc < sc, "vector {vc} vs scalar {sc}");
     }
 
@@ -335,7 +330,7 @@ mod tests {
         let cx = context(&p, &info.loops, &exposed, &cost);
         let scalar_sched = BlockSchedule::scalar(&info.block);
         assert_eq!(
-            estimate_schedule_cost(&BlockIndex::new(&info.block), &scalar_sched, &cx),
+            estimate_schedule_cost(&BlockIndex::new(&info.block, &p, |_| 2), &scalar_sched, &cx),
             estimate_scalar_cost(&info.block, &cx)
         );
     }
@@ -356,7 +351,7 @@ mod tests {
         let exposed = p.upward_exposed_scalars();
         let cost = CostParams::intel();
         let cx = context(&p, &info.loops, &exposed, &cost);
-        let vc = estimate_schedule_cost(&BlockIndex::new(&info.block), &sched, &cx);
+        let vc = estimate_schedule_cost(&BlockIndex::new(&info.block, &p, |_| 2), &sched, &cx);
         // One B load + two aligned stores + two ops + splat-ish consts.
         // Well under the cost of loading B twice.
         assert!(vc < 2.0 * cost.vector_load + 2.0 * cost.vector_store + 8.0);

@@ -10,11 +10,10 @@
 //! treats each decided group as an atomic unit and reruns the basic
 //! algorithm to fill wider datapaths.
 
-use slp_analysis::{
-    find_candidates, Candidate, ConflictMatrix, PackContent, PackGraph, Unit, WeightContext,
-    WeightParams,
-};
-use slp_ir::{BasicBlock, BlockDeps, StmtId, TypeEnv};
+use std::cmp::Ordering;
+
+use slp_analysis::{BlockIndex, Round, Unit, WeightParams};
+use slp_ir::{BlockDeps, StmtId};
 
 /// A record of one grouping decision, for tracing and tests.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,107 +47,88 @@ impl Grouping {
     }
 }
 
-/// Runs holistic grouping on one basic block.
-///
-/// `lane_cap` bounds the group width per statement (datapath width divided
-/// by the statement's element width — §4.1 constraint 4).
-pub fn group_block<E: TypeEnv>(
-    block: &BasicBlock,
-    deps: &BlockDeps,
-    env: &E,
-    lane_cap: impl FnMut(StmtId) -> usize,
-) -> Grouping {
-    group_block_with(block, deps, env, lane_cap, &WeightParams::default())
+/// Runs holistic grouping on the block `ix` indexes, whose lane caps bound
+/// the group width per statement (§4.1 constraint 4), under the default
+/// weight parameters.
+pub fn group_block(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Grouping {
+    group_block_with(ix, deps, &WeightParams::default())
 }
 
 /// [`group_block`] with explicit weight parameters.
-pub fn group_block_with<E: TypeEnv>(
-    block: &BasicBlock,
-    deps: &BlockDeps,
-    env: &E,
-    mut lane_cap: impl FnMut(StmtId) -> usize,
-    weights: &WeightParams,
-) -> Grouping {
-    let mut units: Vec<Unit> = block.iter().map(|s| Unit::singleton(s.id())).collect();
-    let mut decisions = Vec::new();
-    let mut round = 0;
-    loop {
-        let made = basic_round(
-            &mut units,
-            block,
-            deps,
-            env,
-            &mut lane_cap,
-            round,
-            &mut decisions,
-            weights,
-        );
-        if made == 0 {
-            break;
-        }
-        round += 1;
-    }
-    Grouping { units, decisions }
+pub fn group_block_with(ix: &BlockIndex<'_>, deps: &BlockDeps, weights: &WeightParams) -> Grouping {
+    let mut groupings = group_block_under(ix, deps, &[*weights]);
+    groupings.pop().expect("one grouping per profile")
 }
 
-/// One round of the basic grouping algorithm (§4.2.1, Figure 10) over the
-/// current unit set. Returns the number of decisions made and merges the
-/// decided pairs in `units`.
-#[allow(clippy::too_many_arguments)]
-fn basic_round<E: TypeEnv>(
-    units: &mut Vec<Unit>,
-    block: &BasicBlock,
+/// One [`group_block_with`] result per weight profile. The first round's
+/// candidates, conflicts and packs depend on no profile: they are built
+/// once and every profile's decision loop starts from them.
+pub(crate) fn group_block_under(
+    ix: &BlockIndex<'_>,
     deps: &BlockDeps,
-    env: &E,
-    lane_cap: &mut impl FnMut(StmtId) -> usize,
+    profiles: &[WeightParams],
+) -> Vec<Grouping> {
+    let singletons: Vec<Unit> = (ix.block().iter())
+        .map(|s| Unit::singleton(s.id()))
+        .collect();
+    let mut pairs = Round::new(ix, deps, &singletons, &WeightParams::default());
+    let group = |weights: &WeightParams| {
+        pairs.restart(weights);
+        let (mut units, mut decisions) = (singletons.clone(), Vec::new());
+        let (mut made, mut round) = (basic_round(&mut pairs, &mut units, 0, &mut decisions), 0);
+        // §4.2.2: rerun over the merged units until a round decides nothing.
+        while made > 0 {
+            round += 1;
+            let mut wider = Round::new(ix, deps, &units, weights);
+            made = basic_round(&mut wider, &mut units, round, &mut decisions);
+        }
+        Grouping { units, decisions }
+    };
+    profiles.iter().map(group).collect()
+}
+
+/// Step 4 of the basic grouping algorithm (§4.2.1, Figure 10) over a fresh
+/// round of `units`: pick the best candidate, update, repeat. Returns the
+/// number of decisions made and merges the decided pairs in `units`.
+fn basic_round(
+    state: &mut Round,
+    units: &mut Vec<Unit>,
     round: usize,
     decisions: &mut Vec<GroupingDecision>,
-    weights: &WeightParams,
 ) -> usize {
-    // Steps 1-2: candidates, conflicts and the variable-pack graph.
-    let candidates = find_candidates(units, block, deps, env, &mut *lane_cap);
-    if candidates.is_empty() {
-        return 0;
-    }
-    let conflicts = ConflictMatrix::compute(&candidates, deps);
-    let vp = PackGraph::build(&candidates);
-    let wcx = WeightContext::new(&candidates, &vp, &conflicts, weights);
-
-    // Step 4: pick the best candidate, update, repeat.
-    let mut alive = vec![true; candidates.len()];
+    let mut alive = vec![true; state.candidates().len()];
     let mut decided: Vec<usize> = Vec::new();
-    let mut decided_packs: Vec<PackContent> = Vec::new();
     loop {
-        let best = alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(c, _)| (c, wcx.weight(c, &alive, &decided_packs, weights)))
-            .max_by(|(ca, wa), (cb, wb)| {
-                wa.partial_cmp(wb)
-                    .expect("weights are finite")
-                    // Deterministic tie-break: earliest statements win
-                    // (the paper chooses randomly; determinism keeps the
-                    // evaluation reproducible).
-                    .then_with(|| tie_key(&candidates[*cb]).cmp(&tie_key(&candidates[*ca])))
-            });
-        let Some((c, w)) = best else { break };
-        alive[c] = false;
+        let mut best: Option<(usize, f64)> = None;
+        for c in (0..alive.len()).filter(|&c| alive[c]) {
+            let weight = state.weight(c, &alive);
+            // Deterministic tie-break: earliest statements win (the paper
+            // chooses randomly; determinism keeps the evaluation
+            // reproducible).
+            let wins = match best {
+                None => true,
+                Some((b, best_weight)) => match weight.partial_cmp(&best_weight) {
+                    Some(Ordering::Equal) => state.tie_rank(c) < state.tie_rank(b),
+                    order => order.expect("weights are finite") == Ordering::Greater,
+                },
+            };
+            if wins {
+                best = Some((c, weight));
+            }
+        }
+        let Some((c, weight)) = best else { break };
+        let (a, b) = state.candidates()[c];
         decided.push(c);
         decisions.push(GroupingDecision {
-            stmts: candidates[c].stmts.clone(),
-            weight: w,
+            stmts: [units[a].stmts(), units[b].stmts()].concat(),
+            weight,
             round,
         });
-        for p in &candidates[c].packs {
-            decided_packs.push(p.content.clone());
-        }
-        // Kill every conflicting candidate (they share a unit with the
-        // decision or would form a dependence cycle with it).
+        state.decide(c);
+        // Kill the decision and every conflicting candidate (they share
+        // a unit with it or would form a dependence cycle with it).
         for (other, slot) in alive.iter_mut().enumerate() {
-            if *slot && conflicts.get(c, other) {
-                *slot = false;
-            }
+            *slot &= other != c && !state.conflict(c, other);
         }
     }
 
@@ -156,10 +136,10 @@ fn basic_round<E: TypeEnv>(
     let mut merged_away = vec![false; units.len()];
     let mut new_units = Vec::with_capacity(units.len());
     for &c in &decided {
-        let cand = &candidates[c];
-        new_units.push(Unit::merged(&units[cand.a], &units[cand.b]));
-        merged_away[cand.a] = true;
-        merged_away[cand.b] = true;
+        let (a, b) = state.candidates()[c];
+        new_units.push(Unit::merged(&units[a], &units[b]));
+        merged_away[a] = true;
+        merged_away[b] = true;
     }
     for (i, u) in units.iter().enumerate() {
         if !merged_away[i] {
@@ -170,17 +150,10 @@ fn basic_round<E: TypeEnv>(
     decided.len()
 }
 
-/// Tie-break key: the sorted statement ids of a candidate; smaller wins.
-fn tie_key(c: &Candidate) -> Vec<StmtId> {
-    let mut k = c.stmts.clone();
-    k.sort();
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slp_ir::{BinOp, Expr, Program, ScalarType};
+    use slp_ir::{BasicBlock, BinOp, Expr, Program, ScalarType};
 
     /// The paper's Figure 2 block (see `slp-analysis` for the derivation).
     fn figure2() -> (Program, BasicBlock) {
@@ -207,8 +180,9 @@ mod tests {
     fn figure2_grouping_decisions() {
         let (p, bb) = figure2();
         let deps = BlockDeps::analyze(&bb);
+        let ix = BlockIndex::new(&bb, &p, |_| 2);
         // The paper's unadjusted weights reproduce its decision trace.
-        let g = group_block_with(&bb, &deps, &p, |_| 2, &WeightParams::reuse_only());
+        let g = group_block_with(&ix, &deps, &WeightParams::reuse_only());
         // The paper decides {S1,S2} first (weight 1), then {S4,S5}
         // (weight 2/3); {S1,S3} dies with the first decision.
         assert_eq!(g.decisions.len(), 2);
@@ -236,7 +210,7 @@ mod tests {
             .collect();
         let bb: BasicBlock = stmts.into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let g = group_block(&bb, &deps, &p, |_| 4);
+        let g = group_block(&BlockIndex::new(&bb, &p, |_| 4), &deps);
         let widths: Vec<usize> = g.groups().map(Unit::width).collect();
         assert_eq!(widths, vec![4, 4]);
         assert!(g.decisions.iter().any(|d| d.round == 1), "needs round 2");
@@ -255,7 +229,7 @@ mod tests {
             .collect();
         let bb: BasicBlock = stmts.into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let g = group_block(&bb, &deps, &p, |_| 2);
+        let g = group_block(&BlockIndex::new(&bb, &p, |_| 2), &deps);
         assert!(g.groups().all(|u| u.width() <= 2));
         assert_eq!(g.vectorized_stmts(), 6);
     }
@@ -272,7 +246,7 @@ mod tests {
         let s2 = p.make_stmt(a.into(), Expr::Binary(BinOp::Add, c.into(), 1.0.into()));
         let bb: BasicBlock = [s0, s1, s2].into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let g = group_block(&bb, &deps, &p, |_| 4);
+        let g = group_block(&BlockIndex::new(&bb, &p, |_| 4), &deps);
         assert_eq!(g.decisions.len(), 0);
         assert!(g.units.iter().all(Unit::is_singleton));
     }
@@ -282,7 +256,7 @@ mod tests {
         let p = Program::new("empty");
         let bb = BasicBlock::new();
         let deps = BlockDeps::analyze(&bb);
-        let g = group_block(&bb, &deps, &p, |_| 4);
+        let g = group_block(&BlockIndex::new(&bb, &p, |_| 4), &deps);
         assert!(g.units.is_empty());
         assert!(g.decisions.is_empty());
     }

@@ -104,8 +104,8 @@ mod tests {
         let mut scheds = Vec::new();
         for info in p.blocks() {
             let deps = BlockDeps::analyze(&info.block);
-            let g = group_block(&info.block, &deps, &p, |_| 2);
-            let ix = crate::BlockIndex::new(&info.block);
+            let ix = crate::BlockIndex::new(&info.block, &p, |_| 2);
+            let g = group_block(&ix, &deps);
             let s = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
             scheds.push((info, s));
         }

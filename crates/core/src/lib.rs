@@ -7,7 +7,6 @@ mod baseline;
 mod cost;
 mod error;
 mod group;
-mod index;
 mod layout;
 mod machine;
 mod native;
@@ -20,24 +19,24 @@ pub use baseline::{baseline_block, baseline_groups};
 pub use cost::{estimate_scalar_cost, estimate_schedule_cost, scalar_stmt_cost, CostContext};
 pub use error::{ExecError, ExecErrorKind, VerifyError};
 pub use group::{group_block, group_block_with, Grouping, GroupingDecision};
-pub use index::BlockIndex;
 pub use layout::array::{eq4_map, optimize_array_layout, ArrayLayoutConfig, Replication};
 pub use layout::scalar::{optimize_scalar_layout, ScalarLayout};
 pub use layout::{collect_pack_uses, PackUse};
 pub use machine::{op_cost_factor, CostParams, MachineConfig};
 pub use native::native_block;
 pub use pipeline::{
-    compile, compile_timed, estimate_kernel_cost, CompileStats, CompiledKernel, HeuristicPacker,
-    OptParams, PackOutcome, PackRequest, Packer, PackerHandle, SlpConfig, Strategy, Verifier,
-    VerifierHandle,
+    compile, compile_passes, compile_timed, estimate_kernel_cost, CompileStats, CompiledKernel,
+    HeuristicPacker, OptParams, PackOutcome, PackRequest, Packer, PackerHandle, SlpConfig,
+    Strategy, Verifier, VerifierHandle,
 };
 pub use schedule::{schedule_block, schedule_in_program_order, ScheduleConfig};
 pub use telemetry::{Phase, PhaseTimings};
 
 // `SlpConfig::weights` is part of this crate's public configuration
 // surface; re-export its type so config-building crates (slp-driver)
-// need not depend on slp-analysis directly.
-pub use slp_analysis::WeightParams;
+// need not depend on slp-analysis directly. The per-block index the
+// grouping, the scheduler and the estimator take lives there too.
+pub use slp_analysis::{BlockIndex, WeightParams};
 // `CompiledKernel::safety` likewise: consumers of compiled kernels
 // (slp-vm's check elision, slp-driver's codec and `DriverError::Unsafe`)
 // can name the certificate types without a slp-analyze edge.

@@ -8,28 +8,22 @@
 //! straightforward tree vectorizer recognizes. No reuse analysis, no lane
 //! reordering, no scalar packing.
 
-use slp_analysis::Unit;
-use slp_ir::{BasicBlock, BlockDeps, Dest, Operand, Statement, StmtId, TypeEnv};
+use slp_analysis::{BlockIndex, Unit};
+use slp_ir::{BlockDeps, Dest, Operand};
 
-use crate::index::BlockIndex;
 use crate::schedule::schedule_in_program_order;
 use crate::superword::BlockSchedule;
 
 /// Runs the native-style vectorizer on one block.
-pub fn native_block<E: TypeEnv>(
-    block: &BasicBlock,
-    deps: &BlockDeps,
-    env: &E,
-    mut lane_cap: impl FnMut(StmtId) -> usize,
-) -> BlockSchedule {
-    let stmts = block.stmts();
+pub fn native_block(ix: &BlockIndex<'_>, deps: &BlockDeps) -> BlockSchedule {
+    let stmts = ix.block().stmts();
     let mut units: Vec<Unit> = Vec::new();
     let mut taken = vec![false; stmts.len()];
     for start in 0..stmts.len() {
         if taken[start] {
             continue;
         }
-        let cap = lane_cap(stmts[start].id());
+        let cap = ix.lane_cap(start);
         // Greedily grow a contiguous vectorizable chain from `start`: the
         // continuation may appear anywhere later in the block (unrolled
         // bodies interleave the statement families), as long as every
@@ -41,7 +35,7 @@ pub fn native_block<E: TypeEnv>(
                     return false;
                 }
                 let candidate: Vec<usize> = members.iter().copied().chain([next]).collect();
-                run_is_vectorizable(stmts, &candidate, deps, env)
+                run_is_vectorizable(ix, &candidate, deps)
             });
             match found {
                 Some(next) => members.push(next),
@@ -64,25 +58,20 @@ pub fn native_block<E: TypeEnv>(
             units.push(Unit::singleton(s.id()));
         }
     }
-    schedule_in_program_order(&BlockIndex::new(block), deps, &units)
+    schedule_in_program_order(ix, deps, &units)
 }
 
 /// Whether the statements at `idx` (in order) form a native-vectorizable
 /// run: isomorphic, independent, every array position contiguous-ascending
 /// and every scalar/constant position uniform.
-fn run_is_vectorizable<E: TypeEnv>(
-    stmts: &[Statement],
-    idx: &[usize],
-    deps: &BlockDeps,
-    env: &E,
-) -> bool {
+fn run_is_vectorizable(ix: &BlockIndex<'_>, idx: &[usize], deps: &BlockDeps) -> bool {
+    let stmts = ix.block().stmts();
     let first = &stmts[idx[0]];
     // Independence must hold between *every* pair of lanes, not just
     // neighbours: a ⊥ b and b ⊥ c do not imply a ⊥ c.
     for (i, &a) in idx.iter().enumerate() {
         for &b in &idx[i + 1..] {
-            let (a, b) = (&stmts[a], &stmts[b]);
-            if !a.isomorphic(b, env) || !deps.independent(a.id(), b.id()) {
+            if ix.class(a) != ix.class(b) || deps.reaches(a, b) || deps.reaches(b, a) {
                 return false;
             }
         }
@@ -123,7 +112,9 @@ fn run_is_vectorizable<E: TypeEnv>(
 mod tests {
     use super::*;
     use crate::superword::validate_schedule;
-    use slp_ir::{AccessVector, AffineExpr, ArrayRef, BinOp, Expr, Program, ScalarType};
+    use slp_ir::{
+        AccessVector, AffineExpr, ArrayRef, BasicBlock, BinOp, Expr, Program, ScalarType,
+    };
 
     fn at(p: &Program, arr: slp_ir::ArrayId, i: slp_ir::LoopVarId, c: i64, k: i64) -> ArrayRef {
         let _ = p;
@@ -155,7 +146,7 @@ mod tests {
     fn vectorizes_contiguous_runs() {
         let (p, bb) = contiguous_block();
         let deps = BlockDeps::analyze(&bb);
-        let sched = native_block(&bb, &deps, &p, |_| 4);
+        let sched = native_block(&BlockIndex::new(&bb, &p, |_| 4), &deps);
         validate_schedule(&bb, &deps, &sched, &p, |_| 4).unwrap();
         assert_eq!(sched.superword_count(), 1);
         assert_eq!(sched.items()[0].stmts().len(), 4);
@@ -174,7 +165,7 @@ mod tests {
         let s1 = p.make_stmt(b.into(), Expr::Copy(at(&p, arr, i, 2, 1).into()));
         let bb: BasicBlock = [s0, s1].into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let sched = native_block(&bb, &deps, &p, |_| 2);
+        let sched = native_block(&BlockIndex::new(&bb, &p, |_| 2), &deps);
         assert_eq!(sched.superword_count(), 0);
     }
 
@@ -195,7 +186,7 @@ mod tests {
             .collect();
         let bb: BasicBlock = stmts.into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let sched = native_block(&bb, &deps, &p, |_| 2);
+        let sched = native_block(&BlockIndex::new(&bb, &p, |_| 2), &deps);
         assert_eq!(sched.superword_count(), 0);
     }
 
@@ -203,7 +194,7 @@ mod tests {
     fn splits_runs_at_lane_cap() {
         let (p, bb) = contiguous_block();
         let deps = BlockDeps::analyze(&bb);
-        let sched = native_block(&bb, &deps, &p, |_| 2);
+        let sched = native_block(&BlockIndex::new(&bb, &p, |_| 2), &deps);
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         assert_eq!(sched.superword_count(), 2);
     }
@@ -229,7 +220,7 @@ mod tests {
         };
         let bb: BasicBlock = [s0, s1].into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let sched = native_block(&bb, &deps, &p, |_| 2);
+        let sched = native_block(&BlockIndex::new(&bb, &p, |_| 2), &deps);
         assert_eq!(sched.superword_count(), 0);
     }
 }

@@ -7,17 +7,16 @@
 //! replications, ready for the `slp-vm` code generator and interpreter.
 
 use slp_ir::{
-    unroll_program, BasicBlock, BlockDeps, BlockId, Dest, LoopHeader, Program, StmtId, TypeEnv,
+    unroll_program, BlockDeps, BlockId, BlockInfo, Dest, LoopHeader, Program, StmtId, TypeEnv,
 };
 
-use slp_analysis::WeightParams;
+use slp_analysis::{BlockIndex, WeightParams};
 use slp_analyze::{RangeOracle, SafetyCert};
 
 use crate::baseline::{baseline_block, baseline_groups};
 use crate::cost::{estimate_schedule_cost, CostContext};
 use crate::error::VerifyError;
-use crate::group::group_block_with;
-use crate::index::BlockIndex;
+use crate::group::group_block_under;
 use crate::layout::array::{optimize_array_layout, ArrayLayoutConfig, Replication};
 use crate::layout::collect_pack_uses;
 use crate::layout::scalar::{optimize_scalar_layout, ScalarLayout};
@@ -215,8 +214,9 @@ impl Default for OptParams {
 /// model reads, and the heuristic's schedule as a warm-start incumbent.
 #[derive(Debug)]
 pub struct PackRequest<'a> {
-    /// The block to pack.
-    pub block: &'a BasicBlock,
+    /// The block to pack ([`BlockIndex::block`]), indexed: positions,
+    /// operand keys, isomorphism classes and lane caps.
+    pub ix: &'a BlockIndex<'a>,
     /// The block's dependence graph (range-refined when
     /// [`SlpConfig::refine_deps`] is on).
     pub deps: &'a BlockDeps,
@@ -507,12 +507,13 @@ impl CompiledKernel {
 
 /// Compiles `program` under `config`.
 ///
-/// For the Global+Layout scheme the pipeline compiles twice — once
-/// arbitrating grouping proposals under the assumption that the layout
-/// stage will repair strided read-only packs, once without — and keeps
-/// the variant with the lower end-to-end cost estimate. This implements
-/// the paper's rule that the layout stage is skipped when it does not pay
-/// ("the benefit of layout optimization has to outweigh the cost").
+/// For the Global+Layout scheme stage 1 arbitrates every block's grouping
+/// proposals twice — once under the assumption that the layout stage will
+/// repair strided read-only packs, once without — and, where the two
+/// passes disagree, the pipeline keeps the variant with the lower
+/// end-to-end cost estimate. This implements the paper's rule that the
+/// layout stage is skipped when it does not pay ("the benefit of layout
+/// optimization has to outweigh the cost").
 ///
 /// # Panics
 ///
@@ -527,24 +528,20 @@ pub fn compile(program: &Program, config: &SlpConfig) -> CompiledKernel {
 /// Compiles `program` under `config`, additionally returning the wall
 /// time each pipeline [`Phase`] consumed.
 ///
-/// The timings of the Global+Layout dual arbitration accumulate across
-/// both inner compiles — they answer "where did this compilation spend
-/// its time", not "how long would a single pass take". Semantics and
-/// panics are identical to [`compile`].
+/// The timings of the Global+Layout dual arbitration cover both passes —
+/// they answer "where did this compilation spend its time", not "how long
+/// would a single pass take". Semantics and panics are identical to
+/// [`compile`].
 pub fn compile_timed(program: &Program, config: &SlpConfig) -> (CompiledKernel, PhaseTimings) {
     let mut timings = PhaseTimings::new();
     let dual = matches!(config.strategy, Strategy::Holistic | Strategy::Optimal);
-    let kernel = if dual && config.layout {
-        let optimistic = compile_inner(program, config, true, &mut timings);
-        let plain = compile_inner(program, config, false, &mut timings);
-        if estimate_kernel_cost(&optimistic) <= estimate_kernel_cost(&plain) {
-            optimistic
-        } else {
-            plain
-        }
+    // The optimistic pass first: it ships when the estimates tie.
+    let passes: &[bool] = if dual && config.layout {
+        &[true, false]
     } else {
-        compile_inner(program, config, config.layout, &mut timings)
+        &[false]
     };
+    let kernel = compile_passes(program, config, passes, &mut timings);
     if let Some(hook) = &config.verify {
         let verdict = timings.time(Phase::Verify, || hook.verify(program, &kernel));
         if let Err(report) = verdict {
@@ -578,7 +575,11 @@ pub fn estimate_kernel_cost(kernel: &CompiledKernel) -> f64 {
             assume_layout: false,
         };
         let per_exec = match kernel.schedule_of(info.id) {
-            Some(sched) => estimate_schedule_cost(&BlockIndex::new(&info.block), sched, &cx),
+            Some(sched) => {
+                let lanes = |ty| kernel.config.machine.lanes_for(ty);
+                let ix = BlockIndex::new(&info.block, &kernel.program, lanes);
+                estimate_schedule_cost(&ix, sched, &cx)
+            }
             None => crate::cost::estimate_scalar_cost(&info.block, &cx),
         };
         // Saturating: a pathological nest can overflow the product long
@@ -596,10 +597,32 @@ pub fn estimate_kernel_cost(kernel: &CompiledKernel) -> f64 {
     total
 }
 
-fn compile_inner(
+/// What one stage-1 pass chose: a schedule per block and, under
+/// [`Strategy::Optimal`], the solver's tallies — the per-block costs and
+/// proven lower bounds summed, so the whole-kernel optimality gap can be
+/// reported in parts per million.
+#[derive(Default)]
+struct Stage1 {
+    schedules: Vec<BlockSchedule>,
+    opt_nodes: u64,
+    opt_degraded: bool,
+    opt_cost: f64,
+    opt_bound: f64,
+}
+
+/// The pipeline behind [`compile_timed`], with one stage-1 pass per entry
+/// of `passes` (one or two), each arbitrating under that `optimism`:
+/// whether the cost model assumes the §5 layout stage runs afterwards.
+/// Pre-processing runs once, and so does everything of stage 1 that
+/// `optimism` does not reach; where two passes chose the same schedules
+/// the kernels are the same and one is finished, otherwise the one
+/// estimated cheaper ships (the first on ties). Public for the test that
+/// holds the dual compile to two independent single passes.
+#[doc(hidden)]
+pub fn compile_passes(
     program: &Program,
     config: &SlpConfig,
-    optimism: bool,
+    passes: &[bool],
     timings: &mut PhaseTimings,
 ) -> CompiledKernel {
     let mut program = program.clone();
@@ -617,17 +640,12 @@ fn compile_inner(
     // Stage 1: superword statement generation, block by block.
     let exposed = program.upward_exposed_scalars();
     let infos = program.blocks();
-    let mut schedules = Vec::with_capacity(infos.len());
     let mut stats = CompileStats {
         stmts: program.stmt_count(),
         blocks: infos.len(),
         ..CompileStats::default()
     };
-    // Strategy::Optimal bookkeeping: the per-block incumbent costs and
-    // proven lower bounds, summed so the whole-kernel optimality gap can
-    // be reported in parts per million.
-    let mut opt_cost_sum = 0.0f64;
-    let mut opt_bound_sum = 0.0f64;
+    let mut chosen: Vec<Stage1> = passes.iter().map(|_| Stage1::default()).collect();
     for info in &infos {
         let deps = timings.time(Phase::Alignment, || {
             if config.refine_deps {
@@ -639,37 +657,42 @@ fn compile_inner(
                 BlockDeps::analyze_in(&info.block, &info.loops)
             }
         });
-        let lane_cap = |s: StmtId| {
-            let stmt = info.block.stmt(s).expect("stmt in block");
-            config.machine.lanes_for(program.dest_type(stmt.dest()))
+        let ix = BlockIndex::new(&info.block, &program, |ty| config.machine.lanes_for(ty));
+        let sole = |sched| vec![(sched, false)];
+        let proposals = match config.strategy {
+            Strategy::Scalar => sole(BlockSchedule::scalar(&info.block)),
+            Strategy::Native => sole(timings.time(Phase::Grouping, || native_block(&ix, &deps))),
+            Strategy::Baseline => {
+                sole(timings.time(Phase::Grouping, || baseline_block(&ix, &deps)))
+            }
+            Strategy::Holistic | Strategy::Optimal => {
+                holistic_proposals(&ix, &deps, config, passes.contains(&true), timings)
+            }
         };
-        let sched = match config.strategy {
-            Strategy::Scalar => BlockSchedule::scalar(&info.block),
-            Strategy::Native => timings.time(Phase::Grouping, || {
-                native_block(&info.block, &deps, &program, lane_cap)
-            }),
-            Strategy::Baseline => timings.time(Phase::Grouping, || {
-                baseline_block(&info.block, &deps, &program, lane_cap)
-            }),
-            Strategy::Holistic | Strategy::Optimal => 'block: {
-                let (incumbent, incumbent_cost) = holistic_proposal(
-                    &BlockIndex::new(&info.block),
-                    &deps,
-                    &program,
-                    &info.loops,
-                    &exposed,
-                    config,
-                    optimism,
-                    timings,
-                );
+        for (k, &optimism) in passes.iter().enumerate() {
+            let (earlier, pass) = chosen.split_at_mut(k);
+            let pass = &mut pass[0];
+            let sched = 'pass: {
+                if let [(only, _)] = proposals.as_slice() {
+                    break 'pass only.clone();
+                }
+                let cx = CostContext {
+                    program: &program,
+                    loops: &info.loops,
+                    exposed: &exposed,
+                    cost: &config.machine.cost,
+                    vector_regs: config.machine.vector_regs,
+                    assume_layout: optimism,
+                };
+                let (incumbent, incumbent_cost) = cheapest_proposal(&ix, &proposals, &cx);
                 if config.strategy == Strategy::Holistic {
-                    break 'block incumbent;
+                    break 'pass incumbent;
                 }
                 // Warm start: the full holistic arbitration provides the
                 // incumbent the branch-and-bound solver must beat (or
                 // keep), so `Optimal` can never regress `Holistic`.
                 let req = PackRequest {
-                    block: &info.block,
+                    ix: &ix,
                     deps: &deps,
                     program: &program,
                     loops: &info.loops,
@@ -683,20 +706,61 @@ fn compile_inner(
                     Some(p) => p.pack(&req),
                     None => HeuristicPacker.pack(&req),
                 });
-                stats.opt_nodes += outcome.nodes;
-                stats.opt_degraded |= outcome.degraded;
-                opt_cost_sum += outcome.cost.max(0.0);
-                opt_bound_sum += outcome.lower_bound.clamp(0.0, outcome.cost.max(0.0));
+                pass.opt_nodes += outcome.nodes;
+                pass.opt_degraded |= outcome.degraded;
+                pass.opt_cost += outcome.cost.max(0.0);
+                pass.opt_bound += outcome.lower_bound.clamp(0.0, outcome.cost.max(0.0));
                 outcome.schedule
+            };
+            // Translation-validation backstop: every scheduler must produce a
+            // §4.1-valid schedule. This *has* fired on fuzzed inputs — grouping
+            // once combined pairwise-independent chains whose non-adjacent lanes
+            // were dependent (independence is not transitive) — so it stays an
+            // `expect`: an invalid schedule is a miscompile and must not ship.
+            // (What an earlier pass chose for this block passed already.)
+            if !earlier.iter().any(|p| p.schedules.last() == Some(&sched)) {
+                let lane_cap = |s: StmtId| ix.lane_cap(ix.position(s));
+                validate_schedule(&info.block, &deps, &sched, &program, lane_cap)
+                    .expect("optimizer produced an invalid schedule");
             }
-        };
-        // Translation-validation backstop: every scheduler must produce a
-        // §4.1-valid schedule. This *has* fired on fuzzed inputs — grouping
-        // once combined pairwise-independent chains whose non-adjacent lanes
-        // were dependent (independence is not transitive) — so it stays an
-        // `expect`: an invalid schedule is a miscompile and must not ship.
-        validate_schedule(&info.block, &deps, &sched, &program, lane_cap)
-            .expect("optimizer produced an invalid schedule");
+            pass.schedules.push(sched);
+        }
+    }
+
+    let mut chosen = chosen.into_iter();
+    let first = chosen.next().expect("at least one pass");
+    match chosen.next().filter(|p| p.schedules != first.schedules) {
+        None => finish(program, infos, first, stats, config, timings),
+        Some(second) => {
+            let first = finish(
+                program.clone(),
+                infos.clone(),
+                first,
+                stats,
+                config,
+                timings,
+            );
+            let second = finish(program, infos, second, stats, config, timings);
+            if estimate_kernel_cost(&first) <= estimate_kernel_cost(&second) {
+                first
+            } else {
+                second
+            }
+        }
+    }
+}
+
+/// Stage 2 and assembly: lays out, certifies and packages what the
+/// stage-1 pass `chosen` scheduled for the unrolled `program`.
+fn finish(
+    mut program: Program,
+    infos: Vec<BlockInfo>,
+    chosen: Stage1,
+    mut stats: CompileStats,
+    config: &SlpConfig,
+    timings: &mut PhaseTimings,
+) -> CompiledKernel {
+    for sched in &chosen.schedules {
         stats.superwords += sched.superword_count();
         stats.vectorized_stmts += sched
             .items()
@@ -704,15 +768,19 @@ fn compile_inner(
             .filter(|i| i.stmts().len() > 1)
             .map(|i| i.stmts().len())
             .sum::<usize>();
-        schedules.push((info.clone(), sched));
     }
     if config.strategy == Strategy::Optimal {
-        stats.opt_gap_ppm = if opt_cost_sum > 0.0 {
-            (((opt_cost_sum - opt_bound_sum).max(0.0) / opt_cost_sum) * 1e6).round() as u64
+        stats.opt_nodes = chosen.opt_nodes;
+        stats.opt_degraded = chosen.opt_degraded;
+        stats.opt_gap_ppm = if chosen.opt_cost > 0.0 {
+            let gap = (chosen.opt_cost - chosen.opt_bound).max(0.0) / chosen.opt_cost;
+            (gap * 1e6).round() as u64
         } else {
             0
         };
     }
+    let schedules: Vec<(BlockInfo, BlockSchedule)> =
+        infos.into_iter().zip(chosen.schedules).collect();
 
     // Stage 2: data layout optimization.
     let layout_start = std::time::Instant::now();
@@ -753,77 +821,64 @@ fn compile_inner(
     }
 }
 
-/// The holistic optimizer's proposal arbitration for one block,
-/// returning the winning schedule and its estimated cost.
-///
-/// The §4.3 cost model arbitrates between grouping proposals: the
-/// holistic grouping under the configured and the paper's pure-reuse
-/// weight profiles, plus the adjacency-seeded grouping under both this
-/// framework's scheduler and the original program order. Keeping the
-/// cheapest implements the paper's "if we realize that our
-/// transformation could potentially degrade the performance, we choose
-/// not to apply it" at proposal granularity. The layout-aware
-/// (optimistic) compile also tries the paper's pure-reuse weights: they
-/// surface the gather-heavy, reuse-rich groupings that replication
-/// repairs. `Strategy::Optimal` reuses this as the solver's warm-start
-/// incumbent.
-#[allow(clippy::too_many_arguments)]
-fn holistic_proposal(
+/// The holistic optimizer's grouping proposals for one block, each
+/// scheduled and flagged if only a layout-aware (optimistic) pass weighs
+/// it: the holistic grouping under the configured and the paper's
+/// pure-reuse weight profiles, then the adjacency-seeded grouping under
+/// both this framework's scheduler and the original program order. The
+/// pure-reuse weights surface the gather-heavy, reuse-rich groupings that
+/// replication repairs, so they are built only if `any_optimism` (and not
+/// twice if they are the configured ones). None depends on a pass.
+fn holistic_proposals(
     ix: &BlockIndex<'_>,
     deps: &BlockDeps,
-    program: &Program,
-    loops: &[LoopHeader],
-    exposed: &[bool],
     config: &SlpConfig,
-    optimism: bool,
+    any_optimism: bool,
     timings: &mut PhaseTimings,
-) -> (BlockSchedule, f64) {
-    let block = ix.block();
-    let lane_cap = |s: StmtId| {
-        let stmt = ix.stmt_at(ix.position(s));
-        config.machine.lanes_for(program.dest_type(stmt.dest()))
-    };
-    let cx = CostContext {
-        program,
-        loops,
-        exposed,
-        cost: &config.machine.cost,
-        vector_regs: config.machine.vector_regs,
-        assume_layout: optimism,
-    };
+) -> Vec<(BlockSchedule, bool)> {
     let mut profiles = vec![config.weights];
-    if optimism {
+    if any_optimism && config.weights != WeightParams::reuse_only() {
         profiles.push(WeightParams::reuse_only());
     }
-    let mut proposals: Vec<BlockSchedule> = Vec::new();
-    for w in profiles {
-        let g = timings.time(Phase::Grouping, || {
-            group_block_with(block, deps, program, lane_cap, &w)
-        });
-        proposals.push(timings.time(Phase::Scheduling, || {
+    let groupings = timings.time(Phase::Grouping, || group_block_under(ix, deps, &profiles));
+    let mut proposals = Vec::with_capacity(4);
+    for (k, g) in groupings.iter().enumerate() {
+        let sched = timings.time(Phase::Scheduling, || {
             schedule_block(ix, deps, &g.units, &config.schedule)
-        }));
+        });
+        proposals.push((sched, k > 0));
     }
-    let bg = timings.time(Phase::Grouping, || {
-        baseline_groups(block, deps, program, lane_cap)
-    });
-    proposals.push(timings.time(Phase::Scheduling, || {
+    let bg = timings.time(Phase::Grouping, || baseline_groups(ix, deps));
+    let sched = timings.time(Phase::Scheduling, || {
         schedule_block(ix, deps, &bg, &config.schedule)
-    }));
-    proposals.push(timings.time(Phase::Scheduling, || {
+    });
+    proposals.push((sched, false));
+    let sched = timings.time(Phase::Scheduling, || {
         schedule_in_program_order(ix, deps, &bg)
-    }));
+    });
+    proposals.push((sched, false));
     proposals
-        .into_iter()
-        .map(|s| {
-            let c = estimate_schedule_cost(ix, &s, &cx);
-            (c, s)
-        })
+}
+
+/// The §4.3 cost model's arbitration between the [`holistic_proposals`]:
+/// the cheapest under `cx` — the first of equals — and its estimated
+/// cost. Keeping the cheapest implements the paper's "if we realize that
+/// our transformation could potentially degrade the performance, we
+/// choose not to apply it" at proposal granularity. `Strategy::Optimal`
+/// reuses this as the solver's warm-start incumbent.
+fn cheapest_proposal(
+    ix: &BlockIndex<'_>,
+    proposals: &[(BlockSchedule, bool)],
+    cx: &CostContext<'_>,
+) -> (BlockSchedule, f64) {
+    (proposals.iter())
+        .filter(|(_, optimistic)| cx.assume_layout || !optimistic)
+        .map(|(s, _)| (estimate_schedule_cost(ix, s, cx), s))
         // Invariant: cost estimates are finite sums/products of finite
         // machine parameters, and `proposals` always holds at least the
         // program-order schedule.
         .min_by(|(a, _), (b, _)| a.partial_cmp(b).expect("finite costs"))
-        .map(|(c, s)| (s, c))
+        .map(|(c, s)| (s.clone(), c))
         .expect("at least one proposal")
 }
 
@@ -949,7 +1004,7 @@ mod arbitration_tests {
                         assume_layout: false,
                     };
                     estimate_schedule_cost(
-                        &BlockIndex::new(&info.block),
+                        &BlockIndex::new(&info.block, &k.program, |ty| machine.lanes_for(ty)),
                         k.schedule_of(info.id).expect("scheduled"),
                         &cx,
                     )

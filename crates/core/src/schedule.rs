@@ -10,10 +10,9 @@
 use std::borrow::Cow;
 use std::cmp::Reverse;
 
-use slp_analysis::{PackPos, Unit};
+use slp_analysis::{sorted, BlockIndex, PackPos, Unit};
 use slp_ir::{ArrayRef, BlockDeps};
 
-use crate::index::{sorted, BlockIndex, Loc};
 use crate::superword::{BlockSchedule, ScheduledItem, SuperwordStmt};
 
 /// Configuration of the scheduling phase.
@@ -247,7 +246,7 @@ fn try_schedule(
     let slots: Vec<Vec<PackPos>> = (graph.lanes.iter())
         .map(|lanes| match lanes.len() {
             1 => Vec::new(),
-            _ => pack_positions(ix, lanes),
+            _ => ix.pack_positions(lanes).collect(),
         })
         .collect();
     let contents: Vec<Vec<Vec<u32>>> = (slots.iter().zip(&graph.lanes))
@@ -295,19 +294,6 @@ fn try_schedule(
         graph.retire(chosen);
     }
     Ok(BlockSchedule::new(items))
-}
-
-/// The operand positions at which the statements at `lanes` form location
-/// packs: the destination, and every operand position free of constants.
-fn pack_positions(ix: &BlockIndex<'_>, lanes: &[usize]) -> Vec<PackPos> {
-    let arity = ix.stmt_at(lanes[0]).expr().arity();
-    std::iter::once(PackPos::Dest)
-        .chain((0..arity).map(PackPos::Operand).filter(|&slot| {
-            lanes
-                .iter()
-                .all(|&p| !matches!(ix.loc(ix.key(p, slot)), Loc::Const(_)))
-        }))
-        .collect()
 }
 
 /// Chooses the lane order of a superword statement (Figure 11, lines
@@ -446,13 +432,9 @@ mod tests {
     fn schedules_are_valid() {
         let (p, bb) = figure1();
         let deps = BlockDeps::analyze(&bb);
-        let g = group_block(&bb, &deps, &p, |_| 2);
-        let sched = schedule_block(
-            &BlockIndex::new(&bb),
-            &deps,
-            &g.units,
-            &ScheduleConfig::default(),
-        );
+        let ix = BlockIndex::new(&bb, &p, |_| 2);
+        let g = group_block(&ix, &deps);
+        let sched = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         assert_eq!(sched.superword_count(), 3);
     }
@@ -461,13 +443,9 @@ mod tests {
     fn permuted_reuse_aligns_lane_order() {
         let (p, bb) = figure1();
         let deps = BlockDeps::analyze(&bb);
-        let g = group_block(&bb, &deps, &p, |_| 2);
-        let sched = schedule_block(
-            &BlockIndex::new(&bb),
-            &deps,
-            &g.units,
-            &ScheduleConfig::default(),
-        );
+        let ix = BlockIndex::new(&bb, &p, |_| 2);
+        let g = group_block(&ix, &deps);
+        let sched = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
         // The <S5,S6> group uses V2,V1: with <V1,V2> live, the chosen lane
         // order must align to the live pack, scheduling S6 (which reads
         // V1) first.
@@ -502,13 +480,9 @@ mod tests {
         );
         let bb: BasicBlock = [s0, s1, s2].into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let g = group_block(&bb, &deps, &p, |_| 2);
-        let sched = schedule_block(
-            &BlockIndex::new(&bb),
-            &deps,
-            &g.units,
-            &ScheduleConfig::default(),
-        );
+        let ix = BlockIndex::new(&bb, &p, |_| 2);
+        let g = group_block(&ix, &deps);
+        let sched = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         // The single S0 must run before the group that reads t.
         assert!(matches!(sched.items()[0], ScheduledItem::Single(_)));
@@ -548,13 +522,9 @@ mod tests {
         );
         let bb: BasicBlock = [s0, s1, s2, s3, s4].into_iter().collect();
         let deps = BlockDeps::analyze(&bb);
-        let g = group_block(&bb, &deps, &p, |_| 2);
-        let sched = schedule_block(
-            &BlockIndex::new(&bb),
-            &deps,
-            &g.units,
-            &ScheduleConfig::default(),
-        );
+        let ix = BlockIndex::new(&bb, &p, |_| 2);
+        let g = group_block(&ix, &deps);
+        let sched = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
     }
 
@@ -616,12 +586,8 @@ mod tests {
             &Unit::singleton(StmtId::new(4)),
         );
         let units = vec![g0, g1, g2];
-        let sched = schedule_block(
-            &BlockIndex::new(&bb),
-            &deps,
-            &units,
-            &ScheduleConfig::default(),
-        );
+        let ix = BlockIndex::new(&bb, &p, |_| 2);
+        let sched = schedule_block(&ix, &deps, &units, &ScheduleConfig::default());
         // At least one group was split, and the result is valid.
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         assert!(sched.superword_count() < 3);

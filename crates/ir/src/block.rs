@@ -67,6 +67,30 @@ impl BasicBlock {
     pub fn iter(&self) -> std::slice::Iter<'_, Statement> {
         self.stmts.iter()
     }
+
+    /// The id → position table of the block as it stands, for the
+    /// analyses that resolve ids in their inner loops.
+    pub fn positions(&self) -> StmtPositions {
+        let mut by_id: Vec<_> = (self.stmts.iter().enumerate())
+            .map(|(p, s)| (s.id(), p))
+            .collect();
+        by_id.sort_unstable();
+        StmtPositions(by_id)
+    }
+}
+
+/// Statement id → block position without scanning the block or hashing:
+/// the `(id, position)` pairs sorted by id.
+#[derive(Debug, Clone)]
+pub struct StmtPositions(Vec<(StmtId, usize)>);
+
+impl StmtPositions {
+    /// The position of statement `id`; panics if the block has no such
+    /// statement.
+    pub fn of(&self, id: StmtId) -> usize {
+        let slot = self.0.binary_search_by_key(&id, |&(i, _)| i);
+        self.0[slot.expect("statement in the indexed block")].1
+    }
 }
 
 impl<'a> IntoIterator for &'a BasicBlock {
@@ -125,6 +149,7 @@ mod tests {
         assert_eq!(bb.stmt(StmtId::new(1)).unwrap().id(), StmtId::new(1));
         assert_eq!(bb.position(StmtId::new(1)), Some(1));
         assert_eq!(bb.position(StmtId::new(9)), None);
+        assert_eq!(bb.positions().of(StmtId::new(1)), 1);
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! the block, anything less structured is conservatively assumed to
 //! overlap.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::affine::AffineExpr;
-use crate::block::BasicBlock;
+use crate::block::{BasicBlock, StmtPositions};
 use crate::expr::{ArrayRef, CmpOp, Expr, Operand};
 use crate::ids::StmtId;
 use crate::numeric;
@@ -146,7 +145,7 @@ impl BitMatrix {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockDeps {
-    pos: HashMap<StmtId, usize>,
+    pos: StmtPositions,
     direct: Vec<Dependence>,
     /// `direct` as block-position pairs `(p, q)`, `p < q`, each once.
     direct_pairs: Vec<(usize, usize)>,
@@ -179,8 +178,7 @@ impl BlockDeps {
     /// corresponding dependence edges from the graph. The oracle must be
     /// conservative; see [`DepOracle`].
     pub fn analyze_with(block: &BasicBlock, loops: &[LoopHeader], oracle: &dyn DepOracle) -> Self {
-        let ids: Vec<StmtId> = block.iter().map(|s| s.id()).collect();
-        let n = ids.len();
+        let n = block.len();
         let mut direct = Vec::new();
         let mut direct_pairs = Vec::new();
         let mut reach = BitMatrix::new(n);
@@ -235,9 +233,8 @@ impl BlockDeps {
             }
         }
         reach.close_transitively();
-        let pos = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         BlockDeps {
-            pos,
+            pos: block.positions(),
             direct,
             direct_pairs,
             reach,
@@ -245,8 +242,11 @@ impl BlockDeps {
         }
     }
 
-    fn pos(&self, s: StmtId) -> usize {
-        *self.pos.get(&s).expect("statement not in analyzed block")
+    /// Whether the statement at block position `p` reaches the one at
+    /// `q` along a (transitive) dependence path: [`depends`](Self::depends)
+    /// for callers that hold positions.
+    pub fn reaches(&self, p: usize, q: usize) -> bool {
+        self.reach.get(p, q)
     }
 
     /// All direct dependences, in (dst, src) program order.
@@ -266,7 +266,7 @@ impl BlockDeps {
     ///
     /// Panics if either statement is not part of the analyzed block.
     pub fn depends(&self, src: StmtId, dst: StmtId) -> bool {
-        self.reach.get(self.pos(src), self.pos(dst))
+        self.reaches(self.pos.of(src), self.pos.of(dst))
     }
 
     /// Whether there is a *direct* dependence edge from `src` to `dst`.
@@ -301,7 +301,7 @@ impl BlockDeps {
         if self.independent(a, b) {
             return true;
         }
-        let (pa, pb) = (self.pos(a), self.pos(b));
+        let (pa, pb) = (self.pos.of(a), self.pos.of(b));
         let pair = (pa.min(pb), pa.max(pb));
         pa != pb && self.exclusive_merges.contains(&pair)
     }

@@ -58,7 +58,7 @@ pub use align::{
     guaranteed_alignment, is_aligned, is_aligned_in, pack_is_aligned, pack_is_aligned_in,
     pack_is_contiguous,
 };
-pub use block::BasicBlock;
+pub use block::{BasicBlock, StmtPositions};
 pub use deps::{
     gcd_test_refutes_zero, operands_overlap, operands_overlap_in, refs_overlap_in, AffineOverlap,
     BlockDeps, DepKind, DepOracle, Dependence, MergePredicate,

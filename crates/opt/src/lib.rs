@@ -11,8 +11,8 @@
 //! formation (a legal merge of two grouping units), an objective taken
 //! from the `slp-core::cost` tables, and constraints the search enforces
 //! itself instead of tabulating — exclusivity by *merging* the selected
-//! units, §4.1 legality by admitting only `Unit::can_merge` pairs under
-//! the lane cap, multi-group dependence cycles by the scheduler's
+//! units, §4.1 legality by admitting only `legal_merges` pairs under the
+//! lane cap, multi-group dependence cycles by the scheduler's
 //! deadlock split while a partition is evaluated.
 //!
 //! It is solved from scratch, dependency-free, by best-first
@@ -66,10 +66,10 @@ pub(crate) mod testutil {
                 vector_regs: config.machine.vector_regs,
                 assume_layout: false,
             };
-            let incumbent_cost =
-                estimate_schedule_cost(&BlockIndex::new(&info.block), &incumbent, &cx);
+            let ix = BlockIndex::new(&info.block, program, |ty| config.machine.lanes_for(ty));
+            let incumbent_cost = estimate_schedule_cost(&ix, &incumbent, &cx);
             f(&PackRequest {
-                block: &info.block,
+                ix: &ix,
                 deps: &deps,
                 program,
                 loops: &info.loops,

@@ -10,9 +10,9 @@
 //!
 //! * **mutual statement exclusivity** — selecting a variable *merges* its
 //!   two units, so no other variable can claim either again;
-//! * **pairwise legality** (§4.1 constraints 1, 3 and 4) — only pairs
-//!   passing `Unit::can_merge` under the lane cap become variables
-//!   ([`legal_merges`]);
+//! * **pairwise legality** (§4.1 constraints 1, 3 and 4) — only
+//!   isomorphic, mutually independent pairs under the lane cap become
+//!   variables ([`legal_merges`]);
 //! * **multi-group dependence cycles** — a partition whose groups deadlock
 //!   is still a packing: the scheduler splits the stuck group back into
 //!   scalars while the partition is evaluated, and the search compares
@@ -33,8 +33,8 @@ use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 use slp_analysis::{legal_merges, Unit};
-use slp_core::{op_cost_factor, scalar_stmt_cost, BlockIndex, CostContext, PackRequest};
-use slp_ir::{Dest, StmtId, TypeEnv};
+use slp_core::{op_cost_factor, scalar_stmt_cost, CostContext, PackRequest};
+use slp_ir::{Dest, StmtId};
 
 use crate::solve::cost_context;
 
@@ -68,11 +68,12 @@ struct Floors {
     packed: Vec<f64>,
 }
 
-fn floors(req: &PackRequest<'_>, ix: &BlockIndex<'_>, cx: &CostContext<'_>) -> Floors {
+fn floors(req: &PackRequest<'_>, cx: &CostContext<'_>) -> Floors {
     let mut floors = Floors::default();
-    for stmt in req.block {
+    for (p, stmt) in req.ix.block().iter().enumerate() {
         let scalar = scalar_stmt_cost(stmt, cx);
-        let cap = lane_cap(req, ix, stmt.id()).max(2) as f64;
+        // The §4.1 constraint 4 datapath bound on groups containing `stmt`.
+        let cap = req.ix.lane_cap(p).max(2) as f64;
         let dest_floor = match stmt.dest() {
             Dest::Array(_) => cx.cost.vector_store / cap,
             Dest::Scalar(v) if cx.exposed[v.index()] => cx.cost.extract + cx.cost.scalar_store,
@@ -83,12 +84,6 @@ fn floors(req: &PackRequest<'_>, ix: &BlockIndex<'_>, cx: &CostContext<'_>) -> F
         floors.packed.push(scalar.min(vector));
     }
     floors
-}
-
-/// The §4.1 constraint 4 datapath bound on groups containing `s`.
-fn lane_cap(req: &PackRequest<'_>, ix: &BlockIndex<'_>, s: StmtId) -> usize {
-    let dest = ix.stmt_at(ix.position(s)).dest();
-    req.config.machine.lanes_for(req.program.dest_type(dest))
 }
 
 /// One partition of the block's statements into grouping units, with the
@@ -139,7 +134,6 @@ impl Partition {
 #[derive(Debug)]
 pub(crate) struct Model<'a> {
     req: &'a PackRequest<'a>,
-    ix: &'a BlockIndex<'a>,
     floors: Floors,
     /// The names given so far to (sorted) statement sets.
     sets: HashMap<Vec<usize>, u32>,
@@ -148,11 +142,10 @@ pub(crate) struct Model<'a> {
 }
 
 impl<'a> Model<'a> {
-    pub(crate) fn new(req: &'a PackRequest<'a>, ix: &'a BlockIndex<'a>) -> Self {
+    pub(crate) fn new(req: &'a PackRequest<'a>) -> Self {
         Model {
             req,
-            ix,
-            floors: floors(req, ix, &cost_context(req)),
+            floors: floors(req, &cost_context(req)),
             sets: HashMap::new(),
             seen: HashSet::new(),
         }
@@ -168,7 +161,7 @@ impl<'a> Model<'a> {
 
     /// The root state's partition: all singletons, nothing excluded.
     pub(crate) fn root(&mut self) -> Partition {
-        let block = self.req.block;
+        let block = self.req.ix.block();
         let units: Vec<Unit> = block.iter().map(|s| Unit::singleton(s.id())).collect();
         let sets = units.iter().map(|u| self.set_of(u)).collect();
         self.partition(units, sets, Vec::new())
@@ -218,10 +211,8 @@ impl<'a> Model<'a> {
         if !self.seen.insert(part.signature(0)) {
             return None;
         }
-        let (req, ix, floors) = (self.req, self.ix, &self.floors);
-        let vars = legal_merges(&part.units, req.block, req.deps, req.program, |s| {
-            lane_cap(req, ix, s)
-        });
+        let (ix, floors) = (self.req.ix, &self.floors);
+        let vars = legal_merges(ix, self.req.deps, &part.units);
         // Branching order: the highest-score variable first, where the
         // score is the estimated objective improvement of selecting it
         // (scalar floors minus packed floors over its statements — a
@@ -269,7 +260,7 @@ impl<'a> Model<'a> {
                 &self.floors.scalar
             };
             for &s in unit.stmts() {
-                bound += floor[self.ix.position(s)];
+                bound += floor[self.req.ix.position(s)];
             }
         }
         bound
@@ -294,8 +285,7 @@ mod tests {
         let config = SlpConfig::for_machine(machine, Strategy::Optimal);
         let mut rebuilt = 0;
         each_block(&program, &config, |req| {
-            let ix = BlockIndex::new(req.block);
-            let mut model = Model::new(req, &ix);
+            let mut model = Model::new(req);
             let mut part = model.root();
             while !part.vars.is_empty() {
                 let skips = part.vars.len().min(3);

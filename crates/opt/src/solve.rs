@@ -121,9 +121,8 @@ pub fn solve_block(req: &PackRequest<'_>) -> PackOutcome {
         (opt.max_nodes > 0 && nodes >= opt.max_nodes)
             || deadline.is_some_and(|d| Instant::now() >= d)
     };
-    let cx = cost_context(req);
-    let ix = BlockIndex::new(req.block);
-    let mut model = Model::new(req, &ix);
+    let (cx, ix) = (cost_context(req), req.ix);
+    let mut model = Model::new(req);
 
     let mut best_sched = req.incumbent.clone();
     let mut best_cost = req.incumbent_cost;
@@ -159,7 +158,7 @@ pub fn solve_block(req: &PackRequest<'_>) -> PackOutcome {
         // complete packing (unmerged units schedule as scalars).
         let Node { part, skip, .. } = &node;
         let cost = *part.cost.get_or_init(|| {
-            let (sched, cost) = evaluate(&part.units, &ix, req, &cx);
+            let (sched, cost) = evaluate(&part.units, ix, req, &cx);
             if cost < best_cost - EPS {
                 best_cost = cost;
                 best_sched = sched;
@@ -240,7 +239,6 @@ mod tests {
 
     use slp_analysis::legal_merges;
     use slp_core::{compile, MachineConfig, SlpConfig, Strategy};
-    use slp_ir::{StmtId, TypeEnv};
     use slp_suite::{random_program, GeneratorConfig};
 
     use super::*;
@@ -268,11 +266,7 @@ mod tests {
             key
         };
         let mut best = evaluate(units, ix, req, cx).1;
-        let lane_cap = |s: StmtId| {
-            let ty = req.program.dest_type(ix.stmt_at(ix.position(s)).dest());
-            req.config.machine.lanes_for(ty)
-        };
-        let var = legal_merges(units, req.block, req.deps, req.program, lane_cap)
+        let var = legal_merges(ix, req.deps, units)
             .into_iter()
             .find(|var| !excluded.contains(&key(var)));
         if let Some((a, b)) = var {
@@ -310,21 +304,22 @@ mod tests {
                 let config = SlpConfig::for_machine(machine.clone(), Strategy::Optimal)
                     .with_opt_budget(0, 0);
                 each_block(&program, &config, |req| {
-                    assert!(req.block.len() <= 7);
+                    let block = req.ix.block();
+                    assert!(block.len() <= 7);
                     let out = solve_block(req);
                     assert!(!out.degraded, "no budget was set");
                     assert_eq!(out.lower_bound, out.cost, "an exhausted solve has no gap");
 
-                    let (ix, cx) = (BlockIndex::new(req.block), cost_context(req));
+                    let cx = cost_context(req);
                     let singletons: Vec<Unit> =
-                        req.block.iter().map(|s| Unit::singleton(s.id())).collect();
-                    let minimum = enumerate(&singletons, &mut BTreeSet::new(), req, &ix, &cx);
+                        block.iter().map(|s| Unit::singleton(s.id())).collect();
+                    let minimum = enumerate(&singletons, &mut BTreeSet::new(), req, req.ix, &cx);
                     assert!(
                         (out.cost - minimum).abs() <= EPS,
                         "seed {seed} on {}: solver {} vs enumerated {minimum}\n{}",
                         machine.name,
                         out.cost,
-                        req.block
+                        block
                     );
                     blocks += 1;
                     improved += usize::from(out.cost < req.incumbent_cost - EPS);

@@ -32,7 +32,9 @@ fn check_kernel(program: &slp_ir::Program, machine: &MachineConfig) {
         };
         let schedule = kernel.schedule_of(info.id).expect("scheduled block");
         let estimated = if schedule.is_vectorized() {
-            estimate_schedule_cost(&BlockIndex::new(&info.block), schedule, &cx)
+            let lanes = |ty| machine.lanes_for(ty);
+            let ix = BlockIndex::new(&info.block, &kernel.program, lanes);
+            estimate_schedule_cost(&ix, schedule, &cx)
         } else {
             estimate_scalar_cost(&info.block, &cx)
         };

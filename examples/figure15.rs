@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // paper's presentation).
     let info = &program.blocks()[0];
     let deps = BlockDeps::analyze(&info.block);
-    let lanes = |_s| 2usize; // two f64 lanes on the 128-bit datapath
+    // Two f64 lanes on the 128-bit datapath.
+    let ix = BlockIndex::new(&info.block, &program, |ty| machine.lanes_for(ty));
 
     println!("== input basic block (Figure 15 a) ==");
     for s in info.block.iter() {
@@ -48,14 +49,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The baseline SLP algorithm (Figure 15 b).
-    let slp_sched = baseline_block(&info.block, &deps, &program, lanes);
+    let slp_sched = baseline_block(&ix, &deps);
     println!("\n== baseline SLP schedule (Figure 15 b) ==");
     for item in slp_sched.items() {
         println!("  {item}");
     }
 
     // The holistic grouping (Figure 15 c) with its decision trace.
-    let grouping = group_block(&info.block, &deps, &program, lanes);
+    let grouping = group_block(&ix, &deps);
     println!("\n== holistic grouping decisions ==");
     for d in &grouping.decisions {
         let names: Vec<String> = d
@@ -70,12 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             names.join(" | ")
         );
     }
-    let global_sched = schedule_block(
-        &BlockIndex::new(&info.block),
-        &deps,
-        &grouping.units,
-        &ScheduleConfig::default(),
-    );
+    let global_sched = schedule_block(&ix, &deps, &grouping.units, &ScheduleConfig::default());
     println!("\n== holistic schedule (Figure 15 c) ==");
     for item in global_sched.items() {
         println!("  {item}");

@@ -6,10 +6,10 @@
 
 mod common;
 
-use slp::analysis::{
-    candidate_weight_with, find_candidates, ConflictMatrix, PackGraph, Unit, WeightParams,
+use slp::analysis::{Round, Unit, WeightParams};
+use slp::core::{
+    group_block, group_block_with, schedule_block, BlockIndex, MachineConfig, ScheduleConfig,
 };
-use slp::core::{group_block, schedule_block, BlockIndex, MachineConfig, ScheduleConfig};
 use slp::ir::{BasicBlock, BinOp, BlockDeps, Expr, Program, ScalarType};
 
 /// The paper's Figure 2 block:
@@ -42,27 +42,14 @@ fn figure2_candidates_and_figure5_weights() {
     let (p, bb) = figure2();
     let deps = BlockDeps::analyze(&bb);
     let units: Vec<Unit> = bb.iter().map(|s| Unit::singleton(s.id())).collect();
-    let cands = find_candidates(&units, &bb, &deps, &p, |_| 4);
+    let ix = BlockIndex::new(&bb, &p, |_| 4);
+    let mut round = Round::new(&ix, &deps, &units, &WeightParams::reuse_only());
     // §4.2.1: "the candidate group set for the code shown in Figure 2 is
     // C = {{S1,S2}, {S1,S3}, {S4,S5}}".
-    let pairs: Vec<(usize, usize)> = cands.iter().map(|c| (c.a, c.b)).collect();
-    assert_eq!(pairs, vec![(0, 1), (0, 2), (3, 4)]);
+    assert_eq!(round.candidates(), [(0, 1), (0, 2), (3, 4)]);
 
     // Figure 5's edge weights: 1/1, 1/2, 2/3.
-    let conflicts = ConflictMatrix::compute(&cands, &deps);
-    let vp = PackGraph::build(&cands);
-    let alive = vec![true; cands.len()];
-    let w = |c: usize| {
-        candidate_weight_with(
-            c,
-            &cands,
-            &vp,
-            &conflicts,
-            &alive,
-            &[],
-            &WeightParams::reuse_only(),
-        )
-    };
+    let mut w = |c: usize| round.weight(c, &[true; 3]);
     assert!((w(0) - 1.0).abs() < 1e-9);
     assert!((w(1) - 0.5).abs() < 1e-9);
     assert!((w(2) - 2.0 / 3.0).abs() < 1e-9);
@@ -93,7 +80,8 @@ fn figure15_grouping_structure() {
     .expect("figure 15 compiles");
     let info = &program.blocks()[0];
     let deps = BlockDeps::analyze(&info.block);
-    let grouping = group_block(&info.block, &deps, &program, |_| 2);
+    let ix = BlockIndex::new(&info.block, &program, |_| 2);
+    let grouping = group_block(&ix, &deps);
     let mut groups: Vec<Vec<usize>> = grouping
         .groups()
         .map(|u| {
@@ -110,12 +98,7 @@ fn figure15_grouping_structure() {
         "expected the Figure 15(c) grouping {{a,b}} {{c,h}} {{d,g}} {{stores}}"
     );
     // And the schedule keeps every reuse possible (4 superwords).
-    let sched = schedule_block(
-        &BlockIndex::new(&info.block),
-        &deps,
-        &grouping.units,
-        &ScheduleConfig::default(),
-    );
+    let sched = schedule_block(&ix, &deps, &grouping.units, &ScheduleConfig::default());
     assert_eq!(sched.superword_count(), 4);
 }
 
@@ -233,6 +216,126 @@ fn every_strategy_ships_the_recorded_schedules() {
                     "{name} on {machine} under {strategy} (layout: {layout})"
                 );
                 column += 1;
+            }
+        }
+    }
+}
+
+/// The FNV-1a hash of every block's grouping decisions — `round`, `stmts`
+/// and the weight's bits — for `program` unrolled as the pipeline unrolls
+/// it for `machine`.
+fn decision_trace(program: &Program, machine: &MachineConfig, weights: &WeightParams) -> u64 {
+    use slp::prelude::{SlpConfig, Strategy};
+    use std::fmt::Write;
+
+    let cfg = SlpConfig::for_machine(machine.clone(), Strategy::Holistic);
+    let unrolled = slp::core::compile(program, &cfg).program;
+    let mut text = String::new();
+    for info in unrolled.blocks() {
+        let deps = BlockDeps::analyze_in(&info.block, &info.loops);
+        let ix = BlockIndex::new(&info.block, &unrolled, |ty| machine.lanes_for(ty));
+        for d in &group_block_with(&ix, &deps, weights).decisions {
+            let bits = d.weight.to_bits();
+            write!(text, "{} {:?} {bits:016x};", d.round, d.stmts).unwrap();
+        }
+        text.push('|');
+    }
+    common::fnv64(&text)
+}
+
+/// Per kernel (as in [`SCHEDULES`]): the [`decision_trace`] under the
+/// default and the reuse-only weight profile. One pair serves intel and
+/// amd: the grouping sees a machine only through its datapath width, 128
+/// bits on both, and the throw-away generator printed equal pairs.
+/// Recorded at PR 17 (commit 5fb3257), before the weights moved from deep
+/// `PackContent` comparisons onto ranked pack ids: the schedule hashes pin
+/// what ships, these pin the weights that chose it.
+#[rustfmt::skip]
+const DECISIONS: [(&str, [u64; 2]); 20] = [
+    ("cactusADM", [0x21ce1e8a1d38e39a, 0x856ffbd49427d5f6]),
+    ("soplex", [0xfebdd0667e736c98, 0x458bd7ff90814a6a]),
+    ("lbm", [0x9066940e19d54f22, 0x2decd8dbd91a056b]),
+    ("milc", [0x54a51af49876ac70, 0xabce3c8d9e121a1c]),
+    ("povray", [0xb61ab995002d834d, 0x85877f62af4eb38c]),
+    ("gromacs", [0xdac1e4ee0f38a175, 0x8eb315f257cf01f7]),
+    ("calculix", [0xf5c9aebb57fe9908, 0xc3a444ae89d46994]),
+    ("dealII", [0x962f3bb4a22c3505, 0x584bc797e60b5af9]),
+    ("wrf", [0x5ba1bac08fd27c97, 0x3d3e97b7e5e99be5]),
+    ("namd", [0x070a2249e853448e, 0x12dc15d7ed6ed634]),
+    ("ua", [0x9eb77e5cb52ea005, 0xee75c385e9b9db00]),
+    ("ft", [0xbabe49bdfcc20105, 0xa65725edb0323ab8]),
+    ("bt", [0x329ad1243f03bb6c, 0xba9a7b960ca655e2]),
+    ("sp", [0xbb466e67edc8c0e6, 0x7b0d05fafe358c44]),
+    ("mg", [0xd2c07c17e5d8dfad, 0x76a161330430afa5]),
+    ("cg", [0xc45aab168b2880e0, 0xb24d4ecb74567bfc]),
+    ("abs", [0x789a3b22d1cc229b, 0x70974bb44ad3859f]),
+    ("clamp", [0xa7c539cd59853e5e, 0x862c6d6a67629613]),
+    ("threshold", [0x0f518d5c11f0e3f9, 0x1a1422d8aeed1f1d]),
+    ("masked_stencil", [0xa5542ca3d9528b1c, 0xfafde58453919b24]),
+];
+
+/// The same for every `crates/fuzz/corpus/*.slp` reproducer that parses
+/// and validates (`panic-branchy-2-22` does not parse): selects,
+/// dependence chains and non-transitive independence the suite lacks.
+#[rustfmt::skip]
+const CORPUS_DECISIONS: [(&str, [u64; 2]); 22] = [
+    ("panic-ir-1081-8", [0x6f0ba451efae8bdc, 0x6a43434e1aeb6961]),
+    ("panic-ir-1178-9", [0x3280e5405ee2ea2e, 0x4394693d07e12e0f]),
+    ("panic-ir-1212-10", [0xea1f57b8af4e1c28, 0xd64e790ef59c0d85]),
+    ("panic-ir-129-3", [0x83015f2a90138f79, 0xcfd7025a538dc195]),
+    ("panic-ir-1298-12", [0x119db5ced2896bb5, 0x8addc7873719073f]),
+    ("panic-ir-1442-15", [0xcf6656e4d1af4aa6, 0x99a61a85ca2aa30d]),
+    ("panic-ir-1860-17", [0x0027523d7c636a55, 0x3566d59f774a133d]),
+    ("panic-ir-1889-18", [0xcf6656e4d1af4aa6, 0x99a61a85ca2aa30d]),
+    ("panic-ir-232-4", [0x5e01fce35dd040cf, 0x96022d9dfc50259d]),
+    ("panic-ir-385-5", [0x0f23dbef778236f2, 0xb3846dec38475741]),
+    ("panic-ir-705-7", [0x7f6802aa5ba0842e, 0xc567e1e57fd3c8d9]),
+    ("round-trip-src-179-0", [0x5bd66acb48eb4463, 0x70cafe48314ed94d]),
+    ("round-trip-src-413-1", [0xee63fefddd649062, 0x7d69c48900fa2801]),
+    ("state-divergence-branchy-0-20", [0xd9e01dc76c2663de, 0x1a1422d8aeed1f1d]),
+    ("state-divergence-branchy-1-21", [0x2a2607aeb23de869, 0xc4df06652458eef9]),
+    ("state-divergence-ir-103-2", [0x1790cf1e8c415ba5, 0x58d6c04db1c209e1]),
+    ("state-divergence-ir-1259-11", [0x1790cf1e8c415ba5, 0x58d6c04db1c209e1]),
+    ("state-divergence-ir-1315-13", [0x1790cf1e8c415ba5, 0x58d6c04db1c209e1]),
+    ("state-divergence-ir-1345-14", [0x6b8678ff9e1de9c3, 0x584bc797e60b5af9]),
+    ("state-divergence-ir-1680-16", [0x9f9e5ea578cff54c, 0xb1cc1d935559699f]),
+    ("state-divergence-ir-1946-19", [0xf3816bc244506ed2, 0x02cb4540e64ba57f]),
+    ("state-divergence-ir-562-6", [0x9be30a196b51e8bb, 0x9be30a196b51e8bb]),
+];
+
+#[test]
+fn grouping_decisions_and_their_weights_are_the_recorded_ones() {
+    let corpus = CORPUS_DECISIONS.iter().map(|&(name, recorded)| {
+        let path = slp_fuzz::default_corpus_dir().join(format!("{name}.slp"));
+        let source = std::fs::read_to_string(path).expect("a corpus file");
+        let program = slp::lang::compile(&source).expect("it parses");
+        assert!(program.validate().is_ok(), "{name} validates");
+        (program, name, recorded)
+    });
+    let recorded_or_unusable = |entry: std::io::Result<std::fs::DirEntry>| {
+        let path = entry.expect("a corpus entry").path();
+        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+        !path.extension().is_some_and(|x| x == "slp")
+            || CORPUS_DECISIONS.iter().any(|(name, _)| *name == stem)
+            || !std::fs::read_to_string(&path)
+                .is_ok_and(|src| slp::lang::compile(&src).is_ok_and(|p| p.validate().is_ok()))
+    };
+    let mut dir = std::fs::read_dir(slp_fuzz::default_corpus_dir()).expect("the corpus");
+    assert!(dir.all(recorded_or_unusable), "record the new reproducer");
+    let suite = common::suite_and_branchy().into_iter().zip(DECISIONS);
+    for (program, name, recorded) in suite.map(|(p, (n, r))| (p, n, r)).chain(corpus) {
+        for machine in [
+            MachineConfig::intel_dunnington(),
+            MachineConfig::amd_phenom_ii(),
+        ] {
+            let profiles = [WeightParams::default(), WeightParams::reuse_only()];
+            for (weights, recorded) in profiles.iter().zip(recorded) {
+                assert_eq!(
+                    decision_trace(&program, &machine, weights),
+                    recorded,
+                    "{name} on {} under {weights:?}",
+                    machine.name
+                );
             }
         }
     }
