@@ -1,5 +1,5 @@
-//! The fast-path execution engine: pre-resolved bytecode over flat
-//! arenas.
+//! The fast-path execution engine: pre-resolved bytecode run directly on
+//! the flat memory image.
 //!
 //! The reference interpreter in [`exec`](crate::exec) resolves every
 //! register through a growable `Vec<Vec<f64>>`, every scalar through
@@ -10,26 +10,35 @@
 //! for throughput.
 //!
 //! [`BytecodeKernel::compile`] lowers the [`BlockCode`] streams once into
-//! a dense [`BOp`] pool in which *everything is a pre-resolved numeric
-//! index*:
+//! a dense [`BOp`] pool, deciding at translation everything that does not
+//! depend on the run:
 //!
 //! * virtual registers become disjoint slots of one flat `f64` arena
 //!   (assigned per static definition, so the translator also proves every
 //!   use has a reaching definition and rejects malformed code with a
 //!   typed [`ExecError`] instead of panicking),
-//! * arrays are concatenated into one flat memory arena with per-array
-//!   bases; each [`ArrayRef`] becomes per-dimension
-//!   `constant + Σ coeff·loop_slot` terms over loop-*depth* indices, so a
-//!   subscript evaluation is a few adds and multiplies with no
-//!   environment search,
-//! * scalars live in a dense `f64` frame indexed by `VarId` position,
-//! * per-instruction [`InstMetrics`] are computed once at translation and
-//!   accumulated by pool index at run time,
+//! * the engine runs on [`MachineState`]'s own allocation — arrays back
+//!   to back, scalars in a dense frame indexed by `VarId` position — which
+//!   [`BytecodeKernel::run_from`] shape-checks, moves in, and moves back
+//!   out as [`Outcome::state`],
+//! * an [`ArrayRef`] whose bounds checks the memory-safety certificate
+//!   discharged folds — array base, strides and all dimensions — into one
+//!   linear form `offset + Σ coeff·loop_vals[depth]` ([`Addr::Linear`]),
+//!   one multiply-add for the usual one-variable subscript; vector memory
+//!   ops whose certified lanes are one unit-stride run resolve lane 0 and
+//!   move the superword as one slice ([`Lanes::run`]). Every other access
+//!   keeps per-dimension `constant + Σ coeff·loop_vals[depth]` terms and
+//!   its `0 <= v < extent` walk ([`Addr::Checked`]),
+//! * of an instruction's [`InstMetrics`] only the two `f64` sums
+//!   (`cycles`, `memory_cycles`) are order-sensitive and are added per
+//!   op; the five integer counters are summed per op *range* (a block's
+//!   preheader or body) at translation, the run only counts executions of
+//!   each range, and `runs × sum` is folded into [`RunStats`] at the end,
 //! * common adjacent pairs (load+op, splat+op, op+store) are fused into
 //!   superinstructions, halving dispatch for the dominant patterns.
 //!
 //! Execution semantics are *bit-identical* to the reference engine —
-//! metric accumulation order, iteration/first-iteration protocol,
+//! cycle accumulation order, iteration/first-iteration protocol,
 //! replication population, coercions, truncating zips, per-block cycle
 //! attribution and error strings are all preserved — which the
 //! differential gate (`verify::differential` and the
@@ -39,17 +48,17 @@ use std::collections::HashMap;
 
 use slp_core::{CompiledKernel, CostParams, MachineConfig, Replication, SafetyCert};
 use slp_ir::{
-    ArrayId, ArrayRef, BinOp, BlockId, Dest, ExprShape, Item, LoopVarId, Operand, Program,
-    ScalarType, StmtId, TypeEnv, UnOp,
+    ArrayId, ArrayRef, BlockId, Dest, ExprShape, Item, LoopVarId, Operand, Program, ScalarType,
+    StmtId, TypeEnv,
 };
 
 use crate::code::{InstMetrics, SplatSrc, VInst, VReg};
 use crate::codegen::{lower_kernel, BlockCode};
-use crate::exec::{apply_shape, populate_replication, ExecError, Outcome, RunStats};
+use crate::exec::{populate_replication, ExecError, Outcome, RunStats};
 use crate::memory::MachineState;
 
 /// A register slot: base index into the flat register arena. Widths are
-/// carried by the consuming instruction (access count, op width).
+/// carried by the consuming instruction (lane count, op width).
 type RegBase = u32;
 
 /// A `(start, end)` range into one of the side pools.
@@ -83,7 +92,7 @@ enum SplatVal {
     Var(u32),
 }
 
-/// One dimension of a resolved access: `constant + Σ coeff·loop_vals[d]`
+/// One dimension of a checked access: `constant + Σ coeff·loop_vals[d]`
 /// checked against `0 <= · < extent` and folded with `stride`.
 #[derive(Debug, Clone, Copy)]
 struct Dim {
@@ -93,50 +102,107 @@ struct Dim {
     stride: i64,
 }
 
+/// How an access finds its cell.
+#[derive(Debug, Clone, Copy)]
+enum Addr {
+    /// The kernel's memory-safety certificate proved the access in bounds
+    /// for every iteration (and check elision was not disabled), so base,
+    /// strides and dimensions fold into one linear form over the loop
+    /// counters: `offset + coeff·loop_vals[depth] + Σ more`, merged per
+    /// loop depth. Wrapping arithmetic throughout — the true value was
+    /// proven in range, so the sum is exact mod 2⁶⁴.
+    Linear {
+        offset: i64,
+        depth: u32,
+        coeff: i64,
+        /// Terms past the first (rank-2 subscripts under nested loops).
+        more: Range,
+    },
+    /// The per-dimension walk: a subscript can be linearly in range and
+    /// still out of bounds in one dimension. A rank mismatch
+    /// (`!rank_ok`) is unconditionally out of bounds, as in
+    /// `ArrayInfo::in_bounds`.
+    Checked { dims: Range, rank_ok: bool },
+}
+
 /// A fully resolved array reference.
 #[derive(Debug, Clone, Copy)]
 struct Access {
-    /// The referenced array (cold-path error rendering only).
     array: ArrayId,
-    /// The array's base in the flat memory arena.
+    /// The array's first cell in the memory image.
     base: u32,
     /// The array's element type (store coercion).
     ty: ScalarType,
-    /// The per-dimension index expressions.
-    dims: Range,
-    /// Whether the access rank matches the array rank; a mismatch is
-    /// unconditionally out of bounds (as in `ArrayInfo::in_bounds`).
-    rank_ok: bool,
-    /// Whether the per-dimension bounds checks must run. `false` only
-    /// when the kernel's memory-safety certificate proved the access in
-    /// bounds for every iteration (and check elision was not disabled),
-    /// licensing the fast unchecked resolve path.
-    checked: bool,
+    addr: Addr,
 }
 
-/// One dense, pre-resolved instruction. `m*` fields index the metrics
-/// pool; metric accumulation happens *before* the value effect, exactly
-/// like the reference engine, and fused pairs interleave
+/// The lanes of a vector memory op: `width` consecutive entries of the
+/// access pool starting at `first`.
+#[derive(Debug, Clone, Copy)]
+struct Lanes {
+    first: u32,
+    width: u32,
+    /// Every lane is [`Addr::Linear`] on the same array with the same
+    /// coefficients and offsets stepping by +1 in lane order: lane 0's
+    /// address locates the whole superword, which moves as one slice.
+    run: bool,
+}
+
+/// The order-sensitive part of an instruction's [`InstMetrics`]: the two
+/// `f64` sums the run adds per op, in the reference engine's order.
+#[derive(Debug, Clone, Copy)]
+struct Cost {
+    cycles: f64,
+    memory_cycles: f64,
+}
+
+/// A scalar statement; `args` is the first of `arity(shape)` consecutive
+/// operands in the argument pool.
+#[derive(Debug, Clone, Copy)]
+struct Stmt {
+    m: u32,
+    shape: ExprShape,
+    args: u32,
+    dest: RDest,
+}
+
+/// A vector load into, or store from, register `reg`.
+#[derive(Debug, Clone, Copy)]
+struct Mem {
+    m: u32,
+    reg: RegBase,
+    acc: Lanes,
+}
+
+/// A broadcast of `src` into `width` lanes.
+#[derive(Debug, Clone, Copy)]
+struct Splat {
+    m: u32,
+    dst: RegBase,
+    width: u32,
+    src: SplatVal,
+}
+
+/// An elementwise operation over `width` lanes.
+#[derive(Debug, Clone, Copy)]
+struct Alu {
+    m: u32,
+    dst: RegBase,
+    width: u32,
+    shape: ExprShape,
+    srcs: Range,
+}
+
+/// One dense, pre-resolved instruction. `m*` fields index the cost pool;
+/// cost accumulation happens *before* the value effect, exactly like the
+/// reference engine, and fused pairs interleave
 /// (m₁, effect₁, m₂, effect₂) so the non-associative `f64` cycle sums
 /// stay bit-identical.
 #[derive(Debug, Clone, Copy)]
 enum BOp {
-    Scalar {
-        m: u32,
-        shape: ExprShape,
-        args: Range,
-        dest: RDest,
-    },
-    Load {
-        m: u32,
-        dst: RegBase,
-        acc: Range,
-    },
-    Store {
-        m: u32,
-        src: RegBase,
-        acc: Range,
-    },
+    Scalar(Stmt),
+    Load(Mem),
+    Store(Mem),
     Pack {
         m: u32,
         dst: RegBase,
@@ -152,12 +218,7 @@ enum BOp {
         dst: RegBase,
         vals: Range,
     },
-    Splat {
-        m: u32,
-        dst: RegBase,
-        width: u32,
-        src: SplatVal,
-    },
+    Splat(Splat),
     Permute {
         m: u32,
         dst: RegBase,
@@ -168,72 +229,67 @@ enum BOp {
     Nop {
         m: u32,
     },
+    /// A real load (`first`) on a loop's first iteration, a register move
+    /// from `from` after.
     Carried {
-        m_first: u32,
+        first: Mem,
         m_steady: u32,
-        dst: RegBase,
         from: RegBase,
-        acc: Range,
     },
-    Op {
-        m: u32,
-        dst: RegBase,
-        width: u32,
-        shape: ExprShape,
-        srcs: Range,
-    },
-    /// Superinstruction: `Load` immediately feeding an `Op`.
-    LoadOp {
-        m1: u32,
-        ld_dst: RegBase,
-        acc: Range,
-        m2: u32,
-        dst: RegBase,
-        width: u32,
-        shape: ExprShape,
-        srcs: Range,
-    },
-    /// Superinstruction: `Splat` immediately feeding an `Op`.
-    SplatOp {
-        m1: u32,
-        sp_dst: RegBase,
-        sp_width: u32,
-        sp_src: SplatVal,
-        m2: u32,
-        dst: RegBase,
-        width: u32,
-        shape: ExprShape,
-        srcs: Range,
-    },
-    /// Superinstruction: an `Op` whose result is immediately stored.
-    OpStore {
-        m1: u32,
-        dst: RegBase,
-        width: u32,
-        shape: ExprShape,
-        srcs: Range,
-        m2: u32,
-        acc: Range,
-    },
+    Op(Alu),
+    /// Superinstruction: a load immediately feeding an op.
+    LoadOp(Mem, Alu),
+    /// Superinstruction: a splat immediately feeding an op.
+    SplatOp(Splat, Alu),
+    /// Superinstruction: an op whose result is immediately stored.
+    OpStore(Alu, Mem),
 }
 
-/// The execution tree: blocks (op ranges) and loops, mirroring the
-/// program's item structure with all ids pre-resolved to block slots.
+/// The execution tree: op ranges and loops, mirroring the program's item
+/// structure. A block's preheader is op range `2·slot` and its body
+/// `2·slot + 1`, `slot` being the block's position in
+/// [`Program::blocks`] order.
 #[derive(Debug, Clone)]
 enum Node {
-    Block {
-        slot: u32,
-        ops: Range,
-    },
+    Block(u32),
     Loop {
         lower: i64,
         upper: i64,
         step: i64,
-        /// Preheader op ranges of blocks directly inside this loop, run
+        /// Preheader ranges of blocks directly inside this loop, run
         /// once per loop entry.
-        preheaders: Vec<(u32, Range)>,
+        preheaders: Vec<u32>,
         body: Vec<Node>,
     },
+}
+
+/// What translation produces: the execution tree, the op pool, and the
+/// dense side pools the ops index into.
+#[derive(Debug, Clone, Default)]
+struct Code {
+    roots: Vec<Node>,
+    /// Deepest loop nesting of `roots`: the loop counters a run needs.
+    loop_depth: usize,
+    ops: Vec<BOp>,
+    /// Where each op range lies in `ops`.
+    ranges: Vec<Range>,
+    costs: Vec<Cost>,
+    /// Per op range, its instructions' metrics summed (only the integer
+    /// counters are read) for an execution under a steady `[0]` or a
+    /// first `[1]` iteration — a carried load charges a different row in
+    /// each, and the flag is constant while a range runs.
+    counts: Vec<[InstMetrics; 2]>,
+    accesses: Vec<Access>,
+    dims: Vec<Dim>,
+    terms: Vec<(u32, i64)>,
+    args: Vec<RArg>,
+    var_slots: Vec<u32>,
+    lanes: Vec<(u32, ScalarType)>,
+    consts: Vec<f64>,
+    perms: Vec<u32>,
+    srcs: Vec<u32>,
+    reg_len: u32,
+    block_ids: Vec<BlockId>,
 }
 
 /// A compiled kernel lowered to dense bytecode, reusable across runs.
@@ -247,25 +303,8 @@ pub struct BytecodeKernel {
     program: Program,
     cost: CostParams,
     replications: Vec<Replication>,
-    roots: Vec<Node>,
-    ops: Vec<BOp>,
-    metrics: Vec<InstMetrics>,
-    accesses: Vec<Access>,
-    dims: Vec<Dim>,
-    terms: Vec<(u32, i64)>,
-    args: Vec<RArg>,
-    var_slots: Vec<u32>,
-    lanes: Vec<(u32, ScalarType)>,
-    consts: Vec<f64>,
-    perms: Vec<u32>,
-    srcs: Vec<u32>,
-    array_base: Vec<u32>,
-    array_len: Vec<u32>,
-    arena_len: usize,
-    reg_len: usize,
-    block_ids: Vec<BlockId>,
     vectorized_blocks: usize,
-    loop_metrics: InstMetrics,
+    code: Code,
 }
 
 impl BytecodeKernel {
@@ -309,8 +348,12 @@ impl BytecodeKernel {
     /// without their per-dimension bounds checks. Under
     /// [`BytecodeKernel::compile_checked`] the first count is always 0.
     pub fn unchecked_accesses(&self) -> (usize, usize) {
-        let unchecked = self.accesses.iter().filter(|a| !a.checked).count();
-        (unchecked, self.accesses.len())
+        let accesses = &self.code.accesses;
+        let unchecked = accesses
+            .iter()
+            .filter(|a| matches!(a.addr, Addr::Linear { .. }))
+            .count();
+        (unchecked, accesses.len())
     }
 
     /// Translates pre-lowered `codes` (one per block of
@@ -336,41 +379,25 @@ impl BytecodeKernel {
         elide_checks: bool,
     ) -> Result<BytecodeKernel, ExecError> {
         let program = &kernel.program;
-        let mut array_base = Vec::new();
-        let mut array_len = Vec::new();
-        let mut arena_len = 0u32;
-        for a in program.array_ids() {
-            let len = program.array(a).len().max(0) as u32;
-            array_base.push(arena_len);
-            array_len.push(len);
-            arena_len += len;
+        let mut array_base = Vec::with_capacity(program.arrays().len());
+        let mut cells = 0u32;
+        for a in program.arrays() {
+            array_base.push(cells);
+            cells += a.len().max(0) as u32;
         }
 
         let mut tr = Translator {
             program,
             cost: &machine.cost,
-            ops: Vec::new(),
-            metrics: Vec::new(),
-            accesses: Vec::new(),
-            dims: Vec::new(),
-            terms: Vec::new(),
-            args: Vec::new(),
-            var_slots: Vec::new(),
-            lanes: Vec::new(),
-            consts: Vec::new(),
-            perms: Vec::new(),
-            srcs: Vec::new(),
-            array_base: &array_base,
-            reg_len: 0,
+            array_base,
             safety: &kernel.safety,
             block: BlockId(0),
             elide_checks,
+            coeffs: Vec::new(),
+            code: Code::default(),
         };
 
         let infos = program.blocks();
-        let mut pre_ranges = Vec::with_capacity(codes.len());
-        let mut body_ranges = Vec::with_capacity(codes.len());
-        let mut block_ids = Vec::with_capacity(codes.len());
         let mut by_first: HashMap<StmtId, u32> = HashMap::new();
         for (slot, (info, (id, code))) in infos.iter().zip(codes).enumerate() {
             debug_assert_eq!(info.id, *id);
@@ -380,64 +407,28 @@ impl BytecodeKernel {
             let mut map: HashMap<u32, (u32, u32)> = HashMap::new();
             let mut pend_pre = Vec::new();
             let mut pend_body = Vec::new();
-            let mut pre =
+            let (mut pre, pre_counts) =
                 tr.translate_stream(&code.preheader, pre_stack, &mut map, &mut pend_pre)?;
-            let mut body =
+            let (mut body, body_counts) =
                 tr.translate_stream(&code.insts, &body_stack, &mut map, &mut pend_body)?;
             resolve_pending(&mut pre, &pend_pre, &map)?;
             resolve_pending(&mut body, &pend_body, &map)?;
             let pre = tr.fuse_stream(pre);
             let body = tr.fuse_stream(body);
-            pre_ranges.push(tr.append(pre));
-            body_ranges.push(tr.append(body));
-            block_ids.push(*id);
+            tr.append(pre, pre_counts);
+            tr.append(body, body_counts);
+            tr.code.block_ids.push(*id);
             by_first.insert(info.block.stmts()[0].id(), slot as u32);
         }
 
-        let roots = build_nodes(program.items(), &by_first, &pre_ranges, &body_ranges)?;
-
-        let Translator {
-            ops,
-            metrics,
-            accesses,
-            dims,
-            terms,
-            args,
-            var_slots,
-            lanes,
-            consts,
-            perms,
-            srcs,
-            reg_len,
-            ..
-        } = tr;
+        let mut code = tr.code;
+        code.roots = build_nodes(program.items(), &by_first, 0, &mut code.loop_depth)?;
         Ok(BytecodeKernel {
             program: program.clone(),
             cost: machine.cost,
             replications: kernel.replications.clone(),
-            roots,
-            ops,
-            metrics,
-            accesses,
-            dims,
-            terms,
-            args,
-            var_slots,
-            lanes,
-            consts,
-            perms,
-            srcs,
-            array_base,
-            array_len,
-            arena_len: arena_len as usize,
-            reg_len: reg_len as usize,
-            block_ids,
             vectorized_blocks: codes.iter().filter(|(_, c)| c.vectorized).count(),
-            loop_metrics: InstMetrics {
-                cycles: machine.cost.loop_overhead,
-                dynamic_instructions: 2,
-                ..InstMetrics::default()
-            },
+            code,
         })
     }
 
@@ -453,59 +444,70 @@ impl BytecodeKernel {
     }
 
     /// Executes the bytecode from an explicit initial memory image
-    /// instead of the deterministic seeds. The state must have been
-    /// allocated for this kernel's program (same arrays, same lengths) —
-    /// start from [`MachineState::seeded`] and overwrite the cells of
-    /// interest. Replicated arrays are repopulated from their sources
-    /// before the kernel's loops run, exactly as in [`BytecodeKernel::run`].
+    /// instead of the deterministic seeds: start from
+    /// [`MachineState::seeded`] for this kernel's program and overwrite
+    /// the cells of interest. The image is moved through the run, not
+    /// copied — [`Outcome::state`] is the same allocation. Replicated
+    /// arrays are repopulated from their sources before the kernel's
+    /// loops run, exactly as in [`BytecodeKernel::run`].
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] on out-of-bounds accesses.
-    pub fn run_from(&self, state: MachineState) -> Result<Outcome, ExecError> {
+    /// Returns [`ExecError`] before anything runs when `state` was not
+    /// allocated for this kernel's program (a different number of arrays
+    /// or scalars, or an array of another length:
+    /// [`ExecErrorKind::MalformedCode`](crate::exec::ExecErrorKind)), and
+    /// on out-of-bounds accesses.
+    pub fn run_from(&self, mut state: MachineState) -> Result<Outcome, ExecError> {
+        state.check_shape(&self.program)?;
         let mut stats = RunStats::default();
-        let mut state = state;
         for r in &self.replications {
             populate_replication(&self.program, &self.cost, &mut state, &mut stats, r)?;
         }
-        let (arrays, scalars) = state.into_parts();
-        let mut arena = vec![0.0f64; self.arena_len];
-        for (i, arr) in arrays.iter().enumerate() {
-            let b = self.array_base[i] as usize;
-            arena[b..b + arr.len()].copy_from_slice(arr);
-        }
 
-        let blocks = self.block_ids.len();
+        let code = &self.code;
         let mut vm = Vm {
-            bc: self,
-            arena,
-            scalars,
-            regs: vec![0.0f64; self.reg_len],
-            loop_vals: Vec::new(),
+            code,
+            program: &self.program,
+            loop_overhead: self.cost.loop_overhead,
+            state,
+            regs: vec![0.0f64; code.reg_len as usize],
+            // One spare slot, so a subscript without loop variables
+            // (`coeff` 0 at depth 0) evaluates outside any loop too.
+            loop_vals: vec![0; code.loop_depth.max(1)],
             stats,
             first: true,
-            block_cycles: vec![0.0; blocks],
-            block_seen: vec![false; blocks],
+            block_cycles: vec![0.0; code.block_ids.len()],
+            runs: vec![[0; 2]; code.counts.len()],
         };
-        vm.run_nodes(&self.roots)?;
+        vm.run_nodes(&code.roots, 0)?;
 
-        let arrays = self
-            .array_base
-            .iter()
-            .zip(&self.array_len)
-            .map(|(&b, &n)| vm.arena[b as usize..b as usize + n as usize].to_vec())
-            .collect();
-        let mut block_cycles: Vec<(BlockId, f64)> = self
-            .block_ids
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| vm.block_seen[s])
-            .map(|(s, &id)| (id, vm.block_cycles[s]))
-            .collect();
-        block_cycles.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        // The integer counters: what each op range charges per execution
+        // times how often it ran, plus loop control's increment + branch.
+        let mut stats = vm.stats;
+        stats.metrics.dynamic_instructions += 2 * stats.iterations;
+        let mut block_cycles = Vec::new();
+        for (slot, &id) in code.block_ids.iter().enumerate() {
+            let mut seen = false;
+            for range in [2 * slot, 2 * slot + 1] {
+                for (per_run, &runs) in code.counts[range].iter().zip(&vm.runs[range]) {
+                    let m = &mut stats.metrics;
+                    m.dynamic_instructions += runs * per_run.dynamic_instructions;
+                    m.memory_ops += runs * per_run.memory_ops;
+                    m.packing_ops += runs * per_run.packing_ops;
+                    m.permutes += runs * per_run.permutes;
+                    m.simd_ops += runs * per_run.simd_ops;
+                    seen |= runs > 0;
+                }
+            }
+            if seen {
+                block_cycles.push((id, vm.block_cycles[slot]));
+            }
+        }
+        block_cycles.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         Ok(Outcome {
-            state: MachineState::from_parts(arrays, vm.scalars),
-            stats: vm.stats,
+            state: vm.state,
+            stats,
             vectorized_blocks: self.vectorized_blocks,
             block_cycles,
         })
@@ -513,19 +515,15 @@ impl BytecodeKernel {
 
     /// Number of dense instructions in the pool (after fusion).
     pub fn op_count(&self) -> usize {
-        self.ops.len()
+        self.code.ops.len()
     }
 
     /// Number of fused superinstructions in the pool.
     pub fn fused_count(&self) -> usize {
-        self.ops
+        self.code
+            .ops
             .iter()
-            .filter(|op| {
-                matches!(
-                    op,
-                    BOp::LoadOp { .. } | BOp::SplatOp { .. } | BOp::OpStore { .. }
-                )
-            })
+            .filter(|op| matches!(op, BOp::LoadOp(..) | BOp::SplatOp(..) | BOp::OpStore(..)))
             .count()
     }
 }
@@ -556,11 +554,11 @@ fn resolve_pending(
 ) -> Result<(), ExecError> {
     for &(i, r) in pending {
         let (base, width) = use_reg(map, r)?;
-        if let BOp::Carried { from, acc, .. } = &mut ops[i] {
-            let need = acc.1 - acc.0;
-            if width != need {
+        if let BOp::Carried { first, from, .. } = &mut ops[i] {
+            if width != first.acc.width {
                 return Err(ExecError::malformed(format!(
-                    "carried load expects {need} lane(s) from {r}, register has {width}"
+                    "carried load expects {} lane(s) from {r}, register has {width}",
+                    first.acc.width
                 )));
             }
             *from = base;
@@ -569,11 +567,13 @@ fn resolve_pending(
     Ok(())
 }
 
+/// Builds the execution tree of `items`, which sit inside `depth` loops,
+/// raising `max_depth` to the deepest nesting met.
 fn build_nodes(
     items: &[Item],
     by_first: &HashMap<StmtId, u32>,
-    pre_ranges: &[Range],
-    body_ranges: &[Range],
+    depth: usize,
+    max_depth: &mut usize,
 ) -> Result<Vec<Node>, ExecError> {
     let mut out = Vec::new();
     let mut idx = 0;
@@ -588,10 +588,7 @@ fn build_nodes(
                 let &slot = by_first.get(&first.id()).ok_or_else(|| {
                     ExecError::malformed(format!("no code for block starting at {}", first.id()))
                 })?;
-                out.push(Node::Block {
-                    slot,
-                    ops: body_ranges[slot as usize],
-                });
+                out.push(Node::Block(2 * slot + 1));
                 idx = end;
             }
             Item::Loop(l) => {
@@ -599,11 +596,12 @@ fn build_nodes(
                 for body_item in &l.body {
                     if let Item::Stmt(first) = body_item {
                         if let Some(&slot) = by_first.get(&first.id()) {
-                            preheaders.push((slot, pre_ranges[slot as usize]));
+                            preheaders.push(2 * slot);
                         }
                     }
                 }
-                let body = build_nodes(&l.body, by_first, pre_ranges, body_ranges)?;
+                *max_depth = (*max_depth).max(depth + 1);
+                let body = build_nodes(&l.body, by_first, depth + 1, max_depth)?;
                 out.push(Node::Loop {
                     lower: l.header.lower,
                     upper: l.header.upper,
@@ -621,28 +619,24 @@ fn build_nodes(
 struct Translator<'a> {
     program: &'a Program,
     cost: &'a CostParams,
-    ops: Vec<BOp>,
-    metrics: Vec<InstMetrics>,
-    accesses: Vec<Access>,
-    dims: Vec<Dim>,
-    terms: Vec<(u32, i64)>,
-    args: Vec<RArg>,
-    var_slots: Vec<u32>,
-    lanes: Vec<(u32, ScalarType)>,
-    consts: Vec<f64>,
-    perms: Vec<u32>,
-    srcs: Vec<u32>,
-    array_base: &'a [u32],
-    reg_len: u32,
+    array_base: Vec<u32>,
     safety: &'a SafetyCert,
     block: BlockId,
     elide_checks: bool,
+    /// Scratch for [`Translator::add_access`]: one coefficient per loop
+    /// depth.
+    coeffs: Vec<i64>,
+    /// The kernel's code, filled in place.
+    code: Code,
 }
 
 impl<'a> Translator<'a> {
-    fn metric(&mut self, inst: &VInst) -> u32 {
-        self.metrics.push(inst.metrics(self.cost));
-        (self.metrics.len() - 1) as u32
+    fn cost_row(&mut self, row: &InstMetrics) -> u32 {
+        self.code.costs.push(Cost {
+            cycles: row.cycles,
+            memory_cycles: row.memory_cycles,
+        });
+        (self.code.costs.len() - 1) as u32
     }
 
     /// Assigns a fresh arena slot to a register definition. Zero-width
@@ -653,8 +647,8 @@ impl<'a> Translator<'a> {
             map.remove(&r.0);
             return 0;
         }
-        let base = self.reg_len;
-        self.reg_len += width as u32;
+        let base = self.code.reg_len;
+        self.code.reg_len += width as u32;
         map.insert(r.0, (base, width as u32));
         base
     }
@@ -665,87 +659,146 @@ impl<'a> Translator<'a> {
     /// environment entry.
     fn add_access(&mut self, r: &ArrayRef, stack: &[LoopVarId]) -> u32 {
         let info = self.program.array(r.array);
+        let base = self.array_base[r.array.index()];
         let rank_ok = r.access.rank() == info.dims.len();
+        let stride = |d: usize| -> i64 { info.dims[d + 1..].iter().product() };
+        let depth_of = |v: LoopVarId| stack.iter().position(|&s| s == v);
         // Check elision is licensed only when (a) the certificate proved
         // this reference safe in this block, and (b) every subscript
         // variable is on the current stack: the certificate evaluated
         // the reference under the block's *full* loop environment, so a
         // preheader-hoisted access whose dropped variable would read as
         // zero here is outside what was proven and stays checked.
-        let checked = !(self.elide_checks
+        let elide = self.elide_checks
             && rank_ok
             && r.access
                 .dims()
                 .iter()
                 .all(|e| e.terms().all(|(v, _)| stack.contains(&v)))
-            && self.safety.is_proven_safe(self.block, r));
-        let dim_start = self.dims.len() as u32;
-        for (d, e) in r.access.dims().iter().enumerate() {
-            let term_start = self.terms.len() as u32;
-            for (v, c) in e.terms() {
-                if let Some(pos) = stack.iter().position(|&s| s == v) {
-                    self.terms.push((pos as u32, c));
+            && self.safety.is_proven_safe(self.block, r);
+        let addr = if elide {
+            // Fold strides into the subscripts and merge per loop depth.
+            let mut offset = i64::from(base);
+            self.coeffs.clear();
+            self.coeffs.resize(stack.len(), 0);
+            for (d, e) in r.access.dims().iter().enumerate() {
+                let s = stride(d);
+                offset = offset.wrapping_add(e.constant().wrapping_mul(s));
+                for (v, c) in e.terms() {
+                    if let Some(depth) = depth_of(v) {
+                        self.coeffs[depth] = self.coeffs[depth].wrapping_add(c.wrapping_mul(s));
+                    }
                 }
             }
-            let (extent, stride) = if rank_ok {
-                (info.dims[d], info.dims[d + 1..].iter().product())
-            } else {
-                (0, 0)
-            };
-            self.dims.push(Dim {
-                constant: e.constant(),
-                terms: (term_start, self.terms.len() as u32),
-                extent,
-                stride,
-            });
-        }
-        self.accesses.push(Access {
+            let mut terms = (0u32..)
+                .zip(self.coeffs.iter().copied())
+                .filter(|&(_, c)| c != 0);
+            let (depth, coeff) = terms.next().unwrap_or((0, 0));
+            let more_start = self.code.terms.len() as u32;
+            self.code.terms.extend(terms);
+            Addr::Linear {
+                offset,
+                depth,
+                coeff,
+                more: (more_start, self.code.terms.len() as u32),
+            }
+        } else {
+            let dim_start = self.code.dims.len() as u32;
+            for (d, e) in r.access.dims().iter().enumerate() {
+                let term_start = self.code.terms.len() as u32;
+                for (v, c) in e.terms() {
+                    if let Some(depth) = depth_of(v) {
+                        self.code.terms.push((depth as u32, c));
+                    }
+                }
+                let (extent, stride) = if rank_ok {
+                    (info.dims[d], stride(d))
+                } else {
+                    (0, 0)
+                };
+                self.code.dims.push(Dim {
+                    constant: e.constant(),
+                    terms: (term_start, self.code.terms.len() as u32),
+                    extent,
+                    stride,
+                });
+            }
+            Addr::Checked {
+                dims: (dim_start, self.code.dims.len() as u32),
+                rank_ok,
+            }
+        };
+        self.code.accesses.push(Access {
             array: r.array,
-            base: self.array_base[r.array.index()],
+            base,
             ty: info.ty,
-            dims: (dim_start, self.dims.len() as u32),
-            rank_ok,
-            checked,
+            addr,
         });
-        (self.accesses.len() - 1) as u32
+        (self.code.accesses.len() - 1) as u32
     }
 
-    fn add_accesses(&mut self, refs: &[ArrayRef], stack: &[LoopVarId]) -> Range {
-        let start = self.accesses.len() as u32;
+    /// Resolves the lanes of a vector memory op and decides whether they
+    /// are one certified unit-stride run.
+    fn add_lanes(&mut self, refs: &[ArrayRef], stack: &[LoopVarId]) -> Lanes {
+        let first = self.code.accesses.len();
         for r in refs {
             self.add_access(r, stack);
         }
-        (start, self.accesses.len() as u32)
+        let code = &self.code;
+        let terms = |r: Range| &code.terms[r.0 as usize..r.1 as usize];
+        let lanes = &code.accesses[first..];
+        let run = lanes.first().is_some_and(|head| {
+            let Addr::Linear {
+                offset,
+                depth,
+                coeff,
+                more,
+            } = head.addr
+            else {
+                return false;
+            };
+            (0i64..).zip(lanes).all(|(k, lane)| {
+                lane.array == head.array
+                    && matches!(lane.addr, Addr::Linear { offset: o, depth: d, coeff: c, more: m }
+                        if o == offset.wrapping_add(k)
+                            && (d, c) == (depth, coeff)
+                            && terms(m) == terms(more))
+            })
+        });
+        Lanes {
+            first: first as u32,
+            width: refs.len() as u32,
+            run,
+        }
     }
 
+    /// Translates one instruction stream. Besides the ops, returns the
+    /// stream's summed metrics for an execution under a steady `[0]` and
+    /// under a first `[1]` iteration (see [`Code::counts`]).
     fn translate_stream(
         &mut self,
         insts: &[VInst],
         stack: &[LoopVarId],
         map: &mut HashMap<u32, (u32, u32)>,
         pending: &mut Vec<(usize, VReg)>,
-    ) -> Result<Vec<BOp>, ExecError> {
+    ) -> Result<(Vec<BOp>, [InstMetrics; 2]), ExecError> {
         let mut out = Vec::with_capacity(insts.len());
+        let mut counts = [InstMetrics::default(); 2];
         for inst in insts {
-            let m = self.metric(inst);
+            let row = inst.metrics(self.cost);
+            let m = self.cost_row(&row);
+            let mut first_row = row;
             let op = match inst {
                 VInst::Scalar { stmt, .. } => {
-                    let operands = stmt.expr().operands();
-                    if operands.len() > 4 {
-                        return Err(ExecError::malformed(format!(
-                            "statement {} has {} operands (max 4)",
-                            stmt.id(),
-                            operands.len()
-                        )));
-                    }
-                    let start = self.args.len() as u32;
-                    for o in operands {
+                    // `Expr` holds exactly `arity(shape)` operands.
+                    let start = self.code.args.len() as u32;
+                    for o in stmt.expr().operands() {
                         let arg = match o {
                             Operand::Const(c) => RArg::Const(*c),
                             Operand::Scalar(v) => RArg::Scalar(v.index() as u32),
                             Operand::Array(r) => RArg::Array(self.add_access(r, stack)),
                         };
-                        self.args.push(arg);
+                        self.code.args.push(arg);
                     }
                     let dest = match stmt.dest() {
                         Dest::Scalar(v) => RDest::Scalar {
@@ -754,57 +807,59 @@ impl<'a> Translator<'a> {
                         },
                         Dest::Array(r) => RDest::Array(self.add_access(r, stack)),
                     };
-                    BOp::Scalar {
+                    BOp::Scalar(Stmt {
                         m,
                         shape: stmt.expr().shape(),
-                        args: (start, self.args.len() as u32),
+                        args: start,
                         dest,
-                    }
+                    })
                 }
                 VInst::Load { dst, refs, .. } => {
-                    let acc = self.add_accesses(refs, stack);
-                    let dst = self.def(map, *dst, refs.len());
-                    BOp::Load { m, dst, acc }
+                    let acc = self.add_lanes(refs, stack);
+                    let reg = self.def(map, *dst, refs.len());
+                    BOp::Load(Mem { m, reg, acc })
                 }
                 VInst::Store { src, refs, .. } => {
-                    let (base, width) = use_reg(map, *src)?;
+                    let (reg, width) = use_reg(map, *src)?;
                     let n = refs.len().min(width as usize);
-                    let acc = self.add_accesses(&refs[..n], stack);
-                    BOp::Store { m, src: base, acc }
+                    let acc = self.add_lanes(&refs[..n], stack);
+                    BOp::Store(Mem { m, reg, acc })
                 }
                 VInst::PackScalars { dst, vars, .. } => {
-                    let start = self.var_slots.len() as u32;
-                    self.var_slots.extend(vars.iter().map(|v| v.index() as u32));
+                    let start = self.code.var_slots.len() as u32;
+                    let slots = vars.iter().map(|v| v.index() as u32);
+                    self.code.var_slots.extend(slots);
                     let dst = self.def(map, *dst, vars.len());
                     BOp::Pack {
                         m,
                         dst,
-                        vars: (start, self.var_slots.len() as u32),
+                        vars: (start, self.code.var_slots.len() as u32),
                     }
                 }
                 VInst::UnpackScalars { src, vars, .. } => {
                     let (base, width) = use_reg(map, *src)?;
                     let n = vars.len().min(width as usize);
-                    let start = self.lanes.len() as u32;
-                    self.lanes.extend(
+                    let start = self.code.lanes.len() as u32;
+                    let program = self.program;
+                    self.code.lanes.extend(
                         vars[..n]
                             .iter()
-                            .map(|&v| (v.index() as u32, TypeEnv::scalar_type(self.program, v))),
+                            .map(|&v| (v.index() as u32, TypeEnv::scalar_type(program, v))),
                     );
                     BOp::Unpack {
                         m,
                         src: base,
-                        lanes: (start, self.lanes.len() as u32),
+                        lanes: (start, self.code.lanes.len() as u32),
                     }
                 }
                 VInst::ConstVec { dst, values } => {
-                    let start = self.consts.len() as u32;
-                    self.consts.extend_from_slice(values);
+                    let start = self.code.consts.len() as u32;
+                    self.code.consts.extend_from_slice(values);
                     let dst = self.def(map, *dst, values.len());
                     BOp::ConstVec {
                         m,
                         dst,
-                        vals: (start, self.consts.len() as u32),
+                        vals: (start, self.code.consts.len() as u32),
                     }
                 }
                 VInst::Splat { dst, src, width } => {
@@ -813,12 +868,12 @@ impl<'a> Translator<'a> {
                         SplatSrc::Scalar { var, .. } => SplatVal::Var(var.index() as u32),
                     };
                     let dst = self.def(map, *dst, *width);
-                    BOp::Splat {
+                    BOp::Splat(Splat {
                         m,
                         dst,
                         width: *width as u32,
                         src,
-                    }
+                    })
                 }
                 VInst::Permute { dst, src, perm } => {
                     let (base, width) = use_reg(map, *src)?;
@@ -827,14 +882,14 @@ impl<'a> Translator<'a> {
                             "permute lane {bad} out of range for {width}-lane register {src}"
                         )));
                     }
-                    let start = self.perms.len() as u32;
-                    self.perms.extend(perm.iter().map(|&j| j as u32));
+                    let start = self.code.perms.len() as u32;
+                    self.code.perms.extend(perm.iter().map(|&j| j as u32));
                     let dst = self.def(map, *dst, perm.len());
                     BOp::Permute {
                         m,
                         dst,
                         src: base,
-                        perm: (start, self.perms.len() as u32),
+                        perm: (start, self.code.perms.len() as u32),
                     }
                 }
                 VInst::Spill { .. } | VInst::Reload { .. } => BOp::Nop { m },
@@ -849,16 +904,17 @@ impl<'a> Translator<'a> {
                         refs: refs.clone(),
                         class: *class,
                     };
-                    let m_first = self.metric(&as_load);
-                    let acc = self.add_accesses(refs, stack);
-                    let dst = self.def(map, *dst, refs.len());
+                    first_row = as_load.metrics(self.cost);
+                    let first = Mem {
+                        m: self.cost_row(&first_row),
+                        acc: self.add_lanes(refs, stack),
+                        reg: self.def(map, *dst, refs.len()),
+                    };
                     pending.push((out.len(), *carried_from));
                     BOp::Carried {
-                        m_first,
+                        first,
                         m_steady: m,
-                        dst,
                         from: 0, // patched by resolve_pending
-                        acc,
                     }
                 }
                 VInst::Op { dst, shape, srcs } => {
@@ -881,21 +937,23 @@ impl<'a> Translator<'a> {
                             srcs[i], resolved[i].1
                         )));
                     }
-                    let start = self.srcs.len() as u32;
-                    self.srcs.extend(resolved.iter().map(|&(b, _)| b));
+                    let start = self.code.srcs.len() as u32;
+                    self.code.srcs.extend(resolved.iter().map(|&(b, _)| b));
                     let dst = self.def(map, *dst, width as usize);
-                    BOp::Op {
+                    BOp::Op(Alu {
                         m,
                         dst,
                         width,
                         shape: *shape,
-                        srcs: (start, self.srcs.len() as u32),
-                    }
+                        srcs: (start, self.code.srcs.len() as u32),
+                    })
                 }
             };
             out.push(op);
+            counts[0].add(&row);
+            counts[1].add(&first_row);
         }
-        Ok(out)
+        Ok((out, counts))
     }
 
     /// Greedy peephole fusion of adjacent pairs within one stream (never
@@ -903,83 +961,22 @@ impl<'a> Translator<'a> {
     /// different times).
     fn fuse_stream(&self, ops: Vec<BOp>) -> Vec<BOp> {
         let uses = |srcs: Range, base: RegBase| {
-            self.srcs[srcs.0 as usize..srcs.1 as usize].contains(&base)
+            self.code.srcs[srcs.0 as usize..srcs.1 as usize].contains(&base)
         };
         let mut out = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < ops.len() {
-            let fused = if i + 1 < ops.len() {
-                match (&ops[i], &ops[i + 1]) {
-                    (
-                        &BOp::Load {
-                            m,
-                            dst: ld_dst,
-                            acc,
-                        },
-                        &BOp::Op {
-                            m: m2,
-                            dst,
-                            width,
-                            shape,
-                            srcs,
-                        },
-                    ) if uses(srcs, ld_dst) => Some(BOp::LoadOp {
-                        m1: m,
-                        ld_dst,
-                        acc,
-                        m2,
-                        dst,
-                        width,
-                        shape,
-                        srcs,
-                    }),
-                    (
-                        &BOp::Splat {
-                            m,
-                            dst: sp_dst,
-                            width: sp_width,
-                            src: sp_src,
-                        },
-                        &BOp::Op {
-                            m: m2,
-                            dst,
-                            width,
-                            shape,
-                            srcs,
-                        },
-                    ) if uses(srcs, sp_dst) => Some(BOp::SplatOp {
-                        m1: m,
-                        sp_dst,
-                        sp_width,
-                        sp_src,
-                        m2,
-                        dst,
-                        width,
-                        shape,
-                        srcs,
-                    }),
-                    (
-                        &BOp::Op {
-                            m,
-                            dst,
-                            width,
-                            shape,
-                            srcs,
-                        },
-                        &BOp::Store { m: m2, src, acc },
-                    ) if src == dst => Some(BOp::OpStore {
-                        m1: m,
-                        dst,
-                        width,
-                        shape,
-                        srcs,
-                        m2,
-                        acc,
-                    }),
-                    _ => None,
+            let fused = match (ops[i], ops.get(i + 1)) {
+                (BOp::Load(ld), Some(&BOp::Op(op))) if uses(op.srcs, ld.reg) => {
+                    Some(BOp::LoadOp(ld, op))
                 }
-            } else {
-                None
+                (BOp::Splat(sp), Some(&BOp::Op(op))) if uses(op.srcs, sp.dst) => {
+                    Some(BOp::SplatOp(sp, op))
+                }
+                (BOp::Op(op), Some(&BOp::Store(st))) if st.reg == op.dst => {
+                    Some(BOp::OpStore(op, st))
+                }
+                _ => None,
             };
             match fused {
                 Some(f) => {
@@ -995,34 +992,40 @@ impl<'a> Translator<'a> {
         out
     }
 
-    fn append(&mut self, ops: Vec<BOp>) -> Range {
-        let start = self.ops.len() as u32;
-        self.ops.extend(ops);
-        (start, self.ops.len() as u32)
+    /// Appends one finished stream as the next op range.
+    fn append(&mut self, ops: Vec<BOp>, counts: [InstMetrics; 2]) {
+        let start = self.code.ops.len() as u32;
+        self.code.ops.extend(ops);
+        self.code.ranges.push((start, self.code.ops.len() as u32));
+        self.code.counts.push(counts);
     }
 }
 
 struct Vm<'a> {
-    bc: &'a BytecodeKernel,
-    arena: Vec<f64>,
-    scalars: Vec<f64>,
+    code: &'a Code,
+    /// Cold path only: array names and extents for error messages.
+    program: &'a Program,
+    loop_overhead: f64,
+    state: MachineState,
     regs: Vec<f64>,
+    /// The enclosing loops' counters, outermost first.
     loop_vals: Vec<i64>,
+    /// `cycles` and `memory_cycles` accumulate here op by op; the integer
+    /// counters hold only what replication charged until the run is over.
     stats: RunStats,
     first: bool,
     block_cycles: Vec<f64>,
-    block_seen: Vec<bool>,
+    /// Executions of each op range under a steady `[0]` and a first `[1]`
+    /// iteration.
+    runs: Vec<[u64; 2]>,
 }
 
 impl<'a> Vm<'a> {
-    fn run_nodes(&mut self, nodes: &[Node]) -> Result<(), ExecError> {
+    /// Runs `nodes`, which sit inside `depth` loops.
+    fn run_nodes(&mut self, nodes: &[Node], depth: usize) -> Result<(), ExecError> {
         for node in nodes {
             match node {
-                Node::Block { slot, ops } => {
-                    let before = self.stats.metrics.cycles;
-                    self.run_ops(*ops)?;
-                    self.charge(*slot, before);
-                }
+                Node::Block(range) => self.run_range(*range)?,
                 Node::Loop {
                     lower,
                     upper,
@@ -1033,23 +1036,24 @@ impl<'a> Vm<'a> {
                     // Preheaders of blocks directly inside this loop run
                     // once per loop entry (hoisted invariant packs).
                     if lower < upper {
-                        for &(slot, range) in preheaders {
-                            let before = self.stats.metrics.cycles;
-                            self.run_ops(range)?;
-                            self.charge(slot, before);
+                        for &range in preheaders {
+                            self.run_range(range)?;
                         }
                     }
                     let saved_first = self.first;
                     let mut v = *lower;
                     while v < *upper {
                         self.first = v == *lower;
-                        self.loop_vals.push(v);
-                        self.run_nodes(body)?;
-                        self.loop_vals.pop();
+                        self.loop_vals[depth] = v;
+                        match body.as_slice() {
+                            // The usual innermost loop: no tree to walk.
+                            [Node::Block(range)] => self.run_range(*range)?,
+                            _ => self.run_nodes(body, depth + 1)?,
+                        }
                         v += step;
                         // Loop control: increment + branch.
                         self.stats.iterations += 1;
-                        self.stats.metrics.add(&self.bc.loop_metrics);
+                        self.stats.metrics.cycles += self.loop_overhead;
                     }
                     self.first = saved_first;
                 }
@@ -1058,275 +1062,224 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    fn charge(&mut self, slot: u32, before: f64) {
-        self.block_cycles[slot as usize] += self.stats.metrics.cycles - before;
-        self.block_seen[slot as usize] = true;
+    /// Runs one op range, attributing its cycles to its block and
+    /// counting the execution.
+    fn run_range(&mut self, range: u32) -> Result<(), ExecError> {
+        let range = range as usize;
+        let before = self.stats.metrics.cycles;
+        self.run_ops(self.code.ranges[range])?;
+        self.block_cycles[range / 2] += self.stats.metrics.cycles - before;
+        self.runs[range][usize::from(self.first)] += 1;
+        Ok(())
     }
 
-    fn run_ops(&mut self, range: Range) -> Result<(), ExecError> {
-        let bc = self.bc;
-        for op in &bc.ops[range.0 as usize..range.1 as usize] {
-            match *op {
-                BOp::Scalar {
-                    m,
-                    shape,
-                    args,
-                    dest,
-                } => {
-                    self.add_metric(m);
-                    self.exec_scalar(shape, args, dest)?;
-                }
-                BOp::Load { m, dst, acc } => {
-                    self.add_metric(m);
-                    self.exec_load(dst, acc)?;
-                }
-                BOp::Store { m, src, acc } => {
-                    self.add_metric(m);
-                    self.exec_store(src, acc)?;
-                }
-                BOp::Pack { m, dst, vars } => {
-                    self.add_metric(m);
+    fn run_ops(&mut self, (start, end): Range) -> Result<(), ExecError> {
+        let code = self.code;
+        for op in &code.ops[start as usize..end as usize] {
+            match op {
+                BOp::Scalar(st) => self.exec_scalar(st)?,
+                BOp::Load(ld) => self.exec_load(ld)?,
+                BOp::Store(st) => self.exec_store(st)?,
+                &BOp::Pack { m, dst, vars } => {
+                    self.charge(m);
                     for (j, i) in (vars.0..vars.1).enumerate() {
                         self.regs[dst as usize + j] =
-                            self.scalars[bc.var_slots[i as usize] as usize];
+                            self.state.scalars[code.var_slots[i as usize] as usize];
                     }
                 }
-                BOp::Unpack { m, src, lanes } => {
-                    self.add_metric(m);
+                &BOp::Unpack { m, src, lanes } => {
+                    self.charge(m);
                     for (j, i) in (lanes.0..lanes.1).enumerate() {
-                        let (slot, ty) = bc.lanes[i as usize];
-                        self.scalars[slot as usize] = ty.coerce(self.regs[src as usize + j]);
+                        let (slot, ty) = code.lanes[i as usize];
+                        self.state.scalars[slot as usize] = ty.coerce(self.regs[src as usize + j]);
                     }
                 }
-                BOp::ConstVec { m, dst, vals } => {
-                    self.add_metric(m);
-                    let src = &bc.consts[vals.0 as usize..vals.1 as usize];
+                &BOp::ConstVec { m, dst, vals } => {
+                    self.charge(m);
+                    let src = &code.consts[vals.0 as usize..vals.1 as usize];
                     let d = dst as usize;
                     self.regs[d..d + src.len()].copy_from_slice(src);
                 }
-                BOp::Splat { m, dst, width, src } => {
-                    self.add_metric(m);
-                    self.exec_splat(dst, width, src);
-                }
-                BOp::Permute { m, dst, src, perm } => {
-                    self.add_metric(m);
+                BOp::Splat(sp) => self.exec_splat(sp),
+                &BOp::Permute { m, dst, src, perm } => {
+                    self.charge(m);
                     for (k, p) in (perm.0..perm.1).enumerate() {
                         self.regs[dst as usize + k] =
-                            self.regs[src as usize + bc.perms[p as usize] as usize];
+                            self.regs[src as usize + code.perms[p as usize] as usize];
                     }
                 }
-                BOp::Nop { m } => self.add_metric(m),
+                &BOp::Nop { m } => self.charge(m),
                 BOp::Carried {
-                    m_first,
+                    first,
                     m_steady,
-                    dst,
                     from,
-                    acc,
                 } => {
-                    // A real load on the first iteration, a register move
-                    // after.
                     if self.first {
-                        self.add_metric(m_first);
-                        self.exec_load(dst, acc)?;
+                        self.exec_load(first)?;
                     } else {
-                        self.add_metric(m_steady);
-                        let w = (acc.1 - acc.0) as usize;
-                        let (d, f) = (dst as usize, from as usize);
-                        for j in 0..w {
-                            self.regs[d + j] = self.regs[f + j];
-                        }
+                        self.charge(*m_steady);
+                        let (f, w) = (*from as usize, first.acc.width as usize);
+                        self.regs.copy_within(f..f + w, first.reg as usize);
                     }
                 }
-                BOp::Op {
-                    m,
-                    dst,
-                    width,
-                    shape,
-                    srcs,
-                } => {
-                    self.add_metric(m);
-                    self.exec_op(dst, width, shape, srcs);
+                BOp::Op(op) => self.exec_op(op),
+                BOp::LoadOp(ld, op) => {
+                    self.exec_load(ld)?;
+                    self.exec_op(op);
                 }
-                BOp::LoadOp {
-                    m1,
-                    ld_dst,
-                    acc,
-                    m2,
-                    dst,
-                    width,
-                    shape,
-                    srcs,
-                } => {
-                    self.add_metric(m1);
-                    self.exec_load(ld_dst, acc)?;
-                    self.add_metric(m2);
-                    self.exec_op(dst, width, shape, srcs);
+                BOp::SplatOp(sp, op) => {
+                    self.exec_splat(sp);
+                    self.exec_op(op);
                 }
-                BOp::SplatOp {
-                    m1,
-                    sp_dst,
-                    sp_width,
-                    sp_src,
-                    m2,
-                    dst,
-                    width,
-                    shape,
-                    srcs,
-                } => {
-                    self.add_metric(m1);
-                    self.exec_splat(sp_dst, sp_width, sp_src);
-                    self.add_metric(m2);
-                    self.exec_op(dst, width, shape, srcs);
-                }
-                BOp::OpStore {
-                    m1,
-                    dst,
-                    width,
-                    shape,
-                    srcs,
-                    m2,
-                    acc,
-                } => {
-                    self.add_metric(m1);
-                    self.exec_op(dst, width, shape, srcs);
-                    self.add_metric(m2);
-                    self.exec_store(dst, acc)?;
+                BOp::OpStore(op, st) => {
+                    self.exec_op(op);
+                    self.exec_store(st)?;
                 }
             }
         }
         Ok(())
     }
 
-    #[inline]
-    fn add_metric(&mut self, m: u32) {
-        self.stats.metrics.add(&self.bc.metrics[m as usize]);
+    /// Adds cost row `m` to the two order-sensitive sums.
+    #[inline(always)]
+    fn charge(&mut self, m: u32) {
+        let cost = &self.code.costs[m as usize];
+        self.stats.metrics.cycles += cost.cycles;
+        self.stats.metrics.memory_cycles += cost.memory_cycles;
     }
 
-    /// Evaluates access `a` to a flat arena index, bounds-checked per
-    /// dimension exactly like `ArrayInfo::in_bounds` + `linearize`.
-    #[inline]
-    fn resolve(&self, a: u32) -> Result<usize, ExecError> {
-        let bc = self.bc;
-        let acc = &bc.accesses[a as usize];
-        if !acc.checked {
-            // Certificate-proven access: the per-dimension range checks
-            // were discharged statically, only the address math remains.
-            let mut off = 0i64;
-            for dim in &bc.dims[acc.dims.0 as usize..acc.dims.1 as usize] {
-                let mut v = dim.constant;
-                for &(depth, coeff) in &bc.terms[dim.terms.0 as usize..dim.terms.1 as usize] {
-                    v += coeff * self.loop_vals[depth as usize];
+    /// The cell index of access `a` under the current loop counters.
+    #[inline(always)]
+    fn addr(&self, a: u32) -> Result<usize, ExecError> {
+        let acc = &self.code.accesses[a as usize];
+        match acc.addr {
+            Addr::Linear {
+                offset,
+                depth,
+                coeff,
+                more,
+            } => {
+                let mut at =
+                    offset.wrapping_add(coeff.wrapping_mul(self.loop_vals[depth as usize]));
+                if more.0 < more.1 {
+                    for &(depth, coeff) in &self.code.terms[more.0 as usize..more.1 as usize] {
+                        at = at.wrapping_add(coeff.wrapping_mul(self.loop_vals[depth as usize]));
+                    }
                 }
-                off += v * dim.stride;
+                Ok(at as usize)
             }
+            Addr::Checked { dims, rank_ok } => self.addr_checked(acc, dims, rank_ok),
+        }
+    }
+
+    /// Evaluates one subscript, exactly as `AffineExpr::eval` does.
+    fn subscript(&self, dim: &Dim) -> i64 {
+        let terms = &self.code.terms[dim.terms.0 as usize..dim.terms.1 as usize];
+        let v = terms
+            .iter()
+            .fold(dim.constant as i128, |v, &(depth, coeff)| {
+                v.saturating_add(coeff as i128 * self.loop_vals[depth as usize] as i128)
+            });
+        v.clamp(i64::MIN as i128, i64::MAX as i128) as i64
+    }
+
+    /// Bounds-checks a [`Addr::Checked`] access per dimension, exactly
+    /// like `ArrayInfo::in_bounds` + `linearize`, reconstructing the
+    /// reference engine's message when it is out of bounds.
+    #[inline(never)]
+    fn addr_checked(&self, acc: &Access, dims: Range, rank_ok: bool) -> Result<usize, ExecError> {
+        let dims = &self.code.dims[dims.0 as usize..dims.1 as usize];
+        let off = dims.iter().try_fold(0i64, |off, dim| {
+            let v = self.subscript(dim);
+            (0 <= v && v < dim.extent).then(|| off + v * dim.stride)
+        });
+        if let (true, Some(off)) = (rank_ok, off) {
             return Ok(acc.base as usize + off as usize);
         }
-        if !acc.rank_ok {
-            return Err(self.oob(acc));
-        }
-        let mut off = 0i64;
-        for dim in &bc.dims[acc.dims.0 as usize..acc.dims.1 as usize] {
-            let mut v = dim.constant;
-            for &(depth, coeff) in &bc.terms[dim.terms.0 as usize..dim.terms.1 as usize] {
-                v += coeff * self.loop_vals[depth as usize];
-            }
-            if v < 0 || v >= dim.extent {
-                return Err(self.oob(acc));
-            }
-            off += v * dim.stride;
-        }
-        Ok(acc.base as usize + off as usize)
-    }
-
-    /// Cold path: reconstructs the reference engine's out-of-bounds
-    /// message from the resolved access.
-    #[cold]
-    fn oob(&self, acc: &Access) -> ExecError {
-        let bc = self.bc;
-        let info = bc.program.array(acc.array);
-        let idx: Vec<i64> = bc.dims[acc.dims.0 as usize..acc.dims.1 as usize]
-            .iter()
-            .map(|dim| {
-                let mut v = dim.constant;
-                for &(depth, coeff) in &bc.terms[dim.terms.0 as usize..dim.terms.1 as usize] {
-                    v += coeff * self.loop_vals[depth as usize];
-                }
-                v
-            })
-            .collect();
-        ExecError::out_of_bounds(format!(
+        let info = self.program.array(acc.array);
+        let idx: Vec<i64> = dims.iter().map(|dim| self.subscript(dim)).collect();
+        Err(ExecError::out_of_bounds(format!(
             "{}{:?} out of bounds (dims {:?})",
             info.name, idx, info.dims
-        ))
+        )))
     }
 
-    fn exec_load(&mut self, dst: RegBase, acc: Range) -> Result<(), ExecError> {
-        for (j, a) in (acc.0..acc.1).enumerate() {
-            let idx = self.resolve(a)?;
-            self.regs[dst as usize + j] = self.arena[idx];
+    fn exec_load(&mut self, &Mem { m, reg, acc }: &Mem) -> Result<(), ExecError> {
+        self.charge(m);
+        let (d, w) = (reg as usize, acc.width as usize);
+        if acc.run {
+            let at = self.addr(acc.first)?;
+            self.regs[d..d + w].copy_from_slice(&self.state.cells[at..at + w]);
+        } else {
+            for (j, a) in (acc.first..acc.first + acc.width).enumerate() {
+                self.regs[d + j] = self.state.cells[self.addr(a)?];
+            }
         }
         Ok(())
     }
 
-    fn exec_store(&mut self, src: RegBase, acc: Range) -> Result<(), ExecError> {
-        let bc = self.bc;
-        for (j, a) in (acc.0..acc.1).enumerate() {
-            let idx = self.resolve(a)?;
-            let ty = bc.accesses[a as usize].ty;
-            self.arena[idx] = ty.coerce(self.regs[src as usize + j]);
+    fn exec_store(&mut self, &Mem { m, reg, acc }: &Mem) -> Result<(), ExecError> {
+        self.charge(m);
+        let (s, w) = (reg as usize, acc.width as usize);
+        if acc.run {
+            let ty = self.code.accesses[acc.first as usize].ty;
+            let at = self.addr(acc.first)?;
+            let (cells, regs) = (&mut self.state.cells[at..at + w], &self.regs[s..s + w]);
+            if ty.is_float() {
+                cells.copy_from_slice(regs);
+            } else {
+                for (cell, &v) in cells.iter_mut().zip(regs) {
+                    *cell = ty.coerce(v);
+                }
+            }
+        } else {
+            for (j, a) in (acc.first..acc.first + acc.width).enumerate() {
+                self.store(a, self.regs[s + j])?;
+            }
         }
         Ok(())
     }
 
-    fn exec_splat(&mut self, dst: RegBase, width: u32, src: SplatVal) {
-        let v = match src {
+    /// Stores `v` through access `a`, coerced to the array's element type.
+    #[inline(always)]
+    fn store(&mut self, a: u32, v: f64) -> Result<(), ExecError> {
+        let at = self.addr(a)?;
+        self.state.cells[at] = self.code.accesses[a as usize].ty.coerce(v);
+        Ok(())
+    }
+
+    fn exec_splat(&mut self, sp: &Splat) {
+        self.charge(sp.m);
+        let v = match sp.src {
             SplatVal::Const(c) => c,
-            SplatVal::Var(s) => self.scalars[s as usize],
+            SplatVal::Var(s) => self.state.scalars[s as usize],
         };
-        let d = dst as usize;
-        for slot in &mut self.regs[d..d + width as usize] {
-            *slot = v;
-        }
+        let d = sp.dst as usize;
+        self.regs[d..d + sp.width as usize].fill(v);
     }
 
     /// Elementwise op over pre-resolved source bases. Destination slots
     /// are always fresh (one per static definition), so there is no
     /// aliasing with sources.
-    fn exec_op(&mut self, dst: RegBase, width: u32, shape: ExprShape, srcs: Range) {
-        let bc = self.bc;
-        let s = &bc.srcs[srcs.0 as usize..srcs.1 as usize];
-        let d = dst as usize;
-        let w = width as usize;
-        match shape {
+    fn exec_op(&mut self, op: &Alu) {
+        self.charge(op.m);
+        let s = &self.code.srcs[op.srcs.0 as usize..op.srcs.1 as usize];
+        let (d, w) = (op.dst as usize, op.width as usize);
+        match op.shape {
             ExprShape::Copy => {
                 let a = s[0] as usize;
-                for k in 0..w {
-                    self.regs[d + k] = self.regs[a + k];
-                }
+                self.regs.copy_within(a..a + w, d);
             }
             ExprShape::Unary(op) => {
                 let a = s[0] as usize;
                 for k in 0..w {
-                    let x = self.regs[a + k];
-                    self.regs[d + k] = match op {
-                        UnOp::Neg => -x,
-                        UnOp::Abs => x.abs(),
-                        UnOp::Sqrt => x.sqrt(),
-                    };
+                    self.regs[d + k] = op.apply(self.regs[a + k]);
                 }
             }
             ExprShape::Binary(op) => {
                 let (a, b) = (s[0] as usize, s[1] as usize);
                 for k in 0..w {
-                    let (x, y) = (self.regs[a + k], self.regs[b + k]);
-                    self.regs[d + k] = match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => x / y,
-                        BinOp::Min => x.min(y),
-                        BinOp::Max => x.max(y),
-                    };
+                    self.regs[d + k] = op.apply(self.regs[a + k], self.regs[b + k]);
                 }
             }
             ExprShape::MulAdd => {
@@ -1348,27 +1301,40 @@ impl<'a> Vm<'a> {
         }
     }
 
-    fn exec_scalar(&mut self, shape: ExprShape, args: Range, dest: RDest) -> Result<(), ExecError> {
-        let bc = self.bc;
-        let a = &bc.args[args.0 as usize..args.1 as usize];
-        let mut vals = [0.0f64; 4];
-        for (i, arg) in a.iter().enumerate() {
-            vals[i] = match *arg {
-                RArg::Const(c) => c,
-                RArg::Scalar(s) => self.scalars[s as usize],
-                RArg::Array(acc) => self.arena[self.resolve(acc)?],
-            };
-        }
-        let result = apply_shape(shape, &vals[..a.len()]);
-        match dest {
-            RDest::Scalar { slot, ty } => {
-                self.scalars[slot as usize] = ty.coerce(result);
+    /// Reads operand `i` of the argument pool.
+    #[inline(always)]
+    fn arg(&self, i: usize) -> Result<f64, ExecError> {
+        Ok(match self.code.args[i] {
+            RArg::Const(c) => c,
+            RArg::Scalar(s) => self.state.scalars[s as usize],
+            RArg::Array(a) => self.state.cells[self.addr(a)?],
+        })
+    }
+
+    /// A scalar statement, each operand fetched where the operator needs
+    /// it — in positional order, all of them, so the first out-of-bounds
+    /// operand is the reference engine's.
+    fn exec_scalar(&mut self, st: &Stmt) -> Result<(), ExecError> {
+        self.charge(st.m);
+        let a = st.args as usize;
+        let result = match st.shape {
+            ExprShape::Copy => self.arg(a)?,
+            ExprShape::Unary(op) => op.apply(self.arg(a)?),
+            ExprShape::Binary(op) => op.apply(self.arg(a)?, self.arg(a + 1)?),
+            ExprShape::MulAdd => self.arg(a)? + self.arg(a + 1)? * self.arg(a + 2)?,
+            ExprShape::Select(op) => {
+                let (x, y) = (self.arg(a)?, self.arg(a + 1)?);
+                let (t, e) = (self.arg(a + 2)?, self.arg(a + 3)?);
+                if op.apply(x, y) {
+                    t
+                } else {
+                    e
+                }
             }
-            RDest::Array(acc) => {
-                let idx = self.resolve(acc)?;
-                let ty = bc.accesses[acc as usize].ty;
-                self.arena[idx] = ty.coerce(result);
-            }
+        };
+        match st.dest {
+            RDest::Scalar { slot, ty } => self.state.scalars[slot as usize] = ty.coerce(result),
+            RDest::Array(a) => self.store(a, result)?,
         }
         Ok(())
     }
@@ -1377,7 +1343,6 @@ impl<'a> Vm<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codegen::BlockCode;
     use crate::exec::{execute_gated, execute_gated_reference};
     use slp_core::{compile, ExecErrorKind, SlpConfig, Strategy};
 
@@ -1467,7 +1432,7 @@ mod tests {
         // certificate machinery cannot swallow the trap.
         assert!(k.safety.proven_faulting() > 0);
         let bc = BytecodeKernel::compile(&k, &machine(), true).unwrap();
-        assert!(bc.accesses.iter().all(|a| a.checked));
+        assert_eq!(bc.unchecked_accesses().0, 0);
         let fast = execute_gated(&k, &machine(), true).unwrap_err();
         let slow = execute_gated_reference(&k, &machine(), true).unwrap_err();
         assert_eq!(fast, slow);
@@ -1486,13 +1451,15 @@ mod tests {
             let k = compile(&p, &cfg);
             assert!(k.safety.all_proven_safe());
             let fast = BytecodeKernel::compile(&k, &machine(), true).unwrap();
-            assert!(
-                fast.accesses.iter().all(|a| !a.checked),
+            let (unchecked, total) = fast.unchecked_accesses();
+            assert_eq!(
+                unchecked, total,
                 "{strategy:?}: every certified access should drop its check"
             );
             let checked = BytecodeKernel::compile_checked(&k, &machine(), true).unwrap();
-            assert!(
-                checked.accesses.iter().all(|a| a.checked),
+            assert_eq!(
+                checked.unchecked_accesses().0,
+                0,
                 "{strategy:?}: compile_checked must keep every check"
             );
             let a = fast.run().unwrap();
@@ -1575,5 +1542,96 @@ mod tests {
             .collect();
         let err = BytecodeKernel::from_codes(&k, &machine(), &codes).unwrap_err();
         assert_eq!(err.kind(), ExecErrorKind::MalformedCode);
+    }
+
+    #[test]
+    fn lane_runs_and_the_preheader_guard_are_decided_at_translation() {
+        use crate::code::AccessClass::Gather;
+        // The statements only supply certified references to build lanes
+        // from: three reads of `A` and two `i32` stores.
+        let p = slp_lang::compile(
+            "kernel m { array A: f64[16]; array B: i32[16]; scalar x: f64;
+             for i in 0..4 { x = A[i]; x = A[i+1]; x = A[2*i+2];
+                             B[2*i] = x * 1.5; B[2*i+1] = x * 2.5; } }",
+        )
+        .unwrap();
+        let k = compile(&p, &SlpConfig::for_machine(machine(), Strategy::Scalar));
+        let info = &k.program.blocks()[0];
+        let refs: Vec<ArrayRef> = info
+            .block
+            .stmts()
+            .iter()
+            .map(|s| match (s.dest(), s.expr().operands()[0]) {
+                (Dest::Array(r), _) | (_, Operand::Array(r)) => r.clone(),
+                _ => panic!("every statement touches an array"),
+            })
+            .collect();
+        let [a0, a1, a2, b0, b1] = <[ArrayRef; 5]>::try_from(refs).unwrap();
+
+        // `(loaded lanes, hoisted?)` → `(is one run, accesses unchecked)`.
+        let cases = [
+            (vec![a0.clone(), a1.clone()], false, true, 4),
+            (vec![a1.clone(), a0.clone()], false, false, 4), // reversed
+            (vec![a0.clone(), a0.clone()], false, false, 4), // repeated
+            (vec![a0.clone(), a2.clone()], false, false, 4), // other coefficient
+            // Hoisted above the loop its subscripts use: `i` reads as 0,
+            // which the certificate never judged, so both lanes stay
+            // checked.
+            (vec![a0.clone(), a1.clone()], true, false, 2),
+        ];
+        for (lanes, hoisted, run, unchecked) in cases {
+            let load = VInst::Load {
+                dst: VReg(0),
+                refs: lanes.clone(),
+                class: Gather,
+            };
+            let store = VInst::Store {
+                src: VReg(0),
+                refs: vec![b0.clone(), b1.clone()],
+                class: Gather,
+            };
+            let (preheader, insts) = if hoisted {
+                (vec![load], vec![store])
+            } else {
+                (Vec::new(), vec![load, store])
+            };
+            let codes = vec![(
+                info.id,
+                BlockCode {
+                    preheader,
+                    insts,
+                    vectorized: true,
+                    static_metrics: InstMetrics::default(),
+                    preheader_metrics: InstMetrics::default(),
+                },
+            )];
+            let certified = BytecodeKernel::from_codes(&k, &machine(), &codes).unwrap();
+            let checked = BytecodeKernel::from_codes_with(&k, &machine(), &codes, false).unwrap();
+            let load_runs = |bc: &BytecodeKernel| {
+                let mut loads = bc.code.ops.iter().filter_map(|op| match op {
+                    BOp::Load(ld) => Some(ld.acc.run),
+                    _ => None,
+                });
+                loads.next().expect("one load")
+            };
+            assert_eq!(load_runs(&certified), run, "{lanes:?} hoisted {hoisted}");
+            assert!(
+                !load_runs(&checked),
+                "a checked lowering moves lane by lane"
+            );
+            assert_eq!(certified.unchecked_accesses(), (unchecked, 4));
+            let (x, y) = (certified.run().unwrap(), checked.run().unwrap());
+            assert!(x.state.bitwise_eq(&y.state), "{lanes:?} hoisted {hoisted}");
+            assert_eq!(x.stats, y.stats);
+            // The `i32` store truncates each lane: the last iteration
+            // leaves B[6] = trunc(lane 0 at i = 3, or at 0 when hoisted).
+            let i = if hoisted { 0 } else { 3 };
+            let lane0 = lanes[0].access.eval(&[(info.loops[0].var, i)])[0] as usize;
+            let seeded = MachineState::seeded(&k.program);
+            assert_eq!(
+                x.state.load_array(b0.array, 6),
+                seeded.load_array(lanes[0].array, lane0).map(f64::trunc)
+            );
+        }
     }
 }

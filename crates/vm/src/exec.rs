@@ -104,7 +104,8 @@ pub fn execute_fully_checked(
 ///
 /// # Errors
 ///
-/// Returns [`ExecError`] on out-of-bounds accesses or malformed code.
+/// Returns [`ExecError`] on out-of-bounds accesses, malformed code, or a
+/// state allocated for another program (before anything runs).
 pub fn execute_with_state(
     kernel: &CompiledKernel,
     machine: &MachineConfig,
@@ -194,7 +195,7 @@ fn execute_reference_with_state_gated(
     ex.run_items(kernel.program.items(), &by_first_stmt)?;
 
     let mut block_cycles: Vec<(slp_ir::BlockId, f64)> = ex.block_cycles.into_iter().collect();
-    block_cycles.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+    block_cycles.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     Ok(Outcome {
         state: ex.state,
         stats: ex.stats,

@@ -15,10 +15,11 @@
 //!   memory, so any vectorized build can be checked bit-for-bit against
 //!   the scalar build — an oracle the original paper did not have,
 //! * [`bytecode`]: the fast-path engine behind [`execute`] — a dense,
-//!   pre-resolved lowering of the same code (flat register/memory
-//!   arenas, fused superinstructions) that produces bit-identical
-//!   outcomes to the [`exec`] reference interpreter at a fraction of the
-//!   interpretation cost,
+//!   pre-resolved lowering of the same code (flat register slots, one
+//!   linear address form per certified access, fused superinstructions)
+//!   run directly on the flat memory image, bit-identical to the
+//!   [`exec`] reference interpreter at a fraction of the interpretation
+//!   cost,
 //! * [`multicore`]: the analytic model behind the Figure 21 multicore
 //!   scaling experiments.
 //!

@@ -39,11 +39,17 @@ pub fn check_memory_budget(program: &Program) -> Result<(), ExecError> {
     Ok(())
 }
 
-/// The memory image of one program run.
+/// The memory image of one program run: every array's elements back to
+/// back in one allocation — the bytecode engine runs directly on it, so a
+/// run moves the image in and out instead of copying it — plus the scalar
+/// frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineState {
-    arrays: Vec<Vec<f64>>,
-    scalars: Vec<f64>,
+    /// All array elements, array after array in [`ArrayId`] order.
+    pub(crate) cells: Vec<f64>,
+    /// Array `a` is `cells[bounds[a]..bounds[a + 1]]`.
+    bounds: Vec<usize>,
+    pub(crate) scalars: Vec<f64>,
 }
 
 /// SplitMix64 — the seeding PRNG (tiny, deterministic, well distributed).
@@ -70,21 +76,24 @@ pub fn seed_scalar(v: VarId) -> f64 {
     0.25 + 4.0 * ((bits >> 11) as f64 / (1u64 << 53) as f64)
 }
 
+fn bits_eq(x: &[f64], y: &[f64]) -> bool {
+    x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
+}
+
 impl MachineState {
     /// Allocates and seeds memory for `program`. Integer-typed arrays
     /// and scalars are seeded with whole values (their storage semantics
     /// truncate, so fractional seeds would be unrepresentable).
     pub fn seeded(program: &Program) -> Self {
-        let arrays = program
-            .array_ids()
-            .map(|a| {
-                let ty = program.array(a).ty;
-                let len = program.array(a).len().max(0) as usize;
-                (0..len)
-                    .map(|i| ty.coerce(seed_value(a, i) * 4.0))
-                    .collect()
-            })
-            .collect();
+        let lens = program.arrays().iter().map(|a| a.len().max(0) as usize);
+        let mut cells = Vec::with_capacity(lens.sum());
+        let mut bounds = vec![0];
+        for a in program.array_ids() {
+            let info = program.array(a);
+            let len = info.len().max(0) as usize;
+            cells.extend((0..len).map(|i| info.ty.coerce(seed_value(a, i) * 4.0)));
+            bounds.push(cells.len());
+        }
         let scalars = program
             .scalar_ids()
             .map(|v| {
@@ -92,7 +101,48 @@ impl MachineState {
                 program.scalar_type(v).coerce(seed_scalar(v) * 4.0)
             })
             .collect();
-        MachineState { arrays, scalars }
+        MachineState {
+            cells,
+            bounds,
+            scalars,
+        }
+    }
+
+    /// Checks that this image has the shape [`MachineState::seeded`]
+    /// gives `program` — the same number of arrays and scalars, every
+    /// array at the same length — which is what code translated for
+    /// `program` addresses.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`MalformedCode`](slp_core::ExecErrorKind::MalformedCode)
+    /// error naming the counts or the first mismatching array.
+    pub(crate) fn check_shape(&self, program: &Program) -> Result<(), ExecError> {
+        let (arrays, scalars) = (program.arrays().len(), program.scalars().len());
+        let held = (self.bounds.len() - 1, self.scalars.len());
+        if held != (arrays, scalars) {
+            return Err(ExecError::malformed(format!(
+                "memory image holds {} arrays and {} scalars, the kernel's program declares \
+                 {arrays} and {scalars}",
+                held.0, held.1
+            )));
+        }
+        for (info, held) in program.arrays().iter().zip(self.bounds.windows(2)) {
+            let (held, len) = (held[1] - held[0], info.len().max(0) as usize);
+            if held != len {
+                return Err(ExecError::malformed(format!(
+                    "memory image holds {held} elements of array {}, the kernel's program \
+                     declares {len}",
+                    info.name
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The cell range of array `a`, if this state allocates it.
+    fn span(&self, a: ArrayId) -> Option<std::ops::Range<usize>> {
+        Some(*self.bounds.get(a.index())?..*self.bounds.get(a.index() + 1)?)
     }
 
     /// The contents of array `a`.
@@ -101,21 +151,20 @@ impl MachineState {
     ///
     /// Panics if `a` is not allocated in this state.
     pub fn array(&self, a: ArrayId) -> &[f64] {
-        &self.arrays[a.index()]
+        &self.cells[self.bounds[a.index()]..self.bounds[a.index() + 1]]
     }
 
     /// Reads element `offset` of array `a`.
     pub fn load_array(&self, a: ArrayId, offset: usize) -> Option<f64> {
-        self.arrays.get(a.index())?.get(offset).copied()
+        self.cells[self.span(a)?].get(offset).copied()
     }
 
     /// Writes element `offset` of array `a`. Returns `false` when out of
     /// bounds.
     pub fn store_array(&mut self, a: ArrayId, offset: usize, value: f64) -> bool {
         match self
-            .arrays
-            .get_mut(a.index())
-            .and_then(|arr| arr.get_mut(offset))
+            .span(a)
+            .and_then(|span| self.cells[span].get_mut(offset))
         {
             Some(slot) => {
                 *slot = value;
@@ -140,26 +189,14 @@ impl MachineState {
     /// and replicated arrays are appended by the layout stage, so only
     /// the original arrays are comparable across optimization levels.)
     pub fn arrays_bitwise_eq(&self, other: &MachineState, n_arrays: usize) -> bool {
-        if self.arrays.len() < n_arrays || other.arrays.len() < n_arrays {
+        if self.bounds.len() <= n_arrays || other.bounds.len() <= n_arrays {
             return false;
         }
-        (0..n_arrays).all(|a| {
-            let (x, y) = (&self.arrays[a], &other.arrays[a]);
-            x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
-        })
-    }
-
-    /// Decomposes the state into its raw `(arrays, scalars)` storage.
-    /// Used by the bytecode engine to flatten the seeded image into its
-    /// execution arena without copying through the accessor interface.
-    pub fn into_parts(self) -> (Vec<Vec<f64>>, Vec<f64>) {
-        (self.arrays, self.scalars)
-    }
-
-    /// Rebuilds a state from raw `(arrays, scalars)` storage — the
-    /// inverse of [`MachineState::into_parts`].
-    pub fn from_parts(arrays: Vec<Vec<f64>>, scalars: Vec<f64>) -> Self {
-        MachineState { arrays, scalars }
+        // Equal bounds mean equal lengths array by array, so the prefix
+        // compares as one run of cells.
+        let end = self.bounds[n_arrays];
+        self.bounds[..=n_arrays] == other.bounds[..=n_arrays]
+            && bits_eq(&self.cells[..end], &other.cells[..end])
     }
 
     /// Bitwise equality of the *entire* state — every array and every
@@ -167,26 +204,17 @@ impl MachineState {
     /// `PartialEq` (NaN-exact) and than [`MachineState::arrays_bitwise_eq`]
     /// (which ignores scalars); used by the engine differential gate.
     pub fn bitwise_eq(&self, other: &MachineState) -> bool {
-        self.arrays.len() == other.arrays.len()
-            && self.scalars.len() == other.scalars.len()
-            && self.arrays_bitwise_eq(other, self.arrays.len())
-            && self
-                .scalars
-                .iter()
-                .zip(&other.scalars)
-                .all(|(u, v)| u.to_bits() == v.to_bits())
+        self.bounds == other.bounds
+            && bits_eq(&self.cells, &other.cells)
+            && bits_eq(&self.scalars, &other.scalars)
     }
 
     /// A 64-bit digest of the full array contents, for cheap regression
     /// assertions.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for arr in &self.arrays {
-            for v in arr {
-                h = (h ^ v.to_bits()).wrapping_mul(0x1000_0000_01B3);
-            }
-        }
-        h
+        self.cells.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x1000_0000_01B3)
+        })
     }
 }
 
