@@ -255,24 +255,6 @@ impl FloatInterval {
         }
     }
 
-    /// Abstract select `cond(a, b) ? t : f`. A decidable condition takes
-    /// one arm exactly; otherwise the result joins both arms — the
-    /// branch-condition refinement of the taken arm happens per operand
-    /// in [`refine_by_cmp`](Self::refine_by_cmp).
-    pub fn apply_select(
-        op: CmpOp,
-        a: &FloatInterval,
-        b: &FloatInterval,
-        t: &FloatInterval,
-        f: &FloatInterval,
-    ) -> FloatInterval {
-        match Self::decide_cmp(op, a, b) {
-            Some(true) => *t,
-            Some(false) => *f,
-            None => t.join(f),
-        }
-    }
-
     /// Narrows `self` under the assumption that `self op other` holds —
     /// the strided-interval refinement a taken branch grants its
     /// condition operands. Sound with NaN: a NaN left side satisfies no

@@ -15,6 +15,8 @@ use std::cmp::Ordering;
 use slp_analysis::{BlockIndex, Round, Unit, WeightParams};
 use slp_ir::{BlockDeps, StmtId};
 
+use crate::deadline::{Deadline, Expired};
+
 /// A record of one grouping decision, for tracing and tests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupingDecision {
@@ -56,18 +58,21 @@ pub fn group_block(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Grouping {
 
 /// [`group_block`] with explicit weight parameters.
 pub fn group_block_with(ix: &BlockIndex<'_>, deps: &BlockDeps, weights: &WeightParams) -> Grouping {
-    let mut groupings = group_block_under(ix, deps, &[*weights]);
+    let mut groupings =
+        group_block_under(ix, deps, &[*weights], Deadline::default()).expect("no deadline was set");
     groupings.pop().expect("one grouping per profile")
 }
 
 /// One [`group_block_with`] result per weight profile. The first round's
 /// candidates, conflicts and packs depend on no profile: they are built
-/// once and every profile's decision loop starts from them.
+/// once and every profile's decision loop starts from them. `deadline` is
+/// checked before every §4.2.2 rerun.
 pub(crate) fn group_block_under(
     ix: &BlockIndex<'_>,
     deps: &BlockDeps,
     profiles: &[WeightParams],
-) -> Vec<Grouping> {
+    deadline: Deadline,
+) -> Result<Vec<Grouping>, Expired> {
     let singletons: Vec<Unit> = (ix.block().iter())
         .map(|s| Unit::singleton(s.id()))
         .collect();
@@ -78,11 +83,12 @@ pub(crate) fn group_block_under(
         let (mut made, mut round) = (basic_round(&mut pairs, &mut units, 0, &mut decisions), 0);
         // §4.2.2: rerun over the merged units until a round decides nothing.
         while made > 0 {
+            deadline.check()?;
             round += 1;
             let mut wider = Round::new(ix, deps, &units, weights);
             made = basic_round(&mut wider, &mut units, round, &mut decisions);
         }
-        Grouping { units, decisions }
+        Ok(Grouping { units, decisions })
     };
     profiles.iter().map(group).collect()
 }
@@ -214,6 +220,33 @@ mod tests {
         let widths: Vec<usize> = g.groups().map(Unit::width).collect();
         assert_eq!(widths, vec![4, 4]);
         assert!(g.decisions.iter().any(|d| d.round == 1), "needs round 2");
+    }
+
+    /// The deadline is asked before every §4.2.2 rerun, and only there: a
+    /// block whose first round decides nothing never meets it.
+    #[test]
+    fn an_expired_deadline_stops_the_grouping_between_rounds() {
+        let expired = Deadline::after_ms(Some(0));
+        let mut p = Program::new("wide");
+        let x = p.add_scalar("x", ScalarType::F32);
+        let stmts: Vec<_> = (0..8)
+            .map(|k| {
+                let d = p.add_scalar(format!("d{k}"), ScalarType::F32);
+                p.make_stmt(d.into(), Expr::Binary(BinOp::Add, x.into(), 1.0.into()))
+            })
+            .collect();
+        let bb: BasicBlock = stmts.into_iter().collect();
+        let (deps, profiles) = (BlockDeps::analyze(&bb), [WeightParams::default()]);
+        let ix = BlockIndex::new(&bb, &p, |_| 4);
+        assert_eq!(
+            group_block_under(&ix, &deps, &profiles, expired),
+            Err(Expired)
+        );
+
+        let (p, bb) = (Program::new("empty"), BasicBlock::new());
+        let ix = BlockIndex::new(&bb, &p, |_| 4);
+        let deps = BlockDeps::analyze(&bb);
+        assert!(group_block_under(&ix, &deps, &profiles, expired).is_ok());
     }
 
     #[test]

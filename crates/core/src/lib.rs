@@ -5,6 +5,7 @@
 
 mod baseline;
 mod cost;
+mod deadline;
 mod error;
 mod group;
 mod layout;
@@ -17,6 +18,7 @@ mod telemetry;
 
 pub use baseline::{baseline_block, baseline_groups};
 pub use cost::{estimate_scalar_cost, estimate_schedule_cost, scalar_stmt_cost, CostContext};
+pub use deadline::{Deadline, Expired};
 pub use error::{ExecError, ExecErrorKind, VerifyError};
 pub use group::{group_block, group_block_with, Grouping, GroupingDecision};
 pub use layout::array::{eq4_map, optimize_array_layout, ArrayLayoutConfig, Replication};
@@ -25,9 +27,9 @@ pub use layout::{collect_pack_uses, PackUse};
 pub use machine::{op_cost_factor, CostParams, MachineConfig};
 pub use native::native_block;
 pub use pipeline::{
-    compile, compile_passes, compile_timed, estimate_kernel_cost, CompileStats, CompiledKernel,
-    HeuristicPacker, OptParams, PackOutcome, PackRequest, Packer, PackerHandle, SlpConfig,
-    Strategy, Verifier, VerifierHandle,
+    compile, compile_passes, compile_timed, compile_within, estimate_kernel_cost, CompileStats,
+    CompiledKernel, HeuristicPacker, OptParams, PackOutcome, PackRequest, Packer, PackerHandle,
+    SlpConfig, Strategy, Verifier, VerifierHandle,
 };
 pub use schedule::{schedule_block, schedule_in_program_order, ScheduleConfig};
 pub use telemetry::{Phase, PhaseTimings};

@@ -15,6 +15,7 @@ use slp_analyze::{RangeOracle, SafetyCert};
 
 use crate::baseline::{baseline_block, baseline_groups};
 use crate::cost::{estimate_schedule_cost, CostContext};
+use crate::deadline::{Deadline, Expired};
 use crate::error::VerifyError;
 use crate::group::group_block_under;
 use crate::layout::array::{optimize_array_layout, ArrayLayoutConfig, Replication};
@@ -192,8 +193,11 @@ impl std::fmt::Debug for VerifierHandle {
 /// (a wall deadline makes the point of interruption timing-dependent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptParams {
-    /// Wall-clock deadline in milliseconds for the whole-kernel solve;
-    /// `0` disables the deadline.
+    /// Wall-clock deadline in milliseconds of *one block solve*; `0`
+    /// disables it. The clock restarts for every block and for each
+    /// pass of the Global+Layout dual arbitration, so a kernel of `b`
+    /// blocks may solve for up to `2·b·deadline_ms`; a compile's own
+    /// [`Deadline`], when it has one, caps every solve as well.
     pub deadline_ms: u64,
     /// Maximum branch-and-bound nodes expanded per block; `0` means
     /// unlimited.
@@ -236,6 +240,10 @@ pub struct PackRequest<'a> {
     pub incumbent: &'a BlockSchedule,
     /// `incumbent`'s estimated cost under this request's cost context.
     pub incumbent_cost: f64,
+    /// The compile's own [`Deadline`] as an instant, if it has one: a
+    /// packer stops searching there and returns its best so far (the
+    /// pipeline's next checkpoint then abandons the compile).
+    pub stop_at: Option<std::time::Instant>,
 }
 
 /// What a [`Packer`] proved about one block.
@@ -533,6 +541,22 @@ pub fn compile(program: &Program, config: &SlpConfig) -> CompiledKernel {
 /// would a single pass take". Semantics and panics are identical to
 /// [`compile`].
 pub fn compile_timed(program: &Program, config: &SlpConfig) -> (CompiledKernel, PhaseTimings) {
+    compile_within(program, config, Deadline::default()).expect("no deadline was set")
+}
+
+/// [`compile_timed`] under a cooperative [`Deadline`]: the pipeline
+/// checks it at the top of every block, between a block's grouping
+/// proposals, once per §4.2.2 grouping round, per solver node (through
+/// [`PackRequest::stop_at`]) and before stage 2, and gives up with
+/// [`Expired`] at the first checkpoint past it. An installed
+/// [`SlpConfig::verify`] hook is not interrupted; the caller checks the
+/// deadline when this returns. With no deadline this *is*
+/// [`compile_timed`], panics included.
+pub fn compile_within(
+    program: &Program,
+    config: &SlpConfig,
+    deadline: Deadline,
+) -> Result<(CompiledKernel, PhaseTimings), Expired> {
     let mut timings = PhaseTimings::new();
     let dual = matches!(config.strategy, Strategy::Holistic | Strategy::Optimal);
     // The optimistic pass first: it ships when the estimates tie.
@@ -541,7 +565,7 @@ pub fn compile_timed(program: &Program, config: &SlpConfig) -> (CompiledKernel, 
     } else {
         &[false]
     };
-    let kernel = compile_passes(program, config, passes, &mut timings);
+    let kernel = compile_passes(program, config, passes, deadline, &mut timings)?;
     if let Some(hook) = &config.verify {
         let verdict = timings.time(Phase::Verify, || hook.verify(program, &kernel));
         if let Err(report) = verdict {
@@ -552,7 +576,7 @@ pub fn compile_timed(program: &Program, config: &SlpConfig) -> (CompiledKernel, 
             );
         }
     }
-    (kernel, timings)
+    Ok((kernel, timings))
 }
 
 /// Total estimated cycles of a compiled kernel: per-block schedule cost
@@ -610,7 +634,7 @@ struct Stage1 {
     opt_bound: f64,
 }
 
-/// The pipeline behind [`compile_timed`], with one stage-1 pass per entry
+/// The pipeline behind [`compile_within`], with one stage-1 pass per entry
 /// of `passes` (one or two), each arbitrating under that `optimism`:
 /// whether the cost model assumes the §5 layout stage runs afterwards.
 /// Pre-processing runs once, and so does everything of stage 1 that
@@ -623,8 +647,9 @@ pub fn compile_passes(
     program: &Program,
     config: &SlpConfig,
     passes: &[bool],
+    deadline: Deadline,
     timings: &mut PhaseTimings,
-) -> CompiledKernel {
+) -> Result<CompiledKernel, Expired> {
     let mut program = program.clone();
 
     // Pre-processing: unroll innermost loops to expose SLP.
@@ -647,6 +672,7 @@ pub fn compile_passes(
     };
     let mut chosen: Vec<Stage1> = passes.iter().map(|_| Stage1::default()).collect();
     for info in &infos {
+        deadline.check()?;
         let deps = timings.time(Phase::Alignment, || {
             if config.refine_deps {
                 let oracle = RangeOracle::new();
@@ -666,7 +692,7 @@ pub fn compile_passes(
                 sole(timings.time(Phase::Grouping, || baseline_block(&ix, &deps)))
             }
             Strategy::Holistic | Strategy::Optimal => {
-                holistic_proposals(&ix, &deps, config, passes.contains(&true), timings)
+                holistic_proposals(&ix, &deps, config, passes, deadline, timings)?
             }
         };
         for (k, &optimism) in passes.iter().enumerate() {
@@ -701,6 +727,7 @@ pub fn compile_passes(
                     optimism,
                     incumbent: &incumbent,
                     incumbent_cost,
+                    stop_at: deadline.0,
                 };
                 let outcome = timings.time(Phase::Solve, || match &config.packer {
                     Some(p) => p.pack(&req),
@@ -729,25 +756,22 @@ pub fn compile_passes(
 
     let mut chosen = chosen.into_iter();
     let first = chosen.next().expect("at least one pass");
-    match chosen.next().filter(|p| p.schedules != first.schedules) {
-        None => finish(program, infos, first, stats, config, timings),
-        Some(second) => {
-            let first = finish(
-                program.clone(),
-                infos.clone(),
-                first,
-                stats,
-                config,
-                timings,
-            );
-            let second = finish(program, infos, second, stats, config, timings);
-            if estimate_kernel_cost(&first) <= estimate_kernel_cost(&second) {
-                first
-            } else {
-                second
-            }
-        }
-    }
+    deadline.check()?;
+    let Some(second) = chosen.next().filter(|p| p.schedules != first.schedules) else {
+        return Ok(finish(program, infos, first, stats, config, timings));
+    };
+    let first = finish(
+        program.clone(),
+        infos.clone(),
+        first,
+        stats,
+        config,
+        timings,
+    );
+    deadline.check()?;
+    let second = finish(program, infos, second, stats, config, timings);
+    let first_ships = estimate_kernel_cost(&first) <= estimate_kernel_cost(&second);
+    Ok(if first_ships { first } else { second })
 }
 
 /// Stage 2 and assembly: lays out, certifies and packages what the
@@ -827,27 +851,33 @@ fn finish(
 /// pure-reuse weight profiles, then the adjacency-seeded grouping under
 /// both this framework's scheduler and the original program order. The
 /// pure-reuse weights surface the gather-heavy, reuse-rich groupings that
-/// replication repairs, so they are built only if `any_optimism` (and not
+/// replication repairs, so they are built only if a pass is optimistic (and not
 /// twice if they are the configured ones). None depends on a pass.
+/// `deadline` is checked between proposals and inside the grouping.
 fn holistic_proposals(
     ix: &BlockIndex<'_>,
     deps: &BlockDeps,
     config: &SlpConfig,
-    any_optimism: bool,
+    passes: &[bool],
+    deadline: Deadline,
     timings: &mut PhaseTimings,
-) -> Vec<(BlockSchedule, bool)> {
+) -> Result<Vec<(BlockSchedule, bool)>, Expired> {
     let mut profiles = vec![config.weights];
-    if any_optimism && config.weights != WeightParams::reuse_only() {
+    if passes.contains(&true) && config.weights != WeightParams::reuse_only() {
         profiles.push(WeightParams::reuse_only());
     }
-    let groupings = timings.time(Phase::Grouping, || group_block_under(ix, deps, &profiles));
+    let groupings = timings.time(Phase::Grouping, || {
+        group_block_under(ix, deps, &profiles, deadline)
+    })?;
     let mut proposals = Vec::with_capacity(4);
     for (k, g) in groupings.iter().enumerate() {
+        deadline.check()?;
         let sched = timings.time(Phase::Scheduling, || {
             schedule_block(ix, deps, &g.units, &config.schedule)
         });
         proposals.push((sched, k > 0));
     }
+    deadline.check()?;
     let bg = timings.time(Phase::Grouping, || baseline_groups(ix, deps));
     let sched = timings.time(Phase::Scheduling, || {
         schedule_block(ix, deps, &bg, &config.schedule)
@@ -857,7 +887,7 @@ fn holistic_proposals(
         schedule_in_program_order(ix, deps, &bg)
     });
     proposals.push((sched, false));
-    proposals
+    Ok(proposals)
 }
 
 /// The §4.3 cost model's arbitration between the [`holistic_proposals`]:
@@ -944,6 +974,20 @@ mod tests {
             let cfg = SlpConfig::for_machine(MachineConfig::intel_dunnington(), strategy);
             let k = compile(&program(), &cfg); // validity asserted inside
             assert_eq!(k.schedules.len(), k.stats.blocks);
+        }
+    }
+
+    /// A budget of zero expires at the first checkpoint of any strategy,
+    /// and no deadline is no change.
+    #[test]
+    fn an_expired_deadline_is_an_error_not_a_kernel() {
+        for strategy in Strategy::ALL {
+            let cfg = SlpConfig::for_machine(MachineConfig::intel_dunnington(), strategy);
+            let expired = compile_within(&program(), &cfg, Deadline::after_ms(Some(0)));
+            assert_eq!(expired.err(), Some(Expired), "{strategy}");
+            let (kernel, _) = compile_within(&program(), &cfg, Deadline::after_ms(None))
+                .expect("no deadline, nothing to expire");
+            assert_eq!(kernel.schedules, compile(&program(), &cfg).schedules);
         }
     }
 

@@ -2,15 +2,21 @@
 //! graceful degradation.
 //!
 //! A batch shards its requests across a scoped worker pool. Each request
-//! compiles inside a guard ([`compile_guarded`]): the actual pipeline
-//! runs on a dedicated, named thread so that
+//! compiles inside a guard ([`compile_guarded`]) on the thread that asked:
 //!
 //! * a panicking compile (an optimizer invariant violation, a rejecting
-//!   verify hook) is caught and reported as [`DriverError::Panic`]
-//!   without printing a backtrace or taking the worker down, and
-//! * a compile that exceeds its time budget is abandoned
-//!   ([`DriverError::Timeout`]) — the guard thread is orphaned and the
-//!   worker moves on.
+//!   verify hook) is caught by `catch_unwind` and reported as
+//!   [`DriverError::Panic`] without printing a backtrace or taking the
+//!   worker down, and
+//! * a time budget is a cooperative deadline: the first checkpoint past
+//!   it answers [`DriverError::Timeout`], and nothing is left running
+//!   behind a timeout. The checkpoints are after the frontend, inside the
+//!   pipeline (listed at [`slp_core::compile_within`]), after it, and
+//!   after each verification step. The budget bounds those stages to the
+//!   next checkpoint; it does not pre-empt code it cannot see into: a
+//!   caller-installed [`slp_core::SlpConfig::verify`] hook and the
+//!   differential VM runs (`verify: "full"`, the `prove` fallback) hold
+//!   the calling thread until they return and are checked then.
 //!
 //! With [`BatchConfig::degrade`] set (the default), a panicked or
 //! timed-out kernel is recompiled under [`Strategy::Scalar`] with the
@@ -23,11 +29,11 @@
 //! Output order is deterministic: results are addressed by input index,
 //! so neither the thread count nor scheduling jitter can reorder them.
 
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Once};
 use std::thread;
-use std::time::Duration;
 
 use slp_core::Strategy;
 
@@ -35,10 +41,12 @@ use crate::{
     CachedCompile, CompileCache, CompileOutcome, CompileRequest, DriverError, Fingerprint,
 };
 
-/// Name prefix of the threads that run untrusted compiles. The panic
-/// hook installed by [`compile_guarded`] suppresses panic output for
-/// these threads only; everything else panics loudly as usual.
-const GUARD_PREFIX: &str = "slp-guard:";
+thread_local! {
+    /// Whether this thread is inside [`guarded`]'s `catch_unwind`. The
+    /// panic hook installed there stays quiet for such a panic — it comes
+    /// back as a [`DriverError::Panic`] — and for no other.
+    static GUARDED: Cell<bool> = const { Cell::new(false) };
+}
 
 static SILENCER: Once = Once::new();
 
@@ -46,10 +54,9 @@ fn install_panic_silencer() {
     SILENCER.call_once(|| {
         let previous = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
-            let guarded = thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with(GUARD_PREFIX));
-            if !guarded {
+            // `try_with`: a panic while the thread's locals are being torn
+            // down is not a guarded one.
+            if !GUARDED.try_with(Cell::get).unwrap_or(false) {
                 previous(info);
             }
         }));
@@ -67,13 +74,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// [`crate::compile_source`] with the miss compiled in panic isolation
-/// under an optional time budget.
+/// under an optional time budget (the module docs say what each means),
+/// on the calling thread.
 ///
-/// The cache is consulted and updated on the *calling* thread; only the
-/// parse→validate→compile→verify work runs on the guard thread. On a
-/// timeout the guard thread is orphaned (it parks no locks and will be
-/// reaped at process exit); its eventual result is discarded rather
-/// than cached, so a hung compile can never poison the cache.
+/// A [`DriverError::Panic`] or [`DriverError::Timeout`] stores nothing,
+/// so neither can poison the cache, and no work outlives this call.
 pub fn compile_guarded(
     req: &CompileRequest,
     cache: Option<&CompileCache>,
@@ -95,35 +100,14 @@ pub fn compile_keyed(
     crate::cached(fp, cache, || guarded(req, budget_ms))
 }
 
-/// Runs [`crate::compile_uncached`] on a dedicated guard thread.
+/// Runs [`crate::compile_uncached`] under `catch_unwind`.
 fn guarded(req: &CompileRequest, budget_ms: Option<u64>) -> Result<CachedCompile, DriverError> {
     install_panic_silencer();
-    let (tx, rx) = mpsc::channel();
-    let guarded_req = req.clone();
-    thread::Builder::new()
-        .name(format!("{GUARD_PREFIX}{}", req.name))
-        .spawn(move || {
-            let result =
-                panic::catch_unwind(AssertUnwindSafe(|| crate::compile_uncached(&guarded_req)));
-            let flattened = match result {
-                Ok(r) => r,
-                Err(payload) => Err(DriverError::Panic(panic_message(payload.as_ref()))),
-            };
-            // The receiver may have timed out and gone away; that is
-            // fine, the result is simply dropped.
-            let _ = tx.send(flattened);
-        })
-        .expect("spawn compile guard thread");
-
-    let dead = || DriverError::Panic("compile guard thread died".to_string());
-    match budget_ms {
-        Some(ms) => match rx.recv_timeout(Duration::from_millis(ms)) {
-            Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(DriverError::Timeout(ms)),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(dead()),
-        },
-        None => rx.recv().unwrap_or_else(|_| Err(dead())),
-    }
+    // Restored, not cleared: a verify hook may itself compile guarded.
+    let outer = GUARDED.replace(true);
+    let result = panic::catch_unwind(AssertUnwindSafe(|| crate::compile_uncached(req, budget_ms)));
+    GUARDED.set(outer);
+    result.unwrap_or_else(|payload| Err(DriverError::Panic(panic_message(payload.as_ref()))))
 }
 
 /// Knobs of [`compile_batch`].
@@ -187,34 +171,18 @@ fn run_one(
     cache: Option<&CompileCache>,
     config: &BatchConfig,
 ) -> KernelOutcome {
-    let first = compile_guarded(req, cache, config.budget_ms);
-    match first {
-        Ok(outcome) => KernelOutcome {
-            name: req.name.clone(),
-            result: Ok(outcome),
-            degraded: None,
-        },
-        Err(err @ (DriverError::Panic(_) | DriverError::Timeout(_))) if config.degrade => {
-            let reason = err.to_string();
-            let retry = compile_guarded(&scalar_fallback(req), cache, config.budget_ms);
-            match retry {
-                Ok(outcome) => KernelOutcome {
-                    name: req.name.clone(),
-                    result: Ok(outcome),
-                    degraded: Some(reason),
-                },
-                Err(retry_err) => KernelOutcome {
-                    name: req.name.clone(),
-                    result: Err(retry_err),
-                    degraded: Some(reason),
-                },
-            }
-        }
-        Err(err) => KernelOutcome {
-            name: req.name.clone(),
-            result: Err(err),
-            degraded: None,
-        },
+    let mut result = compile_guarded(req, cache, config.budget_ms);
+    let mut degraded = None;
+    if let (Err(err @ (DriverError::Panic(_) | DriverError::Timeout(_))), true) =
+        (&result, config.degrade)
+    {
+        degraded = Some(err.to_string());
+        result = compile_guarded(&scalar_fallback(req), cache, config.budget_ms);
+    }
+    KernelOutcome {
+        name: req.name.clone(),
+        result,
+        degraded,
     }
 }
 
@@ -289,4 +257,34 @@ pub fn compile_batch(
     parallel_map(requests, config.threads, |_, req| {
         run_one(req, cache, config)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slp_core::{CompiledKernel, MachineConfig, SlpConfig, VerifyError};
+    use slp_ir::Program;
+
+    fn rejecting(_: &Program, _: &CompiledKernel) -> Result<(), VerifyError> {
+        Err(VerifyError::from("rejected"))
+    }
+
+    #[test]
+    fn a_caught_panic_leaves_the_thread_unguarded_and_usable() {
+        let config = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic);
+        let mut req = CompileRequest {
+            name: "k".to_string(),
+            source: "kernel k { array A: f64[8]; for i in 0..8 { A[i] = 2.0; } }".to_string(),
+            config: config.clone().with_verifier(rejecting),
+            verify: crate::VerifyLevel::None,
+        };
+        let caught = compile_guarded(&req, None, None);
+        assert!(matches!(caught, Err(DriverError::Panic(_))), "{caught:?}");
+        // The silencing flag went back down: a panic of this thread's own
+        // would be reported as loudly as ever.
+        assert!(!GUARDED.get());
+        req.config = config;
+        compile_guarded(&req, None, None).expect("the same thread compiles again");
+        assert!(!GUARDED.get());
+    }
 }

@@ -401,7 +401,7 @@ mod tests {
         let cfg = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic);
         let p = slp_lang::compile(src).expect("compiles");
         let (kernel, timings) = slp_core::compile_timed(&p, &cfg);
-        let fp = crate::fingerprint::fingerprint(src, &cfg);
+        let fp = crate::fingerprint_with_tag(src, &cfg, "");
         (
             fp,
             CachedCompile {

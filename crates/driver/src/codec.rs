@@ -799,7 +799,7 @@ mod tests {
     fn every_declared_config_field_is_keyed_and_persisted() {
         let k = compiled(GATHER, false);
         let base = k.config.to_json();
-        let base_fp = crate::fingerprint(GATHER, &k.config);
+        let base_fp = crate::fingerprint_with_tag(GATHER, &k.config, "");
         let mut paths = Vec::new();
         leaf_paths(&base, &mut Vec::new(), &mut paths);
         // machine (8 + its 13 costs), array_layout (1 + 13 costs),
@@ -827,7 +827,7 @@ mod tests {
             assert_ne!(perturbed, base, "{path:?} not perturbed");
             let config = SlpConfig::from_json(&perturbed).expect("perturbed config decodes");
             assert_ne!(
-                crate::fingerprint(GATHER, &config),
+                crate::fingerprint_with_tag(GATHER, &config, ""),
                 base_fp,
                 "{path:?} is persisted but not part of the cache key"
             );

@@ -112,12 +112,7 @@ impl fmt::Write for Hasher {
 }
 
 /// Computes the cache key of compiling `source` under `config` with this
-/// crate version.
-pub fn fingerprint(source: &str, config: &SlpConfig) -> Fingerprint {
-    fingerprint_with_tag(source, config, "")
-}
-
-/// Like [`fingerprint`], with an extra caller-chosen tag mixed in.
+/// crate version, with an extra caller-chosen tag mixed in.
 ///
 /// The driver uses the tag for request dimensions that change the cached
 /// *payload* without changing the kernel — the verification level, whose
@@ -138,6 +133,10 @@ mod tests {
 
     fn base_config() -> SlpConfig {
         SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic)
+    }
+
+    fn fingerprint(source: &str, config: &SlpConfig) -> Fingerprint {
+        fingerprint_with_tag(source, config, "")
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! * [`compile_source`] — the single read→parse→validate→compile entry
 //!   point every front-end shares, with an optional [`CompileCache`],
-//! * [`fingerprint`] / [`Fingerprint`] — stable content-addressed cache
-//!   keys over (source, config, compiler version),
+//! * [`Fingerprint`] — stable content-addressed cache keys over
+//!   (source, config, compiler version),
 //! * [`CompileCache`] — in-memory LRU + on-disk tier under
 //!   `.slp-cache/`,
 //! * [`compile_batch`] — shards a corpus across a scoped worker pool
@@ -70,13 +70,14 @@ pub use cache::{
     CacheStats, CacheTier, CachedCompile, CompileCache, DEFAULT_DISK_DIR, DEFAULT_MEMORY_CAPACITY,
 };
 pub use codec::{decode_kernel, encode_kernel, CodecError};
-pub use fingerprint::{fingerprint, fingerprint_with_tag, Fingerprint};
+pub use fingerprint::{fingerprint_with_tag, Fingerprint};
 pub use report::{stats_json, timings_json, DriverReport, ServeSummary};
 
 use std::time::Instant;
 
 use slp_core::{
-    compile_timed, CompiledKernel, MachineConfig, Phase, PhaseTimings, SlpConfig, Strategy,
+    compile_within, CompiledKernel, Deadline, Expired, MachineConfig, Phase, PhaseTimings,
+    SlpConfig, Strategy,
 };
 use slp_verify::Report;
 
@@ -300,9 +301,10 @@ impl std::error::Error for DriverError {}
 /// stored in both tiers before returning. Without a cache it always
 /// compiles.
 ///
-/// This function does not isolate panics or enforce budgets — it is the
-/// trusted single-kernel path (`slpc`'s default and `check`
-/// subcommands). The batch and serve layers use [`compile_guarded`].
+/// This function does not isolate panics and carries no deadline — it is
+/// the trusted single-kernel path (`slpc`'s default and `check`
+/// subcommands). The batch and serve layers use [`compile_guarded`]: the
+/// same code on the same thread, under `catch_unwind` and a budget.
 ///
 /// # Panics
 ///
@@ -312,7 +314,7 @@ pub fn compile_source(
     req: &CompileRequest,
     cache: Option<&CompileCache>,
 ) -> Result<CompileOutcome, DriverError> {
-    cached(req.fingerprint(), cache, || compile_uncached(req))
+    cached(req.fingerprint(), cache, || compile_uncached(req, None))
 }
 
 /// The one request path under every entry point: look `fp` up, otherwise
@@ -374,9 +376,19 @@ fn frontend(source: &str) -> Result<slp_ir::Program, DriverError> {
 }
 
 /// Frontend, pipeline and the requested verification: everything a cache
-/// miss pays, on the calling thread.
-pub(crate) fn compile_uncached(req: &CompileRequest) -> Result<CachedCompile, DriverError> {
+/// miss pays, on the calling thread. A `budget_ms` becomes a [`Deadline`]
+/// for the pipeline, checked here after each stage as well; the first
+/// checkpoint past it answers [`DriverError::Timeout`].
+pub(crate) fn compile_uncached(
+    req: &CompileRequest,
+    budget_ms: Option<u64>,
+) -> Result<CachedCompile, DriverError> {
+    let deadline = Deadline::after_ms(budget_ms);
+    let timeout = |Expired| DriverError::Timeout(budget_ms.unwrap_or_default());
+    let check = || deadline.check().map_err(timeout);
+
     let program = frontend(&req.source)?;
+    check()?;
 
     // `Strategy::Optimal` needs a solver behind the `Packer` trait; the
     // driver installs `slp-opt`'s branch-and-bound unless the caller
@@ -391,23 +403,27 @@ pub(crate) fn compile_uncached(req: &CompileRequest) -> Result<CachedCompile, Dr
         &req.config
     };
 
-    let (kernel, mut timings) = compile_timed(&program, config);
+    let (kernel, mut timings) = compile_within(&program, config, deadline).map_err(timeout)?;
+    check()?;
     let mut prove = None;
     let report = match req.verify {
         VerifyLevel::None => None,
-        VerifyLevel::Static => {
-            Some(timings.time(Phase::Verify, || slp_verify::verify_kernel(&kernel)))
-        }
-        VerifyLevel::Differential => Some(timings.time(Phase::Verify, || {
-            slp_verify::verify_with_execution(&program, &kernel)
-        })),
-        VerifyLevel::Prove => Some(timings.time(Phase::Verify, || {
+        level => Some(timings.time(Phase::Verify, || {
             let mut report = slp_verify::verify_kernel(&kernel);
-            let (symbolic, verdict) = slp_verify::prove_kernel(&program, &kernel);
-            report.extend(symbolic.diagnostics);
-            prove = Some(ProveVerdict::from_tv(&verdict));
-            report
-        })),
+            check()?;
+            match level {
+                VerifyLevel::None | VerifyLevel::Static => {}
+                VerifyLevel::Differential => {
+                    report.extend(slp_verify::check_differential(&program, &kernel));
+                }
+                VerifyLevel::Prove => {
+                    let (symbolic, verdict) = slp_verify::prove_kernel(&program, &kernel);
+                    report.extend(symbolic.diagnostics);
+                    prove = Some(ProveVerdict::from_tv(&verdict));
+                }
+            }
+            check().map(|()| report)
+        })?),
     };
     Ok(CachedCompile {
         kernel,
@@ -430,14 +446,6 @@ pub fn certify_source(source: &str) -> Option<slp_core::SafetyCert> {
         Err(DriverError::Unsafe(accesses)) => Some(slp_core::SafetyCert { accesses }),
         Err(_) => None,
     }
-}
-
-/// Parses the CLI strategy names shared by `slpc`, `slpd` and the serve
-/// protocol (`scalar`, `native` — alias `auto-adjacent` —, `slp`,
-/// `global`, `optimal`) — a thin wrapper over [`Strategy`]'s `FromStr`,
-/// kept for callers that want an `Option`.
-pub fn parse_strategy(name: &str) -> Option<Strategy> {
-    name.parse().ok()
 }
 
 /// Parses the CLI machine names shared by the front-ends (`intel`,

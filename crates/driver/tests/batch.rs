@@ -2,10 +2,14 @@
 //! graceful degradation to scalar, hard failures for bad input, and
 //! determinism of output order and bytes across thread counts.
 
-use slp_core::{CompiledKernel, MachineConfig, SlpConfig, Strategy, VerifyError};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
+
+use slp_core::{CompiledKernel, MachineConfig, SlpConfig, Strategy, Verifier, VerifyError};
 use slp_driver::{
-    compile_batch, encode_kernel, BatchConfig, CompileCache, CompileRequest, DriverError,
-    VerifyLevel,
+    compile_batch, compile_guarded, encode_kernel, BatchConfig, CompileCache, CompileRequest,
+    DriverError, VerifyLevel,
 };
 use slp_ir::Program;
 
@@ -32,10 +36,23 @@ fn rejecting_hook(_: &Program, _: &CompiledKernel) -> Result<(), VerifyError> {
     Err(VerifyError::from("injected failure for batch tests"))
 }
 
-/// A verify hook that hangs far past any test budget.
-fn hanging_hook(_: &Program, _: &CompiledKernel) -> Result<(), VerifyError> {
-    std::thread::sleep(std::time::Duration::from_secs(300));
+/// A verify hook that outlasts the budget it is run under. The deadline
+/// does not reach into a caller's hook: it is checked when this returns.
+fn slow_hook(_: &Program, _: &CompiledKernel) -> Result<(), VerifyError> {
+    thread::sleep(Duration::from_millis(50));
     Ok(())
+}
+
+/// A verify hook that notes the thread it ran on, then answers `verdict`.
+fn recording_hook(
+    seen: &Arc<Mutex<Vec<ThreadId>>>,
+    verdict: Result<(), VerifyError>,
+) -> impl Verifier + 'static {
+    let seen = Arc::clone(seen);
+    move |_: &Program, _: &CompiledKernel| {
+        seen.lock().unwrap().push(thread::current().id());
+        verdict.clone()
+    }
 }
 
 #[test]
@@ -69,18 +86,18 @@ fn panicking_kernel_degrades_to_scalar_and_the_rest_compile() {
 #[test]
 fn over_budget_kernel_degrades_to_scalar() {
     let requests = vec![
-        request("slow", GOOD, holistic().with_verifier(hanging_hook)),
+        request("slow", GOOD, holistic().with_verifier(slow_hook)),
         request("fast", GOOD, holistic()),
     ];
     let config = BatchConfig {
-        budget_ms: Some(200),
+        budget_ms: Some(10),
         ..BatchConfig::default()
     };
     let outcomes = compile_batch(&requests, None, &config);
 
     let slow = &outcomes[0];
     let reason = slow.degraded.as_deref().expect("timeout recorded");
-    assert!(reason.contains("200 ms"), "reason: {reason}");
+    assert!(reason.contains("10 ms"), "reason: {reason}");
     let kernel = &slow
         .result
         .as_ref()
@@ -89,6 +106,74 @@ fn over_budget_kernel_degrades_to_scalar() {
     assert!(matches!(kernel.config.strategy, Strategy::Scalar));
 
     assert!(outcomes[1].is_clean());
+}
+
+#[test]
+fn a_guarded_compile_runs_on_the_thread_that_asked() {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let hooked = |verdict| {
+        request(
+            "k",
+            GOOD,
+            holistic().with_verifier(recording_hook(&seen, verdict)),
+        )
+    };
+    let me = thread::current().id();
+
+    compile_guarded(&hooked(Ok(())), None, None).expect("clean compile");
+    let rejected = compile_guarded(&hooked(Err(VerifyError::from("no"))), None, Some(60_000));
+    assert!(
+        matches!(rejected, Err(DriverError::Panic(_))),
+        "{rejected:?}"
+    );
+    compile_guarded(&hooked(Ok(())), None, Some(60_000)).expect("the retry compiles");
+    assert_eq!(*seen.lock().unwrap(), [me; 3]);
+
+    // One batch worker compiles all of its kernels itself.
+    seen.lock().unwrap().clear();
+    let requests = [hooked(Ok(())), hooked(Ok(())), hooked(Ok(()))];
+    let config = BatchConfig {
+        threads: 1,
+        ..BatchConfig::default()
+    };
+    assert!(compile_batch(&requests, None, &config)
+        .iter()
+        .all(|o| o.is_clean()));
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 3);
+    assert!(
+        seen[0] != me && seen.iter().all(|id| *id == seen[0]),
+        "{seen:?}"
+    );
+}
+
+/// The deadline is checked inside the solver, not only around it: a solve
+/// that takes `T` unbudgeted gives up within a fraction of `T` under a
+/// budget of `T/10`, whatever the machine's speed.
+#[test]
+fn a_budget_stops_the_solver_mid_search() {
+    // No wall deadline of the solver's own, and a node cap `milc`'s one
+    // block exhausts (it is still open at 20 000 nodes).
+    let config = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Optimal)
+        .with_opt_budget(0, 3000);
+    let req = request("milc", &slp_suite::source("milc", 1), config);
+
+    let start = Instant::now();
+    let free = compile_guarded(&req, None, None).expect("compiles");
+    let unbudgeted = start.elapsed();
+    assert!(free.kernel.stats.opt_degraded, "the node cap was exhausted");
+    // ≈ 700 ms in the test profile, ≈ 100 ms optimized: a tenth of it is
+    // still many clock ticks and thousands of solver nodes.
+    assert!(unbudgeted >= Duration::from_millis(50), "{unbudgeted:?}");
+
+    let cache = CompileCache::in_memory(4);
+    let budget_ms = (unbudgeted / 10).as_millis() as u64;
+    let start = Instant::now();
+    let result = compile_guarded(&req, Some(&cache), Some(budget_ms));
+    let budgeted = start.elapsed();
+    assert_eq!(result.err(), Some(DriverError::Timeout(budget_ms)));
+    assert!(budgeted < unbudgeted / 2, "{budgeted:?} of {unbudgeted:?}");
+    assert_eq!(cache.stats().stores, 0, "a timeout stores nothing");
 }
 
 #[test]

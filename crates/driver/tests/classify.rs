@@ -1,6 +1,7 @@
 //! How the driver's one frontend run classifies a source, pinned through
 //! both public entry points: the same table must come out of
-//! [`compile_source`] (inline) and [`compile_guarded`] (guard thread).
+//! [`compile_source`] (trusted) and [`compile_guarded`] (under
+//! `catch_unwind` and a budget).
 
 use slp_core::{AccessVerdict, MachineConfig, SlpConfig, Strategy};
 use slp_driver::{

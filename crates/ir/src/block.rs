@@ -38,11 +38,6 @@ impl BasicBlock {
         &self.stmts
     }
 
-    /// Mutable access to the statements (used by rewriting passes).
-    pub fn stmts_mut(&mut self) -> &mut Vec<Statement> {
-        &mut self.stmts
-    }
-
     /// Number of statements.
     pub fn len(&self) -> usize {
         self.stmts.len()

@@ -269,11 +269,6 @@ impl BlockDeps {
         self.reaches(self.pos.of(src), self.pos.of(dst))
     }
 
-    /// Whether there is a *direct* dependence edge from `src` to `dst`.
-    pub fn depends_directly(&self, src: StmtId, dst: StmtId) -> bool {
-        self.direct.iter().any(|d| d.src == src && d.dst == dst)
-    }
-
     /// Whether two statements are dependence free in both directions
     /// (§4.1 constraint 1 for members of a superword statement).
     pub fn independent(&self, a: StmtId, b: StmtId) -> bool {
@@ -306,40 +301,13 @@ impl BlockDeps {
         pa != pb && self.exclusive_merges.contains(&pair)
     }
 
-    /// Whether grouping `(a1, a2)` and `(b1, b2)` as two atomic superword
-    /// statements would create a dependence cycle between the groups
-    /// (the second conflict condition of §4.2.1).
-    pub fn groups_form_cycle(&self, a: (StmtId, StmtId), b: (StmtId, StmtId)) -> bool {
-        let a_to_b = self.depends(a.0, b.0)
-            || self.depends(a.0, b.1)
-            || self.depends(a.1, b.0)
-            || self.depends(a.1, b.1);
-        let b_to_a = self.depends(b.0, a.0)
-            || self.depends(b.0, a.1)
-            || self.depends(b.1, a.0)
-            || self.depends(b.1, a.1);
-        a_to_b && b_to_a
-    }
-
     /// Whether merging the statement sets `a` and `b` into two atomic nodes
-    /// would create a dependence cycle between them (used by iterative
-    /// grouping where groups have more than two members).
+    /// would create a dependence cycle between them (the second conflict
+    /// condition of §4.2.1, for groups of any width).
     pub fn sets_form_cycle(&self, a: &[StmtId], b: &[StmtId]) -> bool {
         let a_to_b = a.iter().any(|&x| b.iter().any(|&y| self.depends(x, y)));
         let b_to_a = b.iter().any(|&x| a.iter().any(|&y| self.depends(x, y)));
         a_to_b && b_to_a
-    }
-
-    /// Whether every pair of statements in `set` is mutually independent.
-    pub fn all_independent(&self, set: &[StmtId]) -> bool {
-        for (i, &a) in set.iter().enumerate() {
-            for &b in &set[i + 1..] {
-                if !self.independent(a, b) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -601,7 +569,10 @@ mod tests {
         ]);
         let d = BlockDeps::analyze(&block);
         assert!(d.depends(StmtId::new(0), StmtId::new(2)));
-        assert!(!d.depends_directly(StmtId::new(0), StmtId::new(2)));
+        assert!(!d
+            .direct()
+            .iter()
+            .any(|e| e.src.index() == 0 && e.dst.index() == 2));
         assert!(!d.depends(StmtId::new(2), StmtId::new(0)));
     }
 
@@ -641,24 +612,9 @@ mod tests {
         ]);
         let d = BlockDeps::analyze(&block);
         let s = StmtId::new;
-        assert!(d.groups_form_cycle((s(0), s(3)), (s(1), s(2))));
-        // {S0,S1} vs {S2,S3} is one-directional: no cycle.
-        assert!(!d.groups_form_cycle((s(0), s(1)), (s(2), s(3))));
         assert!(d.sets_form_cycle(&[s(0), s(3)], &[s(1), s(2)]));
+        // {S0,S1} vs {S2,S3} is one-directional: no cycle.
         assert!(!d.sets_form_cycle(&[s(0), s(1)], &[s(2), s(3)]));
-    }
-
-    #[test]
-    fn all_independent_set() {
-        let block = bb(vec![
-            (0, v(0), Expr::Copy(v(4))),
-            (1, v(1), Expr::Copy(v(4))),
-            (2, v(2), Expr::Copy(v(0))),
-        ]);
-        let d = BlockDeps::analyze(&block);
-        let s = StmtId::new;
-        assert!(d.all_independent(&[s(0), s(1)]));
-        assert!(!d.all_independent(&[s(0), s(1), s(2)]));
     }
 
     #[test]

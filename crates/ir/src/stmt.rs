@@ -45,11 +45,6 @@ impl Statement {
         &self.dest
     }
 
-    /// Mutable access to the destination (used by layout rewriting).
-    pub fn dest_mut(&mut self) -> &mut Dest {
-        &mut self.dest
-    }
-
     /// The right-hand-side expression.
     pub fn expr(&self) -> &Expr {
         &self.expr

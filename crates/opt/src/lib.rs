@@ -78,6 +78,7 @@ pub(crate) mod testutil {
                 optimism: false,
                 incumbent: &incumbent,
                 incumbent_cost,
+                stop_at: None,
             });
         }
     }

@@ -112,11 +112,15 @@ pub(crate) fn cost_context<'a>(req: &PackRequest<'a>) -> CostContext<'a> {
 
 /// Solves one block's statement packing to proven optimality, or until
 /// a budget of the request's [`slp_core::OptParams`] expires (`0`
-/// disables either), warm-started from the request's incumbent.
+/// disables either) or the compile's own [`PackRequest::stop_at`]
+/// passes, warm-started from the request's incumbent. The wall budget
+/// is per call: every block, and each pass of a dual compile, gets a
+/// fresh `deadline_ms`.
 pub fn solve_block(req: &PackRequest<'_>) -> PackOutcome {
     let opt = req.config.opt;
-    let deadline =
+    let own =
         (opt.deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(opt.deadline_ms));
+    let deadline = own.into_iter().chain(req.stop_at).min();
     let expired = |nodes: u64| {
         (opt.max_nodes > 0 && nodes >= opt.max_nodes)
             || deadline.is_some_and(|d| Instant::now() >= d)

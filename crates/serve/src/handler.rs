@@ -21,16 +21,17 @@
 //!    identical fingerprint already compiling *join* that compile
 //!    instead of starting their own: the leader compiles once, followers
 //!    block on the slot and get a clone of the result, reported as
-//!    `"cache":"coalesced"`.
+//!    `"cache":"coalesced"` (a leader nobody joined publishes nothing).
 //!
 //! Behind the gates the leader hands its key to
 //! [`slp_driver::compile_keyed`]: a cache lookup, and only on a miss one
-//! frontend run and the compile. The handler never looks at the source
-//! text. A kernel with a proven out-of-bounds access (V505) comes back
-//! from that one frontend run as [`DriverError::Unsafe`] before any
-//! packing or scheduling work is spent on it, and is answered with
-//! [`ErrorCode::ProvenUnsafe`] — to the leader and every follower alike;
-//! nothing is stored for it.
+//! frontend run and the compile — on this thread, under `catch_unwind`
+//! and the request's budget as a cooperative deadline. The handler never
+//! looks at the source text. A kernel with a proven out-of-bounds access
+//! (V505) comes back from that one frontend run as
+//! [`DriverError::Unsafe`] before any packing or scheduling work is spent
+//! on it, and is answered with [`ErrorCode::ProvenUnsafe`] — to the
+//! leader and every follower alike; nothing is stored for it.
 //!
 //! Every counter is atomic; a [`ServeSummary`] snapshot is exact once
 //! the writers are quiescent, which the concurrency tests pin.
@@ -79,7 +80,9 @@ pub struct ServeConfig {
     /// Per-tenant quota overrides, consulted before `quota`.
     pub quota_overrides: Vec<(String, QuotaConfig)>,
     /// Budget applied to compile requests that do not carry their own
-    /// `budget_ms`.
+    /// `budget_ms`: a cooperative deadline the compile checks at its own
+    /// boundaries ([`slp_driver::compile_guarded`] says which), answered
+    /// `S113` at the first one past it.
     pub default_budget_ms: Option<u64>,
     /// Test instrumentation: artificial delay (milliseconds) inserted
     /// while a leader holds its dedup slot, before compiling. Makes
@@ -523,8 +526,14 @@ impl Handler {
         let result = compile_keyed(request, fp, Some(&self.cache), budget_ms);
         publish.armed = false;
         lock_unpoisoned(&self.inflight).remove(&fp);
-        *lock_unpoisoned(&slot.result) = Some(result.clone());
-        slot.done.notify_all();
+        // A follower takes its handle under the table lock, so once the
+        // slot has left the table the count is final: the leader's one
+        // handle plus one per waiting follower. Nobody waiting, nothing
+        // to clone.
+        if Arc::strong_count(&slot) > 1 {
+            *lock_unpoisoned(&slot.result) = Some(result.clone());
+            slot.done.notify_all();
+        }
         (result, false)
     }
 

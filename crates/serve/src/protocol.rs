@@ -45,11 +45,9 @@
 //! quotas, drain) use their [`ErrorCode::legacy_kind`] names. The
 //! compat test suite pins both shapes.
 
-use slp_core::SlpConfig;
+use slp_core::{SlpConfig, Strategy};
 use slp_driver::json::Json;
-use slp_driver::{
-    parse_machine, parse_strategy, CompileOutcome, CompileRequest, DriverError, VerifyLevel,
-};
+use slp_driver::{parse_machine, CompileOutcome, CompileRequest, DriverError, VerifyLevel};
 
 /// The stable machine-readable error codes of the v1 protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +67,8 @@ pub enum ErrorCode {
     ParseError,
     /// `S111`: the kernel parsed but failed semantic validation.
     InvalidProgram,
-    /// `S112`: the compiler panicked (caught by the guard thread).
+    /// `S112`: the compiler panicked (caught by the `catch_unwind` around
+    /// the compile).
     CompilerPanic,
     /// `S113`: the compile exceeded its time budget.
     BudgetExceeded,
@@ -303,8 +302,9 @@ fn parse_compile_body(req: &Json) -> Result<(CompileRequest, Option<u64>), Strin
         .get("strategy")
         .and_then(Json::string)
         .unwrap_or("global");
-    let strategy = parse_strategy(strategy_name)
-        .ok_or_else(|| format!("unknown strategy {strategy_name:?}"))?;
+    let strategy: Strategy = strategy_name
+        .parse()
+        .map_err(|_| format!("unknown strategy {strategy_name:?}"))?;
     let machine_name = req.get("machine").and_then(Json::string).unwrap_or("intel");
     let machine =
         parse_machine(machine_name).ok_or_else(|| format!("unknown machine {machine_name:?}"))?;

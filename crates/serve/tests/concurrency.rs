@@ -38,7 +38,8 @@ fn handler(config: ServeConfig) -> Handler {
 
 /// N concurrent identical requests compile exactly once: one leader
 /// stores, everyone else coalesces onto it (or hits the cache if it
-/// arrives after the leader finished).
+/// arrives after the leader finished) and is answered with the leader's
+/// kernel.
 #[test]
 fn coalesced_fingerprints_compile_once() {
     const N: u64 = 8;
@@ -48,15 +49,35 @@ fn coalesced_fingerprints_compile_once() {
         compile_hold_ms: 100,
         ..ServeConfig::default()
     });
-    thread::scope(|scope| {
-        for id in 0..N {
-            let handler = &handler;
-            scope.spawn(move || {
-                let response = handler.handle_line(&compile_line(id, "", SRC));
-                assert_eq!(response.json.get("ok"), Some(&Json::Bool(true)));
-            });
-        }
+    let responses: Vec<Json> = thread::scope(|scope| {
+        let workers: Vec<_> = (0..N)
+            .map(|id| {
+                let handler = &handler;
+                scope.spawn(move || handler.handle_line(&compile_line(id, "", SRC)).json)
+            })
+            .collect();
+        (workers.into_iter())
+            .map(|w| w.join().expect("worker"))
+            .collect()
     });
+    fn cache_of(response: &Json) -> Option<&str> {
+        response.get("cache").and_then(Json::string)
+    }
+    let leader = (responses.iter())
+        .find(|r| cache_of(r) == Some("compiled"))
+        .expect("one request led");
+    for response in &responses {
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
+        for field in ["fingerprint", "stmts", "superwords", "vectorized_stmts"] {
+            assert!(leader.get(field).is_some(), "{field}");
+            assert_eq!(
+                response.get(field),
+                leader.get(field),
+                "{field} of a {:?} answer",
+                cache_of(response)
+            );
+        }
+    }
     let summary = handler.summary();
     let stats = handler.cache().stats();
     assert_eq!(stats.stores, 1, "exactly one compile may store");

@@ -5,8 +5,9 @@
 use std::io::Cursor;
 use std::sync::Arc;
 
+use slp_core::Strategy;
 use slp_driver::json::Json;
-use slp_driver::{parse_strategy, CompileCache, ServeSummary};
+use slp_driver::{CompileCache, ServeSummary};
 use slp_serve::{serve_handler, Handler, ServeConfig};
 
 const SRC: &str = "kernel k { array A: f64[16]; array B: f64[16]; \
@@ -157,6 +158,44 @@ fn error_codes_are_stable() {
         );
     }
     assert_eq!(summary.errors, cases.len() as u64);
+}
+
+/// A budget is a deadline the compile itself checks: `budget_ms: 0` has
+/// passed by the first checkpoint on any machine, so the request answers
+/// `S113` without a sleep anywhere — and without a trace: nothing stored,
+/// nothing counted as compiled, nothing left in flight, and the same
+/// kernel compiles and caches normally afterwards.
+#[test]
+fn an_expired_budget_answers_s113_and_leaves_no_trace() {
+    let handler = Handler::with_cache(CompileCache::in_memory(8));
+    let unbudgeted = compile_v1(41, "", SRC);
+    let budgeted = unbudgeted.replacen('{', "{\"budget_ms\":0,", 1);
+    let legacy = format!("{{\"cmd\":\"compile\",\"source\":{SRC:?},\"budget_ms\":0}}");
+
+    let timed_out = handler.handle_line(&budgeted).json;
+    assert_eq!(timed_out.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(timed_out.get("code").and_then(Json::string), Some("S113"));
+    assert_eq!(timed_out.get("id").and_then(Json::u64), Some(41));
+    let timed_out = handler.handle_line(&legacy).json;
+    assert_eq!(
+        timed_out.get("kind").and_then(Json::string),
+        Some("timeout")
+    );
+    assert_eq!(handler.cache().stats().stores, 0);
+    assert_eq!(handler.summary().compiled, 0);
+    assert_eq!(handler.summary().errors, 2);
+    assert_eq!(handler.active(), 0);
+
+    for disposition in ["compiled", "memory"] {
+        let served = handler.handle_line(&unbudgeted).json;
+        assert_eq!(
+            served.get("cache").and_then(Json::string),
+            Some(disposition),
+            "{}",
+            served.to_compact()
+        );
+    }
+    assert_eq!(handler.cache().stats().stores, 1);
 }
 
 /// Tentpole regression: a kernel the certificate pass proves
@@ -315,12 +354,13 @@ fn documented_strategy_strings_round_trip() {
     ];
     for name in documented {
         // The parser accepts every documented string...
-        let strategy = parse_strategy(name)
-            .unwrap_or_else(|| panic!("documented strategy {name:?} must parse"));
+        let strategy: Strategy = name
+            .parse()
+            .unwrap_or_else(|_| panic!("documented strategy {name:?} must parse"));
         // ...the canonical rendering parses back to the same strategy...
         assert_eq!(
-            parse_strategy(strategy.cli_name()),
-            Some(strategy),
+            strategy.cli_name().parse(),
+            Ok(strategy),
             "cli_name of {name:?} must round-trip"
         );
         // ...and a wire request naming it compiles.
@@ -336,7 +376,10 @@ fn documented_strategy_strings_round_trip() {
     }
     // The alias is an alias, not a distinct strategy: both names land on
     // the same pipeline and so the same cache key.
-    assert_eq!(parse_strategy("auto-adjacent"), parse_strategy("native"));
+    assert_eq!(
+        "auto-adjacent".parse::<Strategy>(),
+        "native".parse::<Strategy>()
+    );
 }
 
 #[test]

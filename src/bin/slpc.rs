@@ -81,7 +81,7 @@
 //!   --verify none|static|full|prove       verification level (default: static)
 //!   --prove                               shorthand for --verify prove
 //!   --threads N                           worker threads (default: cores)
-//!   --budget-ms N                         per-kernel compile budget
+//!   --budget-ms N                         per-kernel deadline, checked between stages
 //!   --no-degrade                          fail entries instead of scalar fallback
 //!   --cache-dir DIR                       disk cache location (default: .slp-cache)
 //!   --no-cache                            disable caching entirely
@@ -167,7 +167,7 @@ fn parse_args() -> Result<Options, ExitCode> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--strategy" => {
-                opts.strategy = match args.next().as_deref().and_then(parse_strategy) {
+                opts.strategy = match args.next().and_then(|s| s.parse().ok()) {
                     Some(s) => s,
                     None => return Err(usage()),
                 }
@@ -659,7 +659,7 @@ fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<BatchOptio
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--strategy" => {
-                opts.strategy = match args.next().as_deref().and_then(parse_strategy) {
+                opts.strategy = match args.next().and_then(|s| s.parse().ok()) {
                     Some(s) => s,
                     None => return Err(usage()),
                 }

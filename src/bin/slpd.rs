@@ -18,7 +18,7 @@
 //!                        (default: 256, 0 = unlimited)
 //!   --quota CAP:REFILL   per-tenant token bucket: capacity and
 //!                        tokens-per-second (default: unmetered)
-//!   --budget-ms N        default per-compile time budget
+//!   --budget-ms N        default compile deadline, checked between stages
 //!   --workers N          TCP worker threads (default: 4)
 //! ```
 //!

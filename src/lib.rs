@@ -120,9 +120,8 @@ pub mod prelude {
         PackerHandle, SlpConfig, Strategy, Verifier, VerifierHandle, VerifyError,
     };
     pub use slp_driver::{
-        compile_batch, compile_source, parallel_map, parse_machine, parse_strategy, BatchConfig,
-        CompileCache, CompileOutcome, CompileRequest, DriverError, ProveVerdict, ServeSummary,
-        VerifyLevel,
+        compile_batch, compile_source, parallel_map, parse_machine, BatchConfig, CompileCache,
+        CompileOutcome, CompileRequest, DriverError, ProveVerdict, ServeSummary, VerifyLevel,
     };
     pub use slp_ir::Program;
     pub use slp_lang::{compile as parse_kernel, ParseError};

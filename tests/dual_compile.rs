@@ -4,7 +4,7 @@
 //! `<=` on their estimates produce, although the pipeline pre-processes
 //! once, builds each proposal once and finishes once where it can.
 
-use slp::core::{compile_passes, estimate_kernel_cost, PhaseTimings};
+use slp::core::{compile_passes, estimate_kernel_cost, Deadline, PhaseTimings};
 use slp::prelude::*;
 
 fn assert_same(shipped: &CompiledKernel, reference: &CompiledKernel, what: &str) {
@@ -32,7 +32,15 @@ fn dual_compile_ships_what_two_independent_passes_and_the_estimate_choose() {
                 .with_opt_budget(0, 500);
             for config in [global.clone().with_refined_deps(), global, optimal] {
                 let single = |optimism| {
-                    compile_passes(program, &config, &[optimism], &mut PhaseTimings::new())
+                    let no_deadline = Deadline::default();
+                    compile_passes(
+                        program,
+                        &config,
+                        &[optimism],
+                        no_deadline,
+                        &mut PhaseTimings::new(),
+                    )
+                    .expect("no deadline was set")
                 };
                 let (optimistic, plain) = (single(true), single(false));
                 let cheaper = estimate_kernel_cost(&optimistic) <= estimate_kernel_cost(&plain);

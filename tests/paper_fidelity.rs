@@ -190,7 +190,7 @@ const SCHEDULES: [(&str, [u64; 8]); 20] = [
 
 #[test]
 fn every_strategy_ships_the_recorded_schedules() {
-    use slp::prelude::{parse_machine, parse_strategy, SlpConfig};
+    use slp::prelude::{parse_machine, SlpConfig};
 
     let programs = common::suite_and_branchy();
     for (program, (name, recorded)) in programs.iter().zip(SCHEDULES) {
@@ -204,7 +204,7 @@ fn every_strategy_ships_the_recorded_schedules() {
             ] {
                 let mut cfg = SlpConfig::for_machine(
                     parse_machine(machine).unwrap(),
-                    parse_strategy(strategy).unwrap(),
+                    strategy.parse().unwrap(),
                 );
                 if layout {
                     cfg = cfg.with_layout();
