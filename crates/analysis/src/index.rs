@@ -1,16 +1,16 @@
-//! The per-block index grouping, scheduling and the cost estimator share.
+//! The per-block index grouping, scheduling and the emission walk share.
 //!
 //! All three walk a block's statements by [`StmtId`] and compare operand
-//! identities ([`OperandKey`](crate::OperandKey)) in their innermost
-//! loops. [`BlockIndex`] is built once beside the block's `BlockDeps` and
-//! makes both a table lookup: a statement id resolves to its block
-//! position without scanning the block, and every destination and operand
-//! is interned to a small integer key. Keys are numbered in `OperandKey`
-//! order, so two operands name the same data exactly when their keys are
-//! equal, and a sorted key vector compares with another exactly as the
-//! [`PackContent`](crate::PackContent)s they stand for. Per statement the
-//! index also holds what candidate identification asks of every pair: the
-//! isomorphism class and the lane cap.
+//! identities in their innermost loops. [`BlockIndex`] is built once
+//! beside the block's `BlockDeps` and makes both a table lookup: a
+//! statement id resolves to its block position without scanning the
+//! block, and every destination and operand is interned to a small
+//! integer key. Keys are numbered in [`Loc`] order, so two operands name
+//! the same data exactly when their keys are equal, and a sorted key
+//! vector is a pack's order-insensitive content (the tests specify both
+//! against the owned `OperandKey`/`PackContent` of `key.rs`). Per
+//! statement the index also holds what candidate identification asks of
+//! every pair: the isomorphism class and the lane cap.
 
 use slp_ir::{
     ArrayRef, BasicBlock, Dest, Operand, ScalarType, Statement, StmtId, StmtPositions, TypeEnv,
@@ -19,8 +19,7 @@ use slp_ir::{
 
 use crate::unit::PackPos;
 
-/// What an interned key names: the borrowed form of an `OperandKey`,
-/// ordered as it is.
+/// What an interned key names, in key order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Loc<'b> {
     /// A scalar variable.
@@ -208,7 +207,7 @@ impl<'b> BlockIndex<'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OperandKey;
+    use crate::key::OperandKey;
     use slp_ir::Program;
 
     fn program() -> Program {

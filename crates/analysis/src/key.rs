@@ -6,6 +6,10 @@
 //! same superword for reuse purposes — even if later scheduling orders them
 //! differently, reuse only costs a register permutation, not memory
 //! traffic. [`PackContent`] is that order-insensitive identity.
+//!
+//! Test-only: production code works on [`BlockIndex`](crate::BlockIndex)'s
+//! interned keys, and the `weight.rs` and `index.rs` tests check those
+//! against the owned forms here.
 
 use std::fmt;
 
@@ -16,7 +20,7 @@ use slp_ir::{AccessVector, ArrayId, Operand, VarId};
 /// Constants are keyed by their IEEE-754 bit pattern, giving a total order
 /// without violating `Eq` for NaN payloads.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum OperandKey {
+pub(crate) enum OperandKey {
     /// A scalar variable.
     Scalar(VarId),
     /// An array element.
@@ -27,7 +31,7 @@ pub enum OperandKey {
 
 impl OperandKey {
     /// The canonical key of an operand.
-    pub fn of(op: &Operand) -> OperandKey {
+    pub(crate) fn of(op: &Operand) -> OperandKey {
         match op {
             Operand::Scalar(v) => OperandKey::Scalar(*v),
             Operand::Array(r) => OperandKey::Array(r.array, r.access.clone()),
@@ -48,56 +52,36 @@ impl fmt::Display for OperandKey {
 
 /// The order-insensitive identity of a variable pack: the sorted multiset
 /// of its operand keys.
-///
-/// # Examples
-///
-/// ```
-/// use slp_analysis::PackContent;
-/// use slp_ir::{Operand, VarId};
-///
-/// let v1: Operand = VarId::new(1).into();
-/// let v2: Operand = VarId::new(2).into();
-/// // <V1, V2> and <V2, V1> are the same superword up to permutation.
-/// assert_eq!(
-///     PackContent::new([&v1, &v2]),
-///     PackContent::new([&v2, &v1]),
-/// );
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PackContent {
+pub(crate) struct PackContent {
     keys: Vec<OperandKey>,
 }
 
 impl PackContent {
     /// Builds the content key from operands (any iteration order).
-    pub fn new<'a, I: IntoIterator<Item = &'a Operand>>(ops: I) -> Self {
+    pub(crate) fn new<'a, I: IntoIterator<Item = &'a Operand>>(ops: I) -> Self {
         let mut keys: Vec<OperandKey> = ops.into_iter().map(OperandKey::of).collect();
         keys.sort();
         PackContent { keys }
     }
 
     /// Number of lanes in the pack.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.keys.len()
     }
 
-    /// The sorted operand keys.
-    pub fn keys(&self) -> &[OperandKey] {
-        &self.keys
-    }
-
     /// Whether every lane of the pack is an array reference.
-    pub fn is_all_array(&self) -> bool {
+    pub(crate) fn is_all_array(&self) -> bool {
         self.keys.iter().all(|k| matches!(k, OperandKey::Array(..)))
     }
 
     /// Whether every lane of the pack is a scalar variable.
-    pub fn is_all_scalar(&self) -> bool {
+    pub(crate) fn is_all_scalar(&self) -> bool {
         self.keys.iter().all(|k| matches!(k, OperandKey::Scalar(_)))
     }
 
     /// Whether every lane of the pack is a constant.
-    pub fn is_all_const(&self) -> bool {
+    pub(crate) fn is_all_const(&self) -> bool {
         self.keys.iter().all(|k| matches!(k, OperandKey::Const(_)))
     }
 }

@@ -3,16 +3,16 @@
 //! This crate implements the graph machinery the holistic SLP optimizer's
 //! grouping phase is built on (paper Figures 4–9):
 //!
-//! * [`PackContent`] / [`OperandKey`] — order-insensitive superword
-//!   identities (a reuse "even for the case with different orderings" only
-//!   costs a register permutation, never memory traffic),
 //! * [`Unit`] — grouping units; they generalize single statements so the
 //!   same algorithm serves the iterative wider-than-two grouping of
 //!   §4.2.2,
 //! * [`BlockIndex`] — the per-block tables every later step reads:
-//!   statement positions, operand keys numbered in [`OperandKey`] order,
-//!   isomorphism classes and lane caps (`slp-core`'s scheduler and cost
-//!   estimator share it),
+//!   statement positions, isomorphism classes, lane caps, and every
+//!   operand interned to an integer key. A pack's *content* is its sorted
+//!   keys: two packs of the same content are the same superword for reuse
+//!   purposes — "even for the case with different orderings" a reuse only
+//!   costs a register permutation, never memory traffic. `slp-core`'s
+//!   scheduler and emission walk share the index,
 //! * [`legal_merges`] — step 1, candidate group identification under the
 //!   §4.1 validity constraints (the `slp-opt` solver branches on the same
 //!   pairs),
@@ -60,13 +60,16 @@
 mod candidates;
 mod groupgraph;
 mod index;
-mod key;
 mod unit;
 mod weight;
 
 pub use candidates::legal_merges;
 pub use groupgraph::{GroupingEdge, StatementGroupingGraph};
 pub use index::{sorted, BlockIndex, Loc};
-pub use key::{OperandKey, PackContent};
 pub use unit::{PackPos, Unit};
 pub use weight::{Round, WeightParams};
+
+// The owned operand keys and pack contents the interned forms above are
+// specified against (`weight.rs` and `index.rs` tests).
+#[cfg(test)]
+mod key;

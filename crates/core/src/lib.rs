@@ -4,8 +4,8 @@
 #![warn(missing_debug_implementations)]
 
 mod baseline;
-mod cost;
 mod deadline;
+mod emit;
 mod error;
 mod group;
 mod layout;
@@ -17,14 +17,17 @@ mod superword;
 mod telemetry;
 
 pub use baseline::{baseline_block, baseline_groups};
-pub use cost::{estimate_scalar_cost, estimate_schedule_cost, scalar_stmt_cost, CostContext};
 pub use deadline::{Deadline, Expired};
+pub use emit::{
+    emit_schedule, estimate_scalar_cost, estimate_schedule_cost, scalar_stmt_cost, scalar_traffic,
+    AccessClass, CostContext, EmitSink, LaneSink, LayoutView, ScalarPackClass,
+};
 pub use error::{ExecError, ExecErrorKind, VerifyError};
 pub use group::{group_block, group_block_with, Grouping, GroupingDecision};
 pub use layout::array::{eq4_map, optimize_array_layout, ArrayLayoutConfig, Replication};
 pub use layout::scalar::{optimize_scalar_layout, ScalarLayout};
 pub use layout::{collect_pack_uses, PackUse};
-pub use machine::{op_cost_factor, CostParams, MachineConfig};
+pub use machine::{CostParams, MachineConfig};
 pub use native::native_block;
 pub use pipeline::{
     compile, compile_passes, compile_timed, compile_within, estimate_kernel_cost, CompileStats,
@@ -37,7 +40,7 @@ pub use telemetry::{Phase, PhaseTimings};
 // `SlpConfig::weights` is part of this crate's public configuration
 // surface; re-export its type so config-building crates (slp-driver)
 // need not depend on slp-analysis directly. The per-block index the
-// grouping, the scheduler and the estimator take lives there too.
+// grouping, the scheduler and the emission walk take lives there too.
 pub use slp_analysis::{BlockIndex, WeightParams};
 // `CompiledKernel::safety` likewise: consumers of compiled kernels
 // (slp-vm's check elision, slp-driver's codec and `DriverError::Unsafe`)

@@ -9,6 +9,10 @@
 //! for packing/unpacking-related operations, which the paper names as the
 //! main reason its savings are lower there.
 
+use slp_ir::ExprShape;
+
+use crate::emit::{AccessClass, LaneSink, ScalarPackClass};
+
 /// Per-instruction-class cycle costs charged by the SIMD virtual machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
@@ -86,12 +90,83 @@ impl CostParams {
     }
 }
 
+/// The cycle price of each emission of the
+/// [`emit_schedule`](crate::emit_schedule) walk — written here once, for
+/// the §4.3 estimate and for `slp-vm`'s instruction metrics alike. (A
+/// permute's price is the `permute` field itself.)
+impl CostParams {
+    /// The memory share of a scalar statement's price.
+    pub fn scalar_memory(&self, loads: u32, stores: u32) -> f64 {
+        f64::from(loads) * self.scalar_load + f64::from(stores) * self.scalar_store
+    }
+
+    /// A statement executed scalar: its memory traffic plus the
+    /// shape-weighted ALU op.
+    pub fn scalar_stmt(&self, shape: ExprShape, loads: u32, stores: u32) -> f64 {
+        self.scalar_memory(loads, stores) + op_cost_factor(shape) * self.scalar_op
+    }
+
+    /// One broadcast shuffle, after a scalar load when `from_memory`.
+    pub fn splat(&self, from_memory: bool) -> f64 {
+        self.insert + if from_memory { self.scalar_load } else { 0.0 }
+    }
+
+    /// An array pack of `width` lanes loaded (a per-lane constant vector
+    /// is an aligned load from the constant pool).
+    pub fn array_load(&self, class: AccessClass, width: usize) -> f64 {
+        match class {
+            AccessClass::Aligned => self.vector_load,
+            AccessClass::Unaligned => self.unaligned_load,
+            AccessClass::Gather => width as f64 * (self.scalar_load + self.insert),
+        }
+    }
+
+    /// An array pack of `width` lanes stored.
+    pub fn array_store(&self, class: AccessClass, width: usize) -> f64 {
+        match class {
+            AccessClass::Aligned => self.vector_store,
+            AccessClass::Unaligned => self.unaligned_store,
+            AccessClass::Gather => width as f64 * (self.extract + self.scalar_store),
+        }
+    }
+
+    /// A scalar pack assembled: one vector load, or an insert per lane
+    /// plus a scalar load per memory-resident lane.
+    pub fn scalar_pack(&self, class: ScalarPackClass, lane_mem: &[bool]) -> f64 {
+        match class {
+            ScalarPackClass::VectorMem => self.vector_load,
+            ScalarPackClass::PerLane => {
+                let mem = lane_mem.iter().filter(|&&m| m).count();
+                lane_mem.len() as f64 * self.insert + mem as f64 * self.scalar_load
+            }
+        }
+    }
+
+    /// A superword's lanes distributed to scalars: one vector store, or
+    /// what each lane's sink takes.
+    pub fn scalar_unpack(&self, class: ScalarPackClass, sinks: &[LaneSink]) -> f64 {
+        match class {
+            ScalarPackClass::VectorMem => self.vector_store,
+            ScalarPackClass::PerLane => sinks.iter().fold(0.0, |cycles, sink| match sink {
+                LaneSink::Free => cycles,
+                LaneSink::Shuffle => cycles + self.extract,
+                LaneSink::Memory => cycles + (self.extract + self.scalar_store),
+            }),
+        }
+    }
+
+    /// One SIMD ALU operation.
+    pub fn vector_op(&self, shape: ExprShape) -> f64 {
+        op_cost_factor(shape) * self.simd_op
+    }
+}
+
 /// The multiplier an operator kind applies to the base ALU cost.
 ///
 /// Division and square root are far slower than addition on both machines;
 /// this shapes which kernels profit most from vectorization.
-pub fn op_cost_factor(shape: slp_ir::ExprShape) -> f64 {
-    use slp_ir::{BinOp, ExprShape, UnOp};
+fn op_cost_factor(shape: ExprShape) -> f64 {
+    use slp_ir::{BinOp, UnOp};
     match shape {
         ExprShape::Copy => 0.5,
         ExprShape::Unary(UnOp::Neg) => 1.0,

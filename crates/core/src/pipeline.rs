@@ -14,8 +14,8 @@ use slp_analysis::{BlockIndex, WeightParams};
 use slp_analyze::{RangeOracle, SafetyCert};
 
 use crate::baseline::{baseline_block, baseline_groups};
-use crate::cost::{estimate_schedule_cost, CostContext};
 use crate::deadline::{Deadline, Expired};
+use crate::emit::{estimate_scalar_cost, estimate_schedule_cost, CostContext, LayoutView};
 use crate::error::VerifyError;
 use crate::group::group_block_under;
 use crate::layout::array::{optimize_array_layout, ArrayLayoutConfig, Replication};
@@ -75,6 +75,16 @@ impl Strategy {
             Strategy::Holistic => "global",
             Strategy::Optimal => "optimal",
         }
+    }
+
+    /// Whether the strategy's backend reuses a live pack in another lane
+    /// order through a permute. Indirect superword reuse is this paper's
+    /// contribution; the baseline algorithms neglect it (§4.3: "... which
+    /// is neglected in the original SLP algorithm"), so their code — and
+    /// their estimate — only gets direct reuse. The Optimal solver prices
+    /// permutes with the tables the holistic optimizer uses.
+    pub fn permuted_reuse(self) -> bool {
+        matches!(self, Strategy::Holistic | Strategy::Optimal)
     }
 
     /// All strategies, in figure order (the solver-backed `Optimal`
@@ -596,7 +606,8 @@ pub fn estimate_kernel_cost(kernel: &CompiledKernel) -> f64 {
             exposed: &exposed,
             cost: &kernel.config.machine.cost,
             vector_regs: kernel.config.machine.vector_regs,
-            assume_layout: false,
+            layout: LayoutView::None,
+            permuted_reuse: kernel.config.strategy.permuted_reuse(),
         };
         let per_exec = match kernel.schedule_of(info.id) {
             Some(sched) => {
@@ -604,7 +615,7 @@ pub fn estimate_kernel_cost(kernel: &CompiledKernel) -> f64 {
                 let ix = BlockIndex::new(&info.block, &kernel.program, lanes);
                 estimate_schedule_cost(&ix, sched, &cx)
             }
-            None => crate::cost::estimate_scalar_cost(&info.block, &cx),
+            None => estimate_scalar_cost(&info.block, &cx),
         };
         // Saturating: a pathological nest can overflow the product long
         // before the VM would ever run it.
@@ -708,7 +719,12 @@ pub fn compile_passes(
                     exposed: &exposed,
                     cost: &config.machine.cost,
                     vector_regs: config.machine.vector_regs,
-                    assume_layout: optimism,
+                    layout: if optimism {
+                        LayoutView::Assumed
+                    } else {
+                        LayoutView::None
+                    },
+                    permuted_reuse: config.strategy.permuted_reuse(),
                 };
                 let (incumbent, incumbent_cost) = cheapest_proposal(&ix, &proposals, &cx);
                 if config.strategy == Strategy::Holistic {
@@ -902,7 +918,7 @@ fn cheapest_proposal(
     cx: &CostContext<'_>,
 ) -> (BlockSchedule, f64) {
     (proposals.iter())
-        .filter(|(_, optimistic)| cx.assume_layout || !optimistic)
+        .filter(|(_, optimistic)| matches!(cx.layout, LayoutView::Assumed) || !optimistic)
         .map(|(s, _)| (estimate_schedule_cost(ix, s, cx), s))
         // Invariant: cost estimates are finite sums/products of finite
         // machine parameters, and `proposals` always holds at least the
@@ -1012,7 +1028,6 @@ mod tests {
 #[cfg(test)]
 mod arbitration_tests {
     use super::*;
-    use crate::cost::{estimate_schedule_cost, CostContext};
 
     /// A block where the adjacency-seeded baseline is optimal (pure
     /// contiguous streams): the arbitration must cost Global at or below
@@ -1045,7 +1060,8 @@ mod arbitration_tests {
                         exposed: &exposed,
                         cost: &machine.cost,
                         vector_regs: machine.vector_regs,
-                        assume_layout: false,
+                        layout: LayoutView::None,
+                        permuted_reuse: Strategy::Holistic.permuted_reuse(),
                     };
                     estimate_schedule_cost(
                         &BlockIndex::new(&info.block, &k.program, |ty| machine.lanes_for(ty)),

@@ -9,7 +9,7 @@
 //! Statement packing is cast as a 0-1 integer linear program in the
 //! goSLP style ([`model`]): one binary variable per candidate pack
 //! formation (a legal merge of two grouping units), an objective taken
-//! from the `slp-core::cost` tables, and constraints the search enforces
+//! from the `slp-core` emission prices, and constraints the search enforces
 //! itself instead of tabulating — exclusivity by *merging* the selected
 //! units, §4.1 legality by admitting only `legal_merges` pairs under the
 //! lane cap, multi-group dependence cycles by the scheduler's
@@ -43,7 +43,8 @@ pub use solve::{solve_block, OptimalPacker};
 #[cfg(test)]
 pub(crate) mod testutil {
     use slp_core::{
-        estimate_schedule_cost, BlockIndex, BlockSchedule, CostContext, PackRequest, SlpConfig,
+        estimate_schedule_cost, BlockIndex, BlockSchedule, CostContext, LayoutView, PackRequest,
+        SlpConfig,
     };
     use slp_ir::{BlockDeps, Program};
 
@@ -64,7 +65,8 @@ pub(crate) mod testutil {
                 exposed: &exposed,
                 cost: &config.machine.cost,
                 vector_regs: config.machine.vector_regs,
-                assume_layout: false,
+                layout: LayoutView::None,
+                permuted_reuse: config.strategy.permuted_reuse(),
             };
             let ix = BlockIndex::new(&info.block, program, |ty| config.machine.lanes_for(ty));
             let incumbent_cost = estimate_schedule_cost(&ix, &incumbent, &cx);

@@ -5,7 +5,7 @@
 //! merge of two current grouping units, which fixes both the pack
 //! memberships and — through the deterministic scheduler — the lane
 //! permutation it implies), with the objective taken from the
-//! `slp-core::cost` tables. The constraints are never tabulated; the
+//! `slp-core` emission prices. The constraints are never tabulated; the
 //! search enforces each where it is cheapest:
 //!
 //! * **mutual statement exclusivity** — selecting a variable *merges* its
@@ -33,7 +33,9 @@ use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 use slp_analysis::{legal_merges, Unit};
-use slp_core::{op_cost_factor, scalar_stmt_cost, CostContext, PackRequest};
+use slp_core::{
+    scalar_stmt_cost, AccessClass, CostContext, LaneSink, PackRequest, ScalarPackClass,
+};
 use slp_ir::{Dest, StmtId};
 
 use crate::solve::cost_context;
@@ -69,17 +71,21 @@ struct Floors {
 }
 
 fn floors(req: &PackRequest<'_>, cx: &CostContext<'_>) -> Floors {
+    let cost = cx.cost;
     let mut floors = Floors::default();
     for (p, stmt) in req.ix.block().iter().enumerate() {
         let scalar = scalar_stmt_cost(stmt, cx);
         // The §4.1 constraint 4 datapath bound on groups containing `stmt`.
-        let cap = req.ix.lane_cap(p).max(2) as f64;
+        let lanes = req.ix.lane_cap(p).max(2);
+        let cap = lanes as f64;
         let dest_floor = match stmt.dest() {
-            Dest::Array(_) => cx.cost.vector_store / cap,
-            Dest::Scalar(v) if cx.exposed[v.index()] => cx.cost.extract + cx.cost.scalar_store,
+            Dest::Array(_) => cost.array_store(AccessClass::Aligned, lanes) / cap,
+            Dest::Scalar(v) if cx.exposed[v.index()] => {
+                cost.scalar_unpack(ScalarPackClass::PerLane, &[LaneSink::Memory])
+            }
             Dest::Scalar(_) => 0.0,
         };
-        let vector = op_cost_factor(stmt.expr().shape()) * cx.cost.simd_op / cap + dest_floor;
+        let vector = cost.vector_op(stmt.expr().shape()) / cap + dest_floor;
         floors.scalar.push(scalar);
         floors.packed.push(scalar.min(vector));
     }

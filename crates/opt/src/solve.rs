@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use slp_analysis::Unit;
 use slp_core::{
     estimate_schedule_cost, schedule_block, schedule_in_program_order, BlockIndex, BlockSchedule,
-    CostContext, PackOutcome, PackRequest, Packer,
+    CostContext, LayoutView, PackOutcome, PackRequest, Packer,
 };
 
 use crate::model::{Model, Partition};
@@ -106,7 +106,12 @@ pub(crate) fn cost_context<'a>(req: &PackRequest<'a>) -> CostContext<'a> {
         exposed: req.exposed,
         cost: &req.config.machine.cost,
         vector_regs: req.config.machine.vector_regs,
-        assume_layout: req.optimism,
+        layout: if req.optimism {
+            LayoutView::Assumed
+        } else {
+            LayoutView::None
+        },
+        permuted_reuse: req.config.strategy.permuted_reuse(),
     }
 }
 

@@ -25,7 +25,7 @@ use crate::regalloc::def_of;
 
 /// Rewrites eligible loads in `body` into carried loads. Returns the
 /// number of conversions.
-pub fn apply_cross_iteration_reuse(
+pub(crate) fn apply_cross_iteration_reuse(
     body: &mut [VInst],
     program: &Program,
     innermost: Option<&LoopHeader>,

@@ -23,7 +23,8 @@
 
 use std::fmt;
 
-use slp_core::{op_cost_factor, CostParams};
+use slp_core::CostParams;
+pub use slp_core::{AccessClass, LaneSink, ScalarPackClass};
 use slp_ir::{ArrayRef, ExprShape, Statement, VarId};
 
 /// A virtual vector register.
@@ -34,43 +35,6 @@ impl fmt::Display for VReg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "x{}", self.0)
     }
-}
-
-/// The memory-access class of an array pack movement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessClass {
-    /// One aligned vector memory operation.
-    Aligned,
-    /// One unaligned contiguous vector memory operation.
-    Unaligned,
-    /// Per-lane scalar memory operations plus register insert/extract.
-    Gather,
-}
-
-/// How a scalar pack moves between its scalar homes and a vector register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalarPackClass {
-    /// All lanes are memory-resident and the §5.1 layout made them
-    /// contiguous and aligned: one vector memory operation.
-    VectorMem,
-    /// Per lane: a register shuffle, plus a memory operation for
-    /// memory-resident (upward-exposed) lanes.
-    PerLane,
-}
-
-/// The write-back obligation of one destination lane of a superword
-/// statement with scalar destinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneSink {
-    /// The lane is only consumed by later superwords through register
-    /// reuse, or not at all: free.
-    Free,
-    /// The lane feeds a later scalar statement: one extract shuffle moves
-    /// it to its scalar register.
-    Shuffle,
-    /// The lane is upward-exposed (memory-resident): extract plus a
-    /// scalar store.
-    Memory,
 }
 
 /// One vector-machine instruction.
@@ -256,10 +220,36 @@ impl InstMetrics {
     pub fn dynamic_excluding_packing(&self) -> u64 {
         self.dynamic_instructions.saturating_sub(self.packing_ops)
     }
+
+    /// One vector memory instruction of `cycles`.
+    fn vector_memory_op(cycles: f64) -> InstMetrics {
+        InstMetrics {
+            cycles,
+            dynamic_instructions: 1,
+            memory_ops: 1,
+            memory_cycles: cycles,
+            ..InstMetrics::default()
+        }
+    }
+
+    /// Lane-by-lane packing work: `shuffles` register inserts, extracts
+    /// or broadcasts and `mem` scalar memory operations.
+    fn lane_moves(cycles: f64, shuffles: usize, mem: usize, memory_cycles: f64) -> InstMetrics {
+        let (shuffles, mem) = (shuffles as u64, mem as u64);
+        InstMetrics {
+            cycles,
+            dynamic_instructions: shuffles + mem,
+            memory_ops: mem,
+            memory_cycles,
+            packing_ops: shuffles + mem,
+            ..InstMetrics::default()
+        }
+    }
 }
 
 impl VInst {
-    /// The metrics this instruction contributes per execution.
+    /// The metrics this instruction contributes per execution. Cycle
+    /// prices are the [`CostParams`] methods the §4.3 estimate sums.
     pub fn metrics(&self, params: &CostParams) -> InstMetrics {
         match self {
             VInst::Scalar {
@@ -267,13 +257,12 @@ impl VInst {
                 mem_loads,
                 mem_stores,
             } => {
-                let (l, s) = (u64::from(*mem_loads), u64::from(*mem_stores));
-                let mem_cycles = l as f64 * params.scalar_load + s as f64 * params.scalar_store;
+                let mem = u64::from(mem_loads + mem_stores);
                 InstMetrics {
-                    cycles: mem_cycles + op_cost_factor(stmt.expr().shape()) * params.scalar_op,
-                    dynamic_instructions: l + s + 1,
-                    memory_ops: l + s,
-                    memory_cycles: mem_cycles,
+                    cycles: params.scalar_stmt(stmt.expr().shape(), *mem_loads, *mem_stores),
+                    dynamic_instructions: mem + 1,
+                    memory_ops: mem,
+                    memory_cycles: params.scalar_memory(*mem_loads, *mem_stores),
                     ..InstMetrics::default()
                 }
             }
@@ -285,81 +274,45 @@ impl VInst {
             }
             VInst::PackScalars {
                 lane_mem, class, ..
-            } => match class {
-                ScalarPackClass::VectorMem => InstMetrics {
-                    cycles: params.vector_load,
-                    dynamic_instructions: 1,
-                    memory_ops: 1,
-                    memory_cycles: params.vector_load,
-                    ..InstMetrics::default()
-                },
-                ScalarPackClass::PerLane => {
-                    let w = lane_mem.len() as u64;
-                    let mem = lane_mem.iter().filter(|&&m| m).count() as u64;
-                    InstMetrics {
-                        cycles: w as f64 * params.insert + mem as f64 * params.scalar_load,
-                        dynamic_instructions: w + mem,
-                        memory_ops: mem,
-                        memory_cycles: mem as f64 * params.scalar_load,
-                        packing_ops: w + mem,
-                        ..InstMetrics::default()
+            } => {
+                let cycles = params.scalar_pack(*class, lane_mem);
+                match class {
+                    ScalarPackClass::VectorMem => InstMetrics::vector_memory_op(cycles),
+                    ScalarPackClass::PerLane => {
+                        let mem = lane_mem.iter().filter(|&&m| m).count();
+                        let memory_cycles = params.scalar_memory(mem as u32, 0);
+                        InstMetrics::lane_moves(cycles, lane_mem.len(), mem, memory_cycles)
                     }
                 }
-            },
-            VInst::UnpackScalars { sinks, class, .. } => match class {
-                ScalarPackClass::VectorMem => InstMetrics {
-                    cycles: params.vector_store,
-                    dynamic_instructions: 1,
-                    memory_ops: 1,
-                    memory_cycles: params.vector_store,
-                    ..InstMetrics::default()
-                },
-                ScalarPackClass::PerLane => {
-                    let mut m = InstMetrics::default();
-                    for sink in sinks {
-                        match sink {
-                            LaneSink::Free => {}
-                            LaneSink::Shuffle => {
-                                m.cycles += params.extract;
-                                m.dynamic_instructions += 1;
-                                m.packing_ops += 1;
-                            }
-                            LaneSink::Memory => {
-                                m.cycles += params.extract + params.scalar_store;
-                                m.dynamic_instructions += 2;
-                                m.memory_ops += 1;
-                                m.memory_cycles += params.scalar_store;
-                                m.packing_ops += 2;
-                            }
-                        }
+            }
+            VInst::UnpackScalars { sinks, class, .. } => {
+                let cycles = params.scalar_unpack(*class, sinks);
+                match class {
+                    ScalarPackClass::VectorMem => InstMetrics::vector_memory_op(cycles),
+                    ScalarPackClass::PerLane => {
+                        let count = |s: LaneSink| sinks.iter().filter(|&&x| x == s).count();
+                        let mem = count(LaneSink::Memory);
+                        let memory_cycles = params.scalar_memory(0, mem as u32);
+                        let shuffles = count(LaneSink::Shuffle) + mem;
+                        InstMetrics::lane_moves(cycles, shuffles, mem, memory_cycles)
                     }
-                    m
                 }
-            },
-            VInst::ConstVec { .. } => InstMetrics {
-                // One constant-pool vector load.
-                cycles: params.vector_load,
-                dynamic_instructions: 1,
-                memory_ops: 1,
-                memory_cycles: params.vector_load,
-                ..InstMetrics::default()
-            },
+            }
+            // One constant-pool vector load.
+            VInst::ConstVec { values, .. } => {
+                array_access_metrics(values.len(), AccessClass::Aligned, params, true)
+            }
             VInst::Splat { src, .. } => {
-                let mem = matches!(
+                let from_memory = matches!(
                     src,
                     SplatSrc::Scalar {
                         from_memory: true,
                         ..
                     }
-                ) as u64;
-                InstMetrics {
-                    cycles: params.insert + mem as f64 * params.scalar_load,
-                    dynamic_instructions: 1 + mem,
-                    memory_ops: mem,
-                    memory_cycles: mem as f64 * params.scalar_load,
-                    packing_ops: 1 + mem,
-                    ..InstMetrics::default()
-                }
+                );
+                let mem = u32::from(from_memory);
+                let memory_cycles = params.scalar_memory(mem, 0);
+                InstMetrics::lane_moves(params.splat(from_memory), 1, mem as usize, memory_cycles)
             }
             VInst::Permute { .. } => InstMetrics {
                 cycles: params.permute,
@@ -369,25 +322,15 @@ impl VInst {
                 ..InstMetrics::default()
             },
             VInst::Op { shape, .. } => InstMetrics {
-                cycles: op_cost_factor(*shape) * params.simd_op,
+                cycles: params.vector_op(*shape),
                 dynamic_instructions: 1,
                 simd_ops: 1,
                 ..InstMetrics::default()
             },
-            VInst::Spill { .. } => InstMetrics {
-                cycles: params.vector_store,
-                dynamic_instructions: 1,
-                memory_ops: 1,
-                memory_cycles: params.vector_store,
-                ..InstMetrics::default()
-            },
-            VInst::Reload { .. } => InstMetrics {
-                cycles: params.vector_load,
-                dynamic_instructions: 1,
-                memory_ops: 1,
-                memory_cycles: params.vector_load,
-                ..InstMetrics::default()
-            },
+            // Register allocation's and cross-iteration reuse's own
+            // instructions: the walk never emits them.
+            VInst::Spill { .. } => InstMetrics::vector_memory_op(params.vector_store),
+            VInst::Reload { .. } => InstMetrics::vector_memory_op(params.vector_load),
             VInst::CarriedLoad { .. } => InstMetrics {
                 // Steady state: one register move.
                 cycles: params.reg_move,
@@ -512,56 +455,21 @@ fn array_access_metrics(
     params: &CostParams,
     is_load: bool,
 ) -> InstMetrics {
-    let w = width as u64;
+    let w = width as u32;
+    let (cycles, lane_memory_cycles) = if is_load {
+        (params.array_load(class, width), params.scalar_memory(w, 0))
+    } else {
+        (params.array_store(class, width), params.scalar_memory(0, w))
+    };
     match class {
-        AccessClass::Aligned => {
-            let cycles = if is_load {
-                params.vector_load
-            } else {
-                params.vector_store
-            };
-            InstMetrics {
-                cycles,
-                dynamic_instructions: 1,
-                memory_ops: 1,
-                memory_cycles: cycles,
-                ..InstMetrics::default()
-            }
-        }
-        AccessClass::Unaligned => {
-            let cycles = if is_load {
-                params.unaligned_load
-            } else {
-                params.unaligned_store
-            };
-            InstMetrics {
-                cycles,
-                dynamic_instructions: 1,
-                memory_ops: 1,
-                memory_cycles: cycles,
-                // An unaligned access is charged as one packing event:
-                // the hardware splits and merges cache lines.
-                packing_ops: 1,
-                ..InstMetrics::default()
-            }
-        }
-        AccessClass::Gather => InstMetrics {
-            cycles: if is_load {
-                w as f64 * (params.scalar_load + params.insert)
-            } else {
-                w as f64 * (params.extract + params.scalar_store)
-            },
-            dynamic_instructions: 2 * w,
-            memory_ops: w,
-            memory_cycles: w as f64
-                * if is_load {
-                    params.scalar_load
-                } else {
-                    params.scalar_store
-                },
-            packing_ops: 2 * w,
-            ..InstMetrics::default()
+        AccessClass::Aligned => InstMetrics::vector_memory_op(cycles),
+        AccessClass::Unaligned => InstMetrics {
+            // An unaligned access is charged as one packing event:
+            // the hardware splits and merges cache lines.
+            packing_ops: 1,
+            ..InstMetrics::vector_memory_op(cycles)
         },
+        AccessClass::Gather => InstMetrics::lane_moves(cycles, width, width, lane_memory_cycles),
     }
 }
 

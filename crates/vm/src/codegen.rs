@@ -1,34 +1,25 @@
 //! Vector code generation: block schedules → vector instructions.
 //!
 //! This is the post-processing backend of the framework (paper Figure 3).
-//! It walks a scheduled block, tracking which ordered packs are resident
-//! in (virtual) vector registers, and emits:
-//!
-//! * nothing, when a needed pack is already live in the right order
-//!   (a *direct* superword reuse),
-//! * one [`VInst::Permute`], when the pack is live with another lane order
-//!   (an *indirect* reuse — register shuffle, no memory traffic),
-//! * a load/pack sequence otherwise: one aligned or unaligned vector load
-//!   for contiguous array packs, a per-lane gather for scattered array
-//!   packs, and insert shuffles (plus loads for memory-resident lanes)
-//!   for scalar packs.
-//!
-//! Destination packs are written back analogously; scalar destination
-//! lanes are charged only for what they feed (nothing for pure register
-//! reuse, an extract shuffle for later scalar consumers, a store for
-//! upward-exposed scalars). Finally the §4.3 cost-model gate compares the
-//! static cycle estimate of the vector code against the scalar code and
-//! keeps the scalar version when vectorization would not pay ("we skip
-//! the current basic block").
+//! *What* a schedule emits — pack reuse, permutes, access classes, lane
+//! sinks — is decided by `slp-core`'s one emission walk
+//! ([`emit_schedule`]), the same walk the §4.3 estimate sums; this module
+//! is its second sink, which allocates virtual registers and pushes
+//! [`VInst`]s. The passes that follow — loop-invariant hoisting,
+//! cross-iteration reuse, register allocation and spill code — run on the
+//! instructions, and what they change is exactly what the estimate cannot
+//! see. Finally the §4.3 cost-model gate compares the real static cycles
+//! of the vector code against the scalar code and keeps the scalar
+//! version when vectorization would not pay ("we skip the current basic
+//! block").
 
-use slp_analysis::OperandKey;
-use slp_core::{BlockSchedule, CompiledKernel, MachineConfig, ScalarLayout, ScheduledItem};
-use slp_ir::{
-    pack_is_aligned_in, pack_is_contiguous, ArrayRef, BasicBlock, Dest, LoopHeader, Operand,
-    Program, Statement, StmtId, TypeEnv, VarId,
+use slp_core::{
+    emit_schedule, scalar_traffic, AccessClass, BlockIndex, BlockSchedule, CompiledKernel,
+    CostContext, EmitSink, LaneSink, LayoutView, MachineConfig, ScalarPackClass,
 };
+use slp_ir::{ArrayRef, ExprShape, Statement, VarId};
 
-use crate::code::{AccessClass, InstMetrics, LaneSink, ScalarPackClass, SplatSrc, VInst, VReg};
+use crate::code::{InstMetrics, SplatSrc, VInst, VReg};
 
 /// The generated code of one basic block.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,121 +39,82 @@ pub struct BlockCode {
     pub preheader_metrics: InstMetrics,
 }
 
+impl BlockCode {
+    /// The block kept scalar: every statement with its real memory
+    /// traffic, in block order.
+    fn scalar(block: &slp_ir::BasicBlock, cx: &CostContext<'_>) -> BlockCode {
+        let mut sink = VInstSink::default();
+        for stmt in block {
+            let (loads, stores) = scalar_traffic(stmt, cx.exposed);
+            sink.scalar_stmt(stmt, loads, stores);
+        }
+        BlockCode {
+            preheader: Vec::new(),
+            static_metrics: total_metrics(&sink.insts, cx),
+            insts: sink.insts,
+            vectorized: false,
+            preheader_metrics: InstMetrics::default(),
+        }
+    }
+}
+
+fn total_metrics(insts: &[VInst], cx: &CostContext<'_>) -> InstMetrics {
+    let mut m = InstMetrics::default();
+    for i in insts {
+        m.add(&i.metrics(cx.cost));
+    }
+    m
+}
+
 /// Lowers one scheduled block to vector code, applying the cost gate when
-/// `cost_gate` is set. `exposed` flags upward-exposed (memory-resident)
-/// scalars, as computed by
-/// [`Program::upward_exposed_scalars`].
-#[allow(clippy::too_many_arguments)]
-pub fn lower_block(
-    block: &BasicBlock,
+/// `cost_gate` is set.
+pub(crate) fn lower_block(
+    ix: &BlockIndex<'_>,
     schedule: &BlockSchedule,
-    program: &Program,
-    layout: &ScalarLayout,
-    machine: &MachineConfig,
-    loops: &[LoopHeader],
-    exposed: &[bool],
-    permuted_reuse: bool,
+    cx: &CostContext<'_>,
     cross_iteration_reuse: bool,
     cost_gate: bool,
 ) -> BlockCode {
-    let mut gen = Codegen {
-        program,
-        layout,
-        machine,
-        loops,
-        exposed,
-        permuted_reuse,
-        insts: Vec::new(),
-        regs: Vec::new(),
-        next_reg: 0,
-    };
-    let items = schedule.items();
-    for (idx, item) in items.iter().enumerate() {
-        match item {
-            ScheduledItem::Single(s) => gen.scalar_stmt(block, *s),
-            ScheduledItem::Superword(sw) => gen.superword(block, sw.lanes(), &items[idx + 1..]),
-        }
+    let scalar = BlockCode::scalar(ix.block(), cx);
+    if !schedule.is_vectorized() {
+        return scalar;
     }
+    let mut sink = VInstSink::default();
+    emit_schedule(ix, schedule, cx, &mut sink);
     // Post-processing (paper Figure 3): hoist loop-invariant pack
     // materializations to a preheader, then allocate registers over the
     // combined sequence so hoisted values keep their registers across
     // the body. Spill code lands in whichever segment triggers it, and
     // the cost gate judges the real (amortized) price.
+    let innermost = cx.loops.last();
     let (pre_raw, mut body_raw) =
-        crate::hoist::hoist_invariant_packs(gen.insts, program, loops.last());
+        crate::hoist::hoist_invariant_packs(sink.insts, cx.program, innermost);
     if cross_iteration_reuse {
-        crate::carry::apply_cross_iteration_reuse(&mut body_raw, program, loops.last());
+        crate::carry::apply_cross_iteration_reuse(&mut body_raw, cx.program, innermost);
     }
     let combined: Vec<VInst> = pre_raw
         .iter()
         .cloned()
         .chain(body_raw.iter().cloned())
         .collect();
-    let alloc = crate::regalloc::allocate(&combined, machine.vector_regs);
-    let (preheader, _) = crate::regalloc::insert_spill_code(pre_raw, &alloc, &machine.cost);
-    let (vector_code, _) = crate::regalloc::insert_spill_code(body_raw, &alloc, &machine.cost);
+    let alloc = crate::regalloc::allocate(&combined, cx.vector_regs);
+    let (preheader, _) = crate::regalloc::insert_spill_code(pre_raw, &alloc, cx.cost);
+    let (insts, _) = crate::regalloc::insert_spill_code(body_raw, &alloc, cx.cost);
 
-    let scalar_code: Vec<VInst> = block.iter().map(|s| scalar_vinst(s, exposed)).collect();
-    let cost = |insts: &[VInst]| {
-        let mut m = InstMetrics::default();
-        for i in insts {
-            m.add(&i.metrics(&machine.cost));
-        }
-        m
-    };
-    let vm = cost(&vector_code);
-    let pm = cost(&preheader);
-    let sm = cost(&scalar_code);
+    let static_metrics = total_metrics(&insts, cx);
+    let preheader_metrics = total_metrics(&preheader, cx);
     // Amortize the preheader over the innermost loop's trip count.
-    let trips = loops.last().map(|h| h.trip_count().max(1)).unwrap_or(1) as f64;
-    if cost_gate && vm.cycles + pm.cycles / trips >= sm.cycles {
-        return BlockCode {
-            preheader: Vec::new(),
-            insts: scalar_code,
-            vectorized: false,
-            static_metrics: sm,
-            preheader_metrics: InstMetrics::default(),
-        };
+    let trips = innermost.map(|h| h.trip_count().max(1)).unwrap_or(1) as f64;
+    let vector_cycles = static_metrics.cycles + preheader_metrics.cycles / trips;
+    if cost_gate && vector_cycles >= scalar.static_metrics.cycles {
+        return scalar;
     }
-    if schedule.is_vectorized() {
-        BlockCode {
-            preheader,
-            insts: vector_code,
-            vectorized: true,
-            static_metrics: vm,
-            preheader_metrics: pm,
-        }
-    } else {
-        BlockCode {
-            preheader: Vec::new(),
-            insts: scalar_code,
-            vectorized: false,
-            static_metrics: sm,
-            preheader_metrics: InstMetrics::default(),
-        }
-    }
-}
-
-/// Builds the scalar instruction for `stmt` with its real memory traffic:
-/// array accesses always, scalar accesses only when upward-exposed.
-fn scalar_vinst(stmt: &Statement, exposed: &[bool]) -> VInst {
-    let mem_loads = stmt
-        .uses()
-        .iter()
-        .filter(|o| match o {
-            Operand::Array(_) => true,
-            Operand::Scalar(v) => exposed[v.index()],
-            Operand::Const(_) => false,
-        })
-        .count() as u32;
-    let mem_stores = match stmt.dest() {
-        Dest::Array(_) => 1,
-        Dest::Scalar(v) => u32::from(exposed[v.index()]),
-    };
-    VInst::Scalar {
-        stmt: stmt.clone(),
-        mem_loads,
-        mem_stores,
+    BlockCode {
+        preheader,
+        insts,
+        vectorized: true,
+        static_metrics,
+        preheader_metrics,
     }
 }
 
@@ -172,15 +124,7 @@ pub fn lower_kernel(
     machine: &MachineConfig,
     cost_gate: bool,
 ) -> Vec<(slp_ir::BlockId, BlockCode)> {
-    // Indirect (permuted) superword reuse is this paper's contribution;
-    // the baseline algorithms neglect it (§4.3: "... which is neglected
-    // in the original SLP algorithm"), so their backends only get direct
-    // reuse. The Optimal solver prices permutes with the same tables the
-    // holistic optimizer uses, so its code gets the same treatment.
-    let permuted_reuse = matches!(
-        kernel.config.strategy,
-        slp_core::Strategy::Holistic | slp_core::Strategy::Optimal
-    );
+    let permuted_reuse = kernel.config.strategy.permuted_reuse();
     lower_kernel_with(kernel, machine, cost_gate, permuted_reuse)
 }
 
@@ -198,375 +142,140 @@ pub fn lower_kernel_with(
         .blocks()
         .iter()
         .map(|info| {
+            let cx = CostContext {
+                program: &kernel.program,
+                loops: &info.loops,
+                exposed: &exposed,
+                cost: &machine.cost,
+                vector_regs: machine.vector_regs,
+                layout: LayoutView::Placed(&kernel.scalar_layout),
+                permuted_reuse,
+            };
             let code = match kernel.schedule_of(info.id) {
-                Some(sched) => lower_block(
-                    &info.block,
-                    sched,
-                    &kernel.program,
-                    &kernel.scalar_layout,
-                    machine,
-                    &info.loops,
-                    &exposed,
-                    permuted_reuse,
-                    kernel.config.cross_iteration_reuse,
-                    cost_gate,
-                ),
-                None => {
-                    let insts: Vec<VInst> = info
-                        .block
-                        .iter()
-                        .map(|s| scalar_vinst(s, &exposed))
-                        .collect();
-                    let mut m = InstMetrics::default();
-                    for i in &insts {
-                        m.add(&i.metrics(&machine.cost));
-                    }
-                    BlockCode {
-                        preheader: Vec::new(),
-                        insts,
-                        vectorized: false,
-                        static_metrics: m,
-                        preheader_metrics: InstMetrics::default(),
-                    }
+                Some(sched) => {
+                    let lanes = |ty| machine.lanes_for(ty);
+                    let ix = BlockIndex::new(&info.block, &kernel.program, lanes);
+                    lower_block(
+                        &ix,
+                        sched,
+                        &cx,
+                        kernel.config.cross_iteration_reuse,
+                        cost_gate,
+                    )
                 }
+                None => BlockCode::scalar(&info.block, &cx),
             };
             (info.id, code)
         })
         .collect()
 }
 
-struct Codegen<'a> {
-    program: &'a Program,
-    layout: &'a ScalarLayout,
-    machine: &'a MachineConfig,
-    loops: &'a [LoopHeader],
-    exposed: &'a [bool],
-    permuted_reuse: bool,
+/// The code generator's sink of the emission walk: a fresh virtual
+/// register per definition, one [`VInst`] per emission.
+#[derive(Default)]
+struct VInstSink {
     insts: Vec<VInst>,
-    /// Ordered packs resident in registers, oldest first.
-    regs: Vec<(Vec<OperandKey>, VReg)>,
     next_reg: u32,
 }
 
-impl<'a> Codegen<'a> {
-    fn fresh(&mut self) -> VReg {
-        let r = VReg(self.next_reg);
+impl VInstSink {
+    /// Pushes the instruction `inst` builds around a fresh register.
+    fn define(&mut self, inst: impl FnOnce(VReg) -> VInst) -> VReg {
+        let dst = VReg(self.next_reg);
         self.next_reg += 1;
-        r
-    }
-
-    fn register_pack(&mut self, keys: Vec<OperandKey>, reg: VReg) {
-        self.regs.retain(|(k, _)| *k != keys);
-        self.regs.push((keys, reg));
-        if self.regs.len() > self.machine.vector_regs {
-            self.regs.remove(0);
-        }
-    }
-
-    fn invalidate(&mut self, written: &Operand) {
-        self.regs
-            .retain(|(keys, _)| !keys.iter().any(|k| key_overlaps(written, k)));
-    }
-
-    fn scalar_stmt(&mut self, block: &BasicBlock, id: StmtId) {
-        let stmt = block.stmt(id).expect("stmt in block");
-        self.invalidate(&stmt.def());
-        self.insts.push(scalar_vinst(stmt, self.exposed));
-    }
-
-    fn superword(&mut self, block: &BasicBlock, lanes: &[StmtId], rest: &[ScheduledItem]) {
-        let stmts: Vec<&Statement> = lanes
-            .iter()
-            .map(|&id| block.stmt(id).expect("lane in block"))
-            .collect();
-        let arity = stmts[0].expr().arity();
-
-        // Materialize each source pack.
-        let mut srcs = Vec::with_capacity(arity);
-        for k in 0..arity {
-            let ops: Vec<Operand> = stmts
-                .iter()
-                .map(|s| s.expr().operands()[k].clone())
-                .collect();
-            srcs.push(self.materialize(&ops));
-        }
-
-        // The SIMD operation itself.
-        let dst = self.fresh();
-        self.insts.push(VInst::Op {
-            dst,
-            shape: stmts[0].expr().shape(),
-            srcs,
-        });
-
-        // Write back the destination pack.
-        let dest_ops: Vec<Operand> = stmts.iter().map(|s| s.def()).collect();
-        for op in &dest_ops {
-            self.invalidate(op);
-        }
-        self.emit_dest(&stmts, dst, block, rest);
-        // `dst` holds the pre-coercion lane values; the store coerces into
-        // memory (integer truncation/wrapping happens exactly once, at the
-        // store). Recording `dst` as the home of the destination pack is
-        // only sound when coercion is the identity — float element types —
-        // otherwise a later reuse would observe un-truncated values.
-        let reusable = dest_ops.iter().all(|op| {
-            let ty = match op {
-                Operand::Array(r) => self.program.array(r.array).ty,
-                Operand::Scalar(v) => self.program.scalar(*v).ty,
-                Operand::Const(_) => return false,
-            };
-            ty.is_float()
-        });
-        if reusable {
-            let keys: Vec<OperandKey> = dest_ops.iter().map(OperandKey::of).collect();
-            self.register_pack(keys, dst);
-        }
-    }
-
-    /// Emits the destination write-back of a superword statement.
-    fn emit_dest(
-        &mut self,
-        stmts: &[&Statement],
-        src: VReg,
-        block: &BasicBlock,
-        rest: &[ScheduledItem],
-    ) {
-        match stmts[0].dest() {
-            Dest::Array(_) => {
-                let refs: Vec<ArrayRef> = stmts
-                    .iter()
-                    .map(|s| match s.dest() {
-                        Dest::Array(r) => r.clone(),
-                        Dest::Scalar(_) => unreachable!("isomorphic dests"),
-                    })
-                    .collect();
-                let class = self.classify_array(&refs);
-                self.insts.push(VInst::Store { src, refs, class });
-            }
-            Dest::Scalar(_) => {
-                let vars: Vec<VarId> = stmts
-                    .iter()
-                    .map(|s| match s.dest() {
-                        Dest::Scalar(v) => *v,
-                        Dest::Array(_) => unreachable!("isomorphic dests"),
-                    })
-                    .collect();
-                let sinks: Vec<LaneSink> = vars
-                    .iter()
-                    .map(|&v| {
-                        if self.exposed[v.index()] {
-                            LaneSink::Memory
-                        } else if read_by_later_single(v, block, rest) {
-                            LaneSink::Shuffle
-                        } else {
-                            LaneSink::Free
-                        }
-                    })
-                    .collect();
-                let class =
-                    self.scalar_pack_class(&vars, sinks.iter().all(|s| *s == LaneSink::Memory));
-                self.insts.push(VInst::UnpackScalars {
-                    src,
-                    vars,
-                    sinks,
-                    class,
-                });
-            }
-        }
-    }
-
-    /// `VectorMem` when every lane is memory-resident and the §5.1 layout
-    /// placed the pack contiguously and aligned.
-    fn scalar_pack_class(&self, vars: &[VarId], all_mem: bool) -> ScalarPackClass {
-        let elem = self.program.scalar_type(vars[0]).size_bytes();
-        if all_mem
-            && self.layout.is_optimized()
-            && self.layout.pack_is_contiguous_aligned(vars, elem)
-        {
-            ScalarPackClass::VectorMem
-        } else {
-            ScalarPackClass::PerLane
-        }
-    }
-
-    fn classify_array(&self, refs: &[ArrayRef]) -> AccessClass {
-        let ptrs: Vec<&ArrayRef> = refs.iter().collect();
-        if pack_is_contiguous(&ptrs) {
-            if pack_is_aligned_in(&ptrs, self.program, self.loops) {
-                AccessClass::Aligned
-            } else {
-                AccessClass::Unaligned
-            }
-        } else {
-            AccessClass::Gather
-        }
-    }
-
-    /// Returns a register holding `ops` in lane order, emitting whatever
-    /// reuse, permutation or packing code is needed.
-    fn materialize(&mut self, ops: &[Operand]) -> VReg {
-        // Constant lanes never touch the register tracker.
-        if ops.iter().all(|o| matches!(o, Operand::Const(_))) {
-            let values: Vec<f64> = ops
-                .iter()
-                .map(|o| match o {
-                    Operand::Const(c) => *c,
-                    _ => unreachable!("checked all-const"),
-                })
-                .collect();
-            let dst = self.fresh();
-            if values.windows(2).all(|w| w[0] == w[1]) {
-                self.insts.push(VInst::Splat {
-                    dst,
-                    src: SplatSrc::Const(values[0]),
-                    width: values.len(),
-                });
-            } else {
-                self.insts.push(VInst::ConstVec { dst, values });
-            }
-            return dst;
-        }
-
-        let keys: Vec<OperandKey> = ops.iter().map(OperandKey::of).collect();
-
-        // Direct reuse: exact ordered pack already live.
-        if let Some(&(_, reg)) = self.regs.iter().find(|(k, _)| *k == keys) {
-            return reg;
-        }
-
-        // Indirect reuse: same content, different order — one permute
-        // (the holistic framework's contribution; disabled for the
-        // baselines).
-        if let Some((src_keys, src_reg)) = self
-            .regs
-            .iter()
-            .rev()
-            .filter(|_| self.permuted_reuse)
-            .find(|(k, _)| same_multiset(k, &keys))
-            .cloned()
-        {
-            let perm = permutation_from(&src_keys, &keys);
-            let dst = self.fresh();
-            self.insts.push(VInst::Permute {
-                dst,
-                src: src_reg,
-                perm,
-            });
-            self.register_pack(keys, dst);
-            return dst;
-        }
-
-        // Mandatory packing.
-        let dst = self.fresh();
-        let inst = self.pack_from_homes(ops, dst);
-        self.insts.push(inst);
-        self.register_pack(keys, dst);
+        self.insts.push(inst(dst));
         dst
     }
-
-    /// Builds the cheapest instruction assembling `ops` from their homes
-    /// (array memory, scalar registers, or the §5.1 scalar frame).
-    fn pack_from_homes(&mut self, ops: &[Operand], dst: VReg) -> VInst {
-        // Scalar splat: one broadcast shuffle (plus a load if exposed).
-        if let Some(v) = ops[0].as_scalar() {
-            if ops.iter().all(|o| o.as_scalar() == Some(v)) {
-                return VInst::Splat {
-                    dst,
-                    src: SplatSrc::Scalar {
-                        var: v,
-                        from_memory: self.exposed[v.index()],
-                    },
-                    width: ops.len(),
-                };
-            }
-        }
-        match &ops[0] {
-            Operand::Array(_) => {
-                let refs: Vec<ArrayRef> = ops
-                    .iter()
-                    .map(|o| o.as_array().expect("uniform operand kinds").clone())
-                    .collect();
-                let class = self.classify_array(&refs);
-                VInst::Load { dst, refs, class }
-            }
-            Operand::Scalar(_) => {
-                let vars: Vec<VarId> = ops
-                    .iter()
-                    .map(|o| o.as_scalar().expect("uniform operand kinds"))
-                    .collect();
-                let lane_mem: Vec<bool> = vars.iter().map(|v| self.exposed[v.index()]).collect();
-                let class = self.scalar_pack_class(&vars, lane_mem.iter().all(|&m| m));
-                VInst::PackScalars {
-                    dst,
-                    vars,
-                    lane_mem,
-                    class,
-                }
-            }
-            Operand::Const(_) => unreachable!("const packs handled above"),
-        }
-    }
 }
 
-/// Whether scalar `v` is read by a later `Single` item of this block's
-/// schedule before being redefined (so its lane must be extracted from
-/// the superword result).
-fn read_by_later_single(v: VarId, block: &BasicBlock, rest: &[ScheduledItem]) -> bool {
-    for item in rest {
-        let ScheduledItem::Single(id) = item else {
-            continue;
-        };
-        let stmt = block.stmt(*id).expect("stmt in block");
-        if stmt.uses().iter().any(|o| o.as_scalar() == Some(v)) {
-            return true;
-        }
-        // A redefinition kills the lane before any further read.
-        if matches!(stmt.dest(), Dest::Scalar(w) if *w == v) {
-            return false;
-        }
-    }
-    false
+fn owned(refs: &[&ArrayRef]) -> Vec<ArrayRef> {
+    refs.iter().map(|&r| r.clone()).collect()
 }
 
-/// Whether two key sequences hold the same multiset.
-fn same_multiset(a: &[OperandKey], b: &[OperandKey]) -> bool {
-    if a.len() != b.len() {
-        return false;
+impl EmitSink for VInstSink {
+    type Reg = VReg;
+
+    fn scalar_stmt(&mut self, stmt: &Statement, mem_loads: u32, mem_stores: u32) {
+        self.insts.push(VInst::Scalar {
+            stmt: stmt.clone(),
+            mem_loads,
+            mem_stores,
+        });
     }
-    let mut sa = a.to_vec();
-    let mut sb = b.to_vec();
-    sa.sort();
-    sb.sort();
-    sa == sb
+
+    fn const_splat(&mut self, value: f64, width: usize) -> VReg {
+        let src = SplatSrc::Const(value);
+        self.define(|dst| VInst::Splat { dst, src, width })
+    }
+
+    fn const_vector(&mut self, values: impl ExactSizeIterator<Item = f64>) -> VReg {
+        let values = values.collect();
+        self.define(|dst| VInst::ConstVec { dst, values })
+    }
+
+    fn scalar_splat(&mut self, var: VarId, from_memory: bool, width: usize) -> VReg {
+        let src = SplatSrc::Scalar { var, from_memory };
+        self.define(|dst| VInst::Splat { dst, src, width })
+    }
+
+    fn array_load(&mut self, refs: &[&ArrayRef], class: AccessClass) -> VReg {
+        let refs = owned(refs);
+        self.define(|dst| VInst::Load { dst, refs, class })
+    }
+
+    fn scalar_pack(&mut self, vars: Vec<VarId>, lane_mem: &[bool], class: ScalarPackClass) -> VReg {
+        let lane_mem = lane_mem.to_vec();
+        self.define(|dst| VInst::PackScalars {
+            dst,
+            vars,
+            lane_mem,
+            class,
+        })
+    }
+
+    fn permute(&mut self, src: VReg, from: &[u32], to: &[u32]) -> VReg {
+        let perm = permutation_from(from, to);
+        self.define(|dst| VInst::Permute { dst, src, perm })
+    }
+
+    fn op(&mut self, shape: ExprShape, srcs: Vec<VReg>) -> VReg {
+        self.define(|dst| VInst::Op { dst, shape, srcs })
+    }
+
+    fn array_store(&mut self, src: VReg, refs: &[&ArrayRef], class: AccessClass) {
+        let refs = owned(refs);
+        self.insts.push(VInst::Store { src, refs, class });
+    }
+
+    fn scalar_unpack(
+        &mut self,
+        src: VReg,
+        vars: Vec<VarId>,
+        sinks: &[LaneSink],
+        class: ScalarPackClass,
+    ) {
+        self.insts.push(VInst::UnpackScalars {
+            src,
+            vars,
+            sinks: sinks.to_vec(),
+            class,
+        });
+    }
 }
 
 /// The permutation `perm` with `target[k] = src[perm[k]]`.
-fn permutation_from(src: &[OperandKey], target: &[OperandKey]) -> Vec<usize> {
+fn permutation_from(src: &[u32], target: &[u32]) -> Vec<usize> {
     let mut used = vec![false; src.len()];
     target
         .iter()
         .map(|t| {
-            let j = src
-                .iter()
-                .enumerate()
-                .position(|(j, s)| !used[j] && s == t)
-                .expect("same multiset");
+            let j = (0..src.len())
+                .find(|&j| !used[j] && src[j] == *t)
+                .expect("the walk permutes a pack of the same keys");
             used[j] = true;
             j
         })
         .collect()
-}
-
-/// Whether a write to `written` may overlap the data behind `key`.
-fn key_overlaps(written: &Operand, key: &OperandKey) -> bool {
-    match (written, key) {
-        (Operand::Scalar(v), OperandKey::Scalar(w)) => v == w,
-        (Operand::Array(r), OperandKey::Array(a, acc)) => {
-            r.may_alias(&ArrayRef::new(*a, acc.clone()))
-        }
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -811,15 +520,8 @@ mod tests {
 
     #[test]
     fn permutation_helper_is_correct() {
-        let a = OperandKey::Scalar(VarId::new(0));
-        let b = OperandKey::Scalar(VarId::new(1));
-        let c = OperandKey::Scalar(VarId::new(2));
-        let src = [a.clone(), b.clone(), c.clone()];
-        let tgt = [c.clone(), a.clone(), b.clone()];
-        assert_eq!(permutation_from(&src, &tgt), vec![2, 0, 1]);
+        assert_eq!(permutation_from(&[0, 1, 2], &[2, 0, 1]), vec![2, 0, 1]);
         // Duplicate keys resolve consistently.
-        let src2 = [a.clone(), a.clone(), b.clone()];
-        let tgt2 = [b.clone(), a.clone(), a.clone()];
-        assert_eq!(permutation_from(&src2, &tgt2), vec![2, 0, 1]);
+        assert_eq!(permutation_from(&[0, 0, 1], &[1, 0, 0]), vec![2, 0, 1]);
     }
 }

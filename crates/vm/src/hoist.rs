@@ -27,7 +27,7 @@ use crate::regalloc::uses_of;
 ///
 /// `innermost` is the loop the block sits in (`None` means top-level code
 /// — nothing to hoist out of).
-pub fn hoist_invariant_packs(
+pub(crate) fn hoist_invariant_packs(
     insts: Vec<VInst>,
     program: &Program,
     innermost: Option<&LoopHeader>,

@@ -7,10 +7,11 @@
 //!   instructions know their cycle costs and their contribution to the
 //!   §7 counters (dynamic instructions, memory operations,
 //!   packing/unpacking operations, permutations),
-//! * [`codegen`]: lowers a [`slp_core::BlockSchedule`] to vector code with
-//!   register-resident pack reuse (direct reuse = free, permuted reuse =
-//!   one shuffle, otherwise load/gather), and applies the §4.3 cost-model
-//!   gate,
+//! * [`codegen`]: lowers a [`slp_core::BlockSchedule`] to vector code — the
+//!   instruction-building sink of [`slp_core::emit_schedule`], the one walk
+//!   that decides pack reuse (direct reuse = free, permuted reuse = one
+//!   shuffle, otherwise load/gather) for the §4.3 estimate too — then
+//!   hoists, allocates registers and applies the §4.3 cost-model gate,
 //! * [`exec`]: an interpreter that actually *runs* the code on seeded
 //!   memory, so any vectorized build can be checked bit-for-bit against
 //!   the scalar build — an oracle the original paper did not have,
@@ -49,28 +50,25 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bytecode;
-pub mod carry;
+mod carry;
 pub mod code;
 pub mod codegen;
 pub mod exec;
-pub mod hoist;
+mod hoist;
 pub mod memory;
 pub mod multicore;
-pub mod regalloc;
+mod regalloc;
 
 pub use bytecode::BytecodeKernel;
-pub use carry::apply_cross_iteration_reuse;
 pub use code::{AccessClass, InstMetrics, LaneSink, ScalarPackClass, SplatSrc, VInst, VReg};
-pub use codegen::{lower_block, lower_kernel, lower_kernel_with, BlockCode};
+pub use codegen::{lower_kernel, lower_kernel_with, BlockCode};
 pub use exec::{
     apply_shape, execute, execute_fully_checked, execute_gated, execute_gated_reference,
     execute_reference, execute_reference_with_state, execute_with_state, run_scalar, ExecError,
     ExecErrorKind, Outcome, RunStats,
 };
-pub use hoist::hoist_invariant_packs;
 pub use memory::{check_memory_budget, seed_scalar, seed_value, MachineState, MEMORY_BUDGET_ELEMS};
 pub use multicore::{reduction_percent, MulticoreModel};
-pub use regalloc::{allocate, insert_spill_code, Allocation};
 
 // Re-export the machine descriptions for convenience: the VM and the
 // optimizer share them.

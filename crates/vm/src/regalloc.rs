@@ -16,37 +16,39 @@ use crate::code::{InstMetrics, VInst, VReg};
 
 /// The result of allocating one block's virtual registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allocation {
+pub(crate) struct Allocation {
     /// Physical register per virtual register (dense by `VReg` index);
     /// `None` for spilled or unused registers.
     assignments: Vec<Option<u32>>,
     /// Whether each virtual register was spilled.
     spilled: Vec<bool>,
     /// Spill stores inserted.
-    pub spill_stores: usize,
+    pub(crate) spill_stores: usize,
     /// Reloads inserted.
-    pub spill_reloads: usize,
+    pub(crate) spill_reloads: usize,
 }
 
 impl Allocation {
     /// The physical register assigned to `r`, if it was kept in the file.
-    pub fn physical(&self, r: VReg) -> Option<u32> {
+    /// Read by the tests only: simultaneously-live registers must differ.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn physical(&self, r: VReg) -> Option<u32> {
         self.assignments.get(r.0 as usize).copied().flatten()
     }
 
     /// Whether `r` was spilled.
-    pub fn is_spilled(&self, r: VReg) -> bool {
+    pub(crate) fn is_spilled(&self, r: VReg) -> bool {
         self.spilled.get(r.0 as usize).copied().unwrap_or(false)
     }
 
     /// Total spill instructions inserted.
-    pub fn spill_count(&self) -> usize {
+    pub(crate) fn spill_count(&self) -> usize {
         self.spill_stores + self.spill_reloads
     }
 }
 
 /// The virtual register an instruction defines, if any.
-pub fn def_of(inst: &VInst) -> Option<VReg> {
+pub(crate) fn def_of(inst: &VInst) -> Option<VReg> {
     match inst {
         VInst::Load { dst, .. }
         | VInst::PackScalars { dst, .. }
@@ -64,7 +66,7 @@ pub fn def_of(inst: &VInst) -> Option<VReg> {
 }
 
 /// The virtual registers an instruction reads.
-pub fn uses_of(inst: &VInst) -> Vec<VReg> {
+pub(crate) fn uses_of(inst: &VInst) -> Vec<VReg> {
     match inst {
         VInst::Permute { src, .. }
         | VInst::Store { src, .. }
@@ -116,7 +118,7 @@ fn live_intervals(insts: &[VInst]) -> Vec<Option<Interval>> {
 
 /// Linear-scan allocation of the block's virtual registers onto
 /// `num_regs` physical registers, spilling furthest-ending ranges first.
-pub fn allocate(insts: &[VInst], num_regs: usize) -> Allocation {
+pub(crate) fn allocate(insts: &[VInst], num_regs: usize) -> Allocation {
     let intervals = live_intervals(insts);
     let n = intervals.len();
     let mut assignments: Vec<Option<u32>> = vec![None; n];
@@ -190,7 +192,7 @@ pub fn allocate(insts: &[VInst], num_regs: usize) -> Allocation {
 /// Rewrites `insts` with explicit [`VInst::Spill`] / [`VInst::Reload`]
 /// instructions for every spilled range. Returns the new sequence and the
 /// extra metrics the spill traffic adds per execution.
-pub fn insert_spill_code(
+pub(crate) fn insert_spill_code(
     insts: Vec<VInst>,
     alloc: &Allocation,
     cost: &slp_core::CostParams,
