@@ -40,13 +40,6 @@ impl<'b> Loc<'b> {
     }
 }
 
-/// `keys` ascending: what two permutations of one pack have in common.
-pub fn sorted(keys: &[u32]) -> Vec<u32> {
-    let mut keys = keys.to_vec();
-    keys.sort_unstable();
-    keys
-}
-
 /// Position, operand-key, isomorphism-class and lane-cap tables of one
 /// basic block.
 #[derive(Debug, Clone)]
@@ -61,6 +54,8 @@ pub struct BlockIndex<'b> {
     first_key: Vec<usize>,
     /// Per block position: equal exactly for isomorphic statements.
     class: Vec<u32>,
+    /// Per block position: the destination's element type.
+    dest_type: Vec<ScalarType>,
     /// Per block position: the widest group the statement may join.
     lane_cap: Vec<usize>,
 }
@@ -118,9 +113,8 @@ impl<'b> BlockIndex<'b> {
                 }) as u32
             })
             .collect();
-        let lane_cap = (block.iter())
-            .map(|s| lane_cap(env.dest_type(s.dest())))
-            .collect();
+        let dest_type: Vec<ScalarType> = (block.iter()).map(|s| env.dest_type(s.dest())).collect();
+        let lane_cap = dest_type.iter().map(|&ty| lane_cap(ty)).collect();
         BlockIndex {
             block,
             pos: block.positions(),
@@ -128,6 +122,7 @@ impl<'b> BlockIndex<'b> {
             keys,
             first_key,
             class,
+            dest_type,
             lane_cap,
         }
     }
@@ -151,6 +146,11 @@ impl<'b> BlockIndex<'b> {
     /// The isomorphism class of the statement at position `p`.
     pub fn class(&self, p: usize) -> u32 {
         self.class[p]
+    }
+
+    /// The destination element type of the statement at position `p`.
+    pub fn dest_type(&self, p: usize) -> ScalarType {
+        self.dest_type[p]
     }
 
     /// The lane cap of the statement at position `p`.

@@ -451,8 +451,8 @@ pub fn compile_overhead(machine: &MachineConfig, scale: usize) -> f64 {
 
 /// The simulated-cycle impact of each design choice DESIGN.md calls out
 /// (no analogue in the paper): contiguity-aware vs the paper's
-/// pure-reuse grouping weights, live-superword-set capacity, vector
-/// register file size, permuted superword reuse, and the opt-in
+/// pure-reuse grouping weights, vector register file size (the live
+/// superword set's capacity), permuted superword reuse, and the opt-in
 /// cross-iteration reuse extension. Suite totals at scale 1.
 pub fn render_ablations(machine: &MachineConfig) -> String {
     let suite_cycles = |tweak: &dyn Fn(&mut SlpConfig)| -> f64 {
@@ -489,10 +489,6 @@ pub fn render_ablations(machine: &MachineConfig) -> String {
         (
             "pure-reuse weights (paper formula)",
             suite_cycles(&|cfg| cfg.weights = WeightParams::reuse_only()),
-        ),
-        (
-            "live superword set capacity = 2",
-            suite_cycles(&|cfg| cfg.schedule.live_set_capacity = 2),
         ),
         (
             "vector register file = 4",

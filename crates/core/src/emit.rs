@@ -35,6 +35,7 @@ use slp_ir::{
 };
 
 use crate::layout::scalar::ScalarLayout;
+use crate::live::LivePacks;
 use crate::machine::CostParams;
 use crate::superword::{BlockSchedule, ScheduledItem};
 
@@ -203,20 +204,12 @@ pub fn scalar_traffic(stmt: &Statement, exposed: &[bool]) -> (u32, u32) {
     (loads, stores)
 }
 
-/// Whether `a` and `b` hold the same keys, each as often.
-fn is_permutation(a: &[u32], b: &[u32]) -> bool {
-    let count = |keys: &[u32], x: u32| keys.iter().filter(|&&k| k == x).count();
-    a.len() == b.len() && a.iter().all(|&x| count(a, x) == count(b, x))
-}
-
 /// The walk's state.
 struct Walk<'a, 'b, S: EmitSink> {
     ix: &'a BlockIndex<'b>,
     cx: &'a CostContext<'a>,
     sink: &'a mut S,
-    /// The ordered packs believed register-resident, oldest first, as
-    /// [`BlockIndex`] operand keys with the register holding each.
-    live: Vec<(Vec<u32>, S::Reg)>,
+    live: LivePacks<S::Reg>,
     /// Per-lane scratch, reused across superwords.
     lane_mem: Vec<bool>,
     sinks: Vec<LaneSink>,
@@ -233,7 +226,7 @@ pub fn emit_schedule<S: EmitSink>(
         ix,
         cx,
         sink,
-        live: Vec::new(),
+        live: LivePacks::new(cx.vector_regs),
         lane_mem: Vec::new(),
         sinks: Vec::new(),
     };
@@ -245,7 +238,7 @@ pub fn emit_schedule<S: EmitSink>(
                 let stmt = ix.stmt_at(p);
                 let (loads, stores) = scalar_traffic(stmt, cx.exposed);
                 walk.sink.scalar_stmt(stmt, loads, stores);
-                walk.invalidate(ix.key(p, PackPos::Dest));
+                walk.live.invalidate(ix, ix.key(p, PackPos::Dest));
             }
             ScheduledItem::Superword(sw) => {
                 let lanes: Vec<usize> = sw.lanes().iter().map(|&id| ix.position(id)).collect();
@@ -256,20 +249,6 @@ pub fn emit_schedule<S: EmitSink>(
 }
 
 impl<S: EmitSink> Walk<'_, '_, S> {
-    fn register(&mut self, keys: Vec<u32>, reg: S::Reg) {
-        self.live.retain(|(k, _)| *k != keys);
-        self.live.push((keys, reg));
-        if self.live.len() > self.cx.vector_regs {
-            self.live.remove(0);
-        }
-    }
-
-    fn invalidate(&mut self, written: u32) {
-        let ix = self.ix;
-        self.live
-            .retain(|(keys, _)| !keys.iter().any(|&k| ix.overlaps(written, k)));
-    }
-
     /// The superword statement over the block positions `lanes`; `rest`
     /// is what the schedule runs afterwards.
     fn superword(&mut self, lanes: &[usize], rest: &[ScheduledItem]) {
@@ -280,11 +259,7 @@ impl<S: EmitSink> Walk<'_, '_, S> {
             srcs.push(self.source_pack(ix.keys(lanes, PackPos::Operand(k))));
         }
         let dst = self.sink.op(expr.shape(), srcs);
-        let dest_keys = ix.keys(lanes, PackPos::Dest);
-        for &key in &dest_keys {
-            self.invalidate(key);
-        }
-        match homes(ix, &dest_keys) {
+        match homes(ix, &ix.keys(lanes, PackPos::Dest)) {
             Homes::Arrays(refs) => {
                 let class = array_class(&refs, cx, false);
                 self.sink.array_store(dst, &refs, class);
@@ -305,15 +280,7 @@ impl<S: EmitSink> Walk<'_, '_, S> {
                 self.sink.scalar_unpack(dst, vars, &self.sinks, class);
             }
         }
-        // `dst` holds the pre-coercion lane values; the store coerces into
-        // memory (integer truncation/wrapping happens exactly once, at the
-        // store). Recording `dst` as the home of the destination pack is
-        // only sound when coercion is the identity — float element types
-        // — otherwise a later reuse would observe un-truncated values.
-        let dest_type = |&p: &usize| cx.program.dest_type(ix.stmt_at(p).dest());
-        if lanes.iter().all(|p| dest_type(p).is_float()) {
-            self.register(dest_keys, dst);
-        }
+        self.live.define(ix, lanes, dst);
     }
 
     /// A register holding the pack `keys` in lane order, emitting whatever
@@ -334,33 +301,29 @@ impl<S: EmitSink> Walk<'_, '_, S> {
                 self.sink.const_vector(keys.iter().map(value))
             };
         }
-        // Direct reuse: the exact ordered pack is live.
-        if let Some(&(_, reg)) = self.live.iter().find(|(k, _)| *k == keys) {
-            return reg;
-        }
-        // Indirect reuse: the youngest live pack of the same content.
-        let permuted = (self.live.iter().rev())
-            .filter(|_| cx.permuted_reuse)
-            .find(|(k, _)| is_permutation(k, &keys))
-            .map(|(from, src)| self.sink.permute(*src, from, &keys));
-        // Mandatory packing, from the lanes' homes.
-        let dst = permuted.unwrap_or_else(|| match homes(ix, &keys) {
-            Homes::Arrays(refs) => self.sink.array_load(&refs, array_class(&refs, cx, true)),
-            Homes::Scalars(vars) if vars.iter().all(|&v| v == vars[0]) => {
-                let from_memory = cx.exposed[vars[0].index()];
-                self.sink.scalar_splat(vars[0], from_memory, vars.len())
+        // A direct reuse emits nothing, an indirect one a permute; the
+        // rest is mandatory packing, from the lanes' homes.
+        let materialize = |keys: &[u32], from: Option<(&[u32], S::Reg)>| {
+            if let Some((from, src)) = from {
+                return self.sink.permute(src, from, keys);
             }
-            Homes::Scalars(vars) => {
-                self.lane_mem.clear();
-                self.lane_mem
-                    .extend(vars.iter().map(|v| cx.exposed[v.index()]));
-                let all_mem = self.lane_mem.iter().all(|&m| m);
-                let class = scalar_class(&vars, cx, all_mem, true);
-                self.sink.scalar_pack(vars, &self.lane_mem, class)
+            match homes(ix, keys) {
+                Homes::Arrays(refs) => self.sink.array_load(&refs, array_class(&refs, cx, true)),
+                Homes::Scalars(vars) if vars.iter().all(|&v| v == vars[0]) => {
+                    let from_memory = cx.exposed[vars[0].index()];
+                    self.sink.scalar_splat(vars[0], from_memory, vars.len())
+                }
+                Homes::Scalars(vars) => {
+                    self.lane_mem.clear();
+                    self.lane_mem
+                        .extend(vars.iter().map(|v| cx.exposed[v.index()]));
+                    let all_mem = self.lane_mem.iter().all(|&m| m);
+                    let class = scalar_class(&vars, cx, all_mem, true);
+                    self.sink.scalar_pack(vars, &self.lane_mem, class)
+                }
             }
-        });
-        self.register(keys, dst);
-        dst
+        };
+        self.live.source(keys, cx.permuted_reuse, materialize).0
     }
 }
 
@@ -514,7 +477,7 @@ pub fn scalar_stmt_cost(stmt: &Statement, cx: &CostContext<'_>) -> f64 {
 mod tests {
     use super::*;
     use crate::group::group_block;
-    use crate::schedule::{schedule_block, ScheduleConfig};
+    use crate::schedule::schedule_block;
     use slp_ir::BlockDeps;
 
     fn context<'a>(
@@ -540,7 +503,7 @@ mod tests {
         let deps = BlockDeps::analyze(&info.block);
         let ix = BlockIndex::new(&info.block, &p, |_| 2);
         let g = group_block(&ix, &deps);
-        let sched = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
+        let sched = schedule_block(&ix, &deps, &g.units, 16);
         (p, info, sched)
     }
 

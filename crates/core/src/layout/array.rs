@@ -29,25 +29,10 @@ use slp_analysis::PackPos;
 use super::PackUse;
 use crate::machine::CostParams;
 
-/// Configuration of the array layout stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrayLayoutConfig {
-    /// A replication is skipped when the new array would exceed this
-    /// multiple of the source array's size ("in case the input data sizes
-    /// ... are too large ... we can skip the layout transformation").
-    pub max_replication_factor: f64,
-    /// The cycle costs used by the benefit estimate.
-    pub cost: CostParams,
-}
-
-impl Default for ArrayLayoutConfig {
-    fn default() -> Self {
-        ArrayLayoutConfig {
-            max_replication_factor: 16.0,
-            cost: CostParams::intel(),
-        }
-    }
-}
+/// A replication is skipped when the new array would exceed this
+/// multiple of the source array's size ("in case the input data sizes
+/// ... are too large ... we can skip the layout transformation").
+const MAX_REPLICATION_FACTOR: f64 = 16.0;
 
 /// A committed mapping/replication: the VM populates `dest` from `source`
 /// before the kernel's loops run.
@@ -97,11 +82,12 @@ pub fn eq4_map(d: i64, a: i64, b: i64, l: i64, p: i64) -> i64 {
 
 /// Identifies profitable array reference superwords in `uses`, rewrites
 /// the participating references in `program` to target fresh interleaved
-/// arrays, and returns the replications the runtime must perform.
+/// arrays, and returns the replications the runtime must perform. `cost`
+/// is the target machine's: the benefit estimate uses its cycle prices.
 pub fn optimize_array_layout(
     program: &mut Program,
     uses: &[PackUse],
-    config: &ArrayLayoutConfig,
+    cost: &CostParams,
 ) -> Vec<Replication> {
     // Aggregate identical packs (same array, lane accesses and nest).
     // Occurrences count once per *block*: repeated uses within one block
@@ -134,15 +120,9 @@ pub fn optimize_array_layout(
         }
         let info = program.array(array).clone();
         let loops = pack_uses[0].loops.clone();
-        if let Some(r) = plan_replication(
-            program,
-            array,
-            &info.ty,
-            &lanes,
-            &loops,
-            occurrences,
-            config,
-        ) {
+        if let Some(r) =
+            plan_replication(program, array, &info.ty, &lanes, &loops, occurrences, cost)
+        {
             rewrite_uses(program, &pack_uses, &lanes, array, &r);
             out.push(r);
         }
@@ -181,7 +161,7 @@ fn plan_replication(
     lanes: &[AccessVector],
     loops: &[LoopHeader],
     occurrences: i64,
-    config: &ArrayLayoutConfig,
+    c: &CostParams,
 ) -> Option<Replication> {
     let l = lanes.len() as i64;
     let refs: Vec<ArrayRef> = lanes
@@ -191,7 +171,6 @@ fn plan_replication(
     let ref_ptrs: Vec<&ArrayRef> = refs.iter().collect();
 
     // Old per-occurrence cost of materializing the pack from memory.
-    let c = &config.cost;
     let old = if pack_is_contiguous(&ref_ptrs) {
         if pack_is_aligned(&ref_ptrs, program) {
             return None; // already optimal
@@ -223,7 +202,7 @@ fn plan_replication(
     }
     let new_len = l.saturating_mul(span);
     let src_len = program.array(source).len().max(1);
-    if (new_len as f64) > config.max_replication_factor * src_len as f64 {
+    if (new_len as f64) > MAX_REPLICATION_FACTOR * src_len as f64 {
         return None;
     }
 
@@ -361,7 +340,7 @@ mod tests {
     #[test]
     fn figure14_replication_interleaves_lanes() {
         let (mut p, u) = figure14(64, Some(8));
-        let reps = optimize_array_layout(&mut p, &[u], &ArrayLayoutConfig::default());
+        let reps = optimize_array_layout(&mut p, &[u], &CostParams::intel());
         assert_eq!(reps.len(), 1);
         let r = &reps[0];
         // Lane p reads B[2i + p], matching Eq. (4).
@@ -396,7 +375,7 @@ mod tests {
             Expr::Copy(1.0.into()),
         );
         p.push_item(slp_ir::Item::Stmt(w));
-        let reps = optimize_array_layout(&mut p, &[u], &ArrayLayoutConfig::default());
+        let reps = optimize_array_layout(&mut p, &[u], &CostParams::intel());
         assert!(reps.is_empty());
     }
 
@@ -421,7 +400,7 @@ mod tests {
                 step: 1,
             }],
         };
-        let reps = optimize_array_layout(&mut p, &[u], &ArrayLayoutConfig::default());
+        let reps = optimize_array_layout(&mut p, &[u], &CostParams::intel());
         assert!(reps.is_empty());
     }
 
@@ -430,19 +409,42 @@ mod tests {
         // Without an enclosing loop each replicated element is read once:
         // the one-time copy costs more than the per-iteration saving.
         let (mut p, u) = figure14(64, None);
-        let reps = optimize_array_layout(&mut p, &[u], &ArrayLayoutConfig::default());
+        let reps = optimize_array_layout(&mut p, &[u], &CostParams::intel());
         assert!(reps.is_empty());
     }
 
     #[test]
     fn replication_budget_is_enforced() {
-        let (mut p, u) = figure14(64, Some(8));
-        let config = ArrayLayoutConfig {
-            max_replication_factor: 0.1,
-            cost: CostParams::intel(),
+        // <A[i+j], A[i+j+2]> over a 64 x 64 nest, re-swept 64 times: the
+        // replica holds 2 * 64 * 64 = 8192 elements. A 512-element source
+        // is exactly the 16x budget and is replicated; one element fewer
+        // is over it and is not.
+        let replications = |source_len: i64| {
+            let mut p = Program::new("budget");
+            let a = p.add_array("A", ScalarType::F64, vec![source_len], true);
+            let header = |var| LoopHeader {
+                var,
+                lower: 0,
+                upper: 64,
+                step: 1,
+            };
+            let loops = ["t", "i", "j"].map(|name| header(p.add_loop_var(name)));
+            let (i, j) = (loops[1].var, loops[2].var);
+            let lane = |c| {
+                let sum = AffineExpr::var(i).add(&AffineExpr::var(j));
+                ArrayRef::new(a, AccessVector::new(vec![sum.offset(c)])).into()
+            };
+            let u = PackUse {
+                block: BlockId(0),
+                stmts: vec![StmtId::new(0), StmtId::new(1)],
+                pos: PackPos::Operand(0),
+                ops: vec![lane(0), lane(2)],
+                loops: loops.to_vec(),
+            };
+            optimize_array_layout(&mut p, &[u], &CostParams::intel()).len()
         };
-        let reps = optimize_array_layout(&mut p, &[u], &config);
-        assert!(reps.is_empty());
+        assert_eq!(replications(512), 1);
+        assert_eq!(replications(511), 0);
     }
 
     #[test]
@@ -464,7 +466,7 @@ mod tests {
         let b = p.add_array("B", ScalarType::F64, vec![64], true);
         let i = slp_ir::LoopVarId::new(0);
         u.ops[1] = ArrayRef::new(b, AccessVector::new(vec![AffineExpr::var(i)])).into();
-        let reps = optimize_array_layout(&mut p, &[u], &ArrayLayoutConfig::default());
+        let reps = optimize_array_layout(&mut p, &[u], &CostParams::intel());
         assert!(reps.is_empty());
     }
 }

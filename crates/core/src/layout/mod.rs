@@ -95,7 +95,7 @@ pub fn collect_pack_uses(schedules: &[(BlockInfo, BlockSchedule)]) -> Vec<PackUs
 mod tests {
     use super::*;
     use crate::group::group_block;
-    use crate::schedule::{schedule_block, ScheduleConfig};
+    use crate::schedule::schedule_block;
     use slp_ir::{BlockDeps, Program, ScalarType, TypeEnv};
 
     fn compile_blocks(src: &str) -> (Program, Vec<(BlockInfo, BlockSchedule)>) {
@@ -106,7 +106,7 @@ mod tests {
             let deps = BlockDeps::analyze(&info.block);
             let ix = crate::BlockIndex::new(&info.block, &p, |_| 2);
             let g = group_block(&ix, &deps);
-            let s = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
+            let s = schedule_block(&ix, &deps, &g.units, 16);
             scheds.push((info, s));
         }
         (p, scheds)

@@ -9,6 +9,7 @@ mod emit;
 mod error;
 mod group;
 mod layout;
+mod live;
 mod machine;
 mod native;
 mod pipeline;
@@ -24,7 +25,7 @@ pub use emit::{
 };
 pub use error::{ExecError, ExecErrorKind, VerifyError};
 pub use group::{group_block, group_block_with, Grouping, GroupingDecision};
-pub use layout::array::{eq4_map, optimize_array_layout, ArrayLayoutConfig, Replication};
+pub use layout::array::{eq4_map, optimize_array_layout, Replication};
 pub use layout::scalar::{optimize_scalar_layout, ScalarLayout};
 pub use layout::{collect_pack_uses, PackUse};
 pub use machine::{CostParams, MachineConfig};
@@ -34,7 +35,7 @@ pub use pipeline::{
     CompiledKernel, HeuristicPacker, OptParams, PackOutcome, PackRequest, Packer, PackerHandle,
     SlpConfig, Strategy, Verifier, VerifierHandle,
 };
-pub use schedule::{schedule_block, schedule_in_program_order, ScheduleConfig};
+pub use schedule::{schedule_block, schedule_in_program_order};
 pub use telemetry::{Phase, PhaseTimings};
 
 // `SlpConfig::weights` is part of this crate's public configuration

@@ -18,12 +18,12 @@ use crate::deadline::{Deadline, Expired};
 use crate::emit::{estimate_scalar_cost, estimate_schedule_cost, CostContext, LayoutView};
 use crate::error::VerifyError;
 use crate::group::group_block_under;
-use crate::layout::array::{optimize_array_layout, ArrayLayoutConfig, Replication};
+use crate::layout::array::{optimize_array_layout, Replication};
 use crate::layout::collect_pack_uses;
 use crate::layout::scalar::{optimize_scalar_layout, ScalarLayout};
 use crate::machine::MachineConfig;
 use crate::native::native_block;
-use crate::schedule::{schedule_block, schedule_in_program_order, ScheduleConfig};
+use crate::schedule::{schedule_block, schedule_in_program_order};
 use crate::superword::{validate_schedule, BlockSchedule};
 use crate::telemetry::{Phase, PhaseTimings};
 
@@ -357,10 +357,6 @@ pub struct SlpConfig {
     pub unroll: usize,
     /// Whether the data layout stage runs (Global+Layout).
     pub layout: bool,
-    /// Scheduling knobs.
-    pub schedule: ScheduleConfig,
-    /// Array-replication knobs.
-    pub array_layout: ArrayLayoutConfig,
     /// Grouping weight knobs.
     pub weights: WeightParams,
     /// Opt-in cross-iteration superword reuse (the Shin et al. style
@@ -391,17 +387,11 @@ impl SlpConfig {
     /// The configuration used throughout §7 for a given machine and
     /// strategy: auto unroll, layout off.
     pub fn for_machine(machine: MachineConfig, strategy: Strategy) -> Self {
-        let array_layout = ArrayLayoutConfig {
-            cost: machine.cost,
-            ..ArrayLayoutConfig::default()
-        };
         SlpConfig {
             machine,
             strategy,
             unroll: 0,
             layout: false,
-            schedule: ScheduleConfig::default(),
-            array_layout,
             weights: WeightParams::default(),
             cross_iteration_reuse: false,
             refine_deps: false,
@@ -832,7 +822,7 @@ fn finish(
     };
     stats.scalar_packs_laid_out = satisfied;
     let replications = if config.layout {
-        optimize_array_layout(&mut program, &uses, &config.array_layout)
+        optimize_array_layout(&mut program, &uses, &config.machine.cost)
     } else {
         Vec::new()
     };
@@ -889,14 +879,14 @@ fn holistic_proposals(
     for (k, g) in groupings.iter().enumerate() {
         deadline.check()?;
         let sched = timings.time(Phase::Scheduling, || {
-            schedule_block(ix, deps, &g.units, &config.schedule)
+            schedule_block(ix, deps, &g.units, config.machine.vector_regs)
         });
         proposals.push((sched, k > 0));
     }
     deadline.check()?;
     let bg = timings.time(Phase::Grouping, || baseline_groups(ix, deps));
     let sched = timings.time(Phase::Scheduling, || {
-        schedule_block(ix, deps, &bg, &config.schedule)
+        schedule_block(ix, deps, &bg, config.machine.vector_regs)
     });
     proposals.push((sched, false));
     let sched = timings.time(Phase::Scheduling, || {

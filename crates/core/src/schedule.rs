@@ -10,94 +10,28 @@
 use std::borrow::Cow;
 use std::cmp::Reverse;
 
-use slp_analysis::{sorted, BlockIndex, PackPos, Unit};
+use slp_analysis::{BlockIndex, PackPos, Unit};
 use slp_ir::{ArrayRef, BlockDeps};
 
+use crate::live::{LivePacks, Reuse};
 use crate::superword::{BlockSchedule, ScheduledItem, SuperwordStmt};
-
-/// Configuration of the scheduling phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduleConfig {
-    /// Capacity of the live superword set (vector registers the compiler
-    /// assumes it can keep packs in). The oldest pack is evicted first.
-    pub live_set_capacity: usize,
-}
-
-impl Default for ScheduleConfig {
-    /// Sixteen live packs — the XMM register count of x86-64 SSE2.
-    fn default() -> Self {
-        ScheduleConfig {
-            live_set_capacity: 16,
-        }
-    }
-}
-
-/// An ordered pack believed to be in a vector register: its
-/// [`BlockIndex`] operand keys in lane order, and [`sorted`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct LivePack {
-    keys: Vec<u32>,
-    content: Vec<u32>,
-}
-
-/// The live superword set, FIFO-bounded.
-#[derive(Debug, Clone, Default)]
-struct LiveSet {
-    packs: Vec<LivePack>,
-    capacity: usize,
-}
-
-impl LiveSet {
-    fn new(capacity: usize) -> Self {
-        LiveSet {
-            packs: Vec::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn contains_content(&self, content: &[u32]) -> bool {
-        self.packs.iter().any(|p| p.content == content)
-    }
-
-    fn contains_exact(&self, keys: &[u32]) -> bool {
-        self.packs.iter().any(|p| p.keys == keys)
-    }
-
-    fn insert(&mut self, keys: Vec<u32>) {
-        if self.contains_exact(&keys) {
-            return;
-        }
-        // A permuted copy of the same content replaces the old ordering:
-        // the register now holds the most recently used arrangement.
-        let content = sorted(&keys);
-        self.packs.retain(|p| p.content != content);
-        self.packs.push(LivePack { keys, content });
-        if self.packs.len() > self.capacity {
-            self.packs.remove(0);
-        }
-    }
-
-    /// Removes every pack that holds data overlapping the destination
-    /// `written` — "those existing superwords that access the same data".
-    fn invalidate(&mut self, ix: &BlockIndex<'_>, written: u32) {
-        self.packs
-            .retain(|p| !p.keys.iter().any(|&k| ix.overlaps(written, k)));
-    }
-}
 
 /// Schedules one basic block from its grouping result.
 ///
 /// `units` must partition the block's statements (as produced by
 /// [`group_block`](crate::group_block)); groups that would deadlock the
 /// dependence graph (a multi-group cycle the pairwise conflict test cannot
-/// see) are split back into scalar statements.
+/// see) are split back into scalar statements. The live superword set
+/// holds `vector_regs` packs, the machine's register file.
 pub fn schedule_block(
     ix: &BlockIndex<'_>,
     deps: &BlockDeps,
     units: &[Unit],
-    config: &ScheduleConfig,
+    vector_regs: usize,
 ) -> BlockSchedule {
-    split_on_deadlock(units, |units| try_schedule(ix, deps, units, config))
+    split_on_deadlock(units, |units| {
+        try_schedule(ix, deps, units, vector_regs, |_| {})
+    })
 }
 
 /// Schedules units in plain program/dependence order, keeping each unit's
@@ -234,15 +168,18 @@ fn try_program_order(
 }
 
 /// Attempts a schedule; `Err(i)` names a group unit to split on deadlock.
+/// `planned` hears, superword by superword in operand order, how the plan
+/// expects each source pack to be come by.
 fn try_schedule(
     ix: &BlockIndex<'_>,
     deps: &BlockDeps,
     units: &[Unit],
-    config: &ScheduleConfig,
+    vector_regs: usize,
+    mut planned: impl FnMut(Reuse),
 ) -> Result<BlockSchedule, usize> {
     let mut graph = UnitGraph::new(ix, deps, units);
     // Per group: the operand positions forming location packs, and each
-    // pack's order-insensitive content.
+    // pack's keys in the unit's stored order (any order names the content).
     let slots: Vec<Vec<PackPos>> = (graph.lanes.iter())
         .map(|lanes| match lanes.len() {
             1 => Vec::new(),
@@ -250,20 +187,17 @@ fn try_schedule(
         })
         .collect();
     let contents: Vec<Vec<Vec<u32>>> = (slots.iter().zip(&graph.lanes))
-        .map(|(slots, lanes)| {
-            let content = |&slot| sorted(&ix.keys(lanes, slot));
-            slots.iter().map(content).collect()
-        })
+        .map(|(slots, lanes)| slots.iter().map(|&slot| ix.keys(lanes, slot)).collect())
         .collect();
 
-    let mut live = LiveSet::new(config.live_set_capacity);
+    let mut live = LivePacks::new(vector_regs);
     let mut items = Vec::with_capacity(units.len());
 
     for _ in 0..units.len() {
         // Prefer the ready superword statement with the most superword
         // reuses against the live set (Figure 11, lines 15-18); emit
         // singles only when no group is ready.
-        let reuses = |u: usize| contents[u].iter().filter(|c| live.contains_content(c));
+        let reuses = |u: usize| contents[u].iter().filter(|c| live.permuted(c).is_some());
         let chosen = (graph.ready().filter(|&u| graph.is_group(u)))
             .max_by_key(|&u| (reuses(u).count(), Reverse(graph.first[u])))
             .or_else(|| graph.ready().min_by_key(|&u| graph.first[u]));
@@ -274,18 +208,12 @@ fn try_schedule(
         let lanes = &graph.lanes[chosen];
         if graph.is_group(chosen) {
             let order = choose_lane_order(ix, lanes, &slots[chosen], &live);
-            // Register the packs this superword statement materializes:
-            // its sources, then — once its writes have invalidated what
-            // they clobber — its destination.
             for &slot in &slots[chosen] {
                 if slot != PackPos::Dest {
-                    live.insert(ix.keys(&order, slot));
+                    planned(live.source(ix.keys(&order, slot), true, |_, _| ()).1);
                 }
             }
-            for &p in &order {
-                live.invalidate(ix, ix.key(p, PackPos::Dest));
-            }
-            live.insert(ix.keys(&order, PackPos::Dest));
+            live.define(ix, &order, ());
             items.push(item(ix, &order));
         } else {
             live.invalidate(ix, ix.key(lanes[0], PackPos::Dest));
@@ -304,15 +232,15 @@ fn choose_lane_order(
     ix: &BlockIndex<'_>,
     lanes: &[usize],
     slots: &[PackPos],
-    live: &LiveSet,
+    live: &LivePacks<()>,
 ) -> Vec<usize> {
     let mut program_order = lanes.to_vec();
     program_order.sort_unstable();
 
     let mut candidates: Vec<Vec<usize>> = vec![program_order];
     for &slot in slots {
-        for lp in live.packs.iter().filter(|p| p.keys.len() == lanes.len()) {
-            if let Some(order) = align_order(ix, lanes, slot, &lp.keys) {
+        for target in live.orders().filter(|keys| keys.len() == lanes.len()) {
+            if let Some(order) = align_order(ix, lanes, slot, target) {
                 if !candidates.contains(&order) {
                     candidates.push(order);
                 }
@@ -327,9 +255,9 @@ fn choose_lane_order(
             let (mut permutes, mut directs, mut gathers) = (0usize, 0usize, 0usize);
             for &slot in slots {
                 let keys = ix.keys(&order, slot);
-                if live.contains_exact(&keys) {
+                if live.exact(&keys).is_some() {
                     directs += 1;
-                } else if live.contains_content(&sorted(&keys)) {
+                } else if live.permuted(&keys).is_some() {
                     permutes += 1;
                 } else if is_noncontiguous_array_pack(ix, &keys) {
                     // A memory-resident array pack that this lane order
@@ -377,8 +305,13 @@ fn align_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::baseline_groups;
+    use crate::emit::{
+        emit_schedule, AccessClass, CostContext, EmitSink, LaneSink, LayoutView, ScalarPackClass,
+    };
     use crate::group::group_block;
     use crate::superword::validate_schedule;
+    use crate::{compile, MachineConfig, SlpConfig, Strategy};
     use slp_ir::{BasicBlock, BinOp, Expr, Program, ScalarType, StmtId};
 
     /// Figure 1's reuse chain, reconstructed:
@@ -434,7 +367,7 @@ mod tests {
         let deps = BlockDeps::analyze(&bb);
         let ix = BlockIndex::new(&bb, &p, |_| 2);
         let g = group_block(&ix, &deps);
-        let sched = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
+        let sched = schedule_block(&ix, &deps, &g.units, 16);
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         assert_eq!(sched.superword_count(), 3);
     }
@@ -445,7 +378,7 @@ mod tests {
         let deps = BlockDeps::analyze(&bb);
         let ix = BlockIndex::new(&bb, &p, |_| 2);
         let g = group_block(&ix, &deps);
-        let sched = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
+        let sched = schedule_block(&ix, &deps, &g.units, 16);
         // The <S5,S6> group uses V2,V1: with <V1,V2> live, the chosen lane
         // order must align to the live pack, scheduling S6 (which reads
         // V1) first.
@@ -482,7 +415,7 @@ mod tests {
         let deps = BlockDeps::analyze(&bb);
         let ix = BlockIndex::new(&bb, &p, |_| 2);
         let g = group_block(&ix, &deps);
-        let sched = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
+        let sched = schedule_block(&ix, &deps, &g.units, 16);
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         // The single S0 must run before the group that reads t.
         assert!(matches!(sched.items()[0], ScheduledItem::Single(_)));
@@ -524,30 +457,148 @@ mod tests {
         let deps = BlockDeps::analyze(&bb);
         let ix = BlockIndex::new(&bb, &p, |_| 2);
         let g = group_block(&ix, &deps);
-        let sched = schedule_block(&ix, &deps, &g.units, &ScheduleConfig::default());
+        let sched = schedule_block(&ix, &deps, &g.units, 16);
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
     }
 
-    #[test]
-    fn live_set_capacity_evicts_fifo() {
-        let mut ls = LiveSet::new(2);
-        let k = |i: u32| vec![i];
-        ls.insert(k(0));
-        ls.insert(k(1));
-        ls.insert(k(2)); // evicts k(0)
-        assert!(!ls.contains_exact(&k(0)));
-        assert!(ls.contains_exact(&k(1)));
-        assert!(ls.contains_exact(&k(2)));
+    /// The emission walk's account of where each non-constant source
+    /// pack came from, superword by superword in operand order.
+    #[derive(Default)]
+    struct Emitted {
+        /// What defined each register since the last SIMD op: `None` for
+        /// a constant, which is no source pack.
+        fresh: Vec<(usize, Option<Reuse>)>,
+        regs: usize,
+        classes: Vec<Reuse>,
+    }
+
+    impl Emitted {
+        fn def(&mut self, class: Option<Reuse>) -> usize {
+            self.regs += 1;
+            self.fresh.push((self.regs, class));
+            self.regs
+        }
+    }
+
+    impl EmitSink for Emitted {
+        type Reg = usize;
+        fn scalar_stmt(&mut self, _: &slp_ir::Statement, _: u32, _: u32) {}
+        fn const_splat(&mut self, _: f64, _: usize) -> usize {
+            self.def(None)
+        }
+        fn const_vector(&mut self, _: impl ExactSizeIterator<Item = f64>) -> usize {
+            self.def(None)
+        }
+        fn scalar_splat(&mut self, _: slp_ir::VarId, _: bool, _: usize) -> usize {
+            self.def(Some(Reuse::Absent))
+        }
+        fn array_load(&mut self, _: &[&ArrayRef], _: AccessClass) -> usize {
+            self.def(Some(Reuse::Absent))
+        }
+        fn scalar_pack(&mut self, _: Vec<slp_ir::VarId>, _: &[bool], _: ScalarPackClass) -> usize {
+            self.def(Some(Reuse::Absent))
+        }
+        fn permute(&mut self, _: usize, _: &[u32], _: &[u32]) -> usize {
+            self.def(Some(Reuse::Permuted))
+        }
+        fn op(&mut self, _: slp_ir::ExprShape, srcs: Vec<usize>) -> usize {
+            for src in srcs {
+                // A register nothing defined for this op was live: a
+                // direct reuse — also of an earlier operand of the op.
+                match self.fresh.iter().position(|&(reg, _)| reg == src) {
+                    Some(at) => self.classes.extend(self.fresh.remove(at).1),
+                    None => self.classes.push(Reuse::Direct),
+                }
+            }
+            self.fresh.clear();
+            self.regs += 1;
+            self.regs
+        }
+        fn array_store(&mut self, _: usize, _: &[&ArrayRef], _: AccessClass) {}
+        fn scalar_unpack(
+            &mut self,
+            _: usize,
+            _: Vec<slp_ir::VarId>,
+            _: &[LaneSink],
+            _: ScalarPackClass,
+        ) {
+        }
+    }
+
+    /// Schedules every block of `program` (unrolled as the pipeline
+    /// unrolls it) from the holistic and from the baseline groups, and
+    /// checks that the walk comes by every source pack the way the
+    /// scheduler planned. Returns each schedule's lanes and plan.
+    fn plan_is_what_the_walk_emits(
+        program: &Program,
+        machine: &MachineConfig,
+    ) -> Vec<(Vec<Vec<u32>>, Vec<Reuse>)> {
+        let config = SlpConfig::for_machine(machine.clone(), Strategy::Holistic);
+        let program = compile(program, &config).program;
+        let exposed = program.upward_exposed_scalars();
+        let mut schedules = Vec::new();
+        for info in program.blocks() {
+            let deps = BlockDeps::analyze(&info.block);
+            let ix = BlockIndex::new(&info.block, &program, |ty| machine.lanes_for(ty));
+            let cx = CostContext {
+                program: &program,
+                loops: &info.loops,
+                exposed: &exposed,
+                cost: &machine.cost,
+                vector_regs: machine.vector_regs,
+                layout: LayoutView::None,
+                permuted_reuse: true,
+            };
+            for units in [group_block(&ix, &deps).units, baseline_groups(&ix, &deps)] {
+                let planned = std::cell::RefCell::new(Vec::new());
+                let sched = split_on_deadlock(&units, |units| {
+                    planned.borrow_mut().clear();
+                    let plan = |class| planned.borrow_mut().push(class);
+                    try_schedule(&ix, &deps, units, machine.vector_regs, plan)
+                });
+                let mut emitted = Emitted::default();
+                emit_schedule(&ix, &sched, &cx, &mut emitted);
+                let planned = planned.into_inner();
+                assert_eq!(planned, emitted.classes, "{}: {sched:?}", program.name());
+                schedules.push((sched.items().iter().map(lanes).collect(), planned));
+            }
+        }
+        schedules
     }
 
     #[test]
-    fn reinserting_permuted_content_replaces_order() {
-        let mut ls = LiveSet::new(4);
-        ls.insert(vec![0, 1]);
-        ls.insert(vec![1, 0]);
-        assert!(ls.contains_exact(&[1, 0]));
-        assert!(!ls.contains_exact(&[0, 1]));
-        assert_eq!(ls.packs.len(), 1);
+    fn the_scheduler_plans_what_the_walk_emits() {
+        let machines = [
+            MachineConfig::intel_dunnington(),
+            MachineConfig::amd_phenom_ii(),
+        ];
+        for machine in &machines {
+            for (_, program) in slp_suite::all(1) {
+                plan_is_what_the_walk_emits(&program, machine);
+            }
+        }
+        // A destination pack read back by the next superword. Over `f64`
+        // its register is reused. Over `i64` the register holds
+        // un-truncated lanes and the walk reloads, where a scheduler
+        // with a live set of its own planned a direct reuse. The belief
+        // changed, the schedule did not: the lanes are that scheduler's.
+        for (ty, reuse) in [("f64", Reuse::Direct), ("i64", Reuse::Absent)] {
+            let r1 = slp_lang::compile(&format!(
+                "kernel r1 {{ array A: {ty}[64]; array B: {ty}[64]; array C: {ty}[64];
+                 for i in 0..16 {{
+                     A[2*i] = B[2*i] * 2; A[2*i+1] = B[2*i+1] * 2;
+                     C[2*i] = A[2*i] + 1; C[2*i+1] = A[2*i+1] + 1;
+                 }} }}"
+            ))
+            .unwrap();
+            let pairs = vec![vec![4, 5], vec![6, 7], vec![8, 9], vec![10, 11]];
+            let plan = vec![Reuse::Absent, reuse, Reuse::Absent, reuse];
+            assert_eq!(
+                plan_is_what_the_walk_emits(&r1, &machines[0]),
+                [(pairs.clone(), plan.clone()), (pairs, plan)],
+                "{ty}"
+            );
+        }
     }
 
     #[test]
@@ -587,7 +638,7 @@ mod tests {
         );
         let units = vec![g0, g1, g2];
         let ix = BlockIndex::new(&bb, &p, |_| 2);
-        let sched = schedule_block(&ix, &deps, &units, &ScheduleConfig::default());
+        let sched = schedule_block(&ix, &deps, &units, 16);
         // At least one group was split, and the result is valid.
         validate_schedule(&bb, &deps, &sched, &p, |_| 2).unwrap();
         assert!(sched.superword_count() < 3);

@@ -144,11 +144,6 @@ impl PhaseTimings {
         Duration::from_nanos(self.nanos(phase))
     }
 
-    /// Total nanoseconds across all phases.
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().fold(0u64, |a, &n| a.saturating_add(n))
-    }
-
     /// Adds every phase of `other` into `self`.
     pub fn merge(&mut self, other: &PhaseTimings) {
         for p in Phase::ALL {
@@ -190,7 +185,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.nanos(Phase::Grouping), 80);
         assert_eq!(a.nanos(Phase::Layout), 7);
-        assert_eq!(a.total_nanos(), 87);
     }
 
     #[test]

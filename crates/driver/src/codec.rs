@@ -32,9 +32,9 @@
 use std::sync::OnceLock;
 
 use slp_core::{
-    AccessCert, AccessVerdict, ArrayLayoutConfig, BlockSchedule, CompileStats, CompiledKernel,
-    CostParams, MachineConfig, OptParams, Phase, PhaseTimings, Replication, SafetyCert,
-    ScalarLayout, ScheduleConfig, ScheduledItem, SlpConfig, Strategy, SuperwordStmt, WeightParams,
+    AccessCert, AccessVerdict, BlockSchedule, CompileStats, CompiledKernel, CostParams,
+    MachineConfig, OptParams, Phase, PhaseTimings, Replication, SafetyCert, ScalarLayout,
+    ScheduledItem, SlpConfig, Strategy, SuperwordStmt, WeightParams,
 };
 use slp_ir::{
     AccessVector, AffineExpr, ArrayId, ArrayInfo, ArrayRef, BinOp, BlockId, CmpOp, Dest, Expr,
@@ -99,13 +99,6 @@ record!(keyed MachineConfig {
     "cost" = cost: CostParams,
 });
 
-record!(keyed ScheduleConfig { "live_set_capacity" = live_set_capacity: usize });
-
-record!(keyed ArrayLayoutConfig {
-    "max_replication_factor" = max_replication_factor: f64,
-    "cost" = cost: CostParams,
-});
-
 record!(keyed WeightParams {
     "contiguous_bonus" = contiguous_bonus: f64,
     "gather_penalty" = gather_penalty: f64,
@@ -122,8 +115,6 @@ record!(keyed SlpConfig {
     "strategy" = strategy: Strategy,
     "unroll" = unroll: usize,
     "layout" = layout: bool,
-    "schedule" = schedule: ScheduleConfig,
-    "array_layout" = array_layout: ArrayLayoutConfig,
     "weights" = weights: WeightParams,
     "cross_iteration_reuse" = cross_iteration_reuse: bool,
     "refine_deps" = refine_deps: bool,
@@ -791,7 +782,7 @@ mod tests {
     /// The drift the hand-kept lists had: the codec persisted
     /// `machine.{l1_data,l2_total,l3_total}_kb` but the fingerprint did
     /// not key them. Walk every declared leaf of the config — machine
-    /// and both cost tables included — and perturb each in turn: the
+    /// and its cost table included — and perturb each in turn: the
     /// cache key must move, and the perturbed value must survive the
     /// kernel round trip. One declaration feeds both, so this holds for
     /// any field added later.
@@ -802,13 +793,9 @@ mod tests {
         let base_fp = crate::fingerprint_with_tag(GATHER, &k.config, "");
         let mut paths = Vec::new();
         leaf_paths(&base, &mut Vec::new(), &mut paths);
-        // machine (8 + its 13 costs), array_layout (1 + 13 costs),
-        // schedule 1, weights 4, opt 2, and 5 top-level knobs.
-        assert_eq!(
-            paths.len(),
-            (8 + 13) + (1 + 13) + 1 + 4 + 2 + 5,
-            "{paths:?}"
-        );
+        // machine (8 + its 13 costs), weights 4, opt 2, and 5 top-level
+        // knobs.
+        assert_eq!(paths.len(), (8 + 13) + 4 + 2 + 5, "{paths:?}");
         for name in ["l1_data_kb", "l2_total_kb", "l3_total_kb"] {
             assert!(paths.contains(&vec!["machine".to_string(), name.to_string()]));
         }

@@ -254,8 +254,6 @@ impl fmt::Display for AffineExpr {
 /// // A[4i + 3]
 /// let acc = AccessVector::new(vec![AffineExpr::var(i).scaled(4).offset(3)]);
 /// assert_eq!(acc.rank(), 1);
-/// assert_eq!(acc.offset_vector(), vec![3]);
-/// assert_eq!(acc.matrix_row(0, &[i]), vec![4]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AccessVector {
@@ -290,16 +288,6 @@ impl AccessVector {
     /// All per-dimension expressions, outermost dimension first.
     pub fn dims(&self) -> &[AffineExpr] {
         &self.dims
-    }
-
-    /// The offset vector `O` of Eq. (1).
-    pub fn offset_vector(&self) -> Vec<i64> {
-        self.dims.iter().map(|e| e.constant()).collect()
-    }
-
-    /// Row `d` of the access matrix `Q`, with columns ordered by `ivs`.
-    pub fn matrix_row(&self, d: usize, ivs: &[LoopVarId]) -> Vec<i64> {
-        ivs.iter().map(|&v| self.dims[d].coeff(v)).collect()
     }
 
     /// Evaluates every dimension under `env`.
@@ -426,10 +414,6 @@ mod tests {
             AffineExpr::from_terms([(i(), 2), (j(), 1)], 0),
             AffineExpr::from_terms([(j(), 3)], 1),
         ]);
-        let ivs = [i(), j()];
-        assert_eq!(a.matrix_row(0, &ivs), vec![2, 1]);
-        assert_eq!(a.matrix_row(1, &ivs), vec![0, 3]);
-        assert_eq!(a.offset_vector(), vec![0, 1]);
         assert_eq!(a.eval(&[(i(), 1), (j(), 2)]), vec![4, 7]);
     }
 

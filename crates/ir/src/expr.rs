@@ -174,11 +174,6 @@ impl BinOp {
         }
     }
 
-    /// Whether `a op b == b op a` for all finite inputs.
-    pub fn is_commutative(self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Mul | BinOp::Min | BinOp::Max)
-    }
-
     /// All binary operators (handy for tests and generators).
     pub fn all() -> [BinOp; 6] {
         [
@@ -521,8 +516,6 @@ mod tests {
         assert_eq!(BinOp::Div.apply(7.0, 2.0), 3.5);
         assert_eq!(BinOp::Min.apply(2.0, -3.0), -3.0);
         assert_eq!(BinOp::Max.apply(2.0, -3.0), 2.0);
-        assert!(BinOp::Add.is_commutative());
-        assert!(!BinOp::Sub.is_commutative());
     }
 
     #[test]

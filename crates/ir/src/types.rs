@@ -66,11 +66,6 @@ impl ScalarType {
         matches!(self, ScalarType::F32 | ScalarType::F64)
     }
 
-    /// Whether this is an integer type.
-    pub fn is_int(self) -> bool {
-        !self.is_float()
-    }
-
     /// Coerces a computed value to this element type's storage semantics:
     /// floats pass through (`f32` storage is modelled at `f64`
     /// precision), integer types truncate toward zero and wrap to their
@@ -165,12 +160,5 @@ mod tests {
         assert_eq!(ScalarType::I8.coerce(130.0), -126.0); // wraps at 8 bits
         assert_eq!(ScalarType::F64.coerce(3.9), 3.9);
         assert_eq!(ScalarType::I64.coerce(2.5), 2.0);
-    }
-
-    #[test]
-    fn float_int_partition() {
-        for t in ScalarType::all() {
-            assert!(t.is_float() != t.is_int());
-        }
     }
 }

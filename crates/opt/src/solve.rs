@@ -231,7 +231,7 @@ fn evaluate(
     req: &PackRequest<'_>,
     cx: &CostContext<'_>,
 ) -> (BlockSchedule, f64) {
-    let a = schedule_block(ix, req.deps, units, &req.config.schedule);
+    let a = schedule_block(ix, req.deps, units, req.config.machine.vector_regs);
     let ca = estimate_schedule_cost(ix, &a, cx);
     let b = schedule_in_program_order(ix, req.deps, units);
     let cb = estimate_schedule_cost(ix, &b, cx);

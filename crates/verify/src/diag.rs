@@ -187,14 +187,6 @@ impl LintCode {
         LintCode::SymbolicUnsupported,
     ];
 
-    /// The inverse of [`LintCode::code`]: parses a stable `Vnnn` code
-    /// back into the lint it names. Used when machine-readable reports
-    /// (the `slp-driver` cache, `slpc check --json` consumers) are read
-    /// back in.
-    pub fn from_code(code: &str) -> Option<LintCode> {
-        LintCode::ALL.into_iter().find(|c| c.code() == code)
-    }
-
     /// The severity a finding of this code carries.
     ///
     /// Among the V1xx–V4xx kernel checks only [`LintCode::MisalignedPack`]
@@ -412,15 +404,6 @@ mod tests {
         assert_eq!(LintCode::SymbolicMismatch.code(), "V600");
         assert_eq!(LintCode::SymbolicBudgetExceeded.code(), "V601");
         assert_eq!(LintCode::SymbolicUnsupported.code(), "V602");
-    }
-
-    #[test]
-    fn from_code_inverts_code() {
-        for code in LintCode::ALL {
-            assert_eq!(LintCode::from_code(code.code()), Some(code));
-        }
-        assert_eq!(LintCode::from_code("V999"), None);
-        assert_eq!(LintCode::from_code(""), None);
     }
 
     #[test]

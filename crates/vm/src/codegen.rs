@@ -98,8 +98,8 @@ pub(crate) fn lower_block(
         .chain(body_raw.iter().cloned())
         .collect();
     let alloc = crate::regalloc::allocate(&combined, cx.vector_regs);
-    let (preheader, _) = crate::regalloc::insert_spill_code(pre_raw, &alloc, cx.cost);
-    let (insts, _) = crate::regalloc::insert_spill_code(body_raw, &alloc, cx.cost);
+    let preheader = crate::regalloc::insert_spill_code(pre_raw, &alloc);
+    let insts = crate::regalloc::insert_spill_code(body_raw, &alloc);
 
     let static_metrics = total_metrics(&insts, cx);
     let preheader_metrics = total_metrics(&preheader, cx);

@@ -11,7 +11,7 @@
 //! cargo run --example figure15
 //! ```
 
-use slp::core::{baseline_block, group_block, schedule_block, BlockIndex, ScheduleConfig};
+use slp::core::{baseline_block, group_block, schedule_block, BlockIndex};
 use slp::ir::BlockDeps;
 use slp::prelude::*;
 
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             names.join(" | ")
         );
     }
-    let global_sched = schedule_block(&ix, &deps, &grouping.units, &ScheduleConfig::default());
+    let global_sched = schedule_block(&ix, &deps, &grouping.units, machine.vector_regs);
     println!("\n== holistic schedule (Figure 15 c) ==");
     for item in global_sched.items() {
         println!("  {item}");

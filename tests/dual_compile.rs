@@ -7,6 +7,8 @@
 use slp::core::{compile_passes, estimate_kernel_cost, Deadline, PhaseTimings};
 use slp::prelude::*;
 
+mod common;
+
 fn assert_same(shipped: &CompiledKernel, reference: &CompiledKernel, what: &str) {
     assert_eq!(shipped.program, reference.program, "{what}: program");
     assert_eq!(shipped.schedules, reference.schedules, "{what}: schedules");
@@ -18,9 +20,7 @@ fn assert_same(shipped: &CompiledKernel, reference: &CompiledKernel, what: &str)
 
 #[test]
 fn dual_compile_ships_what_two_independent_passes_and_the_estimate_choose() {
-    let mut programs: Vec<Program> = slp::suite::all(1).into_iter().map(|(_, p)| p).collect();
-    let branchy = slp::suite::branchy_catalog().into_iter();
-    programs.extend(branchy.map(|name| slp::suite::branchy_kernel(name, 1)));
+    let programs = common::suite_and_branchy();
     let (mut plain_shipped, mut refuted) = (0, 0);
     for program in &programs {
         for machine in ["intel", "amd"] {
@@ -62,5 +62,45 @@ fn dual_compile_ships_what_two_independent_passes_and_the_estimate_choose() {
     assert!(
         plain_shipped > 0 && refuted > 0,
         "{plain_shipped} / {refuted}"
+    );
+}
+
+/// One FNV per machine/layout column over the `{:?}` schedules Global
+/// gives `seeds` generated programs and the validating members of
+/// `ir_case(0, 0..cases)`, and how many compiles that was.
+fn generated_schedule_hashes(seeds: u64, cases: u64) -> ([u64; 4], usize) {
+    let mut programs: Vec<Program> = (0..seeds)
+        .map(|seed| slp::suite::random_program(seed, &Default::default()))
+        .collect();
+    let cases = (0..cases).map(|n| slp_fuzz::genir::ir_case(0, n));
+    programs.extend(cases.filter(|p| p.validate().is_ok()));
+    let mut columns = [0; 4];
+    for (column, hash) in columns.iter_mut().enumerate() {
+        let machine = parse_machine(["intel", "amd"][column / 2]).unwrap();
+        let mut config = SlpConfig::for_machine(machine, Strategy::Holistic);
+        config.layout = column % 2 == 1;
+        let schedules = |p| format!("{:?}\n", slp::core::compile(p, &config).schedules);
+        *hash = common::fnv64(&programs.iter().map(schedules).collect::<String>());
+    }
+    (columns, 4 * programs.len())
+}
+
+/// The scheduler plans on the emission walk's live superword set
+/// (`slp_core`'s `LivePacks`), not on one of its own with other rules.
+/// Recorded on the tree that still had the second set: the schedules of
+/// generated programs, integer-typed ones among them, did not move.
+/// (intel, intel+layout, amd, amd+layout.)
+#[test]
+fn generated_program_schedules_match_the_two_set_scheduler() {
+    let (columns, compiled) = generated_schedule_hashes(60, 120);
+    assert_eq!(compiled, 648);
+    assert_eq!(
+        columns,
+        [
+            0xbc29e099a7b90a6f,
+            0x6f28b47d806f0aa5,
+            0xaf9baebf72a8f432,
+            0x0551fda522f7cf34,
+        ]
     );
 }

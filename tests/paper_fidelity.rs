@@ -7,9 +7,7 @@
 mod common;
 
 use slp::analysis::{Round, Unit, WeightParams};
-use slp::core::{
-    group_block, group_block_with, schedule_block, BlockIndex, MachineConfig, ScheduleConfig,
-};
+use slp::core::{group_block, group_block_with, schedule_block, BlockIndex, MachineConfig};
 use slp::ir::{BasicBlock, BinOp, BlockDeps, Expr, Program, ScalarType};
 
 /// The paper's Figure 2 block:
@@ -98,7 +96,7 @@ fn figure15_grouping_structure() {
         "expected the Figure 15(c) grouping {{a,b}} {{c,h}} {{d,g}} {{stores}}"
     );
     // And the schedule keeps every reuse possible (4 superwords).
-    let sched = schedule_block(&ix, &deps, &grouping.units, &ScheduleConfig::default());
+    let sched = schedule_block(&ix, &deps, &grouping.units, 16);
     assert_eq!(sched.superword_count(), 4);
 }
 
