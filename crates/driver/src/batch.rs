@@ -39,6 +39,7 @@ use slp_core::Strategy;
 
 use crate::{
     CachedCompile, CompileCache, CompileOutcome, CompileRequest, DriverError, Fingerprint,
+    SharedOutcome,
 };
 
 thread_local! {
@@ -84,19 +85,19 @@ pub fn compile_guarded(
     cache: Option<&CompileCache>,
     budget_ms: Option<u64>,
 ) -> Result<CompileOutcome, DriverError> {
-    compile_keyed(req, req.fingerprint(), cache, budget_ms)
+    compile_keyed(req, req.fingerprint(), cache, budget_ms).map(SharedOutcome::into_owned)
 }
 
 /// [`compile_guarded`] for a caller that already holds the request's
-/// key: `fp` must be `req.fingerprint()`. The serve handler keys its
-/// dedup table by the fingerprint and hands the same value down, so a
-/// request is hashed once.
+/// key and only reads the result: `fp` must be `req.fingerprint()`. The
+/// serve handler keys its dedup table by the fingerprint, so a request is
+/// hashed once, and answers from the shared entry, so no kernel is copied.
 pub fn compile_keyed(
     req: &CompileRequest,
     fp: Fingerprint,
     cache: Option<&CompileCache>,
     budget_ms: Option<u64>,
-) -> Result<CompileOutcome, DriverError> {
+) -> Result<SharedOutcome, DriverError> {
     crate::cached(fp, cache, || guarded(req, budget_ms))
 }
 

@@ -3,9 +3,11 @@
 //!
 //! Entries are whole compilations — the [`CompiledKernel`], the verify
 //! [`Report`] (if the request asked for verification) and the original
-//! compile's [`PhaseTimings`] — keyed by [`Fingerprint`]. The memory
-//! tier serves repeat requests within a process (the `slpd` serve
-//! loops, repeated kernels in one batch); the disk tier under
+//! compile's [`PhaseTimings`] — keyed by [`Fingerprint`], allocated once
+//! and shared: a hit hands out another [`Arc`] handle, not a copy, and an
+//! entry a reader holds outlives its eviction. The memory tier serves
+//! repeat requests within a process (the `slpd` serve loops, repeated
+//! kernels in one batch); the disk tier under
 //! `.slp-cache/` makes whole corpus re-runs warm across processes,
 //! which is what turns a second `slpc batch` over an unchanged tree
 //! into a near-no-op.
@@ -41,7 +43,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use slp_core::{CompiledKernel, PhaseTimings};
 use slp_verify::Report;
@@ -146,7 +148,7 @@ impl AtomicStats {
 
 /// One shard of the memory tier: a `HashMap` plus its own LRU order.
 struct MemoryShard {
-    entries: HashMap<Fingerprint, CachedCompile>,
+    entries: HashMap<Fingerprint, Arc<CachedCompile>>,
     /// LRU order, least recently used first.
     order: Vec<Fingerprint>,
     capacity: usize,
@@ -158,13 +160,13 @@ impl MemoryShard {
         self.order.push(fp);
     }
 
-    fn get(&mut self, fp: Fingerprint) -> Option<CachedCompile> {
-        let entry = self.entries.get(&fp).cloned()?;
+    fn get(&mut self, fp: Fingerprint) -> Option<Arc<CachedCompile>> {
+        let entry = Arc::clone(self.entries.get(&fp)?);
         self.touch(fp);
         Some(entry)
     }
 
-    fn put(&mut self, fp: Fingerprint, entry: CachedCompile) -> u64 {
+    fn put(&mut self, fp: Fingerprint, entry: Arc<CachedCompile>) -> u64 {
         self.entries.insert(fp, entry);
         self.touch(fp);
         let mut evictions = 0;
@@ -217,28 +219,12 @@ impl MemoryTier {
         }
     }
 
-    fn shard(&self, fp: Fingerprint) -> &Mutex<MemoryShard> {
+    /// Locks the shard `fp` lives in.
+    fn shard(&self, fp: Fingerprint) -> MutexGuard<'_, MemoryShard> {
         // `shards.len()` is a power of two; the low bits of the second
         // hash stream index it uniformly.
-        &self.shards[(fp.1 as usize) & (self.shards.len() - 1)]
-    }
-
-    fn get(&self, fp: Fingerprint) -> Option<CachedCompile> {
-        self.shard(fp).lock().expect("cache shard lock").get(fp)
-    }
-
-    fn put(&self, fp: Fingerprint, entry: CachedCompile) -> u64 {
-        self.shard(fp)
-            .lock()
-            .expect("cache shard lock")
-            .put(fp, entry)
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").entries.len())
-            .sum()
+        let shard = &self.shards[(fp.1 as usize) & (self.shards.len() - 1)];
+        shard.lock().expect("cache shard lock")
     }
 }
 
@@ -253,7 +239,6 @@ impl std::fmt::Debug for CompileCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompileCache")
             .field("shards", &self.memory.shards.len())
-            .field("entries", &self.memory.len())
             .field("disk_dir", &self.disk_dir)
             .finish()
     }
@@ -289,32 +274,22 @@ impl CompileCache {
         self.disk_dir.as_deref()
     }
 
-    /// How many shards the memory tier was split into (1 for small
-    /// caches, up to 16 for serve-sized ones).
-    pub fn shard_count(&self) -> usize {
-        self.memory.shards.len()
-    }
-
     /// A snapshot of the running counters.
     pub fn stats(&self) -> CacheStats {
         self.stats.snapshot()
     }
 
-    /// Number of entries currently in the memory tier.
-    pub fn memory_len(&self) -> usize {
-        self.memory.len()
-    }
-
-    /// Looks up a compilation, returning the entry and the tier that
-    /// answered.
-    pub fn get(&self, fp: Fingerprint) -> Option<(CachedCompile, CacheTier)> {
-        if let Some(entry) = self.memory.get(fp) {
+    /// Looks up a compilation, returning a handle on the shared entry
+    /// and the tier that answered.
+    pub fn get(&self, fp: Fingerprint) -> Option<(Arc<CachedCompile>, CacheTier)> {
+        if let Some(entry) = self.memory.shard(fp).get(fp) {
             self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
             return Some((entry, CacheTier::Memory));
         }
         if let Some(entry) = self.disk_get(fp) {
             // Promote to memory so repeat lookups stay cheap.
-            self.memory.put(fp, entry.clone());
+            let entry = Arc::new(entry);
+            self.memory.shard(fp).put(fp, Arc::clone(&entry));
             self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
             return Some((entry, CacheTier::Disk));
         }
@@ -322,13 +297,19 @@ impl CompileCache {
         None
     }
 
-    /// Stores a compilation under `fp` in both tiers.
+    /// Stores a copy of a compilation under `fp` in both tiers.
     pub fn put(&self, fp: Fingerprint, entry: &CachedCompile) {
-        let evictions = self.memory.put(fp, entry.clone());
+        self.put_shared(fp, Arc::new(entry.clone()));
+    }
+
+    /// [`CompileCache::put`] without the copy: the memory tier keeps a
+    /// handle on this allocation.
+    pub(crate) fn put_shared(&self, fp: Fingerprint, entry: Arc<CachedCompile>) {
+        let evictions = self.memory.shard(fp).put(fp, Arc::clone(&entry));
         self.stats.stores.fetch_add(1, Ordering::Relaxed);
         self.stats.evictions.fetch_add(evictions, Ordering::Relaxed);
         if self.disk_dir.is_some() {
-            if let Err(()) = self.disk_put(fp, entry) {
+            if let Err(()) = self.disk_put(fp, &entry) {
                 self.stats.disk_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -422,7 +403,7 @@ mod tests {
         let cache = CompileCache::in_memory(2);
         // Small caches must stay single-sharded so global LRU order is
         // exact.
-        assert_eq!(cache.shard_count(), 1);
+        assert_eq!(cache.memory.shards.len(), 1);
         let (fp0, e0) = entry_for(&source(0));
         let (fp1, e1) = entry_for(&source(1));
         let (fp2, e2) = entry_for(&source(2));
@@ -468,13 +449,13 @@ mod tests {
         assert_eq!(shard_count(DEFAULT_MEMORY_CAPACITY), 8);
         assert_eq!(shard_count(100_000), MAX_SHARDS);
         let cache = CompileCache::in_memory(DEFAULT_MEMORY_CAPACITY);
-        assert_eq!(cache.shard_count(), 8);
+        assert_eq!(cache.memory.shards.len(), 8);
     }
 
     #[test]
     fn sharded_stats_are_exact_under_concurrent_hits() {
         let cache = CompileCache::in_memory(DEFAULT_MEMORY_CAPACITY);
-        assert!(cache.shard_count() > 1);
+        assert!(cache.memory.shards.len() > 1);
         let keyed: Vec<(Fingerprint, CachedCompile)> =
             (0..4).map(|n| entry_for(&source(n))).collect();
         for (fp, e) in &keyed {
@@ -498,6 +479,8 @@ mod tests {
         assert_eq!(stats.memory_hits, (THREADS * ROUNDS) as u64);
         assert_eq!(stats.misses, 0);
         assert_eq!(stats.stores, keyed.len() as u64);
-        assert_eq!(cache.memory_len(), keyed.len());
+        let held = |shard: &Mutex<MemoryShard>| shard.lock().expect("shard lock").entries.len();
+        let entries: usize = cache.memory.shards.iter().map(held).sum();
+        assert_eq!(entries, keyed.len());
     }
 }

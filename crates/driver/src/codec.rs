@@ -45,7 +45,7 @@ use slp_verify::{Diagnostic, LintCode, Report, Span};
 
 use crate::cache::CachedCompile;
 use crate::json::Json;
-use crate::record::{arr, field, key_as, record, stamp_of, tags, Field, Record, Result};
+use crate::record::{arr, field, keys, record, stamp_of, tags, Field, Record, Result};
 use crate::ProveVerdict;
 
 /// A decode failure: the payload was syntactically valid JSON but not a
@@ -218,7 +218,7 @@ tags!(ProveVerdict, ProveVerdict::ALL, ProveVerdict::name);
 tags!(LintCode, LintCode::ALL, LintCode::code);
 tags!(ScalarType, ScalarType::all(), |t: ScalarType| t.to_string());
 
-key_as!("{}": Strategy);
+keys! { Strategy: |s, h| h.write(s.cli_name().as_bytes()); }
 
 // ---- ids ------------------------------------------------------------------------
 

@@ -5,11 +5,13 @@
 //! and no environment dependence. The cache can therefore address
 //! compiled kernels by a [`Fingerprint`] of exactly those three things.
 //!
-//! The fingerprint is a 128-bit FNV-1a hash (two independent 64-bit
-//! streams over the same canonical byte string) — not cryptographic,
-//! but collision-safe for cache purposes at any realistic corpus size,
-//! and fully deterministic across processes and platforms, which is
-//! what lets the on-disk tier survive process restarts.
+//! The fingerprint is a 128-bit multiply-rotate hash: two independent
+//! 64-bit streams (own seed, multiplier and rotation each) over the same
+//! canonical byte string, taken eight bytes per multiply, closed by a
+//! length-tagged tail and an avalanche round — not cryptographic, but
+//! collision-safe for cache purposes at any realistic corpus size, and
+//! fully deterministic across processes and platforms, which is what
+//! lets the on-disk tier survive process restarts.
 //!
 //! What goes into the key (see [`fingerprint`]):
 //!
@@ -62,31 +64,65 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-// A second, independent stream: same prime, different offset basis
-// (the FNV-0 hash of "slp-driver").
-const FNV_OFFSET_B: u64 = 0x9ae1_6a3b_2f90_404f;
+/// Seed, odd multiplier and rotation of each stream: the two FNV offset
+/// bases this key used to start from, then the 64-bit golden ratio and
+/// MurmurHash3's first finalizer constant.
+const STREAMS: [(u64, u64, u32); 2] = [
+    (0xcbf2_9ce4_8422_2325, 0x9e37_79b9_7f4a_7c15, 23),
+    (0x9ae1_6a3b_2f90_404f, 0xff51_afd7_ed55_8ccd, 29),
+];
 
-/// The two-stream FNV-1a state. [`fmt::Write`] lets numbers stream in
-/// through `write!` without an intermediate `String`.
+/// The two-stream hash state. Input is consumed a little-endian word at
+/// a time; bytes that do not fill a word yet wait in `pending`, so the
+/// value is a function of the byte string alone, not of how the [`Key`]
+/// impls cut it into writes.
 pub(crate) struct Hasher {
-    a: u64,
-    b: u64,
+    streams: [u64; 2],
+    /// The next word's low `len % 8` bytes; the rest is zero.
+    pending: u64,
+    /// Bytes written so far.
+    len: u64,
 }
 
 impl Hasher {
     pub(crate) fn new() -> Self {
         Hasher {
-            a: FNV_OFFSET,
-            b: FNV_OFFSET_B,
+            streams: STREAMS.map(|(seed, ..)| seed),
+            pending: 0,
+            len: 0,
+        }
+    }
+
+    /// One multiply per stream. The rotation brings the product's
+    /// well-mixed high bits down to where the next multiply spreads them.
+    fn word(&mut self, w: u64) {
+        for (state, (_, multiplier, rotation)) in self.streams.iter_mut().zip(STREAMS) {
+            *state = (*state ^ w).wrapping_mul(multiplier).rotate_left(rotation);
         }
     }
 
     pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.feed(u64::from_le_bytes(w.try_into().expect("chunk of eight")), 8);
+        }
+        let tail = words.remainder();
+        let word = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+        self.feed(word, tail.len() as u32);
+    }
+
+    /// Writes the low `n <= 8` bytes of `w` (its other bytes are zero):
+    /// they fill up the pending word, and what does not fit starts the
+    /// next one. A number is keyed as `feed(x, 8)`, never rendered: half
+    /// the time of writing its eight bytes as a slice.
+    pub(crate) fn feed(&mut self, w: u64, n: u32) {
+        let held = (self.len % 8) as u32;
+        self.len += u64::from(n);
+        self.pending |= w << (8 * held);
+        if held + n >= 8 {
+            let rest = w.checked_shr(8 * (8 - held)).unwrap_or(0);
+            let full = std::mem::replace(&mut self.pending, rest);
+            self.word(full);
         }
     }
 
@@ -99,15 +135,21 @@ impl Hasher {
         self.write(b"\x1f");
     }
 
-    pub(crate) fn finish(self) -> Fingerprint {
-        Fingerprint(self.a, self.b)
-    }
-}
-
-impl fmt::Write for Hasher {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.write(s.as_bytes());
-        Ok(())
+    /// Closes the streams with the zero-padded tail, its free top byte
+    /// tagged with the byte count (a tail of zero bytes is not no tail),
+    /// and MurmurHash3's avalanche, so every input bit reaches every key
+    /// bit — the cache picks its shard from the low ones.
+    pub(crate) fn finish(mut self) -> Fingerprint {
+        let tail = self.pending | self.len << 56;
+        self.word(tail);
+        let [a, b] = self.streams.map(|mut x| {
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            x ^ (x >> 33)
+        });
+        Fingerprint(a, b)
     }
 }
 
@@ -145,6 +187,38 @@ mod tests {
         assert_eq!(Fingerprint::from_hex(&fp.to_hex()), Some(fp));
         assert_eq!(Fingerprint::from_hex("xyz"), None);
         assert_eq!(Fingerprint::from_hex(""), None);
+    }
+
+    fn hash(writes: &[&[u8]]) -> Fingerprint {
+        let mut h = Hasher::new();
+        for bytes in writes {
+            h.write(bytes);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn the_key_does_not_depend_on_how_writes_are_split() {
+        let whole = hash(&[b"abcdefghi"]);
+        assert_eq!(hash(&[b"abcd", b"efghi"]), whole);
+        assert_eq!(hash(&[b"", b"a", b"bcdefgh", b"", b"i"]), whole);
+        let long = b"0123456789abcdefghijklmnopqrstuvwxyz";
+        for cut in 0..=long.len() {
+            assert_eq!(hash(&[&long[..cut], &long[cut..]]), hash(&[long]), "{cut}");
+        }
+    }
+
+    #[test]
+    fn prefixes_hash_apart_on_both_streams() {
+        // Zero bytes too: only the length tag tells those tails apart.
+        for text in [&b"kernel k { array A"[..17], &[0u8; 17][..]] {
+            let keys: Vec<Fingerprint> = (0..=17).map(|n| hash(&[&text[..n]])).collect();
+            for (i, x) in keys.iter().enumerate() {
+                for y in &keys[i + 1..] {
+                    assert!(x.0 != y.0 && x.1 != y.1, "{x} vs {y}");
+                }
+            }
+        }
     }
 
     #[test]

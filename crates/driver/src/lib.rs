@@ -27,7 +27,7 @@
 //! protocol, the transport-agnostic handler with admission control,
 //! request coalescing and per-tenant quotas, and the stdio/TCP
 //! adapters — lives in the `slp-serve` crate (re-exported as
-//! `slp::driver::{serve, serve_tcp}` by the facade); this crate
+//! `slp::driver::{serve_handler, serve_tcp}` by the facade); this crate
 //! provides the pieces it is built from.
 //!
 //! ```
@@ -72,14 +72,15 @@ pub use cache::{
 pub use codec::{decode_kernel, encode_kernel, CodecError};
 pub use fingerprint::{fingerprint_with_tag, Fingerprint};
 pub use report::{stats_json, timings_json, DriverReport, ServeSummary};
+pub use slp_verify::Report;
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use slp_core::{
     compile_within, CompiledKernel, Deadline, Expired, MachineConfig, Phase, PhaseTimings,
     SlpConfig, Strategy,
 };
-use slp_verify::Report;
 
 /// How much verification a compile request asks the driver to run over
 /// the finished kernel.
@@ -254,6 +255,38 @@ impl CompileOutcome {
     }
 }
 
+/// [`CompileOutcome`] with the compilation shared instead of by value —
+/// what [`compile_keyed`] answers, so a hit, a served miss and every
+/// coalesced follower read the one allocation the memory tier holds.
+#[derive(Debug, Clone)]
+pub struct SharedOutcome {
+    /// The compilation (the cold compile's report and timings on a hit).
+    pub entry: Arc<CachedCompile>,
+    /// The request's cache key.
+    pub fingerprint: Fingerprint,
+    /// Where the kernel came from.
+    pub cache: CacheDisposition,
+    /// As [`CompileOutcome::wall_nanos`].
+    pub wall_nanos: u64,
+}
+
+impl SharedOutcome {
+    /// The by-value form: the entry is moved out, or copied if the cache
+    /// (after a store or a hit) holds it too.
+    pub(crate) fn into_owned(self) -> CompileOutcome {
+        let entry = Arc::try_unwrap(self.entry).unwrap_or_else(|shared| (*shared).clone());
+        CompileOutcome {
+            kernel: entry.kernel,
+            report: entry.report,
+            prove: entry.prove,
+            timings: entry.timings,
+            fingerprint: self.fingerprint,
+            cache: self.cache,
+            wall_nanos: self.wall_nanos,
+        }
+    }
+}
+
 /// Why a driver compilation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DriverError {
@@ -314,34 +347,31 @@ pub fn compile_source(
     req: &CompileRequest,
     cache: Option<&CompileCache>,
 ) -> Result<CompileOutcome, DriverError> {
-    cached(req.fingerprint(), cache, || compile_uncached(req, None))
+    cached(req.fingerprint(), cache, || compile_uncached(req, None)).map(SharedOutcome::into_owned)
 }
 
 /// The one request path under every entry point: look `fp` up, otherwise
-/// run `compile` and store what it produced. A failed compile stores
-/// nothing.
+/// run `compile` and store what it produced — the same allocation the
+/// caller gets. A failed compile stores nothing.
 pub(crate) fn cached(
     fp: Fingerprint,
     cache: Option<&CompileCache>,
     compile: impl FnOnce() -> Result<CachedCompile, DriverError>,
-) -> Result<CompileOutcome, DriverError> {
+) -> Result<SharedOutcome, DriverError> {
     let start = Instant::now();
     let (entry, disposition) = match cache.and_then(|c| c.get(fp)) {
         Some((entry, CacheTier::Memory)) => (entry, CacheDisposition::MemoryHit),
         Some((entry, CacheTier::Disk)) => (entry, CacheDisposition::DiskHit),
         None => {
-            let entry = compile()?;
+            let entry = Arc::new(compile()?);
             if let Some(cache) = cache {
-                cache.put(fp, &entry);
+                cache.put_shared(fp, Arc::clone(&entry));
             }
             (entry, CacheDisposition::Compiled)
         }
     };
-    Ok(CompileOutcome {
-        kernel: entry.kernel,
-        report: entry.report,
-        prove: entry.prove,
-        timings: entry.timings,
+    Ok(SharedOutcome {
+        entry,
         fingerprint: fp,
         cache: disposition,
         wall_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),

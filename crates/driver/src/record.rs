@@ -6,7 +6,7 @@
 //! JSON encoder ([`Field::to_json`], [`Record::pairs`]), the decoder
 //! ([`Field::from_json`]), the record's schema text ([`Field::schema`])
 //! and, for `keyed` records, the fingerprint's field stream ([`Key`]),
-//! fed straight into the FNV hasher with no intermediate tree.
+//! fed straight into the key hasher with no intermediate tree.
 //!
 //! The format stamp ([`stamp_of`]) hashes the schema text of the whole
 //! payload type: every key, field type and enum tag table reachable
@@ -67,7 +67,7 @@ pub(crate) fn arr<'a, T: Field + 'a>(items: impl IntoIterator<Item = &'a T>) -> 
     Json::Arr(items.into_iter().map(Field::to_json).collect())
 }
 
-/// The format stamp of payload type `T`: 16 hex digits of the FNV hash
+/// The format stamp of payload type `T`: 16 hex digits of the key hash
 /// of its schema text.
 pub(crate) fn stamp_of<T: Field>() -> String {
     let mut schema = String::new();
@@ -151,20 +151,20 @@ macro_rules! tags {
     };
 }
 
-/// Implements [`Key`] for types whose `$fmt` rendering tells any two
-/// distinct values apart.
-macro_rules! key_as {
-    ($fmt:literal: $($ty:ty),*) => {$(
+/// Implements [`Key`] per type from how a value feeds the hasher, which
+/// must tell any two distinct values apart.
+macro_rules! keys {
+    ($($ty:ty: |$x:ident, $h:ident| $feed:expr;)*) => {$(
         impl $crate::record::Key for $ty {
-            fn key(&self, h: &mut $crate::fingerprint::Hasher) {
-                use std::fmt::Write as _;
-                let _ = write!(h, $fmt, self);
+            fn key(&self, $h: &mut $crate::fingerprint::Hasher) {
+                let $x = self;
+                $feed
             }
         }
     )*};
 }
 
-pub(crate) use {key_as, record, tags};
+pub(crate) use {keys, record, tags};
 
 // ---- leaves ------------------------------------------------------------------
 
@@ -249,10 +249,17 @@ impl<A: Field, B: Field> Field for (A, B) {
     }
 }
 
-// `{:?}` is Rust's shortest round-trip float form: two distinct `f64`
-// values always render differently (including `-0.0` vs `0.0`).
-key_as!("{}": u64, u32, usize, bool, str, String);
-key_as!("{:?}": f64);
+// A number is keyed as one 64-bit word, never rendered; a float by its
+// bits, so any two distinct values (`-0.0` and `0.0` included) key apart.
+keys! {
+    u64: |x, h| h.feed(*x, 8);
+    u32: |x, h| h.feed(u64::from(*x), 8);
+    usize: |x, h| h.feed(*x as u64, 8);
+    bool: |x, h| h.feed(u64::from(*x), 8);
+    f64: |x, h| h.feed(x.to_bits(), 8);
+    str: |s, h| h.write(s.as_bytes());
+    String: |s, h| h.write(s.as_bytes());
+}
 
 #[cfg(test)]
 mod tests {

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 
 use slp_core::{MachineConfig, SlpConfig, Strategy};
 use slp_driver::{
-    compile_source, encode_kernel, CacheDisposition, CacheTier, CachedCompile, CompileCache,
-    CompileRequest, VerifyLevel,
+    compile_guarded, compile_source, encode_kernel, CacheDisposition, CacheTier, CachedCompile,
+    CompileCache, CompileRequest, VerifyLevel,
 };
 
 const SRC: &str = "kernel k { array A: f64[32]; array B: f64[32]; \
@@ -103,6 +103,58 @@ fn identical_requests_hit_each_changed_dimension_misses() {
     let again =
         compile_source(&request(SRC, holistic().with_layout()), Some(&cache)).expect("compiles");
     assert_eq!(again.cache, CacheDisposition::MemoryHit);
+}
+
+/// A memory-tier entry is one allocation: every reader gets a handle on
+/// it, and a handle outlives the entry's eviction.
+#[test]
+fn hits_share_one_entry_and_a_held_entry_survives_its_eviction() {
+    let cache = CompileCache::in_memory(1);
+    let cold = compile_source(&request(SRC, holistic()), Some(&cache)).expect("compiles");
+
+    let (first, tier) = cache.get(cold.fingerprint).expect("stored");
+    assert_eq!(tier, CacheTier::Memory);
+    let (second, _) = cache.get(cold.fingerprint).expect("still stored");
+    assert!(std::sync::Arc::ptr_eq(&first, &second));
+    drop(second);
+
+    // Capacity 1: the next key evicts the entry `first` points at.
+    let other =
+        compile_source(&request(&format!("{SRC} "), holistic()), Some(&cache)).expect("compiles");
+    assert_ne!(other.fingerprint, cold.fingerprint);
+    assert_eq!(cache.stats().evictions, 1);
+    assert!(cache.get(cold.fingerprint).is_none());
+    assert_eq!(first.kernel.stats, cold.kernel.stats);
+    assert_eq!(first.report, cold.report);
+}
+
+/// The by-value contract of `compile_guarded` (the benchmark links it):
+/// a memory hit answers an owned outcome that equals the cold compile's
+/// field by field, and owning it means changing it leaves the cache be.
+#[test]
+fn a_guarded_memory_hit_is_an_owned_copy_of_the_cold_outcome() {
+    let cache = CompileCache::in_memory(8);
+    let req = request(SRC, holistic());
+    let cold = compile_guarded(&req, Some(&cache), None).expect("compiles");
+    assert_eq!(cold.cache, CacheDisposition::Compiled);
+
+    let mut warm = compile_guarded(&req, Some(&cache), None).expect("compiles");
+    assert_eq!(warm.cache, CacheDisposition::MemoryHit);
+    assert!(warm.cache_hit());
+    assert_eq!(warm.fingerprint, cold.fingerprint);
+    assert_eq!(
+        encode_kernel(&warm.kernel).to_compact(),
+        encode_kernel(&cold.kernel).to_compact()
+    );
+    assert_eq!(warm.report, cold.report);
+    assert_eq!(warm.prove, cold.prove);
+    assert_eq!(warm.timings, cold.timings);
+
+    warm.kernel.stats.superwords += 1;
+    warm.report = None;
+    let (entry, _) = cache.get(cold.fingerprint).expect("stored");
+    assert_eq!(entry.kernel.stats, cold.kernel.stats);
+    assert_eq!(entry.report, cold.report);
 }
 
 #[test]

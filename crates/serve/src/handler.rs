@@ -19,15 +19,16 @@
 //!    [`ErrorCode::Overloaded`] instead of queueing unboundedly;
 //! 4. **dedup** — the request is fingerprinted, once; requests with an
 //!    identical fingerprint already compiling *join* that compile
-//!    instead of starting their own: the leader compiles once, followers
-//!    block on the slot and get a clone of the result, reported as
-//!    `"cache":"coalesced"` (a leader nobody joined publishes nothing).
+//!    instead of starting their own: the leader compiles once and
+//!    publishes a handle on the result; followers block on the slot and
+//!    answer from the same entry, reported as `"cache":"coalesced"`.
 //!
 //! Behind the gates the leader hands its key to
 //! [`slp_driver::compile_keyed`]: a cache lookup, and only on a miss one
 //! frontend run and the compile — on this thread, under `catch_unwind`
 //! and the request's budget as a cooperative deadline. The handler never
-//! looks at the source text. A kernel with a proven out-of-bounds access
+//! looks at the source text or copies a kernel: it answers from the
+//! entry the cache holds. A kernel with a proven out-of-bounds access
 //! (V505) comes back from that one frontend run as
 //! [`DriverError::Unsafe`] before any packing or scheduling work is spent
 //! on it, and is answered with [`ErrorCode::ProvenUnsafe`] — to the
@@ -50,11 +51,11 @@ use std::time::Instant;
 use slp_core::PhaseTimings;
 use slp_driver::json::Json;
 use slp_driver::{
-    compile_keyed, stats_json, CacheDisposition, CompileCache, CompileOutcome, CompileRequest,
-    DriverError, Fingerprint, ServeSummary,
+    compile_keyed, stats_json, CacheDisposition, CompileCache, CompileRequest, DriverError,
+    Fingerprint, ServeSummary, SharedOutcome,
 };
 
-use crate::protocol::{outcome_fields, parse_request, Envelope, ErrorCode, Request};
+use crate::protocol::{compile_fields, parse_request, Envelope, ErrorCode, Request};
 
 /// A per-tenant token bucket: `capacity` tokens, refilled continuously
 /// at `refill_per_sec`. One compile request costs one token.
@@ -168,7 +169,7 @@ struct Bucket {
 
 /// The dedup slot an in-flight compile publishes its result through.
 struct InflightSlot {
-    result: Mutex<Option<Result<CompileOutcome, DriverError>>>,
+    result: Mutex<Option<Result<SharedOutcome, DriverError>>>,
     done: Condvar,
 }
 
@@ -435,17 +436,23 @@ impl Handler {
                 self.counters.compiled.fetch_add(1, Ordering::Relaxed);
                 if coalesced {
                     self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                } else if outcome.cache == CacheDisposition::Compiled {
+                    // Telemetry counts work actually performed, so
+                    // cached (re-served) timings are not re-merged.
+                    lock_unpoisoned(&self.phase_totals).merge(&outcome.entry.timings);
                 } else {
-                    if outcome.cache_hit() {
-                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if outcome.cache == CacheDisposition::Compiled {
-                        // Telemetry counts work actually performed, so
-                        // cached (re-served) timings are not re-merged.
-                        lock_unpoisoned(&self.phase_totals).merge(&outcome.timings);
-                    }
+                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                envelope.ok(outcome_fields(&request.name, &outcome, coalesced))
+                envelope.ok(compile_fields(
+                    &request.name,
+                    (!coalesced).then_some(outcome.cache),
+                    outcome.fingerprint,
+                    outcome.wall_nanos,
+                    &outcome.entry.kernel.stats,
+                    outcome.entry.report.as_ref(),
+                    outcome.entry.prove,
+                    &outcome.entry.timings,
+                ))
             }
             Err(DriverError::Unsafe(accesses)) => {
                 self.counters
@@ -473,7 +480,7 @@ impl Handler {
         &self,
         request: &CompileRequest,
         budget_ms: Option<u64>,
-    ) -> (Result<CompileOutcome, DriverError>, bool) {
+    ) -> (Result<SharedOutcome, DriverError>, bool) {
         let fp = request.fingerprint();
         let slot = {
             let mut inflight = lock_unpoisoned(&self.inflight);
@@ -526,14 +533,8 @@ impl Handler {
         let result = compile_keyed(request, fp, Some(&self.cache), budget_ms);
         publish.armed = false;
         lock_unpoisoned(&self.inflight).remove(&fp);
-        // A follower takes its handle under the table lock, so once the
-        // slot has left the table the count is final: the leader's one
-        // handle plus one per waiting follower. Nobody waiting, nothing
-        // to clone.
-        if Arc::strong_count(&slot) > 1 {
-            *lock_unpoisoned(&slot.result) = Some(result.clone());
-            slot.done.notify_all();
-        }
+        *lock_unpoisoned(&slot.result) = Some(result.clone());
+        slot.done.notify_all();
         (result, false)
     }
 

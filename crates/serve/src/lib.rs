@@ -10,18 +10,18 @@
 //!   line in, one response line out, owning the compile cache, the
 //!   in-flight deduplication table, the per-tenant token buckets, the
 //!   admission gate and the serve counters;
-//! * adapters — [`stdio::serve`] (line loop over any `BufRead`/`Write`
-//!   pair, what `slpd` runs by default) and [`tcp::serve_tcp`] (accept
-//!   thread, worker pool, bounded queues, `GET /metrics`), both thin:
-//!   every semantic lives in the handler, so the two transports cannot
-//!   drift apart.
+//! * adapters — [`stdio::serve_handler`] (line loop over any
+//!   `BufRead`/`Write` pair, what `slpd` runs by default) and
+//!   [`tcp::serve_tcp`] (accept thread, worker pool, bounded backlog,
+//!   `GET /metrics`), both thin: every semantic lives in the handler and
+//!   both run one session loop, so the transports cannot drift apart.
 //!
 //! [`loadgen`] is the deterministic load generator the `loadgen`
 //! binary (CI's live-`slpd` smoke step) and the `tests/tcp.rs`
 //! protocol gate share.
 //!
 //! The crate is re-exported as part of `slp::driver`, so callers write
-//! `slp::driver::{serve, serve_tcp}`.
+//! `slp::driver::{serve_handler, serve_tcp}`.
 
 pub mod handler;
 pub mod line;
@@ -32,5 +32,5 @@ pub mod tcp;
 
 pub use handler::{Handler, QuotaConfig, Response, ServeConfig};
 pub use protocol::ErrorCode;
-pub use stdio::{serve, serve_handler};
+pub use stdio::serve_handler;
 pub use tcp::{serve_tcp, TcpOptions, TcpServer};

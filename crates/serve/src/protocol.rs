@@ -45,9 +45,12 @@
 //! quotas, drain) use their [`ErrorCode::legacy_kind`] names. The
 //! compat test suite pins both shapes.
 
-use slp_core::{SlpConfig, Strategy};
+use slp_core::{CompileStats, PhaseTimings, SlpConfig, Strategy};
 use slp_driver::json::Json;
-use slp_driver::{parse_machine, CompileOutcome, CompileRequest, DriverError, VerifyLevel};
+use slp_driver::{
+    parse_machine, CacheDisposition, CompileOutcome, CompileRequest, DriverError, Fingerprint,
+    ProveVerdict, Report, VerifyLevel,
+};
 
 /// The stable machine-readable error codes of the v1 protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,28 +351,45 @@ pub fn outcome_fields(
     outcome: &CompileOutcome,
     via_coalesce: bool,
 ) -> Vec<(&'static str, Json)> {
+    compile_fields(
+        name,
+        if via_coalesce {
+            None
+        } else {
+            Some(outcome.cache)
+        },
+        outcome.fingerprint,
+        outcome.wall_nanos,
+        &outcome.kernel.stats,
+        outcome.report.as_ref(),
+        outcome.prove,
+        &outcome.timings,
+    )
+}
+
+/// The one encoder of a compile result, over the parts both forms the
+/// driver answers in carry; `cache` is `None` for a coalesced request.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn compile_fields(
+    name: &str,
+    cache: Option<CacheDisposition>,
+    fingerprint: Fingerprint,
+    wall_nanos: u64,
+    stats: &CompileStats,
+    report: Option<&Report>,
+    prove: Option<ProveVerdict>,
+    timings: &PhaseTimings,
+) -> Vec<(&'static str, Json)> {
+    let cache = cache.map_or("coalesced", CacheDisposition::name);
     let mut fields = vec![
         ("name", Json::str(name)),
-        (
-            "cache",
-            Json::str(if via_coalesce {
-                "coalesced"
-            } else {
-                outcome.cache.name()
-            }),
-        ),
-        ("fingerprint", Json::str(outcome.fingerprint.to_hex())),
-        ("stmts", Json::num(outcome.kernel.stats.stmts as u64)),
-        (
-            "superwords",
-            Json::num(outcome.kernel.stats.superwords as u64),
-        ),
-        (
-            "vectorized_stmts",
-            Json::num(outcome.kernel.stats.vectorized_stmts as u64),
-        ),
+        ("cache", Json::str(cache)),
+        ("fingerprint", Json::str(fingerprint.to_hex())),
+        ("stmts", Json::num(stats.stmts as u64)),
+        ("superwords", Json::num(stats.superwords as u64)),
+        ("vectorized_stmts", Json::num(stats.vectorized_stmts as u64)),
     ];
-    match &outcome.report {
+    match report {
         Some(report) => {
             fields.push(("verify_errors", Json::num(report.error_count() as u64)));
             fields.push(("verify_warnings", Json::num(report.warning_count() as u64)));
@@ -390,11 +410,8 @@ pub fn outcome_fields(
             fields.push(("diagnostics", Json::Arr(Vec::new())));
         }
     }
-    fields.push((
-        "prove",
-        outcome.prove.map_or(Json::Null, |v| Json::str(v.name())),
-    ));
-    fields.push(("phase_nanos", slp_driver::timings_json(&outcome.timings)));
-    fields.push(("wall_nanos", Json::num(outcome.wall_nanos)));
+    fields.push(("prove", prove.map_or(Json::Null, |v| Json::str(v.name()))));
+    fields.push(("phase_nanos", slp_driver::timings_json(timings)));
+    fields.push(("wall_nanos", Json::num(wall_nanos)));
     fields
 }

@@ -5,60 +5,61 @@
 //! input line, one response per output line, flushed immediately. The
 //! protocol — both the v1 envelope and the legacy bare form — is
 //! documented in [`crate::protocol`]; all semantics (caching, quotas,
-//! dedup, counters) live in [`Handler`] and are shared with the TCP
-//! adapter.
+//! dedup, counters) live in [`Handler`], and the session loop itself is
+//! the one a TCP worker runs over its socket.
 
 use std::io::{self, BufRead, Write};
-use std::sync::Arc;
 
-use slp_driver::{CompileCache, ServeSummary};
+use slp_driver::ServeSummary;
 
-use crate::handler::{Handler, ServeConfig};
+use crate::handler::Handler;
 use crate::line::{read_line_capped, LineRead};
 
-/// Serves requests from `input` to `output` against `cache` with
-/// default [`ServeConfig`] until EOF or a `shutdown` request.
-///
-/// The drop-in successor of the old `slp_driver::serve` entry point
-/// (the cache moved behind an `Arc` so the handler can be shared with
-/// other transports).
-pub fn serve<R: BufRead, W: Write>(
-    input: R,
+/// Serves requests from `input` to `output` through `handler` until EOF
+/// or a `shutdown` request. Blank lines are ignored; every other line
+/// gets exactly one response line, written with its newline in one
+/// `write_all` and flushed. Lines past the handler's `max_line_bytes` are
+/// discarded in constant memory and answered with `S103`; a request that
+/// panics the handler is answered with `S112` — in both cases the loop
+/// keeps serving.
+pub fn serve_handler<R: BufRead, W: Write>(
+    mut input: R,
     output: W,
-    cache: Arc<CompileCache>,
+    handler: &Handler,
 ) -> io::Result<ServeSummary> {
-    let handler = Handler::new(cache, ServeConfig::default());
-    serve_handler(input, output, &handler)
+    let first = read_line_capped(&mut input, handler.max_line_bytes())?;
+    session(first, input, output, handler)?;
+    Ok(handler.summary())
 }
 
-/// Serves requests from `input` to `output` through an existing
-/// [`Handler`] until EOF or a `shutdown` request. Blank lines are
-/// ignored; every other line gets exactly one response line. Lines
-/// past [`ServeConfig::max_line_bytes`] are discarded in constant
-/// memory and answered with `S103`; a request that panics the handler
-/// is answered with `S112` — in both cases the loop keeps serving.
-pub fn serve_handler<R: BufRead, W: Write>(
+/// The one loop that turns request lines into response lines, for every
+/// transport: `read` is the first line (the TCP adapter has looked at it
+/// already), the rest come from `input`. `Ok(true)`: the session ended on
+/// an acknowledged `shutdown`; `Ok(false)`: on EOF.
+pub(crate) fn session<R: BufRead, W: Write>(
+    mut read: LineRead,
     mut input: R,
     mut output: W,
     handler: &Handler,
-) -> io::Result<ServeSummary> {
+) -> io::Result<bool> {
     let cap = handler.max_line_bytes();
     loop {
-        let response = match read_line_capped(&mut input, cap)? {
-            LineRead::Eof => break,
-            LineRead::TooLong { .. } => handler.reject_oversized_line(),
-            LineRead::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                handler.handle_line_guarded(&line)
-            }
+        let response = match read {
+            LineRead::Eof => return Ok(false),
+            LineRead::TooLong { .. } => Some(handler.reject_oversized_line()),
+            LineRead::Line(line) if line.trim().is_empty() => None,
+            LineRead::Line(line) => Some(handler.handle_line_guarded(&line)),
         };
-        writeln!(output, "{}", response.json.to_compact())?;
-        output.flush()?;
-        if response.shutdown {
-            break;
+        if let Some(response) = response {
+            // One buffer, one write: on a socket that is one segment.
+            let mut line = response.json.to_compact();
+            line.push('\n');
+            output.write_all(line.as_bytes())?;
+            output.flush()?;
+            if response.shutdown {
+                return Ok(true);
+            }
         }
+        read = read_line_capped(&mut input, cap)?;
     }
-    Ok(handler.summary())
 }

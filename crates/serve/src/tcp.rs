@@ -1,37 +1,37 @@
-//! The TCP transport: an accept thread, a worker pool and bounded
-//! queues at every stage.
+//! The TCP transport: an accept thread and a worker pool; a session runs
+//! whole on the worker that claimed its connection.
 //!
 //! ```text
 //!            accept thread                worker pool (N threads)
-//!  clients ──► TcpListener ──► sync_channel(backlog) ──► connection
-//!                │ full? write S120 line, drop            session
-//!                ▼                                          │
-//!            (admission)                 per-connection     ▼
-//!                                 sync_channel(queue_depth) of lines
+//!  clients ──► TcpListener ──► sync_channel(backlog) ──► session:
+//!                │ full? write S120 line, drop           read a line,
+//!                ▼                                       handle it,
+//!            (admission)                                 write the line
 //! ```
 //!
-//! Each accepted connection is driven by one worker at a time. The
-//! worker reads the first line itself: a line starting with `GET ` is
+//! Each accepted connection is driven by one worker, start to finish.
+//! The worker looks at the first line: one starting with `GET ` is
 //! answered as a one-shot HTTP request with the handler's
 //! [`metrics_text`](Handler::metrics_text) exposition (so `curl
 //! http://host:port/metrics` works against the same port); anything
-//! else enters the line protocol. After the first line a reader thread
-//! feeds a *bounded* request queue so clients may pipeline up to
-//! `queue_depth` requests — past that, TCP backpressure applies
-//! instead of unbounded buffering. Every line is read under the
+//! else enters the line protocol — the loop the stdio transport runs,
+//! on this one thread, each response one `write` and so one segment.
+//! Clients may pipeline: what they send ahead waits in the `BufReader`
+//! and the kernel's receive buffer, and past those TCP backpressure
+//! applies; the server queues nothing. Every line is read under the
 //! handler's `max_line_bytes` cap: an oversized line is discarded in
 //! constant memory and answered with one `S103` error line, in order.
 //!
 //! Shutdown is graceful in both directions: a `shutdown` request (or
 //! [`TcpServer::shutdown`]) puts the handler in drain mode — in-flight
 //! compiles finish and are answered, new ones get `S122` — then closes
-//! the read half of every live connection, joins the pool and returns
-//! the final [`ServeSummary`].
+//! the read half of every live connection, which ends a session blocked
+//! in `read`, joins the pool and returns the final [`ServeSummary`].
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -41,6 +41,7 @@ use slp_driver::ServeSummary;
 use crate::handler::{lock_unpoisoned, wait_unpoisoned, Handler};
 use crate::line::{read_line_capped, LineRead};
 use crate::protocol::{Envelope, ErrorCode};
+use crate::stdio::session;
 
 /// TCP adapter knobs. All fields are public; start from
 /// `..Default::default()`.
@@ -51,8 +52,6 @@ pub struct TcpOptions {
     /// Accepted-but-unclaimed connection queue depth; past it new
     /// connections are answered with one `S120` line and dropped.
     pub backlog: usize,
-    /// Per-connection pipelined request queue depth.
-    pub queue_depth: usize,
 }
 
 impl Default for TcpOptions {
@@ -60,7 +59,6 @@ impl Default for TcpOptions {
         TcpOptions {
             workers: 4,
             backlog: 64,
-            queue_depth: 32,
         }
     }
 }
@@ -70,10 +68,8 @@ struct Shared {
     stop: AtomicBool,
     /// Signalled when some connection receives a `shutdown` request.
     done: (Mutex<bool>, Condvar),
-    /// Read-half handles of live connections, closed on drain.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
-    queue_depth: usize,
+    /// Read-half handles of live connections by peer, closed on drain.
+    conns: Mutex<HashMap<SocketAddr, TcpStream>>,
 }
 
 impl Shared {
@@ -165,8 +161,6 @@ pub fn serve_tcp(
         stop: AtomicBool::new(false),
         done: (Mutex::new(false), Condvar::new()),
         conns: Mutex::new(HashMap::new()),
-        next_conn: AtomicU64::new(0),
-        queue_depth: options.queue_depth.max(1),
     });
 
     let (conn_tx, conn_rx) = sync_channel::<TcpStream>(options.backlog.max(1));
@@ -217,19 +211,11 @@ pub fn serve_tcp(
 }
 
 fn worker_loop(shared: &Arc<Shared>, conn_rx: &Mutex<Receiver<TcpStream>>) {
-    loop {
-        // Take the lock only to receive — connections are handled with
-        // the pool free to claim the next one.
-        let stream = match conn_rx.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        match stream {
-            Ok(stream) => {
-                let _ = handle_connection(shared, stream);
-            }
-            Err(_) => return, // sender gone: server is finishing
-        }
+    // The lock is held only to receive — a session runs with the pool
+    // free to claim the next connection. No sender: the server is finishing.
+    let claim = || lock_unpoisoned(conn_rx).recv().ok();
+    while let Some(stream) = claim() {
+        let _ = handle_connection(shared, stream);
     }
 }
 
@@ -237,98 +223,30 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> 
     // Responses are single small lines: never let Nagle hold one back
     // against a delayed ACK.
     stream.set_nodelay(true)?;
-    let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-    lock_unpoisoned(&shared.conns).insert(conn_id, stream.try_clone()?);
+    let peer = stream.peer_addr()?;
+    lock_unpoisoned(&shared.conns).insert(peer, stream.try_clone()?);
+    // `finish` closes the read halves it finds registered; a connection
+    // claimed from the backlog after that sweep closes its own, or this
+    // worker would sit in `read` on a silent peer and never be joined.
+    if shared.stop.load(Ordering::SeqCst) {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
     let result = drive_connection(shared, &stream);
-    lock_unpoisoned(&shared.conns).remove(&conn_id);
+    lock_unpoisoned(&shared.conns).remove(&peer);
     result
 }
 
 fn drive_connection(shared: &Arc<Shared>, stream: &TcpStream) -> io::Result<()> {
     let handler = &shared.handler;
-    let cap = handler.max_line_bytes();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    match read_line_capped(&mut reader, cap)? {
-        LineRead::Eof => return Ok(()),
-        LineRead::TooLong { .. } => {
-            write_response(stream, &handler.reject_oversized_line().json)?;
-        }
-        LineRead::Line(first) => {
-            if first.starts_with("GET ") {
-                return write_metrics_http(stream, handler);
-            }
-            if respond(stream, handler, &first)? {
-                shared.signal_done();
-                return Ok(());
-            }
-        }
+    let mut reader = BufReader::new(stream);
+    let first = read_line_capped(&mut reader, handler.max_line_bytes())?;
+    if matches!(&first, LineRead::Line(line) if line.starts_with("GET ")) {
+        return write_metrics_http(stream, handler);
     }
-
-    // Pipelining: a reader thread fills a bounded line queue; once the
-    // queue is full it stops reading and TCP backpressure takes over.
-    // Oversized lines are discarded by the reader in constant memory
-    // and forwarded as a marker so the session answers `S103` in order.
-    let (line_tx, line_rx) = sync_channel::<LineRead>(shared.queue_depth);
-    let reader_thread = thread::Builder::new()
-        .name("slp-serve-conn-reader".into())
-        .spawn(move || loop {
-            match read_line_capped(&mut reader, cap) {
-                Ok(LineRead::Eof) | Err(_) => break,
-                Ok(read) => {
-                    if line_tx.send(read).is_err() {
-                        break;
-                    }
-                }
-            }
-        })?;
-
-    let mut result = Ok(());
-    let mut session_shutdown = false;
-    while let Ok(read) = line_rx.recv() {
-        let outcome = match read {
-            LineRead::TooLong { .. } => {
-                write_response(stream, &handler.reject_oversized_line().json).map(|()| false)
-            }
-            LineRead::Line(line) => respond(stream, handler, &line),
-            LineRead::Eof => unreachable!("reader thread never forwards EOF"),
-        };
-        match outcome {
-            Ok(true) => {
-                session_shutdown = true;
-                break;
-            }
-            Ok(false) => {}
-            Err(e) => {
-                result = Err(e);
-                break;
-            }
-        }
-    }
-    // Dropping the queue unblocks (and so retires) the reader thread.
-    drop(line_rx);
-    let _ = stream.shutdown(Shutdown::Read);
-    let _ = reader_thread.join();
-    if session_shutdown {
+    if session(first, reader, stream, handler)? {
         shared.signal_done();
     }
-    result
-}
-
-/// Handles one protocol line; `Ok(true)` means the session was asked
-/// to shut down. Blank lines get no response.
-fn respond(stream: &TcpStream, handler: &Handler, line: &str) -> io::Result<bool> {
-    if line.trim().is_empty() {
-        return Ok(false);
-    }
-    let response = handler.handle_line_guarded(line);
-    write_response(stream, &response.json)?;
-    Ok(response.shutdown)
-}
-
-/// Writes one response line and flushes it.
-fn write_response(mut stream: &TcpStream, json: &slp_driver::json::Json) -> io::Result<()> {
-    writeln!(stream, "{}", json.to_compact())?;
-    stream.flush()
+    Ok(())
 }
 
 fn write_metrics_http(mut stream: &TcpStream, handler: &Handler) -> io::Result<()> {

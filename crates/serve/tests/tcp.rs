@@ -3,16 +3,18 @@
 //! the metrics endpoint, graceful drain, and a deterministic loadgen
 //! run with zero protocol errors.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::io::{self, BufRead, BufReader, Cursor, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
 use slp_driver::json::Json;
 use slp_driver::CompileCache;
 use slp_serve::loadgen::{self, LoadConfig, LoadMix};
-use slp_serve::{serve_tcp, Handler, QuotaConfig, ServeConfig, TcpOptions, TcpServer};
+use slp_serve::{
+    serve_handler, serve_tcp, Handler, QuotaConfig, ServeConfig, TcpOptions, TcpServer,
+};
 
 const SRC: &str = "kernel k { array A: f64[16]; array B: f64[16]; \
                    for i in 0..16 { A[i] = A[i] + B[i]; } }";
@@ -20,6 +22,24 @@ const SRC: &str = "kernel k { array A: f64[16]; array B: f64[16]; \
 fn start(config: ServeConfig) -> TcpServer {
     let handler = Handler::new(Arc::new(CompileCache::in_memory(256)), config);
     serve_tcp("127.0.0.1:0", Arc::new(handler), TcpOptions::default()).expect("bind loopback")
+}
+
+/// A server whose pool is one worker: whoever holds a connection open
+/// holds the pool.
+fn start_single_worker() -> TcpServer {
+    let handler = Handler::new(
+        Arc::new(CompileCache::in_memory(256)),
+        ServeConfig::default(),
+    );
+    let options = TcpOptions {
+        workers: 1,
+        ..TcpOptions::default()
+    };
+    serve_tcp("127.0.0.1:0", Arc::new(handler), options).expect("bind loopback")
+}
+
+fn ping_line(id: u64) -> String {
+    format!("{{\"v\":1,\"id\":{id},\"cmd\":\"ping\"}}")
 }
 
 fn compile_line(id: u64, tenant: &str, source: &str) -> String {
@@ -316,6 +336,150 @@ fn pipelined_requests_answer_in_order() {
     }
     drop((stream, reader));
     server.shutdown();
+}
+
+/// Pipelining is bounded by the socket, not by a queue of the server's:
+/// far more lines than any per-connection queue ever held, all written
+/// before the first read, are answered in order.
+#[test]
+fn two_hundred_pipelined_pings_answer_in_order() {
+    const N: u64 = 200;
+    let server = start(ServeConfig::default());
+    let (stream, mut reader) = connect(&server);
+    let batch: String = (0..N).map(|id| ping_line(id) + "\n").collect();
+    (&stream).write_all(batch.as_bytes()).expect("write batch");
+    for id in 0..N {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        let r = Json::parse(line.trim_end()).expect("parses");
+        assert_eq!(r.get("pong"), Some(&Json::Bool(true)));
+        assert_eq!(r.get("id").and_then(Json::u64), Some(id), "order preserved");
+    }
+    drop((stream, reader));
+    assert_eq!(server.shutdown().requests, N);
+}
+
+/// A client that sends its requests, half-closes and only then reads
+/// gets every answer and then EOF: the session ends on the read side's
+/// EOF, after the last response went out.
+#[test]
+fn a_half_closed_client_reads_every_response_then_eof() {
+    let server = start(ServeConfig::default());
+    let (stream, mut reader) = connect(&server);
+    let batch: String = (0..5).map(|id| compile_line(id, "", SRC) + "\n").collect();
+    (&stream).write_all(batch.as_bytes()).expect("write batch");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).expect("read to EOF");
+    let ids: Vec<Option<u64>> = rest
+        .lines()
+        .map(|l| {
+            Json::parse(l)
+                .expect("parses")
+                .get("id")
+                .and_then(Json::u64)
+        })
+        .collect();
+    assert_eq!(ids, [Some(0), Some(1), Some(2), Some(3), Some(4)]);
+    assert_eq!(server.shutdown().compiled, 5);
+}
+
+/// A peer that vanishes mid-line costs the pool nothing: the one worker
+/// comes back and serves the next connection.
+#[test]
+fn a_client_that_disconnects_mid_line_does_not_cost_a_worker() {
+    let server = start_single_worker();
+    let (stream, reader) = connect(&server);
+    let line = compile_line(1, "", SRC);
+    (&stream)
+        .write_all(&line.as_bytes()[..line.len() / 2])
+        .expect("write half a line");
+    drop((stream, reader));
+
+    let (stream, mut reader) = connect(&server);
+    let r = round_trip(&stream, &mut reader, &ping_line(2));
+    assert_eq!(r.get("pong"), Some(&Json::Bool(true)));
+    assert_eq!(server.handler().active(), 0);
+    drop((stream, reader));
+    let summary = server.shutdown();
+    // The half line was answered as the malformed request it is.
+    assert_eq!((summary.requests, summary.errors), (2, 1));
+}
+
+/// Regression: a connection accepted and queued, but not yet claimed by
+/// a worker when the drain closed the registered read halves, used to be
+/// claimed afterwards and read forever — `shutdown()` never returned.
+#[test]
+fn a_connection_still_queued_at_shutdown_does_not_wedge_finish() {
+    let server = start_single_worker();
+    // A owns the worker; B is accepted into the backlog and stays silent.
+    let (a, mut a_reader) = connect(&server);
+    let r = round_trip(&a, &mut a_reader, &ping_line(1));
+    assert_eq!(r.get("pong"), Some(&Json::Bool(true)));
+    let _b = connect(&server);
+    thread::sleep(Duration::from_millis(100));
+
+    let (done_tx, done_rx) = mpsc::channel();
+    thread::spawn(move || done_tx.send(server.shutdown()));
+    let summary = done_rx
+        .recv_timeout(Duration::from_secs(3))
+        .expect("shutdown() returns with a silent connection still queued");
+    assert_eq!(summary.requests, 1);
+}
+
+/// A `Write` that counts how it is called.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The session loop hands the transport a whole response line, newline
+/// included, in one `write` — on a `TCP_NODELAY` socket that is one
+/// segment per response, whatever the response is.
+#[test]
+fn every_response_line_is_one_write() {
+    let handler = Handler::new(
+        Arc::new(CompileCache::in_memory(16)),
+        ServeConfig {
+            max_line_bytes: 512,
+            ..ServeConfig::default()
+        },
+    );
+    let oversized = compile_line(3, "", &"x".repeat(600));
+    let input = [
+        compile_line(1, "", SRC),
+        compile_line(2, "", SRC),
+        oversized,
+        ping_line(4),
+    ]
+    .join("\n");
+    let mut out = CountingWriter::default();
+    serve_handler(Cursor::new(input), &mut out, &handler).expect("serve I/O");
+
+    let text = String::from_utf8(out.bytes).expect("utf-8");
+    assert!(text.ends_with('\n'));
+    let lines: Vec<Json> = text
+        .lines()
+        .map(|l| Json::parse(l).expect("parses"))
+        .collect();
+    assert_eq!(lines.len(), 4);
+    assert_eq!(lines[1].get("cache").and_then(Json::string), Some("memory"));
+    assert_eq!(lines[2].get("kind").and_then(Json::string), Some("request"));
+    assert_eq!(lines[3].get("pong"), Some(&Json::Bool(true)));
+    assert_eq!(out.writes, lines.len());
 }
 
 /// The deterministic load generator against a real server: valid

@@ -72,7 +72,7 @@ pub use slp_vm as vm;
 ///
 /// Everything from `slp-driver` (compile requests, the two-tier cache,
 /// batches, reports, fingerprints) re-exported alongside the
-/// `slp-serve` front: [`serve`](driver::serve) (stdio line protocol),
+/// `slp-serve` front: [`serve_handler`](driver::serve_handler) (stdio line protocol),
 /// [`serve_tcp`](driver::serve_tcp) (concurrent TCP with workers,
 /// admission control and `GET /metrics`), the transport-agnostic
 /// [`Handler`](driver::Handler) with its [`ServeConfig`](driver::ServeConfig)
@@ -81,7 +81,7 @@ pub use slp_vm as vm;
 pub mod driver {
     pub use slp_driver::*;
     pub use slp_serve::{
-        protocol, serve, serve_handler, serve_tcp, ErrorCode, Handler, QuotaConfig, ServeConfig,
+        protocol, serve_handler, serve_tcp, ErrorCode, Handler, QuotaConfig, ServeConfig,
         TcpOptions, TcpServer,
     };
 }
@@ -126,7 +126,7 @@ pub mod prelude {
     pub use slp_ir::Program;
     pub use slp_lang::{compile as parse_kernel, ParseError};
     pub use slp_opt::OptimalPacker;
-    pub use slp_serve::{serve, serve_tcp, Handler, QuotaConfig, ServeConfig, TcpOptions};
+    pub use slp_serve::{serve_handler, serve_tcp, Handler, QuotaConfig, ServeConfig, TcpOptions};
     pub use slp_vm::{
         execute, execute_gated, run_scalar, BytecodeKernel, MachineState, Outcome, RunStats,
     };
