@@ -74,13 +74,6 @@ impl StatementGroupingGraph {
         &self.edges
     }
 
-    /// The edge between units `a` and `b`, in either orientation.
-    pub fn edge_between(&self, a: usize, b: usize) -> Option<&GroupingEdge> {
-        self.edges
-            .iter()
-            .find(|e| (e.a == a && e.b == b) || (e.a == b && e.b == a))
-    }
-
     /// The edges in the order the decision loop would first consider
     /// them: non-increasing weight, ties toward earlier statements.
     pub fn edges_by_weight(&self) -> Vec<&GroupingEdge> {
@@ -126,11 +119,12 @@ mod tests {
         // Three edges: {S1,S2}, {S1,S3}, {S4,S5} (units 0..4 map to the
         // paper's S1..S5).
         assert_eq!(sg.edges().len(), 3);
-        let w = |a: usize, b: usize| sg.edge_between(a, b).expect("edge").weight;
+        let edge = |a: usize, b: usize| sg.edges().iter().find(|e| (e.a, e.b) == (a, b));
+        let w = |a: usize, b: usize| edge(a, b).expect("edge").weight;
         assert!((w(0, 1) - 1.0).abs() < 1e-9);
         assert!((w(0, 2) - 0.5).abs() < 1e-9);
         assert!((w(3, 4) - 2.0 / 3.0).abs() < 1e-9);
-        assert!(sg.edge_between(1, 2).is_none());
+        assert!(edge(1, 2).is_none());
     }
 
     #[test]

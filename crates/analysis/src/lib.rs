@@ -65,7 +65,7 @@ mod weight;
 
 pub use candidates::legal_merges;
 pub use groupgraph::{GroupingEdge, StatementGroupingGraph};
-pub use index::{BlockIndex, Loc};
+pub use index::{locs_of, BlockIndex, Loc};
 pub use unit::{PackPos, Unit};
 pub use weight::{Round, WeightParams};
 

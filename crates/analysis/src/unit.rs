@@ -7,6 +7,7 @@
 //! more isomorphic, mutually independent statements handled atomically.
 
 use std::fmt;
+use std::sync::Arc;
 
 use slp_ir::StmtId;
 
@@ -19,33 +20,29 @@ pub enum PackPos {
     Operand(usize),
 }
 
-impl fmt::Display for PackPos {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PackPos::Dest => write!(f, "dest"),
-            PackPos::Operand(k) => write!(f, "op{k}"),
-        }
-    }
-}
-
 /// An atomic set of statements treated as one unit by the grouping
 /// algorithm.
+///
+/// The statements are shared, not copied, by a clone: the exact solver
+/// makes every search state's partition from its parent's units.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Unit {
-    stmts: Vec<StmtId>,
+    stmts: Arc<[StmtId]>,
 }
 
 impl Unit {
     /// A unit holding a single statement (round one of grouping).
     pub fn singleton(s: StmtId) -> Self {
-        Unit { stmts: vec![s] }
+        Unit {
+            stmts: Arc::new([s]),
+        }
     }
 
     /// Merges two units into one (a grouping decision).
     pub fn merged(a: &Unit, b: &Unit) -> Self {
-        let mut stmts = a.stmts.clone();
-        stmts.extend_from_slice(&b.stmts);
-        Unit { stmts }
+        Unit {
+            stmts: a.stmts.iter().chain(b.stmts.iter()).copied().collect(),
+        }
     }
 
     /// The member statements (in discovery order, not lane order).

@@ -68,11 +68,6 @@ impl RangeOracle {
         self.refuted_beyond_gcd.get()
     }
 
-    /// Resets the telemetry counter.
-    pub fn reset(&self) {
-        self.refuted_beyond_gcd.set(0);
-    }
-
     fn count_refinement(&self) {
         self.refuted_beyond_gcd
             .set(self.refuted_beyond_gcd.get() + 1);
@@ -162,8 +157,6 @@ mod tests {
         let oracle = RangeOracle::new();
         assert!(!oracle.operands_overlap(&w, &r, &loops));
         assert_eq!(oracle.refuted_beyond_gcd(), 1);
-        oracle.reset();
-        assert_eq!(oracle.refuted_beyond_gcd(), 0);
     }
 
     #[test]

@@ -142,27 +142,6 @@ pub fn assert_equivalent(program: &Program, measurements: &[Measurement]) {
     }
 }
 
-/// Runs the full `slp-verify` battery (static checks plus differential
-/// translation validation) over every scheme's compiled kernel and
-/// returns the combined report — the harness hook the stress tests call
-/// before trusting any measured number.
-pub fn verify_schemes(program: &Program, machine: &MachineConfig) -> slp_verify::Report {
-    let mut report = slp_verify::Report::new();
-    for scheme in Scheme::all() {
-        let kernel = compile(program, &scheme.config(machine));
-        report.extend(
-            slp_verify::verify_with_execution(program, &kernel)
-                .diagnostics
-                .into_iter()
-                .map(|mut d| {
-                    d.message = format!("[{}] {}", scheme.label(), d.message);
-                    d
-                }),
-        );
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,6 +21,4 @@
 pub mod figures;
 pub mod harness;
 
-pub use harness::{
-    assert_equivalent, measure, measure_all, of, verify_schemes, Measurement, Scheme,
-};
+pub use harness::{assert_equivalent, measure, measure_all, of, Measurement, Scheme};

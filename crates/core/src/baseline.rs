@@ -9,7 +9,7 @@
 //! time, which is exactly what the holistic optimizer improves on.
 
 use slp_analysis::{BlockIndex, Unit};
-use slp_ir::{BlockDeps, Dest, Operand, Statement, StmtId};
+use slp_ir::{BlockDeps, Dest, Statement, StmtId};
 
 use crate::schedule::schedule_in_program_order;
 use crate::superword::BlockSchedule;
@@ -38,32 +38,19 @@ pub fn baseline_groups(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<Unit> {
     combine_pairs(&build_pack_set(ix, deps), ix, deps)
 }
 
-/// Whether statement `s` has a memory reference adjacent (one element
-/// below) to the matching reference of `t`, in the destination or any
-/// operand position.
-fn has_adjacent_refs(s: &Statement, t: &Statement) -> bool {
-    let dest_adj = match (s.dest(), t.dest()) {
-        (Dest::Array(a), Dest::Array(b)) => adjacent(a, b),
-        _ => false,
-    };
-    if dest_adj {
-        return true;
-    }
-    s.expr()
-        .operands()
-        .iter()
-        .zip(t.expr().operands())
-        .any(|(x, y)| match (x, y) {
-            (Operand::Array(a), Operand::Array(b)) => adjacent(a, b),
-            _ => false,
-        })
+/// Whether the statement at position `p` has a memory reference adjacent
+/// (one element below) to the matching reference of the one at `q`, in
+/// the destination or any operand position.
+fn has_adjacent_refs(ix: &BlockIndex<'_>, p: usize, q: usize) -> bool {
+    let refs = |p: usize| ix.keys_at(p).iter().map(|&k| ix.loc(k).as_array());
+    (refs(p).zip(refs(q))).any(|pair| matches!(pair, (Some(a), Some(b)) if adjacent(a, b)))
 }
 
 fn adjacent(a: &slp_ir::ArrayRef, b: &slp_ir::ArrayRef) -> bool {
     a.array == b.array
-        && a.access.constant_difference(&b.access).is_some_and(|d| {
-            let (last, outer) = d.split_last().expect("arrays have rank >= 1");
-            *last == 1 && outer.iter().all(|&x| x == 0)
+        && a.access.constant_difference(&b.access).is_some_and(|diff| {
+            let last = a.access.rank() - 1;
+            diff.enumerate().all(|(dim, d)| d == i64::from(dim == last))
         })
 }
 
@@ -88,10 +75,10 @@ fn build_pack_set(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<PackPair> {
 
     // Seeds: adjacent memory references, oriented low address -> left.
     for (i, s) in stmts.iter().enumerate() {
-        for t in &stmts[i + 1..] {
-            let (l, r) = if has_adjacent_refs(s, t) {
+        for (j, t) in stmts.iter().enumerate().skip(i + 1) {
+            let (l, r) = if has_adjacent_refs(ix, i, j) {
                 (s, t)
-            } else if has_adjacent_refs(t, s) {
+            } else if has_adjacent_refs(ix, j, i) {
                 (t, s)
             } else {
                 continue;

@@ -28,10 +28,10 @@
 //!
 //! [`Strategy::permuted_reuse`]: crate::Strategy::permuted_reuse
 
-use slp_analysis::{BlockIndex, Loc, PackPos};
+use slp_analysis::{locs_of, BlockIndex, Loc, PackPos};
 use slp_ir::{
-    pack_is_aligned_in, pack_is_contiguous, ArrayRef, BasicBlock, Dest, ExprShape, LoopHeader,
-    Operand, Program, Statement, TypeEnv, VarId,
+    pack_is_aligned_in, pack_is_contiguous, ArrayRef, BasicBlock, ExprShape, LoopHeader, Program,
+    Statement, TypeEnv, VarId,
 };
 
 use crate::layout::scalar::ScalarLayout;
@@ -135,7 +135,7 @@ pub trait EmitSink {
     /// lanes.
     fn scalar_pack(
         &mut self,
-        vars: Vec<VarId>,
+        vars: &[VarId],
         lane_mem: &[bool],
         class: ScalarPackClass,
     ) -> Self::Reg;
@@ -143,23 +143,23 @@ pub trait EmitSink {
     /// (both as [`BlockIndex`] keys, one a permutation of the other).
     fn permute(&mut self, src: Self::Reg, from: &[u32], to: &[u32]) -> Self::Reg;
     /// The SIMD operation over `srcs`, in operand order.
-    fn op(&mut self, shape: ExprShape, srcs: Vec<Self::Reg>) -> Self::Reg;
+    fn op(&mut self, shape: ExprShape, srcs: &[Self::Reg]) -> Self::Reg;
     /// `src` stored to the array pack `refs`.
     fn array_store(&mut self, src: Self::Reg, refs: &[&ArrayRef], class: AccessClass);
     /// The lanes of `src` distributed to the scalars `vars`.
     fn scalar_unpack(
         &mut self,
         src: Self::Reg,
-        vars: Vec<VarId>,
+        vars: &[VarId],
         sinks: &[LaneSink],
         class: ScalarPackClass,
     );
 }
 
-/// The homes of one pack's lanes.
-enum Homes<'b> {
-    Arrays(Vec<&'b ArrayRef>),
-    Scalars(Vec<VarId>),
+/// Where the lanes of one pack live.
+enum Homes {
+    Arrays,
+    Scalars,
 }
 
 /// Invariant: a superword packs isomorphic statements, so the lanes of a
@@ -169,39 +169,22 @@ fn mixed_lanes() -> ! {
     unreachable!("superword lanes are isomorphic")
 }
 
-fn homes<'b>(ix: &BlockIndex<'b>, keys: &[u32]) -> Homes<'b> {
-    let locs = || keys.iter().map(|&k| ix.loc(k));
-    let scalar = |l| match l {
-        Loc::Scalar(v) => Some(v),
-        _ => None,
+/// The memory loads and stores of a statement executed scalar, from what
+/// it names (destination first): array accesses always, scalar accesses
+/// only when upward-exposed (register-resident temporaries are free).
+fn traffic<'b>(mut locs: impl Iterator<Item = Loc<'b>>, exposed: &[bool]) -> (u32, u32) {
+    let in_memory = |loc| match loc {
+        Loc::Array(_) => true,
+        Loc::Scalar(v) => exposed[v.index()],
+        Loc::Const(_) => false,
     };
-    if let Some(refs) = locs().map(Loc::as_array).collect::<Option<Vec<_>>>() {
-        Homes::Arrays(refs)
-    } else if let Some(vars) = locs().map(scalar).collect::<Option<Vec<_>>>() {
-        Homes::Scalars(vars)
-    } else {
-        mixed_lanes()
-    }
+    let stores = u32::from(locs.next().is_some_and(in_memory));
+    (locs.filter(|&loc| in_memory(loc)).count() as u32, stores)
 }
 
-/// The memory loads and stores `stmt` performs when executed scalar: array
-/// accesses always, scalar accesses only when upward-exposed
-/// (register-resident temporaries are free).
+/// The memory loads and stores `stmt` performs when executed scalar.
 pub fn scalar_traffic(stmt: &Statement, exposed: &[bool]) -> (u32, u32) {
-    let loads = stmt
-        .uses()
-        .iter()
-        .filter(|o| match o {
-            Operand::Array(_) => true,
-            Operand::Scalar(v) => exposed[v.index()],
-            Operand::Const(_) => false,
-        })
-        .count() as u32;
-    let stores = match stmt.dest() {
-        Dest::Array(_) => 1,
-        Dest::Scalar(v) => u32::from(exposed[v.index()]),
-    };
-    (loads, stores)
+    traffic(locs_of(stmt), exposed)
 }
 
 /// The walk's state.
@@ -210,7 +193,13 @@ struct Walk<'a, 'b, S: EmitSink> {
     cx: &'a CostContext<'a>,
     sink: &'a mut S,
     live: LivePacks<S::Reg>,
-    /// Per-lane scratch, reused across superwords.
+    /// Scratch, reused across superwords: the pack in hand as keys and as
+    /// the array elements or scalars they name, the source registers, and
+    /// the per-lane classes.
+    keys: Vec<u32>,
+    refs: Vec<&'b ArrayRef>,
+    vars: Vec<VarId>,
+    srcs: Vec<S::Reg>,
     lane_mem: Vec<bool>,
     sinks: Vec<LaneSink>,
 }
@@ -227,21 +216,27 @@ pub fn emit_schedule<S: EmitSink>(
         cx,
         sink,
         live: LivePacks::new(cx.vector_regs),
+        keys: Vec::new(),
+        refs: Vec::new(),
+        vars: Vec::new(),
+        srcs: Vec::new(),
         lane_mem: Vec::new(),
         sinks: Vec::new(),
     };
     let items = schedule.items();
+    let mut lanes = Vec::new();
     for (idx, item) in items.iter().enumerate() {
         match item {
             ScheduledItem::Single(id) => {
                 let p = ix.position(*id);
-                let stmt = ix.stmt_at(p);
-                let (loads, stores) = scalar_traffic(stmt, cx.exposed);
-                walk.sink.scalar_stmt(stmt, loads, stores);
+                let locs = ix.keys_at(p).iter().map(|&k| ix.loc(k));
+                let (loads, stores) = traffic(locs, cx.exposed);
+                walk.sink.scalar_stmt(ix.stmt_at(p), loads, stores);
                 walk.live.invalidate(ix, ix.key(p, PackPos::Dest));
             }
             ScheduledItem::Superword(sw) => {
-                let lanes: Vec<usize> = sw.lanes().iter().map(|&id| ix.position(id)).collect();
+                lanes.clear();
+                lanes.extend(sw.lanes().iter().map(|&id| ix.position(id)));
                 walk.superword(&lanes, &items[idx + 1..]);
             }
         }
@@ -249,76 +244,104 @@ pub fn emit_schedule<S: EmitSink>(
 }
 
 impl<S: EmitSink> Walk<'_, '_, S> {
+    /// Takes the pack at `slot` of the statements at `lanes` in hand:
+    /// `keys`, and `refs` or `vars` when the lanes have homes.
+    fn take(&mut self, lanes: &[usize], slot: PackPos) -> Option<Homes> {
+        let ix = self.ix;
+        self.keys.clear();
+        self.keys.extend(ix.keys(lanes, slot));
+        self.refs.clear();
+        self.vars.clear();
+        for &key in &self.keys {
+            match ix.loc(key) {
+                Loc::Array(r) => self.refs.push(r),
+                Loc::Scalar(v) => self.vars.push(v),
+                Loc::Const(_) => {}
+            }
+        }
+        match (self.refs.len(), self.vars.len()) {
+            (0, 0) => None,
+            (lanes, 0) if lanes == self.keys.len() => Some(Homes::Arrays),
+            (0, lanes) if lanes == self.keys.len() => Some(Homes::Scalars),
+            _ => mixed_lanes(),
+        }
+    }
+
     /// The superword statement over the block positions `lanes`; `rest`
     /// is what the schedule runs afterwards.
     fn superword(&mut self, lanes: &[usize], rest: &[ScheduledItem]) {
         let (ix, cx) = (self.ix, self.cx);
         let expr = ix.stmt_at(lanes[0]).expr();
-        let mut srcs = Vec::with_capacity(expr.arity());
+        self.srcs.clear();
         for k in 0..expr.arity() {
-            srcs.push(self.source_pack(ix.keys(lanes, PackPos::Operand(k))));
+            let src = self.source_pack(lanes, PackPos::Operand(k));
+            self.srcs.push(src);
         }
-        let dst = self.sink.op(expr.shape(), srcs);
-        match homes(ix, &ix.keys(lanes, PackPos::Dest)) {
-            Homes::Arrays(refs) => {
-                let class = array_class(&refs, cx, false);
-                self.sink.array_store(dst, &refs, class);
+        let dst = self.sink.op(expr.shape(), &self.srcs);
+        match self.take(lanes, PackPos::Dest) {
+            Some(Homes::Arrays) => {
+                let class = array_class(&self.refs, cx, false);
+                self.sink.array_store(dst, &self.refs, class);
             }
-            Homes::Scalars(vars) => {
+            Some(Homes::Scalars) => {
                 self.sinks.clear();
-                self.sinks.extend(vars.iter().map(|&v| {
-                    if cx.exposed[v.index()] {
-                        LaneSink::Memory
-                    } else if feeds_later_single(v, ix, rest) {
-                        LaneSink::Shuffle
-                    } else {
-                        LaneSink::Free
-                    }
-                }));
+                self.sinks
+                    .extend(self.vars.iter().zip(&self.keys).map(|(v, &key)| {
+                        if cx.exposed[v.index()] {
+                            LaneSink::Memory
+                        } else if feeds_later_single(key, ix, rest) {
+                            LaneSink::Shuffle
+                        } else {
+                            LaneSink::Free
+                        }
+                    }));
                 let all_mem = self.sinks.iter().all(|s| *s == LaneSink::Memory);
-                let class = scalar_class(&vars, cx, all_mem, false);
-                self.sink.scalar_unpack(dst, vars, &self.sinks, class);
+                let class = scalar_class(&self.vars, cx, all_mem, false);
+                self.sink.scalar_unpack(dst, &self.vars, &self.sinks, class);
             }
+            None => mixed_lanes(),
         }
         self.live.define(ix, lanes, dst);
     }
 
-    /// A register holding the pack `keys` in lane order, emitting whatever
-    /// reuse, permutation or packing it takes.
-    fn source_pack(&mut self, keys: Vec<u32>) -> S::Reg {
+    /// A register holding the pack at `slot` of the statements at `lanes`,
+    /// in lane order, emitting whatever reuse, permutation or packing it
+    /// takes.
+    fn source_pack(&mut self, lanes: &[usize], slot: PackPos) -> S::Reg {
         let (ix, cx) = (self.ix, self.cx);
         // Constant packs never enter the live set. Uniformity is numeric
         // (`0.0 == -0.0`), not by key.
-        if let Loc::Const(first) = ix.loc(keys[0]) {
-            let first = f64::from_bits(first);
+        let Some(homes) = self.take(lanes, slot) else {
             let value = |&k: &u32| match ix.loc(k) {
                 Loc::Const(c) => f64::from_bits(c),
                 _ => mixed_lanes(),
             };
+            let (keys, first) = (&self.keys, value(&self.keys[0]));
             return if keys.iter().all(|k| value(k) == first) {
                 self.sink.const_splat(first, keys.len())
             } else {
                 self.sink.const_vector(keys.iter().map(value))
             };
-        }
+        };
         // A direct reuse emits nothing, an indirect one a permute; the
         // rest is mandatory packing, from the lanes' homes.
-        let materialize = |keys: &[u32], from: Option<(&[u32], S::Reg)>| {
+        let (keys, refs, vars) = (&self.keys, &self.refs, &self.vars);
+        let materialize = |from: Option<(&[u32], S::Reg)>| {
             if let Some((from, src)) = from {
                 return self.sink.permute(src, from, keys);
             }
-            match homes(ix, keys) {
-                Homes::Arrays(refs) => self.sink.array_load(&refs, array_class(&refs, cx, true)),
-                Homes::Scalars(vars) if vars.iter().all(|&v| v == vars[0]) => {
+            match homes {
+                Homes::Arrays => self.sink.array_load(refs, array_class(refs, cx, true)),
+                Homes::Scalars if vars.iter().all(|&v| v == vars[0]) => {
                     let from_memory = cx.exposed[vars[0].index()];
                     self.sink.scalar_splat(vars[0], from_memory, vars.len())
                 }
-                Homes::Scalars(vars) => {
+                Homes::Scalars => {
                     self.lane_mem.clear();
                     self.lane_mem
                         .extend(vars.iter().map(|v| cx.exposed[v.index()]));
                     let all_mem = self.lane_mem.iter().all(|&m| m);
-                    let class = scalar_class(&vars, cx, all_mem, true);
+                    let class = scalar_class(vars, cx, all_mem, true);
                     self.sink.scalar_pack(vars, &self.lane_mem, class)
                 }
             }
@@ -381,20 +404,20 @@ fn scalar_class(
     }
 }
 
-/// Whether scalar `v` is read by a later `Single` item of this block's
-/// schedule before being redefined (so its lane must be extracted from
-/// the superword result).
-fn feeds_later_single(v: VarId, ix: &BlockIndex<'_>, rest: &[ScheduledItem]) -> bool {
+/// Whether the scalar that `key` names is read by a later `Single` item of
+/// this block's schedule before being redefined (so its lane must be
+/// extracted from the superword result).
+fn feeds_later_single(key: u32, ix: &BlockIndex<'_>, rest: &[ScheduledItem]) -> bool {
     for item in rest {
         let ScheduledItem::Single(id) = item else {
             continue;
         };
-        let stmt = ix.stmt_at(ix.position(*id));
-        if stmt.uses().iter().any(|o| o.as_scalar() == Some(v)) {
+        let (dest, operands) = (ix.keys_at(ix.position(*id)).split_first()).expect("a destination");
+        if operands.contains(&key) {
             return true;
         }
         // A redefinition kills the lane before any further read.
-        if matches!(stmt.dest(), Dest::Scalar(w) if *w == v) {
+        if *dest == key {
             return false;
         }
     }
@@ -426,19 +449,19 @@ impl EmitSink for Cycles<'_> {
     fn array_load(&mut self, refs: &[&ArrayRef], class: AccessClass) {
         self.total += self.cost.array_load(class, refs.len());
     }
-    fn scalar_pack(&mut self, _: Vec<VarId>, lane_mem: &[bool], class: ScalarPackClass) {
+    fn scalar_pack(&mut self, _: &[VarId], lane_mem: &[bool], class: ScalarPackClass) {
         self.total += self.cost.scalar_pack(class, lane_mem);
     }
     fn permute(&mut self, (): (), _: &[u32], _: &[u32]) {
         self.total += self.cost.permute;
     }
-    fn op(&mut self, shape: ExprShape, _: Vec<()>) {
+    fn op(&mut self, shape: ExprShape, _: &[()]) {
         self.total += self.cost.vector_op(shape);
     }
     fn array_store(&mut self, (): (), refs: &[&ArrayRef], class: AccessClass) {
         self.total += self.cost.array_store(class, refs.len());
     }
-    fn scalar_unpack(&mut self, (): (), _: Vec<VarId>, sinks: &[LaneSink], class: ScalarPackClass) {
+    fn scalar_unpack(&mut self, (): (), _: &[VarId], sinks: &[LaneSink], class: ScalarPackClass) {
         self.total += self.cost.scalar_unpack(class, sinks);
     }
 }

@@ -9,6 +9,8 @@
 //! [`source`](LivePacks::source) once per operand pack, in operand order,
 //! then [`define`](LivePacks::define) for its destination.
 
+use std::ops::Range;
+
 use slp_analysis::{BlockIndex, PackPos};
 
 /// Whether `a` and `b` hold the same keys, each as often: two lane orders
@@ -32,7 +34,10 @@ pub(crate) enum Reuse {
 /// the register holding each, oldest pack first. `R` names a register: the
 /// walk's sink chooses it, the scheduler needs none.
 pub(crate) struct LivePacks<R> {
-    packs: Vec<(Vec<u32>, R)>,
+    /// The live packs' keys, pack after pack.
+    keys: Vec<u32>,
+    /// Per live pack: where its keys are, and its register.
+    packs: Vec<(Range<usize>, R)>,
     capacity: usize,
 }
 
@@ -40,37 +45,61 @@ impl<R: Copy> LivePacks<R> {
     /// An empty set that holds as many packs as the machine has vector
     /// registers; the oldest is evicted first.
     pub(crate) fn new(vector_regs: usize) -> Self {
+        // Room for a register file of packs before either table grows.
+        let packs = vector_regs.min(16) + 1;
         LivePacks {
-            packs: Vec::new(),
+            keys: Vec::with_capacity(4 * packs),
+            packs: Vec::with_capacity(packs),
             capacity: vector_regs,
         }
     }
 
-    /// The lane orders that are live, oldest first.
-    pub(crate) fn orders(&self) -> impl Iterator<Item = &[u32]> {
-        self.packs.iter().map(|(keys, _)| keys.as_slice())
+    /// The live packs, oldest first: lane order and register.
+    fn packs(&self) -> impl DoubleEndedIterator<Item = (&[u32], R)> {
+        (self.packs.iter()).map(|(span, reg)| (&self.keys[span.clone()], *reg))
     }
 
     /// The register holding exactly `keys`, in this lane order.
     pub(crate) fn exact(&self, keys: &[u32]) -> Option<R> {
-        let found = self.packs.iter().find(|(k, _)| k == keys);
-        found.map(|&(_, reg)| reg)
+        let found = self.packs().find(|&(order, _)| order == keys);
+        found.map(|(_, reg)| reg)
+    }
+
+    /// The live packs holding `keys` in any lane order, oldest first.
+    pub(crate) fn permutations<'a>(
+        &'a self,
+        keys: &'a [u32],
+    ) -> impl DoubleEndedIterator<Item = (&'a [u32], R)> {
+        self.packs()
+            .filter(move |&(order, _)| is_permutation(order, keys))
     }
 
     /// The youngest live pack holding `keys` in any lane order.
-    pub(crate) fn permuted(&self, keys: &[u32]) -> Option<(&[u32], R)> {
-        let mut youngest_first = self.packs.iter().rev();
-        let found = youngest_first.find(|(k, _)| is_permutation(k, keys));
-        found.map(|(k, reg)| (k.as_slice(), *reg))
+    pub(crate) fn permuted<'a>(&'a self, keys: &'a [u32]) -> Option<(&'a [u32], R)> {
+        self.permutations(keys).next_back()
+    }
+
+    /// Makes the `i`-th oldest pack no longer live.
+    fn remove(&mut self, i: usize) {
+        let (span, _) = self.packs.remove(i);
+        for (younger, _) in &mut self.packs[i..] {
+            *younger = younger.start - span.len()..younger.end - span.len();
+        }
+        self.keys.drain(span);
     }
 
     /// Makes `keys` in `reg` the youngest live pack. Another lane order of
     /// the same content stays live beside it, in its own register.
-    pub(crate) fn register(&mut self, keys: Vec<u32>, reg: R) {
-        self.packs.retain(|(k, _)| *k != keys);
-        self.packs.push((keys, reg));
+    pub(crate) fn register(&mut self, keys: impl IntoIterator<Item = u32>, reg: R) {
+        let start = self.keys.len();
+        self.keys.extend(keys);
+        let known = (self.packs()).position(|(order, _)| order == &self.keys[start..]);
+        self.packs.push((start..self.keys.len(), reg));
+        if let Some(older) = known {
+            self.remove(older);
+        }
         if self.packs.len() > self.capacity {
-            self.packs.remove(0);
+            self.remove(0);
         }
     }
 
@@ -78,8 +107,12 @@ impl<R: Copy> LivePacks<R> {
     /// `written` may change — "those existing superwords that access the
     /// same data".
     pub(crate) fn invalidate(&mut self, ix: &BlockIndex<'_>, written: u32) {
-        self.packs
-            .retain(|(keys, _)| !keys.iter().any(|&k| ix.overlaps(written, k)));
+        for i in (0..self.packs.len()).rev() {
+            let order = &self.keys[self.packs[i].0.clone()];
+            if order.iter().any(|&k| ix.overlaps(written, k)) {
+                self.remove(i);
+            }
+        }
     }
 
     /// A register holding the non-constant source pack `keys`: the one it
@@ -88,17 +121,17 @@ impl<R: Copy> LivePacks<R> {
     /// one, from the lanes' homes if handed `None` — which is then live.
     pub(crate) fn source(
         &mut self,
-        keys: Vec<u32>,
+        keys: &[u32],
         permuted_reuse: bool,
-        materialize: impl FnOnce(&[u32], Option<(&[u32], R)>) -> R,
+        materialize: impl FnOnce(Option<(&[u32], R)>) -> R,
     ) -> (R, Reuse) {
-        if let Some(reg) = self.exact(&keys) {
+        if let Some(reg) = self.exact(keys) {
             return (reg, Reuse::Direct);
         }
-        let from = (permuted_reuse.then(|| self.permuted(&keys))).flatten();
+        let from = (permuted_reuse.then(|| self.permuted(keys))).flatten();
         let class = from.map_or(Reuse::Absent, |_| Reuse::Permuted);
-        let reg = materialize(&keys, from);
-        self.register(keys, reg);
+        let reg = materialize(from);
+        self.register(keys.iter().copied(), reg);
         (reg, class)
     }
 
@@ -110,12 +143,11 @@ impl<R: Copy> LivePacks<R> {
     /// once, at the store), so a later reuse of an integer register would
     /// observe un-truncated values.
     pub(crate) fn define(&mut self, ix: &BlockIndex<'_>, lanes: &[usize], reg: R) {
-        let dest_keys = ix.keys(lanes, PackPos::Dest);
-        for &key in &dest_keys {
+        for key in ix.keys(lanes, PackPos::Dest) {
             self.invalidate(ix, key);
         }
         if lanes.iter().all(|&p| ix.dest_type(p).is_float()) {
-            self.register(dest_keys, reg);
+            self.register(ix.keys(lanes, PackPos::Dest), reg);
         }
     }
 }
@@ -124,13 +156,18 @@ impl<R: Copy> LivePacks<R> {
 mod tests {
     use super::*;
 
+    /// The lane orders that are live, oldest first.
+    fn orders<R: Copy>(live: &LivePacks<R>) -> Vec<&[u32]> {
+        live.packs().map(|(order, _)| order).collect()
+    }
+
     #[test]
     fn capacity_evicts_the_oldest() {
         let mut live = LivePacks::new(2);
         for k in 0..3 {
             live.register(vec![k], ());
         }
-        assert_eq!(live.orders().collect::<Vec<_>>(), [[1], [2]]);
+        assert_eq!(orders(&live), [[1], [2]]);
     }
 
     #[test]
@@ -167,7 +204,8 @@ mod tests {
         live.register(ix.keys(&[0, 1], b), ());
         // A[i] may be A[2i] or A[2i+1]; it is no element of B.
         live.invalidate(&ix, ix.key(2, PackPos::Dest));
-        assert_eq!(live.orders().collect::<Vec<_>>(), [ix.keys(&[0, 1], b)]);
+        let kept: Vec<u32> = ix.keys(&[0, 1], b).collect();
+        assert_eq!(orders(&live), [kept]);
     }
 
     #[test]
@@ -180,7 +218,7 @@ mod tests {
             .unwrap();
             let block = &p.blocks()[0].block;
             let ix = BlockIndex::new(block, &p, |_| 2);
-            let dest = ix.keys(&[0, 1], PackPos::Dest);
+            let dest: Vec<u32> = ix.keys(&[0, 1], PackPos::Dest).collect();
             let mut live = LivePacks::new(16);
             // Live from an earlier load; the superword overwrites it.
             live.register(dest.clone(), 'a');

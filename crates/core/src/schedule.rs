@@ -9,6 +9,7 @@
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
+use std::ops::Range;
 
 use slp_analysis::{BlockIndex, PackPos, Unit};
 use slp_ir::{ArrayRef, BlockDeps};
@@ -68,73 +69,81 @@ fn split_on_deadlock(
 /// The dependence graph among units (paper Figure 11, lines 1-9) and the
 /// progress of one pass over it.
 struct UnitGraph {
-    /// Each unit's statements as block positions, in the unit's order.
-    lanes: Vec<Vec<usize>>,
-    /// Each unit's earliest block position.
-    first: Vec<usize>,
-    /// Each unit's distinct successor units.
-    succs: Vec<Vec<usize>>,
-    /// Each unit's count of unscheduled predecessor units.
+    /// The units' statements as block positions, unit after unit, each in
+    /// the unit's order.
+    lanes: Vec<usize>,
+    /// Where each unit's lanes start (and, last, their count).
+    start: Vec<usize>,
+    /// The dependences between distinct units, ascending, each once.
+    edges: Vec<(usize, usize)>,
+    /// Each unit's count of unscheduled predecessor units; `usize::MAX`
+    /// once the unit is scheduled itself.
     preds: Vec<usize>,
-    scheduled: Vec<bool>,
 }
 
 impl UnitGraph {
     fn new(ix: &BlockIndex<'_>, deps: &BlockDeps, units: &[Unit]) -> Self {
-        let n = units.len();
-        let lanes: Vec<Vec<usize>> = units
-            .iter()
-            .map(|u| u.stmts().iter().map(|&s| ix.position(s)).collect())
-            .collect();
-        let mut unit_of = vec![usize::MAX; ix.block().len()];
-        for (u, lanes) in lanes.iter().enumerate() {
-            for &p in lanes {
+        let (n, stmts) = (units.len(), ix.block().len());
+        let (mut lanes, mut start) = (Vec::with_capacity(stmts), Vec::with_capacity(n + 1));
+        let mut unit_of = vec![usize::MAX; stmts];
+        for (u, unit) in units.iter().enumerate() {
+            start.push(lanes.len());
+            for &s in unit.stmts() {
+                let p = ix.position(s);
                 unit_of[p] = u;
+                lanes.push(p);
             }
         }
+        start.push(lanes.len());
         assert!(!unit_of.contains(&usize::MAX), "units partition the block");
-        let mut succs = vec![Vec::new(); n];
+        let between = |&(p, q): &(usize, usize)| (unit_of[p], unit_of[q]);
+        let mut edges: Vec<_> = deps.direct_pairs().iter().map(between).collect();
+        edges.retain(|(a, b)| a != b);
+        edges.sort_unstable();
+        edges.dedup();
         let mut preds = vec![0usize; n];
-        for &(p, q) in deps.direct_pairs() {
-            let (a, b) = (unit_of[p], unit_of[q]);
-            if a != b && !succs[a].contains(&b) {
-                succs[a].push(b);
-                preds[b] += 1;
-            }
+        for &(_, b) in &edges {
+            preds[b] += 1;
         }
-        let first = lanes
-            .iter()
-            .map(|l| l.iter().copied().min().unwrap_or(0))
-            .collect();
         UnitGraph {
             lanes,
-            first,
-            succs,
+            start,
+            edges,
             preds,
-            scheduled: vec![false; n],
         }
     }
 
+    /// The statements of unit `u` as block positions, in the unit's order.
+    fn lanes(&self, u: usize) -> &[usize] {
+        &self.lanes[self.start[u]..self.start[u + 1]]
+    }
+
+    /// The earliest block position of unit `u`.
+    fn first(&self, u: usize) -> usize {
+        self.lanes(u).iter().copied().min().unwrap_or(0)
+    }
+
     fn is_group(&self, u: usize) -> bool {
-        self.lanes[u].len() > 1
+        self.lanes(u).len() > 1
     }
 
     /// The unscheduled units whose predecessors have all been scheduled.
     fn ready(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.lanes.len()).filter(|&u| !self.scheduled[u] && self.preds[u] == 0)
+        (0..self.preds.len()).filter(|&u| self.preds[u] == 0)
     }
 
     fn retire(&mut self, u: usize) {
-        self.scheduled[u] = true;
-        for &s in &self.succs[u] {
+        self.preds[u] = usize::MAX;
+        let succs = &self.edges[self.edges.partition_point(|&(a, _)| a < u)..];
+        for &(_, s) in succs.iter().take_while(|&&(a, _)| a == u) {
             self.preds[s] -= 1;
         }
     }
 
     /// On deadlock (nothing ready): the first unscheduled group, to split.
     fn stuck_group(&self) -> usize {
-        (0..self.lanes.len())
-            .find(|&u| !self.scheduled[u] && self.is_group(u))
+        (0..self.preds.len())
+            .find(|&u| self.preds[u] != usize::MAX && self.is_group(u))
             // Invariant: singletons alone form the acyclic statement
             // DAG, so any cycle involves a superword group to split.
             .expect("pure statement DAGs cannot deadlock")
@@ -158,10 +167,10 @@ fn try_program_order(
     let mut graph = UnitGraph::new(ix, deps, units);
     let mut items = Vec::with_capacity(units.len());
     for _ in 0..units.len() {
-        let Some(chosen) = graph.ready().min_by_key(|&u| graph.first[u]) else {
+        let Some(chosen) = graph.ready().min_by_key(|&u| graph.first(u)) else {
             return Err(graph.stuck_group());
         };
-        items.push(item(ix, &graph.lanes[chosen]));
+        items.push(item(ix, graph.lanes(chosen)));
         graph.retire(chosen);
     }
     Ok(BlockSchedule::new(items))
@@ -178,43 +187,47 @@ fn try_schedule(
     mut planned: impl FnMut(Reuse),
 ) -> Result<BlockSchedule, usize> {
     let mut graph = UnitGraph::new(ix, deps, units);
-    // Per group: the operand positions forming location packs, and each
-    // pack's keys in the unit's stored order (any order names the content).
-    let slots: Vec<Vec<PackPos>> = (graph.lanes.iter())
-        .map(|lanes| match lanes.len() {
-            1 => Vec::new(),
-            _ => ix.pack_positions(lanes).collect(),
-        })
-        .collect();
-    let contents: Vec<Vec<Vec<u32>>> = (slots.iter().zip(&graph.lanes))
-        .map(|(slots, lanes)| slots.iter().map(|&slot| ix.keys(lanes, slot)).collect())
-        .collect();
-
     let mut live = LivePacks::new(vector_regs);
     let mut items = Vec::with_capacity(units.len());
+    // Scratch, reused from step to step: a pack's keys, the candidate
+    // lane orders one after the other, a pack's array elements.
+    let (mut keys, mut orders, mut refs) = (Vec::new(), Vec::new(), Vec::new());
 
     for _ in 0..units.len() {
         // Prefer the ready superword statement with the most superword
         // reuses against the live set (Figure 11, lines 15-18); emit
-        // singles only when no group is ready.
-        let reuses = |u: usize| contents[u].iter().filter(|c| live.permuted(c).is_some());
+        // singles only when no group is ready. Any lane order names a
+        // pack's content: the unit's stored one does.
+        let mut reuses = |u: usize| {
+            let lanes = graph.lanes(u);
+            let live_in_some_order = |&slot: &PackPos| {
+                keys.clear();
+                keys.extend(ix.keys(lanes, slot));
+                live.permuted(&keys).is_some()
+            };
+            ix.pack_positions(lanes).filter(live_in_some_order).count()
+        };
         let chosen = (graph.ready().filter(|&u| graph.is_group(u)))
-            .max_by_key(|&u| (reuses(u).count(), Reverse(graph.first[u])))
-            .or_else(|| graph.ready().min_by_key(|&u| graph.first[u]));
+            .max_by_key(|&u| (reuses(u), Reverse(graph.first(u))))
+            .or_else(|| graph.ready().min_by_key(|&u| graph.first(u)));
         let Some(chosen) = chosen else {
             return Err(graph.stuck_group());
         };
 
-        let lanes = &graph.lanes[chosen];
+        let lanes = graph.lanes(chosen);
         if graph.is_group(chosen) {
-            let order = choose_lane_order(ix, lanes, &slots[chosen], &live);
-            for &slot in &slots[chosen] {
-                if slot != PackPos::Dest {
-                    planned(live.source(ix.keys(&order, slot), true, |_, _| ()).1);
-                }
+            let order = choose_lane_order(ix, lanes, &live, &mut keys, &mut orders, &mut refs);
+            let order = &orders[order];
+            for slot in ix
+                .pack_positions(lanes)
+                .filter(|&slot| slot != PackPos::Dest)
+            {
+                keys.clear();
+                keys.extend(ix.keys(order, slot));
+                planned(live.source(&keys, true, |_| ()).1);
             }
-            live.define(ix, &order, ());
-            items.push(item(ix, &order));
+            live.define(ix, order, ());
+            items.push(item(ix, order));
         } else {
             live.invalidate(ix, ix.key(lanes[0], PackPos::Dest));
             items.push(item(ix, lanes));
@@ -224,82 +237,85 @@ fn try_schedule(
     Ok(BlockSchedule::new(items))
 }
 
-/// Chooses the lane order of a superword statement (Figure 11, lines
-/// 19-27): among the orders that realize at least one *direct* reuse from
-/// the live set, pick the one needing the fewest permutations; fall back
-/// to program order.
-fn choose_lane_order(
-    ix: &BlockIndex<'_>,
+/// Chooses the lane order of the superword statement over `lanes` (Figure
+/// 11, lines 19-27): among program order and the orders that realize a
+/// *direct* reuse from the live set, the one needing the fewest
+/// permutations. The candidates are left in `orders`, one after the
+/// other, and the chosen one's place there is returned.
+///
+/// Only a live pack that is a permutation of one of the statement's packs
+/// can be aligned with, lane by lane: each of its keys takes the first
+/// lane of `lanes` that holds the key and is not yet taken.
+fn choose_lane_order<'b>(
+    ix: &BlockIndex<'b>,
     lanes: &[usize],
-    slots: &[PackPos],
     live: &LivePacks<()>,
-) -> Vec<usize> {
-    let mut program_order = lanes.to_vec();
-    program_order.sort_unstable();
-
-    let mut candidates: Vec<Vec<usize>> = vec![program_order];
-    for &slot in slots {
-        for target in live.orders().filter(|keys| keys.len() == lanes.len()) {
-            if let Some(order) = align_order(ix, lanes, slot, target) {
-                if !candidates.contains(&order) {
-                    candidates.push(order);
-                }
+    keys: &mut Vec<u32>,
+    orders: &mut Vec<usize>,
+    refs: &mut Vec<&'b ArrayRef>,
+) -> Range<usize> {
+    let width = lanes.len();
+    orders.clear();
+    orders.extend_from_slice(lanes);
+    orders.sort_unstable();
+    for slot in ix.pack_positions(lanes) {
+        keys.clear();
+        keys.extend(ix.keys(lanes, slot));
+        for (target, ()) in live.permutations(keys) {
+            let known = orders.len();
+            for want in target {
+                let taken = &orders[known..];
+                let lane = (lanes.iter().zip(&*keys))
+                    .find(|&(lane, key)| key == want && !taken.contains(lane))
+                    .expect("a permutation has a lane for every key");
+                orders.push(*lane.0);
+            }
+            let (before, aligned) = orders.split_at(known);
+            if before.chunks_exact(width).any(|order| order == aligned) {
+                orders.truncate(known);
             }
         }
     }
 
-    candidates
-        .into_iter()
-        .enumerate()
-        .map(|(rank, order)| {
-            let (mut permutes, mut directs, mut gathers) = (0usize, 0usize, 0usize);
-            for &slot in slots {
-                let keys = ix.keys(&order, slot);
-                if live.exact(&keys).is_some() {
-                    directs += 1;
-                } else if live.permuted(&keys).is_some() {
-                    permutes += 1;
-                } else if is_noncontiguous_array_pack(ix, &keys) {
-                    // A memory-resident array pack that this lane order
-                    // turns into a gather/scatter instead of one vector
-                    // memory operation.
-                    gathers += 1;
-                }
+    // Program order alone: nothing live to align to, nothing to score.
+    if orders.len() == width {
+        return 0..width;
+    }
+    let mut best = (usize::MAX, usize::MAX, 0);
+    for (rank, order) in orders.chunks_exact(width).enumerate() {
+        let (mut permutes, mut directs, mut gathers) = (0usize, 0usize, 0usize);
+        for slot in ix.pack_positions(lanes) {
+            keys.clear();
+            keys.extend(ix.keys(order, slot));
+            if live.exact(keys).is_some() {
+                directs += 1;
+            } else if live.permuted(keys).is_some() {
+                permutes += 1;
+            } else if is_noncontiguous_array_pack(ix, keys, refs) {
+                // A memory-resident array pack that this lane order
+                // turns into a gather/scatter instead of one vector
+                // memory operation.
+                gathers += 1;
             }
-            // A gather costs several shuffles' worth of work, so it
-            // dominates the permutation count; ties keep earlier
-            // candidates (program order first) for determinism.
-            (4 * gathers + permutes, usize::MAX - directs, rank, order)
-        })
-        .min()
-        .map(|(_, _, _, order)| order)
-        .expect("at least the program order candidate exists")
+        }
+        // A gather costs several shuffles' worth of work, so it
+        // dominates the permutation count; ties keep earlier
+        // candidates (program order first) for determinism.
+        best = best.min((4 * gathers + permutes, usize::MAX - directs, rank));
+    }
+    best.2 * width..(best.2 + 1) * width
 }
 
 /// Whether `keys` is an all-array pack that is *not* contiguous ascending
 /// in this order (so materializing it from memory needs a gather).
-fn is_noncontiguous_array_pack(ix: &BlockIndex<'_>, keys: &[u32]) -> bool {
-    let refs: Option<Vec<&ArrayRef>> = keys.iter().map(|&k| ix.loc(k).as_array()).collect();
-    refs.is_some_and(|refs| !slp_ir::pack_is_contiguous(&refs))
-}
-
-/// Finds the lane order that aligns position `slot` of the statements at
-/// `lanes` exactly with the live pack `target`, if one exists.
-fn align_order(
-    ix: &BlockIndex<'_>,
-    lanes: &[usize],
-    slot: PackPos,
-    target: &[u32],
-) -> Option<Vec<usize>> {
-    let mut used = vec![false; lanes.len()];
-    let mut order = Vec::with_capacity(lanes.len());
-    let stmt_keys = ix.keys(lanes, slot);
-    for want in target {
-        let m = (0..lanes.len()).find(|&m| !used[m] && &stmt_keys[m] == want)?;
-        used[m] = true;
-        order.push(lanes[m]);
-    }
-    Some(order)
+fn is_noncontiguous_array_pack<'b>(
+    ix: &BlockIndex<'b>,
+    keys: &[u32],
+    refs: &mut Vec<&'b ArrayRef>,
+) -> bool {
+    refs.clear();
+    refs.extend(keys.iter().map_while(|&k| ix.loc(k).as_array()));
+    refs.len() == keys.len() && !slp_ir::pack_is_contiguous(refs)
 }
 
 #[cfg(test)]
@@ -388,6 +404,53 @@ mod tests {
             .rfind(|i| matches!(i, ScheduledItem::Superword(_)))
             .unwrap();
         assert_eq!(lanes(last), vec![5, 4], "expected <S6,S5> lane order");
+    }
+
+    /// `c0 = V * k; c1 = W * k; c2 = V * k`: operand 0 holds `V` in two
+    /// lanes. The lane order chosen for the statements at `lanes` with
+    /// operand 0's keys live in the order of positions `target`.
+    fn order_aligned_to(lanes: &[usize], target: Option<[usize; 3]>) -> Vec<usize> {
+        let mut p = Program::new("dup");
+        let names = ["V", "W", "k", "c0", "c1", "c2"];
+        let v: Vec<_> = (names.iter())
+            .map(|n| p.add_scalar(*n, ScalarType::F32))
+            .collect();
+        let mul = |x: usize| Expr::Binary(BinOp::Mul, v[x].into(), v[2].into());
+        let stmts =
+            [(3, 0), (4, 1), (5, 0)].map(|(dest, src)| p.make_stmt(v[dest].into(), mul(src)));
+        let bb: BasicBlock = stmts.into_iter().collect();
+        let ix = BlockIndex::new(&bb, &p, |_| 4);
+        let mut live = LivePacks::new(16);
+        if let Some(target) = target {
+            live.register(ix.keys(&target, PackPos::Operand(0)), ());
+        }
+        let (mut keys, mut orders, mut refs) = (Vec::new(), Vec::new(), Vec::new());
+        let order = choose_lane_order(&ix, lanes, &live, &mut keys, &mut orders, &mut refs);
+        orders[order].to_vec()
+    }
+
+    #[test]
+    fn a_key_held_by_two_lanes_takes_the_first_lane_not_yet_taken() {
+        // Live <V,V,W>: the first V takes lane 0, the second lane 2.
+        assert_eq!(order_aligned_to(&[0, 1, 2], Some([0, 2, 1])), [0, 2, 1]);
+        assert_eq!(order_aligned_to(&[0, 1, 2], Some([2, 0, 1])), [0, 2, 1]);
+        // Live <W,V,V>.
+        assert_eq!(order_aligned_to(&[0, 1, 2], Some([1, 0, 2])), [1, 0, 2]);
+        assert_eq!(order_aligned_to(&[0, 1, 2], Some([1, 2, 0])), [1, 0, 2]);
+        // "First" is first in the unit's stored order, not in the block:
+        // stored <S2,S1,S0>, the first V of live <V,V,W> takes S2.
+        assert_eq!(order_aligned_to(&[2, 1, 0], Some([0, 2, 1])), [2, 0, 1]);
+        assert_eq!(order_aligned_to(&[2, 1, 0], Some([1, 0, 2])), [1, 2, 0]);
+    }
+
+    #[test]
+    fn one_candidate_is_program_order() {
+        // Nothing live, and a live pack that aligns to program order
+        // itself: <V,W,V>, in either order of its two `V`s.
+        assert_eq!(order_aligned_to(&[0, 1, 2], None), [0, 1, 2]);
+        assert_eq!(order_aligned_to(&[2, 0, 1], None), [0, 1, 2]);
+        assert_eq!(order_aligned_to(&[0, 1, 2], Some([0, 1, 2])), [0, 1, 2]);
+        assert_eq!(order_aligned_to(&[0, 1, 2], Some([2, 1, 0])), [0, 1, 2]);
     }
 
     #[test]
@@ -495,14 +558,14 @@ mod tests {
         fn array_load(&mut self, _: &[&ArrayRef], _: AccessClass) -> usize {
             self.def(Some(Reuse::Absent))
         }
-        fn scalar_pack(&mut self, _: Vec<slp_ir::VarId>, _: &[bool], _: ScalarPackClass) -> usize {
+        fn scalar_pack(&mut self, _: &[slp_ir::VarId], _: &[bool], _: ScalarPackClass) -> usize {
             self.def(Some(Reuse::Absent))
         }
         fn permute(&mut self, _: usize, _: &[u32], _: &[u32]) -> usize {
             self.def(Some(Reuse::Permuted))
         }
-        fn op(&mut self, _: slp_ir::ExprShape, srcs: Vec<usize>) -> usize {
-            for src in srcs {
+        fn op(&mut self, _: slp_ir::ExprShape, srcs: &[usize]) -> usize {
+            for &src in srcs {
                 // A register nothing defined for this op was live: a
                 // direct reuse — also of an earlier operand of the op.
                 match self.fresh.iter().position(|&(reg, _)| reg == src) {
@@ -518,7 +581,7 @@ mod tests {
         fn scalar_unpack(
             &mut self,
             _: usize,
-            _: Vec<slp_ir::VarId>,
+            _: &[slp_ir::VarId],
             _: &[LaneSink],
             _: ScalarPackClass,
         ) {

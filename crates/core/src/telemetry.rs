@@ -157,18 +157,6 @@ impl PhaseTimings {
     }
 }
 
-impl fmt::Display for PhaseTimings {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, (p, ns)) in self.iter().enumerate() {
-            if i > 0 {
-                f.write_str(" ")?;
-            }
-            write!(f, "{p}={:.3}ms", ns as f64 / 1e6)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

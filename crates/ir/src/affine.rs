@@ -314,16 +314,13 @@ impl AccessVector {
     }
 
     /// For same-linear-part accesses, the per-dimension constant
-    /// differences `other - self`.
-    pub fn constant_difference(&self, other: &AccessVector) -> Option<Vec<i64>> {
-        if self.rank() != other.rank() {
-            return None;
-        }
-        self.dims
-            .iter()
-            .zip(&other.dims)
-            .map(|(a, b)| a.constant_difference(b))
-            .collect()
+    /// differences `other - self`, outermost dimension first.
+    pub fn constant_difference<'a>(
+        &'a self,
+        other: &'a AccessVector,
+    ) -> Option<impl Iterator<Item = i64> + 'a> {
+        let dims = self.dims.iter().zip(&other.dims);
+        (self.same_linear_part(other)).then(|| dims.map(|(a, b)| b.constant - a.constant))
     }
 }
 

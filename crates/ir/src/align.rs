@@ -8,7 +8,6 @@
 
 use crate::affine::AffineExpr;
 use crate::expr::ArrayRef;
-use crate::numeric::gcd;
 use crate::program::{LoopHeader, Program};
 
 /// Whether the byte offset `elem_size * expr` is guaranteed to be a
@@ -34,30 +33,6 @@ pub fn is_aligned(expr: &AffineExpr, elem_size: u32, align_bytes: u32) -> bool {
         return true;
     }
     expr.terms().all(|(_, c)| (c * e) % m == 0) && (expr.constant() * e) % m == 0
-}
-
-/// The largest power-of-two byte alignment (up to `max_align`) that
-/// `elem_size * expr` is guaranteed to have.
-pub fn guaranteed_alignment(expr: &AffineExpr, elem_size: u32, max_align: u32) -> u32 {
-    let e = i64::from(elem_size);
-    let mut g = i64::from(max_align);
-    for (_, c) in expr.terms() {
-        g = gcd(g, c * e);
-    }
-    g = gcd(
-        g,
-        if expr.constant() == 0 {
-            g
-        } else {
-            expr.constant() * e
-        },
-    );
-    // Largest power of two dividing g, capped at max_align.
-    let mut a = 1i64;
-    while a * 2 <= g && g % (a * 2) == 0 && a * 2 <= i64::from(max_align) {
-        a *= 2;
-    }
-    a as u32
 }
 
 /// Whether the references form a *contiguous ascending pack*: same array,
@@ -161,25 +136,6 @@ mod tests {
             ArrayId::new(0),
             AccessVector::new(vec![AffineExpr::var(i()).scaled(coeff).offset(cst)]),
         )
-    }
-
-    #[test]
-    fn guaranteed_alignment_values() {
-        // 4i with f32 (4 bytes): offsets are multiples of 16.
-        assert_eq!(
-            guaranteed_alignment(&AffineExpr::var(i()).scaled(4), 4, 64),
-            16
-        );
-        // 4i + 2 with f32: multiples of 8 only.
-        assert_eq!(
-            guaranteed_alignment(&AffineExpr::var(i()).scaled(4).offset(2), 4, 64),
-            8
-        );
-        // Constant 0 is aligned to anything.
-        assert_eq!(
-            guaranteed_alignment(&AffineExpr::constant_expr(0), 8, 32),
-            32
-        );
     }
 
     #[test]

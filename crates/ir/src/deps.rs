@@ -7,11 +7,9 @@
 //! anti/WAR and output/WAW) and their transitive closure for one basic
 //! block.
 //!
-//! Aliasing is resolved with the affine rules of
-//! [`ArrayRef::may_alias`](crate::ArrayRef::may_alias): same-linear-part
-//! accesses with different constants never overlap within one execution of
-//! the block, anything less structured is conservatively assumed to
-//! overlap.
+//! Aliasing is resolved with affine rules: same-linear-part accesses with
+//! different constants never overlap within one execution of the block,
+//! anything less structured is conservatively assumed to overlap.
 
 use std::fmt;
 

@@ -32,23 +32,6 @@ impl ArrayRef {
     pub fn must_alias(&self, other: &ArrayRef) -> bool {
         self.array == other.array && self.access == other.access
     }
-
-    /// Whether the two references might touch the same element in some
-    /// iteration.
-    ///
-    /// Distinct arrays never alias (the IR has no pointers). Within the
-    /// same array, accesses whose index expressions share the linear part
-    /// alias iff their constant parts are equal; anything else is
-    /// conservatively assumed to alias.
-    pub fn may_alias(&self, other: &ArrayRef) -> bool {
-        if self.array != other.array {
-            return false;
-        }
-        match self.access.constant_difference(&other.access) {
-            Some(diff) => diff.iter().all(|&d| d == 0),
-            None => true,
-        }
-    }
 }
 
 impl fmt::Display for ArrayRef {
@@ -505,9 +488,7 @@ mod tests {
         let c = aref(0, 2, 0);
         let d = aref(1, 4, 0);
         assert!(a.must_alias(&a));
-        assert!(!a.may_alias(&b)); // same linear part, different constant
-        assert!(a.may_alias(&c)); // different linear part: conservative
-        assert!(!a.may_alias(&d)); // different arrays never alias
+        assert!(!a.must_alias(&b) && !a.must_alias(&c) && !a.must_alias(&d));
     }
 
     #[test]

@@ -55,8 +55,7 @@ mod validate;
 
 pub use affine::{AccessVector, AffineExpr};
 pub use align::{
-    guaranteed_alignment, is_aligned, is_aligned_in, pack_is_aligned, pack_is_aligned_in,
-    pack_is_contiguous,
+    is_aligned, is_aligned_in, pack_is_aligned, pack_is_aligned_in, pack_is_contiguous,
 };
 pub use block::{BasicBlock, StmtPositions};
 pub use deps::{

@@ -147,13 +147,6 @@ pub struct BlockInfo {
     pub loops: Vec<LoopHeader>,
 }
 
-impl BlockInfo {
-    /// The innermost enclosing loop, if any.
-    pub fn innermost_loop(&self) -> Option<&LoopHeader> {
-        self.loops.last()
-    }
-}
-
 /// A whole kernel program: symbol tables plus a tree of loops and
 /// statements.
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -335,7 +335,7 @@ mod tests {
         let blocks = p.blocks();
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].block.len(), 8);
-        let h = blocks[0].innermost_loop().unwrap();
+        let h = blocks[0].loops.last().unwrap();
         assert_eq!(h.step, 4);
         assert_eq!(h.upper, 8);
     }
@@ -383,8 +383,8 @@ mod tests {
         assert_eq!(blocks.len(), 2, "main + remainder blocks");
         assert_eq!(blocks[0].block.len(), 8);
         assert_eq!(blocks[1].block.len(), 2);
-        let main = blocks[0].innermost_loop().unwrap();
-        let rem = blocks[1].innermost_loop().unwrap();
+        let main = blocks[0].loops.last().unwrap();
+        let rem = blocks[1].loops.last().unwrap();
         assert_eq!((main.lower, main.upper, main.step), (0, 8, 4));
         assert_eq!((rem.lower, rem.upper, rem.step), (8, 10, 1));
     }

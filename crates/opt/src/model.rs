@@ -31,6 +31,7 @@
 
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use slp_analysis::{legal_merges, Unit};
 use slp_core::{
@@ -218,28 +219,31 @@ impl<'a> Model<'a> {
             return None;
         }
         let (ix, floors) = (self.req.ix, &self.floors);
-        let vars = legal_merges(ix, self.req.deps, &part.units);
         // Branching order: the highest-score variable first, where the
         // score is the estimated objective improvement of selecting it
         // (scalar floors minus packed floors over its statements — a
         // heuristic, not part of the bound); ties go to the
-        // lexicographically smallest sorted statement-id list, so the
-        // search is deterministic.
-        let mut keyed: Vec<(f64, Vec<usize>, (usize, usize))> = vars
-            .into_iter()
-            .filter(|var| part.excluded.binary_search(&part.pair_key(var)).is_err())
-            .map(|(a, b)| {
-                let stmts = || part.units[a].stmts().iter().chain(part.units[b].stmts());
-                let gain = |s: &StmtId| {
-                    let p = ix.position(*s);
-                    floors.scalar[p] - floors.packed[p]
-                };
-                let mut tie: Vec<usize> = stmts().map(|s| s.index()).collect();
-                tie.sort_unstable();
-                (stmts().map(gain).sum(), tie, (a, b))
-            })
-            .collect();
-        keyed.sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then_with(|| x.1.cmp(&y.1)));
+        // lexicographically smallest sorted statement-id list (kept one
+        // after the other in `ids`), so the search is deterministic.
+        let mut ids: Vec<usize> = Vec::new();
+        let mut keyed: Vec<(f64, Range<usize>, (usize, usize))> = Vec::new();
+        for var in legal_merges(ix, self.req.deps, &part.units) {
+            if part.excluded.binary_search(&part.pair_key(&var)).is_ok() {
+                continue;
+            }
+            let (a, b) = var;
+            let stmts = || part.units[a].stmts().iter().chain(part.units[b].stmts());
+            let gain = |s: &StmtId| {
+                let p = ix.position(*s);
+                floors.scalar[p] - floors.packed[p]
+            };
+            let first = ids.len();
+            ids.extend(stmts().map(|s| s.index()));
+            ids[first..].sort_unstable();
+            keyed.push((stmts().map(gain).sum(), first..ids.len(), var));
+        }
+        let tie = |x: &Range<usize>| &ids[x.clone()];
+        keyed.sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then_with(|| tie(&x.1).cmp(tie(&y.1))));
         part.vars = keyed.into_iter().map(|(_, _, var)| var).collect();
         Some(part)
     }

@@ -19,10 +19,13 @@
 //! estimator the holistic optimizer arbitrates with, the first time a
 //! state over it is expanded: the incumbent improves as soon as a better
 //! packing is *seen*, which makes the search anytime. (Further down the
-//! exclude chain the same units would evaluate to the same cost, which
-//! already met the incumbent.) States are expanded best-first by [`Model::bound`] (FIFO among
-//! ties), deduplicated on their canonical `(units, exclusions)`
-//! signature, and pruned when their bound cannot beat the incumbent.
+//! exclude chain the same units would evaluate to the same cost.) An
+//! evaluation is whole, never a delta on the parent's: a child keeps a
+//! third of its parent's schedule as a prefix, and what a superword pays
+//! to unpack depends on the items after it. States are expanded
+//! best-first by [`Model::bound`] (FIFO among ties), deduplicated on
+//! their canonical `(units, exclusions)` signature, and pruned when
+//! their bound cannot beat the incumbent.
 //!
 //! On completion the incumbent is *optimal over statement packings
 //! modulo the deterministic scheduler's lane ordering and
@@ -224,7 +227,7 @@ pub fn solve_block(req: &PackRequest<'_>) -> PackOutcome {
 
 /// Schedules a partition (framework scheduler and program order, keeping
 /// the cheaper — ties favor the framework scheduler) and costs it with
-/// the arbitration estimator.
+/// the arbitration estimator: one walk when the two schedules coincide.
 fn evaluate(
     units: &[Unit],
     ix: &BlockIndex<'_>,
@@ -234,6 +237,9 @@ fn evaluate(
     let a = schedule_block(ix, req.deps, units, req.config.machine.vector_regs);
     let ca = estimate_schedule_cost(ix, &a, cx);
     let b = schedule_in_program_order(ix, req.deps, units);
+    if b == a {
+        return (a, ca);
+    }
     let cb = estimate_schedule_cost(ix, &b, cx);
     if cb < ca - EPS {
         (b, cb)
@@ -288,6 +294,66 @@ mod tests {
             excluded.remove(&key(&(a, b)));
         }
         best
+    }
+
+    /// The unrolled `namd` kernel on Intel, and the one partition of its
+    /// 24-statement block this test names: twelve pairs, in unit order.
+    const NAMD_PAIRS: [[u32; 2]; 12] = [
+        [14, 15],
+        [16, 26],
+        [17, 27],
+        [18, 30],
+        [19, 31],
+        [20, 21],
+        [22, 23],
+        [24, 35],
+        [25, 34],
+        [28, 29],
+        [32, 33],
+        [36, 37],
+    ];
+
+    #[test]
+    fn evaluate_keeps_the_framework_schedule_unless_program_order_is_cheaper() {
+        let config = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Optimal);
+        let program = compile(&slp_suite::kernel("namd", 1), &config).program;
+        let mut blocks = 0;
+        each_block(&program, &config, |req| {
+            let (ix, cx) = (req.ix, cost_context(req));
+            let schedules = |units: &[Unit]| {
+                let framework = schedule_block(ix, req.deps, units, cx.vector_regs);
+                (framework, schedule_in_program_order(ix, req.deps, units))
+            };
+            // All singletons: both schedulers emit program order, and the
+            // pair returned is the framework's.
+            let singletons: Vec<Unit> = (ix.block().iter())
+                .map(|s| Unit::singleton(s.id()))
+                .collect();
+            let (framework, order) = schedules(&singletons);
+            assert_eq!(framework, order);
+            let cost = estimate_schedule_cost(ix, &framework, &cx);
+            assert_eq!(evaluate(&singletons, ix, req, &cx), (framework, cost));
+
+            // The search visits `NAMD_PAIRS` at node cap 500 (one of five
+            // partitions of the suite, all of this block, that do this):
+            // the live-set scheduler's order costs 1.6 cycles more than
+            // plain program order, which is what ships.
+            if ix.block().len() != 24 {
+                return;
+            }
+            let unit = |&[a, b]: &[u32; 2]| {
+                let single = |s| Unit::singleton(slp_ir::StmtId::new(s));
+                Unit::merged(&single(a), &single(b))
+            };
+            let pairs: Vec<Unit> = NAMD_PAIRS.iter().map(unit).collect();
+            let (framework, order) = schedules(&pairs);
+            assert_ne!(framework, order);
+            let cost = estimate_schedule_cost(ix, &order, &cx);
+            assert!(cost < estimate_schedule_cost(ix, &framework, &cx) - 1.0);
+            assert_eq!(evaluate(&pairs, ix, req, &cx), (order, cost));
+            blocks += 1;
+        });
+        assert_eq!(blocks, 1, "the block of NAMD_PAIRS");
     }
 
     #[test]

@@ -1,0 +1,95 @@
+//! An allocation ratchet over the `solve_prove`-shaped compiles.
+//!
+//! The branch-and-bound schedules and prices every partition it visits,
+//! so what one evaluation allocates is multiplied by the node count. This
+//! counts heap allocations (calls to `alloc` and `realloc`) over the forty
+//! compiles the benchmark's `solve_prove` workload makes — twenty kernels
+//! at scale 1 on two machines, `Strategy::Optimal` under a 500-node cap
+//! and no clock, so the search and the count repeat exactly — and holds
+//! the total to a ceiling. A change that allocates more per node fails
+//! here; one that allocates less lowers the constant.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use slp_core::{compile, MachineConfig, SlpConfig, Strategy};
+use slp_opt::OptimalPacker;
+
+/// The system allocator, counting the blocks it hands out.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// memory the allocator manages.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations per job the forty compiles may make: the measured 16 782
+/// rounded up to the next thousand (111 464 before the scheduler and the
+/// walk stopped re-deriving what the block index knows).
+const CEILING_PER_JOB: u64 = 17_000;
+
+/// Allocations made by the forty compiles.
+fn count(programs: &[slp_ir::Program], configs: &[SlpConfig]) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for program in programs {
+        for config in configs {
+            let kernel = compile(program, config);
+            assert!(kernel.stats.opt_nodes > 0, "{}: solved", program.name());
+        }
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+// The only test of this file: the counter is process-wide, and nothing
+// else may allocate while it is read.
+#[test]
+fn solve_prove_shaped_compiles_stay_under_the_allocation_ceiling() {
+    let mut programs: Vec<slp_ir::Program> =
+        (slp_suite::all(1).into_iter().map(|(_, p)| p)).collect();
+    for name in slp_suite::branchy_catalog() {
+        programs.push(slp_suite::branchy_kernel(name, 1));
+    }
+    let configs = [
+        MachineConfig::intel_dunnington(),
+        MachineConfig::amd_phenom_ii(),
+    ]
+    .map(|machine| {
+        SlpConfig::for_machine(machine, Strategy::Optimal)
+            .with_packer(OptimalPacker)
+            .with_opt_budget(0, 500)
+    });
+    let jobs = (programs.len() * configs.len()) as u64;
+    assert_eq!(jobs, 40);
+
+    let total = count(&programs, &configs);
+    assert_eq!(total, count(&programs, &configs), "the count repeats");
+    println!("{total} allocations, {} per job", total / jobs);
+    assert!(
+        total <= CEILING_PER_JOB * jobs,
+        "{total} allocations over {jobs} jobs: {} per job, ceiling {CEILING_PER_JOB}",
+        total / jobs
+    );
+}

@@ -223,8 +223,8 @@ impl EmitSink for VInstSink {
         self.define(|dst| VInst::Load { dst, refs, class })
     }
 
-    fn scalar_pack(&mut self, vars: Vec<VarId>, lane_mem: &[bool], class: ScalarPackClass) -> VReg {
-        let lane_mem = lane_mem.to_vec();
+    fn scalar_pack(&mut self, vars: &[VarId], lane_mem: &[bool], class: ScalarPackClass) -> VReg {
+        let (vars, lane_mem) = (vars.to_vec(), lane_mem.to_vec());
         self.define(|dst| VInst::PackScalars {
             dst,
             vars,
@@ -238,7 +238,8 @@ impl EmitSink for VInstSink {
         self.define(|dst| VInst::Permute { dst, src, perm })
     }
 
-    fn op(&mut self, shape: ExprShape, srcs: Vec<VReg>) -> VReg {
+    fn op(&mut self, shape: ExprShape, srcs: &[VReg]) -> VReg {
+        let srcs = srcs.to_vec();
         self.define(|dst| VInst::Op { dst, shape, srcs })
     }
 
@@ -250,13 +251,13 @@ impl EmitSink for VInstSink {
     fn scalar_unpack(
         &mut self,
         src: VReg,
-        vars: Vec<VarId>,
+        vars: &[VarId],
         sinks: &[LaneSink],
         class: ScalarPackClass,
     ) {
         self.insts.push(VInst::UnpackScalars {
             src,
-            vars,
+            vars: vars.to_vec(),
             sinks: sinks.to_vec(),
             class,
         });
