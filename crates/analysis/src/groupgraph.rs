@@ -64,16 +64,6 @@ impl StatementGroupingGraph {
         }
     }
 
-    /// The graph's nodes (units).
-    pub fn units(&self) -> &[Unit] {
-        &self.units
-    }
-
-    /// The weighted edges.
-    pub fn edges(&self) -> &[GroupingEdge] {
-        &self.edges
-    }
-
     /// The edges in the order the decision loop would first consider
     /// them: non-increasing weight, ties toward earlier statements.
     pub fn edges_by_weight(&self) -> Vec<&GroupingEdge> {
@@ -118,8 +108,8 @@ mod tests {
         let sg = graph(&WeightParams::reuse_only());
         // Three edges: {S1,S2}, {S1,S3}, {S4,S5} (units 0..4 map to the
         // paper's S1..S5).
-        assert_eq!(sg.edges().len(), 3);
-        let edge = |a: usize, b: usize| sg.edges().iter().find(|e| (e.a, e.b) == (a, b));
+        assert_eq!(sg.edges.len(), 3);
+        let edge = |a: usize, b: usize| sg.edges.iter().find(|e| (e.a, e.b) == (a, b));
         let w = |a: usize, b: usize| edge(a, b).expect("edge").weight;
         assert!((w(0, 1) - 1.0).abs() < 1e-9);
         assert!((w(0, 2) - 0.5).abs() < 1e-9);

@@ -74,16 +74,6 @@ impl PackContent {
     pub(crate) fn is_all_array(&self) -> bool {
         self.keys.iter().all(|k| matches!(k, OperandKey::Array(..)))
     }
-
-    /// Whether every lane of the pack is a scalar variable.
-    pub(crate) fn is_all_scalar(&self) -> bool {
-        self.keys.iter().all(|k| matches!(k, OperandKey::Scalar(_)))
-    }
-
-    /// Whether every lane of the pack is a constant.
-    pub(crate) fn is_all_const(&self) -> bool {
-        self.keys.iter().all(|k| matches!(k, OperandKey::Const(_)))
-    }
 }
 
 impl fmt::Display for PackContent {
@@ -128,16 +118,6 @@ mod tests {
         let single = PackContent::new([&a]);
         assert_eq!(double.width(), 2);
         assert_ne!(double, single);
-    }
-
-    #[test]
-    fn kind_predicates() {
-        let s: Operand = VarId::new(0).into();
-        let c: Operand = 1.0.into();
-        assert!(PackContent::new([&s, &s]).is_all_scalar());
-        assert!(PackContent::new([&arr(0), &arr(1)]).is_all_array());
-        assert!(PackContent::new([&c]).is_all_const());
-        assert!(!PackContent::new([&s, &c]).is_all_scalar());
     }
 
     #[test]

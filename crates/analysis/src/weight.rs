@@ -496,7 +496,8 @@ mod tests {
         units: &[Unit],
         pairs: &[(usize, usize)],
     ) -> Vec<SpecCandidate<'a>> {
-        let at = |s: &StmtId| bb.position(*s).expect("stmt in block");
+        let pos = bb.positions();
+        let at = |s: &StmtId| pos.of(*s);
         (pairs.iter())
             .map(|&(a, b)| {
                 let stmts = [units[a].stmts(), units[b].stmts()].concat();

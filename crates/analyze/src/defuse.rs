@@ -101,12 +101,6 @@ impl DefUse {
         &self.scalar_defs[v.index()]
     }
 
-    /// Statements reading scalar `v`, in program order (a statement
-    /// reading `v` twice appears twice).
-    pub fn scalar_uses(&self, v: VarId) -> &[StmtId] {
-        &self.scalar_uses[v.index()]
-    }
-
     /// Accesses (reads and writes) of array `a`, in program order.
     pub fn array_accesses(&self, a: ArrayId) -> &[ArrayAccess] {
         &self.array_accesses[a.index()]
@@ -170,8 +164,8 @@ mod tests {
         assert_eq!(du.order_of(id1), Some(1));
         assert_eq!(du.order_of(s3), Some(3));
         assert_eq!(du.scalar_defs(t), &[id1]);
-        assert_eq!(du.scalar_uses(t), &[id2]);
-        assert_eq!(du.scalar_uses(x), &[id2, s3]);
+        assert_eq!(du.scalar_uses[t.index()], [id2]);
+        assert_eq!(du.scalar_uses[x.index()], [id2, s3]);
         let acc = du.array_accesses(a);
         assert_eq!(acc.len(), 2);
         assert!(!acc[0].is_write && acc[1].is_write);

@@ -4,9 +4,9 @@
 //! disproof per array-reference pair, applied to the per-dimension
 //! subscript difference `Δd = e₁d − e₂d`:
 //!
-//! 1. the **GCD test** (`slp_ir::gcd_test_refutes_zero`) — the baseline
-//!    the built-in oracle already performs, so refutations here are not
-//!    counted as refinements;
+//! 1. the **GCD test** (`slp_ir::refs_overlap_in` without loop bounds) —
+//!    the baseline the built-in oracle already performs, so refutations
+//!    here are not counted as refinements;
 //! 2. a **strided-interval evaluation** of `Δd` over the exact value
 //!    sets of the induction variables: if `0` is not a member (outside
 //!    the hull *or* off the stride lattice), the references never
@@ -25,7 +25,7 @@
 
 use std::cell::Cell;
 
-use slp_ir::{operands_overlap_in, ArrayRef, DepOracle, LoopHeader, Operand};
+use slp_ir::{operands_overlap_in, refs_overlap_in, ArrayRef, DepOracle, LoopHeader, Operand};
 
 use crate::ranges::{eval_affine, loop_env};
 
@@ -74,25 +74,20 @@ impl RangeOracle {
     }
 
     fn refs_overlap(&self, x: &ArrayRef, y: &ArrayRef, loops: &[LoopHeader]) -> bool {
-        if x.array != y.array {
-            return false;
-        }
-        if x.access.rank() != y.access.rank() {
-            return true; // malformed; stay conservative
-        }
-        let deltas: Vec<_> = (0..x.access.rank())
-            .map(|d| x.access.dim(d).sub(y.access.dim(d)))
-            .collect();
-        // Layer 1: the baseline GCD disproof (uncounted).
-        if deltas.iter().any(slp_ir::gcd_test_refutes_zero) {
+        // Layer 1: the built-in test without loop bounds is the GCD
+        // disproof alone, walked off the subscripts' term lists
+        // (uncounted). It also settles distinct arrays.
+        if !refs_overlap_in(x, y, &[]) {
             return false;
         }
         // Range layers need every induction variable's value set; a
         // provably dead loop yields no constraint (the built-in test is
-        // conservative there too).
-        let Some(env) = loop_env(loops) else {
+        // conservative there too), and mismatched ranks are malformed.
+        let (Some(env), true) = (loop_env(loops), x.access.rank() == y.access.rank()) else {
             return true;
         };
+        let dims = x.access.dims().iter().zip(y.access.dims());
+        let deltas: Vec<_> = dims.map(|(a, b)| a.sub(b)).collect();
         let never_zero = |delta: &slp_ir::AffineExpr| -> bool {
             // A constant delta that survived the GCD test is zero.
             !delta.is_constant() && eval_affine(delta, &env).is_some_and(|si| !si.contains(0))

@@ -477,7 +477,8 @@ pub fn render_ablations(machine: &MachineConfig) -> String {
         slp_suite::all(1)
             .iter()
             .flat_map(|(_, program)| {
-                lower_kernel_with(&compile(program, &cfg), machine, true, permuted_reuse)
+                let k = compile(program, &cfg);
+                lower_kernel_with(&k, &k.program.blocks(), machine, true, permuted_reuse)
             })
             .map(|(_, code)| code.static_metrics.cycles)
             .sum()

@@ -42,11 +42,6 @@ impl Grouping {
     pub fn groups(&self) -> impl Iterator<Item = &Unit> {
         self.units.iter().filter(|u| !u.is_singleton())
     }
-
-    /// Number of statements covered by SIMD groups.
-    pub fn vectorized_stmts(&self) -> usize {
-        self.groups().map(Unit::width).sum()
-    }
 }
 
 /// Runs holistic grouping on the block `ix` indexes, whose lane caps bound
@@ -198,7 +193,7 @@ mod tests {
         assert!((g.decisions[1].weight - 2.0 / 3.0).abs() < 1e-9);
         // S3 stays scalar.
         assert_eq!(g.units.iter().filter(|u| u.is_singleton()).count(), 1);
-        assert_eq!(g.vectorized_stmts(), 4);
+        assert_eq!(g.groups().map(Unit::width).sum::<usize>(), 4);
     }
 
     #[test]
@@ -264,7 +259,7 @@ mod tests {
         let deps = BlockDeps::analyze(&bb);
         let g = group_block(&BlockIndex::new(&bb, &p, |_| 2), &deps);
         assert!(g.groups().all(|u| u.width() <= 2));
-        assert_eq!(g.vectorized_stmts(), 6);
+        assert_eq!(g.groups().map(Unit::width).sum::<usize>(), 6);
     }
 
     #[test]

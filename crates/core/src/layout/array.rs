@@ -20,8 +20,8 @@
 use std::collections::BTreeMap;
 
 use slp_ir::{
-    pack_is_aligned, pack_is_contiguous, AccessVector, AffineExpr, ArrayId, ArrayRef, LoopHeader,
-    Operand, Program, ScalarType,
+    pack_is_aligned_in, pack_is_contiguous, AccessVector, AffineExpr, ArrayId, ArrayRef,
+    LoopHeader, Operand, Program, ScalarType,
 };
 
 use slp_analysis::PackPos;
@@ -172,7 +172,7 @@ fn plan_replication(
 
     // Old per-occurrence cost of materializing the pack from memory.
     let old = if pack_is_contiguous(&ref_ptrs) {
-        if pack_is_aligned(&ref_ptrs, program) {
+        if pack_is_aligned_in(&ref_ptrs, program, &[]) {
             return None; // already optimal
         }
         c.unaligned_load
@@ -263,7 +263,7 @@ fn rewrite_uses(
                 if s.id() != stmt_id {
                     return;
                 }
-                if let Some(op) = s.expr_mut().operands_mut().into_iter().nth(k) {
+                if let Some(op) = s.expr_mut().operands_mut().nth(k) {
                     if let Operand::Array(ar) = op {
                         if ar.array == source && &ar.access == target {
                             *op = Operand::Array(ArrayRef::new(
@@ -361,7 +361,7 @@ mod tests {
             .map(|s| s.uses()[0].as_array().unwrap())
             .collect();
         assert!(pack_is_contiguous(&refs));
-        assert!(pack_is_aligned(&refs, &p));
+        assert!(pack_is_aligned_in(&refs, &p, &[]));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use slp_ir::{
     unroll_program, BlockDeps, BlockId, BlockInfo, Dest, LoopHeader, Program, StmtId, TypeEnv,
 };
 
-use slp_analysis::{BlockIndex, WeightParams};
+use slp_analysis::{BlockIndex, Unit, WeightParams};
 use slp_analyze::{RangeOracle, SafetyCert};
 
 use crate::baseline::{baseline_block, baseline_groups};
@@ -132,9 +132,8 @@ impl std::str::FromStr for Strategy {
 /// [`compile`] calls the installed verifier once on its final output
 /// (after the Global+Layout dual arbitration picked a winner) and panics
 /// with the rendered error if it rejects. The `slp-verify` crate provides
-/// two implementations (`pipeline_hook` for the static checks,
-/// `pipeline_hook_full` adding differential translation validation); the
-/// trait lives here so `slp-core` does not depend on the checker.
+/// one implementation (`pipeline_hook`, the static checks); the trait
+/// lives here so `slp-core` does not depend on the checker.
 ///
 /// The trait is object-safe, and any
 /// `Fn(&Program, &CompiledKernel) -> Result<(), VerifyError>` closure or
@@ -875,19 +874,29 @@ fn holistic_proposals(
     let groupings = timings.time(Phase::Grouping, || {
         group_block_under(ix, deps, &profiles, deadline)
     })?;
+    // A unit list equal to an earlier grouping's schedules the same: the
+    // schedule of the first such, from `proposals` (one per grouping).
+    let same_units = |units: &[Unit], proposals: &[(BlockSchedule, bool)]| {
+        let mut earlier = groupings.iter().zip(proposals);
+        earlier
+            .find(|(g, _)| g.units == units)
+            .map(|(_, (s, _))| s.clone())
+    };
+    let regs = config.machine.vector_regs;
     let mut proposals = Vec::with_capacity(4);
     for (k, g) in groupings.iter().enumerate() {
         deadline.check()?;
-        let sched = timings.time(Phase::Scheduling, || {
-            schedule_block(ix, deps, &g.units, config.machine.vector_regs)
+        let sched = same_units(&g.units, &proposals).unwrap_or_else(|| {
+            timings.time(Phase::Scheduling, || {
+                schedule_block(ix, deps, &g.units, regs)
+            })
         });
         proposals.push((sched, k > 0));
     }
     deadline.check()?;
     let bg = timings.time(Phase::Grouping, || baseline_groups(ix, deps));
-    let sched = timings.time(Phase::Scheduling, || {
-        schedule_block(ix, deps, &bg, config.machine.vector_regs)
-    });
+    let sched = same_units(&bg, &proposals)
+        .unwrap_or_else(|| timings.time(Phase::Scheduling, || schedule_block(ix, deps, &bg, regs)));
     proposals.push((sched, false));
     let sched = timings.time(Phase::Scheduling, || {
         schedule_in_program_order(ix, deps, &bg)
@@ -901,15 +910,24 @@ fn holistic_proposals(
 /// cost. Keeping the cheapest implements the paper's "if we realize that
 /// our transformation could potentially degrade the performance, we
 /// choose not to apply it" at proposal granularity. `Strategy::Optimal`
-/// reuses this as the solver's warm-start incumbent.
+/// reuses this as the solver's warm-start incumbent. A schedule equal to
+/// an earlier proposal's is priced once.
 fn cheapest_proposal(
     ix: &BlockIndex<'_>,
     proposals: &[(BlockSchedule, bool)],
     cx: &CostContext<'_>,
 ) -> (BlockSchedule, f64) {
-    (proposals.iter())
-        .filter(|(_, optimistic)| matches!(cx.layout, LayoutView::Assumed) || !optimistic)
-        .map(|(s, _)| (estimate_schedule_cost(ix, s, cx), s))
+    let mut priced: Vec<(f64, &BlockSchedule)> = Vec::with_capacity(proposals.len());
+    for (s, optimistic) in proposals {
+        if matches!(cx.layout, LayoutView::Assumed) || !optimistic {
+            let earlier = priced.iter().find(|(_, e)| *e == s).map(|&(cost, _)| cost);
+            priced.push((
+                earlier.unwrap_or_else(|| estimate_schedule_cost(ix, s, cx)),
+                s,
+            ));
+        }
+    }
+    (priced.into_iter())
         // Invariant: cost estimates are finite sums/products of finite
         // machine parameters, and `proposals` always holds at least the
         // program-order schedule.

@@ -139,11 +139,6 @@ impl PhaseTimings {
         self.nanos[phase.index()] = nanos;
     }
 
-    /// The accumulated duration of `phase`.
-    pub fn duration(&self, phase: Phase) -> Duration {
-        Duration::from_nanos(self.nanos(phase))
-    }
-
     /// Adds every phase of `other` into `self`.
     pub fn merge(&mut self, other: &PhaseTimings) {
         for p in Phase::ALL {

@@ -41,7 +41,7 @@
 //! connection of a serve session.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -267,11 +267,6 @@ impl CompileCache {
         let mut cache = CompileCache::in_memory(capacity);
         cache.disk_dir = Some(dir.into());
         cache
-    }
-
-    /// The on-disk directory, if this cache has a disk tier.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk_dir.as_deref()
     }
 
     /// A snapshot of the running counters.

@@ -605,6 +605,20 @@ mod tests {
         }
     }";
 
+    /// A cache entry naming one loop variable repeatedly in a subscript
+    /// decodes to the saturated sum `AffineExpr::add` would give, instead
+    /// of overflowing (a debug-build panic, a wrapped coefficient in
+    /// release). The wire carries integers up to 2^53, so it takes 1 025
+    /// repeats to pass `i64::MAX`.
+    #[test]
+    fn repeated_subscript_terms_decode_saturated() {
+        let i = LoopVarId::new(0);
+        let terms = vec![(i, 1i64 << 53); 1025];
+        let entry = Json::obj([("c", 0i64.to_json()), ("t", terms.to_json())]);
+        let e = AffineExpr::from_json(&entry).expect("decodes");
+        assert_eq!(e.terms().collect::<Vec<_>>(), [(i, i64::MAX)]);
+    }
+
     #[test]
     fn kernel_roundtrips_through_text() {
         for layout in [false, true] {

@@ -142,10 +142,6 @@ pub struct DriverReport {
     pub wall_nanos: u64,
     /// The cache's counters after the run, when a cache was used.
     pub cache: Option<CacheStats>,
-    /// Serve-session counters, when the report describes a serving
-    /// session rather than a one-shot batch (see
-    /// [`DriverReport::with_serve`]).
-    pub serve: Option<ServeSummary>,
 }
 
 impl DriverReport {
@@ -210,16 +206,7 @@ impl DriverReport {
             phase_totals,
             wall_nanos,
             cache,
-            serve: None,
         }
-    }
-
-    /// Attaches serve-session counters (the TCP/stdio front-ends thread
-    /// their [`ServeSummary`] through here so one report type carries
-    /// batch and serve telemetry alike).
-    pub fn with_serve(mut self, serve: ServeSummary) -> Self {
-        self.serve = Some(serve);
-        self
     }
 
     /// Rows that compiled at the requested configuration.
@@ -333,9 +320,6 @@ impl DriverReport {
         if let Some(stats) = &self.cache {
             fields.push(("cache", stats_json(stats)));
         }
-        if let Some(serve) = &self.serve {
-            fields.push(("serve", serve.to_json()));
-        }
         fields.push(("rows", Json::Arr(kernels)));
         Json::obj(fields)
     }
@@ -414,22 +398,6 @@ impl DriverReport {
                 "safety: {safe} accesses proven safe, {unknown} unknown, {faulting} proven faulting\n",
             ));
         }
-        if let Some(serve) = &self.serve {
-            out.push_str(&format!(
-                "serve: {} requests, {} accepted, {} compiled ({} cache hits, \
-                 {} coalesced), {} rejected (overload {}, quota {}, unsafe {}), {} errors\n",
-                serve.requests,
-                serve.accepted,
-                serve.compiled,
-                serve.cache_hits,
-                serve.coalesced,
-                serve.rejected_overload + serve.rejected_quota + serve.rejected_unsafe,
-                serve.rejected_overload,
-                serve.rejected_quota,
-                serve.rejected_unsafe,
-                serve.errors,
-            ));
-        }
         if let Some(stats) = &self.cache {
             out.push_str(&format!(
                 "cache: {} memory + {} disk hits / {} lookups ({:.1}% hit rate)\n",
@@ -465,35 +433,4 @@ pub fn stats_json(stats: &CacheStats) -> Json {
     let mut pairs = stats.pairs();
     pairs.push(("hit_rate", Json::float(stats.hit_rate())));
     Json::obj(pairs)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serve_counters_thread_through_the_report() {
-        let summary = ServeSummary {
-            requests: 10,
-            accepted: 7,
-            compiled: 6,
-            cache_hits: 3,
-            coalesced: 2,
-            rejected_overload: 1,
-            rejected_quota: 2,
-            rejected_unsafe: 1,
-            errors: 4,
-        };
-        let report = DriverReport::from_outcomes(&[], 0, None).with_serve(summary);
-        let json = report.to_json();
-        let serve = json.get("serve").expect("serve object present");
-        assert_eq!(serve.get("requests").and_then(Json::u64), Some(10));
-        assert_eq!(serve.get("coalesced").and_then(Json::u64), Some(2));
-        assert_eq!(serve.get("rejected_quota").and_then(Json::u64), Some(2));
-        let table = report.summary_table();
-        assert!(table.contains("serve: 10 requests"), "table: {table}");
-        // A plain batch report carries no serve section.
-        let plain = DriverReport::from_outcomes(&[], 0, None);
-        assert!(plain.to_json().get("serve").is_none());
-    }
 }

@@ -15,6 +15,7 @@
 use slp_ir::{Expr, Item, Operand, Program};
 use slp_vm::MachineConfig;
 
+use crate::mutate::char_boundary;
 use crate::oracle::{check_source, Anomaly, AnomalyKind, Budget, Stage};
 
 /// Caps the number of oracle invocations one minimization may spend.
@@ -210,8 +211,8 @@ fn minimize_textual(src: &str, cx: &mut Ctx<'_>) -> String {
         let mut improved = false;
         let mut start = 0;
         while start < best.len() {
-            let end = floor_boundary(&best, (start + chunk).min(best.len()));
-            let s = floor_boundary(&best, start);
+            let end = char_boundary(&best, (start + chunk).min(best.len()));
+            let s = char_boundary(&best, start);
             if s >= end {
                 start += chunk;
                 continue;
@@ -232,14 +233,6 @@ fn minimize_textual(src: &str, cx: &mut Ctx<'_>) -> String {
         }
     }
     best
-}
-
-fn floor_boundary(s: &str, mut pos: usize) -> usize {
-    pos = pos.min(s.len());
-    while pos > 0 && !s.is_char_boundary(pos) {
-        pos -= 1;
-    }
-    pos
 }
 
 #[cfg(test)]

@@ -159,7 +159,7 @@ fn mutate_once(src: &mut String, rng: &mut StdRng) {
 }
 
 /// Largest char boundary `<= pos`.
-fn char_boundary(s: &str, mut pos: usize) -> usize {
+pub(crate) fn char_boundary(s: &str, mut pos: usize) -> usize {
     pos = pos.min(s.len());
     while pos > 0 && !s.is_char_boundary(pos) {
         pos -= 1;

@@ -5,11 +5,14 @@
 //! requires ("loop bounds and array references are affine functions of the
 //! enclosing loop indices and loop independent variables").
 //!
-//! An [`AffineExpr`] is `c0 + Σ ci * iv_i` with integer coefficients; the
-//! polyhedral access form of Eq. (1), `r = Q·i + O`, is recovered by
-//! [`AccessVector`], one affine expression per array dimension.
+//! An [`AffineExpr`] is `c0 + Σ ci * iv_i` with integer coefficients, held
+//! as a list of `(variable, coefficient)` terms sorted by variable. Sums,
+//! differences and substitutions merge two such lists in one pass, and
+//! [`AffineExpr::difference`] reads `e₁ − e₂` off the two lists without
+//! building it — the form the dependence test walks. The polyhedral access
+//! form of Eq. (1), `r = Q·i + O`, is recovered by [`AccessVector`], one
+//! affine expression per array dimension.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::ids::LoopVarId;
@@ -30,17 +33,42 @@ use crate::ids::LoopVarId;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct AffineExpr {
-    /// Sorted map from loop variable to (non-zero) coefficient.
-    coeffs: BTreeMap<LoopVarId, i64>,
+    /// `(variable, coefficient)` terms sorted by variable, each variable
+    /// once, no zero coefficient.
+    terms: Vec<(LoopVarId, i64)>,
     /// Constant term `c0`.
     constant: i64,
+}
+
+/// The non-zero terms of `Σa + k·Σb`, in variable order, merged from two
+/// variable-ordered term lists. Coefficient arithmetic saturates.
+fn merge(
+    a: impl Iterator<Item = (LoopVarId, i64)>,
+    b: impl Iterator<Item = (LoopVarId, i64)>,
+    k: i64,
+) -> impl Iterator<Item = (LoopVarId, i64)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || loop {
+        let (v, c) = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(x), Some(y)) if x.0 == y.0 => {
+                let ((v, ca), (_, cb)) = (a.next()?, b.next()?);
+                (v, ca.saturating_add(cb.saturating_mul(k)))
+            }
+            (Some(x), y) if !matches!(y, Some(y) if y.0 < x.0) => a.next()?,
+            _ => b.next().map(|(v, c)| (v, c.saturating_mul(k)))?,
+        };
+        if c != 0 {
+            return Some((v, c));
+        }
+    })
 }
 
 impl AffineExpr {
     /// The constant expression `c`.
     pub fn constant_expr(c: i64) -> Self {
         AffineExpr {
-            coeffs: BTreeMap::new(),
+            terms: Vec::new(),
             constant: c,
         }
     }
@@ -48,25 +76,27 @@ impl AffineExpr {
     /// The expression consisting of a single loop variable with
     /// coefficient 1.
     pub fn var(v: LoopVarId) -> Self {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(v, 1);
         AffineExpr {
-            coeffs,
+            terms: vec![(v, 1)],
             constant: 0,
         }
     }
 
-    /// Builds `c0 + Σ ci*vi` from explicit terms, dropping zero
+    /// Builds `c0 + Σ ci*vi` from explicit terms, summing repeated
+    /// variables (saturating, like [`add`](Self::add)) and dropping zero
     /// coefficients.
     pub fn from_terms<I: IntoIterator<Item = (LoopVarId, i64)>>(terms: I, constant: i64) -> Self {
-        let mut coeffs = BTreeMap::new();
-        for (v, c) in terms {
-            if c != 0 {
-                *coeffs.entry(v).or_insert(0) += c;
+        let mut terms: Vec<_> = terms.into_iter().collect();
+        // Stable: a repeated variable's coefficients sum in the order given.
+        terms.sort_by_key(|&(v, _)| v);
+        terms.dedup_by(|(v, c), (kept, sum)| {
+            v == kept && {
+                *sum = sum.saturating_add(*c);
+                true
             }
-        }
-        coeffs.retain(|_, c| *c != 0);
-        AffineExpr { coeffs, constant }
+        });
+        terms.retain(|&(_, c)| c != 0);
+        AffineExpr { terms, constant }
     }
 
     /// The constant term `c0`.
@@ -76,23 +106,23 @@ impl AffineExpr {
 
     /// The coefficient of loop variable `v` (0 if absent).
     pub fn coeff(&self, v: LoopVarId) -> i64 {
-        self.coeffs.get(&v).copied().unwrap_or(0)
+        self.terms().find(|&(tv, _)| tv == v).map_or(0, |(_, c)| c)
     }
 
     /// Iterator over `(variable, coefficient)` pairs with non-zero
     /// coefficients, in variable order.
     pub fn terms(&self) -> impl Iterator<Item = (LoopVarId, i64)> + '_ {
-        self.coeffs.iter().map(|(&v, &c)| (v, c))
+        self.terms.iter().copied()
     }
 
     /// Whether the expression is a plain constant (no variable terms).
     pub fn is_constant(&self) -> bool {
-        self.coeffs.is_empty()
+        self.terms.is_empty()
     }
 
     /// The loop variables referenced by this expression.
     pub fn vars(&self) -> impl Iterator<Item = LoopVarId> + '_ {
-        self.coeffs.keys().copied()
+        self.terms().map(|(v, _)| v)
     }
 
     /// Returns `self + other`.
@@ -102,21 +132,32 @@ impl AffineExpr {
     /// downstream bounds checks still reject it — without the debug-build
     /// overflow panic a hostile input could otherwise trigger.
     pub fn add(&self, other: &AffineExpr) -> AffineExpr {
-        let mut coeffs = self.coeffs.clone();
-        for (&v, &c) in &other.coeffs {
-            let e = coeffs.entry(v).or_insert(0);
-            *e = e.saturating_add(c);
-        }
-        coeffs.retain(|_, c| *c != 0);
         AffineExpr {
-            coeffs,
+            terms: merge(self.terms(), other.terms(), 1).collect(),
             constant: self.constant.saturating_add(other.constant),
         }
     }
 
     /// Returns `self - other`.
     pub fn sub(&self, other: &AffineExpr) -> AffineExpr {
-        self.add(&other.scaled(-1))
+        let (constant, terms) = self.difference(other);
+        AffineExpr {
+            terms: terms.collect(),
+            constant,
+        }
+    }
+
+    /// [`sub`](Self::sub) read in place: the constant of `self - other`
+    /// and its non-zero terms in variable order, merged from the two term
+    /// lists without building the difference.
+    pub fn difference<'a>(
+        &'a self,
+        other: &'a AffineExpr,
+    ) -> (i64, impl Iterator<Item = (LoopVarId, i64)> + 'a) {
+        let constant = self
+            .constant
+            .saturating_add(other.constant.saturating_mul(-1));
+        (constant, merge(self.terms(), other.terms(), -1))
     }
 
     /// Returns `self * k`.
@@ -125,10 +166,9 @@ impl AffineExpr {
             return AffineExpr::constant_expr(0);
         }
         AffineExpr {
-            coeffs: self
-                .coeffs
-                .iter()
-                .map(|(&v, &c)| (v, c.saturating_mul(k)))
+            terms: self
+                .terms()
+                .map(|(v, c)| (v, c.saturating_mul(k)))
                 .collect(),
             constant: self.constant.saturating_mul(k),
         }
@@ -137,7 +177,7 @@ impl AffineExpr {
     /// Returns `self + k`.
     pub fn offset(&self, k: i64) -> AffineExpr {
         AffineExpr {
-            coeffs: self.coeffs.clone(),
+            terms: self.terms.clone(),
             constant: self.constant.saturating_add(k),
         }
     }
@@ -147,13 +187,14 @@ impl AffineExpr {
     /// Used by loop unrolling to rewrite replica `k` of a body statement:
     /// `i ↦ i + k*step`.
     pub fn substitute(&self, v: LoopVarId, e: &AffineExpr) -> AffineExpr {
-        match self.coeffs.get(&v) {
-            None => self.clone(),
-            Some(&c) => {
-                let mut base = self.clone();
-                base.coeffs.remove(&v);
-                base.add(&e.scaled(c))
-            }
+        let c = self.coeff(v);
+        if c == 0 {
+            return self.clone();
+        }
+        let rest = self.terms().filter(|&(tv, _)| tv != v);
+        AffineExpr {
+            terms: merge(rest, e.terms(), c).collect(),
+            constant: self.constant.saturating_add(e.constant.saturating_mul(c)),
         }
     }
 
@@ -168,7 +209,7 @@ impl AffineExpr {
         // exact for the bounds check. Saturate the clamp back to i64 —
         // a clamped value is out of bounds for any real array.
         let mut acc = self.constant as i128;
-        for (&v, &c) in &self.coeffs {
+        for (v, c) in self.terms() {
             if let Some(&(_, val)) = env.iter().find(|&&(ev, _)| ev == v) {
                 acc = acc.saturating_add(c as i128 * val as i128);
             }
@@ -185,7 +226,7 @@ impl AffineExpr {
     /// dependence analysis: equal coefficients with different constants can
     /// never access the same element in the same iteration.
     pub fn same_linear_part(&self, other: &AffineExpr) -> bool {
-        self.coeffs == other.coeffs
+        self.terms == other.terms
     }
 
     /// If `self` and `other` differ only in their constant term, returns
@@ -441,5 +482,158 @@ mod tests {
         assert_eq!(doubled.constant(), i64::MAX);
         assert_eq!(e.add(&e).constant(), i64::MAX);
         assert_eq!(e.offset(5).constant(), i64::MAX);
+    }
+
+    #[test]
+    fn from_terms_sums_repeated_variables_saturating() {
+        // Reachable from a disk-cache entry through the codec: used to
+        // overflow (a debug panic, coefficient -2 in release).
+        let e = AffineExpr::from_terms([(i(), i64::MAX), (i(), i64::MAX)], 0);
+        assert_eq!(e.coeff(i()), i64::MAX);
+        let e = AffineExpr::from_terms([(j(), 3), (i(), 1), (j(), -3), (i(), 1)], 0);
+        assert_eq!(e.terms().collect::<Vec<_>>(), [(i(), 2)]);
+    }
+
+    /// The representation checked against definitions written out here:
+    /// a dense coefficient per variable plus the constant, every operation
+    /// spelled with the saturating i64 arithmetic `add` documents.
+    mod model {
+        use super::*;
+
+        const VARS: usize = 3;
+        const POOL: [i64; 11] = [
+            0,
+            1,
+            -1,
+            2,
+            -3,
+            7,
+            i64::MAX,
+            i64::MIN,
+            i64::MAX - 1,
+            i64::MIN + 1,
+            -7,
+        ];
+
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        struct Model {
+            coeffs: [i64; VARS],
+            constant: i64,
+        }
+
+        fn var(k: usize) -> LoopVarId {
+            LoopVarId::new(k as u32)
+        }
+
+        fn of(e: &AffineExpr) -> Model {
+            let terms: Vec<_> = e.terms().collect();
+            assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "{e:?}");
+            assert!(terms.iter().all(|&(_, c)| c != 0), "{e:?}");
+            Model {
+                coeffs: std::array::from_fn(|k| e.coeff(var(k))),
+                constant: e.constant(),
+            }
+        }
+
+        fn add(a: Model, b: Model) -> Model {
+            Model {
+                coeffs: std::array::from_fn(|k| a.coeffs[k].saturating_add(b.coeffs[k])),
+                constant: a.constant.saturating_add(b.constant),
+            }
+        }
+
+        fn scaled(a: Model, k: i64) -> Model {
+            Model {
+                coeffs: a.coeffs.map(|c| c.saturating_mul(k)),
+                constant: a.constant.saturating_mul(k),
+            }
+        }
+
+        fn substitute(a: Model, v: usize, e: Model) -> Model {
+            let mut base = a;
+            base.coeffs[v] = 0;
+            match a.coeffs[v] {
+                0 => a,
+                c => add(base, scaled(e, c)),
+            }
+        }
+
+        fn eval(a: Model, env: &[i64; VARS]) -> i64 {
+            let sum = (0..VARS).fold(a.constant as i128, |acc, k| {
+                acc.saturating_add(a.coeffs[k] as i128 * env[k] as i128)
+            });
+            sum.clamp(i64::MIN as i128, i64::MAX as i128) as i64
+        }
+
+        /// The order the earlier map representation derived: the non-zero
+        /// `(variable, coefficient)` pairs lexicographically, then the
+        /// constant.
+        fn key(a: Model) -> (Vec<(usize, i64)>, i64) {
+            let terms = (0..VARS).map(|k| (k, a.coeffs[k])).filter(|&(_, c)| c != 0);
+            (terms.collect(), a.constant)
+        }
+
+        struct Rng(u64);
+
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+            fn below(&mut self, n: usize) -> usize {
+                (self.next() % n as u64) as usize
+            }
+            fn pick(&mut self) -> i64 {
+                POOL[self.below(POOL.len())]
+            }
+            /// An expression from up to five terms, repeats included, with
+            /// its model summed in the order given.
+            fn expr(&mut self) -> (AffineExpr, Model) {
+                let terms: Vec<(usize, i64)> = (0..self.below(6))
+                    .map(|_| (self.below(VARS), self.pick()))
+                    .collect();
+                let constant = self.pick();
+                let mut m = Model {
+                    coeffs: [0; VARS],
+                    constant,
+                };
+                for &(k, c) in &terms {
+                    m.coeffs[k] = m.coeffs[k].saturating_add(c);
+                }
+                let e = AffineExpr::from_terms(terms.iter().map(|&(k, c)| (var(k), c)), constant);
+                (e, m)
+            }
+        }
+
+        #[test]
+        fn operations_match_the_written_out_definitions() {
+            let mut rng = Rng(25);
+            for _ in 0..20_000 {
+                let ((a, ma), (b, mb)) = (rng.expr(), rng.expr());
+                assert_eq!(of(&a), ma, "from_terms {a:?}");
+                assert_eq!(of(&a.add(&b)), add(ma, mb), "{a:?} + {b:?}");
+                let diff = add(ma, scaled(mb, -1));
+                assert_eq!(of(&a.sub(&b)), diff, "{a:?} - {b:?}");
+                let (constant, terms) = a.difference(&b);
+                assert_eq!(AffineExpr::from_terms(terms, constant), a.sub(&b));
+                let k = rng.pick();
+                assert_eq!(of(&a.scaled(k)), scaled(ma, k), "{a:?} * {k}");
+                let offset = Model {
+                    constant: ma.constant.saturating_add(k),
+                    ..ma
+                };
+                assert_eq!(of(&a.offset(k)), offset, "{a:?} + {k}");
+                let v = rng.below(VARS);
+                let sub = substitute(ma, v, mb);
+                assert_eq!(of(&a.substitute(var(v), &b)), sub, "{a:?}[{v} := {b:?}]");
+                let env: [i64; VARS] = std::array::from_fn(|_| rng.pick());
+                let bound: Vec<_> = (0..VARS).map(|k| (var(k), env[k])).collect();
+                assert_eq!(a.eval(&bound), eval(ma, &env), "{a:?} at {env:?}");
+                assert_eq!(a.cmp(&b), key(ma).cmp(&key(mb)), "{a:?} vs {b:?}");
+                assert_eq!(a == b, ma == mb, "{a:?} vs {b:?}");
+            }
+        }
     }
 }

@@ -10,31 +10,6 @@ use crate::affine::AffineExpr;
 use crate::expr::ArrayRef;
 use crate::program::{LoopHeader, Program};
 
-/// Whether the byte offset `elem_size * expr` is guaranteed to be a
-/// multiple of `align_bytes` for every value of the loop variables.
-///
-/// This holds iff every coefficient and the constant term scale to
-/// multiples of the alignment.
-///
-/// # Examples
-///
-/// ```
-/// use slp_ir::{AffineExpr, LoopVarId, is_aligned};
-///
-/// let i = LoopVarId::new(0);
-/// // 2i with 8-byte elements is 16-byte aligned for every i; 2i+1 is not.
-/// assert!(is_aligned(&AffineExpr::var(i).scaled(2), 8, 16));
-/// assert!(!is_aligned(&AffineExpr::var(i).scaled(2).offset(1), 8, 16));
-/// ```
-pub fn is_aligned(expr: &AffineExpr, elem_size: u32, align_bytes: u32) -> bool {
-    let m = i64::from(align_bytes);
-    let e = i64::from(elem_size);
-    if m <= e {
-        return true;
-    }
-    expr.terms().all(|(_, c)| (c * e) % m == 0) && (expr.constant() * e) % m == 0
-}
-
 /// Whether the references form a *contiguous ascending pack*: same array,
 /// identical subscripts in every outer dimension, and innermost subscripts
 /// that differ by exactly `0, 1, 2, ...` from the first reference.
@@ -58,11 +33,26 @@ pub fn pack_is_contiguous(refs: &[&ArrayRef]) -> bool {
     })
 }
 
-/// Loop-aware variant of [`is_aligned`]: induction variables found in
-/// `loops` only take the values `lower, lower+step, ...`, so their
-/// effective coefficient is `c·step` with a base shift of `c·lower`. This
-/// is what makes `A[i]` with `i` stepping by 2 (an unrolled loop) provably
-/// 16-byte aligned for f64.
+/// Whether the byte offset `elem_size * expr` is guaranteed to be a
+/// multiple of `align_bytes` for every value of the loop variables.
+///
+/// Without a header in `loops` this holds iff every coefficient and the
+/// constant term scale to multiples of the alignment. Induction variables
+/// found in `loops` only take the values `lower, lower+step, ...`, so
+/// their effective coefficient is `c·step` with a base shift of
+/// `c·lower`. This is what makes `A[i]` with `i` stepping by 2 (an
+/// unrolled loop) provably 16-byte aligned for f64.
+///
+/// # Examples
+///
+/// ```
+/// use slp_ir::{AffineExpr, LoopVarId, is_aligned_in};
+///
+/// let i = LoopVarId::new(0);
+/// // 2i with 8-byte elements is 16-byte aligned for every i; 2i+1 is not.
+/// assert!(is_aligned_in(&AffineExpr::var(i).scaled(2), 8, 16, &[]));
+/// assert!(!is_aligned_in(&AffineExpr::var(i).scaled(2).offset(1), 8, 16, &[]));
+/// ```
 pub fn is_aligned_in(
     expr: &AffineExpr,
     elem_size: u32,
@@ -94,12 +84,8 @@ pub fn is_aligned_in(
 }
 
 /// Whether a contiguous pack starting at `refs[0]` is aligned to the full
-/// pack width in `program`'s memory layout.
-pub fn pack_is_aligned(refs: &[&ArrayRef], program: &Program) -> bool {
-    pack_is_aligned_in(refs, program, &[])
-}
-
-/// Loop-aware variant of [`pack_is_aligned`] (see [`is_aligned_in`]).
+/// pack width in `program`'s memory layout, given the enclosing `loops`
+/// (see [`is_aligned_in`]).
 pub fn pack_is_aligned_in(refs: &[&ArrayRef], program: &Program, loops: &[LoopHeader]) -> bool {
     let Some(first) = refs.first() else {
         return false;
@@ -186,7 +172,7 @@ mod tests {
         };
         // A[i] with i stepping by 2 is 16-byte aligned for f64.
         let e = AffineExpr::var(i);
-        assert!(!is_aligned(&e, 8, 16));
+        assert!(!is_aligned_in(&e, 8, 16, &[]));
         assert!(is_aligned_in(&e, 8, 16, &[h(0, 2)]));
         // ... but not when the loop starts at an odd element.
         assert!(!is_aligned_in(&e, 8, 16, &[h(1, 2)]));
@@ -207,12 +193,12 @@ mod tests {
         };
         // <A[2i], A[2i+1]> with f64: 16-byte pack, always aligned.
         let (a, b) = (at(2, 0), at(2, 1));
-        assert!(pack_is_aligned(&[&a, &b], &p));
+        assert!(pack_is_aligned_in(&[&a, &b], &p, &[]));
         // <A[2i+1], A[2i+2]> starts at odd element: misaligned.
         let (c, d) = (at(2, 1), at(2, 2));
-        assert!(!pack_is_aligned(&[&c, &d], &p));
+        assert!(!pack_is_aligned_in(&[&c, &d], &p, &[]));
         // <A[i], ...>: coefficient 1 cannot guarantee 16-byte alignment.
         let (e, f) = (at(1, 0), at(1, 1));
-        assert!(!pack_is_aligned(&[&e, &f], &p));
+        assert!(!pack_is_aligned_in(&[&e, &f], &p, &[]));
     }
 }

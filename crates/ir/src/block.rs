@@ -53,11 +53,6 @@ impl BasicBlock {
         self.stmts.iter().find(|s| s.id() == id)
     }
 
-    /// The position of statement `id` in program order.
-    pub fn position(&self, id: StmtId) -> Option<usize> {
-        self.stmts.iter().position(|s| s.id() == id)
-    }
-
     /// Iterates over the statements.
     pub fn iter(&self) -> std::slice::Iter<'_, Statement> {
         self.stmts.iter()
@@ -142,8 +137,6 @@ mod tests {
         bb.push(stmt(1));
         assert_eq!(bb.len(), 2);
         assert_eq!(bb.stmt(StmtId::new(1)).unwrap().id(), StmtId::new(1));
-        assert_eq!(bb.position(StmtId::new(1)), Some(1));
-        assert_eq!(bb.position(StmtId::new(9)), None);
         assert_eq!(bb.positions().of(StmtId::new(1)), 1);
     }
 

@@ -7,16 +7,19 @@
 //! anti/WAR and output/WAW) and their transitive closure for one basic
 //! block.
 //!
-//! Aliasing is resolved with affine rules: same-linear-part accesses with
-//! different constants never overlap within one execution of the block,
-//! anything less structured is conservatively assumed to overlap.
+//! Two references to one array overlap unless some dimension's subscript
+//! difference provably never vanishes in the iteration space (a GCD or
+//! interval disproof). The test reads the IR in place: each statement's
+//! def, uses and merge predicate are taken once per block, and a
+//! difference is walked off the two sorted term lists
+//! ([`AffineExpr::difference`]) instead of being built.
 
 use std::fmt;
 
 use crate::affine::AffineExpr;
 use crate::block::{BasicBlock, StmtPositions};
-use crate::expr::{ArrayRef, CmpOp, Expr, Operand};
-use crate::ids::StmtId;
+use crate::expr::{ArrayRef, CmpOp, Expr, Operand, Operands};
+use crate::ids::{LoopVarId, StmtId};
 use crate::numeric;
 use crate::program::LoopHeader;
 use crate::stmt::Statement;
@@ -35,13 +38,11 @@ pub trait DepOracle {
     fn operands_overlap(&self, a: &Operand, b: &Operand, loops: &[LoopHeader]) -> bool;
 }
 
-/// The built-in oracle: exactly [`operands_overlap_in`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AffineOverlap;
-
-impl DepOracle for AffineOverlap {
+/// A function of the query's signature is an oracle; the built-in one
+/// is [`operands_overlap_in`] itself.
+impl<F: Fn(&Operand, &Operand, &[LoopHeader]) -> bool> DepOracle for F {
     fn operands_overlap(&self, a: &Operand, b: &Operand, loops: &[LoopHeader]) -> bool {
-        operands_overlap_in(a, b, loops)
+        self(a, b, loops)
     }
 }
 
@@ -166,7 +167,7 @@ impl BlockDeps {
     /// [`refs_overlap_in`]: accesses whose difference provably never
     /// vanishes inside the iteration space carry no dependence.
     pub fn analyze_in(block: &BasicBlock, loops: &[LoopHeader]) -> Self {
-        Self::analyze_with(block, loops, &AffineOverlap)
+        Self::analyze_with(block, loops, &operands_overlap_in)
     }
 
     /// [`BlockDeps::analyze_in`] with an explicit aliasing oracle.
@@ -181,48 +182,31 @@ impl BlockDeps {
         let mut direct_pairs = Vec::new();
         let mut reach = BitMatrix::new(n);
         let mut exclusive_merges = Vec::new();
-        let stmts = block.stmts();
+        let reads: Vec<Reads<'_>> = block.iter().map(Reads::of).collect();
+        let overlap = |a: &Operand, b: &Operand| oracle.operands_overlap(a, b, loops);
         for q in 0..n {
             for p in 0..q {
-                let (sp, sq) = (&stmts[p], &stmts[q]);
-                if exclusive_merge_pair(sp, sq, loops, oracle) {
+                let (sp, sq) = (&reads[p], &reads[q]);
+                if exclusive_merge_pair(sp, sq, overlap) {
                     exclusive_merges.push((p, q));
                 }
                 let mut dep = false;
-                // RAW: q reads what p wrote.
-                if sq
-                    .uses()
-                    .iter()
-                    .any(|u| oracle.operands_overlap(&sp.def(), u, loops))
-                {
-                    direct.push(Dependence {
-                        src: sp.id(),
-                        dst: sq.id(),
-                        kind: DepKind::Raw,
-                    });
-                    dep = true;
-                }
-                // WAR: q writes what p read.
-                if sp
-                    .uses()
-                    .iter()
-                    .any(|u| oracle.operands_overlap(&sq.def(), u, loops))
-                {
-                    direct.push(Dependence {
-                        src: sp.id(),
-                        dst: sq.id(),
-                        kind: DepKind::War,
-                    });
-                    dep = true;
-                }
-                // WAW: both write the same location.
-                if oracle.operands_overlap(&sp.def(), &sq.def(), loops) {
-                    direct.push(Dependence {
-                        src: sp.id(),
-                        dst: sq.id(),
-                        kind: DepKind::Waw,
-                    });
-                    dep = true;
+                for (kind, found) in [
+                    // RAW: q reads what p wrote.
+                    (DepKind::Raw, sq.uses.iter().any(|u| overlap(&sp.def, u))),
+                    // WAR: q writes what p read.
+                    (DepKind::War, sp.uses.iter().any(|u| overlap(&sq.def, u))),
+                    // WAW: both write the same location.
+                    (DepKind::Waw, overlap(&sp.def, &sq.def)),
+                ] {
+                    if found {
+                        direct.push(Dependence {
+                            src: sp.stmt.id(),
+                            dst: sq.stmt.id(),
+                            kind,
+                        });
+                        dep = true;
+                    }
                 }
                 if dep {
                     direct_pairs.push((p, q));
@@ -309,6 +293,28 @@ impl BlockDeps {
     }
 }
 
+/// What the pair test reads of one statement, taken once per block: its
+/// def, its uses and, for a merge-form select, its active predicate.
+struct Reads<'a> {
+    stmt: &'a Statement,
+    def: Operand,
+    uses: Operands<'a>,
+    merge: Option<MergePredicate<'a>>,
+}
+
+impl<'a> Reads<'a> {
+    fn of(stmt: &'a Statement) -> Self {
+        let (def, uses) = (stmt.def(), stmt.uses());
+        let merge = MergePredicate::of(stmt, &def);
+        Reads {
+            stmt,
+            def,
+            uses,
+            merge,
+        }
+    }
+}
+
 /// The predicate under which a merge-form select statement is *active*
 /// (stores something other than the destination's old value).
 ///
@@ -320,11 +326,11 @@ impl BlockDeps {
 /// negation exact under IEEE semantics: `!(a < b)` fires on `=`, `>`
 /// *and* unordered, which is not `a >= b`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MergePredicate<'a> {
+struct MergePredicate<'a> {
     /// Left comparison operand.
-    pub a: &'a Operand,
+    a: &'a Operand,
     /// Right comparison operand.
-    pub b: &'a Operand,
+    b: &'a Operand,
     /// Outcome set over `{<, =, >, unordered}` on which the statement
     /// is active.
     mask: u8,
@@ -351,22 +357,22 @@ fn cmp_truth_mask(op: CmpOp) -> u8 {
 }
 
 impl<'a> MergePredicate<'a> {
-    /// Extracts the active predicate of `stmt` if it is a merge-form
-    /// select (one value arm syntactically equal to the destination).
-    pub fn of(stmt: &'a Statement) -> Option<Self> {
+    /// Extracts the active predicate of `stmt`, whose destination is
+    /// `dest`, if it is a merge-form select (one value arm syntactically
+    /// equal to the destination).
+    fn of(stmt: &'a Statement, dest: &Operand) -> Option<Self> {
         let Expr::Select(op, a, b, t, f) = stmt.expr() else {
             return None;
         };
-        let dest = stmt.def();
         // Prefer the false arm: `select(c, v, x)` is the then-merge.
-        if *f == dest {
+        if f == dest {
             Some(MergePredicate {
                 a,
                 b,
                 mask: cmp_truth_mask(*op),
                 pass_idx: 3,
             })
-        } else if *t == dest {
+        } else if t == dest {
             Some(MergePredicate {
                 a,
                 b,
@@ -381,7 +387,7 @@ impl<'a> MergePredicate<'a> {
     /// Whether `self` and `other` can never be active in the same
     /// execution: same comparison operands and disjoint outcome sets.
     /// Sound under NaN because the outcome partition is exhaustive.
-    pub fn excludes(&self, other: &MergePredicate<'_>) -> bool {
+    fn excludes(&self, other: &MergePredicate<'_>) -> bool {
         self.a == other.a && self.b == other.b && self.mask & other.mask == 0
     }
 }
@@ -397,23 +403,21 @@ impl<'a> MergePredicate<'a> {
 /// value arm reading the destination would observe the other statement's
 /// store and break the symmetry.
 fn exclusive_merge_pair(
-    sp: &Statement,
-    sq: &Statement,
-    loops: &[LoopHeader],
-    oracle: &dyn DepOracle,
+    sp: &Reads<'_>,
+    sq: &Reads<'_>,
+    overlap: impl Fn(&Operand, &Operand) -> bool,
 ) -> bool {
-    let (Some(p), Some(q)) = (MergePredicate::of(sp), MergePredicate::of(sq)) else {
+    let (Some(p), Some(q)) = (&sp.merge, &sq.merge) else {
         return false;
     };
-    if sp.def() != sq.def() || !p.excludes(&q) {
+    if sp.def != sq.def || !p.excludes(q) {
         return false;
     }
     // The destination must not alias any other operand of either
     // statement (condition or value arm) — only the pass-through read.
-    for (s, pred) in [(sp, &p), (sq, &q)] {
-        let dest = s.def();
-        for (i, u) in s.expr().operands().into_iter().enumerate() {
-            if i != pred.pass_idx && oracle.operands_overlap(&dest, u, loops) {
+    for (s, pred) in [(sp, p), (sq, q)] {
+        for (i, u) in s.stmt.expr().operands().into_iter().enumerate() {
+            if i != pred.pass_idx && overlap(&s.def, u) {
                 return false;
             }
         }
@@ -421,13 +425,8 @@ fn exclusive_merge_pair(
     true
 }
 
-/// Whether two operands may denote the same storage location
-/// (conservative: no loop-bound context).
-pub fn operands_overlap(a: &Operand, b: &Operand) -> bool {
-    operands_overlap_in(a, b, &[])
-}
-
-/// Loop-bound-aware operand overlap.
+/// Whether two operands may denote the same storage location in one
+/// iteration of the enclosing `loops` (no loops: conservative).
 pub fn operands_overlap_in(a: &Operand, b: &Operand, loops: &[LoopHeader]) -> bool {
     match (a, b) {
         (Operand::Scalar(x), Operand::Scalar(y)) => x == y,
@@ -442,7 +441,8 @@ pub fn operands_overlap_in(a: &Operand, b: &Operand, loops: &[LoopHeader]) -> bo
 /// Within one execution of a basic block every induction variable holds
 /// one value, so the references alias iff their per-dimension difference
 /// `Δ(iv) = e₁(iv) − e₂(iv)` is zero for some iteration vector. Two
-/// sound disproofs are applied per dimension (a strong-SIV-style test):
+/// sound disproofs are applied per dimension (a strong-SIV-style test),
+/// on `Δ` read off the two subscripts' term lists without building it:
 ///
 /// * **GCD:** if `gcd(Δ coefficients) ∤ Δ constant`, `Δ` is never zero;
 /// * **interval:** if `[min Δ, max Δ]` over the loop ranges excludes 0,
@@ -456,13 +456,11 @@ pub fn refs_overlap_in(x: &ArrayRef, y: &ArrayRef, loops: &[LoopHeader]) -> bool
     if x.access.rank() != y.access.rank() {
         return true; // malformed; stay conservative
     }
-    for d in 0..x.access.rank() {
-        let delta = x.access.dim(d).sub(y.access.dim(d));
-        if delta_never_zero(&delta, loops) {
-            return false;
-        }
-    }
-    true
+    let mut dims = x.access.dims().iter().zip(y.access.dims());
+    !dims.any(|(a, b)| {
+        let (constant, _) = a.difference(b);
+        never_zero(|| a.difference(b).1, constant, loops)
+    })
 }
 
 /// The GCD disproof: `delta` is never zero when it is a non-zero
@@ -470,31 +468,27 @@ pub fn refs_overlap_in(x: &ArrayRef, y: &ArrayRef, loops: &[LoopHeader]) -> bool
 /// constant term. Loop bounds are not consulted, so this is the part of
 /// the test a range analysis can go *beyond* (see `slp-analyze`).
 pub fn gcd_test_refutes_zero(delta: &AffineExpr) -> bool {
-    if delta.is_constant() {
-        return delta.constant() != 0;
-    }
-    let mut g: i64 = 0;
-    for (_, c) in delta.terms() {
-        g = numeric::gcd(g, c);
-    }
-    g != 0 && delta.constant() % g != 0
+    // Without loop bounds the interval disproof never applies.
+    never_zero(|| delta.terms(), delta.constant(), &[])
 }
 
-/// Whether `delta` is provably non-zero over the loop iteration space:
-/// the GCD disproof, then an interval disproof over the loop ranges
-/// (which needs bounds for every variable of `delta`; an unknown range
-/// or zero-trip loop stays conservative).
-fn delta_never_zero(delta: &AffineExpr, loops: &[LoopHeader]) -> bool {
-    if gcd_test_refutes_zero(delta) {
-        return true;
+/// Whether `constant + Σ terms()` is provably non-zero over the loop
+/// iteration space: the GCD disproof, then an interval disproof over the
+/// loop ranges (which needs bounds for every variable; an unknown range
+/// or zero-trip loop stays conservative). `terms` yields the non-zero
+/// terms afresh on each call.
+fn never_zero<I: Iterator<Item = (LoopVarId, i64)>>(
+    terms: impl Fn() -> I,
+    constant: i64,
+    loops: &[LoopHeader],
+) -> bool {
+    // Every coefficient is non-zero, so `g` is zero only without terms.
+    let g = terms().fold(0, |g, (_, c)| numeric::gcd(g, c));
+    if g == 0 {
+        return constant != 0;
     }
-    if delta.is_constant() {
-        return false; // constant zero
-    }
-    match numeric::interval_in(delta, loops) {
-        Some((lo, hi)) => lo > 0 || hi < 0,
-        None => false,
-    }
+    constant % g != 0
+        || numeric::interval_in(terms(), constant, loops).is_some_and(|(lo, hi)| lo > 0 || hi < 0)
 }
 
 #[cfg(test)]
@@ -827,7 +821,7 @@ mod tests {
             VarId::new(0).into(),
             Expr::Select(CmpOp::Ge, v(1), v(2), v(3), x.clone()),
         );
-        let p = MergePredicate::of(&s).expect("merge form");
+        let p = MergePredicate::of(&s, &s.def()).expect("merge form");
         assert_eq!(p.a, &v(1));
         // A select whose arms never read the destination has no merge
         // predicate.
@@ -836,7 +830,7 @@ mod tests {
             VarId::new(0).into(),
             Expr::Select(CmpOp::Ge, v(1), v(2), v(3), v(4)),
         );
-        assert!(MergePredicate::of(&s).is_none());
+        assert!(MergePredicate::of(&s, &s.def()).is_none());
     }
 
     #[test]

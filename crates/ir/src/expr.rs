@@ -316,34 +316,33 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// The operands of the expression in positional order.
-    pub fn operands(&self) -> Vec<&Operand> {
-        match self {
-            Expr::Copy(a) | Expr::Unary(_, a) => vec![a],
-            Expr::Binary(_, a, b) => vec![a, b],
-            Expr::MulAdd(a, b, c) => vec![a, b, c],
-            Expr::Select(_, a, b, t, e) => vec![a, b, t, e],
-        }
+    /// The operands of the expression in positional order, as a view
+    /// that reads as a slice (`len`, `[k]`, `iter`) or iterates by value
+    /// without allocating.
+    pub fn operands(&self) -> Operands<'_> {
+        let (refs, len) = match self {
+            Expr::Copy(a) | Expr::Unary(_, a) => ([a; 4], 1),
+            Expr::Binary(_, a, b) => ([a, b, b, b], 2),
+            Expr::MulAdd(a, b, c) => ([a, b, c, c], 3),
+            Expr::Select(_, a, b, t, e) => ([a, b, t, e], 4),
+        };
+        Operands { refs, len }
     }
 
     /// Mutable access to the operands in positional order.
-    pub fn operands_mut(&mut self) -> Vec<&mut Operand> {
-        match self {
-            Expr::Copy(a) | Expr::Unary(_, a) => vec![a],
-            Expr::Binary(_, a, b) => vec![a, b],
-            Expr::MulAdd(a, b, c) => vec![a, b, c],
-            Expr::Select(_, a, b, t, e) => vec![a, b, t, e],
-        }
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Operand> {
+        let refs = match self {
+            Expr::Copy(a) | Expr::Unary(_, a) => [Some(a), None, None, None],
+            Expr::Binary(_, a, b) => [Some(a), Some(b), None, None],
+            Expr::MulAdd(a, b, c) => [Some(a), Some(b), Some(c), None],
+            Expr::Select(_, a, b, t, e) => [Some(a), Some(b), Some(t), Some(e)],
+        };
+        refs.into_iter().flatten()
     }
 
     /// Number of operand positions.
     pub fn arity(&self) -> usize {
-        match self {
-            Expr::Copy(_) | Expr::Unary(_, _) => 1,
-            Expr::Binary(_, _, _) => 2,
-            Expr::MulAdd(_, _, _) => 3,
-            Expr::Select(_, _, _, _, _) => 4,
-        }
+        self.operands().len()
     }
 
     /// A discriminant describing the operator shape, ignoring operands.
@@ -372,6 +371,52 @@ impl fmt::Display for Expr {
             Expr::MulAdd(a, b, c) => write!(f, "{a} + {b} * {c}"),
             Expr::Select(op, a, b, t, e) => write!(f, "select({a} {op} {b}, {t}, {e})"),
         }
+    }
+}
+
+/// At most four operand references in positional order: what
+/// [`Expr::operands`] and [`Statement::uses`](crate::Statement::uses)
+/// return. Dereferences to a slice; iterating it by value yields the
+/// references themselves.
+#[derive(Clone, Copy)]
+pub struct Operands<'a> {
+    /// The operands, padded past `len` with a repeat of one of them.
+    refs: [&'a Operand; 4],
+    len: usize,
+}
+
+impl<'a> Operands<'a> {
+    /// The operands that are locations (not constants), in order.
+    pub(crate) fn locations(self) -> Operands<'a> {
+        let mut out = Operands { len: 0, ..self };
+        for op in self.into_iter().filter(|op| op.is_location()) {
+            out.refs[out.len] = op;
+            out.len += 1;
+        }
+        out
+    }
+}
+
+impl<'a> std::ops::Deref for Operands<'a> {
+    type Target = [&'a Operand];
+
+    fn deref(&self) -> &[&'a Operand] {
+        &self.refs[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for Operands<'a> {
+    type Item = &'a Operand;
+    type IntoIter = std::iter::Take<std::array::IntoIter<&'a Operand, 4>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.refs.into_iter().take(self.len)
+    }
+}
+
+impl fmt::Debug for Operands<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 

@@ -14,8 +14,8 @@
 //! * intra-block dependence analysis with transitive closure
 //!   ([`BlockDeps`]),
 //! * the pre-processing passes: loop unrolling ([`unroll_program`]) and
-//!   alignment/contiguity analysis ([`is_aligned`], [`pack_is_contiguous`],
-//!   [`pack_is_aligned`]).
+//!   alignment/contiguity analysis ([`is_aligned_in`], [`pack_is_contiguous`],
+//!   [`pack_is_aligned_in`]).
 //!
 //! # Examples
 //!
@@ -54,16 +54,14 @@ mod unroll;
 mod validate;
 
 pub use affine::{AccessVector, AffineExpr};
-pub use align::{
-    is_aligned, is_aligned_in, pack_is_aligned, pack_is_aligned_in, pack_is_contiguous,
-};
+pub use align::{is_aligned_in, pack_is_aligned_in, pack_is_contiguous};
 pub use block::{BasicBlock, StmtPositions};
 pub use deps::{
-    gcd_test_refutes_zero, operands_overlap, operands_overlap_in, refs_overlap_in, AffineOverlap,
-    BlockDeps, DepKind, DepOracle, Dependence, MergePredicate,
+    gcd_test_refutes_zero, operands_overlap_in, refs_overlap_in, BlockDeps, DepKind, DepOracle,
+    Dependence,
 };
 pub use expr::{
-    ArrayRef, BinOp, CmpOp, Dest, Expr, ExprShape, Operand, OperandKind, TypeEnv, UnOp,
+    ArrayRef, BinOp, CmpOp, Dest, Expr, ExprShape, Operand, OperandKind, Operands, TypeEnv, UnOp,
 };
 pub use ids::{ArrayId, LoopVarId, StmtId, VarId};
 pub use program::{ArrayInfo, BlockId, BlockInfo, Item, Loop, LoopHeader, Program, ScalarInfo};

@@ -10,7 +10,7 @@
 //! pathological coefficients cannot overflow (or, worse, wrap into a
 //! falsely-in-range interval).
 
-use crate::affine::AffineExpr;
+use crate::ids::LoopVarId;
 use crate::program::LoopHeader;
 
 /// Greatest common divisor of `|a|` and `|b|`; `gcd(0, 0) == 0`.
@@ -35,17 +35,22 @@ pub fn gcd(a: i64, b: i64) -> i64 {
     i64::try_from(a).unwrap_or(i64::MAX)
 }
 
-/// The provable `[min, max]` of an affine expression over loop ranges.
+/// The provable `[min, max]` of `constant + Σ terms` (an affine
+/// expression's, or a difference read in place) over loop ranges.
 ///
-/// Returns `None` when some variable of `e` has no enclosing header or
-/// when an enclosing loop provably never runs (no iteration exists, so
-/// no value constraint is meaningful). Computed in `i128` and clamped
-/// back to `i64`; clamping is monotone around 0, so sign-based verdicts
+/// Returns `None` when some variable has no enclosing header or when an
+/// enclosing loop provably never runs (no iteration exists, so no value
+/// constraint is meaningful). Computed in `i128` and clamped back to
+/// `i64`; clamping is monotone around 0, so sign-based verdicts
 /// (out-of-bounds, never-zero) survive it.
-pub fn interval_in(e: &AffineExpr, loops: &[LoopHeader]) -> Option<(i64, i64)> {
-    let mut lo = e.constant() as i128;
+pub fn interval_in(
+    terms: impl IntoIterator<Item = (LoopVarId, i64)>,
+    constant: i64,
+    loops: &[LoopHeader],
+) -> Option<(i64, i64)> {
+    let mut lo = constant as i128;
     let mut hi = lo;
-    for (v, c) in e.terms() {
+    for (v, c) in terms {
         let h = loops.iter().find(|h| h.var == v)?;
         let trips = h.trip_count() as i128;
         if trips <= 0 {
@@ -57,18 +62,18 @@ pub fn interval_in(e: &AffineExpr, loops: &[LoopHeader]) -> Option<(i64, i64)> {
         lo = lo.saturating_add(a.min(b));
         hi = hi.saturating_add(a.max(b));
     }
-    Some((clamp_i64(lo), clamp_i64(hi)))
-}
-
-/// Saturates an `i128` into the `i64` range.
-pub fn clamp_i64(x: i128) -> i64 {
-    x.clamp(i64::MIN as i128, i64::MAX as i128) as i64
+    let clamp = |x: i128| x.clamp(i64::MIN as i128, i64::MAX as i128) as i64;
+    Some((clamp(lo), clamp(hi)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::LoopVarId;
+    use crate::affine::AffineExpr;
+
+    fn interval(e: &AffineExpr, loops: &[LoopHeader]) -> Option<(i64, i64)> {
+        interval_in(e.terms(), e.constant(), loops)
+    }
 
     fn header(var: u32, lower: i64, upper: i64, step: i64) -> LoopHeader {
         LoopHeader {
@@ -93,7 +98,7 @@ mod tests {
         // 2i + 1 over i in 0..8 -> [1, 15].
         let e = AffineExpr::var(LoopVarId::new(0)).scaled(2).offset(1);
         let h = [header(0, 0, 8, 1)];
-        assert_eq!(interval_in(&e, &h), Some((1, 15)));
+        assert_eq!(interval(&e, &h), Some((1, 15)));
     }
 
     #[test]
@@ -101,20 +106,20 @@ mod tests {
         // i over i in 0..7 step 2 -> last iteration is i = 6.
         let e = AffineExpr::var(LoopVarId::new(0));
         let h = [header(0, 0, 7, 2)];
-        assert_eq!(interval_in(&e, &h), Some((0, 6)));
+        assert_eq!(interval(&e, &h), Some((0, 6)));
     }
 
     #[test]
     fn interval_unknown_var_is_none() {
         let e = AffineExpr::var(LoopVarId::new(3));
-        assert_eq!(interval_in(&e, &[]), None);
+        assert_eq!(interval(&e, &[]), None);
     }
 
     #[test]
     fn interval_zero_trip_is_none() {
         let e = AffineExpr::var(LoopVarId::new(0));
         let h = [header(0, 4, 4, 1)];
-        assert_eq!(interval_in(&e, &h), None);
+        assert_eq!(interval(&e, &h), None);
     }
 
     #[test]
@@ -122,14 +127,14 @@ mod tests {
         // -3i + 2 over i in 1..5 -> [-10, -1].
         let e = AffineExpr::var(LoopVarId::new(0)).scaled(-3).offset(2);
         let h = [header(0, 1, 5, 1)];
-        assert_eq!(interval_in(&e, &h), Some((-10, -1)));
+        assert_eq!(interval(&e, &h), Some((-10, -1)));
     }
 
     #[test]
     fn interval_saturates_instead_of_wrapping() {
         let e = AffineExpr::var(LoopVarId::new(0)).scaled(i64::MAX);
         let h = [header(0, 1, i64::MAX, 1)];
-        let (lo, hi) = interval_in(&e, &h).expect("bounded");
+        let (lo, hi) = interval(&e, &h).expect("bounded");
         assert!(lo > 0, "sign must survive saturation");
         assert_eq!(hi, i64::MAX);
     }

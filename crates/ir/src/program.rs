@@ -358,22 +358,31 @@ impl Program {
     /// its memory home. Upward-exposed scalars (parameters, accumulators,
     /// loop-carried values) are memory-resident.
     pub fn upward_exposed_scalars(&self) -> Vec<bool> {
-        let mut exposed = vec![false; self.scalars.len()];
-        for info in self.blocks() {
-            let mut written: Vec<bool> = vec![false; self.scalars.len()];
-            for s in info.block.iter() {
-                for u in s.uses() {
-                    if let Operand::Scalar(v) = u {
-                        if !written[v.index()] {
-                            exposed[v.index()] = true;
+        // Walks the item tree in place: a block is a run of statements
+        // between loops, so `written` restarts at each body and after
+        // each loop.
+        fn walk(items: &[Item], exposed: &mut [bool], written: &mut [bool]) {
+            written.fill(false);
+            for item in items {
+                match item {
+                    Item::Stmt(s) => {
+                        for v in s.uses().into_iter().filter_map(Operand::as_scalar) {
+                            exposed[v.index()] |= !written[v.index()];
+                        }
+                        if let Dest::Scalar(v) = s.dest() {
+                            written[v.index()] = true;
                         }
                     }
-                }
-                if let Dest::Scalar(v) = s.dest() {
-                    written[v.index()] = true;
+                    Item::Loop(l) => {
+                        walk(&l.body, exposed, written);
+                        written.fill(false);
+                    }
                 }
             }
         }
+        let n = self.scalars.len();
+        let mut exposed = vec![false; n];
+        walk(&self.items, &mut exposed, &mut vec![false; n]);
         exposed
     }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::expr::{Dest, Expr, Operand, TypeEnv};
+use crate::expr::{Dest, Expr, Operand, Operands, TypeEnv};
 use crate::ids::StmtId;
 
 /// A single three-address statement `dest = expr`.
@@ -62,12 +62,8 @@ impl Statement {
 
     /// The locations read (used) by this statement, in positional order,
     /// excluding constants.
-    pub fn uses(&self) -> Vec<&Operand> {
-        self.expr
-            .operands()
-            .into_iter()
-            .filter(|o| o.is_location())
-            .collect()
+    pub fn uses(&self) -> Operands<'_> {
+        self.expr.operands().locations()
     }
 
     /// Whether `self` and `other` are isomorphic under the §4.1 definition:
@@ -86,8 +82,8 @@ impl Statement {
         let a = self.expr.operands();
         let b = other.expr.operands();
         debug_assert_eq!(a.len(), b.len());
-        a.iter()
-            .zip(&b)
+        a.into_iter()
+            .zip(b)
             .all(|(x, y)| x.kind() == y.kind() && env.operand_type(x) == env.operand_type(y))
     }
 }
@@ -154,7 +150,7 @@ mod tests {
         );
         assert_eq!(s.def(), Operand::Array(aref(0)));
         // Constants are not uses.
-        assert_eq!(s.uses(), vec![&Operand::Scalar(VarId::new(1))]);
+        assert_eq!(s.uses()[..], [&Operand::Scalar(VarId::new(1))]);
     }
 
     #[test]

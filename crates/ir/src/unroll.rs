@@ -209,14 +209,8 @@ fn unroll_loop(
     // must be copied back to its original name. The copy-backs precede the
     // remainder loop: the remainder re-defines the scalar itself, matching
     // the original last-iteration-wins semantics.
-    let mut body_reads: HashMap<VarId, usize> = HashMap::new();
-    for s in &body {
-        for u in s.uses() {
-            if let Operand::Scalar(v) = u {
-                *body_reads.entry(*v).or_insert(0) += 1;
-            }
-        }
-    }
+    let mut body_reads = HashMap::new();
+    count_scalar_reads(&l.body, &mut body_reads);
     let mut out = vec![Item::Loop(main)];
     for &v in &private {
         let outside =

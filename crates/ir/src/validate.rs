@@ -12,10 +12,10 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-use crate::affine::AffineExpr;
 use crate::expr::{ArrayRef, Dest, Operand};
 use crate::ids::{LoopVarId, StmtId};
-use crate::program::{LoopHeader, Program};
+use crate::numeric::interval_in;
+use crate::program::Program;
 
 /// A violation found by [`Program::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,13 +71,6 @@ impl fmt::Display for ValidationError {
 
 impl Error for ValidationError {}
 
-/// The provable `[min, max]` of an affine expression over loop ranges:
-/// the shared exact-i128 interval of [`crate::numeric`] (`None` for
-/// unknown variables and zero-trip loops, whose accesses never execute).
-fn interval(e: &AffineExpr, loops: &[LoopHeader]) -> Option<(i64, i64)> {
-    crate::numeric::interval_in(e, loops)
-}
-
 impl Program {
     /// Validates the program's structural invariants and statically
     /// provable bounds.
@@ -129,7 +122,8 @@ impl Program {
                             errors.push(ValidationError::LoopVarOutOfScope(s.id(), v));
                             continue;
                         }
-                        let Some((lo, hi)) = interval(e, &info.loops) else {
+                        let interval = interval_in(e.terms(), e.constant(), &info.loops);
+                        let Some((lo, hi)) = interval else {
                             continue; // zero-trip loop: never executed
                         };
                         let extent = info_a.dims[dim];
@@ -158,9 +152,9 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affine::AccessVector;
+    use crate::affine::{AccessVector, AffineExpr};
     use crate::expr::Expr;
-    use crate::program::{Item, Loop};
+    use crate::program::{Item, Loop, LoopHeader};
     use crate::types::ScalarType;
 
     fn looped(upper: i64, coeff: i64, offset: i64, extent: i64) -> Program {

@@ -18,14 +18,15 @@ use std::collections::HashMap;
 
 use slp_analyze::RangeOracle;
 use slp_core::{CompiledKernel, ScheduledItem};
-use slp_ir::{BlockDeps, StmtId};
+use slp_ir::{BlockDeps, BlockInfo, StmtId};
 
 use crate::diag::{Diagnostic, LintCode, Span};
 
-/// Runs the dependence-preservation checks over every scheduled block.
-pub fn check_dependences(kernel: &CompiledKernel) -> Vec<Diagnostic> {
+/// Runs the dependence-preservation checks over every scheduled block of
+/// `blocks`, the kernel's.
+pub(crate) fn check_dependences(kernel: &CompiledKernel, blocks: &[BlockInfo]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for info in kernel.program.blocks() {
+    for info in blocks {
         let Some(sched) = kernel.schedule_of(info.id) else {
             out.push(Diagnostic::new(
                 LintCode::ScheduleNotPermutation,

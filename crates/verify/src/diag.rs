@@ -34,15 +34,15 @@ impl fmt::Display for Severity {
 
 /// The lint catalogue. Codes are grouped by checker family:
 ///
-/// * `V1xx` — dependence preservation ([`crate::check_dependences`])
-/// * `V2xx` — pack legality ([`crate::check_packs`])
-/// * `V3xx` — data-layout soundness ([`crate::check_layout`])
+/// * `V1xx` — dependence preservation
+/// * `V2xx` — pack legality
+/// * `V3xx` — data-layout soundness
 /// * `V4xx` — differential translation validation
 ///   ([`crate::check_differential`])
 /// * `V5xx` — whole-program dataflow lints from `slp-analyze`
 ///   ([`crate::lint_program`])
 /// * `V6xx` — symbolic translation validation from `slp-tv`
-///   ([`crate::check_symbolic`])
+///   ([`crate::prove_kernel`])
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintCode {
     /// The schedule is not a permutation of the block's statements

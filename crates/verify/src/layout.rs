@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use slp_core::{CompiledKernel, Replication};
-use slp_ir::{Dest, LoopHeader, LoopVarId, Operand};
+use slp_ir::{BlockInfo, Dest, LoopHeader, LoopVarId, Operand};
 
 use crate::diag::{Diagnostic, LintCode, Span};
 
@@ -29,16 +29,22 @@ use crate::diag::{Diagnostic, LintCode, Span};
 /// checked over its first `ENUM_CAP` iterations only.
 const ENUM_CAP: usize = 1 << 20;
 
-/// Runs the layout-soundness checks over every committed replication.
-pub fn check_layout(kernel: &CompiledKernel) -> Vec<Diagnostic> {
+/// Runs the layout-soundness checks over every committed replication;
+/// `blocks` are the kernel's.
+pub(crate) fn check_layout(kernel: &CompiledKernel, blocks: &[BlockInfo]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for r in &kernel.replications {
-        check_replication(kernel, r, &mut out);
+        check_replication(kernel, blocks, r, &mut out);
     }
     out
 }
 
-fn check_replication(kernel: &CompiledKernel, r: &Replication, out: &mut Vec<Diagnostic>) {
+fn check_replication(
+    kernel: &CompiledKernel,
+    blocks: &[BlockInfo],
+    r: &Replication,
+    out: &mut Vec<Diagnostic>,
+) {
     let program = &kernel.program;
     let src_name = program.array(r.source).name.clone();
     let dst_name = program.array(r.dest).name.clone();
@@ -127,7 +133,7 @@ fn check_replication(kernel: &CompiledKernel, r: &Replication, out: &mut Vec<Dia
 
     // V304: every program read of the replica must hit a populated slot.
     let mut unpopulated = 0usize;
-    for info in program.blocks() {
+    for info in blocks {
         let mut replica_reads: Vec<(slp_ir::StmtId, slp_ir::AffineExpr)> = Vec::new();
         for s in info.block.iter() {
             for o in s.uses() {

@@ -6,14 +6,13 @@
 //! [`CompiledKernel`] and reports findings as structured
 //! [`Diagnostic`]s instead of panicking:
 //!
-//! * [`check_dependences`] — recomputes the dependence graph on the
-//!   scalar block and proves the superword schedule preserves it
-//!   (`V1xx` codes),
-//! * [`check_packs`] — per-superword legality lints: lane isomorphism,
-//!   datapath fit, disjoint destinations, alignment, loop-variable
-//!   scope (`V2xx`),
-//! * [`check_layout`] — proves each §5.2 array replication injective,
-//!   in-bounds, immutable, and fully populated (`V3xx`),
+//! * dependences — recomputes the dependence graph on the scalar block
+//!   and proves the superword schedule preserves it (`V1xx` codes),
+//! * packs — per-superword legality lints: lane isomorphism, datapath
+//!   fit, disjoint destinations, alignment, loop-variable scope
+//!   (`V2xx`),
+//! * layout — proves each §5.2 array replication injective, in-bounds,
+//!   immutable, and fully populated (`V3xx`),
 //! * [`check_differential`] — executes the scalar baseline and the
 //!   compiled kernel on identical seeded memory and diffs the final
 //!   arrays bit for bit (`V4xx`),
@@ -24,14 +23,15 @@
 //!   program, bridged from `slp-analyze`: use-before-def, dead stores,
 //!   provably out-of-bounds subscripts, misalignment risks, dead loops
 //!   (`V5xx`),
-//! * [`check_symbolic`] — symbolic translation validation bridged from
+//! * [`prove_kernel`] — symbolic translation validation bridged from
 //!   `slp-tv`: proves scalar ≡ vectorized over *all* inputs, degrading to
 //!   the differential check on budget exhaustion (`V6xx`).
 //!
-//! [`verify_kernel`] bundles the static checks; [`verify_with_execution`]
-//! adds the differential run. [`pipeline_hook`] and
-//! [`pipeline_hook_full`] adapt them to the [`SlpConfig::verify`] slot so
-//! every `slp_core::compile` call can self-check:
+//! [`verify_kernel`] bundles the static checks over one extraction of the
+//! kernel's blocks; [`verify_with_execution`] adds the differential run.
+//! [`pipeline_hook`] adapts the static checks to the
+//! [`SlpConfig::verify`] slot so every `slp_core::compile` call can
+//! self-check:
 //!
 //! ```
 //! use slp_core::{compile, MachineConfig, SlpConfig, Strategy};
@@ -62,15 +62,15 @@ mod packs;
 mod symbolic;
 
 pub use cert::check_certificate;
-pub use deps::check_dependences;
+use deps::check_dependences;
 pub use diag::{Diagnostic, LintCode, Report, Severity, Span};
 pub use differential::{
     assert_states_equivalent, check_differential, check_engine_agreement, diff_states,
 };
-pub use layout::check_layout;
+use layout::check_layout;
 pub use lints::lint_program;
-pub use packs::check_packs;
-pub use symbolic::{check_symbolic, prove_kernel};
+use packs::check_packs;
+pub use symbolic::prove_kernel;
 
 #[cfg(doc)]
 use slp_core::SlpConfig;
@@ -80,10 +80,11 @@ use slp_ir::Program;
 /// Runs all static checkers (dependences, packs, layout, memory-safety
 /// certificate) over a compiled kernel.
 pub fn verify_kernel(kernel: &CompiledKernel) -> Report {
+    let blocks = kernel.program.blocks();
     let mut report = Report::new();
-    report.extend(check_dependences(kernel));
-    report.extend(check_packs(kernel));
-    report.extend(check_layout(kernel));
+    report.extend(check_dependences(kernel, &blocks));
+    report.extend(check_packs(kernel, &blocks));
+    report.extend(check_layout(kernel, &blocks));
     report.extend(check_certificate(kernel).diagnostics);
     report
 }
@@ -102,13 +103,6 @@ pub fn verify_with_execution(original: &Program, kernel: &CompiledKernel) -> Rep
 /// compile.
 pub fn pipeline_hook(_original: &Program, kernel: &CompiledKernel) -> Result<(), VerifyError> {
     report_to_result(verify_kernel(kernel))
-}
-
-/// Adapter for [`SlpConfig::verify`] that also runs the differential
-/// translation validation. Each compile then executes the program twice;
-/// meant for tests and `slpc check`, not for hot compile paths.
-pub fn pipeline_hook_full(original: &Program, kernel: &CompiledKernel) -> Result<(), VerifyError> {
-    report_to_result(verify_with_execution(original, kernel))
 }
 
 fn report_to_result(report: Report) -> Result<(), VerifyError> {

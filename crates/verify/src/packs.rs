@@ -18,19 +18,20 @@ use std::collections::BTreeSet;
 
 use slp_core::{CompiledKernel, ScheduledItem};
 use slp_ir::{
-    operands_overlap_in, pack_is_aligned_in, pack_is_contiguous, ArrayRef, Dest, LoopVarId,
-    Statement, TypeEnv,
+    operands_overlap_in, pack_is_aligned_in, pack_is_contiguous, ArrayRef, BlockInfo, Dest,
+    LoopVarId, Statement, TypeEnv,
 };
 
 use crate::diag::{Diagnostic, LintCode, Span};
 
-/// Runs the pack legality lints over every superword statement.
-pub fn check_packs(kernel: &CompiledKernel) -> Vec<Diagnostic> {
+/// Runs the pack legality lints over every superword statement of
+/// `blocks`, the kernel's.
+pub(crate) fn check_packs(kernel: &CompiledKernel, blocks: &[BlockInfo]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let program = &kernel.program;
     let machine = &kernel.config.machine;
 
-    for info in program.blocks() {
+    for info in blocks {
         let in_scope: BTreeSet<LoopVarId> = info.loops.iter().map(|h| h.var).collect();
 
         // V205: subscripts must only use variables of enclosing loops.

@@ -1,6 +1,6 @@
 //! Symbolic translation validation (`V6xx`), bridged from `slp-tv`.
 //!
-//! [`check_symbolic`] upgrades the point-wise differential check to a
+//! [`prove_kernel`] upgrades the point-wise differential check to a
 //! proof over **all** inputs: the `slp-tv` validator symbolically
 //! evaluates the scalar program and the compiled kernel over a shared
 //! hash-consed term arena and compares every observable location's value
@@ -26,7 +26,10 @@ use crate::diag::{Diagnostic, LintCode, Report, Span};
 use crate::differential::check_differential;
 
 /// Runs the symbolic translation validator with the default budgets and
-/// folds the verdict into a diagnostic report (see module docs).
+/// folds the verdict into a diagnostic report (see module docs),
+/// returning the raw [`Verdict`] beside it so callers (the driver's
+/// `--prove` mode, the fuzzer's validator oracle) can act on the proof
+/// outcome itself.
 ///
 /// `original` must be the program `kernel` was compiled from.
 ///
@@ -41,17 +44,10 @@ use crate::differential::check_differential;
 /// )?;
 /// let cfg = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic);
 /// let kernel = compile(&program, &cfg);
-/// let report = slp_verify::check_symbolic(&program, &kernel);
+/// let (report, _) = slp_verify::prove_kernel(&program, &kernel);
 /// assert!(report.is_clean(), "{report}");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn check_symbolic(original: &Program, kernel: &CompiledKernel) -> Report {
-    prove_kernel(original, kernel).0
-}
-
-/// Like [`check_symbolic`], but also returns the raw [`Verdict`] so
-/// callers (the driver's `--prove` mode, the fuzzer's validator oracle)
-/// can act on the proof outcome itself.
 pub fn prove_kernel(original: &Program, kernel: &CompiledKernel) -> (Report, Verdict) {
     let verdict = slp_tv::validate(
         original,

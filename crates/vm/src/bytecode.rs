@@ -48,12 +48,12 @@ use std::collections::HashMap;
 
 use slp_core::{CompiledKernel, CostParams, MachineConfig, Replication, SafetyCert};
 use slp_ir::{
-    ArrayId, ArrayRef, BlockId, Dest, ExprShape, Item, LoopVarId, Operand, Program, ScalarType,
-    StmtId, TypeEnv,
+    ArrayId, ArrayRef, BlockId, BlockInfo, Dest, ExprShape, Item, LoopVarId, Operand, Program,
+    ScalarType, StmtId, TypeEnv,
 };
 
 use crate::code::{InstMetrics, SplatSrc, VInst, VReg};
-use crate::codegen::{lower_kernel, BlockCode};
+use crate::codegen::{lower_kernel_with, BlockCode};
 use crate::exec::{populate_replication, ExecError, Outcome, RunStats};
 use crate::memory::MachineState;
 
@@ -309,8 +309,8 @@ pub struct BytecodeKernel {
 
 impl BytecodeKernel {
     /// Lowers `kernel` for `machine` (running the regular
-    /// [`lower_kernel`] code generator, cost gate as given) and
-    /// translates the result to bytecode.
+    /// [`lower_kernel`](crate::lower_kernel) code generator, cost gate as
+    /// given) and translates the result to bytecode.
     ///
     /// # Errors
     ///
@@ -325,8 +325,7 @@ impl BytecodeKernel {
         machine: &MachineConfig,
         cost_gate: bool,
     ) -> Result<BytecodeKernel, ExecError> {
-        let codes = lower_kernel(kernel, machine, cost_gate);
-        BytecodeKernel::from_codes(kernel, machine, &codes)
+        BytecodeKernel::lowered(kernel, machine, cost_gate, true)
     }
 
     /// Like [`BytecodeKernel::compile`], but keeps every per-dimension
@@ -339,8 +338,20 @@ impl BytecodeKernel {
         machine: &MachineConfig,
         cost_gate: bool,
     ) -> Result<BytecodeKernel, ExecError> {
-        let codes = lower_kernel(kernel, machine, cost_gate);
-        BytecodeKernel::from_codes_with(kernel, machine, &codes, false)
+        BytecodeKernel::lowered(kernel, machine, cost_gate, false)
+    }
+
+    /// Lowers and translates `kernel` over one extraction of its blocks.
+    fn lowered(
+        kernel: &CompiledKernel,
+        machine: &MachineConfig,
+        cost_gate: bool,
+        elide_checks: bool,
+    ) -> Result<BytecodeKernel, ExecError> {
+        let infos = kernel.program.blocks();
+        let permuted_reuse = kernel.config.strategy.permuted_reuse();
+        let codes = lower_kernel_with(kernel, &infos, machine, cost_gate, permuted_reuse);
+        BytecodeKernel::translate(kernel, machine, &infos, &codes, elide_checks)
     }
 
     /// `(unchecked, total)` array-access counts of this lowering: how
@@ -367,14 +378,17 @@ impl BytecodeKernel {
         machine: &MachineConfig,
         codes: &[(BlockId, BlockCode)],
     ) -> Result<BytecodeKernel, ExecError> {
-        BytecodeKernel::from_codes_with(kernel, machine, codes, true)
+        let infos = kernel.program.blocks();
+        BytecodeKernel::translate(kernel, machine, &infos, codes, true)
     }
 
-    /// [`BytecodeKernel::from_codes`] with explicit control over whether
+    /// [`BytecodeKernel::from_codes`] over the kernel's blocks `infos` as
+    /// already extracted, with explicit control over whether
     /// certificate-proven accesses may drop their bounds checks.
-    fn from_codes_with(
+    fn translate(
         kernel: &CompiledKernel,
         machine: &MachineConfig,
+        infos: &[BlockInfo],
         codes: &[(BlockId, BlockCode)],
         elide_checks: bool,
     ) -> Result<BytecodeKernel, ExecError> {
@@ -397,7 +411,6 @@ impl BytecodeKernel {
             code: Code::default(),
         };
 
-        let infos = program.blocks();
         let mut by_first: HashMap<StmtId, u32> = HashMap::new();
         for (slot, (info, (id, code))) in infos.iter().zip(codes).enumerate() {
             debug_assert_eq!(info.id, *id);
@@ -1606,7 +1619,8 @@ mod tests {
                 },
             )];
             let certified = BytecodeKernel::from_codes(&k, &machine(), &codes).unwrap();
-            let checked = BytecodeKernel::from_codes_with(&k, &machine(), &codes, false).unwrap();
+            let infos = k.program.blocks();
+            let checked = BytecodeKernel::translate(&k, &machine(), &infos, &codes, false).unwrap();
             let load_runs = |bc: &BytecodeKernel| {
                 let mut loads = bc.code.ops.iter().filter_map(|op| match op {
                     BOp::Load(ld) => Some(ld.acc.run),

@@ -17,7 +17,7 @@ use slp_core::{
     emit_schedule, scalar_traffic, AccessClass, BlockIndex, BlockSchedule, CompiledKernel,
     CostContext, EmitSink, LaneSink, LayoutView, MachineConfig, ScalarPackClass,
 };
-use slp_ir::{ArrayRef, ExprShape, Statement, VarId};
+use slp_ir::{ArrayRef, BlockInfo, ExprShape, Statement, VarId};
 
 use crate::code::{InstMetrics, SplatSrc, VInst, VReg};
 
@@ -125,21 +125,22 @@ pub fn lower_kernel(
     cost_gate: bool,
 ) -> Vec<(slp_ir::BlockId, BlockCode)> {
     let permuted_reuse = kernel.config.strategy.permuted_reuse();
-    lower_kernel_with(kernel, machine, cost_gate, permuted_reuse)
+    let infos = kernel.program.blocks();
+    lower_kernel_with(kernel, &infos, machine, cost_gate, permuted_reuse)
 }
 
-/// [`lower_kernel`] with an explicit permuted-reuse setting (ablation
-/// support: measure what indirect reuse alone is worth).
+/// [`lower_kernel`] over the kernel's blocks `infos` as already extracted,
+/// with an explicit permuted-reuse setting (ablation support: measure what
+/// indirect reuse alone is worth).
 pub fn lower_kernel_with(
     kernel: &CompiledKernel,
+    infos: &[BlockInfo],
     machine: &MachineConfig,
     cost_gate: bool,
     permuted_reuse: bool,
 ) -> Vec<(slp_ir::BlockId, BlockCode)> {
     let exposed = kernel.program.upward_exposed_scalars();
-    kernel
-        .program
-        .blocks()
+    infos
         .iter()
         .map(|info| {
             let cx = CostContext {

@@ -172,7 +172,7 @@ fn wrong_permutation_is_refuted() {
     assert_confirmed_refutation(&original, &kernel, &verdict);
 }
 
-/// The check_symbolic bridge surfaces a refutation as a V600 error, so
+/// The prove_kernel bridge surfaces a refutation as a V600 error, so
 /// `slpc prove` and `--prove` batches fail loudly on a miscompile.
 #[test]
 fn refutation_reaches_the_diagnostic_report() {
@@ -187,7 +187,7 @@ fn refutation_reaches_the_diagnostic_report() {
     items.swap(0, 1);
     kernel.schedules[0] = (bid, BlockSchedule::new(items));
 
-    let report = slp::verify::check_symbolic(&original, &kernel);
+    let (report, _) = slp::verify::prove_kernel(&original, &kernel);
     assert!(
         report.has(slp::verify::LintCode::SymbolicMismatch),
         "{report}"
