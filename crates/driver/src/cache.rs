@@ -50,7 +50,7 @@ use slp_verify::Report;
 
 use crate::codec;
 use crate::fingerprint::Fingerprint;
-use crate::json::{self, Json};
+use crate::json::Json;
 
 /// One cached compilation.
 #[derive(Debug, Clone)]
@@ -277,8 +277,7 @@ impl CompileCache {
     /// Looks up a compilation, returning a handle on the shared entry
     /// and the tier that answered.
     pub fn get(&self, fp: Fingerprint) -> Option<(Arc<CachedCompile>, CacheTier)> {
-        if let Some(entry) = self.memory.shard(fp).get(fp) {
-            self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(entry) = self.memory_get(fp) {
             return Some((entry, CacheTier::Memory));
         }
         if let Some(entry) = self.disk_get(fp) {
@@ -290,6 +289,15 @@ impl CompileCache {
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         None
+    }
+
+    /// The memory tier of [`CompileCache::get`], with a miss left
+    /// uncounted: for a caller that, on a miss, goes on to `get`, so that
+    /// the request still counts as one lookup.
+    pub(crate) fn memory_get(&self, fp: Fingerprint) -> Option<Arc<CachedCompile>> {
+        let entry = self.memory.shard(fp).get(fp)?;
+        self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
+        Some(entry)
     }
 
     /// Stores a copy of a compilation under `fp` in both tiers.
@@ -360,7 +368,7 @@ fn encode_entry(fp: Fingerprint, entry: &CachedCompile) -> Json {
 /// under its own fingerprint (a renamed or mis-filed entry is as corrupt
 /// as a garbled one).
 fn decode_entry(text: &str, expect_fp: Fingerprint) -> Option<CachedCompile> {
-    let v = json::parse(text).ok()?;
+    let v = Json::parse(text).ok()?;
     let fp = Fingerprint::from_hex(v.get("fingerprint")?.string()?)?;
     if fp != expect_fp {
         return None;

@@ -584,7 +584,6 @@ pub fn decode_kernel(v: &Json) -> Result<CompiledKernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn compiled(src: &str, layout: bool) -> CompiledKernel {
         let p = slp_lang::compile(src).expect("compiles");
@@ -624,7 +623,7 @@ mod tests {
         for layout in [false, true] {
             let k = compiled(GATHER, layout);
             let text = encode_kernel(&k).to_compact();
-            let back = decode_kernel(&json::parse(&text).expect("parses")).expect("decodes");
+            let back = decode_kernel(&Json::parse(&text).expect("parses")).expect("decodes");
             assert_eq!(back.program, k.program);
             assert_eq!(back.schedules, k.schedules);
             assert_eq!(back.scalar_layout, k.scalar_layout);
@@ -648,7 +647,7 @@ mod tests {
             "the gather kernel certifies its accesses"
         );
         let text = encode_kernel(&k).to_compact();
-        let back = decode_kernel(&json::parse(&text).expect("parses")).expect("decodes");
+        let back = decode_kernel(&Json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back.safety, k.safety);
         assert_eq!(
             (
@@ -692,7 +691,7 @@ mod tests {
                 .for_each_stmt(|s| selects += matches!(s.expr(), Expr::Select(..)) as usize);
             assert!(selects >= 1, "if-conversion must leave a select behind");
             let text = encode_kernel(&k).to_compact();
-            let back = decode_kernel(&json::parse(&text).expect("parses")).expect("decodes");
+            let back = decode_kernel(&Json::parse(&text).expect("parses")).expect("decodes");
             assert_eq!(back.program, k.program);
             assert_eq!(back.schedules, k.schedules);
             assert_eq!(encode_kernel(&back).to_compact(), text);
@@ -703,7 +702,7 @@ mod tests {
     fn decoded_program_allocates_fresh_ids_above_existing() {
         let k = compiled(GATHER, false);
         let text = encode_kernel(&k).to_compact();
-        let mut back = decode_kernel(&json::parse(&text).expect("parses")).expect("decodes");
+        let mut back = decode_kernel(&Json::parse(&text).expect("parses")).expect("decodes");
         let max = {
             let mut m = 0;
             back.program.for_each_stmt(|s| m = m.max(s.id().index()));
@@ -753,7 +752,7 @@ mod tests {
         let cache = crate::CompileCache::with_disk(4, &dir);
         let cold = crate::compile_source(&req, Some(&cache)).expect("compiles");
         let path = dir.join(format!("{}.json", cold.fingerprint.to_hex()));
-        let entry = json::parse(&std::fs::read_to_string(&path).expect("entry")).expect("parses");
+        let entry = Json::parse(&std::fs::read_to_string(&path).expect("entry")).expect("parses");
         let stale = restamp(&entry, Some(Json::num(6)));
         std::fs::write(&path, stale.to_compact()).expect("rewrite entry");
 
@@ -835,7 +834,7 @@ mod tests {
             let mut kernel = k.clone();
             kernel.config = config;
             let text = encode_kernel(&kernel).to_compact();
-            let back = decode_kernel(&json::parse(&text).expect("parses")).expect("decodes");
+            let back = decode_kernel(&Json::parse(&text).expect("parses")).expect("decodes");
             assert_eq!(
                 back.config.to_json(),
                 perturbed,
@@ -859,7 +858,7 @@ mod tests {
             "array A differs at [2]",
         ));
         let text = r.to_json().to_compact();
-        let back = Report::from_json(&json::parse(&text).expect("parses")).expect("decodes");
+        let back = Report::from_json(&Json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, r);
     }
 
@@ -869,7 +868,7 @@ mod tests {
         t.set_nanos(Phase::Grouping, 123_456);
         t.set_nanos(Phase::Verify, 789);
         let text = t.to_json().to_compact();
-        let back = PhaseTimings::from_json(&json::parse(&text).expect("parses")).expect("decodes");
+        let back = PhaseTimings::from_json(&Json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, t);
     }
 }

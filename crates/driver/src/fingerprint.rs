@@ -35,6 +35,7 @@ use std::fmt;
 
 use slp_core::SlpConfig;
 
+use crate::json::push_hex;
 use crate::record::Key;
 
 /// A 128-bit content-addressed cache key.
@@ -44,7 +45,10 @@ pub struct Fingerprint(pub u64, pub u64);
 impl Fingerprint {
     /// The 32-hex-digit rendering used as the on-disk file stem.
     pub fn to_hex(self) -> String {
-        format!("{:016x}{:016x}", self.0, self.1)
+        let mut hex = String::with_capacity(32);
+        push_hex(&mut hex, self.0, 16);
+        push_hex(&mut hex, self.1, 16);
+        hex
     }
 
     /// Parses [`Fingerprint::to_hex`] output.

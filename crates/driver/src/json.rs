@@ -19,7 +19,11 @@
 //!   values are written as the strings `"NaN"`, `"inf"` and `"-inf"`
 //!   (plain JSON has no spelling for them); [`Json::f64`] converts them
 //!   back.
+//! * One grammar, [`Parser`], reads the `&str` it is given in place:
+//!   [`Json::parse`] builds the owned tree with it, and [`scan`] lets a
+//!   caller read members without one, strings borrowed where unescaped.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -50,9 +54,12 @@ impl Json {
         Json::Str(s.into())
     }
 
-    /// Parses a JSON document. See the module-level [`parse`].
+    /// Parses a JSON document.
+    ///
+    /// Accepts exactly one value; trailing content (other than whitespace)
+    /// is an error. Errors carry the byte offset where parsing failed.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        parse(text)
+        scan(text, Parser::value)
     }
 
     /// Wraps an unsigned integer.
@@ -152,8 +159,14 @@ impl Json {
     /// Serializes compactly (no whitespace).
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the [`Json::to_compact`] bytes to `out`, for a caller that
+    /// writes many documents through one buffer.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Serializes with two-space indentation.
@@ -168,21 +181,19 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(x) => {
-                if *x == 0.0 && x.is_sign_negative() {
-                    // `as i64` would drop the sign bit; "-0" reparses to
-                    // -0.0 bit-exactly.
-                    out.push_str("-0");
-                } else if x.fract() == 0.0 && x.abs() <= (1u64 << 53) as f64 {
-                    // Integral values (counts, ids, nanos) print without
-                    // the ".0".
-                    let _ = write!(out, "{}", *x as i64);
-                } else {
-                    // {:?} is Rust's shortest representation that
-                    // reparses to the same f64 — exactly what a cache
-                    // format needs.
-                    let _ = write!(out, "{x:?}");
+            Json::Num(x) if x.fract() == 0.0 && x.abs() <= (1u64 << 53) as f64 => {
+                // Integral values (counts, ids, nanos) print without the
+                // ".0". The sign bit is written too: "-0" reparses to
+                // -0.0 bit-exactly.
+                if x.is_sign_negative() {
+                    out.push('-');
                 }
+                push_digits(out, x.abs() as u64);
+            }
+            // {:?} is Rust's shortest representation that reparses to the
+            // same f64 — exactly what a cache format needs.
+            Json::Num(x) => {
+                let _ = write!(out, "{x:?}");
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
@@ -231,37 +242,59 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Appends the decimal digits of `n`.
+fn push_digits(out: &mut String, n: u64) {
+    if n >= 10 {
+        push_digits(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
+}
+
+/// Appends the low `digits` hexadecimal digits of `n`, in lower case.
+pub(crate) fn push_hex(out: &mut String, n: u64, digits: u32) {
+    let digit = |i: u32| char::from(b"0123456789abcdef"[(n >> (4 * i) & 0xf) as usize]);
+    out.extend((0..digits).rev().map(digit));
+}
+
+/// Writes `s` as a string literal, copying each run that needs no escape
+/// in one piece.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `at` is a character boundary.
+        out.push_str(&s[run..at]);
+        out.push_str(escape);
+        if escape == "\\u00" {
+            push_hex(out, u64::from(b), 2);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-/// Parses a JSON document.
-///
-/// Accepts exactly one value; trailing content (other than whitespace)
-/// is an error. Errors carry the byte offset where parsing failed.
-pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+/// Parses `text` as one JSON document, read by `value` through the
+/// parser: whitespace around the document is skipped, anything after it
+/// is an error. [`Json::parse`] is `scan(text, Parser::value)`.
+pub fn scan<'a, T>(
+    text: &'a str,
+    value: impl FnOnce(&mut Parser<'a>) -> Result<T, ParseError>,
+) -> Result<T, ParseError> {
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
-    let value = p.value()?;
+    let value = value(&mut p)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.error("trailing content"));
     }
     Ok(value)
@@ -284,8 +317,10 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The JSON grammar, reading the text of a [`scan`] from a cursor.
+#[derive(Debug)]
+pub struct Parser<'a> {
+    text: &'a str,
     pos: usize,
 }
 
@@ -297,8 +332,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The byte under the cursor.
+    pub fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -317,7 +353,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -325,12 +361,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    /// Reads any value into its owned tree.
+    pub fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -339,122 +376,130 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Reads `open`, then `item`s separated by commas, then `close`.
+    fn list(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Parser<'a>) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
-                _ => return Err(self.error("expected ',' or ']'")),
+                _ => return Err(self.error(format!("expected ',' or '{}'", close as char))),
             }
         }
+    }
+
+    fn array(&mut self) -> Result<Json, ParseError> {
+        let mut items = Vec::new();
+        self.list(b'[', b']', |p| p.value().map(|item| items.push(item)))?;
+        Ok(Json::Arr(items))
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
         let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
+        self.members(|p, key| p.value().map(|value| pairs.push((key.into_owned(), value))))?;
+        Ok(Json::Obj(pairs))
+    }
+
+    /// Reads an object, handing each key to `member`, which reads the
+    /// value: the object grammar of [`Json::parse`], errors and all.
+    pub fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Parser<'a>, Cow<'a, str>) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        self.list(b'{', b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            member(p, key)
+        })
+    }
+
+    /// Reads a string: borrowed from the text when it holds no escape,
+    /// owned when it does.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.expect(b'"')?;
+        let mut owned: Option<String> = None;
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
+            // The longest run without a quote or backslash. Both are
+            // ASCII, so a run never splits a character, and the text is
+            // UTF-8 already: a run is not validated again, and without an
+            // escape it is not copied either.
+            let start = self.pos;
+            let rest = &self.text.as_bytes()[start..];
+            self.pos = (rest.iter().position(|&b| b == b'"' || b == b'\\'))
+                .map_or(self.text.len(), |n| start + n);
+            let run = &self.text[start..self.pos];
             match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(owned.map_or(Cow::Borrowed(run), |s| Cow::Owned(s + run)));
                 }
-                _ => return Err(self.error("expected ',' or '}'")),
+                _ => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    s.push(self.escape()?);
+                }
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err(self.error("unterminated string"));
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our
-                            // writer; reject rather than mis-decode.
-                            let c = char::from_u32(cp)
-                                .ok_or_else(|| self.error("non-scalar \\u escape"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.error("unknown escape")),
+    /// Reads the escape at the backslash under the cursor.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        self.pos += 1;
+        let Some(esc) = self.peek() else {
+            return Err(self.error("unterminated escape"));
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let hex = (self.text.get(self.pos..self.pos + 4))
+                    .ok_or_else(|| self.error("truncated \\u escape"))?;
+                let mut cp =
+                    u32::from_str_radix(hex, 16).map_err(|_| self.error("bad \\u escape"))?;
+                self.pos += 4;
+                // A character outside the BMP comes as a UTF-16 surrogate
+                // pair, the way `json.dumps` writes one by default. A lone
+                // or reversed surrogate is no character.
+                if (0xd800..0xdc00).contains(&cp) {
+                    let low = (self.text.get(self.pos..self.pos + 6))
+                        .and_then(|t| t.strip_prefix("\\u"))
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .filter(|low| (0xdc00..0xe000).contains(low));
+                    if let Some(low) = low {
+                        cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+                        self.pos += 6;
                     }
                 }
-                _ => {
-                    // Consume the longest run without a quote or
-                    // backslash in one step. Both delimiters are ASCII,
-                    // so they can never split a multi-byte sequence and
-                    // the run is validated as UTF-8 exactly once —
-                    // validating the whole remaining input per character
-                    // (the old code) was quadratic, which a megabyte
-                    // request line turns into a denial of service.
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    let s = std::str::from_utf8(&rest[..run])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += run;
-                }
+                char::from_u32(cp).ok_or_else(|| self.error("non-scalar \\u escape"))?
             }
-        }
+            _ => return Err(self.error("unknown escape")),
+        })
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -468,7 +513,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.error(format!("bad number '{text}'")))
@@ -492,7 +537,7 @@ mod tests {
             ("eobj", Json::Obj(vec![])),
         ]);
         for text in [v.to_compact(), v.to_pretty()] {
-            assert_eq!(parse(&text).expect("parses"), v, "{text}");
+            assert_eq!(Json::parse(&text).expect("parses"), v, "{text}");
         }
     }
 
@@ -508,7 +553,7 @@ mod tests {
             -0.0,
         ] {
             let text = Json::Num(x).to_compact();
-            let back = parse(&text).expect("parses").f64().expect("a number");
+            let back = Json::parse(&text).expect("parses").f64().expect("a number");
             assert_eq!(back.to_bits(), x.to_bits(), "{text}");
         }
         assert!(Json::float(f64::NAN).f64().expect("NaN").is_nan());
@@ -522,7 +567,7 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"\\q\"", "nul"] {
-            assert!(parse(bad).is_err(), "{bad:?} should fail");
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
     }
 
@@ -534,14 +579,65 @@ mod tests {
         // keep the fast path honest about resuming after them.
         let s = format!("{}\"quoted\"\n{}", "x".repeat(1 << 20), "é".repeat(1 << 19));
         let text = Json::str(&s).to_compact();
-        let v = parse(&text).expect("parses");
+        let v = Json::parse(&text).expect("parses");
         assert_eq!(v.string(), Some(s.as_str()));
+    }
+
+    #[test]
+    fn strings_without_escapes_are_borrowed() {
+        let text = "{\"plain\":\"kernel é\",\"escaped\":\"a\\tb\"}";
+        let mut seen = Vec::new();
+        scan(text, |p| {
+            p.members(|p, key| {
+                seen.push((key, p.string()?));
+                Ok(())
+            })
+        })
+        .expect("parses");
+        assert!(matches!(
+            seen[0],
+            (Cow::Borrowed("plain"), Cow::Borrowed("kernel é"))
+        ));
+        assert!(matches!(&seen[1].1, Cow::Owned(s) if s == "a\tb"));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_are_refused() {
+        for (text, decoded) in [
+            ("\"\\ud83d\\ude00\"", "\u{1f600}"),
+            ("\"a\\uD834\\uDD1Eb\"", "a\u{1d11e}b"),
+        ] {
+            let v = Json::parse(text).expect("a surrogate pair is one character");
+            assert_eq!(v.string(), Some(decoded), "{text}");
+        }
+        for lone in [
+            "\"\\ud83d\"",
+            "\"\\ude00\"",
+            "\"\\ude00\\ud83d\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ud83dx\"",
+        ] {
+            let err = Json::parse(lone).expect_err("a lone surrogate is no character");
+            assert_eq!(err.message, "non-scalar \\u escape", "{lone}");
+        }
+    }
+
+    #[test]
+    fn control_characters_and_integers_are_written_as_before() {
+        let s = Json::str("\u{1}\u{1f}é\"\\/");
+        assert_eq!(s.to_compact(), "\"\\u0001\\u001fé\\\"\\\\/\"");
+        for (x, text) in [(0.0, "0"), (-0.0, "-0"), (-300.0, "-300"), (1.5, "1.5")] {
+            assert_eq!(Json::Num(x).to_compact(), text);
+        }
+        let max = (1u64 << 53) as f64;
+        assert_eq!(Json::Num(max).to_compact(), "9007199254740992");
+        assert_eq!(Json::Num(max * 2.0).to_compact(), "1.8014398509481984e16");
     }
 
     #[test]
     fn object_order_is_preserved() {
         let text = "{\"b\":1,\"a\":2}";
-        let v = parse(text).expect("parses");
+        let v = Json::parse(text).expect("parses");
         assert_eq!(v.to_compact(), text);
     }
 

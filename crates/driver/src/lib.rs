@@ -378,6 +378,22 @@ pub(crate) fn cached(
     })
 }
 
+/// The memory-tier half of [`compile_keyed`]'s lookup: `fp`'s entry as a
+/// memory hit. A miss is left uncounted in [`CacheStats`]: the caller goes
+/// on to [`compile_keyed`], whose lookup (disk tier included) counts the
+/// request. The serve handler answers a hit this way before it takes a
+/// dedup slot.
+pub fn lookup(fp: Fingerprint, cache: &CompileCache) -> Option<SharedOutcome> {
+    let start = Instant::now();
+    let entry = cache.memory_get(fp)?;
+    Some(SharedOutcome {
+        entry,
+        fingerprint: fp,
+        cache: CacheDisposition::MemoryHit,
+        wall_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+    })
+}
+
 /// The one frontend run of a compiled request: lex → parse → if-convert
 /// → lower → validate, plus the rule that a program whose *only*
 /// validation errors are bounds violations the certificate proves is

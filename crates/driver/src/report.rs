@@ -209,16 +209,6 @@ impl DriverReport {
         }
     }
 
-    /// Rows that compiled at the requested configuration.
-    pub fn ok_count(&self) -> usize {
-        self.count(RowStatus::Ok)
-    }
-
-    /// Rows that fell back to scalar.
-    pub fn degraded_count(&self) -> usize {
-        self.count(RowStatus::Degraded)
-    }
-
     /// Rows that produced no kernel.
     pub fn failed_count(&self) -> usize {
         self.count(RowStatus::Failed)
@@ -229,7 +219,7 @@ impl DriverReport {
     }
 
     /// Error-severity verify findings summed over all rows.
-    pub fn verify_error_count(&self) -> usize {
+    fn verify_error_count(&self) -> usize {
         self.rows.iter().filter_map(|r| r.verify_errors).sum()
     }
 
@@ -240,7 +230,7 @@ impl DriverReport {
 
     /// Certificate verdict totals summed over all rows:
     /// `(proven_safe, unknown, proven_faulting)`.
-    pub fn access_verdict_counts(&self) -> (usize, usize, usize) {
+    fn access_verdict_counts(&self) -> (usize, usize, usize) {
         self.rows.iter().fold((0, 0, 0), |(s, u, f), r| {
             (
                 s + r.stats.accesses_proven_safe,
@@ -251,7 +241,7 @@ impl DriverReport {
     }
 
     /// Rows whose proof attempt ended with the given verdict.
-    pub fn prove_count(&self, verdict: ProveVerdict) -> usize {
+    fn prove_count(&self, verdict: ProveVerdict) -> usize {
         self.rows
             .iter()
             .filter(|r| r.prove == Some(verdict))
@@ -261,7 +251,7 @@ impl DriverReport {
     /// Whether every row is `ok` and no verify checker found an error —
     /// the CI smoke job's pass condition.
     pub fn all_clean(&self) -> bool {
-        self.degraded_count() == 0 && self.failed_count() == 0 && self.verify_error_count() == 0
+        self.count(RowStatus::Ok) == self.rows.len() && self.verify_error_count() == 0
     }
 
     /// The full report as JSON (deterministic key order).
@@ -295,8 +285,11 @@ impl DriverReport {
 
         let mut fields = vec![
             ("kernels", Json::num(self.rows.len() as u64)),
-            ("ok", Json::num(self.ok_count() as u64)),
-            ("degraded", Json::num(self.degraded_count() as u64)),
+            ("ok", Json::num(self.count(RowStatus::Ok) as u64)),
+            (
+                "degraded",
+                Json::num(self.count(RowStatus::Degraded) as u64),
+            ),
             ("failed", Json::num(self.failed_count() as u64)),
             ("verify_errors", Json::num(self.verify_error_count() as u64)),
             ("deps_refuted", Json::num(self.deps_refuted_count() as u64)),
@@ -361,8 +354,8 @@ impl DriverReport {
         out.push_str(&format!(
             "{} kernels: {} ok, {} degraded, {} failed in {}\n",
             self.rows.len(),
-            self.ok_count(),
-            self.degraded_count(),
+            self.count(RowStatus::Ok),
+            self.count(RowStatus::Degraded),
             self.failed_count(),
             millis(self.wall_nanos),
         ));

@@ -17,22 +17,23 @@
 //! 3. **admission** — the global in-flight gauge is bumped; past
 //!    [`ServeConfig::max_in_flight`] the request is rejected with
 //!    [`ErrorCode::Overloaded`] instead of queueing unboundedly;
-//! 4. **dedup** — the request is fingerprinted, once; requests with an
-//!    identical fingerprint already compiling *join* that compile
-//!    instead of starting their own: the leader compiles once and
-//!    publishes a handle on the result; followers block on the slot and
-//!    answer from the same entry, reported as `"cache":"coalesced"`.
+//! 4. **cache, then dedup** — the request is fingerprinted, once; a
+//!    memory hit is answered at once, without touching the in-flight
+//!    table. Anything else joins an identical compile in flight,
+//!    answering from its entry as `"cache":"coalesced"`, or leads one.
 //!
-//! Behind the gates the leader hands its key to
-//! [`slp_driver::compile_keyed`]: a cache lookup, and only on a miss one
-//! frontend run and the compile — on this thread, under `catch_unwind`
-//! and the request's budget as a cooperative deadline. The handler never
-//! looks at the source text or copies a kernel: it answers from the
+//! The leader hands its key to [`slp_driver::compile_keyed`]: the lookup
+//! once more, disk tier included (a compile that finished meanwhile is a
+//! hit, not a second compile), and only on a miss one frontend run and
+//! the compile — on this thread, under `catch_unwind` and the request's
+//! budget as a cooperative deadline. A request counts one lookup: the
+//! first counts only a hit, a follower none. A disk entry is read once,
+//! by the leader. The handler never copies a kernel: it answers from the
 //! entry the cache holds. A kernel with a proven out-of-bounds access
-//! (V505) comes back from that one frontend run as
-//! [`DriverError::Unsafe`] before any packing or scheduling work is spent
-//! on it, and is answered with [`ErrorCode::ProvenUnsafe`] — to the
-//! leader and every follower alike; nothing is stored for it.
+//! (V505) comes back from the frontend run as [`DriverError::Unsafe`]
+//! before any packing or scheduling work is spent on it, and is answered
+//! with [`ErrorCode::ProvenUnsafe`] — to the leader and every follower
+//! alike; nothing is stored for it.
 //!
 //! Every counter is atomic; a [`ServeSummary`] snapshot is exact once
 //! the writers are quiescent, which the concurrency tests pin.
@@ -51,7 +52,7 @@ use std::time::Instant;
 use slp_core::PhaseTimings;
 use slp_driver::json::Json;
 use slp_driver::{
-    compile_keyed, stats_json, CacheDisposition, CompileCache, CompileRequest, DriverError,
+    compile_keyed, lookup, stats_json, CacheDisposition, CompileCache, CompileRequest, DriverError,
     Fingerprint, ServeSummary, SharedOutcome,
 };
 
@@ -428,7 +429,7 @@ impl Handler {
         }
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
 
-        // Gate 4: dedup, then the cache and (on a miss) the compile.
+        // Gate 4: the cache, then dedup and (on a miss) the compile.
         let budget = budget_ms.or(self.config.default_budget_ms);
         let (result, coalesced) = self.compile_deduped(request, budget);
         match result {
@@ -472,16 +473,20 @@ impl Handler {
         }
     }
 
-    /// Runs one compile under the dedup table: the first request for a
-    /// fingerprint becomes the leader and compiles; concurrent
-    /// duplicates block on the slot and reuse the leader's result.
-    /// Returns the result plus whether it was coalesced.
+    /// Answers a memory hit at once, and runs anything else under the
+    /// dedup table: the first request for a fingerprint becomes the
+    /// leader and compiles; concurrent duplicates block on the slot and
+    /// reuse the leader's result. Returns the result plus whether it was
+    /// coalesced.
     fn compile_deduped(
         &self,
         request: &CompileRequest,
         budget_ms: Option<u64>,
     ) -> (Result<SharedOutcome, DriverError>, bool) {
         let fp = request.fingerprint();
+        if let Some(hit) = lookup(fp, &self.cache) {
+            return (Ok(hit), false);
+        }
         let slot = {
             let mut inflight = lock_unpoisoned(&self.inflight);
             match inflight.get(&fp) {
@@ -508,10 +513,10 @@ impl Handler {
             }
         };
 
-        // Leader: look the key up and compile on a miss, publish, and
-        // retire the slot. From here to the publish the guard is armed:
-        // any unwind still retires the slot and answers the followers.
-        // The hold is test-only — see `ServeConfig::compile_hold_ms`.
+        // Leader: look the key up once more, compile on a miss, publish
+        // and retire the slot. From here to the publish the guard is
+        // armed: any unwind still retires the slot and answers the
+        // followers. The hold is test-only (`ServeConfig::compile_hold_ms`).
         let mut publish = SlotPublishGuard {
             handler: self,
             fp,

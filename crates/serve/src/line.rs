@@ -3,13 +3,13 @@
 //! Both adapters read newline-delimited requests from an untrusted
 //! peer. The standard [`BufRead::lines`] iterator buffers until it
 //! sees a `\n` — a client (or a port scanner) that never sends one
-//! grows the buffer without bound. [`read_line_capped`] reads at most
-//! `cap` bytes of payload per line; past the cap it *streams* the rest
+//! grows the buffer without bound. [`read_line_capped`] holds at most
+//! `cap + 1` bytes of a line; past the cap it *streams* the rest
 //! of the oversized line to the bit bucket (constant memory), reports
 //! [`LineRead::TooLong`], and leaves the reader positioned at the next
 //! line so the session can keep serving.
 
-use std::io::{self, BufRead, ErrorKind};
+use std::io::{self, BufRead, ErrorKind, Read};
 
 /// One bounded read: a complete line, an oversized one (already
 /// discarded through its terminating newline), or end of input.
@@ -30,48 +30,28 @@ pub enum LineRead {
 }
 
 /// Reads the next `\n`-terminated line from `reader`, holding at most
-/// `cap` bytes in memory (`cap == 0` means unlimited, the historical
+/// `cap + 1` bytes in memory (`cap == 0` means unlimited, the historical
 /// behavior). Invalid UTF-8 is an [`ErrorKind::InvalidData`] error,
 /// matching [`BufRead::lines`].
 pub fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            // EOF: flush a trailing unterminated line, if any.
-            return if buf.is_empty() {
-                Ok(LineRead::Eof)
-            } else {
-                finish_line(buf)
-            };
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(newline) => {
-                if cap != 0 && buf.len() + newline > cap {
-                    let discarded = buf.len() + newline;
-                    reader.consume(newline + 1);
-                    return Ok(LineRead::TooLong { discarded });
-                }
-                buf.extend_from_slice(&chunk[..newline]);
-                reader.consume(newline + 1);
-                return finish_line(buf);
-            }
-            None => {
-                let taken = chunk.len();
-                if cap != 0 && buf.len() + taken > cap {
-                    // Cap tripped mid-line: drop what we have and
-                    // stream the rest of the line away.
-                    let mut discarded = buf.len() + taken;
-                    buf.clear();
-                    reader.consume(taken);
-                    discarded += discard_to_newline(reader)?;
-                    return Ok(LineRead::TooLong { discarded });
-                }
-                buf.extend_from_slice(chunk);
-                reader.consume(taken);
-            }
-        }
+    // The byte past the cap tells a line at the cap from a longer one.
+    let limit = if cap == 0 { u64::MAX } else { cap as u64 + 1 };
+    let mut buf = Vec::new();
+    reader.by_ref().take(limit).read_until(b'\n', &mut buf)?;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() as u64 == limit {
+        let discarded = buf.len() + discard_to_newline(reader)?;
+        return Ok(LineRead::TooLong { discarded });
+    } else if buf.is_empty() {
+        return Ok(LineRead::Eof);
     }
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    String::from_utf8(buf)
+        .map(LineRead::Line)
+        .map_err(|_| io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8"))
 }
 
 /// Consumes input up to and including the next `\n` (or EOF) without
@@ -96,15 +76,6 @@ fn discard_to_newline<R: BufRead>(reader: &mut R) -> io::Result<usize> {
             }
         }
     }
-}
-
-fn finish_line(mut buf: Vec<u8>) -> io::Result<LineRead> {
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf)
-        .map(LineRead::Line)
-        .map_err(|_| io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8"))
 }
 
 #[cfg(test)]

@@ -179,7 +179,7 @@ fn pick_class(rng: &mut Rng, mix: &LoadMix) -> Class {
 }
 
 /// The shared warm-set kernel sources.
-pub fn warm_source(slot: u64) -> String {
+fn warm_source(slot: u64) -> String {
     format!(
         "kernel warm{slot} {{ array A: f64[64]; array B: f64[64]; \
          for i in 0..32 {{ A[i] = A[i] + B[i] * {slot}.0; }} }}"
@@ -192,7 +192,7 @@ pub fn warm_source(slot: u64) -> String {
 /// deliberately non-trivial kernel: cold requests should cost what a
 /// real compile costs, which is what the cache tier is measured
 /// against.
-pub fn cold_source(tag: u64) -> String {
+fn cold_source(tag: u64) -> String {
     let k = tag % 1000;
     format!(
         "kernel cold{tag} {{ \
@@ -227,57 +227,38 @@ struct Planned {
 fn plan_request(rng: &mut Rng, config: &LoadConfig, conn: usize, seq: usize) -> Planned {
     let class = pick_class(rng, &config.mix);
     let id = (conn as u64) << 32 | seq as u64;
-    match class {
-        Class::Warm => {
+    let line = match class {
+        Class::Warm | Class::OverQuota => {
             let slot = rng.pick(4);
-            Planned {
-                line: compile_line(id, "bench", &format!("warm{slot}"), &warm_source(slot)),
-                class,
-                id: Some(id),
-            }
+            let tenant = match class {
+                Class::Warm => "bench",
+                _ => &config.quota_tenant,
+            };
+            compile_line(id, tenant, &format!("warm{slot}"), &warm_source(slot))
         }
         Class::Cold => {
             let tag = rng.next();
-            Planned {
-                line: compile_line(id, "bench", &format!("cold{tag}"), &cold_source(tag)),
+            compile_line(id, "bench", &format!("cold{tag}"), &cold_source(tag))
+        }
+        Class::Malformed if rng.pick(2) == 0 => {
+            let line = "{this is not json".to_string();
+            return Planned {
+                line,
                 class,
-                id: Some(id),
-            }
+                id: None,
+            };
         }
-        Class::Malformed => {
-            if rng.pick(2) == 0 {
-                Planned {
-                    line: "{this is not json".to_string(),
-                    class,
-                    id: None,
-                }
-            } else {
-                let line = Json::obj(vec![
-                    ("v", Json::num(1u64)),
-                    ("id", Json::num(id)),
-                    ("cmd", Json::str("frobnicate")),
-                ])
-                .to_compact();
-                Planned {
-                    line,
-                    class,
-                    id: Some(id),
-                }
-            }
-        }
-        Class::OverQuota => {
-            let slot = rng.pick(4);
-            Planned {
-                line: compile_line(
-                    id,
-                    &config.quota_tenant,
-                    &format!("warm{slot}"),
-                    &warm_source(slot),
-                ),
-                class,
-                id: Some(id),
-            }
-        }
+        Class::Malformed => Json::obj(vec![
+            ("v", Json::num(1u64)),
+            ("id", Json::num(id)),
+            ("cmd", Json::str("frobnicate")),
+        ])
+        .to_compact(),
+    };
+    Planned {
+        line,
+        class,
+        id: Some(id),
     }
 }
 

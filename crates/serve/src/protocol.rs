@@ -45,8 +45,10 @@
 //! quotas, drain) use their [`ErrorCode::legacy_kind`] names. The
 //! compat test suite pins both shapes.
 
+use std::borrow::Cow;
+
 use slp_core::{CompileStats, PhaseTimings, SlpConfig, Strategy};
-use slp_driver::json::Json;
+use slp_driver::json::{self, Json, ParseError, Parser};
 use slp_driver::{
     parse_machine, CacheDisposition, CompileOutcome, CompileRequest, DriverError, Fingerprint,
     ProveVerdict, Report, VerifyLevel,
@@ -161,34 +163,38 @@ impl Envelope {
         }
     }
 
-    fn v1_base(&self) -> Vec<(&'static str, Json)> {
-        vec![("v", Json::num(1)), ("id", self.id.clone())]
+    /// A response in this envelope's shape: `v` and `id` under v1, then
+    /// `ok`, then `fields` — one vector, allocated once.
+    fn response(
+        &self,
+        ok: bool,
+        fields: impl ExactSizeIterator<Item = (&'static str, Json)>,
+    ) -> Json {
+        let mut pairs = Vec::with_capacity(3 + fields.len());
+        if self.v1 {
+            pairs.push(("v".to_string(), Json::num(1)));
+            pairs.push(("id".to_string(), self.id.clone()));
+        }
+        pairs.push(("ok".to_string(), Json::Bool(ok)));
+        pairs.extend(fields.map(|(key, value)| (key.to_string(), value)));
+        Json::Obj(pairs)
     }
 
     /// An `ok:false` response in this envelope's shape.
     pub fn error(&self, code: ErrorCode, message: &str) -> Json {
-        if self.v1 {
-            let mut fields = self.v1_base();
-            fields.push(("ok", Json::Bool(false)));
-            fields.push(("code", Json::str(code.code())));
-            fields.push(("error", Json::str(message)));
-            Json::obj(fields)
+        let (key, value) = if self.v1 {
+            ("code", code.code())
         } else {
-            Json::obj(vec![
-                ("ok", Json::Bool(false)),
-                ("kind", Json::str(code.legacy_kind())),
-                ("error", Json::str(message)),
-            ])
-        }
+            ("kind", code.legacy_kind())
+        };
+        let fields = [(key, Json::str(value)), ("error", Json::str(message))];
+        self.response(false, fields.into_iter())
     }
 
     /// An `ok:true` response wrapping `fields` in this envelope's
     /// shape.
     pub fn ok(&self, fields: Vec<(&'static str, Json)>) -> Json {
-        let mut out = if self.v1 { self.v1_base() } else { Vec::new() };
-        out.push(("ok", Json::Bool(true)));
-        out.extend(fields);
-        Json::obj(out)
+        self.response(true, fields.into_iter())
     }
 }
 
@@ -217,36 +223,91 @@ pub enum Request {
     Malformed(Json),
 }
 
+/// A member the protocol reads as a string: `Some(None)` when the member
+/// is there but is not a string.
+type Text<'a> = Option<Option<Cow<'a, str>>>;
+
+/// The first member of each key a request line is read for, as
+/// [`Json::get`] finds it.
+#[derive(Default)]
+struct Fields<'a> {
+    v: Option<Json>,
+    id: Option<Json>,
+    unroll: Option<Json>,
+    layout: Option<Json>,
+    budget_ms: Option<Json>,
+    tenant: Text<'a>,
+    cmd: Text<'a>,
+    source: Text<'a>,
+    name: Text<'a>,
+    strategy: Text<'a>,
+    machine: Text<'a>,
+    verify: Text<'a>,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads the value of the member named `key`.
+    fn read(&mut self, p: &mut Parser<'a>, key: &str) -> Result<(), ParseError> {
+        let text = match key {
+            "tenant" => &mut self.tenant,
+            "cmd" => &mut self.cmd,
+            "source" => &mut self.source,
+            "name" => &mut self.name,
+            "strategy" => &mut self.strategy,
+            "machine" => &mut self.machine,
+            "verify" => &mut self.verify,
+            _ => {
+                let value = p.value()?;
+                match key {
+                    "v" => self.v.get_or_insert(value),
+                    "id" => self.id.get_or_insert(value),
+                    "unroll" => self.unroll.get_or_insert(value),
+                    "layout" => self.layout.get_or_insert(value),
+                    "budget_ms" => self.budget_ms.get_or_insert(value),
+                    _ => return Ok(()),
+                };
+                return Ok(());
+            }
+        };
+        let value = match p.peek() {
+            Some(b'"') => Some(p.string()?),
+            _ => p.value().map(|_| None)?,
+        };
+        text.get_or_insert(value);
+        Ok(())
+    }
+}
+
 /// Parses one request line into a [`Request`], with every failure
 /// already rendered as the correctly-shaped error response.
+///
+/// The line is read in place by the grammar of [`Json::parse`], so it is
+/// refused, with the same error, exactly when a parse would refuse it.
+/// Strings stay borrowed from the line until `source` and `name` are
+/// copied, once, into the [`CompileRequest`].
 pub fn parse_request(line: &str) -> Request {
-    let raw = match Json::parse(line) {
-        Ok(v) => v,
+    let mut fields = Fields::default();
+    let read = json::scan(line, |p| match p.peek() {
+        Some(b'{') => p.members(|p, key| fields.read(p, &key)),
+        _ => p.value().map(drop),
+    });
+    if let Err(e) = read {
         // Unparseable lines cannot name a protocol version; answer in
         // the legacy shape, which is also what v1 clients must expect
         // for garbage (the `kind` key is absent there — `code` is not —
         // so the shapes stay distinguishable).
-        Err(e) => {
-            return Request::Malformed(
-                Envelope::legacy()
-                    .error(ErrorCode::BadRequest, &format!("invalid request JSON: {e}")),
-            )
-        }
-    };
+        return Request::Malformed(
+            Envelope::legacy().error(ErrorCode::BadRequest, &format!("invalid request JSON: {e}")),
+        );
+    }
 
-    let envelope = match raw.get("v") {
+    let envelope = match fields.v.take() {
         None => Envelope::legacy(),
         Some(v) => {
-            let id = raw.get("id").cloned().unwrap_or(Json::Null);
-            let tenant = raw
-                .get("tenant")
-                .and_then(Json::string)
-                .unwrap_or("")
-                .to_string();
             let envelope = Envelope {
                 v1: true,
-                id,
-                tenant,
+                id: fields.id.take().unwrap_or(Json::Null),
+                tenant: fields.tenant.take().flatten().unwrap_or_default().into(),
             };
             if v.u64() != Some(1) {
                 return Request::Malformed(envelope.error(
@@ -261,16 +322,13 @@ pub fn parse_request(line: &str) -> Request {
         }
     };
 
-    let cmd = match raw.get("cmd").and_then(Json::string) {
-        Some(c) => c,
-        None => {
-            return Request::Malformed(
-                envelope.error(ErrorCode::BadRequest, "missing string field \"cmd\""),
-            )
-        }
+    let Some(cmd) = fields.cmd.take().flatten() else {
+        return Request::Malformed(
+            envelope.error(ErrorCode::BadRequest, "missing string field \"cmd\""),
+        );
     };
-    match cmd {
-        "compile" => match parse_compile_body(&raw) {
+    match &*cmd {
+        "compile" => match parse_compile_body(fields) {
             Ok((request, budget_ms)) => Request::Compile {
                 envelope,
                 request: Box::new(request),
@@ -289,43 +347,36 @@ pub fn parse_request(line: &str) -> Request {
 
 /// Builds a [`CompileRequest`] (plus budget) from a `compile` verb's
 /// fields, or an error message naming the offending field.
-fn parse_compile_body(req: &Json) -> Result<(CompileRequest, Option<u64>), String> {
-    let source = req
-        .get("source")
-        .and_then(Json::string)
+fn parse_compile_body(fields: Fields<'_>) -> Result<(CompileRequest, Option<u64>), String> {
+    let source = (fields.source.flatten())
         .ok_or("missing string field \"source\"")?
-        .to_string();
-    let name = req
-        .get("name")
-        .and_then(Json::string)
-        .unwrap_or("<anonymous>")
-        .to_string();
+        .into_owned();
+    let name = (fields.name.flatten())
+        .unwrap_or("<anonymous>".into())
+        .into_owned();
 
-    let strategy_name = req
-        .get("strategy")
-        .and_then(Json::string)
-        .unwrap_or("global");
+    let strategy_name = fields.strategy.flatten().unwrap_or("global".into());
     let strategy: Strategy = strategy_name
         .parse()
         .map_err(|_| format!("unknown strategy {strategy_name:?}"))?;
-    let machine_name = req.get("machine").and_then(Json::string).unwrap_or("intel");
+    let machine_name = fields.machine.flatten().unwrap_or("intel".into());
     let machine =
-        parse_machine(machine_name).ok_or_else(|| format!("unknown machine {machine_name:?}"))?;
-    let verify_name = req.get("verify").and_then(Json::string).unwrap_or("static");
-    let verify = VerifyLevel::from_name(verify_name)
+        parse_machine(&machine_name).ok_or_else(|| format!("unknown machine {machine_name:?}"))?;
+    let verify_name = fields.verify.flatten().unwrap_or("static".into());
+    let verify = VerifyLevel::from_name(&verify_name)
         .ok_or_else(|| format!("unknown verify level {verify_name:?}"))?;
 
     let mut config = SlpConfig::for_machine(machine, strategy);
-    if let Some(unroll) = req.get("unroll") {
+    if let Some(unroll) = fields.unroll {
         config.unroll = usize::try_from(unroll.u64().ok_or("field \"unroll\" must be an integer")?)
             .map_err(|_| "field \"unroll\" out of range")?;
     }
-    if let Some(layout) = req.get("layout") {
+    if let Some(layout) = fields.layout {
         if layout.bool().ok_or("field \"layout\" must be a boolean")? {
             config = config.with_layout();
         }
     }
-    let budget_ms = match req.get("budget_ms") {
+    let budget_ms = match fields.budget_ms {
         Some(b) => Some(b.u64().ok_or("field \"budget_ms\" must be an integer")?),
         None => None,
     };
@@ -381,37 +432,29 @@ pub(crate) fn compile_fields(
     timings: &PhaseTimings,
 ) -> Vec<(&'static str, Json)> {
     let cache = cache.map_or("coalesced", CacheDisposition::name);
-    let mut fields = vec![
+    let count = |n: usize| Json::num(n as u64);
+    let (errors, warnings, diagnostics) = match report {
+        Some(report) => (
+            count(report.error_count()),
+            count(report.warning_count()),
+            (report.diagnostics.iter())
+                .map(|d| Json::str(d.to_string()))
+                .collect(),
+        ),
+        None => (Json::Null, Json::Null, Vec::new()),
+    };
+    vec![
         ("name", Json::str(name)),
         ("cache", Json::str(cache)),
         ("fingerprint", Json::str(fingerprint.to_hex())),
-        ("stmts", Json::num(stats.stmts as u64)),
-        ("superwords", Json::num(stats.superwords as u64)),
-        ("vectorized_stmts", Json::num(stats.vectorized_stmts as u64)),
-    ];
-    match report {
-        Some(report) => {
-            fields.push(("verify_errors", Json::num(report.error_count() as u64)));
-            fields.push(("verify_warnings", Json::num(report.warning_count() as u64)));
-            fields.push((
-                "diagnostics",
-                Json::Arr(
-                    report
-                        .diagnostics
-                        .iter()
-                        .map(|d| Json::str(d.to_string()))
-                        .collect(),
-                ),
-            ));
-        }
-        None => {
-            fields.push(("verify_errors", Json::Null));
-            fields.push(("verify_warnings", Json::Null));
-            fields.push(("diagnostics", Json::Arr(Vec::new())));
-        }
-    }
-    fields.push(("prove", prove.map_or(Json::Null, |v| Json::str(v.name()))));
-    fields.push(("phase_nanos", slp_driver::timings_json(timings)));
-    fields.push(("wall_nanos", Json::num(wall_nanos)));
-    fields
+        ("stmts", count(stats.stmts)),
+        ("superwords", count(stats.superwords)),
+        ("vectorized_stmts", count(stats.vectorized_stmts)),
+        ("verify_errors", errors),
+        ("verify_warnings", warnings),
+        ("diagnostics", Json::Arr(diagnostics)),
+        ("prove", prove.map_or(Json::Null, |v| Json::str(v.name()))),
+        ("phase_nanos", slp_driver::timings_json(timings)),
+        ("wall_nanos", Json::num(wall_nanos)),
+    ]
 }

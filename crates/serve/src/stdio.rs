@@ -43,6 +43,10 @@ pub(crate) fn session<R: BufRead, W: Write>(
     handler: &Handler,
 ) -> io::Result<bool> {
     let cap = handler.max_line_bytes();
+    // Every response of the session is encoded into this one buffer,
+    // newline included, and leaves in one write: on a socket that is one
+    // segment.
+    let mut encoded = String::new();
     loop {
         let response = match read {
             LineRead::Eof => return Ok(false),
@@ -51,10 +55,10 @@ pub(crate) fn session<R: BufRead, W: Write>(
             LineRead::Line(line) => Some(handler.handle_line_guarded(&line)),
         };
         if let Some(response) = response {
-            // One buffer, one write: on a socket that is one segment.
-            let mut line = response.json.to_compact();
-            line.push('\n');
-            output.write_all(line.as_bytes())?;
+            encoded.clear();
+            response.json.write_compact(&mut encoded);
+            encoded.push('\n');
+            output.write_all(encoded.as_bytes())?;
             output.flush()?;
             if response.shutdown {
                 return Ok(true);

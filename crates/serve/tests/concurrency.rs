@@ -423,3 +423,121 @@ fn metrics_text_matches_summary() {
         "phase telemetry missing:\n{text}"
     );
 }
+
+fn cache_of(response: &slp_serve::Response) -> Option<String> {
+    (response.json.get("cache").and_then(Json::string)).map(str::to_string)
+}
+
+/// A memory hit is answered before the dedup slot, and each request is counted
+/// as one lookup: N distinct sources then M repeats read N misses, M
+/// memory hits and N stores. An `S113` or `S114` request counts its one
+/// miss and stores nothing.
+#[test]
+fn each_request_counts_one_lookup() {
+    const N: u64 = 4;
+    const M: u64 = 6;
+    let handler = handler(ServeConfig::default());
+    for tag in 0..N {
+        let r = handler.handle_line(&compile_line(tag, "", &unique_src(tag)));
+        assert_eq!(cache_of(&r).as_deref(), Some("compiled"));
+    }
+    for i in 0..M {
+        let r = handler.handle_line(&compile_line(N + i, "", &unique_src(i % N)));
+        assert_eq!(cache_of(&r).as_deref(), Some("memory"));
+    }
+    let stats = handler.cache().stats();
+    assert_eq!(
+        (
+            stats.misses,
+            stats.memory_hits,
+            stats.disk_hits,
+            stats.stores
+        ),
+        (N, M, 0, N)
+    );
+    let summary = handler.summary();
+    assert_eq!((summary.compiled, summary.cache_hits), (N + M, M));
+    assert_eq!(
+        summary.compiled,
+        stats.stores + summary.cache_hits + summary.coalesced
+    );
+
+    let expired = compile_line(90, "", &unique_src(90)).replacen('{', "{\"budget_ms\":0,", 1);
+    let r = handler.handle_line(&expired);
+    assert_eq!(r.json.get("code").and_then(Json::string), Some("S113"));
+    assert_s114(&handler.handle_line(&compile_line(91, "", OOB)));
+    let stats = handler.cache().stats();
+    assert_eq!((stats.misses, stats.stores), (N + 2, N));
+    assert_eq!(handler.summary().compiled, N + M);
+}
+
+/// A leader held in its slot still gathers the requests that arrive
+/// meanwhile: their lookups before the slot miss uncounted, they wait on
+/// the slot, and only the leader's lookup counts.
+#[test]
+fn a_held_leader_still_coalesces_its_followers() {
+    const FOLLOWERS: u64 = 3;
+    let handler = Arc::new(handler(ServeConfig {
+        compile_hold_ms: 300,
+        ..ServeConfig::default()
+    }));
+    let leader = {
+        let handler = Arc::clone(&handler);
+        thread::spawn(move || handler.handle_line(&compile_line(0, "", SRC)))
+    };
+    while handler.active() == 0 {
+        thread::sleep(Duration::from_millis(1));
+    }
+    let followers: Vec<_> = (1..=FOLLOWERS)
+        .map(|id| {
+            let handler = Arc::clone(&handler);
+            thread::spawn(move || handler.handle_line(&compile_line(id, "", SRC)))
+        })
+        .collect();
+    let leader = leader.join().expect("leader thread");
+    assert_eq!(cache_of(&leader).as_deref(), Some("compiled"));
+    for follower in followers {
+        let r = follower.join().expect("follower thread");
+        assert_eq!(cache_of(&r).as_deref(), Some("coalesced"));
+    }
+    let stats = handler.cache().stats();
+    assert_eq!((stats.misses, stats.memory_hits, stats.stores), (1, 0, 1));
+    let summary = handler.summary();
+    assert_eq!(
+        (summary.compiled, summary.coalesced),
+        (1 + FOLLOWERS, FOLLOWERS)
+    );
+}
+
+/// A disk-tier hit is read by the leader's lookup, promoted to memory
+/// once and counted once: the next request for it is a memory hit,
+/// answered before the slot.
+#[test]
+fn a_disk_hit_is_promoted_once_and_counted_once() {
+    let dir = std::env::temp_dir().join(format!("slp-serve-disk-hit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk_backed = || {
+        let cache = CompileCache::with_disk(8, &dir);
+        Handler::new(Arc::new(cache), ServeConfig::default())
+    };
+    let first = disk_backed().handle_line(&compile_line(0, "", SRC));
+    assert_eq!(cache_of(&first).as_deref(), Some("compiled"));
+
+    let handler = disk_backed();
+    for (id, tier) in [(1, "disk"), (2, "memory")] {
+        let r = handler.handle_line(&compile_line(id, "", SRC));
+        assert_eq!(cache_of(&r).as_deref(), Some(tier));
+    }
+    let stats = handler.cache().stats();
+    assert_eq!(
+        (
+            stats.disk_hits,
+            stats.memory_hits,
+            stats.misses,
+            stats.stores
+        ),
+        (1, 1, 0, 0)
+    );
+    assert_eq!(handler.summary().cache_hits, 2);
+    std::fs::remove_dir_all(&dir).expect("remove the scratch cache");
+}

@@ -244,6 +244,37 @@ fn proven_unsafe_kernels_are_rejected_before_compilation() {
     assert_eq!(summary.compiled, 1);
 }
 
+/// A character outside the BMP sent as a surrogate-pair escape — how
+/// Python's `json.dumps` writes it by default — is the same request as
+/// the character sent raw. A lone or reversed surrogate is still refused.
+#[test]
+fn surrogate_pair_escapes_decode_to_one_character() {
+    let raw = compile_v1(1, "", &format!("// {}\n{SRC}", '\u{1f600}'));
+    let escaped = raw.replace('\u{1f600}', "\\ud83d\\ude00");
+    let handler = Handler::with_cache(CompileCache::in_memory(8));
+    let without_wall_nanos = |line: &str| {
+        let Json::Obj(mut pairs) = handler.handle_line(line).json else {
+            panic!("a response is an object");
+        };
+        pairs.retain(|(key, _)| key != "wall_nanos");
+        Json::Obj(pairs).to_compact()
+    };
+    let compiled = without_wall_nanos(&raw);
+    assert!(compiled.contains("\"cache\":\"compiled\""), "{compiled}");
+    let hit = without_wall_nanos(&raw);
+    assert!(hit.contains("\"cache\":\"memory\""), "{hit}");
+    assert_eq!(without_wall_nanos(&escaped), hit);
+
+    // Refused at the end of the first escape, as before pairs decoded.
+    let at = raw.find('\u{1f600}').expect("raw emoji") + "\\ud83d".len();
+    let refusal = format!("invalid request JSON: non-scalar \\u escape at byte {at}");
+    for lone in ["\\ud83d", "\\ude00", "\\ude00\\ud83d", "\\ud83d\\u0041"] {
+        let response = handler.handle_line(&raw.replace('\u{1f600}', lone)).json;
+        let error = response.get("error").and_then(Json::string);
+        assert_eq!(error, Some(refusal.as_str()), "{lone}");
+    }
+}
+
 #[test]
 fn unparseable_lines_answer_in_the_legacy_shape() {
     // Garbage cannot name a protocol version, so even v1 clients must

@@ -133,6 +133,15 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The value after a flag, through `parse`; a missing or unparsable one
+/// is a usage error.
+fn flag<T>(
+    args: &mut impl Iterator<Item = String>,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, ExitCode> {
+    args.next().as_deref().and_then(parse).ok_or_else(usage)
+}
+
 fn build_config(
     machine: &MachineConfig,
     strategy: Strategy,
@@ -151,8 +160,7 @@ fn build_config(
     cfg
 }
 
-fn parse_args() -> Result<Options, ExitCode> {
-    let mut args = std::env::args().skip(1);
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ExitCode> {
     let mut opts = Options {
         path: String::new(),
         strategy: Strategy::Holistic,
@@ -166,31 +174,16 @@ fn parse_args() -> Result<Options, ExitCode> {
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--strategy" => {
-                opts.strategy = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => return Err(usage()),
-                }
-            }
+            "--strategy" => opts.strategy = flag(&mut args, |s| s.parse().ok())?,
             "--layout" => opts.layout = true,
-            "--machine" => {
-                opts.machine = match args.next().as_deref().and_then(parse_machine) {
-                    Some(m) => m,
-                    None => return Err(usage()),
-                }
+            "--machine" => opts.machine = flag(&mut args, parse_machine)?,
+            "--emit" => {
+                let emits = ["source", "schedule", "code", "stats"];
+                opts.emit = flag(&mut args, |e| emits.contains(&e).then(|| e.to_string()))?;
             }
-            "--emit" => match args.next() {
-                Some(e) if ["source", "schedule", "code", "stats"].contains(&e.as_str()) => {
-                    opts.emit = e
-                }
-                _ => return Err(usage()),
-            },
             "--run" => opts.run = true,
             "--no-unchecked" => opts.no_unchecked = true,
-            "--unroll" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.unroll = n,
-                None => return Err(usage()),
-            },
+            "--unroll" => opts.unroll = flag(&mut args, |s| s.parse().ok())?,
             "--refine" => opts.refine = true,
             path if !path.starts_with('-') && opts.path.is_empty() => opts.path = path.to_string(),
             _ => return Err(usage()),
@@ -274,17 +267,9 @@ fn parse_check_args(
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--machine" => {
-                opts.machine = match args.next().as_deref().and_then(parse_machine) {
-                    Some(m) => m,
-                    None => return Err(usage()),
-                }
-            }
+            "--machine" => opts.machine = flag(&mut args, parse_machine)?,
             "--static" if allow_static => opts.differential = false,
-            "--unroll" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.unroll = n,
-                None => return Err(usage()),
-            },
+            "--unroll" => opts.unroll = flag(&mut args, |s| s.parse().ok())?,
             "--refine" => opts.refine = true,
             "--json" => opts.json = true,
             path if !path.starts_with('-') => opts.paths.push(path.to_string()),
@@ -510,12 +495,7 @@ fn parse_analyze_args(mut args: impl Iterator<Item = String>) -> Result<AnalyzeO
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--machine" => {
-                opts.machine = match args.next().as_deref().and_then(parse_machine) {
-                    Some(m) => m,
-                    None => return Err(usage()),
-                }
-            }
+            "--machine" => opts.machine = flag(&mut args, parse_machine)?,
             "--json" => opts.json = true,
             path if !path.starts_with('-') => opts.paths.push(path.to_string()),
             _ => return Err(usage()),
@@ -658,44 +638,17 @@ fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<BatchOptio
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--strategy" => {
-                opts.strategy = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => return Err(usage()),
-                }
-            }
+            "--strategy" => opts.strategy = flag(&mut args, |s| s.parse().ok())?,
             "--layout" => opts.layout = true,
-            "--machine" => {
-                opts.machine = match args.next().as_deref().and_then(parse_machine) {
-                    Some(m) => m,
-                    None => return Err(usage()),
-                }
-            }
-            "--unroll" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.unroll = n,
-                None => return Err(usage()),
-            },
+            "--machine" => opts.machine = flag(&mut args, parse_machine)?,
+            "--unroll" => opts.unroll = flag(&mut args, |s| s.parse().ok())?,
             "--refine" => opts.refine = true,
-            "--verify" => {
-                opts.verify = match args.next().as_deref().and_then(VerifyLevel::from_name) {
-                    Some(v) => v,
-                    None => return Err(usage()),
-                }
-            }
-            "--threads" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.threads = n,
-                None => return Err(usage()),
-            },
-            "--budget-ms" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.budget_ms = Some(n),
-                None => return Err(usage()),
-            },
+            "--verify" => opts.verify = flag(&mut args, VerifyLevel::from_name)?,
+            "--threads" => opts.threads = flag(&mut args, |s| s.parse().ok())?,
+            "--budget-ms" => opts.budget_ms = Some(flag(&mut args, |s| s.parse().ok())?),
             "--prove" => opts.verify = VerifyLevel::Prove,
             "--no-degrade" => opts.degrade = false,
-            "--cache-dir" => match args.next() {
-                Some(dir) => opts.cache_dir = Some(dir),
-                None => return Err(usage()),
-            },
+            "--cache-dir" => opts.cache_dir = Some(flag(&mut args, |s| Some(s.to_string()))?),
             "--no-cache" => opts.no_cache = true,
             "--json" => opts.json = true,
             "--strict" => opts.strict = true,
@@ -822,43 +775,9 @@ fn run_batch(opts: &BatchOptions) -> ExitCode {
     }
 }
 
-fn main() -> ExitCode {
-    let mut argv = std::env::args().skip(1).peekable();
-    match argv.peek().map(String::as_str) {
-        Some("analyze") => {
-            argv.next();
-            return match parse_analyze_args(argv) {
-                Ok(opts) => run_analyze(&opts),
-                Err(code) => code,
-            };
-        }
-        Some("check") => {
-            argv.next();
-            return match parse_check_args(argv, true) {
-                Ok(opts) => run_check(&opts),
-                Err(code) => code,
-            };
-        }
-        Some("prove") => {
-            argv.next();
-            return match parse_check_args(argv, false) {
-                Ok(opts) => run_prove(&opts),
-                Err(code) => code,
-            };
-        }
-        Some("batch") => {
-            argv.next();
-            return match parse_batch_args(argv) {
-                Ok(opts) => run_batch(&opts),
-                Err(code) => code,
-            };
-        }
-        _ => {}
-    }
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(code) => return code,
-    };
+/// The single-kernel mode: compile one kernel, print what `--emit` asks
+/// for and, with `--run`, execute it.
+fn run_kernel(opts: &Options) -> ExitCode {
     let config = build_config(
         &opts.machine,
         opts.strategy,
@@ -965,4 +884,17 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    let mut argv = std::env::args().skip(1).peekable();
+    let command = argv.next_if(|a| ["analyze", "check", "prove", "batch"].contains(&a.as_str()));
+    let ran = match command.as_deref() {
+        None => parse_args(argv).map(|opts| run_kernel(&opts)),
+        Some("analyze") => parse_analyze_args(argv).map(|opts| run_analyze(&opts)),
+        Some("check") => parse_check_args(argv, true).map(|opts| run_check(&opts)),
+        Some("prove") => parse_check_args(argv, false).map(|opts| run_prove(&opts)),
+        Some(_) => parse_batch_args(argv).map(|opts| run_batch(&opts)),
+    };
+    ran.unwrap_or_else(|code| code)
 }

@@ -91,41 +91,33 @@ fn parse_args() -> Result<Options, ExitCode> {
         workers: 4,
         serve: ServeConfig::default(),
     };
+    let text = |s: &str| Some(s.to_string());
+    let positive = |s: &str| s.parse().ok().filter(|&n: &usize| n > 0);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--cache-dir" => match args.next() {
-                Some(dir) => opts.cache_dir = Some(dir),
-                None => return Err(usage()),
-            },
+            "--cache-dir" => opts.cache_dir = Some(flag(&mut args, text)?),
             "--no-cache" => opts.no_cache = true,
-            "--memory" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => opts.memory = n,
-                _ => return Err(usage()),
-            },
-            "--tcp" => match args.next() {
-                Some(addr) => opts.tcp = Some(addr),
-                None => return Err(usage()),
-            },
-            "--max-in-flight" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.serve.max_in_flight = n,
-                None => return Err(usage()),
-            },
-            "--quota" => match args.next().as_deref().and_then(parse_quota) {
-                Some(q) => opts.serve.quota = Some(q),
-                None => return Err(usage()),
-            },
-            "--budget-ms" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.serve.default_budget_ms = Some(n),
-                None => return Err(usage()),
-            },
-            "--workers" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => opts.workers = n,
-                _ => return Err(usage()),
-            },
+            "--memory" => opts.memory = flag(&mut args, positive)?,
+            "--tcp" => opts.tcp = Some(flag(&mut args, text)?),
+            "--max-in-flight" => opts.serve.max_in_flight = flag(&mut args, |s| s.parse().ok())?,
+            "--quota" => opts.serve.quota = Some(flag(&mut args, parse_quota)?),
+            "--budget-ms" => {
+                opts.serve.default_budget_ms = Some(flag(&mut args, |s| s.parse().ok())?)
+            }
+            "--workers" => opts.workers = flag(&mut args, positive)?,
             _ => return Err(usage()),
         }
     }
     Ok(opts)
+}
+
+/// The value after a flag, through `parse`; a missing or unparsable one
+/// is a usage error.
+fn flag<T>(
+    args: &mut impl Iterator<Item = String>,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, ExitCode> {
+    args.next().as_deref().and_then(parse).ok_or_else(usage)
 }
 
 fn report(summary: &ServeSummary, cache: &CompileCache) {
