@@ -67,5 +67,5 @@ pub use ids::{ArrayId, LoopVarId, StmtId, VarId};
 pub use program::{ArrayInfo, BlockId, BlockInfo, Item, Loop, LoopHeader, Program, ScalarInfo};
 pub use stmt::Statement;
 pub use types::ScalarType;
-pub use unroll::unroll_program;
+pub use unroll::{loop_local_scalars, unroll_program};
 pub use validate::ValidationError;

@@ -7,6 +7,7 @@
 
 use std::fmt;
 
+use crate::affine::AccessVector;
 use crate::block::BasicBlock;
 use crate::expr::{Dest, Expr, Operand, TypeEnv};
 use crate::ids::{ArrayId, LoopVarId, StmtId, VarId};
@@ -52,18 +53,22 @@ impl ArrayInfo {
         self.len() == 0
     }
 
-    /// Flattens a multi-dimensional index to a row-major linear offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` has the wrong rank.
-    pub fn linearize(&self, index: &[i64]) -> i64 {
-        assert_eq!(index.len(), self.dims.len(), "rank mismatch");
-        let mut off = 0;
-        for (d, &i) in index.iter().enumerate() {
-            off = off * self.dims[d] + i;
+    /// The row-major linear offset `access` reaches under `env`, or
+    /// `None` when its rank differs or a dimension falls outside the
+    /// array. Evaluates each dimension in place and allocates nothing.
+    pub fn offset_of(&self, access: &AccessVector, env: &[(LoopVarId, i64)]) -> Option<i64> {
+        if access.rank() != self.dims.len() {
+            return None;
         }
-        off
+        let mut off = 0i64;
+        for (e, &d) in access.dims().iter().zip(&self.dims) {
+            let i = e.eval(env);
+            if i < 0 || i >= d {
+                return None;
+            }
+            off = off.wrapping_mul(d).wrapping_add(i);
+        }
+        Some(off)
     }
 
     /// Whether `index` lies inside the array bounds in every dimension.
@@ -698,9 +703,16 @@ mod tests {
             is_input: false,
         };
         assert_eq!(a.len(), 12);
-        assert_eq!(a.linearize(&[0, 0]), 0);
-        assert_eq!(a.linearize(&[1, 0]), 4);
-        assert_eq!(a.linearize(&[2, 3]), 11);
+        let (i, j) = (LoopVarId::new(0), LoopVarId::new(1));
+        let at = |r: i64, c: i64| {
+            let access = AccessVector::new(vec![AffineExpr::var(i), AffineExpr::var(j)]);
+            a.offset_of(&access, &[(i, r), (j, c)])
+        };
+        assert_eq!(at(0, 0), Some(0));
+        assert_eq!(at(1, 0), Some(4));
+        assert_eq!(at(2, 3), Some(11));
+        assert_eq!(at(3, 0), None);
+        assert_eq!(at(0, -1), None);
         assert!(a.in_bounds(&[2, 3]));
         assert!(!a.in_bounds(&[3, 0]));
         assert!(!a.in_bounds(&[0, -1]));

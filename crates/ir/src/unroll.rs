@@ -79,6 +79,30 @@ fn count_scalar_reads(items: &[Item], counts: &mut HashMap<VarId, usize>) {
     }
 }
 
+/// The scalars [`unroll_program`] privatizes without a copy-back:
+/// defined before any use in an innermost loop body and read nowhere
+/// outside it. Each is a dead temporary whose final value legitimately
+/// differs once its loop is unrolled; the criterion holds whether or not
+/// the loop is long enough to be unrolled.
+pub fn loop_local_scalars(program: &Program) -> Vec<VarId> {
+    fn walk(items: &[Item], total_reads: &HashMap<VarId, usize>, out: &mut Vec<VarId>) {
+        for item in items {
+            let Item::Loop(l) = item else { continue };
+            if !is_innermost(l) {
+                walk(&l.body, total_reads, out);
+                continue;
+            }
+            let private = private_scalars(l, total_reads).into_iter();
+            out.extend(private.filter(|&(_, live_out)| !live_out).map(|(v, _)| v));
+        }
+    }
+    let mut total_reads = HashMap::new();
+    count_scalar_reads(program.items(), &mut total_reads);
+    let mut out = Vec::new();
+    walk(program.items(), &total_reads, &mut out);
+    out
+}
+
 fn unroll_items(
     items: &mut Vec<Item>,
     factor: usize,
@@ -109,12 +133,15 @@ fn is_innermost(l: &Loop) -> bool {
     l.body.iter().all(|it| matches!(it, Item::Stmt(_)))
 }
 
-/// The scalars of a straight-line body that are defined before any use, and
-/// may therefore be renamed per unroll replica (privatization).
-fn privatizable_scalars(body: &[Statement]) -> Vec<VarId> {
+/// The scalars of innermost loop `l` that are defined before any use, and
+/// may therefore be renamed per unroll replica (privatization), each with
+/// whether it is live-out: read outside `l`, given whole-program read
+/// counts `total_reads`.
+fn private_scalars(l: &Loop, total_reads: &HashMap<VarId, usize>) -> Vec<(VarId, bool)> {
     let mut seen_use: Vec<VarId> = Vec::new();
     let mut defined_first: Vec<VarId> = Vec::new();
-    for s in body {
+    for item in &l.body {
+        let Item::Stmt(s) = item else { continue };
         for u in s.uses() {
             if let Operand::Scalar(v) = u {
                 if !defined_first.contains(v) && !seen_use.contains(v) {
@@ -128,7 +155,14 @@ fn privatizable_scalars(body: &[Statement]) -> Vec<VarId> {
             }
         }
     }
+    let mut body_reads = HashMap::new();
+    count_scalar_reads(&l.body, &mut body_reads);
+    let reads = |counts: &HashMap<VarId, usize>, v| counts.get(&v).copied().unwrap_or(0);
+    let live_out = |v| reads(total_reads, v) > reads(&body_reads, v);
     defined_first
+        .into_iter()
+        .map(|v| (v, live_out(v)))
+        .collect()
 }
 
 /// Unrolls one innermost loop. Returns the replacement item sequence (the
@@ -158,7 +192,7 @@ fn unroll_loop(
         })
         .collect();
 
-    let private = privatizable_scalars(&body);
+    let private = private_scalars(l, total_reads);
     let main_trips = trip / factor as i64;
     let main_upper = h.lower + main_trips * factor as i64;
 
@@ -171,7 +205,7 @@ fn unroll_loop(
         } else {
             private
                 .iter()
-                .map(|&v| {
+                .map(|&(v, _)| {
                     let name = format!("{}.u{}", program.scalar(v).name, k);
                     let ty = program.scalar(v).ty;
                     (v, program.add_scalar(name, ty))
@@ -209,13 +243,9 @@ fn unroll_loop(
     // must be copied back to its original name. The copy-backs precede the
     // remainder loop: the remainder re-defines the scalar itself, matching
     // the original last-iteration-wins semantics.
-    let mut body_reads = HashMap::new();
-    count_scalar_reads(&l.body, &mut body_reads);
     let mut out = vec![Item::Loop(main)];
-    for &v in &private {
-        let outside =
-            total_reads.get(&v).copied().unwrap_or(0) > body_reads.get(&v).copied().unwrap_or(0);
-        if outside {
+    for &(v, live_out) in &private {
+        if live_out {
             if let Some(&last) = last_renames.get(&v) {
                 let id = program.fresh_stmt_id();
                 out.push(Item::Stmt(Statement::new(

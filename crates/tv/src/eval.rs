@@ -1,40 +1,38 @@
 //! The symbolic evaluator: abstract execution of a kernel over the term
 //! arena.
 //!
-//! Loop bounds in this IR are compile-time constants, so the evaluator
-//! walks every loop nest *concretely* — induction variables take real
-//! `i64` values and every affine subscript evaluates to an exact linear
-//! offset — while the *data* stays symbolic: each array cell and scalar
-//! holds a [`TermId`](crate::term::TermId) describing how its final value
-//! is computed from the inputs. The result of evaluating a program is a
-//! [`SymbolicState`]: the complete map from observable locations to value
-//! terms.
+//! Loop bounds are compile-time constants, so loop nests are walked
+//! *concretely* — induction variables take real `i64` values and every
+//! subscript is an exact linear offset — while the *data* stays
+//! symbolic: each array cell and scalar holds a
+//! [`TermId`](crate::term::TermId) for its value as a function of the
+//! inputs. The result is a [`SymbolicState`]. [`eval_scalar_program`]
+//! runs statements in program order (the reference semantics);
+//! [`eval_compiled_kernel`] replays layout replications, then runs the
+//! block schedules: a superword reads every lane's operands before it
+//! writes any destination, and commits in lane order. A pre-pass over
+//! `slp-analyze`'s strided intervals first bounds the dynamic statement
+//! count and rejects accesses out of bounds on every execution.
 //!
-//! Two modes share one engine:
-//!
-//! * **scalar mode** ([`eval_scalar_program`]) executes statements in
-//!   program order — the reference semantics,
-//! * **schedule mode** ([`eval_compiled_kernel`]) executes a
-//!   [`CompiledKernel`]'s block schedules, replaying layout replications
-//!   first and honouring superword semantics: all lane operands of a
-//!   scheduled item are read *before* any of its destinations are
-//!   written, then destinations commit in lane order.
-//!
-//! Before walking anything, a pre-pass reuses `slp-analyze`'s strided
-//! intervals to bound the dynamic statement count (so hopeless blow-ups
-//! degrade to [`EvalError::Budget`] without a single symbolic step) and to
-//! reject accesses that provably fall outside their array on every
-//! execution.
+//! A dynamic statement costs only its proof. Operands go to a stack
+//! buffer; subscripts are bounds-checked and linearized in place; cell
+//! terms sit in one word-hashed map, so memory follows the cells touched;
+//! written cells are logged, then sorted and deduplicated once. Each
+//! scheduled block's items are resolved to statements once, before the
+//! walk, and an item naming a statement
+//! outside its block fails only when the walk reaches it — errors and
+//! budgets trip in the same order as a lookup per item.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
 
 use slp_analyze::{eval_affine, loop_env};
-use slp_core::{BlockSchedule, CompiledKernel, Replication, ScheduledItem};
+use slp_core::{CompiledKernel, Replication, ScheduledItem};
 use slp_ir::{
-    ArrayId, ArrayRef, Dest, Item, Loop, LoopVarId, Operand, Program, Statement, StmtId, TypeEnv,
+    ArrayId, ArrayRef, BlockInfo, Dest, Item, Loop, LoopVarId, Operand, Program, Statement, StmtId,
+    TypeEnv,
 };
 
-use crate::term::{Arena, TermId};
+use crate::term::{Arena, TermId, WordMap};
 
 /// Resource limits for one validation run.
 #[derive(Debug, Clone, Copy)]
@@ -79,11 +77,11 @@ impl std::fmt::Display for EvalError {
 /// The final symbolic memory image of one side.
 #[derive(Debug)]
 pub struct SymbolicState {
-    /// Current term of every array cell touched (reads memoize the input
-    /// leaf; writes overwrite).
-    pub cells: HashMap<(ArrayId, i64), TermId>,
-    /// The cells actually *written*, in deterministic order.
-    pub dirty: BTreeSet<(ArrayId, i64)>,
+    /// Current term of every touched cell, keyed by array and linear
+    /// offset (reads memoize the input leaf; writes overwrite).
+    cells: WordMap<(ArrayId, i64), TermId>,
+    /// The cells actually *written*, sorted and deduplicated.
+    pub dirty: Vec<(ArrayId, i64)>,
     /// Current term of every scalar, indexed by [`VarId::index`].
     pub scalars: Vec<TermId>,
     /// Dynamic statements executed.
@@ -96,9 +94,7 @@ impl SymbolicState {
     pub fn cell_term(&self, arena: &mut Arena, a: ArrayId, off: i64) -> Result<TermId, EvalError> {
         match self.cells.get(&(a, off)) {
             Some(&t) => Ok(t),
-            None => arena
-                .cell(a, off)
-                .map_err(|e| EvalError::Budget(e.to_string())),
+            None => arena.cell(a, off),
         }
     }
 }
@@ -115,9 +111,10 @@ pub fn eval_scalar_program(
     budgets: &Budgets,
 ) -> Result<SymbolicState, EvalError> {
     prepass(program, 0, budgets)?;
-    let mut ev = Eval::new(program, None, arena, budgets)?;
+    let unscheduled = WordMap::default();
+    let mut ev = Eval::new(program, &unscheduled, arena, budgets)?;
     ev.run_items(program.items())?;
-    Ok(ev.st)
+    Ok(ev.finish())
 }
 
 /// Symbolically evaluates a compiled kernel: replications populate first,
@@ -137,32 +134,46 @@ pub fn eval_compiled_kernel(
         .iter()
         .map(|r| r.copy_count() as u64)
         .sum();
-    prepass(&kernel.program, replication_copies, budgets)?;
+    let blocks = prepass(&kernel.program, replication_copies, budgets)?;
 
-    // Key each block's schedule by the block's first statement id, the
-    // same dispatch the VM interpreter uses while walking the item tree.
-    let mut schedules: HashMap<StmtId, &BlockSchedule> = HashMap::new();
-    for info in kernel.program.blocks() {
-        if let Some(sched) = kernel.schedule_of(info.id) {
-            schedules.insert(info.block.stmts()[0].id(), sched);
-        }
-    }
-
-    let mut ev = Eval::new(&kernel.program, Some(schedules), arena, budgets)?;
+    // Key each block's plan by the block's first statement id, the same
+    // dispatch the VM interpreter uses while walking the item tree.
+    let plans = blocks
+        .iter()
+        .filter_map(|info| {
+            let stmts = info.block.stmts();
+            let find = |id| stmts.iter().find(|s| s.id() == id).ok_or(id);
+            let plan = kernel
+                .schedule_of(info.id)?
+                .items()
+                .iter()
+                .map(|item| match item {
+                    ScheduledItem::Single(id) => find(*id).map(|s| vec![s]),
+                    ScheduledItem::Superword(sw) => sw.lanes().iter().map(|&id| find(id)).collect(),
+                });
+            Some((stmts[0].id(), plan.collect()))
+        })
+        .collect();
+    let mut ev = Eval::new(&kernel.program, &plans, arena, budgets)?;
     for r in &kernel.replications {
         ev.populate(r)?;
     }
     ev.run_items(kernel.program.items())?;
-    Ok(ev.st)
+    Ok(ev.finish())
 }
+
+/// A scheduled block's items, each resolved to its lanes' statements, or
+/// to the first lane id its block does not contain.
+type Plan<'a> = Vec<Result<Vec<&'a Statement>, StmtId>>;
 
 /// Static feasibility screen, run before any symbolic work: bounds the
 /// total dynamic statement count using exact trip counts, and uses
 /// `slp-analyze`'s strided-interval ranges to reject subscripts that are
-/// provably out of bounds on *every* execution.
-fn prepass(program: &Program, extra_steps: u64, budgets: &Budgets) -> Result<(), EvalError> {
-    let mut dynamic: u128 = extra_steps as u128;
-    for info in program.blocks() {
+/// provably out of bounds on *every* execution. Returns the blocks.
+fn prepass(program: &Program, extra: u64, budgets: &Budgets) -> Result<Vec<BlockInfo>, EvalError> {
+    let blocks = program.blocks();
+    let mut dynamic: u128 = extra as u128;
+    for info in &blocks {
         let Some(env) = loop_env(&info.loops) else {
             // Some enclosing loop never executes: the block is dead.
             continue;
@@ -203,16 +214,18 @@ fn prepass(program: &Program, extra_steps: u64, budgets: &Budgets) -> Result<(),
             budgets.max_steps
         )));
     }
-    Ok(())
+    Ok(blocks)
 }
 
 struct Eval<'a> {
     program: &'a Program,
-    /// Schedule per block, keyed by the block's first statement id; `None`
-    /// means plain statement-order (scalar) semantics everywhere.
-    schedules: Option<HashMap<StmtId, &'a BlockSchedule>>,
+    /// Resolved schedule per block, keyed by the block's first statement
+    /// id; empty means plain statement-order (scalar) semantics.
+    plans: &'a WordMap<StmtId, Plan<'a>>,
     arena: &'a mut Arena,
     st: SymbolicState,
+    /// The terms a superword's lanes compute, before any is written.
+    lane_terms: Vec<TermId>,
     env: Vec<(LoopVarId, i64)>,
     max_steps: u64,
 }
@@ -220,31 +233,34 @@ struct Eval<'a> {
 impl<'a> Eval<'a> {
     fn new(
         program: &'a Program,
-        schedules: Option<HashMap<StmtId, &'a BlockSchedule>>,
+        plans: &'a WordMap<StmtId, Plan<'a>>,
         arena: &'a mut Arena,
         budgets: &Budgets,
     ) -> Result<Self, EvalError> {
         let scalars = program
             .scalar_ids()
-            .map(|v| {
-                arena
-                    .scalar(v)
-                    .map_err(|e| EvalError::Budget(e.to_string()))
-            })
+            .map(|v| arena.scalar(v))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Eval {
             program,
-            schedules,
+            plans,
             arena,
             st: SymbolicState {
-                cells: HashMap::new(),
-                dirty: BTreeSet::new(),
+                cells: WordMap::default(),
+                dirty: Vec::new(),
                 scalars,
                 steps: 0,
             },
+            lane_terms: Vec::new(),
             env: Vec::new(),
             max_steps: budgets.max_steps,
         })
+    }
+
+    fn finish(mut self) -> SymbolicState {
+        self.st.dirty.sort_unstable();
+        self.st.dirty.dedup();
+        self.st
     }
 
     fn step(&mut self) -> Result<(), EvalError> {
@@ -258,36 +274,35 @@ impl<'a> Eval<'a> {
         Ok(())
     }
 
-    fn budget<T>(r: Result<T, crate::term::TermBudgetExceeded>) -> Result<T, EvalError> {
-        r.map_err(|e| EvalError::Budget(e.to_string()))
-    }
-
     /// Resolves an array reference to its exact linear offset under the
     /// current loop environment.
     fn offset(&self, r: &ArrayRef) -> Result<i64, EvalError> {
-        let idx = r.access.eval(&self.env);
         let info = self.program.array(r.array);
-        if !info.in_bounds(&idx) {
-            return Err(EvalError::Unsupported(format!(
-                "{}{idx:?} out of bounds (dims {:?})",
-                info.name, info.dims
-            )));
-        }
-        Ok(info.linearize(&idx))
+        info.offset_of(&r.access, &self.env).ok_or_else(|| {
+            EvalError::Unsupported(format!(
+                "{}{:?} out of bounds (dims {:?})",
+                info.name,
+                r.access.eval(&self.env),
+                info.dims
+            ))
+        })
     }
 
     fn read_cell(&mut self, a: ArrayId, off: i64) -> Result<TermId, EvalError> {
-        if let Some(&t) = self.st.cells.get(&(a, off)) {
-            return Ok(t);
+        match self.st.cells.entry((a, off)) {
+            Entry::Occupied(e) => Ok(*e.get()),
+            Entry::Vacant(slot) => Ok(*slot.insert(self.arena.cell(a, off)?)),
         }
-        let t = Self::budget(self.arena.cell(a, off))?;
+    }
+
+    fn write_cell(&mut self, a: ArrayId, off: i64, t: TermId) {
         self.st.cells.insert((a, off), t);
-        Ok(t)
+        self.st.dirty.push((a, off));
     }
 
     fn read_operand(&mut self, op: &Operand) -> Result<TermId, EvalError> {
         match op {
-            Operand::Const(c) => Self::budget(self.arena.constant(*c)),
+            Operand::Const(c) => self.arena.constant(*c),
             Operand::Scalar(v) => Ok(self.st.scalars[v.index()]),
             Operand::Array(r) => {
                 let off = self.offset(r)?;
@@ -303,88 +318,68 @@ impl<'a> Eval<'a> {
         match dest {
             Dest::Scalar(v) => {
                 let ty = TypeEnv::scalar_type(self.program, *v);
-                let t = Self::budget(self.arena.coerce(ty, t))?;
-                self.st.scalars[v.index()] = t;
+                self.st.scalars[v.index()] = self.arena.coerce(ty, t)?;
             }
             Dest::Array(r) => {
                 let off = self.offset(r)?;
                 let ty = self.program.array(r.array).ty;
-                let t = Self::budget(self.arena.coerce(ty, t))?;
-                self.st.cells.insert((r.array, off), t);
-                self.st.dirty.insert((r.array, off));
+                let t = self.arena.coerce(ty, t)?;
+                self.write_cell(r.array, off, t);
             }
         }
         Ok(())
     }
 
-    fn exec_stmt(&mut self, stmt: &Statement) -> Result<(), EvalError> {
+    /// Counts one dynamic statement and returns the term its expression
+    /// computes, reading operands in positional order.
+    fn apply(&mut self, stmt: &Statement) -> Result<TermId, EvalError> {
         self.step()?;
-        let args = stmt
-            .expr()
-            .operands()
-            .iter()
-            .map(|op| self.read_operand(op))
-            .collect::<Result<Vec<_>, _>>()?;
-        let t = Self::budget(self.arena.op(stmt.expr().shape(), args))?;
-        self.write_dest(stmt.dest(), t)
+        let ops = stmt.expr().operands();
+        let mut args = [self.read_operand(ops[0])?; 4];
+        for (arg, op) in args.iter_mut().zip(ops.iter()).skip(1) {
+            *arg = self.read_operand(op)?;
+        }
+        self.arena.op(stmt.expr().shape(), &args[..ops.len()])
     }
 
-    /// Executes one superword: every lane's operands are read before any
-    /// lane's destination is written, then destinations commit in lane
-    /// order — the semantics the vector lowering implements with packed
-    /// loads before packed stores.
+    /// Executes one superword (a scalar item is a one-lane superword):
+    /// every lane's operands are read before any lane's destination is
+    /// written, then destinations commit in lane order — the semantics the
+    /// vector lowering implements with packed loads before packed stores.
     fn exec_superword(&mut self, lanes: &[&Statement]) -> Result<(), EvalError> {
-        let mut results = Vec::with_capacity(lanes.len());
+        self.lane_terms.clear();
         for stmt in lanes {
-            self.step()?;
-            let args = stmt
-                .expr()
-                .operands()
-                .iter()
-                .map(|op| self.read_operand(op))
-                .collect::<Result<Vec<_>, _>>()?;
-            results.push(Self::budget(self.arena.op(stmt.expr().shape(), args))?);
+            let t = self.apply(stmt)?;
+            self.lane_terms.push(t);
         }
-        for (stmt, t) in lanes.iter().zip(results) {
-            self.write_dest(stmt.dest(), t)?;
+        for (k, stmt) in lanes.iter().enumerate() {
+            self.write_dest(stmt.dest(), self.lane_terms[k])?;
         }
         Ok(())
     }
 
     /// Executes one maximal statement run (= one static basic block),
     /// under its schedule when one is registered.
-    fn run_block(&mut self, stmts: &[&'a Statement]) -> Result<(), EvalError> {
-        let sched = self
-            .schedules
-            .as_ref()
-            .and_then(|m| m.get(&stmts[0].id()).copied());
-        let Some(sched) = sched else {
-            for s in stmts {
-                self.exec_stmt(s)?;
+    fn run_block(&mut self, run: &'a [Item]) -> Result<(), EvalError> {
+        let plans = self.plans;
+        let plan = match &run[0] {
+            Item::Stmt(first) => plans.get(&first.id()),
+            Item::Loop(_) => None,
+        };
+        let Some(plan) = plan else {
+            for item in run {
+                if let Item::Stmt(s) = item {
+                    let t = self.apply(s)?;
+                    self.write_dest(s.dest(), t)?;
+                }
             }
             return Ok(());
         };
-        let by_id: HashMap<StmtId, &Statement> = stmts.iter().map(|s| (s.id(), *s)).collect();
-        let lookup = |id: StmtId| -> Result<&'a Statement, EvalError> {
-            by_id.get(&id).copied().ok_or_else(|| {
+        for lanes in plan {
+            let lanes = lanes.as_ref().map_err(|id| {
                 EvalError::Unsupported(format!("schedule references {id} outside its block"))
-            })
-        };
-        for item in sched.items() {
-            match item {
-                ScheduledItem::Single(id) => {
-                    let s = lookup(*id)?;
-                    self.exec_stmt(s)?;
-                }
-                ScheduledItem::Superword(sw) => {
-                    let lanes = sw
-                        .lanes()
-                        .iter()
-                        .map(|&id| lookup(id))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    self.exec_superword(&lanes)?;
-                }
-            }
+            })?;
+            self.exec_superword(lanes)?;
         }
         Ok(())
     }
@@ -410,26 +405,19 @@ impl<'a> Eval<'a> {
         Ok(())
     }
 
+    /// Runs `items` in order: each maximal statement run as one block,
+    /// each loop in between.
     fn run_items(&mut self, items: &'a [Item]) -> Result<(), EvalError> {
-        let mut idx = 0;
-        while idx < items.len() {
-            match &items[idx] {
-                Item::Stmt(_) => {
-                    // One static basic block = this maximal statement run.
-                    let mut stmts: Vec<&Statement> = Vec::new();
-                    while idx < items.len() {
-                        match &items[idx] {
-                            Item::Stmt(s) => stmts.push(s),
-                            Item::Loop(_) => break,
-                        }
-                        idx += 1;
-                    }
-                    self.run_block(&stmts)?;
-                }
-                Item::Loop(l) => {
-                    self.run_loop(l)?;
-                    idx += 1;
-                }
+        let mut loops = items.iter().filter_map(|it| match it {
+            Item::Loop(l) => Some(l),
+            Item::Stmt(_) => None,
+        });
+        for run in items.split(|it| matches!(it, Item::Loop(_))) {
+            if !run.is_empty() {
+                self.run_block(run)?;
+            }
+            if let Some(l) = loops.next() {
+                self.run_loop(l)?;
             }
         }
         Ok(())
@@ -452,15 +440,14 @@ impl<'a> Eval<'a> {
         if dim == r.loops.len() {
             for (p, lane) in r.lanes.iter().enumerate() {
                 self.step()?;
-                let src_idx = lane.eval(env);
                 let src_info = self.program.array(r.source);
-                if !src_info.in_bounds(&src_idx) {
-                    return Err(EvalError::Unsupported(format!(
-                        "replication read {}{src_idx:?} out of bounds",
-                        src_info.name
-                    )));
-                }
-                let off = src_info.linearize(&src_idx);
+                let off = src_info.offset_of(lane, env).ok_or_else(|| {
+                    EvalError::Unsupported(format!(
+                        "replication read {}{:?} out of bounds",
+                        src_info.name,
+                        lane.eval(env)
+                    ))
+                })?;
                 let t = self.read_cell(r.source, off)?;
                 let dst_off = r.dest_exprs[p].eval(env);
                 let dst_len = self.program.array(r.dest).len();
@@ -469,8 +456,7 @@ impl<'a> Eval<'a> {
                         "replication write {dst_off} out of bounds"
                     )));
                 }
-                self.st.cells.insert((r.dest, dst_off), t);
-                self.st.dirty.insert((r.dest, dst_off));
+                self.write_cell(r.dest, dst_off, t);
             }
             return Ok(());
         }
@@ -499,6 +485,7 @@ impl<'a> Eval<'a> {
 mod tests {
     use super::*;
     use slp_core::{compile, MachineConfig, SlpConfig, Strategy};
+    use slp_core::{BlockSchedule, ScheduledItem};
 
     fn program(src: &str) -> Program {
         slp_lang::compile(src).unwrap()
@@ -516,11 +503,117 @@ mod tests {
         let b = Budgets::default();
         let s = eval_scalar_program(&p, &mut arena, &b).unwrap();
         let v = eval_compiled_kernel(&k, &mut arena, &b).unwrap();
-        for &(a, off) in s.dirty.union(&v.dirty) {
-            let ts = s.cells.get(&(a, off)).copied();
-            let tv = v.cells.get(&(a, off)).copied();
+        assert!(!s.dirty.is_empty());
+        assert!(
+            s.dirty.windows(2).all(|w| w[0] < w[1]),
+            "sorted, deduplicated"
+        );
+        for &(a, off) in s.dirty.iter().chain(&v.dirty) {
+            let ts = s.cell_term(&mut arena, a, off);
+            let tv = v.cell_term(&mut arena, a, off);
             assert_eq!(ts, tv, "cell ({a}, {off}) diverged");
         }
+    }
+
+    /// A loop, then four statements that Holistic packs into superwords:
+    /// the last block runs last, and the loop's statement lies outside it.
+    const TAIL: &str = "kernel tail { array A: f64[8]; array B: f64[8];
+         for i in 0..8 { B[i] = A[i] * 2.0; }
+         A[0] = B[0] + 1.0; A[1] = B[1] + 1.0; A[2] = B[2] + 1.0; A[3] = B[3] + 1.0; }";
+
+    fn last_schedule(k: &CompiledKernel) -> usize {
+        let last = k.program.blocks().last().unwrap().id;
+        k.schedules.iter().position(|(b, _)| *b == last).unwrap()
+    }
+
+    /// `TAIL` compiled, with its last block's schedule extended by `extra`.
+    fn tampered(extra: impl Fn(&CompiledKernel) -> Vec<ScheduledItem>) -> CompiledKernel {
+        let m = MachineConfig::intel_dunnington();
+        let mut k = compile(
+            &program(TAIL),
+            &SlpConfig::for_machine(m, Strategy::Holistic),
+        );
+        let at = last_schedule(&k);
+        let (bid, sched) = k.schedules[at].clone();
+        assert!(sched.is_vectorized(), "{sched:?}");
+        let mut items = sched.items().to_vec();
+        items.extend(extra(&k));
+        k.schedules[at] = (bid, BlockSchedule::new(items));
+        k
+    }
+
+    fn first_superword(k: &CompiledKernel) -> ScheduledItem {
+        let items = k.schedules[last_schedule(k)].1.items();
+        let sw = items
+            .iter()
+            .find(|it| matches!(it, ScheduledItem::Superword(_)));
+        sw.expect("a superword").clone()
+    }
+
+    fn steps_of(k: &CompiledKernel) -> u64 {
+        let mut arena = Arena::new(1 << 20);
+        eval_compiled_kernel(k, &mut arena, &Budgets::default())
+            .unwrap()
+            .steps
+    }
+
+    #[test]
+    fn step_budget_runs_out_inside_a_superword() {
+        // Re-running a superword after the kernel's last item passes the
+        // static screen (which counts each statement once) and overshoots
+        // at the superword's second lane.
+        let plain = steps_of(&tampered(|_| Vec::new()));
+        let k = tampered(|k| vec![first_superword(k)]);
+        let b = Budgets {
+            max_terms: 1 << 20,
+            max_steps: plain + 1,
+        };
+        let mut arena = Arena::new(b.max_terms);
+        let got = eval_compiled_kernel(&k, &mut arena, &b).unwrap_err();
+        let want = format!("exceeded {} dynamic statements", plain + 1);
+        assert_eq!(got, EvalError::Budget(want));
+    }
+
+    #[test]
+    fn term_budget_runs_out_on_a_constant_fold() {
+        // Terms: the input of `s`, 2.0, 3.0, then the folded 6.0.
+        let p = program(
+            "kernel fold { array A: f64[1]; scalar s: f64;
+             s = 2.0; A[0] = s * 3.0; }",
+        );
+        let mut arena = Arena::new(3);
+        let got = eval_scalar_program(&p, &mut arena, &Budgets::default()).unwrap_err();
+        let want = "term arena exceeded 3 distinct terms".to_string();
+        assert_eq!(got, EvalError::Budget(want));
+        assert_eq!(arena.len(), 3);
+    }
+
+    #[test]
+    fn foreign_statement_is_reported_when_its_item_is_reached() {
+        let foreign = |k: &CompiledKernel| {
+            vec![ScheduledItem::Single(
+                k.program.blocks()[0].block.stmts()[0].id(),
+            )]
+        };
+        let k = tampered(foreign);
+        let id = k.program.blocks()[0].block.stmts()[0].id();
+        let mut arena = Arena::new(1 << 20);
+        let got = eval_compiled_kernel(&k, &mut arena, &Budgets::default()).unwrap_err();
+        let want = format!("schedule references {id} outside its block");
+        assert_eq!(got, EvalError::Unsupported(want));
+
+        // The items before it run first: when they exhaust the step
+        // budget, that is the error.
+        let plain = steps_of(&tampered(|_| Vec::new()));
+        let k = tampered(|k| [vec![first_superword(k)], foreign(k)].concat());
+        let b = Budgets {
+            max_terms: 1 << 20,
+            max_steps: plain + 1,
+        };
+        let mut arena = Arena::new(b.max_terms);
+        let got = eval_compiled_kernel(&k, &mut arena, &b).unwrap_err();
+        let want = format!("exceeded {} dynamic statements", plain + 1);
+        assert_eq!(got, EvalError::Budget(want));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod term;
 pub mod validate;
 
 pub use eval::{Budgets, EvalError, SymbolicState};
-pub use term::{Arena, Term, TermBudgetExceeded, TermId};
+pub use term::{Arena, Term, TermId};
 pub use validate::{
     compared_scalars, replay_counterexample, validate, Counterexample, ProofStats, Verdict,
 };

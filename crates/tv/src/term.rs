@@ -1,22 +1,28 @@
 //! The hash-consed term arena: uninterpreted value graphs.
 //!
-//! Every value a kernel computes is represented as a term over
-//! *uninterpreted* operators — `Add(a, b)` is a formal application, not a
-//! number, and is equal only to `Add(a, b)` itself (never to `Add(b, a)`:
-//! no reassociation, no commutativity). This is exactly the theory under
-//! which SLP transformations are sound: unrolling, statement grouping,
-//! scheduling and layout replication move and duplicate computations but
-//! never rewrite them algebraically, so a correct transformation preserves
-//! the value graph of every observable location *syntactically*.
+//! Every value a kernel computes is a term over *uninterpreted*
+//! operators: `Add(a, b)` is a formal application equal only to
+//! `Add(a, b)` itself — never to `Add(b, a)`, with no reassociation and
+//! no commutativity. That is exactly the theory under which SLP is
+//! sound: unrolling, grouping, scheduling and layout replication move
+//! and duplicate computations but never rewrite them, so a correct
+//! transformation preserves every observable value graph syntactically.
 //!
-//! Terms are interned in an arena: structurally equal terms share one
-//! [`TermId`], making graph equality a single integer comparison and
-//! keeping memory proportional to the number of *distinct* values.
+//! Structurally equal terms share one [`TermId`], so graph equality is
+//! one integer comparison and memory follows the number of *distinct*
+//! values. A [`Term`] is a few machine words and `Copy` — an operator's
+//! operands sit inline — so it is its own interning key: interning
+//! hashes it once, word by word, and allocates nothing but the arena
+//! slot of a new id. Constant folding reads its operands into a stack
+//! buffer.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use slp_ir::{ArrayId, ExprShape, ScalarType, VarId};
 use slp_vm::apply_shape;
+
+use crate::eval::EvalError;
 
 /// An interned term. Equality of ids is structural equality of terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,7 +35,7 @@ impl TermId {
 }
 
 /// One node of the value graph.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Term {
     /// The initial (input) contents of one array cell, identified by the
     /// array and its row-major linear offset.
@@ -39,31 +45,49 @@ pub enum Term {
     /// A floating-point constant, stored as bits so `NaN`s and signed
     /// zeros hash and compare exactly.
     Const(u64),
-    /// An uninterpreted operator application over positional operands.
-    Op(ExprShape, Vec<TermId>),
+    /// An uninterpreted operator application: the shape, its operands
+    /// in positional order (slots past the count repeat the first) and
+    /// the operand count.
+    Op(ExprShape, [TermId; 4], u8),
     /// Integer storage coercion (truncate-and-wrap) applied on store.
     /// Float coercions are the identity and never allocate a node.
     Coerce(ScalarType, TermId),
 }
 
-/// The error a term construction returns when the arena budget is hit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TermBudgetExceeded {
-    /// The budget that was exceeded.
-    pub max_terms: usize,
-}
+/// A word-at-a-time multiplicative hasher for keys of a few machine
+/// words (terms, cells, statement ids), finished with SplitMix64's
+/// avalanche so that keys differing in any bits — cell offsets in an
+/// arithmetic progression of any stride, say — spread over every bucket.
+#[derive(Default)]
+pub(crate) struct WordHasher(u64);
 
-impl std::fmt::Display for TermBudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "term arena exceeded {} distinct terms", self.max_terms)
+/// The per-word multiplier of [`WordHasher`].
+const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let x = u64::from_le_bytes(word);
+            self.0 = self.0.wrapping_add(x).wrapping_mul(K);
+        }
+    }
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 }
+
+/// A hash map keyed through [`WordHasher`].
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// The hash-consing arena.
 #[derive(Debug)]
 pub struct Arena {
     terms: Vec<Term>,
-    interned: HashMap<Term, TermId>,
+    interned: WordMap<Term, TermId>,
     max_terms: usize,
 }
 
@@ -72,7 +96,7 @@ impl Arena {
     pub fn new(max_terms: usize) -> Self {
         Arena {
             terms: Vec::new(),
-            interned: HashMap::new(),
+            interned: WordMap::default(),
             max_terms,
         }
     }
@@ -92,62 +116,65 @@ impl Arena {
         &self.terms[id.index()]
     }
 
-    fn intern(&mut self, t: Term) -> Result<TermId, TermBudgetExceeded> {
-        if let Some(&id) = self.interned.get(&t) {
-            return Ok(id);
-        }
+    fn intern(&mut self, t: Term) -> Result<TermId, EvalError> {
+        let slot = match self.interned.entry(t) {
+            Entry::Occupied(e) => return Ok(*e.get()),
+            Entry::Vacant(slot) => slot,
+        };
         if self.terms.len() >= self.max_terms {
-            return Err(TermBudgetExceeded {
-                max_terms: self.max_terms,
-            });
+            let max = self.max_terms;
+            return Err(EvalError::Budget(format!(
+                "term arena exceeded {max} distinct terms"
+            )));
         }
         let id = TermId(self.terms.len() as u32);
-        self.terms.push(t.clone());
-        self.interned.insert(t, id);
-        Ok(id)
+        self.terms.push(t);
+        Ok(*slot.insert(id))
     }
 
     /// The input term of array cell `(a, offset)`.
-    pub fn cell(&mut self, a: ArrayId, offset: i64) -> Result<TermId, TermBudgetExceeded> {
+    pub fn cell(&mut self, a: ArrayId, offset: i64) -> Result<TermId, EvalError> {
         self.intern(Term::Cell(a, offset))
     }
 
     /// The input term of scalar `v`.
-    pub fn scalar(&mut self, v: VarId) -> Result<TermId, TermBudgetExceeded> {
+    pub fn scalar(&mut self, v: VarId) -> Result<TermId, EvalError> {
         self.intern(Term::Scalar(v))
     }
 
     /// The constant term of `c` (interned by bit pattern).
-    pub fn constant(&mut self, c: f64) -> Result<TermId, TermBudgetExceeded> {
+    pub fn constant(&mut self, c: f64) -> Result<TermId, EvalError> {
         self.intern(Term::Const(c.to_bits()))
     }
 
-    /// Applies `shape` to operand terms.
+    /// Applies `shape` to the (one to four) operand terms `args`.
     ///
     /// `Copy` is the identity (both engines implement it as `vals[0]`),
     /// and an application whose operands are all constants folds through
     /// [`apply_shape`] — the *same* function both VM engines evaluate
     /// with, so folding can never diverge from execution. Everything else
     /// stays an uninterpreted application.
-    pub fn op(
-        &mut self,
-        shape: ExprShape,
-        args: Vec<TermId>,
-    ) -> Result<TermId, TermBudgetExceeded> {
+    pub fn op(&mut self, shape: ExprShape, args: &[TermId]) -> Result<TermId, EvalError> {
         if shape == ExprShape::Copy {
             return Ok(args[0]);
         }
-        let consts: Option<Vec<f64>> = args
+        let mut vals = [0.0; 4];
+        let folds = args
             .iter()
-            .map(|&a| match self.term(a) {
-                Term::Const(bits) => Some(f64::from_bits(*bits)),
-                _ => None,
-            })
-            .collect();
-        if let Some(vals) = consts {
-            return self.constant(apply_shape(shape, &vals));
+            .zip(&mut vals)
+            .all(|(&a, v)| match self.term(a) {
+                Term::Const(bits) => {
+                    *v = f64::from_bits(*bits);
+                    true
+                }
+                _ => false,
+            });
+        if folds {
+            return self.constant(apply_shape(shape, &vals[..args.len()]));
         }
-        self.intern(Term::Op(shape, args))
+        let mut ids = [args[0]; 4];
+        ids[..args.len()].copy_from_slice(args);
+        self.intern(Term::Op(shape, ids, args.len() as u8))
     }
 
     /// The storage coercion of `t` to element type `ty`.
@@ -156,16 +183,13 @@ impl Arena {
     /// `f64` precision), re-coercing to the same integer type is the
     /// identity (truncate-and-wrap is idempotent), and coercing a
     /// constant folds to the coerced constant.
-    pub fn coerce(&mut self, ty: ScalarType, t: TermId) -> Result<TermId, TermBudgetExceeded> {
+    pub fn coerce(&mut self, ty: ScalarType, t: TermId) -> Result<TermId, EvalError> {
         if ty.is_float() {
             return Ok(t);
         }
-        match self.term(t) {
-            Term::Const(bits) => {
-                let c = ty.coerce(f64::from_bits(*bits));
-                self.constant(c)
-            }
-            Term::Coerce(t2, _) if *t2 == ty => Ok(t),
+        match *self.term(t) {
+            Term::Const(bits) => self.constant(ty.coerce(f64::from_bits(bits))),
+            Term::Coerce(t2, _) if t2 == ty => Ok(t),
             _ => self.intern(Term::Coerce(ty, t)),
         }
     }
@@ -181,11 +205,11 @@ impl Arena {
                 continue;
             }
             seen[id.index()] = true;
-            match self.term(id) {
-                t @ (Term::Cell(_, _) | Term::Scalar(_)) => out.push(t.clone()),
+            match *self.term(id) {
+                t @ (Term::Cell(_, _) | Term::Scalar(_)) => out.push(t),
                 Term::Const(_) => {}
-                Term::Op(_, args) => stack.extend(args.iter().copied()),
-                Term::Coerce(_, inner) => stack.push(*inner),
+                Term::Op(_, args, n) => stack.extend_from_slice(&args[..n as usize]),
+                Term::Coerce(_, inner) => stack.push(inner),
             }
         }
         out
@@ -208,15 +232,15 @@ impl Arena {
         if let Some(&v) = memo.get(&id) {
             return v;
         }
-        let v = match self.term(id).clone() {
+        let v = match *self.term(id) {
             t @ (Term::Cell(_, _) | Term::Scalar(_)) => assign.get(&t).copied().unwrap_or(0.0),
             Term::Const(bits) => f64::from_bits(bits),
-            Term::Op(shape, args) => {
-                let vals: Vec<f64> = args
-                    .iter()
-                    .map(|&a| self.eval_memo(a, assign, memo))
-                    .collect();
-                apply_shape(shape, &vals)
+            Term::Op(shape, args, n) => {
+                let mut vals = [0.0; 4];
+                for (v, &a) in vals.iter_mut().zip(&args[..n as usize]) {
+                    *v = self.eval_memo(a, assign, memo);
+                }
+                apply_shape(shape, &vals[..n as usize])
             }
             Term::Coerce(ty, inner) => ty.coerce(self.eval_memo(inner, assign, memo)),
         };
@@ -236,8 +260,8 @@ mod tests {
         let a = ar.cell(ArrayId::new(0), 3).unwrap();
         let b = ar.cell(ArrayId::new(0), 3).unwrap();
         assert_eq!(a, b);
-        let x = ar.op(ExprShape::Binary(BinOp::Add), vec![a, b]).unwrap();
-        let y = ar.op(ExprShape::Binary(BinOp::Add), vec![a, b]).unwrap();
+        let x = ar.op(ExprShape::Binary(BinOp::Add), &[a, b]).unwrap();
+        let y = ar.op(ExprShape::Binary(BinOp::Add), &[a, b]).unwrap();
         assert_eq!(x, y);
         assert_eq!(ar.len(), 2); // one leaf, one op
     }
@@ -247,8 +271,8 @@ mod tests {
         let mut ar = Arena::new(1 << 10);
         let a = ar.cell(ArrayId::new(0), 0).unwrap();
         let b = ar.cell(ArrayId::new(0), 1).unwrap();
-        let ab = ar.op(ExprShape::Binary(BinOp::Add), vec![a, b]).unwrap();
-        let ba = ar.op(ExprShape::Binary(BinOp::Add), vec![b, a]).unwrap();
+        let ab = ar.op(ExprShape::Binary(BinOp::Add), &[a, b]).unwrap();
+        let ba = ar.op(ExprShape::Binary(BinOp::Add), &[b, a]).unwrap();
         assert_ne!(ab, ba, "Add(a,b) must stay distinct from Add(b,a)");
     }
 
@@ -256,12 +280,10 @@ mod tests {
     fn copy_is_identity_and_constants_fold() {
         let mut ar = Arena::new(1 << 10);
         let a = ar.cell(ArrayId::new(0), 0).unwrap();
-        assert_eq!(ar.op(ExprShape::Copy, vec![a]).unwrap(), a);
+        assert_eq!(ar.op(ExprShape::Copy, &[a]).unwrap(), a);
         let two = ar.constant(2.0).unwrap();
         let three = ar.constant(3.0).unwrap();
-        let six = ar
-            .op(ExprShape::Binary(BinOp::Mul), vec![two, three])
-            .unwrap();
+        let six = ar.op(ExprShape::Binary(BinOp::Mul), &[two, three]).unwrap();
         assert_eq!(ar.term(six), &Term::Const(6.0f64.to_bits()));
     }
 
@@ -290,11 +312,45 @@ mod tests {
     }
 
     #[test]
+    fn cell_progressions_spread_over_buckets() {
+        // Before the final avalanche a cell's hash moves by `stride * K`
+        // per element, so a stride of K⁻¹ (shifted) moved it by a power
+        // of two and left the bucket bits and the tag fixed.
+        use std::hash::BuildHasher;
+        let mut inv = K;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(inv)));
+        }
+        assert_eq!(K.wrapping_mul(inv), 1);
+        let build = BuildHasherDefault::<WordHasher>::default();
+        for stride in [1, inv, inv << 20, inv << 38] {
+            let hashes: Vec<u64> = (0..4096u64)
+                .map(|i| {
+                    build.hash_one(Term::Cell(ArrayId::new(0), (i.wrapping_mul(stride)) as i64))
+                })
+                .collect();
+            let mut buckets: Vec<u64> = hashes.iter().map(|h| h & 0xfff).collect();
+            let mut tags: Vec<u64> = hashes.iter().map(|h| h >> 57).collect();
+            buckets.sort_unstable();
+            buckets.dedup();
+            tags.sort_unstable();
+            tags.dedup();
+            // 4 096 random keys fill ≈ 2 590 of 4 096 buckets and all 128 tags.
+            assert!(
+                buckets.len() > 2400,
+                "stride {stride:#x}: {} buckets",
+                buckets.len()
+            );
+            assert_eq!(tags.len(), 128, "stride {stride:#x}");
+        }
+    }
+
+    #[test]
     fn leaves_and_concrete_eval() {
         let mut ar = Arena::new(1 << 10);
         let a = ar.cell(ArrayId::new(0), 0).unwrap();
         let s = ar.scalar(VarId::new(1)).unwrap();
-        let sum = ar.op(ExprShape::Binary(BinOp::Add), vec![a, s]).unwrap();
+        let sum = ar.op(ExprShape::Binary(BinOp::Add), &[a, s]).unwrap();
         let leaves = ar.leaves(&[sum]);
         assert_eq!(leaves.len(), 2);
         let mut assign = HashMap::new();

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 
 use slp_core::{compile, CompiledKernel, MachineConfig, SlpConfig, Strategy};
-use slp_ir::{ArrayId, Dest, Item, Operand, Program, Statement, TypeEnv, VarId};
+use slp_ir::{loop_local_scalars, ArrayId, Program, TypeEnv, VarId};
 use slp_vm::{
     execute_reference_with_state, execute_with_state, seed_scalar, seed_value, MachineState,
 };
@@ -124,7 +124,10 @@ pub fn validate(
     let compared = compared_scalars(original);
     let mut divergences: Vec<(Location, TermId, TermId)> = Vec::new();
     let mut cells_compared = 0usize;
-    for &(a, off) in scalar_side.dirty.union(&kernel_side.dirty) {
+    let mut written = [scalar_side.dirty.as_slice(), &kernel_side.dirty].concat();
+    written.sort_unstable();
+    written.dedup();
+    for &(a, off) in &written {
         if a.index() >= n_arrays {
             continue;
         }
@@ -256,28 +259,17 @@ fn extract_counterexample(
     for probe in 0..PROBES {
         let mut assign: HashMap<Term, f64> = HashMap::new();
         for leaf in &leaves {
-            let value = match leaf {
-                Term::Cell(a, off) => {
-                    let ty = original.array(*a).ty;
-                    let raw = if probe == 0 {
-                        seed_value(*a, *off as usize)
-                    } else {
-                        0.25 + 4.0 * unit(mix64(leaf_key(leaf) ^ (probe << 56)))
-                    };
-                    ty.coerce(raw * 4.0)
-                }
-                Term::Scalar(v) => {
-                    let ty = original.scalar_type(*v);
-                    let raw = if probe == 0 {
-                        seed_scalar(*v)
-                    } else {
-                        0.25 + 4.0 * unit(mix64(leaf_key(leaf) ^ (probe << 56)))
-                    };
-                    ty.coerce(raw * 4.0)
-                }
+            let (ty, seed) = match *leaf {
+                Term::Cell(a, off) => (original.array(a).ty, seed_value(a, off as usize)),
+                Term::Scalar(v) => (original.scalar_type(v), seed_scalar(v)),
                 _ => continue,
             };
-            assign.insert(leaf.clone(), value);
+            let raw = if probe == 0 {
+                seed
+            } else {
+                0.25 + 4.0 * unit(mix64(leaf_key(leaf) ^ (probe << 56)))
+            };
+            assign.insert(*leaf, ty.coerce(raw * 4.0));
         }
         let vs = arena.eval(ts, &assign);
         let vk = arena.eval(tk, &assign);
@@ -367,74 +359,16 @@ pub fn replay_counterexample(
 /// innermost loop body, and only copies the value back to the original
 /// name when the scalar is read *outside* that body. A privatized,
 /// never-copied-back scalar is a dead temporary whose final value under
-/// the transformed program legitimately differs, so it is excluded.
-/// The criterion mirrors `slp_ir::unroll_program` exactly but is applied
-/// unconditionally — excluding a dead temp when no unrolling happened
+/// the transformed program legitimately differs, so it is excluded —
+/// by [`slp_ir::loop_local_scalars`], unrolling's own criterion, applied
+/// unconditionally: excluding a dead temp when no unrolling happened
 /// only makes the comparison (harmlessly) more conservative.
 pub fn compared_scalars(original: &Program) -> Vec<bool> {
     let mut compared = vec![true; original.scalars().len()];
-    let mut total_reads: HashMap<VarId, usize> = HashMap::new();
-    count_reads(original.items(), &mut total_reads);
-    exclude_privatized(original.items(), &total_reads, &mut compared);
+    for v in loop_local_scalars(original) {
+        compared[v.index()] = false;
+    }
     compared
-}
-
-fn count_reads(items: &[Item], counts: &mut HashMap<VarId, usize>) {
-    for item in items {
-        match item {
-            Item::Stmt(s) => {
-                for u in s.uses() {
-                    if let Operand::Scalar(v) = u {
-                        *counts.entry(*v).or_insert(0) += 1;
-                    }
-                }
-            }
-            Item::Loop(l) => count_reads(&l.body, counts),
-        }
-    }
-}
-
-fn exclude_privatized(items: &[Item], total_reads: &HashMap<VarId, usize>, compared: &mut [bool]) {
-    for item in items {
-        let Item::Loop(l) = item else { continue };
-        if !l.body.iter().all(|it| matches!(it, Item::Stmt(_))) {
-            exclude_privatized(&l.body, total_reads, compared);
-            continue;
-        }
-        let body: Vec<&Statement> = l
-            .body
-            .iter()
-            .map(|it| match it {
-                Item::Stmt(s) => s,
-                Item::Loop(_) => unreachable!("innermost"),
-            })
-            .collect();
-        let mut body_reads: HashMap<VarId, usize> = HashMap::new();
-        let mut seen_use: Vec<VarId> = Vec::new();
-        let mut defined_first: Vec<VarId> = Vec::new();
-        for s in &body {
-            for u in s.uses() {
-                if let Operand::Scalar(v) = u {
-                    *body_reads.entry(*v).or_insert(0) += 1;
-                    if !defined_first.contains(v) && !seen_use.contains(v) {
-                        seen_use.push(*v);
-                    }
-                }
-            }
-            if let Dest::Scalar(v) = s.dest() {
-                if !seen_use.contains(v) && !defined_first.contains(v) {
-                    defined_first.push(*v);
-                }
-            }
-        }
-        for &v in &defined_first {
-            let total = total_reads.get(&v).copied().unwrap_or(0);
-            let inside = body_reads.get(&v).copied().unwrap_or(0);
-            if total <= inside {
-                compared[v.index()] = false;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

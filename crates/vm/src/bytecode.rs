@@ -1197,7 +1197,7 @@ impl<'a> Vm<'a> {
     }
 
     /// Bounds-checks a [`Addr::Checked`] access per dimension, exactly
-    /// like `ArrayInfo::in_bounds` + `linearize`, reconstructing the
+    /// like `ArrayInfo::offset_of`, reconstructing the
     /// reference engine's message when it is out of bounds.
     #[inline(never)]
     fn addr_checked(&self, acc: &Access, dims: Range, rank_ok: bool) -> Result<usize, ExecError> {

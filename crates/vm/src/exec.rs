@@ -251,17 +251,16 @@ fn populate_dims(
 ) -> Result<(), ExecError> {
     if dim == r.loops.len() {
         for (p, lane) in r.lanes.iter().enumerate() {
-            let src_idx = lane.eval(env);
             let src_info = program.array(r.source);
-            if !src_info.in_bounds(&src_idx) {
-                return Err(ExecError::out_of_bounds(format!(
+            let off = src_info.offset_of(lane, env).ok_or_else(|| {
+                ExecError::out_of_bounds(format!(
                     "replication read {}{:?} out of bounds",
-                    src_info.name, src_idx
-                )));
-            }
-            let off = src_info.linearize(&src_idx) as usize;
+                    src_info.name,
+                    lane.eval(env)
+                ))
+            })?;
             let value = state
-                .load_array(r.source, off)
+                .load_array(r.source, off as usize)
                 .ok_or_else(|| ExecError::out_of_bounds("replication source out of bounds"))?;
             let dst_off = r.dest_exprs[p].eval(env);
             if dst_off < 0 || !state.store_array(r.dest, dst_off as usize, value) {
@@ -508,15 +507,16 @@ impl<'a> Executor<'a> {
     }
 
     fn array_offset(&self, r: &ArrayRef) -> Result<usize, ExecError> {
-        let idx = r.access.eval(&self.env);
         let info = self.program.array(r.array);
-        if !info.in_bounds(&idx) {
-            return Err(ExecError::out_of_bounds(format!(
+        match info.offset_of(&r.access, &self.env) {
+            Some(off) => Ok(off as usize),
+            None => Err(ExecError::out_of_bounds(format!(
                 "{}{:?} out of bounds (dims {:?})",
-                info.name, idx, info.dims
-            )));
+                info.name,
+                r.access.eval(&self.env),
+                info.dims
+            ))),
         }
-        Ok(info.linearize(&idx) as usize)
     }
 
     fn read_operand(&self, op: &Operand) -> Result<f64, ExecError> {
