@@ -20,7 +20,7 @@
 //! the telemetry counter surfaced as `deps_refuted` in compile stats.
 //! The oracle is conservative by construction — every disproof is a
 //! proof that no iteration makes all differences vanish — and the
-//! `conservative.rs` proptest re-checks that against brute-force
+//! `conservative.rs` property test re-checks that against brute-force
 //! enumeration of random iteration spaces.
 
 use std::cell::Cell;

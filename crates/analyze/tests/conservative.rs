@@ -5,14 +5,17 @@
 //! vector may make their subscripts coincide *within that iteration* —
 //! the same-iteration aliasing question block-level SLP legality asks
 //! (loop-carried ordering is preserved by the loop structure itself).
-//! The property tests below re-check that claim against brute-force
+//! The seeded property loops below re-check that claim against brute-force
 //! enumeration of the full iteration space of random small-bound loop
 //! nests — exactly the ground truth the abstract strided-interval
 //! reasoning approximates.
 
-use proptest::prelude::*;
+use std::ops::RangeInclusive;
+
+use rand::Rng;
 
 use slp_analyze::RangeOracle;
+use slp_fuzz::property::case_rng;
 use slp_ir::{
     AccessVector, AffineExpr, ArrayId, ArrayRef, DepOracle, LoopHeader, LoopVarId, Operand,
 };
@@ -51,9 +54,10 @@ fn all_envs(loops: &[LoopHeader]) -> Vec<Vec<(LoopVarId, i64)>> {
     envs
 }
 
-/// Asserts the oracle's verdict for `(x, y)` is conservative under
-/// brute-force enumeration, and returns whether it refuted the pair.
-fn check_pair(x: &ArrayRef, y: &ArrayRef, loops: &[LoopHeader]) -> bool {
+/// Asserts the oracle's verdict for `(x, y)`, the pair of `case`, is
+/// conservative under brute-force enumeration, and returns whether it
+/// refuted the pair.
+fn check_pair(case: &str, x: &ArrayRef, y: &ArrayRef, loops: &[LoopHeader]) -> bool {
     let oracle = RangeOracle::new();
     let overlap = oracle.operands_overlap(
         &Operand::Array(x.clone()),
@@ -69,27 +73,29 @@ fn check_pair(x: &ArrayRef, y: &ArrayRef, loops: &[LoopHeader]) -> bool {
         assert_ne!(
             x.access.eval(env),
             y.access.eval(env),
-            "oracle refuted {x:?} vs {y:?} under {loops:?}, \
+            "{case}: oracle refuted {x:?} vs {y:?} under {loops:?}, \
              but env {env:?} makes them collide"
         );
     }
     true
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(500))]
-
-    /// Random affine reference pairs over random 1–2 deep loop nests:
-    /// any refutation must survive exhaustive concrete enumeration.
-    #[test]
-    fn refuted_pairs_never_collide_concretely(
-        headers in proptest::collection::vec((-3i64..=3, 1i64..=6, 1i64..=3), 1..3),
-        rank in 1usize..=2,
-        ca in proptest::collection::vec(-3i64..=3, 6..7),
-        cb in proptest::collection::vec(-3i64..=3, 6..7),
-        ka in -8i64..=8,
-        kb in -8i64..=8,
-    ) {
+/// Random affine reference pairs over random 1–2 deep loop nests:
+/// any refutation must survive exhaustive concrete enumeration.
+#[test]
+fn refuted_pairs_never_collide_concretely() {
+    let mut rng = case_rng("conservative::refuted_pairs_never_collide_concretely");
+    let mut draw = |range: RangeInclusive<i64>| rng.gen_range(range);
+    for case in 0..500 {
+        let headers: Vec<(i64, i64, i64)> = (0..draw(1..=2))
+            .map(|_| (draw(-3..=3), draw(1..=6), draw(1..=3)))
+            .collect();
+        let rank = draw(1..=2) as usize;
+        // Each reference draws its coefficient count, always six
+        // (`c_i0, c_i1, k` per dimension), then the coefficients.
+        let ca: Vec<i64> = (0..draw(6..=6)).map(|_| draw(-3..=3)).collect();
+        let cb: Vec<i64> = (0..draw(6..=6)).map(|_| draw(-3..=3)).collect();
+        let (ka, kb) = (draw(-8..=8), draw(-8..=8));
         let loops: Vec<LoopHeader> = headers
             .iter()
             .enumerate()
@@ -107,22 +113,24 @@ proptest! {
                 .collect();
             ArrayRef::new(ArrayId::new(0), AccessVector::new(dims))
         };
-        check_pair(&build(&ca, ka), &build(&cb, kb), &loops);
+        let label = format!(
+            "case {case}: headers {headers:?}, rank {rank}, ca {ca:?}, cb {cb:?}, ka {ka}, kb {kb}"
+        );
+        check_pair(&label, &build(&ca, ka), &build(&cb, kb), &loops);
     }
+}
 
-    /// Stride-heavy pairs (both subscripts scaled) exercise the lattice
-    /// part of the domain where the plain-interval hull is weakest.
-    #[test]
-    fn strided_refutations_are_sound(
-        lower in -2i64..=2,
-        trips in 1i64..=8,
-        step in 1i64..=4,
-        sa in 1i64..=4,
-        sb in 1i64..=4,
-        ka in -12i64..=12,
-        kb in -12i64..=12,
-    ) {
-        let i = LoopVarId::new(0);
+/// Stride-heavy pairs (both subscripts scaled) exercise the lattice
+/// part of the domain where the plain-interval hull is weakest.
+#[test]
+fn strided_refutations_are_sound() {
+    let mut rng = case_rng("conservative::strided_refutations_are_sound");
+    let mut draw = |range: RangeInclusive<i64>| rng.gen_range(range);
+    let i = LoopVarId::new(0);
+    for case in 0..500 {
+        let (lower, trips, step) = (draw(-2..=2), draw(1..=8), draw(1..=4));
+        let (sa, sb) = (draw(1..=4), draw(1..=4));
+        let (ka, kb) = (draw(-12..=12), draw(-12..=12));
         let loops = [LoopHeader {
             var: i,
             lower,
@@ -137,7 +145,10 @@ proptest! {
             ArrayId::new(0),
             AccessVector::new(vec![AffineExpr::var(i).scaled(sb).offset(kb)]),
         );
-        check_pair(&a, &b, &loops);
+        let label = format!(
+            "case {case}: lower {lower}, trips {trips}, step {step}, sa {sa}, sb {sb}, ka {ka}, kb {kb}"
+        );
+        check_pair(&label, &a, &b, &loops);
     }
 }
 
@@ -162,7 +173,8 @@ fn refinement_layers_are_exercised() {
         ArrayId::new(0),
         AccessVector::new(vec![AffineExpr::var(i).offset(3)]),
     );
-    assert!(check_pair(&w, &r, &loops), "parity pair must be refuted");
+    let refuted = check_pair("parity pair", &w, &r, &loops);
+    assert!(refuted, "parity pair must be refuted");
     // Band separation: for i in 0..8, A[2i] vs A[i+16].
     let loops = [LoopHeader {
         var: i,
@@ -174,5 +186,6 @@ fn refinement_layers_are_exercised() {
         ArrayId::new(0),
         AccessVector::new(vec![AffineExpr::var(i).offset(16)]),
     );
-    assert!(check_pair(&w, &far, &loops), "band pair must be refuted");
+    let refuted = check_pair("band pair", &w, &far, &loops);
+    assert!(refuted, "band pair must be refuted");
 }

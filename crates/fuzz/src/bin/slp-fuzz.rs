@@ -147,7 +147,10 @@ fn cmd_minimize(args: &[String]) -> ExitCode {
             return ExitCode::SUCCESS;
         }
         Some(anomaly) => {
-            let min = minimize::minimize(&src, &anomaly, &machine, &budget);
+            let want = (anomaly.kind, anomaly.stage);
+            let min = minimize::minimize(&src, |s| {
+                check_source(s, &machine, &budget).is_some_and(|a| (a.kind, a.stage) == want)
+            });
             std::panic::set_hook(hook);
             println!("// {}", anomaly.headline());
             min

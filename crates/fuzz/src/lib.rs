@@ -18,7 +18,8 @@
 //! [`oracle::check_source`]); failures are shrunk by the
 //! [`minimize`](minimize::minimize) delta debugger and stored under
 //! `crates/fuzz/corpus/`, which doubles as a regression suite replayed
-//! in `cargo test`.
+//! in `cargo test`. The same minimizer shrinks a failing property test
+//! ([`property::check_program`]).
 //!
 //! Everything is seed-driven: `run_campaign(seed, iters)` is a pure
 //! function of its arguments, so a failure report is a reproducer.
@@ -27,6 +28,7 @@ pub mod genir;
 pub mod minimize;
 pub mod mutate;
 pub mod oracle;
+pub mod property;
 
 use oracle::{Anomaly, Budget};
 use slp_vm::MachineConfig;
@@ -114,7 +116,11 @@ fn run_campaign_inner(config: &FuzzConfig) -> (Stats, Vec<Failure>) {
             Some(anomaly) => {
                 stats.failures += 1;
                 let source = if config.minimize {
-                    minimize::minimize(&src, &anomaly, &config.machine, &config.budget)
+                    let want = (anomaly.kind, anomaly.stage);
+                    minimize::minimize(&src, |s| {
+                        let found = oracle::check_source(s, &config.machine, &config.budget);
+                        found.is_some_and(|a| (a.kind, a.stage) == want)
+                    })
                 } else {
                     src
                 };

@@ -1,56 +1,49 @@
-//! Delta-debugging minimizer for failing fuzz cases.
+//! Delta-debugging minimizer for failing cases.
 //!
-//! Reduction re-checks the oracle after every candidate edit and keeps
-//! the edit only when the same anomaly (kind + stage) still fires, so a
-//! minimized reproducer pins the *original* bug, not a new one.
+//! Reduction re-checks the caller's still-fails predicate after every
+//! candidate edit and keeps the edit only when it holds. The fuzz
+//! campaign asks for the same anomaly (kind + stage), so a minimized
+//! reproducer pins the *original* bug, not a new one; a property test
+//! asks that the source re-parses and its property still fails.
 //!
 //! Two modes:
 //! - **Structural**, when the case parses: remove statements and loops,
 //!   unwrap loop nests, shrink trip counts, and simplify expressions on
 //!   the typed [`Program`], re-emitting source after each step.
-//! - **Textual**, for parse-stage failures: greedy line removal followed
-//!   by shrinking character-chunk removal (a ddmin variant), since a
-//!   malformed case has no tree to walk.
+//! - **Textual**, for sources that do not parse: greedy line removal
+//!   followed by shrinking character-chunk removal (a ddmin variant),
+//!   since a malformed case has no tree to walk.
 
 use slp_ir::{Expr, Item, Operand, Program};
-use slp_vm::MachineConfig;
 
 use crate::mutate::char_boundary;
-use crate::oracle::{check_source, Anomaly, AnomalyKind, Budget, Stage};
 
-/// Caps the number of oracle invocations one minimization may spend.
+/// Caps the number of predicate calls one minimization may spend.
 const ORACLE_CALLS: usize = 400;
 
 struct Ctx<'a> {
-    machine: &'a MachineConfig,
-    budget: &'a Budget,
-    want: (AnomalyKind, Stage),
+    fails: &'a mut dyn FnMut(&str) -> bool,
     calls: usize,
 }
 
 impl Ctx<'_> {
-    /// Whether `src` still reproduces the anomaly under minimization.
+    /// Whether `src` still fails, while the call budget lasts.
     fn still_fails(&mut self, src: &str) -> bool {
         if self.calls >= ORACLE_CALLS {
             return false;
         }
         self.calls += 1;
-        matches!(
-            check_source(src, self.machine, self.budget),
-            Some(a) if (a.kind, a.stage) == self.want
-        )
+        (self.fails)(src)
     }
 }
 
-/// Minimizes `src`, which must currently reproduce `anomaly`.
+/// Minimizes `src`, for which `still_fails` must currently hold.
 ///
-/// Returns the smallest reproducer found within the call budget; at
-/// worst, `src` unchanged.
-pub fn minimize(src: &str, anomaly: &Anomaly, machine: &MachineConfig, budget: &Budget) -> String {
+/// Returns the smallest source found within the call budget for which
+/// `still_fails` holds; at worst, `src` unchanged.
+pub fn minimize(src: &str, mut still_fails: impl FnMut(&str) -> bool) -> String {
     let mut cx = Ctx {
-        machine,
-        budget,
-        want: (anomaly.kind, anomaly.stage),
+        fails: &mut still_fails,
         calls: 0,
     };
     if !cx.still_fails(src) {
@@ -238,44 +231,29 @@ fn minimize_textual(src: &str, cx: &mut Ctx<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle;
 
-    fn machine() -> MachineConfig {
-        MachineConfig::intel_dunnington()
+    #[test]
+    fn structural_mode_keeps_only_the_statements_the_predicate_needs() {
+        let src = slp_suite::random_program(7, &slp_suite::GeneratorConfig::default()).to_source();
+        let needed = ["s2 = 2.25 - A1[i];", "A0[i] = 2.0;"];
+        assert!(needed.iter().all(|n| src.contains(n)), "{src}");
+        let out = minimize(&src, |s| {
+            slp_lang::compile(s).is_ok() && needed.iter().all(|n| s.contains(n))
+        });
+        // The declarations stay (the minimizer edits items only), the loop
+        // shrinks to one trip and every other statement goes.
+        let decls = &src[..src.find("    for ").expect("one loop")];
+        let expected = format!(
+            "{decls}    for i in 0..1 {{\n        {}\n        {}\n    }}\n}}\n",
+            needed[0], needed[1]
+        );
+        assert_eq!(out, expected);
     }
 
     #[test]
-    fn textual_minimizer_shrinks_a_seeded_panic() {
-        // A stand-in oracle cannot be injected, so drive the textual
-        // pass directly with a synthetic predicate via Ctx.
-        let mut cx = Ctx {
-            machine: &machine(),
-            budget: &Budget::default(),
-            want: (AnomalyKind::Panic, Stage::Parse),
-            calls: 0,
-        };
-        // No current parser panic exists to shrink (that is the point of
-        // this PR), so exercise the plumbing: a clean source minimizes
-        // to itself because the anomaly never fires.
-        let src = "kernel k { array A: f64[4]; for i in 0..4 { A[i] = A[i]; } }";
-        assert!(!cx.still_fails(src));
-    }
-
-    #[test]
-    fn structural_minimizer_preserves_the_anomaly_kind() {
-        // Build a case that fails the round-trip oracle artificially?
-        // All current oracles pass on valid programs, so check the
-        // no-op contract instead: minimize() returns the input when the
-        // anomaly does not reproduce.
-        let src = "kernel k { array A: f64[4]; for i in 0..4 { A[i] = A[i]; } }";
-        let fake = Anomaly {
-            kind: AnomalyKind::Panic,
-            stage: Stage::Parse,
-            strategy: None,
-            detail: String::new(),
-        };
-        let out = minimize(src, &fake, &machine(), &Budget::default());
-        assert_eq!(out, src);
-        let _ = oracle::STRATEGIES.len();
+    fn textual_mode_shrinks_an_unparseable_source_to_its_marker() {
+        let src = "kernel k {\n    array A: f64[4];\n    A[0] = @@;\n    A[1] = 2.0;\n}\n";
+        assert!(slp_lang::compile(src).is_err());
+        assert_eq!(minimize(src, |s| s.contains("@@")), "@@");
     }
 }

@@ -232,7 +232,7 @@ fn panic_payload(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+pub(crate) fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(panic_payload)
 }
 

@@ -9,8 +9,9 @@
 //! so this file can exist; a divergence here is always a bug in the
 //! bytecode lowering, never in the program under test.
 
-use proptest::prelude::*;
+use rand::{Rng, RngCore};
 use slp_core::{compile, ExecErrorKind, MachineConfig, SlpConfig, Strategy};
+use slp_fuzz::property::{case_rng, check_program};
 use slp_ir::Program;
 use slp_suite::GeneratorConfig;
 use slp_vm::{execute_gated, execute_gated_reference, BytecodeKernel, ExecError, Outcome};
@@ -340,44 +341,43 @@ fn a_nan_cost_table_orders_blocks_the_same_on_both_engines() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Property-generated workloads: arbitrary generator knobs and
-    /// seeds, all strategies, both machines. Trip counts and body sizes
-    /// are kept moderate so the reference interpreter (the slow side of
-    /// the comparison) stays fast enough for CI.
-    #[test]
-    fn engines_agree_on_property_generated_workloads(
-        seed in 0u64..10_000,
-        arrays in 2usize..5,
-        scalars in 2usize..8,
-        body_stmts in 4usize..14,
-        trip_count in 4i64..24,
-        max_stride in 1i64..4,
-        outer_sweeps in 0i64..4,
-        strategy_idx in 0usize..4,
-        amd in any::<bool>(),
-        layout in any::<bool>(),
-    ) {
+/// Property-generated workloads: arbitrary generator knobs and seeds,
+/// all strategies, both machines. Trip counts and body sizes are kept
+/// moderate so the reference interpreter (the slow side of the
+/// comparison) stays fast enough for CI.
+#[test]
+fn engines_agree_on_property_generated_workloads() {
+    let mut rng = case_rng("engine_differential::engines_agree_on_property_generated_workloads");
+    for case in 0..48 {
+        let seed = rng.gen_range(0..10_000);
         let shape = GeneratorConfig {
-            arrays,
-            scalars,
-            body_stmts,
-            trip_count,
-            max_stride,
-            outer_sweeps,
+            arrays: rng.gen_range(2..5),
+            scalars: rng.gen_range(2..8),
+            body_stmts: rng.gen_range(4..14),
+            trip_count: rng.gen_range(4..24),
+            max_stride: rng.gen_range(1..4),
+            outer_sweeps: rng.gen_range(0..4),
         };
-        let program = slp_suite::random_program(seed, &shape);
-        let machine = if amd {
+        let strategy = strategies()[rng.gen_range(0..4_usize)];
+        let machine = if rng.next_u64() & 1 == 1 {
             MachineConfig::amd_phenom_ii()
         } else {
             MachineConfig::intel_dunnington()
         };
-        let mut config = SlpConfig::for_machine(machine, strategies()[strategy_idx]);
-        if layout {
+        let mut config = SlpConfig::for_machine(machine, strategy);
+        if rng.next_u64() & 1 == 1 {
             config = config.with_layout();
         }
-        assert_engines_agree(&program, &config, "property workload");
+        let label = format!(
+            "case {case}: seed {seed}, {shape:?} / {} / {} (layout {})",
+            strategy.label(),
+            config.machine.name,
+            config.layout
+        );
+        let program = slp_suite::random_program(seed, &shape);
+        check_program(&label, &program, |program| {
+            assert_engines_agree(program, &config, &label);
+            Ok(())
+        });
     }
 }

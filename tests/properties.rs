@@ -1,174 +1,220 @@
-//! Property-based tests: for arbitrary generated programs, every
+//! Property tests: for arbitrary generated programs, every
 //! optimization strategy must preserve execution semantics, schedules
 //! must satisfy the §4.1 validity constraints (asserted inside the
 //! pipeline), and the pre-processing transformations must be meaning
 //! preserving.
+//!
+//! Each property is a seeded loop over drawn cases; a failing program is
+//! shrunk to a minimized reproducer by `slp_fuzz::property`.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
 
 use slp::core::{compile, MachineConfig, SlpConfig, Strategy as Scheme};
 use slp::suite::{random_program, GeneratorConfig};
 use slp::vm::execute;
+use slp_fuzz::property::{case_rng, check_program};
 
-fn generator_config() -> impl Strategy<Value = GeneratorConfig> {
-    (
-        1usize..=3,
-        2usize..=6,
-        2usize..=14,
-        4i64..=24,
-        1i64..=4,
-        0i64..=4,
-    )
-        .prop_map(
-            |(arrays, scalars, body_stmts, trip_count, max_stride, outer_sweeps)| GeneratorConfig {
-                arrays,
-                scalars,
-                body_stmts,
-                trip_count,
-                max_stride,
-                outer_sweeps,
-            },
-        )
+fn generator_config(rng: &mut StdRng) -> GeneratorConfig {
+    GeneratorConfig {
+        arrays: rng.gen_range(1..=3),
+        scalars: rng.gen_range(2..=6),
+        body_stmts: rng.gen_range(2..=14),
+        trip_count: rng.gen_range(4..=24),
+        max_stride: rng.gen_range(1..=4),
+        outer_sweeps: rng.gen_range(0..=4),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+fn scalar_run(program: &slp::ir::Program, machine: &MachineConfig) -> slp::vm::Outcome {
+    execute(
+        &compile(
+            program,
+            &SlpConfig::for_machine(machine.clone(), Scheme::Scalar),
+        ),
+        machine,
+    )
+    .expect("scalar run")
+}
 
-    /// Every strategy (including the layout stage and the opt-in
-    /// cross-iteration reuse extension) computes bit-identical array
-    /// contents to the scalar run, on any valid program.
-    #[test]
-    fn all_strategies_preserve_semantics(
-        seed in any::<u64>(),
-        cfg in generator_config(),
-        carry in any::<bool>(),
-    ) {
-        let program = random_program(seed, &cfg);
-        let machine = MachineConfig::intel_dunnington();
-        let n = program.arrays().len();
-        let scalar = execute(
-            &compile(&program, &SlpConfig::for_machine(machine.clone(), Scheme::Scalar)),
-            &machine,
-        ).expect("generated programs are in bounds");
-        for (strategy, layout) in [
-            (Scheme::Native, false),
-            (Scheme::Baseline, false),
-            (Scheme::Holistic, false),
-            (Scheme::Holistic, true),
-        ] {
-            let mut c = SlpConfig::for_machine(machine.clone(), strategy);
-            if layout {
-                c = c.with_layout();
+/// Every strategy (including the layout stage and the opt-in
+/// cross-iteration reuse extension) computes bit-identical array
+/// contents to the scalar run, on any valid program.
+#[test]
+fn all_strategies_preserve_semantics() {
+    let mut rng = case_rng("properties::all_strategies_preserve_semantics");
+    let machine = MachineConfig::intel_dunnington();
+    for case in 0..48 {
+        let seed = rng.next_u64();
+        let cfg = generator_config(&mut rng);
+        let carry = rng.next_u64() & 1 == 1;
+        let label = format!("case {case}: seed {seed}, {cfg:?}, carry {carry}");
+        check_program(&label, &random_program(seed, &cfg), |program| {
+            let scalar = scalar_run(program, &machine);
+            let n = program.arrays().len();
+            for (strategy, layout) in [
+                (Scheme::Native, false),
+                (Scheme::Baseline, false),
+                (Scheme::Holistic, false),
+                (Scheme::Holistic, true),
+            ] {
+                let mut c = SlpConfig::for_machine(machine.clone(), strategy);
+                if layout {
+                    c = c.with_layout();
+                }
+                c.cross_iteration_reuse = carry;
+                // `compile` internally validates every schedule against the
+                // §4.1 constraints and panics on violation.
+                let out = execute(&compile(program, &c), &machine).expect("vector run");
+                if !out.state.arrays_bitwise_eq(&scalar.state, n) {
+                    return Err(format!("{strategy:?} layout={layout} diverged"));
+                }
             }
-            c.cross_iteration_reuse = carry;
-            // `compile` internally validates every schedule against the
-            // §4.1 constraints and panics on violation.
-            let out = execute(&compile(&program, &c), &machine).expect("vector run");
-            prop_assert!(
-                out.state.arrays_bitwise_eq(&scalar.state, n),
-                "{strategy:?} layout={layout} carry={carry} diverged on seed {seed}"
-            );
-        }
+            Ok(())
+        });
     }
+}
 
-    /// The fast-path bytecode engine agrees bit-for-bit with the
-    /// reference interpreter on every strategy's compiled kernel.
-    #[test]
-    fn engines_agree_on_random_programs(seed in any::<u64>(), cfg in generator_config()) {
-        let program = random_program(seed, &cfg);
-        let machine = MachineConfig::intel_dunnington();
-        for strategy in [Scheme::Scalar, Scheme::Native, Scheme::Baseline, Scheme::Holistic] {
-            let kernel = compile(&program, &SlpConfig::for_machine(machine.clone(), strategy));
-            let diags = slp::verify::check_engine_agreement(&kernel);
-            prop_assert!(
-                diags.is_empty(),
-                "{strategy:?} engines disagree on seed {seed}: {diags:?}"
-            );
-        }
+/// The fast-path bytecode engine agrees bit-for-bit with the
+/// reference interpreter on every strategy's compiled kernel.
+#[test]
+fn engines_agree_on_random_programs() {
+    let mut rng = case_rng("properties::engines_agree_on_random_programs");
+    let machine = MachineConfig::intel_dunnington();
+    let strategies = [
+        Scheme::Scalar,
+        Scheme::Native,
+        Scheme::Baseline,
+        Scheme::Holistic,
+    ];
+    for case in 0..48 {
+        let seed = rng.next_u64();
+        let cfg = generator_config(&mut rng);
+        let label = format!("case {case}: seed {seed}, {cfg:?}");
+        check_program(&label, &random_program(seed, &cfg), |program| {
+            for strategy in strategies {
+                let kernel = compile(program, &SlpConfig::for_machine(machine.clone(), strategy));
+                let diags = slp::verify::check_engine_agreement(&kernel);
+                if !diags.is_empty() {
+                    return Err(format!("{strategy:?} engines disagree: {diags:?}"));
+                }
+            }
+            Ok(())
+        });
     }
+}
 
-    /// No strategy makes the program slower than scalar once the §4.3
-    /// cost gate has run.
-    #[test]
-    fn cost_gate_bounds_regressions(seed in any::<u64>()) {
+/// No strategy makes the program slower than scalar once the §4.3
+/// cost gate has run.
+#[test]
+fn cost_gate_bounds_regressions() {
+    let mut rng = case_rng("properties::cost_gate_bounds_regressions");
+    let machine = MachineConfig::intel_dunnington();
+    for case in 0..48 {
+        let seed = rng.next_u64();
         let program = random_program(seed, &GeneratorConfig::default());
-        let machine = MachineConfig::intel_dunnington();
-        let scalar = execute(
-            &compile(&program, &SlpConfig::for_machine(machine.clone(), Scheme::Scalar)),
-            &machine,
-        ).expect("scalar run");
-        for strategy in [Scheme::Baseline, Scheme::Holistic] {
-            let c = SlpConfig::for_machine(machine.clone(), strategy);
-            let out = execute(&compile(&program, &c), &machine).expect("vector run");
-            prop_assert!(
-                out.stats.metrics.cycles <= scalar.stats.metrics.cycles * 1.001,
-                "{strategy:?} slower than scalar on seed {seed}: {} vs {}",
-                out.stats.metrics.cycles,
-                scalar.stats.metrics.cycles,
-            );
-        }
+        check_program(&format!("case {case}: seed {seed}"), &program, |program| {
+            let scalar = scalar_run(program, &machine).stats.metrics.cycles;
+            for strategy in [Scheme::Baseline, Scheme::Holistic] {
+                let c = SlpConfig::for_machine(machine.clone(), strategy);
+                let out = execute(&compile(program, &c), &machine).expect("vector run");
+                let cycles = out.stats.metrics.cycles;
+                if cycles > scalar * 1.001 {
+                    return Err(format!("{strategy:?}: {cycles} cycles, scalar {scalar}"));
+                }
+            }
+            Ok(())
+        });
     }
+}
 
-    /// Loop unrolling is meaning preserving on its own.
-    #[test]
-    fn unrolling_preserves_semantics(seed in any::<u64>(), factor in 2usize..=4) {
+/// Loop unrolling is meaning preserving on its own.
+#[test]
+fn unrolling_preserves_semantics() {
+    let mut rng = case_rng("properties::unrolling_preserves_semantics");
+    let machine = MachineConfig::intel_dunnington();
+    for case in 0..48 {
+        let seed = rng.next_u64();
+        let factor = rng.gen_range(2..=4);
         let program = random_program(seed, &GeneratorConfig::default());
-        let machine = MachineConfig::intel_dunnington();
-        let n = program.arrays().len();
-        let base = execute(
-            &compile(&program, &SlpConfig::for_machine(machine.clone(), Scheme::Scalar)),
-            &machine,
-        ).expect("scalar run");
-        let mut unrolled = program.clone();
-        slp::ir::unroll_program(&mut unrolled, factor);
-        let out = execute(
-            &compile(&unrolled, &SlpConfig::for_machine(machine.clone(), Scheme::Scalar)),
-            &machine,
-        ).expect("unrolled run");
-        prop_assert!(out.state.arrays_bitwise_eq(&base.state, n));
+        let label = format!("case {case}: seed {seed}, factor {factor}");
+        check_program(&label, &program, |program| {
+            let mut unrolled = program.clone();
+            slp::ir::unroll_program(&mut unrolled, factor);
+            let a = scalar_run(program, &machine);
+            let b = scalar_run(&unrolled, &machine);
+            if a.state.arrays_bitwise_eq(&b.state, program.arrays().len()) {
+                Ok(())
+            } else {
+                Err("unrolling changed the arrays".to_string())
+            }
+        });
     }
+}
 
-    /// The affine substitution used by unrolling matches direct
-    /// evaluation: eval(e[v := v + k]) == eval(e) with v shifted by k.
-    #[test]
-    fn affine_substitution_matches_shifted_evaluation(
-        coeff in -8i64..=8, cst in -16i64..=16, k in -8i64..=8, at in -32i64..=32,
-    ) {
-        use slp::ir::{AffineExpr, LoopVarId};
-        let v = LoopVarId::new(0);
+/// The affine substitution used by unrolling matches direct
+/// evaluation: eval(e[v := v + k]) == eval(e) with v shifted by k.
+#[test]
+fn affine_substitution_matches_shifted_evaluation() {
+    use slp::ir::{AffineExpr, LoopVarId};
+    let mut rng = case_rng("properties::affine_substitution_matches_shifted_evaluation");
+    let v = LoopVarId::new(0);
+    for case in 0..48 {
+        let coeff = rng.gen_range(-8..=8);
+        let cst = rng.gen_range(-16..=16);
+        let k = rng.gen_range(-8..=8);
+        let at = rng.gen_range(-32..=32);
         let e = AffineExpr::from_terms([(v, coeff)], cst);
         let shifted = e.substitute(v, &AffineExpr::var(v).offset(k));
-        prop_assert_eq!(shifted.eval(&[(v, at)]), e.eval(&[(v, at + k)]));
+        assert_eq!(
+            shifted.eval(&[(v, at)]),
+            e.eval(&[(v, at + k)]),
+            "case {case}: coeff {coeff}, cst {cst}, k {k}, at {at}"
+        );
     }
+}
 
-    /// Eq. (4): the layout mapping sends each element a reference touches
-    /// to the strided interleaved slot, injectively per lane.
-    #[test]
-    fn eq4_is_a_strided_injection(a in 1i64..=8, b in 0i64..=8, l in 1i64..=4, iters in 1i64..=32) {
+/// Eq. (4): the layout mapping sends each element a reference touches
+/// to the strided interleaved slot, injectively per lane.
+#[test]
+fn eq4_is_a_strided_injection() {
+    let mut rng = case_rng("properties::eq4_is_a_strided_injection");
+    for case in 0..48 {
+        let a = rng.gen_range(1..=8);
+        let b = rng.gen_range(0..=8);
+        let l = rng.gen_range(1..=4);
+        let iters = rng.gen_range(1..=32);
         for p in 0..l {
             for i in 0..iters {
-                let d = a * i + b;
-                let mapped = slp::core::eq4_map(d, a, b, l, p);
-                prop_assert_eq!(mapped, l * i + p);
+                assert_eq!(
+                    slp::core::eq4_map(a * i + b, a, b, l, p),
+                    l * i + p,
+                    "case {case}: a {a}, b {b}, l {l}, iters {iters}; lane {p}, i {i}"
+                );
             }
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Generated programs satisfy the static validator, and unrolling
-    /// preserves validity (ids stay unique, subscripts stay in bounds).
-    #[test]
-    fn generated_programs_validate_and_stay_valid_after_unrolling(
-        seed in any::<u64>(),
-        factor in 2usize..=4,
-    ) {
-        let mut program = random_program(seed, &GeneratorConfig::default());
-        program.validate().expect("generator emits valid programs");
-        slp::ir::unroll_program(&mut program, factor);
-        program.validate().expect("unrolling preserves validity");
+/// Generated programs satisfy the static validator, and unrolling
+/// preserves validity (ids stay unique, subscripts stay in bounds).
+#[test]
+fn generated_programs_validate_and_stay_valid_after_unrolling() {
+    let mut rng =
+        case_rng("properties::generated_programs_validate_and_stay_valid_after_unrolling");
+    for case in 0..64 {
+        let seed = rng.next_u64();
+        let factor = rng.gen_range(2..=4);
+        let program = random_program(seed, &GeneratorConfig::default());
+        let label = format!("case {case}: seed {seed}, factor {factor}");
+        check_program(&label, &program, |program| {
+            program.validate().map_err(|e| format!("invalid: {e:?}"))?;
+            let mut unrolled = program.clone();
+            slp::ir::unroll_program(&mut unrolled, factor);
+            unrolled
+                .validate()
+                .map_err(|e| format!("invalid after unrolling: {e:?}"))
+        });
     }
 }
 

@@ -2,11 +2,12 @@
 //! recompiling it must preserve execution semantics exactly — including
 //! unrolled programs (the `step` clause) and privatized temporaries.
 
-use proptest::prelude::*;
+use rand::{Rng, RngCore};
 
 use slp::core::{compile, MachineConfig, SlpConfig, Strategy as Scheme};
 use slp::suite::{random_program, GeneratorConfig};
 use slp::vm::execute;
+use slp_fuzz::property::{case_rng, check_program};
 
 fn scalar_run(program: &slp::ir::Program, machine: &MachineConfig) -> slp::vm::Outcome {
     execute(
@@ -56,22 +57,29 @@ fn unrolled_programs_round_trip_via_step_syntax() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn random_programs_round_trip(seed in any::<u64>(), cfg_seed in 0u64..4) {
+#[test]
+fn random_programs_round_trip() {
+    let mut rng = case_rng("roundtrip::random_programs_round_trip");
+    let machine = MachineConfig::intel_dunnington();
+    for case in 0..64 {
+        let seed = rng.next_u64();
+        let body_stmts = 6 + rng.gen_range(0..4_usize);
         let cfg = GeneratorConfig {
-            body_stmts: 6 + cfg_seed as usize,
+            body_stmts,
             ..GeneratorConfig::default()
         };
-        let program = random_program(seed, &cfg);
-        let machine = MachineConfig::intel_dunnington();
-        let src = program.to_source();
-        let reparsed = slp::lang::compile(&src)
-            .unwrap_or_else(|e| panic!("seed {seed} failed to re-parse: {e}\n{src}"));
-        let a = scalar_run(&program, &machine);
-        let b = scalar_run(&reparsed, &machine);
-        prop_assert!(a.state.arrays_bitwise_eq(&b.state, program.arrays().len()));
+        let label = format!("case {case}: seed {seed}, body_stmts {body_stmts}");
+        check_program(&label, &random_program(seed, &cfg), |program| {
+            let src = program.to_source();
+            let reparsed =
+                slp::lang::compile(&src).map_err(|e| format!("failed to re-parse: {e}\n{src}"))?;
+            let a = scalar_run(program, &machine);
+            let b = scalar_run(&reparsed, &machine);
+            if a.state.arrays_bitwise_eq(&b.state, program.arrays().len()) {
+                Ok(())
+            } else {
+                Err("the round trip changed the arrays".to_string())
+            }
+        });
     }
 }
