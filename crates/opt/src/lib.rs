@@ -7,21 +7,12 @@
 //! land?*
 //!
 //! Statement packing is cast as a 0-1 integer linear program in the
-//! goSLP style ([`model`]): one binary variable per candidate pack
-//! formation (a legal merge of two grouping units), an objective taken
-//! from the `slp-core` emission prices, and constraints the search enforces
-//! itself instead of tabulating — exclusivity by *merging* the selected
-//! units, §4.1 legality by admitting only `legal_merges` pairs under the
-//! lane cap, multi-group dependence cycles by the scheduler's
-//! deadlock split while a partition is evaluated.
-//!
-//! It is solved from scratch, dependency-free, by best-first
-//! branch-and-bound ([`solve`]) under admissible *assignment relaxation*
-//! bounds, with an incumbent warm-started from the holistic heuristic so
-//! the anytime answer is never worse than what `Strategy::Holistic`
-//! ships. An expired deadline or node cap degrades gracefully: the best
-//! packing found so far is returned with `degraded = true` and the
-//! tightest *proven* lower bound, from which the pipeline reports
+//! goSLP style ([`model`]) and solved from scratch, dependency-free, by
+//! best-first branch-and-bound ([`solve`]), warm-started from the
+//! holistic heuristic so the anytime answer is never worse than what
+//! `Strategy::Holistic` ships. An expired deadline or node cap returns
+//! the best packing found so far with `degraded = true` and the tightest
+//! *proven* lower bound, from which the pipeline reports
 //! [`slp_core::CompileStats::opt_gap_ppm`].
 //!
 //! The solver plugs into `slp-core` behind the [`slp_core::Packer`]

@@ -21,23 +21,35 @@
 //! Selecting a variable merges two units and the next round's variables
 //! are found over the coarser [`Partition`] (the §4.2.2 iteration), so a
 //! chain of selections reaches any width the datapath admits; excluding
-//! one leaves the partition as it is, shared by its whole exclude chain.
+//! one leaves the partition as it is.
 //!
 //! [`Model::bound`] is the LP-style bound the search prunes with: the
 //! optimum of the *assignment relaxation*, in which the constraints are
 //! dropped and every statement independently takes its cheapest
 //! conceivable formation. Dropping constraints can only lower the
 //! optimum, so the bound is admissible; see [`Floors`].
+//!
+//! [`Model::floor`] bounds what one fixed partition evaluates to, pack
+//! traffic included, so the search evaluates only partitions that can
+//! beat the incumbent. A singleton adds its scalar price; a group the
+//! lesser of its scalar price (a deadlocked group is split) and a
+//! superword floor: the SIMD op, the cheapest write-back of any lane
+//! order, its constant packs, and per located source pack an equal share
+//! of its content's cheapest materialization — 0 for a content some group
+//! defines. Both schedules cost at least that: an unsplit group is one
+//! superword, and any other content is materialized before it is reused.
 
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
+use std::iter::once;
 use std::ops::Range;
 
-use slp_analysis::{legal_merges, Unit};
+use slp_analysis::{legal_merges, BlockIndex, Loc, PackPos, Unit};
 use slp_core::{
-    scalar_stmt_cost, AccessClass, CostContext, LaneSink, PackRequest, ScalarPackClass,
+    scalar_stmt_cost, AccessClass, CostContext, CostParams, LaneSink, LayoutView, PackRequest,
+    ScalarPackClass,
 };
-use slp_ir::{Dest, StmtId};
+use slp_ir::{pack_is_contiguous, ArrayRef, Dest, StmtId};
 
 use crate::solve::cost_context;
 
@@ -53,18 +65,15 @@ type PairKey = (u32, u32);
 /// schedule charges for it:
 ///
 /// * `scalar` — exactly what a `ScheduledItem::Single` costs
-///   ([`scalar_stmt_cost`]), so it is tight for statements that stay
-///   scalar.
+///   ([`scalar_stmt_cost`]).
 /// * `packed` — the lesser of `scalar` and the cheapest conceivable
 ///   per-lane charge if the statement joins a pack of any legal width
 ///   `w ≤ cap`: the SIMD op amortized over the widest pack
 ///   (`op_factor·simd_op/cap` ≤ the true `op_factor·simd_op/w` share),
-///   plus a destination floor — an array destination costs at least an
-///   aligned `vector_store/cap` per lane, an upward-exposed scalar
-///   destination costs exactly `extract + scalar_store` per lane, an
-///   unexposed scalar destination at least 0. Source packs floor at 0
-///   (register reuse can make them free), which keeps the bound
-///   admissible.
+///   plus a destination floor: at least an aligned `vector_store/cap`
+///   per lane for an array, [`unpack_floor`] for a scalar. Source packs
+///   floor at 0 (register reuse can make them free), which keeps the
+///   bound admissible.
 #[derive(Debug, Default)]
 struct Floors {
     scalar: Vec<f64>,
@@ -81,16 +90,69 @@ fn floors(req: &PackRequest<'_>, cx: &CostContext<'_>) -> Floors {
         let cap = lanes as f64;
         let dest_floor = match stmt.dest() {
             Dest::Array(_) => cost.array_store(AccessClass::Aligned, lanes) / cap,
-            Dest::Scalar(v) if cx.exposed[v.index()] => {
-                cost.scalar_unpack(ScalarPackClass::PerLane, &[LaneSink::Memory])
-            }
-            Dest::Scalar(_) => 0.0,
+            Dest::Scalar(v) => unpack_floor(cx.exposed[v.index()], cost),
         };
         let vector = cost.vector_op(stmt.expr().shape()) / cap + dest_floor;
         floors.scalar.push(scalar);
         floors.packed.push(scalar.min(vector));
     }
     floors
+}
+
+/// The least a superword lane pays to write its result back to a scalar:
+/// an extract and a store if the scalar is upward-exposed, else nothing.
+fn unpack_floor(exposed: bool, cost: &CostParams) -> f64 {
+    let sink = [LaneSink::Free, LaneSink::Memory][usize::from(exposed)];
+    cost.scalar_unpack(ScalarPackClass::PerLane, &[sink])
+}
+
+/// The least a superword pays, in any lane order, to write back (`dest`)
+/// or to materialize the pack of content `keys` (sorted). Only an array
+/// pack's class depends on the order: key order ascends by offset where
+/// some order is contiguous, any other gathers, and an assumed layout may
+/// replicate a gathered load into an aligned one.
+fn pack_floor(keys: &[u32], dest: bool, ix: &BlockIndex<'_>, cx: &CostContext<'_>) -> f64 {
+    let (cost, n) = (cx.cost, keys.len());
+    let assumed = matches!(cx.layout, LayoutView::Assumed);
+    let exposed = |k: &u32| matches!(ix.loc(*k), Loc::Scalar(v) if cx.exposed[v.index()]);
+    match ix.loc(keys[0]) {
+        Loc::Const(_) => f64::min(cost.splat(false), cost.array_load(AccessClass::Aligned, n)),
+        Loc::Array(_) => {
+            let refs: Vec<&ArrayRef> = keys.iter().filter_map(|&k| ix.loc(k).as_array()).collect();
+            let price = |class| match dest {
+                true => cost.array_store(class, n),
+                false => cost.array_load(class, n),
+            };
+            let gather = price(AccessClass::Gather);
+            if pack_is_contiguous(&refs) || (!dest && assumed) {
+                let vector = f64::min(price(AccessClass::Aligned), price(AccessClass::Unaligned));
+                return gather.min(vector);
+            }
+            gather
+        }
+        Loc::Scalar(_) if dest => keys.iter().map(|k| unpack_floor(exposed(k), cost)).sum(),
+        Loc::Scalar(v) if keys[0] == keys[n - 1] => cost.splat(cx.exposed[v.index()]),
+        Loc::Scalar(_) if assumed && keys.iter().all(exposed) => {
+            cost.scalar_pack(ScalarPackClass::VectorMem, &[])
+        }
+        Loc::Scalar(_) => (keys.iter())
+            .map(|k| cost.scalar_pack(ScalarPackClass::PerLane, &[exposed(k)]))
+            .sum(),
+    }
+}
+
+/// What one unit adds to the [`Model::floor`] of any partition holding it.
+#[derive(Debug)]
+struct Terms {
+    /// The statements' scalar price, which a group pays if it is split.
+    scalar: f64,
+    /// A group's superword floor but for its located source packs;
+    /// infinite for a singleton.
+    superword: f64,
+    /// A group's destination content.
+    dest: u32,
+    /// A group's located source packs: content, cheapest materialization.
+    sources: Vec<(u32, f64)>,
 }
 
 /// One partition of the block's statements into grouping units, with the
@@ -109,8 +171,8 @@ pub(crate) struct Partition {
     /// The variables as unit index pairs `(a, b)`, `a < b`, in branching
     /// order.
     pub(crate) vars: Vec<(usize, usize)>,
-    /// The partition's own cost as a complete packing, once evaluated.
-    pub(crate) cost: OnceCell<f64>,
+    /// Once expanded: its cost as a complete packing, if it was evaluated.
+    pub(crate) cost: OnceCell<Option<f64>>,
 }
 
 impl Partition {
@@ -146,6 +208,13 @@ pub(crate) struct Model<'a> {
     sets: HashMap<Vec<usize>, u32>,
     /// The signatures of the states reached so far.
     seen: HashSet<(Vec<u32>, Vec<PairKey>)>,
+    /// Per statement set, by name: its unit's terms.
+    terms: Vec<Terms>,
+    /// The names given so far to pack contents (sorted key vectors).
+    contents: HashMap<Vec<u32>, u32>,
+    /// Per content, scratch for one floor: how many source packs hold it,
+    /// infinitely many if some group defines it.
+    tally: Vec<f64>,
 }
 
 impl<'a> Model<'a> {
@@ -155,15 +224,24 @@ impl<'a> Model<'a> {
             floors: floors(req, &cost_context(req)),
             sets: HashMap::new(),
             seen: HashSet::new(),
+            terms: Vec::new(),
+            contents: HashMap::new(),
+            tally: Vec::new(),
         }
     }
 
-    /// Names `unit`'s statement set: equal sets get equal names.
+    /// Names `unit`'s statement set (equal sets get equal names), with its
+    /// [`Terms`] if new.
     fn set_of(&mut self, unit: &Unit) -> u32 {
         let mut stmts: Vec<usize> = unit.stmts().iter().map(|s| s.index()).collect();
         stmts.sort_unstable();
         let fresh = self.sets.len() as u32;
-        *self.sets.entry(stmts).or_insert(fresh)
+        let name = *self.sets.entry(stmts).or_insert(fresh);
+        if name == fresh {
+            let terms = self.terms_of(unit);
+            self.terms.push(terms);
+        }
+        name
     }
 
     /// The root state's partition: all singletons, nothing excluded.
@@ -274,6 +352,62 @@ impl<'a> Model<'a> {
             }
         }
         bound
+    }
+
+    /// A floor on what `part` evaluates to (see the module doc): one pass
+    /// tallies the groups' contents, one sums the units' terms.
+    pub(crate) fn floor(&mut self, part: &Partition) -> f64 {
+        let (terms, tally) = (&self.terms, &mut self.tally);
+        let units = || part.sets.iter().map(|&set| &terms[set as usize]);
+        let groups = || units().filter(|t| t.superword.is_finite());
+        for t in groups() {
+            tally[t.dest as usize] = f64::INFINITY;
+            for &(c, _) in &t.sources {
+                tally[c as usize] += 1.0;
+            }
+        }
+        let share = |&(c, price): &(u32, f64)| price / tally[c as usize];
+        let packs = |t: &Terms| t.sources.iter().map(share).sum::<f64>();
+        let floor = units().map(|t| t.scalar.min(t.superword + packs(t))).sum();
+        for c in groups().flat_map(|t| once(t.dest).chain(t.sources.iter().map(|s| s.0))) {
+            tally[c as usize] = 0.0;
+        }
+        floor
+    }
+
+    /// The [`Terms`] of `unit`.
+    fn terms_of(&mut self, unit: &Unit) -> Terms {
+        let (ix, cx) = (self.req.ix, &cost_context(self.req));
+        let lanes: Vec<usize> = unit.stmts().iter().map(|&s| ix.position(s)).collect();
+        let mut terms = Terms {
+            scalar: lanes.iter().map(|&p| self.floors.scalar[p]).sum(),
+            superword: f64::INFINITY,
+            dest: 0,
+            sources: Vec::new(),
+        };
+        if unit.is_singleton() {
+            return terms;
+        }
+        let expr = ix.stmt_at(lanes[0]).expr();
+        terms.superword = cx.cost.vector_op(expr.shape());
+        for slot in once(PackPos::Dest).chain((0..expr.arity()).map(PackPos::Operand)) {
+            let mut keys: Vec<u32> = ix.keys(&lanes, slot).collect();
+            keys.sort_unstable();
+            let price = pack_floor(&keys, slot == PackPos::Dest, ix, cx);
+            // Constant packs never become live: each pays in full.
+            if matches!(ix.loc(keys[0]), Loc::Const(_)) {
+                terms.superword += price;
+                continue;
+            }
+            let fresh = self.contents.len() as u32;
+            let content = *self.contents.entry(keys).or_insert(fresh);
+            self.tally.resize(self.contents.len(), 0.0);
+            match slot {
+                PackPos::Dest => (terms.superword, terms.dest) = (terms.superword + price, content),
+                PackPos::Operand(_) => terms.sources.push((content, price)),
+            }
+        }
+        terms
     }
 }
 
