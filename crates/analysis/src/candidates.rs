@@ -13,38 +13,33 @@ pub(crate) fn lanes_of(ix: &BlockIndex<'_>, units: &[Unit]) -> Vec<Vec<usize>> {
     units.iter().map(lanes).collect()
 }
 
-/// The legal pairwise merges among `units`, as ascending index pairs
-/// `(a, b)`, `a < b`: the candidate groups — *potential* SIMD groups of
-/// two units, unordered ("there is no ordering between Si and Sj in the
-/// candidate group"). A pair qualifies when the units are isomorphic,
-/// mutually dependence free (§4.1 constraints 1 and 3) and the merged
-/// width stays within the lane cap (§4.1 constraint 4).
-pub fn legal_merges(ix: &BlockIndex<'_>, deps: &BlockDeps, units: &[Unit]) -> Vec<(usize, usize)> {
-    merges(ix, deps, &lanes_of(ix, units))
-}
-
-/// [`legal_merges`] over [`lanes_of`] the units.
+/// The legal pairwise merges among the units at `lanes` ([`lanes_of`]),
+/// as ascending index pairs `(a, b)`, `a < b`: the candidate groups —
+/// *potential* SIMD groups of two units, unordered ("there is no ordering
+/// between Si and Sj in the candidate group").
 pub(crate) fn merges(
     ix: &BlockIndex<'_>,
     deps: &BlockDeps,
     lanes: &[Vec<usize>],
 ) -> Vec<(usize, usize)> {
+    let pairs = (0..lanes.len()).flat_map(|a| (a + 1..lanes.len()).map(move |b| (a, b)));
+    pairs
+        .filter(|&(a, b)| mergeable(ix, deps, &lanes[a], &lanes[b]))
+        .collect()
+}
+
+/// Whether the units at block positions `la` and `lb` may merge (the
+/// candidate test of §4.2.1 step 1, and the solver's): they are
+/// isomorphic, mutually dependence free (§4.1 constraints 1 and 3) and
+/// the merged width stays within the lane cap (§4.1 constraint 4).
+pub fn mergeable(ix: &BlockIndex<'_>, deps: &BlockDeps, la: &[usize], lb: &[usize]) -> bool {
     let free = |p: usize, q: usize| p != q && !deps.reaches(p, q) && !deps.reaches(q, p);
-    let mut out = Vec::new();
-    for (a, la) in lanes.iter().enumerate() {
-        for (b, lb) in lanes.iter().enumerate().skip(a + 1) {
-            // Members within each unit are isomorphic by construction, so
-            // comparing representatives settles the class;
-            // cross-independence needs every pair.
-            if la.len() + lb.len() <= ix.lane_cap(la[0])
-                && ix.class(la[0]) == ix.class(lb[0])
-                && la.iter().all(|&p| lb.iter().all(|&q| free(p, q)))
-            {
-                out.push((a, b));
-            }
-        }
-    }
-    out
+    // Members within each unit are isomorphic by construction, so
+    // comparing representatives settles the class; cross-independence
+    // needs every pair.
+    la.len() + lb.len() <= ix.lane_cap(la[0])
+        && ix.class(la[0]) == ix.class(lb[0])
+        && la.iter().all(|&p| lb.iter().all(|&q| free(p, q)))
 }
 
 /// The symmetric candidate-conflict relation: two candidate groups
@@ -144,6 +139,10 @@ pub(crate) mod tests {
         );
         let bb: BasicBlock = [s1, s2, s3, s4, s5].into_iter().collect();
         (p, bb)
+    }
+
+    fn legal_merges(ix: &BlockIndex<'_>, deps: &BlockDeps, units: &[Unit]) -> Vec<(usize, usize)> {
+        merges(ix, deps, &lanes_of(ix, units))
     }
 
     /// One singleton unit per statement of `bb`.

@@ -13,15 +13,15 @@
 //!   purposes — "even for the case with different orderings" a reuse only
 //!   costs a register permutation, never memory traffic. `slp-core`'s
 //!   scheduler and emission walk share the index,
-//! * [`legal_merges`] — step 1, candidate group identification under the
+//! * [`mergeable`] — step 1, candidate group identification under the
 //!   §4.1 validity constraints (the `slp-opt` solver branches on the same
 //!   pairs),
 //! * [`Round`] — one grouping round's state: the candidates, the
 //!   shared-statement / dependence-cycle conflict relation, step 2's
 //!   variable-pack conflicting graph over ranked pack contents, and step
 //!   3's auxiliary-graph construction, greedy conflict elimination and
-//!   `W = r / Nt` average-reuse weight,
-//! * [`StatementGroupingGraph`] — the weighted graph of a fresh round.
+//!   `W = r / Nt` average-reuse weight — with every candidate alive and
+//!   nothing decided, the weighted statement grouping graph of Figure 5.
 //!
 //! The decision loop (step 4) lives in `slp-core`, which drives these
 //! pieces.
@@ -58,13 +58,11 @@
 #![warn(missing_debug_implementations)]
 
 mod candidates;
-mod groupgraph;
 mod index;
 mod unit;
 mod weight;
 
-pub use candidates::legal_merges;
-pub use groupgraph::{GroupingEdge, StatementGroupingGraph};
+pub use candidates::mergeable;
 pub use index::{locs_of, BlockIndex, Loc};
 pub use unit::{PackPos, Unit};
 pub use weight::{Round, WeightParams};

@@ -91,8 +91,8 @@ pub struct Round {
 }
 
 impl Round {
-    /// Steps 1–2 for the round over `units`: the candidates (the
-    /// [`legal_merges`](crate::legal_merges)), their conflicts and packs,
+    /// Steps 1–2 for the round over `units`: the candidates (every
+    /// [`mergeable`](crate::mergeable) pair), their conflicts and packs,
     /// nothing decided, weights under `params`.
     pub fn new(
         ix: &BlockIndex<'_>,
@@ -442,6 +442,20 @@ mod tests {
         // A restart forgets the decision: Figure 5's snapshot again.
         f.restart(&WeightParams::reuse_only());
         assert!(f.decided.is_empty() && f.decided_count.iter().all(|&n| n == 0));
+    }
+
+    #[test]
+    fn figure5_order_matches_the_paper_decision_sequence() {
+        // Non-increasing weight, ties to the lower tie rank: {S1,S2}
+        // first (1.0), then {S4,S5} (2/3), then {S1,S3} (1/2).
+        let mut f = fixture(&WeightParams::reuse_only());
+        let mut order: Vec<(f64, usize)> = (0..3).map(|c| (f.weight(c, &[true; 3]), c)).collect();
+        order.sort_by(|x, y| {
+            let rank = |c: usize| f.tie_rank(c);
+            y.0.total_cmp(&x.0).then(rank(x.1).cmp(&rank(y.1)))
+        });
+        let pairs: Vec<(usize, usize)> = order.iter().map(|&(_, c)| f.candidates()[c]).collect();
+        assert_eq!(pairs, [(0, 1), (3, 4), (0, 2)]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! inspect <kernel> [schedules|code|layout|weights]
 //! ```
 
-use slp::analysis::{StatementGroupingGraph, Unit, WeightParams};
+use slp::analysis::{Round, Unit, WeightParams};
 use slp::core::BlockIndex;
 use slp::ir::BlockDeps;
 use slp::prelude::*;
@@ -63,8 +63,9 @@ fn main() {
             }
         }
         "weights" => {
-            // The paper's Figure 5 view: the statement grouping graph of
-            // the first round, edges annotated with their reuse weights.
+            // The paper's Figure 5 view: the first round's candidates,
+            // heaviest first (ties in candidate order), annotated with
+            // their reuse weights.
             let mut p = program.clone();
             slp::ir::unroll_program(&mut p, 2);
             let infos = p.blocks();
@@ -75,14 +76,20 @@ fn main() {
             let deps = BlockDeps::analyze_in(&info.block, &info.loops);
             let ix = BlockIndex::new(&info.block, &p, |ty| machine.lanes_for(ty));
             let units: Vec<Unit> = info.block.iter().map(|s| Unit::singleton(s.id())).collect();
-            let sg = StatementGroupingGraph::build(&ix, &deps, &units, &WeightParams::default());
-            for e in sg.edges_by_weight().iter().take(30) {
-                let stmts: Vec<String> = [e.a, e.b]
+            let mut round = Round::new(&ix, &deps, &units, &WeightParams::default());
+            let alive = vec![true; round.candidates().len()];
+            let mut edges: Vec<(f64, usize)> = (0..alive.len())
+                .map(|c| (round.weight(c, &alive), c))
+                .collect();
+            edges.sort_by(|x, y| y.0.total_cmp(&x.0));
+            for &(weight, c) in edges.iter().take(30) {
+                let (a, b) = round.candidates()[c];
+                let stmts: Vec<String> = [a, b]
                     .iter()
                     .flat_map(|&u| units[u].stmts())
                     .map(|&s| p.show_stmt(ix.stmt_at(ix.position(s))))
                     .collect();
-                println!("{:7.3}  {{{}}}", e.weight, stmts.join(" | "));
+                println!("{weight:7.3}  {{{}}}", stmts.join(" | "));
             }
         }
         other => {

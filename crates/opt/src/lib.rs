@@ -29,15 +29,31 @@
 pub mod model;
 pub mod solve;
 
-pub use solve::{solve_block, OptimalPacker};
+pub use solve::OptimalPacker;
 
 #[cfg(test)]
 pub(crate) mod testutil {
+    use slp_analysis::{mergeable, Unit};
     use slp_core::{
         estimate_schedule_cost, BlockIndex, BlockSchedule, CostContext, LayoutView, PackRequest,
         SlpConfig,
     };
     use slp_ir::{BlockDeps, Program};
+
+    /// The legal pairwise merges among `units`, as ascending index pairs.
+    pub(crate) fn legal_merges(
+        ix: &BlockIndex<'_>,
+        deps: &BlockDeps,
+        units: &[Unit],
+    ) -> Vec<(usize, usize)> {
+        let lanes: Vec<Vec<usize>> = (units.iter())
+            .map(|u| u.stmts().iter().map(|&s| ix.position(s)).collect())
+            .collect();
+        let pairs = (0..units.len()).flat_map(|a| (a + 1..units.len()).map(move |b| (a, b)));
+        pairs
+            .filter(|&(a, b)| mergeable(ix, deps, &lanes[a], &lanes[b]))
+            .collect()
+    }
 
     /// Calls `f` with a request to pack each block of `program` as it
     /// stands (no unrolling), warm-started from the scalar schedule.

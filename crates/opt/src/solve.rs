@@ -39,23 +39,27 @@ use slp_core::{
     LayoutView, PackOutcome, PackRequest, Packer,
 };
 
-use crate::model::Model;
+use crate::model::{Model, Partition};
 
 /// Cost comparisons treat differences below this as ties, mirroring the
 /// pipeline's own arbitration tolerance.
 const EPS: f64 = 1e-9;
 
-/// Exact statement packing via [`solve_block`]: the [`Packer`] the driver
-/// installs for [`slp_core::Strategy::Optimal`]. Stateless — budgets come
-/// from the request's [`slp_core::OptParams`] — so a shared instance is
-/// safe across threads and deterministic whenever the node cap, not the
-/// clock, is binding.
+/// Exact statement packing: the [`Packer`] the driver installs for
+/// [`slp_core::Strategy::Optimal`]. It solves each block to proven
+/// optimality, or until a budget of the request's
+/// [`slp_core::OptParams`] expires (`0` disables either) or the compile's
+/// own [`PackRequest::stop_at`] passes, warm-started from the request's
+/// incumbent. The wall budget is per call: every block, and each pass of
+/// a dual compile, gets a fresh `deadline_ms`. Stateless, so a shared
+/// instance is safe across threads and deterministic whenever the node
+/// cap, not the clock, is binding.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OptimalPacker;
 
 impl Packer for OptimalPacker {
     fn pack(&self, req: &PackRequest<'_>) -> PackOutcome {
-        solve_block(req)
+        search(req, |_, _, _, _| {}, |_, _, _, _, _| {})
     }
 
     fn name(&self) -> &str {
@@ -76,23 +80,14 @@ pub(crate) fn cost_context<'a>(req: &PackRequest<'a>) -> CostContext<'a> {
     }
 }
 
-/// Solves one block's statement packing to proven optimality, or until
-/// a budget of the request's [`slp_core::OptParams`] expires (`0`
-/// disables either) or the compile's own [`PackRequest::stop_at`]
-/// passes, warm-started from the request's incumbent. The wall budget
-/// is per call: every block, and each pass of a dual compile, gets a
-/// fresh `deadline_ms`.
-pub fn solve_block(req: &PackRequest<'_>) -> PackOutcome {
-    search(req, |_, _, _| {}, |_, _| {})
-}
-
-/// The search behind [`solve_block`], reporting to tests: `expanded` gets
-/// each partition's units and floor, and whether the floor ruled out its
-/// evaluation; `child` gets each child state's bound after its parent's.
+/// The search behind [`OptimalPacker`], reporting to tests: `expanded`
+/// gets each partition with its floor, and whether the floor ruled out
+/// its evaluation; `child` gets each child state `(part, skip)` with its
+/// bound after its parent's.
 fn search(
     req: &PackRequest<'_>,
-    mut expanded: impl FnMut(&[Unit], f64, bool),
-    mut child: impl FnMut(f64, f64),
+    mut expanded: impl FnMut(&Model, &Partition, f64, bool),
+    mut child: impl FnMut(&Model, &Partition, usize, f64, f64),
 ) -> PackOutcome {
     let opt = req.config.opt;
     let own =
@@ -138,9 +133,9 @@ fn search(
         let cost = *part.cost.get_or_init(|| {
             let floor = model.floor(&part);
             let hopeless = floor >= best_cost + EPS;
-            expanded(&part.units, floor, hopeless);
+            expanded(&model, &part, floor, hopeless);
             (!hopeless || cfg!(debug_assertions)).then(|| {
-                let (sched, cost) = evaluate(&part.units, req);
+                let (sched, cost) = evaluate(&model.units(&part), req);
                 debug_assert!(floor <= cost + EPS, "floor {floor} > cost {cost}");
                 if !hopeless && cost < best_cost - EPS {
                     (best_cost, best_sched) = (cost, sched);
@@ -161,7 +156,7 @@ fn search(
         let exclude = model.exclude(&part, skip).then(|| (part, skip + 1));
         for (part, skip) in include.into_iter().chain(exclude) {
             let child_bound = model.bound(&part, skip);
-            child(bound, child_bound);
+            child(&model, &part, skip, bound, child_bound);
             if child_bound >= best_cost - EPS {
                 continue; // pruned: cannot beat the incumbent
             }
@@ -207,13 +202,12 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::{Arc, Mutex};
 
-    use slp_analysis::legal_merges;
     use slp_core::{compile, BlockIndex, MachineConfig, SlpConfig, Strategy};
     use slp_ir::Program;
     use slp_suite::{random_program, GeneratorConfig};
 
     use super::*;
-    use crate::testutil::each_block;
+    use crate::testutil::{each_block, legal_merges};
 
     /// The random program of generator seed `seed`: small bodies are
     /// unrolled twice so that isomorphic, independent statements are
@@ -262,13 +256,31 @@ mod tests {
     impl Packer for Audited {
         fn pack(&self, req: &PackRequest<'_>) -> PackOutcome {
             let mut audit = self.0.lock().unwrap();
-            let expanded = |units: &[Unit], floor: f64, skipped: bool| {
-                let cost = evaluate(units, req).1;
+            let expanded = |model: &Model, part: &Partition, floor: f64, skipped: bool| {
+                let cost = evaluate(&model.units(part), req).1;
                 assert!(floor <= cost + EPS, "floor {floor} above the cost {cost}");
                 audit.expanded += 1;
                 audit.skipped += usize::from(skipped);
             };
-            search(req, expanded, |_, _| {})
+            search(req, expanded, |_, _, _, _, _| {})
+        }
+    }
+
+    /// The search [`OptimalPacker`] runs, rebuilding each child state
+    /// from scratch — an include child (`skip` 0) to check the variables
+    /// it inherited, an exclude child its parent's minus the branched
+    /// one; counts the include children.
+    #[derive(Debug, Clone, Default)]
+    struct Inherited(Arc<Mutex<usize>>);
+
+    impl Packer for Inherited {
+        fn pack(&self, req: &PackRequest<'_>) -> PackOutcome {
+            let mut included = self.0.lock().unwrap();
+            let rebuild = |model: &Model, part: &Partition, skip: usize, _, _| {
+                model.assert_rebuilds(part, skip);
+                *included += usize::from(skip == 0);
+            };
+            search(req, |_, _, _, _| {}, rebuild)
         }
     }
 
@@ -280,16 +292,13 @@ mod tests {
 
     impl Packer for Monotone {
         fn pack(&self, req: &PackRequest<'_>) -> PackOutcome {
-            search(
-                req,
-                |_, _, _| {},
-                |parent, child| {
-                    assert!(
-                        child >= parent - EPS,
-                        "a child's bound is below its parent's"
-                    );
-                },
-            )
+            let monotone = |_: &Model, _: &Partition, _, parent: f64, child: f64| {
+                assert!(
+                    child >= parent - EPS,
+                    "a child's bound is below its parent's"
+                );
+            };
+            search(req, |_, _, _, _| {}, monotone)
         }
     }
 
@@ -453,17 +462,16 @@ mod tests {
         }
     }
 
-    /// Every partition the search expands costs at least its floor: over
-    /// the suite at the benchmark's node cap, layout off and on, the fuzz
-    /// corpus the same way, and the generator seeds solved to the end.
-    /// Most of the suite's evaluations are skipped.
-    #[test]
-    fn floors_are_admissible_and_skip_most_evaluations() {
+    /// Solves with `suite` the suite and branchy kernels at the
+    /// benchmark's node cap, layout off and on, on both machines; and with
+    /// `others` the fuzz corpus the same way and the generator seeds
+    /// solved to the end.
+    fn solve_everything<P: Packer + Clone + 'static>(suite_packer: &P, others: &P) {
         let machines = [
             MachineConfig::intel_dunnington(),
             MachineConfig::amd_phenom_ii(),
         ];
-        let compile_all = |programs: &[Program], packer: &Audited| {
+        let compile_all = |programs: &[Program], packer: &P| {
             for (machine, layout) in machines.iter().flat_map(|m| [(m, false), (m, true)]) {
                 let config = SlpConfig::for_machine(machine.clone(), Strategy::Optimal)
                     .with_packer(packer.clone())
@@ -474,10 +482,8 @@ mod tests {
                 }
             }
         };
-        let suite_audit = Audited::default();
-        compile_all(&suite(), &suite_audit);
+        compile_all(&suite(), suite_packer);
 
-        let others = Audited::default();
         let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../fuzz/corpus");
         let mut reproducers = Vec::new();
         for entry in std::fs::read_dir(corpus).expect("the fuzz corpus") {
@@ -486,7 +492,7 @@ mod tests {
             reproducers.extend(parsed.filter(|program| program.validate().is_ok()));
         }
         assert!(reproducers.len() >= 20, "{} reproducers", reproducers.len());
-        compile_all(&reproducers, &others);
+        compile_all(&reproducers, others);
         for seed in 0..60u64 {
             let program = generated(seed);
             for machine in &machines {
@@ -497,13 +503,37 @@ mod tests {
                 });
             }
         }
+    }
 
+    /// Every partition the search expands costs at least its floor, over
+    /// everything [`solve_everything`] solves. Most of the suite's
+    /// evaluations are skipped.
+    #[test]
+    fn floors_are_admissible_and_skip_most_evaluations() {
+        let suite_audit = Audited::default();
+        solve_everything(&suite_audit, &Audited::default());
         let Audit { expanded, skipped } = *suite_audit.0.lock().unwrap();
         let share = skipped as f64 / expanded as f64;
         println!("suite: {skipped} of {expanded} evaluations skipped ({share:.3})");
         assert!(
             share >= 0.75,
             "only {skipped} of {expanded} evaluations skipped"
+        );
+    }
+
+    /// Every child state the search builds, over everything
+    /// [`solve_everything`] solves, has exactly the variables, score bits
+    /// and bound a from-scratch rebuild finds: an include child inherits
+    /// them correctly.
+    #[test]
+    fn include_children_inherit_what_a_rebuild_finds() {
+        let inherited = Inherited::default();
+        solve_everything(&inherited, &inherited);
+        let included = *inherited.0.lock().unwrap();
+        println!("{included} include children compared");
+        assert!(
+            included >= 40_000,
+            "only {included} include children compared"
         );
     }
 }

@@ -47,15 +47,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per job the forty compiles may make: the measured 8 992
-/// rounded up to the next hundred (15 628 before the search skipped the
-/// partitions its floor rules out, 111 464 before the scheduler and the
-/// walk stopped re-deriving what the block index knows). Debug builds
-/// evaluate the skipped partitions too, to check the floor: 15 846.
+/// Allocations per job the forty compiles may make: the measured 4 247
+/// rounded up to the next hundred (8 992 before an include child
+/// inherited its parent's variables and the dedup stopped rebuilding its
+/// keys, 15 628 before the search skipped the partitions its floor rules
+/// out, 111 464 before the scheduler and the walk stopped re-deriving
+/// what the block index knows). Debug builds evaluate the skipped
+/// partitions too, to check the floor: 11 254 (15 846 before).
 const CEILING_PER_JOB: u64 = if cfg!(debug_assertions) {
-    15_900
+    11_300
 } else {
-    9_000
+    4_300
 };
 
 /// Allocations made by the forty compiles.
