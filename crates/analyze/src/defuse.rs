@@ -16,7 +16,7 @@ use slp_ir::{ArrayId, ArrayRef, Dest, Operand, Program, StmtId, VarId};
 
 /// One array access site.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ArrayAccess {
+pub(crate) struct ArrayAccess {
     /// The statement performing the access.
     pub stmt: StmtId,
     /// The reference (array + affine subscripts).
@@ -26,25 +26,8 @@ pub struct ArrayAccess {
 }
 
 /// Def-use chains over a whole program.
-///
-/// # Examples
-///
-/// ```
-/// use slp_ir::{Expr, Program, ScalarType};
-/// use slp_analyze::DefUse;
-///
-/// let mut p = Program::new("t");
-/// let x = p.add_scalar("x", ScalarType::F64);
-/// let y = p.add_scalar("y", ScalarType::F64);
-/// let s0 = p.push_stmt(y.into(), Expr::Copy(x.into())); // reads x before
-/// let s1 = p.push_stmt(x.into(), Expr::Copy(1.0.into())); // ... this def
-/// let du = DefUse::analyze(&p);
-/// assert_eq!(du.scalar_defs(x), &[s1]);
-/// assert_eq!(du.uses_before_first_def(x), vec![s0]);
-/// assert!(du.uses_before_first_def(y).is_empty());
-/// ```
 #[derive(Debug, Clone)]
-pub struct DefUse {
+pub(crate) struct DefUse {
     order: HashMap<StmtId, usize>,
     scalar_defs: Vec<Vec<StmtId>>,
     scalar_uses: Vec<Vec<StmtId>>,
@@ -53,7 +36,7 @@ pub struct DefUse {
 
 impl DefUse {
     /// Collects the chains of `program` in flattened DFS order.
-    pub fn analyze(program: &Program) -> Self {
+    pub(crate) fn analyze(program: &Program) -> Self {
         let mut order = HashMap::new();
         let mut scalar_defs = vec![Vec::new(); program.scalars().len()];
         let mut scalar_uses = vec![Vec::new(); program.scalars().len()];
@@ -92,17 +75,17 @@ impl DefUse {
 
     /// The flattened DFS position of a statement (its first-execution
     /// order), or `None` for statements not in the program.
-    pub fn order_of(&self, s: StmtId) -> Option<usize> {
+    pub(crate) fn order_of(&self, s: StmtId) -> Option<usize> {
         self.order.get(&s).copied()
     }
 
     /// Statements writing scalar `v`, in program order.
-    pub fn scalar_defs(&self, v: VarId) -> &[StmtId] {
+    pub(crate) fn scalar_defs(&self, v: VarId) -> &[StmtId] {
         &self.scalar_defs[v.index()]
     }
 
     /// Accesses (reads and writes) of array `a`, in program order.
-    pub fn array_accesses(&self, a: ArrayId) -> &[ArrayAccess] {
+    pub(crate) fn array_accesses(&self, a: ArrayId) -> &[ArrayAccess] {
         &self.array_accesses[a.index()]
     }
 
@@ -112,7 +95,7 @@ impl DefUse {
     /// before (or within) every reading statement; a use *inside* the
     /// first defining statement (`s = s + 1` accumulators) is at the
     /// same position, not strictly before, so it does not qualify.
-    pub fn uses_before_first_def(&self, v: VarId) -> Vec<StmtId> {
+    pub(crate) fn uses_before_first_def(&self, v: VarId) -> Vec<StmtId> {
         let Some(&first_def) = self.scalar_defs[v.index()].first() else {
             return Vec::new();
         };

@@ -131,7 +131,7 @@ impl StridedInterval {
     }
 
     /// The unconstrained element: all integers.
-    pub fn top() -> Self {
+    pub(crate) fn top() -> Self {
         StridedInterval {
             lo: i128::MIN,
             hi: i128::MAX,
@@ -140,7 +140,7 @@ impl StridedInterval {
     }
 
     /// Whether this is the unconstrained element.
-    pub fn is_top(&self) -> bool {
+    pub(crate) fn is_top(&self) -> bool {
         *self == Self::top()
     }
 
@@ -185,7 +185,7 @@ impl StridedInterval {
     }
 
     /// Abstract negation (exact).
-    pub fn neg(&self) -> StridedInterval {
+    pub(crate) fn neg(&self) -> StridedInterval {
         let (Some(lo), Some(hi)) = (self.hi.checked_neg(), self.lo.checked_neg()) else {
             return Self::top();
         };

@@ -9,24 +9,24 @@
 //!
 //! * [`StridedInterval`] — the abstract domain: intervals refined with a
 //!   stride congruence, exact under the affine operations subscripts are
-//!   built from ([`domain`]);
+//!   built from (`domain`);
 //! * [`loop_env`] / [`eval_affine`] — exact value sets for induction
 //!   variables and abstract evaluation of affine subscripts, plus
 //!   [`ScalarRanges`], a widening fixpoint of f64 intervals for scalars
-//!   ([`ranges`]);
-//! * [`DefUse`] — def-use chains and program-order liveness facts
-//!   ([`defuse`]);
+//!   (`ranges`);
+//! * `DefUse` — def-use chains and program-order liveness facts, what
+//!   the lints below read (`defuse`);
 //! * [`RangeOracle`] — a [`slp_ir::DepOracle`] that disproves
 //!   dependences the constant/GCD baseline cannot, with a telemetry
-//!   counter of refinements ([`oracle`]);
+//!   counter of refinements (`oracle`);
 //! * [`lint_program`] — whole-program safety lints: use-before-def,
 //!   dead stores (same-iteration and whole-program), provably
 //!   out-of-bounds subscripts, and misalignment risks for pack
-//!   candidates ([`lint`]); `slp-verify` surfaces these as diagnostics
+//!   candidates (`lint`); `slp-verify` surfaces these as diagnostics
 //!   V500–V504 and V507;
 //! * [`SafetyCert`] — per-access memory-safety certificates: every
 //!   array access classified `ProvenSafe` / `ProvenFaulting` /
-//!   `Unknown` against its declared extents ([`safety`]); `slp-verify`
+//!   `Unknown` against its declared extents (`safety`); `slp-verify`
 //!   reports these as V505/V506, and the bytecode engine elides bounds
 //!   checks for certified accesses.
 //!
@@ -65,14 +65,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod defuse;
-pub mod domain;
-pub mod lint;
-pub mod oracle;
-pub mod ranges;
-pub mod safety;
+mod defuse;
+mod domain;
+mod lint;
+mod oracle;
+mod ranges;
+mod safety;
 
-pub use defuse::{ArrayAccess, DefUse};
 pub use domain::StridedInterval;
 pub use lint::{lint_program, Finding, FindingKind};
 pub use oracle::RangeOracle;

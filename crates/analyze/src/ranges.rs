@@ -109,7 +109,7 @@ impl FloatInterval {
     }
 
     /// The unconstrained interval.
-    pub fn top() -> Self {
+    pub(crate) fn top() -> Self {
         FloatInterval {
             lo: f64::NEG_INFINITY,
             hi: f64::INFINITY,
@@ -117,12 +117,12 @@ impl FloatInterval {
     }
 
     /// Whether this interval constrains nothing.
-    pub fn is_top(&self) -> bool {
+    pub(crate) fn is_top(&self) -> bool {
         self.lo == f64::NEG_INFINITY && self.hi == f64::INFINITY
     }
 
     /// Whether both bounds are finite.
-    pub fn is_bounded(&self) -> bool {
+    pub(crate) fn is_bounded(&self) -> bool {
         self.lo.is_finite() && self.hi.is_finite()
     }
 
@@ -166,7 +166,7 @@ impl FloatInterval {
 
     /// Classic interval widening: an endpoint `other` pushes past is sent
     /// straight to its infinity, so loop fixpoints terminate.
-    pub fn widen(&self, other: &FloatInterval) -> FloatInterval {
+    pub(crate) fn widen(&self, other: &FloatInterval) -> FloatInterval {
         FloatInterval {
             lo: if other.lo < self.lo {
                 f64::NEG_INFINITY
@@ -182,7 +182,7 @@ impl FloatInterval {
     }
 
     /// Abstract binary operation.
-    pub fn apply_bin(op: BinOp, a: &FloatInterval, b: &FloatInterval) -> FloatInterval {
+    pub(crate) fn apply_bin(op: BinOp, a: &FloatInterval, b: &FloatInterval) -> FloatInterval {
         match op {
             BinOp::Min => {
                 if a.lo.is_infinite() && b.lo.is_infinite() {
@@ -217,7 +217,7 @@ impl FloatInterval {
     /// either way. ⊤ operands (possibly NaN) are never decidable — NaN
     /// fails every ordered comparison, so even disjoint bounds prove
     /// nothing.
-    pub fn decide_cmp(op: CmpOp, a: &FloatInterval, b: &FloatInterval) -> Option<bool> {
+    pub(crate) fn decide_cmp(op: CmpOp, a: &FloatInterval, b: &FloatInterval) -> Option<bool> {
         if a.is_top() || b.is_top() {
             return None;
         }
@@ -261,7 +261,7 @@ impl FloatInterval {
     /// ordered comparison, so inside a taken `<`/`<=`/`>`/`>=`/`==`
     /// branch the operand is known non-NaN and clamping to the finite
     /// bound is exact. `!=` proves nothing representable.
-    pub fn refine_by_cmp(&self, op: CmpOp, other: &FloatInterval) -> FloatInterval {
+    pub(crate) fn refine_by_cmp(&self, op: CmpOp, other: &FloatInterval) -> FloatInterval {
         match op {
             CmpOp::Lt | CmpOp::Le => FloatInterval {
                 lo: self.lo,
@@ -280,7 +280,7 @@ impl FloatInterval {
     }
 
     /// Abstract unary operation.
-    pub fn apply_un(op: UnOp, a: &FloatInterval) -> FloatInterval {
+    pub(crate) fn apply_un(op: UnOp, a: &FloatInterval) -> FloatInterval {
         match op {
             UnOp::Neg => FloatInterval {
                 lo: -a.hi,

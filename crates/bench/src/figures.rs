@@ -59,7 +59,7 @@ pub struct BenchmarkResult {
 impl BenchmarkResult {
     /// Execution-time reduction of `scheme` over the scalar baseline, in
     /// percent.
-    pub fn reduction(&self, scheme: Scheme) -> f64 {
+    pub(crate) fn reduction(&self, scheme: Scheme) -> f64 {
         of(&self.measurements, scheme).reduction_over(of(&self.measurements, Scheme::Scalar))
     }
 
@@ -92,7 +92,7 @@ pub fn measure_suite(machine: &MachineConfig, scale: usize) -> Vec<BenchmarkResu
 
 /// Sorts results the way Figure 16 orders its x-axis: by the Global
 /// scheme's improvement, ascending.
-pub fn sort_fig16(results: &mut [BenchmarkResult]) {
+pub(crate) fn sort_fig16(results: &mut [BenchmarkResult]) {
     results.sort_by(|a, b| {
         a.reduction(Scheme::Global)
             .partial_cmp(&b.reduction(Scheme::Global))
@@ -151,7 +151,7 @@ pub fn render_fig16(results: &[BenchmarkResult]) -> String {
 /// over SLP in dynamic instructions (excluding packing/unpacking) and in
 /// packing/unpacking operations, in percent.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig17Row {
+pub(crate) struct Fig17Row {
     /// Reduction of dynamic instructions excluding packing.
     pub dynamic_reduction: f64,
     /// Reduction of packing/unpacking operations.
@@ -159,7 +159,7 @@ pub struct Fig17Row {
 }
 
 /// Computes the Figure 17 rows from suite measurements.
-pub fn fig17_rows(results: &[BenchmarkResult]) -> Vec<(String, Fig17Row)> {
+pub(crate) fn fig17_rows(results: &[BenchmarkResult]) -> Vec<(String, Fig17Row)> {
     results
         .iter()
         .map(|r| {

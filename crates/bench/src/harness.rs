@@ -80,7 +80,7 @@ impl Measurement {
 
     /// Execution-time reduction over `baseline` in percent (the y-axis of
     /// Figures 16, 19, 20).
-    pub fn reduction_over(&self, baseline: &Measurement) -> f64 {
+    pub(crate) fn reduction_over(&self, baseline: &Measurement) -> f64 {
         (1.0 - self.cycles() / baseline.cycles()) * 100.0
     }
 }
@@ -103,7 +103,7 @@ pub fn measure(program: &Program, machine: &MachineConfig, scheme: Scheme) -> Me
 }
 
 /// Runs all five schemes on one program; results indexed by [`Scheme`].
-pub fn measure_all(program: &Program, machine: &MachineConfig) -> Vec<Measurement> {
+pub(crate) fn measure_all(program: &Program, machine: &MachineConfig) -> Vec<Measurement> {
     Scheme::all()
         .into_iter()
         .map(|s| measure(program, machine, s))
@@ -115,7 +115,7 @@ pub fn measure_all(program: &Program, machine: &MachineConfig) -> Vec<Measuremen
 /// # Panics
 ///
 /// Panics if `scheme` is absent.
-pub fn of(measurements: &[Measurement], scheme: Scheme) -> &Measurement {
+pub(crate) fn of(measurements: &[Measurement], scheme: Scheme) -> &Measurement {
     measurements
         .iter()
         .find(|m| m.scheme == scheme)
@@ -130,7 +130,7 @@ pub fn of(measurements: &[Measurement], scheme: Scheme) -> &Measurement {
 /// # Panics
 ///
 /// Panics on the first divergence.
-pub fn assert_equivalent(program: &Program, measurements: &[Measurement]) {
+pub(crate) fn assert_equivalent(program: &Program, measurements: &[Measurement]) {
     let scalar = of(measurements, Scheme::Scalar);
     for m in measurements {
         slp_verify::assert_states_equivalent(

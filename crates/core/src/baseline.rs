@@ -34,7 +34,7 @@ pub fn baseline_block(ix: &BlockIndex<'_>, deps: &BlockDeps) -> BlockSchedule {
 /// chain order (ascending addresses). Exposed so the holistic pipeline
 /// can evaluate adjacency-seeded groups under its own scheduler and cost
 /// model.
-pub fn baseline_groups(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<Unit> {
+pub(crate) fn baseline_groups(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<Unit> {
     combine_pairs(&build_pack_set(ix, deps), ix, deps)
 }
 

@@ -81,11 +81,6 @@ impl ExecError {
     pub fn kind(&self) -> ExecErrorKind {
         self.kind
     }
-
-    /// The human-readable context.
-    pub fn context(&self) -> &str {
-        &self.context
-    }
 }
 
 impl fmt::Display for ExecError {

@@ -84,7 +84,7 @@ pub fn eq4_map(d: i64, a: i64, b: i64, l: i64, p: i64) -> i64 {
 /// the participating references in `program` to target fresh interleaved
 /// arrays, and returns the replications the runtime must perform. `cost`
 /// is the target machine's: the benefit estimate uses its cycle prices.
-pub fn optimize_array_layout(
+pub(crate) fn optimize_array_layout(
     program: &mut Program,
     uses: &[PackUse],
     cost: &CostParams,

@@ -12,8 +12,8 @@
 //!   strided gather becomes one aligned contiguous vector load
 //!   (paper Figures 13–14, Eq. (1)–(8)).
 
-pub mod array;
-pub mod scalar;
+pub(crate) mod array;
+pub(crate) mod scalar;
 
 use slp_ir::{BlockInfo, LoopHeader, Operand, StmtId};
 
@@ -24,7 +24,7 @@ use crate::superword::{BlockSchedule, ScheduledItem};
 /// One appearance of an ordered superword (pack) in a final schedule,
 /// with enough loop context to weigh and rewrite it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PackUse {
+pub(crate) struct PackUse {
     /// The block the pack appears in.
     pub block: slp_ir::BlockId,
     /// Lane statements in lane order.
@@ -40,7 +40,7 @@ pub struct PackUse {
 impl PackUse {
     /// How many times this pack is touched at run time (product of the
     /// enclosing trip counts).
-    pub fn dynamic_trips(&self) -> i64 {
+    pub(crate) fn dynamic_trips(&self) -> i64 {
         self.loops
             .iter()
             .fold(1i64, |acc, h| acc.saturating_mul(h.trip_count()))
@@ -49,7 +49,7 @@ impl PackUse {
 
 /// Collects every location pack of every superword statement across the
 /// scheduled blocks, in lane order.
-pub fn collect_pack_uses(schedules: &[(BlockInfo, BlockSchedule)]) -> Vec<PackUse> {
+pub(crate) fn collect_pack_uses(schedules: &[(BlockInfo, BlockSchedule)]) -> Vec<PackUse> {
     let mut out = Vec::new();
     for (info, sched) in schedules {
         for item in sched.items() {

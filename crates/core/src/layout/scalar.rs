@@ -28,7 +28,7 @@ pub struct ScalarLayout {
 impl ScalarLayout {
     /// The declaration-order default layout: scalars packed one after
     /// another, each aligned to its own size.
-    pub fn declaration_order(program: &Program) -> Self {
+    pub(crate) fn declaration_order(program: &Program) -> Self {
         let mut addr = vec![0u64; program.scalars().len()];
         let mut next = 0u64;
         for v in program.scalar_ids() {
@@ -87,7 +87,7 @@ impl ScalarLayout {
 
     /// Whether the given lanes sit at consecutive, pack-aligned addresses
     /// (so the pack moves with one vector memory operation).
-    pub fn pack_is_contiguous_aligned(&self, lanes: &[VarId], elem_size: u32) -> bool {
+    pub(crate) fn pack_is_contiguous_aligned(&self, lanes: &[VarId], elem_size: u32) -> bool {
         let Some(&first) = lanes.first() else {
             return false;
         };
@@ -105,7 +105,7 @@ impl ScalarLayout {
 /// schedules.
 ///
 /// Returns the optimized layout plus the number of packs it satisfied.
-pub fn optimize_scalar_layout(program: &Program, uses: &[PackUse]) -> (ScalarLayout, usize) {
+pub(crate) fn optimize_scalar_layout(program: &Program, uses: &[PackUse]) -> (ScalarLayout, usize) {
     // Gather scalar superwords with occurrence counts, keyed by their
     // ordered lanes (the scheduling phase fixed lane order, which is the
     // order the variables must take in memory).

@@ -17,7 +17,7 @@ mod schedule;
 mod superword;
 mod telemetry;
 
-pub use baseline::{baseline_block, baseline_groups};
+pub use baseline::baseline_block;
 pub use deadline::{Deadline, Expired};
 pub use emit::{
     emit_schedule, estimate_scalar_cost, estimate_schedule_cost, scalar_stmt_cost, scalar_traffic,
@@ -25,11 +25,9 @@ pub use emit::{
 };
 pub use error::{ExecError, ExecErrorKind, VerifyError};
 pub use group::{group_block, group_block_with, Grouping, GroupingDecision};
-pub use layout::array::{eq4_map, optimize_array_layout, Replication};
-pub use layout::scalar::{optimize_scalar_layout, ScalarLayout};
-pub use layout::{collect_pack_uses, PackUse};
+pub use layout::array::{eq4_map, Replication};
+pub use layout::scalar::ScalarLayout;
 pub use machine::{CostParams, MachineConfig};
-pub use native::native_block;
 pub use pipeline::{
     compile, compile_passes, compile_timed, compile_within, estimate_kernel_cost, CompileStats,
     CompiledKernel, HeuristicPacker, OptParams, PackOutcome, PackRequest, Packer, PackerHandle,
@@ -47,6 +45,4 @@ pub use slp_analysis::{BlockIndex, WeightParams};
 // (slp-vm's check elision, slp-driver's codec and `DriverError::Unsafe`)
 // can name the certificate types without a slp-analyze edge.
 pub use slp_analyze::{AccessCert, AccessVerdict, SafetyCert};
-pub use superword::{
-    validate_schedule, BlockSchedule, ScheduledItem, SuperwordStmt, ValidityError,
-};
+pub use superword::{BlockSchedule, ScheduledItem, SuperwordStmt};

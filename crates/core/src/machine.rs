@@ -71,7 +71,7 @@ impl CostParams {
     /// Costs for the AMD machine: noticeably more expensive
     /// packing/unpacking and shuffles (§7.2: "the main factor is the
     /// higher packing/unpacking costs").
-    pub fn amd() -> Self {
+    pub(crate) fn amd() -> Self {
         CostParams {
             scalar_op: 1.0,
             simd_op: 1.1,

@@ -15,7 +15,7 @@ use crate::schedule::schedule_in_program_order;
 use crate::superword::BlockSchedule;
 
 /// Runs the native-style vectorizer on one block.
-pub fn native_block(ix: &BlockIndex<'_>, deps: &BlockDeps) -> BlockSchedule {
+pub(crate) fn native_block(ix: &BlockIndex<'_>, deps: &BlockDeps) -> BlockSchedule {
     let stmts = ix.block().stmts();
     let mut units: Vec<Unit> = Vec::new();
     let mut taken = vec![false; stmts.len()];

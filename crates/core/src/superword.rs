@@ -139,7 +139,7 @@ impl fmt::Display for BlockSchedule {
 
 /// A violation of the §4.1 validity constraints.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidityError {
+pub(crate) enum ValidityError {
     /// Constraint 1: two lanes of a superword statement depend on each
     /// other.
     IntraGroupDependence(StmtId, StmtId),
@@ -191,7 +191,7 @@ impl std::error::Error for ValidityError {}
 /// # Errors
 ///
 /// Returns the first violated constraint.
-pub fn validate_schedule<E: TypeEnv>(
+pub(crate) fn validate_schedule<E: TypeEnv>(
     block: &BasicBlock,
     deps: &BlockDeps,
     schedule: &BlockSchedule,

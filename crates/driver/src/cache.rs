@@ -104,7 +104,7 @@ crate::record::record!(CacheStats {
 
 impl CacheStats {
     /// Total lookups.
-    pub fn lookups(&self) -> u64 {
+    pub(crate) fn lookups(&self) -> u64 {
         self.memory_hits + self.disk_hits + self.misses
     }
 

@@ -52,7 +52,7 @@ impl Fingerprint {
     }
 
     /// Parses [`Fingerprint::to_hex`] output.
-    pub fn from_hex(s: &str) -> Option<Fingerprint> {
+    pub(crate) fn from_hex(s: &str) -> Option<Fingerprint> {
         if s.len() != 32 {
             return None;
         }
@@ -163,7 +163,7 @@ impl Hasher {
 /// The driver uses the tag for request dimensions that change the cached
 /// *payload* without changing the kernel — the verification level, whose
 /// `Report` is stored alongside the kernel.
-pub fn fingerprint_with_tag(source: &str, config: &SlpConfig, tag: &str) -> Fingerprint {
+pub(crate) fn fingerprint_with_tag(source: &str, config: &SlpConfig, tag: &str) -> Fingerprint {
     let mut h = Hasher::new();
     h.field("version", env!("CARGO_PKG_VERSION"));
     h.field("tag", tag);

@@ -145,7 +145,7 @@ impl Json {
 
     /// The value as an `i64`, rejecting fractional or out-of-range
     /// numbers.
-    pub fn i64(&self) -> Option<i64> {
+    pub(crate) fn i64(&self) -> Option<i64> {
         match self {
             Json::Num(x)
                 if x.fract() == 0.0 && *x >= -(1i64 << 53) as f64 && *x <= (1i64 << 53) as f64 =>

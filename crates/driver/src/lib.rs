@@ -70,8 +70,9 @@ pub use cache::{
     CacheStats, CacheTier, CachedCompile, CompileCache, DEFAULT_DISK_DIR, DEFAULT_MEMORY_CAPACITY,
 };
 pub use codec::{decode_kernel, encode_kernel, CodecError};
-pub use fingerprint::{fingerprint_with_tag, Fingerprint};
-pub use report::{stats_json, timings_json, DriverReport, ServeSummary};
+use fingerprint::fingerprint_with_tag;
+pub use fingerprint::Fingerprint;
+pub use report::{stats_json, timings_json, DriverReport, KernelRow, RowStatus, ServeSummary};
 pub use slp_verify::Report;
 
 use std::sync::Arc;

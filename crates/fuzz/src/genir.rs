@@ -1,7 +1,7 @@
 //! Typed-IR case generation: well-formed programs with adversarial
 //! dependence and alignment patterns.
 //!
-//! Where [`mutate`](crate::mutate) attacks the front-end with broken
+//! Where `mutate` attacks the front-end with broken
 //! text, this level builds [`Program`]s directly, biased toward the
 //! structures where SLP miscompiles hide: loop-carried dependences
 //! (`A[i] = f(A[i-1])`), partially overlapping reads and writes,

@@ -5,7 +5,7 @@
 //! this crate adversarially drives the *whole* source → parse → group →
 //! schedule → layout → execute path with two generators:
 //!
-//! - [`mutate::source_case`] — source-text mutants of generated and
+//! - `mutate::source_case` — source-text mutants of generated and
 //!   hand-written kernels (token splices, bound/stride/type
 //!   perturbations, malformed programs);
 //! - [`genir::ir_case`] — well-formed typed-IR programs with
@@ -26,7 +26,7 @@
 
 pub mod genir;
 pub mod minimize;
-pub mod mutate;
+mod mutate;
 pub mod oracle;
 pub mod property;
 

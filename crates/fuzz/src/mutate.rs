@@ -168,7 +168,7 @@ pub(crate) fn char_boundary(s: &str, mut pos: usize) -> usize {
 }
 
 /// Deterministically generates the `n`-th source-level fuzz case.
-pub fn source_case(seed: u64, n: u64) -> String {
+pub(crate) fn source_case(seed: u64, n: u64) -> String {
     let mut rng = StdRng::seed_from_u64(seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut src = base_source(&mut rng);
     // Every third case stays unmutated: a pure generator sweep that

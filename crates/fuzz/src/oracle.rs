@@ -157,7 +157,7 @@ impl Default for Budget {
 }
 
 /// Whether `program` fits the execution budgets.
-pub fn within_budget(program: &Program, budget: &Budget) -> bool {
+pub(crate) fn within_budget(program: &Program, budget: &Budget) -> bool {
     let elems = program
         .arrays()
         .iter()
@@ -185,7 +185,7 @@ pub fn within_budget(program: &Program, budget: &Budget) -> bool {
 /// divergence against the scalar run), and the branch-and-bound exact
 /// packer (so a solver packing the heuristic would never produce is
 /// still held to scalar equivalence).
-pub const STRATEGIES: &[(Strategy, bool, bool, bool, &str)] = &[
+pub(crate) const STRATEGIES: &[(Strategy, bool, bool, bool, &str)] = &[
     (Strategy::Native, false, false, false, "native"),
     (Strategy::Baseline, false, false, false, "slp"),
     (Strategy::Holistic, false, false, false, "global"),

@@ -150,7 +150,7 @@ impl AffineExpr {
     /// [`sub`](Self::sub) read in place: the constant of `self - other`
     /// and its non-zero terms in variable order, merged from the two term
     /// lists without building the difference.
-    pub fn difference<'a>(
+    pub(crate) fn difference<'a>(
         &'a self,
         other: &'a AffineExpr,
     ) -> (i64, impl Iterator<Item = (LoopVarId, i64)> + 'a) {

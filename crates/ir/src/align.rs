@@ -42,18 +42,7 @@ pub fn pack_is_contiguous(refs: &[&ArrayRef]) -> bool {
 /// their effective coefficient is `c·step` with a base shift of
 /// `c·lower`. This is what makes `A[i]` with `i` stepping by 2 (an
 /// unrolled loop) provably 16-byte aligned for f64.
-///
-/// # Examples
-///
-/// ```
-/// use slp_ir::{AffineExpr, LoopVarId, is_aligned_in};
-///
-/// let i = LoopVarId::new(0);
-/// // 2i with 8-byte elements is 16-byte aligned for every i; 2i+1 is not.
-/// assert!(is_aligned_in(&AffineExpr::var(i).scaled(2), 8, 16, &[]));
-/// assert!(!is_aligned_in(&AffineExpr::var(i).scaled(2).offset(1), 8, 16, &[]));
-/// ```
-pub fn is_aligned_in(
+pub(crate) fn is_aligned_in(
     expr: &AffineExpr,
     elem_size: u32,
     align_bytes: u32,
@@ -85,7 +74,7 @@ pub fn is_aligned_in(
 
 /// Whether a contiguous pack starting at `refs[0]` is aligned to the full
 /// pack width in `program`'s memory layout, given the enclosing `loops`
-/// (see [`is_aligned_in`]).
+/// (see `is_aligned_in`).
 pub fn pack_is_aligned_in(refs: &[&ArrayRef], program: &Program, loops: &[LoopHeader]) -> bool {
     let Some(first) = refs.first() else {
         return false;

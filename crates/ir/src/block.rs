@@ -24,7 +24,7 @@ impl BasicBlock {
     }
 
     /// Creates a block from a statement sequence.
-    pub fn from_stmts(stmts: Vec<Statement>) -> Self {
+    pub(crate) fn from_stmts(stmts: Vec<Statement>) -> Self {
         BasicBlock { stmts }
     }
 

@@ -447,7 +447,7 @@ pub enum Dest {
 
 impl Dest {
     /// Views the destination as an operand (for uniform location handling).
-    pub fn as_operand(&self) -> Operand {
+    pub(crate) fn as_operand(&self) -> Operand {
         match self {
             Dest::Scalar(v) => Operand::Scalar(*v),
             Dest::Array(r) => Operand::Array(r.clone()),

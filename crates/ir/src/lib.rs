@@ -14,7 +14,7 @@
 //! * intra-block dependence analysis with transitive closure
 //!   ([`BlockDeps`]),
 //! * the pre-processing passes: loop unrolling ([`unroll_program`]) and
-//!   alignment/contiguity analysis ([`is_aligned_in`], [`pack_is_contiguous`],
+//!   alignment/contiguity analysis ([`pack_is_contiguous`],
 //!   [`pack_is_aligned_in`]).
 //!
 //! # Examples
@@ -46,7 +46,7 @@ mod deps;
 mod emit;
 mod expr;
 mod ids;
-pub mod numeric;
+mod numeric;
 mod program;
 mod stmt;
 mod types;
@@ -54,7 +54,7 @@ mod unroll;
 mod validate;
 
 pub use affine::{AccessVector, AffineExpr};
-pub use align::{is_aligned_in, pack_is_aligned_in, pack_is_contiguous};
+pub use align::{pack_is_aligned_in, pack_is_contiguous};
 pub use block::{BasicBlock, StmtPositions};
 pub use deps::{
     gcd_test_refutes_zero, operands_overlap_in, refs_overlap_in, BlockDeps, DepKind, DepOracle,

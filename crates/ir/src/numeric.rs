@@ -14,15 +14,7 @@ use crate::ids::LoopVarId;
 use crate::program::LoopHeader;
 
 /// Greatest common divisor of `|a|` and `|b|`; `gcd(0, 0) == 0`.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(slp_ir::numeric::gcd(12, 18), 6);
-/// assert_eq!(slp_ir::numeric::gcd(0, 7), 7);
-/// assert_eq!(slp_ir::numeric::gcd(-8, 12), 4);
-/// ```
-pub fn gcd(a: i64, b: i64) -> i64 {
+pub(crate) fn gcd(a: i64, b: i64) -> i64 {
     let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
         let t = a % b;
@@ -43,7 +35,7 @@ pub fn gcd(a: i64, b: i64) -> i64 {
 /// constraint is meaningful). Computed in `i128` and clamped back to
 /// `i64`; clamping is monotone around 0, so sign-based verdicts
 /// (out-of-bounds, never-zero) survive it.
-pub fn interval_in(
+pub(crate) fn interval_in(
     terms: impl IntoIterator<Item = (LoopVarId, i64)>,
     constant: i64,
     loops: &[LoopHeader],

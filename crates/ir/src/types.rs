@@ -48,7 +48,7 @@ impl ScalarType {
     }
 
     /// Width of one element of this type in bits.
-    pub fn size_bits(self) -> u32 {
+    pub(crate) fn size_bits(self) -> u32 {
         self.size_bytes() * 8
     }
 

@@ -45,7 +45,7 @@ pub enum AstItem {
         line: u32,
     },
     /// `if a cmp b { then } [else { else }]` — removed before lowering
-    /// by [`if_convert`](crate::if_convert::if_convert), which flattens
+    /// by the if-conversion pass, which flattens
     /// both bodies into predicated `select` assignments.
     If {
         /// Branch condition.

@@ -30,11 +30,6 @@ impl ParseError {
     pub fn line(&self) -> u32 {
         self.line
     }
-
-    /// 1-based source column of the error.
-    pub fn col(&self) -> u32 {
-        self.col
-    }
 }
 
 impl ParseError {
@@ -90,7 +85,6 @@ mod tests {
         let e = ParseError::new("unexpected token", 3, 7);
         assert_eq!(e.to_string(), "3:7: unexpected token");
         assert_eq!(e.line(), 3);
-        assert_eq!(e.col(), 7);
     }
 
     #[test]

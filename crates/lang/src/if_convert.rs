@@ -47,21 +47,7 @@ use crate::ast::{AstCond, AstItem, AstLValue, AstRhs, AstTerm, KernelAst};
 /// Fresh temporaries are declared as scalars typed like the assignment
 /// target they guard; locations the pass cannot type (undeclared names
 /// surface as lowering errors later) default to `f64`.
-///
-/// # Examples
-///
-/// ```
-/// let mut ast = slp_lang::parse(
-///     "kernel k { array A: f64[8]; for i in 0..8 {
-///          if A[i] < 0.0 { A[i] = 0.0; }
-///      } }",
-/// )
-/// .unwrap();
-/// slp_lang::if_convert(&mut ast);
-/// let p = slp_lang::lower(&ast).unwrap();
-/// assert!(p.to_source().contains("select("));
-/// ```
-pub fn if_convert(ast: &mut KernelAst) {
+pub(crate) fn if_convert(ast: &mut KernelAst) {
     if !items_have_if(&ast.items) {
         return;
     }

@@ -310,7 +310,7 @@ mod tests {
     fn unknown_char_is_an_error() {
         let e = lex("a @ b").unwrap_err();
         assert!(e.message().contains("unexpected character"));
-        assert_eq!(e.col(), 3);
+        assert!(e.to_string().starts_with("1:3: "));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! ```
 //!
 //! `if`/`else` bodies are flattened before lowering by the
-//! [`if_convert`] pass, so the IR the packer sees is always a
+//! `if_convert` pass, so the IR the packer sees is always a
 //! straight-line block of (possibly predicated) assignments.
 //!
 //! # Examples
@@ -47,7 +47,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod ast;
+mod ast;
 mod error;
 mod if_convert;
 mod lexer;
@@ -55,8 +55,8 @@ mod lower;
 mod parser;
 mod token;
 
+pub use ast::{AstAffine, AstCond, AstItem, AstLValue, AstRhs, AstTerm, KernelAst};
 pub use error::{ParseError, Result};
-pub use if_convert::if_convert;
 pub use lexer::lex;
 pub use lower::{compile, lower};
 pub use parser::parse;

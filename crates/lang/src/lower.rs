@@ -12,8 +12,7 @@ use crate::error::{ParseError, Result};
 
 /// Lowers a parsed kernel to an IR [`Program`].
 ///
-/// Branchy kernels are if-converted first (see
-/// [`if_convert`](crate::if_convert::if_convert)): by the time items
+/// Branchy kernels are if-converted first (`if_convert`): by the time items
 /// reach the lowerer every `if` has been flattened into predicated
 /// `select` assignments, so the IR stays straight-line.
 ///

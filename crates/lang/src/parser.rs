@@ -69,7 +69,7 @@ pub fn parse(src: &str) -> Result<KernelAst> {
 /// proportional to the nesting depth; unbounded nesting on adversarial
 /// input would overflow the stack, which aborts instead of raising a
 /// typed error.
-pub const MAX_LOOP_DEPTH: usize = 64;
+pub(crate) const MAX_LOOP_DEPTH: usize = 64;
 
 struct Parser {
     tokens: Vec<Spanned>,

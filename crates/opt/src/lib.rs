@@ -7,8 +7,8 @@
 //! land?*
 //!
 //! Statement packing is cast as a 0-1 integer linear program in the
-//! goSLP style ([`model`]) and solved from scratch, dependency-free, by
-//! best-first branch-and-bound ([`solve`]), warm-started from the
+//! goSLP style (`model`) and solved from scratch, dependency-free, by
+//! best-first branch-and-bound (`solve`), warm-started from the
 //! holistic heuristic so the anytime answer is never worse than what
 //! `Strategy::Holistic` ships. An expired deadline or node cap returns
 //! the best packing found so far with `degraded = true` and the tightest
@@ -26,8 +26,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod model;
-pub mod solve;
+mod model;
+mod solve;
 
 pub use solve::OptimalPacker;
 

@@ -263,13 +263,13 @@ impl Handler {
     }
 
     /// Whether [`Handler::begin_drain`] was called.
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 
     /// Records a connection-level overload rejection (e.g. the TCP
     /// accept queue was full — the handler never saw a request line).
-    pub fn note_connection_rejected(&self) {
+    pub(crate) fn note_connection_rejected(&self) {
         self.counters
             .rejected_overload
             .fetch_add(1, Ordering::Relaxed);

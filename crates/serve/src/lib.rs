@@ -6,13 +6,13 @@
 //!   the v1 envelope (`{"v":1,"id":…,"tenant":…,"cmd":…}`), the legacy
 //!   bare form it remains compatible with, and the stable `S1xx` error
 //!   codes;
-//! * [`handler`] — the transport-agnostic [`Handler`]: one request
+//! * `handler` — the transport-agnostic [`Handler`]: one request
 //!   line in, one response line out, owning the compile cache, the
 //!   in-flight deduplication table, the per-tenant token buckets, the
 //!   admission gate and the serve counters;
-//! * adapters — [`stdio::serve_handler`] (line loop over any
+//! * adapters — [`serve_handler`] (line loop over any
 //!   `BufRead`/`Write` pair, what `slpd` runs by default) and
-//!   [`tcp::serve_tcp`] (accept thread, worker pool, bounded backlog,
+//!   [`serve_tcp`] (accept thread, worker pool, bounded backlog,
 //!   `GET /metrics`), both thin: every semantic lives in the handler and
 //!   both run one session loop, so the transports cannot drift apart.
 //!
@@ -23,14 +23,13 @@
 //! The crate is re-exported as part of `slp::driver`, so callers write
 //! `slp::driver::{serve_handler, serve_tcp}`.
 
-pub mod handler;
-pub mod line;
+mod handler;
+mod line;
 pub mod loadgen;
 pub mod protocol;
-pub mod stdio;
-pub mod tcp;
+mod stdio;
+mod tcp;
 
 pub use handler::{Handler, QuotaConfig, Response, ServeConfig};
-pub use protocol::ErrorCode;
 pub use stdio::serve_handler;
 pub use tcp::{serve_tcp, TcpOptions, TcpServer};

@@ -14,16 +14,12 @@ use std::io::{self, BufRead, ErrorKind, Read};
 /// One bounded read: a complete line, an oversized one (already
 /// discarded through its terminating newline), or end of input.
 #[derive(Debug)]
-pub enum LineRead {
+pub(crate) enum LineRead {
     /// A complete line within the cap, `\n`/`\r\n` stripped.
     Line(String),
-    /// The line exceeded the cap; `discarded` counts the bytes dropped
-    /// (the whole line, including what was buffered before the cap
-    /// tripped). The reader is positioned after the line's `\n`.
-    TooLong {
-        /// Total bytes of the oversized line that were thrown away.
-        discarded: usize,
-    },
+    /// The line exceeded the cap and was dropped whole. The reader is
+    /// positioned after the line's `\n`.
+    TooLong,
     /// End of input (a final unterminated line within the cap is still
     /// returned as [`LineRead::Line`] first).
     Eof,
@@ -33,7 +29,7 @@ pub enum LineRead {
 /// `cap + 1` bytes in memory (`cap == 0` means unlimited, the historical
 /// behavior). Invalid UTF-8 is an [`ErrorKind::InvalidData`] error,
 /// matching [`BufRead::lines`].
-pub fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<LineRead> {
+pub(crate) fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<LineRead> {
     // The byte past the cap tells a line at the cap from a longer one.
     let limit = if cap == 0 { u64::MAX } else { cap as u64 + 1 };
     let mut buf = Vec::new();
@@ -41,8 +37,8 @@ pub fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<Li
     if buf.last() == Some(&b'\n') {
         buf.pop();
     } else if buf.len() as u64 == limit {
-        let discarded = buf.len() + discard_to_newline(reader)?;
-        return Ok(LineRead::TooLong { discarded });
+        discard_to_newline(reader)?;
+        return Ok(LineRead::TooLong);
     } else if buf.is_empty() {
         return Ok(LineRead::Eof);
     }
@@ -55,22 +51,19 @@ pub fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<Li
 }
 
 /// Consumes input up to and including the next `\n` (or EOF) without
-/// buffering it; returns the number of bytes thrown away.
-fn discard_to_newline<R: BufRead>(reader: &mut R) -> io::Result<usize> {
-    let mut discarded = 0;
+/// buffering it.
+fn discard_to_newline<R: BufRead>(reader: &mut R) -> io::Result<()> {
     loop {
         let chunk = reader.fill_buf()?;
         if chunk.is_empty() {
-            return Ok(discarded);
+            return Ok(());
         }
         match chunk.iter().position(|&b| b == b'\n') {
             Some(newline) => {
-                discarded += newline;
                 reader.consume(newline + 1);
-                return Ok(discarded);
+                return Ok(());
             }
             None => {
-                discarded += chunk.len();
                 let taken = chunk.len();
                 reader.consume(taken);
             }
@@ -89,7 +82,7 @@ mod tests {
         loop {
             match read_line_capped(&mut reader, cap).expect("read") {
                 LineRead::Line(l) => out.push(l),
-                LineRead::TooLong { discarded } => out.push(format!("<toolong {discarded}>")),
+                LineRead::TooLong => out.push("<toolong>".into()),
                 LineRead::Eof => return out,
             }
         }
@@ -118,14 +111,14 @@ mod tests {
     fn oversized_line_is_discarded_and_the_stream_resynchronizes() {
         let long = "z".repeat(50);
         let got = read_all(&format!("{long}\nafter\n"), 16);
-        assert_eq!(got, ["<toolong 50>", "after"]);
+        assert_eq!(got, ["<toolong>", "after"]);
     }
 
     #[test]
     fn oversized_unterminated_tail_still_reports() {
         // A peer that sends an endless line and hangs up mid-way.
         let got = read_all(&"q".repeat(40).to_string(), 8);
-        assert_eq!(got, ["<toolong 40>"]);
+        assert_eq!(got, ["<toolong>"]);
     }
 
     #[test]
@@ -137,7 +130,7 @@ mod tests {
             "c".repeat(10)
         );
         let got = read_all(&input, 16);
-        assert_eq!(got, ["a".repeat(10), "<toolong 30>".into(), "c".repeat(10)]);
+        assert_eq!(got, ["a".repeat(10), "<toolong>".into(), "c".repeat(10)]);
     }
 
     #[test]

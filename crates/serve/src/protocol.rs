@@ -42,8 +42,8 @@
 //! response shape: no `v`, no `id`, errors carry the historical `kind`
 //! strings (`request`/`parse`/`invalid`/`panic`/`timeout`) instead of
 //! codes. Conditions that postdate the legacy protocol (admission,
-//! quotas, drain) use their [`ErrorCode::legacy_kind`] names. The
-//! compat test suite pins both shapes.
+//! quotas, drain) get descriptive kinds of their own (`overloaded`,
+//! `quota`, `draining`). The compat test suite pins both shapes.
 
 use std::borrow::Cow;
 
@@ -112,7 +112,7 @@ impl ErrorCode {
     /// first five mirror the historical serve loop exactly; the
     /// admission-era conditions get descriptive names (the legacy
     /// protocol never produced them).
-    pub fn legacy_kind(self) -> &'static str {
+    pub(crate) fn legacy_kind(self) -> &'static str {
         match self {
             ErrorCode::BadRequest
             | ErrorCode::UnknownCommand
@@ -130,7 +130,7 @@ impl ErrorCode {
     }
 
     /// Maps a driver failure onto its wire code.
-    pub fn from_driver(err: &DriverError) -> ErrorCode {
+    pub(crate) fn from_driver(err: &DriverError) -> ErrorCode {
         match err {
             DriverError::Parse(_) => ErrorCode::ParseError,
             DriverError::Invalid(_) => ErrorCode::InvalidProgram,
@@ -155,7 +155,7 @@ pub struct Envelope {
 
 impl Envelope {
     /// The legacy envelope (bare-form request, anonymous tenant).
-    pub fn legacy() -> Envelope {
+    pub(crate) fn legacy() -> Envelope {
         Envelope {
             v1: false,
             id: Json::Null,

@@ -50,7 +50,7 @@ pub(crate) fn session<R: BufRead, W: Write>(
     loop {
         let response = match read {
             LineRead::Eof => return Ok(false),
-            LineRead::TooLong { .. } => Some(handler.reject_oversized_line()),
+            LineRead::TooLong => Some(handler.reject_oversized_line()),
             LineRead::Line(line) if line.trim().is_empty() => None,
             LineRead::Line(line) => Some(handler.handle_line_guarded(&line)),
         };

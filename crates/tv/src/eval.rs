@@ -55,7 +55,7 @@ impl Default for Budgets {
 
 /// Why symbolic evaluation stopped short of a final state.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EvalError {
+pub(crate) enum EvalError {
     /// A resource budget was exhausted; the validator degrades to the
     /// differential check.
     Budget(String),
@@ -76,7 +76,7 @@ impl std::fmt::Display for EvalError {
 
 /// The final symbolic memory image of one side.
 #[derive(Debug)]
-pub struct SymbolicState {
+pub(crate) struct SymbolicState {
     /// Current term of every touched cell, keyed by array and linear
     /// offset (reads memoize the input leaf; writes overwrite).
     cells: WordMap<(ArrayId, i64), TermId>,
@@ -91,7 +91,12 @@ pub struct SymbolicState {
 impl SymbolicState {
     /// The current term of cell `(a, off)`, interning the input leaf if
     /// the cell was never touched.
-    pub fn cell_term(&self, arena: &mut Arena, a: ArrayId, off: i64) -> Result<TermId, EvalError> {
+    pub(crate) fn cell_term(
+        &self,
+        arena: &mut Arena,
+        a: ArrayId,
+        off: i64,
+    ) -> Result<TermId, EvalError> {
         match self.cells.get(&(a, off)) {
             Some(&t) => Ok(t),
             None => arena.cell(a, off),
@@ -105,7 +110,7 @@ impl SymbolicState {
 ///
 /// Returns [`EvalError`] when a budget is exhausted or the program leaves
 /// the supported fragment (see [`EvalError::Unsupported`]).
-pub fn eval_scalar_program(
+pub(crate) fn eval_scalar_program(
     program: &Program,
     arena: &mut Arena,
     budgets: &Budgets,
@@ -124,7 +129,7 @@ pub fn eval_scalar_program(
 ///
 /// Returns [`EvalError`] when a budget is exhausted or the kernel leaves
 /// the supported fragment.
-pub fn eval_compiled_kernel(
+pub(crate) fn eval_compiled_kernel(
     kernel: &CompiledKernel,
     arena: &mut Arena,
     budgets: &Budgets,

@@ -9,12 +9,12 @@
 //! but a single point in the input space. This crate closes the gap with a
 //! small translation validator:
 //!
-//! 1. [`term`] — a hash-consed arena of *uninterpreted* terms. Operators
+//! 1. `term` — a hash-consed arena of *uninterpreted* terms. Operators
 //!    are formal symbols (`Add(a, b) ≠ Add(b, a)`): the theory admits
 //!    exactly the transformations SLP performs (reordering independent
 //!    statements, duplicating computations, copying cells) and nothing it
 //!    does not (reassociation, algebraic rewriting).
-//! 2. [`eval`] — a symbolic evaluator. Loop bounds are compile-time
+//! 2. `eval` — a symbolic evaluator. Loop bounds are compile-time
 //!    constants in this IR, so loop nests are walked concretely with
 //!    exact affine subscript evaluation (backed by `slp-analyze`'s
 //!    strided-interval pre-pass for early budget/bounds screening), while
@@ -52,12 +52,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod eval;
-pub mod term;
-pub mod validate;
+mod eval;
+mod term;
+mod validate;
 
-pub use eval::{Budgets, EvalError, SymbolicState};
-pub use term::{Arena, Term, TermId};
-pub use validate::{
-    compared_scalars, replay_counterexample, validate, Counterexample, ProofStats, Verdict,
-};
+pub use eval::Budgets;
+pub use validate::{replay_counterexample, validate, Counterexample, ProofStats, Verdict};

@@ -26,7 +26,7 @@ use crate::eval::EvalError;
 
 /// An interned term. Equality of ids is structural equality of terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TermId(u32);
+pub(crate) struct TermId(u32);
 
 impl TermId {
     fn index(self) -> usize {
@@ -36,7 +36,7 @@ impl TermId {
 
 /// One node of the value graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Term {
+pub(crate) enum Term {
     /// The initial (input) contents of one array cell, identified by the
     /// array and its row-major linear offset.
     Cell(ArrayId, i64),
@@ -85,7 +85,7 @@ pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// The hash-consing arena.
 #[derive(Debug)]
-pub struct Arena {
+pub(crate) struct Arena {
     terms: Vec<Term>,
     interned: WordMap<Term, TermId>,
     max_terms: usize,
@@ -93,7 +93,7 @@ pub struct Arena {
 
 impl Arena {
     /// An empty arena capped at `max_terms` distinct terms.
-    pub fn new(max_terms: usize) -> Self {
+    pub(crate) fn new(max_terms: usize) -> Self {
         Arena {
             terms: Vec::new(),
             interned: WordMap::default(),
@@ -102,17 +102,12 @@ impl Arena {
     }
 
     /// Number of distinct terms interned so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.terms.len()
     }
 
-    /// Whether the arena holds no terms.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// The term behind `id`.
-    pub fn term(&self, id: TermId) -> &Term {
+    pub(crate) fn term(&self, id: TermId) -> &Term {
         &self.terms[id.index()]
     }
 
@@ -133,17 +128,17 @@ impl Arena {
     }
 
     /// The input term of array cell `(a, offset)`.
-    pub fn cell(&mut self, a: ArrayId, offset: i64) -> Result<TermId, EvalError> {
+    pub(crate) fn cell(&mut self, a: ArrayId, offset: i64) -> Result<TermId, EvalError> {
         self.intern(Term::Cell(a, offset))
     }
 
     /// The input term of scalar `v`.
-    pub fn scalar(&mut self, v: VarId) -> Result<TermId, EvalError> {
+    pub(crate) fn scalar(&mut self, v: VarId) -> Result<TermId, EvalError> {
         self.intern(Term::Scalar(v))
     }
 
     /// The constant term of `c` (interned by bit pattern).
-    pub fn constant(&mut self, c: f64) -> Result<TermId, EvalError> {
+    pub(crate) fn constant(&mut self, c: f64) -> Result<TermId, EvalError> {
         self.intern(Term::Const(c.to_bits()))
     }
 
@@ -154,7 +149,7 @@ impl Arena {
     /// [`apply_shape`] — the *same* function both VM engines evaluate
     /// with, so folding can never diverge from execution. Everything else
     /// stays an uninterpreted application.
-    pub fn op(&mut self, shape: ExprShape, args: &[TermId]) -> Result<TermId, EvalError> {
+    pub(crate) fn op(&mut self, shape: ExprShape, args: &[TermId]) -> Result<TermId, EvalError> {
         if shape == ExprShape::Copy {
             return Ok(args[0]);
         }
@@ -183,7 +178,7 @@ impl Arena {
     /// `f64` precision), re-coercing to the same integer type is the
     /// identity (truncate-and-wrap is idempotent), and coercing a
     /// constant folds to the coerced constant.
-    pub fn coerce(&mut self, ty: ScalarType, t: TermId) -> Result<TermId, EvalError> {
+    pub(crate) fn coerce(&mut self, ty: ScalarType, t: TermId) -> Result<TermId, EvalError> {
         if ty.is_float() {
             return Ok(t);
         }
@@ -196,7 +191,7 @@ impl Arena {
 
     /// Collects the distinct input leaves ([`Term::Cell`] and
     /// [`Term::Scalar`]) reachable from `roots`, in first-visit order.
-    pub fn leaves(&self, roots: &[TermId]) -> Vec<Term> {
+    pub(crate) fn leaves(&self, roots: &[TermId]) -> Vec<Term> {
         let mut seen = vec![false; self.terms.len()];
         let mut stack: Vec<TermId> = roots.to_vec();
         let mut out = Vec::new();
@@ -218,7 +213,7 @@ impl Arena {
     /// Concretely evaluates `root` under an assignment of values to input
     /// leaves, memoized over the arena. Leaves missing from `assign` read
     /// as `0.0` (callers assign every leaf of the terms they evaluate).
-    pub fn eval(&self, root: TermId, assign: &HashMap<Term, f64>) -> f64 {
+    pub(crate) fn eval(&self, root: TermId, assign: &HashMap<Term, f64>) -> f64 {
         let mut memo: HashMap<TermId, f64> = HashMap::new();
         self.eval_memo(root, assign, &mut memo)
     }

@@ -363,7 +363,7 @@ pub fn replay_counterexample(
 /// by [`slp_ir::loop_local_scalars`], unrolling's own criterion, applied
 /// unconditionally: excluding a dead temp when no unrolling happened
 /// only makes the comparison (harmlessly) more conservative.
-pub fn compared_scalars(original: &Program) -> Vec<bool> {
+pub(crate) fn compared_scalars(original: &Program) -> Vec<bool> {
     let mut compared = vec![true; original.scalars().len()];
     for v in loop_local_scalars(original) {
         compared[v.index()] = false;

@@ -21,23 +21,7 @@ use crate::diag::{Diagnostic, LintCode, Report, Span};
 
 /// Reports every non-safe verdict of the kernel's memory-safety
 /// certificate as a `V505`/`V506` diagnostic.
-///
-/// # Examples
-///
-/// ```
-/// use slp_core::{compile, MachineConfig, SlpConfig, Strategy};
-///
-/// let program = slp_lang::compile(
-///     "kernel oob { array A: f64[8]; for i in 0..8 { A[i+1] = 2.0; } }",
-/// )?;
-/// let cfg = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Scalar);
-/// let kernel = compile(&program, &cfg);
-/// let report = slp_verify::check_certificate(&kernel);
-/// assert!(report.has(slp_verify::LintCode::ProvenFaultingAccess));
-/// assert!(!report.passes());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn check_certificate(kernel: &CompiledKernel) -> Report {
+pub(crate) fn check_certificate(kernel: &CompiledKernel) -> Report {
     let mut report = Report::new();
     for cert in &kernel.safety.accesses {
         let what = if cert.is_write {

@@ -60,7 +60,7 @@ pub fn check_differential(original: &Program, kernel: &CompiledKernel) -> Vec<Di
 /// separately so harnesses that already hold executed [`MachineState`]s
 /// (the bench harness, the oracle stress test) can route their
 /// equivalence assertions through the same validator.
-pub fn diff_states(
+pub(crate) fn diff_states(
     program: &Program,
     reference: &MachineState,
     candidate: &MachineState,

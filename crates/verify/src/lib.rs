@@ -16,7 +16,7 @@
 //! * [`check_differential`] — executes the scalar baseline and the
 //!   compiled kernel on identical seeded memory and diffs the final
 //!   arrays bit for bit (`V4xx`),
-//! * [`check_certificate`] — reports the kernel's memory-safety
+//! * `check_certificate` — reports the kernel's memory-safety
 //!   certificate: proven-faulting accesses are V505 errors, unproven
 //!   accesses V506 warnings,
 //! * [`lint_program`] — whole-program dataflow lints over the *source*
@@ -61,12 +61,10 @@ mod lints;
 mod packs;
 mod symbolic;
 
-pub use cert::check_certificate;
+use cert::check_certificate;
 use deps::check_dependences;
 pub use diag::{Diagnostic, LintCode, Report, Severity, Span};
-pub use differential::{
-    assert_states_equivalent, check_differential, check_engine_agreement, diff_states,
-};
+pub use differential::{assert_states_equivalent, check_differential, check_engine_agreement};
 use layout::check_layout;
 pub use lints::lint_program;
 use packs::check_packs;

@@ -54,8 +54,9 @@ use slp_ir::{
 
 use crate::code::{InstMetrics, SplatSrc, VInst, VReg};
 use crate::codegen::{lower_kernel_with, BlockCode};
-use crate::exec::{populate_replication, ExecError, Outcome, RunStats};
+use crate::exec::{populate_replication, Outcome, RunStats};
 use crate::memory::MachineState;
+use crate::ExecError;
 
 /// A register slot: base index into the flat register arena. Widths are
 /// carried by the consuming instruction (lane count, op width).
@@ -316,10 +317,10 @@ impl BytecodeKernel {
     ///
     /// Returns a typed [`ExecError`] when the generated code is
     /// malformed: a use of a never-defined register
-    /// ([`ExecErrorKind::UndefinedRegister`](crate::exec::ExecErrorKind)),
+    /// ([`ExecErrorKind::UndefinedRegister`](crate::ExecErrorKind)),
     /// or structural inconsistencies such as lane-width mismatches and
     /// out-of-range permutation indices
-    /// ([`ExecErrorKind::MalformedCode`](crate::exec::ExecErrorKind)).
+    /// ([`ExecErrorKind::MalformedCode`](crate::ExecErrorKind)).
     pub fn compile(
         kernel: &CompiledKernel,
         machine: &MachineConfig,
@@ -469,7 +470,7 @@ impl BytecodeKernel {
     /// Returns [`ExecError`] before anything runs when `state` was not
     /// allocated for this kernel's program (a different number of arrays
     /// or scalars, or an array of another length:
-    /// [`ExecErrorKind::MalformedCode`](crate::exec::ExecErrorKind)), and
+    /// [`ExecErrorKind::MalformedCode`](crate::ExecErrorKind)), and
     /// on out-of-bounds accesses.
     pub fn run_from(&self, mut state: MachineState) -> Result<Outcome, ExecError> {
         state.check_shape(&self.program)?;
@@ -1506,7 +1507,7 @@ mod tests {
                         insts: vec![VInst::Store {
                             src: VReg(7),
                             refs: Vec::new(),
-                            class: crate::code::AccessClass::Aligned,
+                            class: slp_core::AccessClass::Aligned,
                         }],
                         vectorized: false,
                         static_metrics: InstMetrics::default(),
@@ -1559,7 +1560,7 @@ mod tests {
 
     #[test]
     fn lane_runs_and_the_preheader_guard_are_decided_at_translation() {
-        use crate::code::AccessClass::Gather;
+        use slp_core::AccessClass::Gather;
         // The statements only supply certified references to build lanes
         // from: three reads of `A` and two `i32` stores.
         let p = slp_lang::compile(

@@ -91,7 +91,8 @@ pub(crate) fn apply_cross_iteration_reuse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::code::{AccessClass, VReg};
+    use crate::code::VReg;
+    use slp_core::AccessClass;
     use slp_ir::{AccessVector, AffineExpr, ArrayRef, Expr, ScalarType};
 
     fn setup() -> (Program, LoopHeader) {

@@ -23,8 +23,7 @@
 
 use std::fmt;
 
-use slp_core::CostParams;
-pub use slp_core::{AccessClass, LaneSink, ScalarPackClass};
+use slp_core::{AccessClass, CostParams, LaneSink, ScalarPackClass};
 use slp_ir::{ArrayRef, ExprShape, Statement, VarId};
 
 /// A virtual vector register.

@@ -16,9 +16,7 @@ use crate::code::{InstMetrics, SplatSrc, VInst};
 use crate::codegen::{lower_kernel, BlockCode};
 use crate::memory::MachineState;
 
-// The VM's runtime error is the workspace-wide typed one; re-exported
-// here so `slp_vm::exec::ExecError` keeps resolving.
-pub use slp_core::{ExecError, ExecErrorKind};
+use slp_core::ExecError;
 
 /// Counters of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

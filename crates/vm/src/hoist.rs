@@ -91,7 +91,7 @@ pub(crate) fn hoist_invariant_packs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::code::AccessClass;
+    use slp_core::AccessClass;
     use slp_ir::{AccessVector, AffineExpr, ArrayRef, Expr, ScalarType};
 
     fn setup() -> (Program, LoopHeader) {

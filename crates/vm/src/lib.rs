@@ -3,25 +3,25 @@
 //! The execution substrate standing in for the paper's Intel/AMD SSE2
 //! hardware. It has four layers:
 //!
-//! * [`code`]: a small vector instruction set ([`VInst`]) whose
+//! * `code`: a small vector instruction set ([`VInst`]) whose
 //!   instructions know their cycle costs and their contribution to the
 //!   §7 counters (dynamic instructions, memory operations,
 //!   packing/unpacking operations, permutations),
-//! * [`codegen`]: lowers a [`slp_core::BlockSchedule`] to vector code — the
+//! * `codegen`: lowers a [`slp_core::BlockSchedule`] to vector code — the
 //!   instruction-building sink of [`slp_core::emit_schedule`], the one walk
 //!   that decides pack reuse (direct reuse = free, permuted reuse = one
 //!   shuffle, otherwise load/gather) for the §4.3 estimate too — then
 //!   hoists, allocates registers and applies the §4.3 cost-model gate,
-//! * [`exec`]: an interpreter that actually *runs* the code on seeded
+//! * `exec`: an interpreter that actually *runs* the code on seeded
 //!   memory, so any vectorized build can be checked bit-for-bit against
 //!   the scalar build — an oracle the original paper did not have,
-//! * [`bytecode`]: the fast-path engine behind [`execute`] — a dense,
+//! * `bytecode`: the fast-path engine behind [`execute`] — a dense,
 //!   pre-resolved lowering of the same code (flat register slots, one
 //!   linear address form per certified access, fused superinstructions)
 //!   run directly on the flat memory image, bit-identical to the
-//!   [`exec`] reference interpreter at a fraction of the interpretation
+//!   `exec` reference interpreter at a fraction of the interpretation
 //!   cost,
-//! * [`multicore`]: the analytic model behind the Figure 21 multicore
+//! * `multicore`: the analytic model behind the Figure 21 multicore
 //!   scaling experiments.
 //!
 //! # Examples
@@ -49,27 +49,27 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bytecode;
+mod bytecode;
 mod carry;
-pub mod code;
-pub mod codegen;
-pub mod exec;
+mod code;
+mod codegen;
+mod exec;
 mod hoist;
-pub mod memory;
-pub mod multicore;
+mod memory;
+mod multicore;
 mod regalloc;
 
 pub use bytecode::BytecodeKernel;
-pub use code::{AccessClass, InstMetrics, LaneSink, ScalarPackClass, SplatSrc, VInst, VReg};
+pub use code::{InstMetrics, SplatSrc, VInst, VReg};
 pub use codegen::{lower_kernel, lower_kernel_with, BlockCode};
 pub use exec::{
     apply_shape, execute, execute_fully_checked, execute_gated, execute_gated_reference,
-    execute_reference, execute_reference_with_state, execute_with_state, run_scalar, ExecError,
-    ExecErrorKind, Outcome, RunStats,
+    execute_reference, execute_reference_with_state, execute_with_state, run_scalar, Outcome,
+    RunStats,
 };
-pub use memory::{check_memory_budget, seed_scalar, seed_value, MachineState, MEMORY_BUDGET_ELEMS};
+pub use memory::{seed_scalar, seed_value, MachineState};
 pub use multicore::{reduction_percent, MulticoreModel};
 
-// Re-export the machine descriptions for convenience: the VM and the
-// optimizer share them.
-pub use slp_core::{CostParams, MachineConfig};
+// The machine descriptions, the runtime error and the pack class in
+// `VInst`'s fields are slp-core's: the VM and the optimizer share them.
+pub use slp_core::{ExecError, ExecErrorKind, MachineConfig, ScalarPackClass};

@@ -15,7 +15,7 @@ use slp_ir::{ArrayId, Program, VarId};
 /// bench kernel while keeping adversarial inputs — `array A: f64[1 <<
 /// 60]` is a *legal* program — from aborting the process with an OOM
 /// instead of a typed error.
-pub const MEMORY_BUDGET_ELEMS: i64 = 1 << 26;
+pub(crate) const MEMORY_BUDGET_ELEMS: i64 = 1 << 26;
 
 /// Checks `program` against [`MEMORY_BUDGET_ELEMS`].
 ///
@@ -26,7 +26,7 @@ pub const MEMORY_BUDGET_ELEMS: i64 = 1 << 26;
 /// Returns a [`ResourceLimit`](slp_core::ExecErrorKind::ResourceLimit)
 /// error when the program's total declared array storage exceeds the
 /// budget.
-pub fn check_memory_budget(program: &Program) -> Result<(), ExecError> {
+pub(crate) fn check_memory_budget(program: &Program) -> Result<(), ExecError> {
     let total = program
         .arrays()
         .iter()
@@ -155,7 +155,7 @@ impl MachineState {
     }
 
     /// Reads element `offset` of array `a`.
-    pub fn load_array(&self, a: ArrayId, offset: usize) -> Option<f64> {
+    pub(crate) fn load_array(&self, a: ArrayId, offset: usize) -> Option<f64> {
         self.cells[self.span(a)?].get(offset).copied()
     }
 

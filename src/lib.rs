@@ -81,7 +81,7 @@ pub use slp_vm as vm;
 pub mod driver {
     pub use slp_driver::*;
     pub use slp_serve::{
-        protocol, serve_handler, serve_tcp, ErrorCode, Handler, QuotaConfig, ServeConfig,
+        protocol, protocol::ErrorCode, serve_handler, serve_tcp, Handler, QuotaConfig, ServeConfig,
         TcpOptions, TcpServer,
     };
 }
