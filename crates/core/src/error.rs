@@ -1,6 +1,5 @@
-//! The typed errors of the layers below the driver: [`ExecError`] for
-//! the VM and [`VerifyError`] for a rejecting [`Verifier`](crate::Verifier).
-//! The front-end error enum — parse, validation, safety, panic, budget —
+//! The typed error of the layers below the driver: [`ExecError`] for
+//! the VM. The front-end error enum — parse, validation, safety, panic, budget —
 //! is `slp_driver::DriverError`.
 
 use std::error::Error;
@@ -94,62 +93,6 @@ impl fmt::Display for ExecError {
 
 impl Error for ExecError {}
 
-/// A structured verification failure, produced by a
-/// [`Verifier`](crate::Verifier) rejecting a compiled kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifyError {
-    summary: String,
-    findings: Vec<String>,
-}
-
-impl VerifyError {
-    /// Builds an error from the rendered summary (typically a full
-    /// diagnostic report).
-    pub fn new(summary: impl Into<String>) -> Self {
-        VerifyError {
-            summary: summary.into(),
-            findings: Vec::new(),
-        }
-    }
-
-    /// Attaches the individual findings behind the summary.
-    pub fn with_findings(mut self, findings: Vec<String>) -> Self {
-        self.findings = findings;
-        self
-    }
-
-    /// The rendered summary.
-    pub fn summary(&self) -> &str {
-        &self.summary
-    }
-
-    /// The individual findings (may be empty when the producer only
-    /// rendered a summary).
-    pub fn findings(&self) -> &[String] {
-        &self.findings
-    }
-}
-
-impl fmt::Display for VerifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.summary)
-    }
-}
-
-impl Error for VerifyError {}
-
-impl From<String> for VerifyError {
-    fn from(summary: String) -> Self {
-        VerifyError::new(summary)
-    }
-}
-
-impl From<&str> for VerifyError {
-    fn from(summary: &str) -> Self {
-        VerifyError::new(summary)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,12 +116,5 @@ mod tests {
             "undefined-register"
         );
         assert_eq!(ExecErrorKind::MalformedCode.name(), "malformed-code");
-    }
-
-    #[test]
-    fn verify_error_keeps_findings() {
-        let e = VerifyError::new("2 errors").with_findings(vec!["a".into(), "b".into()]);
-        assert_eq!(e.findings().len(), 2);
-        assert_eq!(e.summary(), "2 errors");
     }
 }

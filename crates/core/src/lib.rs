@@ -23,15 +23,14 @@ pub use emit::{
     emit_schedule, estimate_scalar_cost, estimate_schedule_cost, scalar_stmt_cost, scalar_traffic,
     AccessClass, CostContext, EmitSink, LaneSink, LayoutView, ScalarPackClass,
 };
-pub use error::{ExecError, ExecErrorKind, VerifyError};
+pub use error::{ExecError, ExecErrorKind};
 pub use group::{group_block, group_block_with, Grouping, GroupingDecision};
 pub use layout::array::{eq4_map, Replication};
 pub use layout::scalar::ScalarLayout;
 pub use machine::{CostParams, MachineConfig};
 pub use pipeline::{
     compile, compile_passes, compile_timed, compile_within, estimate_kernel_cost, CompileStats,
-    CompiledKernel, HeuristicPacker, OptParams, PackOutcome, PackRequest, Packer, PackerHandle,
-    SlpConfig, Strategy, Verifier, VerifierHandle,
+    CompiledKernel, OptParams, PackOutcome, PackRequest, Packer, SlpConfig, Strategy,
 };
 pub use schedule::{schedule_block, schedule_in_program_order};
 pub use telemetry::{Phase, PhaseTimings};

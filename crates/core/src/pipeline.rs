@@ -6,6 +6,8 @@
 //! program plus a per-block schedule, a scalar memory layout and the array
 //! replications, ready for the `slp-vm` code generator and interpreter.
 
+use std::sync::Arc;
+
 use slp_ir::{
     unroll_program, BlockDeps, BlockId, BlockInfo, Dest, LoopHeader, Program, StmtId, TypeEnv,
 };
@@ -16,7 +18,6 @@ use slp_analyze::{RangeOracle, SafetyCert};
 use crate::baseline::{baseline_block, baseline_groups};
 use crate::deadline::{Deadline, Expired};
 use crate::emit::{estimate_scalar_cost, estimate_schedule_cost, CostContext, LayoutView};
-use crate::error::VerifyError;
 use crate::group::group_block_under;
 use crate::layout::array::{optimize_array_layout, Replication};
 use crate::layout::collect_pack_uses;
@@ -125,75 +126,6 @@ impl std::str::FromStr for Strategy {
     }
 }
 
-/// A post-compile verification pass: given the original program and the
-/// finished kernel, either accept it or return a structured
-/// [`VerifyError`].
-///
-/// [`compile`] calls the installed verifier once on its final output
-/// (after the Global+Layout dual arbitration picked a winner) and panics
-/// with the rendered error if it rejects. The `slp-verify` crate provides
-/// one implementation (`pipeline_hook`, the static checks); the trait
-/// lives here so `slp-core` does not depend on the checker.
-///
-/// The trait is object-safe, and any
-/// `Fn(&Program, &CompiledKernel) -> Result<(), VerifyError>` closure or
-/// fn item implements it via the blanket impl, so plain functions keep
-/// working unchanged:
-///
-/// ```ignore
-/// let cfg = SlpConfig::for_machine(machine, Strategy::Holistic)
-///     .with_verifier(slp_verify::pipeline_hook);
-/// ```
-pub trait Verifier: Send + Sync {
-    /// Checks the finished kernel against the original program.
-    fn verify(&self, program: &Program, kernel: &CompiledKernel) -> Result<(), VerifyError>;
-
-    /// A short display name for diagnostics.
-    fn name(&self) -> &str {
-        "verifier"
-    }
-}
-
-impl<F> Verifier for F
-where
-    F: Fn(&Program, &CompiledKernel) -> Result<(), VerifyError> + Send + Sync,
-{
-    fn verify(&self, program: &Program, kernel: &CompiledKernel) -> Result<(), VerifyError> {
-        self(program, kernel)
-    }
-}
-
-/// A shared, cloneable handle to an installed [`Verifier`].
-///
-/// [`SlpConfig`] stores the verifier behind this newtype so the config
-/// stays `Clone` (and `Debug`) while the verifier itself only needs to be
-/// a trait object.
-#[derive(Clone)]
-pub struct VerifierHandle(std::sync::Arc<dyn Verifier>);
-
-impl VerifierHandle {
-    /// Wraps a verifier in a shared handle.
-    pub fn new(verifier: impl Verifier + 'static) -> Self {
-        VerifierHandle(std::sync::Arc::new(verifier))
-    }
-
-    /// Runs the wrapped verifier.
-    pub fn verify(&self, program: &Program, kernel: &CompiledKernel) -> Result<(), VerifyError> {
-        self.0.verify(program, kernel)
-    }
-
-    /// The wrapped verifier's display name.
-    pub fn name(&self) -> &str {
-        self.0.name()
-    }
-}
-
-impl std::fmt::Debug for VerifierHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "VerifierHandle({})", self.0.name())
-    }
-}
-
 /// Anytime budgets for the [`Strategy::Optimal`] packing solver.
 ///
 /// Both budgets are disabled-at-zero: `deadline_ms == 0` means no wall
@@ -280,8 +212,8 @@ pub struct PackOutcome {
 /// a warm-start incumbent; a correct implementation returns either that
 /// incumbent or something it costed strictly cheaper, so `Optimal` can
 /// never regress the heuristic. The `slp-opt` crate provides the real
-/// branch-and-bound implementation; [`HeuristicPacker`] is the trivial
-/// default that returns the incumbent unchanged.
+/// branch-and-bound implementation; with none installed, `Optimal` ships
+/// the incumbent unchanged.
 pub trait Packer: Send + Sync {
     /// Packs one block, improving on (or keeping) the incumbent.
     fn pack(&self, req: &PackRequest<'_>) -> PackOutcome;
@@ -292,55 +224,9 @@ pub trait Packer: Send + Sync {
     }
 }
 
-/// The default [`Packer`]: returns the heuristic incumbent unchanged,
-/// proving nothing (`lower_bound = 0`, `degraded = true`). This is what
-/// [`Strategy::Optimal`] runs when no solver is installed, making the
-/// strategy safe to request even without the `slp-opt` crate linked.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeuristicPacker;
-
-impl Packer for HeuristicPacker {
-    fn pack(&self, req: &PackRequest<'_>) -> PackOutcome {
-        PackOutcome {
-            schedule: req.incumbent.clone(),
-            cost: req.incumbent_cost,
-            lower_bound: 0.0,
-            nodes: 0,
-            degraded: true,
-        }
-    }
-
-    fn name(&self) -> &str {
-        "heuristic"
-    }
-}
-
-/// A shared, cloneable handle to an installed [`Packer`] — the same
-/// shape as [`VerifierHandle`], for the same reason: [`SlpConfig`]
-/// stays `Clone` and `Debug` while the packer is a trait object.
-#[derive(Clone)]
-pub struct PackerHandle(std::sync::Arc<dyn Packer>);
-
-impl PackerHandle {
-    /// Wraps a packer in a shared handle.
-    pub fn new(packer: impl Packer + 'static) -> Self {
-        PackerHandle(std::sync::Arc::new(packer))
-    }
-
-    /// Runs the wrapped packer.
-    pub fn pack(&self, req: &PackRequest<'_>) -> PackOutcome {
-        self.0.pack(req)
-    }
-
-    /// The wrapped packer's display name.
-    pub fn name(&self) -> &str {
-        self.0.name()
-    }
-}
-
-impl std::fmt::Debug for PackerHandle {
+impl std::fmt::Debug for dyn Packer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PackerHandle({})", self.0.name())
+        write!(f, "Packer({})", self.name())
     }
 }
 
@@ -370,16 +256,14 @@ pub struct SlpConfig {
     /// Every disproof removes a false dependence edge and is counted in
     /// [`CompileStats::deps_refuted`]. Off by default.
     pub refine_deps: bool,
-    /// Post-compile verification pass; `None` (the default) skips
-    /// verification. See [`Verifier`].
-    pub verify: Option<VerifierHandle>,
     /// Anytime budgets for the [`Strategy::Optimal`] solver. Ignored by
     /// every other strategy.
     pub opt: OptParams,
     /// The packing engine [`Strategy::Optimal`] runs; `None` (the
-    /// default) falls back to [`HeuristicPacker`]. The `slp-driver`
-    /// front-ends install the `slp-opt` branch-and-bound solver here.
-    pub packer: Option<PackerHandle>,
+    /// default) ships the holistic heuristic's schedule, proving nothing.
+    /// The `slp-driver` front-ends install the `slp-opt` branch-and-bound
+    /// solver here.
+    pub packer: Option<Arc<dyn Packer>>,
 }
 
 impl SlpConfig {
@@ -394,7 +278,6 @@ impl SlpConfig {
             weights: WeightParams::default(),
             cross_iteration_reuse: false,
             refine_deps: false,
-            verify: None,
             opt: OptParams::default(),
             packer: None,
         }
@@ -413,17 +296,9 @@ impl SlpConfig {
         self
     }
 
-    /// Installs a post-compile verification pass. Accepts any
-    /// [`Verifier`] — including plain functions and closures of shape
-    /// `Fn(&Program, &CompiledKernel) -> Result<(), VerifyError>`.
-    pub fn with_verifier(mut self, verifier: impl Verifier + 'static) -> Self {
-        self.verify = Some(VerifierHandle::new(verifier));
-        self
-    }
-
     /// Installs a packing engine for [`Strategy::Optimal`].
     pub fn with_packer(mut self, packer: impl Packer + 'static) -> Self {
-        self.packer = Some(PackerHandle::new(packer));
+        self.packer = Some(Arc::new(packer));
         self
     }
 
@@ -526,8 +401,8 @@ impl CompiledKernel {
 ///
 /// Panics if an optimizer produces a schedule violating the §4.1 validity
 /// constraints — an internal invariant, exercised heavily by the test
-/// suite — or if an installed [`SlpConfig::verify`] hook rejects the
-/// finished kernel.
+/// suite. Checking the finished kernel is the caller's step
+/// (`slp_verify::verify_kernel`, or the driver's `VerifyLevel`).
 pub fn compile(program: &Program, config: &SlpConfig) -> CompiledKernel {
     compile_timed(program, config).0
 }
@@ -547,10 +422,8 @@ pub fn compile_timed(program: &Program, config: &SlpConfig) -> (CompiledKernel, 
 /// checks it at the top of every block, between a block's grouping
 /// proposals, once per §4.2.2 grouping round, per solver node (through
 /// [`PackRequest::stop_at`]) and before stage 2, and gives up with
-/// [`Expired`] at the first checkpoint past it. An installed
-/// [`SlpConfig::verify`] hook is not interrupted; the caller checks the
-/// deadline when this returns. With no deadline this *is*
-/// [`compile_timed`], panics included.
+/// [`Expired`] at the first checkpoint past it. With no deadline this
+/// *is* [`compile_timed`], panics included.
 pub fn compile_within(
     program: &Program,
     config: &SlpConfig,
@@ -565,16 +438,6 @@ pub fn compile_within(
         &[false]
     };
     let kernel = compile_passes(program, config, passes, deadline, &mut timings)?;
-    if let Some(hook) = &config.verify {
-        let verdict = timings.time(Phase::Verify, || hook.verify(program, &kernel));
-        if let Err(report) = verdict {
-            panic!(
-                "verification rejected '{}' under the {} strategy:\n{report}",
-                program.name(),
-                config.strategy.label()
-            );
-        }
-    }
     Ok((kernel, timings))
 }
 
@@ -736,7 +599,14 @@ pub fn compile_passes(
                 };
                 let outcome = timings.time(Phase::Solve, || match &config.packer {
                     Some(p) => p.pack(&req),
-                    None => HeuristicPacker.pack(&req),
+                    // No solver installed: the incumbent ships, proving nothing.
+                    None => PackOutcome {
+                        schedule: incumbent.clone(),
+                        cost: incumbent_cost,
+                        lower_bound: 0.0,
+                        nodes: 0,
+                        degraded: true,
+                    },
                 });
                 pass.opt_nodes += outcome.nodes;
                 pass.opt_degraded |= outcome.degraded;
@@ -1031,6 +901,25 @@ mod tests {
         let k = compile(&program(), &cfg);
         assert_eq!(k.stats.stmts, 32, "f64 at 512 bits unrolls 8x");
     }
+
+    /// With no packer installed, `Optimal` ships the heuristic's
+    /// incumbent and proves nothing about it.
+    #[test]
+    fn optimal_without_a_packer_ships_the_heuristic_unproven() {
+        for layout in [false, true] {
+            let cfg = |strategy| SlpConfig {
+                layout,
+                ..SlpConfig::for_machine(MachineConfig::intel_dunnington(), strategy)
+            };
+            let optimal = compile(&program(), &cfg(Strategy::Optimal));
+            let holistic = compile(&program(), &cfg(Strategy::Holistic));
+            assert!(estimate_kernel_cost(&optimal) > 0.0);
+            assert_eq!(optimal.schedules, holistic.schedules, "layout {layout}");
+            assert_eq!(optimal.stats.opt_nodes, 0);
+            assert!(optimal.stats.opt_degraded);
+            assert_eq!(optimal.stats.opt_gap_ppm, 1_000_000);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1122,61 +1011,5 @@ mod arbitration_tests {
             assert_eq!(s.to_string(), s.cli_name());
         }
         assert!("bogus".parse::<Strategy>().is_err());
-    }
-}
-
-#[cfg(test)]
-mod verifier_tests {
-    use super::*;
-    use crate::error::VerifyError;
-
-    fn program() -> Program {
-        slp_lang::compile("kernel k { array A: f64[8]; for i in 0..8 { A[i] = A[i] + 1.0; } }")
-            .expect("compiles")
-    }
-
-    fn accepting(_: &Program, _: &CompiledKernel) -> Result<(), VerifyError> {
-        Ok(())
-    }
-
-    fn rejecting(_: &Program, _: &CompiledKernel) -> Result<(), VerifyError> {
-        Err(VerifyError::new("synthetic rejection"))
-    }
-
-    #[test]
-    fn fn_items_implement_verifier_via_the_blanket_impl() {
-        let cfg = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic)
-            .with_verifier(accepting);
-        assert!(cfg.verify.is_some());
-        let k = compile(&program(), &cfg);
-        assert!(k.stats.stmts > 0);
-        // The handle (and thus the config) stays cloneable.
-        let cloned = cfg.clone();
-        assert!(cloned.verify.is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "synthetic rejection")]
-    fn rejecting_verifier_panics_with_the_report() {
-        let cfg = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic)
-            .with_verifier(rejecting);
-        compile(&program(), &cfg);
-    }
-
-    #[test]
-    fn trait_objects_install_too() {
-        struct Always;
-        impl Verifier for Always {
-            fn verify(&self, _: &Program, _: &CompiledKernel) -> Result<(), VerifyError> {
-                Ok(())
-            }
-            fn name(&self) -> &str {
-                "always"
-            }
-        }
-        let cfg = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Baseline)
-            .with_verifier(Always);
-        assert_eq!(cfg.verify.as_ref().expect("installed").name(), "always");
-        compile(&program(), &cfg);
     }
 }

@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 
 /// The pipeline phases whose wall time is tracked individually.
 ///
-/// The phases mirror the paper's Figure 3 structure plus the
-/// post-compile verification hook: pre-processing (loop unrolling, then
+/// The phases mirror the paper's Figure 3 structure plus post-compile
+/// verification: pre-processing (loop unrolling, then
 /// the dependence/alignment analysis), the holistic optimizer
 /// (statement grouping, statement scheduling), the §5 data layout
 /// stage, and verification.
@@ -45,7 +45,8 @@ pub enum Phase {
     /// accesses (the V505/V506 evidence and the bytecode engine's
     /// license to elide bounds checks).
     Safety,
-    /// The post-compile verification hook, when installed.
+    /// Post-compile verification of the finished kernel, timed by the
+    /// driver when its verify level asks for one.
     Verify,
 }
 

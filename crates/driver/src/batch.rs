@@ -4,8 +4,8 @@
 //! A batch shards its requests across a scoped worker pool. Each request
 //! compiles inside a guard ([`compile_guarded`]) on the thread that asked:
 //!
-//! * a panicking compile (an optimizer invariant violation, a rejecting
-//!   verify hook) is caught by `catch_unwind` and reported as
+//! * a panicking compile (an optimizer invariant violation, a panicking
+//!   installed packer) is caught by `catch_unwind` and reported as
 //!   [`DriverError::Panic`] without printing a backtrace or taking the
 //!   worker down, and
 //! * a time budget is a cooperative deadline: the first checkpoint past
@@ -14,9 +14,9 @@
 //!   pipeline (listed at [`slp_core::compile_within`]), after it, and
 //!   after each verification step. The budget bounds those stages to the
 //!   next checkpoint; it does not pre-empt code it cannot see into: a
-//!   caller-installed [`slp_core::SlpConfig::verify`] hook and the
-//!   differential VM runs (`verify: "full"`, the `prove` fallback) hold
-//!   the calling thread until they return and are checked then.
+//!   caller-installed packer that ignores [`slp_core::PackRequest::stop_at`]
+//!   and the differential VM runs (`verify: "full"`, the `prove` fallback)
+//!   hold the calling thread until they return and are checked then.
 //!
 //! With [`BatchConfig::degrade`] set (the default), a panicked or
 //! timed-out kernel is recompiled under [`Strategy::Scalar`] with the
@@ -104,7 +104,7 @@ pub fn compile_keyed(
 /// Runs [`crate::compile_uncached`] under `catch_unwind`.
 fn guarded(req: &CompileRequest, budget_ms: Option<u64>) -> Result<CachedCompile, DriverError> {
     install_panic_silencer();
-    // Restored, not cleared: a verify hook may itself compile guarded.
+    // Restored, not cleared: an installed packer may itself compile guarded.
     let outer = GUARDED.replace(true);
     let result = panic::catch_unwind(AssertUnwindSafe(|| crate::compile_uncached(req, budget_ms)));
     GUARDED.set(outer);
@@ -160,10 +160,9 @@ fn scalar_fallback(req: &CompileRequest) -> CompileRequest {
     let mut fallback = req.clone();
     fallback.config.strategy = Strategy::Scalar;
     fallback.config.layout = false;
-    // The fallback must exercise as little machinery as possible — in
-    // particular not a custom verify hook, which may be the very thing
-    // that panicked or hung.
-    fallback.config.verify = None;
+    // The fallback must exercise as little machinery as possible: the
+    // scalar strategy never calls an installed packer, which may be the
+    // very thing that panicked or hung.
     fallback
 }
 
@@ -263,20 +262,23 @@ pub fn compile_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slp_core::{CompiledKernel, MachineConfig, SlpConfig, VerifyError};
-    use slp_ir::Program;
+    use slp_core::{MachineConfig, PackOutcome, PackRequest, Packer, SlpConfig};
 
-    fn rejecting(_: &Program, _: &CompiledKernel) -> Result<(), VerifyError> {
-        Err(VerifyError::from("rejected"))
+    struct Panicking;
+
+    impl Packer for Panicking {
+        fn pack(&self, _: &PackRequest<'_>) -> PackOutcome {
+            panic!("rejected")
+        }
     }
 
     #[test]
     fn a_caught_panic_leaves_the_thread_unguarded_and_usable() {
-        let config = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic);
+        let config = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Optimal);
         let mut req = CompileRequest {
             name: "k".to_string(),
             source: "kernel k { array A: f64[8]; for i in 0..8 { A[i] = 2.0; } }".to_string(),
-            config: config.clone().with_verifier(rejecting),
+            config: config.clone().with_packer(Panicking),
             verify: crate::VerifyLevel::None,
         };
         let caught = compile_guarded(&req, None, None);

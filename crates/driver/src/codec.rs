@@ -20,14 +20,11 @@
 //! than public fields and implement [`Field`] by hand, schema text
 //! included.
 //!
-//! The two lossy spots are [`SlpConfig::verify`] and
-//! [`SlpConfig::packer`]: trait objects have no serialized form, so
-//! decoded configs carry `None` for both. The driver never relies on
-//! either hook of a cached kernel — it re-runs verification itself and
-//! caches the resulting report beside the kernel, and a cached kernel's
-//! schedule already embodies whatever the packer decided (the solver's
-//! anytime budgets, which *are* semantic inputs, round-trip as plain
-//! numbers).
+//! The one lossy spot is [`SlpConfig::packer`]: a trait object has no
+//! serialized form, so decoded configs carry `None`. The driver never
+//! relies on the packer of a cached kernel — its schedule already
+//! embodies whatever the packer decided (the solver's anytime budgets,
+//! which *are* semantic inputs, round-trip as plain numbers).
 
 use std::sync::OnceLock;
 
@@ -120,8 +117,7 @@ record!(keyed SlpConfig {
     "refine_deps" = refine_deps: bool,
     "opt" = opt: OptParams,
 } with {
-    // Trait objects have no serialized form; see module docs.
-    verify: None,
+    // A trait object has no serialized form; see module docs.
     packer: None,
 });
 

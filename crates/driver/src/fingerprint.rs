@@ -23,12 +23,10 @@
 //!   (see [`crate::record`]), so a knob the payload carries can never be
 //!   missing from the key.
 //!
-//! The [`SlpConfig::verify`] hook is deliberately *excluded* (it is not
-//! a declared field): it cannot change the produced kernel, only panic
-//! on a bad one. The [`SlpConfig::packer`] handle is likewise excluded —
-//! the driver always installs the same solver for `Strategy::Optimal`,
-//! and the solver's *budgets* (which do change the packing) are declared
-//! fields. The driver's own verification level is keyed separately (it
+//! The [`SlpConfig::packer`] is deliberately *excluded* (it is not a
+//! declared field): the driver always installs the same solver for
+//! `Strategy::Optimal`, and the solver's *budgets* (which do change the
+//! packing) are declared fields. The driver's own verification level is keyed separately (it
 //! changes the cached `Report`), via [`fingerprint_with_tag`].
 
 use std::fmt;
@@ -276,9 +274,9 @@ mod tests {
     }
 
     #[test]
-    fn verify_hook_does_not_change_the_key() {
+    fn an_installed_packer_does_not_change_the_key() {
         let src = "kernel k { array A: f64[8]; for i in 0..8 { A[i] = A[i] + 1.0; } }";
-        let hooked = base_config().with_verifier(slp_verify::pipeline_hook);
-        assert_eq!(fingerprint(src, &hooked), fingerprint(src, &base_config()));
+        let packed = base_config().with_packer(slp_opt::OptimalPacker);
+        assert_eq!(fingerprint(src, &packed), fingerprint(src, &base_config()));
     }
 }

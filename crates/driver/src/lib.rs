@@ -302,7 +302,7 @@ pub enum DriverError {
     /// never empty. `slpd` answers `S114`, `slpc` renders `error[V505]`.
     Unsafe(Vec<slp_core::AccessCert>),
     /// The pipeline panicked (optimizer invariant violation or a
-    /// rejecting verify hook); the payload is the panic message.
+    /// panicking installed packer); the payload is the panic message.
     Panic(String),
     /// The compile exceeded its time budget (milliseconds carried).
     Timeout(u64),
@@ -342,8 +342,8 @@ impl std::error::Error for DriverError {}
 ///
 /// # Panics
 ///
-/// Propagates pipeline panics (invalid schedules, rejecting
-/// [`SlpConfig::verify`] hooks).
+/// Propagates pipeline panics (invalid schedules, a panicking installed
+/// [`SlpConfig::packer`]).
 pub fn compile_source(
     req: &CompileRequest,
     cache: Option<&CompileCache>,
@@ -439,7 +439,7 @@ pub(crate) fn compile_uncached(
 
     // `Strategy::Optimal` needs a solver behind the `Packer` trait; the
     // driver installs `slp-opt`'s branch-and-bound unless the caller
-    // already supplied one. The handle is excluded from the fingerprint
+    // already supplied one. The packer is excluded from the fingerprint
     // (the budgets, which do change the packing, are keyed as fields),
     // so installing it here cannot fork the cache key.
     let config;

@@ -340,34 +340,39 @@ fn repeat_corpus_run_hits_at_least_ninety_percent() {
 
 #[test]
 fn degraded_scalar_fallback_never_poisons_the_requested_key() {
-    // The verify hook is excluded from the fingerprint (it cannot change
-    // the produced kernel, only panic on a bad one), so a hooked and an
-    // unhooked Holistic request share a cache key. If the batch driver
-    // ever cached the Strategy::Scalar fallback of a panicked compile
-    // under the *requested* key, a later clean compile of the same source
-    // would silently be served a scalar kernel. Pin down that it does
-    // not: the fallback lands under its own (scalar) fingerprint only.
-    use slp_core::VerifyError;
+    // An installed packer is excluded from the fingerprint (the driver
+    // installs the same solver whenever none is), so a request carrying a
+    // panicking packer and a plain Optimal request share a cache key. If
+    // the batch driver ever cached the Strategy::Scalar fallback of a
+    // panicked compile under the *requested* key, a later clean compile
+    // of the same source would silently be served a scalar kernel. Pin
+    // down that it does not: the fallback lands under its own (scalar)
+    // fingerprint only.
+    use slp_core::{PackOutcome, PackRequest, Packer};
     use slp_driver::{compile_batch, BatchConfig};
 
-    fn rejecting(_: &slp_ir::Program, _: &slp_core::CompiledKernel) -> Result<(), VerifyError> {
-        // `compile` panics with the report when a hook rejects; under the
-        // batch guard that surfaces as DriverError::Panic and triggers
-        // the scalar degradation path.
-        Err(VerifyError::new("injected rejection"))
+    struct Panicking;
+
+    impl Packer for Panicking {
+        fn pack(&self, _: &PackRequest<'_>) -> PackOutcome {
+            // Under the batch guard this surfaces as DriverError::Panic
+            // and triggers the scalar degradation path.
+            panic!("injected rejection")
+        }
     }
 
+    let optimal = || SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Optimal);
     let cache = CompileCache::in_memory(64);
-    let hooked = request(SRC, holistic().with_verifier(rejecting));
-    let requested_fp = hooked.fingerprint();
+    let panicking = request(SRC, optimal().with_packer(Panicking));
+    let requested_fp = panicking.fingerprint();
     assert_eq!(
         requested_fp,
-        request(SRC, holistic()).fingerprint(),
-        "precondition: the hook must not be part of the key"
+        request(SRC, optimal()).fingerprint(),
+        "precondition: the packer must not be part of the key"
     );
 
     let outcomes = compile_batch(
-        std::slice::from_ref(&hooked),
+        std::slice::from_ref(&panicking),
         Some(&cache),
         &BatchConfig {
             threads: 1,
@@ -378,7 +383,7 @@ fn degraded_scalar_fallback_never_poisons_the_requested_key() {
     let outcome = &outcomes[0];
     assert!(
         outcome.degraded.is_some(),
-        "the hooked compile must degrade"
+        "the panicking compile must degrade"
     );
     let fallback = outcome.result.as_ref().expect("scalar fallback compiles");
     assert_eq!(fallback.kernel.config.strategy, Strategy::Scalar);
@@ -388,8 +393,8 @@ fn degraded_scalar_fallback_never_poisons_the_requested_key() {
     );
 
     // The requested configuration's key must still be vacant...
-    let clean = compile_source(&request(SRC, holistic()), Some(&cache)).expect("clean compile");
+    let clean = compile_source(&request(SRC, optimal()), Some(&cache)).expect("clean compile");
     assert_eq!(clean.cache, CacheDisposition::Compiled, "poisoned key");
     // ...and serve the requested strategy, not the degraded fallback.
-    assert_eq!(clean.kernel.config.strategy, Strategy::Holistic);
+    assert_eq!(clean.kernel.config.strategy, Strategy::Optimal);
 }

@@ -3,7 +3,7 @@
 //!
 //! Every check in this crate reports through [`Diagnostic`] rather than
 //! panicking, so a caller (the `slpc check` subcommand, the bench
-//! harness, the pipeline hook) can decide what a finding means for it:
+//! harness, the driver's verify levels) can decide what a finding means for it:
 //! errors are soundness violations, warnings are legal-but-suspect
 //! constructs the cost model should have avoided.
 

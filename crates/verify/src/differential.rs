@@ -16,9 +16,6 @@ use crate::diag::{Diagnostic, LintCode, Span};
 
 /// Compiles and runs the scalar baseline of `original`, runs `kernel`,
 /// and diffs the final memories.
-///
-/// The scalar compile uses a fresh [`SlpConfig`] with no verification
-/// hook, so a hook installed on the kernel's own config cannot recurse.
 pub fn check_differential(original: &Program, kernel: &CompiledKernel) -> Vec<Diagnostic> {
     let machine = &kernel.config.machine;
     let scalar_cfg = SlpConfig::for_machine(machine.clone(), Strategy::Scalar);

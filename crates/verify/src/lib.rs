@@ -28,10 +28,7 @@
 //!   the differential check on budget exhaustion (`V6xx`).
 //!
 //! [`verify_kernel`] bundles the static checks over one extraction of the
-//! kernel's blocks; [`verify_with_execution`] adds the differential run.
-//! [`pipeline_hook`] adapts the static checks to the
-//! [`SlpConfig::verify`] slot so every `slp_core::compile` call can
-//! self-check:
+//! kernel's blocks; [`verify_with_execution`] adds the differential run:
 //!
 //! ```
 //! use slp_core::{compile, MachineConfig, SlpConfig, Strategy};
@@ -40,9 +37,8 @@
 //!     "kernel axpy { array X: f64[64]; array Y: f64[64]; scalar a: f64;
 //!      for i in 0..64 { Y[i] = Y[i] + a * X[i]; } }",
 //! )?;
-//! let cfg = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic)
-//!     .with_verifier(slp_verify::pipeline_hook);
-//! let kernel = compile(&program, &cfg); // panics if verification fails
+//! let cfg = SlpConfig::for_machine(MachineConfig::intel_dunnington(), Strategy::Holistic);
+//! let kernel = compile(&program, &cfg);
 //! let report = slp_verify::verify_with_execution(&program, &kernel);
 //! assert!(report.passes());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -70,9 +66,7 @@ pub use lints::lint_program;
 use packs::check_packs;
 pub use symbolic::prove_kernel;
 
-#[cfg(doc)]
-use slp_core::SlpConfig;
-use slp_core::{CompiledKernel, VerifyError};
+use slp_core::CompiledKernel;
 use slp_ir::Program;
 
 /// Runs all static checkers (dependences, packs, layout, memory-safety
@@ -93,21 +87,4 @@ pub fn verify_with_execution(original: &Program, kernel: &CompiledKernel) -> Rep
     let mut report = verify_kernel(kernel);
     report.extend(check_differential(original, kernel));
     report
-}
-
-/// Adapter for [`SlpConfig::verify`]: runs the static checkers and
-/// reports a structured [`VerifyError`] (carrying the rendered
-/// diagnostics) if any has error severity. Warnings do not fail the
-/// compile.
-pub fn pipeline_hook(_original: &Program, kernel: &CompiledKernel) -> Result<(), VerifyError> {
-    report_to_result(verify_kernel(kernel))
-}
-
-fn report_to_result(report: Report) -> Result<(), VerifyError> {
-    if report.passes() {
-        Ok(())
-    } else {
-        let findings = report.diagnostics.iter().map(|d| d.to_string()).collect();
-        Err(VerifyError::new(report.to_string()).with_findings(findings))
-    }
 }

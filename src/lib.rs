@@ -20,7 +20,9 @@
 //!   the range-refined dependence oracle, whole-program lints
 //! * [`core`] — grouping, scheduling, baselines, cost model, layout
 //! * [`opt`] — exact statement packing: 0-1 ILP branch-and-bound behind
-//!   the `Packer` trait (`Strategy::Optimal`)
+//!   the `Packer` trait, `SlpConfig`'s one plug-in point
+//!   (`Strategy::Optimal`; with no packer installed it ships the
+//!   heuristic's schedule)
 //! * [`vm`] — vector code generation and the simulated machines
 //! * [`suite`] — the Table 3 benchmark kernels and a program generator
 //! * [`tv`] — symbolic translation validation: prove scalar ≡ vectorized
@@ -112,12 +114,19 @@ pub mod driver {
 /// appear here, but the meaning and signatures of the existing ones are
 /// stable across the workspace's internal refactors (the bytecode
 /// execution engine replaced the tree-walking interpreter underneath
-/// [`execute`] without any change visible through this module).
+/// [`execute`] without any change visible through this module). One
+/// change broke that rule: `SlpConfig` dropped its post-compile verify
+/// hook, keeping `Packer` as its one extension point, and five items
+/// left this module with it (README, "The stable API", names each).
+/// Check a finished kernel with `slp::verify::verify_kernel` or a
+/// request's `VerifyLevel` and read the `Report`; `SlpConfig::packer`
+/// is an `Option<Arc<dyn Packer>>`, and leaving it `None` makes
+/// `Strategy::Optimal` ship the heuristic's schedule, proving nothing.
 pub mod prelude {
     pub use slp_core::{
         compile, compile_timed, estimate_kernel_cost, CompileStats, CompiledKernel, ExecError,
-        ExecErrorKind, HeuristicPacker, MachineConfig, OptParams, PackOutcome, PackRequest, Packer,
-        PackerHandle, SlpConfig, Strategy, Verifier, VerifierHandle, VerifyError,
+        ExecErrorKind, MachineConfig, OptParams, PackOutcome, PackRequest, Packer, SlpConfig,
+        Strategy,
     };
     pub use slp_driver::{
         compile_batch, compile_source, parallel_map, parse_machine, BatchConfig, CompileCache,
