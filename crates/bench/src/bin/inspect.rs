@@ -4,8 +4,7 @@
 //! inspect <kernel> [schedules|code|layout|weights]
 //! ```
 
-use slp::analysis::{Round, Unit, WeightParams};
-use slp::core::BlockIndex;
+use slp::core::{BlockIndex, Round, Unit, WeightParams};
 use slp::ir::BlockDeps;
 use slp::prelude::*;
 use slp::vm::lower_kernel;

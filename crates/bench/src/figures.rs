@@ -10,8 +10,7 @@
 
 use std::fmt::Write as _;
 
-use slp_analysis::WeightParams;
-use slp_core::{compile, MachineConfig, SlpConfig, Strategy};
+use slp_core::{compile, MachineConfig, SlpConfig, Strategy, WeightParams};
 use slp_suite::{catalog, BenchmarkSpec};
 use slp_vm::{execute_gated, lower_kernel_with, reduction_percent, MulticoreModel};
 

@@ -8,11 +8,11 @@
 //! order. It has no global view of reuse and fixes lane order at packing
 //! time, which is exactly what the holistic optimizer improves on.
 
-use slp_analysis::{BlockIndex, Unit};
 use slp_ir::{BlockDeps, Dest, Statement, StmtId};
 
 use crate::schedule::schedule_in_program_order;
 use crate::superword::BlockSchedule;
+use crate::{BlockIndex, Unit};
 
 /// An ordered statement pair in the pack set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

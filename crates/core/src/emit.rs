@@ -28,16 +28,17 @@
 //!
 //! [`Strategy::permuted_reuse`]: crate::Strategy::permuted_reuse
 
-use slp_analysis::{locs_of, BlockIndex, Loc, PackPos};
 use slp_ir::{
     pack_is_aligned_in, pack_is_contiguous, ArrayRef, BasicBlock, ExprShape, LoopHeader, Program,
     Statement, TypeEnv, VarId,
 };
 
+use crate::index::locs_of;
 use crate::layout::scalar::ScalarLayout;
 use crate::live::LivePacks;
 use crate::machine::CostParams;
 use crate::superword::{BlockSchedule, ScheduledItem};
+use crate::{BlockIndex, Loc, PackPos};
 
 /// The memory-access class of an array pack movement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

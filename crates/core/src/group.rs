@@ -12,10 +12,10 @@
 
 use std::cmp::Ordering;
 
-use slp_analysis::{BlockIndex, Round, Unit, WeightParams};
 use slp_ir::{BlockDeps, StmtId};
 
 use crate::deadline::{Deadline, Expired};
+use crate::{BlockIndex, Round, Unit, WeightParams};
 
 /// A record of one grouping decision, for tracing and tests.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,28 +154,8 @@ fn basic_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::tests::figure2;
     use slp_ir::{BasicBlock, BinOp, Expr, Program, ScalarType};
-
-    /// The paper's Figure 2 block (see `slp-analysis` for the derivation).
-    fn figure2() -> (Program, BasicBlock) {
-        let mut p = Program::new("fig2");
-        let v: Vec<_> = (0..8)
-            .map(|k| p.add_scalar(format!("V{k}"), ScalarType::F32))
-            .collect();
-        let s1 = p.make_stmt(v[1].into(), Expr::Copy(v[3].into()));
-        let s2 = p.make_stmt(v[2].into(), Expr::Copy(v[5].into()));
-        let s3 = p.make_stmt(v[5].into(), Expr::Copy(v[7].into()));
-        let s4 = p.make_stmt(
-            v[1].into(),
-            Expr::Binary(BinOp::Mul, v[3].into(), v[1].into()),
-        );
-        let s5 = p.make_stmt(
-            v[5].into(),
-            Expr::Binary(BinOp::Mul, v[5].into(), v[2].into()),
-        );
-        let bb: BasicBlock = [s1, s2, s3, s4, s5].into_iter().collect();
-        (p, bb)
-    }
 
     #[test]
     fn figure2_grouping_decisions() {

@@ -65,7 +65,7 @@ pub struct BlockIndex<'b> {
 }
 
 /// What `stmt` names: its destination, then its operands.
-pub fn locs_of(stmt: &Statement) -> impl Iterator<Item = Loc<'_>> {
+pub(crate) fn locs_of(stmt: &Statement) -> impl Iterator<Item = Loc<'_>> {
     let dest = match stmt.dest() {
         Dest::Scalar(v) => Loc::Scalar(*v),
         Dest::Array(r) => Loc::Array(r),
@@ -207,7 +207,10 @@ impl<'b> BlockIndex<'b> {
     /// The pack positions at which the statements at `lanes` form
     /// location packs: the destination, and every operand position free
     /// of constants (those are materialized once and free thereafter).
-    pub fn pack_positions<'a>(&'a self, lanes: &'a [usize]) -> impl Iterator<Item = PackPos> + 'a {
+    pub(crate) fn pack_positions<'a>(
+        &'a self,
+        lanes: &'a [usize],
+    ) -> impl Iterator<Item = PackPos> + 'a {
         let arity = self.keys_at(lanes[0]).len() - 1;
         let located = move |&slot: &PackPos| {
             (lanes.iter()).all(|&p| !matches!(self.loc(self.key(p, slot)), Loc::Const(_)))

@@ -24,10 +24,9 @@ use slp_ir::{
     LoopHeader, Operand, Program, ScalarType,
 };
 
-use slp_analysis::PackPos;
-
 use super::PackUse;
 use crate::machine::CostParams;
+use crate::PackPos;
 
 /// A replication is skipped when the new array would exceed this
 /// multiple of the source array's size ("in case the input data sizes

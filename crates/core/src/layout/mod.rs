@@ -17,9 +17,8 @@ pub(crate) mod scalar;
 
 use slp_ir::{BlockInfo, LoopHeader, Operand, StmtId};
 
-use slp_analysis::PackPos;
-
 use crate::superword::{BlockSchedule, ScheduledItem};
+use crate::PackPos;
 
 /// One appearance of an ordered superword (pack) in a final schedule,
 /// with enough loop context to weigh and rewrite it.

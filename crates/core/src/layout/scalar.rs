@@ -179,7 +179,7 @@ pub(crate) fn optimize_scalar_layout(program: &Program, uses: &[PackUse]) -> (Sc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slp_analysis::PackPos;
+    use crate::PackPos;
     use slp_ir::{BlockId, ScalarType};
 
     fn pack_use(lanes: &[VarId]) -> PackUse {

@@ -11,7 +11,7 @@
 
 use std::ops::Range;
 
-use slp_analysis::{BlockIndex, PackPos};
+use crate::{BlockIndex, PackPos};
 
 /// Whether `a` and `b` hold the same keys, each as often: two lane orders
 /// of one pack.

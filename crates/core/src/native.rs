@@ -8,11 +8,11 @@
 //! straightforward tree vectorizer recognizes. No reuse analysis, no lane
 //! reordering, no scalar packing.
 
-use slp_analysis::{BlockIndex, Unit};
 use slp_ir::{BlockDeps, Dest, Operand};
 
 use crate::schedule::schedule_in_program_order;
 use crate::superword::BlockSchedule;
+use crate::{BlockIndex, Unit};
 
 /// Runs the native-style vectorizer on one block.
 pub(crate) fn native_block(ix: &BlockIndex<'_>, deps: &BlockDeps) -> BlockSchedule {

@@ -8,12 +8,10 @@
 
 use std::sync::Arc;
 
+use slp_analyze::{RangeOracle, SafetyCert};
 use slp_ir::{
     unroll_program, BlockDeps, BlockId, BlockInfo, Dest, LoopHeader, Program, StmtId, TypeEnv,
 };
-
-use slp_analysis::{BlockIndex, Unit, WeightParams};
-use slp_analyze::{RangeOracle, SafetyCert};
 
 use crate::baseline::{baseline_block, baseline_groups};
 use crate::deadline::{Deadline, Expired};
@@ -27,6 +25,7 @@ use crate::native::native_block;
 use crate::schedule::{schedule_block, schedule_in_program_order};
 use crate::superword::{validate_schedule, BlockSchedule};
 use crate::telemetry::{Phase, PhaseTimings};
+use crate::{BlockIndex, Unit, WeightParams};
 
 /// Which SLP strategy to compile with — the four schemes compared in §7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

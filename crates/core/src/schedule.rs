@@ -11,11 +11,11 @@ use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::ops::Range;
 
-use slp_analysis::{BlockIndex, PackPos, Unit};
 use slp_ir::{ArrayRef, BlockDeps};
 
 use crate::live::{LivePacks, Reuse};
 use crate::superword::{BlockSchedule, ScheduledItem, SuperwordStmt};
+use crate::{BlockIndex, PackPos, Unit};
 
 /// Schedules one basic block from its grouping result.
 ///

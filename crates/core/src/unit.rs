@@ -56,7 +56,7 @@ impl Unit {
     }
 
     /// Whether the unit holds a single statement.
-    pub fn is_singleton(&self) -> bool {
+    pub(crate) fn is_singleton(&self) -> bool {
         self.stmts.len() == 1
     }
 }

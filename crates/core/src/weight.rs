@@ -177,7 +177,7 @@ impl Round {
 
     /// Forgets every decision and switches to the weight profile `params`:
     /// the candidates, conflicts and packs of a round depend on neither.
-    pub fn restart(&mut self, params: &WeightParams) {
+    pub(crate) fn restart(&mut self, params: &WeightParams) {
         self.scalar_reuse_weight = params.scalar_reuse_weight;
         let nodes = |c: usize| &self.nodes[self.first_node[c]..self.first_node[c + 1]];
         self.adjust = (0..self.pairs.len())
@@ -210,13 +210,13 @@ impl Round {
 
     /// Whether candidates `i` and `j` conflict: they share a unit, or
     /// deciding both would close a dependence cycle between the groups.
-    pub fn conflict(&self, i: usize, j: usize) -> bool {
+    pub(crate) fn conflict(&self, i: usize, j: usize) -> bool {
         self.conflicts.get(i, j)
     }
 
     /// Orders candidates whose weights tie: lower wins, the candidate with
     /// the lexicographically smaller sorted statement ids.
-    pub fn tie_rank(&self, cand: usize) -> usize {
+    pub(crate) fn tie_rank(&self, cand: usize) -> usize {
         self.tie_rank[cand]
     }
 
@@ -316,7 +316,7 @@ impl Round {
 
     /// Step 4's graph update: keeps the packs of the now decided `cand`
     /// for future weight calculations.
-    pub fn decide(&mut self, cand: usize) {
+    pub(crate) fn decide(&mut self, cand: usize) {
         for n in &self.nodes[self.first_node[cand]..self.first_node[cand + 1]] {
             if let Err(at) = self.decided.binary_search(&n.id) {
                 self.decided.insert(at, n.id);

@@ -150,7 +150,7 @@ impl CompileRequest {
 
 /// The driver's digest of a [`VerifyLevel::Prove`] proof attempt.
 ///
-/// A three-way verdict, not `slp_tv::Verdict`'s four: the driver folds
+/// A three-way verdict, not `slp_verify::Verdict`'s four: the driver folds
 /// the validator's `Unsupported` degradation into [`ProveVerdict::Budget`]
 /// because both mean the same thing to a batch consumer — the kernel was
 /// *not* proved for all inputs, but the differential check it degraded to
@@ -191,13 +191,13 @@ impl ProveVerdict {
         ProveVerdict::ALL.into_iter().find(|v| v.name() == name)
     }
 
-    fn from_tv(verdict: &slp_tv::Verdict) -> ProveVerdict {
+    fn from_tv(verdict: &slp_verify::Verdict) -> ProveVerdict {
         match verdict {
-            slp_tv::Verdict::Proved(_) => ProveVerdict::Proved,
-            slp_tv::Verdict::Budget { .. } | slp_tv::Verdict::Unsupported { .. } => {
+            slp_verify::Verdict::Proved(_) => ProveVerdict::Proved,
+            slp_verify::Verdict::Budget { .. } | slp_verify::Verdict::Unsupported { .. } => {
                 ProveVerdict::Budget
             }
-            slp_tv::Verdict::Refuted(_) => ProveVerdict::Refuted,
+            slp_verify::Verdict::Refuted(_) => ProveVerdict::Refuted,
         }
     }
 }

@@ -19,7 +19,7 @@
 //!    completes without an out-of-bounds trap must never trip it
 //!    ([`slp_analyze::lint_program`]).
 //! 5. **Validator agreement**: the symbolic translation validator
-//!    ([`slp_tv::validate`]) must never *refute* a kernel whose
+//!    ([`slp_verify::validate`]) must never *refute* a kernel whose
 //!    differential check was clean — a refutation carries an
 //!    execution-confirmed counterexample, so either the compiler
 //!    miscompiles on a non-default input the point-wise check missed, or
@@ -57,7 +57,7 @@ pub enum Stage {
     Emit,
     /// The `slp-analyze` whole-program lints.
     Lint,
-    /// The `slp-tv` symbolic translation validator.
+    /// The symbolic translation validator (`slp_verify::validate`).
     Prove,
 }
 
@@ -456,7 +456,9 @@ pub fn check_program(
         // check never tried. A counterexample that then fails to replay
         // is a validator-determinism bug instead; both disagree with the
         // differential verdict.
-        match guarded(|| slp_tv::validate(program, &kernel, machine, &slp_tv::Budgets::default())) {
+        match guarded(|| {
+            slp_verify::validate(program, &kernel, machine, &slp_verify::Budgets::default())
+        }) {
             Err(panic) => {
                 return Some(Anomaly {
                     kind: AnomalyKind::Panic,
@@ -465,9 +467,9 @@ pub fn check_program(
                     detail: panic,
                 })
             }
-            Ok(slp_tv::Verdict::Refuted(cex)) => {
+            Ok(slp_verify::Verdict::Refuted(cex)) => {
                 let replays =
-                    guarded(|| slp_tv::replay_counterexample(program, &kernel, machine, &cex))
+                    guarded(|| slp_verify::replay_counterexample(program, &kernel, machine, &cex))
                         .unwrap_or(false);
                 return Some(Anomaly {
                     kind: AnomalyKind::ValidatorDisagreement,

@@ -33,10 +33,9 @@ pub use solve::OptimalPacker;
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use slp_analysis::{mergeable, Unit};
     use slp_core::{
-        estimate_schedule_cost, BlockIndex, BlockSchedule, CostContext, LayoutView, PackRequest,
-        SlpConfig,
+        estimate_schedule_cost, mergeable, BlockIndex, BlockSchedule, CostContext, LayoutView,
+        PackRequest, SlpConfig, Unit,
     };
     use slp_ir::{BlockDeps, Program};
 

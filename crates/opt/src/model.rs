@@ -48,10 +48,9 @@ use std::iter::{empty, once};
 use std::ops::Range;
 use std::rc::Rc;
 
-use slp_analysis::{mergeable, BlockIndex, Loc, PackPos, Unit};
 use slp_core::{
-    scalar_stmt_cost, AccessClass, CostContext, CostParams, LaneSink, LayoutView, PackRequest,
-    ScalarPackClass,
+    mergeable, scalar_stmt_cost, AccessClass, BlockIndex, CostContext, CostParams, LaneSink,
+    LayoutView, Loc, PackPos, PackRequest, ScalarPackClass, Unit,
 };
 use slp_ir::{pack_is_contiguous, ArrayRef, Dest};
 

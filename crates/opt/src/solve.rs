@@ -33,10 +33,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use slp_analysis::Unit;
 use slp_core::{
     estimate_schedule_cost, schedule_block, schedule_in_program_order, BlockSchedule, CostContext,
-    LayoutView, PackOutcome, PackRequest, Packer,
+    LayoutView, PackOutcome, PackRequest, Packer, Unit,
 };
 
 use crate::model::{Model, Partition};

@@ -41,7 +41,7 @@ impl fmt::Display for Severity {
 ///   ([`crate::check_differential`])
 /// * `V5xx` — whole-program dataflow lints from `slp-analyze`
 ///   ([`crate::lint_program`])
-/// * `V6xx` — symbolic translation validation from `slp-tv`
+/// * `V6xx` — symbolic translation validation
 ///   ([`crate::prove_kernel`])
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintCode {

@@ -23,9 +23,10 @@
 //!   program, bridged from `slp-analyze`: use-before-def, dead stores,
 //!   provably out-of-bounds subscripts, misalignment risks, dead loops
 //!   (`V5xx`),
-//! * [`prove_kernel`] — symbolic translation validation bridged from
-//!   `slp-tv`: proves scalar ≡ vectorized over *all* inputs, degrading to
-//!   the differential check on budget exhaustion (`V6xx`).
+//! * [`prove_kernel`] — symbolic translation validation as diagnostics:
+//!   [`validate`] proves scalar ≡ vectorized over *all* inputs, and on
+//!   budget exhaustion the report degrades to the differential check
+//!   (`V6xx`).
 //!
 //! [`verify_kernel`] bundles the static checks over one extraction of the
 //! kernel's blocks; [`verify_with_execution`] adds the differential run:
@@ -43,6 +44,51 @@
 //! assert!(report.passes());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+//!
+//! # Symbolic translation validation
+//!
+//! The differential gate executes both builds on one deterministic input
+//! and compares memory bitwise: a strong smoke signal, but a single point
+//! in the input space. [`validate`] closes the gap: it proves that a
+//! vectorized [`CompiledKernel`] is equivalent to the scalar program it
+//! was compiled from over **all** inputs. Three modules make it up:
+//!
+//! 1. `term` — a hash-consed arena of *uninterpreted* terms. Operators
+//!    are formal symbols (`Add(a, b) ≠ Add(b, a)`): the theory admits
+//!    exactly the transformations SLP performs (reordering independent
+//!    statements, duplicating computations, copying cells) and nothing it
+//!    does not (reassociation, algebraic rewriting).
+//! 2. `eval` — a symbolic evaluator. Loop bounds are compile-time
+//!    constants in this IR, so loop nests are walked concretely with
+//!    exact affine subscript evaluation (backed by `slp-analyze`'s
+//!    strided-interval pre-pass for early budget/bounds screening), while
+//!    every array cell and scalar carries a term describing its value as
+//!    a function of the inputs. Superword semantics mirror the VM: all
+//!    lane operands read before any destination writes.
+//! 3. `validate` — the comparator. Every written cell of every original
+//!    array and every live-out scalar must hold the *identical* term on
+//!    both sides. On mismatch, a distinguishing concrete input is
+//!    extracted from the first diverging term pair and replayed through
+//!    both VM engines; only an execution-confirmed divergence becomes a
+//!    [`Verdict::Refuted`]. On resource exhaustion the verdict degrades
+//!    to [`Verdict::Budget`]/[`Verdict::Unsupported`] and callers fall
+//!    back to the differential check — the validator never silently
+//!    weakens a claim.
+//!
+//! ```
+//! use slp_core::{compile, MachineConfig, SlpConfig, Strategy};
+//! use slp_verify::{validate, Budgets, Verdict};
+//!
+//! let src = "kernel k { array A: f64[64]; array B: f64[64];
+//!            for i in 0..64 { A[i] = B[i] * 2.0; } }";
+//! let program = slp_lang::compile(src).unwrap();
+//! let machine = MachineConfig::intel_dunnington();
+//! let kernel = compile(&program, &SlpConfig::for_machine(machine.clone(), Strategy::Holistic));
+//! match validate(&program, &kernel, &machine, &Budgets::default()) {
+//!     Verdict::Proved(stats) => assert!(stats.cells_compared > 0),
+//!     v => panic!("expected a proof, got {v:?}"),
+//! }
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,19 +98,24 @@ mod cert;
 mod deps;
 mod diag;
 mod differential;
+mod eval;
 mod layout;
 mod lints;
 mod packs;
 mod symbolic;
+mod term;
+mod validate;
 
 use cert::check_certificate;
 use deps::check_dependences;
 pub use diag::{Diagnostic, LintCode, Report, Severity, Span};
 pub use differential::{assert_states_equivalent, check_differential, check_engine_agreement};
+pub use eval::Budgets;
 use layout::check_layout;
 pub use lints::lint_program;
 use packs::check_packs;
 pub use symbolic::prove_kernel;
+pub use validate::{replay_counterexample, validate, Counterexample, ProofStats, Verdict};
 
 use slp_core::CompiledKernel;
 use slp_ir::Program;

@@ -1,16 +1,16 @@
-//! Symbolic translation validation (`V6xx`), bridged from `slp-tv`.
+//! Symbolic translation validation (`V6xx`) as diagnostics.
 //!
 //! [`prove_kernel`] upgrades the point-wise differential check to a
-//! proof over **all** inputs: the `slp-tv` validator symbolically
+//! proof over **all** inputs: the [`validate`] prover symbolically
 //! evaluates the scalar program and the compiled kernel over a shared
 //! hash-consed term arena and compares every observable location's value
-//! graph. The bridge composes the fallback the validator itself promises:
+//! graph. The report composes the fallback the validator itself promises:
 //!
 //! * **proved** — clean report; nothing to say.
 //! * **refuted** — the validator extracted a concrete input and confirmed
 //!   the divergence on both VM engines: [`LintCode::SymbolicMismatch`]
 //!   (V600, error) carrying the distinguishing input.
-//! * **budget / unsupported** — the proof attempt degraded; the bridge
+//! * **budget / unsupported** — the proof attempt degraded; [`prove_kernel`]
 //!   runs the existing [`check_differential`] gate instead and records
 //!   the downgrade as [`LintCode::SymbolicBudgetExceeded`] (V601) or
 //!   [`LintCode::SymbolicUnsupported`] (V602), both warnings. Any
@@ -20,10 +20,10 @@
 
 use slp_core::CompiledKernel;
 use slp_ir::Program;
-use slp_tv::{Budgets, Counterexample, Verdict};
 
 use crate::diag::{Diagnostic, LintCode, Report, Span};
 use crate::differential::check_differential;
+use crate::{validate, Budgets, Counterexample, Verdict};
 
 /// Runs the symbolic translation validator with the default budgets and
 /// folds the verdict into a diagnostic report (see module docs),
@@ -49,7 +49,7 @@ use crate::differential::check_differential;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn prove_kernel(original: &Program, kernel: &CompiledKernel) -> (Report, Verdict) {
-    let verdict = slp_tv::validate(
+    let verdict = validate(
         original,
         kernel,
         &kernel.config.machine,

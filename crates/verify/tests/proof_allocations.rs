@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use slp_core::{compile, CompiledKernel, MachineConfig, SlpConfig, Strategy};
 use slp_ir::Program;
 use slp_opt::OptimalPacker;
-use slp_tv::{validate, Budgets, Verdict};
+use slp_verify::{validate, Budgets, Verdict};
 
 /// The system allocator, counting the blocks it hands out.
 struct Counting;

@@ -50,7 +50,7 @@
 //! slpc prove <kernel.slp>... [options]
 //!
 //! Compiles each kernel under every vectorizing configuration and runs
-//! the symbolic translation validator (slp-tv) over the output: proves
+//! the symbolic translation validator (slp-verify) over the output: proves
 //! scalar ≡ vectorized over *all* inputs by hash-consed value-graph
 //! comparison. Per configuration the verdict is `proved`, `budget` (the
 //! proof degraded to the differential check) or `refuted` (an

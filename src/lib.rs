@@ -15,19 +15,18 @@
 //!
 //! * [`ir`] — typed IR, affine subscripts, dependence analysis, unrolling
 //! * [`lang`] — the kernel mini-language frontend
-//! * [`analysis`] — candidate groups, conflict graphs, reuse weights
 //! * [`analyze`] — abstract interpretation: strided intervals, def-use,
 //!   the range-refined dependence oracle, whole-program lints
-//! * [`core`] — grouping, scheduling, baselines, cost model, layout
+//! * [`core`] — the per-block index, candidate groups, conflict graphs and
+//!   reuse weights; grouping, scheduling, baselines, cost model, layout
 //! * [`opt`] — exact statement packing: 0-1 ILP branch-and-bound behind
 //!   the `Packer` trait, `SlpConfig`'s one plug-in point
 //!   (`Strategy::Optimal`; with no packer installed it ships the
 //!   heuristic's schedule)
 //! * [`vm`] — vector code generation and the simulated machines
 //! * [`suite`] — the Table 3 benchmark kernels and a program generator
-//! * [`tv`] — symbolic translation validation: prove scalar ≡ vectorized
-//!   over all inputs via hash-consed value graphs
-//! * [`verify`] — legality lints and differential translation validation
+//! * [`verify`] — legality lints and translation validation: differential
+//!   on one input, symbolic over all inputs via hash-consed value graphs
 //! * [`driver`] — compile caching, parallel batches, telemetry, plus the
 //!   `slp-serve` layer: versioned wire protocol, multi-tenant quotas,
 //!   request coalescing, stdio/TCP transports and a load generator
@@ -59,14 +58,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use slp_analysis as analysis;
 pub use slp_analyze as analyze;
 pub use slp_core as core;
 pub use slp_ir as ir;
 pub use slp_lang as lang;
 pub use slp_opt as opt;
 pub use slp_suite as suite;
-pub use slp_tv as tv;
 pub use slp_verify as verify;
 pub use slp_vm as vm;
 
@@ -114,7 +111,7 @@ pub mod driver {
 /// appear here, but the meaning and signatures of the existing ones are
 /// stable across the workspace's internal refactors (the bytecode
 /// execution engine replaced the tree-walking interpreter underneath
-/// [`execute`] without any change visible through this module). One
+/// [`execute`](prelude::execute) without any change visible through this module). One
 /// change broke that rule: `SlpConfig` dropped its post-compile verify
 /// hook, keeping `Packer` as its one extension point, and five items
 /// left this module with it (README, "The stable API", names each).

@@ -4,7 +4,7 @@
 //! symbolic translation validator, under every vectorizing strategy.
 
 use slp::core::{compile, CompiledKernel, MachineConfig, SlpConfig, Strategy};
-use slp::tv::{validate, Budgets, Verdict};
+use slp::verify::{validate, Budgets, Verdict};
 use slp::vm::execute;
 
 fn machine() -> MachineConfig {

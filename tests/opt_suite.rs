@@ -27,7 +27,7 @@ mod common;
 use slp::core::compile;
 use slp::driver::DriverReport;
 use slp::prelude::*;
-use slp::tv::{validate, Budgets, Verdict};
+use slp::verify::{validate, Budgets, Verdict};
 
 fn machine() -> MachineConfig {
     MachineConfig::intel_dunnington()

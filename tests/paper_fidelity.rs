@@ -6,8 +6,10 @@
 
 mod common;
 
-use slp::analysis::{Round, Unit, WeightParams};
-use slp::core::{group_block, group_block_with, schedule_block, BlockIndex, MachineConfig};
+use slp::core::{
+    group_block, group_block_with, schedule_block, BlockIndex, MachineConfig, Round, Unit,
+    WeightParams,
+};
 use slp::ir::{BasicBlock, BinOp, BlockDeps, Expr, Program, ScalarType};
 
 /// The paper's Figure 2 block:

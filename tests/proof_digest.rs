@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 use slp::core::{compile, BlockSchedule, CompiledKernel, ScheduledItem};
 use slp::prelude::*;
-use slp::tv::{validate, Budgets};
+use slp::verify::{validate, Budgets};
 
 /// The five configurations, in column order.
 fn configs(machine: &MachineConfig) -> [SlpConfig; 5] {

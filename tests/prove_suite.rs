@@ -14,7 +14,7 @@
 
 use slp::core::{compile, BlockSchedule, ScheduledItem};
 use slp::prelude::*;
-use slp::tv::{replay_counterexample, validate, Budgets, Verdict};
+use slp::verify::{replay_counterexample, validate, Budgets, Verdict};
 
 fn machine() -> MachineConfig {
     MachineConfig::intel_dunnington()

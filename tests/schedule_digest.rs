@@ -219,7 +219,7 @@ fn schedules_estimates_and_solves_are_bit_identical() {
 /// non-zero one does not.
 #[test]
 fn overlaps_is_the_alias_rule_on_every_pair_of_references() {
-    use slp::analysis::Loc;
+    use slp::core::Loc;
     let may_alias = |a: &slp::ir::ArrayRef, b: &slp::ir::ArrayRef| {
         if a.array != b.array {
             return false;
