@@ -94,8 +94,11 @@ fn main() {
     }
     if wants("overhead") {
         println!("== §7.1: compile-time overhead of Global over SLP ==");
-        let pct = compile_overhead(&intel, scale);
-        println!("Global compilation time: {pct:+.1}% vs SLP (paper: +27% on average)\n");
+        let [q1, median, q3] = compile_overhead(&intel, scale);
+        println!(
+            "Global compilation time: {median:+.1}% vs SLP, median of 11 interleaved sweep \
+             pairs (quartiles {q1:+.1}% and {q3:+.1}%; paper: +27% on average)\n"
+        );
     }
 
     if wants("ablations") {

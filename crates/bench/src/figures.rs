@@ -426,26 +426,42 @@ pub fn render_fig21(fig: &Fig21) -> String {
 }
 
 /// Measures the compile-time overhead of Global over SLP (the §7.1
-/// "increased compilation time by 27% on average" statement), as a
-/// percentage.
-pub fn compile_overhead(machine: &MachineConfig, scale: usize) -> f64 {
+/// "increased compilation time by 27% on average" statement), in percent:
+/// the first quartile, the median and the third quartile of eleven
+/// interleaved sweep pairs, each pair's Global sweep over its SLP sweep.
+/// One unmeasured sweep of each scheme comes first, and the pairs
+/// alternate which scheme sweeps first, so that neither side pays the
+/// cold caches or a drift of the machine alone.
+pub fn compile_overhead(machine: &MachineConfig, scale: usize) -> [f64; 3] {
     use std::time::Instant;
     let kernels = slp_suite::all(scale);
-    // Per scheme: one unmeasured sweep over the suite, then the quietest
-    // of five (interference only ever adds time).
-    let time = |scheme: Scheme| {
-        let sweep = |_| {
-            let start = Instant::now();
-            for (_, p) in &kernels {
-                let _ = slp_core::compile(p, &scheme.config(machine));
-            }
-            start.elapsed().as_secs_f64()
-        };
-        sweep(0);
-        (0..5).map(sweep).fold(f64::INFINITY, f64::min)
+    let sweep = |scheme: Scheme| {
+        let start = Instant::now();
+        for (_, p) in &kernels {
+            let _ = slp_core::compile(p, &scheme.config(machine));
+        }
+        start.elapsed().as_secs_f64()
     };
-    let (slp, global) = (time(Scheme::Slp), time(Scheme::Global));
-    (global / slp - 1.0) * 100.0
+    sweep(Scheme::Slp);
+    sweep(Scheme::Global);
+    let pair = |k: usize| {
+        let (slp, global) = if k.is_multiple_of(2) {
+            let slp = sweep(Scheme::Slp);
+            (slp, sweep(Scheme::Global))
+        } else {
+            let global = sweep(Scheme::Global);
+            (sweep(Scheme::Slp), global)
+        };
+        (global / slp - 1.0) * 100.0
+    };
+    let mut overheads: Vec<f64> = (0..11).map(pair).collect();
+    overheads.sort_by(f64::total_cmp);
+    let n = overheads.len();
+    [
+        median(overheads[..n / 2].iter().copied()),
+        median(overheads.iter().copied()),
+        median(overheads[n.div_ceil(2)..].iter().copied()),
+    ]
 }
 
 /// The simulated-cycle impact of each design choice DESIGN.md calls out

@@ -38,20 +38,16 @@ pub(crate) fn baseline_groups(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<Unit
     combine_pairs(&build_pack_set(ix, deps), ix, deps)
 }
 
-/// Whether the statement at position `p` has a memory reference adjacent
-/// (one element below) to the matching reference of the one at `q`, in
-/// the destination or any operand position.
-fn has_adjacent_refs(ix: &BlockIndex<'_>, p: usize, q: usize) -> bool {
-    let refs = |p: usize| ix.keys_at(p).iter().map(|&k| ix.loc(k).as_array());
-    (refs(p).zip(refs(q))).any(|pair| matches!(pair, (Some(a), Some(b)) if adjacent(a, b)))
-}
-
-fn adjacent(a: &slp_ir::ArrayRef, b: &slp_ir::ArrayRef) -> bool {
-    a.array == b.array
-        && a.access.constant_difference(&b.access).is_some_and(|diff| {
-            let last = a.access.rank() - 1;
-            diff.enumerate().all(|(dim, d)| d == i64::from(dim == last))
-        })
+/// The seed pairs as `(left, right)` block positions, in the order the
+/// original pair scan meets them: every statement pair `i < j` where one
+/// has a memory reference one element below the matching reference of the
+/// other ([`BlockIndex::adjacent_refs`]), oriented low address → left, `i`
+/// left when both orientations hold.
+fn seeds(ix: &BlockIndex<'_>) -> Vec<(usize, usize)> {
+    let mut seeds = ix.adjacent_refs();
+    seeds.sort_unstable_by_key(|&(l, r)| (l.min(r), l.max(r), l > r));
+    seeds.dedup_by_key(|&mut (l, r)| (l.min(r), l.max(r)));
+    seeds
 }
 
 /// Phases 1-2 of the baseline: seed with adjacent memory references, then
@@ -63,83 +59,48 @@ fn build_pack_set(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<PackPair> {
     let mut pairs: Vec<PackPair> = Vec::new();
     let mut left_used: Vec<StmtId> = Vec::new();
     let mut right_used: Vec<StmtId> = Vec::new();
-
-    let can_pack =
-        |s: &Statement, t: &Statement, left_used: &[StmtId], right_used: &[StmtId]| -> bool {
-            s.id() != t.id()
-                && !left_used.contains(&s.id())
-                && !right_used.contains(&t.id())
-                && ix.class(ix.position(s.id())) == ix.class(ix.position(t.id()))
-                && deps.independent(s.id(), t.id())
-        };
+    let mut offer = |pairs: &mut Vec<PackPair>, l: Option<&Statement>, r: Option<&Statement>| {
+        let (Some(l), Some(r)) = (l, r) else { return };
+        let (left, right) = (l.id(), r.id());
+        if left != right
+            && !left_used.contains(&left)
+            && !right_used.contains(&right)
+            && ix.class(ix.position(left)) == ix.class(ix.position(right))
+            && deps.independent(left, right)
+        {
+            pairs.push(PackPair { left, right });
+            left_used.push(left);
+            right_used.push(right);
+        }
+    };
 
     // Seeds: adjacent memory references, oriented low address -> left.
-    for (i, s) in stmts.iter().enumerate() {
-        for (j, t) in stmts.iter().enumerate().skip(i + 1) {
-            let (l, r) = if has_adjacent_refs(ix, i, j) {
-                (s, t)
-            } else if has_adjacent_refs(ix, j, i) {
-                (t, s)
-            } else {
-                continue;
-            };
-            if can_pack(l, r, &left_used, &right_used) {
-                pairs.push(PackPair {
-                    left: l.id(),
-                    right: r.id(),
-                });
-                left_used.push(l.id());
-                right_used.push(r.id());
-            }
-        }
+    for (l, r) in seeds(ix) {
+        offer(&mut pairs, Some(&stmts[l]), Some(&stmts[r]));
     }
 
-    // Extension along chains until fixpoint.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let snapshot = pairs.clone();
-        for pair in &snapshot {
-            // Use-def: pack the statements defining the pair's scalar
-            // operands.
-            let (lp, rp) = (ix.position(pair.left), ix.position(pair.right));
-            let (ls, rs) = (&stmts[lp], &stmts[rp]);
-            let arity = ls.expr().arity();
-            for k in 0..arity {
-                let (lu, ru) = (ls.expr().operands()[k], rs.expr().operands()[k]);
-                if let (Some(lv), Some(rv)) = (lu.as_scalar(), ru.as_scalar()) {
-                    if let (Some(ld), Some(rd)) =
-                        (reaching_def(stmts, lv, lp), reaching_def(stmts, rv, rp))
-                    {
-                        if can_pack(ld, rd, &left_used, &right_used) {
-                            pairs.push(PackPair {
-                                left: ld.id(),
-                                right: rd.id(),
-                            });
-                            left_used.push(ld.id());
-                            right_used.push(rd.id());
-                            changed = true;
-                        }
-                    }
-                }
+    // Extension along chains until fixpoint: each pair in order, the
+    // seeds and then the ones extension adds, once (extending a pair again
+    // finds the statements it would pack already taken).
+    let mut next = 0;
+    while let Some(&pair) = pairs.get(next) {
+        next += 1;
+        let (lp, rp) = (ix.position(pair.left), ix.position(pair.right));
+        let (ls, rs) = (&stmts[lp], &stmts[rp]);
+        // Use-def: pack the statements defining the pair's scalar
+        // operands.
+        for k in 0..ls.expr().arity() {
+            let (lu, ru) = (ls.expr().operands()[k], rs.expr().operands()[k]);
+            if let (Some(lv), Some(rv)) = (lu.as_scalar(), ru.as_scalar()) {
+                let defs = (reaching_def(stmts, lv, lp), reaching_def(stmts, rv, rp));
+                offer(&mut pairs, defs.0, defs.1);
             }
-            // Def-use: pack the first users of the pair's scalar results.
-            if let (Dest::Scalar(lv), Dest::Scalar(rv)) = (ls.dest(), rs.dest()) {
-                for k in 0..3 {
-                    if let (Some(lu), Some(ru)) =
-                        (first_use(stmts, *lv, lp, k), first_use(stmts, *rv, rp, k))
-                    {
-                        if can_pack(lu, ru, &left_used, &right_used) {
-                            pairs.push(PackPair {
-                                left: lu.id(),
-                                right: ru.id(),
-                            });
-                            left_used.push(lu.id());
-                            right_used.push(ru.id());
-                            changed = true;
-                        }
-                    }
-                }
+        }
+        // Def-use: pack the first users of the pair's scalar results.
+        if let (Dest::Scalar(lv), Dest::Scalar(rv)) = (ls.dest(), rs.dest()) {
+            for k in 0..3 {
+                let uses = (first_use(stmts, *lv, lp, k), first_use(stmts, *rv, rp, k));
+                offer(&mut pairs, uses.0, uses.1);
             }
         }
     }
@@ -205,15 +166,16 @@ fn combine_pairs(pairs: &[PackPair], ix: &BlockIndex<'_>, deps: &BlockDeps) -> V
         chains.push(chain);
     }
 
-    let mut units: Vec<Unit> = Vec::new();
-    let mut taken: Vec<StmtId> = Vec::new();
+    let n = ix.block().len();
+    let (mut units, mut taken, mut members) =
+        (Vec::with_capacity(n), Vec::with_capacity(n), Vec::new());
     for chain in chains {
         // A statement can only belong to one group; later chains skip
         // already-taken members (drop the whole chain if < 2 remain).
         // Dropping a middle member can leave neighbours that were never
         // checked against each other, so keep only a mutually independent
         // prefix of the survivors.
-        let mut members: Vec<StmtId> = Vec::new();
+        members.clear();
         for s in chain {
             if !taken.contains(&s) && members.iter().all(|&m| deps.independent(m, s)) {
                 members.push(s);
@@ -221,11 +183,7 @@ fn combine_pairs(pairs: &[PackPair], ix: &BlockIndex<'_>, deps: &BlockDeps) -> V
         }
         if members.len() >= 2 {
             taken.extend(&members);
-            let mut unit = Unit::singleton(members[0]);
-            for &m in &members[1..] {
-                unit = Unit::merged(&unit, &Unit::singleton(m));
-            }
-            units.push(unit);
+            units.push(Unit::of(&members));
         }
     }
     for s in ix.block() {
@@ -342,5 +300,122 @@ mod tests {
         for item in sched.items() {
             assert!(item.stmts().len() <= 2);
         }
+    }
+
+    /// The quadratic pair scan that [`seeds`] replaced: every statement
+    /// pair tested for adjacent references, in either orientation.
+    fn pair_scan_seeds(ix: &BlockIndex<'_>) -> Vec<(usize, usize)> {
+        let adjacent = |a: &ArrayRef, b: &ArrayRef| {
+            a.array == b.array
+                && a.access.constant_difference(&b.access).is_some_and(|diff| {
+                    let last = a.access.rank() - 1;
+                    diff.enumerate().all(|(dim, d)| d == i64::from(dim == last))
+                })
+        };
+        let has_adjacent_refs = |p: usize, q: usize| {
+            let refs = |p: usize| ix.keys_at(p).iter().map(|&k| ix.loc(k).as_array());
+            (refs(p).zip(refs(q))).any(|pair| matches!(pair, (Some(a), Some(b)) if adjacent(a, b)))
+        };
+        let n = ix.block().len();
+        let mut seeds = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                if has_adjacent_refs(i, j) {
+                    seeds.push((i, j));
+                } else if has_adjacent_refs(j, i) {
+                    seeds.push((j, i));
+                }
+            }
+        }
+        seeds
+    }
+
+    /// The pack set as the pair scan seeded it and a fixpoint over
+    /// snapshots of the pairs extended it, each round extending every pair
+    /// found so far.
+    fn fixpoint_pack_set(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<PackPair> {
+        let stmts = ix.block().stmts();
+        let offer = |pairs: &mut Vec<PackPair>, l: &Statement, r: &Statement| {
+            let (left, right) = (l.id(), r.id());
+            let packs = left != right
+                && !pairs.iter().any(|p| p.left == left || p.right == right)
+                && ix.class(ix.position(left)) == ix.class(ix.position(right))
+                && deps.independent(left, right);
+            if packs {
+                pairs.push(PackPair { left, right });
+            }
+            packs
+        };
+        let mut pairs = Vec::new();
+        for (l, r) in pair_scan_seeds(ix) {
+            offer(&mut pairs, &stmts[l], &stmts[r]);
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for pair in pairs.clone() {
+                let (lp, rp) = (ix.position(pair.left), ix.position(pair.right));
+                let (ls, rs) = (&stmts[lp], &stmts[rp]);
+                for k in 0..ls.expr().arity() {
+                    let (lu, ru) = (ls.expr().operands()[k], rs.expr().operands()[k]);
+                    if let (Some(lv), Some(rv)) = (lu.as_scalar(), ru.as_scalar()) {
+                        if let (Some(ld), Some(rd)) =
+                            (reaching_def(stmts, lv, lp), reaching_def(stmts, rv, rp))
+                        {
+                            changed |= offer(&mut pairs, ld, rd);
+                        }
+                    }
+                }
+                if let (Dest::Scalar(lv), Dest::Scalar(rv)) = (ls.dest(), rs.dest()) {
+                    for k in 0..3 {
+                        if let (Some(lu), Some(ru)) =
+                            (first_use(stmts, *lv, lp, k), first_use(stmts, *rv, rp, k))
+                        {
+                            changed |= offer(&mut pairs, lu, ru);
+                        }
+                    }
+                }
+            }
+        }
+        pairs
+    }
+
+    /// The index finds the pair scan's seeds, in its order, on the suite
+    /// unrolled by 2, 4 and 8 and on random blocks, and extending each
+    /// pair once builds the pack set the fixpoint builds.
+    #[test]
+    fn index_seeds_and_one_pass_extension_build_the_fixpoint_pack_set() {
+        use crate::weight::tests::{lanes, random_programs};
+        let (mut blocks, mut seeds_seen) = (0, 0);
+        let mut check = |p: &Program| {
+            for info in p.blocks() {
+                let ix = BlockIndex::new(&info.block, p, lanes);
+                let want = pair_scan_seeds(&ix);
+                assert_eq!(seeds(&ix), want, "{}", info.block);
+                let deps = BlockDeps::analyze_in(&info.block, &info.loops);
+                let pack_set = build_pack_set(&ix, &deps);
+                assert_eq!(pack_set, fixpoint_pack_set(&ix, &deps), "{}", info.block);
+                (blocks, seeds_seen) = (blocks + 1, seeds_seen + want.len());
+            }
+        };
+        for unroll in [2, 4, 8] {
+            for (_, mut p) in slp_suite::all(1) {
+                slp_ir::unroll_program(&mut p, unroll);
+                check(&p);
+            }
+        }
+        random_programs().for_each(|p| check(&p));
+        // Adjacent both ways (the stores down, the loads up): the earlier
+        // statement is the left lane.
+        let both = slp_lang::compile(
+            "kernel k { array A: f64[64]; array B: f64[64];
+             for i in 0..16 { A[2*i+1] = B[2*i]; A[2*i] = B[2*i+1]; } }",
+        )
+        .unwrap();
+        check(&both);
+        assert!(blocks > 300 && seeds_seen > 1000, "{blocks} / {seeds_seen}");
+        let infos = both.blocks();
+        let ix = BlockIndex::new(&infos[0].block, &both, lanes);
+        assert_eq!(seeds(&ix), [(0, 1)]);
     }
 }

@@ -2,26 +2,53 @@
 //! 1–2), over block positions: every test is a table lookup in the
 //! block's [`BlockIndex`] or a bit of its `BlockDeps`.
 
+use std::ops::Index;
+
 use slp_ir::BlockDeps;
 
 use crate::index::BlockIndex;
 use crate::unit::Unit;
 
-/// Each unit's statements as block positions, in the unit's order.
-pub(crate) fn lanes_of(ix: &BlockIndex<'_>, units: &[Unit]) -> Vec<Vec<usize>> {
-    let lanes = |u: &Unit| u.stmts().iter().map(|&s| ix.position(s)).collect();
-    units.iter().map(lanes).collect()
+/// Each unit's statements as block positions, in the unit's order: unit
+/// `u`'s are `lanes[u]`.
+#[derive(Debug)]
+pub(crate) struct Lanes {
+    positions: Vec<usize>,
+    start: Vec<usize>,
+}
+
+impl Lanes {
+    /// The number of units.
+    pub(crate) fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+}
+
+impl Index<usize> for Lanes {
+    type Output = [usize];
+
+    fn index(&self, u: usize) -> &[usize] {
+        &self.positions[self.start[u]..self.start[u + 1]]
+    }
+}
+
+/// The [`Lanes`] of `units`.
+pub(crate) fn lanes_of(ix: &BlockIndex<'_>, units: &[Unit]) -> Lanes {
+    let mut start = Vec::with_capacity(units.len() + 1);
+    start.push(0);
+    let mut positions = Vec::with_capacity(units.iter().map(Unit::width).sum());
+    for u in units {
+        positions.extend(u.stmts().iter().map(|&s| ix.position(s)));
+        start.push(positions.len());
+    }
+    Lanes { positions, start }
 }
 
 /// The legal pairwise merges among the units at `lanes` ([`lanes_of`]),
 /// as ascending index pairs `(a, b)`, `a < b`: the candidate groups —
 /// *potential* SIMD groups of two units, unordered ("there is no ordering
 /// between Si and Sj in the candidate group").
-pub(crate) fn merges(
-    ix: &BlockIndex<'_>,
-    deps: &BlockDeps,
-    lanes: &[Vec<usize>],
-) -> Vec<(usize, usize)> {
+pub(crate) fn merges(ix: &BlockIndex<'_>, deps: &BlockDeps, lanes: &Lanes) -> Vec<(usize, usize)> {
     let pairs = (0..lanes.len()).flat_map(|a| (a + 1..lanes.len()).map(move |b| (a, b)));
     pairs
         .filter(|&(a, b)| mergeable(ix, deps, &lanes[a], &lanes[b]))
@@ -44,67 +71,68 @@ pub fn mergeable(ix: &BlockIndex<'_>, deps: &BlockDeps, la: &[usize], lb: &[usiz
 
 /// The symmetric candidate-conflict relation: two candidate groups
 /// "conflict with each other if they have a common statement ... or there
-/// exists a dependence cycle between these two groups".
+/// exists a dependence cycle between these two groups". One row of bits
+/// per candidate.
 #[derive(Debug)]
 pub(crate) struct ConflictMatrix {
-    n: usize,
-    bits: Vec<bool>,
+    words: usize,
+    bits: Vec<u64>,
 }
 
 impl ConflictMatrix {
     /// Computes the conflict relation among the candidates `pairs` of the
     /// units at `lanes`.
     ///
-    /// Dependence-cycle detection is precomputed at unit granularity: the
-    /// number of units is linear in the block size while the number of
-    /// candidates is quadratic, so checking `candidate × candidate` pairs
-    /// against a `unit × unit` reachability table keeps wide-datapath
-    /// blocks (hundreds of statements after 8–16x unrolling) tractable.
-    pub(crate) fn compute(
-        pairs: &[(usize, usize)],
-        lanes: &[Vec<usize>],
-        deps: &BlockDeps,
-    ) -> Self {
-        let n = pairs.len();
-        let mut m = ConflictMatrix {
-            n,
-            bits: vec![false; n * n],
-        };
-        let units = lanes.len();
-        let mut reach = vec![false; units * units];
-        for (i, li) in lanes.iter().enumerate() {
-            for (j, lj) in lanes.iter().enumerate() {
-                reach[i * units + j] =
-                    i != j && li.iter().any(|&p| lj.iter().any(|&q| deps.reaches(p, q)));
+    /// Rows are unions of per-unit candidate sets: the number of units is
+    /// linear in the block size while the number of candidates is
+    /// quadratic, so `x`'s row is the candidates holding one of its units,
+    /// plus those holding a unit its units reach *and* one reaching them,
+    /// a few word operations per unit pair rather than a test per
+    /// candidate pair. This keeps wide-datapath blocks (hundreds of
+    /// statements after 8–16x unrolling) tractable.
+    pub(crate) fn compute(pairs: &[(usize, usize)], lanes: &Lanes, deps: &BlockDeps) -> Self {
+        let (units, words) = (lanes.len(), pairs.len().div_ceil(64));
+        if words == 0 {
+            return ConflictMatrix {
+                words,
+                bits: Vec::new(),
+            };
+        }
+        let at = |table: usize, u: usize| (table * units + u) * words;
+        // Per unit, three candidate sets: those holding it (table 0), those
+        // holding a unit it reaches (1) and those holding a unit that
+        // reaches it (2).
+        let mut sets = vec![0u64; 3 * units * words];
+        for (c, &(a, b)) in pairs.iter().enumerate() {
+            for u in [a, b] {
+                sets[at(0, u) + c / 64] |= 1 << (c % 64);
             }
         }
-        let reaches = |a: usize, b: usize| reach[a * units + b];
-        for (i, x) in pairs.iter().enumerate() {
-            for (j, y) in pairs.iter().enumerate().skip(i + 1) {
-                let shares_unit = x.0 == y.0 || x.0 == y.1 || x.1 == y.0 || x.1 == y.1;
-                let conflicting = shares_unit || {
-                    let x_to_y = reaches(x.0, y.0)
-                        || reaches(x.0, y.1)
-                        || reaches(x.1, y.0)
-                        || reaches(x.1, y.1);
-                    let y_to_x = reaches(y.0, x.0)
-                        || reaches(y.0, x.1)
-                        || reaches(y.1, x.0)
-                        || reaches(y.1, x.1);
-                    x_to_y && y_to_x
-                };
-                if conflicting {
-                    m.bits[i * n + j] = true;
-                    m.bits[j * n + i] = true;
+        for i in 0..units {
+            for j in (0..units).filter(|&j| j != i) {
+                if (lanes[i].iter()).any(|&p| lanes[j].iter().any(|&q| deps.reaches(p, q))) {
+                    for w in 0..words {
+                        let (into, from) = (sets[at(0, j) + w], sets[at(0, i) + w]);
+                        sets[at(1, i) + w] |= into;
+                        sets[at(2, j) + w] |= from;
+                    }
                 }
             }
         }
-        m
+        let mut bits = vec![0u64; pairs.len() * words];
+        for (c, &(a, b)) in pairs.iter().enumerate() {
+            for w in 0..words {
+                let set = |table: usize| sets[at(table, a) + w] | sets[at(table, b) + w];
+                bits[c * words + w] = set(0) | (set(1) & set(2));
+            }
+            bits[c * words + c / 64] &= !(1 << (c % 64));
+        }
+        ConflictMatrix { words, bits }
     }
 
     /// Whether candidates `i` and `j` conflict.
     pub(crate) fn get(&self, i: usize, j: usize) -> bool {
-        self.bits[i * self.n + j]
+        self.bits[i * self.words + j / 64] >> (j % 64) & 1 != 0
     }
 }
 

@@ -10,8 +10,6 @@
 //! treats each decided group as an atomic unit and reruns the basic
 //! algorithm to fill wider datapaths.
 
-use std::cmp::Ordering;
-
 use slp_ir::{BlockDeps, StmtId};
 
 use crate::deadline::{Deadline, Expired};
@@ -97,27 +95,8 @@ fn basic_round(
     round: usize,
     decisions: &mut Vec<GroupingDecision>,
 ) -> usize {
-    let mut alive = vec![true; state.candidates().len()];
     let mut decided: Vec<usize> = Vec::new();
-    loop {
-        let mut best: Option<(usize, f64)> = None;
-        for c in (0..alive.len()).filter(|&c| alive[c]) {
-            let weight = state.weight(c, &alive);
-            // Deterministic tie-break: earliest statements win (the paper
-            // chooses randomly; determinism keeps the evaluation
-            // reproducible).
-            let wins = match best {
-                None => true,
-                Some((b, best_weight)) => match weight.partial_cmp(&best_weight) {
-                    Some(Ordering::Equal) => state.tie_rank(c) < state.tie_rank(b),
-                    order => order.expect("weights are finite") == Ordering::Greater,
-                },
-            };
-            if wins {
-                best = Some((c, weight));
-            }
-        }
-        let Some((c, weight)) = best else { break };
+    while let Some((c, weight)) = state.best() {
         let (a, b) = state.candidates()[c];
         decided.push(c);
         decisions.push(GroupingDecision {
@@ -125,30 +104,30 @@ fn basic_round(
             weight,
             round,
         });
-        state.decide(c);
-        // Kill the decision and every conflicting candidate (they share
+        // Kills the decision and every conflicting candidate (they share
         // a unit with it or would form a dependence cycle with it).
-        for (other, slot) in alive.iter_mut().enumerate() {
-            *slot &= other != c && !state.conflict(c, other);
-        }
+        state.decide(c);
     }
-
-    // Merge the decided pairs into new units.
-    let mut merged_away = vec![false; units.len()];
-    let mut new_units = Vec::with_capacity(units.len());
-    for &c in &decided {
-        let (a, b) = state.candidates()[c];
-        new_units.push(Unit::merged(&units[a], &units[b]));
-        merged_away[a] = true;
-        merged_away[b] = true;
-    }
-    for (i, u) in units.iter().enumerate() {
-        if !merged_away[i] {
-            new_units.push(u.clone());
-        }
-    }
-    *units = new_units;
+    merge_decided(state.candidates(), &decided, units);
     decided.len()
+}
+
+/// Merges the `decided` candidates among `pairs` into new units, in
+/// decision order, followed by the units no decision took.
+fn merge_decided(pairs: &[(usize, usize)], decided: &[usize], units: &mut Vec<Unit>) {
+    let taken = |u: usize| decided.iter().any(|&c| pairs[c].0 == u || pairs[c].1 == u);
+    let mut new_units = Vec::with_capacity(units.len() - decided.len());
+    new_units.extend(
+        decided
+            .iter()
+            .map(|&c| Unit::merged(&units[pairs[c].0], &units[pairs[c].1])),
+    );
+    new_units.extend(
+        (0..units.len())
+            .filter(|&u| !taken(u))
+            .map(|u| units[u].clone()),
+    );
+    *units = new_units;
 }
 
 #[cfg(test)]
@@ -267,5 +246,96 @@ mod tests {
         let g = group_block(&BlockIndex::new(&bb, &p, |_| 4), &deps);
         assert!(g.units.is_empty());
         assert!(g.decisions.is_empty());
+    }
+
+    /// The decision loop before bounds, as a reference: every live
+    /// candidate weighed after every decision, ties to the smaller sorted
+    /// statement ids, reruns until a round decides nothing.
+    fn full_scan_decisions(
+        ix: &BlockIndex<'_>,
+        deps: &BlockDeps,
+        weights: &WeightParams,
+    ) -> (Vec<GroupingDecision>, usize) {
+        let mut units: Vec<Unit> = ix.block().iter().map(|s| Unit::singleton(s.id())).collect();
+        let (mut decisions, mut weighed) = (Vec::new(), 0);
+        for round in 0.. {
+            let mut state = Round::new(ix, deps, &units, weights);
+            let pairs = state.candidates().to_vec();
+            let stmts = |c: usize| [units[pairs[c].0].stmts(), units[pairs[c].1].stmts()].concat();
+            let (mut alive, mut decided) = (vec![true; pairs.len()], Vec::new());
+            loop {
+                let mut best: Option<(usize, f64, Vec<StmtId>)> = None;
+                for c in (0..pairs.len()).filter(|&c| alive[c]) {
+                    let (weight, mut ids) = (state.weight(c, &alive), stmts(c));
+                    ids.sort_unstable();
+                    weighed += 1;
+                    if best
+                        .as_ref()
+                        .is_none_or(|(_, w, first)| weight > *w || (weight == *w && ids < *first))
+                    {
+                        best = Some((c, weight, ids));
+                    }
+                }
+                let Some((c, weight, _)) = best else { break };
+                decided.push(c);
+                decisions.push(GroupingDecision {
+                    stmts: stmts(c),
+                    weight,
+                    round,
+                });
+                state.decide(c);
+                for (other, slot) in alive.iter_mut().enumerate() {
+                    *slot &= other != c && !state.conflict(c, other);
+                }
+            }
+            if decided.is_empty() {
+                break;
+            }
+            merge_decided(&pairs, &decided, &mut units);
+        }
+        (decisions, weighed)
+    }
+
+    /// The best-first scan decides exactly as the full scan, to the weight
+    /// bit, under weight profiles that make the bound's clamp, its scalar
+    /// terms and its adjustment matter, and skips weights while at it.
+    #[test]
+    fn pruning_changes_no_decision_on_random_blocks() {
+        use crate::weight::tests::{lanes, random_programs, WEIGHED};
+        let profiles = [
+            WeightParams::default(),
+            WeightParams::reuse_only(),
+            WeightParams {
+                scalar_reuse_weight: -0.5,
+                ..WeightParams::default()
+            },
+            WeightParams {
+                contiguous_bonus: 0.0,
+                gather_penalty: 8.0,
+                ..WeightParams::default()
+            },
+        ];
+        let (mut decisions, mut weighed) = (0, 0);
+        let weighed_before = WEIGHED.get();
+        for program in random_programs() {
+            for info in program.blocks() {
+                let deps = BlockDeps::analyze_in(&info.block, &info.loops);
+                let ix = BlockIndex::new(&info.block, &program, lanes);
+                for weights in &profiles {
+                    let got = group_block_with(&ix, &deps, weights).decisions;
+                    let (want, scanned) = full_scan_decisions(&ix, &deps, weights);
+                    let key = |d: &GroupingDecision| (d.stmts.clone(), d.round, d.weight.to_bits());
+                    let (got, want): (Vec<_>, Vec<_>) = (
+                        got.iter().map(key).collect(),
+                        want.iter().map(key).collect(),
+                    );
+                    assert_eq!(got, want, "{weights:?} on\n{}", info.block);
+                    (decisions, weighed) = (decisions + got.len(), weighed + scanned);
+                }
+            }
+        }
+        let skipped = weighed - (WEIGHED.get() - weighed_before);
+        println!("{decisions} decisions: {skipped} of {weighed} weights skipped");
+        assert!(decisions > 1000 && skipped > 0, "{decisions} / {skipped}");
     }
 }

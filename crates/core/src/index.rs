@@ -223,6 +223,48 @@ impl<'b> BlockIndex<'b> {
         self.locs[key as usize]
     }
 
+    /// Every statement pair `(p, q)`, as block positions, where `p`
+    /// references the array element one below (one less in the last
+    /// subscript, equal in every other) the one `q` references at the same
+    /// slot: the destination or one operand position. Sorted by (alias
+    /// class, key), the references of one class ascend by their
+    /// subscripts' constant parts, so the element one past a key's is the
+    /// next key of its class, if any.
+    pub(crate) fn adjacent_refs(&self) -> Vec<(usize, usize)> {
+        let mut refs = Vec::with_capacity(self.keys.len());
+        for p in 0..self.block.len() {
+            for (slot, &k) in self.keys_at(p).iter().enumerate() {
+                if self.alias[k as usize].0 != 0 {
+                    refs.push((self.alias[k as usize], k, slot, p));
+                }
+            }
+        }
+        refs.sort_unstable();
+        let one_past = |a: u32, b: u32| {
+            let (Loc::Array(x), Loc::Array(y)) = (self.loc(a), self.loc(b)) else {
+                return false;
+            };
+            let last = x.access.rank() - 1;
+            (x.access.constant_difference(&y.access))
+                .is_some_and(|diff| diff.enumerate().all(|(dim, d)| d == i64::from(dim == last)))
+        };
+        let run = |at: usize| at + refs[at..].partition_point(|r| r.1 == refs[at].1);
+        let mut pairs = Vec::new();
+        let (mut low, mut high) = (0, refs.first().map_or(0, |_| run(0)));
+        while high < refs.len() {
+            let end = run(high);
+            let (a, b) = (&refs[low], &refs[high]);
+            if a.0 == b.0 && one_past(a.1, b.1) {
+                for &(_, _, slot, p) in &refs[low..high] {
+                    let above = refs[high..end].iter().filter(|r| r.2 == slot);
+                    pairs.extend(above.map(|r| (p, r.3)));
+                }
+            }
+            (low, high) = (high, end);
+        }
+        pairs
+    }
+
     /// Whether a write to the destination key `written` may change the
     /// data `key` names: the same location, or a possibly aliasing one.
     /// Distinct arrays never alias (the IR has no pointers). Two elements

@@ -28,7 +28,9 @@
 //!   3's auxiliary-graph construction, greedy conflict elimination and
 //!   `W = r / Nt` average-reuse weight, tuned by [`WeightParams`]. With
 //!   every candidate alive and nothing decided, it is the weighted
-//!   statement grouping graph of Figure 5.
+//!   statement grouping graph of Figure 5. Step 4's choice of the
+//!   heaviest candidate weighs only the candidates whose weight bounds
+//!   can still beat it.
 //! * `group` — step 4, the decision loop of Figure 10 that drives a
 //!   `Round`: commit the heaviest candidate, update the graphs, repeat,
 //!   then regroup the merged units for wider groups ([`group_block`]).

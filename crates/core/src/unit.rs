@@ -38,6 +38,13 @@ impl Unit {
         }
     }
 
+    /// A unit holding `stmts`, in that order.
+    pub(crate) fn of(stmts: &[StmtId]) -> Self {
+        Unit {
+            stmts: stmts.into(),
+        }
+    }
+
     /// Merges two units into one (a grouping decision).
     pub fn merged(a: &Unit, b: &Unit) -> Self {
         Unit {

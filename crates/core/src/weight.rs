@@ -24,9 +24,9 @@
 //! ties toward the lowest node index, so every weight keeps its bits only
 //! while "ascending id" means "ascending content".
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 
-use slp_ir::{pack_is_contiguous, ArrayRef, BlockDeps, StmtId};
+use slp_ir::{pack_is_contiguous, BlockDeps};
 
 use crate::candidates::{lanes_of, merges, ConflictMatrix};
 use crate::index::BlockIndex;
@@ -55,6 +55,11 @@ struct PackNode {
 /// Marks an auxiliary node deleted by conflict elimination.
 const DELETED: usize = usize::MAX;
 
+/// The relative slack of [`Round::bound`]: far above the rounding error
+/// of the float sums a weight and its bound take (DESIGN.md, "What a
+/// grouping round keeps and what it recomputes").
+const SLACK: f64 = 1e-9;
+
 /// One round of the basic grouping algorithm over a fixed unit set: its
 /// candidates, their conflicts, the variable-pack graph over ranked pack
 /// contents, and the packs of the groups decided so far.
@@ -65,13 +70,22 @@ pub struct Round {
     /// Per candidate: the rank of its sorted statement ids among the
     /// candidates' (they are distinct: units partition the block).
     tie_rank: Vec<usize>,
+    /// Per candidate: whether no decision has killed it yet.
+    live: Vec<bool>,
     /// The VP nodes, candidate-major, each candidate's in pack order.
     nodes: Vec<PackNode>,
     /// Per candidate: where its nodes start (and, last, the node count).
     first_node: Vec<usize>,
-    /// The node indices by (id, index), and where each id's start.
+    /// The node indices by id, and where each id's start. The nodes of
+    /// live candidates come first, ascending, and end at `live_end[id]`.
     by_id: Vec<usize>,
     first_of_id: Vec<usize>,
+    live_end: Vec<usize>,
+    /// Per id: at most how many of its live nodes a weight counts (see
+    /// [`Round::recount`]), and, per unit, the last recount that met it.
+    cap: Vec<usize>,
+    seen: Vec<usize>,
+    recounts: usize,
     /// Per id: whether every lane of the content is an array element.
     all_array: Vec<bool>,
     /// The weight profile: the scalar kind weight and, per candidate, the
@@ -82,12 +96,19 @@ pub struct Round {
     /// and per id how many decided packs have it.
     decided: Vec<usize>,
     decided_count: Vec<usize>,
-    /// Buffers of [`Round::weight`]: its wanted ids, auxiliary nodes,
-    /// their degrees and — zero between calls — the per-id counts.
+    /// The sum of the decided ids' [`Round::term_bound`]s.
+    decided_bound: f64,
+    /// Buffers of [`Round::weight`]: its wanted ids, auxiliary nodes, their
+    /// candidates' runs and degrees, and — zero between calls — the per-id
+    /// counts.
     wanted: Vec<usize>,
     aux: Vec<usize>,
+    groups: Vec<(usize, usize, usize)>,
     degree: Vec<usize>,
     count: Vec<usize>,
+    /// Buffer of [`Round::best`]: the live candidates by bound, then tie
+    /// rank.
+    order: Vec<(f64, usize, usize)>,
 }
 
 impl Round {
@@ -103,19 +124,31 @@ impl Round {
         let lanes = lanes_of(ix, units);
         let pairs = merges(ix, deps, &lanes);
         let conflicts = ConflictMatrix::compute(&pairs, &lanes, deps);
-        // The nodes, and each one's content: node `n`'s sorted keys are
-        // `keys[start[n]..start[n + 1]]`.
-        let (mut nodes, mut first_node) = (Vec::new(), vec![0]);
-        let (mut keys, mut start) = (Vec::new(), Vec::new());
-        let mut tie_keys: Vec<Vec<StmtId>> = Vec::with_capacity(pairs.len());
+        // Buffers sized once: a candidate has a pack per key of its
+        // statements at most. Node `n`'s sorted keys are
+        // `keys[start[n]..start[n + 1]]`, candidate `c`'s sorted statement
+        // ids `tie_ids[tie_start[c]..tie_start[c + 1]]`.
+        let width = |&(a, b): &(usize, usize)| lanes[a].len() + lanes[b].len();
+        let slots = |&(a, _): &(usize, usize)| ix.keys_at(lanes[a][0]).len();
+        let most: usize = pairs.iter().map(slots).sum();
+        let (mut nodes, mut start) = (Vec::with_capacity(most), Vec::with_capacity(most + 1));
+        let mut keys = Vec::with_capacity(pairs.iter().map(|c| width(c) * slots(c)).sum());
+        let mut tie_ids = Vec::with_capacity(pairs.iter().map(width).sum());
+        let mut first_node = Vec::with_capacity(pairs.len() + 1);
+        let mut tie_start = Vec::with_capacity(pairs.len() + 1);
+        let (mut members, mut refs) = (Vec::new(), Vec::new());
+        first_node.push(0);
+        tie_start.push(0);
         for (cand, &(a, b)) in pairs.iter().enumerate() {
-            let members = [lanes[a].as_slice(), &lanes[b]].concat();
+            members.clear();
+            members.extend_from_slice(&lanes[a]);
+            members.extend_from_slice(&lanes[b]);
             for pos in ix.pack_positions(&members) {
                 let from = keys.len();
                 keys.extend(members.iter().map(|&p| ix.key(p, pos)));
-                let refs: Option<Vec<&ArrayRef>> =
-                    (keys[from..].iter().map(|&k| ix.loc(k).as_array())).collect();
-                let contiguous = refs.map(|mut refs| {
+                refs.clear();
+                refs.extend(keys[from..].iter().map_while(|&k| ix.loc(k).as_array()));
+                let contiguous = (refs.len() == members.len()).then(|| {
                     refs.sort_by_key(|r| r.access.dims().last().map(|e| e.constant()));
                     pack_is_contiguous(&refs)
                 });
@@ -129,16 +162,25 @@ impl Round {
                 });
             }
             first_node.push(nodes.len());
-            let mut ids: Vec<StmtId> = members.iter().map(|&p| ix.stmt_at(p).id()).collect();
-            ids.sort_unstable();
-            tie_keys.push(ids);
+            let from = tie_ids.len();
+            tie_ids.extend(members.iter().map(|&p| ix.stmt_at(p).id()));
+            tie_ids[from..].sort_unstable();
+            tie_start.push(tie_ids.len());
         }
         // Rank the contents.
         start.push(keys.len());
         let content = |n: usize| &keys[start[n]..start[n + 1]];
-        let mut by_id: Vec<usize> = (0..nodes.len()).collect();
-        by_id.sort_unstable_by(|&x, &y| content(x).cmp(content(y)).then(x.cmp(&y)));
-        let (mut first_of_id, mut all_array) = (Vec::new(), Vec::new());
+        // A content has two keys at least: comparing those as one number
+        // settles most comparisons.
+        let first_two = |n: usize| u64::from(keys[start[n]]) << 32 | u64::from(keys[start[n] + 1]);
+        let mut sorted: Vec<(u64, usize)> = (0..nodes.len()).map(|n| (first_two(n), n)).collect();
+        sorted.sort_unstable_by(|x, y| {
+            let rest = || content(x.1).cmp(content(y.1)).then(x.1.cmp(&y.1));
+            x.0.cmp(&y.0).then_with(rest)
+        });
+        let by_id: Vec<usize> = sorted.into_iter().map(|(_, n)| n).collect();
+        let mut first_of_id = Vec::with_capacity(nodes.len() + 1);
+        let mut all_array = Vec::with_capacity(nodes.len());
         for (at, &n) in by_id.iter().enumerate() {
             if at == 0 || content(n) != content(by_id[at - 1]) {
                 first_of_id.push(at);
@@ -147,27 +189,37 @@ impl Round {
             nodes[n].id = all_array.len() - 1;
         }
         first_of_id.push(by_id.len());
+        let tie = |c: usize| &tie_ids[tie_start[c]..tie_start[c + 1]];
         let mut by_tie: Vec<usize> = (0..pairs.len()).collect();
-        by_tie.sort_unstable_by(|&x, &y| tie_keys[x].cmp(&tie_keys[y]));
+        by_tie.sort_unstable_by(|&x, &y| tie(x).cmp(tie(y)));
         let mut tie_rank = vec![0; pairs.len()];
         for (rank, &cand) in by_tie.iter().enumerate() {
             tie_rank[cand] = rank;
         }
+        let (ids, n) = (all_array.len(), nodes.len());
         let mut round = Round {
             conflicts,
             tie_rank,
+            live: vec![true; pairs.len()],
             nodes,
             first_node,
             by_id,
+            live_end: first_of_id[1..].to_vec(),
+            cap: vec![0; ids],
+            seen: vec![0; lanes.len()],
+            recounts: 0,
             first_of_id,
             scalar_reuse_weight: 0.0,
-            adjust: Vec::new(),
-            decided: Vec::new(),
-            decided_count: vec![0; all_array.len()],
-            wanted: Vec::new(),
-            aux: Vec::new(),
-            degree: Vec::new(),
-            count: vec![0; all_array.len()],
+            adjust: Vec::with_capacity(pairs.len()),
+            decided: Vec::with_capacity(ids),
+            decided_count: vec![0; ids],
+            decided_bound: 0.0,
+            wanted: Vec::with_capacity(ids),
+            aux: Vec::with_capacity(n),
+            groups: Vec::with_capacity(pairs.len()),
+            degree: Vec::with_capacity(pairs.len()),
+            count: vec![0; ids],
+            order: Vec::with_capacity(pairs.len()),
             all_array,
             pairs,
         };
@@ -179,28 +231,39 @@ impl Round {
     /// the candidates, conflicts and packs of a round depend on neither.
     pub(crate) fn restart(&mut self, params: &WeightParams) {
         self.scalar_reuse_weight = params.scalar_reuse_weight;
-        let nodes = |c: usize| &self.nodes[self.first_node[c]..self.first_node[c + 1]];
-        self.adjust = (0..self.pairs.len())
-            .map(|c| {
-                // Contiguous array packs earn the bonus, gathers pay the
-                // penalty, destinations (stores) times `store_factor`.
-                let mut adjust = 0.0;
-                for n in nodes(c) {
-                    let factor = match n.pos {
-                        PackPos::Dest => params.store_factor,
-                        PackPos::Operand(_) => 1.0,
-                    };
-                    match n.contiguous {
-                        Some(true) => adjust += factor * params.contiguous_bonus,
-                        Some(false) => adjust -= factor * params.gather_penalty,
-                        None => {}
-                    }
+        let (nodes, first_node) = (&self.nodes, &self.first_node);
+        self.adjust.clear();
+        self.adjust.extend((0..self.pairs.len()).map(|c| {
+            // Contiguous array packs earn the bonus, gathers pay the
+            // penalty, destinations (stores) times `store_factor`.
+            let mut adjust = 0.0;
+            for n in &nodes[first_node[c]..first_node[c + 1]] {
+                let factor = match n.pos {
+                    PackPos::Dest => params.store_factor,
+                    PackPos::Operand(_) => 1.0,
+                };
+                match n.contiguous {
+                    Some(true) => adjust += factor * params.contiguous_bonus,
+                    Some(false) => adjust -= factor * params.gather_penalty,
+                    None => {}
                 }
-                adjust
-            })
-            .collect();
+            }
+            adjust
+        }));
         self.decided.clear();
         self.decided_count.fill(0);
+        self.decided_bound = 0.0;
+        // Revive every node; a list a decision compacted is back in node
+        // order once sorted.
+        self.live.fill(true);
+        for id in 0..self.cap.len() {
+            let list = self.first_of_id[id]..self.first_of_id[id + 1];
+            if self.live_end[id] != list.end {
+                self.by_id[list.clone()].sort_unstable();
+                self.live_end[id] = list.end;
+            }
+            self.recount(id);
+        }
     }
 
     /// The candidates, as ascending index pairs into the round's units.
@@ -216,30 +279,30 @@ impl Round {
 
     /// Orders candidates whose weights tie: lower wins, the candidate with
     /// the lexicographically smaller sorted statement ids.
-    pub(crate) fn tie_rank(&self, cand: usize) -> usize {
+    fn tie_rank(&self, cand: usize) -> usize {
         self.tie_rank[cand]
     }
 
     /// The §4.2.1 weight of `cand` given which candidates are still
     /// `alive` (selectable; the packs of dead ones are deleted from `VP`)
-    /// and the packs of the groups decided so far.
+    /// and the packs of the groups decided so far. A decision kills its
+    /// candidate and their conflicts itself: `alive` can only narrow that
+    /// down.
     pub fn weight(&mut self, cand: usize, alive: &[bool]) -> f64 {
-        let own = self.first_node[cand]..self.first_node[cand + 1];
-        // wanted = own ∪ decided, distinct and ascending: both the aux
-        // extraction filter and the Nt normalizer of step 4.
-        self.wanted.clone_from(&self.decided);
-        for n in &self.nodes[own.clone()] {
-            if let Err(at) = self.wanted.binary_search(&n.id) {
-                self.wanted.insert(at, n.id);
-            }
-        }
+        self.weigh(cand, |other| alive[other])
+    }
 
-        // Step 1: auxiliary nodes, content-major.
+    /// [`Round::weight`] over the live candidates that `alive` accepts.
+    fn weigh(&mut self, cand: usize, alive: impl Fn(usize) -> bool) -> f64 {
+        let own = self.first_node[cand]..self.first_node[cand + 1];
+        self.want(cand);
+
+        // Step 1: auxiliary nodes, content-major, from the live lists.
         self.aux.clear();
         for &id in &self.wanted {
-            for &n in &self.by_id[self.first_of_id[id]..self.first_of_id[id + 1]] {
+            for &n in &self.by_id[self.first_of_id[id]..self.live_end[id]] {
                 let other = self.nodes[n].cand;
-                if other != cand && alive[other] && !self.conflicts.get(cand, other) {
+                if other != cand && alive(other) && !self.conflicts.get(cand, other) {
                     self.aux.push(n);
                 }
             }
@@ -258,14 +321,7 @@ impl Round {
         let r: f64 = (self.wanted.iter())
             .map(|&id| (id, self.count[id] + self.decided_count[id]))
             .filter(|&(_, n)| n > 1)
-            .map(|(id, n)| {
-                let kind_weight = if self.all_array[id] {
-                    1.0
-                } else {
-                    self.scalar_reuse_weight
-                };
-                (n - 1) as f64 * kind_weight
-            })
+            .map(|(id, n)| (n - 1) as f64 * self.kind_weight(id))
             .sum();
         for &id in &self.wanted {
             self.count[id] = 0;
@@ -274,48 +330,212 @@ impl Round {
         (r + self.adjust[cand]) / self.wanted.len() as f64
     }
 
+    /// Sets `wanted` to `cand`'s own ids ∪ the decided ones, distinct and
+    /// ascending: both the aux extraction filter and the Nt normalizer of
+    /// step 4.
+    fn want(&mut self, cand: usize) {
+        self.wanted.clone_from(&self.decided);
+        for n in &self.nodes[self.first_node[cand]..self.first_node[cand + 1]] {
+            if let Err(at) = self.wanted.binary_search(&n.id) {
+                self.wanted.insert(at, n.id);
+            }
+        }
+    }
+
+    /// What one reuse of content `id` is worth.
+    fn kind_weight(&self, id: usize) -> f64 {
+        if self.all_array[id] {
+            1.0
+        } else {
+            self.scalar_reuse_weight
+        }
+    }
+
+    /// An upper bound on the step 3 term of content `id` in the weight of
+    /// any live candidate: `cap[id]` live nodes of `id` counted, with no
+    /// conflict filter and no elimination, clamped at 0.
+    fn term_bound(&self, id: usize) -> f64 {
+        let n = self.cap[id] + self.decided_count[id];
+        (n.saturating_sub(1) as f64 * self.kind_weight(id)).max(0.0)
+    }
+
+    /// Sets `cap[id]`, at most how many live nodes of `id` a weight
+    /// counts: its own and the auxiliary ones that survive elimination.
+    /// Their candidates are pairwise conflict free, so share no unit: at
+    /// most half as many as the units of the live candidates with nodes
+    /// of `id`, each with at most as many of those as any has (a
+    /// candidate's nodes are neighbours: nodes are candidate-major).
+    fn recount(&mut self, id: usize) {
+        self.recounts += 1;
+        let list = &self.by_id[self.first_of_id[id]..self.live_end[id]];
+        let (mut units, mut most, mut run, mut last) = (0, 0, 0, usize::MAX);
+        for &n in list {
+            let cand = self.nodes[n].cand;
+            run = if cand == last { run + 1 } else { 1 };
+            (most, last) = (most.max(run), cand);
+            let (a, b) = self.pairs[cand];
+            for unit in [a, b] {
+                if self.seen[unit] != self.recounts {
+                    self.seen[unit] = self.recounts;
+                    units += 1;
+                }
+            }
+        }
+        self.cap[id] = list.len().min(units / 2 * most);
+    }
+
+    /// An upper bound on the weight of the live candidate `cand`, in
+    /// O(its own packs): the decided ids' term bounds, one sum kept per
+    /// decision, plus those of its own new ids, over the exact `Nt`, plus
+    /// [`SLACK`].
+    fn bound(&self, cand: usize) -> f64 {
+        let own = &self.nodes[self.first_node[cand]..self.first_node[cand + 1]];
+        let (mut r, mut nt) = (self.decided_bound, self.decided.len());
+        for (k, n) in own.iter().enumerate() {
+            if self.decided_count[n.id] == 0 && own[..k].iter().all(|m| m.id != n.id) {
+                r += self.term_bound(n.id);
+                nt += 1;
+            }
+        }
+        let (adjust, nt) = (self.adjust[cand], nt as f64);
+        (r + adjust) / nt + SLACK * (r + adjust.abs()) / nt
+    }
+
+    /// An upper bound on the weight of `cand` with no slack, in
+    /// O(|decided|): the terms of [`Round::bound`] summed over the ids, in
+    /// the order, the weight sums over. Each is at least the exact one (or
+    /// 0 where the weight adds none) and float addition and division are
+    /// monotone, so the bound is never below the weight.
+    fn tight_bound(&mut self, cand: usize) -> f64 {
+        self.want(cand);
+        let r: f64 = self.wanted.iter().map(|&id| self.term_bound(id)).sum();
+        (r + self.adjust[cand]) / self.wanted.len() as f64
+    }
+
+    /// Whether candidate `c` at `weight` beats `best`. Ties go to the
+    /// lower tie rank, the earliest statements: the paper chooses
+    /// randomly, and determinism keeps the evaluation reproducible.
+    fn beats(&self, c: usize, weight: f64, best: Option<(usize, f64)>) -> bool {
+        match best {
+            None => true,
+            Some((b, best_weight)) => match weight.partial_cmp(&best_weight) {
+                Some(Ordering::Equal) => self.tie_rank(c) < self.tie_rank(b),
+                order => order.expect("weights are finite") == Ordering::Greater,
+            },
+        }
+    }
+
+    /// Step 4's choice: the live candidate of largest weight, ties to the
+    /// lower tie rank, with its weight; `None` once no candidate lives.
+    /// Candidates are weighed in descending [`Round::bound`] order until a
+    /// bound falls below the best weight found, skipping those whose
+    /// [`Round::tight_bound`] cannot beat it: none of those can win,
+    /// whatever the order, so the choice is the full scan's. Debug builds
+    /// weigh them too, to check their bounds.
+    pub(crate) fn best(&mut self) -> Option<(usize, f64)> {
+        self.order.clear();
+        for c in 0..self.pairs.len() {
+            if self.live[c] {
+                let bound = self.bound(c);
+                self.order.push((bound, self.tie_rank(c), c));
+            }
+        }
+        self.order
+            .sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+        let mut best = None;
+        for at in 0..self.order.len() {
+            let (bound, _, c) = self.order[at];
+            if best.is_some_and(|(_, best_weight)| bound < best_weight) {
+                break;
+            }
+            let tight = self.tight_bound(c);
+            if !self.beats(c, tight, best) {
+                continue;
+            }
+            #[cfg(test)]
+            tests::WEIGHED.with(|n| n.set(n.get() + 1));
+            let weight = self.weigh(c, |_| true);
+            if self.beats(c, weight, best) {
+                best = Some((c, weight));
+            }
+        }
+        if cfg!(debug_assertions) {
+            for at in 0..self.order.len() {
+                let (bound, _, c) = self.order[at];
+                let (weight, tight) = (self.weigh(c, |_| true), self.tight_bound(c));
+                assert!(
+                    weight <= bound && weight <= tight,
+                    "{c}'s bound is below its weight"
+                );
+                let winner = best.expect("a live candidate");
+                assert!(
+                    c == winner.0 || !self.beats(c, weight, best),
+                    "{c} beats the winner"
+                );
+            }
+        }
+        best
+    }
+
     /// Greedily deletes maximum-degree nodes (ties: lowest node index)
-    /// from `aux` until the subgraph it induces has no edges. Degrees are
-    /// computed once and decremented on removal (O(aux²) total); the loop
-    /// is skipped when there is no edge to begin with, the common case.
+    /// from `aux` until the subgraph it induces has no edges. A node's
+    /// edges are its candidate's conflicts, so one candidate's nodes share
+    /// a degree and are never linked: the loop runs over candidates, and,
+    /// nodes being candidate-major, the lowest tied node is the first left
+    /// of the lowest tied candidate. Degrees are computed once
+    /// (O(candidates²)) and decremented on removal; the loop is skipped
+    /// when there is no edge to begin with, the common case.
     fn eliminate_conflicts(&mut self) {
         let Round {
             aux,
+            groups,
             degree,
             nodes,
             conflicts,
             ..
         } = self;
-        let linked = |x: usize, y: usize| conflicts.get(nodes[x].cand, nodes[y].cand);
+        // Per candidate in `aux`, ascending: it, and its nodes left there.
+        aux.sort_unstable();
+        groups.clear();
+        for (at, &n) in aux.iter().enumerate() {
+            match groups.last_mut() {
+                Some(group) if group.0 == nodes[n].cand => group.2 = at + 1,
+                _ => groups.push((nodes[n].cand, at, at + 1)),
+            }
+        }
         degree.clear();
-        degree.resize(aux.len(), 0);
+        degree.resize(groups.len(), 0);
         let mut edges = 0;
-        for a in 0..aux.len() {
-            for b in a + 1..aux.len() {
-                if linked(aux[a], aux[b]) {
-                    degree[a] += 1;
-                    degree[b] += 1;
-                    edges += 1;
+        for a in 0..groups.len() {
+            for b in a + 1..groups.len() {
+                if conflicts.get(groups[a].0, groups[b].0) {
+                    let (x, y) = (groups[a].2 - groups[a].1, groups[b].2 - groups[b].1);
+                    degree[a] += y;
+                    degree[b] += x;
+                    edges += x * y;
                 }
             }
         }
         while edges > 0 {
-            let victim = (0..aux.len())
-                .filter(|&a| degree[a] > 0)
-                .max_by_key(|&a| (degree[a], Reverse(aux[a])))
+            let victim = (0..groups.len())
+                .filter(|&g| groups[g].1 < groups[g].2 && degree[g] > 0)
+                .max_by_key(|&g| (degree[g], Reverse(g)))
                 .expect("an edge has endpoints");
-            edges -= std::mem::take(&mut degree[victim]);
-            let gone = std::mem::replace(&mut aux[victim], DELETED);
-            for a in 0..aux.len() {
-                if degree[a] > 0 && linked(aux[a], gone) {
-                    degree[a] -= 1;
+            let (cand, first, _) = groups[victim];
+            aux[first] = DELETED;
+            groups[victim].1 += 1;
+            edges -= degree[victim];
+            for (group, degree) in groups.iter().zip(degree.iter_mut()) {
+                if conflicts.get(cand, group.0) {
+                    *degree -= 1;
                 }
             }
         }
     }
 
     /// Step 4's graph update: keeps the packs of the now decided `cand`
-    /// for future weight calculations.
+    /// for future weight calculations, and kills `cand` and every
+    /// candidate conflicting with it, deleting their packs from `VP`.
     pub(crate) fn decide(&mut self, cand: usize) {
         for n in &self.nodes[self.first_node[cand]..self.first_node[cand + 1]] {
             if let Err(at) = self.decided.binary_search(&n.id) {
@@ -323,6 +543,28 @@ impl Round {
             }
             self.decided_count[n.id] += 1;
         }
+        for other in 0..self.pairs.len() {
+            if self.live[other] && (other == cand || self.conflict(cand, other)) {
+                self.live[other] = false;
+                for n in self.first_node[other]..self.first_node[other + 1] {
+                    self.compact(self.nodes[n].id);
+                }
+            }
+        }
+        self.decided_bound = self.decided.iter().map(|&id| self.term_bound(id)).sum();
+    }
+
+    /// Moves the live nodes of `id` to the front of its list, in order.
+    fn compact(&mut self, id: usize) {
+        let mut end = self.first_of_id[id];
+        for at in self.first_of_id[id]..self.live_end[id] {
+            if self.live[self.nodes[self.by_id[at]].cand] {
+                self.by_id.swap(end, at);
+                end += 1;
+            }
+        }
+        self.live_end[id] = end;
+        self.recount(id);
     }
 }
 
@@ -380,11 +622,17 @@ impl WeightParams {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::candidates::tests::{figure2, singletons};
     use crate::key::PackContent;
-    use slp_ir::{BasicBlock, Operand};
+    use slp_ir::{ArrayRef, BasicBlock, Operand, StmtId};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Per test thread: how many weights [`Round::best`] took.
+        pub(crate) static WEIGHED: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn fixture(params: &WeightParams) -> Round {
         let (p, bb) = figure2();
@@ -676,22 +924,35 @@ mod tests {
         Some((compared, eliminated, wider.chain(kept).collect()))
     }
 
-    #[test]
-    fn round_weights_match_the_specification_on_random_blocks() {
+    /// The 240 seeded random programs, unrolled by 2 or 4, that the
+    /// properties of rounds, the decision loop and the baseline's seeds
+    /// run over.
+    pub(crate) fn random_programs() -> impl Iterator<Item = slp_ir::Program> {
         use slp_suite::{random_program, GeneratorConfig};
-
-        let (mut blocks, mut compared, mut eliminated) = (0, 0, 0);
-        for seed in 0..240u64 {
+        (0..240u64).map(|seed| {
             let config = GeneratorConfig {
                 body_stmts: 3 + (seed % 5) as usize,
                 ..GeneratorConfig::default()
             };
             let mut program = random_program(seed, &config);
             slp_ir::unroll_program(&mut program, 2 + (seed % 2) as usize * 2);
+            program
+        })
+    }
+
+    /// A 128-bit datapath's lane cap.
+    pub(crate) fn lanes(ty: slp_ir::ScalarType) -> usize {
+        16 / ty.size_bytes() as usize
+    }
+
+    #[test]
+    fn round_weights_match_the_specification_on_random_blocks() {
+        let (mut blocks, mut compared, mut eliminated) = (0, 0, 0);
+        for program in random_programs() {
             for info in program.blocks() {
                 let bb = &info.block;
                 let deps = BlockDeps::analyze_in(bb, &info.loops);
-                let ix = BlockIndex::new(bb, &program, |ty| 16 / ty.size_bytes() as usize);
+                let ix = BlockIndex::new(bb, &program, lanes);
                 // Round 0, then the round over what its decisions merged.
                 let Some((n, e, units)) = check_round(bb, &deps, &ix, &singletons(bb)) else {
                     continue;
