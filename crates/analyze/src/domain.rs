@@ -57,7 +57,7 @@ fn gcd_i128(a: i128, b: i128) -> i128 {
     // fails to convert back for |i128::MIN|. The result is used as a
     // stride, so the sound degradation is 1 (the dense hull) — a large
     // substitute like i128::MAX would not divide the true gcd and could
-    // drop members from a join.
+    // drop members from a sum.
     i128::try_from(a).unwrap_or(1)
 }
 
@@ -184,19 +184,6 @@ impl StridedInterval {
         Self::canonical(lo, hi, gcd_i128(self.stride, other.stride))
     }
 
-    /// Abstract negation (exact).
-    pub(crate) fn neg(&self) -> StridedInterval {
-        let (Some(lo), Some(hi)) = (self.hi.checked_neg(), self.lo.checked_neg()) else {
-            return Self::top();
-        };
-        Self::canonical(lo, hi, self.stride)
-    }
-
-    /// Abstract subtraction.
-    pub fn sub(&self, other: &StridedInterval) -> StridedInterval {
-        self.add(&other.neg())
-    }
-
     /// Abstract multiplication by a constant (exact).
     pub fn scale(&self, k: i64) -> StridedInterval {
         if k == 0 {
@@ -211,21 +198,6 @@ impl StridedInterval {
             return Self::top();
         };
         Self::canonical(a.min(b), a.max(b), s)
-    }
-
-    /// Least upper bound: the smallest strided interval containing both.
-    ///
-    /// The joined stride divides both strides *and* the distance between
-    /// the two base points, so membership of every element of either
-    /// operand is preserved.
-    pub fn join(&self, other: &StridedInterval) -> StridedInterval {
-        let lo = self.lo.min(other.lo);
-        let hi = self.hi.max(other.hi);
-        let Some(dist) = self.lo.checked_sub(other.lo) else {
-            return Self::canonical(lo, hi, 1);
-        };
-        let s = gcd_i128(gcd_i128(self.stride, other.stride), dist);
-        Self::canonical(lo, hi, s)
     }
 }
 
@@ -287,30 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_and_neg_are_exact() {
-        let s = StridedInterval::range(2, 10, 2);
-        let n = s.neg();
-        assert_eq!((n.lo(), n.hi(), n.stride()), (-10, -2, 2));
-        let d = s.sub(&StridedInterval::constant(2));
-        assert_eq!((d.lo(), d.hi()), (0, 8));
-    }
-
-    #[test]
-    fn join_strides_account_for_base_distance() {
-        // {0, 6, 12} ⊔ {2, 8} must keep 2−0 in the congruence: stride 2.
-        let a = StridedInterval::range(0, 12, 6);
-        let b = StridedInterval::range(2, 8, 6);
-        let j = a.join(&b);
-        assert_eq!(j.stride(), 2);
-        for v in [0, 2, 6, 8, 12] {
-            assert!(j.contains(v), "{v} lost by join");
-        }
-        // Same-base join keeps the common stride.
-        let k = a.join(&StridedInterval::range(0, 18, 6));
-        assert_eq!(k.stride(), 6);
-    }
-
-    #[test]
     fn negative_stride_enumerates_descending_from_hi() {
         // step −4 from 10 down: {10, 6, 2} — anchored at hi, lo pulled up.
         let s = StridedInterval::range(0, 10, -4);
@@ -330,26 +278,13 @@ mod tests {
         );
     }
 
-    /// The exact singleton `{i128::MIN}`, built through checked public ops:
-    /// `(−2^63)(2^63 − 1) − 2^63 = −2^126`, then doubled by `add`.
-    fn min_singleton() -> StridedInterval {
-        let m = StridedInterval::constant(i64::MIN)
-            .scale(i64::MAX)
-            .add(&StridedInterval::constant(i64::MIN));
-        assert_eq!((m.lo(), m.hi()), (-(1i128 << 126), -(1i128 << 126)));
-        let m = m.add(&m);
-        assert_eq!((m.lo(), m.hi(), m.stride()), (i128::MIN, i128::MIN, 0));
-        m
-    }
-
     #[test]
     fn lo_at_i128_min_canonicalizes_without_overflow() {
-        // join({i128::MIN}, {0, 2^62}) = ⟨i128::MIN, 2^62, 2^62⟩: the span
-        // 2^127 + 2^62 overflows i128, so the old span-based snap degraded
-        // this to the stride-1 hull; the residue snap keeps the congruence.
-        let y = StridedInterval::range(0, i64::MAX, 1 << 62);
-        assert_eq!((y.lo(), y.hi(), y.stride()), (0, 1 << 62, 1 << 62));
-        let s = min_singleton().join(&y);
+        // ⟨i128::MIN, 2^62 + 1, 2^62⟩: the span 2^127 + 2^62 + 1 overflows
+        // i128, so a span-based snap would degrade this to the stride-1
+        // hull; the residue snap pulls `hi` onto the lattice and keeps the
+        // congruence.
+        let s = StridedInterval::canonical(i128::MIN, (1i128 << 62) + 1, 1i128 << 62);
         assert_eq!(s.lo(), i128::MIN, "endpoint reaches i128::MIN exactly");
         assert_eq!(s.hi(), 1i128 << 62);
         assert_eq!(s.stride(), 1i128 << 62, "congruence survives the wide span");
@@ -360,23 +295,12 @@ mod tests {
     }
 
     #[test]
-    fn join_at_extreme_distance_stays_sound() {
-        // The base distance of join({i128::MIN}, {0}) is |i128::MIN| =
-        // 2^127, whose gcd is unrepresentable; it must degrade to the
-        // dense hull (stride 1), never to a stride that loses members.
-        let j = min_singleton().join(&StridedInterval::constant(0));
-        assert_eq!((j.lo(), j.hi(), j.stride()), (i128::MIN, 0, 1));
-        assert!(j.contains(0), "member of the right operand survives");
-        assert!(j.contains(-5), "dense hull");
-    }
-
-    #[test]
     fn overflow_widens_to_top() {
         let huge = StridedInterval::range(i64::MAX, i64::MAX, 0);
         let t = huge.scale(i64::MAX).scale(i64::MAX).scale(i64::MAX);
         assert!(t.is_top());
         assert!(t.contains(0));
-        assert!(StridedInterval::top().sub(&huge).is_top());
+        assert!(StridedInterval::top().add(&huge).is_top());
     }
 
     #[test]

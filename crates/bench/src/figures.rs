@@ -467,8 +467,8 @@ pub fn compile_overhead(machine: &MachineConfig, scale: usize) -> [f64; 3] {
 /// The simulated-cycle impact of each design choice DESIGN.md calls out
 /// (no analogue in the paper): contiguity-aware vs the paper's
 /// pure-reuse grouping weights, vector register file size (the live
-/// superword set's capacity), permuted superword reuse, and the opt-in
-/// cross-iteration reuse extension. Suite totals at scale 1.
+/// superword set's capacity) and permuted superword reuse. Suite totals
+/// at scale 1.
 pub fn render_ablations(machine: &MachineConfig) -> String {
     let suite_cycles = |tweak: &dyn Fn(&mut SlpConfig)| -> f64 {
         slp_suite::all(1)
@@ -509,10 +509,6 @@ pub fn render_ablations(machine: &MachineConfig) -> String {
         (
             "vector register file = 4",
             suite_cycles(&|cfg| cfg.machine.vector_regs = 4),
-        ),
-        (
-            "cross-iteration reuse enabled",
-            suite_cycles(&|cfg| cfg.cross_iteration_reuse = true),
         ),
     ] {
         let _ = writeln!(

@@ -38,8 +38,9 @@ pub struct CostParams {
     pub extract: f64,
     /// A register shuffle/permutation over one superword.
     pub permute: f64,
-    /// A plain vector register-to-register move (used by the opt-in
-    /// cross-iteration reuse extension).
+    /// A plain vector register-to-register move. No instruction the code
+    /// generator emits charges it; it stays a machine parameter of the
+    /// cost table (and of the codec's machine record).
     pub reg_move: f64,
     /// Loop-control overhead charged per executed iteration.
     pub loop_overhead: f64,

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use slp_analyze::{RangeOracle, SafetyCert};
+use slp_analyze::SafetyCert;
 use slp_ir::{
     unroll_program, BlockDeps, BlockId, BlockInfo, Dest, LoopHeader, Program, StmtId, TypeEnv,
 };
@@ -161,8 +161,7 @@ pub struct PackRequest<'a> {
     /// The block to pack ([`BlockIndex::block`]), indexed: positions,
     /// operand keys, isomorphism classes and lane caps.
     pub ix: &'a BlockIndex<'a>,
-    /// The block's dependence graph (range-refined when
-    /// [`SlpConfig::refine_deps`] is on).
+    /// The block's dependence graph.
     pub deps: &'a BlockDeps,
     /// The unrolled program the block belongs to.
     pub program: &'a Program,
@@ -243,18 +242,6 @@ pub struct SlpConfig {
     pub layout: bool,
     /// Grouping weight knobs.
     pub weights: WeightParams,
-    /// Opt-in cross-iteration superword reuse (the Shin et al. style
-    /// register caching the paper cites as complementary): a pack whose
-    /// next-iteration content equals another pack loaded this iteration
-    /// is carried in a register instead of reloaded. Off by default.
-    pub cross_iteration_reuse: bool,
-    /// Opt-in range-refined dependence testing: dependence queries go
-    /// through `slp-analyze`'s strided-interval oracle, which disproves
-    /// aliasing the constant/GCD/interval baseline keeps (loop-stride
-    /// parity, value-band separation, joint multi-dimension reasoning).
-    /// Every disproof removes a false dependence edge and is counted in
-    /// [`CompileStats::deps_refuted`]. Off by default.
-    pub refine_deps: bool,
     /// Anytime budgets for the [`Strategy::Optimal`] solver. Ignored by
     /// every other strategy.
     pub opt: OptParams,
@@ -275,18 +262,9 @@ impl SlpConfig {
             unroll: 0,
             layout: false,
             weights: WeightParams::default(),
-            cross_iteration_reuse: false,
-            refine_deps: false,
             opt: OptParams::default(),
             packer: None,
         }
-    }
-
-    /// Enables range-refined dependence testing (see
-    /// [`SlpConfig::refine_deps`]).
-    pub fn with_refined_deps(mut self) -> Self {
-        self.refine_deps = true;
-        self
     }
 
     /// Enables the data layout stage (the paper's Global+Layout scheme).
@@ -327,10 +305,6 @@ pub struct CompileStats {
     pub scalar_packs_laid_out: usize,
     /// Array replications committed.
     pub replications: usize,
-    /// Candidate dependences disproved by the range-refined oracle
-    /// beyond what the GCD baseline settles (0 unless
-    /// [`SlpConfig::refine_deps`] is on).
-    pub deps_refuted: usize,
     /// Branch-and-bound nodes the [`Strategy::Optimal`] solver expanded
     /// across all blocks (0 for every other strategy).
     pub opt_nodes: u64,
@@ -527,7 +501,7 @@ pub fn compile_passes(
     // Stage 1: superword statement generation, block by block.
     let exposed = program.upward_exposed_scalars();
     let infos = program.blocks();
-    let mut stats = CompileStats {
+    let stats = CompileStats {
         stmts: program.stmt_count(),
         blocks: infos.len(),
         ..CompileStats::default()
@@ -536,14 +510,7 @@ pub fn compile_passes(
     for info in &infos {
         deadline.check()?;
         let deps = timings.time(Phase::Alignment, || {
-            if config.refine_deps {
-                let oracle = RangeOracle::new();
-                let deps = BlockDeps::analyze_with(&info.block, &info.loops, &oracle);
-                stats.deps_refuted += oracle.refuted_beyond_gcd() as usize;
-                deps
-            } else {
-                BlockDeps::analyze_in(&info.block, &info.loops)
-            }
+            BlockDeps::analyze_in(&info.block, &info.loops)
         });
         let ix = BlockIndex::new(&info.block, &program, |ty| config.machine.lanes_for(ty));
         let sole = |sched| vec![(sched, false)];

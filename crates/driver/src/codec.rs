@@ -113,8 +113,6 @@ record!(keyed SlpConfig {
     "unroll" = unroll: usize,
     "layout" = layout: bool,
     "weights" = weights: WeightParams,
-    "cross_iteration_reuse" = cross_iteration_reuse: bool,
-    "refine_deps" = refine_deps: bool,
     "opt" = opt: OptParams,
 } with {
     // A trait object has no serialized form; see module docs.
@@ -130,7 +128,6 @@ record!(CompileStats {
     "vectorized_stmts" = vectorized_stmts: usize,
     "scalar_packs_laid_out" = scalar_packs_laid_out: usize,
     "replications" = replications: usize,
-    "deps_refuted" = deps_refuted: usize,
     "accesses_proven_safe" = accesses_proven_safe: usize,
     "accesses_unknown" = accesses_unknown: usize,
     "accesses_proven_faulting" = accesses_proven_faulting: usize,
@@ -802,9 +799,9 @@ mod tests {
         let base_fp = crate::fingerprint_with_tag(GATHER, &k.config, "");
         let mut paths = Vec::new();
         leaf_paths(&base, &mut Vec::new(), &mut paths);
-        // machine (8 + its 13 costs), weights 4, opt 2, and 5 top-level
+        // machine (8 + its 13 costs), weights 4, opt 2, and 3 top-level
         // knobs.
-        assert_eq!(paths.len(), (8 + 13) + 4 + 2 + 5, "{paths:?}");
+        assert_eq!(paths.len(), (8 + 13) + 4 + 2 + 3, "{paths:?}");
         for name in ["l1_data_kb", "l2_total_kb", "l3_total_kb"] {
             assert!(paths.contains(&vec!["machine".to_string(), name.to_string()]));
         }

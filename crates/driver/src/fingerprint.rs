@@ -259,10 +259,6 @@ mod tests {
         c.unroll = 4;
         assert_ne!(fingerprint(src, &c), base);
 
-        // Range-refined dependence flag.
-        let c = base_config().with_refined_deps();
-        assert_ne!(fingerprint(src, &c), base);
-
         // Solver anytime budgets (each dimension separately).
         let c = base_config().with_opt_budget(7, 1 << 20);
         assert_ne!(fingerprint(src, &c), base);

@@ -223,11 +223,6 @@ impl DriverReport {
         self.rows.iter().filter_map(|r| r.verify_errors).sum()
     }
 
-    /// Range-refined dependence disproofs summed over all rows.
-    pub fn deps_refuted_count(&self) -> usize {
-        self.rows.iter().map(|r| r.stats.deps_refuted).sum()
-    }
-
     /// Certificate verdict totals summed over all rows:
     /// `(proven_safe, unknown, proven_faulting)`.
     fn access_verdict_counts(&self) -> (usize, usize, usize) {
@@ -292,7 +287,6 @@ impl DriverReport {
             ),
             ("failed", Json::num(self.failed_count() as u64)),
             ("verify_errors", Json::num(self.verify_error_count() as u64)),
-            ("deps_refuted", Json::num(self.deps_refuted_count() as u64)),
             ("accesses", {
                 let (safe, unknown, faulting) = self.access_verdict_counts();
                 Json::obj([
@@ -376,13 +370,6 @@ impl DriverReport {
             let nodes: u64 = solved().map(|s| s.opt_nodes).sum();
             out.push_str(&format!(
                 "optimal: {proven} proven optimal, {degraded} hit the solver budget, {nodes} nodes\n",
-            ));
-        }
-        let refuted = self.deps_refuted_count();
-        if refuted > 0 {
-            out.push_str(&format!(
-                "refined dependence tests removed {refuted} false dependence{}\n",
-                if refuted == 1 { "" } else { "s" }
             ));
         }
         let (safe, unknown, faulting) = self.access_verdict_counts();

@@ -158,43 +158,6 @@ fn a_guarded_memory_hit_is_an_owned_copy_of_the_cold_outcome() {
 }
 
 #[test]
-fn refine_toggle_recompiles_instead_of_reusing_a_stale_certificate() {
-    // `--refine` changes which dependences survive pruning, hence which
-    // superwords form and which accesses the bytecode translator may run
-    // unchecked. Turning it on (or off) must change the fingerprint and
-    // force a fresh compile — never reuse the other configuration's
-    // kernel and its memory-safety certificate.
-    let cache = CompileCache::in_memory(64);
-
-    let plain = compile_source(&request(SRC, holistic()), Some(&cache)).expect("compiles");
-    assert_eq!(plain.cache, CacheDisposition::Compiled);
-    assert!(plain.kernel.safety.all_proven_safe());
-
-    let refined = compile_source(&request(SRC, holistic().with_refined_deps()), Some(&cache))
-        .expect("compiles");
-    assert_eq!(
-        refined.cache,
-        CacheDisposition::Compiled,
-        "refine_deps must be a fingerprint dimension, not a cache hit"
-    );
-    assert_ne!(refined.fingerprint, plain.fingerprint);
-    // The refined compile carries its own certificate, freshly computed
-    // and mirrored into the compile stats.
-    assert!(refined.kernel.safety.all_proven_safe());
-    assert_eq!(
-        refined.kernel.stats.accesses_proven_safe,
-        refined.kernel.safety.proven_safe()
-    );
-
-    // Both configurations hit their own entries on repeat, certificate
-    // intact.
-    let warm = compile_source(&request(SRC, holistic().with_refined_deps()), Some(&cache))
-        .expect("compiles");
-    assert_eq!(warm.cache, CacheDisposition::MemoryHit);
-    assert_eq!(warm.kernel.safety, refined.kernel.safety);
-}
-
-#[test]
 fn disk_tier_survives_a_new_cache_instance() {
     let dir = scratch("persist");
 

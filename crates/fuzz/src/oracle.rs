@@ -178,38 +178,22 @@ pub(crate) fn within_budget(program: &Program, budget: &Budget) -> bool {
 
 /// The strategy matrix every valid program is pushed through.
 ///
-/// `(strategy, layout, cross_iteration_reuse, refine_deps, label)` —
-/// covering the four §7 schemes, the cross-iteration-reuse variant of
-/// the holistic optimizer, the range-refined dependence-testing
-/// variant (so an unsoundly disproved dependence shows up as a state
-/// divergence against the scalar run), and the branch-and-bound exact
-/// packer (so a solver packing the heuristic would never produce is
-/// still held to scalar equivalence).
-pub(crate) const STRATEGIES: &[(Strategy, bool, bool, bool, &str)] = &[
-    (Strategy::Native, false, false, false, "native"),
-    (Strategy::Baseline, false, false, false, "slp"),
-    (Strategy::Holistic, false, false, false, "global"),
-    (Strategy::Holistic, true, false, false, "global+layout"),
-    (Strategy::Holistic, true, true, false, "global+reuse"),
-    (Strategy::Holistic, false, false, true, "global+refine"),
-    (Strategy::Optimal, false, false, false, "global+opt"),
+/// `(strategy, layout, label)` — covering the four §7 schemes and the
+/// branch-and-bound exact packer (so a solver packing the heuristic
+/// would never produce is still held to scalar equivalence).
+pub(crate) const STRATEGIES: &[(Strategy, bool, &str)] = &[
+    (Strategy::Native, false, "native"),
+    (Strategy::Baseline, false, "slp"),
+    (Strategy::Holistic, false, "global"),
+    (Strategy::Holistic, true, "global+layout"),
+    (Strategy::Optimal, false, "global+opt"),
 ];
 
-fn config_for(
-    machine: &MachineConfig,
-    strategy: Strategy,
-    layout: bool,
-    reuse: bool,
-    refine: bool,
-) -> SlpConfig {
+fn config_for(machine: &MachineConfig, strategy: Strategy, layout: bool) -> SlpConfig {
     let mut cfg = SlpConfig::for_machine(machine.clone(), strategy);
     if layout {
         cfg = cfg.with_layout();
     }
-    if refine {
-        cfg = cfg.with_refined_deps();
-    }
-    cfg.cross_iteration_reuse = reuse;
     if strategy == Strategy::Optimal {
         // A small deterministic node cap instead of a wall deadline: fuzz
         // verdicts must not depend on machine load, and a few hundred
@@ -353,8 +337,8 @@ pub fn check_program(
 
     // Stages 5-6: each strategy compiles; in-budget programs also run
     // the two differential oracles.
-    for &(strategy, layout, reuse, refine, label) in STRATEGIES {
-        let cfg = config_for(machine, strategy, layout, reuse, refine);
+    for &(strategy, layout, label) in STRATEGIES {
+        let cfg = config_for(machine, strategy, layout);
         let kernel = match guarded(|| slp_core::compile(program, &cfg)) {
             Err(panic) => {
                 return Some(Anomaly {

@@ -115,11 +115,6 @@ impl AffineExpr {
         self.terms.iter().copied()
     }
 
-    /// Whether the expression is a plain constant (no variable terms).
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// The loop variables referenced by this expression.
     pub fn vars(&self) -> impl Iterator<Item = LoopVarId> + '_ {
         self.terms().map(|(v, _)| v)
@@ -138,18 +133,9 @@ impl AffineExpr {
         }
     }
 
-    /// Returns `self - other`.
-    pub fn sub(&self, other: &AffineExpr) -> AffineExpr {
-        let (constant, terms) = self.difference(other);
-        AffineExpr {
-            terms: terms.collect(),
-            constant,
-        }
-    }
-
-    /// [`sub`](Self::sub) read in place: the constant of `self - other`
-    /// and its non-zero terms in variable order, merged from the two term
-    /// lists without building the difference.
+    /// `self - other` read in place: its constant and its non-zero terms
+    /// in variable order, merged from the two term lists without building
+    /// the difference.
     pub(crate) fn difference<'a>(
         &'a self,
         other: &'a AffineExpr,
@@ -390,16 +376,14 @@ mod tests {
         let e = AffineExpr::var(i()).scaled(4).offset(3); // 4i+3
         let f = AffineExpr::var(i()).scaled(-4).offset(1); // -4i+1
         let sum = e.add(&f);
-        assert!(sum.is_constant());
-        assert_eq!(sum.constant(), 4);
+        assert_eq!(sum, AffineExpr::constant_expr(4));
     }
 
     #[test]
     fn zero_coefficients_are_dropped() {
         let e = AffineExpr::from_terms([(i(), 2), (j(), 0)], 5);
         assert_eq!(e.vars().count(), 1);
-        let g = e.sub(&AffineExpr::var(i()).scaled(2));
-        assert!(g.is_constant());
+        let g = e.add(&AffineExpr::var(i()).scaled(-2));
         assert_eq!(g, AffineExpr::constant_expr(5));
     }
 
@@ -615,9 +599,9 @@ mod tests {
                 assert_eq!(of(&a), ma, "from_terms {a:?}");
                 assert_eq!(of(&a.add(&b)), add(ma, mb), "{a:?} + {b:?}");
                 let diff = add(ma, scaled(mb, -1));
-                assert_eq!(of(&a.sub(&b)), diff, "{a:?} - {b:?}");
                 let (constant, terms) = a.difference(&b);
-                assert_eq!(AffineExpr::from_terms(terms, constant), a.sub(&b));
+                let difference = AffineExpr::from_terms(terms, constant);
+                assert_eq!(of(&difference), diff, "{a:?} - {b:?}");
                 let k = rng.pick();
                 assert_eq!(of(&a.scaled(k)), scaled(ma, k), "{a:?} * {k}");
                 let offset = Model {

@@ -12,39 +12,17 @@
 //! interval disproof). The test reads the IR in place: each statement's
 //! def, uses and merge predicate are taken once per block, and a
 //! difference is walked off the two sorted term lists
-//! ([`AffineExpr::difference`]) instead of being built.
+//! ([`AffineExpr::difference`](crate::AffineExpr::difference)) instead
+//! of being built.
 
 use std::fmt;
 
-use crate::affine::AffineExpr;
 use crate::block::{BasicBlock, StmtPositions};
 use crate::expr::{ArrayRef, CmpOp, Expr, Operand, Operands};
 use crate::ids::{LoopVarId, StmtId};
 use crate::numeric;
 use crate::program::LoopHeader;
 use crate::stmt::Statement;
-
-/// An external aliasing oracle consulted by [`BlockDeps::analyze_with`].
-///
-/// The built-in test ([`operands_overlap_in`]) resolves scalar pairs
-/// exactly and array pairs with the constant/GCD/interval disproofs. A
-/// refinement (such as the strided-interval oracle in `slp-analyze`) can
-/// disprove more pairs; implementations must stay **conservative**:
-/// return `true` whenever the two operands might denote the same storage
-/// in one iteration of the enclosing loops.
-pub trait DepOracle {
-    /// May `a` and `b` denote the same storage location in the same
-    /// iteration, given the enclosing loop bounds?
-    fn operands_overlap(&self, a: &Operand, b: &Operand, loops: &[LoopHeader]) -> bool;
-}
-
-/// A function of the query's signature is an oracle; the built-in one
-/// is [`operands_overlap_in`] itself.
-impl<F: Fn(&Operand, &Operand, &[LoopHeader]) -> bool> DepOracle for F {
-    fn operands_overlap(&self, a: &Operand, b: &Operand, loops: &[LoopHeader]) -> bool {
-        self(a, b, loops)
-    }
-}
 
 /// The classic dependence kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,23 +145,13 @@ impl BlockDeps {
     /// [`refs_overlap_in`]: accesses whose difference provably never
     /// vanishes inside the iteration space carry no dependence.
     pub fn analyze_in(block: &BasicBlock, loops: &[LoopHeader]) -> Self {
-        Self::analyze_with(block, loops, &operands_overlap_in)
-    }
-
-    /// [`BlockDeps::analyze_in`] with an explicit aliasing oracle.
-    ///
-    /// Every operand-pair query goes through `oracle`, so a refinement
-    /// (for example range-based disproofs from `slp-analyze`) drops the
-    /// corresponding dependence edges from the graph. The oracle must be
-    /// conservative; see [`DepOracle`].
-    pub fn analyze_with(block: &BasicBlock, loops: &[LoopHeader], oracle: &dyn DepOracle) -> Self {
         let n = block.len();
         let mut direct = Vec::new();
         let mut direct_pairs = Vec::new();
         let mut reach = BitMatrix::new(n);
         let mut exclusive_merges = Vec::new();
         let reads: Vec<Reads<'_>> = block.iter().map(Reads::of).collect();
-        let overlap = |a: &Operand, b: &Operand| oracle.operands_overlap(a, b, loops);
+        let overlap = |a: &Operand, b: &Operand| operands_overlap_in(a, b, loops);
         for q in 0..n {
             for p in 0..q {
                 let (sp, sq) = (&reads[p], &reads[q]);
@@ -461,15 +429,6 @@ pub fn refs_overlap_in(x: &ArrayRef, y: &ArrayRef, loops: &[LoopHeader]) -> bool
         let (constant, _) = a.difference(b);
         never_zero(|| a.difference(b).1, constant, loops)
     })
-}
-
-/// The GCD disproof: `delta` is never zero when it is a non-zero
-/// constant, or when the gcd of its coefficients does not divide its
-/// constant term. Loop bounds are not consulted, so this is the part of
-/// the test a range analysis can go *beyond* (see `slp-analyze`).
-pub fn gcd_test_refutes_zero(delta: &AffineExpr) -> bool {
-    // Without loop bounds the interval disproof never applies.
-    never_zero(|| delta.terms(), delta.constant(), &[])
 }
 
 /// Whether `constant + Σ terms()` is provably non-zero over the loop

@@ -56,10 +56,7 @@ mod validate;
 pub use affine::{AccessVector, AffineExpr};
 pub use align::{pack_is_aligned_in, pack_is_contiguous};
 pub use block::{BasicBlock, StmtPositions};
-pub use deps::{
-    gcd_test_refutes_zero, operands_overlap_in, refs_overlap_in, BlockDeps, DepKind, DepOracle,
-    Dependence,
-};
+pub use deps::{operands_overlap_in, refs_overlap_in, BlockDeps, DepKind, Dependence};
 pub use expr::{
     ArrayRef, BinOp, CmpOp, Dest, Expr, ExprShape, Operand, OperandKind, Operands, TypeEnv, UnOp,
 };

@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 
-use slp_analyze::RangeOracle;
 use slp_core::{CompiledKernel, ScheduledItem};
 use slp_ir::{BlockDeps, BlockInfo, StmtId};
 
@@ -70,15 +69,7 @@ pub(crate) fn check_dependences(kernel: &CompiledKernel, blocks: &[BlockInfo]) -
 
         // 2. Re-derive the dependence graph from the scalar block and
         // check the schedule executes every source before its target.
-        // A kernel compiled with range-refined dependence testing is
-        // checked against the same refined graph: the baseline keeps
-        // edges the refinement soundly disproved, and those must not be
-        // reported as violations.
-        let deps = if kernel.config.refine_deps {
-            BlockDeps::analyze_with(&info.block, &info.loops, &RangeOracle::new())
-        } else {
-            BlockDeps::analyze_in(&info.block, &info.loops)
-        };
+        let deps = BlockDeps::analyze_in(&info.block, &info.loops);
         for d in deps.direct() {
             let (Some(&ps), Some(&pd)) = (pos.get(&d.src), pos.get(&d.dst)) else {
                 continue; // already reported as a permutation failure

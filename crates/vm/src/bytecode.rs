@@ -38,9 +38,9 @@
 //!   superinstructions, halving dispatch for the dominant patterns.
 //!
 //! Execution semantics are *bit-identical* to the reference engine —
-//! cycle accumulation order, iteration/first-iteration protocol,
-//! replication population, coercions, truncating zips, per-block cycle
-//! attribution and error strings are all preserved — which the
+//! cycle accumulation order, iteration counting, replication
+//! population, coercions, truncating zips, per-block cycle attribution
+//! and error strings are all preserved — which the
 //! differential gate (`verify::differential` and the
 //! `engine_differential` test) checks continuously.
 
@@ -230,13 +230,6 @@ enum BOp {
     Nop {
         m: u32,
     },
-    /// A real load (`first`) on a loop's first iteration, a register move
-    /// from `from` after.
-    Carried {
-        first: Mem,
-        m_steady: u32,
-        from: RegBase,
-    },
     Op(Alu),
     /// Superinstruction: a load immediately feeding an op.
     LoadOp(Mem, Alu),
@@ -276,10 +269,8 @@ struct Code {
     ranges: Vec<Range>,
     costs: Vec<Cost>,
     /// Per op range, its instructions' metrics summed (only the integer
-    /// counters are read) for an execution under a steady `[0]` or a
-    /// first `[1]` iteration — a carried load charges a different row in
-    /// each, and the flag is constant while a range runs.
-    counts: Vec<[InstMetrics; 2]>,
+    /// counters are read).
+    counts: Vec<InstMetrics>,
     accesses: Vec<Access>,
     dims: Vec<Dim>,
     terms: Vec<(u32, i64)>,
@@ -419,14 +410,8 @@ impl BytecodeKernel {
             let body_stack: Vec<LoopVarId> = info.loops.iter().map(|h| h.var).collect();
             let pre_stack = &body_stack[..body_stack.len().saturating_sub(1)];
             let mut map: HashMap<u32, (u32, u32)> = HashMap::new();
-            let mut pend_pre = Vec::new();
-            let mut pend_body = Vec::new();
-            let (mut pre, pre_counts) =
-                tr.translate_stream(&code.preheader, pre_stack, &mut map, &mut pend_pre)?;
-            let (mut body, body_counts) =
-                tr.translate_stream(&code.insts, &body_stack, &mut map, &mut pend_body)?;
-            resolve_pending(&mut pre, &pend_pre, &map)?;
-            resolve_pending(&mut body, &pend_body, &map)?;
+            let (pre, pre_counts) = tr.translate_stream(&code.preheader, pre_stack, &mut map)?;
+            let (body, body_counts) = tr.translate_stream(&code.insts, &body_stack, &mut map)?;
             let pre = tr.fuse_stream(pre);
             let body = tr.fuse_stream(body);
             tr.append(pre, pre_counts);
@@ -490,9 +475,8 @@ impl BytecodeKernel {
             // (`coeff` 0 at depth 0) evaluates outside any loop too.
             loop_vals: vec![0; code.loop_depth.max(1)],
             stats,
-            first: true,
             block_cycles: vec![0.0; code.block_ids.len()],
-            runs: vec![[0; 2]; code.counts.len()],
+            runs: vec![0; code.counts.len()],
         };
         vm.run_nodes(&code.roots, 0)?;
 
@@ -504,15 +488,14 @@ impl BytecodeKernel {
         for (slot, &id) in code.block_ids.iter().enumerate() {
             let mut seen = false;
             for range in [2 * slot, 2 * slot + 1] {
-                for (per_run, &runs) in code.counts[range].iter().zip(&vm.runs[range]) {
-                    let m = &mut stats.metrics;
-                    m.dynamic_instructions += runs * per_run.dynamic_instructions;
-                    m.memory_ops += runs * per_run.memory_ops;
-                    m.packing_ops += runs * per_run.packing_ops;
-                    m.permutes += runs * per_run.permutes;
-                    m.simd_ops += runs * per_run.simd_ops;
-                    seen |= runs > 0;
-                }
+                let (per_run, runs) = (&code.counts[range], vm.runs[range]);
+                let m = &mut stats.metrics;
+                m.dynamic_instructions += runs * per_run.dynamic_instructions;
+                m.memory_ops += runs * per_run.memory_ops;
+                m.packing_ops += runs * per_run.packing_ops;
+                m.permutes += runs * per_run.permutes;
+                m.simd_ops += runs * per_run.simd_ops;
+                seen |= runs > 0;
             }
             if seen {
                 block_cycles.push((id, vm.block_cycles[slot]));
@@ -556,29 +539,6 @@ fn use_reg(map: &HashMap<u32, (u32, u32)>, r: VReg) -> Result<(u32, u32), ExecEr
     map.get(&r.0)
         .copied()
         .ok_or_else(|| ExecError::undefined_register(format!("read of undefined register {r}")))
-}
-
-/// Patches forward `carried_from` references once a block's full stream
-/// has been translated (the carried source is defined *later* in the
-/// body, by construction of the cross-iteration-reuse pass).
-fn resolve_pending(
-    ops: &mut [BOp],
-    pending: &[(usize, VReg)],
-    map: &HashMap<u32, (u32, u32)>,
-) -> Result<(), ExecError> {
-    for &(i, r) in pending {
-        let (base, width) = use_reg(map, r)?;
-        if let BOp::Carried { first, from, .. } = &mut ops[i] {
-            if width != first.acc.width {
-                return Err(ExecError::malformed(format!(
-                    "carried load expects {} lane(s) from {r}, register has {width}",
-                    first.acc.width
-                )));
-            }
-            *from = base;
-        }
-    }
-    Ok(())
 }
 
 /// Builds the execution tree of `items`, which sit inside `depth` loops,
@@ -787,21 +747,18 @@ impl<'a> Translator<'a> {
     }
 
     /// Translates one instruction stream. Besides the ops, returns the
-    /// stream's summed metrics for an execution under a steady `[0]` and
-    /// under a first `[1]` iteration (see [`Code::counts`]).
+    /// stream's summed metrics (see [`Code::counts`]).
     fn translate_stream(
         &mut self,
         insts: &[VInst],
         stack: &[LoopVarId],
         map: &mut HashMap<u32, (u32, u32)>,
-        pending: &mut Vec<(usize, VReg)>,
-    ) -> Result<(Vec<BOp>, [InstMetrics; 2]), ExecError> {
+    ) -> Result<(Vec<BOp>, InstMetrics), ExecError> {
         let mut out = Vec::with_capacity(insts.len());
-        let mut counts = [InstMetrics::default(); 2];
+        let mut counts = InstMetrics::default();
         for inst in insts {
             let row = inst.metrics(self.cost);
             let m = self.cost_row(&row);
-            let mut first_row = row;
             let op = match inst {
                 VInst::Scalar { stmt, .. } => {
                     // `Expr` holds exactly `arity(shape)` operands.
@@ -907,30 +864,6 @@ impl<'a> Translator<'a> {
                     }
                 }
                 VInst::Spill { .. } | VInst::Reload { .. } => BOp::Nop { m },
-                VInst::CarriedLoad {
-                    dst,
-                    refs,
-                    class,
-                    carried_from,
-                } => {
-                    let as_load = VInst::Load {
-                        dst: VReg(0), // cost lookup only
-                        refs: refs.clone(),
-                        class: *class,
-                    };
-                    first_row = as_load.metrics(self.cost);
-                    let first = Mem {
-                        m: self.cost_row(&first_row),
-                        acc: self.add_lanes(refs, stack),
-                        reg: self.def(map, *dst, refs.len()),
-                    };
-                    pending.push((out.len(), *carried_from));
-                    BOp::Carried {
-                        first,
-                        m_steady: m,
-                        from: 0, // patched by resolve_pending
-                    }
-                }
                 VInst::Op { dst, shape, srcs } => {
                     if srcs.len() < arity(*shape) {
                         return Err(ExecError::malformed(format!(
@@ -964,8 +897,7 @@ impl<'a> Translator<'a> {
                 }
             };
             out.push(op);
-            counts[0].add(&row);
-            counts[1].add(&first_row);
+            counts.add(&row);
         }
         Ok((out, counts))
     }
@@ -1007,7 +939,7 @@ impl<'a> Translator<'a> {
     }
 
     /// Appends one finished stream as the next op range.
-    fn append(&mut self, ops: Vec<BOp>, counts: [InstMetrics; 2]) {
+    fn append(&mut self, ops: Vec<BOp>, counts: InstMetrics) {
         let start = self.code.ops.len() as u32;
         self.code.ops.extend(ops);
         self.code.ranges.push((start, self.code.ops.len() as u32));
@@ -1027,11 +959,9 @@ struct Vm<'a> {
     /// `cycles` and `memory_cycles` accumulate here op by op; the integer
     /// counters hold only what replication charged until the run is over.
     stats: RunStats,
-    first: bool,
     block_cycles: Vec<f64>,
-    /// Executions of each op range under a steady `[0]` and a first `[1]`
-    /// iteration.
-    runs: Vec<[u64; 2]>,
+    /// Executions of each op range.
+    runs: Vec<u64>,
 }
 
 impl<'a> Vm<'a> {
@@ -1054,10 +984,8 @@ impl<'a> Vm<'a> {
                             self.run_range(range)?;
                         }
                     }
-                    let saved_first = self.first;
                     let mut v = *lower;
                     while v < *upper {
-                        self.first = v == *lower;
                         self.loop_vals[depth] = v;
                         match body.as_slice() {
                             // The usual innermost loop: no tree to walk.
@@ -1069,7 +997,6 @@ impl<'a> Vm<'a> {
                         self.stats.iterations += 1;
                         self.stats.metrics.cycles += self.loop_overhead;
                     }
-                    self.first = saved_first;
                 }
             }
         }
@@ -1083,7 +1010,7 @@ impl<'a> Vm<'a> {
         let before = self.stats.metrics.cycles;
         self.run_ops(self.code.ranges[range])?;
         self.block_cycles[range / 2] += self.stats.metrics.cycles - before;
-        self.runs[range][usize::from(self.first)] += 1;
+        self.runs[range] += 1;
         Ok(())
     }
 
@@ -1123,19 +1050,6 @@ impl<'a> Vm<'a> {
                     }
                 }
                 &BOp::Nop { m } => self.charge(m),
-                BOp::Carried {
-                    first,
-                    m_steady,
-                    from,
-                } => {
-                    if self.first {
-                        self.exec_load(first)?;
-                    } else {
-                        self.charge(*m_steady);
-                        let (f, w) = (*from as usize, first.acc.width as usize);
-                        self.regs.copy_within(f..f + w, first.reg as usize);
-                    }
-                }
                 BOp::Op(op) => self.exec_op(op),
                 BOp::LoadOp(ld, op) => {
                     self.exec_load(ld)?;
@@ -1376,13 +1290,12 @@ mod tests {
         }
     }";
 
-    fn assert_outcomes_identical(src: &str, strategy: Strategy, layout: bool, reuse: bool) {
+    fn assert_outcomes_identical(src: &str, strategy: Strategy, layout: bool) {
         let p = slp_lang::compile(src).unwrap();
         let mut cfg = SlpConfig::for_machine(machine(), strategy);
         if layout {
             cfg = cfg.with_layout();
         }
-        cfg.cross_iteration_reuse = reuse;
         let k = compile(&p, &cfg);
         let fast = execute_gated(&k, &machine(), true).unwrap();
         let slow = execute_gated_reference(&k, &machine(), true).unwrap();
@@ -1403,10 +1316,9 @@ mod tests {
             Strategy::Baseline,
             Strategy::Holistic,
         ] {
-            assert_outcomes_identical(KERNEL, strategy, false, false);
+            assert_outcomes_identical(KERNEL, strategy, false);
         }
-        assert_outcomes_identical(KERNEL, Strategy::Holistic, true, false);
-        assert_outcomes_identical(KERNEL, Strategy::Holistic, false, true);
+        assert_outcomes_identical(KERNEL, Strategy::Holistic, true);
     }
 
     #[test]

@@ -137,20 +137,6 @@ pub enum VInst {
         /// The reloaded register.
         dst: VReg,
     },
-    /// A load that is satisfied from the previous iteration's register on
-    /// all but the first iteration (the opt-in cross-iteration reuse
-    /// extension). Static metrics charge the steady-state register move;
-    /// the interpreter charges the real load on the first iteration.
-    CarriedLoad {
-        /// Destination register.
-        dst: VReg,
-        /// Lane references (used on the first iteration).
-        refs: Vec<ArrayRef>,
-        /// Access classification of the first-iteration load.
-        class: AccessClass,
-        /// The register carrying the value from the previous iteration.
-        carried_from: VReg,
-    },
 }
 
 /// The value source of a [`VInst::Splat`].
@@ -326,16 +312,10 @@ impl VInst {
                 simd_ops: 1,
                 ..InstMetrics::default()
             },
-            // Register allocation's and cross-iteration reuse's own
-            // instructions: the walk never emits them.
+            // Register allocation's own instructions: the walk never
+            // emits them.
             VInst::Spill { .. } => InstMetrics::vector_memory_op(params.vector_store),
             VInst::Reload { .. } => InstMetrics::vector_memory_op(params.vector_load),
-            VInst::CarriedLoad { .. } => InstMetrics {
-                // Steady state: one register move.
-                cycles: params.reg_move,
-                dynamic_instructions: 1,
-                ..InstMetrics::default()
-            },
         }
     }
 }
@@ -439,11 +419,6 @@ impl fmt::Display for VInst {
             }
             VInst::Spill { src } => write!(f, "spill   [slot], {src}"),
             VInst::Reload { dst } => write!(f, "reload  {dst}, [slot]"),
-            VInst::CarriedLoad {
-                dst, carried_from, ..
-            } => {
-                write!(f, "carry   {dst}, {carried_from} (load on iter 0)")
-            }
         }
     }
 }

@@ -72,7 +72,6 @@ pub(crate) fn lower_block(
     ix: &BlockIndex<'_>,
     schedule: &BlockSchedule,
     cx: &CostContext<'_>,
-    cross_iteration_reuse: bool,
     cost_gate: bool,
 ) -> BlockCode {
     let scalar = BlockCode::scalar(ix.block(), cx);
@@ -87,11 +86,8 @@ pub(crate) fn lower_block(
     // the body. Spill code lands in whichever segment triggers it, and
     // the cost gate judges the real (amortized) price.
     let innermost = cx.loops.last();
-    let (pre_raw, mut body_raw) =
+    let (pre_raw, body_raw) =
         crate::hoist::hoist_invariant_packs(sink.insts, cx.program, innermost);
-    if cross_iteration_reuse {
-        crate::carry::apply_cross_iteration_reuse(&mut body_raw, cx.program, innermost);
-    }
     let combined: Vec<VInst> = pre_raw
         .iter()
         .cloned()
@@ -156,13 +152,7 @@ pub fn lower_kernel_with(
                 Some(sched) => {
                     let lanes = |ty| machine.lanes_for(ty);
                     let ix = BlockIndex::new(&info.block, &kernel.program, lanes);
-                    lower_block(
-                        &ix,
-                        sched,
-                        &cx,
-                        kernel.config.cross_iteration_reuse,
-                        cost_gate,
-                    )
+                    lower_block(&ix, sched, &cx, cost_gate)
                 }
                 None => BlockCode::scalar(&info.block, &cx),
             };

@@ -183,7 +183,6 @@ fn execute_reference_with_state_gated(
         stats: RunStats::default(),
         regs: Vec::new(),
         env: Vec::new(),
-        first_iteration: true,
         block_cycles: HashMap::new(),
     };
 
@@ -209,9 +208,6 @@ struct Executor<'a> {
     stats: RunStats,
     regs: Vec<Vec<f64>>,
     env: Vec<(LoopVarId, i64)>,
-    /// Whether the current innermost loop is on its first iteration
-    /// (drives [`VInst::CarriedLoad`] semantics).
-    first_iteration: bool,
     /// Accumulated cycles per block.
     block_cycles: HashMap<slp_ir::BlockId, f64>,
 }
@@ -336,10 +332,8 @@ impl<'a> Executor<'a> {
                             }
                         }
                     }
-                    let saved_first = self.first_iteration;
                     let mut v = l.header.lower;
                     while v < l.header.upper {
-                        self.first_iteration = v == l.header.lower;
                         self.env.push((l.header.var, v));
                         self.run_items(&l.body, codes)?;
                         self.env.pop();
@@ -352,7 +346,6 @@ impl<'a> Executor<'a> {
                             ..InstMetrics::default()
                         });
                     }
-                    self.first_iteration = saved_first;
                     idx += 1;
                 }
             }
@@ -366,22 +359,7 @@ impl<'a> Executor<'a> {
 
     fn run_insts(&mut self, insts: &[VInst]) -> Result<(), ExecError> {
         for inst in insts {
-            // Carried loads are the one iteration-dependent instruction:
-            // a real load on the first iteration, a register move after.
-            if let VInst::CarriedLoad { refs, class, .. } = inst {
-                if self.first_iteration {
-                    let as_load = VInst::Load {
-                        dst: crate::code::VReg(0), // cost lookup only
-                        refs: refs.clone(),
-                        class: *class,
-                    };
-                    self.stats.metrics.add(&as_load.metrics(&self.machine.cost));
-                } else {
-                    self.stats.metrics.add(&inst.metrics(&self.machine.cost));
-                }
-            } else {
-                self.stats.metrics.add(&inst.metrics(&self.machine.cost));
-            }
+            self.stats.metrics.add(&inst.metrics(&self.machine.cost));
             self.step(inst)?;
         }
         Ok(())
@@ -454,22 +432,6 @@ impl<'a> Executor<'a> {
             // Spill traffic is bookkeeping: values stay in the virtual
             // registers, only the cycle/memory accounting changes.
             VInst::Spill { .. } | VInst::Reload { .. } => Ok(()),
-            VInst::CarriedLoad {
-                dst,
-                refs,
-                carried_from,
-                ..
-            } => {
-                let values = if self.first_iteration {
-                    refs.iter()
-                        .map(|r| self.read_operand(&Operand::Array(r.clone())))
-                        .collect::<Result<Vec<f64>, _>>()?
-                } else {
-                    self.reg(*carried_from)?.clone()
-                };
-                *self.reg_mut(*dst) = values;
-                Ok(())
-            }
             VInst::Op { dst, shape, srcs } => {
                 let lanes = self.reg(srcs[0])?.len();
                 let mut out = Vec::with_capacity(lanes);

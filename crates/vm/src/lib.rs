@@ -50,7 +50,6 @@
 #![warn(missing_debug_implementations)]
 
 mod bytecode;
-mod carry;
 mod code;
 mod codegen;
 mod exec;

@@ -37,7 +37,6 @@ pub(crate) fn def_of(inst: &VInst) -> Option<VReg> {
         | VInst::Splat { dst, .. }
         | VInst::Permute { dst, .. }
         | VInst::Op { dst, .. }
-        | VInst::CarriedLoad { dst, .. }
         | VInst::Reload { dst, .. } => Some(*dst),
         VInst::Scalar { .. }
         | VInst::Store { .. }
@@ -53,7 +52,6 @@ pub(crate) fn uses_of(inst: &VInst) -> Vec<VReg> {
         | VInst::Store { src, .. }
         | VInst::UnpackScalars { src, .. }
         | VInst::Spill { src, .. } => vec![*src],
-        VInst::CarriedLoad { carried_from, .. } => vec![*carried_from],
         VInst::Op { srcs, .. } => srcs.clone(),
         VInst::Scalar { .. }
         | VInst::Load { .. }

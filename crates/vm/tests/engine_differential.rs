@@ -30,12 +30,9 @@ fn configs(machine: &MachineConfig) -> Vec<SlpConfig> {
     for strategy in strategies() {
         out.push(SlpConfig::for_machine(machine.clone(), strategy));
     }
-    // Layout and cross-iteration reuse exercise replication population
-    // and carried loads, the two stateful corners of the engine.
+    // Layout exercises replication population, the engine's stateful
+    // corner.
     out.push(SlpConfig::for_machine(machine.clone(), Strategy::Holistic).with_layout());
-    let mut reuse = SlpConfig::for_machine(machine.clone(), Strategy::Holistic);
-    reuse.cross_iteration_reuse = true;
-    out.push(reuse);
     out
 }
 
@@ -246,12 +243,12 @@ const ADDRESS_CLASSES: [(&str, &str); 6] = [
         }",
     ),
     (
-        // A stencil whose neighbouring loads overlap across iterations:
-        // under `cross_iteration_reuse` the carried load is a real load on
-        // each sweep's first iteration and a register move after, so the
-        // body range charges two different rows.
-        "carried loads under an outer sweep",
-        "kernel carried {
+        // A stencil whose neighbouring loads overlap across iterations,
+        // nested in an outer sweep: the inner body range runs once per
+        // inner iteration of every sweep, and its integer counters are
+        // folded in by run count.
+        "overlapping stencil under an outer sweep",
+        "kernel stencil {
             const N = 32;
             array U: f64[N+4]; array V: f64[N+4];
             for t in 0..3 {

@@ -13,7 +13,6 @@
 //!   --no-unchecked                        keep every bounds check at runtime,
 //!                                         ignoring the memory-safety certificate
 //!   --unroll N                            unroll factor (default: auto)
-//!   --refine                              range-refined dependence testing
 //!
 //! slpc analyze <kernel.slp>... [options]
 //!
@@ -22,9 +21,7 @@
 //! misalignment risk, V504 dead loop, V507 dead array store — a cell
 //! written but never read nor live-out) over each kernel's source program
 //! and prints the inferred scalar value ranges. Purely static: nothing
-//! is executed. With `--json`, each kernel row also carries
-//! `deps_refuted` — how many false dependences the range-refined oracle
-//! disproves for a refined Holistic compile of that kernel.
+//! is compiled or executed.
 //!
 //! options:
 //!   --machine intel|amd                   echoed in the report header
@@ -44,7 +41,6 @@
 //!   --machine intel|amd                   cost model (default: intel)
 //!   --static                              skip the differential execution
 //!   --unroll N                            unroll factor (default: auto)
-//!   --refine                              range-refined dependence testing
 //!   --json                                machine-readable report
 //!
 //! slpc prove <kernel.slp>... [options]
@@ -60,7 +56,6 @@
 //! options:
 //!   --machine intel|amd                   cost model (default: intel)
 //!   --unroll N                            unroll factor (default: auto)
-//!   --refine                              range-refined dependence testing
 //!   --json                                machine-readable report
 //!
 //! slpc batch <dir|manifest|kernel.slp>... [options]
@@ -77,7 +72,6 @@
 //!   --layout                              enable the data layout stage
 //!   --machine intel|amd                   cost model (default: intel)
 //!   --unroll N                            unroll factor (default: auto)
-//!   --refine                              range-refined dependence testing
 //!   --verify none|static|full|prove       verification level (default: static)
 //!   --prove                               shorthand for --verify prove
 //!   --threads N                           worker threads (default: cores)
@@ -111,21 +105,20 @@ struct Options {
     run: bool,
     no_unchecked: bool,
     unroll: usize,
-    refine: bool,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: slpc <kernel.slp> [--strategy scalar|native (alias: auto-adjacent)|slp|global|optimal] \
          [--layout] [--machine intel|amd] [--emit source|schedule|code|stats] \
-         [--run] [--no-unchecked] [--unroll N] [--refine]\n       \
+         [--run] [--no-unchecked] [--unroll N]\n       \
          slpc analyze <kernel.slp>... [--machine intel|amd] [--json]\n       \
          slpc check <kernel.slp>... [--machine intel|amd] [--static] \
-         [--unroll N] [--refine] [--json]\n       \
+         [--unroll N] [--json]\n       \
          slpc prove <kernel.slp>... [--machine intel|amd] \
-         [--unroll N] [--refine] [--json]\n       \
+         [--unroll N] [--json]\n       \
          slpc batch <dir|manifest|kernel.slp>... [--strategy ...] [--layout] \
-         [--machine intel|amd] [--unroll N] [--refine] \
+         [--machine intel|amd] [--unroll N] \
          [--verify none|static|full|prove] [--prove] \
          [--threads N] [--budget-ms N] [--no-degrade] [--cache-dir DIR] \
          [--no-cache] [--json] [--strict]"
@@ -147,15 +140,11 @@ fn build_config(
     strategy: Strategy,
     layout: bool,
     unroll: usize,
-    refine: bool,
 ) -> SlpConfig {
     let mut cfg = SlpConfig::for_machine(machine.clone(), strategy);
     cfg.unroll = unroll;
     if layout {
         cfg = cfg.with_layout();
-    }
-    if refine {
-        cfg = cfg.with_refined_deps();
     }
     cfg
 }
@@ -170,7 +159,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ExitCod
         run: false,
         no_unchecked: false,
         unroll: 0,
-        refine: false,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -184,7 +172,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ExitCod
             "--run" => opts.run = true,
             "--no-unchecked" => opts.no_unchecked = true,
             "--unroll" => opts.unroll = flag(&mut args, |s| s.parse().ok())?,
-            "--refine" => opts.refine = true,
             path if !path.starts_with('-') && opts.path.is_empty() => opts.path = path.to_string(),
             _ => return Err(usage()),
         }
@@ -246,7 +233,6 @@ struct CheckOptions {
     machine: MachineConfig,
     differential: bool,
     unroll: usize,
-    refine: bool,
     json: bool,
 }
 
@@ -262,7 +248,6 @@ fn parse_check_args(
         machine: MachineConfig::intel_dunnington(),
         differential: true,
         unroll: 0,
-        refine: false,
         json: false,
     };
     while let Some(arg) = args.next() {
@@ -270,7 +255,6 @@ fn parse_check_args(
             "--machine" => opts.machine = flag(&mut args, parse_machine)?,
             "--static" if allow_static => opts.differential = false,
             "--unroll" => opts.unroll = flag(&mut args, |s| s.parse().ok())?,
-            "--refine" => opts.refine = true,
             "--json" => opts.json = true,
             path if !path.starts_with('-') => opts.paths.push(path.to_string()),
             _ => return Err(usage()),
@@ -295,7 +279,7 @@ fn check_configs(opts: &CheckOptions) -> Vec<(String, SlpConfig)> {
     .map(|(label, strategy, layout)| {
         (
             label.to_string(),
-            build_config(&opts.machine, strategy, layout, opts.unroll, opts.refine),
+            build_config(&opts.machine, strategy, layout, opts.unroll),
         )
     })
     .collect()
@@ -535,23 +519,10 @@ fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
         warnings += report.warning_count();
         let ranges = render_scalar_ranges(&program, &ScalarRanges::analyze(&program));
         if opts.json {
-            // Surface the range oracle's telemetry: a refined Holistic
-            // compile reports how many false dependences the
-            // strided-interval analysis disproved for this kernel.
-            let refine_req = CompileRequest {
-                name: path.clone(),
-                source: source.clone(),
-                config: build_config(&opts.machine, Strategy::Holistic, false, 0, true),
-                verify: VerifyLevel::None,
-            };
-            let deps_refuted = compile_source(&refine_req, None)
-                .map(|o| o.kernel.stats.deps_refuted)
-                .unwrap_or(0);
             kernel_rows.push(Json::obj(vec![
                 ("path", Json::str(path)),
                 ("errors", Json::num(report.error_count() as u64)),
                 ("warnings", Json::num(report.warning_count() as u64)),
-                ("deps_refuted", Json::num(deps_refuted as u64)),
                 ("diagnostics", diagnostics_json(&report)),
                 (
                     "scalar_ranges",
@@ -608,7 +579,6 @@ struct BatchOptions {
     layout: bool,
     machine: MachineConfig,
     unroll: usize,
-    refine: bool,
     verify: VerifyLevel,
     threads: usize,
     budget_ms: Option<u64>,
@@ -626,7 +596,6 @@ fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<BatchOptio
         layout: false,
         machine: MachineConfig::intel_dunnington(),
         unroll: 0,
-        refine: false,
         verify: VerifyLevel::Static,
         threads: 0,
         budget_ms: None,
@@ -642,7 +611,6 @@ fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<BatchOptio
             "--layout" => opts.layout = true,
             "--machine" => opts.machine = flag(&mut args, parse_machine)?,
             "--unroll" => opts.unroll = flag(&mut args, |s| s.parse().ok())?,
-            "--refine" => opts.refine = true,
             "--verify" => opts.verify = flag(&mut args, VerifyLevel::from_name)?,
             "--threads" => opts.threads = flag(&mut args, |s| s.parse().ok())?,
             "--budget-ms" => opts.budget_ms = Some(flag(&mut args, |s| s.parse().ok())?),
@@ -728,13 +696,7 @@ fn run_batch(opts: &BatchOptions) -> ExitCode {
         requests.push(CompileRequest {
             name: kernel_name(path),
             source,
-            config: build_config(
-                &opts.machine,
-                opts.strategy,
-                opts.layout,
-                opts.unroll,
-                opts.refine,
-            ),
+            config: build_config(&opts.machine, opts.strategy, opts.layout, opts.unroll),
             verify: opts.verify,
         });
     }
@@ -778,13 +740,7 @@ fn run_batch(opts: &BatchOptions) -> ExitCode {
 /// The single-kernel mode: compile one kernel, print what `--emit` asks
 /// for and, with `--run`, execute it.
 fn run_kernel(opts: &Options) -> ExitCode {
-    let config = build_config(
-        &opts.machine,
-        opts.strategy,
-        opts.layout,
-        opts.unroll,
-        opts.refine,
-    );
+    let config = build_config(&opts.machine, opts.strategy, opts.layout, opts.unroll);
     let outcome = match compile_file(&opts.path, config, VerifyLevel::None) {
         Ok(o) => o,
         Err(code) => return code,
@@ -821,7 +777,6 @@ fn run_kernel(opts: &Options) -> ExitCode {
             println!("blocks                {}", s.blocks);
             println!("superword statements  {}", s.superwords);
             println!("vectorized statements {}", s.vectorized_stmts);
-            println!("dependences refuted   {}", s.deps_refuted);
             println!("scalar packs laid out {}", s.scalar_packs_laid_out);
             println!("array replications    {}", s.replications);
             println!("accesses proven safe  {}", s.accesses_proven_safe);

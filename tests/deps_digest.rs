@@ -3,8 +3,7 @@
 //! One digest per program over everything [`BlockDeps`] reports of each
 //! block: the direct dependences (kinds, in order), their position pairs,
 //! the transitive reach bits and the exclusive-merge pairs (as the
-//! `reorderable` answers of the pairs that are not independent), under
-//! the built-in affine test and under the range-refined oracle. The
+//! `reorderable` answers of the pairs that are not independent). The
 //! programs are the twenty suite kernels unrolled 1, 2, 4 and 8 times,
 //! every corpus reproducer the frontend accepts (unrolled the same way)
 //! and 240 generated programs.
@@ -17,18 +16,13 @@ mod common;
 
 use std::fmt::Write as _;
 
-use slp::analyze::RangeOracle;
-use slp::ir::{unroll_program, BlockDeps, DepOracle, Program};
+use slp::ir::{unroll_program, BlockDeps, Program};
 use slp::suite::{random_program, GeneratorConfig};
 
-/// Everything pinned of every block of `program` as text: under
-/// `analyze_in`, or under `analyze_with` and `oracle`.
-fn transcript(program: &Program, oracle: Option<&dyn DepOracle>, text: &mut String) {
+/// Everything pinned of every block of `program` as text.
+fn transcript(program: &Program, text: &mut String) {
     for info in program.blocks() {
-        let deps = match oracle {
-            Some(oracle) => BlockDeps::analyze_with(&info.block, &info.loops, oracle),
-            None => BlockDeps::analyze_in(&info.block, &info.loops),
-        };
+        let deps = BlockDeps::analyze_in(&info.block, &info.loops);
         for d in deps.direct() {
             write!(text, "{} {} {};", d.kind, d.src.index(), d.dst.index()).unwrap();
         }
@@ -49,26 +43,24 @@ fn transcript(program: &Program, oracle: Option<&dyn DepOracle>, text: &mut Stri
     }
 }
 
-/// The digests of `program` unrolled by each factor of `unrolls`: under
-/// `analyze_in`, then under `analyze_with(&RangeOracle::new())`.
-fn digests(program: &Program, unrolls: &[usize]) -> [u64; 2] {
-    let (mut affine, mut range) = (String::new(), String::new());
+/// The digest of `program` unrolled by each factor of `unrolls`.
+fn digest(program: &Program, unrolls: &[usize]) -> u64 {
+    let mut text = String::new();
     for &factor in unrolls {
         let mut p = program.clone();
         unroll_program(&mut p, factor);
-        transcript(&p, None, &mut affine);
-        transcript(&p, Some(&RangeOracle::new()), &mut range);
+        transcript(&p, &mut text);
     }
-    [common::fnv64(&affine), common::fnv64(&range)]
+    common::fnv64(&text)
 }
 
 /// The suite programs by name, the corpus reproducers by file name, then
 /// the generated programs in eight groups of thirty seeds.
-fn rows() -> Vec<(String, [u64; 2])> {
+fn rows() -> Vec<(String, u64)> {
     let unrolls = [1, 2, 4, 8];
-    let mut out: Vec<(String, [u64; 2])> = common::suite_and_branchy()
+    let mut out: Vec<(String, u64)> = common::suite_and_branchy()
         .iter()
-        .map(|p| (p.name().to_string(), digests(p, &unrolls)))
+        .map(|p| (p.name().to_string(), digest(p, &unrolls)))
         .collect();
     let mut paths: Vec<_> = std::fs::read_dir(slp_fuzz::default_corpus_dir())
         .expect("the corpus directory")
@@ -82,83 +74,77 @@ fn rows() -> Vec<(String, [u64; 2])> {
             continue;
         };
         let name = path.file_stem().expect("a file name").to_string_lossy();
-        out.push((name.into_owned(), digests(&program, &unrolls)));
+        out.push((name.into_owned(), digest(&program, &unrolls)));
     }
     for group in 0..8u64 {
-        let mut texts = [String::new(), String::new()];
+        let mut text = String::new();
         for seed in group * 30..group * 30 + 30 {
             let config = GeneratorConfig {
                 max_stride: 1 + (seed % 4) as i64,
                 outer_sweeps: (seed % 3) as i64,
                 ..GeneratorConfig::default()
             };
-            let d = digests(&random_program(seed, &config), &[1, 1 << (seed % 3)]);
-            for (text, d) in texts.iter_mut().zip(d) {
-                write!(text, "{d:x};").unwrap();
-            }
+            let d = digest(&random_program(seed, &config), &[1, 1 << (seed % 3)]);
+            write!(text, "{d:x};").unwrap();
         }
-        out.push((
-            format!("generated {group}"),
-            texts.map(|t| common::fnv64(&t)),
-        ));
+        out.push((format!("generated {group}"), common::fnv64(&text)));
     }
     out
 }
 
-/// Per program: the digest under `analyze_in`, then under the range
-/// oracle.
+/// Per program: the digest of its dependence graphs.
 #[rustfmt::skip]
-const DIGESTS: [(&str, [u64; 2]); 50] = [
-    ("cactusADM", [0x7b3b437258547c49, 0x7b3b437258547c49]),
-    ("soplex", [0x774ae38e70d74a6f, 0x774ae38e70d74a6f]),
-    ("lbm", [0xf4aa088a9490b181, 0xf4aa088a9490b181]),
-    ("milc", [0x10ccb36a93d0b820, 0x10ccb36a93d0b820]),
-    ("povray", [0x601372882f928517, 0x601372882f928517]),
-    ("gromacs", [0x6cd9e9070d6a61c7, 0x6cd9e9070d6a61c7]),
-    ("calculix", [0xae8f92b575dd21fd, 0xae8f92b575dd21fd]),
-    ("dealII", [0xa71486fd3d01ce19, 0xa71486fd3d01ce19]),
-    ("wrf", [0x864db80283fb7385, 0x0afbffee91a23cfb]),
-    ("namd", [0x0a2fc72c6c55218a, 0x0a2fc72c6c55218a]),
-    ("ua", [0xf4aa088a9490b181, 0xf4aa088a9490b181]),
-    ("ft", [0x458d14573f505dc9, 0x458d14573f505dc9]),
-    ("bt", [0x0376ed671949188d, 0x0376ed671949188d]),
-    ("sp", [0x774ae38e70d74a6f, 0x774ae38e70d74a6f]),
-    ("mg", [0xf4aa088a9490b181, 0xf4aa088a9490b181]),
-    ("cg", [0x6e64dfa754cfa0ab, 0x6e64dfa754cfa0ab]),
-    ("abs", [0xe0d12c2993c3d54f, 0xe0d12c2993c3d54f]),
-    ("clamp", [0x8860b9cc93303b42, 0x8860b9cc93303b42]),
-    ("threshold", [0x6fb17f17922a2200, 0x6fb17f17922a2200]),
-    ("masked_stencil", [0x6eb1ae4e11cae000, 0x6eb1ae4e11cae000]),
-    ("panic-ir-1081-8", [0xec8c4c8486779297, 0x8090363d33dea7d8]),
-    ("panic-ir-1178-9", [0x1c1c313855ad45f1, 0x1c1c313855ad45f1]),
-    ("panic-ir-1212-10", [0xc214bc27dbbf29b1, 0xc214bc27dbbf29b1]),
-    ("panic-ir-129-3", [0xb03a39a50d0d9f8d, 0x924e95ae71043a2a]),
-    ("panic-ir-1298-12", [0x2ea97dcef00712c5, 0x2ea97dcef00712c5]),
-    ("panic-ir-1442-15", [0x7360310c676ca7c9, 0xa039a400f50dc262]),
-    ("panic-ir-1860-17", [0xa736857342ed7347, 0xfa7d80418bf2c8ca]),
-    ("panic-ir-1889-18", [0x2d36c86fd8a06825, 0xacac75a2bf1ef976]),
-    ("panic-ir-232-4", [0x127a43030052b7d5, 0xfddef03430d361ca]),
-    ("panic-ir-385-5", [0x9a4b65b2d4024ee5, 0xd05d61df16a79c94]),
-    ("panic-ir-705-7", [0x1565084de9bda211, 0xab228eda5978d996]),
-    ("round-trip-src-179-0", [0xd9a1d07f8b03e0ce, 0xd9a1d07f8b03e0ce]),
-    ("round-trip-src-413-1", [0xa15973583cfd64eb, 0xa15973583cfd64eb]),
-    ("state-divergence-branchy-0-20", [0xc745b033c6982d52, 0xc745b033c6982d52]),
-    ("state-divergence-branchy-1-21", [0x6fb17f17922a2200, 0x6fb17f17922a2200]),
-    ("state-divergence-ir-103-2", [0x1bf17f79b5ab20cd, 0x1bf17f79b5ab20cd]),
-    ("state-divergence-ir-1259-11", [0x1fa0830d7f2f8719, 0x1fa0830d7f2f8719]),
-    ("state-divergence-ir-1315-13", [0xa100b917de1f8fed, 0xa100b917de1f8fed]),
-    ("state-divergence-ir-1345-14", [0x9a12cc210d69f0f9, 0xcac4d2903fb937fb]),
-    ("state-divergence-ir-1680-16", [0x258f294d2a40d462, 0x9b4dac48e639127d]),
-    ("state-divergence-ir-1946-19", [0xc35f61fb80fa816d, 0x9a6344785dda71b1]),
-    ("state-divergence-ir-562-6", [0xa0f588ef10e6ff86, 0xa0f588ef10e6ff86]),
-    ("generated 0", [0x052442b966fdf246, 0x635862dca7e09f9f]),
-    ("generated 1", [0x1be9cdb2c2de8b9f, 0x557cad9d00c28f0d]),
-    ("generated 2", [0xc67e465f37143fa2, 0xd55be6bac41daaa0]),
-    ("generated 3", [0x28d1de619feda139, 0xcedfd752528405b1]),
-    ("generated 4", [0x78fcf6571a949df0, 0xc723449e61ac7883]),
-    ("generated 5", [0x02d5f895c849423a, 0x4fec3aa0a29ffd88]),
-    ("generated 6", [0xcbaf46f21b6d32ea, 0x6dd376d01570d754]),
-    ("generated 7", [0x83ac56b5a5252d0f, 0xa99394afac5b7cb3]),
+const DIGESTS: [(&str, u64); 50] = [
+    ("cactusADM", 0x7b3b437258547c49),
+    ("soplex", 0x774ae38e70d74a6f),
+    ("lbm", 0xf4aa088a9490b181),
+    ("milc", 0x10ccb36a93d0b820),
+    ("povray", 0x601372882f928517),
+    ("gromacs", 0x6cd9e9070d6a61c7),
+    ("calculix", 0xae8f92b575dd21fd),
+    ("dealII", 0xa71486fd3d01ce19),
+    ("wrf", 0x864db80283fb7385),
+    ("namd", 0x0a2fc72c6c55218a),
+    ("ua", 0xf4aa088a9490b181),
+    ("ft", 0x458d14573f505dc9),
+    ("bt", 0x0376ed671949188d),
+    ("sp", 0x774ae38e70d74a6f),
+    ("mg", 0xf4aa088a9490b181),
+    ("cg", 0x6e64dfa754cfa0ab),
+    ("abs", 0xe0d12c2993c3d54f),
+    ("clamp", 0x8860b9cc93303b42),
+    ("threshold", 0x6fb17f17922a2200),
+    ("masked_stencil", 0x6eb1ae4e11cae000),
+    ("panic-ir-1081-8", 0xec8c4c8486779297),
+    ("panic-ir-1178-9", 0x1c1c313855ad45f1),
+    ("panic-ir-1212-10", 0xc214bc27dbbf29b1),
+    ("panic-ir-129-3", 0xb03a39a50d0d9f8d),
+    ("panic-ir-1298-12", 0x2ea97dcef00712c5),
+    ("panic-ir-1442-15", 0x7360310c676ca7c9),
+    ("panic-ir-1860-17", 0xa736857342ed7347),
+    ("panic-ir-1889-18", 0x2d36c86fd8a06825),
+    ("panic-ir-232-4", 0x127a43030052b7d5),
+    ("panic-ir-385-5", 0x9a4b65b2d4024ee5),
+    ("panic-ir-705-7", 0x1565084de9bda211),
+    ("round-trip-src-179-0", 0xd9a1d07f8b03e0ce),
+    ("round-trip-src-413-1", 0xa15973583cfd64eb),
+    ("state-divergence-branchy-0-20", 0xc745b033c6982d52),
+    ("state-divergence-branchy-1-21", 0x6fb17f17922a2200),
+    ("state-divergence-ir-103-2", 0x1bf17f79b5ab20cd),
+    ("state-divergence-ir-1259-11", 0x1fa0830d7f2f8719),
+    ("state-divergence-ir-1315-13", 0xa100b917de1f8fed),
+    ("state-divergence-ir-1345-14", 0x9a12cc210d69f0f9),
+    ("state-divergence-ir-1680-16", 0x258f294d2a40d462),
+    ("state-divergence-ir-1946-19", 0xc35f61fb80fa816d),
+    ("state-divergence-ir-562-6", 0xa0f588ef10e6ff86),
+    ("generated 0", 0x052442b966fdf246),
+    ("generated 1", 0x1be9cdb2c2de8b9f),
+    ("generated 2", 0xc67e465f37143fa2),
+    ("generated 3", 0x28d1de619feda139),
+    ("generated 4", 0x78fcf6571a949df0),
+    ("generated 5", 0x02d5f895c849423a),
+    ("generated 6", 0xcbaf46f21b6d32ea),
+    ("generated 7", 0x83ac56b5a5252d0f),
 ];
 
 #[test]
@@ -166,12 +152,11 @@ fn dependence_graphs_are_bit_identical() {
     let mut table = String::new();
     let mut differing = Vec::new();
     let rows = rows();
-    for (row, (name, digests)) in rows.iter().enumerate() {
-        if DIGESTS.get(row) != Some(&(name.as_str(), *digests)) {
+    for (row, (name, digest)) in rows.iter().enumerate() {
+        if DIGESTS.get(row) != Some(&(name.as_str(), *digest)) {
             differing.push(name.as_str());
         }
-        let [a, b] = digests.map(|x| format!("{x:#018x}"));
-        writeln!(table, "    ({name:?}, [{a}, {b}]),").unwrap();
+        writeln!(table, "    ({name:?}, {digest:#018x}),").unwrap();
     }
     assert!(
         differing.is_empty() && rows.len() == DIGESTS.len(),

@@ -21,7 +21,7 @@ fn assert_same(shipped: &CompiledKernel, reference: &CompiledKernel, what: &str)
 #[test]
 fn dual_compile_ships_what_two_independent_passes_and_the_estimate_choose() {
     let programs = common::suite_and_branchy();
-    let (mut plain_shipped, mut refuted) = (0, 0);
+    let mut plain_shipped = 0;
     for program in &programs {
         for machine in ["intel", "amd"] {
             let machine = parse_machine(machine).unwrap();
@@ -30,7 +30,7 @@ fn dual_compile_ships_what_two_independent_passes_and_the_estimate_choose() {
                 .with_layout()
                 .with_packer(OptimalPacker)
                 .with_opt_budget(0, 500);
-            for config in [global.clone().with_refined_deps(), global, optimal] {
+            for config in [global, optimal] {
                 let single = |optimism| {
                     let no_deadline = Deadline::default();
                     compile_passes(
@@ -46,23 +46,18 @@ fn dual_compile_ships_what_two_independent_passes_and_the_estimate_choose() {
                 let cheaper = estimate_kernel_cost(&optimistic) <= estimate_kernel_cost(&plain);
                 let reference = if cheaper { &optimistic } else { &plain };
                 let what = format!(
-                    "{} on {} under {} (refined: {})",
+                    "{} on {} under {}",
                     program.name(),
                     config.machine.name,
-                    config.strategy,
-                    config.refine_deps
+                    config.strategy
                 );
                 assert_same(&slp::core::compile(program, &config), reference, &what);
                 plain_shipped += usize::from(!cheaper);
-                refuted += reference.stats.deps_refuted;
             }
         }
     }
-    // Both arms of the arbitration, and the refutation tally, were seen.
-    assert!(
-        plain_shipped > 0 && refuted > 0,
-        "{plain_shipped} / {refuted}"
-    );
+    // Both arms of the arbitration were seen.
+    assert!(plain_shipped > 0, "{plain_shipped}");
 }
 
 /// One FNV per machine/layout column over the `{:?}` schedules Global

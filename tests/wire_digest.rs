@@ -3,10 +3,13 @@
 //! handler answers on every `S1xx` path reachable without timing, and the
 //! writer's output for the `compile_cold` kernels.
 //!
-//! The digests were recorded once and are not re-recorded: a change to
-//! the JSON scanner, the request parser, the handler or the writer must
-//! leave every row identical. On a mismatch the test prints the table it
-//! computed.
+//! A change to the JSON scanner, the request parser, the handler or the
+//! writer must leave every row identical. On a mismatch the test prints
+//! the table it computed. The table was re-recorded once, when the
+//! `SlpConfig` record lost its two off-by-default extension flags and
+//! the `CompileStats` record lost the dependence-refutation counter: the
+//! previous codec, changed only to stop writing those three keys and to
+//! decode them as their defaults, computes exactly this table.
 //!
 //! Mutations holding a `\uD800`–`\uDFFF` escape are skipped: surrogate
 //! pairs decode to one character since these digests were taken, and
@@ -548,24 +551,24 @@ fn computed() -> Vec<(String, u64, u64)> {
 
 /// `(label, items, FNV-1a)` as recorded.
 const RECORDED: &[(&str, u64, u64)] = &[
-    ("parse pool", 160, 0xafa86ef2fa71ae44),
+    ("parse pool", 160, 0x87296d25e9e1b485),
     ("parse truncate", 499, 0x05a5e19ac5148a0d),
-    ("parse flip", 504, 0x3512e663578d2d1e),
-    ("parse insert", 493, 0x1724b896a81dd72c),
-    ("parse delete", 455, 0x1d7edcafae467153),
-    ("parse duplicate", 480, 0x767c66aac1994b20),
-    ("parse whitespace", 507, 0x48d08a26cd31e78a),
-    ("parse key-escape", 545, 0x5974d90b38e6daac),
+    ("parse flip", 504, 0x1377ac65804432b8),
+    ("parse insert", 493, 0x0e507d3ace2474b2),
+    ("parse delete", 455, 0x7876fcd2f8e22c34),
+    ("parse duplicate", 480, 0x6cca3fadd1916b69),
+    ("parse whitespace", 507, 0xfa99d103d0874194),
+    ("parse key-escape", 545, 0x77064d18a5e70f12),
     ("parse wrap", 517, 0x82e1c257ce732d8e),
     ("parse skipped", 0, 0xcbf29ce484222325),
-    ("responses default", 54, 0x6acde4ff7b626859),
+    ("responses default", 54, 0x3c46f9611c837a91),
     ("responses S121", 3, 0x8ff0e22c2ec1402d),
     ("responses S122", 3, 0xcd9c7f298b5380a4),
     ("responses S112", 3, 0x6636b112641dd8ec),
     ("responses S103", 2, 0x4e41c7f17526c76e),
-    ("encode_kernel compact", 200, 0xcb11f1ed99d9467d),
-    ("encode_kernel pretty", 200, 0xede836577279fdef),
-    ("fingerprint to_hex", 200, 0xa6cf91448e2ec2ad),
+    ("encode_kernel compact", 200, 0xa503867c4dfbcec7),
+    ("encode_kernel pretty", 200, 0x4422dce400230251),
+    ("fingerprint to_hex", 200, 0xe740bb868e54603e),
     ("fingerprint edges", 3, 0x4b11f15bfecc41bf),
 ];
 
