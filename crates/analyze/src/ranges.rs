@@ -101,7 +101,7 @@ fn next_down(x: f64) -> f64 {
 
 impl FloatInterval {
     /// The singleton `[c, c]` (⊤ if `c` is NaN).
-    pub fn constant(c: f64) -> Self {
+    pub(crate) fn constant(c: f64) -> Self {
         if c.is_nan() {
             return Self::top();
         }
@@ -157,7 +157,7 @@ impl FloatInterval {
     }
 
     /// Least upper bound.
-    pub fn join(&self, other: &FloatInterval) -> FloatInterval {
+    pub(crate) fn join(&self, other: &FloatInterval) -> FloatInterval {
         FloatInterval {
             lo: self.lo.min(other.lo),
             hi: self.hi.max(other.hi),
@@ -359,11 +359,6 @@ impl ScalarRanges {
     /// The provable range of `v` after the program runs.
     pub fn range(&self, v: VarId) -> FloatInterval {
         self.ranges[v.index()]
-    }
-
-    /// Ranges of all scalars, indexed by `VarId`.
-    pub fn all(&self) -> &[FloatInterval] {
-        &self.ranges
     }
 }
 

@@ -89,7 +89,7 @@ fn build_pack_set(ix: &BlockIndex<'_>, deps: &BlockDeps) -> Vec<PackPair> {
         let (ls, rs) = (&stmts[lp], &stmts[rp]);
         // Use-def: pack the statements defining the pair's scalar
         // operands.
-        for k in 0..ls.expr().arity() {
+        for k in 0..ls.expr().operands().len() {
             let (lu, ru) = (ls.expr().operands()[k], rs.expr().operands()[k]);
             if let (Some(lv), Some(rv)) = (lu.as_scalar(), ru.as_scalar()) {
                 let defs = (reaching_def(stmts, lv, lp), reaching_def(stmts, rv, rp));
@@ -356,7 +356,7 @@ mod tests {
             for pair in pairs.clone() {
                 let (lp, rp) = (ix.position(pair.left), ix.position(pair.right));
                 let (ls, rs) = (&stmts[lp], &stmts[rp]);
-                for k in 0..ls.expr().arity() {
+                for k in 0..ls.expr().operands().len() {
                     let (lu, ru) = (ls.expr().operands()[k], rs.expr().operands()[k]);
                     if let (Some(lv), Some(rv)) = (lu.as_scalar(), ru.as_scalar()) {
                         if let (Some(ld), Some(rd)) =

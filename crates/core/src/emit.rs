@@ -274,7 +274,7 @@ impl<S: EmitSink> Walk<'_, '_, S> {
         let (ix, cx) = (self.ix, self.cx);
         let expr = ix.stmt_at(lanes[0]).expr();
         self.srcs.clear();
-        for k in 0..expr.arity() {
+        for k in 0..expr.operands().len() {
             let src = self.source_pack(lanes, PackPos::Operand(k));
             self.srcs.push(src);
         }

@@ -70,7 +70,7 @@ pub(crate) fn collect_pack_uses(schedules: &[(BlockInfo, BlockSchedule)]) -> Vec
                 loops: info.loops.clone(),
             });
             // Source packs.
-            for k in 0..stmts[0].expr().arity() {
+            for k in 0..stmts[0].expr().operands().len() {
                 let ops: Vec<Operand> = stmts
                     .iter()
                     .map(|s| s.expr().operands()[k].clone())

@@ -104,7 +104,7 @@ impl CostParams {
     /// A statement executed scalar: its memory traffic plus the
     /// shape-weighted ALU op.
     pub fn scalar_stmt(&self, shape: ExprShape, loads: u32, stores: u32) -> f64 {
-        self.scalar_memory(loads, stores) + op_cost_factor(shape) * self.scalar_op
+        self.scalar_memory(loads, stores) + shape.row().cost * self.scalar_op
     }
 
     /// One broadcast shuffle, after a scalar load when `from_memory`.
@@ -158,28 +158,7 @@ impl CostParams {
 
     /// One SIMD ALU operation.
     pub fn vector_op(&self, shape: ExprShape) -> f64 {
-        op_cost_factor(shape) * self.simd_op
-    }
-}
-
-/// The multiplier an operator kind applies to the base ALU cost.
-///
-/// Division and square root are far slower than addition on both machines;
-/// this shapes which kernels profit most from vectorization.
-fn op_cost_factor(shape: ExprShape) -> f64 {
-    use slp_ir::{BinOp, UnOp};
-    match shape {
-        ExprShape::Copy => 0.5,
-        ExprShape::Unary(UnOp::Neg) => 1.0,
-        ExprShape::Unary(UnOp::Abs) => 1.0,
-        ExprShape::Unary(UnOp::Sqrt) => 12.0,
-        ExprShape::Binary(BinOp::Add) | ExprShape::Binary(BinOp::Sub) => 1.0,
-        ExprShape::Binary(BinOp::Mul) => 2.0,
-        ExprShape::Binary(BinOp::Div) => 10.0,
-        ExprShape::Binary(BinOp::Min) | ExprShape::Binary(BinOp::Max) => 1.0,
-        ExprShape::MulAdd => 2.5,
-        // Compare-to-mask plus blend: two cheap ALU ops.
-        ExprShape::Select(_) => 2.0,
+        shape.row().cost * self.simd_op
     }
 }
 
@@ -292,10 +271,9 @@ mod tests {
     #[test]
     fn expensive_ops_cost_more() {
         use slp_ir::{BinOp, ExprShape};
-        assert!(
-            op_cost_factor(ExprShape::Binary(BinOp::Div))
-                > op_cost_factor(ExprShape::Binary(BinOp::Add))
-        );
-        assert!(op_cost_factor(ExprShape::MulAdd) > op_cost_factor(ExprShape::Binary(BinOp::Add)));
+        let cost = CostParams::intel();
+        let add = cost.vector_op(ExprShape::Binary(BinOp::Add));
+        assert!(cost.vector_op(ExprShape::Binary(BinOp::Div)) > add);
+        assert!(cost.vector_op(ExprShape::MulAdd) > add);
     }
 }

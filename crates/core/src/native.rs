@@ -89,7 +89,7 @@ fn run_is_vectorizable(ix: &BlockIndex<'_>, idx: &[usize], deps: &BlockDeps) -> 
     if dests.len() != idx.len() || !slp_ir::pack_is_contiguous(&dests) {
         return false;
     }
-    for k in 0..first.expr().arity() {
+    for k in 0..first.expr().operands().len() {
         let ops: Vec<&Operand> = idx.iter().map(|&i| stmts[i].expr().operands()[k]).collect();
         let ok = match ops[0] {
             Operand::Array(_) => {

@@ -769,7 +769,7 @@ pub(crate) mod tests {
                 };
                 let dest = stmts.iter().map(|s| &dests[at(s)]).collect();
                 let mut packs = vec![pack(PackPos::Dest, dest)];
-                for k in 0..bb.stmts()[at(&stmts[0])].expr().arity() {
+                for k in 0..bb.stmts()[at(&stmts[0])].expr().operands().len() {
                     let ops: Vec<&Operand> = (stmts.iter())
                         .map(|s| bb.stmts()[at(s)].expr().operands()[k])
                         .collect();

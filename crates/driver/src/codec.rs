@@ -34,9 +34,9 @@ use slp_core::{
     ScheduledItem, SlpConfig, Strategy, SuperwordStmt, WeightParams,
 };
 use slp_ir::{
-    AccessVector, AffineExpr, ArrayId, ArrayInfo, ArrayRef, BinOp, BlockId, CmpOp, Dest, Expr,
-    ExprShape, Item, Loop, LoopHeader, LoopVarId, Operand, Program, ScalarInfo, ScalarType,
-    Statement, StmtId, UnOp, VarId,
+    AccessVector, AffineExpr, ArrayId, ArrayInfo, ArrayRef, BlockId, Dest, Expr, ExprShape, Item,
+    Loop, LoopHeader, LoopVarId, Operand, Program, ScalarInfo, ScalarType, Statement, StmtId,
+    VarId,
 };
 use slp_verify::{Diagnostic, LintCode, Report, Span};
 
@@ -307,33 +307,14 @@ choice!(Operand { "s" = Scalar(VarId), "a" = Array(ArrayRef), "k" = Const(f64) }
 
 choice!(Dest { "s" = Scalar(VarId), "a" = Array(ArrayRef) });
 
-/// The operator tags, one row per [`ExprShape`]: the encoder looks up
-/// by shape, the decoder by tag, and the schema lists the tags.
-const EXPR_OPS: [(&str, ExprShape); 17] = [
-    ("copy", ExprShape::Copy),
-    ("neg", ExprShape::Unary(UnOp::Neg)),
-    ("abs", ExprShape::Unary(UnOp::Abs)),
-    ("sqrt", ExprShape::Unary(UnOp::Sqrt)),
-    ("add", ExprShape::Binary(BinOp::Add)),
-    ("sub", ExprShape::Binary(BinOp::Sub)),
-    ("mul", ExprShape::Binary(BinOp::Mul)),
-    ("div", ExprShape::Binary(BinOp::Div)),
-    ("min", ExprShape::Binary(BinOp::Min)),
-    ("max", ExprShape::Binary(BinOp::Max)),
-    ("muladd", ExprShape::MulAdd),
-    ("sel.lt", ExprShape::Select(CmpOp::Lt)),
-    ("sel.le", ExprShape::Select(CmpOp::Le)),
-    ("sel.gt", ExprShape::Select(CmpOp::Gt)),
-    ("sel.ge", ExprShape::Select(CmpOp::Ge)),
-    ("sel.eq", ExprShape::Select(CmpOp::Eq)),
-    ("sel.ne", ExprShape::Select(CmpOp::Ne)),
-];
-
+/// An operator is its [`ExprShape::TABLE`] tag: the encoder reads the
+/// shape's row, the decoder searches the rows by tag, and the schema
+/// lists the tags.
 impl Field for Expr {
     fn schema(out: &mut String) {
         out.push_str("expr{o:tag(");
-        for (tag, _) in EXPR_OPS {
-            out.push_str(tag);
+        for row in ExprShape::TABLE {
+            out.push_str(row.tag);
             out.push('|');
         }
         out.push_str("),v:[");
@@ -341,30 +322,16 @@ impl Field for Expr {
         out.push_str("]}");
     }
     fn to_json(&self) -> Json {
-        let shape = self.shape();
-        let (tag, _) = EXPR_OPS
-            .iter()
-            .find(|(_, s)| *s == shape)
-            .expect("EXPR_OPS has a row per expression shape");
-        Json::obj([("o", Json::str(*tag)), ("v", arr(self.operands()))])
+        let tag = self.shape().row().tag;
+        Json::obj([("o", Json::str(tag)), ("v", arr(self.operands()))])
     }
     fn from_json(v: &Json) -> Result<Self> {
         let tag: String = field(v, "o")?;
-        let Some((_, shape)) = EXPR_OPS.iter().find(|(t, _)| *t == tag) else {
+        let Some(row) = ExprShape::TABLE.iter().find(|r| r.tag == tag) else {
             return err(format!("unknown operator '{tag}'"));
         };
-        let mut args = field::<Vec<Operand>>(v, "v")?.into_iter();
-        let mut next = || {
-            args.next()
-                .ok_or_else(|| CodecError(format!("operator '{tag}' has wrong arity")))
-        };
-        Ok(match *shape {
-            ExprShape::Copy => Expr::Copy(next()?),
-            ExprShape::Unary(op) => Expr::Unary(op, next()?),
-            ExprShape::Binary(op) => Expr::Binary(op, next()?, next()?),
-            ExprShape::MulAdd => Expr::MulAdd(next()?, next()?, next()?),
-            ExprShape::Select(op) => Expr::Select(op, next()?, next()?, next()?, next()?),
-        })
+        Expr::from_shape(row.shape, field(v, "v")?)
+            .ok_or_else(|| CodecError(format!("operator '{tag}' has wrong arity")))
     }
 }
 
@@ -609,6 +576,29 @@ mod tests {
         let entry = Json::obj([("c", 0i64.to_json()), ("t", terms.to_json())]);
         let e = AffineExpr::from_json(&entry).expect("decodes");
         assert_eq!(e.terms().collect::<Vec<_>>(), [(i, i64::MAX)]);
+    }
+
+    /// Decoding an operator takes exactly its arity of operands: a
+    /// surplus operand is an error, not silently dropped.
+    #[test]
+    fn expr_decoding_rejects_every_other_operand_count() {
+        let k = |c: f64| Operand::Const(c).to_json();
+        for (tag, n) in [
+            ("neg", 2),
+            ("neg", 0),
+            ("add", 3),
+            ("muladd", 4),
+            ("sel.lt", 5),
+        ] {
+            let e = Json::obj([("o", Json::str(tag)), ("v", Json::Arr(vec![k(1.0); n]))]);
+            let err = Expr::from_json(&e).expect_err(tag);
+            assert!(err.to_string().contains("wrong arity"), "{tag}/{n}: {err}");
+        }
+        let e = Json::obj([("o", Json::str("neg")), ("v", Json::Arr(vec![k(2.0)]))]);
+        assert_eq!(
+            Expr::from_json(&e).ok(),
+            Some(Expr::Unary(slp_ir::UnOp::Neg, 2.0.into()))
+        );
     }
 
     #[test]

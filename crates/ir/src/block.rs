@@ -28,11 +28,6 @@ impl BasicBlock {
         BasicBlock { stmts }
     }
 
-    /// Appends a statement.
-    pub fn push(&mut self, stmt: Statement) {
-        self.stmts.push(stmt);
-    }
-
     /// The statements in program order.
     pub fn stmts(&self) -> &[Statement] {
         &self.stmts
@@ -133,8 +128,7 @@ mod tests {
     fn push_and_lookup() {
         let mut bb = BasicBlock::new();
         assert!(bb.is_empty());
-        bb.push(stmt(0));
-        bb.push(stmt(1));
+        bb.extend([stmt(0), stmt(1)]);
         assert_eq!(bb.len(), 2);
         assert_eq!(bb.stmt(StmtId::new(1)).unwrap().id(), StmtId::new(1));
         assert_eq!(bb.positions().of(StmtId::new(1)), 1);

@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use crate::affine::AffineExpr;
-use crate::expr::{BinOp, Dest, Expr, Operand, UnOp};
+use crate::expr::{write_expr, Dest, Operand};
 use crate::ids::LoopVarId;
 use crate::program::{Item, Program};
 use crate::stmt::Statement;
@@ -86,69 +86,18 @@ fn emit_stmt(p: &Program, s: &Statement, out: &mut String) {
         Dest::Array(r) => emit_ref(p, r, out),
     }
     out.push_str(" = ");
-    match s.expr() {
-        Expr::Copy(a) => emit_operand(p, a, out),
-        Expr::Unary(op, a) => {
-            let name = match op {
-                UnOp::Neg => "neg",
-                UnOp::Abs => "abs",
-                UnOp::Sqrt => "sqrt",
-            };
-            out.push_str(name);
-            out.push('(');
-            emit_operand(p, a, out);
-            out.push(')');
-        }
-        Expr::Binary(op, a, b) => match op {
-            BinOp::Min | BinOp::Max => {
-                out.push_str(if *op == BinOp::Min { "min" } else { "max" });
-                out.push('(');
-                emit_operand(p, a, out);
-                out.push_str(", ");
-                emit_operand(p, b, out);
-                out.push(')');
-            }
-            _ => {
-                emit_operand(p, a, out);
-                let sym = match op {
-                    BinOp::Add => " + ",
-                    BinOp::Sub => " - ",
-                    BinOp::Mul => " * ",
-                    BinOp::Div => " / ",
-                    BinOp::Min | BinOp::Max => unreachable!("handled above"),
-                };
-                out.push_str(sym);
-                emit_operand(p, b, out);
-            }
-        },
-        Expr::MulAdd(a, b, c) => {
-            emit_operand(p, a, out);
-            out.push_str(" + ");
-            emit_operand(p, b, out);
-            out.push_str(" * ");
-            emit_operand(p, c, out);
-        }
-        Expr::Select(op, a, b, t, e) => {
-            out.push_str("select(");
-            emit_operand(p, a, out);
-            let _ = write!(out, " {op} ");
-            emit_operand(p, b, out);
-            out.push_str(", ");
-            emit_operand(p, t, out);
-            out.push_str(", ");
-            emit_operand(p, e, out);
-            out.push(')');
-        }
-    }
+    let _ = write_expr(out, s.expr(), |o| emit_operand(p, o));
     out.push_str(";\n");
 }
 
-fn emit_operand(p: &Program, op: &Operand, out: &mut String) {
+fn emit_operand(p: &Program, op: &Operand) -> String {
+    let mut out = String::new();
     match op {
         Operand::Scalar(v) => out.push_str(&p.scalar(*v).name),
-        Operand::Array(r) => emit_ref(p, r, out),
-        Operand::Const(c) => emit_const(*c, out),
+        Operand::Array(r) => emit_ref(p, r, &mut out),
+        Operand::Const(c) => emit_const(*c, &mut out),
     }
+    out
 }
 
 fn emit_const(c: f64, out: &mut String) {
@@ -218,7 +167,7 @@ fn emit_affine(p: &Program, e: &AffineExpr, out: &mut String) {
 mod tests {
     use super::*;
     use crate::affine::AccessVector;
-    use crate::expr::ArrayRef;
+    use crate::expr::{ArrayRef, Expr};
     use crate::program::{Loop, LoopHeader};
     use crate::types::ScalarType;
 

@@ -7,6 +7,7 @@
 //! same position of different isomorphic statements") operate.
 
 use std::fmt;
+use std::str::FromStr;
 
 use crate::affine::AccessVector;
 use crate::ids::{ArrayId, VarId};
@@ -146,6 +147,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Applies the operator to two values.
+    #[inline]
     pub fn apply(self, a: f64, b: f64) -> f64 {
         match self {
             BinOp::Add => a + b,
@@ -168,19 +170,32 @@ impl BinOp {
             BinOp::Max,
         ]
     }
-}
 
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The source spelling, infix (`+`) or a function name (`min`).
+    fn name(self) -> &'static str {
+        match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
             BinOp::Mul => "*",
             BinOp::Div => "/",
             BinOp::Min => "min",
             BinOp::Max => "max",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for BinOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// Reads the spelling [`Display`](fmt::Display) writes.
+impl FromStr for BinOp {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        BinOp::all().into_iter().find(|op| op.name() == s).ok_or(())
     }
 }
 
@@ -197,6 +212,7 @@ pub enum UnOp {
 
 impl UnOp {
     /// Applies the operator to a value.
+    #[inline]
     pub fn apply(self, a: f64) -> f64 {
         match self {
             UnOp::Neg => -a,
@@ -209,16 +225,29 @@ impl UnOp {
     pub fn all() -> [UnOp; 3] {
         [UnOp::Neg, UnOp::Abs, UnOp::Sqrt]
     }
+
+    /// The source spelling, a function name.
+    fn name(self) -> &'static str {
+        match self {
+            UnOp::Neg => "neg",
+            UnOp::Abs => "abs",
+            UnOp::Sqrt => "sqrt",
+        }
+    }
 }
 
 impl fmt::Display for UnOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            UnOp::Neg => "neg",
-            UnOp::Abs => "abs",
-            UnOp::Sqrt => "sqrt",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
+    }
+}
+
+/// Reads the spelling [`Display`](fmt::Display) writes.
+impl FromStr for UnOp {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        UnOp::all().into_iter().find(|op| op.name() == s).ok_or(())
     }
 }
 
@@ -244,6 +273,7 @@ pub enum CmpOp {
 impl CmpOp {
     /// Applies the comparison with IEEE-754 semantics (every ordered
     /// comparison involving NaN is false; `!=` is true).
+    #[inline]
     pub fn apply(self, a: f64, b: f64) -> bool {
         match self {
             CmpOp::Lt => a < b,
@@ -340,11 +370,6 @@ impl Expr {
         refs.into_iter().flatten()
     }
 
-    /// Number of operand positions.
-    pub fn arity(&self) -> usize {
-        self.operands().len()
-    }
-
     /// A discriminant describing the operator shape, ignoring operands.
     /// Two expressions with equal shape and positionally equal operand
     /// kinds are isomorphic.
@@ -357,20 +382,52 @@ impl Expr {
             Expr::Select(op, _, _, _, _) => ExprShape::Select(*op),
         }
     }
+
+    /// The expression of `shape` over `operands` in positional order, or
+    /// `None` when their count differs from the shape's arity.
+    pub fn from_shape(shape: ExprShape, operands: Vec<Operand>) -> Option<Expr> {
+        let mut operands = operands.into_iter();
+        let mut next = || operands.next();
+        let e = match shape {
+            ExprShape::Copy => Expr::Copy(next()?),
+            ExprShape::Unary(op) => Expr::Unary(op, next()?),
+            ExprShape::Binary(op) => Expr::Binary(op, next()?, next()?),
+            ExprShape::MulAdd => Expr::MulAdd(next()?, next()?, next()?),
+            ExprShape::Select(op) => Expr::Select(op, next()?, next()?, next()?, next()?),
+        };
+        operands.next().is_none().then_some(e)
+    }
+}
+
+/// Writes `e` in `slp-lang` source syntax, each operand as `show`
+/// renders it: the one expression writer behind `Display for Expr`,
+/// [`Program::show_stmt`](crate::Program::show_stmt) and
+/// [`Program::to_source`](crate::Program::to_source).
+pub(crate) fn write_expr<'a, D: fmt::Display>(
+    out: &mut impl fmt::Write,
+    e: &'a Expr,
+    show: impl Fn(&'a Operand) -> D,
+) -> fmt::Result {
+    match e {
+        Expr::Copy(a) => write!(out, "{}", show(a)),
+        Expr::Unary(op, a) => write!(out, "{op}({})", show(a)),
+        // A spelling that lexes as an identifier (`min`) cannot sit
+        // between operands: the grammar reads it as a call.
+        Expr::Binary(op, a, b) if op.name().starts_with(char::is_alphabetic) => {
+            write!(out, "{op}({}, {})", show(a), show(b))
+        }
+        Expr::Binary(op, a, b) => write!(out, "{} {op} {}", show(a), show(b)),
+        Expr::MulAdd(a, b, c) => write!(out, "{} + {} * {}", show(a), show(b), show(c)),
+        Expr::Select(op, a, b, t, e) => {
+            let (a, b, t, e) = (show(a), show(b), show(t), show(e));
+            write!(out, "select({a} {op} {b}, {t}, {e})")
+        }
+    }
 }
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Copy(a) => write!(f, "{a}"),
-            Expr::Unary(op, a) => write!(f, "{op}({a})"),
-            Expr::Binary(op, a, b) => match op {
-                BinOp::Min | BinOp::Max => write!(f, "{op}({a}, {b})"),
-                _ => write!(f, "{a} {op} {b}"),
-            },
-            Expr::MulAdd(a, b, c) => write!(f, "{a} + {b} * {c}"),
-            Expr::Select(op, a, b, t, e) => write!(f, "select({a} {op} {b}, {t}, {e})"),
-        }
+        write_expr(f, self, |a| a)
     }
 }
 
@@ -434,6 +491,105 @@ pub enum ExprShape {
     /// Shape of [`Expr::Select`]; selects pack only with selects using
     /// the same comparison.
     Select(CmpOp),
+}
+
+/// One row of the operator table [`ExprShape::TABLE`]: what every layer
+/// knows about a shape besides its lane semantics ([`ExprShape::apply`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpRow {
+    /// The shape the row describes.
+    pub shape: ExprShape,
+    /// The number of operand positions.
+    pub arity: usize,
+    /// The operator's tag in `slp-driver`'s cache and wire encoding.
+    pub tag: &'static str,
+    /// The superword operation's mnemonic in `slp-vm` listings.
+    pub mnemonic: &'static str,
+    /// The §4.3 cost class: the multiplier on the machine's base ALU cost,
+    /// scalar and SIMD alike (division and square root are the slow ones).
+    pub cost: f64,
+}
+
+const fn row(
+    shape: ExprShape,
+    arity: usize,
+    tag: &'static str,
+    mnemonic: &'static str,
+    cost: f64,
+) -> OpRow {
+    OpRow {
+        shape,
+        arity,
+        tag,
+        mnemonic,
+        cost,
+    }
+}
+
+impl ExprShape {
+    /// The operator table: one row per shape, in encoding order (the
+    /// codec's schema lists the tags in this order).
+    pub const TABLE: &'static [OpRow; 17] = &[
+        row(ExprShape::Copy, 1, "copy", "vmov", 0.5),
+        row(ExprShape::Unary(UnOp::Neg), 1, "neg", "vneg", 1.0),
+        row(ExprShape::Unary(UnOp::Abs), 1, "abs", "vabs", 1.0),
+        row(ExprShape::Unary(UnOp::Sqrt), 1, "sqrt", "vsqrt", 12.0),
+        row(ExprShape::Binary(BinOp::Add), 2, "add", "vadd", 1.0),
+        row(ExprShape::Binary(BinOp::Sub), 2, "sub", "vsub", 1.0),
+        row(ExprShape::Binary(BinOp::Mul), 2, "mul", "vmul", 2.0),
+        row(ExprShape::Binary(BinOp::Div), 2, "div", "vdiv", 10.0),
+        row(ExprShape::Binary(BinOp::Min), 2, "min", "vmin", 1.0),
+        row(ExprShape::Binary(BinOp::Max), 2, "max", "vmax", 1.0),
+        row(ExprShape::MulAdd, 3, "muladd", "vfma", 2.5),
+        // Compare-to-mask plus blend: two cheap ALU ops, listed as one
+        // superword op.
+        row(ExprShape::Select(CmpOp::Lt), 4, "sel.lt", "vsellt", 2.0),
+        row(ExprShape::Select(CmpOp::Le), 4, "sel.le", "vselle", 2.0),
+        row(ExprShape::Select(CmpOp::Gt), 4, "sel.gt", "vselgt", 2.0),
+        row(ExprShape::Select(CmpOp::Ge), 4, "sel.ge", "vselge", 2.0),
+        row(ExprShape::Select(CmpOp::Eq), 4, "sel.eq", "vseleq", 2.0),
+        row(ExprShape::Select(CmpOp::Ne), 4, "sel.ne", "vselne", 2.0),
+    ];
+
+    /// The shape's row of [`ExprShape::TABLE`], found by index (the
+    /// operator enums' declaration order is the table's).
+    #[inline]
+    pub fn row(self) -> &'static OpRow {
+        &Self::TABLE[match self {
+            ExprShape::Copy => 0,
+            ExprShape::Unary(op) => 1 + op as usize,
+            ExprShape::Binary(op) => 4 + op as usize,
+            ExprShape::MulAdd => 10,
+            ExprShape::Select(op) => 11 + op as usize,
+        }]
+    }
+
+    /// Applies the operator to its positional operand values: the lane
+    /// semantics of the reference engine and of constant folding, built
+    /// from the per-lane functions the bytecode engine's lane loops call.
+    #[inline]
+    pub fn apply(self, vals: &[f64]) -> f64 {
+        match self {
+            ExprShape::Copy => vals[0],
+            ExprShape::Unary(op) => op.apply(vals[0]),
+            ExprShape::Binary(op) => op.apply(vals[0], vals[1]),
+            ExprShape::MulAdd => mul_add(vals[0], vals[1], vals[2]),
+            ExprShape::Select(op) => {
+                if op.apply(vals[0], vals[1]) {
+                    vals[2]
+                } else {
+                    vals[3]
+                }
+            }
+        }
+    }
+}
+
+/// The lane of [`Expr::MulAdd`], `a + b * c`, rounded after the multiply
+/// and again after the add: not the fused [`f64::mul_add`].
+#[inline]
+pub fn mul_add(a: f64, b: f64, c: f64) -> f64 {
+    a + b * c
 }
 
 /// A typed destination: where a statement writes.
@@ -558,8 +714,14 @@ mod tests {
         let mul = Expr::Binary(BinOp::Mul, x.clone(), x.clone());
         assert_ne!(add.shape(), mul.shape());
         assert_eq!(add.shape(), ExprShape::Binary(BinOp::Add));
-        assert_eq!(add.arity(), 2);
-        assert_eq!(Expr::MulAdd(x.clone(), x.clone(), x.clone()).arity(), 3);
+        assert_eq!(add.shape().row().arity, 2);
+        assert_eq!(
+            Expr::MulAdd(x.clone(), x.clone(), x.clone())
+                .shape()
+                .row()
+                .arity,
+            3
+        );
     }
 
     #[test]
@@ -585,7 +747,7 @@ mod tests {
     fn select_shape_and_operands() {
         let x = Operand::Const(1.0);
         let s = Expr::Select(CmpOp::Lt, x.clone(), x.clone(), x.clone(), x.clone());
-        assert_eq!(s.arity(), 4);
+        assert_eq!(s.shape().row().arity, 4);
         assert_eq!(s.operands().len(), 4);
         assert_eq!(s.shape(), ExprShape::Select(CmpOp::Lt));
         assert_ne!(s.shape(), ExprShape::Select(CmpOp::Gt));
@@ -622,5 +784,171 @@ mod tests {
         assert_eq!(e.to_string(), "v0 * A1[4*i0]");
         let m = Expr::Binary(BinOp::Min, 1.0.into(), 2.0.into());
         assert_eq!(m.to_string(), "min(1, 2)");
+    }
+
+    /// The operator table, spelled as the codec's tags, the VM listing's
+    /// mnemonics, the bytecode engine's operand counts and the cost
+    /// model's factors were spelled before they read them from here.
+    #[test]
+    fn operator_table_golden() {
+        use std::collections::HashSet;
+        let want: [(ExprShape, &str, &str, usize, f64); 17] = [
+            (ExprShape::Copy, "copy", "vmov", 1, 0.5),
+            (ExprShape::Unary(UnOp::Neg), "neg", "vneg", 1, 1.0),
+            (ExprShape::Unary(UnOp::Abs), "abs", "vabs", 1, 1.0),
+            (ExprShape::Unary(UnOp::Sqrt), "sqrt", "vsqrt", 1, 12.0),
+            (ExprShape::Binary(BinOp::Add), "add", "vadd", 2, 1.0),
+            (ExprShape::Binary(BinOp::Sub), "sub", "vsub", 2, 1.0),
+            (ExprShape::Binary(BinOp::Mul), "mul", "vmul", 2, 2.0),
+            (ExprShape::Binary(BinOp::Div), "div", "vdiv", 2, 10.0),
+            (ExprShape::Binary(BinOp::Min), "min", "vmin", 2, 1.0),
+            (ExprShape::Binary(BinOp::Max), "max", "vmax", 2, 1.0),
+            (ExprShape::MulAdd, "muladd", "vfma", 3, 2.5),
+            (ExprShape::Select(CmpOp::Lt), "sel.lt", "vsellt", 4, 2.0),
+            (ExprShape::Select(CmpOp::Le), "sel.le", "vselle", 4, 2.0),
+            (ExprShape::Select(CmpOp::Gt), "sel.gt", "vselgt", 4, 2.0),
+            (ExprShape::Select(CmpOp::Ge), "sel.ge", "vselge", 4, 2.0),
+            (ExprShape::Select(CmpOp::Eq), "sel.eq", "vseleq", 4, 2.0),
+            (ExprShape::Select(CmpOp::Ne), "sel.ne", "vselne", 4, 2.0),
+        ];
+        for (row, (shape, tag, mnemonic, arity, cost)) in ExprShape::TABLE.iter().zip(want) {
+            let expected = OpRow {
+                shape,
+                arity,
+                tag,
+                mnemonic,
+                cost,
+            };
+            assert_eq!(*row, expected);
+            assert_eq!(shape.row(), row, "{shape:?} indexes its own row");
+        }
+        let tags: HashSet<_> = ExprShape::TABLE.iter().map(|r| r.tag).collect();
+        let mnemonics: HashSet<_> = ExprShape::TABLE.iter().map(|r| r.mnemonic).collect();
+        assert_eq!(tags.len(), 17, "tags are unique");
+        assert_eq!(mnemonics.len(), 17, "mnemonics are unique");
+    }
+
+    #[test]
+    fn from_shape_takes_exactly_the_arity() {
+        for row in ExprShape::TABLE {
+            for n in 0..=5 {
+                let operands: Vec<Operand> = (0..n).map(|k| Operand::Const(k as f64)).collect();
+                match Expr::from_shape(row.shape, operands.clone()) {
+                    Some(e) => {
+                        assert_eq!(n, row.arity, "{} built from {n} operands", row.tag);
+                        assert_eq!(e.shape(), row.shape);
+                        assert!(e.operands().iter().copied().eq(&operands));
+                    }
+                    None => assert_ne!(n, row.arity, "{} rejected its arity", row.tag),
+                }
+            }
+        }
+    }
+
+    /// `apply` against plain `f64` expressions on NaN, signed zeros and
+    /// infinities, in every operand position.
+    #[test]
+    fn apply_matches_plain_f64_on_special_values() {
+        use std::hint::black_box;
+        fn plain(shape: ExprShape, v: [f64; 4]) -> f64 {
+            let [a, b, c, d] = v;
+            match shape {
+                ExprShape::Copy => a,
+                ExprShape::Unary(UnOp::Neg) => -a,
+                ExprShape::Unary(UnOp::Abs) => a.abs(),
+                ExprShape::Unary(UnOp::Sqrt) => a.sqrt(),
+                ExprShape::Binary(BinOp::Add) => a + b,
+                ExprShape::Binary(BinOp::Sub) => a - b,
+                ExprShape::Binary(BinOp::Mul) => a * b,
+                ExprShape::Binary(BinOp::Div) => a / b,
+                ExprShape::Binary(BinOp::Min) => a.min(b),
+                ExprShape::Binary(BinOp::Max) => a.max(b),
+                ExprShape::MulAdd => a + b * c,
+                ExprShape::Select(CmpOp::Lt) => {
+                    if a < b {
+                        c
+                    } else {
+                        d
+                    }
+                }
+                ExprShape::Select(CmpOp::Le) => {
+                    if a <= b {
+                        c
+                    } else {
+                        d
+                    }
+                }
+                ExprShape::Select(CmpOp::Gt) => {
+                    if a > b {
+                        c
+                    } else {
+                        d
+                    }
+                }
+                ExprShape::Select(CmpOp::Ge) => {
+                    if a >= b {
+                        c
+                    } else {
+                        d
+                    }
+                }
+                ExprShape::Select(CmpOp::Eq) => {
+                    if a == b {
+                        c
+                    } else {
+                        d
+                    }
+                }
+                ExprShape::Select(CmpOp::Ne) => {
+                    if a != b {
+                        c
+                    } else {
+                        d
+                    }
+                }
+            }
+        }
+        let special = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 2.0];
+        let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        for row in ExprShape::TABLE {
+            for &a in &special {
+                for &b in &special {
+                    for &c in &special {
+                        let v = black_box([a, b, c, -3.0]);
+                        let (got, want) = (row.shape.apply(&v[..row.arity]), plain(row.shape, v));
+                        assert!(same(got, want), "{} {v:?}: {got} vs {want}", row.tag);
+                    }
+                }
+            }
+        }
+        // The multiply-add rounds twice: (1+ε)(1−ε) rounds to 1 first, so
+        // the sum is 0 where the fused form keeps −ε².
+        let e = f64::EPSILON;
+        assert_eq!(mul_add(-1.0, 1.0 + e, 1.0 - e), 0.0);
+        assert_eq!((1.0 + e).mul_add(1.0 - e, -1.0), -e * e);
+    }
+
+    /// One single-statement kernel per shape survives `to_source` and the
+    /// parser: the writer spells every operator the grammar accepts.
+    #[test]
+    fn every_shape_round_trips_through_source() {
+        use crate::affine::AffineExpr;
+        use crate::program::Program;
+        use crate::types::ScalarType;
+        for row in ExprShape::TABLE {
+            let mut p = Program::new("op");
+            let a = p.add_array("A", ScalarType::F64, vec![4], true);
+            let x = p.add_scalar("x", ScalarType::F64);
+            let at = |k| ArrayRef::new(a, AccessVector::new(vec![AffineExpr::constant_expr(k)]));
+            let pool: [Operand; 4] = [x.into(), at(1).into(), 2.5.into(), at(2).into()];
+            let e = Expr::from_shape(row.shape, pool[..row.arity].to_vec()).unwrap();
+            p.push_stmt(at(0).into(), e);
+            let src = p.to_source();
+            let q = slp_lang::compile(&src).unwrap_or_else(|e| panic!("{}: {e}\n{src}", row.tag));
+            assert_eq!(q.to_source(), src, "{}", row.tag);
+            let mut tags = Vec::new();
+            q.for_each_stmt(|s| tags.push(s.expr().shape().row().tag));
+            assert_eq!(tags, [row.tag], "{src}");
+        }
     }
 }

@@ -58,7 +58,8 @@ pub use align::{pack_is_aligned_in, pack_is_contiguous};
 pub use block::{BasicBlock, StmtPositions};
 pub use deps::{operands_overlap_in, refs_overlap_in, BlockDeps, DepKind, Dependence};
 pub use expr::{
-    ArrayRef, BinOp, CmpOp, Dest, Expr, ExprShape, Operand, OperandKind, Operands, TypeEnv, UnOp,
+    mul_add, ArrayRef, BinOp, CmpOp, Dest, Expr, ExprShape, OpRow, Operand, OperandKind, Operands,
+    TypeEnv, UnOp,
 };
 pub use ids::{ArrayId, LoopVarId, StmtId, VarId};
 pub use program::{ArrayInfo, BlockId, BlockInfo, Item, Loop, LoopHeader, Program, ScalarInfo};

@@ -9,7 +9,7 @@ use std::fmt;
 
 use crate::affine::AccessVector;
 use crate::block::BasicBlock;
-use crate::expr::{Dest, Expr, Operand, TypeEnv};
+use crate::expr::{write_expr, Dest, Expr, Operand, TypeEnv};
 use crate::ids::{ArrayId, LoopVarId, StmtId, VarId};
 use crate::stmt::Statement;
 use crate::types::ScalarType;
@@ -410,15 +410,7 @@ impl Program {
     pub fn show_operand(&self, op: &Operand) -> String {
         match op {
             Operand::Scalar(v) => self.scalar(*v).name.clone(),
-            Operand::Array(r) => {
-                let mut s = self.array(r.array).name.clone();
-                for d in r.access.dims() {
-                    s.push('[');
-                    s.push_str(&d.to_string());
-                    s.push(']');
-                }
-                s
-            }
+            Operand::Array(r) => format!("{}{}", self.array(r.array).name, r.access),
             Operand::Const(c) => c.to_string(),
         }
     }
@@ -426,22 +418,9 @@ impl Program {
     /// Renders a statement with source-level names.
     pub fn show_stmt(&self, s: &Statement) -> String {
         let dest = self.show_operand(&s.dest().as_operand());
-        let ops: Vec<String> = s
-            .expr()
-            .operands()
-            .iter()
-            .map(|o| self.show_operand(o))
-            .collect();
-        let rhs = match s.expr() {
-            Expr::Copy(_) => ops[0].clone(),
-            Expr::Unary(op, _) => format!("{op}({})", ops[0]),
-            Expr::Binary(op, _, _) => format!("{} {op} {}", ops[0], ops[1]),
-            Expr::MulAdd(_, _, _) => format!("{} + {} * {}", ops[0], ops[1], ops[2]),
-            Expr::Select(op, _, _, _, _) => {
-                format!("select({} {op} {}, {}, {})", ops[0], ops[1], ops[2], ops[3])
-            }
-        };
-        format!("{}: {} = {}", s.id(), dest, rhs)
+        let mut out = format!("{}: {dest} = ", s.id());
+        let _ = write_expr(&mut out, s.expr(), |o| self.show_operand(o));
+        out
     }
 }
 
@@ -493,44 +472,10 @@ impl TypeEnv for Program {
     }
 }
 
+/// The program as `slp-lang` source text, [`Program::to_source`].
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn walk(
-            p: &Program,
-            items: &[Item],
-            depth: usize,
-            f: &mut fmt::Formatter<'_>,
-        ) -> fmt::Result {
-            let pad = "  ".repeat(depth);
-            for item in items {
-                match item {
-                    Item::Stmt(s) => writeln!(f, "{pad}{}", p.show_stmt(s))?,
-                    Item::Loop(l) => {
-                        writeln!(
-                            f,
-                            "{pad}for {} in {}..{} step {} {{",
-                            p.loop_var_name(l.header.var),
-                            l.header.lower,
-                            l.header.upper,
-                            l.header.step
-                        )?;
-                        walk(p, &l.body, depth + 1, f)?;
-                        writeln!(f, "{pad}}}")?;
-                    }
-                }
-            }
-            Ok(())
-        }
-        writeln!(f, "kernel {} {{", self.name)?;
-        for a in &self.arrays {
-            let dims: Vec<String> = a.dims.iter().map(|d| d.to_string()).collect();
-            writeln!(f, "  array {}: {}[{}];", a.name, a.ty, dims.join("]["))?;
-        }
-        for s in &self.scalars {
-            writeln!(f, "  scalar {}: {};", s.name, s.ty)?;
-        }
-        walk(self, &self.items, 1, f)?;
-        writeln!(f, "}}")
+        f.write_str(&self.to_source())
     }
 }
 
@@ -722,8 +667,19 @@ mod tests {
     fn display_renders_names() {
         let p = sample();
         let text = p.to_string();
+        assert_eq!(text, p.to_source());
         assert!(text.contains("array A: f64[16];"));
-        assert!(text.contains("for i in 0..8 step 1 {"));
-        assert!(text.contains("x + A[2*i0+1]"));
+        assert!(text.contains("for i in 0..8 {"));
+        assert!(text.contains("A[2*i] = x + A[2*i+1];"));
+    }
+
+    #[test]
+    fn show_stmt_writes_min_and_max_as_calls() {
+        let mut p = sample();
+        let x = VarId::new(0);
+        for (op, shown) in [(BinOp::Min, "min(x, 1)"), (BinOp::Max, "max(x, 1)")] {
+            let s = p.make_stmt(x.into(), Expr::Binary(op, x.into(), 1.0.into()));
+            assert_eq!(p.show_stmt(&s), format!("{}: x = {shown}", s.id()));
+        }
     }
 }

@@ -328,47 +328,33 @@ impl Parser {
     }
 
     fn rhs(&mut self) -> Result<AstRhs> {
-        // Call syntax: fn '(' ... ')' for the named operators. `select`
-        // is contextual like `min`: a keyword only when followed by '('.
+        // Call syntax: fn '(' ... ')' for `select` and the operators
+        // `slp-ir` spells as identifiers (`neg`, `min`, ...). Each is a
+        // keyword only when followed by '('; `min` may be an ordinary
+        // variable name otherwise.
         if let Token::Ident(name) = &self.peek().token {
-            if name == "select"
-                && self.tokens.get(self.pos + 1).map(|s| &s.token) == Some(&Token::LParen)
-            {
-                self.bump(); // select
-                self.bump(); // '('
-                let cond = self.cond()?;
-                self.expect(&Token::Comma)?;
-                let t = self.term()?;
-                self.expect(&Token::Comma)?;
-                let f = self.term()?;
-                self.expect(&Token::RParen)?;
-                return Ok(AstRhs::Select(cond, t, f));
-            }
-            let fun: Option<FnKind> = match name.as_str() {
-                "neg" => Some(FnKind::Un(UnOp::Neg)),
-                "abs" => Some(FnKind::Un(UnOp::Abs)),
-                "sqrt" => Some(FnKind::Un(UnOp::Sqrt)),
-                "min" => Some(FnKind::Bin(BinOp::Min)),
-                "max" => Some(FnKind::Bin(BinOp::Max)),
-                _ => None,
-            };
-            if let Some(kind) = fun {
-                // Only treat as a call when followed by '('; `min` may be
-                // an ordinary variable name otherwise.
-                if self.tokens.get(self.pos + 1).map(|s| &s.token) == Some(&Token::LParen) {
+            if self.tokens.get(self.pos + 1).map(|s| &s.token) == Some(&Token::LParen) {
+                let (un, bin) = (name.parse::<UnOp>(), name.parse::<BinOp>());
+                if name == "select" || un.is_ok() || bin.is_ok() {
                     self.bump(); // fn name
                     self.bump(); // '('
-                    let a = self.term()?;
-                    let out = match kind {
-                        FnKind::Un(op) => AstRhs::Unary(op, a),
-                        FnKind::Bin(op) => {
+                    let rhs = match (un, bin) {
+                        (Ok(op), _) => AstRhs::Unary(op, self.term()?),
+                        (_, Ok(op)) => {
+                            let a = self.term()?;
                             self.expect(&Token::Comma)?;
-                            let b = self.term()?;
-                            AstRhs::Binary(op, a, b)
+                            AstRhs::Binary(op, a, self.term()?)
+                        }
+                        _ => {
+                            let cond = self.cond()?;
+                            self.expect(&Token::Comma)?;
+                            let t = self.term()?;
+                            self.expect(&Token::Comma)?;
+                            AstRhs::Select(cond, t, self.term()?)
                         }
                     };
                     self.expect(&Token::RParen)?;
-                    return Ok(out);
+                    return Ok(rhs);
                 }
             }
         }
@@ -504,11 +490,6 @@ impl Parser {
         }
         Ok(a.constant)
     }
-}
-
-enum FnKind {
-    Un(UnOp),
-    Bin(BinOp),
 }
 
 #[cfg(test)]

@@ -484,7 +484,7 @@ impl<'a> Model<'a> {
         }
         let expr = ix.stmt_at(lanes[0]).expr();
         terms.superword = cx.cost.vector_op(expr.shape());
-        for slot in once(PackPos::Dest).chain((0..expr.arity()).map(PackPos::Operand)) {
+        for slot in once(PackPos::Dest).chain((0..expr.operands().len()).map(PackPos::Operand)) {
             let mut keys: Vec<u32> = ix.keys(lanes, slot).collect();
             keys.sort_unstable();
             let price = pack_floor(&keys, slot == PackPos::Dest, ix, cx);

@@ -20,7 +20,6 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use slp_ir::{ArrayId, ExprShape, ScalarType, VarId};
-use slp_vm::apply_shape;
 
 use crate::eval::EvalError;
 
@@ -146,9 +145,10 @@ impl Arena {
     ///
     /// `Copy` is the identity (both engines implement it as `vals[0]`),
     /// and an application whose operands are all constants folds through
-    /// [`apply_shape`] — the *same* function both VM engines evaluate
-    /// with, so folding can never diverge from execution. Everything else
-    /// stays an uninterpreted application.
+    /// [`ExprShape::apply`]: the function the reference engine evaluates
+    /// with, built from the per-lane functions the bytecode engine's lane
+    /// loops call, so folding cannot diverge from execution. Everything
+    /// else stays an uninterpreted application.
     pub(crate) fn op(&mut self, shape: ExprShape, args: &[TermId]) -> Result<TermId, EvalError> {
         if shape == ExprShape::Copy {
             return Ok(args[0]);
@@ -165,7 +165,7 @@ impl Arena {
                 _ => false,
             });
         if folds {
-            return self.constant(apply_shape(shape, &vals[..args.len()]));
+            return self.constant(shape.apply(&vals[..args.len()]));
         }
         let mut ids = [args[0]; 4];
         ids[..args.len()].copy_from_slice(args);
@@ -235,7 +235,7 @@ impl Arena {
                 for (v, &a) in vals.iter_mut().zip(&args[..n as usize]) {
                     *v = self.eval_memo(a, assign, memo);
                 }
-                apply_shape(shape, &vals[..n as usize])
+                shape.apply(&vals[..n as usize])
             }
             Term::Coerce(ty, inner) => ty.coerce(self.eval_memo(inner, assign, memo)),
         };

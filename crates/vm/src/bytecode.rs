@@ -48,8 +48,8 @@ use std::collections::HashMap;
 
 use slp_core::{CompiledKernel, CostParams, MachineConfig, Replication, SafetyCert};
 use slp_ir::{
-    ArrayId, ArrayRef, BlockId, BlockInfo, Dest, ExprShape, Item, LoopVarId, Operand, Program,
-    ScalarType, StmtId, TypeEnv,
+    mul_add, ArrayId, ArrayRef, BlockId, BlockInfo, Dest, ExprShape, Item, LoopVarId, Operand,
+    Program, ScalarType, StmtId, TypeEnv,
 };
 
 use crate::code::{InstMetrics, SplatSrc, VInst, VReg};
@@ -157,8 +157,8 @@ struct Cost {
     memory_cycles: f64,
 }
 
-/// A scalar statement; `args` is the first of `arity(shape)` consecutive
-/// operands in the argument pool.
+/// A scalar statement; `args` is the first of the shape's arity of
+/// consecutive operands in the argument pool.
 #[derive(Debug, Clone, Copy)]
 struct Stmt {
     m: u32,
@@ -525,16 +525,6 @@ impl BytecodeKernel {
     }
 }
 
-/// Positional operand count of an operator shape.
-fn arity(shape: ExprShape) -> usize {
-    match shape {
-        ExprShape::Copy | ExprShape::Unary(_) => 1,
-        ExprShape::Binary(_) => 2,
-        ExprShape::MulAdd => 3,
-        ExprShape::Select(_) => 4,
-    }
-}
-
 fn use_reg(map: &HashMap<u32, (u32, u32)>, r: VReg) -> Result<(u32, u32), ExecError> {
     map.get(&r.0)
         .copied()
@@ -761,7 +751,7 @@ impl<'a> Translator<'a> {
             let m = self.cost_row(&row);
             let op = match inst {
                 VInst::Scalar { stmt, .. } => {
-                    // `Expr` holds exactly `arity(shape)` operands.
+                    // `Expr` holds exactly its shape's arity of operands.
                     let start = self.code.args.len() as u32;
                     for o in stmt.expr().operands() {
                         let arg = match o {
@@ -865,12 +855,11 @@ impl<'a> Translator<'a> {
                 }
                 VInst::Spill { .. } | VInst::Reload { .. } => BOp::Nop { m },
                 VInst::Op { dst, shape, srcs } => {
-                    if srcs.len() < arity(*shape) {
+                    let arity = shape.row().arity;
+                    if srcs.len() < arity {
                         return Err(ExecError::malformed(format!(
-                            "{:?} op has {} source register(s), needs {}",
-                            shape,
+                            "{shape:?} op has {} source register(s), needs {arity}",
                             srcs.len(),
-                            arity(*shape)
                         )));
                     }
                     let resolved: Vec<(u32, u32)> = srcs
@@ -1213,7 +1202,8 @@ impl<'a> Vm<'a> {
             ExprShape::MulAdd => {
                 let (a, b, c) = (s[0] as usize, s[1] as usize, s[2] as usize);
                 for k in 0..w {
-                    self.regs[d + k] = self.regs[a + k] + self.regs[b + k] * self.regs[c + k];
+                    self.regs[d + k] =
+                        mul_add(self.regs[a + k], self.regs[b + k], self.regs[c + k]);
                 }
             }
             ExprShape::Select(op) => {
@@ -1249,7 +1239,7 @@ impl<'a> Vm<'a> {
             ExprShape::Copy => self.arg(a)?,
             ExprShape::Unary(op) => op.apply(self.arg(a)?),
             ExprShape::Binary(op) => op.apply(self.arg(a)?, self.arg(a + 1)?),
-            ExprShape::MulAdd => self.arg(a)? + self.arg(a + 1)? * self.arg(a + 2)?,
+            ExprShape::MulAdd => mul_add(self.arg(a)?, self.arg(a + 1)?, self.arg(a + 2)?),
             ExprShape::Select(op) => {
                 let (x, y) = (self.arg(a)?, self.arg(a + 1)?);
                 let (t, e) = (self.arg(a + 2)?, self.arg(a + 3)?);

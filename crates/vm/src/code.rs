@@ -388,34 +388,8 @@ impl fmt::Display for VInst {
                 write!(f, "shuf    {dst}, {src}, [{}]", ps.join(","))
             }
             VInst::Op { dst, shape, srcs } => {
-                let name = match shape {
-                    ExprShape::Copy => "vmov",
-                    ExprShape::Unary(op) => match op {
-                        slp_ir::UnOp::Neg => "vneg",
-                        slp_ir::UnOp::Abs => "vabs",
-                        slp_ir::UnOp::Sqrt => "vsqrt",
-                    },
-                    ExprShape::Binary(op) => match op {
-                        slp_ir::BinOp::Add => "vadd",
-                        slp_ir::BinOp::Sub => "vsub",
-                        slp_ir::BinOp::Mul => "vmul",
-                        slp_ir::BinOp::Div => "vdiv",
-                        slp_ir::BinOp::Min => "vmin",
-                        slp_ir::BinOp::Max => "vmax",
-                    },
-                    ExprShape::MulAdd => "vfma",
-                    // Compare-to-mask + blend, printed as one superword op.
-                    ExprShape::Select(op) => match op {
-                        slp_ir::CmpOp::Lt => "vsellt",
-                        slp_ir::CmpOp::Le => "vselle",
-                        slp_ir::CmpOp::Gt => "vselgt",
-                        slp_ir::CmpOp::Ge => "vselge",
-                        slp_ir::CmpOp::Eq => "vseleq",
-                        slp_ir::CmpOp::Ne => "vselne",
-                    },
-                };
                 let ss: Vec<String> = srcs.iter().map(|s| s.to_string()).collect();
-                write!(f, "{name:<7} {dst}, {}", ss.join(", "))
+                write!(f, "{:<7} {dst}, {}", shape.row().mnemonic, ss.join(", "))
             }
             VInst::Spill { src } => write!(f, "spill   [slot], {src}"),
             VInst::Reload { dst } => write!(f, "reload  {dst}, [slot]"),

@@ -5,13 +5,12 @@
 //! sinks — is decided by `slp-core`'s one emission walk
 //! ([`emit_schedule`]), the same walk the §4.3 estimate sums; this module
 //! is its second sink, which allocates virtual registers and pushes
-//! [`VInst`]s. The passes that follow — loop-invariant hoisting,
-//! cross-iteration reuse, register allocation and spill code — run on the
-//! instructions, and what they change is exactly what the estimate cannot
-//! see. Finally the §4.3 cost-model gate compares the real static cycles
-//! of the vector code against the scalar code and keeps the scalar
-//! version when vectorization would not pay ("we skip the current basic
-//! block").
+//! [`VInst`]s. The passes that follow — loop-invariant hoisting, register
+//! allocation and spill code — run on the instructions, and what they
+//! change is exactly what the estimate cannot see. Finally the §4.3
+//! cost-model gate compares the real static cycles of the vector code
+//! against the scalar code and keeps the scalar version when
+//! vectorization would not pay ("we skip the current basic block").
 
 use slp_core::{
     emit_schedule, scalar_traffic, AccessClass, BlockIndex, BlockSchedule, CompiledKernel,

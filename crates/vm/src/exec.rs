@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use slp_core::{CompiledKernel, CostParams, MachineConfig, Replication};
-use slp_ir::{ArrayRef, BinOp, Dest, ExprShape, Item, LoopVarId, Operand, Program, StmtId, UnOp};
+use slp_ir::{ArrayRef, Dest, Item, LoopVarId, Operand, Program, StmtId};
 
 use crate::code::{InstMetrics, SplatSrc, VInst};
 use crate::codegen::{lower_kernel, BlockCode};
@@ -440,7 +440,7 @@ impl<'a> Executor<'a> {
                         .iter()
                         .map(|&r| Ok(self.reg(r)?[k]))
                         .collect::<Result<_, ExecError>>()?;
-                    out.push(apply_shape(*shape, &vals));
+                    out.push(shape.apply(&vals));
                 }
                 *self.reg_mut(*dst) = out;
                 Ok(())
@@ -455,7 +455,7 @@ impl<'a> Executor<'a> {
             .iter()
             .map(|o| self.read_operand(o))
             .collect::<Result<_, _>>()?;
-        let result = apply_shape(stmt.expr().shape(), &vals);
+        let result = stmt.expr().shape().apply(&vals);
         match stmt.dest() {
             Dest::Scalar(v) => {
                 let ty = slp_ir::TypeEnv::scalar_type(self.program, *v);
@@ -499,37 +499,6 @@ impl<'a> Executor<'a> {
             Ok(())
         } else {
             Err(ExecError::out_of_bounds("array store out of bounds"))
-        }
-    }
-}
-
-/// Applies an operator shape to positional operand values. Shared by the
-/// reference and bytecode engines, and by the symbolic translation
-/// validator's concrete counterexample evaluation — a single definition
-/// so operator semantics cannot drift between prover and executor.
-pub fn apply_shape(shape: ExprShape, vals: &[f64]) -> f64 {
-    match shape {
-        ExprShape::Copy => vals[0],
-        ExprShape::Unary(op) => match op {
-            UnOp::Neg => -vals[0],
-            UnOp::Abs => vals[0].abs(),
-            UnOp::Sqrt => vals[0].sqrt(),
-        },
-        ExprShape::Binary(op) => match op {
-            BinOp::Add => vals[0] + vals[1],
-            BinOp::Sub => vals[0] - vals[1],
-            BinOp::Mul => vals[0] * vals[1],
-            BinOp::Div => vals[0] / vals[1],
-            BinOp::Min => vals[0].min(vals[1]),
-            BinOp::Max => vals[0].max(vals[1]),
-        },
-        ExprShape::MulAdd => vals[0] + vals[1] * vals[2],
-        ExprShape::Select(op) => {
-            if op.apply(vals[0], vals[1]) {
-                vals[2]
-            } else {
-                vals[3]
-            }
         }
     }
 }
@@ -630,27 +599,6 @@ mod tests {
         let k = compile(&p, &cfg);
         let err = execute(&k, &machine()).unwrap_err();
         assert!(err.to_string().contains("out of bounds"));
-    }
-
-    #[test]
-    fn apply_shape_covers_all_operators() {
-        use slp_ir::{BinOp, ExprShape, UnOp};
-        let t = apply_shape;
-        assert_eq!(t(ExprShape::Copy, &[2.0]), 2.0);
-        assert_eq!(t(ExprShape::Unary(UnOp::Neg), &[2.0]), -2.0);
-        assert_eq!(t(ExprShape::Unary(UnOp::Sqrt), &[16.0]), 4.0);
-        assert_eq!(t(ExprShape::Binary(BinOp::Sub), &[5.0, 3.0]), 2.0);
-        assert_eq!(t(ExprShape::Binary(BinOp::Max), &[5.0, 3.0]), 5.0);
-        assert_eq!(t(ExprShape::MulAdd, &[1.0, 2.0, 3.0]), 7.0);
-        use slp_ir::CmpOp;
-        assert_eq!(t(ExprShape::Select(CmpOp::Lt), &[1.0, 2.0, 8.0, 9.0]), 8.0);
-        assert_eq!(t(ExprShape::Select(CmpOp::Lt), &[2.0, 2.0, 8.0, 9.0]), 9.0);
-        assert_eq!(t(ExprShape::Select(CmpOp::Ne), &[2.0, 2.0, 8.0, 9.0]), 9.0);
-        // NaN condition: ordered comparisons fall through to the else arm.
-        assert_eq!(
-            t(ExprShape::Select(CmpOp::Ge), &[f64::NAN, 0.0, 8.0, 9.0]),
-            9.0
-        );
     }
 
     #[test]

@@ -62,9 +62,8 @@ pub use bytecode::BytecodeKernel;
 pub use code::{InstMetrics, SplatSrc, VInst, VReg};
 pub use codegen::{lower_kernel, lower_kernel_with, BlockCode};
 pub use exec::{
-    apply_shape, execute, execute_fully_checked, execute_gated, execute_gated_reference,
-    execute_reference, execute_reference_with_state, execute_with_state, run_scalar, Outcome,
-    RunStats,
+    execute, execute_fully_checked, execute_gated, execute_gated_reference, execute_reference,
+    execute_reference_with_state, execute_with_state, run_scalar, Outcome, RunStats,
 };
 pub use memory::{seed_scalar, seed_value, MachineState};
 pub use multicore::{reduction_percent, MulticoreModel};

@@ -15,8 +15,8 @@
 //!
 //! * [`ir`] — typed IR, affine subscripts, dependence analysis, unrolling
 //! * [`lang`] — the kernel mini-language frontend
-//! * [`analyze`] — abstract interpretation: strided intervals, def-use,
-//!   the range-refined dependence oracle, whole-program lints
+//! * [`analyze`] — abstract interpretation: strided intervals, scalar
+//!   value ranges, def-use, memory-safety certificates, whole-program lints
 //! * [`core`] — the per-block index, candidate groups, conflict graphs and
 //!   reuse weights; grouping, scheduling, baselines, cost model, layout
 //! * [`opt`] — exact statement packing: 0-1 ILP branch-and-bound behind
