@@ -112,6 +112,7 @@ pub use index::{BlockIndex, Loc};
 pub use layout::array::{eq4_map, Replication};
 pub use layout::scalar::ScalarLayout;
 pub use machine::{CostParams, MachineConfig};
+pub use native::native_block;
 pub use pipeline::{
     compile, compile_passes, compile_timed, compile_within, estimate_kernel_cost, CompileStats,
     CompiledKernel, OptParams, PackOutcome, PackRequest, Packer, SlpConfig, Strategy,

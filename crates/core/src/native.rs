@@ -14,8 +14,8 @@ use crate::schedule::schedule_in_program_order;
 use crate::superword::BlockSchedule;
 use crate::{BlockIndex, Unit};
 
-/// Runs the native-style vectorizer on one block.
-pub(crate) fn native_block(ix: &BlockIndex<'_>, deps: &BlockDeps) -> BlockSchedule {
+/// Runs the native-style vectorizer on one block and returns the schedule.
+pub fn native_block(ix: &BlockIndex<'_>, deps: &BlockDeps) -> BlockSchedule {
     let stmts = ix.block().stmts();
     let mut units: Vec<Unit> = Vec::new();
     let mut taken = vec![false; stmts.len()];

@@ -185,6 +185,22 @@ pub struct PackRequest<'a> {
     pub stop_at: Option<std::time::Instant>,
 }
 
+impl<'a> PackRequest<'a> {
+    /// The cost-model context of the request's block: what every
+    /// schedule of it is priced with.
+    pub fn cost_context(&self) -> CostContext<'a> {
+        CostContext {
+            program: self.program,
+            loops: self.loops,
+            exposed: self.exposed,
+            cost: &self.config.machine.cost,
+            vector_regs: self.config.machine.vector_regs,
+            layout: [LayoutView::None, LayoutView::Assumed][usize::from(self.optimism)],
+            permuted_reuse: self.config.strategy.permuted_reuse(),
+        }
+    }
+}
+
 /// What a [`Packer`] proved about one block.
 #[derive(Debug, Clone)]
 pub struct PackOutcome {

@@ -12,10 +12,10 @@
 //!   adversarial dependence and alignment patterns, rendered back to
 //!   source through [`Program::to_source`](slp_ir::Program).
 //!
-//! Every case runs under `catch_unwind` against five oracles (no
+//! Every case runs under `catch_unwind` against seven oracles (no
 //! panic / scalar equivalence / engine agreement / no lint false
-//! positives / symbolic-validator agreement — see
-//! [`oracle::check_source`]); failures are shrunk by the
+//! positives / symbolic-validator agreement / certificate soundness /
+//! solver optimality — see [`oracle::check_source`]); failures are shrunk by the
 //! [`minimize`](minimize::minimize) delta debugger and stored under
 //! `crates/fuzz/corpus/`, which doubles as a regression suite replayed
 //! in `cargo test`. The same minimizer shrinks a failing property test

@@ -1,6 +1,6 @@
 //! Tier-1 gate on the fuzzing campaign's findings: the minimized
 //! reproducer corpus under `crates/fuzz/corpus/` must replay clean
-//! through all five differential oracles.
+//! through every oracle of `slp_fuzz::oracle`.
 
 #[test]
 fn fuzz_corpus_replays_clean() {
