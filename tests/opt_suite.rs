@@ -53,29 +53,33 @@ type Solve = (u64, u64, bool, u64);
 /// intel at node caps 500 and 20 000, then amd at the same two. Recorded
 /// at PR 15 (commit c5e04d7), before partitions were shared down exclude
 /// chains and the scheduler and estimator moved onto interned operand
-/// keys; neither may change a node count, a bound or a lane.
+/// keys; neither may change a node count, a bound or a lane. Node counts
+/// and gaps were re-recorded when the bound became sound (a singleton
+/// counts as packable while any legal merge touches it, excluded or not):
+/// no cap-500 schedule moved, and povray's cap-20 000 solves ship their
+/// cap-500 schedule.
 #[rustfmt::skip]
 const SOLVES: [(&str, [Solve; 4]); 20] = [
-    ("cactusADM", [(500, 62187, true, 0x5448cfa2a8e0a9d0), (915, 0, false, 0x5448cfa2a8e0a9d0), (500, 135060, true, 0x5448cfa2a8e0a9d0), (1160, 0, false, 0x5448cfa2a8e0a9d0)]),
-    ("soplex", [(7, 0, false, 0xc69eb054571d1bf6), (7, 0, false, 0xc69eb054571d1bf6), (7, 0, false, 0xc69eb054571d1bf6), (7, 0, false, 0xc69eb054571d1bf6)]),
-    ("lbm", [(500, 173752, true, 0x2d4d4031e786f21e), (12111, 0, false, 0x2d4d4031e786f21e), (500, 235294, true, 0x2d4d4031e786f21e), (14781, 0, false, 0x2d4d4031e786f21e)]),
+    ("cactusADM", [(500, 224674, true, 0x5448cfa2a8e0a9d0), (1215, 0, false, 0x5448cfa2a8e0a9d0), (500, 277521, true, 0x5448cfa2a8e0a9d0), (1215, 0, false, 0x5448cfa2a8e0a9d0)]),
+    ("soplex", [(13, 0, false, 0xc69eb054571d1bf6), (13, 0, false, 0xc69eb054571d1bf6), (13, 0, false, 0xc69eb054571d1bf6), (13, 0, false, 0xc69eb054571d1bf6)]),
+    ("lbm", [(500, 173752, true, 0x2d4d4031e786f21e), (15279, 0, false, 0x2d4d4031e786f21e), (500, 235294, true, 0x2d4d4031e786f21e), (15279, 0, false, 0x2d4d4031e786f21e)]),
     ("milc", [(500, 273171, true, 0x70c03233d30dec23), (20000, 273171, true, 0x70c03233d30dec23), (500, 352941, true, 0x70c03233d30dec23), (20000, 352941, true, 0x70c03233d30dec23)]),
-    ("povray", [(500, 199192, true, 0x99d392e446e88926), (20000, 161005, true, 0x7e324c770a1abe4a), (500, 261406, true, 0x99d392e446e88926), (20000, 212581, true, 0x7e324c770a1abe4a)]),
+    ("povray", [(500, 199192, true, 0x99d392e446e88926), (20000, 199192, true, 0x99d392e446e88926), (500, 261406, true, 0x99d392e446e88926), (20000, 261406, true, 0x99d392e446e88926)]),
     ("gromacs", [(500, 369515, true, 0xe3c3a36bd711db3a), (20000, 369515, true, 0xe3c3a36bd711db3a), (500, 410638, true, 0x63a47e976fa0741e), (20000, 410638, true, 0x63a47e976fa0741e)]),
-    ("calculix", [(189, 0, false, 0x577cf137b8d4132a), (189, 0, false, 0x577cf137b8d4132a), (198, 0, false, 0x577cf137b8d4132a), (198, 0, false, 0x577cf137b8d4132a)]),
-    ("dealII", [(2, 0, false, 0x509840b897e65a65), (2, 0, false, 0x509840b897e65a65), (2, 0, false, 0x509840b897e65a65), (2, 0, false, 0x509840b897e65a65)]),
-    ("wrf", [(578, 338346, true, 0x70fbe2bed5115704), (20078, 144231, true, 0x3bb52e29cbf8684a), (578, 364925, true, 0x245041e9a9407f96), (20078, 181990, true, 0x195149c8fc654140)]),
+    ("calculix", [(199, 0, false, 0x577cf137b8d4132a), (199, 0, false, 0x577cf137b8d4132a), (199, 0, false, 0x577cf137b8d4132a), (199, 0, false, 0x577cf137b8d4132a)]),
+    ("dealII", [(3, 0, false, 0x509840b897e65a65), (3, 0, false, 0x509840b897e65a65), (3, 0, false, 0x509840b897e65a65), (3, 0, false, 0x509840b897e65a65)]),
+    ("wrf", [(579, 361298, true, 0x70fbe2bed5115704), (20079, 304888, true, 0x3bb52e29cbf8684a), (579, 386567, true, 0x245041e9a9407f96), (20079, 333712, true, 0x195149c8fc654140)]),
     ("namd", [(500, 218069, true, 0x9f5d0e0c9a4b23ba), (20000, 218069, true, 0x9f5d0e0c9a4b23ba), (500, 271429, true, 0x9f5d0e0c9a4b23ba), (20000, 271429, true, 0x9f5d0e0c9a4b23ba)]),
-    ("ua", [(500, 189006, true, 0x2d4d4031e786f21e), (1911, 0, false, 0x2d4d4031e786f21e), (500, 270107, true, 0x2d4d4031e786f21e), (1991, 0, false, 0x2d4d4031e786f21e)]),
-    ("ft", [(500, 263081, true, 0xa396eedbd88d7836), (18600, 0, false, 0xa396eedbd88d7836), (500, 333766, true, 0xa396eedbd88d7836), (19968, 0, false, 0xa396eedbd88d7836)]),
-    ("bt", [(500, 222552, true, 0xa396eedbd88d7836), (20000, 69733, true, 0xa396eedbd88d7836), (500, 298153, true, 0xa396eedbd88d7836), (20000, 164908, true, 0xa396eedbd88d7836)]),
-    ("sp", [(3, 0, false, 0xc69eb054571d1bf6), (3, 0, false, 0xc69eb054571d1bf6), (4, 0, false, 0xc69eb054571d1bf6), (4, 0, false, 0xc69eb054571d1bf6)]),
-    ("mg", [(500, 142857, true, 0x2d4d4031e786f21e), (1335, 0, false, 0x2d4d4031e786f21e), (500, 206171, true, 0x2d4d4031e786f21e), (1748, 0, false, 0x2d4d4031e786f21e)]),
-    ("cg", [(17, 0, false, 0x41dd5606452af780), (17, 0, false, 0x41dd5606452af780), (17, 0, false, 0x41dd5606452af780), (17, 0, false, 0x41dd5606452af780)]),
-    ("abs", [(5, 0, false, 0x62636d2c4821df1c), (5, 0, false, 0x62636d2c4821df1c), (5, 0, false, 0x62636d2c4821df1c), (5, 0, false, 0x62636d2c4821df1c)]),
-    ("clamp", [(13, 0, false, 0xbe1ada61e190490d), (13, 0, false, 0xbe1ada61e190490d), (39, 0, false, 0xbe1ada61e190490d), (39, 0, false, 0xbe1ada61e190490d)]),
-    ("threshold", [(3, 0, false, 0xedcc1077d63aba6f), (3, 0, false, 0xedcc1077d63aba6f), (3, 0, false, 0xedcc1077d63aba6f), (3, 0, false, 0xedcc1077d63aba6f)]),
-    ("masked_stencil", [(4, 0, false, 0xedcc1077d63aba6f), (4, 0, false, 0xedcc1077d63aba6f), (6, 0, false, 0xedcc1077d63aba6f), (6, 0, false, 0xedcc1077d63aba6f)]),
+    ("ua", [(500, 310241, true, 0x2d4d4031e786f21e), (1999, 0, false, 0x2d4d4031e786f21e), (500, 375335, true, 0x2d4d4031e786f21e), (1999, 0, false, 0x2d4d4031e786f21e)]),
+    ("ft", [(500, 302326, true, 0xa396eedbd88d7836), (19999, 0, false, 0xa396eedbd88d7836), (500, 366234, true, 0xa396eedbd88d7836), (19999, 0, false, 0xa396eedbd88d7836)]),
+    ("bt", [(500, 222552, true, 0xa396eedbd88d7836), (20000, 222552, true, 0xa396eedbd88d7836), (500, 298153, true, 0xa396eedbd88d7836), (20000, 298153, true, 0xa396eedbd88d7836)]),
+    ("sp", [(7, 0, false, 0xc69eb054571d1bf6), (7, 0, false, 0xc69eb054571d1bf6), (7, 0, false, 0xc69eb054571d1bf6), (7, 0, false, 0xc69eb054571d1bf6)]),
+    ("mg", [(500, 279570, true, 0x2d4d4031e786f21e), (1999, 0, false, 0x2d4d4031e786f21e), (500, 330996, true, 0x2d4d4031e786f21e), (1999, 0, false, 0x2d4d4031e786f21e)]),
+    ("cg", [(39, 0, false, 0x41dd5606452af780), (39, 0, false, 0x41dd5606452af780), (39, 0, false, 0x41dd5606452af780), (39, 0, false, 0x41dd5606452af780)]),
+    ("abs", [(15, 0, false, 0x62636d2c4821df1c), (15, 0, false, 0x62636d2c4821df1c), (15, 0, false, 0x62636d2c4821df1c), (15, 0, false, 0x62636d2c4821df1c)]),
+    ("clamp", [(111, 0, false, 0xbe1ada61e190490d), (111, 0, false, 0xbe1ada61e190490d), (111, 0, false, 0xbe1ada61e190490d), (111, 0, false, 0xbe1ada61e190490d)]),
+    ("threshold", [(7, 0, false, 0xedcc1077d63aba6f), (7, 0, false, 0xedcc1077d63aba6f), (7, 0, false, 0xedcc1077d63aba6f), (7, 0, false, 0xedcc1077d63aba6f)]),
+    ("masked_stencil", [(7, 0, false, 0xedcc1077d63aba6f), (7, 0, false, 0xedcc1077d63aba6f), (7, 0, false, 0xedcc1077d63aba6f), (7, 0, false, 0xedcc1077d63aba6f)]),
 ];
 
 /// Solves every recorded program on both machines under `max_nodes` and
