@@ -217,6 +217,39 @@ fn corrupt_disk_entries_miss_and_are_replaced() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A stored memory-safety certificate licenses the certified engine to
+/// skip bounds checks, so a disk entry whose certificate is not the one
+/// its program earns is a miss, counted as a disk error and replaced; an
+/// honest entry still hits.
+#[test]
+fn a_disk_entry_with_a_tampered_certificate_misses() {
+    let dir = scratch("tampered");
+
+    let cache = CompileCache::with_disk(8, &dir);
+    let cold = compile_source(&request(SRC, holistic()), Some(&cache)).expect("compiles");
+    let entry = dir.join(format!("{}.json", cold.fingerprint.to_hex()));
+    let text = fs::read_to_string(&entry).expect("entry on disk");
+    let safe = r#""v":"proven-safe""#;
+    assert!(text.contains(safe), "a proven-safe access in {text}");
+    fs::write(&entry, text.replacen(safe, r#""v":"unknown""#, 1)).expect("tamper entry");
+
+    // Fresh instance so the memory tier cannot answer.
+    let cache = CompileCache::with_disk(8, &dir);
+    let recompiled = compile_source(&request(SRC, holistic()), Some(&cache)).expect("compiles");
+    assert_eq!(recompiled.cache, CacheDisposition::Compiled);
+    let stats = cache.stats();
+    assert_eq!((stats.disk_hits, stats.disk_errors), (0, 1));
+    assert_eq!(recompiled.kernel.safety, cold.kernel.safety);
+
+    // The recompile rewrote an honest entry, which hits.
+    let cache = CompileCache::with_disk(8, &dir);
+    let warm = compile_source(&request(SRC, holistic()), Some(&cache)).expect("compiles");
+    assert_eq!(warm.cache, CacheDisposition::DiskHit);
+    assert_eq!(cache.stats().disk_errors, 0);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// `slpc batch` over a corpus with a repeated kernel has several
 /// workers of one process storing the same fingerprint at once. Each
 /// store must go through its own temp file: with a shared one, a worker's
