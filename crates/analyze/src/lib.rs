@@ -8,9 +8,7 @@
 //!   stride congruence, exact under the affine operations subscripts are
 //!   built from (`domain`);
 //! * [`loop_env`] / [`eval_affine`] — exact value sets for induction
-//!   variables and abstract evaluation of affine subscripts, plus
-//!   [`ScalarRanges`], a widening fixpoint of f64 intervals for scalars
-//!   (`ranges`);
+//!   variables and abstract evaluation of affine subscripts (`ranges`);
 //! * `DefUse` — def-use chains and program-order liveness facts, what
 //!   the lints below read (`defuse`);
 //! * [`lint_program`] — whole-program safety lints: use-before-def,
@@ -36,5 +34,5 @@ mod safety;
 
 pub use domain::StridedInterval;
 pub use lint::{lint_program, Finding, FindingKind};
-pub use ranges::{eval_affine, loop_env, render_scalar_ranges, FloatInterval, ScalarRanges};
+pub use ranges::{eval_affine, loop_env};
 pub use safety::{AccessCert, AccessVerdict, SafetyCert};

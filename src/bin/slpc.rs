@@ -19,9 +19,8 @@
 //! Runs the slp-analyze whole-program dataflow lints (V500 use before
 //! def, V501 dead store, V502 provably out-of-bounds subscript, V503
 //! misalignment risk, V504 dead loop, V507 dead array store — a cell
-//! written but never read nor live-out) over each kernel's source program
-//! and prints the inferred scalar value ranges. Purely static: nothing
-//! is compiled or executed.
+//! written but never read nor live-out) over each kernel's source
+//! program. Purely static: nothing is compiled or executed.
 //!
 //! options:
 //!   --machine intel|amd                   echoed in the report header
@@ -89,7 +88,6 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use slp::analyze::{render_scalar_ranges, ScalarRanges};
 use slp::driver::json::Json;
 use slp::driver::{DriverReport, DEFAULT_DISK_DIR, DEFAULT_MEMORY_CAPACITY};
 use slp::prelude::*;
@@ -492,8 +490,7 @@ fn parse_analyze_args(mut args: impl Iterator<Item = String>) -> Result<AnalyzeO
 }
 
 /// `slpc analyze`: parse each kernel and run the whole-program dataflow
-/// lints (V5xx) plus the scalar range analysis over its *source*
-/// program. Static only — nothing is vectorized or executed. Exits 1
+/// lints (V5xx) over its *source* program. Static only — nothing is vectorized or executed. Exits 1
 /// when any error-severity finding (V502) is present.
 fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
     let mut errors = 0usize;
@@ -517,22 +514,12 @@ fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
         let report = slp::verify::lint_program(&program);
         errors += report.error_count();
         warnings += report.warning_count();
-        let ranges = render_scalar_ranges(&program, &ScalarRanges::analyze(&program));
         if opts.json {
             kernel_rows.push(Json::obj(vec![
                 ("path", Json::str(path)),
                 ("errors", Json::num(report.error_count() as u64)),
                 ("warnings", Json::num(report.warning_count() as u64)),
                 ("diagnostics", diagnostics_json(&report)),
-                (
-                    "scalar_ranges",
-                    Json::Obj(
-                        ranges
-                            .iter()
-                            .map(|(name, range)| (name.clone(), Json::str(range)))
-                            .collect(),
-                    ),
-                ),
             ]));
         } else {
             if report.is_clean() {
@@ -541,12 +528,6 @@ fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
                 println!("{path}:");
                 for d in &report.diagnostics {
                     println!("  {d}");
-                }
-            }
-            if !ranges.is_empty() {
-                println!("  scalar ranges:");
-                for (name, range) in &ranges {
-                    println!("    {name} in {range}");
                 }
             }
         }
