@@ -47,33 +47,23 @@
 //!
 //! # Symbolic translation validation
 //!
-//! The differential gate executes both builds on one deterministic input
-//! and compares memory bitwise: a strong smoke signal, but a single point
-//! in the input space. [`validate`] closes the gap: it proves that a
-//! vectorized [`CompiledKernel`] is equivalent to the scalar program it
-//! was compiled from over **all** inputs. Three modules make it up:
+//! The differential gate compares memory after one seeded run;
+//! [`validate`] proves a vectorized [`CompiledKernel`] equivalent to its
+//! scalar program over **all** inputs (DESIGN.md, "Translation
+//! validation"). Four modules make it up:
 //!
-//! 1. `term` — a hash-consed arena of *uninterpreted* terms. Operators
-//!    are formal symbols (`Add(a, b) ≠ Add(b, a)`): the theory admits
-//!    exactly the transformations SLP performs (reordering independent
-//!    statements, duplicating computations, copying cells) and nothing it
-//!    does not (reassociation, algebraic rewriting).
-//! 2. `eval` — a symbolic evaluator. Loop bounds are compile-time
-//!    constants in this IR, so loop nests are walked concretely with
-//!    exact affine subscript evaluation (backed by `slp-analyze`'s
-//!    strided-interval pre-pass for early budget/bounds screening), while
-//!    every array cell and scalar carries a term describing its value as
-//!    a function of the inputs. Superword semantics mirror the VM: all
-//!    lane operands read before any destination writes.
-//! 3. `validate` — the comparator. Every written cell of every original
-//!    array and every live-out scalar must hold the *identical* term on
-//!    both sides. On mismatch, a distinguishing concrete input is
-//!    extracted from the first diverging term pair and replayed through
-//!    both VM engines; only an execution-confirmed divergence becomes a
-//!    [`Verdict::Refuted`]. On resource exhaustion the verdict degrades
-//!    to [`Verdict::Budget`]/[`Verdict::Unsupported`] and callers fall
-//!    back to the differential check — the validator never silently
-//!    weakens a claim.
+//! 1. `term` — hash-consed *uninterpreted* terms (`Add(a, b) ≠
+//!    Add(b, a)`): the theory admits what SLP does (reordering,
+//!    duplicating, copying) and no algebraic rewriting.
+//! 2. `eval` — the symbolic evaluator: data are terms, superwords read
+//!    every lane before writing any, as the VM does.
+//! 3. `blockwise` — each basic block proven once, its induction
+//!    variables symbolic, so a proof costs the code and not the trip
+//!    counts; what it cannot decide `eval` walks iteration by iteration.
+//! 4. `validate` — the comparator: identical terms prove, and a mismatch
+//!    is [`Verdict::Refuted`] only once both VM engines replay a
+//!    distinguishing input; exhausted budgets degrade to
+//!    [`Verdict::Budget`]/[`Verdict::Unsupported`].
 //!
 //! ```
 //! use slp_core::{compile, MachineConfig, SlpConfig, Strategy};
@@ -94,6 +84,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod blockwise;
 mod cert;
 mod deps;
 mod diag;
