@@ -5,6 +5,7 @@
 //! optimizer. It plays the role of SUIF's intermediate program
 //! representation in the original system.
 
+use std::convert::Infallible;
 use std::fmt;
 
 use crate::affine::AccessVector;
@@ -116,6 +117,13 @@ pub struct Loop {
     pub header: LoopHeader,
     /// Body items in source order.
     pub body: Vec<Item>,
+}
+
+impl Loop {
+    /// Whether the body holds statements only, no nested loop.
+    pub fn is_innermost(&self) -> bool {
+        self.body.iter().all(|item| matches!(item, Item::Stmt(_)))
+    }
 }
 
 /// One item of a program or loop body.
@@ -314,10 +322,52 @@ impl Program {
     /// order. Consecutive statements within one body form one block.
     pub fn blocks(&self) -> Vec<BlockInfo> {
         let mut out = Vec::new();
-        let mut next = 0u32;
-        let mut loops = Vec::new();
-        collect_blocks(&self.items, &mut loops, &mut next, &mut out);
+        let _: Result<(), Infallible> = self.try_for_each_block(|id, run, loops| {
+            let stmts = run.iter().filter_map(|item| match item {
+                Item::Stmt(s) => Some(s.clone()),
+                Item::Loop(_) => None,
+            });
+            out.push(BlockInfo {
+                id,
+                block: BasicBlock::from_stmts(stmts.collect()),
+                loops: loops.to_vec(),
+            });
+            Ok(())
+        });
         out
+    }
+
+    /// Calls `f` on every basic block in [`BlockId`] order: its id, its
+    /// statements (a maximal run of `Item::Stmt`, borrowed in place) and
+    /// its enclosing loops, outermost first. Stops at the first error.
+    pub fn try_for_each_block<'a, E>(
+        &'a self,
+        mut f: impl FnMut(BlockId, &'a [Item], &[LoopHeader]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        fn walk<'a, E>(
+            items: &'a [Item],
+            loops: &mut Vec<LoopHeader>,
+            next: &mut u32,
+            f: &mut impl FnMut(BlockId, &'a [Item], &[LoopHeader]) -> Result<(), E>,
+        ) -> Result<(), E> {
+            let mut nested = items.iter().filter_map(|item| match item {
+                Item::Loop(l) => Some(l),
+                Item::Stmt(_) => None,
+            });
+            for run in items.split(|item| matches!(item, Item::Loop(_))) {
+                if !run.is_empty() {
+                    f(BlockId(*next), run, loops)?;
+                    *next += 1;
+                }
+                if let Some(l) = nested.next() {
+                    loops.push(l.header);
+                    walk(&l.body, loops, next, f)?;
+                    loops.pop();
+                }
+            }
+            Ok(())
+        }
+        walk(&self.items, &mut Vec::new(), &mut 0, &mut f)
     }
 
     /// Applies `f` to every statement in the program, in DFS order.
@@ -422,45 +472,6 @@ impl Program {
         let _ = write_expr(&mut out, s.expr(), |o| self.show_operand(o));
         out
     }
-}
-
-fn collect_blocks(
-    items: &[Item],
-    loops: &mut Vec<LoopHeader>,
-    next: &mut u32,
-    out: &mut Vec<BlockInfo>,
-) {
-    let mut run: Vec<Statement> = Vec::new();
-    for item in items {
-        match item {
-            Item::Stmt(s) => run.push(s.clone()),
-            Item::Loop(l) => {
-                flush_run(&mut run, loops, next, out);
-                loops.push(l.header);
-                collect_blocks(&l.body, loops, next, out);
-                loops.pop();
-            }
-        }
-    }
-    flush_run(&mut run, loops, next, out);
-}
-
-fn flush_run(
-    run: &mut Vec<Statement>,
-    loops: &[LoopHeader],
-    next: &mut u32,
-    out: &mut Vec<BlockInfo>,
-) {
-    if run.is_empty() {
-        return;
-    }
-    let id = BlockId(*next);
-    *next += 1;
-    out.push(BlockInfo {
-        id,
-        block: BasicBlock::from_stmts(std::mem::take(run)),
-        loops: loops.to_vec(),
-    });
 }
 
 impl TypeEnv for Program {

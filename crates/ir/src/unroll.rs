@@ -88,7 +88,7 @@ pub fn loop_local_scalars(program: &Program) -> Vec<VarId> {
     fn walk(items: &[Item], total_reads: &HashMap<VarId, usize>, out: &mut Vec<VarId>) {
         for item in items {
             let Item::Loop(l) = item else { continue };
-            if !is_innermost(l) {
+            if !l.is_innermost() {
                 walk(&l.body, total_reads, out);
                 continue;
             }
@@ -113,7 +113,7 @@ fn unroll_items(
     let mut idx = 0;
     while idx < items.len() {
         if let Item::Loop(l) = &mut items[idx] {
-            if is_innermost(l) {
+            if l.is_innermost() {
                 if let Some(replacement) = unroll_loop(l, factor, program, total_reads) {
                     let n = replacement.len();
                     items.splice(idx..=idx, replacement);
@@ -127,10 +127,6 @@ fn unroll_items(
         }
         idx += 1;
     }
-}
-
-fn is_innermost(l: &Loop) -> bool {
-    l.body.iter().all(|it| matches!(it, Item::Stmt(_)))
 }
 
 /// The scalars of innermost loop `l` that are defined before any use, and
