@@ -14,46 +14,34 @@
 //!                                         ignoring the memory-safety certificate
 //!   --unroll N                            unroll factor (default: auto)
 //!
-//! slpc analyze <kernel.slp>... [options]
-//!
-//! Runs the slp-analyze whole-program dataflow lints (V500 use before
-//! def, V501 dead store, V502 provably out-of-bounds subscript, V503
-//! misalignment risk, V504 dead loop, V507 dead array store — a cell
-//! written but never read nor live-out) over each kernel's source
-//! program. Purely static: nothing is compiled or executed.
-//!
-//! options:
-//!   --machine intel|amd                   echoed in the report header
-//!   --json                                machine-readable report
-//!
 //! slpc check <kernel.slp>... [options]
 //!
-//! Compiles each kernel under every vectorizing configuration (Native,
-//! SLP, Global, Global+Layout, Optimal) and runs the slp-verify checkers
-//! over the
-//! output: dependence preservation, pack legality, layout soundness,
-//! memory-safety certification (V505 proven out-of-bounds is a hard
-//! error, V506 unproven-access warnings), and differential translation
-//! validation against the scalar build.
+//! Verifies each kernel. First the whole-program dataflow lints run once
+//! over its source program (the `[source]` row: V500 use before def,
+//! V501 dead store, V502 provably out-of-bounds subscript, V503
+//! misalignment risk, V504 dead loop, V507 dead array store). Then the
+//! kernel is compiled under every vectorizing configuration (Native,
+//! SLP, Global, Global+Layout, Optimal) and the slp-verify checkers run
+//! over the output at the chosen level:
+//!
+//!   static   dependence preservation, pack legality, layout soundness
+//!            and the memory-safety certificate (V505 proven
+//!            out-of-bounds is a hard error, V506 unproven access a
+//!            warning)
+//!   full     static plus differential translation validation against
+//!            the scalar build
+//!   prove    static plus symbolic translation validation: scalar ≡
+//!            vectorized over *all* inputs. Per configuration the verdict
+//!            is `proved`, `budget` (the proof degraded to the
+//!            differential check) or `refuted` (an execution-confirmed
+//!            counterexample; details in the V600 diagnostic)
+//!
+//! A kernel that cannot be read, parsed or compiled counts as one error;
+//! the run goes on with the next one.
 //!
 //! options:
 //!   --machine intel|amd                   cost model (default: intel)
-//!   --static                              skip the differential execution
-//!   --unroll N                            unroll factor (default: auto)
-//!   --json                                machine-readable report
-//!
-//! slpc prove <kernel.slp>... [options]
-//!
-//! Compiles each kernel under every vectorizing configuration and runs
-//! the symbolic translation validator (slp-verify) over the output: proves
-//! scalar ≡ vectorized over *all* inputs by hash-consed value-graph
-//! comparison. Per configuration the verdict is `proved`, `budget` (the
-//! proof degraded to the differential check) or `refuted` (an
-//! execution-confirmed counterexample exists; details in the V600
-//! diagnostic).
-//!
-//! options:
-//!   --machine intel|amd                   cost model (default: intel)
+//!   --verify static|full|prove            verification level (default: full)
 //!   --unroll N                            unroll factor (default: auto)
 //!   --json                                machine-readable report
 //!
@@ -72,7 +60,6 @@
 //!   --machine intel|amd                   cost model (default: intel)
 //!   --unroll N                            unroll factor (default: auto)
 //!   --verify none|static|full|prove       verification level (default: static)
-//!   --prove                               shorthand for --verify prove
 //!   --threads N                           worker threads (default: cores)
 //!   --budget-ms N                         per-kernel deadline, checked between stages
 //!   --no-degrade                          fail entries instead of scalar fallback
@@ -81,10 +68,11 @@
 //!   --json                                machine-readable report
 //!   --strict                              exit 1 on degradation or verify findings
 //!
-//! Exit codes: 0 success, 1 compile/run/verification error, 2 usage
-//! error.
+//! Exit codes: 0 success, 1 compile/run/verification error (or stdout
+//! closed early), 2 usage error.
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -110,14 +98,11 @@ fn usage() -> ExitCode {
         "usage: slpc <kernel.slp> [--strategy scalar|native (alias: auto-adjacent)|slp|global|optimal] \
          [--layout] [--machine intel|amd] [--emit source|schedule|code|stats] \
          [--run] [--no-unchecked] [--unroll N]\n       \
-         slpc analyze <kernel.slp>... [--machine intel|amd] [--json]\n       \
-         slpc check <kernel.slp>... [--machine intel|amd] [--static] \
-         [--unroll N] [--json]\n       \
-         slpc prove <kernel.slp>... [--machine intel|amd] \
-         [--unroll N] [--json]\n       \
+         slpc check <kernel.slp>... [--machine intel|amd] \
+         [--verify static|full|prove] [--unroll N] [--json]\n       \
          slpc batch <dir|manifest|kernel.slp>... [--strategy ...] [--layout] \
          [--machine intel|amd] [--unroll N] \
-         [--verify none|static|full|prove] [--prove] \
+         [--verify none|static|full|prove] \
          [--threads N] [--budget-ms N] [--no-degrade] [--cache-dir DIR] \
          [--no-cache] [--json] [--strict]"
     );
@@ -180,27 +165,30 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ExitCod
     Ok(opts)
 }
 
-/// Reads `path` and compiles it through the shared driver entry point.
-fn compile_file(
+/// Reads `path`; a failure is reported on stderr.
+fn read_source(path: impl AsRef<std::path::Path>) -> Option<String> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path)
+        .map_err(|e| eprintln!("slpc: cannot read {}: {e}", path.display()))
+        .ok()
+}
+
+/// Compiles `source` through the shared driver entry point; a failure
+/// is reported on stderr.
+fn compile_or_report(
     path: &str,
+    source: &str,
     config: SlpConfig,
     verify: VerifyLevel,
-) -> Result<slp::driver::CompileOutcome, ExitCode> {
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("slpc: cannot read {path}: {e}");
-            return Err(ExitCode::from(1));
-        }
-    };
+) -> Option<slp::driver::CompileOutcome> {
     let req = CompileRequest {
         name: path.to_string(),
-        source,
+        source: source.to_string(),
         config,
         verify,
     };
-    compile_source(&req, None).map_err(|e| {
-        match e {
+    compile_source(&req, None)
+        .map_err(|e| match e {
             DriverError::Parse(rendered) => eprintln!("{rendered}"),
             DriverError::Invalid(errors) => {
                 for err in errors {
@@ -220,38 +208,35 @@ fn compile_file(
                 }
             }
             other => eprintln!("slpc: {path}: {other}"),
-        }
-        ExitCode::from(1)
-    })
+        })
+        .ok()
 }
 
 /// Options of the `check` subcommand.
 struct CheckOptions {
     paths: Vec<String>,
     machine: MachineConfig,
-    differential: bool,
+    verify: VerifyLevel,
     unroll: usize,
     json: bool,
 }
 
-/// Parses the arguments of `check` and of `prove`, which takes the same
-/// options minus `--static` (`allow_static`): the validator itself
-/// decides when to degrade to the differential check.
-fn parse_check_args(
-    mut args: impl Iterator<Item = String>,
-    allow_static: bool,
-) -> Result<CheckOptions, ExitCode> {
+fn parse_check_args(mut args: impl Iterator<Item = String>) -> Result<CheckOptions, ExitCode> {
     let mut opts = CheckOptions {
         paths: Vec::new(),
         machine: MachineConfig::intel_dunnington(),
-        differential: true,
+        verify: VerifyLevel::Differential,
         unroll: 0,
         json: false,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--machine" => opts.machine = flag(&mut args, parse_machine)?,
-            "--static" if allow_static => opts.differential = false,
+            "--verify" => {
+                opts.verify = flag(&mut args, |s| {
+                    VerifyLevel::from_name(s).filter(|&v| v != VerifyLevel::None)
+                })?;
+            }
             "--unroll" => opts.unroll = flag(&mut args, |s| s.parse().ok())?,
             "--json" => opts.json = true,
             path if !path.starts_with('-') => opts.paths.push(path.to_string()),
@@ -265,7 +250,7 @@ fn parse_check_args(
 }
 
 /// The configurations `slpc check` verifies each kernel under.
-fn check_configs(opts: &CheckOptions) -> Vec<(String, SlpConfig)> {
+fn check_configs(opts: &CheckOptions) -> Vec<(&'static str, SlpConfig)> {
     [
         ("Native", Strategy::Native, false),
         ("SLP", Strategy::Baseline, false),
@@ -276,15 +261,15 @@ fn check_configs(opts: &CheckOptions) -> Vec<(String, SlpConfig)> {
     .into_iter()
     .map(|(label, strategy, layout)| {
         (
-            label.to_string(),
+            label,
             build_config(&opts.machine, strategy, layout, opts.unroll),
         )
     })
     .collect()
 }
 
-/// Structured JSON for a report's diagnostics — the one serialization
-/// path shared by `slpc check --json` and `slpc analyze --json`.
+/// Structured JSON for a report's diagnostics: the source lints and
+/// every configuration's findings share this shape.
 fn diagnostics_json(report: &Report) -> Json {
     Json::Arr(
         report
@@ -303,254 +288,134 @@ fn diagnostics_json(report: &Report) -> Json {
     )
 }
 
-fn run_check(opts: &CheckOptions) -> ExitCode {
-    let verify = if opts.differential {
-        VerifyLevel::Differential
-    } else {
-        VerifyLevel::Static
-    };
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
+/// One text row of `slpc check`: the status line, then each diagnostic.
+fn write_row(out: &mut impl Write, head: &str, report: &Report) -> io::Result<()> {
+    writeln!(out, "{head}")?;
+    for d in &report.diagnostics {
+        writeln!(out, "  {d}")?;
+    }
+    Ok(())
+}
+
+/// `slpc check`: lint each kernel's source program (V5xx) once, then
+/// compile it under every vectorizing configuration and verify the
+/// output at `opts.verify`. A kernel that cannot be read, parsed or
+/// compiled counts as one error and the run goes on. Exits 1 on any
+/// error-severity finding or refuted proof.
+fn run_check(opts: &CheckOptions, out: &mut impl Write) -> io::Result<ExitCode> {
+    let configs = check_configs(opts);
+    let (mut errors, mut warnings) = (0usize, 0usize);
+    let mut verdicts = Vec::new();
     let mut kernel_rows = Vec::new();
     for path in &opts.paths {
+        let source = read_source(path);
+        let program = source.as_deref().and_then(|source| {
+            parse_kernel(source)
+                .map_err(|e| eprintln!("{}", e.render(source)))
+                .ok()
+        });
+        let (Some(source), Some(program)) = (source, program) else {
+            errors += 1;
+            continue;
+        };
+        let lints = slp::verify::lint_program(&program);
+        errors += lints.error_count();
+        warnings += lints.warning_count();
+        if !opts.json {
+            let status = if lints.is_clean() { "ok" } else { "flagged" };
+            write_row(out, &format!("{path} [source]: {status}"), &lints)?;
+        }
         let mut config_rows = Vec::new();
-        for (label, cfg) in check_configs(opts) {
-            let outcome = match compile_file(path, cfg, verify) {
-                Ok(o) => o,
-                Err(code) => return code,
+        for (label, cfg) in &configs {
+            let Some(outcome) = compile_or_report(path, &source, cfg.clone(), opts.verify) else {
+                errors += 1;
+                break;
             };
             let report = outcome.report.as_ref().expect("check always verifies");
             errors += report.error_count();
             warnings += report.warning_count();
+            verdicts.extend(outcome.prove);
+            let stats = outcome.kernel.stats;
             if opts.json {
-                config_rows.push(Json::obj(vec![
-                    ("config", Json::str(&label)),
-                    (
-                        "superwords",
-                        Json::num(outcome.kernel.stats.superwords as u64),
-                    ),
-                    (
-                        "replications",
-                        Json::num(outcome.kernel.stats.replications as u64),
-                    ),
+                let mut row = vec![("config", Json::str(*label))];
+                if let Some(verdict) = outcome.prove {
+                    row.push(("verdict", Json::str(verdict.name())));
+                }
+                row.extend([
+                    ("superwords", Json::num(stats.superwords as u64)),
+                    ("replications", Json::num(stats.replications as u64)),
                     ("errors", Json::num(report.error_count() as u64)),
                     ("warnings", Json::num(report.warning_count() as u64)),
                     ("diagnostics", diagnostics_json(report)),
                     ("fingerprint", Json::str(outcome.fingerprint.to_hex())),
-                ]));
-            } else if report.is_clean() {
-                println!(
-                    "{path} [{label}]: ok ({} superword statement(s), {} replication(s))",
-                    outcome.kernel.stats.superwords, outcome.kernel.stats.replications
-                );
+                ]);
+                config_rows.push(Json::obj(row));
             } else {
-                println!("{path} [{label}]:");
-                for d in &report.diagnostics {
-                    println!("  {d}");
-                }
+                let status = match outcome.prove {
+                    Some(verdict) => verdict.name(),
+                    None if report.is_clean() => "ok",
+                    None => "flagged",
+                };
+                let head = format!(
+                    "{path} [{label}]: {status} ({} superword statement(s), {} replication(s))",
+                    stats.superwords, stats.replications
+                );
+                write_row(out, &head, report)?;
             }
         }
         if opts.json {
             kernel_rows.push(Json::obj(vec![
                 ("path", Json::str(path)),
+                ("lints", diagnostics_json(&lints)),
                 ("configs", Json::Arr(config_rows)),
             ]));
         }
     }
+    use ProveVerdict::{Budget, Proved, Refuted};
+    let count = |verdict| verdicts.iter().filter(|&&v| v == verdict).count();
+    let [proved, budget, refuted] = [Proved, Budget, Refuted].map(count);
+    let proving = opts.verify == VerifyLevel::Prove;
     if opts.json {
-        let doc = Json::obj(vec![
+        let mut doc = vec![
             ("machine", Json::str(&opts.machine.name)),
-            ("differential", Json::Bool(opts.differential)),
+            ("verify", Json::str(opts.verify.name())),
             ("kernels", Json::Arr(kernel_rows)),
+        ];
+        if proving {
+            doc.extend([
+                ("proved", Json::num(proved as u64)),
+                ("budget", Json::num(budget as u64)),
+                ("refuted", Json::num(refuted as u64)),
+            ]);
+        }
+        doc.extend([
             ("errors", Json::num(errors as u64)),
             ("warnings", Json::num(warnings as u64)),
         ]);
-        println!("{}", doc.to_pretty());
+        writeln!(out, "{}", Json::obj(doc).to_pretty())?;
     } else {
-        println!(
+        write!(
+            out,
             "checked {} kernel(s) x {} configuration(s) on {}: \
              {errors} error(s), {warnings} warning(s)",
             opts.paths.len(),
-            check_configs(opts).len(),
+            configs.len(),
             opts.machine.name
-        );
+        )?;
+        if proving {
+            write!(
+                out,
+                "; proved {proved}/{}, {budget} degraded to differential, {refuted} refuted",
+                proved + budget + refuted
+            )?;
+        }
+        writeln!(out)?;
     }
-    if errors > 0 {
+    Ok(if errors > 0 || refuted > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// `slpc prove`: compile each kernel under every vectorizing
-/// configuration and run the symbolic translation validator over the
-/// output. Exits 1 when any configuration is refuted or any verify
-/// checker reports an error.
-fn run_prove(opts: &CheckOptions) -> ExitCode {
-    let mut errors = 0usize;
-    let mut counts = [0usize; 3]; // proved, budget, refuted
-    let mut kernel_rows = Vec::new();
-    for path in &opts.paths {
-        let mut config_rows = Vec::new();
-        for (label, cfg) in check_configs(opts) {
-            let outcome = match compile_file(path, cfg, VerifyLevel::Prove) {
-                Ok(o) => o,
-                Err(code) => return code,
-            };
-            let report = outcome.report.as_ref().expect("prove always verifies");
-            let verdict = outcome.prove.expect("prove level always carries a verdict");
-            errors += report.error_count();
-            counts[match verdict {
-                ProveVerdict::Proved => 0,
-                ProveVerdict::Budget => 1,
-                ProveVerdict::Refuted => 2,
-            }] += 1;
-            if opts.json {
-                config_rows.push(Json::obj(vec![
-                    ("config", Json::str(&label)),
-                    ("verdict", Json::str(verdict.name())),
-                    (
-                        "superwords",
-                        Json::num(outcome.kernel.stats.superwords as u64),
-                    ),
-                    ("errors", Json::num(report.error_count() as u64)),
-                    ("warnings", Json::num(report.warning_count() as u64)),
-                    ("diagnostics", diagnostics_json(report)),
-                    ("fingerprint", Json::str(outcome.fingerprint.to_hex())),
-                ]));
-            } else {
-                println!(
-                    "{path} [{label}]: {} ({} superword statement(s))",
-                    verdict.name(),
-                    outcome.kernel.stats.superwords
-                );
-                for d in &report.diagnostics {
-                    println!("  {d}");
-                }
-            }
-        }
-        if opts.json {
-            kernel_rows.push(Json::obj(vec![
-                ("path", Json::str(path)),
-                ("configs", Json::Arr(config_rows)),
-            ]));
-        }
-    }
-    let [proved, budget, refuted] = counts;
-    if opts.json {
-        let doc = Json::obj(vec![
-            ("machine", Json::str(&opts.machine.name)),
-            ("kernels", Json::Arr(kernel_rows)),
-            ("proved", Json::num(proved as u64)),
-            ("budget", Json::num(budget as u64)),
-            ("refuted", Json::num(refuted as u64)),
-            ("errors", Json::num(errors as u64)),
-        ]);
-        println!("{}", doc.to_pretty());
-    } else {
-        println!(
-            "proved {proved}/{} kernel-configuration(s) on {}: \
-             {budget} degraded to differential, {refuted} refuted",
-            proved + budget + refuted,
-            opts.machine.name
-        );
-    }
-    if refuted > 0 || errors > 0 {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Options of the `analyze` subcommand.
-struct AnalyzeOptions {
-    paths: Vec<String>,
-    machine: MachineConfig,
-    json: bool,
-}
-
-fn parse_analyze_args(mut args: impl Iterator<Item = String>) -> Result<AnalyzeOptions, ExitCode> {
-    let mut opts = AnalyzeOptions {
-        paths: Vec::new(),
-        machine: MachineConfig::intel_dunnington(),
-        json: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--machine" => opts.machine = flag(&mut args, parse_machine)?,
-            "--json" => opts.json = true,
-            path if !path.starts_with('-') => opts.paths.push(path.to_string()),
-            _ => return Err(usage()),
-        }
-    }
-    if opts.paths.is_empty() {
-        return Err(usage());
-    }
-    Ok(opts)
-}
-
-/// `slpc analyze`: parse each kernel and run the whole-program dataflow
-/// lints (V5xx) over its *source* program. Static only — nothing is vectorized or executed. Exits 1
-/// when any error-severity finding (V502) is present.
-fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut kernel_rows = Vec::new();
-    for path in &opts.paths {
-        let source = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("slpc: cannot read {path}: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        let program = match parse_kernel(&source) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{}", e.render(&source));
-                return ExitCode::from(1);
-            }
-        };
-        let report = slp::verify::lint_program(&program);
-        errors += report.error_count();
-        warnings += report.warning_count();
-        if opts.json {
-            kernel_rows.push(Json::obj(vec![
-                ("path", Json::str(path)),
-                ("errors", Json::num(report.error_count() as u64)),
-                ("warnings", Json::num(report.warning_count() as u64)),
-                ("diagnostics", diagnostics_json(&report)),
-            ]));
-        } else {
-            if report.is_clean() {
-                println!("{path}: ok");
-            } else {
-                println!("{path}:");
-                for d in &report.diagnostics {
-                    println!("  {d}");
-                }
-            }
-        }
-    }
-    if opts.json {
-        let doc = Json::obj(vec![
-            ("machine", Json::str(&opts.machine.name)),
-            ("kernels", Json::Arr(kernel_rows)),
-            ("errors", Json::num(errors as u64)),
-            ("warnings", Json::num(warnings as u64)),
-        ]);
-        println!("{}", doc.to_pretty());
-    } else {
-        println!(
-            "analyzed {} kernel(s): {errors} error(s), {warnings} warning(s)",
-            opts.paths.len()
-        );
-    }
-    if errors > 0 {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    })
 }
 
 /// Options of the `batch` subcommand.
@@ -595,7 +460,6 @@ fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<BatchOptio
             "--verify" => opts.verify = flag(&mut args, VerifyLevel::from_name)?,
             "--threads" => opts.threads = flag(&mut args, |s| s.parse().ok())?,
             "--budget-ms" => opts.budget_ms = Some(flag(&mut args, |s| s.parse().ok())?),
-            "--prove" => opts.verify = VerifyLevel::Prove,
             "--no-degrade" => opts.degrade = false,
             "--cache-dir" => opts.cache_dir = Some(flag(&mut args, |s| Some(s.to_string()))?),
             "--no-cache" => opts.no_cache = true,
@@ -657,22 +521,18 @@ fn kernel_name(path: &std::path::Path) -> String {
         .unwrap_or_else(|| path.display().to_string())
 }
 
-fn run_batch(opts: &BatchOptions) -> ExitCode {
+fn run_batch(opts: &BatchOptions, out: &mut impl Write) -> io::Result<ExitCode> {
     let paths = match collect_kernel_paths(&opts.inputs) {
         Ok(p) => p,
         Err(msg) => {
             eprintln!("slpc: {msg}");
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
     };
     let mut requests = Vec::with_capacity(paths.len());
     for path in &paths {
-        let source = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("slpc: cannot read {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
+        let Some(source) = read_source(path) else {
+            return Ok(ExitCode::from(1));
         };
         requests.push(CompileRequest {
             name: kernel_name(path),
@@ -704,78 +564,80 @@ fn run_batch(opts: &BatchOptions) -> ExitCode {
         DriverReport::from_outcomes(&outcomes, wall_nanos, cache.as_ref().map(|c| c.stats()));
 
     if opts.json {
-        println!("{}", report.to_json().to_pretty());
+        writeln!(out, "{}", report.to_json().to_pretty())?;
     } else {
-        print!("{}", report.summary_table());
+        write!(out, "{}", report.summary_table())?;
     }
 
     let failed = report.failed_count() > 0;
     let strict_dirty = opts.strict && !report.all_clean();
-    if failed || strict_dirty {
+    Ok(if failed || strict_dirty {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// The single-kernel mode: compile one kernel, print what `--emit` asks
 /// for and, with `--run`, execute it.
-fn run_kernel(opts: &Options) -> ExitCode {
+fn run_kernel(opts: &Options, out: &mut impl Write) -> io::Result<ExitCode> {
     let config = build_config(&opts.machine, opts.strategy, opts.layout, opts.unroll);
-    let outcome = match compile_file(&opts.path, config, VerifyLevel::None) {
-        Ok(o) => o,
-        Err(code) => return code,
+    let Some(outcome) = read_source(&opts.path)
+        .and_then(|source| compile_or_report(&opts.path, &source, config, VerifyLevel::None))
+    else {
+        return Ok(ExitCode::from(1));
     };
     let kernel = &outcome.kernel;
 
     match opts.emit.as_str() {
-        "source" => print!("{}", kernel.program.to_source()),
+        "source" => write!(out, "{}", kernel.program.to_source())?,
         "schedule" => {
             for (bid, sched) in &kernel.schedules {
-                println!("block {bid}:");
+                writeln!(out, "block {bid}:")?;
                 for item in sched.items() {
-                    println!("  {item}");
+                    writeln!(out, "  {item}")?;
                 }
             }
         }
         "code" => {
             for (bid, code) in lower_kernel(kernel, &opts.machine, true) {
-                println!("block {bid} (vectorized = {}):", code.vectorized);
+                writeln!(out, "block {bid} (vectorized = {}):", code.vectorized)?;
                 if !code.preheader.is_empty() {
-                    println!("  preheader:");
+                    writeln!(out, "  preheader:")?;
                     for inst in &code.preheader {
-                        println!("    {inst}");
+                        writeln!(out, "    {inst}")?;
                     }
                 }
                 for inst in &code.insts {
-                    println!("  {inst}");
+                    writeln!(out, "  {inst}")?;
                 }
             }
         }
         "stats" => {
             let s = kernel.stats;
-            println!("statements            {}", s.stmts);
-            println!("blocks                {}", s.blocks);
-            println!("superword statements  {}", s.superwords);
-            println!("vectorized statements {}", s.vectorized_stmts);
-            println!("scalar packs laid out {}", s.scalar_packs_laid_out);
-            println!("array replications    {}", s.replications);
-            println!("accesses proven safe  {}", s.accesses_proven_safe);
+            writeln!(out, "statements            {}", s.stmts)?;
+            writeln!(out, "blocks                {}", s.blocks)?;
+            writeln!(out, "superword statements  {}", s.superwords)?;
+            writeln!(out, "vectorized statements {}", s.vectorized_stmts)?;
+            writeln!(out, "scalar packs laid out {}", s.scalar_packs_laid_out)?;
+            writeln!(out, "array replications    {}", s.replications)?;
+            writeln!(out, "accesses proven safe  {}", s.accesses_proven_safe)?;
             if s.accesses_unknown + s.accesses_proven_faulting > 0 {
-                println!("accesses unproven     {}", s.accesses_unknown);
-                println!("accesses faulting     {}", s.accesses_proven_faulting);
+                writeln!(out, "accesses unproven     {}", s.accesses_unknown)?;
+                writeln!(out, "accesses faulting     {}", s.accesses_proven_faulting)?;
             }
             if kernel.config.strategy == Strategy::Optimal {
-                println!("solver nodes          {}", s.opt_nodes);
-                println!("optimality gap        {} ppm", s.opt_gap_ppm);
-                println!(
+                writeln!(out, "solver nodes          {}", s.opt_nodes)?;
+                writeln!(out, "optimality gap        {} ppm", s.opt_gap_ppm)?;
+                writeln!(
+                    out,
                     "solver outcome        {}",
                     if s.opt_degraded {
                         "budget expired (anytime result)"
                     } else {
                         "proven optimal"
                     }
-                );
+                )?;
             }
         }
         _ => unreachable!("validated in parse_args"),
@@ -791,46 +653,55 @@ fn run_kernel(opts: &Options) -> ExitCode {
             execute(kernel, &opts.machine)
         };
         match result {
-            Ok(out) => {
-                let m = &out.stats.metrics;
-                println!("-- run on {} --", opts.machine.name);
-                println!("cycles                {:.0}", m.cycles);
-                println!("dynamic instructions  {}", m.dynamic_instructions);
-                println!("memory operations     {}", m.memory_ops);
-                println!("packing/unpacking ops {}", m.packing_ops);
-                println!("permutations          {}", m.permutes);
-                println!(
+            Ok(run) => {
+                let m = &run.stats.metrics;
+                writeln!(out, "-- run on {} --", opts.machine.name)?;
+                writeln!(out, "cycles                {:.0}", m.cycles)?;
+                writeln!(out, "dynamic instructions  {}", m.dynamic_instructions)?;
+                writeln!(out, "memory operations     {}", m.memory_ops)?;
+                writeln!(out, "packing/unpacking ops {}", m.packing_ops)?;
+                writeln!(out, "permutations          {}", m.permutes)?;
+                writeln!(
+                    out,
                     "simulated time        {:.3} µs",
-                    out.stats.seconds(&opts.machine) * 1e6
-                );
-                if out.block_cycles.len() > 1 {
-                    println!("hottest blocks:");
-                    for (bid, cycles) in out.block_cycles.iter().take(5) {
-                        println!(
+                    run.stats.seconds(&opts.machine) * 1e6
+                )?;
+                if run.block_cycles.len() > 1 {
+                    writeln!(out, "hottest blocks:")?;
+                    for (bid, cycles) in run.block_cycles.iter().take(5) {
+                        writeln!(
+                            out,
                             "  {bid:<6} {cycles:>10.0} cycles ({:.1}%)",
-                            cycles / out.stats.metrics.cycles * 100.0
-                        );
+                            cycles / m.cycles * 100.0
+                        )?;
                     }
                 }
             }
             Err(e) => {
                 eprintln!("slpc: {e}");
-                return ExitCode::from(1);
+                return Ok(ExitCode::from(1));
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1).peekable();
-    let command = argv.next_if(|a| ["analyze", "check", "prove", "batch"].contains(&a.as_str()));
+    let command = argv.next_if(|a| a == "check" || a == "batch");
+    // Every report goes through this one handle: a reader that goes away
+    // (`slpc check ... | head`) ends the command with exit 1, not a panic.
+    let out = &mut io::stdout().lock();
     let ran = match command.as_deref() {
-        None => parse_args(argv).map(|opts| run_kernel(&opts)),
-        Some("analyze") => parse_analyze_args(argv).map(|opts| run_analyze(&opts)),
-        Some("check") => parse_check_args(argv, true).map(|opts| run_check(&opts)),
-        Some("prove") => parse_check_args(argv, false).map(|opts| run_prove(&opts)),
-        Some(_) => parse_batch_args(argv).map(|opts| run_batch(&opts)),
+        None => parse_args(argv).map(|opts| run_kernel(&opts, out)),
+        Some("check") => parse_check_args(argv).map(|opts| run_check(&opts, out)),
+        Some(_) => parse_batch_args(argv).map(|opts| run_batch(&opts, out)),
     };
-    ran.unwrap_or_else(|code| code)
+    match ran {
+        // The flush writes what follows the last newline (`--emit source`).
+        Ok(report) => report
+            .and_then(|code| out.flush().map(|()| code))
+            .unwrap_or(ExitCode::from(1)),
+        Err(usage) => usage,
+    }
 }

@@ -181,7 +181,8 @@ fn wrong_permutation_is_refuted() {
 }
 
 /// The prove_kernel bridge surfaces a refutation as a V600 error, so
-/// `slpc prove` and `--prove` batches fail loudly on a miscompile.
+/// `slpc check --verify prove` and `--verify prove` batches fail loudly on
+/// a miscompile.
 #[test]
 fn refutation_reaches_the_diagnostic_report() {
     let original = program(

@@ -85,11 +85,34 @@ fn rejects_out_of_bounds_kernels_statically() {
 fn usage_errors_exit_with_2() {
     let out = slpc().output().expect("spawn slpc");
     assert_eq!(out.status.code(), Some(2));
-    let out = slpc()
-        .args(["/nonexistent.slp", "--strategy", "bogus"])
-        .output()
+    let k = "examples/kernels/saxpy.slp";
+    for args in [
+        vec!["/nonexistent.slp", "--strategy", "bogus"],
+        // `check --verify` is the one verification command.
+        vec!["analyze", k],
+        vec!["prove", k],
+        vec!["check", k, "--verify", "none"],
+        vec!["check", k, "--static"],
+        vec!["batch", k, "--prove"],
+    ] {
+        let out = slpc().args(&args).output().expect("spawn slpc");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    let mut child = slpc()
+        .args(["check", "examples/kernels/saxpy.slp", "--json"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
         .expect("spawn slpc");
-    assert_eq!(out.status.code(), Some(2));
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for slpc");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
 }
 
 #[test]
