@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 use slp_core::{compile, MachineConfig, SlpConfig, Strategy, WeightParams};
 use slp_suite::{catalog, BenchmarkSpec};
-use slp_vm::{execute_gated, lower_kernel_with, reduction_percent, MulticoreModel};
+use slp_vm::{execute, lower_kernel_with, reduction_percent, MulticoreModel};
 
 use crate::harness::{assert_equivalent, measure_all, of, Measurement, Scheme};
 
@@ -477,7 +477,7 @@ pub fn render_ablations(machine: &MachineConfig) -> String {
                 let mut cfg = SlpConfig::for_machine(machine.clone(), Strategy::Holistic);
                 tweak(&mut cfg);
                 let kernel = compile(program, &cfg);
-                execute_gated(&kernel, machine, true)
+                execute(&kernel, machine)
                     .expect("suite kernels run")
                     .stats
                     .metrics

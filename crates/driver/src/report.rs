@@ -74,7 +74,7 @@ impl ServeSummary {
 }
 
 /// How one batch entry ended up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RowStatus {
     /// Compiled (or cache-served) at the requested configuration.
     Ok,
@@ -82,6 +82,7 @@ pub enum RowStatus {
     /// fallback's kernel.
     Degraded,
     /// No kernel was produced at all.
+    #[default]
     Failed,
 }
 
@@ -96,8 +97,9 @@ impl RowStatus {
     }
 }
 
-/// One kernel's line in a [`DriverReport`].
-#[derive(Debug, Clone)]
+/// One kernel's line in a [`DriverReport`]. The default is a `Failed`
+/// row that carries nothing.
+#[derive(Debug, Clone, Default)]
 pub struct KernelRow {
     /// The kernel's display name.
     pub name: String,
@@ -186,17 +188,8 @@ impl DriverReport {
                 }
                 Err(err) => KernelRow {
                     name: outcome.name.clone(),
-                    status: RowStatus::Failed,
-                    cache: None,
-                    fingerprint: None,
-                    stats: CompileStats::default(),
-                    prove: None,
-                    verify_errors: None,
-                    verify_warnings: None,
-                    diagnostics: Vec::new(),
                     error: Some(err.to_string()),
-                    timings: PhaseTimings::new(),
-                    wall_nanos: 0,
+                    ..KernelRow::default()
                 },
             };
             rows.push(row);

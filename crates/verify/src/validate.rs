@@ -23,9 +23,7 @@ use std::collections::HashMap;
 
 use slp_core::{compile, CompiledKernel, MachineConfig, SlpConfig, Strategy};
 use slp_ir::{loop_local_scalars, ArrayId, Program, TypeEnv, VarId};
-use slp_vm::{
-    execute_reference_with_state, execute_with_state, seed_scalar, seed_value, MachineState,
-};
+use slp_vm::{execute_reference_with_state, seed_scalar, seed_value, BytecodeKernel, MachineState};
 
 use crate::blockwise::prove_blockwise;
 use crate::eval::{eval_compiled_kernel, eval_scalar_program, Budgets, EvalError, SymbolicState};
@@ -377,7 +375,8 @@ pub fn replay_counterexample(
     };
 
     let fast = |k: &CompiledKernel, st: MachineState| {
-        execute_with_state(k, machine, st).ok().map(|o| o.state)
+        let run = BytecodeKernel::compile(k, machine).and_then(|bc| bc.run_from(st));
+        run.ok().map(|o| o.state)
     };
     let reference = |k: &CompiledKernel, st: MachineState| {
         execute_reference_with_state(k, machine, st)

@@ -33,9 +33,7 @@
 //!   (`cycles`, `memory_cycles`) are order-sensitive and are added per
 //!   op; the five integer counters are summed per op *range* (a block's
 //!   preheader or body) at translation, the run only counts executions of
-//!   each range, and `runs × sum` is folded into [`RunStats`] at the end,
-//! * common adjacent pairs (load+op, splat+op, op+store) are fused into
-//!   superinstructions, halving dispatch for the dominant patterns.
+//!   each range, and `runs × sum` is folded into [`RunStats`] at the end.
 //!
 //! Execution semantics are *bit-identical* to the reference engine —
 //! cycle accumulation order, iteration counting, replication
@@ -175,15 +173,6 @@ struct Mem {
     acc: Lanes,
 }
 
-/// A broadcast of `src` into `width` lanes.
-#[derive(Debug, Clone, Copy)]
-struct Splat {
-    m: u32,
-    dst: RegBase,
-    width: u32,
-    src: SplatVal,
-}
-
 /// An elementwise operation over `width` lanes.
 #[derive(Debug, Clone, Copy)]
 struct Alu {
@@ -194,11 +183,10 @@ struct Alu {
     srcs: Range,
 }
 
-/// One dense, pre-resolved instruction. `m*` fields index the cost pool;
+/// One dense, pre-resolved instruction. `m` fields index the cost pool;
 /// cost accumulation happens *before* the value effect, exactly like the
-/// reference engine, and fused pairs interleave
-/// (m₁, effect₁, m₂, effect₂) so the non-associative `f64` cycle sums
-/// stay bit-identical.
+/// reference engine, so the non-associative `f64` cycle sums stay
+/// bit-identical.
 #[derive(Debug, Clone, Copy)]
 enum BOp {
     Scalar(Stmt),
@@ -219,7 +207,13 @@ enum BOp {
         dst: RegBase,
         vals: Range,
     },
-    Splat(Splat),
+    /// A broadcast of `src` into `width` lanes.
+    Splat {
+        m: u32,
+        dst: RegBase,
+        width: u32,
+        src: SplatVal,
+    },
     Permute {
         m: u32,
         dst: RegBase,
@@ -231,12 +225,6 @@ enum BOp {
         m: u32,
     },
     Op(Alu),
-    /// Superinstruction: a load immediately feeding an op.
-    LoadOp(Mem, Alu),
-    /// Superinstruction: a splat immediately feeding an op.
-    SplatOp(Splat, Alu),
-    /// Superinstruction: an op whose result is immediately stored.
-    OpStore(Alu, Mem),
 }
 
 /// The execution tree: op ranges and loops, mirroring the program's item
@@ -301,13 +289,15 @@ pub struct BytecodeKernel {
 
 impl BytecodeKernel {
     /// Lowers `kernel` for `machine` (running the regular
-    /// [`lower_kernel`](crate::lower_kernel) code generator, cost gate as
-    /// given) and translates the result to bytecode.
+    /// [`lower_kernel`](crate::lower_kernel) code generator, §4.3 cost
+    /// gate enabled) and translates the result to bytecode.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`ExecError`] when the generated code is
-    /// malformed: a use of a never-defined register
+    /// Returns a typed [`ExecError`] when the program is over the VM's
+    /// memory budget
+    /// ([`ExecErrorKind::ResourceLimit`](crate::ExecErrorKind)), or when
+    /// the generated code is malformed: a use of a never-defined register
     /// ([`ExecErrorKind::UndefinedRegister`](crate::ExecErrorKind)),
     /// or structural inconsistencies such as lane-width mismatches and
     /// out-of-range permutation indices
@@ -315,34 +305,31 @@ impl BytecodeKernel {
     pub fn compile(
         kernel: &CompiledKernel,
         machine: &MachineConfig,
-        cost_gate: bool,
     ) -> Result<BytecodeKernel, ExecError> {
-        BytecodeKernel::lowered(kernel, machine, cost_gate, true)
+        BytecodeKernel::lowered(kernel, machine, true)
     }
 
     /// Like [`BytecodeKernel::compile`], but keeps every per-dimension
     /// bounds check even for accesses the kernel's memory-safety
-    /// certificate proved safe. This is the `--no-unchecked` escape
-    /// hatch and the baseline `tests/safety_suite.rs` holds the
-    /// certified lowering bit-identical to.
+    /// certificate proved safe: the baseline `tests/safety_suite.rs` and
+    /// the `engine_differential` test hold the certified lowering
+    /// bit-identical to.
     pub fn compile_checked(
         kernel: &CompiledKernel,
         machine: &MachineConfig,
-        cost_gate: bool,
     ) -> Result<BytecodeKernel, ExecError> {
-        BytecodeKernel::lowered(kernel, machine, cost_gate, false)
+        BytecodeKernel::lowered(kernel, machine, false)
     }
 
     /// Lowers and translates `kernel` over one extraction of its blocks.
     fn lowered(
         kernel: &CompiledKernel,
         machine: &MachineConfig,
-        cost_gate: bool,
         elide_checks: bool,
     ) -> Result<BytecodeKernel, ExecError> {
         let infos = kernel.program.blocks();
         let permuted_reuse = kernel.config.strategy.permuted_reuse();
-        let codes = lower_kernel_with(kernel, &infos, machine, cost_gate, permuted_reuse);
+        let codes = lower_kernel_with(kernel, &infos, machine, true, permuted_reuse);
         BytecodeKernel::translate(kernel, machine, &infos, &codes, elide_checks)
     }
 
@@ -376,7 +363,9 @@ impl BytecodeKernel {
 
     /// [`BytecodeKernel::from_codes`] over the kernel's blocks `infos` as
     /// already extracted, with explicit control over whether
-    /// certificate-proven accesses may drop their bounds checks.
+    /// certificate-proven accesses may drop their bounds checks. Every
+    /// constructor comes through here, so this is where the memory
+    /// budget is checked, before any memory is seeded.
     fn translate(
         kernel: &CompiledKernel,
         machine: &MachineConfig,
@@ -385,6 +374,7 @@ impl BytecodeKernel {
         elide_checks: bool,
     ) -> Result<BytecodeKernel, ExecError> {
         let program = &kernel.program;
+        crate::memory::check_memory_budget(program)?;
         let mut array_base = Vec::with_capacity(program.arrays().len());
         let mut cells = 0u32;
         for a in program.arrays() {
@@ -412,8 +402,6 @@ impl BytecodeKernel {
             let mut map: HashMap<u32, (u32, u32)> = HashMap::new();
             let (pre, pre_counts) = tr.translate_stream(&code.preheader, pre_stack, &mut map)?;
             let (body, body_counts) = tr.translate_stream(&code.insts, &body_stack, &mut map)?;
-            let pre = tr.fuse_stream(pre);
-            let body = tr.fuse_stream(body);
             tr.append(pre, pre_counts);
             tr.append(body, body_counts);
             tr.code.block_ids.push(*id);
@@ -510,18 +498,15 @@ impl BytecodeKernel {
         })
     }
 
-    /// Number of dense instructions in the pool (after fusion).
+    /// Number of dense instructions in the pool.
     pub fn op_count(&self) -> usize {
         self.code.ops.len()
     }
 
-    /// Number of fused superinstructions in the pool.
+    /// Always 0: the engine fuses no superinstructions. Kept only for the
+    /// benchmark's `vm.fused_ops` metric; ROADMAP item 1 retires both.
     pub fn fused_count(&self) -> usize {
-        self.code
-            .ops
-            .iter()
-            .filter(|op| matches!(op, BOp::LoadOp(..) | BOp::SplatOp(..) | BOp::OpStore(..)))
-            .count()
+        0
     }
 }
 
@@ -829,12 +814,12 @@ impl<'a> Translator<'a> {
                         SplatSrc::Scalar { var, .. } => SplatVal::Var(var.index() as u32),
                     };
                     let dst = self.def(map, *dst, *width);
-                    BOp::Splat(Splat {
+                    BOp::Splat {
                         m,
                         dst,
                         width: *width as u32,
                         src,
-                    })
+                    }
                 }
                 VInst::Permute { dst, src, perm } => {
                     let (base, width) = use_reg(map, *src)?;
@@ -889,42 +874,6 @@ impl<'a> Translator<'a> {
             counts.add(&row);
         }
         Ok((out, counts))
-    }
-
-    /// Greedy peephole fusion of adjacent pairs within one stream (never
-    /// across the preheader/body boundary — the streams execute at
-    /// different times).
-    fn fuse_stream(&self, ops: Vec<BOp>) -> Vec<BOp> {
-        let uses = |srcs: Range, base: RegBase| {
-            self.code.srcs[srcs.0 as usize..srcs.1 as usize].contains(&base)
-        };
-        let mut out = Vec::with_capacity(ops.len());
-        let mut i = 0;
-        while i < ops.len() {
-            let fused = match (ops[i], ops.get(i + 1)) {
-                (BOp::Load(ld), Some(&BOp::Op(op))) if uses(op.srcs, ld.reg) => {
-                    Some(BOp::LoadOp(ld, op))
-                }
-                (BOp::Splat(sp), Some(&BOp::Op(op))) if uses(op.srcs, sp.dst) => {
-                    Some(BOp::SplatOp(sp, op))
-                }
-                (BOp::Op(op), Some(&BOp::Store(st))) if st.reg == op.dst => {
-                    Some(BOp::OpStore(op, st))
-                }
-                _ => None,
-            };
-            match fused {
-                Some(f) => {
-                    out.push(f);
-                    i += 2;
-                }
-                None => {
-                    out.push(ops[i]);
-                    i += 1;
-                }
-            }
-        }
-        out
     }
 
     /// Appends one finished stream as the next op range.
@@ -1030,7 +979,14 @@ impl<'a> Vm<'a> {
                     let d = dst as usize;
                     self.regs[d..d + src.len()].copy_from_slice(src);
                 }
-                BOp::Splat(sp) => self.exec_splat(sp),
+                &BOp::Splat { m, dst, width, src } => {
+                    self.charge(m);
+                    let v = match src {
+                        SplatVal::Const(c) => c,
+                        SplatVal::Var(s) => self.state.scalars[s as usize],
+                    };
+                    self.regs[dst as usize..(dst + width) as usize].fill(v);
+                }
                 &BOp::Permute { m, dst, src, perm } => {
                     self.charge(m);
                     for (k, p) in (perm.0..perm.1).enumerate() {
@@ -1040,18 +996,6 @@ impl<'a> Vm<'a> {
                 }
                 &BOp::Nop { m } => self.charge(m),
                 BOp::Op(op) => self.exec_op(op),
-                BOp::LoadOp(ld, op) => {
-                    self.exec_load(ld)?;
-                    self.exec_op(op);
-                }
-                BOp::SplatOp(sp, op) => {
-                    self.exec_splat(sp);
-                    self.exec_op(op);
-                }
-                BOp::OpStore(op, st) => {
-                    self.exec_op(op);
-                    self.exec_store(st)?;
-                }
             }
         }
         Ok(())
@@ -1165,16 +1109,6 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    fn exec_splat(&mut self, sp: &Splat) {
-        self.charge(sp.m);
-        let v = match sp.src {
-            SplatVal::Const(c) => c,
-            SplatVal::Var(s) => self.state.scalars[s as usize],
-        };
-        let d = sp.dst as usize;
-        self.regs[d..d + sp.width as usize].fill(v);
-    }
-
     /// Elementwise op over pre-resolved source bases. Destination slots
     /// are always fresh (one per static definition), so there is no
     /// aliasing with sources.
@@ -1261,7 +1195,7 @@ impl<'a> Vm<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_gated, execute_gated_reference};
+    use crate::exec::{execute, execute_reference};
     use slp_core::{compile, ExecErrorKind, SlpConfig, Strategy};
 
     fn machine() -> MachineConfig {
@@ -1287,8 +1221,8 @@ mod tests {
             cfg = cfg.with_layout();
         }
         let k = compile(&p, &cfg);
-        let fast = execute_gated(&k, &machine(), true).unwrap();
-        let slow = execute_gated_reference(&k, &machine(), true).unwrap();
+        let fast = execute(&k, &machine()).unwrap();
+        let slow = execute_reference(&k, &machine()).unwrap();
         assert!(
             fast.state.bitwise_eq(&slow.state),
             "{strategy:?} memory image diverged"
@@ -1312,17 +1246,25 @@ mod tests {
     }
 
     #[test]
-    fn fusion_fires_on_vectorized_code() {
+    fn an_over_budget_program_is_refused_before_memory_is_seeded() {
+        // 2^40 cells: seeding them would abort the process, so an `Err`
+        // here shows every entry checked the budget first.
         let p = slp_lang::compile(
-            "kernel f { array A: f64[64]; array B: f64[64];
-             for i in 0..64 { A[i] = B[i] * 2.0; } }",
+            "kernel big { array A: f64[1099511627776];
+             for i in 0..4 { A[i] = A[i] + 1.0; } }",
         )
         .unwrap();
-        let cfg = SlpConfig::for_machine(machine(), Strategy::Holistic);
-        let k = compile(&p, &cfg);
-        let bc = BytecodeKernel::compile(&k, &machine(), true).unwrap();
-        assert!(bc.fused_count() > 0, "expected superinstructions");
-        assert!(bc.op_count() > 0);
+        let k = compile(&p, &SlpConfig::for_machine(machine(), Strategy::Holistic));
+        let codes = crate::lower_kernel(&k, &machine(), true);
+        for err in [
+            BytecodeKernel::from_codes(&k, &machine(), &codes).unwrap_err(),
+            BytecodeKernel::compile(&k, &machine()).unwrap_err(),
+            BytecodeKernel::compile_checked(&k, &machine()).unwrap_err(),
+            execute(&k, &machine()).unwrap_err(),
+            execute_reference(&k, &machine()).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), ExecErrorKind::ResourceLimit, "{err}");
+        }
     }
 
     #[test]
@@ -1330,7 +1272,7 @@ mod tests {
         let p = slp_lang::compile(KERNEL).unwrap();
         let cfg = SlpConfig::for_machine(machine(), Strategy::Holistic);
         let k = compile(&p, &cfg);
-        let bc = BytecodeKernel::compile(&k, &machine(), true).unwrap();
+        let bc = BytecodeKernel::compile(&k, &machine()).unwrap();
         let a = bc.run().unwrap();
         let b = bc.run().unwrap();
         assert!(a.state.bitwise_eq(&b.state));
@@ -1347,10 +1289,10 @@ mod tests {
         // A proven-faulting access never loses its runtime check, so the
         // certificate machinery cannot swallow the trap.
         assert!(k.safety.proven_faulting() > 0);
-        let bc = BytecodeKernel::compile(&k, &machine(), true).unwrap();
+        let bc = BytecodeKernel::compile(&k, &machine()).unwrap();
         assert_eq!(bc.unchecked_accesses().0, 0);
-        let fast = execute_gated(&k, &machine(), true).unwrap_err();
-        let slow = execute_gated_reference(&k, &machine(), true).unwrap_err();
+        let fast = execute(&k, &machine()).unwrap_err();
+        let slow = execute_reference(&k, &machine()).unwrap_err();
         assert_eq!(fast, slow);
         assert_eq!(fast.kind(), ExecErrorKind::OutOfBounds);
     }
@@ -1366,13 +1308,13 @@ mod tests {
             let cfg = SlpConfig::for_machine(machine(), strategy);
             let k = compile(&p, &cfg);
             assert!(k.safety.all_proven_safe());
-            let fast = BytecodeKernel::compile(&k, &machine(), true).unwrap();
+            let fast = BytecodeKernel::compile(&k, &machine()).unwrap();
             let (unchecked, total) = fast.unchecked_accesses();
             assert_eq!(
                 unchecked, total,
                 "{strategy:?}: every certified access should drop its check"
             );
-            let checked = BytecodeKernel::compile_checked(&k, &machine(), true).unwrap();
+            let checked = BytecodeKernel::compile_checked(&k, &machine()).unwrap();
             assert_eq!(
                 checked.unchecked_accesses().0,
                 0,
@@ -1380,7 +1322,7 @@ mod tests {
             );
             let a = fast.run().unwrap();
             let b = checked.run().unwrap();
-            let r = execute_gated_reference(&k, &machine(), true).unwrap();
+            let r = execute_reference(&k, &machine()).unwrap();
             assert!(a.state.bitwise_eq(&b.state), "{strategy:?}");
             assert!(a.state.bitwise_eq(&r.state), "{strategy:?}");
             assert_eq!(a.stats, b.stats);

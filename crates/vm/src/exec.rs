@@ -57,60 +57,10 @@ pub struct Outcome {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError`] on out-of-bounds accesses or malformed code.
-pub fn execute(kernel: &CompiledKernel, machine: &MachineConfig) -> Result<Outcome, ExecError> {
-    execute_gated(kernel, machine, true)
-}
-
-/// Executes `kernel` with an explicit cost-gate setting, on the bytecode
-/// engine.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] on out-of-bounds accesses or malformed code.
-pub fn execute_gated(
-    kernel: &CompiledKernel,
-    machine: &MachineConfig,
-    cost_gate: bool,
-) -> Result<Outcome, ExecError> {
-    crate::memory::check_memory_budget(&kernel.program)?;
-    crate::bytecode::BytecodeKernel::compile(kernel, machine, cost_gate)?.run()
-}
-
-/// Executes `kernel` on the bytecode engine with every bounds check kept,
-/// even for accesses the memory-safety certificate proved safe (cost gate
-/// enabled). This is what `slpc --run --no-unchecked` uses.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] on out-of-bounds accesses or malformed code.
-pub fn execute_fully_checked(
-    kernel: &CompiledKernel,
-    machine: &MachineConfig,
-) -> Result<Outcome, ExecError> {
-    crate::memory::check_memory_budget(&kernel.program)?;
-    crate::bytecode::BytecodeKernel::compile_checked(kernel, machine, true)?.run()
-}
-
-/// Executes `kernel` on the bytecode engine from an explicit initial
-/// memory image instead of the deterministic seeds (cost gate enabled).
-///
-/// The state must have been allocated for `kernel.program` — start from
-/// [`MachineState::seeded`] and overwrite the cells of interest. Used by
-/// the symbolic translation validator to replay extracted counterexample
-/// inputs.
-///
-/// # Errors
-///
 /// Returns [`ExecError`] on out-of-bounds accesses, malformed code, or a
-/// state allocated for another program (before anything runs).
-pub fn execute_with_state(
-    kernel: &CompiledKernel,
-    machine: &MachineConfig,
-    state: MachineState,
-) -> Result<Outcome, ExecError> {
-    crate::memory::check_memory_budget(&kernel.program)?;
-    crate::bytecode::BytecodeKernel::compile(kernel, machine, true)?.run_from(state)
+/// program over the VM's memory budget.
+pub fn execute(kernel: &CompiledKernel, machine: &MachineConfig) -> Result<Outcome, ExecError> {
+    crate::bytecode::BytecodeKernel::compile(kernel, machine)?.run()
 }
 
 /// Executes `kernel` on the original tree-walking interpreter (the
@@ -121,52 +71,31 @@ pub fn execute_with_state(
 ///
 /// # Errors
 ///
-/// Returns [`ExecError`] on out-of-bounds accesses.
+/// Returns [`ExecError`] on out-of-bounds accesses, or before any memory
+/// is seeded when the program is over the VM's memory budget.
 pub fn execute_reference(
     kernel: &CompiledKernel,
     machine: &MachineConfig,
 ) -> Result<Outcome, ExecError> {
-    execute_gated_reference(kernel, machine, true)
-}
-
-/// Executes `kernel` on the reference engine with an explicit cost-gate
-/// setting. See [`execute_reference`].
-///
-/// # Errors
-///
-/// Returns [`ExecError`] on out-of-bounds accesses.
-pub fn execute_gated_reference(
-    kernel: &CompiledKernel,
-    machine: &MachineConfig,
-    cost_gate: bool,
-) -> Result<Outcome, ExecError> {
-    let state = MachineState::seeded(&kernel.program);
-    execute_reference_with_state_gated(kernel, machine, cost_gate, state)
+    crate::memory::check_memory_budget(&kernel.program)?;
+    execute_reference_with_state(kernel, machine, MachineState::seeded(&kernel.program))
 }
 
 /// Executes `kernel` on the reference engine from an explicit initial
 /// memory image (cost gate enabled) — the tree-walking counterpart of
-/// [`execute_with_state`].
+/// [`BytecodeKernel::run_from`](crate::bytecode::BytecodeKernel::run_from).
 ///
 /// # Errors
 ///
-/// Returns [`ExecError`] on out-of-bounds accesses.
+/// Returns [`ExecError`] on out-of-bounds accesses, and before anything
+/// runs when `state` was not allocated for `kernel.program`.
 pub fn execute_reference_with_state(
     kernel: &CompiledKernel,
     machine: &MachineConfig,
     state: MachineState,
 ) -> Result<Outcome, ExecError> {
-    execute_reference_with_state_gated(kernel, machine, true, state)
-}
-
-fn execute_reference_with_state_gated(
-    kernel: &CompiledKernel,
-    machine: &MachineConfig,
-    cost_gate: bool,
-    state: MachineState,
-) -> Result<Outcome, ExecError> {
-    crate::memory::check_memory_budget(&kernel.program)?;
-    let codes = lower_kernel(kernel, machine, cost_gate);
+    state.check_shape(&kernel.program)?;
+    let codes = lower_kernel(kernel, machine, true);
     let vectorized_blocks = codes.iter().filter(|(_, c)| c.vectorized).count();
     // Map each block's first statement id to its code, for dispatch while
     // walking the item tree.

@@ -17,10 +17,9 @@
 //!   the scalar build — an oracle the original paper did not have,
 //! * `bytecode`: the fast-path engine behind [`execute`] — a dense,
 //!   pre-resolved lowering of the same code (flat register slots, one
-//!   linear address form per certified access, fused superinstructions)
-//!   run directly on the flat memory image, bit-identical to the
-//!   `exec` reference interpreter at a fraction of the interpretation
-//!   cost,
+//!   linear address form per certified access) run directly on the
+//!   flat memory image, bit-identical to the `exec` reference
+//!   interpreter at a fraction of the interpretation cost,
 //! * `multicore`: the analytic model behind the Figure 21 multicore
 //!   scaling experiments.
 //!
@@ -62,8 +61,7 @@ pub use bytecode::BytecodeKernel;
 pub use code::{InstMetrics, SplatSrc, VInst, VReg};
 pub use codegen::{lower_kernel, lower_kernel_with, BlockCode};
 pub use exec::{
-    execute, execute_fully_checked, execute_gated, execute_gated_reference, execute_reference,
-    execute_reference_with_state, execute_with_state, run_scalar, Outcome, RunStats,
+    execute, execute_reference, execute_reference_with_state, run_scalar, Outcome, RunStats,
 };
 pub use memory::{seed_scalar, seed_value, MachineState};
 pub use multicore::{reduction_percent, MulticoreModel};

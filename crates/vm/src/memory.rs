@@ -19,7 +19,9 @@ pub(crate) const MEMORY_BUDGET_ELEMS: i64 = 1 << 26;
 
 /// Checks `program` against [`MEMORY_BUDGET_ELEMS`].
 ///
-/// Called by every execution entry point before memory is allocated.
+/// Called where a kernel becomes runnable, before memory is seeded: by
+/// the bytecode translation behind every `BytecodeKernel` constructor,
+/// and by `execute_reference`.
 ///
 /// # Errors
 ///

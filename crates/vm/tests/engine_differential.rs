@@ -14,7 +14,7 @@ use slp_core::{compile, ExecErrorKind, MachineConfig, SlpConfig, Strategy};
 use slp_fuzz::property::{case_rng, check_program};
 use slp_ir::Program;
 use slp_suite::GeneratorConfig;
-use slp_vm::{execute_gated, execute_gated_reference, BytecodeKernel, ExecError, Outcome};
+use slp_vm::{execute, execute_reference, BytecodeKernel, ExecError, Outcome};
 
 fn strategies() -> [Strategy; 4] {
     [
@@ -83,10 +83,10 @@ fn assert_same(
 fn assert_engines_agree(program: &Program, config: &SlpConfig, label: &str) -> Option<ExecError> {
     let kernel = compile(program, config);
     let machine = &config.machine;
-    let slow = execute_gated_reference(&kernel, machine, true);
-    let certified = execute_gated(&kernel, machine, true);
+    let slow = execute_reference(&kernel, machine);
+    let certified = execute(&kernel, machine);
     assert_same(label, "certified", &certified, &slow);
-    let checked = BytecodeKernel::compile_checked(&kernel, machine, true).and_then(|bc| bc.run());
+    let checked = BytecodeKernel::compile_checked(&kernel, machine).and_then(|bc| bc.run());
     assert_same(label, "checked", &checked, &slow);
     slow.err()
 }
@@ -326,8 +326,8 @@ fn a_nan_cost_table_orders_blocks_the_same_on_both_engines() {
     machine.cost.loop_overhead = f64::NAN;
     for config in configs(&machine) {
         let kernel = compile(&program, &config);
-        let fast = execute_gated(&kernel, &machine, true).expect("bytecode runs");
-        let slow = execute_gated_reference(&kernel, &machine, true).expect("reference runs");
+        let fast = execute(&kernel, &machine).expect("bytecode runs");
+        let slow = execute_reference(&kernel, &machine).expect("reference runs");
         let bits = |o: &Outcome| -> Vec<_> {
             (o.block_cycles.iter().map(|&(id, c)| (id, c.to_bits()))).collect()
         };

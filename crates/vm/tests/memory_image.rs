@@ -1,11 +1,11 @@
 //! The memory image at the engine's edges: what `MachineState::seeded`
 //! writes (the benchmark oracle's input too) is pinned per suite kernel,
 //! and an image allocated for another program is a typed error before
-//! anything runs.
+//! anything runs, on either engine.
 
 use slp_core::{compile, ExecErrorKind, MachineConfig, SlpConfig, Strategy};
 use slp_ir::Program;
-use slp_vm::{execute_with_state, MachineState};
+use slp_vm::{execute_reference_with_state, BytecodeKernel, MachineState};
 
 /// `(kernel, digest() of the seeded arrays, FNV fold of the seeded scalar
 /// frame)` at scale 1, recorded before the image became one allocation.
@@ -83,18 +83,26 @@ fn a_foreign_memory_image_is_a_typed_error() {
             "2 arrays and 1 scalars",
         ),
     ];
+    let bytecode = BytecodeKernel::compile(&kernel, &machine).expect("translates");
     for (decls, names) in foreign {
         let other = kernel_for(&format!(
             "kernel o {{ {decls} for i in 0..4 {{ A[i] = x; }} }}"
         ));
-        let err = execute_with_state(&kernel, &machine, MachineState::seeded(&other.program))
-            .expect_err("the image was allocated for another program");
-        assert_eq!(err.kind(), ExecErrorKind::MalformedCode, "{decls}");
-        assert!(err.to_string().contains(names), "{decls}: {err}");
+        let image = || MachineState::seeded(&other.program);
+        // Both engines refuse it the same way.
+        for err in [
+            bytecode.run_from(image()),
+            execute_reference_with_state(&kernel, &machine, image()),
+        ]
+        .map(|run| run.expect_err("the image was allocated for another program"))
+        {
+            assert_eq!(err.kind(), ExecErrorKind::MalformedCode, "{decls}");
+            assert!(err.to_string().contains(names), "{decls}: {err}");
+        }
     }
     // The kernel's own image still runs, and comes back as the outcome.
     let own = MachineState::seeded(&kernel.program);
-    let out = execute_with_state(&kernel, &machine, own.clone()).expect("runs");
+    let out = bytecode.run_from(own.clone()).expect("runs");
     assert!(!out.state.bitwise_eq(&own), "the run wrote A");
     assert_eq!(
         out.state.array(slp_ir::ArrayId::new(1)),

@@ -10,8 +10,6 @@
 //!   --machine intel|amd                   cost model (default: intel)
 //!   --emit source|schedule|code|stats     what to print (default: stats)
 //!   --run                                 execute and print counters
-//!   --no-unchecked                        keep every bounds check at runtime,
-//!                                         ignoring the memory-safety certificate
 //!   --unroll N                            unroll factor (default: auto)
 //!
 //! slpc check <kernel.slp>... [options]
@@ -51,7 +49,8 @@
 //! caching (memory + `.slp-cache/` disk tier), per-kernel panic
 //! isolation and time budgets, and graceful degradation to scalar. A
 //! directory contributes its `*.slp` files (sorted); a non-`.slp` file
-//! is a manifest listing one kernel path per line (`#` comments).
+//! is a manifest listing one kernel path per line (`#` comments). A
+//! kernel that cannot be read is a `failed` row; the batch goes on.
 //!
 //! options:
 //!   --strategy scalar|native (alias: auto-adjacent)|slp|global|optimal
@@ -77,7 +76,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use slp::driver::json::Json;
-use slp::driver::{DriverReport, DEFAULT_DISK_DIR, DEFAULT_MEMORY_CAPACITY};
+use slp::driver::{DriverReport, KernelRow, DEFAULT_DISK_DIR, DEFAULT_MEMORY_CAPACITY};
 use slp::prelude::*;
 use slp::verify::Report;
 use slp::vm::lower_kernel;
@@ -89,7 +88,6 @@ struct Options {
     machine: MachineConfig,
     emit: String,
     run: bool,
-    no_unchecked: bool,
     unroll: usize,
 }
 
@@ -97,7 +95,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: slpc <kernel.slp> [--strategy scalar|native (alias: auto-adjacent)|slp|global|optimal] \
          [--layout] [--machine intel|amd] [--emit source|schedule|code|stats] \
-         [--run] [--no-unchecked] [--unroll N]\n       \
+         [--run] [--unroll N]\n       \
          slpc check <kernel.slp>... [--machine intel|amd] \
          [--verify static|full|prove] [--unroll N] [--json]\n       \
          slpc batch <dir|manifest|kernel.slp>... [--strategy ...] [--layout] \
@@ -140,7 +138,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ExitCod
         machine: MachineConfig::intel_dunnington(),
         emit: "stats".to_string(),
         run: false,
-        no_unchecked: false,
         unroll: 0,
     };
     while let Some(arg) = args.next() {
@@ -153,7 +150,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ExitCod
                 opts.emit = flag(&mut args, |e| emits.contains(&e).then(|| e.to_string()))?;
             }
             "--run" => opts.run = true,
-            "--no-unchecked" => opts.no_unchecked = true,
             "--unroll" => opts.unroll = flag(&mut args, |s| s.parse().ok())?,
             path if !path.starts_with('-') && opts.path.is_empty() => opts.path = path.to_string(),
             _ => return Err(usage()),
@@ -304,7 +300,7 @@ fn write_row(out: &mut impl Write, head: &str, report: &Report) -> io::Result<()
 /// error-severity finding or refuted proof.
 fn run_check(opts: &CheckOptions, out: &mut impl Write) -> io::Result<ExitCode> {
     let configs = check_configs(opts);
-    let (mut errors, mut warnings) = (0usize, 0usize);
+    let (mut errors, mut warnings, mut compiled) = (0usize, 0usize, 0usize);
     let mut verdicts = Vec::new();
     let mut kernel_rows = Vec::new();
     for path in &opts.paths {
@@ -331,6 +327,7 @@ fn run_check(opts: &CheckOptions, out: &mut impl Write) -> io::Result<ExitCode> 
                 errors += 1;
                 break;
             };
+            compiled += 1;
             let report = outcome.report.as_ref().expect("check always verifies");
             errors += report.error_count();
             warnings += report.warning_count();
@@ -396,10 +393,9 @@ fn run_check(opts: &CheckOptions, out: &mut impl Write) -> io::Result<ExitCode> 
     } else {
         write!(
             out,
-            "checked {} kernel(s) x {} configuration(s) on {}: \
+            "checked {} kernel(s), {compiled} configuration(s) compiled on {}: \
              {errors} error(s), {warnings} warning(s)",
             opts.paths.len(),
-            configs.len(),
             opts.machine.name
         )?;
         if proving {
@@ -529,17 +525,24 @@ fn run_batch(opts: &BatchOptions, out: &mut impl Write) -> io::Result<ExitCode> 
             return Ok(ExitCode::from(1));
         }
     };
+    // An unreadable kernel becomes a failed row in its input position;
+    // the rest of the batch still compiles.
     let mut requests = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let Some(source) = read_source(path) else {
-            return Ok(ExitCode::from(1));
-        };
-        requests.push(CompileRequest {
-            name: kernel_name(path),
-            source,
-            config: build_config(&opts.machine, opts.strategy, opts.layout, opts.unroll),
-            verify: opts.verify,
-        });
+    let mut unreadable = Vec::new();
+    for (at, path) in paths.iter().enumerate() {
+        match std::fs::read_to_string(path) {
+            Ok(source) => requests.push(CompileRequest {
+                name: kernel_name(path),
+                source,
+                config: build_config(&opts.machine, opts.strategy, opts.layout, opts.unroll),
+                verify: opts.verify,
+            }),
+            Err(e) => {
+                let error = format!("cannot read {}: {e}", path.display());
+                eprintln!("slpc: {error}");
+                unreadable.push((at, kernel_name(path), error));
+            }
+        }
     }
 
     let cache = if opts.no_cache {
@@ -560,8 +563,16 @@ fn run_batch(opts: &BatchOptions, out: &mut impl Write) -> io::Result<ExitCode> 
     let start = Instant::now();
     let outcomes = compile_batch(&requests, cache.as_ref(), &batch_config);
     let wall_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let report =
+    let mut report =
         DriverReport::from_outcomes(&outcomes, wall_nanos, cache.as_ref().map(|c| c.stats()));
+    for (at, name, error) in unreadable {
+        let row = KernelRow {
+            name,
+            error: Some(error),
+            ..KernelRow::default()
+        };
+        report.rows.insert(at, row);
+    }
 
     if opts.json {
         writeln!(out, "{}", report.to_json().to_pretty())?;
@@ -644,15 +655,7 @@ fn run_kernel(opts: &Options, out: &mut impl Write) -> io::Result<ExitCode> {
     }
 
     if opts.run {
-        // `--no-unchecked` opts out of certificate-driven check elision:
-        // every access keeps its per-dimension bounds check, as if
-        // nothing had been proven.
-        let result = if opts.no_unchecked {
-            slp::vm::execute_fully_checked(kernel, &opts.machine)
-        } else {
-            execute(kernel, &opts.machine)
-        };
-        match result {
+        match execute(kernel, &opts.machine) {
             Ok(run) => {
                 let m = &run.stats.metrics;
                 writeln!(out, "-- run on {} --", opts.machine.name)?;

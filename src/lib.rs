@@ -133,7 +133,5 @@ pub mod prelude {
     pub use slp_lang::{compile as parse_kernel, ParseError};
     pub use slp_opt::OptimalPacker;
     pub use slp_serve::{serve_handler, serve_tcp, Handler, QuotaConfig, ServeConfig, TcpOptions};
-    pub use slp_vm::{
-        execute, execute_gated, run_scalar, BytecodeKernel, MachineState, Outcome, RunStats,
-    };
+    pub use slp_vm::{execute, run_scalar, BytecodeKernel, MachineState, Outcome, RunStats};
 }

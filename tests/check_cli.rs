@@ -57,7 +57,10 @@ fn example_suite_checks_clean() {
         "slpc check failed\nstdout:\n{stdout}\nstderr:\n{stderr}"
     );
     assert!(
-        stdout.contains(&format!("checked {n} kernel(s)")),
+        stdout.contains(&format!(
+            "checked {n} kernel(s), {} configuration(s) compiled",
+            5 * n
+        )),
         "unexpected summary line:\n{stdout}"
     );
     assert!(
@@ -123,6 +126,10 @@ fn check_reports_failure_for_missing_file() {
         "checking a nonexistent kernel should exit nonzero"
     );
     assert!(stdout.contains("saxpy.slp [Optimal]"), "{stdout}");
+    assert!(
+        stdout.contains("checked 2 kernel(s), 5 configuration(s) compiled"),
+        "{stdout}"
+    );
     assert!(stdout.contains("1 error(s), 0 warning(s)"), "{stdout}");
 }
 
@@ -149,10 +156,18 @@ fn check_rejects_proven_faulting_kernels_with_v505() {
         .output()
         .expect("run slpc check");
     let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         !out.status.success(),
         "a proven out-of-bounds kernel must fail slpc check"
     );
+    // V505 rejects the kernel before any configuration compiles: the
+    // summary counts none, and two errors (V502 and V505).
+    assert!(
+        stdout.contains("checked 1 kernel(s), 0 configuration(s) compiled on "),
+        "{stdout}"
+    );
+    assert!(stdout.contains("2 error(s), 0 warning(s)"), "{stdout}");
     assert!(
         stderr.contains("V505") && stderr.contains("proven out of bounds"),
         "rejection must carry the V505 certificate diagnostic:\n{stderr}"

@@ -97,7 +97,7 @@ fn assert_solves_match(column: usize, max_nodes: u64) {
     const EPS: f64 = 1e-9;
     // gromacs on amd ships the same packing at node caps 500, 20 000 and
     // 200 000: estimated 18 048 < 20 083 cycles, measured 18 633 > 18 436.
-    // ROADMAP item 5 (calibration) wants this list empty.
+    // ROADMAP item 3 (calibration) wants this list empty.
     const UNCONFIRMED_ANYTIME: [&str; 1] = ["gromacs/amd"];
     let programs = common::suite_and_branchy();
     let suite_kernels = slp::suite::catalog().len();

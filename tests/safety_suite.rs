@@ -7,7 +7,7 @@
 //! `safety-smoke` job.
 
 use slp::core::{compile, MachineConfig, SlpConfig, Strategy};
-use slp::vm::{execute_fully_checked, execute_reference, BytecodeKernel};
+use slp::vm::{execute_reference, BytecodeKernel};
 
 fn machine() -> MachineConfig {
     MachineConfig::intel_dunnington()
@@ -90,23 +90,23 @@ fn certified_elision_is_effective_and_bit_exact_across_the_suite() {
                     spec.name, machine.name
                 );
                 let kernel = compile(program, &cfg);
-                let fast = BytecodeKernel::compile(&kernel, &machine, true).expect("compiles");
+                let fast = BytecodeKernel::compile(&kernel, &machine).expect("compiles");
                 let (elided, total) = fast.unchecked_accesses();
                 assert!(
                     total > 0 && elided == total,
                     "{label}: certificate proved everything safe but {elided} of {total} \
                      accesses were elided"
                 );
-                let checked = BytecodeKernel::compile_checked(&kernel, &machine, true);
+                let checked = BytecodeKernel::compile_checked(&kernel, &machine).expect("compiles");
                 assert_eq!(
-                    checked.expect("compiles").unchecked_accesses(),
+                    checked.unchecked_accesses(),
                     (0, total),
                     "{label}: the checked lowering dropped a check"
                 );
                 tally = (tally.0 + elided, tally.1 + total);
 
                 let a = fast.run().expect("unchecked run");
-                let b = execute_fully_checked(&kernel, &machine).expect("checked run");
+                let b = checked.run().expect("checked run");
                 let c = execute_reference(&kernel, &machine).expect("reference run");
                 assert!(
                     a.state.bitwise_eq(&b.state) && a.state.bitwise_eq(&c.state),

@@ -94,10 +94,54 @@ fn usage_errors_exit_with_2() {
         vec!["check", k, "--verify", "none"],
         vec!["check", k, "--static"],
         vec!["batch", k, "--prove"],
+        // Every kernel runs with the certificate's check elision.
+        vec![k, "--run", "--no-unchecked"],
     ] {
         let out = slpc().args(&args).output().expect("spawn slpc");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
     }
+}
+
+#[test]
+fn an_unreadable_kernel_is_one_failed_batch_row() {
+    let out = slpc()
+        .args([
+            "batch",
+            "examples/kernels/saxpy.slp",
+            "examples/kernels/no-such-kernel.slp",
+            "examples/kernels/clip.slp",
+            "--no-cache",
+        ])
+        .output()
+        .expect("spawn slpc");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains("cannot read"), "{stderr}");
+    // The row keeps its input position; the kernels around it compile.
+    let rows: Vec<(&str, &str)> = stdout
+        .lines()
+        .skip(1)
+        .take(3)
+        .filter_map(|line| {
+            line.split_whitespace()
+                .next()
+                .zip(line.split_whitespace().nth(1))
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            ("saxpy", "ok"),
+            ("no-such-kernel", "failed"),
+            ("clip", "ok")
+        ],
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("3 kernels: 2 ok, 0 degraded, 1 failed"),
+        "{stdout}"
+    );
 }
 
 #[test]
