@@ -80,6 +80,9 @@ pub enum LintCode {
     /// The rewritten program reads a replica element the population loop
     /// never wrote.
     UnpopulatedReplicaRead,
+    /// The layout check stopped at its pair cap: the rest of the nest is
+    /// unchecked.
+    LayoutCheckTruncated,
     /// Scalar and vectorized executions left different final memory.
     DifferentialMismatch,
     /// One of the two executions of the differential check failed.
@@ -141,6 +144,7 @@ impl LintCode {
             LintCode::ReplicationOutOfBounds => "V302",
             LintCode::ReplicatedArrayWritten => "V303",
             LintCode::UnpopulatedReplicaRead => "V304",
+            LintCode::LayoutCheckTruncated => "V305",
             LintCode::DifferentialMismatch => "V401",
             LintCode::ExecutionFailed => "V402",
             LintCode::UseBeforeDef => "V500",
@@ -158,7 +162,7 @@ impl LintCode {
     }
 
     /// Every lint code in the catalogue, in `Vnnn` order.
-    pub const ALL: [LintCode; 26] = [
+    pub const ALL: [LintCode; 27] = [
         LintCode::ScheduleNotPermutation,
         LintCode::DependenceOrderViolated,
         LintCode::IntraPackDependence,
@@ -172,6 +176,7 @@ impl LintCode {
         LintCode::ReplicationOutOfBounds,
         LintCode::ReplicatedArrayWritten,
         LintCode::UnpopulatedReplicaRead,
+        LintCode::LayoutCheckTruncated,
         LintCode::DifferentialMismatch,
         LintCode::ExecutionFailed,
         LintCode::UseBeforeDef,
@@ -190,9 +195,10 @@ impl LintCode {
     /// The severity a finding of this code carries.
     ///
     /// Among the V1xx–V4xx kernel checks only [`LintCode::MisalignedPack`]
-    /// is a warning: unaligned packs execute correctly (the VM charges
-    /// the unaligned-access cost), all other findings mean the kernel is
-    /// wrong. The V5xx source lints are warnings except
+    /// and [`LintCode::LayoutCheckTruncated`] are warnings: unaligned
+    /// packs execute correctly (the VM charges the unaligned-access cost)
+    /// and a truncated check found nothing, all other findings mean the
+    /// kernel is wrong. The V5xx source lints are warnings except
     /// [`LintCode::OutOfBoundsSubscript`] and
     /// [`LintCode::ProvenFaultingAccess`]: strided-interval endpoints
     /// over the iteration box are attained, so a flagged subscript
@@ -203,6 +209,7 @@ impl LintCode {
     pub fn severity(self) -> Severity {
         match self {
             LintCode::MisalignedPack
+            | LintCode::LayoutCheckTruncated
             | LintCode::UseBeforeDef
             | LintCode::DeadStore
             | LintCode::MisalignmentRisk
@@ -396,6 +403,7 @@ mod tests {
         assert_eq!(LintCode::DependenceOrderViolated.code(), "V101");
         assert_eq!(LintCode::MisalignedPack.code(), "V204");
         assert_eq!(LintCode::NonInjectiveLayoutMap.code(), "V301");
+        assert_eq!(LintCode::LayoutCheckTruncated.code(), "V305");
         assert_eq!(LintCode::DifferentialMismatch.code(), "V401");
         assert_eq!(LintCode::LoopNeverExecutes.code(), "V504");
         assert_eq!(LintCode::ProvenFaultingAccess.code(), "V505");
@@ -431,6 +439,7 @@ mod tests {
         }
         for code in [
             LintCode::MisalignedPack,
+            LintCode::LayoutCheckTruncated,
             LintCode::UseBeforeDef,
             LintCode::DeadStore,
             LintCode::MisalignmentRisk,

@@ -29,6 +29,7 @@ use slp_ir::{
 };
 
 use crate::blockwise::Forms;
+use crate::layout::walk;
 use crate::term::{Arena, TermId, WordMap};
 
 /// Resource limits for one validation run.
@@ -469,55 +470,45 @@ impl<'a> Eval<'a> {
     /// replication loops, copying cell *terms* from source to destination.
     /// Population is a raw memory copy, so no coercion is applied.
     fn populate(&mut self, r: &Replication) -> Result<(), EvalError> {
-        let mut env: Vec<(LoopVarId, i64)> = Vec::new();
-        self.populate_dims(r, 0, &mut env)
+        // The first loop without an iteration ends the copy, unless its
+        // step would never end the loop.
+        let stuck = r.loops.iter().find(|h| h.step <= 0 || h.lower >= h.upper);
+        if let Some(h) = stuck.filter(|h| h.lower < h.upper) {
+            return Err(EvalError::Unsupported(format!(
+                "replication loop over {} has non-positive step {}",
+                h.var, h.step
+            )));
+        }
+        let mut copied = Ok(());
+        walk(&r.loops, usize::MAX, |_, env| {
+            if copied.is_ok() {
+                copied = self.copy_lanes(r, env);
+            }
+        });
+        copied
     }
 
-    fn populate_dims(
-        &mut self,
-        r: &Replication,
-        dim: usize,
-        env: &mut Vec<(LoopVarId, i64)>,
-    ) -> Result<(), EvalError> {
-        if dim == r.loops.len() {
-            for (p, lane) in r.lanes.iter().enumerate() {
-                self.step()?;
-                let src_info = self.program.array(r.source);
-                let off = src_info.offset_of(lane, env).ok_or_else(|| {
-                    EvalError::Unsupported(format!(
-                        "replication read {}{:?} out of bounds",
-                        src_info.name,
-                        lane.eval(env)
-                    ))
-                })?;
-                let t = self.read_cell(r.source, off)?;
-                let dst_off = r.dest_exprs[p].eval(env);
-                let dst_len = self.program.array(r.dest).len();
-                if dst_off < 0 || dst_off >= dst_len {
-                    return Err(EvalError::Unsupported(format!(
-                        "replication write {dst_off} out of bounds"
-                    )));
-                }
-                self.write_cell(r.dest, dst_off, t);
-            }
-            return Ok(());
-        }
-        let h = r.loops[dim];
-        if h.step <= 0 {
-            if h.lower < h.upper {
+    /// Copies every lane of replication `r` at iteration `env`.
+    fn copy_lanes(&mut self, r: &Replication, env: &[(LoopVarId, i64)]) -> Result<(), EvalError> {
+        for (p, lane) in r.lanes.iter().enumerate() {
+            self.step()?;
+            let src_info = self.program.array(r.source);
+            let off = src_info.offset_of(lane, env).ok_or_else(|| {
+                EvalError::Unsupported(format!(
+                    "replication read {}{:?} out of bounds",
+                    src_info.name,
+                    lane.eval(env)
+                ))
+            })?;
+            let t = self.read_cell(r.source, off)?;
+            let dst_off = r.dest_exprs[p].eval(env);
+            let dst_len = self.program.array(r.dest).len();
+            if dst_off < 0 || dst_off >= dst_len {
                 return Err(EvalError::Unsupported(format!(
-                    "replication loop over {} has non-positive step {}",
-                    h.var, h.step
+                    "replication write {dst_off} out of bounds"
                 )));
             }
-            return Ok(());
-        }
-        let mut v = h.lower;
-        while v < h.upper {
-            env.push((h.var, v));
-            self.populate_dims(r, dim + 1, env)?;
-            env.pop();
-            v += h.step;
+            self.write_cell(r.dest, dst_off, t);
         }
         Ok(())
     }

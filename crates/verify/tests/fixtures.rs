@@ -2,6 +2,9 @@
 //! construct in an otherwise well-formed kernel and asserts that the
 //! intended lint — and its stable code — catches it.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use slp_core::{
     compile, BlockSchedule, CompiledKernel, MachineConfig, Replication, ScheduledItem, SlpConfig,
     Strategy, SuperwordStmt,
@@ -11,6 +14,57 @@ use slp_ir::{
     StmtId,
 };
 use slp_verify::{verify_kernel, verify_with_execution, LintCode, Report, Severity};
+
+mod layout_cases;
+
+/// The system allocator, tracking the bytes each thread holds and the
+/// most it held since [`peak_bytes`] last reset the count.
+struct Tracking;
+
+thread_local! {
+    static HELD: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
+}
+
+fn track(delta: isize) {
+    let _ = HELD.try_with(|h| {
+        let held = h.get().0 + delta;
+        h.set((held, h.get().1.max(held)));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the tally touches no memory
+// the allocator manages.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size() as isize);
+        // SAFETY: the caller's `layout` is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as isize));
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(new_size as isize - layout.size() as isize);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Tracking = Tracking;
+
+/// The most heap bytes this thread held at once while running `f`.
+fn peak_bytes(f: impl FnOnce()) -> isize {
+    HELD.with(|h| h.set((0, 0)));
+    f();
+    HELD.with(|h| h.get().1)
+}
 
 fn machine() -> MachineConfig {
     MachineConfig::intel_dunnington()
@@ -428,4 +482,104 @@ fn clean_kernels_report_nothing() {
             );
         }
     }
+}
+
+/// The layout (V3xx) diagnostics of a report, with their messages.
+fn layout_findings(report: &Report) -> Vec<(&'static str, &str)> {
+    (report.diagnostics.iter())
+        .filter(|d| d.code.code().starts_with("V3"))
+        .map(|d| (d.code.code(), d.message.as_str()))
+        .collect()
+}
+
+#[test]
+fn every_layout_fixture_trips_exactly_its_codes() {
+    for (name, codes, kernel) in layout_cases::cases() {
+        let report = verify_kernel(&kernel);
+        let found = layout_findings(&report);
+        for code in codes {
+            assert!(
+                found.iter().any(|f| f.0 == *code),
+                "{name}: no {code} in\n{report}"
+            );
+        }
+        for (code, message) in &found {
+            assert!(codes.contains(code), "{name}: unexpected {code}: {message}");
+        }
+    }
+}
+
+#[test]
+fn an_out_of_bounds_lane_rewriting_a_filled_slot_is_caught_twice() {
+    let report = verify_kernel(&layout_cases::oob_lane_rewrites_filled_slot());
+    let found = layout_findings(&report);
+    let count = |code| found.iter().filter(|f| f.0 == code).count();
+    // Both counts stop at the cap of four findings per code.
+    assert_eq!((count("V301"), count("V302")), (4, 4), "{report}");
+    assert!(found.contains(&(
+        "V302",
+        "lane 1 of replication A -> R reads A[16], outside the array, at \
+         iteration [(LoopVarId(0), 0)]"
+    )));
+    assert!(found.contains(&(
+        "V301",
+        "replica element R[0] is written from both A[0] and A[16] (lane 1, \
+         iteration [(LoopVarId(0), 0)])"
+    )));
+}
+
+#[test]
+fn replica_reads_below_zero_and_past_the_end_are_caught() {
+    let report = verify_kernel(&layout_cases::reads_outside_replica());
+    let found = layout_findings(&report);
+    let reads: Vec<&str> = found.iter().map(|f| f.1).collect();
+    assert_eq!(found.len(), 4, "{report}");
+    assert!(
+        reads[0].contains("reads R[-1] at iteration [(LoopVarId(0), 0)]"),
+        "{report}"
+    );
+    assert!(
+        reads[1].contains("reads R[17] at iteration [(LoopVarId(0), 4)]"),
+        "{report}"
+    );
+}
+
+#[test]
+fn a_rank_2_replica_is_out_of_bounds() {
+    let report = verify_kernel(&layout_cases::rank_2_dest());
+    let found = layout_findings(&report);
+    assert_eq!(found.len(), 4, "{report}");
+    assert!(found
+        .iter()
+        .all(|f| f.0 == "V302" && f.1.contains("writes R[")));
+}
+
+#[test]
+fn a_replica_declared_far_longer_than_its_pairs_costs_memory_by_its_pairs() {
+    let kernel = layout_cases::long_dest();
+    // 16 pairs into 2^26 declared elements: a table spanning the whole
+    // replica would hold 256 MiB.
+    let peak = peak_bytes(|| assert!(verify_kernel(&kernel).is_clean()));
+    assert!(
+        0 < peak && peak < 64 << 10,
+        "the check held {peak} bytes at once"
+    );
+}
+
+#[test]
+fn a_truncated_layout_check_says_so() {
+    let report = verify_kernel(&layout_cases::truncated());
+    let found = layout_findings(&report);
+    assert_eq!(
+        found,
+        [(
+            "V305",
+            "layout check of replication A -> R stopped at its cap: checked \
+             1048576 of 2097152 pairs"
+        )],
+        "{report}"
+    );
+    // What it checked is sound: a truncation is a warning.
+    assert!(report.passes());
+    assert_eq!(LintCode::LayoutCheckTruncated.severity(), Severity::Warning);
 }

@@ -6,7 +6,9 @@
 //! Global + layout, each `compile_source` with static verification and no
 //! cache, then `execute` — and holds the total to a ceiling. A change that
 //! allocates more per job fails here; one that allocates less lowers the
-//! constant.
+//! constant. It also holds the static checks of the Global + layout
+//! compiles to the same count at scale 1 and at scale 32: the layout
+//! check walks each §5.2 replication pair by pair, and no pair allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,11 +46,40 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per job the 200 jobs may make: the measured 1 294 rounded
+/// Allocations per job the 200 jobs may make: the measured 1 243 rounded
 /// up to the next hundred (3 030 before the IR was read in place, 1 357
 /// before a grouping round sized its buffers once and the baseline seeded
-/// from the block index).
+/// from the block index, 1 292 before the layout check stopped allocating
+/// per pair).
 const CEILING_PER_JOB: u64 = 1_300;
+
+/// Allocations the static checks make over `kernels`.
+fn verify_allocations(kernels: &[CompiledKernel]) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for kernel in kernels {
+        assert!(slp::verify::verify_kernel(kernel).passes());
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// The twenty kernels at `scale` on two machines, compiled Global + layout.
+fn global_layout_kernels(scale: usize) -> Vec<CompiledKernel> {
+    let mut programs: Vec<Program> = (slp::suite::catalog().into_iter())
+        .map(|spec| slp::suite::kernel(spec.name, scale))
+        .collect();
+    for name in slp::suite::branchy_catalog() {
+        programs.push(slp::suite::branchy_kernel(name, scale));
+    }
+    let mut kernels = Vec::new();
+    for program in &programs {
+        for machine in ["intel", "amd"] {
+            let machine = parse_machine(machine).expect("a machine");
+            let config = SlpConfig::for_machine(machine, Strategy::Holistic).with_layout();
+            kernels.push(compile(program, &config));
+        }
+    }
+    kernels
+}
 
 /// Allocations made by the jobs of `requests`.
 fn count(requests: &[CompileRequest]) -> u64 {
@@ -107,4 +138,15 @@ fn compile_cold_shaped_jobs_stay_under_the_allocation_ceiling() {
         "{total} allocations over {jobs} jobs: {} per job, ceiling {CEILING_PER_JOB}",
         total / jobs
     );
+
+    let (small, large) = (global_layout_kernels(1), global_layout_kernels(32));
+    let replications =
+        |ks: &[CompiledKernel]| ks.iter().map(|k| k.replications.len()).sum::<usize>();
+    assert!(
+        replications(&large) >= 30,
+        "the suite replicates under Global + layout"
+    );
+    let (at_1, at_32) = (verify_allocations(&small), verify_allocations(&large));
+    println!("static checks of the Global + layout compiles: {at_1} allocations at scale 1, {at_32} at scale 32");
+    assert_eq!(at_1, at_32, "the static checks allocate by the trip counts");
 }
