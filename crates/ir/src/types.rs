@@ -68,10 +68,13 @@ impl ScalarType {
 
     /// Coerces a computed value to this element type's storage semantics:
     /// floats pass through (`f32` storage is modelled at `f64`
-    /// precision), integer types truncate toward zero and wrap to their
-    /// width, exactly once per store.
+    /// precision) except that every NaN is stored as the one canonical
+    /// [`f64::NAN`] (Rust leaves a computed NaN's sign to the code path),
+    /// integer types truncate toward zero and wrap to their width,
+    /// exactly once per store.
     pub fn coerce(self, v: f64) -> f64 {
         match self {
+            ScalarType::F32 | ScalarType::F64 if v.is_nan() => f64::NAN,
             ScalarType::F32 | ScalarType::F64 => v,
             ScalarType::I8 => (v.trunc() as i64 as i8) as f64,
             ScalarType::I16 => (v.trunc() as i64 as i16) as f64,

@@ -47,11 +47,13 @@ pub fn check_differential(original: &Program, kernel: &CompiledKernel) -> Vec<Di
             )]
         }
     };
-    diff_states(original, &reference.state, &candidate.state)
+    let (x, y) = (&reference.state, &candidate.state);
+    diff_states(original, x, y, ["scalar", "vectorized"])
 }
 
 /// Diffs two final machine states over the arrays of `program`, bit for
-/// bit, reporting the first divergent element of each divergent array.
+/// bit, reporting the first divergent element of each divergent array
+/// under the names of the two runs.
 ///
 /// This is the comparison `check_differential` performs, exposed
 /// separately so harnesses that already hold executed [`MachineState`]s
@@ -61,6 +63,7 @@ pub(crate) fn diff_states(
     program: &Program,
     reference: &MachineState,
     candidate: &MachineState,
+    [x_run, y_run]: [&str; 2],
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for a in program.array_ids() {
@@ -71,8 +74,8 @@ pub(crate) fn diff_states(
                 LintCode::DifferentialMismatch,
                 Span::program(),
                 format!(
-                    "array {name} has {} elements after scalar execution but \
-                     {} after vectorized execution",
+                    "array {name} has {} elements after {x_run} execution but \
+                     {} after {y_run} execution",
                     x.len(),
                     y.len()
                 ),
@@ -87,7 +90,7 @@ pub(crate) fn diff_states(
                 LintCode::DifferentialMismatch,
                 Span::program(),
                 format!(
-                    "array {name} diverges at [{i}]: scalar {} vs vectorized \
+                    "array {name} diverges at [{i}]: {x_run} {} vs {y_run} \
                      {} ({total} element(s) differ)",
                     x[i], y[i]
                 ),
@@ -135,7 +138,13 @@ pub fn check_engine_agreement(kernel: &CompiledKernel) -> Vec<Diagnostic> {
 
     let mut out = Vec::new();
     if !fast.state.bitwise_eq(&reference.state) {
-        out.extend(diff_states(&kernel.program, &reference.state, &fast.state));
+        let (x, y) = (&reference.state, &fast.state);
+        out.extend(diff_states(
+            &kernel.program,
+            x,
+            y,
+            ["reference", "bytecode"],
+        ));
         // diff_states only covers arrays; flag scalar-frame divergence
         // (or an array diff too subtle for it, e.g. NaN payloads)
         // explicitly so agreement failures are never silent.
@@ -189,7 +198,7 @@ pub fn assert_states_equivalent(
     candidate: &MachineState,
     label: &str,
 ) {
-    let diags = diff_states(program, reference, candidate);
+    let diags = diff_states(program, reference, candidate, ["scalar", "vectorized"]);
     assert!(
         diags.is_empty(),
         "{} under {label} diverged from the scalar execution:\n{}",

@@ -29,30 +29,39 @@
 //!   move the superword as one slice ([`Lanes::run`]). Every other access
 //!   keeps per-dimension `constant + Σ coeff·loop_vals[depth]` terms and
 //!   its `0 <= v < extent` walk ([`Addr::Checked`]),
-//! * of an instruction's [`InstMetrics`] only the two `f64` sums
-//!   (`cycles`, `memory_cycles`) are order-sensitive and are added per
-//!   op; the five integer counters are summed per op *range* (a block's
-//!   preheader or body) at translation, the run only counts executions of
-//!   each range, and `runs × sum` is folded into [`RunStats`] at the end.
+//! * every instruction's [`InstMetrics`] is summed per op *range* (a
+//!   block's preheader or body), its cycles as integer milli-cycles
+//!   ([`Cost`]; a cost that is not a whole number of them is a
+//!   `MalformedCode` error from both engines); the run counts executions
+//!   of each range and loop iterations, and folds `runs × sum` and
+//!   `iterations × loop overhead` into [`RunStats`](crate::RunStats) at
+//!   the end, reporting `ticks / 1000`,
+//! * a body that is the whole of an innermost loop runs in *strips* when
+//!   reordering its iterations cannot be seen — all accesses certified,
+//!   every written scalar written before it is read, no two accesses to
+//!   one array meeting backward ([`Code::strip`]): each op over up to
+//!   [`STRIP`] iterations before the next op. Refused bodies keep the
+//!   per-iteration loop, about ×1.65 faster for them than one-iteration
+//!   strips (DESIGN.md "Strips").
 //!
 //! Execution semantics are *bit-identical* to the reference engine —
-//! cycle accumulation order, iteration counting, replication
-//! population, coercions, truncating zips, per-block cycle attribution
-//! and error strings are all preserved — which the
-//! differential gate (`verify::differential` and the
-//! `engine_differential` test) checks continuously.
+//! iteration counting, replication population, coercions, truncating
+//! zips, per-block cycle attribution and error strings are all
+//! preserved — which the differential gate
+//! (`verify::differential` and the `engine_differential` test) checks
+//! continuously.
 
 use std::collections::HashMap;
 
-use slp_core::{CompiledKernel, CostParams, MachineConfig, Replication, SafetyCert};
+use slp_core::{CompiledKernel, MachineConfig, Replication, SafetyCert};
 use slp_ir::{
-    mul_add, ArrayId, ArrayRef, BlockId, BlockInfo, Dest, ExprShape, Item, LoopVarId, Operand,
-    Program, ScalarType, StmtId, TypeEnv,
+    mul_add, ArrayId, ArrayRef, BlockId, BlockInfo, Dest, ExprShape, Item, LoopHeader, LoopVarId,
+    Operand, Program, ScalarType, StmtId, TypeEnv,
 };
 
-use crate::code::{InstMetrics, SplatSrc, VInst, VReg};
+use crate::code::{Cost, InstMetrics, Prices, SplatSrc, Ticks, VInst, VReg};
 use crate::codegen::{lower_kernel_with, BlockCode};
-use crate::exec::{populate_replication, Outcome, RunStats};
+use crate::exec::{populate_replication, Charged, Outcome};
 use crate::memory::MachineState;
 use crate::ExecError;
 
@@ -62,6 +71,9 @@ type RegBase = u32;
 
 /// A `(start, end)` range into one of the side pools.
 type Range = (u32, u32);
+
+/// Iterations per strip: a column's length.
+const STRIP: usize = 64;
 
 /// One pre-resolved operand of a scalar statement.
 #[derive(Debug, Clone, Copy)]
@@ -81,14 +93,6 @@ enum RDest {
     Scalar { slot: u32, ty: ScalarType },
     /// An index into the access pool.
     Array(u32),
-}
-
-/// The splat source with its scalar slot pre-resolved (the `from_memory`
-/// flag only affects the precomputed metrics).
-#[derive(Debug, Clone, Copy)]
-enum SplatVal {
-    Const(f64),
-    Var(u32),
 }
 
 /// One dimension of a checked access: `constant + Σ coeff·loop_vals[d]`
@@ -147,19 +151,10 @@ struct Lanes {
     run: bool,
 }
 
-/// The order-sensitive part of an instruction's [`InstMetrics`]: the two
-/// `f64` sums the run adds per op, in the reference engine's order.
-#[derive(Debug, Clone, Copy)]
-struct Cost {
-    cycles: f64,
-    memory_cycles: f64,
-}
-
 /// A scalar statement; `args` is the first of the shape's arity of
 /// consecutive operands in the argument pool.
 #[derive(Debug, Clone, Copy)]
 struct Stmt {
-    m: u32,
     shape: ExprShape,
     args: u32,
     dest: RDest,
@@ -168,7 +163,6 @@ struct Stmt {
 /// A vector load into, or store from, register `reg`.
 #[derive(Debug, Clone, Copy)]
 struct Mem {
-    m: u32,
     reg: RegBase,
     acc: Lanes,
 }
@@ -176,55 +170,77 @@ struct Mem {
 /// An elementwise operation over `width` lanes.
 #[derive(Debug, Clone, Copy)]
 struct Alu {
-    m: u32,
     dst: RegBase,
     width: u32,
     shape: ExprShape,
     srcs: Range,
 }
 
-/// One dense, pre-resolved instruction. `m` fields index the cost pool;
-/// cost accumulation happens *before* the value effect, exactly like the
-/// reference engine, so the non-associative `f64` cycle sums stay
-/// bit-identical.
+/// One dense, pre-resolved instruction. Costs are not charged per op:
+/// they are summed per op range ([`Code::counts`]). Spills and reloads
+/// only cost, so they have no op.
 #[derive(Debug, Clone, Copy)]
 enum BOp {
     Scalar(Stmt),
     Load(Mem),
     Store(Mem),
     Pack {
-        m: u32,
         dst: RegBase,
         vars: Range,
     },
     Unpack {
-        m: u32,
         src: RegBase,
         lanes: Range,
     },
     ConstVec {
-        m: u32,
         dst: RegBase,
         vals: Range,
     },
-    /// A broadcast of `src` into `width` lanes.
+    /// A broadcast of operand `src` of the argument pool (a constant or a
+    /// scalar) into `width` lanes.
     Splat {
-        m: u32,
         dst: RegBase,
         width: u32,
-        src: SplatVal,
+        src: u32,
     },
     Permute {
-        m: u32,
         dst: RegBase,
         src: RegBase,
         perm: Range,
     },
-    /// Spill/Reload: cost-only bookkeeping, values stay in their slots.
-    Nop {
-        m: u32,
-    },
     Op(Alu),
+}
+
+/// Why a block does not run in strips ([`Code::strip`] has the rule).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Refusal {
+    NotWholeLoop,
+    Unchecked,
+    ScalarReadFirst,
+    Unequal,
+    Backward,
+}
+
+/// What fills an invariant column at the start of each strip.
+#[derive(Debug, Clone, Copy)]
+enum Fill {
+    Const(f64),
+    Scalar(u32),
+    Reg(u32),
+}
+
+/// One strip op over columns (arena indices of one slot per iteration;
+/// lane `k` of register column `c` is `c + k·STRIP`): `Mem(reg, lanes,
+/// store)` moves lane `k` to or from strip access `lanes.0 + k`
+/// ([`Code::saccs`]); `Move(dst, src, ty)` copies a column coerced to
+/// `ty`; `Out(slot, col)` writes the last iteration back to a scalar.
+#[derive(Debug, Clone, Copy)]
+enum SOp {
+    Fill(u32, Fill),
+    Mem(u32, Range, bool),
+    Move(u32, u32, ScalarType),
+    Op(Alu),
+    Out(u32, u32),
 }
 
 /// The execution tree: op ranges and loops, mirroring the program's item
@@ -242,6 +258,8 @@ enum Node {
         /// once per loop entry.
         preheaders: Vec<u32>,
         body: Vec<Node>,
+        /// The strip ops of a one-block body that may run in strips.
+        strip: Result<Range, Refusal>,
     },
 }
 
@@ -255,10 +273,11 @@ struct Code {
     ops: Vec<BOp>,
     /// Where each op range lies in `ops`.
     ranges: Vec<Range>,
-    costs: Vec<Cost>,
     /// Per op range, its instructions' metrics summed (only the integer
-    /// counters are read).
-    counts: Vec<InstMetrics>,
+    /// counters are read) and their cost.
+    counts: Vec<(InstMetrics, Cost)>,
+    /// Per op range, the register slots its definitions took.
+    defs: Vec<Range>,
     accesses: Vec<Access>,
     dims: Vec<Dim>,
     terms: Vec<(u32, i64)>,
@@ -270,6 +289,12 @@ struct Code {
     srcs: Vec<u32>,
     reg_len: u32,
     block_ids: Vec<BlockId>,
+    prices: Prices,
+    sops: Vec<SOp>,
+    /// Strip accesses: an access and its step per iteration.
+    saccs: Vec<(u32, i64)>,
+    /// Columns of the widest strip, placed after the register arena.
+    columns: u32,
 }
 
 /// A compiled kernel lowered to dense bytecode, reusable across runs.
@@ -281,7 +306,6 @@ struct Code {
 #[derive(Debug, Clone)]
 pub struct BytecodeKernel {
     program: Program,
-    cost: CostParams,
     replications: Vec<Replication>,
     vectorized_blocks: usize,
     code: Code,
@@ -300,7 +324,8 @@ impl BytecodeKernel {
     /// the generated code is malformed: a use of a never-defined register
     /// ([`ExecErrorKind::UndefinedRegister`](crate::ExecErrorKind)),
     /// or structural inconsistencies such as lane-width mismatches and
-    /// out-of-range permutation indices
+    /// out-of-range permutation indices, or a cost that is not a whole
+    /// number of milli-cycles
     /// ([`ExecErrorKind::MalformedCode`](crate::ExecErrorKind)).
     pub fn compile(
         kernel: &CompiledKernel,
@@ -365,7 +390,7 @@ impl BytecodeKernel {
     /// already extracted, with explicit control over whether
     /// certificate-proven accesses may drop their bounds checks. Every
     /// constructor comes through here, so this is where the memory
-    /// budget is checked, before any memory is seeded.
+    /// budget and the costs are checked, before any memory is seeded.
     fn translate(
         kernel: &CompiledKernel,
         machine: &MachineConfig,
@@ -384,13 +409,16 @@ impl BytecodeKernel {
 
         let mut tr = Translator {
             program,
-            cost: &machine.cost,
+            machine,
             array_base,
             safety: &kernel.safety,
             block: BlockId(0),
             elide_checks,
             coeffs: Vec::new(),
-            code: Code::default(),
+            code: Code {
+                prices: Prices::new(&machine.cost)?,
+                ..Code::default()
+            },
         };
 
         let mut by_first: HashMap<StmtId, u32> = HashMap::new();
@@ -400,19 +428,18 @@ impl BytecodeKernel {
             let body_stack: Vec<LoopVarId> = info.loops.iter().map(|h| h.var).collect();
             let pre_stack = &body_stack[..body_stack.len().saturating_sub(1)];
             let mut map: HashMap<u32, (u32, u32)> = HashMap::new();
-            let (pre, pre_counts) = tr.translate_stream(&code.preheader, pre_stack, &mut map)?;
-            let (body, body_counts) = tr.translate_stream(&code.insts, &body_stack, &mut map)?;
-            tr.append(pre, pre_counts);
-            tr.append(body, body_counts);
+            tr.translate_stream(&code.preheader, pre_stack, &mut map)?;
+            tr.translate_stream(&code.insts, &body_stack, &mut map)?;
             tr.code.block_ids.push(*id);
             by_first.insert(info.block.stmts()[0].id(), slot as u32);
         }
 
         let mut code = tr.code;
-        code.roots = build_nodes(program.items(), &by_first, 0, &mut code.loop_depth)?;
+        let mut depth = 0;
+        code.roots = build_nodes(&mut code, program.items(), &by_first, 0, &mut depth)?;
+        code.loop_depth = depth;
         Ok(BytecodeKernel {
             program: program.clone(),
-            cost: machine.cost,
             replications: kernel.replications.clone(),
             vectorized_blocks: codes.iter().filter(|(_, c)| c.vectorized).count(),
             code,
@@ -447,55 +474,51 @@ impl BytecodeKernel {
     /// on out-of-bounds accesses.
     pub fn run_from(&self, mut state: MachineState) -> Result<Outcome, ExecError> {
         state.check_shape(&self.program)?;
-        let mut stats = RunStats::default();
+        let code = &self.code;
+        let mut charged = Charged::default();
         for r in &self.replications {
-            populate_replication(&self.program, &self.cost, &mut state, &mut stats, r)?;
+            populate_replication(&self.program, &code.prices, &mut state, &mut charged, r)?;
         }
 
-        let code = &self.code;
         let mut vm = Vm {
             code,
             program: &self.program,
-            loop_overhead: self.cost.loop_overhead,
             state,
-            regs: vec![0.0f64; code.reg_len as usize],
+            regs: vec![0.0f64; code.reg_len as usize + code.columns as usize * STRIP],
             // One spare slot, so a subscript without loop variables
             // (`coeff` 0 at depth 0) evaluates outside any loop too.
             loop_vals: vec![0; code.loop_depth.max(1)],
-            stats,
-            block_cycles: vec![0.0; code.block_ids.len()],
+            tmp: vec![0.0; STRIP],
+            iterations: 0,
             runs: vec![0; code.counts.len()],
         };
         vm.run_nodes(&code.roots, 0)?;
 
-        // The integer counters: what each op range charges per execution
-        // times how often it ran, plus loop control's increment + branch.
-        let mut stats = vm.stats;
-        stats.metrics.dynamic_instructions += 2 * stats.iterations;
-        let mut block_cycles = Vec::new();
+        // Every counter: what each op range charges per execution times
+        // how often it ran, plus loop control's increment + branch.
+        let (stats, ticks) = (&mut charged.stats, &mut charged.ticks);
+        stats.iterations = vm.iterations;
+        stats.metrics.dynamic_instructions += 2 * vm.iterations;
+        ticks.cycles += Ticks::from(vm.iterations) * code.prices.loop_overhead;
+        let mut blocks = Vec::new();
         for (slot, &id) in code.block_ids.iter().enumerate() {
-            let mut seen = false;
+            let mut block = Cost::default();
             for range in [2 * slot, 2 * slot + 1] {
-                let (per_run, runs) = (&code.counts[range], vm.runs[range]);
+                let ((per_run, cost), runs) = (&code.counts[range], vm.runs[range]);
                 let m = &mut stats.metrics;
                 m.dynamic_instructions += runs * per_run.dynamic_instructions;
                 m.memory_ops += runs * per_run.memory_ops;
                 m.packing_ops += runs * per_run.packing_ops;
                 m.permutes += runs * per_run.permutes;
                 m.simd_ops += runs * per_run.simd_ops;
-                seen |= runs > 0;
+                block.add(*cost, runs);
             }
-            if seen {
-                block_cycles.push((id, vm.block_cycles[slot]));
+            if vm.runs[2 * slot] + vm.runs[2 * slot + 1] > 0 {
+                blocks.push((id, block.cycles));
             }
+            ticks.add(block, 1);
         }
-        block_cycles.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        Ok(Outcome {
-            state: vm.state,
-            stats,
-            vectorized_blocks: self.vectorized_blocks,
-            block_cycles,
-        })
+        Ok(charged.outcome(vm.state, self.vectorized_blocks, blocks))
     }
 
     /// Number of dense instructions in the pool.
@@ -517,8 +540,10 @@ fn use_reg(map: &HashMap<u32, (u32, u32)>, r: VReg) -> Result<(u32, u32), ExecEr
 }
 
 /// Builds the execution tree of `items`, which sit inside `depth` loops,
-/// raising `max_depth` to the deepest nesting met.
+/// raising `max_depth` to the deepest nesting met and translating every
+/// strip-eligible innermost body.
 fn build_nodes(
+    code: &mut Code,
     items: &[Item],
     by_first: &HashMap<StmtId, u32>,
     depth: usize,
@@ -550,13 +575,20 @@ fn build_nodes(
                     }
                 }
                 *max_depth = (*max_depth).max(depth + 1);
-                let body = build_nodes(&l.body, by_first, depth + 1, max_depth)?;
+                let body = build_nodes(code, &l.body, by_first, depth + 1, max_depth)?;
+                let strip = match body.as_slice() {
+                    [Node::Block(range)] if l.header.step > 0 => {
+                        code.strip(*range, &l.header, depth as u32)
+                    }
+                    _ => Err(Refusal::NotWholeLoop),
+                };
                 out.push(Node::Loop {
                     lower: l.header.lower,
                     upper: l.header.upper,
                     step: l.header.step,
                     preheaders,
                     body,
+                    strip,
                 });
                 idx += 1;
             }
@@ -565,9 +597,312 @@ fn build_nodes(
     Ok(out)
 }
 
+/// One access of a strip body for the legality check, in body order:
+/// the access and whether it stores.
+type Touch = (u32, bool);
+
+/// The strip translation's state for one body. Column 0 is arena index
+/// `base`; register slot `s >= defs`, defined by the body, is column
+/// `s - defs` (a zero-width definition's base may lie below; it names no
+/// lane); `next` is the next free column.
+struct StripScan {
+    base: u32,
+    defs: u32,
+    next: u32,
+    /// Per scalar slot: its column and whether the body writes it.
+    scalars: HashMap<u32, (u32, bool)>,
+    /// Invariant columns by a constant's bits, a scalar slot or a
+    /// preheader register's `(base, width)`.
+    filled: HashMap<(u8, u64), u32>,
+    touches: Vec<Touch>,
+    /// Written scalars `(slot, column)`.
+    outs: Vec<(u32, u32)>,
+}
+
+impl StripScan {
+    fn def(&self, slot: u32) -> u32 {
+        self.base + slot.saturating_sub(self.defs) * STRIP as u32
+    }
+
+    fn fresh(&mut self, width: u32) -> u32 {
+        self.next += width;
+        self.base + (self.next - width) * STRIP as u32
+    }
+}
+
+impl Code {
+    /// Columns filled with `fill(k)` for `k < width` at each strip start,
+    /// shared by equal keys.
+    fn invariant(
+        &mut self,
+        scan: &mut StripScan,
+        key: (u8, u64),
+        width: u32,
+        fill: impl Fn(u32) -> Fill,
+    ) -> u32 {
+        if let Some(&c) = scan.filled.get(&key) {
+            return c;
+        }
+        let c = scan.fresh(width);
+        let fills = (0..width).map(|k| SOp::Fill(c + k * STRIP as u32, fill(k)));
+        self.sops.extend(fills);
+        scan.filled.insert(key, c);
+        c
+    }
+
+    /// Lane 0's column of register `base`, `width` lanes read.
+    fn reg_column(&mut self, scan: &mut StripScan, base: u32, width: u32) -> u32 {
+        if base >= scan.defs {
+            return scan.def(base);
+        }
+        let key = (2, u64::from(base) | u64::from(width) << 32);
+        self.invariant(scan, key, width, |k| Fill::Reg(base + k))
+    }
+
+    /// The column of scalar-statement operand `arg`: a constant, a
+    /// scalar, or an array read gathered into a fresh column.
+    fn operand(&mut self, scan: &mut StripScan, arg: RArg, at: (u32, i64)) -> Result<u32, Refusal> {
+        Ok(match arg {
+            RArg::Const(c) => self.invariant(scan, (0, c.to_bits()), 1, |_| Fill::Const(c)),
+            RArg::Scalar(s) => self.read_scalar(scan, s),
+            RArg::Array(a) => {
+                let lanes = self.strip_accesses(scan, false, a..a + 1, at)?;
+                let dst = scan.fresh(1);
+                self.sops.push(SOp::Mem(dst, lanes, false));
+                dst
+            }
+        })
+    }
+
+    /// The column a read of scalar `slot` finds.
+    fn read_scalar(&mut self, scan: &mut StripScan, slot: u32) -> u32 {
+        if let Some(&(c, _)) = scan.scalars.get(&slot) {
+            return c;
+        }
+        let c = self.invariant(scan, (1, u64::from(slot)), 1, |_| Fill::Scalar(slot));
+        scan.scalars.insert(slot, (c, false));
+        c
+    }
+
+    /// The column a write of scalar `slot` goes to.
+    fn write_scalar(scan: &mut StripScan, slot: u32) -> Result<u32, Refusal> {
+        match scan.scalars.get(&slot) {
+            Some(&(c, true)) => Ok(c),
+            Some(_) => Err(Refusal::ScalarReadFirst),
+            None => {
+                let c = scan.fresh(1);
+                scan.scalars.insert(slot, (c, true));
+                scan.outs.push((slot, c));
+                Ok(c)
+            }
+        }
+    }
+
+    /// Accesses `accs` as one strip access each, stepping per iteration of
+    /// the loop at `depth` by `step`.
+    fn strip_accesses(
+        &mut self,
+        scan: &mut StripScan,
+        store: bool,
+        accs: std::ops::Range<u32>,
+        (depth, step): (u32, i64),
+    ) -> Result<Range, Refusal> {
+        let first = self.saccs.len() as u32;
+        for a in accs {
+            let (_, inner, _) = self.split_terms(a, depth).ok_or(Refusal::Unchecked)?;
+            scan.touches.push((a, store));
+            self.saccs.push((a, inner.wrapping_mul(step)));
+        }
+        Ok((first, self.saccs.len() as u32))
+    }
+
+    /// A certified access's offset, inner coefficient and outer terms
+    /// for the loop at `depth` (the form merges terms per depth); `None`
+    /// for a checked access.
+    fn split_terms(
+        &self,
+        a: u32,
+        depth: u32,
+    ) -> Option<(i64, i64, impl Iterator<Item = (u32, i64)> + '_)> {
+        let Addr::Linear {
+            offset,
+            depth: d,
+            coeff,
+            more,
+        } = self.accesses[a as usize].addr
+        else {
+            return None;
+        };
+        let terms = std::iter::once((d, coeff))
+            .chain(self.terms[more.0 as usize..more.1 as usize].iter().copied())
+            .filter(|&(_, c)| c != 0);
+        let inner = terms.clone().find(|t| t.0 == depth).map_or(0, |t| t.1);
+        Some((offset, inner, terms.filter(move |t| t.0 != depth)))
+    }
+
+    /// Translates body range `range`, the whole of an innermost loop at
+    /// `depth` with header `h`, to strip ops, or refuses it. A body may
+    /// run in strips when every access is certified (so a strip cannot
+    /// fault), every scalar it writes is written before any read of it,
+    /// and no two accesses to one array, one a store, meet backward (see
+    /// [`Code::check_touches`]). Each body-defined register lane and
+    /// written scalar is a column; preheader lanes, read-only scalars
+    /// and constants are columns filled at each strip's start. A refused
+    /// body leaves unused entries in the pools.
+    fn strip(&mut self, range: u32, h: &LoopHeader, depth: u32) -> Result<Range, Refusal> {
+        let (start, end) = self.ranges[range as usize];
+        let (defs, defs_end) = self.defs[range as usize];
+        let mut scan = StripScan {
+            base: self.reg_len,
+            defs,
+            next: defs_end - defs,
+            scalars: HashMap::new(),
+            filled: HashMap::new(),
+            touches: Vec::new(),
+            outs: Vec::new(),
+        };
+        let first = self.sops.len() as u32;
+        let at = (depth, h.step);
+        for i in start as usize..end as usize {
+            // Register lanes `(dst, sources)` a pack, splat or permute moves.
+            let (dst, srcs): (u32, Vec<u32>) = match self.ops[i] {
+                BOp::Scalar(st) => {
+                    let srcs = self.srcs.len() as u32;
+                    for k in st.args..st.args + st.shape.row().arity as u32 {
+                        let col = self.operand(&mut scan, self.args[k as usize], at)?;
+                        self.srcs.push(col);
+                    }
+                    let (dst, srcs) = (scan.fresh(1), (srcs, self.srcs.len() as u32));
+                    let (width, shape) = (1, st.shape);
+                    self.sops.push(SOp::Op(Alu {
+                        dst,
+                        width,
+                        shape,
+                        srcs,
+                    }));
+                    let sop = match st.dest {
+                        RDest::Scalar { slot, ty } => {
+                            SOp::Move(Code::write_scalar(&mut scan, slot)?, dst, ty)
+                        }
+                        RDest::Array(a) => {
+                            let lanes = self.strip_accesses(&mut scan, true, a..a + 1, at)?;
+                            SOp::Mem(dst, lanes, true)
+                        }
+                    };
+                    self.sops.push(sop);
+                    continue;
+                }
+                BOp::Load(Mem { reg, acc }) | BOp::Store(Mem { reg, acc }) => {
+                    let store = matches!(self.ops[i], BOp::Store(_));
+                    let accs = acc.first..acc.first + acc.width;
+                    let lanes = self.strip_accesses(&mut scan, store, accs, at)?;
+                    let col = self.reg_column(&mut scan, reg, acc.width);
+                    self.sops.push(SOp::Mem(col, lanes, store));
+                    continue;
+                }
+                BOp::Unpack { src, lanes } => {
+                    let src = self.reg_column(&mut scan, src, lanes.1 - lanes.0);
+                    for (k, l) in (lanes.0..lanes.1).enumerate() {
+                        let (slot, ty) = self.lanes[l as usize];
+                        let dst = Code::write_scalar(&mut scan, slot)?;
+                        self.sops.push(SOp::Move(dst, src + (k * STRIP) as u32, ty));
+                    }
+                    continue;
+                }
+                BOp::ConstVec { dst, vals } => {
+                    for (k, v) in (vals.0..vals.1).enumerate() {
+                        let fill = Fill::Const(self.consts[v as usize]);
+                        self.sops
+                            .push(SOp::Fill(scan.def(dst) + (k * STRIP) as u32, fill));
+                    }
+                    continue;
+                }
+                BOp::Op(op) => {
+                    let srcs = self.srcs.len() as u32;
+                    for s in op.srcs.0..op.srcs.1 {
+                        let col = self.reg_column(&mut scan, self.srcs[s as usize], op.width);
+                        self.srcs.push(col);
+                    }
+                    let (dst, srcs) = (scan.def(op.dst), (srcs, self.srcs.len() as u32));
+                    self.sops.push(SOp::Op(Alu { dst, srcs, ..op }));
+                    continue;
+                }
+                BOp::Pack { dst, vars } => {
+                    let mut cols = Vec::new();
+                    for v in vars.0..vars.1 {
+                        cols.push(self.read_scalar(&mut scan, self.var_slots[v as usize]));
+                    }
+                    (dst, cols)
+                }
+                BOp::Splat { dst, width, src } => {
+                    let src = self.operand(&mut scan, self.args[src as usize], at)?;
+                    (dst, vec![src; width as usize])
+                }
+                BOp::Permute { dst, src, perm } => {
+                    let lanes = &self.perms[perm.0 as usize..perm.1 as usize];
+                    let width = lanes.iter().max().map_or(0, |&m| m + 1);
+                    let src = self.reg_column(&mut scan, src, width);
+                    let lanes = &self.perms[perm.0 as usize..perm.1 as usize];
+                    (dst, lanes.iter().map(|&p| src + p * STRIP as u32).collect())
+                }
+            };
+            for (k, src) in srcs.into_iter().enumerate() {
+                let dst = scan.def(dst) + (k * STRIP) as u32;
+                self.sops.push(SOp::Move(dst, src, ScalarType::F64));
+            }
+        }
+        self.check_touches(&scan.touches, h, depth)?;
+        self.columns = self.columns.max(scan.next);
+        let outs = scan.outs.iter().map(|&(slot, col)| SOp::Out(slot, col));
+        self.sops.extend(outs);
+        Ok((first, self.sops.len() as u32))
+    }
+
+    /// For accesses `p` before `q` in body order (ops in order, a
+    /// statement's reads before its store, lanes in order) to one array,
+    /// one a store: `p` must never touch in a later iteration a cell that
+    /// `q` touches in an earlier one, so every op may run a column at a
+    /// time. Decided exactly for equal inner coefficients `c` and outer
+    /// terms: they meet at distance `(off_p − off_q)/c` when that is a
+    /// whole multiple of the step within the trip span, and a meeting
+    /// must not be negative. Other pairs refuse.
+    fn check_touches(&self, touches: &[Touch], h: &LoopHeader, depth: u32) -> Result<(), Refusal> {
+        let span = i128::from(h.trip_count() - 1) * i128::from(h.step);
+        for (i, &(p, store_p)) in touches.iter().enumerate() {
+            for &(q, store_q) in &touches[i + 1..] {
+                let same_array = self.accesses[p as usize].array == self.accesses[q as usize].array;
+                if !same_array || !(store_p || store_q) {
+                    continue;
+                }
+                let (Some((off_p, c, outer_p)), Some((off_q, cq, outer_q))) =
+                    (self.split_terms(p, depth), self.split_terms(q, depth))
+                else {
+                    return Err(Refusal::Unchecked);
+                };
+                if c != cq || !outer_p.eq(outer_q) {
+                    return Err(Refusal::Unequal);
+                }
+                // `p` at `i_p` meets `q` at `i_q` when `c·(i_q − i_p) =
+                // off_p − off_q`: backward when `i_q < i_p`.
+                let (diff, c) = (i128::from(off_p) - i128::from(off_q), i128::from(c));
+                let backward = if c == 0 {
+                    diff == 0 && span > 0
+                } else {
+                    let d = diff / c;
+                    diff % c == 0 && d < 0 && d % i128::from(h.step) == 0 && -d <= span
+                };
+                if backward {
+                    return Err(Refusal::Backward);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 struct Translator<'a> {
     program: &'a Program,
-    cost: &'a CostParams,
+    machine: &'a MachineConfig,
     array_base: Vec<u32>,
     safety: &'a SafetyCert,
     block: BlockId,
@@ -580,14 +915,6 @@ struct Translator<'a> {
 }
 
 impl<'a> Translator<'a> {
-    fn cost_row(&mut self, row: &InstMetrics) -> u32 {
-        self.code.costs.push(Cost {
-            cycles: row.cycles,
-            memory_cycles: row.memory_cycles,
-        });
-        (self.code.costs.len() - 1) as u32
-    }
-
     /// Assigns a fresh arena slot to a register definition. Zero-width
     /// definitions do not define (the reference engine treats an empty
     /// register vector as undefined).
@@ -601,7 +928,6 @@ impl<'a> Translator<'a> {
         map.insert(r.0, (base, width as u32));
         base
     }
-
     /// Resolves one array reference against the loop-variable stack at
     /// this nesting depth. Variables outside the stack are dropped — they
     /// contribute zero, exactly like `AffineExpr::eval` on a missing
@@ -721,19 +1047,20 @@ impl<'a> Translator<'a> {
         }
     }
 
-    /// Translates one instruction stream. Besides the ops, returns the
-    /// stream's summed metrics (see [`Code::counts`]).
+    /// Translates one instruction stream as the next op range, summing
+    /// its instructions' metrics and cost (see [`Code::counts`]).
     fn translate_stream(
         &mut self,
         insts: &[VInst],
         stack: &[LoopVarId],
         map: &mut HashMap<u32, (u32, u32)>,
-    ) -> Result<(Vec<BOp>, InstMetrics), ExecError> {
-        let mut out = Vec::with_capacity(insts.len());
-        let mut counts = InstMetrics::default();
+    ) -> Result<(), ExecError> {
+        let (start, defs) = (self.code.ops.len() as u32, self.code.reg_len);
+        let mut counts = (InstMetrics::default(), Cost::default());
         for inst in insts {
-            let row = inst.metrics(self.cost);
-            let m = self.cost_row(&row);
+            let row = inst.metrics(&self.machine.cost);
+            counts.1.add(Cost::of(&row)?, 1);
+            counts.0.add(&row);
             let op = match inst {
                 VInst::Scalar { stmt, .. } => {
                     // `Expr` holds exactly its shape's arity of operands.
@@ -754,7 +1081,6 @@ impl<'a> Translator<'a> {
                         Dest::Array(r) => RDest::Array(self.add_access(r, stack)),
                     };
                     BOp::Scalar(Stmt {
-                        m,
                         shape: stmt.expr().shape(),
                         args: start,
                         dest,
@@ -763,13 +1089,13 @@ impl<'a> Translator<'a> {
                 VInst::Load { dst, refs, .. } => {
                     let acc = self.add_lanes(refs, stack);
                     let reg = self.def(map, *dst, refs.len());
-                    BOp::Load(Mem { m, reg, acc })
+                    BOp::Load(Mem { reg, acc })
                 }
                 VInst::Store { src, refs, .. } => {
                     let (reg, width) = use_reg(map, *src)?;
                     let n = refs.len().min(width as usize);
                     let acc = self.add_lanes(&refs[..n], stack);
-                    BOp::Store(Mem { m, reg, acc })
+                    BOp::Store(Mem { reg, acc })
                 }
                 VInst::PackScalars { dst, vars, .. } => {
                     let start = self.code.var_slots.len() as u32;
@@ -777,7 +1103,6 @@ impl<'a> Translator<'a> {
                     self.code.var_slots.extend(slots);
                     let dst = self.def(map, *dst, vars.len());
                     BOp::Pack {
-                        m,
                         dst,
                         vars: (start, self.code.var_slots.len() as u32),
                     }
@@ -793,7 +1118,6 @@ impl<'a> Translator<'a> {
                             .map(|&v| (v.index() as u32, TypeEnv::scalar_type(program, v))),
                     );
                     BOp::Unpack {
-                        m,
                         src: base,
                         lanes: (start, self.code.lanes.len() as u32),
                     }
@@ -803,19 +1127,18 @@ impl<'a> Translator<'a> {
                     self.code.consts.extend_from_slice(values);
                     let dst = self.def(map, *dst, values.len());
                     BOp::ConstVec {
-                        m,
                         dst,
                         vals: (start, self.code.consts.len() as u32),
                     }
                 }
                 VInst::Splat { dst, src, width } => {
-                    let src = match src {
-                        SplatSrc::Const(c) => SplatVal::Const(*c),
-                        SplatSrc::Scalar { var, .. } => SplatVal::Var(var.index() as u32),
-                    };
+                    self.code.args.push(match src {
+                        SplatSrc::Const(c) => RArg::Const(*c),
+                        SplatSrc::Scalar { var, .. } => RArg::Scalar(var.index() as u32),
+                    });
+                    let src = self.code.args.len() as u32 - 1;
                     let dst = self.def(map, *dst, *width);
                     BOp::Splat {
-                        m,
                         dst,
                         width: *width as u32,
                         src,
@@ -832,13 +1155,12 @@ impl<'a> Translator<'a> {
                     self.code.perms.extend(perm.iter().map(|&j| j as u32));
                     let dst = self.def(map, *dst, perm.len());
                     BOp::Permute {
-                        m,
                         dst,
                         src: base,
                         perm: (start, self.code.perms.len() as u32),
                     }
                 }
-                VInst::Spill { .. } | VInst::Reload { .. } => BOp::Nop { m },
+                VInst::Spill { .. } | VInst::Reload { .. } => continue,
                 VInst::Op { dst, shape, srcs } => {
                     let arity = shape.row().arity;
                     if srcs.len() < arity {
@@ -862,7 +1184,6 @@ impl<'a> Translator<'a> {
                     self.code.srcs.extend(resolved.iter().map(|&(b, _)| b));
                     let dst = self.def(map, *dst, width as usize);
                     BOp::Op(Alu {
-                        m,
                         dst,
                         width,
                         shape: *shape,
@@ -870,18 +1191,13 @@ impl<'a> Translator<'a> {
                     })
                 }
             };
-            out.push(op);
-            counts.add(&row);
+            self.code.ops.push(op);
         }
-        Ok((out, counts))
-    }
-
-    /// Appends one finished stream as the next op range.
-    fn append(&mut self, ops: Vec<BOp>, counts: InstMetrics) {
-        let start = self.code.ops.len() as u32;
-        self.code.ops.extend(ops);
-        self.code.ranges.push((start, self.code.ops.len() as u32));
-        self.code.counts.push(counts);
+        let code = &mut self.code;
+        code.ranges.push((start, code.ops.len() as u32));
+        code.defs.push((defs, code.reg_len));
+        code.counts.push(counts);
+        Ok(())
     }
 }
 
@@ -889,15 +1205,14 @@ struct Vm<'a> {
     code: &'a Code,
     /// Cold path only: array names and extents for error messages.
     program: &'a Program,
-    loop_overhead: f64,
     state: MachineState,
+    /// The register arena, then the strip columns.
     regs: Vec<f64>,
     /// The enclosing loops' counters, outermost first.
     loop_vals: Vec<i64>,
-    /// `cycles` and `memory_cycles` accumulate here op by op; the integer
-    /// counters hold only what replication charged until the run is over.
-    stats: RunStats,
-    block_cycles: Vec<f64>,
+    /// An op's result before it is copied into place.
+    tmp: Vec<f64>,
+    iterations: u64,
     /// Executions of each op range.
     runs: Vec<u64>,
 }
@@ -914,6 +1229,7 @@ impl<'a> Vm<'a> {
                     step,
                     preheaders,
                     body,
+                    strip,
                 } => {
                     // Preheaders of blocks directly inside this loop run
                     // once per loop entry (hoisted invariant packs).
@@ -923,6 +1239,18 @@ impl<'a> Vm<'a> {
                         }
                     }
                     let mut v = *lower;
+                    if let (&Ok(strip), [Node::Block(range)]) = (strip, body.as_slice()) {
+                        while v < *upper {
+                            let left = (upper.abs_diff(v) - 1) / step.unsigned_abs() + 1;
+                            let n = left.min(STRIP as u64) as usize;
+                            self.loop_vals[depth] = v;
+                            self.run_strip(strip, n);
+                            self.runs[*range as usize] += n as u64;
+                            self.iterations += n as u64;
+                            v = v.saturating_add((n as i64).saturating_mul(*step));
+                        }
+                        continue;
+                    }
                     while v < *upper {
                         self.loop_vals[depth] = v;
                         match body.as_slice() {
@@ -931,9 +1259,7 @@ impl<'a> Vm<'a> {
                             _ => self.run_nodes(body, depth + 1)?,
                         }
                         v += step;
-                        // Loop control: increment + branch.
-                        self.stats.iterations += 1;
-                        self.stats.metrics.cycles += self.loop_overhead;
+                        self.iterations += 1;
                     }
                 }
             }
@@ -941,14 +1267,10 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    /// Runs one op range, attributing its cycles to its block and
-    /// counting the execution.
+    /// Runs one op range and counts the execution.
     fn run_range(&mut self, range: u32) -> Result<(), ExecError> {
-        let range = range as usize;
-        let before = self.stats.metrics.cycles;
-        self.run_ops(self.code.ranges[range])?;
-        self.block_cycles[range / 2] += self.stats.metrics.cycles - before;
-        self.runs[range] += 1;
+        self.run_ops(self.code.ranges[range as usize])?;
+        self.runs[range as usize] += 1;
         Ok(())
     }
 
@@ -959,54 +1281,49 @@ impl<'a> Vm<'a> {
                 BOp::Scalar(st) => self.exec_scalar(st)?,
                 BOp::Load(ld) => self.exec_load(ld)?,
                 BOp::Store(st) => self.exec_store(st)?,
-                &BOp::Pack { m, dst, vars } => {
-                    self.charge(m);
+                &BOp::Pack { dst, vars } => {
                     for (j, i) in (vars.0..vars.1).enumerate() {
                         self.regs[dst as usize + j] =
                             self.state.scalars[code.var_slots[i as usize] as usize];
                     }
                 }
-                &BOp::Unpack { m, src, lanes } => {
-                    self.charge(m);
+                &BOp::Unpack { src, lanes } => {
                     for (j, i) in (lanes.0..lanes.1).enumerate() {
                         let (slot, ty) = code.lanes[i as usize];
                         self.state.scalars[slot as usize] = ty.coerce(self.regs[src as usize + j]);
                     }
                 }
-                &BOp::ConstVec { m, dst, vals } => {
-                    self.charge(m);
+                &BOp::ConstVec { dst, vals } => {
                     let src = &code.consts[vals.0 as usize..vals.1 as usize];
                     let d = dst as usize;
                     self.regs[d..d + src.len()].copy_from_slice(src);
                 }
-                &BOp::Splat { m, dst, width, src } => {
-                    self.charge(m);
-                    let v = match src {
-                        SplatVal::Const(c) => c,
-                        SplatVal::Var(s) => self.state.scalars[s as usize],
-                    };
+                &BOp::Splat { dst, width, src } => {
+                    let v = self.arg(src as usize)?;
                     self.regs[dst as usize..(dst + width) as usize].fill(v);
                 }
-                &BOp::Permute { m, dst, src, perm } => {
-                    self.charge(m);
+                &BOp::Permute { dst, src, perm } => {
                     for (k, p) in (perm.0..perm.1).enumerate() {
                         self.regs[dst as usize + k] =
                             self.regs[src as usize + code.perms[p as usize] as usize];
                     }
                 }
-                &BOp::Nop { m } => self.charge(m),
-                BOp::Op(op) => self.exec_op(op),
+                BOp::Op(op) => self.exec_op(op, (1, op.width as usize)),
             }
         }
         Ok(())
     }
 
-    /// Adds cost row `m` to the two order-sensitive sums.
+    /// The cell index of certified access `offset + coeff·loop_vals[depth] + Σ more`.
     #[inline(always)]
-    fn charge(&mut self, m: u32) {
-        let cost = &self.code.costs[m as usize];
-        self.stats.metrics.cycles += cost.cycles;
-        self.stats.metrics.memory_cycles += cost.memory_cycles;
+    fn linear(&self, offset: i64, depth: u32, coeff: i64, more: Range) -> usize {
+        let mut at = offset.wrapping_add(coeff.wrapping_mul(self.loop_vals[depth as usize]));
+        if more.0 < more.1 {
+            for &(depth, coeff) in &self.code.terms[more.0 as usize..more.1 as usize] {
+                at = at.wrapping_add(coeff.wrapping_mul(self.loop_vals[depth as usize]));
+            }
+        }
+        at as usize
     }
 
     /// The cell index of access `a` under the current loop counters.
@@ -1019,16 +1336,7 @@ impl<'a> Vm<'a> {
                 depth,
                 coeff,
                 more,
-            } => {
-                let mut at =
-                    offset.wrapping_add(coeff.wrapping_mul(self.loop_vals[depth as usize]));
-                if more.0 < more.1 {
-                    for &(depth, coeff) in &self.code.terms[more.0 as usize..more.1 as usize] {
-                        at = at.wrapping_add(coeff.wrapping_mul(self.loop_vals[depth as usize]));
-                    }
-                }
-                Ok(at as usize)
-            }
+            } => Ok(self.linear(offset, depth, coeff, more)),
             Addr::Checked { dims, rank_ok } => self.addr_checked(acc, dims, rank_ok),
         }
     }
@@ -1065,8 +1373,7 @@ impl<'a> Vm<'a> {
         )))
     }
 
-    fn exec_load(&mut self, &Mem { m, reg, acc }: &Mem) -> Result<(), ExecError> {
-        self.charge(m);
+    fn exec_load(&mut self, &Mem { reg, acc }: &Mem) -> Result<(), ExecError> {
         let (d, w) = (reg as usize, acc.width as usize);
         if acc.run {
             let at = self.addr(acc.first)?;
@@ -1079,19 +1386,14 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    fn exec_store(&mut self, &Mem { m, reg, acc }: &Mem) -> Result<(), ExecError> {
-        self.charge(m);
+    fn exec_store(&mut self, &Mem { reg, acc }: &Mem) -> Result<(), ExecError> {
         let (s, w) = (reg as usize, acc.width as usize);
         if acc.run {
             let ty = self.code.accesses[acc.first as usize].ty;
             let at = self.addr(acc.first)?;
             let (cells, regs) = (&mut self.state.cells[at..at + w], &self.regs[s..s + w]);
-            if ty.is_float() {
-                cells.copy_from_slice(regs);
-            } else {
-                for (cell, &v) in cells.iter_mut().zip(regs) {
-                    *cell = ty.coerce(v);
-                }
+            for (cell, &v) in cells.iter_mut().zip(regs) {
+                *cell = ty.coerce(v);
             }
         } else {
             for (j, a) in (acc.first..acc.first + acc.width).enumerate() {
@@ -1109,47 +1411,23 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    /// Elementwise op over pre-resolved source bases. Destination slots
-    /// are always fresh (one per static definition), so there is no
-    /// aliasing with sources.
-    fn exec_op(&mut self, op: &Alu) {
-        self.charge(op.m);
-        let s = &self.code.srcs[op.srcs.0 as usize..op.srcs.1 as usize];
-        let (d, w) = (op.dst as usize, op.width as usize);
-        match op.shape {
-            ExprShape::Copy => {
-                let a = s[0] as usize;
-                self.regs.copy_within(a..a + w, d);
-            }
-            ExprShape::Unary(op) => {
-                let a = s[0] as usize;
-                for k in 0..w {
-                    self.regs[d + k] = op.apply(self.regs[a + k]);
-                }
-            }
-            ExprShape::Binary(op) => {
-                let (a, b) = (s[0] as usize, s[1] as usize);
-                for k in 0..w {
-                    self.regs[d + k] = op.apply(self.regs[a + k], self.regs[b + k]);
-                }
-            }
-            ExprShape::MulAdd => {
-                let (a, b, c) = (s[0] as usize, s[1] as usize, s[2] as usize);
-                for k in 0..w {
-                    self.regs[d + k] =
-                        mul_add(self.regs[a + k], self.regs[b + k], self.regs[c + k]);
-                }
-            }
-            ExprShape::Select(op) => {
-                let (a, b, t, e) = (s[0] as usize, s[1] as usize, s[2] as usize, s[3] as usize);
-                for k in 0..w {
-                    self.regs[d + k] = if op.apply(self.regs[a + k], self.regs[b + k]) {
-                        self.regs[t + k]
-                    } else {
-                        self.regs[e + k]
-                    };
-                }
-            }
+    /// Elementwise op over pre-resolved source bases, as `blocks` runs of
+    /// `len` slots [`STRIP`] apart: the `width` lanes of one iteration
+    /// are one run, a strip's lane `k` is run `k` of `n` iterations.
+    /// Destination slots are always fresh (one per static definition).
+    fn exec_op(&mut self, op: &Alu, (blocks, len): (usize, usize)) {
+        let srcs = &self.code.srcs[op.srcs.0 as usize..op.srcs.1 as usize];
+        if self.tmp.len() < len {
+            self.tmp.resize(len, 0.0);
+        }
+        for k in 0..blocks {
+            let at = |c: u32| c as usize + k * STRIP;
+            let ins: [&[f64]; 4] = std::array::from_fn(|i| match srcs.get(i) {
+                Some(&c) => &self.regs[at(c)..at(c) + len],
+                None => &[],
+            });
+            apply_columns(op.shape, ins, &mut self.tmp[..len]);
+            self.regs[at(op.dst)..at(op.dst) + len].copy_from_slice(&self.tmp[..len]);
         }
     }
 
@@ -1167,7 +1445,6 @@ impl<'a> Vm<'a> {
     /// it — in positional order, all of them, so the first out-of-bounds
     /// operand is the reference engine's.
     fn exec_scalar(&mut self, st: &Stmt) -> Result<(), ExecError> {
-        self.charge(st.m);
         let a = st.args as usize;
         let result = match st.shape {
             ExprShape::Copy => self.arg(a)?,
@@ -1190,6 +1467,83 @@ impl<'a> Vm<'a> {
         }
         Ok(())
     }
+
+    /// Runs strip ops `ops` over `n` iterations from the current loop
+    /// counters: each op over all `n` before the next op. Every access
+    /// is certified, so nothing can fault.
+    fn run_strip(&mut self, ops: Range, n: usize) {
+        let code = self.code;
+        for op in &code.sops[ops.0 as usize..ops.1 as usize] {
+            match *op {
+                SOp::Fill(col, fill) => {
+                    let v = match fill {
+                        Fill::Const(c) => c,
+                        Fill::Scalar(s) => self.state.scalars[s as usize],
+                        Fill::Reg(r) => self.regs[r as usize],
+                    };
+                    self.regs[col as usize..col as usize + n].fill(v);
+                }
+                SOp::Mem(reg, lanes, store) => {
+                    for (k, j) in (lanes.0..lanes.1).enumerate() {
+                        let (a, delta) = code.saccs[j as usize];
+                        let first = self.addr(a).unwrap_or_default() as i64;
+                        let ty = code.accesses[a as usize].ty;
+                        for t in 0..n {
+                            let (at, r) = (
+                                first.wrapping_add(t as i64 * delta) as usize,
+                                reg as usize + k * STRIP + t,
+                            );
+                            if store {
+                                self.state.cells[at] = ty.coerce(self.regs[r]);
+                            } else {
+                                self.regs[r] = self.state.cells[at];
+                            }
+                        }
+                    }
+                }
+                SOp::Move(dst, src, ty) => {
+                    let (d, s) = (dst as usize, src as usize);
+                    self.regs.copy_within(s..s + n, d);
+                    for v in &mut self.regs[d..d + n] {
+                        *v = ty.coerce(*v);
+                    }
+                }
+                SOp::Op(op) => self.exec_op(&op, (op.width as usize, n)),
+                SOp::Out(slot, col) => {
+                    self.state.scalars[slot as usize] = self.regs[col as usize + n - 1];
+                }
+            }
+        }
+    }
+}
+
+/// `out[t] = shape(ins[0][t], ins[1][t], …)` for every `t`: the strip's
+/// lane loops.
+fn apply_columns(shape: ExprShape, ins: [&[f64]; 4], out: &mut [f64]) {
+    let [a, b, c, d] = ins;
+    match shape {
+        ExprShape::Copy => out.copy_from_slice(a),
+        ExprShape::Unary(op) => {
+            for (o, &x) in out.iter_mut().zip(a) {
+                *o = op.apply(x);
+            }
+        }
+        ExprShape::Binary(op) => {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = op.apply(x, y);
+            }
+        }
+        ExprShape::MulAdd => {
+            for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
+                *o = mul_add(x, y, z);
+            }
+        }
+        ExprShape::Select(op) => {
+            for ((((o, &x), &y), &t), &e) in out.iter_mut().zip(a).zip(b).zip(c).zip(d) {
+                *o = if op.apply(x, y) { t } else { e };
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1197,6 +1551,7 @@ mod tests {
     use super::*;
     use crate::exec::{execute, execute_reference};
     use slp_core::{compile, ExecErrorKind, SlpConfig, Strategy};
+    use std::collections::BTreeMap;
 
     fn machine() -> MachineConfig {
         MachineConfig::intel_dunnington()
@@ -1230,6 +1585,174 @@ mod tests {
         assert_eq!(fast.stats, slow.stats, "{strategy:?} stats diverged");
         assert_eq!(fast.vectorized_blocks, slow.vectorized_blocks);
         assert_eq!(fast.block_cycles, slow.block_cycles);
+    }
+
+    /// Per strip decision, `(blocks, dynamic ops)` of one kernel's
+    /// lowering: every body range is `Ok` (runs in strips) or refused.
+    fn tally(bc: &BytecodeKernel, out: &mut BTreeMap<Result<(), Refusal>, (u64, u64)>) {
+        fn walk(
+            code: &Code,
+            nodes: &[Node],
+            times: u64,
+            decision: Result<(), Refusal>,
+            out: &mut BTreeMap<Result<(), Refusal>, (u64, u64)>,
+        ) {
+            for node in nodes {
+                match node {
+                    Node::Block(range) => {
+                        let (s, e) = code.ranges[*range as usize];
+                        let entry = out.entry(decision).or_default();
+                        entry.0 += 1;
+                        entry.1 += times * u64::from(e - s);
+                    }
+                    Node::Loop {
+                        lower,
+                        upper,
+                        step,
+                        body,
+                        strip,
+                        ..
+                    } => {
+                        let trips = LoopHeader {
+                            var: LoopVarId::new(0),
+                            lower: *lower,
+                            upper: *upper,
+                            step: *step,
+                        }
+                        .trip_count() as u64;
+                        let decision = match strip {
+                            Ok(_) => Ok(()),
+                            Err(r) => Err(*r),
+                        };
+                        walk(code, body, times * trips, decision, out);
+                    }
+                }
+            }
+        }
+        walk(&bc.code, &bc.code.roots, 1, Err(Refusal::NotWholeLoop), out);
+    }
+
+    /// The 20 suite and branchy kernels under the five schemes on both
+    /// machines, lowered.
+    fn suite_lowerings(scale: usize) -> Vec<BytecodeKernel> {
+        let mut programs: Vec<Program> =
+            slp_suite::all(scale).into_iter().map(|(_, p)| p).collect();
+        programs.extend(
+            slp_suite::branchy_catalog()
+                .into_iter()
+                .map(|name| slp_suite::branchy_kernel(name, scale)),
+        );
+        let mut out = Vec::new();
+        for machine in [
+            MachineConfig::intel_dunnington(),
+            MachineConfig::amd_phenom_ii(),
+        ] {
+            for p in &programs {
+                for (strategy, layout) in [
+                    (Strategy::Scalar, false),
+                    (Strategy::Native, false),
+                    (Strategy::Baseline, false),
+                    (Strategy::Holistic, false),
+                    (Strategy::Holistic, true),
+                ] {
+                    let mut cfg = SlpConfig::for_machine(machine.clone(), strategy);
+                    if layout {
+                        cfg = cfg.with_layout();
+                    }
+                    let k = compile(p, &cfg);
+                    out.push(BytecodeKernel::compile(&k, &machine).unwrap());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_strip_decision_over_the_suite_is_pinned() {
+        // Blocks and dynamic ops per decision, at scale 1. A change that
+        // silently sends fewer bodies through strips moves this table.
+        let mut tally_all = BTreeMap::new();
+        for bc in suite_lowerings(1) {
+            tally(&bc, &mut tally_all);
+        }
+        let want = BTreeMap::from([
+            (Ok(()), (188, 252_960)),
+            (Err(Refusal::ScalarReadFirst), (160, 130_560)),
+            (Err(Refusal::Unequal), (18, 22_452)),
+            (Err(Refusal::Backward), (10, 6_464)),
+        ]);
+        assert_eq!(tally_all, want);
+    }
+
+    /// The strip decisions of `src`'s blocks under the scalar strategy,
+    /// after checking that both engines give the same outcome or error.
+    fn decisions(src: &str, checked: bool) -> Vec<Result<(), Refusal>> {
+        let p = slp_lang::compile(src).unwrap();
+        let k = compile(&p, &SlpConfig::for_machine(machine(), Strategy::Scalar));
+        let bc = if checked {
+            BytecodeKernel::compile_checked(&k, &machine()).unwrap()
+        } else {
+            BytecodeKernel::compile(&k, &machine()).unwrap()
+        };
+        match (bc.run(), execute_reference(&k, &machine())) {
+            (Ok(fast), Ok(slow)) => {
+                assert!(fast.state.bitwise_eq(&slow.state), "{src}");
+                assert_eq!(fast.stats, slow.stats, "{src}");
+                assert_eq!(fast.block_cycles, slow.block_cycles, "{src}");
+            }
+            (fast, slow) => assert_eq!(fast.unwrap_err(), slow.unwrap_err(), "{src}"),
+        }
+        let mut t = BTreeMap::new();
+        tally(&bc, &mut t);
+        t.into_keys().collect()
+    }
+
+    // Each refused kernel below would leave a different image if its body
+    // ran in strips.
+
+    #[test]
+    fn a_backward_distance_across_two_ops_is_refused() {
+        // Iteration i reads the A[i] iteration i − 1 wrote.
+        let src = "kernel k { array A: f64[17]; array B: f64[16];
+                   for i in 0..16 { B[i] = A[i]; A[i+1] = B[i] + 1.0; } }";
+        assert_eq!(decisions(src, false), [Err(Refusal::Backward)]);
+        // Reading one cell ahead instead is a forward distance.
+        let src = "kernel k { array A: f64[17]; array B: f64[16];
+                   for i in 0..16 { B[i] = A[i+1]; A[i] = B[i] + 1.0; } }";
+        assert_eq!(decisions(src, false), [Ok(())]);
+    }
+
+    #[test]
+    fn a_scalar_read_before_its_write_is_refused() {
+        let src = "kernel k { array A: f64[16]; array B: f64[16]; scalar s: f64;
+                   for i in 0..16 { s = s + A[i]; B[i] = s * 2.0; } }";
+        assert_eq!(decisions(src, false), [Err(Refusal::ScalarReadFirst)]);
+        let src = "kernel k { array A: f64[16]; array B: f64[16]; scalar s: f64;
+                   for i in 0..16 { s = A[i] + 1.0; B[i] = s * 2.0; } }";
+        assert_eq!(decisions(src, false), [Ok(())]);
+    }
+
+    #[test]
+    fn unequal_coefficients_are_refused() {
+        // Iteration 2i reads the A[2i] iteration i wrote.
+        let src = "kernel k { array A: f64[32]; array B: f64[16];
+                   for i in 0..16 { B[i] = A[i]; A[2*i] = B[i] + 1.0; } }";
+        assert_eq!(decisions(src, false), [Err(Refusal::Unequal)]);
+    }
+
+    #[test]
+    fn an_uncertified_access_is_refused() {
+        // A[i] faults at i = 7: in strips, B would be written through
+        // before the fault.
+        let src = "kernel k { array A: f64[7]; array B: f64[8];
+                   for i in 0..8 { B[i] = 1.0; A[i] = B[i]; } }";
+        assert_eq!(decisions(src, false), [Err(Refusal::Unchecked)]);
+        // The checked lowering keeps every bounds check, so it never
+        // strips.
+        let src = "kernel k { array A: f64[8]; array B: f64[8];
+                   for i in 0..8 { B[i] = 1.0; A[i] = B[i]; } }";
+        assert_eq!(decisions(src, false), [Ok(())]);
+        assert_eq!(decisions(src, true), [Err(Refusal::Unchecked)]);
     }
 
     #[test]

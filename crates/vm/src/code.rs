@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use slp_core::{AccessClass, CostParams, LaneSink, ScalarPackClass};
+use slp_core::{AccessClass, CostParams, ExecError, LaneSink, ScalarPackClass};
 use slp_ir::{ArrayRef, ExprShape, Statement, VarId};
 
 /// A virtual vector register.
@@ -229,6 +229,76 @@ impl InstMetrics {
             packing_ops: shuffles + mem,
             ..InstMetrics::default()
         }
+    }
+}
+
+/// Cycles as integer milli-cycles, so that both engines' sums do not
+/// depend on their order; reported as `ticks / 1000` ([`cycles`]).
+pub(crate) type Ticks = i128;
+
+/// A cost row's `cycles` and `memory_cycles` in ticks.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Cost {
+    pub(crate) cycles: Ticks,
+    pub(crate) memory: Ticks,
+}
+
+impl Cost {
+    /// # Errors
+    ///
+    /// A `MalformedCode` error when a sum is not finite or not a whole
+    /// number of milli-cycles. Every shipped parameter times every
+    /// op-table factor is a multiple of 0.05 cycles; the tolerance
+    /// absorbs the `f64` product's last bit, and the 2^53 bound keeps
+    /// every sum of rows in range.
+    pub(crate) fn of(row: &InstMetrics) -> Result<Cost, ExecError> {
+        let ticks = |cycles: f64| {
+            let (milli, t) = (cycles * 1000.0, (cycles * 1000.0).round());
+            let whole = t.abs() < 2f64.powi(53) && (milli - t).abs() <= 1e-9 * t.abs().max(1.0);
+            whole.then_some(t as Ticks).ok_or_else(|| {
+                ExecError::malformed(format!(
+                    "cycle cost {cycles} is not a whole number of milli-cycles"
+                ))
+            })
+        };
+        Ok(Cost {
+            cycles: ticks(row.cycles)?,
+            memory: ticks(row.memory_cycles)?,
+        })
+    }
+
+    /// Adds `times` executions of `other`.
+    pub(crate) fn add(&mut self, other: Cost, times: u64) {
+        self.cycles += other.cycles * Ticks::from(times);
+        self.memory += other.memory * Ticks::from(times);
+    }
+}
+
+/// Ticks reported as cycles.
+pub(crate) fn cycles(t: Ticks) -> f64 {
+    t as f64 / 1000.0
+}
+
+/// The costs outside any instruction, converted once per kernel: an
+/// iteration's loop control and a §5.2 replication copy.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Prices {
+    pub(crate) loop_overhead: Ticks,
+    pub(crate) copy: Cost,
+}
+
+impl Prices {
+    pub(crate) fn new(params: &CostParams) -> Result<Prices, ExecError> {
+        let copy = params.scalar_load + params.scalar_store;
+        let row = |cycles, memory_cycles| InstMetrics {
+            cycles,
+            memory_cycles,
+            ..InstMetrics::default()
+        };
+        Ok(Prices {
+            loop_overhead: Cost::of(&row(params.loop_overhead, 0.0))?.cycles,
+            copy: Cost::of(&row(copy, copy))?,
+        })
     }
 }
 

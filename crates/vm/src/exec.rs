@@ -9,10 +9,10 @@
 
 use std::collections::HashMap;
 
-use slp_core::{CompiledKernel, CostParams, MachineConfig, Replication};
+use slp_core::{CompiledKernel, MachineConfig, Replication};
 use slp_ir::{ArrayRef, Dest, Item, LoopVarId, Operand, Program, StmtId};
 
-use crate::code::{InstMetrics, SplatSrc, VInst};
+use crate::code::{cycles, Cost, InstMetrics, Prices, SplatSrc, Ticks, VInst};
 use crate::codegen::{lower_kernel, BlockCode};
 use crate::memory::MachineState;
 
@@ -72,13 +72,15 @@ pub fn execute(kernel: &CompiledKernel, machine: &MachineConfig) -> Result<Outco
 /// # Errors
 ///
 /// Returns [`ExecError`] on out-of-bounds accesses, or before any memory
-/// is seeded when the program is over the VM's memory budget.
+/// is seeded when the program is over the VM's memory budget or a cost
+/// is not a whole number of milli-cycles (the bytecode engine's error).
 pub fn execute_reference(
     kernel: &CompiledKernel,
     machine: &MachineConfig,
 ) -> Result<Outcome, ExecError> {
     crate::memory::check_memory_budget(&kernel.program)?;
-    execute_reference_with_state(kernel, machine, MachineState::seeded(&kernel.program))
+    let lowered = Lowered::new(kernel, machine)?;
+    lowered.run(MachineState::seeded(&kernel.program))
 }
 
 /// Executes `kernel` on the reference engine from an explicit initial
@@ -88,80 +90,134 @@ pub fn execute_reference(
 /// # Errors
 ///
 /// Returns [`ExecError`] on out-of-bounds accesses, and before anything
-/// runs when `state` was not allocated for `kernel.program`.
+/// runs when `state` was not allocated for `kernel.program` or a cost is
+/// not a whole number of milli-cycles.
 pub fn execute_reference_with_state(
     kernel: &CompiledKernel,
     machine: &MachineConfig,
     state: MachineState,
 ) -> Result<Outcome, ExecError> {
     state.check_shape(&kernel.program)?;
-    let codes = lower_kernel(kernel, machine, true);
-    let vectorized_blocks = codes.iter().filter(|(_, c)| c.vectorized).count();
-    // Map each block's first statement id to its code, for dispatch while
-    // walking the item tree.
-    let mut by_first_stmt: HashMap<StmtId, (slp_ir::BlockId, &BlockCode)> = HashMap::new();
-    for (info, (id, code)) in kernel.program.blocks().iter().zip(&codes) {
-        debug_assert_eq!(info.id, *id);
-        by_first_stmt.insert(info.block.stmts()[0].id(), (*id, code));
+    Lowered::new(kernel, machine)?.run(state)
+}
+
+/// One instruction's integer counters (cycle fields zero) and its cost.
+type Row = (InstMetrics, Cost);
+
+/// The kernel's code with every instruction's cost converted to ticks —
+/// the reference engine's translation, done before memory is seeded.
+struct Lowered<'a> {
+    kernel: &'a CompiledKernel,
+    prices: Prices,
+    vectorized_blocks: usize,
+    /// Each block's code and rows (preheader, body), keyed by the block's
+    /// first statement for dispatch while walking the item tree.
+    blocks: HashMap<StmtId, (slp_ir::BlockId, BlockCode, Vec<Row>, Vec<Row>)>,
+}
+
+impl<'a> Lowered<'a> {
+    fn new(kernel: &'a CompiledKernel, machine: &MachineConfig) -> Result<Lowered<'a>, ExecError> {
+        let prices = Prices::new(&machine.cost)?;
+        let codes = lower_kernel(kernel, machine, true);
+        let vectorized_blocks = codes.iter().filter(|(_, c)| c.vectorized).count();
+        let rows = |insts: &[VInst]| -> Result<Vec<Row>, ExecError> {
+            insts
+                .iter()
+                .map(|inst| {
+                    let mut row = inst.metrics(&machine.cost);
+                    let cost = Cost::of(&row)?;
+                    (row.cycles, row.memory_cycles) = (0.0, 0.0);
+                    Ok((row, cost))
+                })
+                .collect()
+        };
+        let mut blocks = HashMap::new();
+        for (info, (id, code)) in kernel.program.blocks().iter().zip(codes) {
+            debug_assert_eq!(info.id, id);
+            let (pre, body) = (rows(&code.preheader)?, rows(&code.insts)?);
+            blocks.insert(info.block.stmts()[0].id(), (id, code, pre, body));
+        }
+        Ok(Lowered {
+            kernel,
+            prices,
+            vectorized_blocks,
+            blocks,
+        })
     }
 
-    let mut ex = Executor {
-        program: &kernel.program,
-        machine,
-        state,
-        stats: RunStats::default(),
-        regs: Vec::new(),
-        env: Vec::new(),
-        block_cycles: HashMap::new(),
-    };
-
-    for r in &kernel.replications {
-        ex.populate(r)?;
+    fn run(&self, state: MachineState) -> Result<Outcome, ExecError> {
+        let mut ex = Executor {
+            program: &self.kernel.program,
+            state,
+            charged: Charged::default(),
+            regs: Vec::new(),
+            env: Vec::new(),
+            block_ticks: HashMap::new(),
+        };
+        for r in &self.kernel.replications {
+            populate_replication(ex.program, &self.prices, &mut ex.state, &mut ex.charged, r)?;
+        }
+        ex.run_items(self.kernel.program.items(), self)?;
+        let blocks = ex.block_ticks.into_iter().collect();
+        Ok(ex.charged.outcome(ex.state, self.vectorized_blocks, blocks))
     }
-    ex.run_items(kernel.program.items(), &by_first_stmt)?;
+}
 
-    let mut block_cycles: Vec<(slp_ir::BlockId, f64)> = ex.block_cycles.into_iter().collect();
-    block_cycles.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    Ok(Outcome {
-        state: ex.state,
-        stats: ex.stats,
-        vectorized_blocks,
-        block_cycles,
-    })
+/// What a run charged: the integer counters, and both cycle sums in ticks.
+#[derive(Default)]
+pub(crate) struct Charged {
+    pub(crate) stats: RunStats,
+    pub(crate) ticks: Cost,
+}
+
+impl Charged {
+    /// The run's outcome, `blocks` holding the ticks of each block that ran.
+    pub(crate) fn outcome(
+        mut self,
+        state: MachineState,
+        vectorized_blocks: usize,
+        mut blocks: Vec<(slp_ir::BlockId, Ticks)>,
+    ) -> Outcome {
+        self.stats.metrics.cycles = cycles(self.ticks.cycles);
+        self.stats.metrics.memory_cycles = cycles(self.ticks.memory);
+        blocks.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let block_cycles = blocks.iter().map(|&(id, t)| (id, cycles(t))).collect();
+        Outcome {
+            state,
+            stats: self.stats,
+            vectorized_blocks,
+            block_cycles,
+        }
+    }
 }
 
 struct Executor<'a> {
     program: &'a Program,
-    machine: &'a MachineConfig,
     state: MachineState,
-    stats: RunStats,
+    charged: Charged,
     regs: Vec<Vec<f64>>,
     env: Vec<(LoopVarId, i64)>,
-    /// Accumulated cycles per block.
-    block_cycles: HashMap<slp_ir::BlockId, f64>,
+    /// Accumulated ticks per block.
+    block_ticks: HashMap<slp_ir::BlockId, Ticks>,
 }
 
 /// Performs one replication's population pass (§5.2) on `state`, charging
-/// copy costs into `stats`. Shared verbatim by the reference and bytecode
+/// one copy per element. Shared verbatim by the reference and bytecode
 /// engines so replication semantics (including error strings and the
-/// single bulk metric) cannot diverge.
+/// single bulk charge) cannot diverge.
 pub(crate) fn populate_replication(
     program: &Program,
-    cost: &CostParams,
+    prices: &Prices,
     state: &mut MachineState,
-    stats: &mut RunStats,
+    charged: &mut Charged,
     r: &Replication,
 ) -> Result<(), ExecError> {
     let mut env: Vec<(LoopVarId, i64)> = Vec::new();
     populate_dims(program, state, r, 0, &mut env)?;
-    let copies = r.copy_count() as f64;
-    stats.metrics.add(&InstMetrics {
-        cycles: copies * (cost.scalar_load + cost.scalar_store),
-        dynamic_instructions: 2 * copies as u64,
-        memory_ops: 2 * copies as u64,
-        memory_cycles: copies * (cost.scalar_load + cost.scalar_store),
-        ..InstMetrics::default()
-    });
+    let copies = r.copy_count() as u64;
+    charged.stats.metrics.dynamic_instructions += 2 * copies;
+    charged.stats.metrics.memory_ops += 2 * copies;
+    charged.ticks.add(prices.copy, copies);
     Ok(())
 }
 
@@ -206,23 +262,7 @@ fn populate_dims(
 }
 
 impl<'a> Executor<'a> {
-    /// Performs one replication's population pass (§5.2), charging copy
-    /// costs.
-    fn populate(&mut self, r: &Replication) -> Result<(), ExecError> {
-        populate_replication(
-            self.program,
-            &self.machine.cost,
-            &mut self.state,
-            &mut self.stats,
-            r,
-        )
-    }
-
-    fn run_items(
-        &mut self,
-        items: &[Item],
-        codes: &HashMap<StmtId, (slp_ir::BlockId, &BlockCode)>,
-    ) -> Result<(), ExecError> {
+    fn run_items(&mut self, items: &[Item], code: &Lowered<'_>) -> Result<(), ExecError> {
         let mut idx = 0;
         while idx < items.len() {
             match &items[idx] {
@@ -232,16 +272,13 @@ impl<'a> Executor<'a> {
                     while end < items.len() && matches!(items[end], Item::Stmt(_)) {
                         end += 1;
                     }
-                    let &(bid, code) = codes.get(&first.id()).ok_or_else(|| {
+                    let (bid, block, _, rows) = code.blocks.get(&first.id()).ok_or_else(|| {
                         ExecError::malformed(format!(
                             "no code for block starting at {}",
                             first.id()
                         ))
                     })?;
-                    let before = self.stats.metrics.cycles;
-                    self.run_block(code)?;
-                    *self.block_cycles.entry(bid).or_insert(0.0) +=
-                        self.stats.metrics.cycles - before;
+                    self.run_insts(*bid, &block.insts, rows)?;
                     idx = end;
                 }
                 Item::Loop(l) => {
@@ -252,11 +289,8 @@ impl<'a> Executor<'a> {
                     if l.header.lower < l.header.upper {
                         for body_item in &l.body {
                             if let Item::Stmt(first) = body_item {
-                                if let Some(&(bid, code)) = codes.get(&first.id()) {
-                                    let before = self.stats.metrics.cycles;
-                                    self.run_insts(&code.preheader)?;
-                                    *self.block_cycles.entry(bid).or_insert(0.0) +=
-                                        self.stats.metrics.cycles - before;
+                                if let Some((bid, block, rows, _)) = code.blocks.get(&first.id()) {
+                                    self.run_insts(*bid, &block.preheader, rows)?;
                                 }
                             }
                         }
@@ -264,16 +298,13 @@ impl<'a> Executor<'a> {
                     let mut v = l.header.lower;
                     while v < l.header.upper {
                         self.env.push((l.header.var, v));
-                        self.run_items(&l.body, codes)?;
+                        self.run_items(&l.body, code)?;
                         self.env.pop();
                         v += l.header.step;
                         // Loop control: increment + branch.
-                        self.stats.iterations += 1;
-                        self.stats.metrics.add(&InstMetrics {
-                            cycles: self.machine.cost.loop_overhead,
-                            dynamic_instructions: 2,
-                            ..InstMetrics::default()
-                        });
+                        self.charged.stats.iterations += 1;
+                        self.charged.stats.metrics.dynamic_instructions += 2;
+                        self.charged.ticks.cycles += code.prices.loop_overhead;
                     }
                     idx += 1;
                 }
@@ -282,13 +313,18 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    fn run_block(&mut self, code: &BlockCode) -> Result<(), ExecError> {
-        self.run_insts(&code.insts)
-    }
-
-    fn run_insts(&mut self, insts: &[VInst]) -> Result<(), ExecError> {
-        for inst in insts {
-            self.stats.metrics.add(&inst.metrics(&self.machine.cost));
+    /// Runs `insts` of block `bid`, charging each its row.
+    fn run_insts(
+        &mut self,
+        bid: slp_ir::BlockId,
+        insts: &[VInst],
+        rows: &[Row],
+    ) -> Result<(), ExecError> {
+        // A block that runs is reported, even at zero cost.
+        *self.block_ticks.entry(bid).or_insert(0) += rows.iter().map(|r| r.1.cycles).sum::<Ticks>();
+        for (inst, (row, cost)) in insts.iter().zip(rows) {
+            self.charged.stats.metrics.add(row);
+            self.charged.ticks.add(*cost, 1);
             self.step(inst)?;
         }
         Ok(())

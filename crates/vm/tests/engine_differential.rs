@@ -312,30 +312,93 @@ fn out_of_bounds_messages_match_in_every_address_class() {
 }
 
 #[test]
-fn a_nan_cost_table_orders_blocks_the_same_on_both_engines() {
-    // `loop_overhead` reaches every cycle total after the first
-    // iteration, so every block's cycles are NaN: sorting them must
-    // neither panic nor depend on the engine.
+fn a_cost_that_is_not_a_whole_milli_cycle_is_the_same_error_on_both_engines() {
+    // Both engines count cycles in integer milli-cycles, so a cost table
+    // they cannot convert is refused before memory is seeded — a NaN
+    // loop overhead as much as a fraction of a milli-cycle.
     let program = slp_lang::compile(
         "kernel two { array A: f64[16]; array B: f64[16];
          for i in 0..8 { A[2*i] = B[2*i] * 2.0; A[2*i+1] = B[2*i+1] * 2.0; }
          for i in 0..16 { B[i] = A[i] + 1.0; } }",
     )
     .expect("compiles");
-    let mut machine = MachineConfig::intel_dunnington();
-    machine.cost.loop_overhead = f64::NAN;
-    for config in configs(&machine) {
-        let kernel = compile(&program, &config);
-        let fast = execute(&kernel, &machine).expect("bytecode runs");
-        let slow = execute_reference(&kernel, &machine).expect("reference runs");
-        let bits = |o: &Outcome| -> Vec<_> {
-            (o.block_cycles.iter().map(|&(id, c)| (id, c.to_bits()))).collect()
-        };
-        assert_eq!(fast.block_cycles.len(), 2);
-        assert_eq!(bits(&fast), bits(&slow));
-        assert!(fast.stats.metrics.cycles.is_nan() && slow.stats.metrics.cycles.is_nan());
-        assert!(fast.state.bitwise_eq(&slow.state));
+    // Loop control and the replication copy are priced in every run, a
+    // scalar statement's row only where one is emitted (the scalar
+    // strategy emits nothing else).
+    let spoiled = |spoil: fn(&mut slp_core::CostParams)| {
+        let mut machine = MachineConfig::intel_dunnington();
+        spoil(&mut machine.cost);
+        machine
+    };
+    let tables = [
+        (spoiled(|c| c.loop_overhead = f64::NAN), true),
+        (spoiled(|c| c.scalar_load = 1.0005), true),
+        (spoiled(|c| c.scalar_op = f64::INFINITY), false),
+    ];
+    for (machine, everywhere) in tables {
+        for config in configs(&machine) {
+            let label = format!("{} (layout {})", config.strategy.label(), config.layout);
+            let err = assert_engines_agree(&program, &config, &label);
+            if everywhere || config.strategy == Strategy::Scalar {
+                let err = err.unwrap_or_else(|| panic!("{label}: the table is refused"));
+                assert_eq!(err.kind(), ExecErrorKind::MalformedCode, "{err}");
+                assert!(err.to_string().contains("milli-cycles"), "{err}");
+            }
+        }
     }
+}
+
+#[test]
+fn every_stored_nan_is_canonical_on_both_engines() {
+    // `sqrt` of a negative and its negation make NaNs of both signs; the
+    // reference engine, the per-iteration loop and strips each compute
+    // theirs on their own path, and every store makes them `f64::NAN`.
+    let program = slp_lang::compile(
+        "kernel nan { array A: f64[32]; array B: f64[32]; array C: f64[32];
+         scalar t, s, u: f64;
+         for i in 0..32 {
+             B[i] = neg(A[i]); C[i] = sqrt(B[i]); A[i] = neg(C[i]);
+             t = neg(A[i]); s = sqrt(t); u = neg(s); B[i] = u * 2.0;
+         } }",
+    )
+    .expect("compiles");
+    let canonical = f64::NAN.to_bits();
+    for_all_configs(|config, label| {
+        let kernel = compile(&program, config);
+        let checked = BytecodeKernel::compile_checked(&kernel, &config.machine)
+            .and_then(|bc| bc.run())
+            .expect("runs");
+        for out in [
+            execute(&kernel, &config.machine).expect("runs"),
+            execute_reference(&kernel, &config.machine).expect("runs"),
+            checked,
+        ] {
+            let mut nans = 0;
+            for a in kernel.program.array_ids().take(3) {
+                for &v in out.state.array(a) {
+                    assert!(!v.is_nan() || v.to_bits() == canonical, "{label}: {v:?}");
+                    nans += usize::from(v.is_nan());
+                }
+            }
+            assert_eq!(nans, 96, "{label}");
+            for v in kernel.program.scalar_ids() {
+                let v = out.state.scalar(v);
+                assert!(!v.is_nan() || v.to_bits() == canonical, "{label}: {v:?}");
+            }
+        }
+    });
+    // The reproducer the canonical store was found with: a generated
+    // body whose NaN sign differed between the engines.
+    let shape = GeneratorConfig {
+        max_stride: 1,
+        body_stmts: 14,
+        scalars: 3,
+        ..GeneratorConfig::default()
+    };
+    let program = slp_suite::random_program(60, &shape);
+    for_all_configs(|config, label| {
+        assert_engines_agree(&program, config, &format!("seed 60 / {label}"));
+    });
 }
 
 /// Property-generated workloads: arbitrary generator knobs and seeds,
@@ -372,6 +435,111 @@ fn engines_agree_on_property_generated_workloads() {
             config.layout
         );
         let program = slp_suite::random_program(seed, &shape);
+        check_program(&label, &program, |program| {
+            assert_engines_agree(program, &config, &label);
+            Ok(())
+        });
+    }
+}
+
+/// A kernel whose loop body the bytecode engine can run in strips: every
+/// array the body writes is read and written at one subscript `c·i + o`
+/// only, so each access meets the others at distance 0 — also after
+/// unrolling; read-only arrays are read at any offset; every scalar is
+/// written before the body reads it. An optional outer sweep reruns the
+/// loop, so strips start from an outer counter too.
+fn strip_eligible_program<R: Rng>(rng: &mut R) -> Program {
+    let n: i64 = rng.gen_range(3..40);
+    let arrays = rng.gen_range(2..6);
+    let types = ["f64", "f64", "f64", "f32", "i32"];
+    // Per array: coefficient, offset, written by the body.
+    let shape: Vec<(i64, i64, bool)> = (0..arrays)
+        .map(|a| {
+            (
+                rng.gen_range(1..4),
+                rng.gen_range(0..4),
+                a == 0 || rng.gen_bool(0.5),
+            )
+        })
+        .collect();
+    let mut src = String::from("kernel strips {\n");
+    for (a, &(c, _, _)) in shape.iter().enumerate() {
+        let ty = types[rng.gen_range(0..types.len())];
+        src += &format!("  array A{a}: {ty}[{}];\n", c * n + 8);
+    }
+    src += "  scalar s0, s1, s2, s3: f64;\n";
+    let sweeps = rng.gen_range(1..3);
+    src += &format!("  for t in 0..{sweeps} {{ for i in 0..{n} {{\n");
+    let mut written = [false; 4];
+    for _ in 0..rng.gen_range(3..14) {
+        let term = |rng: &mut R, written: &[bool; 4]| -> String {
+            match rng.gen_range(0..3) {
+                0 => format!("{}.5", rng.gen_range(0..7)),
+                1 if written.iter().any(|&w| w) => {
+                    let live: Vec<usize> = (0..4).filter(|&s| written[s]).collect();
+                    format!("s{}", live[rng.gen_range(0..live.len())])
+                }
+                _ => {
+                    let a = rng.gen_range(0..shape.len());
+                    let (c, o, w) = shape[a];
+                    let o = if w { o } else { rng.gen_range(0..8) };
+                    format!("A{a}[{c}*i+{o}]")
+                }
+            }
+        };
+        let (x, y, z) = (
+            term(rng, &written),
+            term(rng, &written),
+            term(rng, &written),
+        );
+        let rhs = match rng.gen_range(0..6) {
+            0 => x,
+            1 => format!("{x} + {y}"),
+            2 => format!("{x} * {y}"),
+            3 => format!("{x} + {y} * {z}"),
+            4 => format!("sqrt({x})"),
+            _ => format!("select({x} < {y}, {z}, {x})"),
+        };
+        let lhs = if rng.gen_bool(0.4) {
+            let s = rng.gen_range(0..4_usize);
+            written[s] = true;
+            format!("s{s}")
+        } else {
+            let stores: Vec<usize> = (0..shape.len()).filter(|&a| shape[a].2).collect();
+            let a = stores[rng.gen_range(0..stores.len())];
+            format!("A{a}[{}*i+{}]", shape[a].0, shape[a].1)
+        };
+        src += &format!("    {lhs} = {rhs};\n");
+    }
+    src += "  } }\n}\n";
+    slp_lang::compile(&src).unwrap_or_else(|e| panic!("{e}\n{src}"))
+}
+
+/// Property-generated strip-eligible bodies: the engines agree when the
+/// bytecode engine runs a body op by op over up to 64 iterations. A
+/// release build runs the full profile.
+#[test]
+fn engines_agree_on_strip_eligible_bodies() {
+    let mut rng = case_rng("engine_differential::engines_agree_on_strip_eligible_bodies");
+    let cases = if cfg!(debug_assertions) { 40 } else { 400 };
+    for case in 0..cases {
+        let program = strip_eligible_program(&mut rng);
+        let strategy = strategies()[rng.gen_range(0..4_usize)];
+        let machine = if rng.next_u64() & 1 == 1 {
+            MachineConfig::amd_phenom_ii()
+        } else {
+            MachineConfig::intel_dunnington()
+        };
+        let mut config = SlpConfig::for_machine(machine, strategy);
+        if rng.next_u64() & 1 == 1 {
+            config = config.with_layout();
+        }
+        let label = format!(
+            "case {case} / {} / {} (layout {})",
+            strategy.label(),
+            config.machine.name,
+            config.layout
+        );
         check_program(&label, &program, |program| {
             assert_engines_agree(program, &config, &label);
             Ok(())
