@@ -445,10 +445,13 @@ fn engines_agree_on_property_generated_workloads() {
 /// A kernel whose loop body the bytecode engine can run in strips: every
 /// array the body writes is read and written at one subscript `c·i + o`
 /// only, so each access meets the others at distance 0 — also after
-/// unrolling; read-only arrays are read at any offset; every scalar is
-/// written before the body reads it. An optional outer sweep reruns the
-/// loop, so strips start from an outer counter too.
-fn strip_eligible_program<R: Rng>(rng: &mut R) -> Program {
+/// unrolling; read-only arrays are read at any offset. Without
+/// `recurrences` every scalar is written before the body reads it; with
+/// them a term may read any scalar, so a scalar read before its write
+/// carries a recurrence, and `s2` is an `f32` and `s3` an `i32`, so links
+/// coerce. An optional outer sweep reruns the loop, so strips start from
+/// an outer counter too.
+fn strip_program<R: Rng>(rng: &mut R, recurrences: bool) -> Program {
     let n: i64 = rng.gen_range(3..40);
     let arrays = rng.gen_range(2..6);
     let types = ["f64", "f64", "f64", "f32", "i32"];
@@ -467,7 +470,11 @@ fn strip_eligible_program<R: Rng>(rng: &mut R) -> Program {
         let ty = types[rng.gen_range(0..types.len())];
         src += &format!("  array A{a}: {ty}[{}];\n", c * n + 8);
     }
-    src += "  scalar s0, s1, s2, s3: f64;\n";
+    src += if recurrences {
+        "  scalar s0, s1: f64;\n  scalar s2: f32;\n  scalar s3: i32;\n"
+    } else {
+        "  scalar s0, s1, s2, s3: f64;\n"
+    };
     let sweeps = rng.gen_range(1..3);
     src += &format!("  for t in 0..{sweeps} {{ for i in 0..{n} {{\n");
     let mut written = [false; 4];
@@ -475,8 +482,8 @@ fn strip_eligible_program<R: Rng>(rng: &mut R) -> Program {
         let term = |rng: &mut R, written: &[bool; 4]| -> String {
             match rng.gen_range(0..3) {
                 0 => format!("{}.5", rng.gen_range(0..7)),
-                1 if written.iter().any(|&w| w) => {
-                    let live: Vec<usize> = (0..4).filter(|&s| written[s]).collect();
+                1 if recurrences || written.iter().any(|&w| w) => {
+                    let live: Vec<usize> = (0..4).filter(|&s| recurrences || written[s]).collect();
                     format!("s{}", live[rng.gen_range(0..live.len())])
                 }
                 _ => {
@@ -520,10 +527,31 @@ fn strip_eligible_program<R: Rng>(rng: &mut R) -> Program {
 /// release build runs the full profile.
 #[test]
 fn engines_agree_on_strip_eligible_bodies() {
-    let mut rng = case_rng("engine_differential::engines_agree_on_strip_eligible_bodies");
+    strip_profile(
+        "engine_differential::engines_agree_on_strip_eligible_bodies",
+        false,
+    );
+}
+
+/// Property-generated bodies with scalar recurrences, scalars written
+/// more than once and coercing scalar types: the engines agree when the
+/// bytecode engine runs a recurrence as a scan inside the strip. A
+/// release build runs the full profile.
+#[test]
+fn engines_agree_on_recurrence_bodies() {
+    strip_profile(
+        "engine_differential::engines_agree_on_recurrence_bodies",
+        true,
+    );
+}
+
+/// Runs [`strip_program`] cases under random strategies, machines and
+/// layout: 40 in a debug build, 400 in release.
+fn strip_profile(name: &str, recurrences: bool) {
+    let mut rng = case_rng(name);
     let cases = if cfg!(debug_assertions) { 40 } else { 400 };
     for case in 0..cases {
-        let program = strip_eligible_program(&mut rng);
+        let program = strip_program(&mut rng, recurrences);
         let strategy = strategies()[rng.gen_range(0..4_usize)];
         let machine = if rng.next_u64() & 1 == 1 {
             MachineConfig::amd_phenom_ii()
