@@ -72,6 +72,7 @@ impl ScalarType {
     /// [`f64::NAN`] (Rust leaves a computed NaN's sign to the code path),
     /// integer types truncate toward zero and wrap to their width,
     /// exactly once per store.
+    #[inline]
     pub fn coerce(self, v: f64) -> f64 {
         match self {
             ScalarType::F32 | ScalarType::F64 if v.is_nan() => f64::NAN,

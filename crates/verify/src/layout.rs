@@ -33,7 +33,7 @@ use crate::diag::{Diagnostic, LintCode, Span};
 
 /// Upper bound on enumerated pairs per walk. Every suite kernel sits far
 /// below this; a longer nest is checked over its first `ENUM_CAP` pairs.
-const ENUM_CAP: usize = 1 << 20;
+const ENUM_CAP: usize = 1 << 22;
 
 /// The table entry of a replica slot no pair has filled.
 const EMPTY: u32 = u32::MAX;

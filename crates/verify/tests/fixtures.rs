@@ -575,7 +575,7 @@ fn a_truncated_layout_check_says_so() {
         [(
             "V305",
             "layout check of replication A -> R stopped at its cap: checked \
-             1048576 of 2097152 pairs"
+             4194304 of 8388608 pairs"
         )],
         "{report}"
     );

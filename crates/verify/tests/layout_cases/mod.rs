@@ -141,11 +141,11 @@ pub(crate) fn far_slots() -> CompiledKernel {
     })
 }
 
-/// 2^20 iterations × 2 lanes: twice the pairs the check enumerates.
+/// 2^22 iterations × 2 lanes: twice the pairs the check enumerates.
 pub(crate) fn truncated() -> CompiledKernel {
-    let src = "kernel big { array A: f64[2097152]; array B: f64[1048576];
-         for i in 0..1048576 { B[i] = A[2*i] * 2.0; } }";
-    replicated(src, Some(vec![1 << 21]), |i| {
+    let src = "kernel big { array A: f64[8388608]; array B: f64[4194304];
+         for i in 0..4194304 { B[i] = A[2*i] * 2.0; } }";
+    replicated(src, Some(vec![1 << 23]), |i| {
         let two_i = i.scaled(2);
         vec![
             [two_i.clone(), two_i.clone()],

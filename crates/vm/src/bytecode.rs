@@ -40,12 +40,17 @@
 //!   reordering its iterations cannot be seen — all accesses certified,
 //!   no two accesses to one array meeting in an order the strip reverses
 //!   ([`Code::strip`]): each op over up to [`STRIP`] iterations before
-//!   the next op. A scalar the body reads before it writes it (an
-//!   accumulator) is a recurrence: its writes run as one in-order
-//!   [`SOp::Scan`] inside the strip, the ops that read it after the scan
-//!   and every other op before it. Refused bodies keep the
-//!   per-iteration loop, about ×1.65 faster for them than one-iteration
-//!   strips (DESIGN.md "Strips").
+//!   the next op, as one loop with its operator and element type fixed.
+//!   A pair of accesses whose meeting the translator cannot decide
+//!   (unequal coefficients) is a [`SOp::Guard`]: a strip in which the
+//!   pair's cells overlap runs on the per-iteration loop instead. A
+//!   scalar the body reads before it writes it (an accumulator) is a
+//!   recurrence: its writes run as one in-order [`SOp::Scan`] inside the
+//!   strip, the ops that read it after the scan and every other op
+//!   before it. Invariant columns are filled once per loop entry, and a
+//!   float scalar's op writes the scalar's column in place. Refused
+//!   bodies keep the per-iteration loop, about ×1.65 faster for them
+//!   than one-iteration strips (DESIGN.md "Strips").
 //!
 //! Execution semantics are *bit-identical* to the reference engine —
 //! iteration counting, replication population, coercions, truncating
@@ -58,8 +63,8 @@ use std::collections::HashMap;
 
 use slp_core::{CompiledKernel, MachineConfig, Replication, SafetyCert};
 use slp_ir::{
-    mul_add, ArrayId, ArrayRef, BlockId, BlockInfo, Dest, ExprShape, Item, LoopHeader, LoopVarId,
-    Operand, Program, ScalarType, StmtId, TypeEnv,
+    mul_add, ArrayId, ArrayRef, BinOp, BlockId, BlockInfo, CmpOp, Dest, ExprShape, Item,
+    LoopHeader, LoopVarId, Operand, Program, ScalarType, StmtId, TypeEnv, UnOp,
 };
 
 use crate::code::{Cost, InstMetrics, Prices, SplatSrc, Ticks, VInst, VReg};
@@ -223,11 +228,10 @@ enum Refusal {
     NotWholeLoop,
     Unchecked,
     Recurrence,
-    Unequal,
     Backward,
 }
 
-/// What fills an invariant column at the start of each strip.
+/// What fills an invariant column once per loop entry.
 #[derive(Debug, Clone, Copy)]
 enum Fill {
     Const(f64),
@@ -236,21 +240,27 @@ enum Fill {
 }
 
 /// One strip op over columns (arena indices of one slot per iteration;
-/// lane `k` of register column `c` is `c + k·STRIP`): `Mem(reg, lanes,
+/// lane `k` of register column `c` is `c + k·STRIP`): `Guard(pairs)`
+/// sends the strip to the per-iteration loop when a pair of
+/// [`Code::guards`] touches overlapping cells in it; `Mem(reg, lanes,
 /// store)` moves lane `k` to or from strip access `lanes.0 + k`
 /// ([`Code::saccs`]); `Move(dst, src, ty)` copies a column coerced to
 /// `ty`; `Seed(cell, slot)` copies a scalar into one cell; `Scan(links)`
-/// runs [`Code::links`] `links` iteration by iteration; `Out(slot, col)`
-/// writes the last iteration back to a scalar.
+/// runs [`Code::links`] `links` iteration by iteration; `Fold(link)` is a
+/// scan of one link that reads its own carried column, its running value
+/// kept in a local; `Out(slot, col, ty)` writes the last iteration back
+/// to a scalar.
 #[derive(Debug, Clone, Copy)]
 enum SOp {
+    Guard(Range),
     Fill(u32, Fill),
     Mem(u32, Range, bool),
     Move(u32, u32, ScalarType),
     Op(Alu),
     Seed(u32, u32),
     Scan(Range),
-    Out(u32, u32),
+    Fold(u32),
+    Out(u32, u32, ScalarType),
 }
 
 /// One step of a scalar recurrence: `dst[t] = ty.coerce(shape(srcs[0][t],
@@ -278,8 +288,10 @@ enum Node {
         /// once per loop entry.
         preheaders: Vec<u32>,
         body: Vec<Node>,
-        /// The strip ops of a one-block body that may run in strips.
-        strip: Result<Range, Refusal>,
+        /// The strip ops of a one-block body that may run in strips:
+        /// the invariant fills, run once per loop entry, and the ops of
+        /// each strip.
+        strip: Result<(Range, Range), Refusal>,
     },
 }
 
@@ -313,6 +325,8 @@ struct Code {
     sops: Vec<SOp>,
     /// Strip accesses: an access and its step per iteration.
     saccs: Vec<(u32, i64)>,
+    /// Pairs of strip accesses whose meeting is decided per strip.
+    guards: Vec<(u32, u32)>,
     links: Vec<Link>,
     /// Columns of the widest strip, placed after the register arena.
     columns: u32,
@@ -494,27 +508,9 @@ impl BytecodeKernel {
     /// or scalars, or an array of another length:
     /// [`ExecErrorKind::MalformedCode`](crate::ExecErrorKind)), and
     /// on out-of-bounds accesses.
-    pub fn run_from(&self, mut state: MachineState) -> Result<Outcome, ExecError> {
-        state.check_shape(&self.program)?;
+    pub fn run_from(&self, state: MachineState) -> Result<Outcome, ExecError> {
         let code = &self.code;
-        let mut charged = Charged::default();
-        for r in &self.replications {
-            populate_replication(&self.program, &code.prices, &mut state, &mut charged, r)?;
-        }
-
-        let mut vm = Vm {
-            code,
-            program: &self.program,
-            state,
-            regs: vec![0.0f64; code.reg_len as usize + code.columns as usize * STRIP],
-            // One spare slot, so a subscript without loop variables
-            // (`coeff` 0 at depth 0) evaluates outside any loop too.
-            loop_vals: vec![0; code.loop_depth.max(1)],
-            tmp: vec![0.0; STRIP],
-            iterations: 0,
-            runs: vec![0; code.counts.len()],
-        };
-        vm.run_nodes(&code.roots, 0)?;
+        let (vm, mut charged) = self.run_vm(state)?;
 
         // Every counter: what each op range charges per execution times
         // how often it ran, plus loop control's increment + branch.
@@ -541,6 +537,31 @@ impl BytecodeKernel {
             ticks.add(block, 1);
         }
         Ok(charged.outcome(vm.state, self.vectorized_blocks, blocks))
+    }
+
+    /// Runs the kernel from `state`: the machine as the run left it and
+    /// what populating the replications charged.
+    fn run_vm(&self, mut state: MachineState) -> Result<(Vm<'_>, Charged), ExecError> {
+        state.check_shape(&self.program)?;
+        let code = &self.code;
+        let mut charged = Charged::default();
+        for r in &self.replications {
+            populate_replication(&self.program, &code.prices, &mut state, &mut charged, r)?;
+        }
+        let mut vm = Vm {
+            code,
+            program: &self.program,
+            state,
+            regs: vec![0.0f64; code.reg_len as usize + code.columns as usize * STRIP],
+            // One spare slot, so a subscript without loop variables
+            // (`coeff` 0 at depth 0) evaluates outside any loop too.
+            loop_vals: vec![0; code.loop_depth.max(1)],
+            iterations: 0,
+            runs: vec![0; code.counts.len()],
+            guarded: [0; 2],
+        };
+        vm.run_nodes(&code.roots, 0)?;
+        Ok((vm, charged))
     }
 
     /// Number of dense instructions in the pool.
@@ -621,7 +642,8 @@ fn build_nodes(
 }
 
 /// One access of a strip body for the legality check, in body order:
-/// the access, whether it stores and whether it runs after the scan.
+/// the strip access, whether it stores and whether it runs after the
+/// scan.
 type Touch = (u32, bool, bool);
 
 /// When a strip column's values are known: before the scan, from it (a
@@ -633,12 +655,13 @@ enum When {
     After,
 }
 
-/// A scalar the body writes: the column a read of it finds now (none
-/// before its first write, unless carried), the writes still to come
-/// and, when carried, the column its last write fills.
+/// A scalar the body writes, of type `ty`: the column a read of it finds
+/// now (none before its first write, unless carried), the writes still
+/// to come and, when carried, the column its last write fills.
 #[derive(Debug, Clone, Copy)]
 struct Written {
     slot: u32,
+    ty: ScalarType,
     read: Option<u32>,
     left: u32,
     last: Option<u32>,
@@ -660,7 +683,11 @@ struct StripScan {
     /// preheader register's `(base, width)`.
     filled: Vec<((u8, u64), u32)>,
     touches: Vec<Touch>,
-    /// The strip ops that run before the scan and after it, in body order.
+    /// Pairs of strip accesses whose meeting is decided per strip.
+    guards: Vec<(u32, u32)>,
+    /// The invariant fills, and the strip ops that run before the scan
+    /// and after it, in body order.
+    fills: Vec<SOp>,
     before: Vec<SOp>,
     after: Vec<SOp>,
 }
@@ -706,15 +733,15 @@ impl StripScan {
         self.place(SOp::Move(dst, src, ScalarType::F64), when, (dst, 1));
     }
 
-    /// Columns filled with `fill(k)` for `k < width` at each strip start,
-    /// shared by equal keys.
+    /// Columns filled with `fill(k)` for `k < width` once per loop
+    /// entry, shared by equal keys.
     fn invariant(&mut self, key: (u8, u64), width: u32, fill: impl Fn(u32) -> Fill) -> u32 {
         if let Some(&(_, c)) = self.filled.iter().find(|f| f.0 == key) {
             return c;
         }
         let c = self.fresh(width);
         let fills = (0..width).map(|k| SOp::Fill(c + k * STRIP as u32, fill(k)));
-        self.before.extend(fills);
+        self.fills.extend(fills);
         self.filled.push((key, c));
         c
     }
@@ -755,14 +782,16 @@ impl StripScan {
             .any(|w| w.slot == slot && w.last.is_some())
     }
 
-    /// The column a write of scalar `slot` goes to: a fresh one, unless
-    /// it is a carried scalar's last write.
-    fn write_scalar(&mut self, slot: u32) -> u32 {
+    /// The column a write of scalar `slot` goes to: `value`'s own column
+    /// when given (a float copy needs no op), a carried scalar's last
+    /// write's column, or a fresh one.
+    fn write_scalar(&mut self, slot: u32, value: Option<u32>) -> u32 {
         let i = (self.written.iter().position(|w| w.slot == slot))
             .expect("the body's writes are counted before it is translated");
         let Written { left, last, .. } = self.written[i];
-        let col = match last {
-            Some(last) if left == 1 => last,
+        let col = match (value, last) {
+            (Some(col), _) => col,
+            (_, Some(last)) if left == 1 => last,
             _ => self.fresh(1),
         };
         if last.is_some() {
@@ -782,16 +811,20 @@ impl StripScan {
         self.written.clear();
         self.filled.clear();
         self.touches.clear();
+        self.guards.clear();
+        self.fills.clear();
         self.before.clear();
         self.after.clear();
     }
 
-    /// Counts one write of scalar `slot` before the body is translated.
-    fn count_write(&mut self, slot: u32) {
+    /// Counts one write of scalar `slot`, of type `ty`, before the body
+    /// is translated.
+    fn count_write(&mut self, slot: u32, ty: ScalarType) {
         match self.written.iter_mut().find(|w| w.slot == slot) {
             Some(w) => w.left += 1,
             None => self.written.push(Written {
                 slot,
+                ty,
                 read: None,
                 left: 1,
                 last: None,
@@ -829,7 +862,8 @@ impl Code {
         let first = self.saccs.len() as u32;
         for a in accs {
             let (_, inner, _) = self.split_terms(a, depth).ok_or(Refusal::Unchecked)?;
-            scan.touches.push((a, store, when != When::Before));
+            scan.touches
+                .push((self.saccs.len() as u32, store, when != When::Before));
             self.saccs.push((a, inner.wrapping_mul(step)));
         }
         Ok((first, self.saccs.len() as u32))
@@ -863,35 +897,39 @@ impl Code {
     /// `depth` with header `h`, to strip ops, or refuses it. A body may
     /// run in strips when every access is certified (so a strip cannot
     /// fault) and no two accesses to one array, one a store, meet in an
-    /// order the strip reverses (see [`Code::check_touches`]). Each
-    /// body-defined register lane and each scalar write is a column;
-    /// preheader lanes, read-only scalars and constants are columns
-    /// filled at each strip's start. A scalar read before its write is
-    /// carried: its writes are links, which one [`SOp::Scan`] runs in
-    /// iteration order. Ops that read a carried column or such an op's
-    /// result run after the scan, the rest before it; a link that reads
-    /// an op after the scan, or a carried scalar written from a vector
-    /// lane, refuses the body. A refused body leaves unused entries in
-    /// the pools.
+    /// order the strip reverses (see [`Code::check_touches`]; a pair it
+    /// cannot decide is a [`SOp::Guard`] at each strip's start). Each
+    /// body-defined register lane and each scalar write is a column (a
+    /// float scalar's op writes its column in place, and a float copy
+    /// takes its operand's column); preheader lanes, read-only scalars
+    /// and constants are columns filled once per loop entry. A scalar
+    /// read before its write is carried: its writes are links, which one
+    /// [`SOp::Scan`] runs in iteration order. Ops that read a carried
+    /// column or such an op's result run after the scan, the rest before
+    /// it; a link that reads an op after the scan, or a carried scalar
+    /// written from a vector lane, refuses the body. A refused body
+    /// leaves unused entries in the pools.
     fn strip(
         &mut self,
         scan: &mut StripScan,
         range: u32,
         h: &LoopHeader,
         depth: u32,
-    ) -> Result<Range, Refusal> {
+    ) -> Result<(Range, Range), Refusal> {
         let (start, end) = self.ranges[range as usize];
         let ops = start as usize..end as usize;
         scan.reset(self.reg_len, self.defs[range as usize]);
         for op in &self.ops[ops.clone()] {
             match *op {
                 BOp::Scalar(Stmt {
-                    dest: RDest::Scalar { slot, .. },
+                    dest: RDest::Scalar { slot, ty },
                     ..
-                }) => scan.count_write(slot),
+                }) => scan.count_write(slot, ty),
                 BOp::Unpack { lanes, .. } => {
                     let lanes = &self.lanes[lanes.0 as usize..lanes.1 as usize];
-                    lanes.iter().for_each(|&(slot, _)| scan.count_write(slot));
+                    lanes
+                        .iter()
+                        .for_each(|&(slot, ty)| scan.count_write(slot, ty));
                 }
                 _ => {}
             }
@@ -914,7 +952,7 @@ impl Code {
                             }
                             let s = &self.srcs[first..];
                             let srcs = std::array::from_fn(|k| *s.get(k).unwrap_or(&s[0]));
-                            let dst = scan.write_scalar(slot);
+                            let dst = scan.write_scalar(slot, None);
                             self.links.push(Link {
                                 shape,
                                 srcs,
@@ -924,22 +962,34 @@ impl Code {
                             continue;
                         }
                     }
-                    let dst = scan.fresh(1);
-                    let op = SOp::Op(Alu {
-                        dst,
-                        width: 1,
-                        shape,
-                        srcs,
-                    });
-                    scan.place(op, when, (dst, 1));
-                    match st.dest {
-                        RDest::Scalar { slot, ty } => {
-                            let col = scan.write_scalar(slot);
-                            scan.place(SOp::Move(col, dst, ty), when, (col, 1));
+                    // A float scalar holds its op's values as computed:
+                    // `Out` and every store coerce what leaves the strip.
+                    let copy = (shape == ExprShape::Copy).then_some(self.srcs[first]);
+                    let value = match (st.dest, copy) {
+                        (RDest::Scalar { slot, ty }, _) if ty.is_float() => {
+                            scan.write_scalar(slot, copy)
                         }
+                        (_, Some(src)) => src,
+                        _ => scan.fresh(1),
+                    };
+                    if copy.is_none() {
+                        let op = SOp::Op(Alu {
+                            dst: value,
+                            width: 1,
+                            shape,
+                            srcs,
+                        });
+                        scan.place(op, when, (value, 1));
+                    }
+                    match st.dest {
+                        RDest::Scalar { slot, ty } if !ty.is_float() => {
+                            let col = scan.write_scalar(slot, None);
+                            scan.place(SOp::Move(col, value, ty), when, (col, 1));
+                        }
+                        RDest::Scalar { .. } => {}
                         RDest::Array(a) => {
                             let lanes = self.strip_accesses(scan, true, when, a..a + 1, at)?;
-                            scan.place(SOp::Mem(dst, lanes, true), when, (dst, 0));
+                            scan.place(SOp::Mem(value, lanes, true), when, (value, 0));
                         }
                     }
                 }
@@ -958,7 +1008,7 @@ impl Code {
                         if scan.carried(slot) {
                             return Err(Refusal::Recurrence);
                         }
-                        let dst = scan.write_scalar(slot);
+                        let dst = scan.write_scalar(slot, None);
                         let lane = src + (k * STRIP) as u32;
                         let when = scan.when(lane, 1);
                         scan.place(SOp::Move(dst, lane, ty), when, (dst, 1));
@@ -968,7 +1018,7 @@ impl Code {
                     for (k, v) in (vals.0..vals.1).enumerate() {
                         let fill = Fill::Const(self.consts[v as usize]);
                         let col = scan.def(dst) + (k * STRIP) as u32;
-                        scan.before.push(SOp::Fill(col, fill));
+                        scan.fills.push(SOp::Fill(col, fill));
                     }
                 }
                 BOp::Op(op) => {
@@ -1003,18 +1053,34 @@ impl Code {
                 }
             }
         }
-        self.check_touches(&scan.touches, h, depth)?;
+        self.check_touches(&scan.touches, h, depth, &mut scan.guards)?;
         self.columns = self.columns.max(scan.next);
+        let fills = self.sops.len() as u32;
+        self.sops.append(&mut scan.fills);
         let first = self.sops.len() as u32;
+        if !scan.guards.is_empty() {
+            let pairs = self.guards.len() as u32;
+            self.guards.append(&mut scan.guards);
+            self.sops
+                .push(SOp::Guard((pairs, self.guards.len() as u32)));
+        }
         self.sops.append(&mut scan.before);
         let links = (links as u32, self.links.len() as u32);
         if links.0 < links.1 {
-            self.sops.push(SOp::Scan(links));
+            // A lone link's carried read is the cell before its own write.
+            let l = &self.links[links.0 as usize];
+            let fold = links.1 - links.0 == 1 && l.srcs.contains(&(l.dst - 1));
+            self.sops.push(if fold {
+                SOp::Fold(links.0)
+            } else {
+                SOp::Scan(links)
+            });
         }
         self.sops.append(&mut scan.after);
-        let outs = (scan.written.iter()).filter_map(|w| w.read.map(|c| SOp::Out(w.slot, c)));
+        let outs = scan.written.iter();
+        let outs = outs.filter_map(|w| w.read.map(|c| SOp::Out(w.slot, c, w.ty)));
         self.sops.extend(outs);
-        Ok((first, self.sops.len() as u32))
+        Ok(((fills, first), (first, self.sops.len() as u32)))
     }
 
     /// For accesses `p` before `q` in body order (ops in order, a
@@ -1026,11 +1092,20 @@ impl Code {
     /// all in the same or a later iteration of `q`. Decided exactly for
     /// equal inner coefficients `c` and outer terms: they meet at
     /// distance `(off_p − off_q)/c` when that is a whole multiple of the
-    /// step within the trip span. Other pairs refuse.
-    fn check_touches(&self, touches: &[Touch], h: &LoopHeader, depth: u32) -> Result<(), Refusal> {
+    /// step within the trip span. Every other pair goes to `guards`: a
+    /// strip in which its cell ranges are disjoint cannot reorder a
+    /// meeting.
+    fn check_touches(
+        &self,
+        touches: &[Touch],
+        h: &LoopHeader,
+        depth: u32,
+        guards: &mut Vec<(u32, u32)>,
+    ) -> Result<(), Refusal> {
         let span = i128::from(h.trip_count() - 1) * i128::from(h.step);
-        for (i, &(p, store_p, after_p)) in touches.iter().enumerate() {
-            for &(q, store_q, after_q) in &touches[i + 1..] {
+        for (i, &(sp, store_p, after_p)) in touches.iter().enumerate() {
+            for &(sq, store_q, after_q) in &touches[i + 1..] {
+                let (p, q) = (self.saccs[sp as usize].0, self.saccs[sq as usize].0);
                 let same_array = self.accesses[p as usize].array == self.accesses[q as usize].array;
                 if !same_array || !(store_p || store_q) {
                     continue;
@@ -1041,7 +1116,8 @@ impl Code {
                     return Err(Refusal::Unchecked);
                 };
                 if c != cq || !outer_p.eq(outer_q) {
-                    return Err(Refusal::Unequal);
+                    guards.push((sp, sq));
+                    continue;
                 }
                 // `p` at `i_p` meets `q` at `i_q` when `c·(i_q − i_p) =
                 // off_p − off_q`: backward when `i_q < i_p`. A swapped
@@ -1365,6 +1441,20 @@ impl<'a> Translator<'a> {
     }
 }
 
+/// Runs `body` with `x`, a fieldless enum `E`'s value, rebound in each
+/// arm to that arm's variant: one copy of `body` per variant, so a lane
+/// loop's operator or element type is fixed outside the loop.
+macro_rules! fixed {
+    ($x:ident: $e:ident[$($v:ident),*] => $body:expr) => {
+        match $x {
+            $($e::$v => {
+                let $x = $e::$v;
+                $body
+            })*
+        }
+    };
+}
+
 struct Vm<'a> {
     code: &'a Code,
     /// Cold path only: array names and extents for error messages.
@@ -1374,11 +1464,12 @@ struct Vm<'a> {
     regs: Vec<f64>,
     /// The enclosing loops' counters, outermost first.
     loop_vals: Vec<i64>,
-    /// An op's result before it is copied into place.
-    tmp: Vec<f64>,
     iterations: u64,
     /// Executions of each op range.
     runs: Vec<u64>,
+    /// Dynamic ops of guarded strips that ran column-wise and that fell
+    /// back to the per-iteration loop.
+    guarded: [u64; 2],
 }
 
 impl<'a> Vm<'a> {
@@ -1403,13 +1494,33 @@ impl<'a> Vm<'a> {
                         }
                     }
                     let mut v = *lower;
-                    if let (&Ok(strip), [Node::Block(range)]) = (strip, body.as_slice()) {
+                    if let (&Ok((fills, ops)), &[Node::Block(range)]) = (strip, body.as_slice()) {
+                        let (start, end) = self.code.ranges[range as usize];
+                        let guard =
+                            matches!(self.code.sops.get(ops.0 as usize), Some(SOp::Guard(_)));
+                        // Invariant columns hold for the whole loop entry,
+                        // and its first strip is its longest.
+                        let mut fills = Some(fills);
                         while v < *upper {
                             let left = (upper.abs_diff(v) - 1) / step.unsigned_abs() + 1;
                             let n = left.min(STRIP as u64) as usize;
                             self.loop_vals[depth] = v;
-                            self.run_strip(strip, n);
-                            self.runs[*range as usize] += n as u64;
+                            if let Some(fills) = fills.take() {
+                                self.run_strip(fills, n);
+                            }
+                            let columns = self.run_strip(ops, n);
+                            if guard {
+                                self.guarded[usize::from(!columns)] +=
+                                    (n as u64) * u64::from(end - start);
+                            }
+                            if columns {
+                                self.runs[range as usize] += n as u64;
+                            } else {
+                                for t in 0..n as i64 {
+                                    self.loop_vals[depth] = v + t * step;
+                                    self.run_range(range)?;
+                                }
+                            }
                             self.iterations += n as u64;
                             v = v.saturating_add((n as i64).saturating_mul(*step));
                         }
@@ -1578,20 +1689,21 @@ impl<'a> Vm<'a> {
     /// Elementwise op over pre-resolved source bases, as `blocks` runs of
     /// `len` slots [`STRIP`] apart: the `width` lanes of one iteration
     /// are one run, a strip's lane `k` is run `k` of `n` iterations.
-    /// Destination slots are always fresh (one per static definition).
+    /// Destination slots are always fresh (one per static definition),
+    /// so no source overlaps the run the op writes.
     fn exec_op(&mut self, op: &Alu, (blocks, len): (usize, usize)) {
         let srcs = &self.code.srcs[op.srcs.0 as usize..op.srcs.1 as usize];
-        if self.tmp.len() < len {
-            self.tmp.resize(len, 0.0);
-        }
         for k in 0..blocks {
-            let at = |c: u32| c as usize + k * STRIP;
-            let ins: [&[f64]; 4] = std::array::from_fn(|i| match srcs.get(i) {
-                Some(&c) => &self.regs[at(c)..at(c) + len],
+            let dst = op.dst as usize + k * STRIP;
+            let (below, rest) = self.regs.split_at_mut(dst);
+            let (out, above) = rest.split_at_mut(len);
+            let at = |i: usize| srcs.get(i).map(|&c| c as usize + k * STRIP);
+            let ins: [&[f64]; 4] = std::array::from_fn(|i| match at(i) {
+                Some(c) if c < dst => &below[c..][..len],
+                Some(c) => &above[c - dst - len..][..len],
                 None => &[],
             });
-            apply_columns(op.shape, ins, &mut self.tmp[..len]);
-            self.regs[at(op.dst)..at(op.dst) + len].copy_from_slice(&self.tmp[..len]);
+            apply_columns(op.shape, ins, out);
         }
     }
 
@@ -1635,11 +1747,27 @@ impl<'a> Vm<'a> {
     /// Runs strip ops `ops` over `n` iterations from the current loop
     /// counters: each op over all `n` before the next op, a scan's links
     /// iteration by iteration. Every access is certified, so nothing can
-    /// fault.
-    fn run_strip(&mut self, ops: Range, n: usize) {
+    /// fault. Returns `false`, having run nothing, when a guard finds a
+    /// pair whose cells overlap in this strip.
+    fn run_strip(&mut self, ops: Range, n: usize) -> bool {
         let code = self.code;
         for op in &code.sops[ops.0 as usize..ops.1 as usize] {
             match *op {
+                SOp::Guard((from, to)) => {
+                    let cells = |j: u32| {
+                        let (a, delta) = code.saccs[j as usize];
+                        let first = self.addr(a).unwrap_or_default() as i64;
+                        let last = first.wrapping_add((n as i64 - 1).wrapping_mul(delta));
+                        (first.min(last), first.max(last))
+                    };
+                    let meet = |&(p, q): &(u32, u32)| {
+                        let ((p0, p1), (q0, q1)) = (cells(p), cells(q));
+                        p0 <= q1 && q0 <= p1
+                    };
+                    if code.guards[from as usize..to as usize].iter().any(meet) {
+                        return false;
+                    }
+                }
                 SOp::Fill(col, fill) => {
                     let v = match fill {
                         Fill::Const(c) => c,
@@ -1651,27 +1779,23 @@ impl<'a> Vm<'a> {
                 SOp::Mem(reg, lanes, store) => {
                     for (k, j) in (lanes.0..lanes.1).enumerate() {
                         let (a, delta) = code.saccs[j as usize];
-                        let first = self.addr(a).unwrap_or_default() as i64;
-                        let ty = code.accesses[a as usize].ty;
-                        for t in 0..n {
-                            let (at, r) = (
-                                first.wrapping_add(t as i64 * delta) as usize,
-                                reg as usize + k * STRIP + t,
-                            );
-                            if store {
-                                self.state.cells[at] = ty.coerce(self.regs[r]);
-                            } else {
-                                self.regs[r] = self.state.cells[at];
-                            }
+                        let first = self.addr(a).unwrap_or_default();
+                        let col = &mut self.regs[reg as usize + k * STRIP..][..n];
+                        if store {
+                            let ty = code.accesses[a as usize].ty;
+                            scatter(&mut self.state.cells, first, delta, col, ty);
+                        } else {
+                            gather(&self.state.cells, first, delta, col);
                         }
                     }
                 }
                 SOp::Move(dst, src, ty) => {
                     let (d, s) = (dst as usize, src as usize);
                     self.regs.copy_within(s..s + n, d);
-                    for v in &mut self.regs[d..d + n] {
-                        *v = ty.coerce(*v);
-                    }
+                    let col = &mut self.regs[d..d + n];
+                    fixed!(ty: ScalarType[F32, F64, I8, I16, I32, I64] => {
+                        col.iter_mut().for_each(|v| *v = ty.coerce(*v));
+                    });
                 }
                 SOp::Op(op) => self.exec_op(&op, (op.width as usize, n)),
                 SOp::Seed(cell, slot) => {
@@ -1686,40 +1810,94 @@ impl<'a> Vm<'a> {
                         }
                     }
                 }
-                SOp::Out(slot, col) => {
-                    self.state.scalars[slot as usize] = self.regs[col as usize + n - 1];
+                SOp::Fold(link) => {
+                    let Link {
+                        shape,
+                        srcs,
+                        dst,
+                        ty,
+                    } = code.links[link as usize];
+                    let (own, regs) = (dst - 1, &mut self.regs);
+                    let mut acc = regs[own as usize];
+                    for t in 0..n {
+                        let ins = srcs.map(|s| if s == own { acc } else { regs[s as usize + t] });
+                        acc = ty.coerce(shape.apply(&ins));
+                        regs[dst as usize + t] = acc;
+                    }
                 }
+                SOp::Out(slot, col, ty) => {
+                    self.state.scalars[slot as usize] = ty.coerce(self.regs[col as usize + n - 1]);
+                }
+            }
+        }
+        true
+    }
+}
+
+/// `out[t] = cells[first + t·delta]`.
+fn gather(cells: &[f64], first: usize, delta: i64, out: &mut [f64]) {
+    match usize::try_from(delta) {
+        Ok(1) => out.copy_from_slice(&cells[first..first + out.len()]),
+        Ok(d) if d > 0 => {
+            for (o, &c) in out.iter_mut().zip(cells[first..].iter().step_by(d)) {
+                *o = c;
+            }
+        }
+        _ => {
+            for (t, o) in out.iter_mut().enumerate() {
+                *o = cells[(first as i64).wrapping_add(t as i64 * delta) as usize];
             }
         }
     }
 }
 
+/// `cells[first + t·delta] = ty.coerce(vals[t])`, in order of `t`.
+fn scatter(cells: &mut [f64], first: usize, delta: i64, vals: &[f64], ty: ScalarType) {
+    fixed!(ty: ScalarType[F32, F64, I8, I16, I32, I64] => match usize::try_from(delta) {
+        Ok(1) => {
+            for (c, &v) in cells[first..first + vals.len()].iter_mut().zip(vals) {
+                *c = ty.coerce(v);
+            }
+        }
+        Ok(d) if d > 0 => {
+            for (c, &v) in cells[first..].iter_mut().step_by(d).zip(vals) {
+                *c = ty.coerce(v);
+            }
+        }
+        _ => {
+            for (t, &v) in vals.iter().enumerate() {
+                cells[(first as i64).wrapping_add(t as i64 * delta) as usize] = ty.coerce(v);
+            }
+        }
+    })
+}
+
 /// `out[t] = shape(ins[0][t], ins[1][t], …)` for every `t`: the strip's
-/// lane loops.
+/// lane loops, one per operator.
 fn apply_columns(shape: ExprShape, ins: [&[f64]; 4], out: &mut [f64]) {
     let [a, b, c, d] = ins;
     match shape {
         ExprShape::Copy => out.copy_from_slice(a),
-        ExprShape::Unary(op) => {
+        ExprShape::Unary(op) => fixed!(op: UnOp[Neg, Abs, Sqrt] => {
             for (o, &x) in out.iter_mut().zip(a) {
                 *o = op.apply(x);
             }
-        }
-        ExprShape::Binary(op) => {
+        }),
+        ExprShape::Binary(op) => fixed!(op: BinOp[Add, Sub, Mul, Div, Min, Max] => {
             for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
                 *o = op.apply(x, y);
             }
-        }
+        }),
         ExprShape::MulAdd => {
             for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
                 *o = mul_add(x, y, z);
             }
         }
-        ExprShape::Select(op) => {
+        ExprShape::Select(op) => fixed!(op: CmpOp[Lt, Le, Gt, Ge, Eq, Ne] => {
             for ((((o, &x), &y), &t), &e) in out.iter_mut().zip(a).zip(b).zip(c).zip(d) {
                 *o = if op.apply(x, y) { t } else { e };
             }
-        }
+        }),
     }
 }
 
@@ -1859,9 +2037,8 @@ mod tests {
         // A change that silently sends fewer bodies through strips moves
         // this table.
         let want = BTreeMap::from([
-            (Ok(()), (348, 383_520)),
-            (Err(Refusal::Unequal), (18, 22_452)),
-            (Err(Refusal::Backward), (10, 6_464)),
+            (Ok(()), (359, 392_020)),
+            (Err(Refusal::Backward), (17, 20_416)),
         ]);
         assert_eq!(suite_tally(1), want);
     }
@@ -1869,13 +2046,20 @@ mod tests {
     #[test]
     fn the_strip_decision_over_the_execute_hot_lowerings_is_pinned() {
         // The 200 lowerings the benchmark's `execute_hot` runs a round of:
-        // the dynamic ops DESIGN.md "Strips" counts.
+        // the dynamic ops DESIGN.md "Strips" counts, and how many ops of
+        // guarded strips ran column-wise and fell back.
         let want = BTreeMap::from([
-            (Ok(()), (348, 12_285_536)),
-            (Err(Refusal::Unequal), (18, 728_756)),
-            (Err(Refusal::Backward), (10, 206_848)),
+            (Ok(()), (359, 12_555_924)),
+            (Err(Refusal::Backward), (17, 665_216)),
         ]);
-        assert_eq!(suite_tally(32), want);
+        let (mut tallied, mut guarded) = (BTreeMap::new(), [0; 2]);
+        for bc in suite_lowerings(32) {
+            tally(&bc, &mut tallied);
+            let (vm, _) = bc.run_vm(MachineState::seeded(&bc.program)).unwrap();
+            guarded = [0, 1].map(|k| guarded[k] + vm.guarded[k]);
+        }
+        assert_eq!(tallied, want);
+        assert_eq!(guarded, [253_492, 16_896]);
     }
 
     /// The strip decisions of `src`'s blocks under `strategy`, after
@@ -1899,6 +2083,16 @@ mod tests {
         let mut t = BTreeMap::new();
         tally(&bc, &mut t);
         t.into_keys().collect()
+    }
+
+    /// The final state of `src` under Scalar, and the dynamic ops of its
+    /// guarded strips that ran column-wise and that fell back.
+    fn guarded(src: &str) -> (MachineState, [u64; 2]) {
+        let p = slp_lang::compile(src).unwrap();
+        let k = compile(&p, &SlpConfig::for_machine(machine(), Strategy::Scalar));
+        let bc = BytecodeKernel::compile(&k, &machine()).unwrap();
+        let (vm, _) = bc.run_vm(MachineState::seeded(&bc.program)).unwrap();
+        (vm.state, vm.guarded)
     }
 
     // Each refused kernel below would leave a different image if its body
@@ -1998,13 +2192,58 @@ mod tests {
     }
 
     #[test]
-    fn unequal_coefficients_are_refused() {
-        // Iteration 2i reads the A[2i] iteration i wrote.
-        let src = "kernel k { array A: f64[32]; array B: f64[16];
-                   for i in 0..16 { B[i] = A[i]; A[2*i] = B[i] + 1.0; } }";
+    fn unequal_coefficients_run_behind_a_guard() {
+        // Iteration 2i reads the A[2i] iteration i wrote. In the first
+        // strip (i < 64) the cells read and written overlap, so it runs
+        // iteration by iteration; later strips read A[64..) below the
+        // cells they write and run column-wise.
+        let src = "kernel k { array A: f64[400];
+                   for i in 0..200 { A[2*i] = A[i] + 1.0; } }";
+        for strategy in [Strategy::Scalar, Strategy::Holistic] {
+            assert_eq!(decisions(src, strategy, false), [Ok(())], "{strategy:?}");
+        }
+        let [columns, fell] = guarded(src).1;
+        assert_eq!(fell * 200, (columns + fell) * 64, "{columns} {fell}");
+        // Iteration i reads the A[i+64] iteration (i+64)/2 wrote, inside
+        // both strips: every strip keeps iteration order.
+        let src = "kernel k { array A: f64[240];
+                   for i in 0..120 { A[2*i] = A[i+64] + 1.0; } }";
+        assert_eq!(decisions(src, Strategy::Scalar, false), [Ok(())]);
+        let [columns, fell] = guarded(src).1;
+        assert_eq!((columns, fell > 0), (0, true));
+    }
+
+    #[test]
+    fn a_nan_leaves_the_strip_canonical() {
+        // x86 computes `sqrt` of a negative as a NaN with its sign bit
+        // set; the columns keep it, `Out` stores the one `f64::NAN`.
+        let src = "kernel k { array A: f64[16]; scalar t, x, y: f64;
+                   for i in 0..16 { t = A[i] - 100.0; x = sqrt(t); y = neg(x); } }";
+        assert_eq!(decisions(src, Strategy::Scalar, false), [Ok(())]);
+        let state = guarded(src).0;
+        let bits: Vec<u64> = state.scalars.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits[1..], [f64::NAN.to_bits(); 2]);
+    }
+
+    #[test]
+    fn a_copy_of_a_carried_scalar_reads_the_seed_in_a_one_iteration_strip() {
+        // 65 iterations: the last strip has one, so `t`'s column there is
+        // the seed cell, the scalar as the previous strip left it.
+        let src = "kernel k { array A: f64[65]; array B: f64[65]; scalar s, t: f64;
+                   for i in 0..65 { t = s; s = s + A[i]; B[i] = t; } }";
+        assert_eq!(decisions(src, Strategy::Scalar, false), [Ok(())]);
+    }
+
+    #[test]
+    fn invariant_columns_are_refilled_on_every_loop_entry() {
+        // The outer body rewrites `s`, which the inner strips read as an
+        // invariant column.
+        let src = "kernel k { array A: f64[24]; array B: f64[3]; scalar s: f64;
+                   for j in 0..3 { s = B[j] * 2.0;
+                                   for i in 0..8 { A[8*j+i] = A[8*j+i] + s; } } }";
         assert_eq!(
             decisions(src, Strategy::Scalar, false),
-            [Err(Refusal::Unequal)]
+            [Ok(()), Err(Refusal::NotWholeLoop)]
         );
     }
 

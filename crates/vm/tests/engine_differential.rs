@@ -9,6 +9,7 @@
 //! so this file can exist; a divergence here is always a bug in the
 //! bytecode lowering, never in the program under test.
 
+use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 use slp_core::{compile, ExecErrorKind, MachineConfig, SlpConfig, Strategy};
 use slp_fuzz::property::{case_rng, check_program};
@@ -529,7 +530,7 @@ fn strip_program<R: Rng>(rng: &mut R, recurrences: bool) -> Program {
 fn engines_agree_on_strip_eligible_bodies() {
     strip_profile(
         "engine_differential::engines_agree_on_strip_eligible_bodies",
-        false,
+        |rng| strip_program(rng, false),
     );
 }
 
@@ -541,17 +542,80 @@ fn engines_agree_on_strip_eligible_bodies() {
 fn engines_agree_on_recurrence_bodies() {
     strip_profile(
         "engine_differential::engines_agree_on_recurrence_bodies",
-        true,
+        |rng| strip_program(rng, true),
     );
 }
 
-/// Runs [`strip_program`] cases under random strategies, machines and
-/// layout: 40 in a debug build, 400 in release.
-fn strip_profile(name: &str, recurrences: bool) {
+/// A kernel whose loop body reads and writes one array `A` at
+/// subscripts `c·i + o`, coefficients 1–3 and offsets small or up to
+/// 160: pairs with unequal coefficients run behind the per-strip guard,
+/// so some strips overlap and run iteration by iteration and others do
+/// not. `B` is read-only; a scalar is read only once written.
+fn guarded_program<R: Rng>(rng: &mut R) -> Program {
+    let n: i64 = rng.gen_range(3..200);
+    let mut src = format!(
+        "kernel guarded {{\n  array A: f64[{}];\n  array B: f64[{n}];\n  scalar s0, s1: f64;\n",
+        3 * n + 160
+    );
+    src += &format!(
+        "  for t in 0..{} {{ for i in 0..{n} {{\n",
+        rng.gen_range(1..3)
+    );
+    let mut written = [false; 2];
+    for _ in 0..rng.gen_range(2..7) {
+        let access = |rng: &mut R| {
+            let c = rng.gen_range(1..4);
+            let o = if rng.gen_bool(0.5) {
+                rng.gen_range(0..4)
+            } else {
+                rng.gen_range(0..161)
+            };
+            format!("A[{c}*i+{o}]")
+        };
+        let term = |rng: &mut R| match rng.gen_range(0..4) {
+            0 => format!("{}.5", rng.gen_range(0..7)),
+            1 if written[0] => "s0".to_string(),
+            2 => "B[i]".to_string(),
+            _ => access(rng),
+        };
+        let (x, y) = (term(rng), term(rng));
+        let rhs = match rng.gen_range(0..3) {
+            0 => x,
+            1 => format!("{x} + {y}"),
+            _ => format!("{x} * {y}"),
+        };
+        let lhs = if rng.gen_bool(0.2) {
+            let s = rng.gen_range(0..2_usize);
+            written[s] = true;
+            format!("s{s}")
+        } else {
+            access(rng)
+        };
+        src += &format!("    {lhs} = {rhs};\n");
+    }
+    src += "  } }\n}\n";
+    slp_lang::compile(&src).unwrap_or_else(|e| panic!("{e}\n{src}"))
+}
+
+/// Property-generated bodies with unequal coefficients on one array: the
+/// engines agree whether a strip's guard lets it run column-wise or
+/// sends it to the per-iteration loop. A release build runs the full
+/// profile.
+#[test]
+fn engines_agree_on_guarded_bodies() {
+    strip_profile(
+        "engine_differential::engines_agree_on_guarded_bodies",
+        guarded_program,
+    );
+}
+
+/// Runs `program` cases under random strategies, machines and layout: 40
+/// in a debug build, 400 in release.
+fn strip_profile(name: &str, mut program: impl FnMut(&mut StdRng) -> Program) {
     let mut rng = case_rng(name);
     let cases = if cfg!(debug_assertions) { 40 } else { 400 };
     for case in 0..cases {
-        let program = strip_program(&mut rng, recurrences);
+        let program = program(&mut rng);
         let strategy = strategies()[rng.gen_range(0..4_usize)];
         let machine = if rng.next_u64() & 1 == 1 {
             MachineConfig::amd_phenom_ii()
