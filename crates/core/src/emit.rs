@@ -1,6 +1,6 @@
 //! The one emission walk: what the backend emits for a block schedule.
 //!
-//! "We employ a similar cost model used in [16] to estimate the potential
+//! "We employ a similar cost model used in \[16\] to estimate the potential
 //! speed-ups brought by the transformed code, taking into account all the
 //! important factors, e.g., the number of SIMD instructions, the number of
 //! memory operations and the number of vector register

@@ -7,7 +7,7 @@
 //! * [`scalar`] — §5.1: offset-assignment-style placement of scalar
 //!   variables so a scalar superword occupies consecutive aligned slots
 //!   and moves with one vector memory operation,
-//! * [`array`] — §5.2: affine transformation plus mapping/replication of
+//! * [`array`](mod@array) — §5.2: affine transformation plus mapping/replication of
 //!   read-only array references into a new interleaved array, so a
 //!   strided gather becomes one aligned contiguous vector load
 //!   (paper Figures 13–14, Eq. (1)–(8)).

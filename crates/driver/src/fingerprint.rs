@@ -13,7 +13,7 @@
 //! fully deterministic across processes and platforms, which is what
 //! lets the on-disk tier survive process restarts.
 //!
-//! What goes into the key (see [`fingerprint`]):
+//! What goes into the key of [`crate::CompileRequest::fingerprint`]:
 //!
 //! * the crate version — a new compiler silently invalidates every old
 //!   entry rather than replaying stale kernels,

@@ -3,7 +3,7 @@
 //! A small C-like language for writing the benchmark kernels the SLP
 //! framework is evaluated on, playing the role of the SUIF frontend in the
 //! original system. Source text is lexed ([`lex`]), parsed ([`parse`]) and
-//! lowered ([`lower`]) into an [`slp_ir::Program`]; [`compile`] does all
+//! lowered ([`lower()`]) into an [`slp_ir::Program`]; [`compile`] does all
 //! three.
 //!
 //! # Grammar sketch

@@ -1,5 +1,5 @@
 //! Memory-safety certificate diagnostics (`V505`/`V506`), bridged from
-//! the [`SafetyCert`] the pipeline attaches to every [`CompiledKernel`].
+//! the [`SafetyCert`](slp_core::SafetyCert) the pipeline attaches to every [`CompiledKernel`].
 //!
 //! The certificate classifies each array access of the *transformed*
 //! program against its declared extents. This module turns the non-safe

@@ -1,6 +1,6 @@
 //! The symbolic evaluator: abstract execution of a kernel over the term
 //! arena. Each array cell and scalar holds a
-//! [`TermId`](crate::term::TermId) for its value as a function of the
+//! [`TermId`] for its value as a function of the
 //! inputs; the result is a [`SymbolicState`]. The scalar side runs
 //! statements in program order; the kernel side replays layout
 //! replications, then runs each block's schedule, resolved to statements
@@ -80,7 +80,7 @@ pub(crate) struct SymbolicState {
     cells: WordMap<(ArrayId, i64), TermId>,
     /// The cells actually *written*, sorted and deduplicated.
     pub dirty: Vec<(ArrayId, i64)>,
-    /// Current term of every scalar, indexed by [`VarId::index`].
+    /// Current term of every scalar, indexed by [`VarId::index`](slp_ir::VarId::index).
     pub scalars: Vec<TermId>,
     /// Dynamic statements executed.
     pub steps: u64,

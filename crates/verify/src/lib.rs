@@ -24,7 +24,7 @@
 //!   provably out-of-bounds subscripts, misalignment risks, dead loops
 //!   (`V5xx`),
 //! * [`prove_kernel`] — symbolic translation validation as diagnostics:
-//!   [`validate`] proves scalar ≡ vectorized over *all* inputs, and on
+//!   [`validate()`] proves scalar ≡ vectorized over *all* inputs, and on
 //!   budget exhaustion the report degrades to the differential check
 //!   (`V6xx`).
 //!
@@ -48,7 +48,7 @@
 //! # Symbolic translation validation
 //!
 //! The differential gate compares memory after one seeded run;
-//! [`validate`] proves a vectorized [`CompiledKernel`] equivalent to its
+//! [`validate()`] proves a vectorized [`CompiledKernel`] equivalent to its
 //! scalar program over **all** inputs (DESIGN.md, "Translation
 //! validation"). Four modules make it up:
 //!

@@ -1,7 +1,7 @@
 //! Symbolic translation validation (`V6xx`) as diagnostics.
 //!
 //! [`prove_kernel`] upgrades the point-wise differential check to a
-//! proof over **all** inputs: the [`validate`] prover symbolically
+//! proof over **all** inputs: the [`validate()`] prover symbolically
 //! evaluates the scalar program and the compiled kernel over a shared
 //! hash-consed term arena and compares every observable location's value
 //! graph. The report composes the fallback the validator itself promises:

@@ -3,7 +3,7 @@
 //!
 //! Values always flow through the architectural state (`MachineState`),
 //! while *costs* come from each instruction's static classification — a
-//! lane whose [`LaneSink`](crate::code::LaneSink) is `Free` still updates
+//! lane whose [`LaneSink`](slp_core::LaneSink) is `Free` still updates
 //! the scalar's value (so later consumers observe it) but charges
 //! nothing, exactly like a register-allocated temporary.
 

@@ -4,10 +4,14 @@
 //! type; the declared type only affects lane counts and addressing, which
 //! is all the SLP algorithms care about. Arrays are seeded with a
 //! deterministic pseudo-random pattern so that a scalar run and any
-//! vectorized run of the same kernel can be compared bit for bit.
+//! vectorized run of the same kernel can be compared bit for bit. A seed
+//! is a function of the cell alone, so seeds are tabulated once per
+//! process, one prefix per array index, bounded by `SEED_TABLE_CELLS`.
+
+use std::sync::{Arc, PoisonError, RwLock};
 
 use slp_core::ExecError;
-use slp_ir::{ArrayId, Program, VarId};
+use slp_ir::{ArrayId, Program, TypeEnv, VarId};
 
 /// The VM's memory budget: total array elements a program may allocate.
 ///
@@ -16,6 +20,54 @@ use slp_ir::{ArrayId, Program, VarId};
 /// 60]` is a *legal* program — from aborting the process with an OOM
 /// instead of a typed error.
 pub(crate) const MEMORY_BUDGET_ELEMS: i64 = 1 << 26;
+
+/// The most cells the seed table holds over all arrays: 2^20 (8 MiB).
+const SEED_TABLE_CELLS: usize = 1 << 20;
+
+static SEED_TABLE: SeedTable = SeedTable(RwLock::new(Vec::new()));
+
+/// Seed prefixes per array index: entry `a` holds `seed_value(a, i) *
+/// 4.0` for `i` below the longest length requested so far. A seed is
+/// never NaN, so a float array copies it as it is. Entries are replaced
+/// whole, so a poisoned lock still guards a correct table.
+struct SeedTable(RwLock<Vec<Arc<[f64]>>>);
+
+impl SeedTable {
+    /// The first `len` or more seeds of array `a`, or `None` when holding
+    /// them would pass [`SEED_TABLE_CELLS`]. A miss hashes only the tail.
+    fn prefix(&self, a: ArrayId, len: usize) -> Option<Arc<[f64]>> {
+        let table = self.0.read().unwrap_or_else(PoisonError::into_inner);
+        let old: Arc<[f64]> = table.get(a.index()).cloned().unwrap_or_default();
+        let others = cells(&table) - old.len();
+        drop(table);
+        if old.len() >= len {
+            return Some(old);
+        } else if others + len > SEED_TABLE_CELLS {
+            return None;
+        }
+        let tail = seeds(a, old.len()..len);
+        let new: Arc<[f64]> = old.iter().copied().chain(tail).collect();
+        debug_assert!(!new.iter().any(|v| v.is_nan()));
+        let mut table = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        let min_len = table.len().max(a.index() + 1);
+        table.resize(min_len, Arc::default());
+        // Another thread may have grown the table since the read.
+        let held = table[a.index()].len();
+        if held < len && cells(&table) - held + len <= SEED_TABLE_CELLS {
+            table[a.index()] = Arc::clone(&new);
+        }
+        Some(new)
+    }
+}
+
+fn cells(table: &[Arc<[f64]>]) -> usize {
+    table.iter().map(|p| p.len()).sum()
+}
+
+/// The one hashing loop, behind the table's fill and the direct path.
+fn seeds(a: ArrayId, range: std::ops::Range<usize>) -> impl Iterator<Item = f64> {
+    range.map(move |i| seed_value(a, i) * 4.0)
+}
 
 /// Checks `program` against [`MEMORY_BUDGET_ELEMS`].
 ///
@@ -85,23 +137,29 @@ fn bits_eq(x: &[f64], y: &[f64]) -> bool {
 impl MachineState {
     /// Allocates and seeds memory for `program`. Integer-typed arrays
     /// and scalars are seeded with whole values (their storage semantics
-    /// truncate, so fractional seeds would be unrepresentable).
+    /// truncate, so fractional seeds would be unrepresentable). A seed is
+    /// a function of its cell: arrays are copied out of a table tabulated
+    /// once per process, or hashed directly past `SEED_TABLE_CELLS`.
     pub fn seeded(program: &Program) -> Self {
+        Self::seeded_from(program, &SEED_TABLE)
+    }
+
+    fn seeded_from(program: &Program, table: &SeedTable) -> Self {
         let lens = program.arrays().iter().map(|a| a.len().max(0) as usize);
         let mut cells = Vec::with_capacity(lens.sum());
         let mut bounds = vec![0];
         for a in program.array_ids() {
-            let info = program.array(a);
-            let len = info.len().max(0) as usize;
-            cells.extend((0..len).map(|i| info.ty.coerce(seed_value(a, i) * 4.0)));
+            let (ty, len) = (program.array(a).ty, program.array(a).len().max(0) as usize);
+            match table.prefix(a, len) {
+                Some(p) if ty.is_float() => cells.extend_from_slice(&p[..len]),
+                Some(p) => cells.extend(p[..len].iter().map(|&v| ty.coerce(v))),
+                None => cells.extend(seeds(a, 0..len).map(|v| ty.coerce(v))),
+            }
             bounds.push(cells.len());
         }
         let scalars = program
             .scalar_ids()
-            .map(|v| {
-                use slp_ir::TypeEnv;
-                program.scalar_type(v).coerce(seed_scalar(v) * 4.0)
-            })
+            .map(|v| program.scalar_type(v).coerce(seed_scalar(v) * 4.0))
             .collect();
         MachineState {
             cells,
@@ -282,6 +340,99 @@ mod tests {
         let d0 = s.digest();
         s.store_array(ArrayId::new(0), 0, -1.0);
         assert_ne!(s.digest(), d0);
+    }
+
+    /// A program with one array of type `ty` per length in `lens`.
+    fn arrays_of(ty: ScalarType, lens: &[i64]) -> Program {
+        let mut p = Program::new("t");
+        for (k, &len) in lens.iter().enumerate() {
+            p.add_array(format!("A{k}"), ty, vec![len], true);
+        }
+        p
+    }
+
+    /// Every array of `state` holds `ty.coerce(seed_value(a, i) * 4.0)`,
+    /// bit for bit.
+    fn matches_the_formula(state: &MachineState, program: &Program) -> bool {
+        program.array_ids().all(|a| {
+            let ty = program.array(a).ty;
+            let want: Vec<f64> = (0..program.array(a).len() as usize)
+                .map(|i| ty.coerce(seed_value(a, i) * 4.0))
+                .collect();
+            bits_eq(state.array(a), &want)
+        })
+    }
+
+    #[test]
+    fn table_seeded_images_are_the_per_cell_formula_for_every_type() {
+        let table = SeedTable(RwLock::default());
+        for ty in ScalarType::all() {
+            let p = arrays_of(ty, &[300, 0, 17, 1, 64]);
+            assert!(
+                matches_the_formula(&MachineState::seeded_from(&p, &table), &p),
+                "{ty}"
+            );
+            assert!(matches_the_formula(&MachineState::seeded(&p), &p), "{ty}");
+        }
+        assert_eq!(cells(&table.0.read().unwrap()), 300 + 17 + 1 + 64);
+    }
+
+    #[test]
+    fn a_longer_prefix_extends_the_table_and_a_shorter_one_reads_it() {
+        let table = SeedTable(RwLock::default());
+        for len in [5, 50, 5] {
+            let p = arrays_of(ScalarType::I32, &[len, len + 1]);
+            assert!(
+                matches_the_formula(&MachineState::seeded_from(&p, &table), &p),
+                "{len}"
+            );
+        }
+        assert_eq!(cells(&table.0.read().unwrap()), 50 + 51);
+    }
+
+    #[test]
+    fn an_array_past_the_bound_is_seeded_directly() {
+        let table = SeedTable(RwLock::default());
+        let small = arrays_of(ScalarType::F64, &[10]);
+        MachineState::seeded_from(&small, &table);
+        let p = arrays_of(ScalarType::F32, &[10, SEED_TABLE_CELLS as i64 + 1, 3]);
+        assert!(matches_the_formula(
+            &MachineState::seeded_from(&p, &table),
+            &p
+        ));
+        let table = table.0.read().unwrap();
+        assert_eq!(cells(&table), 10 + 3);
+        assert_eq!(table[1].len(), 0);
+    }
+
+    #[test]
+    fn concurrent_seeding_through_one_table_is_correct() {
+        let table = SeedTable(RwLock::default());
+        let lens = |t: i64, k: i64| [(t * 37 + k * 101) % 900, (k * 53 + t) % 700, 1 + k];
+        // The four threads start together, so their requests overlap.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (table, start) = (&table, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for k in 0..40 {
+                        let p = arrays_of(ScalarType::all()[(t + k) as usize % 6], &lens(t, k));
+                        let state = MachineState::seeded_from(&p, table);
+                        assert!(matches_the_formula(&state, &p), "thread {t}, round {k}");
+                    }
+                });
+            }
+        });
+        // Every entry is the longest prefix requested at its index.
+        let mut longest = [0; 3];
+        for (t, k) in (0..4).flat_map(|t| (0..40).map(move |k| (t, k))) {
+            for (m, l) in longest.iter_mut().zip(lens(t, k)) {
+                *m = (*m).max(l as usize);
+            }
+        }
+        let held: Vec<usize> = table.0.read().unwrap().iter().map(|p| p.len()).collect();
+        assert_eq!(held, longest);
     }
 
     #[test]
